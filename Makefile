@@ -75,6 +75,9 @@ ci:
 	$(GO) test -run '^TestDrainZeroAlloc$$' -count=1 ./internal/vodserver/
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/...
 	$(GO) run ./cmd/vodload -sessions 200 -duration 2s -slot-ms 5 -report /dev/null
+	# benchmark/ is a module of its own, invisible to ./... above: compile
+	# and test it here so an API change that breaks the replay fails CI.
+	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 ./...
 	@rm -f ci-cover.out
 	@echo "ci: all gates passed"
 

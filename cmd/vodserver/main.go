@@ -31,7 +31,7 @@ func main() {
 		segmentBytes  = flag.Int("segment-bytes", 4096, "payload bytes per segment")
 		shards        = flag.Int("shards", 0, "station worker shards (0 = one per CPU, capped at the catalogue size)")
 		fanoutWorkers = flag.Int("fanout-workers", 0, "parallel broadcast tick workers over contiguous catalogue spans (0 = one per CPU capped at the catalogue size, 1 = serial tick)")
-		statsAddr     = flag.String("stats-addr", "", "optional HTTP monitoring address serving /statsz, /statusz, /healthz, /metricsz, /tracez, /spanz and /debug/pprof")
+		statsAddr     = flag.String("stats-addr", "", "optional HTTP monitoring address serving /statusz, /healthz, /metricsz, /tracez, /spanz and /debug/pprof")
 		tracePath     = flag.String("trace", "", "optional JSONL file capturing every scheduler event")
 		spanPath      = flag.String("span-trace", "", "optional JSONL file capturing sampled admission pipeline spans")
 		spanSample    = flag.Int("span-sample", 0, "keep 1 in N admission span trees (0 = default, 1 = everything)")
@@ -41,7 +41,6 @@ func main() {
 		alertFor      = flag.Duration("alert-for", 0, "how long a breach must hold before a rule fires (0 = fire immediately)")
 		missThreshold = flag.Float64("miss-threshold", 0, "windowed mean deadline misses per client report that fires the miss alert (0 = 0.5)")
 		reportStale   = flag.Duration("report-stale", 0, "fire a staleness alert when no client report arrives for this long (0 = disabled)")
-		fanoutMode    = flag.String("fanout", "zerocopy", "broadcast data plane: zerocopy (shared ref-counted frames over write rings) or reference (per-subscriber copies over channels)")
 		historyEvery  = flag.Duration("history-interval", 0, "metric history scrape interval (0 = 1s)")
 		noHistory     = flag.Bool("no-history", false, "disable the in-process metric history (and /queryz)")
 		historyBytes  = flag.Int("history-max-bytes", 0, "metric history memory cap in bytes (0 = 8 MiB)")
@@ -60,7 +59,6 @@ func main() {
 		sloMillis: *sloMillis, sloObjective: *sloObjective,
 		alertInterval: *alertInterval, alertFor: *alertFor,
 		missThreshold: *missThreshold, reportStale: *reportStale,
-		fanoutMode:   *fanoutMode,
 		historyEvery: *historyEvery, noHistory: *noHistory, historyBytes: *historyBytes,
 		flightDir: *flightDir, flightCool: *flightCool, flightKeep: *flightKeep,
 		noConntrack: *noConntrack, connEvery: *connEvery, connStalled: *connStalled,
@@ -79,7 +77,6 @@ type serveOpts struct {
 	sloMillis, sloObjective                    float64
 	alertInterval, alertFor, reportStale       time.Duration
 	missThreshold                              float64
-	fanoutMode                                 string
 	historyEvery                               time.Duration
 	noHistory                                  bool
 	historyBytes                               int
@@ -94,9 +91,6 @@ type serveOpts struct {
 func run(o serveOpts) error {
 	if o.videos <= 0 {
 		return fmt.Errorf("video count %d must be positive", o.videos)
-	}
-	if o.fanoutMode != "zerocopy" && o.fanoutMode != "reference" {
-		return fmt.Errorf("fanout mode %q must be zerocopy or reference", o.fanoutMode)
 	}
 	catalogue := make([]vodserver.VideoConfig, o.videos)
 	for i := range catalogue {
@@ -140,7 +134,6 @@ func run(o serveOpts) error {
 		AlertFor:          o.alertFor,
 		MissRateThreshold: o.missThreshold,
 		ReportStaleAfter:  o.reportStale,
-		FanoutReference:   o.fanoutMode == "reference",
 		HistoryInterval:   o.historyEvery,
 		HistoryDisabled:   o.noHistory,
 		HistoryMaxBytes:   o.historyBytes,
@@ -162,10 +155,10 @@ func run(o serveOpts) error {
 		return err
 	}
 	defer srv.Close()
-	fmt.Printf("vodserver listening on %s (%d videos, %d segments, %d ms slots, %d shards, %s fan-out)\n",
-		srv.Addr(), o.videos, o.segments, o.slotMillis, srv.Station().Shards(), o.fanoutMode)
+	fmt.Printf("vodserver listening on %s (%d videos, %d segments, %d ms slots, %d shards)\n",
+		srv.Addr(), o.videos, o.segments, o.slotMillis, srv.Station().Shards())
 	if srv.StatsAddr() != "" {
-		fmt.Printf("introspection on http://%s/{statsz,statusz,healthz,metricsz,tracez,spanz,alertz,queryz,connz,debug/pprof}\n", srv.StatsAddr())
+		fmt.Printf("introspection on http://%s/{statusz,healthz,metricsz,tracez,spanz,alertz,queryz,connz,debug/pprof}\n", srv.StatsAddr())
 		fmt.Printf("live dashboard: go run ./cmd/vodtop -addr %s\n", srv.StatsAddr())
 	}
 	if o.flightDir != "" {

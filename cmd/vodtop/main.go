@@ -164,12 +164,6 @@ func render(w io.Writer, addr string, snap vodserver.StatusSnapshot) {
 	fmt.Fprintln(tw, "STAGE\tCOUNT\tP50\tP95\tP99\tMAX")
 	for _, row := range stageRows(snap) {
 		win := row.win
-		if row.depth {
-			// Queue depth is in requests, not seconds.
-			fmt.Fprintf(tw, "%s\t%d\t%.0f\t%.0f\t%.0f\t%.0f\n",
-				row.name, win.Count, win.P50, win.P95, win.P99, win.Max)
-			continue
-		}
 		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t%s\t%s\n",
 			row.name, win.Count, fmtDur(win.P50), fmtDur(win.P95), fmtDur(win.P99), fmtDur(win.Max))
 	}
@@ -177,10 +171,10 @@ func render(w io.Writer, addr string, snap vodserver.StatusSnapshot) {
 
 	fmt.Fprintln(w)
 	tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "SHARD\tVIDEOS\tPENDING\tCAP\tADMITS\tREJECTS")
+	fmt.Fprintln(tw, "SHARD\tVIDEOS\tADMITS\tREJECTS")
 	for _, sh := range st.Shards {
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%.0f\t%.0f\n",
-			sh.Shard, sh.Videos, sh.Pending, sh.QueueCap, sh.Admits, sh.Rejects)
+		fmt.Fprintf(tw, "%d\t%d\t%.0f\t%.0f\n",
+			sh.Shard, sh.Videos, sh.Admits, sh.Rejects)
 	}
 	tw.Flush()
 
@@ -230,8 +224,6 @@ func fmtAlertValue(v float64) string {
 type stageRow struct {
 	name string
 	win  obs.WindowSnapshot
-	// depth marks a window measured in requests rather than seconds.
-	depth bool
 }
 
 // stageRows orders the pipeline stages the way a request traverses them:
@@ -245,11 +237,7 @@ func stageRows(snap vodserver.StatusSnapshot) []stageRow {
 	sort.Strings(names)
 	rows := make([]stageRow, 0, len(names)+2)
 	for _, name := range names {
-		rows = append(rows, stageRow{
-			name:  name,
-			win:   snap.Station.Stages[name],
-			depth: name == "queue_depth",
-		})
+		rows = append(rows, stageRow{name: name, win: snap.Station.Stages[name]})
 	}
 	rows = append(rows,
 		stageRow{name: "fanout", win: snap.Fanout},

@@ -26,13 +26,12 @@ func TestRenderFrame(t *testing.T) {
 		Station: station.Status{
 			Videos: 2,
 			Shards: []station.ShardStatus{
-				{Shard: 0, Videos: 1, Pending: 2, QueueCap: 256, Admits: 30, Rejects: 4},
-				{Shard: 1, Videos: 1, Pending: 0, QueueCap: 256, Admits: 12, Rejects: 0},
+				{Shard: 0, Videos: 1, Admits: 30, Rejects: 4},
+				{Shard: 1, Videos: 1, Admits: 12, Rejects: 0},
 			},
 			Stages: map[string]obs.WindowSnapshot{
-				"lock_wait":   {Count: 42, P50: 0.000004, P95: 0.00002, P99: 0.00005, Max: 0.0001},
-				"admit":       {Count: 42, P50: 0.0012, P95: 0.004, P99: 0.009, Max: 0.02},
-				"queue_depth": {Count: 10, P50: 3, P95: 8, P99: 9, Max: 9},
+				"lock_wait": {Count: 42, P50: 0.000004, P95: 0.00002, P99: 0.00005, Max: 0.0001},
+				"admit":     {Count: 42, P50: 0.0012, P95: 0.004, P99: 0.009, Max: 0.02},
 			},
 			Clock: station.ClockStatus{
 				Running: true, IntervalSeconds: 0.5, Ticks: 25,
@@ -75,8 +74,8 @@ func TestRenderFrame(t *testing.T) {
 		"spans: 42 roots, 6 sampled (1 in 8), 18 finished",
 		"target<=10.00ms @ 99.0%",
 		"good=40 bad=2  burn=4.76",
-		"lock_wait", "admit", "queue_depth", "fanout", "first_byte",
-		"SHARD", "REJECTS",
+		"lock_wait", "admit", "fanout", "first_byte",
+		"SHARD  VIDEOS  ADMITS  REJECTS",
 		"QoE  : reports=9  startup p50=2 p95=5 slots  slack mean=3.5 slots  miss/report mean=0.25",
 		"VIDEO", "trailer", "feature",
 		"ALERT", "SEVERITY",
@@ -87,8 +86,7 @@ func TestRenderFrame(t *testing.T) {
 			t.Fatalf("frame missing %q:\n%s", want, out)
 		}
 	}
-	// The sub-millisecond stage renders in microseconds; queue depth stays
-	// a bare request count.
+	// The sub-millisecond stage renders in microseconds.
 	if !strings.Contains(out, "4µs") {
 		t.Fatalf("lock_wait not rendered in µs:\n%s", out)
 	}

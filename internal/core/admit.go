@@ -82,33 +82,6 @@ func (s *Scheduler) AdmitRequest(opts AdmitOptions) (AdmitResult, error) {
 	return res, nil
 }
 
-// AdmitBatch admits count identical requests arriving during the current
-// slot — the coalesced form of a same-slot duplicate burst. The first
-// request runs the full placement loop; with no Observer attached and no
-// client cap, every later one is an O(1) same-slot memo hit, so the batch
-// costs one scheduler pass plus count-1 memo hits. The result reports the
-// batch total in Placed and the final request's assignment (identical
-// across the batch when sharing is unconstrained). A non-positive count is
-// rejected with ErrBadBatchCount.
-func (s *Scheduler) AdmitBatch(count int, opts AdmitOptions) (AdmitResult, error) {
-	if count <= 0 {
-		return AdmitResult{}, fmt.Errorf("%w: got %d", ErrBadBatchCount, count)
-	}
-	res, err := s.AdmitRequest(opts)
-	if err != nil {
-		return AdmitResult{}, err
-	}
-	placed := res.Placed
-	for k := 1; k < count; k++ {
-		// The first admission validated opts, so later ones cannot fail.
-		r, _ := s.AdmitRequest(opts)
-		placed += r.Placed
-		res = r
-	}
-	res.Placed = placed
-	return res, nil
-}
-
 // badResume builds the ErrBadResumePoint error shared by the admission
 // paths.
 func (s *Scheduler) badResume(from int) error {

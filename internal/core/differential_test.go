@@ -156,51 +156,6 @@ func TestDifferentialFastVsReference(t *testing.T) {
 	}
 }
 
-// TestDifferentialAdmitBatch: a coalesced batch call must be
-// indistinguishable — schedule, counters, result totals — from the same
-// number of sequential admissions on the reference scheduler.
-func TestDifferentialAdmitBatch(t *testing.T) {
-	for _, sc := range diffScenarios() {
-		t.Run(sc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(99))
-			fast, ref := diffPair(t, sc)
-			for step := 0; step < 120; step++ {
-				if rng.Intn(4) == 0 {
-					fast.AdvanceSlot()
-					ref.AdvanceSlot()
-					continue
-				}
-				count := 1 + rng.Intn(5)
-				from := 0
-				if sc.resumes && rng.Intn(2) == 0 {
-					from = 1 + rng.Intn(sc.n)
-				}
-				bres, err := fast.AdmitBatch(count, AdmitOptions{From: from, WantAssignment: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				placed := 0
-				var last AdmitResult
-				for k := 0; k < count; k++ {
-					r, err := ref.AdmitRequest(AdmitOptions{From: from, WantAssignment: true})
-					if err != nil {
-						t.Fatal(err)
-					}
-					placed += r.Placed
-					last = r
-				}
-				if bres.Placed != placed {
-					t.Fatalf("step %d: batch placed %d, reference %d", step, bres.Placed, placed)
-				}
-				if !reflect.DeepEqual(bres.Assignment, last.Assignment) {
-					t.Fatalf("step %d: batch assignment %v, reference %v", step, bres.Assignment, last.Assignment)
-				}
-				checkState(t, step, fast, ref)
-			}
-		})
-	}
-}
-
 // TestMemoObserverDisablesFastPath: with an Observer attached the full loop
 // must run for every duplicate so per-decision callbacks keep their exact
 // semantics — the decision count for k same-slot admissions stays k*n.
@@ -331,27 +286,5 @@ func TestAdmitRequestBufferReuse(t *testing.T) {
 	}
 	if len(res.Assignment) != s.N()+1 {
 		t.Fatalf("oversized buffer resliced to %d, want %d", len(res.Assignment), s.N()+1)
-	}
-}
-
-// TestAdmitBatchValidation: non-positive counts and bad resume points are
-// rejected without mutating the scheduler.
-func TestAdmitBatchValidation(t *testing.T) {
-	s, err := New(Config{Segments: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AdmitBatch(0, AdmitOptions{}); err == nil {
-		t.Fatal("count 0 accepted")
-	}
-	if _, err := s.AdmitBatch(-3, AdmitOptions{}); err == nil {
-		t.Fatal("negative count accepted")
-	}
-	if _, err := s.AdmitBatch(2, AdmitOptions{From: 99}); err == nil {
-		t.Fatal("bad resume point accepted")
-	}
-	if s.Requests() != 0 || s.Instances() != 0 {
-		t.Fatalf("failed batches mutated the scheduler: %d requests, %d instances",
-			s.Requests(), s.Instances())
 	}
 }

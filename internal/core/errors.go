@@ -22,6 +22,4 @@ var (
 	ErrBadClientCap = errors.New("core: invalid client stream cap")
 	// ErrBadResumePoint reports an AdmitOptions.From outside 1..n.
 	ErrBadResumePoint = errors.New("core: resume segment out of range")
-	// ErrBadBatchCount reports a non-positive AdmitBatch count.
-	ErrBadBatchCount = errors.New("core: batch count must be positive")
 )

@@ -74,14 +74,14 @@ type family struct {
 }
 
 type child struct {
-	labels    string // pre-rendered {k="v",...} or ""
-	mu        sync.Mutex
-	value     float64   // counter/gauge
-	fn        func() float64
-	counts    []float64 // histogram: per-bucket (non-cumulative) weights
-	inf       float64   // histogram: weight above the last bucket
-	sum       float64
-	count     float64
+	labels string // pre-rendered {k="v",...} or ""
+	mu     sync.Mutex
+	value  float64 // counter/gauge
+	fn     func() float64
+	counts []float64 // histogram: per-bucket (non-cumulative) weights
+	inf    float64   // histogram: weight above the last bucket
+	sum    float64
+	count  float64
 }
 
 // ValidMetricName reports whether s is a legal Prometheus metric name. The

@@ -93,7 +93,7 @@ func TestNilTracer(t *testing.T) {
 func TestSchedObserverTaxonomy(t *testing.T) {
 	tr := NewTracer(nil, 16)
 	o := SchedObserver{Video: 7, T: tr}
-	o.ObserveAdmit(5, 3, 1)                  // resume from segment 3
+	o.ObserveAdmit(5, 3, 1)                    // resume from segment 3
 	o.ObserveDecision(5, 3, 6, 6, 6, 2, true)  // shared
 	o.ObserveDecision(5, 4, 8, 6, 8, 1, false) // new instance
 	o.ObserveRetire(6, 2, []int{3, 4})

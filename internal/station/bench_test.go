@@ -90,42 +90,11 @@ func BenchmarkStationAdmit(b *testing.B) {
 			}
 		})
 	})
-	// "coalesced-batch" admits the same workload but groups every 16
-	// same-video arrivals into one AdmitBatch call: one lock acquisition
-	// and one full placement plus 15 memo hits per group. ns/op stays
-	// per-admission (each pb.Next() is one admission), so the row is
-	// directly comparable to "sharded".
-	b.Run("coalesced-batch", func(b *testing.B) {
-		st := newBenchStation(b)
-		const group = 16
-		var next atomic.Int64
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			v := int(next.Add(1)) % benchVideos
-			pending := 0
-			for pb.Next() {
-				if pending++; pending < group {
-					continue
-				}
-				if _, err := st.AdmitBatch(v, pending, core.AdmitOptions{}); err != nil {
-					b.Error(err)
-					return
-				}
-				pending = 0
-				v = (v + 1) % benchVideos
-			}
-			if pending > 0 {
-				if _, err := st.AdmitBatch(v, pending, core.AdmitOptions{}); err != nil {
-					b.Error(err)
-				}
-			}
-		})
-	})
 }
 
-// BenchmarkStationMixed interleaves batched admissions with slot advances
-// (one advance per 256 operations per goroutine), the realistic steady
-// state of a clock-driven server under load.
+// BenchmarkStationMixed interleaves admissions with slot advances (one
+// advance per 256 operations per goroutine), the realistic steady state of
+// a clock-driven server under load.
 func BenchmarkStationMixed(b *testing.B) {
 	b.Run("sharded", func(b *testing.B) {
 		st := newBenchStation(b)
@@ -139,7 +108,7 @@ func BenchmarkStationMixed(b *testing.B) {
 					st.AdvanceSlot()
 					continue
 				}
-				if err := st.Enqueue(v, 0); err != nil {
+				if _, err := st.Admit(v, core.AdmitOptions{}); err != nil {
 					b.Error(err)
 					return
 				}
@@ -163,23 +132,5 @@ func BenchmarkStationMixed(b *testing.B) {
 				v = (v + 1) % benchVideos
 			}
 		})
-	})
-}
-
-// BenchmarkStationEnqueue isolates the batched admission path (lock
-// amortization): FlushBatch admissions share one lock acquisition.
-func BenchmarkStationEnqueue(b *testing.B) {
-	st := newBenchStation(b)
-	var next atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		v := int(next.Add(1)) % benchVideos
-		for pb.Next() {
-			if err := st.Enqueue(v, 0); err != nil {
-				b.Error(err)
-				return
-			}
-			v = (v + 1) % benchVideos
-		}
 	})
 }

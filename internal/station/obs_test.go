@@ -1,10 +1,6 @@
 package station
 
 import (
-	"errors"
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,168 +8,24 @@ import (
 	"vodcast/internal/obs"
 )
 
-// shardMetrics reads the per-shard counter/gauge children back out of the
-// registry (same name + labels returns the same child).
-func shardMetrics(reg *obs.Registry, shard int) (depth *obs.Gauge, admits, rejects *obs.Counter) {
-	ls := obs.Labels{"shard": fmt.Sprint(shard)}
-	return reg.GaugeWith("station_shard_queue_depth", "", ls),
-		reg.CounterWith("station_shard_admits_total", "", ls),
-		reg.CounterWith("station_shard_rejects_total", "", ls)
-}
-
-// TestOverloadSheddingMetrics fills a shard queue past its bound and asserts
-// the reject counter and the queue-depth gauge agree exactly with the
-// returned ErrOverloaded errors. Table-driven over queue depths and offered
-// loads; FlushBatch is kept above the offered load so nothing drains
-// mid-fill.
-func TestOverloadSheddingMetrics(t *testing.T) {
-	cases := []struct {
-		name       string
-		queueDepth int
-		offered    int
-	}{
-		{"no overload", 8, 5},
-		{"exactly full", 8, 8},
-		{"one shed", 8, 9},
-		{"heavy overload", 4, 64},
-		{"default depth untouched", 0, 100}, // DefaultQueueDepth=1024 > 100
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			reg := obs.NewRegistry()
-			st, err := New(Config{
-				Videos:     testCatalogue(1, 10),
-				QueueDepth: tc.queueDepth,
-				FlushBatch: 1 << 20,
-				Registry:   reg,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Close()
-
-			shed := 0
-			for i := 0; i < tc.offered; i++ {
-				switch err := st.Enqueue(0, 1); {
-				case err == nil:
-				case errors.Is(err, ErrOverloaded):
-					shed++
-				default:
-					t.Fatalf("enqueue %d: unexpected error %v", i, err)
-				}
-			}
-			cap := tc.queueDepth
-			if cap == 0 {
-				cap = DefaultQueueDepth
-			}
-			wantShed := tc.offered - cap
-			if wantShed < 0 {
-				wantShed = 0
-			}
-			if shed != wantShed {
-				t.Fatalf("shed %d requests, want %d", shed, wantShed)
-			}
-			depth, admits, rejects := shardMetrics(reg, 0)
-			if got := rejects.Value(); got != float64(shed) {
-				t.Fatalf("reject counter = %v, errors returned = %d", got, shed)
-			}
-			wantDepth := tc.offered - shed
-			if got := depth.Value(); got != float64(wantDepth) {
-				t.Fatalf("queue-depth gauge = %v, want %v", got, wantDepth)
-			}
-			if got := st.Pending(0); got != wantDepth {
-				t.Fatalf("Pending = %d, gauge says %v", got, wantDepth)
-			}
-			if got := admits.Value(); got != 0 {
-				t.Fatalf("admits counter = %v before any flush", got)
-			}
-			// Drain: after a slot advance the gauge returns to zero and
-			// every queued request became an admit.
-			st.AdvanceSlot()
-			if got := depth.Value(); got != 0 {
-				t.Fatalf("queue-depth gauge = %v after flush", got)
-			}
-			if got := admits.Value(); got != float64(wantDepth) {
-				t.Fatalf("admits counter = %v after flush, want %v", got, wantDepth)
-			}
-		})
-	}
-}
-
-// TestOverloadSheddingConcurrent offers load from many goroutines against a
-// tiny queue: whatever interleaving happens, accepted + shed must equal
-// offered, and the metrics must agree with the error count. Run under -race
-// this also exercises the instrumented Enqueue path concurrently.
-func TestOverloadSheddingConcurrent(t *testing.T) {
-	reg := obs.NewRegistry()
-	st, err := New(Config{
-		Videos:     testCatalogue(1, 10),
-		QueueDepth: 16,
-		FlushBatch: 1 << 20,
-		Registry:   reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	const (
-		workers = 8
-		perW    = 50
-	)
-	var shed atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perW; i++ {
-				if err := st.Enqueue(0, 1); errors.Is(err, ErrOverloaded) {
-					shed.Add(1)
-				} else if err != nil {
-					t.Errorf("unexpected error: %v", err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	accepted := int64(workers*perW) - shed.Load()
-	if accepted != 16 {
-		t.Fatalf("accepted %d, want exactly the queue bound 16", accepted)
-	}
-	depth, _, rejects := shardMetrics(reg, 0)
-	if got := rejects.Value(); got != float64(shed.Load()) {
-		t.Fatalf("reject counter = %v, errors returned = %d", got, shed.Load())
-	}
-	if got := depth.Value(); got != float64(accepted) {
-		t.Fatalf("queue-depth gauge = %v, accepted = %d", got, accepted)
-	}
-}
-
-// TestStationStatusAndStages drives an instrumented station through both
-// admission paths and the clock, then checks the Status snapshot: stage
-// windows populated, shard table consistent with the registry counters,
-// clock ticking and drift fields sane.
+// TestStationStatusAndStages drives an instrumented station through
+// admissions and the clock, then checks the Status snapshot: stage windows
+// populated, shard table consistent with the registry counters, clock
+// ticking and drift fields sane.
 func TestStationStatusAndStages(t *testing.T) {
 	reg := obs.NewRegistry()
 	st, err := New(Config{
-		Videos:     testCatalogue(4, 10),
-		Shards:     2,
-		FlushBatch: 4,
-		Registry:   reg,
+		Videos:   testCatalogue(4, 10),
+		Shards:   2,
+		Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 
-	for v := 0; v < 4; v++ {
-		if _, err := st.Admit(v, core.AdmitOptions{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 8; i++ {
-		if err := st.Enqueue(i%4, 1); err != nil {
+	for i := 0; i < 12; i++ {
+		if _, err := st.Admit(i%4, core.AdmitOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,7 +40,7 @@ func TestStationStatusAndStages(t *testing.T) {
 	}
 	var admits float64
 	for _, row := range s.Shards {
-		if row.Videos != 2 || row.QueueCap != DefaultQueueDepth || row.Pending != 0 {
+		if row.Videos != 2 {
 			t.Fatalf("shard row %+v", row)
 		}
 		admits += row.Admits
@@ -208,7 +60,6 @@ func TestStationStatusAndStages(t *testing.T) {
 		if row.Shard != v%2 {
 			t.Fatalf("video %d attributed to shard %d, want %d", v, row.Shard, v%2)
 		}
-		// Each video took 1 Admit + 2 Enqueues; the advance flushed them.
 		if row.Requests != 3 {
 			t.Fatalf("video %d requests = %d, want 3", v, row.Requests)
 		}
@@ -216,7 +67,10 @@ func TestStationStatusAndStages(t *testing.T) {
 			t.Fatalf("video %d row %+v: slot/instances not advanced", v, row)
 		}
 	}
-	for _, name := range []string{StageLockWait, StageAdmit, StageEnqueueWait, StageQueueDepth} {
+	if len(s.Stages) != 2 {
+		t.Fatalf("stages = %v, want exactly %q and %q", s.Stages, StageLockWait, StageAdmit)
+	}
+	for _, name := range []string{StageLockWait, StageAdmit} {
 		snap, ok := s.Stages[name]
 		if !ok || snap.Count == 0 {
 			t.Fatalf("stage %q missing or empty: %+v", name, snap)
@@ -224,11 +78,6 @@ func TestStationStatusAndStages(t *testing.T) {
 		if snap.P50 > snap.P99 || snap.P99 > snap.Max {
 			t.Fatalf("stage %q quantiles unordered: %+v", name, snap)
 		}
-	}
-	// The queue-depth stage saw the two batch flushes (size 4) and the
-	// advance-time flush; its max is the configured batch trigger.
-	if got := s.Stages[StageQueueDepth].Max; got != 4 {
-		t.Fatalf("sampled queue depth max = %v, want 4", got)
 	}
 
 	if s.Clock.Running || s.Clock.Ticks != 0 {
@@ -272,7 +121,7 @@ func TestStatusUninstrumented(t *testing.T) {
 	if _, err := st.Admit(0, core.AdmitOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Enqueue(1, 1); err != nil {
+	if _, err := st.Admit(1, core.AdmitOptions{From: 1}); err != nil {
 		t.Fatal(err)
 	}
 	st.AdvanceSlot()

@@ -14,14 +14,6 @@
 //   - One clock. A single optional clock goroutine fans AdvanceSlot ticks
 //     out to every shard (in parallel) so all videos share the slot grid;
 //     deterministic drivers call AdvanceSlot themselves instead.
-//   - Batched admission. Enqueue appends a request to the shard's bounded
-//     pending queue and returns immediately; the batch is applied under one
-//     lock acquisition when it reaches FlushBatch requests, and always
-//     before the shard's next AdvanceSlot — a request enqueued during slot
-//     i is admitted in slot i, so batching never changes DHB semantics.
-//   - Overload. A full pending queue rejects with ErrOverloaded instead of
-//     blocking: under overload the engine degrades by shedding admissions,
-//     never by stalling the broadcast clock.
 //
 // Within one slot, admissions for the same video are identical operations,
 // so any interleaving of shard work yields the same per-video schedule as a
@@ -46,23 +38,16 @@ import (
 
 // Sentinel errors. Construction errors wrap these (and the core sentinels
 // for per-video scheduler problems) with context; runtime errors from Admit
-// and Enqueue are classifiable with errors.Is.
+// are classifiable with errors.Is.
 var (
 	// ErrEmptyCatalogue reports a Config with no videos.
 	ErrEmptyCatalogue = errors.New("station: empty catalogue")
 	// ErrBadShards reports a negative Config.Shards.
 	ErrBadShards = errors.New("station: shard count must be non-negative")
-	// ErrBadQueueDepth reports a negative Config.QueueDepth.
-	ErrBadQueueDepth = errors.New("station: queue depth must be non-negative")
-	// ErrBadFlushBatch reports a negative Config.FlushBatch.
-	ErrBadFlushBatch = errors.New("station: flush batch must be non-negative")
 	// ErrBadSlotDuration reports a non-positive StartClock interval.
 	ErrBadSlotDuration = errors.New("station: slot duration must be positive")
 	// ErrUnknownVideo reports a video index outside the catalogue.
 	ErrUnknownVideo = errors.New("station: unknown video")
-	// ErrOverloaded reports an Enqueue against a full shard queue; the
-	// request was shed, not blocked.
-	ErrOverloaded = errors.New("station: admission queue full")
 	// ErrClosed reports an operation against a closed station.
 	ErrClosed = errors.New("station: closed")
 	// ErrClockRunning reports a second StartClock without a StopClock.
@@ -82,8 +67,8 @@ type VideoConfig struct {
 	// slot reports feed a data plane, as in vodserver).
 	TrackSegments bool
 	// Observer optionally receives the video's scheduling decisions. It is
-	// invoked under the owning shard's lock, possibly from clock or flush
-	// goroutines, so it must be safe for use from multiple goroutines over
+	// invoked under the owning shard's lock, from admitting goroutines and
+	// the clock's, so it must be safe for use from multiple goroutines over
 	// time (obs.SchedObserver over a Tracer is).
 	Observer core.Observer
 }
@@ -96,32 +81,9 @@ type Config struct {
 	// Shards is the number of worker shards; 0 selects
 	// min(GOMAXPROCS, len(Videos)).
 	Shards int
-	// QueueDepth bounds each shard's pending (asynchronous) admission
-	// queue; an Enqueue against a full queue is rejected with
-	// ErrOverloaded. 0 selects DefaultQueueDepth.
-	QueueDepth int
-	// FlushBatch is the pending-queue length that triggers an immediate
-	// batch flush; smaller batches trade lock amortization for admission
-	// latency. 0 selects DefaultFlushBatch.
-	FlushBatch int
-	// Registry optionally receives the per-shard gauges and counters
-	// (station_shard_queue_depth, station_shard_admits_total,
-	// station_shard_rejects_total).
+	// Registry optionally receives the per-shard counters
+	// (station_shard_admits_total, station_shard_rejects_total).
 	Registry *obs.Registry
-}
-
-// Defaults for the zero values of Config.
-const (
-	DefaultQueueDepth = 1024
-	DefaultFlushBatch = 64
-)
-
-// pendingReq is one asynchronously enqueued admission. Arrival instants for
-// the enqueue-wait stage live in the shard's parallel enqTimes slice, kept
-// separate so the uninstrumented queue stays two words per request.
-type pendingReq struct {
-	video int
-	from  int
 }
 
 // stage is one instrumented pipeline stage: a histogram for scrape-horizon
@@ -139,16 +101,10 @@ func (s *stage) observe(v float64) {
 
 // Stage names of the admission pipeline, the keys of Status.Stages.
 const (
-	// StageEnqueueWait is the time a batched admission waits in the shard
-	// queue between Enqueue and its flush.
-	StageEnqueueWait = "enqueue_wait"
 	// StageLockWait is the time an admission waits for its shard's lock.
 	StageLockWait = "lock_wait"
 	// StageAdmit is the scheduler service time under the shard lock.
 	StageAdmit = "admit"
-	// StageQueueDepth is the shard queue depth sampled at every flush (a
-	// request count, not seconds).
-	StageQueueDepth = "queue_depth"
 )
 
 // stageBuckets bound the stage histograms: admission stages complete in
@@ -158,17 +114,12 @@ var stageBuckets = []float64{
 	5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 5e-2, 0.25, 1,
 }
 
-// depthBuckets bound the sampled queue-depth histogram.
-var depthBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096}
-
 // stationObs carries every instrument of an observed station; a nil
 // *stationObs disables the whole layer for one predictable branch per hot
 // path.
 type stationObs struct {
-	enqueueWait stage
-	lockWait    stage
-	admit       stage
-	queueDepth  stage
+	lockWait stage
+	admit    stage
 
 	clockLag   *obs.Gauge
 	clockDrift *obs.Gauge
@@ -184,12 +135,8 @@ func newStationObs(reg *obs.Registry) *stationObs {
 			"Admission pipeline stage latencies.", stageBuckets, obs.Labels{"stage": name})
 		st.win = obs.NewWindow(0)
 	}
-	latency(StageEnqueueWait, &o.enqueueWait)
 	latency(StageLockWait, &o.lockWait)
 	latency(StageAdmit, &o.admit)
-	o.queueDepth.hist = reg.Histogram("station_queue_depth_sampled",
-		"Shard pending-queue depth sampled at every flush (requests, not seconds).", depthBuckets)
-	o.queueDepth.win = obs.NewWindow(0)
 	o.clockLag = reg.Gauge("station_clock_tick_lag_seconds",
 		"Lag of the most recent clock tick behind its scheduled time.")
 	o.clockDrift = reg.Gauge("station_clock_slot_drift_slots",
@@ -207,35 +154,26 @@ type stationVideo struct {
 	shard int
 }
 
-// shard is one worker partition: a mutex, the videos it owns, and the
-// bounded pending queue of batched admissions.
+// shard is one worker partition: a mutex and the videos it owns.
 type shard struct {
-	mu      sync.Mutex
-	videos  []int // station video indices owned by this shard
-	pending []pendingReq
-	// enqTimes shadows pending with per-request enqueue instants. It is
-	// only appended to when the station is instrumented, keeping
-	// pendingReq small (pure memory traffic) on the disabled path.
-	enqTimes []time.Time
-	// assign is the shard's reusable assignment scratch: Admit and
-	// AdmitBatch serve WantAssignment from it (growing it on demand) when
-	// the caller supplies no buffer of their own, keeping the traced admit
-	// path allocation-free in steady state. Guarded by mu.
+	mu     sync.Mutex
+	videos []int // station video indices owned by this shard
+	// assign is the shard's reusable assignment scratch: Admit serves
+	// WantAssignment from it (growing it on demand) when the caller supplies
+	// no buffer of their own, keeping the traced admit path allocation-free
+	// in steady state. Guarded by mu.
 	assign []int
 
 	// Per-shard observability (nil without a Registry).
-	queueDepth *obs.Gauge
-	admits     *obs.Counter
-	rejects    *obs.Counter
+	admits  *obs.Counter
+	rejects *obs.Counter
 }
 
 // Station is a sharded multi-video DHB broadcast engine. All methods are
 // safe for concurrent use.
 type Station struct {
-	videos     []*stationVideo
-	shards     []*shard
-	queueCap   int
-	flushBatch int
+	videos []*stationVideo
+	shards []*shard
 
 	// obs is the pipeline instrumentation, nil when Config.Registry was
 	// nil: every hot path pays exactly one branch for the disabled layer.
@@ -263,12 +201,6 @@ func New(cfg Config) (*Station, error) {
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadShards, cfg.Shards)
 	}
-	if cfg.QueueDepth < 0 {
-		return nil, fmt.Errorf("%w: got %d", ErrBadQueueDepth, cfg.QueueDepth)
-	}
-	if cfg.FlushBatch < 0 {
-		return nil, fmt.Errorf("%w: got %d", ErrBadFlushBatch, cfg.FlushBatch)
-	}
 	shards := cfg.Shards
 	if shards == 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -277,16 +209,8 @@ func New(cfg Config) (*Station, error) {
 		shards = len(cfg.Videos)
 	}
 	st := &Station{
-		videos:     make([]*stationVideo, len(cfg.Videos)),
-		shards:     make([]*shard, shards),
-		queueCap:   cfg.QueueDepth,
-		flushBatch: cfg.FlushBatch,
-	}
-	if st.queueCap == 0 {
-		st.queueCap = DefaultQueueDepth
-	}
-	if st.flushBatch == 0 {
-		st.flushBatch = DefaultFlushBatch
+		videos: make([]*stationVideo, len(cfg.Videos)),
+		shards: make([]*shard, shards),
 	}
 	if cfg.Registry != nil {
 		st.obs = newStationObs(cfg.Registry)
@@ -295,12 +219,10 @@ func New(cfg Config) (*Station, error) {
 		sh := &shard{}
 		if cfg.Registry != nil {
 			ls := obs.Labels{"shard": fmt.Sprint(i)}
-			sh.queueDepth = cfg.Registry.GaugeWith("station_shard_queue_depth",
-				"Admissions batched in the shard's pending queue, waiting for the next flush.", ls)
 			sh.admits = cfg.Registry.CounterWith("station_shard_admits_total",
-				"Requests admitted through the shard (synchronous and batched).", ls)
+				"Requests admitted through the shard.", ls)
 			sh.rejects = cfg.Registry.CounterWith("station_shard_rejects_total",
-				"Requests shed by the shard: queue overload or invalid resume points.", ls)
+				"Requests refused by the shard: invalid resume points.", ls)
 		}
 		st.shards[i] = sh
 	}
@@ -384,8 +306,7 @@ func (st *Station) checkVideo(video int) error {
 }
 
 // Admit synchronously admits one request for the video under its shard's
-// lock, flushing any batched admissions first so arrival order is
-// preserved. Admissions for videos on different shards run in parallel.
+// lock. Admissions for videos on different shards run in parallel.
 //
 // When opts.WantAssignment is set without a caller-supplied
 // opts.Assignment buffer, the returned assignment aliases a per-shard
@@ -393,22 +314,6 @@ func (st *Station) checkVideo(video int) error {
 // overwrites: callers that retain it must copy it out, or pass their own
 // AdmitOptions.Assignment.
 func (st *Station) Admit(video int, opts core.AdmitOptions) (core.AdmitResult, error) {
-	return st.admitBatch(video, 1, opts)
-}
-
-// AdmitBatch synchronously admits count identical requests for the video —
-// the coalesced form of a same-slot duplicate burst — under one shard lock
-// acquisition and one scheduler call: the first request runs the full
-// placement loop and, uncapped and unobserved, each later one is an O(1)
-// same-slot memo hit. The result carries the batch's total Placed and (when
-// requested) the final request's assignment, under the same scratch-buffer
-// aliasing rule as Admit. A non-positive count is rejected with
-// core.ErrBadBatchCount.
-func (st *Station) AdmitBatch(video, count int, opts core.AdmitOptions) (core.AdmitResult, error) {
-	return st.admitBatch(video, count, opts)
-}
-
-func (st *Station) admitBatch(video, count int, opts core.AdmitOptions) (core.AdmitResult, error) {
 	if st.closed.Load() {
 		return core.AdmitResult{}, ErrClosed
 	}
@@ -430,12 +335,11 @@ func (st *Station) admitBatch(video, count int, opts core.AdmitOptions) (core.Ad
 		tLocked = time.Now()
 		st.obs.lockWait.observe(tLocked.Sub(t0).Seconds())
 	}
-	sh.flushLocked(st)
 	useScratch := opts.WantAssignment && opts.Assignment == nil
 	if useScratch {
 		opts.Assignment = sh.assign
 	}
-	res, err := st.videos[video].sched.AdmitBatch(count, opts)
+	res, err := st.videos[video].sched.AdmitRequest(opts)
 	if st.obs != nil {
 		st.obs.admit.observe(time.Since(tLocked).Seconds())
 	}
@@ -450,109 +354,15 @@ func (st *Station) admitBatch(video, count int, opts core.AdmitOptions) (core.Ad
 		sh.assign = res.Assignment
 	}
 	if sh.admits != nil {
-		sh.admits.Add(float64(count))
+		sh.admits.Inc()
 	}
 	return res, nil
 }
 
-// Enqueue appends one full-viewing-or-resume admission (from <= 1 means a
-// full viewing) to the video's shard queue and returns without waiting for
-// it to be applied. The batch flushes when it reaches FlushBatch requests
-// and always before the shard's next AdvanceSlot, so the request is
-// admitted in the slot it arrived in. A full queue rejects with
-// ErrOverloaded.
-func (st *Station) Enqueue(video, from int) error {
-	if st.closed.Load() {
-		return ErrClosed
-	}
-	if err := st.checkVideo(video); err != nil {
-		return err
-	}
-	sched := st.videos[video].sched
-	if from > sched.N() {
-		shd := st.shards[st.videos[video].shard]
-		if shd.rejects != nil {
-			shd.rejects.Inc()
-		}
-		return fmt.Errorf("%w: segment %d outside 1..%d", core.ErrBadResumePoint, from, sched.N())
-	}
-	if from < 1 {
-		from = 1
-	}
-	sh := st.shards[st.videos[video].shard]
-	var t0 time.Time
-	if st.obs != nil {
-		t0 = time.Now()
-	}
-	sh.mu.Lock()
-	if st.obs != nil {
-		st.obs.lockWait.observe(time.Since(t0).Seconds())
-	}
-	if len(sh.pending) >= st.queueCap {
-		sh.mu.Unlock()
-		if sh.rejects != nil {
-			sh.rejects.Inc()
-		}
-		return fmt.Errorf("%w: shard %d at depth %d", ErrOverloaded, st.videos[video].shard, st.queueCap)
-	}
-	if st.obs != nil {
-		sh.enqTimes = append(sh.enqTimes, time.Now())
-	}
-	sh.pending = append(sh.pending, pendingReq{video: video, from: from})
-	if len(sh.pending) >= st.flushBatch {
-		sh.flushLocked(st)
-	} else if sh.queueDepth != nil {
-		sh.queueDepth.Set(float64(len(sh.pending)))
-	}
-	sh.mu.Unlock()
-	return nil
-}
-
-// flushLocked applies the shard's pending admissions in arrival order,
-// coalescing runs of identical (video, from) requests — the common shape of
-// a same-slot flash crowd — into single scheduler batch calls. The caller
-// holds sh.mu. Requests were validated at Enqueue, so admission cannot
-// fail.
-func (sh *shard) flushLocked(st *Station) {
-	if len(sh.pending) == 0 {
-		return
-	}
-	if st.obs != nil {
-		// One clock read covers the whole batch: each request's enqueue
-		// wait is measured against the flush instant, and the pre-flush
-		// depth is the sampled queue-depth observation.
-		now := time.Now()
-		st.obs.queueDepth.observe(float64(len(sh.pending)))
-		for _, enq := range sh.enqTimes {
-			st.obs.enqueueWait.observe(now.Sub(enq).Seconds())
-		}
-		sh.enqTimes = sh.enqTimes[:0]
-	}
-	for start := 0; start < len(sh.pending); {
-		r := sh.pending[start]
-		end := start + 1
-		for end < len(sh.pending) && sh.pending[end] == r {
-			end++
-		}
-		// The error is impossible: from was validated against the segment
-		// count at Enqueue and the run length is positive.
-		_, _ = st.videos[r.video].sched.AdmitBatch(end-start, core.AdmitOptions{From: r.from})
-		start = end
-	}
-	if sh.admits != nil {
-		sh.admits.Add(float64(len(sh.pending)))
-	}
-	sh.pending = sh.pending[:0]
-	if sh.queueDepth != nil {
-		sh.queueDepth.Set(0)
-	}
-}
-
 // AdvanceSlot finishes the current slot of every video and returns the
-// retired slot reports, indexed by video. Each shard flushes its pending
-// admissions first (they arrived during the finishing slot) and shards
-// advance in parallel. The returned slice is owned by the caller;
-// steady-state drivers reuse one via AdvanceSlotInto.
+// retired slot reports, indexed by video. Shards advance in parallel. The
+// returned slice is owned by the caller; steady-state drivers reuse one via
+// AdvanceSlotInto.
 func (st *Station) AdvanceSlot() []core.SlotReport {
 	return st.AdvanceSlotInto(nil)
 }
@@ -579,7 +389,7 @@ func (st *Station) AdvanceSlotInto(dst []core.SlotReport) []core.SlotReport {
 	return dst
 }
 
-// advanceParallel flushes and advances every shard concurrently.
+// advanceParallel advances every shard concurrently.
 func (st *Station) advanceParallel(reports []core.SlotReport) {
 	var wg sync.WaitGroup
 	for i := range st.shards {
@@ -596,13 +406,12 @@ func (st *Station) advanceParallel(reports []core.SlotReport) {
 	wg.Wait()
 }
 
-// advanceShard flushes and advances one shard. Shards own disjoint video
+// advanceShard advances one shard. Shards own disjoint video
 // index sets, so concurrent writes into reports never alias.
 func (st *Station) advanceShard(i int, reports []core.SlotReport) {
 	sh := st.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.flushLocked(st)
 	for _, v := range sh.videos {
 		reports[v] = st.videos[v].sched.AdvanceSlot()
 	}
@@ -658,14 +467,6 @@ func (st *Station) Totals() (requests, instances int64) {
 		sh.mu.Unlock()
 	}
 	return requests, instances
-}
-
-// Pending reports how many admissions are batched in the shard's queue.
-func (st *Station) Pending(shard int) int {
-	sh := st.shards[shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return len(sh.pending)
 }
 
 // StartClock launches the single clock goroutine: every interval it fans an
@@ -752,9 +553,6 @@ type ShardStatus struct {
 	// Shard is the worker index; Videos the catalogue entries it owns.
 	Shard  int `json:"shard"`
 	Videos int `json:"videos"`
-	// Pending is the live batched-queue depth; QueueCap its bound.
-	Pending  int `json:"pending"`
-	QueueCap int `json:"queue_cap"`
 	// Admits and Rejects mirror the shard's registry counters (zero when
 	// the station is uninstrumented).
 	Admits  float64 `json:"admits"`
@@ -801,9 +599,8 @@ type Status struct {
 	Shards []ShardStatus `json:"shards"`
 	// PerVideo lists every catalogue video; rows are in catalogue order.
 	PerVideo []VideoStatus `json:"per_video"`
-	// Stages maps the Stage* names to their rolling windows (empty when
-	// the station is uninstrumented). Latency stages are in seconds;
-	// StageQueueDepth is in requests.
+	// Stages maps the Stage* names to their rolling windows, in seconds
+	// (empty when the station is uninstrumented).
 	Stages map[string]obs.WindowSnapshot `json:"stages,omitempty"`
 	Clock  ClockStatus                   `json:"clock"`
 	// Requests and Instances are the station-wide admission totals.
@@ -821,9 +618,8 @@ func (st *Station) Status() Status {
 		PerVideo: make([]VideoStatus, len(st.videos)),
 	}
 	for i, sh := range st.shards {
-		row := ShardStatus{Shard: i, Videos: len(sh.videos), QueueCap: st.queueCap}
+		row := ShardStatus{Shard: i, Videos: len(sh.videos)}
 		sh.mu.Lock()
-		row.Pending = len(sh.pending)
 		for _, v := range sh.videos {
 			sv := st.videos[v]
 			s.Requests += sv.sched.Requests()
@@ -854,18 +650,16 @@ func (st *Station) Status() Status {
 	}
 	if st.obs != nil {
 		s.Stages = map[string]obs.WindowSnapshot{
-			StageEnqueueWait: st.obs.enqueueWait.win.Snapshot(),
-			StageLockWait:    st.obs.lockWait.win.Snapshot(),
-			StageAdmit:       st.obs.admit.win.Snapshot(),
-			StageQueueDepth:  st.obs.queueDepth.win.Snapshot(),
+			StageLockWait: st.obs.lockWait.win.Snapshot(),
+			StageAdmit:    st.obs.admit.win.Snapshot(),
 		}
 		s.Clock.Lag = st.obs.clockWin.Snapshot()
 	}
 	return s
 }
 
-// Close stops the clock and marks the station closed: subsequent Admit and
-// Enqueue calls fail with ErrClosed. It is safe to call more than once.
+// Close stops the clock and marks the station closed: subsequent Admit
+// calls fail with ErrClosed. It is safe to call more than once.
 func (st *Station) Close() {
 	st.closed.Store(true)
 	st.StopClock()

@@ -32,8 +32,6 @@ func TestNewSentinelErrors(t *testing.T) {
 	}{
 		{"empty catalogue", Config{}, ErrEmptyCatalogue},
 		{"negative shards", Config{Videos: testCatalogue(1, 4), Shards: -1}, ErrBadShards},
-		{"negative queue", Config{Videos: testCatalogue(1, 4), QueueDepth: -1}, ErrBadQueueDepth},
-		{"negative batch", Config{Videos: testCatalogue(1, 4), FlushBatch: -1}, ErrBadFlushBatch},
 		{"bad video", Config{Videos: []VideoConfig{{Segments: -2}}}, core.ErrBadSegmentCount},
 	}
 	for _, tt := range tests {
@@ -124,95 +122,8 @@ func TestAdmitValidation(t *testing.T) {
 	if _, err := st.Admit(0, core.AdmitOptions{From: 99}); !errors.Is(err, core.ErrBadResumePoint) {
 		t.Fatalf("admit bad resume: %v", err)
 	}
-	if err := st.Enqueue(3, 1); !errors.Is(err, ErrUnknownVideo) {
-		t.Fatalf("enqueue unknown video: %v", err)
-	}
-	if err := st.Enqueue(0, 99); !errors.Is(err, core.ErrBadResumePoint) {
-		t.Fatalf("enqueue bad resume: %v", err)
-	}
 	if req, inst := st.Totals(); req != 0 || inst != 0 {
 		t.Fatalf("rejections mutated the engine: %d requests, %d instances", req, inst)
-	}
-}
-
-// TestEnqueueFlushesBeforeAdvance: a request enqueued during slot i is
-// admitted in slot i — the batch is applied before the slot retires — so
-// batching never changes DHB semantics.
-func TestEnqueueFlushesBeforeAdvance(t *testing.T) {
-	st, err := New(Config{Videos: testCatalogue(1, 6), FlushBatch: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := core.New(core.Config{Segments: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for slot := 0; slot < 20; slot++ {
-		if err := st.Enqueue(0, 0); err != nil {
-			t.Fatal(err)
-		}
-		ref.AdmitRequest(core.AdmitOptions{})
-		if got := st.Pending(0); got != 1 {
-			t.Fatalf("slot %d: pending = %d before advance", slot, got)
-		}
-		rep, want := st.AdvanceSlot()[0], ref.AdvanceSlot()
-		if rep.Slot != want.Slot || rep.Load != want.Load {
-			t.Fatalf("slot %d: station %+v, reference %+v", slot, rep, want)
-		}
-	}
-	req, inst := st.VideoTotals(0)
-	if req != ref.Requests() || inst != ref.Instances() {
-		t.Fatalf("totals (%d,%d) diverged from reference (%d,%d)",
-			req, inst, ref.Requests(), ref.Instances())
-	}
-}
-
-// TestEnqueueOverload: a full shard queue sheds with ErrOverloaded instead
-// of blocking, and recovers after the next flush.
-func TestEnqueueOverload(t *testing.T) {
-	st, err := New(Config{Videos: testCatalogue(1, 4), QueueDepth: 3, FlushBatch: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := st.Enqueue(0, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Enqueue(0, 0); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("enqueue on full queue: %v", err)
-	}
-	st.AdvanceSlot() // flushes
-	if err := st.Enqueue(0, 0); err != nil {
-		t.Fatalf("enqueue after flush: %v", err)
-	}
-	if req, _ := st.Totals(); req != 3 {
-		t.Fatalf("admitted %d requests, want 3 (the shed request must not count)", req)
-	}
-}
-
-// TestFlushBatchTriggers: the pending queue self-flushes at FlushBatch.
-func TestFlushBatchTriggers(t *testing.T) {
-	st, err := New(Config{Videos: testCatalogue(1, 4), FlushBatch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := st.Enqueue(0, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := st.Pending(0); got != 3 {
-		t.Fatalf("pending = %d, want 3", got)
-	}
-	if err := st.Enqueue(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Pending(0); got != 0 {
-		t.Fatalf("pending = %d after reaching the batch size, want 0", got)
-	}
-	if req, _ := st.Totals(); req != 4 {
-		t.Fatalf("admitted %d requests, want 4", req)
 	}
 }
 
@@ -256,34 +167,25 @@ func TestConcurrentEquivalence(t *testing.T) {
 	for v := range cat {
 		cat[v] = VideoConfig{Segments: segs[v]}
 	}
-	st, err := New(Config{Videos: cat, Shards: shards, FlushBatch: 2})
+	st, err := New(Config{Videos: cat, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for s := 0; s < slots; s++ {
-		// Concurrent admissions: one goroutine per video, racing against
-		// each other across shards; a random half go through the batched
-		// Enqueue path.
+		// Concurrent admissions: one goroutine per arrival, racing against
+		// each other within and across shards.
 		var wg sync.WaitGroup
 		for v := 0; v < videos; v++ {
-			wg.Add(1)
-			go func(v, count int, batched bool) {
-				defer wg.Done()
-				for a := 0; a < count; a++ {
-					if batched {
-						if err := st.Enqueue(v, 0); err != nil {
-							t.Error(err)
-							return
-						}
-						continue
-					}
+			for a := 0; a < arrivals[s][v]; a++ {
+				wg.Add(1)
+				go func(v int) {
+					defer wg.Done()
 					if _, err := st.Admit(v, core.AdmitOptions{}); err != nil {
 						t.Error(err)
-						return
 					}
-				}
-			}(v, arrivals[s][v], rng.Intn(2) == 0)
+				}(v)
+			}
 		}
 		wg.Wait()
 
@@ -313,9 +215,9 @@ func TestConcurrentEquivalence(t *testing.T) {
 }
 
 // TestStressAdmissionsRaceClock hammers a clock-driven station from many
-// goroutines — synchronous admissions, batched admissions, load probes —
-// and checks the books balance afterwards. Run under -race this is the
-// engine's data-race certification.
+// goroutines — full and resumed admissions, load probes — and checks the
+// books balance afterwards. Run under -race this is the engine's data-race
+// certification.
 func TestStressAdmissionsRaceClock(t *testing.T) {
 	reg := obs.NewRegistry()
 	st, err := New(Config{
@@ -340,7 +242,7 @@ func TestStressAdmissionsRaceClock(t *testing.T) {
 	}
 
 	const workers = 6
-	var admitted, shed int64
+	var admitted int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	deadline := time.Now().Add(50 * time.Millisecond)
@@ -350,27 +252,20 @@ func TestStressAdmissionsRaceClock(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			var loads []int
-			localAdmitted, localShed := int64(0), int64(0)
+			localAdmitted := int64(0)
 			for time.Now().Before(deadline) {
 				v := rng.Intn(8)
-				switch rng.Intn(3) {
-				case 0:
-					if _, err := st.Admit(v, core.AdmitOptions{From: 1 + rng.Intn(25)}); err == nil {
-						localAdmitted++
-					} else {
+				switch op := rng.Intn(3); op {
+				case 0, 1:
+					var opts core.AdmitOptions // op 0: a full viewing
+					if op == 1 {
+						opts.From = 1 + rng.Intn(25) // a resume
+					}
+					if _, err := st.Admit(v, opts); err != nil {
 						t.Error(err)
 						return
 					}
-				case 1:
-					switch err := st.Enqueue(v, 0); {
-					case err == nil:
-						localAdmitted++
-					case errors.Is(err, ErrOverloaded):
-						localShed++
-					default:
-						t.Error(err)
-						return
-					}
+					localAdmitted++
 				default:
 					loads = st.NextLoads(loads)
 					_ = st.CurrentSlot(v)
@@ -378,7 +273,6 @@ func TestStressAdmissionsRaceClock(t *testing.T) {
 			}
 			mu.Lock()
 			admitted += localAdmitted
-			shed += localShed
 			mu.Unlock()
 		}(w)
 	}
@@ -390,16 +284,10 @@ func TestStressAdmissionsRaceClock(t *testing.T) {
 	if _, err := st.Admit(0, core.AdmitOptions{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("admit after close: %v", err)
 	}
-	if err := st.Enqueue(0, 0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("enqueue after close: %v", err)
-	}
-	// Everything accepted was admitted exactly once (enqueued work flushed
-	// at the latest by Close's final state; flush any stragglers by
-	// advancing once more through the shard locks).
-	st.AdvanceSlot()
+	// Everything accepted was admitted exactly once.
 	req, _ := st.Totals()
 	if req != admitted {
-		t.Fatalf("admitted %d requests, engine recorded %d (shed %d)", admitted, req, shed)
+		t.Fatalf("admitted %d requests, engine recorded %d", admitted, req)
 	}
 	// Per-shard metrics exist for every shard.
 	var buf bytes.Buffer

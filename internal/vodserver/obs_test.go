@@ -51,10 +51,11 @@ func get(t *testing.T, s *Server, path string) (int, string) {
 }
 
 // TestUnknownPathIs404: only the registered introspection paths answer;
-// anything else — including sub-paths of /statsz — is a 404.
+// anything else — including sub-paths of /statusz and the retired /statsz —
+// is a 404.
 func TestUnknownPathIs404(t *testing.T) {
 	s := startObsServer(t, nil)
-	for _, path := range []string{"/", "/nope", "/statsz/extra", "/statszz", "/metricsz/sub"} {
+	for _, path := range []string{"/", "/nope", "/statsz", "/statusz/extra", "/statuszz", "/metricsz/sub"} {
 		if code, _ := get(t, s, path); code != http.StatusNotFound {
 			t.Fatalf("GET %s = %d, want 404", path, code)
 		}

@@ -26,8 +26,8 @@ var (
 	clientSlackBuckets   = []float64{-16, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16, 32, 64, 128}
 )
 
-// armAlerts registers the built-in rules plus any operator-supplied ones and
-// starts the evaluation ticker. Called once from Start.
+// armAlerts registers the built-in rules plus any operator-supplied ones.
+// Called once from Start, which launches the evaluation ticker afterwards.
 func (s *Server) armAlerts() error {
 	// Pre-register the per-video report families so the inventory (and the
 	// metric-name lint walking it) is complete from boot, not from the
@@ -92,7 +92,6 @@ func (s *Server) armAlerts() error {
 			return err
 		}
 	}
-	s.alerts.Start(s.cfg.AlertInterval)
 	return nil
 }
 

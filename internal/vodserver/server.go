@@ -79,17 +79,16 @@ type Config struct {
 	// (station.FanoutSpans), each walked by a persistent worker goroutine
 	// the clock wakes once per retired slot and joins before observing the
 	// tick. 0 selects min(GOMAXPROCS, len(Videos)); a resolved count of 1
-	// keeps the tick serial on the clock goroutine. Ignored when
-	// FanoutReference selects the retained channel path.
+	// keeps the tick serial on the clock goroutine.
 	FanoutWorkers int
-	// SubscriberBuffer is the per-client queue of encoded slot batches; a
+	// SubscriberBuffer is the per-client ring of shared slot frames; a
 	// client that falls further behind is disconnected so one slow STB
 	// cannot stall the broadcast. Zero selects a sensible default.
 	SubscriberBuffer int
 	// StatsAddr optionally binds an HTTP monitoring endpoint serving
-	// /statsz (JSON counters), /healthz (liveness + uptime), /metricsz
-	// (Prometheus text format), /tracez (recent scheduler events) and
-	// /debug/pprof/*.
+	// /statusz (JSON pipeline snapshot), /healthz (liveness + uptime),
+	// /metricsz (Prometheus text format), /tracez (recent scheduler events)
+	// and /debug/pprof/*.
 	StatsAddr string
 	// TraceWriter optionally streams every scheduler event as JSONL (the
 	// qlog-style trace of internal/obs) for offline analysis.
@@ -142,12 +141,6 @@ type Config struct {
 	// only the wire frame is withheld, so subscribed clients miss the
 	// segment's deadline exactly as they would under packet loss.
 	DropInstance func(video uint32, segment, slot int) bool
-	// FanoutReference selects the retained channel-based fan-out (one
-	// encoded copy handed to per-subscriber channels) instead of the
-	// zero-copy shared-frame rings. It is the executable specification the
-	// differential tests and the BenchmarkFanOut A/B compare against;
-	// production servers leave it false.
-	FanoutReference bool
 	// HistoryInterval is the telemetry history scrape period — how often the
 	// registry is walked into the in-process time-series store behind
 	// /queryz. 0 selects 1s.
@@ -219,36 +212,15 @@ type video struct {
 	// snapshots, admit/disconnect/teardown mutate under the set's own small
 	// admin lock, and Set.Close doubles as the video's shutdown latch (Add
 	// refuses afterwards). Remove's exactly-one-winner contract is what
-	// makes every ring Drop/Close — and every batches-channel close —
-	// single-shot.
+	// makes every ring Drop/Close single-shot.
 	subs *fanout.Set[*subscriber]
-
-	// refMu serializes the reference path's channel sends against channel
-	// close: a batches channel is closed only under refMu, and
-	// fanOutReference holds it across the video's send loop, so the
-	// retained spec never sends on a closed channel. The zero-copy path
-	// never touches it — a ring Push racing a concurrent Drop/Close simply
-	// fails.
-	refMu sync.Mutex
-}
-
-// slotBatch is one slot's encoded broadcast on the reference path, tagged
-// with its slot so a subscriber admitted concurrently with the clock can
-// discard slots from before its admission.
-type slotBatch struct {
-	slot int
-	data []byte
 }
 
 type subscriber struct {
 	conn net.Conn
-	// ring queues shared frame references on the zero-copy path; the
-	// connection's handler drains it with vectored writes. nil when the
-	// server runs the reference fan-out.
+	// ring queues shared frame references; the connection's handler drains
+	// it with vectored writes.
 	ring *fanout.Ring
-	// batches carries one encoded batch per slot on the reference path;
-	// closed when the subscription ends. nil on the zero-copy path.
-	batches chan slotBatch
 	// lastSlot is the final slot this subscriber needs. It starts at
 	// math.MaxInt64 (registration precedes admission) and is stored once,
 	// after the admission reaches the scheduler; tick workers read it
@@ -368,10 +340,8 @@ type Server struct {
 	ct *conntrack.Sampler
 
 	// enc is the zero-copy slot encoder (pre-generated payloads, pooled
-	// ref-counted frames); ref is the retained allocating path, built
-	// instead when cfg.FanoutReference is set.
+	// ref-counted frames).
 	enc *fanout.Encoder
-	ref *fanout.Reference
 
 	// videos is immutable after Start; per-subscriber state lives in each
 	// video's copy-on-write set so the server-wide lock never sits on the
@@ -386,7 +356,7 @@ type Server struct {
 	// parallel tick partitions into contiguous worker spans.
 	vlist []*video
 	// workers is the persistent fan-out pool; nil when the tick is serial
-	// (FanoutWorkers resolved to 1, or the reference path is selected).
+	// (FanoutWorkers resolved to 1).
 	// tickReports hands the clock's retired-slot reports to the workers for
 	// the duration of one Tick; the pool's wake/join edges order the
 	// accesses.
@@ -447,13 +417,7 @@ func Start(cfg Config) (*Server, error) {
 	tracer := obs.NewTracer(cfg.TraceWriter, cfg.TraceEvents)
 	videos := make(map[uint32]*video, len(cfg.Videos))
 	stationVideos := make([]station.VideoConfig, len(cfg.Videos))
-	var enc *fanout.Encoder
-	var ref *fanout.Reference
-	if cfg.FanoutReference {
-		ref = fanout.NewFanoutReference()
-	} else {
-		enc = fanout.NewEncoder()
-	}
+	enc := fanout.NewEncoder()
 	for i, vc := range cfg.Videos {
 		if len(vc.SegmentSizes) == 0 && vc.SegmentBytes <= 0 {
 			return nil, fmt.Errorf("vodserver: video %d: segment bytes %d must be positive", vc.ID, vc.SegmentBytes)
@@ -479,13 +443,7 @@ func Start(cfg Config) (*Server, error) {
 		for j := 1; j <= vc.Segments; j++ {
 			sizes[j-1] = vc.sizeOf(j)
 		}
-		var err error
-		if cfg.FanoutReference {
-			err = ref.AddVideo(vc.ID, sizes)
-		} else {
-			err = enc.AddVideo(vc.ID, sizes)
-		}
-		if err != nil {
+		if err := enc.AddVideo(vc.ID, sizes); err != nil {
 			return nil, fmt.Errorf("vodserver: %w", err)
 		}
 		stationVideos[i] = station.VideoConfig{
@@ -559,7 +517,6 @@ func Start(cfg Config) (*Server, error) {
 			"Client-reported per-report mean slack to the delivery deadline, in slots.",
 			clientSlackBuckets),
 		enc:    enc,
-		ref:    ref,
 		videos: videos,
 		conns:  make(map[net.Conn]struct{}),
 	}
@@ -577,9 +534,6 @@ func Start(cfg Config) (*Server, error) {
 	}
 	if nw > len(cfg.Videos) {
 		nw = len(cfg.Videos)
-	}
-	if cfg.FanoutReference {
-		nw = 1
 	}
 	s.tallies = make([]fanoutTally, nw)
 	s.retire = make([][]retireEntry, nw)
@@ -666,19 +620,20 @@ func Start(cfg Config) (*Server, error) {
 			}
 		})
 	}
-	s.history.Start()
-	s.ct.Start()
 	if cfg.StatsAddr != "" {
 		statsLn, err := s.serveStats(cfg.StatsAddr)
 		if err != nil {
 			ln.Close()
-			s.wg.Wait()
 			return nil, err
 		}
 		s.statsLn = statsLn
 	}
-	// The pool is built last so every earlier error return leaks no worker
-	// goroutines; from here on Close tears it down.
+	// The background loops and the pool start only past the last error
+	// return that bypasses Close, so a failed Start leaks no goroutine; from
+	// here on Close tears them down.
+	s.alerts.Start(cfg.AlertInterval)
+	s.history.Start()
+	s.ct.Start()
 	if nw > 1 {
 		s.workers = fanout.NewWorkers(st.FanoutSpans(nw), s.fanOutSpan)
 	}
@@ -857,13 +812,7 @@ func (s *Server) Close() error {
 		// closes — and surfaces every live subscriber exactly once.
 		for _, sub := range v.subs.Close() {
 			s.ct.Unregister(sub.ct)
-			if sub.ring != nil {
-				sub.ring.Close()
-				continue
-			}
-			v.refMu.Lock()
-			close(sub.batches)
-			v.refMu.Unlock()
+			sub.ring.Close()
 		}
 	}
 	// Unblock handlers parked in reads or writes.
@@ -980,52 +929,18 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	admitSlot := int(info.AdmitSlot)
 	wait := root.Child("first_byte_wait")
-	if sub.ring != nil {
-		if !s.drainRing(conn, req.VideoID, sub, admitSlot, wait, root) {
-			return
-		}
-		// The subscription ended cleanly (ring closed at the last slot). A
-		// v2 session that did not opt out now owes us a ClientReport; a
-		// subscriber the fan-out dropped for falling behind gets
-		// disconnected instead.
-		if wantReport && !sub.ring.Dropped() {
-			s.readReport(conn, req.VideoID)
-		}
+	if !s.drainRing(conn, req.VideoID, sub, admitSlot, wait, root) {
 		return
 	}
-	firstByte := false
-	for batch := range sub.batches {
-		// The subscription was registered before the admission reached the
-		// scheduler, so the channel may carry slots from before the admit
-		// slot; the customer's service starts at admitSlot+1.
-		if batch.slot <= admitSlot {
-			continue
-		}
-		if _, err := conn.Write(batch.data); err != nil {
-			s.unsubscribe(req.VideoID, sub)
-			// Drain so the fan-out never blocks on this subscriber.
-			for range sub.batches {
-			}
-			return
-		}
-		sub.ct.RecordDrain(1, int64(len(batch.data)))
-		if !firstByte {
-			firstByte = true
-			lat := time.Since(sub.admitted).Seconds()
-			s.mAdmitLatency.Observe(lat)
-			s.firstByte.Observe(lat)
-			wait.End()
-			root.End()
-		}
-	}
-	// The subscription ended cleanly (channel closed at the last slot). A
-	// v2 session that did not opt out now owes us a ClientReport.
-	if wantReport {
+	// The subscription ended cleanly (ring closed at the last slot). A v2
+	// session that did not opt out now owes us a ClientReport; a subscriber
+	// the fan-out dropped for falling behind gets disconnected instead.
+	if wantReport && !sub.ring.Dropped() {
 		s.readReport(conn, req.VideoID)
 	}
 }
 
-// drainRing is the zero-copy delivery loop: it batch-pops the shared frame
+// drainRing is the delivery loop of a session: it batch-pops the shared frame
 // references queued on the subscriber's ring and hands them to the kernel
 // as one vectored write per batch, releasing each frame only after its
 // bytes are out. It reports false when the connection failed mid-stream
@@ -1104,7 +1019,7 @@ func writeFrames(conn net.Conn, vec *net.Buffers, frames []*fanout.Frame, admitS
 // scheduler, so the subscriber provably receives every slot from the admit
 // slot on: the clock retires the admit slot only after the admission
 // completes, which is after registration. Slots at or before the admit slot
-// are discarded in handleConn (the set-top box ignores them anyway — its
+// are discarded in writeFrames (the set-top box ignores them anyway — its
 // service starts one slot after admission). This keeps scheduling entirely
 // off the server-wide mutex: concurrent admissions for videos on different
 // shards proceed in parallel.
@@ -1126,22 +1041,14 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 	}
 	sub := &subscriber{
 		conn:     conn,
+		ring:     fanout.NewRing(s.cfg.SubscriberBuffer),
 		admitted: time.Now(),
 	}
 	sub.lastSlot.Store(math.MaxInt64)
-	if s.cfg.FanoutReference {
-		sub.batches = make(chan slotBatch, s.cfg.SubscriberBuffer)
-	} else {
-		sub.ring = fanout.NewRing(s.cfg.SubscriberBuffer)
-	}
 	// Telemetry registration precedes publication into the subscriber set:
 	// tick workers read sub.ct lock-free from snapshots, so the field must
 	// be settled before Add makes the subscriber visible.
-	queueCap := s.cfg.SubscriberBuffer
-	if sub.ring != nil {
-		queueCap = sub.ring.Cap()
-	}
-	sub.ct = s.ct.Register(conn, videoID, queueCap)
+	sub.ct = s.ct.Register(conn, videoID, sub.ring.Cap())
 	if !v.subs.Add(sub) {
 		s.ct.Unregister(sub.ct)
 		return nil, wire.ScheduleInfo{}, fmt.Errorf("server shutting down")
@@ -1195,12 +1102,11 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 }
 
 // unsubscribe removes the subscription after an abnormal termination
-// (failed admit, dead connection) and ends its delivery primitive if the
-// fan-out has not already done so — Remove's exactly-one-winner contract
-// makes the teardown single-shot against a racing tick retirement or
-// server Close. Rings are Dropped rather than Closed so any queued frame
-// references are returned to the pool immediately — the handler will never
-// write them.
+// (failed admit, dead connection) and ends its ring if the fan-out has not
+// already done so — Remove's exactly-one-winner contract makes the teardown
+// single-shot against a racing tick retirement or server Close. The ring is
+// Dropped rather than Closed so any queued frame references are returned to
+// the pool immediately — the handler will never write them.
 func (s *Server) unsubscribe(videoID uint32, sub *subscriber) {
 	v, ok := s.videos[videoID]
 	if !ok {
@@ -1210,13 +1116,7 @@ func (s *Server) unsubscribe(videoID uint32, sub *subscriber) {
 		return
 	}
 	s.ct.Unregister(sub.ct)
-	if sub.ring != nil {
-		sub.ring.Drop()
-		return
-	}
-	v.refMu.Lock()
-	close(sub.batches)
-	v.refMu.Unlock()
+	sub.ring.Drop()
 }
 
 // dropHook adapts the fault-injection hook to one video and slot. It is
@@ -1245,10 +1145,6 @@ func (s *Server) fanOut(reports []core.SlotReport) {
 		s.fanout.Observe(d)
 	}()
 	if s.closed.Load() {
-		return
-	}
-	if s.cfg.FanoutReference {
-		s.fanOutReference(reports)
 		return
 	}
 	s.tickReports = reports
@@ -1344,52 +1240,4 @@ func (s *Server) fanOutSpan(worker, lo, hi int) {
 		retire = retire[:0]
 	}
 	s.retire[worker] = retire
-}
-
-// fanOutReference is the retained channel-based distribution path, selected
-// by Config.FanoutReference: one encoded byte slice per (video, slot),
-// handed to per-subscriber buffered channels. It is the executable spec the
-// differential test compares the zero-copy path against.
-func (s *Server) fanOutReference(reports []core.SlotReport) {
-	for _, vc := range s.cfg.Videos {
-		v := s.videos[vc.ID]
-		rep := reports[v.idx]
-		v.load.Set(float64(rep.Load))
-		s.mInstances.Add(float64(rep.Load))
-		data, payloadBytes, err := s.ref.EncodeSlot(vc.ID, rep.Slot, rep.Segments, s.dropHook(vc.ID, rep.Slot))
-		if err != nil {
-			continue // unreachable: the catalogue was built from the same configs
-		}
-		s.statBroadcastBytes.Add(payloadBytes)
-		s.mBroadcastBytes.Add(float64(payloadBytes))
-		batch := slotBatch{slot: rep.Slot, data: data}
-		// refMu spans the send loop so a concurrent disconnect cannot close
-		// a channel between this snapshot and the send into it; the close
-		// happens once the video's sends are done.
-		v.refMu.Lock()
-		for _, sub := range v.subs.Snapshot() {
-			select {
-			case sub.batches <- batch:
-				sub.ct.RecordPush(len(sub.batches), true)
-			default:
-				// The subscriber fell a full buffer behind: disconnect it
-				// rather than stall the broadcast.
-				sub.ct.RecordPush(0, false)
-				if v.subs.Remove(sub) {
-					close(sub.batches)
-					s.statDropped.Add(1)
-					s.mDroppedBy[dropReason(sub)].Inc()
-					s.ct.Unregister(sub.ct)
-				}
-				continue
-			}
-			if int64(rep.Slot) >= sub.lastSlot.Load() {
-				if v.subs.Remove(sub) {
-					close(sub.batches)
-					s.ct.Unregister(sub.ct)
-				}
-			}
-		}
-		v.refMu.Unlock()
-	}
 }

@@ -465,7 +465,7 @@ func TestStatszEndpoint(t *testing.T) {
 	if _, err := vodclient.FetchWith(s.Addr(), vodclient.FetchOptions{VideoID: 1, Timeout: 10 * time.Second, StrictDeadlines: true}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get("http://" + s.StatsAddr() + "/statsz")
+	resp, err := http.Get("http://" + s.StatsAddr() + "/statusz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,15 +473,15 @@ func TestStatszEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	var snap StatusSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if st.Requests != 1 || st.Instances != 6 {
+	if st := snap.Stats; st.Requests != 1 || st.Instances != 6 {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Non-GET is rejected.
-	post, err := http.Post("http://"+s.StatsAddr()+"/statsz", "text/plain", nil)
+	post, err := http.Post("http://"+s.StatsAddr()+"/statusz", "text/plain", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,19 +500,8 @@ func TestStatszDisabledByDefault(t *testing.T) {
 
 func TestUnsubscribeIdempotent(t *testing.T) {
 	s := startTestServer(t)
-	sub := &subscriber{batches: make(chan slotBatch, 1)}
 	v := s.videos[1]
-	v.subs.Add(sub)
-	s.unsubscribe(1, sub)
-	// The channel must be closed exactly once; a second call is a no-op.
-	s.unsubscribe(1, sub)
-	s.unsubscribe(99, sub) // unknown video: no-op
-	if _, open := <-sub.batches; open {
-		t.Fatal("channel not closed by unsubscribe")
-	}
-
-	// Same contract for a zero-copy ring subscriber: the first call drops
-	// the ring, repeats and unknown videos are no-ops.
+	// The first call drops the ring; repeats and unknown videos are no-ops.
 	rsub := &subscriber{ring: fanout.NewRing(1)}
 	v.subs.Add(rsub)
 	s.unsubscribe(1, rsub)
@@ -523,39 +512,6 @@ func TestUnsubscribeIdempotent(t *testing.T) {
 	}
 	if _, open := rsub.ring.PopAll(nil); open {
 		t.Fatal("dropped ring still open")
-	}
-}
-
-// TestReferenceFanoutServesIdenticalStream runs the retained
-// serialize-per-tick data plane end to end. The strict client oracle
-// verifies every payload byte against the same deterministic generator the
-// zero-copy plane is held to in TestEndToEndSingleClient, so the two
-// passing together prove the planes are byte-identical on the wire (the
-// frame-level differential test lives in internal/fanout).
-func TestReferenceFanoutServesIdenticalStream(t *testing.T) {
-	s, err := Start(Config{
-		Addr:            "127.0.0.1:0",
-		Videos:          []VideoConfig{{ID: 1, Segments: 10, SegmentBytes: 512}},
-		SlotDuration:    10 * time.Millisecond,
-		FanoutReference: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	res, err := vodclient.FetchWith(s.Addr(), vodclient.FetchOptions{VideoID: 1, Timeout: 10 * time.Second, StrictDeadlines: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Segments != 10 || res.PayloadBytes < 10*512 {
-		t.Fatalf("reference plane result = %+v", res)
-	}
-	// Resumes ride the same plane.
-	if _, err := vodclient.FetchWith(s.Addr(), vodclient.FetchOptions{VideoID: 1, From: 6, Timeout: 10 * time.Second, StrictDeadlines: true}); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.Requests != 2 || st.Dropped != 0 {
-		t.Fatalf("stats = %+v", st)
 	}
 }
 

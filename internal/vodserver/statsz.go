@@ -15,7 +15,6 @@ import (
 
 // This file is the server's live introspection surface:
 //
-//	GET /statsz       operational counters as JSON
 //	GET /statusz      full pipeline snapshot: shard table, stage latency
 //	                  windows, SLO burn, clock drift (what vodtop renders)
 //	GET /healthz      liveness probe: 200 with status and uptime
@@ -75,15 +74,6 @@ func ringQuery(w http.ResponseWriter, r *http.Request) (n int, ok bool) {
 		return 0, false
 	}
 	return v, true
-}
-
-// statsz serves the operational counters as JSON, the monitoring hook a
-// deployed server needs.
-func (s *Server) statsz(w http.ResponseWriter, r *http.Request) {
-	if !guardGET(w, r, "/statsz") {
-		return
-	}
-	writeJSON(w, s.Stats())
 }
 
 // statusz serves the full pipeline snapshot: the vodtop wire format.
@@ -294,7 +284,6 @@ func (s *Server) serveStats(addr string) (net.Listener, error) {
 		return nil, fmt.Errorf("vodserver: stats listen: %w", err)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/statsz", s.statsz)
 	mux.HandleFunc("/statusz", s.statusz)
 	mux.HandleFunc("/healthz", s.healthz)
 	mux.HandleFunc("/metricsz", s.metricsz)

@@ -68,6 +68,9 @@ func TestStatuszSnapshot(t *testing.T) {
 	if admits != 2 || videos != 2 {
 		t.Fatalf("shard table admits=%v videos=%d", admits, videos)
 	}
+	if len(st.Stages) != 2 {
+		t.Fatalf("stages %+v, want exactly lock_wait and admit", st.Stages)
+	}
 	for _, stage := range []string{"lock_wait", "admit"} {
 		if st.Stages[stage].Count == 0 {
 			t.Fatalf("stage %q empty in %+v", stage, st.Stages)
@@ -157,7 +160,6 @@ func TestRouteGuards(t *testing.T) {
 		path        string
 		contentType string
 	}{
-		{"/statsz", "application/json"},
 		{"/statusz", "application/json"},
 		{"/healthz", "application/json"},
 		{"/metricsz", "text/plain; version=0.0.4; charset=utf-8"},
@@ -273,9 +275,10 @@ func TestRegisteredMetricNamesValid(t *testing.T) {
 	// feed /metricsz from one registry.
 	want := []string{
 		"vod_requests_total", "vod_fanout_seconds", "vod_admit_first_byte_seconds",
-		"station_stage_seconds", "station_queue_depth_sampled",
+		"station_stage_seconds",
 		"station_clock_tick_lag_seconds", "station_clock_slot_drift_slots",
-		"station_clock_ticks_total", "station_shard_queue_depth",
+		"station_clock_ticks_total",
+		"station_shard_admits_total", "station_shard_rejects_total",
 		"go_goroutines", "go_heap_alloc_bytes",
 		"client_reports_total", "client_startup_slots",
 		"client_deadline_slack_slots", "client_miss_total", "client_rebuffer_total",
@@ -293,6 +296,12 @@ func TestRegisteredMetricNamesValid(t *testing.T) {
 	for _, w := range want {
 		if !have[w] {
 			t.Fatalf("metric %q missing from registry inventory %v", w, names)
+		}
+	}
+	// The admission queue's families went with the queue.
+	for _, gone := range []string{"station_queue_depth_sampled", "station_shard_queue_depth"} {
+		if have[gone] {
+			t.Fatalf("retired metric %q still registered", gone)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package vodserver
 import (
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -133,4 +135,49 @@ func TestSlowSubscriberDroppedMidBroadcast(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+}
+
+// TestStartFailureLeaksNothing: a Start that fails after the telemetry
+// subsystems are built — the stats address is taken, or the flight directory
+// cannot be created — must return with none of their background loops
+// (alert engine, history scraper, conntrack sampler) left running, since no
+// Server is handed back for the caller to Close.
+func TestStartFailureLeaksNothing(t *testing.T) {
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"stats address in use", Config{StatsAddr: busy.Addr().String()}},
+		{"uncreatable flight dir", Config{FlightDir: filepath.Join(notDir, "bundles")}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Addr = "127.0.0.1:0"
+			tc.cfg.Videos = []VideoConfig{{ID: 1, Segments: 4, SegmentBytes: 16}}
+			tc.cfg.SlotDuration = 10 * time.Millisecond
+			before := runtime.NumGoroutine()
+			if s, err := Start(tc.cfg); err == nil {
+				s.Close()
+				t.Fatal("Start succeeded, want an error")
+			}
+			// The runtime needs a beat to retire exiting goroutines, so poll.
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines leaked by failed Start: %d before, %d after",
+						before, runtime.NumGoroutine())
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
+	}
 }

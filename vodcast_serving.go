@@ -39,9 +39,8 @@ func NewStation(cfg StationConfig) (*Station, error) { return station.New(cfg) }
 
 // Sentinel errors of the station's admission and lifecycle paths.
 var (
-	ErrStationOverloaded = station.ErrOverloaded
-	ErrUnknownVideo      = station.ErrUnknownVideo
-	ErrStationClosed     = station.ErrClosed
+	ErrUnknownVideo  = station.ErrUnknownVideo
+	ErrStationClosed = station.ErrClosed
 )
 
 // ---- Observability ----
