@@ -78,6 +78,7 @@ ci:
 	# benchmark/ is a module of its own, invisible to ./... above: compile
 	# and test it here so an API change that breaks the replay fails CI.
 	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 ./...
+	$(MAKE) fuzz FUZZTIME=5s
 	@rm -f ci-cover.out
 	@echo "ci: all gates passed"
 
@@ -151,9 +152,13 @@ bench-history:
 bench-wire:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/wire/
 
+# FuzzSchedulerInvariants drives the fast scheduler against the reference,
+# same-slot memo included — the path the live server admits through. ci runs
+# both targets briefly (FUZZTIME=5s).
+FUZZTIME ?= 30s
 fuzz:
-	$(GO) test ./internal/wire/ -fuzz='^FuzzReadFrame$$' -fuzztime=30s
-	$(GO) test ./internal/core/ -fuzz='^FuzzSchedulerInvariants$$' -fuzztime=30s
+	$(GO) test ./internal/wire/ -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core/ -fuzz='^FuzzSchedulerInvariants$$' -fuzztime=$(FUZZTIME)
 
 experiments:
 	@for e in fig7 fig8 fig9 ablation peaks vbrplan clientcap reactive dsb models ci wait capacity storage buffer; do \

@@ -29,10 +29,8 @@ func main() {
 		segments      = flag.Int("segments", 99, "segments per video")
 		slotMillis    = flag.Int("slot-ms", 500, "slot duration in milliseconds")
 		segmentBytes  = flag.Int("segment-bytes", 4096, "payload bytes per segment")
-		shards        = flag.Int("shards", 0, "station worker shards (0 = one per CPU, capped at the catalogue size)")
-		fanoutWorkers = flag.Int("fanout-workers", 0, "parallel broadcast tick workers over contiguous catalogue spans (0 = one per CPU capped at the catalogue size, 1 = serial tick)")
-		statsAddr     = flag.String("stats-addr", "", "optional HTTP monitoring address serving /statusz, /healthz, /metricsz, /tracez, /spanz and /debug/pprof")
-		tracePath     = flag.String("trace", "", "optional JSONL file capturing every scheduler event")
+		shards        = flag.Int("shards", 0, "how many ways the catalogue is partitioned, for admission locks and broadcast tick workers alike (0 = one per CPU capped at the catalogue size, 1 = one lock and a serial tick)")
+		statsAddr     = flag.String("stats-addr", "", "optional HTTP monitoring address serving /statusz, /healthz, /metricsz, /spanz and /debug/pprof")
 		spanPath      = flag.String("span-trace", "", "optional JSONL file capturing sampled admission pipeline spans")
 		spanSample    = flag.Int("span-sample", 0, "keep 1 in N admission span trees (0 = default, 1 = everything)")
 		sloMillis     = flag.Float64("slo-ms", 0, "admit-to-first-byte SLO threshold in milliseconds (0 = two slot durations)")
@@ -53,9 +51,9 @@ func main() {
 	)
 	flag.Parse()
 	opts := serveOpts{
-		addr: *addr, statsAddr: *statsAddr, tracePath: *tracePath, spanPath: *spanPath,
+		addr: *addr, statsAddr: *statsAddr, spanPath: *spanPath,
 		videos: *videos, segments: *segments, slotMillis: *slotMillis,
-		segmentBytes: *segmentBytes, shards: *shards, fanoutWorkers: *fanoutWorkers, spanSample: *spanSample,
+		segmentBytes: *segmentBytes, shards: *shards, spanSample: *spanSample,
 		sloMillis: *sloMillis, sloObjective: *sloObjective,
 		alertInterval: *alertInterval, alertFor: *alertFor,
 		missThreshold: *missThreshold, reportStale: *reportStale,
@@ -71,9 +69,9 @@ func main() {
 
 // serveOpts carries the parsed flag set.
 type serveOpts struct {
-	addr, statsAddr, tracePath, spanPath       string
+	addr, statsAddr, spanPath                  string
 	videos, segments, slotMillis, segmentBytes int
-	shards, fanoutWorkers, spanSample          int
+	shards, spanSample                         int
 	sloMillis, sloObjective                    float64
 	alertInterval, alertFor, reportStale       time.Duration
 	missThreshold                              float64
@@ -100,32 +98,11 @@ func run(o serveOpts) error {
 			SegmentBytes: o.segmentBytes,
 		}
 	}
-	openJSONL := func(path string) (*os.File, error) {
-		if path == "" {
-			return nil, nil
-		}
-		return os.Create(path)
-	}
-	traceFile, err := openJSONL(o.tracePath)
-	if err != nil {
-		return fmt.Errorf("trace file: %w", err)
-	}
-	if traceFile != nil {
-		defer traceFile.Close()
-	}
-	spanFile, err := openJSONL(o.spanPath)
-	if err != nil {
-		return fmt.Errorf("span trace file: %w", err)
-	}
-	if spanFile != nil {
-		defer spanFile.Close()
-	}
 	cfg := vodserver.Config{
 		Addr:              o.addr,
 		Videos:            catalogue,
 		SlotDuration:      time.Duration(o.slotMillis) * time.Millisecond,
 		Shards:            o.shards,
-		FanoutWorkers:     o.fanoutWorkers,
 		StatsAddr:         o.statsAddr,
 		SpanSampleEvery:   o.spanSample,
 		SLOTargetSeconds:  o.sloMillis / 1000,
@@ -144,10 +121,12 @@ func run(o serveOpts) error {
 		ConntrackInterval: o.connEvery,
 		ConnStalledRatio:  o.connStalled,
 	}
-	if traceFile != nil {
-		cfg.TraceWriter = traceFile
-	}
-	if spanFile != nil {
+	if o.spanPath != "" {
+		spanFile, err := os.Create(o.spanPath)
+		if err != nil {
+			return fmt.Errorf("span trace file: %w", err)
+		}
+		defer spanFile.Close()
 		cfg.SpanWriter = spanFile
 	}
 	srv, err := vodserver.Start(cfg)
@@ -158,14 +137,11 @@ func run(o serveOpts) error {
 	fmt.Printf("vodserver listening on %s (%d videos, %d segments, %d ms slots, %d shards)\n",
 		srv.Addr(), o.videos, o.segments, o.slotMillis, srv.Station().Shards())
 	if srv.StatsAddr() != "" {
-		fmt.Printf("introspection on http://%s/{statusz,healthz,metricsz,tracez,spanz,alertz,queryz,connz,debug/pprof}\n", srv.StatsAddr())
+		fmt.Printf("introspection on http://%s/{statusz,healthz,metricsz,spanz,alertz,queryz,connz,debug/pprof}\n", srv.StatsAddr())
 		fmt.Printf("live dashboard: go run ./cmd/vodtop -addr %s\n", srv.StatsAddr())
 	}
 	if o.flightDir != "" {
 		fmt.Printf("flight recorder writing diagnostic bundles to %s (SIGQUIT or GET /debug/flightrecord forces one)\n", o.flightDir)
-	}
-	if o.tracePath != "" {
-		fmt.Printf("tracing scheduler events to %s\n", o.tracePath)
 	}
 	if o.spanPath != "" {
 		fmt.Printf("tracing pipeline spans to %s\n", o.spanPath)

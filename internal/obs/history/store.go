@@ -60,7 +60,9 @@ type Config struct {
 	Interval time.Duration
 	// MaxBytes caps resident ring memory. Once admitting another series
 	// would exceed it, new series are refused (counted, not grown);
-	// established series keep updating. <= 0 selects 8 MiB.
+	// established series keep updating. Within one scrape unlabelled series
+	// are admitted before labelled ones, so a per-video family cannot starve
+	// the server-wide totals. <= 0 selects 8 MiB.
 	MaxBytes int
 	// Clock stamps scrapes; nil selects time.Now. Tests inject a manual
 	// clock to make tier boundaries deterministic.
@@ -201,25 +203,33 @@ func (s *Store) Scrape() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.scrapes++
-	for _, sm := range samples {
-		key := sm.Name + sm.Labels
-		sr, ok := s.series[key]
-		if !ok {
-			if s.bytes+SeriesCost > s.maxBytes {
-				s.droppedSeries++
+	// Unlabelled samples go first: samples arrive sorted by family name, so
+	// one family with a child per catalogue video would otherwise take the
+	// whole byte cap and refuse every server-wide total that sorts after it.
+	for _, labelled := range [2]bool{false, true} {
+		for _, sm := range samples {
+			if (sm.Labels != "") != labelled {
 				continue
 			}
-			sr = &series{
-				raw: ring{period: s.interval},
-				t10: ring{period: tier10Period},
-				t60: ring{period: tier60Period},
+			key := sm.Name + sm.Labels
+			sr, ok := s.series[key]
+			if !ok {
+				if s.bytes+SeriesCost > s.maxBytes {
+					s.droppedSeries++
+					continue
+				}
+				sr = &series{
+					raw: ring{period: s.interval},
+					t10: ring{period: tier10Period},
+					t60: ring{period: tier60Period},
+				}
+				s.series[key] = sr
+				s.bytes += SeriesCost
 			}
-			s.series[key] = sr
-			s.bytes += SeriesCost
+			sr.raw.push(Point{Unix: unix(now), Value: sm.Value})
+			sr.t10.fold(now, sm.Value)
+			sr.t60.fold(now, sm.Value)
 		}
-		sr.raw.push(Point{Unix: unix(now), Value: sm.Value})
-		sr.t10.fold(now, sm.Value)
-		sr.t60.fold(now, sm.Value)
 	}
 }
 

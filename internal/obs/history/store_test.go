@@ -1,6 +1,7 @@
 package history
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -200,6 +201,34 @@ func TestStoreByteCapRefusesNewSeries(t *testing.T) {
 	// Established series keep updating despite the cap: both scrapes landed.
 	if pts := s.Query("a", start, clk.Now(), 0); len(pts) != 2 {
 		t.Fatalf("admitted series has %d points, want 2: %+v", len(pts), pts)
+	}
+}
+
+// TestStoreLargeFamilyDoesNotStarveTotals: a family with one child per
+// catalogue video sorts before the server-wide totals and alone overflows
+// the default cap; the unlabelled counter behind it must still be retained.
+func TestStoreLargeFamilyDoesNotStarveTotals(t *testing.T) {
+	reg := obs.NewRegistry()
+	for v := 0; v < 600; v++ {
+		reg.GaugeWith("a_channel_load", "", obs.Labels{"video": fmt.Sprint(v)}).Set(1)
+	}
+	reg.Counter("z_requests_total", "").Add(7)
+	s, clk := newTestStore(t, reg, Config{})
+	start := clk.Now()
+	s.Scrape()
+	clk.Advance(time.Second)
+	s.Scrape()
+
+	st := s.Stats()
+	if st.DroppedSeries == 0 || st.Bytes > st.MaxBytes {
+		t.Fatalf("stats %+v: 601 series must overflow the default cap without exceeding it", st)
+	}
+	pts := s.Query("z_requests_total", start, clk.Now(), 0)
+	if len(pts) != 2 || pts[1].Value != 7 {
+		t.Fatalf("z_requests_total points %+v, want both scrapes at 7", pts)
+	}
+	if pts := s.Query(`a_channel_load{video="0"}`, start, clk.Now(), 0); len(pts) != 2 {
+		t.Fatalf("labelled series lost to the reordering: %+v", pts)
 	}
 }
 

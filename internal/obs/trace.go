@@ -10,9 +10,8 @@ import (
 // This file implements the qlog-style event tracer: a structured, replayable
 // record of every scheduling decision, in the spirit of the qlog drafts for
 // QUIC and the qlogABR cross-layer work — one JSON object per line, stamped
-// with a monotonic trace clock, buffered in a bounded ring for live
-// introspection (/tracez) and optionally streamed to a JSONL sink for
-// offline analysis and diffing.
+// with a monotonic trace clock, buffered in a bounded ring (Recent) and
+// optionally streamed to a JSONL sink for offline analysis and diffing.
 
 // Event types. Every event carries the slot it refers to; decision events
 // additionally carry the segment, its feasible window and the load of the

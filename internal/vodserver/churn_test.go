@@ -37,9 +37,9 @@ func TestParallelTickChurn(t *testing.T) {
 			{ID: 4, Segments: 8, SegmentBytes: 512},
 			{ID: 5, Segments: 8, SegmentBytes: 512},
 		},
-		SlotDuration:  2 * time.Millisecond,
-		FanoutWorkers: 4,
-		StatsAddr:     "127.0.0.1:0",
+		SlotDuration: 2 * time.Millisecond,
+		Shards:       4,
+		StatsAddr:    "127.0.0.1:0",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,20 +10,18 @@ import (
 	"testing"
 	"time"
 
-	"vodcast/internal/obs"
 	"vodcast/internal/vodclient"
 )
 
-// startObsServer runs a server with the monitoring endpoint bound and an
-// optional JSONL trace sink, and fetches one video so every metric has data.
-func startObsServer(t *testing.T, traceSink io.Writer) *Server {
+// startObsServer runs a server with the monitoring endpoint bound and
+// fetches one video so every metric has data.
+func startObsServer(t *testing.T) *Server {
 	t.Helper()
 	s, err := Start(Config{
 		Addr:         "127.0.0.1:0",
 		Videos:       []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
 		SlotDuration: 10 * time.Millisecond,
 		StatsAddr:    "127.0.0.1:0",
-		TraceWriter:  traceSink,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,11 +49,11 @@ func get(t *testing.T, s *Server, path string) (int, string) {
 }
 
 // TestUnknownPathIs404: only the registered introspection paths answer;
-// anything else — including sub-paths of /statusz and the retired /statsz —
-// is a 404.
+// anything else — including sub-paths of /statusz and the retired
+// endpoints — is a 404.
 func TestUnknownPathIs404(t *testing.T) {
-	s := startObsServer(t, nil)
-	for _, path := range []string{"/", "/nope", "/statsz", "/statusz/extra", "/statuszz", "/metricsz/sub"} {
+	s := startObsServer(t)
+	for _, path := range []string{"/", "/nope", "/statsz", "/tracez", "/statusz/extra", "/statuszz", "/metricsz/sub"} {
 		if code, _ := get(t, s, path); code != http.StatusNotFound {
 			t.Fatalf("GET %s = %d, want 404", path, code)
 		}
@@ -64,7 +62,7 @@ func TestUnknownPathIs404(t *testing.T) {
 
 // TestHealthz returns 200 with a positive uptime.
 func TestHealthz(t *testing.T) {
-	s := startObsServer(t, nil)
+	s := startObsServer(t)
 	code, body := get(t, s, "/healthz")
 	if code != http.StatusOK {
 		t.Fatalf("healthz status = %d", code)
@@ -84,7 +82,7 @@ func TestHealthz(t *testing.T) {
 // TestMetricszExposition scrapes /metricsz and checks the exposition carries
 // the server's families with consistent values.
 func TestMetricszExposition(t *testing.T) {
-	s := startObsServer(t, nil)
+	s := startObsServer(t)
 	code, body := get(t, s, "/metricsz")
 	if code != http.StatusOK {
 		t.Fatalf("metricsz status = %d", code)
@@ -114,48 +112,9 @@ func TestMetricszExposition(t *testing.T) {
 	}
 }
 
-// TestTracezRecentEvents: the ring serves recent scheduler events, newest
-// window selectable with ?n=.
-func TestTracezRecentEvents(t *testing.T) {
-	s := startObsServer(t, nil)
-	code, body := get(t, s, "/tracez")
-	if code != http.StatusOK {
-		t.Fatalf("tracez status = %d", code)
-	}
-	var evs []obs.Event
-	if err := json.Unmarshal([]byte(body), &evs); err != nil {
-		t.Fatalf("tracez body: %v", err)
-	}
-	if len(evs) == 0 {
-		t.Fatal("tracez empty after a fetch")
-	}
-	types := make(map[string]int)
-	for _, ev := range evs {
-		types[ev.Type]++
-	}
-	if types[obs.EventAdmit] == 0 && types[obs.EventSlotRetire] == 0 {
-		t.Fatalf("tracez lacks admit/slot_retire events: %v", types)
-	}
-
-	code, body = get(t, s, "/tracez?n=2")
-	if code != http.StatusOK {
-		t.Fatalf("tracez?n=2 status = %d", code)
-	}
-	evs = nil
-	if err := json.Unmarshal([]byte(body), &evs); err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 2 {
-		t.Fatalf("tracez?n=2 returned %d events", len(evs))
-	}
-	if code, _ := get(t, s, "/tracez?n=-1"); code != http.StatusBadRequest {
-		t.Fatalf("tracez?n=-1 status = %d, want 400", code)
-	}
-}
-
 // TestPprofEndpoint: the standard profiling index answers.
 func TestPprofEndpoint(t *testing.T) {
-	s := startObsServer(t, nil)
+	s := startObsServer(t)
 	code, body := get(t, s, "/debug/pprof/")
 	if code != http.StatusOK {
 		t.Fatalf("pprof status = %d", code)
@@ -165,7 +124,7 @@ func TestPprofEndpoint(t *testing.T) {
 	}
 }
 
-// syncBuffer guards a bytes.Buffer: the trace sink is written from server
+// syncBuffer guards a bytes.Buffer: the span sink is written from server
 // goroutines while the test reads it.
 type syncBuffer struct {
 	mu  sync.Mutex
@@ -182,37 +141,4 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
-}
-
-// TestServerTraceSink: a TraceWriter receives the whole JSONL stream, every
-// line decodable, rejects included.
-func TestServerTraceSink(t *testing.T) {
-	sink := &syncBuffer{}
-	s := startObsServer(t, sink)
-	// Provoke a reject as well.
-	if _, err := vodclient.FetchWith(s.Addr(), vodclient.FetchOptions{VideoID: 99, Timeout: 2 * time.Second, StrictDeadlines: true}); err == nil {
-		t.Fatal("unknown video accepted")
-	}
-	s.Close()
-
-	var types = make(map[string]int)
-	for _, line := range strings.Split(strings.TrimSpace(sink.String()), "\n") {
-		var ev obs.Event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", line, err)
-		}
-		types[ev.Type]++
-	}
-	if types[obs.EventAdmit] != 1 {
-		t.Fatalf("want exactly 1 admit, got %v", types)
-	}
-	if types[obs.EventReject] != 1 {
-		t.Fatalf("want exactly 1 reject, got %v", types)
-	}
-	if types[obs.EventInstanceStart] == 0 || types[obs.EventInstanceStop] == 0 {
-		t.Fatalf("missing instance events: %v", types)
-	}
-	if types[obs.EventSlotDecision] == 0 || types[obs.EventSlotRetire] == 0 {
-		t.Fatalf("missing decision/retire events: %v", types)
-	}
 }

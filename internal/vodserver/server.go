@@ -23,7 +23,7 @@ import (
 	"io"
 	"math"
 	"net"
-	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,31 +71,23 @@ type Config struct {
 	// SlotDuration is the real-time slot length (the paper's d, scaled
 	// down for testing).
 	SlotDuration time.Duration
-	// Shards is the station worker shard count; 0 selects the station
-	// default of min(GOMAXPROCS, len(Videos)).
+	// Shards is how many ways the catalogue is partitioned, for admission
+	// locks and broadcast tick spans alike: the station runs that many
+	// worker shards, and the tick walks that many contiguous catalogue spans
+	// (station.FanoutSpans), each on a persistent worker goroutine the clock
+	// wakes once per retired slot and joins before observing the tick. 0
+	// selects the station default of min(GOMAXPROCS, len(Videos)); a
+	// resolved count of 1 keeps the tick serial on the clock goroutine.
 	Shards int
-	// FanoutWorkers sets the parallel broadcast tick's worker count: the
-	// catalogue is partitioned into that many contiguous spans
-	// (station.FanoutSpans), each walked by a persistent worker goroutine
-	// the clock wakes once per retired slot and joins before observing the
-	// tick. 0 selects min(GOMAXPROCS, len(Videos)); a resolved count of 1
-	// keeps the tick serial on the clock goroutine.
-	FanoutWorkers int
 	// SubscriberBuffer is the per-client ring of shared slot frames; a
 	// client that falls further behind is disconnected so one slow STB
 	// cannot stall the broadcast. Zero selects a sensible default.
 	SubscriberBuffer int
 	// StatsAddr optionally binds an HTTP monitoring endpoint serving
 	// /statusz (JSON pipeline snapshot), /healthz (liveness + uptime),
-	// /metricsz (Prometheus text format), /tracez (recent scheduler events)
+	// /metricsz (Prometheus text format), /spanz (recent pipeline spans)
 	// and /debug/pprof/*.
 	StatsAddr string
-	// TraceWriter optionally streams every scheduler event as JSONL (the
-	// qlog-style trace of internal/obs) for offline analysis.
-	TraceWriter io.Writer
-	// TraceEvents bounds the /tracez ring buffer; zero selects
-	// obs.DefaultRingSize.
-	TraceEvents int
 	// SpanWriter optionally streams every finished pipeline span as JSONL.
 	// Spans are recorded to the /spanz ring regardless; the writer adds the
 	// offline stream.
@@ -291,7 +283,6 @@ type Server struct {
 	started time.Time
 
 	reg    *obs.Registry
-	tracer *obs.Tracer
 	spans  *obs.SpanTracer
 	alerts *obs.AlertEngine
 	// firstByte and fanout are the rolling windows behind /statusz:
@@ -356,7 +347,7 @@ type Server struct {
 	// parallel tick partitions into contiguous worker spans.
 	vlist []*video
 	// workers is the persistent fan-out pool; nil when the tick is serial
-	// (FanoutWorkers resolved to 1).
+	// (a one-shard station).
 	// tickReports hands the clock's retired-slot reports to the workers for
 	// the duration of one Tick; the pool's wake/join edges order the
 	// accesses.
@@ -365,14 +356,10 @@ type Server struct {
 	// tallies are the per-worker broadcast counters; retire is each
 	// worker's reusable retirement scratch (expired and ring-full
 	// subscribers collected during the span walk, detached after it, off
-	// the hot push loop). Both are sized to the resolved worker count and
+	// the hot push loop). Both are sized to the station's shard count and
 	// indexed by worker — never shared between spans.
 	tallies []fanoutTally
 	retire  [][]retireEntry
-
-	statRequests       atomic.Int64
-	statBroadcastBytes atomic.Int64
-	statDropped        atomic.Int64
 
 	// loadMu guards loadFn, the optional load-harness live-status source
 	// installed with SetLoadStatus and published into /statusz.
@@ -396,9 +383,6 @@ func Start(cfg Config) (*Server, error) {
 	if cfg.SpanSampleEvery < 0 {
 		return nil, fmt.Errorf("vodserver: span sample period %d must be non-negative", cfg.SpanSampleEvery)
 	}
-	if cfg.FanoutWorkers < 0 {
-		return nil, fmt.Errorf("vodserver: fan-out worker count %d must be non-negative", cfg.FanoutWorkers)
-	}
 	if cfg.SpanSampleEvery == 0 {
 		cfg.SpanSampleEvery = DefaultSpanSampleEvery
 	}
@@ -414,7 +398,6 @@ func Start(cfg Config) (*Server, error) {
 	}
 	reg := obs.NewRegistry()
 	obs.RegisterRuntime(reg)
-	tracer := obs.NewTracer(cfg.TraceWriter, cfg.TraceEvents)
 	videos := make(map[uint32]*video, len(cfg.Videos))
 	stationVideos := make([]station.VideoConfig, len(cfg.Videos))
 	enc := fanout.NewEncoder()
@@ -451,7 +434,6 @@ func Start(cfg Config) (*Server, error) {
 			Segments:      vc.Segments,
 			Periods:       vc.Periods,
 			TrackSegments: true,
-			Observer:      obs.SchedObserver{Video: vc.ID, T: tracer},
 		}
 		videos[vc.ID] = &video{
 			cfg:  vc,
@@ -488,8 +470,7 @@ func Start(cfg Config) (*Server, error) {
 		station:     st,
 		started:     time.Now(),
 		reg:         reg,
-		tracer:      tracer,
-		spans:       obs.NewSpanTracer(cfg.SpanWriter, cfg.TraceEvents, cfg.SpanSampleEvery, cfg.SpanSeed),
+		spans:       obs.NewSpanTracer(cfg.SpanWriter, obs.DefaultRingSize, cfg.SpanSampleEvery, cfg.SpanSeed),
 		alerts:      obs.NewAlertEngine(),
 		firstByte:   firstByte,
 		fanout:      obs.NewWindow(0),
@@ -524,17 +505,11 @@ func Start(cfg Config) (*Server, error) {
 	for _, v := range videos {
 		s.vlist[v.idx] = v
 	}
-	// Resolve the fan-out worker count and build the persistent pool. A
-	// resolved count of 1 (the default on a single-core host, or a
-	// one-video catalogue) keeps the tick inline on the clock goroutine —
-	// same code path, span [0, len(vlist)).
-	nw := cfg.FanoutWorkers
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	if nw > len(cfg.Videos) {
-		nw = len(cfg.Videos)
-	}
+	// The tick runs one worker per station shard. A one-shard station (the
+	// default on a single-core host, or a one-video catalogue) keeps the
+	// tick inline on the clock goroutine — same code path, span
+	// [0, len(vlist)).
+	nw := st.Shards()
 	s.tallies = make([]fanoutTally, nw)
 	s.retire = make([][]retireEntry, nw)
 	// Pre-register every reason child of the drop counter so the exposition
@@ -560,7 +535,7 @@ func Start(cfg Config) (*Server, error) {
 	reg.GaugeFunc("vod_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.started).Seconds() })
 	reg.GaugeFunc("vod_active_subscribers", "Clients currently receiving a broadcast.",
-		func() float64 { return float64(s.Stats().ActiveSubscribers) })
+		func() float64 { return float64(s.activeSubscribers()) })
 	reg.GaugeFunc("vod_fanout_ring_depth_max",
 		"Deepest per-subscriber write ring observed since the previous scrape (high-watermark, reset on read).",
 		s.ringDepth.Read)
@@ -659,10 +634,6 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Registry exposes the server's metrics registry, the source of /metricsz.
 func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// Tracer exposes the server's scheduler event tracer, the source of
-// /tracez.
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // Spans exposes the server's pipeline span tracer, the source of /spanz.
 func (s *Server) Spans() *obs.SpanTracer { return s.spans }
@@ -780,18 +751,28 @@ func (s *Server) Station() *station.Station { return s.station }
 // Uptime reports how long the server has been running.
 func (s *Server) Uptime() time.Duration { return time.Since(s.started) }
 
-// Stats returns a snapshot of the server counters.
+// Stats returns a snapshot of the server counters, read from the registry
+// families /metricsz exposes (float64 counters are exact below 2^53).
 func (s *Server) Stats() Stats {
 	st := Stats{
-		Requests:       s.statRequests.Load(),
-		BroadcastBytes: s.statBroadcastBytes.Load(),
-		Dropped:        s.statDropped.Load(),
+		Requests:          int64(s.mRequests.Value()),
+		BroadcastBytes:    int64(s.mBroadcastBytes.Value()),
+		ActiveSubscribers: s.activeSubscribers(),
+	}
+	for _, c := range s.mDroppedBy {
+		st.Dropped += int64(c.Value())
 	}
 	_, st.Instances = s.station.Totals()
-	for _, v := range s.videos {
-		st.ActiveSubscribers += v.subs.Len()
-	}
 	return st
+}
+
+// activeSubscribers sums the per-video subscriber sets.
+func (s *Server) activeSubscribers() int {
+	n := 0
+	for _, v := range s.vlist {
+		n += v.subs.Len()
+	}
+	return n
 }
 
 // Close stops accepting, terminates every subscription, halts the clock and
@@ -906,8 +887,6 @@ func (s *Server) handleConn(conn net.Conn) {
 	sub, info, err := s.admit(req.VideoID, req.FromSegment, conn, root)
 	if err != nil {
 		s.mRejects.Inc()
-		s.tracer.Emit(obs.Event{Type: obs.EventReject, Video: req.VideoID,
-			From: int(req.FromSegment), Detail: err.Error()})
 		root.SetAttr("reject", err.Error())
 		_ = wire.WriteFrame(conn, wire.ErrorMsg{Text: err.Error()})
 		return
@@ -1026,7 +1005,8 @@ func writeFrames(conn net.Conn, vec *net.Buffers, frames []*fanout.Frame, admitS
 //
 // root, when sampled, gains shard attribution and a station_admit child
 // covering the scheduler call (whose shard-lock wait and service time the
-// station's stage histograms break down further).
+// station's stage histograms break down further); the child carries the
+// admission's slot and the number of instances it placed.
 func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Span) (*subscriber, wire.ScheduleInfo, error) {
 	v, ok := s.videos[videoID]
 	if !ok {
@@ -1057,6 +1037,12 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 	root.SetShard(s.station.ShardOf(v.idx))
 	span := root.Child("station_admit")
 	res, err := s.station.Admit(v.idx, core.AdmitOptions{From: from})
+	if span != nil && err == nil {
+		// Formatted only for sampled trees: the unsampled admit path stays
+		// allocation-free here.
+		span.SetAttr("slot", strconv.Itoa(res.Slot))
+		span.SetAttr("placed", strconv.Itoa(res.Placed))
+	}
 	span.End()
 	if err != nil {
 		s.unsubscribe(videoID, sub)
@@ -1077,7 +1063,6 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 	// tick workers that read the placeholder MaxInt64 this slot simply
 	// retire the subscriber one snapshot later.
 	sub.lastSlot.Store(int64(admitSlot + suffixMax))
-	s.statRequests.Add(1)
 	s.mRequests.Inc()
 
 	periods := make([]uint32, v.cfg.Segments)
@@ -1168,11 +1153,9 @@ func (s *Server) fanOut(reports []core.SlotReport) {
 		*t = fanoutTally{}
 	}
 	s.mInstances.Add(float64(instances))
-	s.statBroadcastBytes.Add(bytes)
 	s.mBroadcastBytes.Add(float64(bytes))
 	for r, n := range dropsBy {
 		if n != 0 {
-			s.statDropped.Add(n)
 			s.mDroppedBy[r].Add(float64(n))
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -142,6 +143,93 @@ func TestEndToEndConcurrentClientsShare(t *testing.T) {
 	}
 	if st.Instances < 12 {
 		t.Fatalf("instances = %d below one full video", st.Instances)
+	}
+}
+
+// TestSameSlotBurst drives the scheduler's same-slot memo through the live
+// server (no observer is attached, so a repeat full admission in one slot is
+// answered from the memo): 16 strict full viewings and one resume of the
+// same video all admitted inside one long slot. Nobody misses a deadline,
+// only the first full viewing (and at most the resume's suffix) places
+// instances, and the station_admit spans account for every instance.
+func TestSameSlotBurst(t *testing.T) {
+	const (
+		n          = 6
+		viewers    = 16
+		resumeFrom = 4
+	)
+	s, err := Start(Config{
+		Addr:            "127.0.0.1:0",
+		Videos:          []VideoConfig{{ID: 1, Segments: n, SegmentBytes: 128}},
+		SlotDuration:    300 * time.Millisecond,
+		SpanSampleEvery: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+
+	// Start right after a slot boundary so the whole burst lands in one slot.
+	for slot := s.Station().CurrentSlot(0); s.Station().CurrentSlot(0) == slot; {
+		time.Sleep(time.Millisecond)
+	}
+	results := make([]vodclient.Result, viewers+1)
+	errs := make([]error, viewers+1)
+	var wg sync.WaitGroup
+	for c := range results {
+		from := uint32(1)
+		if c == viewers {
+			from = resumeFrom
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[c], errs[c] = vodclient.FetchWith(s.Addr(), vodclient.FetchOptions{
+				VideoID: 1, From: from, Timeout: 20 * time.Second,
+				StrictDeadlines: true, NoTrace: true, NoReport: true,
+			})
+		}()
+	}
+	wg.Wait()
+	for c, err := range errs {
+		if err != nil {
+			t.Fatalf("session %d: %v", c, err)
+		}
+		if results[c].AdmitSlot != results[0].AdmitSlot {
+			t.Fatalf("session %d admitted in slot %d, session 0 in %d: the burst straddled a boundary",
+				c, results[c].AdmitSlot, results[0].AdmitSlot)
+		}
+		if results[c].DeadlineMisses != 0 || results[c].MissingSegments != 0 {
+			t.Fatalf("session %d missed: %+v", c, results[c])
+		}
+	}
+
+	const bound = n + (n - resumeFrom + 1)
+	requests, scheduled := s.Station().Totals()
+	if requests != viewers+1 || scheduled < n || scheduled > bound {
+		t.Fatalf("station totals: %d requests, %d instances, want %d and %d..%d",
+			requests, scheduled, viewers+1, n, bound)
+	}
+	if got := s.mInstances.Value(); got > bound {
+		t.Fatalf("vod_instances_total = %v, want at most %d", got, bound)
+	}
+	var placed, placing int
+	for _, r := range s.Spans().Recent(0) {
+		if r.Name != "station_admit" {
+			continue
+		}
+		p, err := strconv.Atoi(r.Attrs["placed"])
+		if err != nil {
+			t.Fatalf("station_admit placed attr in %+v", r)
+		}
+		placed += p
+		if p > 0 {
+			placing++
+		}
+	}
+	if int64(placed) != scheduled || placing > 2 {
+		t.Fatalf("station_admit spans placed %d instances over %d admissions, station scheduled %d",
+			placed, placing, scheduled)
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 //	GET /healthz      liveness probe: 200 with status and uptime
 //	GET /metricsz     the obs registry in Prometheus text format
 //	                  (?prefix=vod_ filters to one family subset)
-//	GET /tracez?n=N   the most recent N scheduler events (default: all buffered)
-//	GET /spanz?n=N    the most recent N finished pipeline spans
+//	GET /spanz?n=N    the most recent N finished pipeline spans, the server's
+//	                  only trace (default: all buffered)
 //	GET /alertz       the alert rule table with per-rule state and a firing count
 //	GET /connz        per-subscriber transport telemetry: classified state,
 //	                  RTT, retransmits, ring depth, bytes/sec per connection
@@ -59,21 +59,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 	if err := enc.Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-// ringQuery parses the ?n=N window bound shared by /tracez and /spanz; ok
-// is false when the handler already answered with a 400.
-func ringQuery(w http.ResponseWriter, r *http.Request) (n int, ok bool) {
-	raw := r.URL.Query().Get("n")
-	if raw == "" {
-		return 0, true
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil || v < 0 {
-		http.Error(w, fmt.Sprintf("bad n %q", raw), http.StatusBadRequest)
-		return 0, false
-	}
-	return v, true
 }
 
 // statusz serves the full pipeline snapshot: the vodtop wire format.
@@ -231,19 +216,6 @@ func (s *Server) flightrecord(w http.ResponseWriter, r *http.Request) {
 	}{dir, s.recorder.Stats()})
 }
 
-// tracez serves the most recent scheduler events from the tracer's ring
-// buffer as a JSON array; ?n=N bounds the window.
-func (s *Server) tracez(w http.ResponseWriter, r *http.Request) {
-	if !guardGET(w, r, "/tracez") {
-		return
-	}
-	n, ok := ringQuery(w, r)
-	if !ok {
-		return
-	}
-	writeJSON(w, s.tracer.Recent(n))
-}
-
 // alertz serves the alert engine's rule table: every rule with its state
 // (inactive/pending/firing/resolved), observed value and threshold, plus a
 // firing count so a scripted probe needs no client-side aggregation.
@@ -268,9 +240,14 @@ func (s *Server) spanz(w http.ResponseWriter, r *http.Request) {
 	if !guardGET(w, r, "/spanz") {
 		return
 	}
-	n, ok := ringQuery(w, r)
-	if !ok {
-		return
+	n := 0
+	if raw := r.URL.Query().Get("n"); raw != "" {
+		v, err := strconv.Atoi(raw)
+		if err != nil || v < 0 {
+			http.Error(w, fmt.Sprintf("bad n %q", raw), http.StatusBadRequest)
+			return
+		}
+		n = v
 	}
 	writeJSON(w, s.spans.Recent(n))
 }
@@ -287,7 +264,6 @@ func (s *Server) serveStats(addr string) (net.Listener, error) {
 	mux.HandleFunc("/statusz", s.statusz)
 	mux.HandleFunc("/healthz", s.healthz)
 	mux.HandleFunc("/metricsz", s.metricsz)
-	mux.HandleFunc("/tracez", s.tracez)
 	mux.HandleFunc("/spanz", s.spanz)
 	mux.HandleFunc("/alertz", s.alertz)
 	mux.HandleFunc("/connz", s.connz)

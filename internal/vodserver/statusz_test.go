@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -151,6 +152,61 @@ func TestSpanzPipelineTree(t *testing.T) {
 	}
 }
 
+// TestSpanAdmitAttributes: spans are the live server's only trace, so the
+// station_admit child carries what the scheduler decided (admit slot,
+// instances placed) and a refused request leaves an admit root with the
+// reject reason and one vod_rejects_total, never reaching the station.
+func TestSpanAdmitAttributes(t *testing.T) {
+	s := startStatusServer(t, nil)
+	admits := 0
+	for _, r := range s.Spans().Recent(0) {
+		if r.Name != "station_admit" {
+			continue
+		}
+		admits++
+		if slot, err := strconv.Atoi(r.Attrs["slot"]); err != nil || slot < 0 {
+			t.Fatalf("station_admit slot attr in %+v", r)
+		}
+		// Each fetch is the first request of an idle 6-segment video.
+		if r.Attrs["placed"] != "6" {
+			t.Fatalf("station_admit placed attr in %+v, want 6", r)
+		}
+	}
+	if admits != 2 {
+		t.Fatalf("%d station_admit spans, want 2", admits)
+	}
+
+	if _, err := vodclient.FetchWith(s.Addr(), vodclient.FetchOptions{VideoID: 99, Timeout: 2 * time.Second, StrictDeadlines: true}); err == nil {
+		t.Fatal("unknown video accepted")
+	}
+	// The handler ends the root after answering the client.
+	var rejected []obs.SpanRecord
+	for deadline := time.Now().Add(5 * time.Second); len(rejected) == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, r := range s.Spans().Recent(0) {
+			if r.Attrs["reject"] != "" {
+				rejected = append(rejected, r)
+			}
+		}
+	}
+	if len(rejected) != 1 {
+		t.Fatalf("rejected spans %+v, want one", rejected)
+	}
+	if r := rejected[0]; r.Name != "admit" || r.Parent != 0 || r.Video != 99 || !strings.Contains(r.Attrs["reject"], "unknown video 99") {
+		t.Fatalf("reject root %+v", r)
+	}
+	for _, r := range s.Spans().Recent(0) {
+		if r.Parent == rejected[0].ID {
+			t.Fatalf("refused request has child span %+v", r)
+		}
+	}
+	if got := s.mRejects.Value(); got != 1 {
+		t.Fatalf("vod_rejects_total = %v, want 1", got)
+	}
+	if st := s.Stats(); st.Requests != 2 {
+		t.Fatalf("stats after reject %+v, want 2 requests", st)
+	}
+}
+
 // TestRouteGuards: every introspection endpoint 405s non-GET methods with
 // an Allow header, 404s sub-paths, and declares its Content-Type — no
 // request falls through to a handler it did not name.
@@ -163,7 +219,6 @@ func TestRouteGuards(t *testing.T) {
 		{"/statusz", "application/json"},
 		{"/healthz", "application/json"},
 		{"/metricsz", "text/plain; version=0.0.4; charset=utf-8"},
-		{"/tracez", "application/json"},
 		{"/spanz", "application/json"},
 		{"/alertz", "application/json"},
 		{"/connz", "application/json"},
