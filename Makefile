@@ -31,13 +31,15 @@ lint:
 		echo "lint: staticcheck not installed — skipping (install: go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION))"; \
 	fi
 
-# The one-stop gate: vet, the race suite, a coverage floor on the
-# observability-critical packages (including the wire codec and the QoE
-# client since they carry the telemetry loop), and the metric-name lint
-# (every family a fully wired server registers — the client_* families
-# included — must pass obs.ValidMetricName).
+# The one-stop gate: gofmt (any file it lists fails the gate), vet, the race
+# suite, a coverage floor on the observability-critical packages (including
+# the wire codec and the QoE client since they carry the telemetry loop), and
+# the metric-name lint (every family a fully wired server registers — the
+# client_* families included — must pass obs.ValidMetricName).
 COVER_FLOOR ?= 85
 ci:
+	@unformatted=$$(gofmt -l *.go cmd internal examples benchmark); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(GO) test -race ./...
@@ -65,8 +67,8 @@ ci:
 	# one-iteration smoke of the fan-out A/B matrix.
 	$(GO) test -run '^TestSteadyStateZeroAlloc$$' -count=1 ./internal/fanout/
 	$(GO) test -run '^$$' -bench 'BenchmarkFanOut' -benchtime=1x ./internal/fanout/
-	# The multi-core race lane: the parallel fan-out tick, its COW set and
-	# worker pool, and the churn stress all re-run with four scheduler
+	# The multi-core race lane: the parallel fan-out tick, its COW set, the
+	# station's span pool, and the churn stress all re-run with four scheduler
 	# threads so cross-worker interleavings the single-threaded suite can't
 	# produce get race coverage.
 	GOMAXPROCS=4 $(GO) test -race -cpu 4 -count=1 ./internal/fanout/ ./internal/station/ ./internal/vodserver/
@@ -95,10 +97,11 @@ bench-load:
 
 # The zero-copy data plane A/B (shared ref-counted slot frames + write
 # rings versus the serialize-per-tick reference) across -cpu 1,4: the
-# serial/parallel/reference matrix behind BENCH_fanout.json. The zero-copy
-# rows must hold 0 allocs/op.
+# serial/parallel/reference matrix behind BENCH_fanout.json (the parallel
+# arm runs on the station's span pool, so it lives in internal/station).
+# The zero-copy rows must hold 0 allocs/op.
 bench-fanout:
-	$(GO) test -run '^$$' -bench 'BenchmarkFanOut' -benchmem -cpu 1,4 ./internal/fanout/
+	$(GO) test -run '^$$' -bench 'BenchmarkFanOut' -benchmem -cpu 1,4 ./internal/fanout/ ./internal/station/
 
 # Benchstat-style regression gate: build a throwaway worktree at BASE, run
 # the same benchmark matrix in both trees, and print the old/new/delta
@@ -129,12 +132,12 @@ bench-conn:
 bench-core:
 	$(GO) test -run '^$$' -bench 'BenchmarkAdmit' -benchmem ./internal/core/
 
-# Sharded station versus the single-mutex whole-engine baseline across
-# -cpu 1,2,4; the reference numbers live in BENCH_station.json, and
-# BENCH_obs2.json holds the disabled-path A/B for the pipeline
+# The station (one lock per video) versus the single-mutex whole-engine
+# baseline across -cpu 1,2; the recorded rows live in BENCH_station.json,
+# and BENCH_obs2.json holds the disabled-path A/B for the pipeline
 # observability layer.
 bench-station:
-	$(GO) test -run '^$$' -bench 'BenchmarkStation' -benchmem -cpu 1,2,4 ./internal/station/
+	$(GO) test -run '^$$' -bench 'BenchmarkStation' -benchmem -cpu 1,2 ./internal/station/
 
 # Proves the scheduler observer hook is free when disabled: compare the
 # ObserverOff ns/op against ObserverOn (a no-op observer wired in).

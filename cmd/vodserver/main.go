@@ -29,7 +29,7 @@ func main() {
 		segments      = flag.Int("segments", 99, "segments per video")
 		slotMillis    = flag.Int("slot-ms", 500, "slot duration in milliseconds")
 		segmentBytes  = flag.Int("segment-bytes", 4096, "payload bytes per segment")
-		shards        = flag.Int("shards", 0, "how many ways the catalogue is partitioned, for admission locks and broadcast tick workers alike (0 = one per CPU capped at the catalogue size, 1 = one lock and a serial tick)")
+		shards        = flag.Int("shards", 0, "how many contiguous catalogue spans the broadcast tick is split over, one pool goroutine each (0 = one per CPU capped at the catalogue size, 1 = a serial tick on the clock goroutine)")
 		statsAddr     = flag.String("stats-addr", "", "optional HTTP monitoring address serving /statusz, /healthz, /metricsz, /spanz and /debug/pprof")
 		spanPath      = flag.String("span-trace", "", "optional JSONL file capturing sampled admission pipeline spans")
 		spanSample    = flag.Int("span-sample", 0, "keep 1 in N admission span trees (0 = default, 1 = everything)")
@@ -134,7 +134,7 @@ func run(o serveOpts) error {
 		return err
 	}
 	defer srv.Close()
-	fmt.Printf("vodserver listening on %s (%d videos, %d segments, %d ms slots, %d shards)\n",
+	fmt.Printf("vodserver listening on %s (%d videos, %d segments, %d ms slots, %d tick spans)\n",
 		srv.Addr(), o.videos, o.segments, o.slotMillis, srv.Station().Shards())
 	if srv.StatsAddr() != "" {
 		fmt.Printf("introspection on http://%s/{statusz,healthz,metricsz,spanz,alertz,queryz,connz,debug/pprof}\n", srv.StatsAddr())

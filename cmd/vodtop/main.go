@@ -1,6 +1,6 @@
 // Command vodtop is a terminal dashboard for a running vodserver. It polls
 // the /statusz snapshot endpoint and renders the admission pipeline the way
-// an operator wants to read it: shard table, per-stage latency quantiles,
+// an operator wants to read it: per-stage latency quantiles, per-video rows,
 // the admit-to-first-byte SLO burn rate and the station clock's drift.
 //
 // Usage:
@@ -169,22 +169,13 @@ func render(w io.Writer, addr string, snap vodserver.StatusSnapshot) {
 	}
 	tw.Flush()
 
-	fmt.Fprintln(w)
-	tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "SHARD\tVIDEOS\tADMITS\tREJECTS")
-	for _, sh := range st.Shards {
-		fmt.Fprintf(tw, "%d\t%d\t%.0f\t%.0f\n",
-			sh.Shard, sh.Videos, sh.Admits, sh.Rejects)
-	}
-	tw.Flush()
-
 	if len(st.PerVideo) > 0 {
 		fmt.Fprintln(w)
 		tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "VIDEO\tNAME\tSHARD\tSLOT\tREQUESTS\tINSTANCES")
+		fmt.Fprintln(tw, "VIDEO\tNAME\tSLOT\tREQUESTS\tINSTANCES")
 		for _, row := range st.PerVideo {
-			fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%d\t%d\n",
-				row.Video, row.Name, row.Shard, row.Slot, row.Requests, row.Instances)
+			fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%d\n",
+				row.Video, row.Name, row.Slot, row.Requests, row.Instances)
 		}
 		tw.Flush()
 	}

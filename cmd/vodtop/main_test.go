@@ -25,10 +25,6 @@ func TestRenderFrame(t *testing.T) {
 		Stats:         vodserver.Stats{Requests: 42, Instances: 7, BroadcastBytes: 3_500_000, ActiveSubscribers: 3, Dropped: 1},
 		Station: station.Status{
 			Videos: 2,
-			Shards: []station.ShardStatus{
-				{Shard: 0, Videos: 1, Admits: 30, Rejects: 4},
-				{Shard: 1, Videos: 1, Admits: 12, Rejects: 0},
-			},
 			Stages: map[string]obs.WindowSnapshot{
 				"lock_wait": {Count: 42, P50: 0.000004, P95: 0.00002, P99: 0.00005, Max: 0.0001},
 				"admit":     {Count: 42, P50: 0.0012, P95: 0.004, P99: 0.009, Max: 0.02},
@@ -59,8 +55,8 @@ func TestRenderFrame(t *testing.T) {
 		},
 	}
 	snap.Station.PerVideo = []station.VideoStatus{
-		{Video: 0, Name: "trailer", Shard: 0, Slot: 7, Requests: 30, Instances: 19},
-		{Video: 1, Name: "feature", Shard: 1, Slot: 7, Requests: 12, Instances: 11},
+		{Video: 0, Name: "trailer", Slot: 7, Requests: 30, Instances: 19},
+		{Video: 1, Name: "feature", Slot: 7, Requests: 12, Instances: 11},
 	}
 	var b strings.Builder
 	render(&b, "127.0.0.1:4900", snap)
@@ -75,9 +71,10 @@ func TestRenderFrame(t *testing.T) {
 		"target<=10.00ms @ 99.0%",
 		"good=40 bad=2  burn=4.76",
 		"lock_wait", "admit", "fanout", "first_byte",
-		"SHARD  VIDEOS  ADMITS  REJECTS",
+		"VIDEO  NAME     SLOT  REQUESTS  INSTANCES",
+		"0      trailer  7     30        19",
 		"QoE  : reports=9  startup p50=2 p95=5 slots  slack mean=3.5 slots  miss/report mean=0.25",
-		"VIDEO", "trailer", "feature",
+		"feature",
 		"ALERT", "SEVERITY",
 		"client_deadline_miss_rate", "critical", "FIRING", "> 0.5",
 		"client_reports_stale", "inactive", "stale 30",
@@ -89,10 +86,6 @@ func TestRenderFrame(t *testing.T) {
 	// The sub-millisecond stage renders in microseconds.
 	if !strings.Contains(out, "4µs") {
 		t.Fatalf("lock_wait not rendered in µs:\n%s", out)
-	}
-	// Shard rows carry the admit/reject counters.
-	if !strings.Contains(out, "30") || !strings.Contains(out, "4") {
-		t.Fatalf("shard counters missing:\n%s", out)
 	}
 	// The no-data staleness value renders as a dash, not NaN.
 	if strings.Contains(out, "NaN") {
@@ -471,7 +464,7 @@ func TestOnceAgainstLiveServer(t *testing.T) {
 	if strings.Contains(out, "\x1b[2J") {
 		t.Fatalf("-once frame must not clear the screen:\n%q", out)
 	}
-	for _, want := range []string{"requests=1", "clock: running", "lock_wait", "SHARD"} {
+	for _, want := range []string{"requests=1", "clock: running", "lock_wait", "VIDEO"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("live frame missing %q:\n%s", want, out)
 		}

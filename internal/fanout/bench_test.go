@@ -2,7 +2,6 @@ package fanout
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 )
 
@@ -18,26 +17,6 @@ func benchSegments(slot int) []int {
 		1 + (base+3)%len(benchSizes),
 		1 + (base+7)%len(benchSizes),
 	}
-}
-
-// benchSpans partitions [0, videos) into at most workers contiguous
-// near-equal spans — the same shape station.FanoutSpans hands the server.
-func benchSpans(videos, workers int) [][2]int {
-	if workers > videos {
-		workers = videos
-	}
-	spans := make([][2]int, workers)
-	base, rem := videos/workers, videos%workers
-	lo := 0
-	for i := range spans {
-		sz := base
-		if i < rem {
-			sz++
-		}
-		spans[i] = [2]int{lo, lo + sz}
-		lo += sz
-	}
-	return spans
 }
 
 // benchCatalogue builds the zero-copy side of one benchmark point: an
@@ -90,20 +69,17 @@ func zerocopySpan(enc *Encoder, sets []*Set[*Ring], segs [][]int, slot, lo, hi i
 }
 
 // BenchmarkFanOut measures one broadcast tick across the videos ×
-// subscribers-per-video matrix for three data planes:
+// subscribers-per-video matrix for two data planes:
 //
 //   - zerocopy-serial: the shared ref-counted frame plane walked by one
-//     goroutine, as the clock did before the parallel tick;
-//   - zerocopy-parallel: the same plane partitioned across a
-//     fanout.Workers pool (one span per GOMAXPROCS, the server default) —
-//     run with -cpu 1,4 to see the multi-core scaling this PR targets;
+//     goroutine, as a one-span clock does;
 //   - reference: per-tick serialization into a fresh buffer, one copy per
 //     subscriber channel (the retained executable spec).
 //
-// The zero-copy rows must report 0 allocs/op at steady state — make ci
-// gates the same property through TestSteadyStateZeroAlloc. Numbers live in
-// BENCH_fanout.json; videos=64/subs=256 is the large-catalogue point the
-// ≥3× multi-core acceptance target is measured on.
+// The zerocopy-parallel arm — the same plane over the station's span pool —
+// is the benchmark of the same name in internal/station. The zero-copy rows
+// must report 0 allocs/op at steady state — make ci gates the same property
+// through TestSteadyStateZeroAlloc. Numbers live in BENCH_fanout.json.
 func BenchmarkFanOut(b *testing.B) {
 	// Segment lists are precomputed so the loop measures the data plane,
 	// not the scenario generator.
@@ -132,27 +108,6 @@ func BenchmarkFanOut(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				zerocopySpan(enc, sets, segs, i, 0, videos, &scratch)
-			}
-		})
-
-		b.Run(name+"/zerocopy-parallel", func(b *testing.B) {
-			enc, sets := benchCatalogue(b, videos, subs)
-			spans := benchSpans(videos, runtime.GOMAXPROCS(0))
-			scratches := make([][]*Frame, len(spans))
-			slot := 0
-			w := NewWorkers(spans, func(worker, lo, hi int) {
-				zerocopySpan(enc, sets, segs, slot, lo, hi, &scratches[worker])
-			})
-			defer w.Close()
-			for i := 0; i < 8; i++ {
-				slot = i
-				w.Tick()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				slot = i
-				w.Tick()
 			}
 		})
 

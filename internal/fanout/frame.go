@@ -11,9 +11,9 @@
 // and Releases when a push fails; connection writers Release after the
 // frame's bytes have been written (never before — the backing array returns
 // to a sync.Pool and would be scribbled over mid-write). When the count
-// reaches zero the frame recycles. NewFanoutReference retains the original
-// bytes.Buffer encoding as the executable spec; the differential test pins
-// the two paths to byte-identical wire output.
+// reaches zero the frame recycles. The original bytes.Buffer encoding is
+// kept in reference_test.go as the executable spec; the differential test
+// pins the two paths to byte-identical wire output.
 package fanout
 
 import (

@@ -33,7 +33,7 @@ import (
 // The publication order gives the server its delivery guarantee: Add stores
 // the new snapshot before the subscriber's admission reaches the scheduler,
 // so any tick that retires the admit slot — ordered after the admission by
-// the station's shard lock — observes the subscriber in its snapshot.
+// the video's lock in the station — observes the subscriber in its snapshot.
 type Set[T comparable] struct {
 	mu     sync.Mutex
 	snap   atomic.Pointer[[]T]

@@ -178,109 +178,3 @@ func TestSetConcurrentChurn(t *testing.T) {
 		seen[x] = true
 	}
 }
-
-func TestWorkersCoverSpansExactlyOnce(t *testing.T) {
-	spans := [][2]int{{0, 3}, {3, 7}, {7, 8}}
-	hits := make([]atomic.Int64, 8)
-	var ticks atomic.Int64
-	w := NewWorkers(spans, func(worker, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			hits[i].Add(1)
-		}
-		ticks.Add(1)
-	})
-	defer w.Close()
-	if w.Count() != 3 {
-		t.Fatalf("Count = %d, want 3", w.Count())
-	}
-	const rounds = 50
-	for r := 1; r <= rounds; r++ {
-		w.Tick()
-		for i := range hits {
-			if got := hits[i].Load(); got != int64(r) {
-				t.Fatalf("after tick %d index %d covered %d times", r, i, got)
-			}
-		}
-	}
-	if got := ticks.Load(); got != rounds*int64(len(spans)) {
-		t.Fatalf("span executions = %d, want %d", got, rounds*len(spans))
-	}
-	w.Close() // idempotent
-}
-
-func TestWorkersEmpty(t *testing.T) {
-	w := NewWorkers(nil, func(int, int, int) { t.Error("run invoked with no spans") })
-	w.Tick()
-	w.Close()
-}
-
-// TestWorkersParallelSetChurn combines the two new types the way the server
-// does: workers push shared frames into per-video COW subscriber sets while
-// an admin goroutine churns membership — meant for the -race and -cpu 4 CI
-// lanes.
-func TestWorkersParallelSetChurn(t *testing.T) {
-	enc, _ := catalogues(t)
-	const videos = 8
-	sets := make([]*Set[*Ring], videos)
-	for i := range sets {
-		sets[i] = NewSet[*Ring]()
-	}
-	spans := [][2]int{{0, 2}, {2, 4}, {4, 6}, {6, 8}}
-	var slot atomic.Int64
-	var scratches [4][]*Frame
-	w := NewWorkers(spans, func(worker, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			f, err := enc.EncodeSlot(1, int(slot.Load()), []int{1, 2}, nil)
-			if err != nil {
-				panic(err)
-			}
-			// One snapshot serves push and drain: a ring added between two
-			// separate snapshots would be empty and block PopAll forever.
-			snap := sets[i].Snapshot()
-			for _, r := range snap {
-				f.Retain()
-				if _, ok := r.Push(f); !ok {
-					f.Release()
-				}
-			}
-			f.Release()
-			// Drain this span's rings inline so refcounts settle per tick:
-			// every pushed ring has a frame queued (or was dropped), so the
-			// blocking PopAll returns immediately.
-			for _, r := range snap {
-				var frames []*Frame
-				frames, _ = r.PopAll(scratches[worker][:0])
-				for _, g := range frames {
-					g.Release()
-				}
-				scratches[worker] = frames
-			}
-		}
-	})
-	defer w.Close()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		rng := rand.New(rand.NewSource(3))
-		for i := 0; i < 400; i++ {
-			v := rng.Intn(videos)
-			if rng.Intn(2) == 0 {
-				sets[v].Add(NewRing(4))
-			} else if snap := sets[v].Snapshot(); len(snap) > 0 {
-				if sets[v].Remove(snap[0]) {
-					snap[0].Drop()
-				}
-			}
-		}
-	}()
-	for tick := 0; tick < 200; tick++ {
-		slot.Store(int64(tick))
-		w.Tick()
-	}
-	<-done
-	for _, s := range sets {
-		for _, r := range s.Close() {
-			r.Drop()
-		}
-	}
-}

@@ -138,7 +138,7 @@ type Harness struct {
 	cfg    Config
 	pool   *vodclient.Pool
 	zipf   *workload.Zipf
-	shards []*shard
+	shards []*resultShard
 
 	// Lifetime counters (workers bump these with atomics; the reporter and
 	// Live read them without touching the shards).
@@ -158,10 +158,10 @@ type Harness struct {
 	live   LiveStatus
 }
 
-// shard is one slice of the results pipeline: a handful of workers fold
+// resultShard is one slice of the results pipeline: a handful of workers fold
 // into it under its private mutex, and the step runner swaps its digest at
 // each boundary.
-type shard struct {
+type resultShard struct {
 	mu sync.Mutex
 	d  *digest
 }
@@ -235,9 +235,9 @@ func New(cfg Config) (*Harness, error) {
 	if max := maxSessions(cfg.Profile); nShards > max {
 		nShards = max
 	}
-	shards := make([]*shard, nShards)
+	shards := make([]*resultShard, nShards)
 	for i := range shards {
-		shards[i] = &shard{d: newDigest()}
+		shards[i] = &resultShard{d: newDigest()}
 	}
 	return &Harness{
 		cfg:     cfg,
@@ -422,7 +422,7 @@ func (h *Harness) runStep(st Step, tokens chan struct{}, done <-chan struct{}) S
 }
 
 // runOne drives one closed-loop session and folds its outcome into sh.
-func (h *Harness) runOne(rng *sim.RNG, sh *shard) {
+func (h *Harness) runOne(rng *sim.RNG, sh *resultShard) {
 	video := h.cfg.Videos[h.zipf.Sample(rng)]
 	h.active.Add(1)
 	res, err := h.pool.Fetch(vodclient.FetchOptions{

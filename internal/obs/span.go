@@ -10,10 +10,10 @@ import (
 
 // This file implements span-based pipeline tracing: where the qlog tracer
 // (trace.go) records WHAT the scheduler decided, spans record WHERE an
-// admission spent its time on the way to that decision — queue wait, shard
-// lock wait, scheduler service, fan-out. A span is a named interval with a
-// parent, so one admitted request becomes a small tree from the server's
-// admit handler down through the shard to the first broadcast byte.
+// admission spent its time on the way to that decision — lock wait,
+// scheduler service, fan-out. A span is a named interval with a parent, so
+// one admitted request becomes a small tree from the server's admit handler
+// down through the station to the first broadcast byte.
 //
 // Spans are sampled at the root: a seeded sampler keeps 1 in SampleEvery
 // request trees (children inherit the decision), so tracing cost scales with
@@ -36,10 +36,8 @@ type SpanRecord struct {
 	// in seconds.
 	Start float64 `json:"start"`
 	Dur   float64 `json:"dur_s"`
-	// Video and Shard attribute the span in multi-video deployments; Shard
-	// is -1 when the span never touched a shard.
+	// Video attributes the span in multi-video deployments.
 	Video uint32 `json:"video,omitempty"`
-	Shard int    `json:"shard"`
 	// Attrs carries free-form context (reject reasons, batch sizes).
 	Attrs map[string]string `json:"attrs,omitempty"`
 }
@@ -125,7 +123,6 @@ type Span struct {
 	name   string
 	start  float64
 	video  uint32
-	shard  int
 	attrs  map[string]string
 }
 
@@ -143,12 +140,12 @@ func (t *SpanTracer) StartSpan(name string) *Span {
 	}
 	t.stats.Sampled++
 	t.nextID++
-	s := &Span{t: t, id: t.nextID, name: name, start: t.now(), shard: -1}
+	s := &Span{t: t, id: t.nextID, name: name, start: t.now()}
 	t.mu.Unlock()
 	return s
 }
 
-// Child opens a sub-span of s, inheriting its video and shard attribution.
+// Child opens a sub-span of s, inheriting its video attribution.
 func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
@@ -156,8 +153,7 @@ func (s *Span) Child(name string) *Span {
 	t := s.t
 	t.mu.Lock()
 	t.nextID++
-	c := &Span{t: t, id: t.nextID, parent: s.id, name: name, start: t.now(),
-		video: s.video, shard: s.shard}
+	c := &Span{t: t, id: t.nextID, parent: s.id, name: name, start: t.now(), video: s.video}
 	t.mu.Unlock()
 	return c
 }
@@ -199,7 +195,7 @@ func (t *SpanTracer) RecordChild(parent uint64, name string, start, dur float64,
 	t.nextID++
 	rec := SpanRecord{
 		ID: t.nextID, Parent: parent, Name: name,
-		Start: start, Dur: dur, Video: video, Shard: -1, Attrs: attrs,
+		Start: start, Dur: dur, Video: video, Attrs: attrs,
 	}
 	t.stats.Finished++
 	if len(t.ring) < cap(t.ring) {
@@ -218,13 +214,6 @@ func (t *SpanTracer) RecordChild(parent uint64, name string, start, dur float64,
 func (s *Span) SetVideo(video uint32) {
 	if s != nil {
 		s.video = video
-	}
-}
-
-// SetShard attributes the span to a worker shard.
-func (s *Span) SetShard(shard int) {
-	if s != nil {
-		s.shard = shard
 	}
 }
 
@@ -252,7 +241,7 @@ func (s *Span) End() {
 	rec := SpanRecord{
 		ID: s.id, Parent: s.parent, Name: s.name,
 		Start: s.start, Dur: t.now() - s.start,
-		Video: s.video, Shard: s.shard, Attrs: s.attrs,
+		Video: s.video, Attrs: s.attrs,
 	}
 	t.stats.Finished++
 	if len(t.ring) < cap(t.ring) {

@@ -20,7 +20,6 @@ func TestSpanNilSafety(t *testing.T) {
 	}
 	child := root.Child("station_admit")
 	child.SetVideo(1)
-	child.SetShard(0)
 	child.SetAttr("k", "v")
 	child.End()
 	root.End()
@@ -42,7 +41,6 @@ func TestSpanTreeExport(t *testing.T) {
 
 	root := tr.StartSpan("admit")
 	root.SetVideo(7)
-	root.SetShard(2)
 	now = 0.5
 	child := root.Child("station_admit")
 	child.SetAttr("batch", "16")
@@ -71,8 +69,8 @@ func TestSpanTreeExport(t *testing.T) {
 	if c.Parent != r.ID || r.Parent != 0 {
 		t.Fatalf("parent links wrong: child.Parent=%d root.ID=%d root.Parent=%d", c.Parent, r.ID, r.Parent)
 	}
-	if c.Video != 7 || c.Shard != 2 {
-		t.Fatalf("child did not inherit attribution: video=%d shard=%d", c.Video, c.Shard)
+	if c.Video != 7 {
+		t.Fatalf("child did not inherit attribution: video=%d", c.Video)
 	}
 	if c.Start != 0.5 || c.Dur != 1.0 || r.Start != 0 || r.Dur != 2.0 {
 		t.Fatalf("clocked intervals wrong: child %v+%v root %v+%v", c.Start, c.Dur, r.Start, r.Dur)
@@ -182,7 +180,6 @@ func TestSpanConcurrency(t *testing.T) {
 			for i := 0; i < perW; i++ {
 				root := tr.StartSpan("admit")
 				root.SetVideo(uint32(w + 1))
-				root.SetShard(w % 4)
 				c := root.Child("station_admit")
 				c.SetAttr("i", fmt.Sprint(i))
 				c.End()

@@ -34,8 +34,6 @@ const (
 	// EventSlotRetire records a finished slot with its final load, the
 	// per-slot bandwidth series of Figures 7-8.
 	EventSlotRetire = "slot_retire"
-	// EventReject records a refused request with the reason in Detail.
-	EventReject = "reject"
 )
 
 // Event is one trace record. The zero value of every optional field is
@@ -66,7 +64,7 @@ type Event struct {
 	Shared bool `json:"shared,omitempty"`
 	// Placed is the number of new instances an admit/resume scheduled.
 	Placed int `json:"placed,omitempty"`
-	// Detail carries free-form context (reject reasons).
+	// Detail carries free-form context.
 	Detail string `json:"detail,omitempty"`
 }
 

@@ -62,15 +62,10 @@ type Config struct {
 	// overload degrades waiting times instead of bandwidth. It requires
 	// ChannelCapacity > 0.
 	DeferRequests bool
-	// Shards is passed through to the station engine (0 selects its
-	// default). The simulation is deterministic for every value: admissions
-	// are issued sequentially in arrival order and per-video schedules are
-	// independent.
-	Shards int
-	// Registry optionally receives the station's per-shard counters and
-	// pipeline-stage instruments, so a simulation run exposes the same
-	// observability surface as the networked server (useful for calibrating
-	// stage budgets offline before a deployment).
+	// Registry optionally receives the station's pipeline-stage instruments,
+	// so a simulation run exposes the same observability surface as the
+	// networked server (useful for calibrating stage budgets offline before a
+	// deployment).
 	Registry *obs.Registry
 	// Seed drives the deterministic RNG.
 	Seed int64
@@ -151,7 +146,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		videos[i] = station.VideoConfig{Name: v.Name, Segments: v.Segments, Periods: v.Periods}
 	}
-	st, err := station.New(station.Config{Videos: videos, Shards: cfg.Shards, Registry: cfg.Registry})
+	st, err := station.New(station.Config{Videos: videos, Registry: cfg.Registry})
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}

@@ -1,15 +1,16 @@
 package station
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"vodcast/internal/core"
+	"vodcast/internal/fanout"
 )
 
-// singleMutexEngine is the baseline the sharded station is measured
-// against: the same per-video schedulers behind ONE engine-wide mutex, the
+// singleMutexEngine is the baseline the station is measured against: the same per-video schedulers behind ONE engine-wide mutex, the
 // design a straightforward "make it concurrent" port of the simulation
 // would produce. Every admission serializes against every other, whatever
 // the video.
@@ -58,12 +59,11 @@ func newBenchStation(b *testing.B) *Station {
 }
 
 // BenchmarkStationAdmit measures parallel admission throughput: goroutines
-// admit across the catalogue round-robin. "sharded" is the station;
-// "single-mutex" is the whole-engine-lock baseline. On a multi-core host
-// the sharded engine's advantage is the point of the design; on one core
-// the two mostly measure lock overhead.
+// admit across the catalogue round-robin. "station" is the station (one
+// lock per video); "single-mutex" is the whole-engine-lock baseline.
+// Recorded rows live in BENCH_station.json.
 func BenchmarkStationAdmit(b *testing.B) {
-	b.Run("sharded", func(b *testing.B) {
+	b.Run("station", func(b *testing.B) {
 		st := newBenchStation(b)
 		var next atomic.Int64
 		b.ResetTimer()
@@ -96,7 +96,7 @@ func BenchmarkStationAdmit(b *testing.B) {
 // advance per 256 operations per goroutine), the realistic steady state of
 // a clock-driven server under load.
 func BenchmarkStationMixed(b *testing.B) {
-	b.Run("sharded", func(b *testing.B) {
+	b.Run("station", func(b *testing.B) {
 		st := newBenchStation(b)
 		var next atomic.Int64
 		b.ResetTimer()
@@ -133,4 +133,80 @@ func BenchmarkStationMixed(b *testing.B) {
 			}
 		})
 	})
+}
+
+// BenchmarkFanOut is the zerocopy-parallel arm of the benchmark of the same
+// name in internal/fanout (same matrix, same per-video work, rows in
+// BENCH_fanout.json): one broadcast tick of the zero-copy data plane walked
+// through EachSpan on the clock's pool, one span per GOMAXPROCS. The pool is
+// armed by hand, even over a single span, so every row carries the
+// wake/join handoff a clock over several spans pays.
+func BenchmarkFanOut(b *testing.B) {
+	// A VBR-ish segment size vector; each slot broadcasts a rotating window
+	// of three segments so ticks exercise different frame shapes.
+	sizes := []int{1500, 700, 2200, 900, 4096, 333, 1234, 800, 600, 2048}
+	segs := make([][]int, 64)
+	for i := range segs {
+		segs[i] = []int{1 + i%len(sizes), 1 + (i+3)%len(sizes), 1 + (i+7)%len(sizes)}
+	}
+	for _, pt := range [][2]int{{1, 1}, {1, 16}, {1, 64}, {4, 1}, {4, 16}, {4, 64}, {64, 256}} {
+		videos, subs := pt[0], pt[1]
+		b.Run(fmt.Sprintf("videos=%d/subs=%d/zerocopy-parallel", videos, subs), func(b *testing.B) {
+			st, err := New(Config{Videos: testCatalogue(videos, len(sizes))})
+			if err != nil {
+				b.Fatal(err)
+			}
+			enc := fanout.NewEncoder()
+			sets := make([]*fanout.Set[*fanout.Ring], videos)
+			for v := range sets {
+				if err := enc.AddVideo(uint32(v+1), sizes); err != nil {
+					b.Fatal(err)
+				}
+				sets[v] = fanout.NewSet[*fanout.Ring]()
+				for i := 0; i < subs; i++ {
+					sets[v].Add(fanout.NewRing(8))
+				}
+			}
+			scratches := make([][]*fanout.Frame, st.Shards())
+			slot := 0
+			// Encode each video's slot once, push the shared frame to every
+			// subscriber, then drain the rings inline so the benchmark charges
+			// the consumer's release without socket noise.
+			span := func(worker, lo, hi int) {
+				for v := lo; v < hi; v++ {
+					f, err := enc.EncodeSlot(uint32(v+1), slot, segs[slot%len(segs)], nil)
+					if err != nil {
+						panic(err)
+					}
+					snap := sets[v].Snapshot()
+					for _, r := range snap {
+						f.Retain()
+						if _, ok := r.Push(f); !ok {
+							f.Release()
+						}
+					}
+					f.Release()
+					for _, r := range snap {
+						frames, _ := r.PopAll(scratches[worker][:0])
+						for _, g := range frames {
+							g.Release()
+						}
+						scratches[worker] = frames
+					}
+				}
+			}
+			st.pool = startWorkers(st.spans)
+			defer st.pool.close()
+			for i := 0; i < 8; i++ { // warm the frame pool
+				slot = i
+				st.EachSpan(span)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				slot = i
+				st.EachSpan(span)
+			}
+		})
+	}
 }

@@ -10,8 +10,8 @@ import (
 
 // TestStationStatusAndStages drives an instrumented station through
 // admissions and the clock, then checks the Status snapshot: stage windows
-// populated, shard table consistent with the registry counters, clock
-// ticking and drift fields sane.
+// populated, per-video rows consistent with the admissions, clock ticking
+// and drift fields sane.
 func TestStationStatusAndStages(t *testing.T) {
 	reg := obs.NewRegistry()
 	st, err := New(Config{
@@ -32,33 +32,20 @@ func TestStationStatusAndStages(t *testing.T) {
 	st.AdvanceSlot()
 
 	s := st.Status()
-	if s.Videos != 4 || len(s.Shards) != 2 {
-		t.Fatalf("videos=%d shards=%d", s.Videos, len(s.Shards))
+	if s.Videos != 4 {
+		t.Fatalf("videos=%d", s.Videos)
 	}
 	if s.Requests != 12 {
 		t.Fatalf("requests = %d, want 12", s.Requests)
 	}
-	var admits float64
-	for _, row := range s.Shards {
-		if row.Videos != 2 {
-			t.Fatalf("shard row %+v", row)
-		}
-		admits += row.Admits
-	}
-	if admits != 12 {
-		t.Fatalf("shard admits sum = %v, want 12", admits)
-	}
 	// The per-video table carries one row per catalogue entry, in catalogue
-	// order, each attributed to its shard with live scheduler counters.
+	// order, with live scheduler counters.
 	if len(s.PerVideo) != 4 {
 		t.Fatalf("per-video rows = %d, want 4", len(s.PerVideo))
 	}
 	for v, row := range s.PerVideo {
 		if row.Video != v {
 			t.Fatalf("per-video rows out of catalogue order: %+v", s.PerVideo)
-		}
-		if row.Shard != v%2 {
-			t.Fatalf("video %d attributed to shard %d, want %d", v, row.Shard, v%2)
 		}
 		if row.Requests != 3 {
 			t.Fatalf("video %d requests = %d, want 3", v, row.Requests)
@@ -131,8 +118,5 @@ func TestStatusUninstrumented(t *testing.T) {
 	}
 	if s.Requests != 2 || s.Videos != 2 {
 		t.Fatalf("snapshot %+v", s)
-	}
-	if s.Shards[0].Admits != 0 {
-		t.Fatalf("uninstrumented shard reports admits %v", s.Shards[0].Admits)
 	}
 }

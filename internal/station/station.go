@@ -1,33 +1,36 @@
 // Package station is the concurrent multi-video broadcast engine: it owns
-// one DHB scheduler per catalogue video and partitions them across worker
-// shards so admissions for different videos proceed in parallel.
+// one DHB scheduler per catalogue video, each behind its own lock, so
+// admissions for different videos proceed in parallel.
 //
 // The paper's introduction motivates a server distributing a whole catalogue
-// under per-video demand; core.Scheduler deliberately has no concurrency
-// story (one goroutine per scheduler), so catalogue-scale service is a
-// sharding problem, exactly as Viennot et al. treat distributed VoD as a
-// parallel-channel problem. The design:
+// under per-video demand; DHB schedules every video independently (the
+// Figure 6 loop touches one video's slots only, exactly as Viennot et al.
+// treat distributed VoD as independent parallel channels), and
+// core.Scheduler deliberately has no concurrency story (one goroutine per
+// scheduler). The design:
 //
-//   - Sharding. Videos are assigned round-robin to S shards; each shard
-//     guards its schedulers with its own mutex. Admissions for videos on
-//     different shards never contend.
-//   - One clock. A single optional clock goroutine fans AdvanceSlot ticks
-//     out to every shard (in parallel) so all videos share the slot grid;
-//     deterministic drivers call AdvanceSlot themselves instead.
+//   - One lock per video. Admissions for different videos never contend;
+//     admissions for one video serialize on that video's lock.
+//   - One span partition. The catalogue is cut once, at construction, into
+//     Config.Shards contiguous near-equal spans: the unit of parallelism of
+//     a clock tick.
+//   - One clock, one pool. A single optional clock goroutine advances every
+//     video once per slot so all videos share the slot grid. With more than
+//     one span it owns a persistent pool of one goroutine per span, which
+//     runs the advance and, through EachSpan, whatever per-span work the
+//     tick callback hands it. Deterministic drivers call AdvanceSlot
+//     themselves instead: a plain serial loop that starts no goroutine.
 //
 // Within one slot, admissions for the same video are identical operations,
-// so any interleaving of shard work yields the same per-video schedule as a
-// sequential run with the same per-slot arrival counts; station_test.go
-// proves this equivalence against K independent core schedulers.
+// so any interleaving yields the same per-video schedule as a sequential
+// run with the same per-slot arrival counts; station_test.go proves this
+// equivalence against K independent core schedulers.
 package station
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,9 +70,9 @@ type VideoConfig struct {
 	// slot reports feed a data plane, as in vodserver).
 	TrackSegments bool
 	// Observer optionally receives the video's scheduling decisions. It is
-	// invoked under the owning shard's lock, from admitting goroutines and
-	// the clock's, so it must be safe for use from multiple goroutines over
-	// time (obs.SchedObserver over a Tracer is).
+	// invoked under the video's lock, from admitting goroutines and the
+	// clock's, so it must be safe for use from multiple goroutines over time
+	// (obs.SchedObserver over a Tracer is).
 	Observer core.Observer
 }
 
@@ -78,11 +81,11 @@ type Config struct {
 	// Videos is the catalogue. Video indices in the station API are indices
 	// into this slice.
 	Videos []VideoConfig
-	// Shards is the number of worker shards; 0 selects
-	// min(GOMAXPROCS, len(Videos)).
+	// Shards is how many contiguous spans the clock's tick is split over; 0
+	// selects GOMAXPROCS, and the count is capped at len(Videos).
 	Shards int
-	// Registry optionally receives the per-shard counters
-	// (station_shard_admits_total, station_shard_rejects_total).
+	// Registry optionally receives the pipeline instruments: the admission
+	// stage histograms (station_stage_seconds) and the clock health series.
 	Registry *obs.Registry
 }
 
@@ -101,9 +104,9 @@ func (s *stage) observe(v float64) {
 
 // Stage names of the admission pipeline, the keys of Status.Stages.
 const (
-	// StageLockWait is the time an admission waits for its shard's lock.
+	// StageLockWait is the time an admission waits for its video's lock.
 	StageLockWait = "lock_wait"
-	// StageAdmit is the scheduler service time under the shard lock.
+	// StageAdmit is the scheduler service time under the video's lock.
 	StageAdmit = "admit"
 )
 
@@ -147,33 +150,26 @@ func newStationObs(reg *obs.Registry) *stationObs {
 	return o
 }
 
-// stationVideo binds one catalogue video to its scheduler and shard.
+// stationVideo is one catalogue video: its scheduler and the lock every
+// access to it takes.
 type stationVideo struct {
+	mu    sync.Mutex
 	name  string
 	sched *core.Scheduler
-	shard int
 }
 
-// shard is one worker partition: a mutex and the videos it owns.
-type shard struct {
-	mu     sync.Mutex
-	videos []int // station video indices owned by this shard
-	// assign is the shard's reusable assignment scratch: Admit serves
-	// WantAssignment from it (growing it on demand) when the caller supplies
-	// no buffer of their own, keeping the traced admit path allocation-free
-	// in steady state. Guarded by mu.
-	assign []int
-
-	// Per-shard observability (nil without a Registry).
-	admits  *obs.Counter
-	rejects *obs.Counter
-}
-
-// Station is a sharded multi-video DHB broadcast engine. All methods are
-// safe for concurrent use.
+// Station is a multi-video DHB broadcast engine. All methods but EachSpan
+// are safe for concurrent use.
 type Station struct {
 	videos []*stationVideo
-	shards []*shard
+	// spans is the one partition of the catalogue: contiguous near-equal
+	// half-open video index ranges, fixed at construction.
+	spans [][2]int
+	// pool runs the spans in parallel while a clock over more than one span
+	// is running. StartClock sets it before the clock goroutine starts and
+	// StopClock clears it after that goroutine exits, so the clock goroutine
+	// reads it without a lock.
+	pool *workers
 
 	// obs is the pipeline instrumentation, nil when Config.Registry was
 	// nil: every hot path pays exactly one branch for the disabled layer.
@@ -201,30 +197,30 @@ func New(cfg Config) (*Station, error) {
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadShards, cfg.Shards)
 	}
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = runtime.GOMAXPROCS(0)
+	n := cfg.Shards
+	if n == 0 {
+		n = runtime.GOMAXPROCS(0)
 	}
-	if shards > len(cfg.Videos) {
-		shards = len(cfg.Videos)
+	if n > len(cfg.Videos) {
+		n = len(cfg.Videos)
 	}
 	st := &Station{
 		videos: make([]*stationVideo, len(cfg.Videos)),
-		shards: make([]*shard, shards),
+		spans:  make([][2]int, n),
+	}
+	// Spans differ in length by at most one video.
+	base, rem := len(cfg.Videos)/n, len(cfg.Videos)%n
+	lo := 0
+	for i := range st.spans {
+		hi := lo + base
+		if i < rem {
+			hi++
+		}
+		st.spans[i] = [2]int{lo, hi}
+		lo = hi
 	}
 	if cfg.Registry != nil {
 		st.obs = newStationObs(cfg.Registry)
-	}
-	for i := range st.shards {
-		sh := &shard{}
-		if cfg.Registry != nil {
-			ls := obs.Labels{"shard": fmt.Sprint(i)}
-			sh.admits = cfg.Registry.CounterWith("station_shard_admits_total",
-				"Requests admitted through the shard.", ls)
-			sh.rejects = cfg.Registry.CounterWith("station_shard_rejects_total",
-				"Requests refused by the shard: invalid resume points.", ls)
-		}
-		st.shards[i] = sh
 	}
 	for i, vc := range cfg.Videos {
 		sched, err := core.New(core.Config{
@@ -236,10 +232,7 @@ func New(cfg Config) (*Station, error) {
 		if err != nil {
 			return nil, fmt.Errorf("station: video %d (%q): %w", i, vc.Name, err)
 		}
-		shardIdx := i % shards
-		st.videos[i] = &stationVideo{name: vc.Name, sched: sched, shard: shardIdx}
-		sh := st.shards[shardIdx]
-		sh.videos = append(sh.videos, i)
+		st.videos[i] = &stationVideo{name: vc.Name, sched: sched}
 	}
 	return st, nil
 }
@@ -247,43 +240,29 @@ func New(cfg Config) (*Station, error) {
 // Videos reports the catalogue size.
 func (st *Station) Videos() int { return len(st.videos) }
 
-// Shards reports the number of worker shards.
-func (st *Station) Shards() int { return len(st.shards) }
-
-// ShardOf reports which shard owns the video.
-func (st *Station) ShardOf(video int) int { return st.videos[video].shard }
+// Shards reports the number of spans the catalogue is partitioned into
+// (the resolved Config.Shards).
+func (st *Station) Shards() int { return len(st.spans) }
 
 // Name reports the video's configured label.
 func (st *Station) Name(video int) string { return st.videos[video].name }
 
-// FanoutSpans partitions the catalogue's video index range [0, Videos())
-// into at most n contiguous near-equal half-open spans — the work
-// assignment hint for a parallel fan-out walking the clock's per-slot
-// reports, which are indexed by video. Contiguity is what matters for the
-// consumer: each span worker touches a dense range of the report slice and
-// of the caller's parallel video array, never interleaving cache lines
-// with its neighbours. Spans differ in length by at most one video; fewer
-// than n spans come back when the catalogue is smaller than n.
-func (st *Station) FanoutSpans(n int) [][2]int {
-	videos := len(st.videos)
-	if n > videos {
-		n = videos
+// EachSpan runs run(worker, lo, hi) once for every span [lo, hi) of the
+// catalogue partition, worker being the span's index in 0..Shards()-1, and
+// returns when all have finished. While a clock over more than one span is
+// running, EachSpan belongs to its tick callback alone and the spans run in
+// parallel on the clock's pool, so run must confine itself to its span (a
+// dense range of the per-slot reports, which are indexed by video) and to
+// state indexed by worker; otherwise they run in order on the calling
+// goroutine.
+func (st *Station) EachSpan(run func(worker, lo, hi int)) {
+	if st.pool != nil {
+		st.pool.tick(run)
+		return
 	}
-	if n < 1 {
-		n = 1
+	for i, sp := range st.spans {
+		run(i, sp[0], sp[1])
 	}
-	spans := make([][2]int, n)
-	base, rem := videos/n, videos%n
-	lo := 0
-	for i := range spans {
-		size := base
-		if i < rem {
-			size++
-		}
-		spans[i] = [2]int{lo, lo + size}
-		lo += size
-	}
-	return spans
 }
 
 // Periods returns a copy of the video's resolved 1-based period vector
@@ -305,14 +284,8 @@ func (st *Station) checkVideo(video int) error {
 	return nil
 }
 
-// Admit synchronously admits one request for the video under its shard's
-// lock. Admissions for videos on different shards run in parallel.
-//
-// When opts.WantAssignment is set without a caller-supplied
-// opts.Assignment buffer, the returned assignment aliases a per-shard
-// scratch buffer that the shard's next assignment-carrying admission
-// overwrites: callers that retain it must copy it out, or pass their own
-// AdmitOptions.Assignment.
+// Admit synchronously admits one request for the video under the video's
+// lock. Admissions for different videos run in parallel.
 func (st *Station) Admit(video int, opts core.AdmitOptions) (core.AdmitResult, error) {
 	if st.closed.Load() {
 		return core.AdmitResult{}, ErrClosed
@@ -320,7 +293,7 @@ func (st *Station) Admit(video int, opts core.AdmitOptions) (core.AdmitResult, e
 	if err := st.checkVideo(video); err != nil {
 		return core.AdmitResult{}, err
 	}
-	sh := st.shards[st.videos[video].shard]
+	sv := st.videos[video]
 	// The instrumented path brackets the lock acquisition and the
 	// scheduler service with clock reads; the disabled path pays one nil
 	// check and no clock.
@@ -328,118 +301,72 @@ func (st *Station) Admit(video int, opts core.AdmitOptions) (core.AdmitResult, e
 	if st.obs != nil {
 		t0 = time.Now()
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
 	var tLocked time.Time
 	if st.obs != nil {
 		tLocked = time.Now()
 		st.obs.lockWait.observe(tLocked.Sub(t0).Seconds())
 	}
-	useScratch := opts.WantAssignment && opts.Assignment == nil
-	if useScratch {
-		opts.Assignment = sh.assign
-	}
-	res, err := st.videos[video].sched.AdmitRequest(opts)
+	res, err := sv.sched.AdmitRequest(opts)
 	if st.obs != nil {
 		st.obs.admit.observe(time.Since(tLocked).Seconds())
 	}
-	if err != nil {
-		if sh.rejects != nil {
-			sh.rejects.Inc()
-		}
-		return core.AdmitResult{}, err
-	}
-	if useScratch {
-		// Keep the (possibly grown) buffer for the shard's next admission.
-		sh.assign = res.Assignment
-	}
-	if sh.admits != nil {
-		sh.admits.Inc()
-	}
-	return res, nil
+	return res, err
 }
 
-// AdvanceSlot finishes the current slot of every video and returns the
-// retired slot reports, indexed by video. Shards advance in parallel. The
-// returned slice is owned by the caller; steady-state drivers reuse one via
-// AdvanceSlotInto.
+// AdvanceSlot finishes the current slot of every video, one after the other
+// on the calling goroutine, and returns the retired slot reports, indexed by
+// video. The returned slice is owned by the caller; steady-state drivers
+// reuse one via AdvanceSlotInto.
 func (st *Station) AdvanceSlot() []core.SlotReport {
 	return st.AdvanceSlotInto(nil)
 }
 
 // AdvanceSlotInto is AdvanceSlot writing the reports into dst (grown when
-// its capacity is below the catalogue size) so a steady-state driver — the
-// clock goroutine reuses one buffer across ticks — retires slots without a
-// per-tick allocation. Every entry is overwritten. It returns dst resliced
-// to the catalogue size.
+// its capacity is below the catalogue size) so a steady-state driver retires
+// slots without a per-tick allocation. Every entry is overwritten. It
+// returns dst resliced to the catalogue size.
 func (st *Station) AdvanceSlotInto(dst []core.SlotReport) []core.SlotReport {
 	if cap(dst) < len(st.videos) {
 		dst = make([]core.SlotReport, len(st.videos))
 	}
 	dst = dst[:len(st.videos)]
-	if len(st.shards) == 1 {
-		st.advanceShard(0, dst)
-		return dst
-	}
-	// The parallel fan-out lives in a helper so its goroutine closures
-	// never capture dst: a captured-and-reassigned slice header would be
-	// forced onto the heap, costing the single-shard fast path above one
-	// allocation per tick.
-	st.advanceParallel(dst)
+	st.advanceSpan(dst, 0, len(dst))
 	return dst
 }
 
-// advanceParallel advances every shard concurrently.
-func (st *Station) advanceParallel(reports []core.SlotReport) {
-	var wg sync.WaitGroup
-	for i := range st.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// The pprof label makes shard workers attributable in CPU
-			// profiles: /debug/pprof/profile breaks slot-advance time down
-			// by station_shard.
-			pprof.Do(context.Background(), pprof.Labels("station_shard", strconv.Itoa(i)),
-				func(context.Context) { st.advanceShard(i, reports) })
-		}(i)
-	}
-	wg.Wait()
-}
-
-// advanceShard advances one shard. Shards own disjoint video
-// index sets, so concurrent writes into reports never alias.
-func (st *Station) advanceShard(i int, reports []core.SlotReport) {
-	sh := st.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, v := range sh.videos {
-		reports[v] = st.videos[v].sched.AdvanceSlot()
+// advanceSpan advances the videos [lo, hi), each under its own lock. Spans
+// are disjoint, so concurrent writes into reports never alias.
+func (st *Station) advanceSpan(reports []core.SlotReport, lo, hi int) {
+	for v := lo; v < hi; v++ {
+		sv := st.videos[v]
+		sv.mu.Lock()
+		reports[v] = sv.sched.AdvanceSlot()
+		sv.mu.Unlock()
 	}
 }
 
 // CurrentSlot reports the video's current transmission slot.
 func (st *Station) CurrentSlot(video int) int {
-	sh := st.shards[st.videos[video].shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return st.videos[video].sched.CurrentSlot()
+	sv := st.videos[video]
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	return sv.sched.CurrentSlot()
 }
 
 // NextLoads fills dst (grown as needed) with each video's scheduled
 // instance count for its next transmission slot — the quantity admission
-// control gates on — taking each shard's lock once. It returns dst.
+// control gates on. It returns dst.
 func (st *Station) NextLoads(dst []int) []int {
 	if cap(dst) < len(st.videos) {
 		dst = make([]int, len(st.videos))
 	}
 	dst = dst[:len(st.videos)]
-	for _, sh := range st.shards {
-		sh.mu.Lock()
-		for _, v := range sh.videos {
-			sched := st.videos[v].sched
-			dst[v] = sched.LoadAt(sched.CurrentSlot() + 1)
-		}
-		sh.mu.Unlock()
+	for v, sv := range st.videos {
+		sv.mu.Lock()
+		dst[v] = sv.sched.LoadAt(sv.sched.CurrentSlot() + 1)
+		sv.mu.Unlock()
 	}
 	return dst
 }
@@ -447,49 +374,51 @@ func (st *Station) NextLoads(dst []int) []int {
 // VideoTotals reports the video's admitted request and scheduled instance
 // counts.
 func (st *Station) VideoTotals(video int) (requests, instances int64) {
-	sh := st.shards[st.videos[video].shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sched := st.videos[video].sched
-	return sched.Requests(), sched.Instances()
+	sv := st.videos[video]
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	return sv.sched.Requests(), sv.sched.Instances()
 }
 
 // Totals reports the station-wide admitted request and scheduled instance
 // counts.
 func (st *Station) Totals() (requests, instances int64) {
-	for _, sh := range st.shards {
-		sh.mu.Lock()
-		for _, v := range sh.videos {
-			sched := st.videos[v].sched
-			requests += sched.Requests()
-			instances += sched.Instances()
-		}
-		sh.mu.Unlock()
+	for _, sv := range st.videos {
+		sv.mu.Lock()
+		requests += sv.sched.Requests()
+		instances += sv.sched.Instances()
+		sv.mu.Unlock()
 	}
 	return requests, instances
 }
 
-// StartClock launches the single clock goroutine: every interval it fans an
-// AdvanceSlot tick out to all shards and, when onTick is non-nil, hands the
-// slot reports to onTick (on the clock goroutine; onTick must not call
-// StopClock or Close). The reports slice is borrowed for the duration of
-// the callback — the clock reuses its backing array on the next tick — so
-// an onTick that retains reports must copy them.
+// StartClock launches the single clock goroutine: every interval it
+// advances every video (span by span through EachSpan, so on the pool when
+// there is more than one span) and, when onTick is non-nil, hands the slot
+// reports to onTick (on the clock goroutine; onTick must not call StopClock
+// or Close, and may call EachSpan). The reports slice is borrowed for the
+// duration of the callback — the clock reuses it on the next tick — so an
+// onTick that retains reports must copy them.
 func (st *Station) StartClock(interval time.Duration, onTick func([]core.SlotReport)) error {
 	if interval <= 0 {
 		return fmt.Errorf("%w: got %v", ErrBadSlotDuration, interval)
 	}
+	st.clockMu.Lock()
+	defer st.clockMu.Unlock()
+	// Checked under the clock mutex: Close sets the flag before it takes the
+	// mutex to stop the clock, so no clock (or pool) can start behind it.
 	if st.closed.Load() {
 		return ErrClosed
 	}
-	st.clockMu.Lock()
-	defer st.clockMu.Unlock()
 	if st.clockStop != nil {
 		return ErrClockRunning
 	}
 	stop := make(chan struct{})
 	st.clockStop = stop
 	st.clockInterval.Store(int64(interval))
+	if len(st.spans) > 1 {
+		st.pool = startWorkers(st.spans)
+	}
 	st.clockWG.Add(1)
 	go func() {
 		defer st.clockWG.Done()
@@ -497,9 +426,11 @@ func (st *Station) StartClock(interval time.Duration, onTick func([]core.SlotRep
 		defer ticker.Stop()
 		start := time.Now()
 		ticks := uint64(0)
-		// One report buffer serves every tick: onTick runs synchronously on
-		// this goroutine, so the slice is never reused while borrowed.
-		var reports []core.SlotReport
+		// One report buffer and one span function serve every tick: onTick
+		// runs synchronously on this goroutine, so the slice is never reused
+		// while borrowed, and the clock allocates nothing per tick.
+		reports := make([]core.SlotReport, len(st.videos))
+		advance := func(_, lo, hi int) { st.advanceSpan(reports, lo, hi) }
 		for {
 			select {
 			case <-stop:
@@ -523,7 +454,7 @@ func (st *Station) StartClock(interval time.Duration, onTick func([]core.SlotRep
 					st.obs.clockDrift.Set(lagSec / interval.Seconds())
 					st.obs.clockWin.Observe(lagSec)
 				}
-				reports = st.AdvanceSlotInto(reports)
+				st.EachSpan(advance)
 				if onTick != nil {
 					onTick(reports)
 				}
@@ -533,30 +464,24 @@ func (st *Station) StartClock(interval time.Duration, onTick func([]core.SlotRep
 	return nil
 }
 
-// StopClock stops the clock goroutine and waits for it to exit (including
-// any in-flight onTick). It is a no-op when no clock is running.
+// StopClock stops the clock goroutine and its pool and waits for them to
+// exit (including any in-flight onTick). It is a no-op when no clock is
+// running. The clock mutex is held throughout, so a StartClock racing it
+// finds the old clock and pool gone.
 func (st *Station) StopClock() {
 	st.clockMu.Lock()
-	stop := st.clockStop
-	st.clockStop = nil
-	st.clockMu.Unlock()
-	if stop == nil {
+	defer st.clockMu.Unlock()
+	if st.clockStop == nil {
 		return
 	}
-	close(stop)
+	close(st.clockStop)
+	st.clockStop = nil
 	st.clockWG.Wait()
 	st.clockInterval.Store(0)
-}
-
-// ShardStatus is one row of the /statusz (and vodtop) shard table.
-type ShardStatus struct {
-	// Shard is the worker index; Videos the catalogue entries it owns.
-	Shard  int `json:"shard"`
-	Videos int `json:"videos"`
-	// Admits and Rejects mirror the shard's registry counters (zero when
-	// the station is uninstrumented).
-	Admits  float64 `json:"admits"`
-	Rejects float64 `json:"rejects"`
+	if st.pool != nil {
+		st.pool.close()
+		st.pool = nil
+	}
 }
 
 // ClockStatus describes the clock goroutine's health.
@@ -574,16 +499,14 @@ type ClockStatus struct {
 	Lag obs.WindowSnapshot `json:"lag"`
 }
 
-// VideoStatus is one catalogue row of the operator snapshot: which shard
-// owns the video, how far its schedule has advanced, and its admission
-// totals. The QoE pipeline joins client_miss_total{video} against these rows
-// by name.
+// VideoStatus is one catalogue row of the operator snapshot: how far the
+// video's schedule has advanced and its admission totals. The QoE pipeline
+// joins client_miss_total{video} against these rows by name.
 type VideoStatus struct {
 	// Video is the station catalogue index; Name the configured name (the
 	// wire-facing video ID for vodserver catalogues).
 	Video int    `json:"video"`
 	Name  string `json:"name"`
-	Shard int    `json:"shard"`
 	// Slot is the video's current schedule slot; Requests and Instances are
 	// its lifetime admission and transmission totals.
 	Slot      int   `json:"slot"`
@@ -591,12 +514,10 @@ type VideoStatus struct {
 	Instances int64 `json:"instances"`
 }
 
-// Status is one consistent snapshot of the station for operators: the shard
-// table, the per-video rows, the per-stage rolling latency windows, and
-// clock health.
+// Status is one snapshot of the station for operators: the per-video rows,
+// the per-stage rolling latency windows, and clock health.
 type Status struct {
-	Videos int           `json:"videos"`
-	Shards []ShardStatus `json:"shards"`
+	Videos int `json:"videos"`
 	// PerVideo lists every catalogue video; rows are in catalogue order.
 	PerVideo []VideoStatus `json:"per_video"`
 	// Stages maps the Stage* names to their rolling windows, in seconds
@@ -609,34 +530,25 @@ type Status struct {
 }
 
 // Status assembles the operator snapshot behind /statusz. It takes each
-// shard lock once (like Totals) and never blocks the clock beyond one shard
-// advance.
+// video's lock once (like Totals), so it never holds the clock up for longer
+// than one video's row.
 func (st *Station) Status() Status {
 	s := Status{
 		Videos:   len(st.videos),
-		Shards:   make([]ShardStatus, len(st.shards)),
 		PerVideo: make([]VideoStatus, len(st.videos)),
 	}
-	for i, sh := range st.shards {
-		row := ShardStatus{Shard: i, Videos: len(sh.videos)}
-		sh.mu.Lock()
-		for _, v := range sh.videos {
-			sv := st.videos[v]
-			s.Requests += sv.sched.Requests()
-			s.Instances += sv.sched.Instances()
-			s.PerVideo[v] = VideoStatus{
-				Video: v, Name: sv.name, Shard: i,
-				Slot:      sv.sched.CurrentSlot(),
-				Requests:  sv.sched.Requests(),
-				Instances: sv.sched.Instances(),
-			}
+	for v, sv := range st.videos {
+		sv.mu.Lock()
+		row := VideoStatus{
+			Video: v, Name: sv.name,
+			Slot:      sv.sched.CurrentSlot(),
+			Requests:  sv.sched.Requests(),
+			Instances: sv.sched.Instances(),
 		}
-		sh.mu.Unlock()
-		if sh.admits != nil {
-			row.Admits = sh.admits.Value()
-			row.Rejects = sh.rejects.Value()
-		}
-		s.Shards[i] = row
+		sv.mu.Unlock()
+		s.Requests += row.Requests
+		s.Instances += row.Instances
+		s.PerVideo[v] = row
 	}
 	interval := time.Duration(st.clockInterval.Load())
 	s.Clock = ClockStatus{

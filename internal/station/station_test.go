@@ -1,11 +1,12 @@
 package station
 
 import (
-	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
-	"strings"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,8 +45,8 @@ func TestNewSentinelErrors(t *testing.T) {
 	}
 }
 
-// TestShardAssignment: shards default to at most the catalogue size and
-// videos are spread round-robin.
+// TestShardAssignment: the span count is Config.Shards, defaulting to
+// GOMAXPROCS and capped at the catalogue size.
 func TestShardAssignment(t *testing.T) {
 	st, err := New(Config{Videos: testCatalogue(5, 8), Shards: 2})
 	if err != nil {
@@ -54,12 +55,7 @@ func TestShardAssignment(t *testing.T) {
 	if st.Shards() != 2 || st.Videos() != 5 {
 		t.Fatalf("got %d shards, %d videos", st.Shards(), st.Videos())
 	}
-	for v := 0; v < 5; v++ {
-		if got := st.ShardOf(v); got != v%2 {
-			t.Fatalf("video %d on shard %d, want %d", v, got, v%2)
-		}
-	}
-	// More shards than videos collapses to one shard per video.
+	// More shards than videos collapses to one span per video.
 	st2, err := New(Config{Videos: testCatalogue(3, 8), Shards: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -67,41 +63,164 @@ func TestShardAssignment(t *testing.T) {
 	if st2.Shards() != 3 {
 		t.Fatalf("got %d shards for 3 videos", st2.Shards())
 	}
-}
-
-// TestFanoutSpans: the fan-out partition hint tiles the whole catalogue
-// with contiguous, non-overlapping, near-equal spans for every worker
-// count, including degenerate ones.
-func TestFanoutSpans(t *testing.T) {
-	st, err := New(Config{Videos: testCatalogue(7, 8)})
+	st3, err := New(Config{Videos: testCatalogue(2048, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{-1, 0, 1, 2, 3, 7, 16} {
-		spans := st.FanoutSpans(n)
-		want := n
-		if want > 7 {
-			want = 7
-		}
-		if want < 1 {
-			want = 1
-		}
-		if len(spans) != want {
-			t.Fatalf("FanoutSpans(%d) returned %d spans, want %d", n, len(spans), want)
-		}
-		lo := 0
-		for i, sp := range spans {
-			if sp[0] != lo {
-				t.Fatalf("FanoutSpans(%d) span %d starts at %d, want %d (gap or overlap)", n, i, sp[0], lo)
+	if st3.Shards() != runtime.GOMAXPROCS(0) {
+		t.Fatalf("got %d shards by default, want GOMAXPROCS = %d", st3.Shards(), runtime.GOMAXPROCS(0))
+	}
+}
+
+// TestSpanPartition: the catalogue's one partition tiles [0, Videos())
+// exactly once with contiguous, in-order, near-equal spans, for every
+// catalogue size and span count including the degenerate ones.
+func TestSpanPartition(t *testing.T) {
+	for _, videos := range []int{1, 3, 4, 7, 2048} {
+		for _, shards := range []int{1, 4, 8} {
+			st, err := New(Config{Videos: testCatalogue(videos, 2), Shards: shards})
+			if err != nil {
+				t.Fatal(err)
 			}
-			size := sp[1] - sp[0]
-			if size < 7/want || size > 7/want+1 {
-				t.Fatalf("FanoutSpans(%d) span %d has %d videos, want near-equal %d..%d", n, i, size, 7/want, 7/want+1)
+			want := min(shards, videos)
+			if st.Shards() != want {
+				t.Fatalf("%d videos / %d shards: %d spans, want %d", videos, shards, st.Shards(), want)
 			}
-			lo = sp[1]
+			visits := make([]int, videos)
+			next, lo := 0, 0
+			st.EachSpan(func(worker, spanLo, spanHi int) {
+				if worker != next || spanLo != lo {
+					t.Fatalf("%d videos / %d shards: span %d is [%d, %d), want span %d starting at %d (gap, overlap or out of order)",
+						videos, shards, worker, spanLo, spanHi, next, lo)
+				}
+				if size := spanHi - spanLo; size < videos/want || size > videos/want+1 {
+					t.Fatalf("%d videos / %d shards: span %d has %d videos, want near-equal %d..%d",
+						videos, shards, worker, size, videos/want, videos/want+1)
+				}
+				for v := spanLo; v < spanHi; v++ {
+					visits[v]++
+				}
+				next, lo = worker+1, spanHi
+			})
+			if next != want || lo != videos {
+				t.Fatalf("%d videos / %d shards: %d spans covering [0, %d), want %d covering [0, %d)",
+					videos, shards, next, lo, want, videos)
+			}
+			for v, n := range visits {
+				if n != 1 {
+					t.Fatalf("%d videos / %d shards: video %d visited %d times", videos, shards, v, n)
+				}
+			}
 		}
-		if lo != 7 {
-			t.Fatalf("FanoutSpans(%d) covers [0, %d), want the full catalogue [0, 7)", n, lo)
+	}
+}
+
+// goroutineBaseline reads the goroutine count once earlier tests' exiting
+// goroutines have unwound: two equal reads a few milliseconds apart.
+func goroutineBaseline() int {
+	n := runtime.NumGoroutine()
+	for {
+		time.Sleep(5 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+}
+
+// settleGoroutines waits for the goroutine count to fall back to baseline:
+// a goroutine whose exit has been joined may still be unwinding.
+func settleGoroutines(t *testing.T, baseline int, after string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after %s, baseline %d", runtime.NumGoroutine(), after, baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestManualAdvanceStartsNoGoroutine: a hand-driven station is a plain
+// serial loop whatever its span count.
+func TestManualAdvanceStartsNoGoroutine(t *testing.T) {
+	st, err := New(Config{Videos: testCatalogue(8, 10), Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := goroutineBaseline()
+	for i := 0; i < 100; i++ {
+		if _, err := st.Admit(i%8, core.AdmitOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		st.AdvanceSlot()
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Fatalf("advance %d: %d goroutines, baseline %d", i, n, baseline)
+		}
+	}
+}
+
+// TestClockPoolLifecycle: a clock over four spans runs its advance and the
+// tick callback's EachSpan on the pool — every video exactly once per tick,
+// one worker index per span — and StopClock, and then Close, leave no
+// goroutine behind.
+func TestClockPoolLifecycle(t *testing.T) {
+	const videos = 10
+	st, err := New(Config{Videos: testCatalogue(videos, 10), Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := goroutineBaseline()
+	var ticks atomic.Int64
+	var visits [videos]atomic.Int64
+	var byWorker [4]atomic.Int64
+	onTick := func(reports []core.SlotReport) {
+		st.EachSpan(func(worker, lo, hi int) {
+			byWorker[worker].Add(1)
+			for v := lo; v < hi; v++ {
+				visits[v].Add(1)
+				if reports[v].Slot != reports[0].Slot {
+					t.Errorf("video %d retired slot %d while video 0 retired %d", v, reports[v].Slot, reports[0].Slot)
+				}
+			}
+		})
+		ticks.Add(1)
+	}
+	for _, stop := range []struct {
+		name string
+		fn   func()
+	}{{"StopClock", st.StopClock}, {"Close", st.Close}} {
+		before := ticks.Load()
+		if err := st.StartClock(200*time.Microsecond, onTick); err != nil {
+			t.Fatal(err)
+		}
+		for ticks.Load() < before+5 {
+			time.Sleep(time.Millisecond)
+		}
+		if st.pool == nil {
+			t.Fatal("a 4-span clock runs without its pool")
+		}
+		stop.fn()
+		if st.pool != nil {
+			t.Fatalf("%s left the pool behind", stop.name)
+		}
+		settleGoroutines(t, baseline, stop.name)
+	}
+	n := ticks.Load()
+	for v := range visits {
+		if got := visits[v].Load(); got != n {
+			t.Fatalf("video %d walked %d times in %d ticks", v, got, n)
+		}
+	}
+	for w := range byWorker {
+		if got := byWorker[w].Load(); got != n {
+			t.Fatalf("worker %d ran %d spans in %d ticks", w, got, n)
+		}
+	}
+	for v := 0; v < videos; v++ {
+		if got := st.CurrentSlot(v); int64(got) != n {
+			t.Fatalf("video %d at slot %d after %d ticks", v, got, n)
 		}
 	}
 }
@@ -128,16 +247,21 @@ func TestAdmitValidation(t *testing.T) {
 }
 
 // TestConcurrentEquivalence is the load-bearing correctness test of the
-// sharded engine: a station serving K videos with admissions issued from
+// engine: a station serving K videos with admissions issued from
 // many goroutines at once must produce, video for video and slot for slot,
 // exactly the schedule K independent single-threaded schedulers produce for
 // the same per-slot arrival counts. Within a slot all admissions for one
 // video are identical operations, so the end state depends only on the
 // counts, not the interleaving — which is why the comparison can be exact.
 func TestConcurrentEquivalence(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testConcurrentEquivalence(t, shards) })
+	}
+}
+
+func testConcurrentEquivalence(t *testing.T, shards int) {
 	const (
 		videos  = 7
-		shards  = 3
 		slots   = 60
 		maxRate = 5 // max arrivals per video per slot
 	)
@@ -174,7 +298,7 @@ func TestConcurrentEquivalence(t *testing.T) {
 
 	for s := 0; s < slots; s++ {
 		// Concurrent admissions: one goroutine per arrival, racing against
-		// each other within and across shards.
+		// each other within and across videos.
 		var wg sync.WaitGroup
 		for v := 0; v < videos; v++ {
 			for a := 0; a < arrivals[s][v]; a++ {
@@ -219,11 +343,16 @@ func TestConcurrentEquivalence(t *testing.T) {
 // books balance afterwards. Run under -race this is the engine's data-race
 // certification.
 func TestStressAdmissionsRaceClock(t *testing.T) {
-	reg := obs.NewRegistry()
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testStressAdmissionsRaceClock(t, shards) })
+	}
+}
+
+func testStressAdmissionsRaceClock(t *testing.T, shards int) {
 	st, err := New(Config{
 		Videos:   testCatalogue(8, 25),
-		Shards:   4,
-		Registry: reg,
+		Shards:   shards,
+		Registry: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -288,16 +417,6 @@ func TestStressAdmissionsRaceClock(t *testing.T) {
 	req, _ := st.Totals()
 	if req != admitted {
 		t.Fatalf("admitted %d requests, engine recorded %d", admitted, req)
-	}
-	// Per-shard metrics exist for every shard.
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	if !strings.Contains(text, `station_shard_admits_total{shard="0"}`) ||
-		!strings.Contains(text, `station_shard_admits_total{shard="3"}`) {
-		t.Fatalf("per-shard metrics missing:\n%s", text)
 	}
 }
 

@@ -99,11 +99,7 @@ func (s *Server) armAlerts() error {
 // The read is bounded: a client that never reports just times out and costs
 // nothing. Reports for the wrong video are discarded.
 func (s *Server) readReport(conn net.Conn, videoID uint32) {
-	timeout := 4 * s.cfg.SlotDuration
-	if timeout < time.Second {
-		timeout = time.Second
-	}
-	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
+	if err := conn.SetReadDeadline(time.Now().Add(s.readTimeout())); err != nil {
 		return
 	}
 	msg, err := wire.ReadFrame(conn)

@@ -4,10 +4,10 @@
 // payloads of every broadcast instance to the subscribed set-top boxes.
 //
 // Scheduling is delegated to the internal/station engine: one DHB scheduler
-// per video, partitioned across worker shards, so admissions for different
-// videos proceed in parallel instead of serializing on the server's
-// subscription lock. The station's clock goroutine drives the slot grid and
-// hands each retired slot to the fan-out path.
+// per video, each behind its own lock, so admissions for different videos
+// proceed in parallel. The station's clock goroutine drives the slot grid
+// and hands each retired slot to the fan-out path, which walks the
+// catalogue over the station's spans.
 //
 // The data plane models broadcast channels: each scheduled instance is
 // produced (and counted) exactly once per slot and the encoded frames are
@@ -71,11 +71,9 @@ type Config struct {
 	// SlotDuration is the real-time slot length (the paper's d, scaled
 	// down for testing).
 	SlotDuration time.Duration
-	// Shards is how many ways the catalogue is partitioned, for admission
-	// locks and broadcast tick spans alike: the station runs that many
-	// worker shards, and the tick walks that many contiguous catalogue spans
-	// (station.FanoutSpans), each on a persistent worker goroutine the clock
-	// wakes once per retired slot and joins before observing the tick. 0
+	// Shards is how many contiguous catalogue spans the clock's tick — the
+	// per-slot advance and the fan-out — is split over, each on a persistent
+	// goroutine of the station's pool that the clock wakes and joins. 0
 	// selects the station default of min(GOMAXPROCS, len(Videos)); a
 	// resolved count of 1 keeps the tick serial on the clock goroutine.
 	Shards int
@@ -344,19 +342,16 @@ type Server struct {
 	closed atomic.Bool
 
 	// vlist is the catalogue in station index order — the array the
-	// parallel tick partitions into contiguous worker spans.
+	// station's spans index.
 	vlist []*video
-	// workers is the persistent fan-out pool; nil when the tick is serial
-	// (a one-shard station).
-	// tickReports hands the clock's retired-slot reports to the workers for
-	// the duration of one Tick; the pool's wake/join edges order the
-	// accesses.
-	workers     *fanout.Workers
+	// tickReports hands the clock's retired-slot reports to the span walks
+	// for the duration of one tick; the station pool's wake/join edges order
+	// the accesses.
 	tickReports []core.SlotReport
 	// tallies are the per-worker broadcast counters; retire is each
 	// worker's reusable retirement scratch (expired and ring-full
 	// subscribers collected during the span walk, detached after it, off
-	// the hot push loop). Both are sized to the station's shard count and
+	// the hot push loop). Both are sized to the station's span count and
 	// indexed by worker — never shared between spans.
 	tallies []fanoutTally
 	retire  [][]retireEntry
@@ -505,13 +500,8 @@ func Start(cfg Config) (*Server, error) {
 	for _, v := range videos {
 		s.vlist[v.idx] = v
 	}
-	// The tick runs one worker per station shard. A one-shard station (the
-	// default on a single-core host, or a one-video catalogue) keeps the
-	// tick inline on the clock goroutine — same code path, span
-	// [0, len(vlist)).
-	nw := st.Shards()
-	s.tallies = make([]fanoutTally, nw)
-	s.retire = make([][]retireEntry, nw)
+	s.tallies = make([]fanoutTally, st.Shards())
+	s.retire = make([][]retireEntry, st.Shards())
 	// Pre-register every reason child of the drop counter so the exposition
 	// inventory (and the metric-name lint walking it) is complete from boot,
 	// not from the first drop.
@@ -603,18 +593,19 @@ func Start(cfg Config) (*Server, error) {
 		}
 		s.statsLn = statsLn
 	}
-	// The background loops and the pool start only past the last error
-	// return that bypasses Close, so a failed Start leaks no goroutine; from
-	// here on Close tears them down.
+	// The background loops start only past the last error return that
+	// bypasses Close, so a failed Start leaks no goroutine; from here on
+	// Close tears them down.
 	s.alerts.Start(cfg.AlertInterval)
 	s.history.Start()
 	s.ct.Start()
-	if nw > 1 {
-		s.workers = fanout.NewWorkers(st.FanoutSpans(nw), s.fanOutSpan)
-	}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	if err := st.StartClock(cfg.SlotDuration, s.fanOut); err != nil {
+	// The span walk is bound once: the station hands it to its pool, so a
+	// method value evaluated inside fanOut would allocate on every tick.
+	walk := s.fanOutSpan
+	tick := func(reports []core.SlotReport) { s.fanOut(reports, walk) }
+	if err := st.StartClock(cfg.SlotDuration, tick); err != nil {
 		s.Close()
 		return nil, fmt.Errorf("vodserver: %w", err)
 	}
@@ -645,7 +636,7 @@ type StatusSnapshot struct {
 	// Stats are the server counters (requests, instances, bytes,
 	// subscribers, drops).
 	Stats Stats `json:"stats"`
-	// Station is the engine snapshot: shard table, stage latency windows,
+	// Station is the engine snapshot: per-video rows, stage latency windows,
 	// clock health.
 	Station station.Status `json:"station"`
 	// FirstByte is the rolling admit-to-first-byte latency window with the
@@ -745,7 +736,7 @@ func (s *Server) FlightRecord(reason string) (string, error) {
 	return s.recorder.Force(reason)
 }
 
-// Station exposes the broadcast engine (shard layout, per-video slots).
+// Station exposes the broadcast engine (span count, per-video slots).
 func (s *Server) Station() *station.Station { return s.station }
 
 // Uptime reports how long the server has been running.
@@ -805,14 +796,11 @@ func (s *Server) Close() error {
 	// A concurrent fanOut tick may still be pushing from a pre-Close
 	// snapshot; pushes to the closed rings fail harmlessly and
 	// station.Close waits for the clock goroutine — and therefore the
-	// joined worker spans — to finish before the pool is torn down.
+	// joined span walks — to finish before it tears its pool down.
 	s.alerts.Stop()
 	s.history.Stop()
 	s.ct.Stop()
 	s.station.Close()
-	if s.workers != nil {
-		s.workers.Close()
-	}
 	s.wg.Wait()
 	return err
 }
@@ -847,6 +835,12 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// readTimeout bounds every read the server waits on a client for — the
+// request frame and the end-of-session report: four slots, at least a second.
+func (s *Server) readTimeout() time.Duration {
+	return max(4*s.cfg.SlotDuration, time.Second)
+}
+
 // handleConn admits one request and streams its subscription.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
@@ -856,8 +850,16 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	defer s.untrack(conn)
 
+	// A client that connects and sends nothing is cut off after the read
+	// bound; the deadline is cleared again so it cannot outlive the request.
+	if err := conn.SetReadDeadline(time.Now().Add(s.readTimeout())); err != nil {
+		return
+	}
 	msg, err := wire.ReadFrame(conn)
 	if err != nil {
+		return
+	}
+	if err := conn.SetReadDeadline(time.Time{}); err != nil {
 		return
 	}
 	req, ok := msg.(wire.Request)
@@ -1000,13 +1002,13 @@ func writeFrames(conn net.Conn, vec *net.Buffers, frames []*fanout.Frame, admitS
 // completes, which is after registration. Slots at or before the admit slot
 // are discarded in writeFrames (the set-top box ignores them anyway — its
 // service starts one slot after admission). This keeps scheduling entirely
-// off the server-wide mutex: concurrent admissions for videos on different
-// shards proceed in parallel.
+// off the server-wide mutex: concurrent admissions for different videos
+// proceed in parallel.
 //
-// root, when sampled, gains shard attribution and a station_admit child
-// covering the scheduler call (whose shard-lock wait and service time the
-// station's stage histograms break down further); the child carries the
-// admission's slot and the number of instances it placed.
+// root, when sampled, gains a station_admit child covering the scheduler
+// call (whose lock wait and service time the station's stage histograms
+// break down further); the child carries the admission's slot and the
+// number of instances it placed.
 func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Span) (*subscriber, wire.ScheduleInfo, error) {
 	v, ok := s.videos[videoID]
 	if !ok {
@@ -1034,7 +1036,6 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 		return nil, wire.ScheduleInfo{}, fmt.Errorf("server shutting down")
 	}
 
-	root.SetShard(s.station.ShardOf(v.idx))
 	span := root.Child("station_admit")
 	res, err := s.station.Admit(v.idx, core.AdmitOptions{From: from})
 	if span != nil && err == nil {
@@ -1117,12 +1118,12 @@ func (s *Server) dropHook(videoID uint32, slot int) func(segment int) bool {
 // fanOut runs on the station's clock goroutine once per retired slot: each
 // video's broadcast instances are encoded exactly once into a shared
 // ref-counted frame and one reference is pushed per subscriber ring — the
-// per-audience cost is a pointer, not a copy. With more than one fan-out
-// worker the catalogue spans are walked by the persistent pool and the
-// clock only dispatches and joins; per-worker tallies merge into the
-// shared counters once per tick, so the hot loops touch no shared cache
-// line and take no lock but each ring's own.
-func (s *Server) fanOut(reports []core.SlotReport) {
+// per-audience cost is a pointer, not a copy. The catalogue is walked span
+// by span through the station — on its pool when there is more than one
+// span, the clock only dispatching and joining — and per-worker tallies
+// merge into the shared counters once per tick, so the hot loops touch no
+// shared cache line and take no lock but each ring's own.
+func (s *Server) fanOut(reports []core.SlotReport, walk func(worker, lo, hi int)) {
 	t0 := time.Now()
 	defer func() {
 		d := time.Since(t0).Seconds()
@@ -1133,11 +1134,7 @@ func (s *Server) fanOut(reports []core.SlotReport) {
 		return
 	}
 	s.tickReports = reports
-	if s.workers != nil {
-		s.workers.Tick()
-	} else {
-		s.fanOutSpan(0, 0, len(s.vlist))
-	}
+	s.station.EachSpan(walk)
 	var instances, bytes, maxDepth int64
 	var dropsBy [numDropReasons]int64
 	for i := range s.tallies {

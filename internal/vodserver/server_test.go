@@ -2,6 +2,7 @@ package vodserver
 
 import (
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -298,6 +299,34 @@ func TestBadFirstFrameRejected(t *testing.T) {
 	if _, ok := msg.(wire.ErrorMsg); !ok {
 		t.Fatalf("want ErrorMsg, got %T", msg)
 	}
+}
+
+// TestSilentConnectionClosed: a client that connects and never sends its
+// request is cut off by the server within the request read bound
+// (max(4 slots, 1 s) = 1 s here) instead of holding a goroutine and an fd
+// until Close, and leaves no tracked connection behind.
+func TestSilentConnectionClosed(t *testing.T) {
+	s := startTestServer(t)
+	tracked := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.conns)
+	}
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	waitFor(t, "the silent connection to be tracked", func() bool { return tracked() == 1 })
+	dialed := time.Now()
+	if err := conn.SetReadDeadline(dialed.Add(3 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read on a silent connection: %v after %v, want the server's close (EOF) within 1s",
+			err, time.Since(dialed))
+	}
+	waitFor(t, "the silent connection to be untracked", func() bool { return tracked() == 0 })
 }
 
 func TestCloseTerminatesCleanly(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 
 // This file is the server's live introspection surface:
 //
-//	GET /statusz      full pipeline snapshot: shard table, stage latency
+//	GET /statusz      full pipeline snapshot: per-video rows, stage latency
 //	                  windows, SLO burn, clock drift (what vodtop renders)
 //	GET /healthz      liveness probe: 200 with status and uptime
 //	GET /metricsz     the obs registry in Prometheus text format

@@ -41,7 +41,7 @@ func startStatusServer(t *testing.T, spanSink io.Writer) *Server {
 }
 
 // TestStatuszSnapshot decodes /statusz and checks every section of the
-// operator view: shard table, stage windows, first-byte SLO, fan-out and
+// operator view: per-video rows, stage windows, first-byte SLO, fan-out and
 // span accounting.
 func TestStatuszSnapshot(t *testing.T) {
 	s := startStatusServer(t, nil)
@@ -57,17 +57,13 @@ func TestStatuszSnapshot(t *testing.T) {
 		t.Fatalf("uptime=%v stats=%+v", snap.UptimeSeconds, snap.Stats)
 	}
 	st := snap.Station
-	if st.Videos != 2 || len(st.Shards) == 0 {
+	if st.Videos != 2 || len(st.PerVideo) != 2 || st.Requests != 2 {
 		t.Fatalf("station snapshot %+v", st)
 	}
-	var admits float64
-	videos := 0
-	for _, row := range st.Shards {
-		admits += row.Admits
-		videos += row.Videos
-	}
-	if admits != 2 || videos != 2 {
-		t.Fatalf("shard table admits=%v videos=%d", admits, videos)
+	for _, row := range st.PerVideo {
+		if row.Requests != 1 {
+			t.Fatalf("per-video row %+v, want one request each", row)
+		}
 	}
 	if len(st.Stages) != 2 {
 		t.Fatalf("stages %+v, want exactly lock_wait and admit", st.Stages)
@@ -96,8 +92,8 @@ func TestStatuszSnapshot(t *testing.T) {
 }
 
 // TestSpanzPipelineTree: /spanz carries the admit trees — roots attributed
-// to video and shard, station_admit and first_byte_wait children linked to
-// their parents.
+// to their video, station_admit and first_byte_wait children linked to their
+// parents.
 func TestSpanzPipelineTree(t *testing.T) {
 	sink := &syncBuffer{}
 	s := startStatusServer(t, sink)
@@ -121,7 +117,7 @@ func TestSpanzPipelineTree(t *testing.T) {
 	for _, r := range recs {
 		switch r.Name {
 		case "admit":
-			if r.Parent != 0 || r.Video == 0 || r.Shard < 0 || r.Dur <= 0 {
+			if r.Parent != 0 || r.Video == 0 || r.Dur <= 0 {
 				t.Fatalf("root span %+v", r)
 			}
 		case "station_admit", "first_byte_wait":
@@ -129,7 +125,7 @@ func TestSpanzPipelineTree(t *testing.T) {
 			if !ok || parent.Name != "admit" {
 				t.Fatalf("span %+v has no admit parent", r)
 			}
-			if r.Video != parent.Video || r.Shard != parent.Shard {
+			if r.Video != parent.Video {
 				t.Fatalf("child %+v lost parent attribution %+v", r, parent)
 			}
 		}
@@ -333,7 +329,6 @@ func TestRegisteredMetricNamesValid(t *testing.T) {
 		"station_stage_seconds",
 		"station_clock_tick_lag_seconds", "station_clock_slot_drift_slots",
 		"station_clock_ticks_total",
-		"station_shard_admits_total", "station_shard_rejects_total",
 		"go_goroutines", "go_heap_alloc_bytes",
 		"client_reports_total", "client_startup_slots",
 		"client_deadline_slack_slots", "client_miss_total", "client_rebuffer_total",
@@ -353,10 +348,11 @@ func TestRegisteredMetricNamesValid(t *testing.T) {
 			t.Fatalf("metric %q missing from registry inventory %v", w, names)
 		}
 	}
-	// The admission queue's families went with the queue.
-	for _, gone := range []string{"station_queue_depth_sampled", "station_shard_queue_depth"} {
-		if have[gone] {
-			t.Fatalf("retired metric %q still registered", gone)
+	// The admission queue's family went with the queue, every per-shard
+	// family with the shard layer.
+	for _, n := range names {
+		if n == "station_queue_depth_sampled" || strings.Contains(n, "shard") {
+			t.Fatalf("retired metric %q still registered", n)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package vodcast
 
-// This file groups the serving system: the sharded multi-video station
-// engine, the catalogue simulation built on it, the networked server/client
+// This file groups the serving system: the multi-video station engine, the catalogue simulation built on it, the networked server/client
 // pair, and disk provisioning for the resulting schedules.
 
 import (
@@ -22,10 +21,10 @@ import (
 
 // ---- The multi-video broadcast station ----
 
-// Station is the sharded, concurrency-safe multi-video broadcast engine:
-// one DHB scheduler per catalogue video, partitioned across worker shards
-// so admissions for different videos proceed in parallel, with one clock
-// fanning slot ticks out to every shard.
+// Station is the concurrency-safe multi-video broadcast engine: one DHB
+// scheduler per catalogue video, each behind its own lock so admissions for
+// different videos proceed in parallel, with one clock advancing every video
+// once per slot over a contiguous span partition of the catalogue.
 type Station = station.Station
 
 // StationConfig parameterizes a station.
@@ -168,12 +167,9 @@ type ConnSummary = conntrack.Summary
 // periodic sweeps or drive Sweep by hand.
 func NewConnSampler(cfg ConnSamplerConfig) *ConnSampler { return conntrack.New(cfg) }
 
-// StationStatus is the station's operator snapshot: shard table, per-video
-// rows, stage latency windows and clock health.
+// StationStatus is the station's operator snapshot: per-video rows, stage
+// latency windows and clock health.
 type StationStatus = station.Status
-
-// StationShardStatus is one row of the shard table.
-type StationShardStatus = station.ShardStatus
 
 // StationVideoStatus is one per-video row of the station snapshot.
 type StationVideoStatus = station.VideoStatus
