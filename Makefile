@@ -72,6 +72,12 @@ ci:
 	# threads so cross-worker interleavings the single-threaded suite can't
 	# produce get race coverage.
 	GOMAXPROCS=4 $(GO) test -race -cpu 4 -count=1 ./internal/fanout/ ./internal/station/ ./internal/vodserver/
+	# The idle-catalogue gate: a tick locks O(active) videos, never an idle
+	# one, and one tick over 16 active videos allocates nothing whether the
+	# catalogue holds 64 videos or 4096.
+	$(GO) test -run '^TestTickLocksOnlyActiveVideos$$' -count=1 ./internal/station/
+	$(GO) test -run '^$$' -bench '^BenchmarkStationTick$$' -benchtime=1x -benchmem ./internal/station/ | tee /dev/stderr | \
+		awk '/^BenchmarkStationTick\// { rows++; if ($$(NF-1) != 0) bad++ } END { exit !(rows == 2 && bad == 0) }'
 	# The drain-path alloc gate: one vectored write per popped batch, zero
 	# allocations per batch at steady state.
 	$(GO) test -run '^TestDrainZeroAlloc$$' -count=1 ./internal/vodserver/
@@ -133,9 +139,10 @@ bench-core:
 	$(GO) test -run '^$$' -bench 'BenchmarkAdmit' -benchmem ./internal/core/
 
 # The station (one lock per video) versus the single-mutex whole-engine
-# baseline across -cpu 1,2; the recorded rows live in BENCH_station.json,
-# and BENCH_obs2.json holds the disabled-path A/B for the pipeline
-# observability layer.
+# baseline across -cpu 1,2, plus BenchmarkStationTick: one tick over 16
+# active videos in a 64- and a 4096-video catalogue. The recorded rows live in
+# BENCH_station.json, and BENCH_obs2.json holds the disabled-path A/B for the
+# pipeline observability layer.
 bench-station:
 	$(GO) test -run '^$$' -bench 'BenchmarkStation' -benchmem -cpu 1,2 ./internal/station/
 

@@ -127,8 +127,8 @@ func render(w io.Writer, addr string, snap vodserver.StatusSnapshot) {
 	if clock.Running {
 		state = "running"
 	}
-	fmt.Fprintf(w, "clock: %s  slot=%s  ticks=%d  lag=%s  drift=%.3f slots",
-		state, fmtDur(clock.IntervalSeconds), clock.Ticks, fmtDur(clock.LagSeconds), clock.DriftSlots)
+	fmt.Fprintf(w, "clock: %s  slot=%s  ticks=%d  active=%d/%d videos  lag=%s  drift=%.3f slots",
+		state, fmtDur(clock.IntervalSeconds), clock.Ticks, st.Active, st.Videos, fmtDur(clock.LagSeconds), clock.DriftSlots)
 	if clock.Lag.Count > 0 {
 		fmt.Fprintf(w, "  (p95 lag %s)", fmtDur(clock.Lag.P95))
 	}

@@ -25,6 +25,7 @@ func TestRenderFrame(t *testing.T) {
 		Stats:         vodserver.Stats{Requests: 42, Instances: 7, BroadcastBytes: 3_500_000, ActiveSubscribers: 3, Dropped: 1},
 		Station: station.Status{
 			Videos: 2,
+			Active: 1,
 			Stages: map[string]obs.WindowSnapshot{
 				"lock_wait": {Count: 42, P50: 0.000004, P95: 0.00002, P99: 0.00005, Max: 0.0001},
 				"admit":     {Count: 42, P50: 0.0012, P95: 0.004, P99: 0.009, Max: 0.02},
@@ -64,7 +65,7 @@ func TestRenderFrame(t *testing.T) {
 	for _, want := range []string{
 		"vodtop — 127.0.0.1:4900",
 		"requests=42 instances=7 broadcast=3.5MB subscribers=3 dropped=1",
-		"clock: running  slot=500.00ms  ticks=25",
+		"clock: running  slot=500.00ms  ticks=25  active=1/2 videos",
 		"drift=0.002 slots",
 		"(p95 lag 1.50ms)",
 		"spans: 42 roots, 6 sampled (1 in 8), 18 finished",

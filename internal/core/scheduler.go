@@ -288,6 +288,17 @@ func (s *Scheduler) EachScheduledAt(slot int, fn func(seg int)) { s.ring.EachSeg
 // [CurrentSlot, CurrentSlot+maxPeriod].
 func (s *Scheduler) LoadAt(slot int) int { return s.ring.Load(slot) }
 
+// Pending reports the scheduled, not yet retired instances (current slot's too).
+func (s *Scheduler) Pending() int { return s.ring.Total() }
+
+// Skip moves a drained scheduler k slots forward in O(1): the state k
+// AdvanceSlot calls leave, without their k empty ObserveRetire callbacks. It
+// panics when an instance is pending.
+func (s *Scheduler) Skip(k int) {
+	s.ring.Skip(k)
+	s.current += k
+}
+
 // AdvanceSlot finishes transmitting the current slot and moves to the next,
 // returning what the finished slot carried. Requests cannot add instances to
 // a slot once it is current (their windows start one slot later), so the

@@ -20,6 +20,7 @@ import "fmt"
 type Ring struct {
 	horizon   int
 	base      int
+	total     int // instances scheduled across the whole window
 	loads     []int
 	tree      *minTree // nil for the linear reference ring
 	segs      [][]int
@@ -92,6 +93,7 @@ func (r *Ring) Load(abs int) int { return r.loads[r.pos(abs)] }
 func (r *Ring) Add(abs, seg int) {
 	p := r.pos(abs)
 	r.loads[p]++
+	r.total++
 	if r.tree != nil {
 		r.tree.set(p, r.loads[p])
 	}
@@ -209,6 +211,18 @@ func (r *Ring) minLoadEarliestLinear(from, to int) (slot, load int) {
 	return slot, load
 }
 
+// Total reports the number of instances scheduled across the whole window.
+func (r *Ring) Total() int { return r.total }
+
+// Skip moves an empty window k slots forward: with nothing scheduled, k
+// Retires only move the base. It panics when an instance is scheduled.
+func (r *Ring) Skip(k int) {
+	if r.total != 0 || k < 0 {
+		panic(fmt.Sprintf("slots: skip %d slots with %d instances scheduled", k, r.total))
+	}
+	r.base += k
+}
+
 // Retire removes the earliest slot from the window, appends a fresh empty
 // slot at the far end, and returns the retired slot's absolute index and
 // load. Segment ids, when tracked, are returned in scheduling order and the
@@ -218,6 +232,7 @@ func (r *Ring) Retire() (abs, load int, segs []int) {
 	p := abs % r.horizon
 	load = r.loads[p]
 	r.loads[p] = 0
+	r.total -= load
 	if r.tree != nil {
 		r.tree.set(p, 0)
 	}

@@ -1,6 +1,8 @@
 package slots
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -203,4 +205,65 @@ func TestMinLoadEarliestEmptyRangePanics(t *testing.T) {
 		}
 	}()
 	r.MinLoadEarliest(2, 1)
+}
+
+// TestRingSkipEqualsRepeatedRetire: on an empty window Skip(k) leaves the
+// ring exactly where k Retires do — the same loads, tracked segments and
+// tie-broken minima for everything scheduled afterwards, on both the RMQ
+// ring and the linear reference — and Total follows every Add and Retire.
+func TestRingSkipEqualsRepeatedRetire(t *testing.T) {
+	for _, newRing := range []func(int, int, bool) *Ring{NewRing, NewRingReference} {
+		rng := rand.New(rand.NewSource(11))
+		const horizon = 13
+		skipped, stepped := newRing(horizon, 4, true), newRing(horizon, 4, true)
+		for round := 0; round < 200; round++ {
+			for adds := rng.Intn(8); adds > 0; adds-- {
+				abs, seg := skipped.Base()+rng.Intn(horizon), 1+rng.Intn(9)
+				skipped.Add(abs, seg)
+				stepped.Add(abs, seg)
+			}
+			for skipped.Total() > 0 {
+				from := skipped.Base() + rng.Intn(horizon)
+				to := from + rng.Intn(skipped.End()-from+1)
+				s1, l1 := skipped.MinLoadLatest(from, to)
+				s2, l2 := stepped.MinLoadLatest(from, to)
+				e1, m1 := skipped.MinLoadEarliest(from, to)
+				e2, m2 := stepped.MinLoadEarliest(from, to)
+				if s1 != s2 || l1 != l2 || e1 != e2 || m1 != m2 {
+					t.Fatalf("round %d: minima over [%d, %d] diverged: (%d,%d,%d,%d) / (%d,%d,%d,%d)",
+						round, from, to, s1, l1, e1, m1, s2, l2, e2, m2)
+				}
+				a1, ld1, sg1 := skipped.Retire()
+				a2, ld2, sg2 := stepped.Retire()
+				if a1 != a2 || ld1 != ld2 || !reflect.DeepEqual(sg1, sg2) {
+					t.Fatalf("round %d: retired (%d,%d,%v) / (%d,%d,%v)", round, a1, ld1, sg1, a2, ld2, sg2)
+				}
+			}
+			if stepped.Total() != 0 {
+				t.Fatalf("round %d: totals diverged: 0 / %d", round, stepped.Total())
+			}
+			k := rng.Intn(3 * horizon)
+			skipped.Skip(k)
+			for i := 0; i < k; i++ {
+				stepped.Retire()
+			}
+			if skipped.Base() != stepped.Base() {
+				t.Fatalf("round %d: base %d after Skip(%d), %d after %d Retires", round, skipped.Base(), k, stepped.Base(), k)
+			}
+		}
+	}
+}
+
+func TestRingSkipLoadedPanics(t *testing.T) {
+	r := NewRing(4, 0, false)
+	r.Add(2, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Skip over a scheduled instance did not panic")
+		}
+		if r.Base() != 0 || r.Total() != 1 {
+			t.Fatalf("refused Skip left base %d, total %d", r.Base(), r.Total())
+		}
+	}()
+	r.Skip(1)
 }

@@ -135,12 +135,51 @@ func BenchmarkStationMixed(b *testing.B) {
 	})
 }
 
+// BenchmarkStationTick is one slot of a mostly idle catalogue: advance, then
+// walk the active videos. Sixteen videos are admitted once and kept active
+// by an audience whatever the catalogue size, so the two rows differ only
+// by the idle videos: their dense report entries are the whole difference,
+// and neither row allocates. Recorded rows live in BENCH_station.json.
+func BenchmarkStationTick(b *testing.B) {
+	for _, videos := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("videos=%d", videos), func(b *testing.B) {
+			st, err := New(Config{Videos: testCatalogue(videos, benchSegments), Shards: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for v := 0; v < videos; v += videos / 16 {
+				if _, err := st.Admit(v, core.AdmitOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			visits := 0
+			walk := func(_, _ int, _ core.SlotReport) bool { visits++; return true }
+			var reports []core.SlotReport
+			for i := 0; i < 4; i++ { // size the report and compaction buffers
+				reports = st.AdvanceSlotInto(reports)
+				st.EachActive(walk)
+			}
+			visits = 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				reports = st.AdvanceSlotInto(reports)
+				st.EachActive(walk)
+			}
+			if visits != 16*b.N {
+				b.Fatalf("walked %d videos in %d ticks, want 16 per tick", visits, b.N)
+			}
+		})
+	}
+}
+
 // BenchmarkFanOut is the zerocopy-parallel arm of the benchmark of the same
 // name in internal/fanout (same matrix, same per-video work, rows in
 // BENCH_fanout.json): one broadcast tick of the zero-copy data plane walked
-// through EachSpan on the clock's pool, one span per GOMAXPROCS. The pool is
-// armed by hand, even over a single span, so every row carries the
-// wake/join handoff a clock over several spans pays.
+// through EachActive on the clock's pool (every video admitted once and kept
+// active by its audience), one span per GOMAXPROCS. The pool is armed by
+// hand, even over a single span, so every row carries the wake/join handoff
+// a clock over several spans pays.
 func BenchmarkFanOut(b *testing.B) {
 	// A VBR-ish segment size vector; each slot broadcasts a rotating window
 	// of three segments so ticks exercise different frame shapes.
@@ -172,40 +211,40 @@ func BenchmarkFanOut(b *testing.B) {
 			// Encode each video's slot once, push the shared frame to every
 			// subscriber, then drain the rings inline so the benchmark charges
 			// the consumer's release without socket noise.
-			span := func(worker, lo, hi int) {
-				for v := lo; v < hi; v++ {
-					f, err := enc.EncodeSlot(uint32(v+1), slot, segs[slot%len(segs)], nil)
-					if err != nil {
-						panic(err)
-					}
-					snap := sets[v].Snapshot()
-					for _, r := range snap {
-						f.Retain()
-						if _, ok := r.Push(f); !ok {
-							f.Release()
-						}
-					}
-					f.Release()
-					for _, r := range snap {
-						frames, _ := r.PopAll(scratches[worker][:0])
-						for _, g := range frames {
-							g.Release()
-						}
-						scratches[worker] = frames
+			walk := func(worker, v int, _ core.SlotReport) bool {
+				f, err := enc.EncodeSlot(uint32(v+1), slot, segs[slot%len(segs)], nil)
+				if err != nil {
+					panic(err)
+				}
+				snap := sets[v].Snapshot()
+				for _, r := range snap {
+					f.Retain()
+					if _, ok := r.Push(f); !ok {
+						f.Release()
 					}
 				}
+				f.Release()
+				for _, r := range snap {
+					frames, _ := r.PopAll(scratches[worker][:0])
+					for _, g := range frames {
+						g.Release()
+					}
+					scratches[worker] = frames
+				}
+				return true
 			}
+			admitAll(b, st)
 			st.pool = startWorkers(st.spans)
 			defer st.pool.close()
 			for i := 0; i < 8; i++ { // warm the frame pool
 				slot = i
-				st.EachSpan(span)
+				st.EachActive(walk)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				slot = i
-				st.EachSpan(span)
+				st.EachActive(walk)
 			}
 		})
 	}

@@ -14,10 +14,13 @@
 //   - One span partition. The catalogue is cut once, at construction, into
 //     Config.Shards contiguous near-equal spans: the unit of parallelism of
 //     a clock tick.
-//   - One clock, one pool. A single optional clock goroutine advances every
-//     video once per slot so all videos share the slot grid. With more than
+//   - One active list per span. A tick touches only the videos whose
+//     scheduler holds a pending instance or whose audience the tick callback
+//     reports; Admit catches an idle video's scheduler up in O(1).
+//   - One clock, one pool. A single optional clock goroutine retires one
+//     slot per interval so all videos share the slot grid. With more than
 //     one span it owns a persistent pool of one goroutine per span, which
-//     runs the advance and, through EachSpan, whatever per-span work the
+//     runs the advance and, through EachActive, whatever per-video work the
 //     tick callback hands it. Deterministic drivers call AdvanceSlot
 //     themselves instead: a plain serial loop that starts no goroutine.
 //
@@ -72,7 +75,8 @@ type VideoConfig struct {
 	// Observer optionally receives the video's scheduling decisions. It is
 	// invoked under the video's lock, from admitting goroutines and the
 	// clock's, so it must be safe for use from multiple goroutines over time
-	// (obs.SchedObserver over a Tracer is).
+	// (obs.SchedObserver over a Tracer is). The empty slots an idle video
+	// skips emit no ObserveRetire.
 	Observer core.Observer
 }
 
@@ -156,15 +160,43 @@ type stationVideo struct {
 	mu    sync.Mutex
 	name  string
 	sched *core.Scheduler
+	// active (guarded by mu) reports that the video has joined list and its
+	// scheduler is on the slot grid; an idle one's is stale.
+	list   *activeList
+	active bool
+	// quiet (the last advance retired an empty slot) and audience (the last
+	// EachActive callback saw one) belong to the tick.
+	quiet, audience bool
 }
 
-// Station is a multi-video DHB broadcast engine. All methods but EachSpan
-// are safe for concurrent use.
+// activeList is one span's active videos and the slot its idle ones are in.
+// mu guards slot and joined (the videos activated since the last advance) and
+// is taken after a video's lock, never before one; active belongs to the tick.
+type activeList struct {
+	mu     sync.Mutex
+	slot   int
+	joined []int
+	active []int
+}
+
+// Station is a multi-video DHB broadcast engine. All methods are safe for
+// concurrent use.
 type Station struct {
 	videos []*stationVideo
 	// spans is the one partition of the catalogue: contiguous near-equal
-	// half-open video index ranges, fixed at construction.
-	spans [][2]int
+	// half-open video index ranges; lists holds each span's active videos
+	// and active counts them all.
+	spans  [][2]int
+	lists  []activeList
+	active atomic.Int64
+	// tickMu serializes whoever drives the slot grid (the clock, AdvanceSlot,
+	// EachActive) and guards reports and visit, the arguments of the two
+	// span functions bound once in New so a tick allocates nothing.
+	tickMu      sync.Mutex
+	reports     []core.SlotReport
+	visit       func(worker, video int, rep core.SlotReport) (audience bool)
+	advanceFunc func(worker, lo, hi int)
+	walkFunc    func(worker, lo, hi int)
 	// pool runs the spans in parallel while a clock over more than one span
 	// is running. StartClock sets it before the clock goroutine starts and
 	// StopClock clears it after that goroutine exits, so the clock goroutine
@@ -207,18 +239,9 @@ func New(cfg Config) (*Station, error) {
 	st := &Station{
 		videos: make([]*stationVideo, len(cfg.Videos)),
 		spans:  make([][2]int, n),
+		lists:  make([]activeList, n),
 	}
-	// Spans differ in length by at most one video.
-	base, rem := len(cfg.Videos)/n, len(cfg.Videos)%n
-	lo := 0
-	for i := range st.spans {
-		hi := lo + base
-		if i < rem {
-			hi++
-		}
-		st.spans[i] = [2]int{lo, hi}
-		lo = hi
-	}
+	st.advanceFunc, st.walkFunc = st.advanceSpan, st.walkSpan
 	if cfg.Registry != nil {
 		st.obs = newStationObs(cfg.Registry)
 	}
@@ -234,6 +257,19 @@ func New(cfg Config) (*Station, error) {
 		}
 		st.videos[i] = &stationVideo{name: vc.Name, sched: sched}
 	}
+	// Spans differ in length by at most one video.
+	base, rem := len(cfg.Videos)/n, len(cfg.Videos)%n
+	lo := 0
+	for i := range st.spans {
+		hi := lo + base
+		if i < rem {
+			hi++
+		}
+		st.spans[i] = [2]int{lo, hi}
+		for ; lo < hi; lo++ {
+			st.videos[lo].list = &st.lists[i]
+		}
+	}
 	return st, nil
 }
 
@@ -247,15 +283,30 @@ func (st *Station) Shards() int { return len(st.spans) }
 // Name reports the video's configured label.
 func (st *Station) Name(video int) string { return st.videos[video].name }
 
-// EachSpan runs run(worker, lo, hi) once for every span [lo, hi) of the
-// catalogue partition, worker being the span's index in 0..Shards()-1, and
-// returns when all have finished. While a clock over more than one span is
-// running, EachSpan belongs to its tick callback alone and the spans run in
-// parallel on the clock's pool, so run must confine itself to its span (a
-// dense range of the per-slot reports, which are indexed by video) and to
-// state indexed by worker; otherwise they run in order on the calling
-// goroutine.
-func (st *Station) EachSpan(run func(worker, lo, hi int)) {
+// EachActive calls fn(worker, video, rep) once for every video the last
+// advance left active, rep being its report from that advance and worker its
+// span's index in 0..Shards()-1, and returns when all have finished. fn
+// reports whether the video still has an audience, which keeps a drained
+// video active, and must not advance the station. While a clock over more
+// than one span is running, EachActive belongs to its tick callback alone
+// and the spans run in parallel on the clock's pool, so fn must confine itself
+// to its video and to state indexed by worker; otherwise they run in order.
+func (st *Station) EachActive(fn func(worker, video int, rep core.SlotReport) (audience bool)) {
+	st.tickMu.Lock()
+	defer st.tickMu.Unlock()
+	st.visit = fn
+	st.eachSpan(st.walkFunc)
+}
+
+// walkSpan is EachActive over one span.
+func (st *Station) walkSpan(worker, _, _ int) {
+	for _, v := range st.lists[worker].active {
+		st.videos[v].audience = st.visit(worker, v, st.reports[v])
+	}
+}
+
+// eachSpan runs run over every span, on the clock's pool while there is one.
+func (st *Station) eachSpan(run func(worker, lo, hi int)) {
 	if st.pool != nil {
 		st.pool.tick(run)
 		return
@@ -308,6 +359,9 @@ func (st *Station) Admit(video int, opts core.AdmitOptions) (core.AdmitResult, e
 		tLocked = time.Now()
 		st.obs.lockWait.observe(tLocked.Sub(t0).Seconds())
 	}
+	if !sv.active {
+		st.activate(video, sv)
+	}
 	res, err := sv.sched.AdmitRequest(opts)
 	if st.obs != nil {
 		st.obs.admit.observe(time.Since(tLocked).Seconds())
@@ -315,8 +369,32 @@ func (st *Station) Admit(video int, opts core.AdmitOptions) (core.AdmitResult, e
 	return res, err
 }
 
-// AdvanceSlot finishes the current slot of every video, one after the other
-// on the calling goroutine, and returns the retired slot reports, indexed by
+// activate puts an idle video (sv.mu held) back on the slot grid and has it
+// join its span's list. Reading the slot and joining are one step under the
+// list's lock, as bumping it and taking the joiners in are in advanceSpan, so
+// a cold admission racing a tick lands wholly before or wholly after it.
+func (st *Station) activate(video int, sv *stationVideo) {
+	l := sv.list
+	l.mu.Lock()
+	sv.sched.Skip(l.slot - sv.sched.CurrentSlot())
+	l.joined = append(l.joined, video)
+	l.mu.Unlock()
+	sv.active = true
+	st.active.Add(1)
+}
+
+// slot reports the video's slot — its span's when idle; sv.mu is held.
+func (sv *stationVideo) slot() int {
+	if sv.active {
+		return sv.sched.CurrentSlot()
+	}
+	sv.list.mu.Lock()
+	defer sv.list.mu.Unlock()
+	return sv.list.slot
+}
+
+// AdvanceSlot finishes the current slot of every video, span after span on
+// the calling goroutine, and returns the retired slot reports, indexed by
 // video. The returned slice is owned by the caller; steady-state drivers
 // reuse one via AdvanceSlotInto.
 func (st *Station) AdvanceSlot() []core.SlotReport {
@@ -325,26 +403,52 @@ func (st *Station) AdvanceSlot() []core.SlotReport {
 
 // AdvanceSlotInto is AdvanceSlot writing the reports into dst (grown when
 // its capacity is below the catalogue size) so a steady-state driver retires
-// slots without a per-tick allocation. Every entry is overwritten. It
-// returns dst resliced to the catalogue size.
+// slots without a per-tick allocation. Every entry is overwritten (an idle
+// video retires an empty slot). It returns dst resliced to the catalogue size.
 func (st *Station) AdvanceSlotInto(dst []core.SlotReport) []core.SlotReport {
 	if cap(dst) < len(st.videos) {
 		dst = make([]core.SlotReport, len(st.videos))
 	}
 	dst = dst[:len(st.videos)]
-	st.advanceSpan(dst, 0, len(dst))
+	st.tickMu.Lock()
+	defer st.tickMu.Unlock()
+	st.reports = dst
+	for i, sp := range st.spans {
+		st.advanceSpan(i, sp[0], sp[1])
+	}
 	return dst
 }
 
-// advanceSpan advances the videos [lo, hi), each under its own lock. Spans
-// are disjoint, so concurrent writes into reports never alias.
-func (st *Station) advanceSpan(reports []core.SlotReport, lo, hi int) {
+// advanceSpan retires one slot of the span [lo, hi) into st.reports: every
+// entry gets the idle report and each active video, under its own lock,
+// overwrites its own. A video with nothing pending and no audience leaves the
+// list instead, once its last report was empty so every reader saw it quiet.
+func (st *Station) advanceSpan(worker, lo, hi int) {
+	l := &st.lists[worker]
+	l.mu.Lock()
+	slot := l.slot
+	l.slot++
+	l.active = append(l.active, l.joined...)
+	l.joined = l.joined[:0]
+	l.mu.Unlock()
 	for v := lo; v < hi; v++ {
+		st.reports[v] = core.SlotReport{Slot: slot}
+	}
+	keep := l.active[:0]
+	for _, v := range l.active {
 		sv := st.videos[v]
 		sv.mu.Lock()
-		reports[v] = sv.sched.AdvanceSlot()
+		if sv.quiet && !sv.audience && sv.sched.Pending() == 0 {
+			sv.active = false
+			st.active.Add(-1)
+		} else {
+			st.reports[v] = sv.sched.AdvanceSlot()
+			sv.quiet = st.reports[v].Load == 0
+			keep = append(keep, v)
+		}
 		sv.mu.Unlock()
 	}
+	l.active = keep
 }
 
 // CurrentSlot reports the video's current transmission slot.
@@ -352,7 +456,7 @@ func (st *Station) CurrentSlot(video int) int {
 	sv := st.videos[video]
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
-	return sv.sched.CurrentSlot()
+	return sv.slot()
 }
 
 // NextLoads fills dst (grown as needed) with each video's scheduled
@@ -392,13 +496,13 @@ func (st *Station) Totals() (requests, instances int64) {
 	return requests, instances
 }
 
-// StartClock launches the single clock goroutine: every interval it
-// advances every video (span by span through EachSpan, so on the pool when
-// there is more than one span) and, when onTick is non-nil, hands the slot
-// reports to onTick (on the clock goroutine; onTick must not call StopClock
-// or Close, and may call EachSpan). The reports slice is borrowed for the
-// duration of the callback — the clock reuses it on the next tick — so an
-// onTick that retains reports must copy them.
+// StartClock launches the single clock goroutine: every interval it retires
+// one slot (span by span, on the pool when there is more than one span) and,
+// when onTick is non-nil, hands the slot reports to onTick (on the clock
+// goroutine; onTick must not call StopClock or Close, and may call
+// EachActive). The reports slice is borrowed for the duration of the callback
+// — the clock reuses it on the next tick — so an onTick that retains reports
+// must copy them.
 func (st *Station) StartClock(interval time.Duration, onTick func([]core.SlotReport)) error {
 	if interval <= 0 {
 		return fmt.Errorf("%w: got %v", ErrBadSlotDuration, interval)
@@ -426,11 +530,9 @@ func (st *Station) StartClock(interval time.Duration, onTick func([]core.SlotRep
 		defer ticker.Stop()
 		start := time.Now()
 		ticks := uint64(0)
-		// One report buffer and one span function serve every tick: onTick
-		// runs synchronously on this goroutine, so the slice is never reused
-		// while borrowed, and the clock allocates nothing per tick.
+		// One report buffer serves every tick: onTick runs synchronously on
+		// this goroutine, so it is never reused while borrowed.
 		reports := make([]core.SlotReport, len(st.videos))
-		advance := func(_, lo, hi int) { st.advanceSpan(reports, lo, hi) }
 		for {
 			select {
 			case <-stop:
@@ -454,7 +556,10 @@ func (st *Station) StartClock(interval time.Duration, onTick func([]core.SlotRep
 					st.obs.clockDrift.Set(lagSec / interval.Seconds())
 					st.obs.clockWin.Observe(lagSec)
 				}
-				st.EachSpan(advance)
+				st.tickMu.Lock()
+				st.reports = reports
+				st.eachSpan(st.advanceFunc)
+				st.tickMu.Unlock()
 				if onTick != nil {
 					onTick(reports)
 				}
@@ -518,6 +623,8 @@ type VideoStatus struct {
 // the per-stage rolling latency windows, and clock health.
 type Status struct {
 	Videos int `json:"videos"`
+	// Active counts the videos a tick locks, advances and fans out.
+	Active int `json:"active_videos"`
 	// PerVideo lists every catalogue video; rows are in catalogue order.
 	PerVideo []VideoStatus `json:"per_video"`
 	// Stages maps the Stage* names to their rolling windows, in seconds
@@ -541,7 +648,7 @@ func (st *Station) Status() Status {
 		sv.mu.Lock()
 		row := VideoStatus{
 			Video: v, Name: sv.name,
-			Slot:      sv.sched.CurrentSlot(),
+			Slot:      sv.slot(),
 			Requests:  sv.sched.Requests(),
 			Instances: sv.sched.Instances(),
 		}
@@ -550,6 +657,7 @@ func (st *Station) Status() Status {
 		s.Instances += row.Instances
 		s.PerVideo[v] = row
 	}
+	s.Active = int(st.active.Load())
 	interval := time.Duration(st.clockInterval.Load())
 	s.Clock = ClockStatus{
 		Running:         interval > 0,

@@ -72,9 +72,22 @@ func TestShardAssignment(t *testing.T) {
 	}
 }
 
+// admitAll admits one request for every video and retires the slot, putting
+// the whole catalogue on the active lists.
+func admitAll(t testing.TB, st *Station) {
+	t.Helper()
+	for v := 0; v < st.Videos(); v++ {
+		if _, err := st.Admit(v, core.AdmitOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.AdvanceSlot()
+}
+
 // TestSpanPartition: the catalogue's one partition tiles [0, Videos())
 // exactly once with contiguous, in-order, near-equal spans, for every
-// catalogue size and span count including the degenerate ones.
+// catalogue size and span count including the degenerate ones — read off
+// the active walk of a fully admitted catalogue.
 func TestSpanPartition(t *testing.T) {
 	for _, videos := range []int{1, 3, 4, 7, 2048} {
 		for _, shards := range []int{1, 4, 8} {
@@ -86,29 +99,28 @@ func TestSpanPartition(t *testing.T) {
 			if st.Shards() != want {
 				t.Fatalf("%d videos / %d shards: %d spans, want %d", videos, shards, st.Shards(), want)
 			}
-			visits := make([]int, videos)
-			next, lo := 0, 0
-			st.EachSpan(func(worker, spanLo, spanHi int) {
-				if worker != next || spanLo != lo {
-					t.Fatalf("%d videos / %d shards: span %d is [%d, %d), want span %d starting at %d (gap, overlap or out of order)",
-						videos, shards, worker, spanLo, spanHi, next, lo)
+			admitAll(t, st)
+			sizes := make([]int, want)
+			next, span := 0, 0
+			st.EachActive(func(worker, video int, _ core.SlotReport) bool {
+				if worker == span+1 && worker < want {
+					span++
 				}
-				if size := spanHi - spanLo; size < videos/want || size > videos/want+1 {
-					t.Fatalf("%d videos / %d shards: span %d has %d videos, want near-equal %d..%d",
-						videos, shards, worker, size, videos/want, videos/want+1)
+				if video != next || worker != span {
+					t.Fatalf("%d videos / %d shards: worker %d walked video %d, want video %d on span %d or the next (gap, overlap or out of order)",
+						videos, shards, worker, video, next, span)
 				}
-				for v := spanLo; v < spanHi; v++ {
-					visits[v]++
-				}
-				next, lo = worker+1, spanHi
+				sizes[worker]++
+				next++
+				return false
 			})
-			if next != want || lo != videos {
-				t.Fatalf("%d videos / %d shards: %d spans covering [0, %d), want %d covering [0, %d)",
-					videos, shards, next, lo, want, videos)
+			if next != videos {
+				t.Fatalf("%d videos / %d shards: walked %d videos", videos, shards, next)
 			}
-			for v, n := range visits {
-				if n != 1 {
-					t.Fatalf("%d videos / %d shards: video %d visited %d times", videos, shards, v, n)
+			for w, size := range sizes {
+				if size < videos/want || size > videos/want+1 {
+					t.Fatalf("%d videos / %d shards: span %d has %d videos, want near-equal %d..%d",
+						videos, shards, w, size, videos/want, videos/want+1)
 				}
 			}
 		}
@@ -162,28 +174,28 @@ func TestManualAdvanceStartsNoGoroutine(t *testing.T) {
 }
 
 // TestClockPoolLifecycle: a clock over four spans runs its advance and the
-// tick callback's EachSpan on the pool — every video exactly once per tick,
-// one worker index per span — and StopClock, and then Close, leave no
-// goroutine behind.
+// tick callback's EachActive on the pool — every video with an audience
+// exactly once per tick, each span's videos on that span's worker — and
+// StopClock, and then Close, leave no goroutine behind.
 func TestClockPoolLifecycle(t *testing.T) {
 	const videos = 10
 	st, err := New(Config{Videos: testCatalogue(videos, 10), Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	admitAll(t, st)
 	baseline := goroutineBaseline()
 	var ticks atomic.Int64
 	var visits [videos]atomic.Int64
 	var byWorker [4]atomic.Int64
 	onTick := func(reports []core.SlotReport) {
-		st.EachSpan(func(worker, lo, hi int) {
+		st.EachActive(func(worker, v int, _ core.SlotReport) bool {
 			byWorker[worker].Add(1)
-			for v := lo; v < hi; v++ {
-				visits[v].Add(1)
-				if reports[v].Slot != reports[0].Slot {
-					t.Errorf("video %d retired slot %d while video 0 retired %d", v, reports[v].Slot, reports[0].Slot)
-				}
+			visits[v].Add(1)
+			if reports[v].Slot != reports[0].Slot {
+				t.Errorf("video %d retired slot %d while video 0 retired %d", v, reports[v].Slot, reports[0].Slot)
 			}
+			return true
 		})
 		ticks.Add(1)
 	}
@@ -213,13 +225,13 @@ func TestClockPoolLifecycle(t *testing.T) {
 			t.Fatalf("video %d walked %d times in %d ticks", v, got, n)
 		}
 	}
-	for w := range byWorker {
-		if got := byWorker[w].Load(); got != n {
-			t.Fatalf("worker %d ran %d spans in %d ticks", w, got, n)
+	for w, sp := range st.spans {
+		if got, want := byWorker[w].Load(), n*int64(sp[1]-sp[0]); got != want {
+			t.Fatalf("worker %d walked %d videos in %d ticks, want %d", w, got, n, want)
 		}
 	}
 	for v := 0; v < videos; v++ {
-		if got := st.CurrentSlot(v); int64(got) != n {
+		if got := st.CurrentSlot(v); int64(got) != n+1 { // admitAll retired slot 0
 			t.Fatalf("video %d at slot %d after %d ticks", v, got, n)
 		}
 	}
@@ -253,6 +265,10 @@ func TestAdmitValidation(t *testing.T) {
 // the same per-slot arrival counts. Within a slot all admissions for one
 // video are identical operations, so the end state depends only on the
 // counts, not the interleaving — which is why the comparison can be exact.
+// Every video alternates bursts with idle gaps up to three ring horizons
+// long, and one gap idles the whole catalogue, so the comparison covers
+// videos leaving the active lists, the slots they skip and their cold
+// re-activation.
 func TestConcurrentEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testConcurrentEquivalence(t, shards) })
@@ -262,18 +278,29 @@ func TestConcurrentEquivalence(t *testing.T) {
 func testConcurrentEquivalence(t *testing.T, shards int) {
 	const (
 		videos  = 7
-		slots   = 60
+		slots   = 600
 		maxRate = 5 // max arrivals per video per slot
+		// No arrivals at all in [gapLo, gapHi): longer than the widest ring
+		// plus the longest drain, so every video goes idle inside it.
+		gapLo, gapHi = 250, 350
 	)
 	segs := []int{12, 30, 7, 24, 18, 9, 40}
 
-	// Deterministic per-slot per-video arrival counts.
+	// Deterministic per-slot per-video arrival counts: bursts of 1..20
+	// slots separated by idle gaps of up to three ring horizons.
 	rng := rand.New(rand.NewSource(42))
 	arrivals := make([][]int, slots)
 	for s := range arrivals {
 		arrivals[s] = make([]int, videos)
-		for v := range arrivals[s] {
-			arrivals[s][v] = rng.Intn(maxRate + 1)
+	}
+	for v := 0; v < videos; v++ {
+		for s := 0; s < slots; {
+			for burst := 1 + rng.Intn(20); burst > 0 && s < slots; burst, s = burst-1, s+1 {
+				if s < gapLo || s >= gapHi {
+					arrivals[s][v] = rng.Intn(maxRate + 1)
+				}
+			}
+			s += rng.Intn(3 * (segs[v] + 1))
 		}
 	}
 
@@ -296,6 +323,7 @@ func testConcurrentEquivalence(t *testing.T, shards int) {
 		t.Fatal(err)
 	}
 
+	reactivated := false
 	for s := 0; s < slots; s++ {
 		// Concurrent admissions: one goroutine per arrival, racing against
 		// each other within and across videos.
@@ -320,6 +348,17 @@ func testConcurrentEquivalence(t *testing.T, shards int) {
 			}
 		}
 
+		// Between ticks the station answers for idle and active videos alike
+		// on the one slot grid.
+		loads := st.NextLoads(nil)
+		for v := 0; v < videos; v++ {
+			if got := st.CurrentSlot(v); got != s {
+				t.Fatalf("slot %d video %d: CurrentSlot = %d", s, v, got)
+			}
+			if want := refs[v].LoadAt(s + 1); loads[v] != want {
+				t.Fatalf("slot %d video %d: next load %d, reference %d", s, v, loads[v], want)
+			}
+		}
 		reports := st.AdvanceSlot()
 		for v := 0; v < videos; v++ {
 			want := refs[v].AdvanceSlot()
@@ -328,6 +367,14 @@ func testConcurrentEquivalence(t *testing.T, shards int) {
 					s, v, reports[v], want)
 			}
 		}
+		active := st.Status().Active
+		if s == gapHi-1 && active != 0 {
+			t.Fatalf("slot %d: %d videos still active at the end of the catalogue-wide gap", s, active)
+		}
+		reactivated = reactivated || (s >= gapHi && active > 0)
+	}
+	if !reactivated {
+		t.Fatal("no video came back after the catalogue-wide gap")
 	}
 	for v := 0; v < videos; v++ {
 		req, inst := st.VideoTotals(v)
@@ -338,10 +385,15 @@ func testConcurrentEquivalence(t *testing.T, shards int) {
 	}
 }
 
-// TestStressAdmissionsRaceClock hammers a clock-driven station from many
-// goroutines — full and resumed admissions, load probes — and checks the
-// books balance afterwards. Run under -race this is the engine's data-race
-// certification.
+// TestStressAdmissionsRaceClock races admissions and probes against a
+// clock-driven station and then replays what happened through K bare
+// core.Schedulers: each video is admitted to by one goroutine (so its
+// admission order is known) in bursts of full and resumed viewings
+// separated by idle gaps longer than the ring horizon, every cold
+// re-activation racing the clock. Every admission must have placed what the
+// bare scheduler places in the slot the station reported, and every tick's
+// report must be the bare scheduler's for that slot. Run under -race this is
+// the engine's data-race certification.
 func TestStressAdmissionsRaceClock(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testStressAdmissionsRaceClock(t, shards) })
@@ -349,20 +401,35 @@ func TestStressAdmissionsRaceClock(t *testing.T) {
 }
 
 func testStressAdmissionsRaceClock(t *testing.T, shards int) {
+	const (
+		videos   = 8
+		segments = 25
+		cycles   = 5
+		// A gap this many slots past a burst outlasts the drain (at most
+		// segments slots) by more than the ring horizon (segments+1).
+		gap = 3 * segments
+	)
 	st, err := New(Config{
-		Videos:   testCatalogue(8, 25),
+		Videos:   testCatalogue(videos, segments),
 		Shards:   shards,
 		Registry: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ticks := 0
+	type retired struct{ slot, load int }
+	var ticks [][videos]retired // written by the clock goroutine, read after Close
 	if err := st.StartClock(200*time.Microsecond, func(reports []core.SlotReport) {
-		ticks++ // single clock goroutine; no lock needed
-		if len(reports) != 8 {
+		if len(reports) != videos {
 			t.Errorf("tick delivered %d reports", len(reports))
+			return
 		}
+		var row [videos]retired
+		for v, rep := range reports {
+			row[v] = retired{rep.Slot, rep.Load}
+		}
+		ticks = append(ticks, row)
+		st.EachActive(func(_, _ int, _ core.SlotReport) bool { return false })
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -370,53 +437,190 @@ func testStressAdmissionsRaceClock(t *testing.T, shards int) {
 		t.Fatalf("second clock: %v", err)
 	}
 
-	const workers = 6
-	var admitted int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	deadline := time.Now().Add(50 * time.Millisecond)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			var loads []int
-			localAdmitted := int64(0)
-			for time.Now().Before(deadline) {
-				v := rng.Intn(8)
-				switch op := rng.Intn(3); op {
-				case 0, 1:
-					var opts core.AdmitOptions // op 0: a full viewing
-					if op == 1 {
-						opts.From = 1 + rng.Intn(25) // a resume
+	type admission struct{ slot, from, placed int }
+	var admitted [videos][]admission
+	var admitters, probers sync.WaitGroup
+	for v := 0; v < videos; v++ {
+		admitters.Add(1)
+		go func(v int) {
+			defer admitters.Done()
+			rng := rand.New(rand.NewSource(int64(v)))
+			for c := 0; c < cycles; c++ {
+				for burst := 1 + rng.Intn(12); burst > 0; burst-- {
+					from := 1 // two in three are full viewings
+					if rng.Intn(3) == 0 {
+						from = 1 + rng.Intn(segments)
 					}
-					if _, err := st.Admit(v, opts); err != nil {
+					res, err := st.Admit(v, core.AdmitOptions{From: from})
+					if err != nil {
 						t.Error(err)
 						return
 					}
-					localAdmitted++
-				default:
-					loads = st.NextLoads(loads)
-					_ = st.CurrentSlot(v)
+					admitted[v] = append(admitted[v], admission{res.Slot, from, res.Placed})
+				}
+				for until := st.CurrentSlot(v) + gap + rng.Intn(gap); st.CurrentSlot(v) < until; {
+					time.Sleep(100 * time.Microsecond)
 				}
 			}
-			mu.Lock()
-			admitted += localAdmitted
-			mu.Unlock()
-		}(w)
+		}(v)
 	}
-	wg.Wait()
+	stop := make(chan struct{})
+	for p := 0; p < 2; p++ {
+		probers.Add(1)
+		go func() {
+			defer probers.Done()
+			var loads []int
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				loads = st.NextLoads(loads)
+				if status := st.Status(); status.Active < 0 || status.Active > videos {
+					t.Errorf("status reports %d active videos", status.Active)
+				}
+			}
+		}()
+	}
+	admitters.Wait()
+	close(stop)
+	probers.Wait()
 	st.Close()
-	if ticks == 0 {
-		t.Fatal("clock never ticked")
-	}
 	if _, err := st.Admit(0, core.AdmitOptions{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("admit after close: %v", err)
 	}
+
+	var total int64
+	for v := 0; v < videos; v++ {
+		ref, err := core.New(core.Config{Segments: segments})
+		if err != nil {
+			t.Fatal(err)
+		}
+		loads := make([]int, 0, len(ticks)) // loads[s] is the bare scheduler's slot s
+		advanceTo := func(slot int) {
+			for ref.CurrentSlot() < slot {
+				loads = append(loads, ref.AdvanceSlot().Load)
+			}
+		}
+		for i, a := range admitted[v] {
+			advanceTo(a.slot)
+			res, err := ref.AdmitRequest(core.AdmitOptions{From: a.from})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Slot != a.slot || res.Placed != a.placed {
+				t.Fatalf("video %d admission %d (from %d): station slot %d placed %d, bare scheduler slot %d placed %d",
+					v, i, a.from, a.slot, a.placed, res.Slot, res.Placed)
+			}
+		}
+		advanceTo(len(ticks))
+		for s, row := range ticks {
+			if row[v].slot != s || row[v].load != loads[s] {
+				t.Fatalf("video %d tick %d: station retired %+v, bare scheduler load %d", v, s, row[v], loads[s])
+			}
+		}
+		total += int64(len(admitted[v]))
+	}
 	// Everything accepted was admitted exactly once.
-	req, _ := st.Totals()
-	if req != admitted {
-		t.Fatalf("admitted %d requests, engine recorded %d", admitted, req)
+	if req, _ := st.Totals(); req != total {
+		t.Fatalf("admitted %d requests, engine recorded %d", total, req)
+	}
+}
+
+// TestTickLocksOnlyActiveVideos: the per-video locks a tick takes follow the
+// active videos, not the catalogue. Status().Active — the operator's view
+// of it — is the number of videos the next advance locks; summed over the
+// life of A cold admissions in a 4096-video station it is O(A·segments),
+// not O(4096·ticks), while the reports stay dense. Then, with every idle
+// video's lock held by the test, ticks over A videos kept active by an
+// audience still complete: a tick that touched an idle video would block.
+func TestTickLocksOnlyActiveVideos(t *testing.T) {
+	const (
+		videos   = 4096
+		admitted = 16
+		segments = 10
+		ticks    = 200
+	)
+	st, err := New(Config{Videos: testCatalogue(videos, segments), Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot := func(v int) bool { return v%(videos/admitted) == 7 }
+	admitHot := func() {
+		for v := 0; v < videos; v++ {
+			if hot(v) {
+				if _, err := st.Admit(v, core.AdmitOptions{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	admitHot()
+	var reports []core.SlotReport
+	locked, instances := 0, 0
+	for tick := 0; tick < ticks; tick++ {
+		locked += st.Status().Active
+		reports = st.AdvanceSlotInto(reports)
+		for v, rep := range reports {
+			if rep.Slot != tick || (rep.Load != 0 && !hot(v)) {
+				t.Fatalf("tick %d video %d: report %+v", tick, v, rep)
+			}
+			instances += rep.Load
+		}
+	}
+	// A video admitted in slot 0 transmits in slots 1..segments, retires one
+	// empty slot and is found idle by the advance after that.
+	if bound := admitted * (segments + 3); locked == 0 || locked > bound {
+		t.Fatalf("the clock locked %d videos over %d ticks, want 1..%d (not %d)", locked, ticks, bound, videos*ticks)
+	}
+	if instances != admitted*segments {
+		t.Fatalf("retired %d instances, want %d", instances, admitted*segments)
+	}
+	if status := st.Status(); status.Active != 0 || status.PerVideo[videos-1].Slot != ticks {
+		t.Fatalf("after the run: %d active videos, last video at slot %d, want 0 and %d",
+			status.Active, status.PerVideo[videos-1].Slot, ticks)
+	}
+
+	admitHot()
+	for v, sv := range st.videos {
+		if !hot(v) {
+			sv.mu.Lock()
+		}
+	}
+	done := make(chan int)
+	go func() {
+		visits := 0
+		for tick := 0; tick < ticks; tick++ {
+			reports = st.AdvanceSlotInto(reports)
+			st.EachActive(func(_, v int, _ core.SlotReport) bool {
+				if !hot(v) {
+					t.Errorf("tick %d walked idle video %d", tick, v)
+				}
+				visits++
+				return true // an audience keeps a drained video active
+			})
+		}
+		done <- visits
+	}()
+	select {
+	case visits := <-done:
+		if visits != admitted*ticks {
+			t.Fatalf("walked %d videos over %d ticks, want %d", visits, ticks, admitted*ticks)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a tick blocked on an idle video's lock")
+	}
+	for v, sv := range st.videos {
+		if !hot(v) {
+			sv.mu.Unlock()
+		}
+	}
+	// The audience leaves: the drained videos go idle at the next advance.
+	st.EachActive(func(_, _ int, _ core.SlotReport) bool { return false })
+	st.AdvanceSlot()
+	if active := st.Status().Active; active != 0 {
+		t.Fatalf("%d videos still active after their audience left", active)
 	}
 }
 

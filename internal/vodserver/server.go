@@ -192,10 +192,13 @@ type video struct {
 	cfg VideoConfig
 	// idx is the video's index in the station catalogue.
 	idx int
-	// periods is the resolved 1-based period vector.
-	periods []int
-	// load is the channel-load gauge vod_channel_load{video="..."},
-	// updated to each retired slot's instance count.
+	// maxPeriod[k] is the largest of the resolved periods T[1..k]: how many
+	// slots a customer consuming k segments stays subscribed.
+	maxPeriod []int
+	// wirePeriods and wireSizes are shared read-only by every ScheduleInfo.
+	wirePeriods, wireSizes []uint32
+	// load is the channel-load gauge vod_channel_load{video="..."}: each
+	// retired slot's instance count, 0 once idle (the last slot was empty).
 	load *obs.Gauge
 
 	// subs is the copy-on-write subscriber set: tick workers read lock-free
@@ -344,15 +347,10 @@ type Server struct {
 	// vlist is the catalogue in station index order — the array the
 	// station's spans index.
 	vlist []*video
-	// tickReports hands the clock's retired-slot reports to the span walks
-	// for the duration of one tick; the station pool's wake/join edges order
-	// the accesses.
-	tickReports []core.SlotReport
 	// tallies are the per-worker broadcast counters; retire is each
 	// worker's reusable retirement scratch (expired and ring-full
-	// subscribers collected during the span walk, detached after it, off
-	// the hot push loop). Both are sized to the station's span count and
-	// indexed by worker — never shared between spans.
+	// subscribers collected during a video's push loop, detached after it).
+	// Both are sized to the station's span count and indexed by worker.
 	tallies []fanoutTally
 	retire  [][]retireEntry
 
@@ -448,7 +446,15 @@ func Start(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("vodserver: %w", err)
 	}
 	for _, v := range videos {
-		v.periods = st.Periods(v.idx)
+		v.maxPeriod = st.Periods(v.idx) // a copy, turned into its prefix maxima
+		v.wirePeriods = make([]uint32, v.cfg.Segments)
+		for k := 1; k <= v.cfg.Segments; k++ {
+			v.wirePeriods[k-1] = uint32(v.maxPeriod[k])
+			v.maxPeriod[k] = max(v.maxPeriod[k], v.maxPeriod[k-1])
+		}
+		for _, sz := range v.cfg.SegmentSizes {
+			v.wireSizes = append(v.wireSizes, uint32(sz))
+		}
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
@@ -601,10 +607,10 @@ func Start(cfg Config) (*Server, error) {
 	s.ct.Start()
 	s.wg.Add(1)
 	go s.acceptLoop()
-	// The span walk is bound once: the station hands it to its pool, so a
-	// method value evaluated inside fanOut would allocate on every tick.
-	walk := s.fanOutSpan
-	tick := func(reports []core.SlotReport) { s.fanOut(reports, walk) }
+	// The walk is bound once: the station hands it to its pool, so a method
+	// value evaluated inside fanOut would allocate on every tick.
+	walk := s.fanOutVideo
+	tick := func([]core.SlotReport) { s.fanOut(walk) }
 	if err := st.StartClock(cfg.SlotDuration, tick); err != nil {
 		s.Close()
 		return nil, fmt.Errorf("vodserver: %w", err)
@@ -1052,37 +1058,21 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 	admitSlot := res.Slot
 
 	// The subscription ends once the customer's last deadline passes: the
-	// largest shifted period of the remaining suffix.
-	suffixMax := 0
-	for k := 1; k <= v.cfg.Segments-from+1; k++ {
-		if p := v.periods[k]; p > suffixMax {
-			suffixMax = p
-		}
-	}
-	// The store is harmless when a concurrent disconnect already removed
-	// the subscriber — its ring is dropped and further pushes fail — and
-	// tick workers that read the placeholder MaxInt64 this slot simply
-	// retire the subscriber one snapshot later.
-	sub.lastSlot.Store(int64(admitSlot + suffixMax))
+	// largest shifted period of the remaining suffix. The store is harmless
+	// when a concurrent disconnect already removed the subscriber — its ring
+	// is dropped and further pushes fail — and tick workers that read the
+	// placeholder MaxInt64 this slot retire the subscriber one snapshot later.
+	sub.lastSlot.Store(int64(admitSlot + v.maxPeriod[v.cfg.Segments-from+1]))
 	s.mRequests.Inc()
 
-	periods := make([]uint32, v.cfg.Segments)
-	for j := 1; j <= v.cfg.Segments; j++ {
-		periods[j-1] = uint32(v.periods[j])
-	}
 	info := wire.ScheduleInfo{
 		VideoID:      videoID,
 		Segments:     uint32(v.cfg.Segments),
 		SlotMillis:   uint32(s.cfg.SlotDuration / time.Millisecond),
 		SegmentBytes: uint32(v.cfg.SegmentBytes),
 		AdmitSlot:    uint64(admitSlot),
-		Periods:      periods,
-	}
-	if len(v.cfg.SegmentSizes) != 0 {
-		info.SegmentSizes = make([]uint32, len(v.cfg.SegmentSizes))
-		for j, sz := range v.cfg.SegmentSizes {
-			info.SegmentSizes[j] = uint32(sz)
-		}
+		Periods:      v.wirePeriods,
+		SegmentSizes: v.wireSizes,
 	}
 	return sub, info, nil
 }
@@ -1116,14 +1106,14 @@ func (s *Server) dropHook(videoID uint32, slot int) func(segment int) bool {
 }
 
 // fanOut runs on the station's clock goroutine once per retired slot: each
-// video's broadcast instances are encoded exactly once into a shared
+// active video's broadcast instances are encoded exactly once into a shared
 // ref-counted frame and one reference is pushed per subscriber ring — the
-// per-audience cost is a pointer, not a copy. The catalogue is walked span
-// by span through the station — on its pool when there is more than one
-// span, the clock only dispatching and joining — and per-worker tallies
-// merge into the shared counters once per tick, so the hot loops touch no
-// shared cache line and take no lock but each ring's own.
-func (s *Server) fanOut(reports []core.SlotReport, walk func(worker, lo, hi int)) {
+// per-audience cost is a pointer, not a copy; an idle video costs nothing.
+// The station walks its active videos span by span — on its pool when there
+// is more than one span, the clock only dispatching and joining — and
+// per-worker tallies merge into the shared counters once per tick, so the
+// hot loops touch no shared cache line and take no lock but each ring's own.
+func (s *Server) fanOut(walk func(worker, video int, rep core.SlotReport) bool) {
 	t0 := time.Now()
 	defer func() {
 		d := time.Since(t0).Seconds()
@@ -1133,8 +1123,7 @@ func (s *Server) fanOut(reports []core.SlotReport, walk func(worker, lo, hi int)
 	if s.closed.Load() {
 		return
 	}
-	s.tickReports = reports
-	s.station.EachSpan(walk)
+	s.station.EachActive(walk)
 	var instances, bytes, maxDepth int64
 	var dropsBy [numDropReasons]int64
 	for i := range s.tallies {
@@ -1159,65 +1148,61 @@ func (s *Server) fanOut(reports []core.SlotReport, walk func(worker, lo, hi int)
 	s.ringDepth.Record(float64(maxDepth))
 }
 
-// fanOutSpan walks one contiguous catalogue span for one retired slot:
-// encode the video's slot once, push the shared frame to every subscriber
-// in the video's copy-on-write snapshot, and queue expired or ring-full
-// subscribers for retirement after the walk so the push loop stays tight.
-// worker indexes the caller's tally and retirement scratch; the snapshot
-// read is lock-free and the only locks taken are each ring's own, so spans
-// never contend with each other.
-func (s *Server) fanOutSpan(worker, lo, hi int) {
-	reports := s.tickReports
+// fanOutVideo fans one active video's retired slot out: encode the slot
+// once, push the shared frame to every subscriber in the video's
+// copy-on-write snapshot, then detach the expired and ring-full subscribers
+// collected on the way so the push loop stays tight. It reports whether the
+// video still has an audience: that, not a subscriber's last slot (maybe
+// still the placeholder), keeps a drained video active. worker indexes the
+// tally and retirement scratch; the only locks taken are each ring's own.
+func (s *Server) fanOutVideo(worker, video int, rep core.SlotReport) bool {
+	v := s.vlist[video]
 	tally := &s.tallies[worker]
-	retire := s.retire[worker][:0]
-	for i := lo; i < hi; i++ {
-		v := s.vlist[i]
-		rep := reports[v.idx]
-		v.load.Set(float64(rep.Load))
-		tally.instances += int64(rep.Load)
-		frame, err := s.enc.EncodeSlot(v.cfg.ID, rep.Slot, rep.Segments, s.dropHook(v.cfg.ID, rep.Slot))
-		if err != nil {
-			continue // unreachable: the catalogue was built from the same configs
-		}
-		tally.bytes += frame.PayloadBytes()
-		for _, sub := range v.subs.Snapshot() {
-			frame.Retain()
-			depth, ok := sub.ring.Push(frame)
-			sub.ct.RecordPush(depth, ok)
-			if !ok {
-				// The subscriber fell a full ring behind: queue it for
-				// disconnection rather than stall the broadcast.
-				frame.Release()
-				retire = append(retire, retireEntry{sub: sub, drop: true})
-				continue
-			}
-			if int64(depth) > tally.maxDepth {
-				tally.maxDepth = int64(depth)
-			}
-			if int64(rep.Slot) >= sub.lastSlot.Load() {
-				retire = append(retire, retireEntry{sub: sub})
-			}
-		}
-		// Drop the encoder's own reference; subscribers now hold theirs and
-		// the frame recycles once the last write completes.
-		frame.Release()
-		for _, r := range retire {
-			// Remove has exactly one winner, so a disconnect or shutdown
-			// racing this retirement ends the ring exactly once. Only a won
-			// drop counts toward the disconnect tally, attributed to the
-			// connection's last classified transport state.
-			if !v.subs.Remove(r.sub) {
-				continue
-			}
-			if r.drop {
-				tally.dropsBy[dropReason(r.sub)]++
-				r.sub.ring.Drop()
-			} else {
-				r.sub.ring.Close()
-			}
-			s.ct.Unregister(r.sub.ct)
-		}
-		retire = retire[:0]
+	v.load.Set(float64(rep.Load))
+	tally.instances += int64(rep.Load)
+	frame, err := s.enc.EncodeSlot(v.cfg.ID, rep.Slot, rep.Segments, s.dropHook(v.cfg.ID, rep.Slot))
+	if err != nil {
+		return false // unreachable: the catalogue was built from the same configs
 	}
-	s.retire[worker] = retire
+	tally.bytes += frame.PayloadBytes()
+	retire := s.retire[worker][:0]
+	for _, sub := range v.subs.Snapshot() {
+		frame.Retain()
+		depth, ok := sub.ring.Push(frame)
+		sub.ct.RecordPush(depth, ok)
+		if !ok {
+			// The subscriber fell a full ring behind: queue it for
+			// disconnection rather than stall the broadcast.
+			frame.Release()
+			retire = append(retire, retireEntry{sub: sub, drop: true})
+			continue
+		}
+		if int64(depth) > tally.maxDepth {
+			tally.maxDepth = int64(depth)
+		}
+		if int64(rep.Slot) >= sub.lastSlot.Load() {
+			retire = append(retire, retireEntry{sub: sub})
+		}
+	}
+	// Drop the encoder's own reference; subscribers now hold theirs and the
+	// frame recycles once the last write completes.
+	frame.Release()
+	for _, r := range retire {
+		// Remove has exactly one winner, so a disconnect or shutdown racing
+		// this retirement ends the ring exactly once. Only a won drop counts
+		// toward the disconnect tally, attributed to the connection's last
+		// classified transport state.
+		if !v.subs.Remove(r.sub) {
+			continue
+		}
+		if r.drop {
+			tally.dropsBy[dropReason(r.sub)]++
+			r.sub.ring.Drop()
+		} else {
+			r.sub.ring.Close()
+		}
+		s.ct.Unregister(r.sub.ct)
+	}
+	s.retire[worker] = retire[:0]
+	return v.subs.Len() > 0
 }
