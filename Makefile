@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-compare bench-conn bench-core bench-fanout bench-history bench-load bench-obs bench-station bench-wire ci lint fuzz experiments examples cover clean
+.PHONY: all build test race bench bench-conn bench-core bench-fanout bench-history bench-obs bench-station bench-wire ci lint fuzz experiments examples cover loc clean
 
 all: build test
 
@@ -82,24 +82,18 @@ ci:
 	# allocations per batch at steady state.
 	$(GO) test -run '^TestDrainZeroAlloc$$' -count=1 ./internal/vodserver/
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/...
-	$(GO) run ./cmd/vodload -sessions 200 -duration 2s -slot-ms 5 -report /dev/null
 	# benchmark/ is a module of its own, invisible to ./... above: compile
-	# and test it here so an API change that breaks the replay fails CI.
+	# and test it here so an API change that breaks the replay fails CI. Its
+	# TestQuickRun is the live smoke: all four workloads against the shipped
+	# out-of-process vodserver binary.
 	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 ./...
 	$(MAKE) fuzz FUZZTIME=5s
 	@rm -f ci-cover.out
 	@echo "ci: all gates passed"
+	@$(MAKE) --no-print-directory loc
 
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem . ./internal/...
-
-# The closed-loop load harness against a self-contained server: three ramp
-# steps, live capacity telemetry, and the analytic DHB gate. The reference
-# run lives in BENCH_load.json; the target fails when the gate does.
-bench-load:
-	$(GO) run ./cmd/vodload -sessions 200 -steps 3 -duration 6s -slot-ms 5 \
-		-report BENCH_load.json -interval 1s
-	@echo "bench-load: report in BENCH_load.json"
 
 # The zero-copy data plane A/B (shared ref-counted slot frames + write
 # rings versus the serialize-per-tick reference) across -cpu 1,4: the
@@ -108,23 +102,6 @@ bench-load:
 # The zero-copy rows must hold 0 allocs/op.
 bench-fanout:
 	$(GO) test -run '^$$' -bench 'BenchmarkFanOut' -benchmem -cpu 1,4 ./internal/fanout/ ./internal/station/
-
-# Benchstat-style regression gate: build a throwaway worktree at BASE, run
-# the same benchmark matrix in both trees, and print the old/new/delta
-# table with cmd/benchdiff. Override BASE, BENCH_COMPARE or BENCH_PKG to
-# point it elsewhere, e.g.
-#   make bench-compare BASE=v1.2 BENCH_COMPARE=BenchmarkStation BENCH_PKG=./internal/station/
-BASE ?= HEAD~1
-BENCH_COMPARE ?= BenchmarkFanOut
-BENCH_PKG ?= ./internal/fanout/
-bench-compare:
-	@rm -rf .bench-base bench-old.txt bench-new.txt
-	git worktree add --detach .bench-base $(BASE)
-	cd .bench-base && $(GO) test -run '^$$' -bench '$(BENCH_COMPARE)' -benchmem -count=3 $(BENCH_PKG) > ../bench-old.txt \
-		|| { cd .. && git worktree remove --force .bench-base; exit 1; }
-	$(GO) test -run '^$$' -bench '$(BENCH_COMPARE)' -benchmem -count=3 $(BENCH_PKG) > bench-new.txt
-	git worktree remove --force .bench-base
-	$(GO) run ./cmd/benchdiff bench-old.txt bench-new.txt
 
 # The transport-telemetry disabled-path A/B behind BENCH_conn.json: the
 # subscriber drain benchmark with conntrack sampling wired in versus the
@@ -184,6 +161,9 @@ cover:
 	$(GO) test -coverprofile=cover.out ./internal/...
 	$(GO) tool cover -func=cover.out | tail -1
 
+# The figure every ROADMAP acceptance quotes: non-test Go lines, benchmark/ excluded.
+loc:
+	@echo "non-test Go lines (benchmark/ excluded): $$(git ls-files '*.go' | grep -v -e '^benchmark/' -e '_test\.go$$' | xargs cat | wc -l)"
+
 clean:
-	rm -f cover.out ci-cover.out test_output.txt bench_output.txt bench-old.txt bench-new.txt
-	rm -rf .bench-base
+	rm -f cover.out ci-cover.out test_output.txt bench_output.txt

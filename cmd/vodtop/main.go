@@ -147,18 +147,6 @@ func render(w io.Writer, addr string, snap vodserver.StatusSnapshot) {
 	fmt.Fprintf(w, "QoE  : reports=%d  startup p50=%.0f p95=%.0f slots  slack mean=%.1f slots  miss/report mean=%.2f\n",
 		q.Reports, q.Startup.P50, q.Startup.P95, q.Slack.Mean, q.MissRate.Mean)
 
-	// The load pane appears only while /statusz carries a co-located load
-	// harness's counters (vodload's self-hosted mode).
-	if l := snap.Load; l != nil {
-		state := "idle"
-		if l.Running {
-			state = fmt.Sprintf("step %s (%d/%d)", l.Step, l.StepIndex, l.Steps)
-		}
-		fmt.Fprintf(w, "load : %s  target=%d active=%d  sessions=%d err=%d (%.2f%%)  admits/s=%.1f\n",
-			state, l.TargetSessions, l.ActiveSessions,
-			l.Sessions, l.Errors, l.ErrorRate*100, l.AdmitsPerSec)
-	}
-
 	fmt.Fprintln(w)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "STAGE\tCOUNT\tP50\tP95\tP99\tMAX")

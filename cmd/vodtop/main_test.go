@@ -92,43 +92,6 @@ func TestRenderFrame(t *testing.T) {
 	if strings.Contains(out, "NaN") {
 		t.Fatalf("alert pane leaked NaN:\n%s", out)
 	}
-	// Without a co-located harness the load pane stays hidden.
-	if strings.Contains(out, "load :") {
-		t.Fatalf("load pane rendered without load status:\n%s", out)
-	}
-}
-
-// TestRenderLoadPane: the load pane appears exactly when /statusz carries
-// harness counters, and shows the step position, fleet and admit rate.
-func TestRenderLoadPane(t *testing.T) {
-	snap := vodserver.StatusSnapshot{
-		Load: &vodserver.LoadStatus{
-			Running: true, Step: "ramp-2", StepIndex: 2, Steps: 3,
-			TargetSessions: 80, ActiveSessions: 77,
-			Sessions: 1234, Errors: 12, ErrorRate: 0.0096, AdmitsPerSec: 612.5,
-		},
-	}
-	var b strings.Builder
-	render(&b, "x", snap)
-	out := b.String()
-	for _, want := range []string{
-		"load : step ramp-2 (2/3)",
-		"target=80 active=77",
-		"sessions=1234 err=12 (0.96%)",
-		"admits/s=612.5",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("load pane missing %q:\n%s", want, out)
-		}
-	}
-
-	// A harness that finished its run shows as idle, not as a stale step.
-	snap.Load = &vodserver.LoadStatus{Sessions: 500}
-	b.Reset()
-	render(&b, "x", snap)
-	if !strings.Contains(b.String(), "load : idle") {
-		t.Fatalf("finished harness not idle:\n%s", b.String())
-	}
 }
 
 // TestOnceFiringExitPath: run's firing result — the source of the -once exit

@@ -93,56 +93,6 @@ func (w *Window) Observe(v float64) {
 	w.mu.Unlock()
 }
 
-// Merge folds the other window's state into w: every sample currently in
-// other's window is observed into w (subject to w's own capacity and SLO
-// classification is NOT re-run — the lifetime good/bad and total counters are
-// carried over instead, so merged burn accounting equals the sum of the
-// parts). Merging leaves other untouched, so per-worker shard windows can be
-// folded into a fresh aggregate repeatedly without double counting the
-// shards themselves: build a new aggregate, merge every shard, snapshot.
-//
-// Quantiles of the merged window match a single window that observed all
-// samples directly whenever the aggregate's capacity holds the combined
-// sample; under overflow the ring keeps the most recently merged samples,
-// exactly as a single window would under the same arrival order.
-func (w *Window) Merge(other *Window) {
-	if w == nil || other == nil || w == other {
-		return
-	}
-	other.mu.Lock()
-	// Copy in arrival order: oldest first when the ring has wrapped, so the
-	// aggregate's ring evicts in the same order a single combined window
-	// would.
-	var sample []float64
-	if other.full {
-		sample = make([]float64, 0, len(other.buf))
-		sample = append(sample, other.buf[other.next:]...)
-		sample = append(sample, other.buf[:other.next]...)
-	} else {
-		sample = append(sample, other.buf...)
-	}
-	total, good, bad := other.total, other.good, other.bad
-	other.mu.Unlock()
-
-	w.mu.Lock()
-	for _, v := range sample {
-		if len(w.buf) < cap(w.buf) {
-			w.buf = append(w.buf, v)
-		} else {
-			w.buf[w.next] = v
-			w.next = (w.next + 1) % cap(w.buf)
-			w.full = true
-		}
-	}
-	// Lifetime counters carry over wholesale: total counts observations the
-	// window may have already evicted, and good/bad keep the source's SLO
-	// classification (the thresholds may differ; the source judged them).
-	w.total += total
-	w.good += good
-	w.bad += bad
-	w.mu.Unlock()
-}
-
 // WindowSnapshot is one consistent view of a Window.
 type WindowSnapshot struct {
 	// Count is the number of observations currently in the window; Total

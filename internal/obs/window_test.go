@@ -109,95 +109,6 @@ func TestWindowConcurrency(t *testing.T) {
 	}
 }
 
-// TestWindowMergeMatchesCombined: per-shard windows folded into a fresh
-// aggregate yield the same quantiles, mean and counters as one window that
-// observed every sample directly — the contract the load harness's
-// per-worker shards rely on.
-func TestWindowMergeMatchesCombined(t *testing.T) {
-	const shards = 7
-	combined := NewWindow(4096)
-	parts := make([]*Window, shards)
-	for i := range parts {
-		parts[i] = NewWindow(4096)
-	}
-	// A deterministic, interleaved, skewed sample across the shards.
-	v := 1.0
-	for i := 0; i < 3000; i++ {
-		v = math.Mod(v*1.618+float64(i%17), 97)
-		parts[i%shards].Observe(v)
-		combined.Observe(v)
-	}
-	agg := NewWindow(4096)
-	for _, p := range parts {
-		agg.Merge(p)
-	}
-	got, want := agg.Snapshot(), combined.Snapshot()
-	if got.Count != want.Count || got.Total != want.Total {
-		t.Fatalf("merged count=%d total=%d, want %d/%d", got.Count, got.Total, want.Count, want.Total)
-	}
-	for _, q := range []struct {
-		name      string
-		got, want float64
-	}{
-		{"p50", got.P50, want.P50}, {"p95", got.P95, want.P95},
-		{"p99", got.P99, want.P99}, {"max", got.Max, want.Max},
-		{"mean", got.Mean, want.Mean},
-	} {
-		if math.Abs(q.got-q.want) > 1e-9 {
-			t.Fatalf("merged %s = %v, combined window has %v", q.name, q.got, q.want)
-		}
-	}
-	// Merging again into a fresh aggregate must not have consumed the shards.
-	agg2 := NewWindow(4096)
-	for _, p := range parts {
-		agg2.Merge(p)
-	}
-	if s := agg2.Snapshot(); s.Total != want.Total {
-		t.Fatalf("second merge total = %d, want %d (Merge mutated its source?)", s.Total, want.Total)
-	}
-}
-
-// TestWindowMergeSLOAndOverflow: SLO good/bad counters sum across shards,
-// lifetime totals survive eviction, and a wrapped source merges oldest-first
-// so the aggregate evicts like a single window would.
-func TestWindowMergeSLOAndOverflow(t *testing.T) {
-	a, b := NewWindow(8), NewWindow(8)
-	for _, w := range []*Window{a, b} {
-		if err := w.SetSLO(10, 0.9); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 12; i++ { // wraps: window keeps 5..12
-		a.Observe(float64(i + 1))
-	}
-	b.Observe(100) // bad under the 10 threshold
-	b.Observe(5)
-
-	agg := NewWindow(8) // smaller than the combined sample: must keep newest
-	agg.Merge(a)
-	agg.Merge(b)
-	s := agg.Snapshot()
-	if s.Total != 14 || s.Good+s.Bad != 14 || s.Bad != 3 {
-		t.Fatalf("merged total=%d good=%d bad=%d, want 14/11/3", s.Total, s.Good, s.Bad)
-	}
-	// The 8-slot aggregate holds a's newest 6 (7..12) after b's two evicted
-	// the oldest two of 5..12: the max must be b's 100, the min surviving
-	// sample 7.
-	if s.Count != 8 || s.Max != 100 {
-		t.Fatalf("merged count=%d max=%v, want 8/100", s.Count, s.Max)
-	}
-
-	// Nil and self merges are no-ops.
-	var nilw *Window
-	nilw.Merge(a)
-	a.Merge(nil)
-	before := a.Snapshot()
-	a.Merge(a)
-	if after := a.Snapshot(); after.Total != before.Total {
-		t.Fatalf("self-merge changed total %d -> %d", before.Total, after.Total)
-	}
-}
-
 // TestRegisterRuntime: the collector's gauges expose, carry valid names and
 // plausible values.
 func TestRegisterRuntime(t *testing.T) {

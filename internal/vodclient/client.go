@@ -2,9 +2,8 @@
 // requests a video from a vodserver, receives the broadcast segment frames,
 // verifies every payload byte and every delivery deadline with the STB
 // oracle of internal/client, and reports what it observed — locally through
-// the returned Result (and optionally an obs.Registry), and back to the
-// server as a wire.ClientReport so operators see the customer's side of the
-// delivery contract.
+// the returned Result, and back to the server as a wire.ClientReport so
+// operators see the customer's side of the delivery contract.
 package vodclient
 
 import (
@@ -14,7 +13,6 @@ import (
 	"time"
 
 	"vodcast/internal/client"
-	"vodcast/internal/obs"
 	"vodcast/internal/wire"
 )
 
@@ -63,19 +61,6 @@ type Result struct {
 	// the session was not sampled (or tracing was declined). The matching
 	// spans are visible in the server's /spanz.
 	TraceID uint64
-
-	// Dial is the TCP connection establishment latency; PoolWait is the time
-	// the session queued for a connection slot before dialing (always zero
-	// outside a Pool). Load harnesses fold both into their step digests.
-	Dial     time.Duration
-	PoolWait time.Duration
-
-	// Periods is the 1-based DHB period vector the server granted (index 0
-	// unused) and SlotMillis its slot duration — the schedule parameters an
-	// analytic capacity model needs to gate measured results against
-	// internal/analysis envelopes.
-	Periods    []int
-	SlotMillis int
 }
 
 // FetchOptions parameterizes a fetch. The zero value of every field is the
@@ -98,9 +83,6 @@ type FetchOptions struct {
 	// StrictDeadlines arms the full STB oracle: the first missed deadline
 	// fails the fetch instead of being recorded as QoE telemetry.
 	StrictDeadlines bool
-	// Registry, when non-nil, receives the session's client_* metric
-	// families for local scraping.
-	Registry *obs.Registry
 }
 
 // FetchWith runs one session against the server at addr as configured by
@@ -110,38 +92,15 @@ func FetchWith(addr string, opts FetchOptions) (Result, error) {
 	if opts.From == 0 {
 		opts.From = 1
 	}
-	return fetch(addr, opts)
-}
-
-// checkOptions validates the fields every session entry point shares.
-func checkOptions(opts FetchOptions) error {
 	if opts.Timeout <= 0 {
-		return fmt.Errorf("vodclient: timeout %v must be positive", opts.Timeout)
+		return Result{}, fmt.Errorf("vodclient: timeout %v must be positive", opts.Timeout)
 	}
-	if opts.From < 1 {
-		return fmt.Errorf("vodclient: resume segment %d must be at least 1", opts.From)
-	}
-	return nil
-}
-
-// fetch dials its own connection and runs one session over it.
-func fetch(addr string, opts FetchOptions) (Result, error) {
-	if err := checkOptions(opts); err != nil {
-		return Result{}, err
-	}
+	// The session timeout and the first-byte clock both cover the dial.
 	start := time.Now()
 	conn, err := net.DialTimeout("tcp", addr, opts.Timeout)
 	if err != nil {
 		return Result{}, fmt.Errorf("vodclient: dial: %w", err)
 	}
-	return runSession(conn, start, time.Since(start), opts)
-}
-
-// runSession speaks one session over an established connection; it owns the
-// connection and closes it on return. start anchors the session timeout and
-// the first-byte clock (set it before dialing so both cover the dial), dial
-// is the recorded connection establishment latency.
-func runSession(conn net.Conn, start time.Time, dial time.Duration, opts FetchOptions) (Result, error) {
 	defer conn.Close()
 	if err := conn.SetDeadline(start.Add(opts.Timeout)); err != nil {
 		return Result{}, fmt.Errorf("vodclient: set deadline: %w", err)
@@ -193,13 +152,10 @@ func runSession(conn net.Conn, start time.Time, dial time.Duration, opts FetchOp
 	sendReport := info.Version >= wire.ProtoV2 && !opts.NoReport
 
 	res := Result{
-		VideoID:    info.VideoID,
-		Segments:   int(info.Segments),
-		AdmitSlot:  info.AdmitSlot,
-		TraceID:    info.TraceID,
-		Dial:       dial,
-		Periods:    periods,
-		SlotMillis: int(info.SlotMillis),
+		VideoID:   info.VideoID,
+		Segments:  int(info.Segments),
+		AdmitSlot: info.AdmitSlot,
+		TraceID:   info.TraceID,
 	}
 	// The session ends when the shifted suffix's last deadline passes.
 	lastSlot := int(info.AdmitSlot) + maxPeriod(periods[:int(info.Segments)-int(opts.From)+2])
@@ -251,7 +207,6 @@ func runSession(conn net.Conn, start time.Time, dial time.Duration, opts FetchOp
 				res.MeanSlackSlots = qoe.meanSlack()
 				res.SessionSlots = qoe.sessionSlots
 				res.Elapsed = time.Since(start)
-				qoe.publish(opts.Registry, info.VideoID, res.PayloadBytes)
 				if sendReport {
 					report := qoe.report(info.VideoID, info.TraceID, info.SpanID,
 						res.SharedFrames, res.PayloadBytes)

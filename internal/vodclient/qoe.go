@@ -1,11 +1,6 @@
 package vodclient
 
-import (
-	"strconv"
-
-	"vodcast/internal/obs"
-	"vodcast/internal/wire"
-)
+import "vodcast/internal/wire"
 
 // This file is the client half of the QoE observability loop. The STB oracle
 // (internal/client) JUDGES a session — any missed deadline is an error and
@@ -16,16 +11,8 @@ import (
 // AdmitSlot + Periods[j-from+1] for a session resumed at segment from)
 // but measures instead of erroring: startup delay, per-segment slack to
 // deadline, miss and rebuffer counts, and buffer occupancy. The summary
-// becomes the wire.ClientReport shipped back to the server at session end
-// and, optionally, local obs.Registry families with the same client_* names
-// the server aggregates under.
-
-// slackBuckets spans the slack-to-deadline distribution in slots: negative
-// slack is a late segment, zero is just-in-time, large positive is headroom.
-var slackBuckets = []float64{-16, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16, 32, 64, 128}
-
-// startupBuckets spans the startup delay distribution in slots.
-var startupBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
+// becomes the wire.ClientReport shipped back to the server at session end,
+// which the server aggregates into its client_* metric families.
 
 // qoeTracker accumulates one session's playback telemetry. It is fed the
 // same per-slot transmission lists the STB oracle sees.
@@ -34,7 +21,6 @@ type qoeTracker struct {
 	periods        []int // 1-based; deadline(j) = admit + periods[j-from+1]
 	received       []bool
 	receivedCount  int
-	slacks         []int // slack of each needed segment, in arrival order
 	minSlack       int
 	sumSlack       int64
 	startup        int // -1 until the resume segment arrives
@@ -80,7 +66,6 @@ func (q *qoeTracker) observeSlot(slot int, segments []int) {
 		q.received[j] = true
 		q.receivedCount++
 		slack := q.deadline(j) - slot
-		q.slacks = append(q.slacks, slack)
 		q.sumSlack += int64(slack)
 		if slack < q.minSlack {
 			q.minSlack = slack
@@ -128,7 +113,7 @@ func (q *qoeTracker) finalize(endSlot int) {
 	if q.startup < 0 {
 		q.startup = q.sessionSlots
 	}
-	if len(q.slacks) == 0 {
+	if q.receivedCount == 0 {
 		q.minSlack = 0
 	}
 }
@@ -138,10 +123,10 @@ func (q *qoeTracker) needed() int { return q.n - q.from + 1 }
 
 // meanSlack reports the mean slack-to-deadline over arrived segments.
 func (q *qoeTracker) meanSlack() float64 {
-	if len(q.slacks) == 0 {
+	if q.receivedCount == 0 {
 		return 0
 	}
-	return float64(q.sumSlack) / float64(len(q.slacks))
+	return float64(q.sumSlack) / float64(q.receivedCount)
 }
 
 // report assembles the wire summary. Call after finalize.
@@ -165,29 +150,4 @@ func (q *qoeTracker) report(videoID uint32, traceID, spanID uint64, shared int, 
 		SumSlackSlots:    q.sumSlack,
 		PayloadBytes:     uint64(payloadBytes),
 	}
-}
-
-// publish folds the session into a local registry under the same client_*
-// family names the server aggregates, so a headless client is scrapable on
-// its own. Call after finalize; a nil registry drops everything.
-func (q *qoeTracker) publish(reg *obs.Registry, videoID uint32, payloadBytes int64) {
-	if reg == nil {
-		return
-	}
-	video := strconv.FormatUint(uint64(videoID), 10)
-	reg.Counter("client_sessions_total", "Completed fetch sessions.").Inc()
-	reg.Counter("client_payload_bytes_total", "Verified video payload bytes received.").
-		Add(float64(payloadBytes))
-	reg.Histogram("client_startup_slots",
-		"Slots from admission to the first needed segment.", startupBuckets).
-		Observe(float64(q.startup))
-	slack := reg.Histogram("client_deadline_slack_slots",
-		"Per-segment slack to the delivery deadline, in slots.", slackBuckets)
-	for _, s := range q.slacks {
-		slack.Observe(float64(s))
-	}
-	reg.CounterWith("client_miss_total", "Segments that missed their delivery deadline.",
-		obs.Labels{"video": video}).Add(float64(q.misses))
-	reg.CounterWith("client_rebuffer_total", "Playback stalls caused by deadline misses.",
-		obs.Labels{"video": video}).Add(float64(q.rebuffers))
 }

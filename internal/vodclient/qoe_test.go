@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"vodcast/internal/obs"
 	"vodcast/internal/wire"
 )
 
@@ -221,40 +220,4 @@ func TestFetchWithLegacyServerSkipsReport(t *testing.T) {
 		t.Fatalf("TraceID = %d against a v1 server, want 0", res.TraceID)
 	}
 	<-done
-}
-
-func TestFetchWithPublishesRegistry(t *testing.T) {
-	addr := fakeServerV2(t, func(conn net.Conn, req wire.Request) {
-		info := v2Info()
-		_ = wire.WriteFrame(conn, info)
-		streamAll(conn, info)
-		_, _ = wire.ReadFrame(conn)
-	})
-	reg := obs.NewRegistry()
-	if _, err := FetchWith(addr, FetchOptions{
-		VideoID: 1, Timeout: 2 * time.Second, Registry: reg}); err != nil {
-		t.Fatal(err)
-	}
-	names := reg.Names()
-	for _, want := range []string{
-		"client_sessions_total", "client_payload_bytes_total",
-		"client_startup_slots", "client_deadline_slack_slots",
-		"client_miss_total", "client_rebuffer_total",
-	} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("family %s missing from local registry (have %v)", want, names)
-		}
-		if !obs.ValidMetricName(want) {
-			t.Errorf("family %s fails the metric-name lint", want)
-		}
-	}
-	if got := reg.Histogram("client_deadline_slack_slots", "", slackBuckets).Count(); got != 2 {
-		t.Fatalf("slack observations = %v, want 2", got)
-	}
 }

@@ -168,6 +168,29 @@ func TestQueryzEndpoint(t *testing.T) {
 		t.Fatalf("unknown series points: %v %+v", err, rng.Points)
 	}
 
+	// The retained history agrees with the live counters exactly: after k
+	// strict sessions and two further scrapes, the request series' last
+	// point is k, and so is Stats().Requests.
+	const k = 5
+	for i := 0; i < k; i++ {
+		if _, err := vodclient.FetchWith(s.Addr(), vodclient.FetchOptions{
+			VideoID: 1, Timeout: 10 * time.Second, StrictDeadlines: true}); err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+	}
+	settled := s.History().Stats().Scrapes + 2
+	waitFor(t, "two scrapes after the sessions", func() bool {
+		return s.History().Stats().Scrapes >= settled
+	})
+	_, body = get(t, s, "/queryz?series=vod_requests_total")
+	var reqs queryzRange
+	if err := json.Unmarshal([]byte(body), &reqs); err != nil || len(reqs.Points) == 0 {
+		t.Fatalf("queryz vod_requests_total: %v %+v", err, reqs)
+	}
+	if last, live := reqs.Points[len(reqs.Points)-1].Value, s.Stats().Requests; last != k || live != k {
+		t.Fatalf("history's last vod_requests_total = %v, Stats().Requests = %d, want both %d", last, live, k)
+	}
+
 	// Parameter validation: every rejected shape answers 400 without
 	// touching the store, and the boundary-adjacent valid shapes still pass.
 	for _, tc := range []struct {

@@ -354,11 +354,6 @@ type Server struct {
 	tallies []fanoutTally
 	retire  [][]retireEntry
 
-	// loadMu guards loadFn, the optional load-harness live-status source
-	// installed with SetLoadStatus and published into /statusz.
-	loadMu sync.Mutex
-	loadFn func() LoadStatus
-
 	wg sync.WaitGroup
 }
 
@@ -656,41 +651,11 @@ type StatusSnapshot struct {
 	// the rule table the vodtop alert pane renders.
 	QoE    QoESnapshot       `json:"qoe"`
 	Alerts []obs.AlertStatus `json:"alerts"`
-	// Load is the live view of a co-located load harness, present only
-	// when one was installed with SetLoadStatus (cmd/vodload's self-hosted
-	// mode). vodtop renders its pane when the field is carried.
-	Load *LoadStatus `json:"load,omitempty"`
 	// History reports the retained-telemetry store's counters (series,
 	// resident bytes, scrapes); Flight the recorder's capture counters.
 	// Either is omitted when the subsystem is disabled.
 	History *history.Stats         `json:"history,omitempty"`
 	Flight  *history.RecorderStats `json:"flight,omitempty"`
-}
-
-// LoadStatus is a load harness's instantaneous view of its run, mirrored
-// into /statusz so one dashboard shows the server and the fleet driving
-// it. The shape matches load.LiveStatus field for field; the duplication
-// keeps the server importable without the harness.
-type LoadStatus struct {
-	Running        bool    `json:"running"`
-	Step           string  `json:"step"`
-	StepIndex      int     `json:"step_index"`
-	Steps          int     `json:"steps"`
-	TargetSessions int     `json:"target_sessions"`
-	ActiveSessions int64   `json:"active_sessions"`
-	Sessions       uint64  `json:"sessions"`
-	Errors         uint64  `json:"errors"`
-	AdmitsPerSec   float64 `json:"admits_per_sec"`
-	ErrorRate      float64 `json:"error_rate"`
-}
-
-// SetLoadStatus installs (or, with nil, removes) the live-status source a
-// co-located load harness publishes through /statusz. Safe to call at any
-// time; f must be safe for concurrent use.
-func (s *Server) SetLoadStatus(f func() LoadStatus) {
-	s.loadMu.Lock()
-	s.loadFn = f
-	s.loadMu.Unlock()
 }
 
 // Status assembles the operator snapshot served at /statusz.
@@ -704,13 +669,6 @@ func (s *Server) Status() StatusSnapshot {
 		Spans:         s.spans.Stats(),
 		QoE:           s.QoE(),
 		Alerts:        s.alerts.Snapshot(),
-	}
-	s.loadMu.Lock()
-	loadFn := s.loadFn
-	s.loadMu.Unlock()
-	if loadFn != nil {
-		ls := loadFn()
-		snap.Load = &ls
 	}
 	if s.history != nil {
 		st := s.history.Stats()

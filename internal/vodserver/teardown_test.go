@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"vodcast/internal/vodclient"
 	"vodcast/internal/wire"
 )
 
@@ -179,5 +180,53 @@ func TestStartFailureLeaksNothing(t *testing.T) {
 				time.Sleep(10 * time.Millisecond)
 			}
 		})
+	}
+}
+
+// TestSequentialSessionsNoFDLeak: a thousand sequential sessions leave the
+// process's descriptor count where it started. Client and server share the
+// process, so the count covers the client's dialled sockets and the server's
+// accepted ones alike.
+func TestSequentialSessionsNoFDLeak(t *testing.T) {
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count fds: %v", err)
+		}
+		return len(ents)
+	}
+	sessions := 1000
+	if testing.Short() {
+		sessions = 100
+	}
+	s, err := Start(Config{
+		Addr:         "127.0.0.1:0",
+		Videos:       []VideoConfig{{ID: 1, Segments: 1, SegmentBytes: 32}},
+		SlotDuration: 2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	session := func(i int) {
+		res, err := vodclient.FetchWith(s.Addr(), vodclient.FetchOptions{VideoID: 1, Timeout: 10 * time.Second})
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		if res.MissingSegments != 0 {
+			t.Fatalf("session %d incomplete: %+v", i, res)
+		}
+	}
+	// Warm up before the baseline: the first session creates the runtime's
+	// lazily-opened descriptors (epoll, netpoll pipe).
+	session(0)
+	before := openFDs()
+	for i := 1; i <= sessions; i++ {
+		session(i)
+	}
+	// TIME_WAIT sockets belong to the kernel, not our fd table; the only
+	// slack allowed is transient server-side accept/close churn.
+	if after := openFDs(); after > before+8 {
+		t.Fatalf("fd count grew %d -> %d across %d sessions: descriptor leak", before, after, sessions)
 	}
 }

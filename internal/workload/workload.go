@@ -42,47 +42,6 @@ func DayNight(peakPerHour, offPeakPerHour, peakHour float64) RateFunc {
 	}
 }
 
-// Ramp returns a rate that climbs linearly from startPerHour to endPerHour
-// over rampSeconds and holds the end rate afterwards — the warm-up shape a
-// load harness uses to find the knee of a capacity curve. rampSeconds <= 0
-// jumps straight to the end rate.
-func Ramp(startPerHour, endPerHour, rampSeconds float64) RateFunc {
-	if rampSeconds <= 0 {
-		return Constant(endPerHour)
-	}
-	return func(t float64) float64 {
-		switch {
-		case t <= 0:
-			return PerHour(startPerHour)
-		case t >= rampSeconds:
-			return PerHour(endPerHour)
-		default:
-			return PerHour(startPerHour + (endPerHour-startPerHour)*t/rampSeconds)
-		}
-	}
-}
-
-// Soak returns a flat sustained rate: Constant under a name that reads as
-// the load-profile it drives (hold one rate long enough for slow leaks and
-// drift to surface).
-func Soak(requestsPerHour float64) RateFunc { return Constant(requestsPerHour) }
-
-// Spike returns a base rate with a burst plateau: spikePerHour during
-// [startSeconds, startSeconds+durationSeconds), basePerHour elsewhere — the
-// flash-crowd shape (a popular release, a failover dumping one server's
-// customers onto another). A non-positive duration never spikes.
-func Spike(basePerHour, spikePerHour, startSeconds, durationSeconds float64) RateFunc {
-	if durationSeconds <= 0 {
-		return Constant(basePerHour)
-	}
-	return func(t float64) float64 {
-		if t >= startSeconds && t < startSeconds+durationSeconds {
-			return PerHour(spikePerHour)
-		}
-		return PerHour(basePerHour)
-	}
-}
-
 // SlottedArrivals draws the number of requests arriving in each consecutive
 // slot. For a non-constant rate the expected count integrates the rate across
 // the slot with a midpoint rule, which is exact for the constant case and

@@ -53,62 +53,6 @@ func TestDayNightBoundedProperty(t *testing.T) {
 	}
 }
 
-// TestLoadProfileRates: the ramp/soak/spike helpers, table-driven over the
-// time axis each one shapes.
-func TestLoadProfileRates(t *testing.T) {
-	const tol = 1e-12
-	tests := []struct {
-		name string
-		rate RateFunc
-		at   float64
-		want float64 // requests per hour
-	}{
-		{"ramp start", Ramp(100, 1000, 60), 0, 100},
-		{"ramp before start", Ramp(100, 1000, 60), -5, 100},
-		{"ramp midpoint", Ramp(100, 1000, 60), 30, 550},
-		{"ramp quarter", Ramp(100, 1000, 60), 15, 325},
-		{"ramp end", Ramp(100, 1000, 60), 60, 1000},
-		{"ramp holds after end", Ramp(100, 1000, 60), 3600, 1000},
-		{"ramp down midpoint", Ramp(1000, 100, 60), 30, 550},
-		{"ramp zero-length jumps", Ramp(100, 1000, 0), 0, 1000},
-		{"soak is flat", Soak(360), 0, 360},
-		{"soak later", Soak(360), 1e6, 360},
-		{"spike before", Spike(60, 6000, 10, 5), 9.9, 60},
-		{"spike during", Spike(60, 6000, 10, 5), 10, 6000},
-		{"spike within", Spike(60, 6000, 10, 5), 14.9, 6000},
-		{"spike after", Spike(60, 6000, 10, 5), 15, 60},
-		{"spike zero-duration never fires", Spike(60, 6000, 10, 0), 10, 60},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.rate(tc.at); math.Abs(got-PerHour(tc.want)) > tol {
-				t.Fatalf("rate(%v) = %v, want %v (=%v/h)", tc.at, got, PerHour(tc.want), tc.want)
-			}
-		})
-	}
-}
-
-// TestLoadProfilesDriveArrivals: the helpers compose with SlottedArrivals —
-// a ramp's later slots dominate its earlier ones, a spike's plateau
-// dominates its base.
-func TestLoadProfilesDriveArrivals(t *testing.T) {
-	rng := sim.NewRNG(11)
-	src := NewSlottedArrivals(rng, Ramp(10, 4000, 3000), 60)
-	var early, late int
-	for i := 0; i < 100; i++ { // slots 0..99 cover the ramp
-		n := src.Next()
-		if i < 20 {
-			early += n
-		}
-		if i >= 80 {
-			late += n
-		}
-	}
-	if late <= early*4 {
-		t.Fatalf("ramp arrivals not climbing: early=%d late=%d", early, late)
-	}
-}
-
 func TestSlottedArrivalsMean(t *testing.T) {
 	rng := sim.NewRNG(3)
 	const d = 72.7

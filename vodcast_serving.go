@@ -5,10 +5,8 @@ package vodcast
 
 import (
 	"io"
-	"time"
 
 	"vodcast/internal/conntrack"
-	"vodcast/internal/load"
 	"vodcast/internal/obs"
 	"vodcast/internal/obs/history"
 	"vodcast/internal/server"
@@ -252,65 +250,6 @@ func FetchWith(addr string, opts FetchOptions) (FetchResult, error) {
 // data plane for benchmarking and external verification tools.
 func SegmentPayloadForBench(videoID, segment, size uint32) []byte {
 	return wire.SegmentPayload(videoID, segment, size)
-}
-
-// ---- The load harness ----
-
-// ClientPool runs client sessions against one server through a bounded
-// number of concurrent connections, queueing (and measuring) the overflow
-// instead of exhausting descriptors.
-type ClientPool = vodclient.Pool
-
-// ClientPoolStats snapshots a pool's lifetime counters.
-type ClientPoolStats = vodclient.PoolStats
-
-// NewClientPool returns a pool of at most maxConns connections to addr.
-func NewClientPool(addr string, maxConns int) (*ClientPool, error) {
-	return vodclient.NewPool(addr, maxConns)
-}
-
-// LoadHarness is the closed-loop load generator of cmd/vodload: concurrent
-// QoE-tracking sessions over a ClientPool, stepped through a load profile,
-// with every step gated against the analytic DHB capacity envelopes.
-type LoadHarness = load.Harness
-
-// LoadConfig parameterizes a harness run.
-type LoadConfig = load.Config
-
-// LoadStep is one plateau of a load profile.
-type LoadStep = load.Step
-
-// LoadGate tunes the analytic pass/fail envelopes.
-type LoadGate = load.Gate
-
-// LoadReport is the final machine-readable run artifact; LoadStepResult one
-// finished step of it.
-type LoadReport = load.Report
-
-// LoadStepResult is one finished load step: merged client digests, the
-// server-side delta, and the gate verdicts.
-type LoadStepResult = load.StepResult
-
-// LoadLiveStatus is the harness's instantaneous view, the payload of the
-// vodtop load pane.
-type LoadLiveStatus = load.LiveStatus
-
-// NewLoadHarness validates cfg and prepares a load run.
-func NewLoadHarness(cfg LoadConfig) (*LoadHarness, error) { return load.New(cfg) }
-
-// LoadRampProfile climbs to peak sessions in equal plateaus over total.
-func LoadRampProfile(peak, steps int, total time.Duration) ([]LoadStep, error) {
-	return load.RampProfile(peak, steps, total)
-}
-
-// LoadSoakProfile holds one plateau for the whole run.
-func LoadSoakProfile(sessions int, total time.Duration) ([]LoadStep, error) {
-	return load.SoakProfile(sessions, total)
-}
-
-// LoadSpikeProfile runs base, spike, recover in three equal plateaus.
-func LoadSpikeProfile(base, spike int, total time.Duration) ([]LoadStep, error) {
-	return load.SpikeProfile(base, spike, total)
 }
 
 // ---- Storage provisioning ----
