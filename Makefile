@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-conn bench-core bench-fanout bench-history bench-obs bench-station bench-wire ci lint fuzz experiments examples cover loc clean
+.PHONY: all build test race bench ci lint fuzz experiments examples cover loc clean
 
 all: build test
 
@@ -59,8 +59,8 @@ ci:
 	# path attributes the disconnect reason="stalled".
 	$(GO) test -race -run '^TestE2EConntrackStallAttribution$$' -count=1 ./internal/vodserver/
 	# Disabled-path smoke for the telemetry history layer: the nil-store and
-	# nil-recorder fast paths must keep compiling and running (the real <2%
-	# budget evidence lives in BENCH_obs3.json).
+	# nil-recorder fast paths a -no-history server takes must keep compiling
+	# and running.
 	$(GO) test -run '^$$' -bench 'BenchmarkNilStoreScrape|BenchmarkNilRecorderTrigger' -benchtime=1x ./internal/obs/history/
 	# The zero-alloc gate runs without -race (race instrumentation itself
 	# allocates, so the test skips under the race suite above), then a
@@ -94,50 +94,6 @@ ci:
 
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem . ./internal/...
-
-# The zero-copy data plane A/B (shared ref-counted slot frames + write
-# rings versus the serialize-per-tick reference) across -cpu 1,4: the
-# serial/parallel/reference matrix behind BENCH_fanout.json (the parallel
-# arm runs on the station's span pool, so it lives in internal/station).
-# The zero-copy rows must hold 0 allocs/op.
-bench-fanout:
-	$(GO) test -run '^$$' -bench 'BenchmarkFanOut' -benchmem -cpu 1,4 ./internal/fanout/ ./internal/station/
-
-# The transport-telemetry disabled-path A/B behind BENCH_conn.json: the
-# subscriber drain benchmark with conntrack sampling wired in versus the
-# nil-sampler fast path a -no-conntrack server takes. The budget is <2% and
-# 0 allocs/op on the disabled rows.
-bench-conn:
-	$(GO) test -run '^$$' -bench 'BenchmarkDrainRing' -benchmem -count=3 ./internal/vodserver/
-
-# The admission fast path A/B (RMQ ring + same-slot memo versus the linear
-# reference): the matrix behind BENCH_core.json.
-bench-core:
-	$(GO) test -run '^$$' -bench 'BenchmarkAdmit' -benchmem ./internal/core/
-
-# The station (one lock per video) versus the single-mutex whole-engine
-# baseline across -cpu 1,2, plus BenchmarkStationTick: one tick over 16
-# active videos in a 64- and a 4096-video catalogue. The recorded rows live in
-# BENCH_station.json, and BENCH_obs2.json holds the disabled-path A/B for the
-# pipeline observability layer.
-bench-station:
-	$(GO) test -run '^$$' -bench 'BenchmarkStation' -benchmem -cpu 1,2 ./internal/station/
-
-# Proves the scheduler observer hook is free when disabled: compare the
-# ObserverOff ns/op against ObserverOn (a no-op observer wired in).
-bench-obs:
-	$(GO) test -run '^$$' -bench 'BenchmarkSchedulerObserver' -benchmem ./internal/core/
-
-# The telemetry history layer: scrape and query cost of the in-process
-# metric TSDB, plus the nil fast paths a history-disabled server takes
-# (the <2% disabled-path A/B lives in BENCH_obs3.json).
-bench-history:
-	$(GO) test -run '^$$' -bench 'BenchmarkStore|BenchmarkNil' -benchmem ./internal/obs/history/
-
-# The wire codec A/B behind BENCH_wire.json: V1 frames are the trace-disabled
-# path, V2 frames carry the trace block; the budget is <2% on the V1 rows.
-bench-wire:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/wire/
 
 # FuzzSchedulerInvariants drives the fast scheduler against the reference,
 # same-slot memo included — the path the live server admits through. ci runs

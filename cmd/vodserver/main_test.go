@@ -1,0 +1,119 @@
+package main
+
+import (
+	"net"
+	"os"
+	"os/signal"
+	"reflect"
+	"strings"
+	"syscall"
+	"testing"
+	"time"
+
+	"vodcast/internal/vodserver"
+)
+
+// TestParseFlagsBenchmarkVector: the argument vector benchmark/server.go
+// execs the server with is the command line's frozen surface. It must parse
+// into exactly the operator's catalogue, everything else at its zero value
+// (telemetry on, defaults chosen by vodserver.Start).
+func TestParseFlagsBenchmarkVector(t *testing.T) {
+	cfg, spanPath, err := parseFlags([]string{
+		"-addr", "127.0.0.1:4800", "-stats-addr", "127.0.0.1:4801",
+		"-videos", "3", "-segments", "6", "-segment-bytes", "256", "-slot-ms", "40",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := vodserver.Config{
+		Addr:      "127.0.0.1:4800",
+		StatsAddr: "127.0.0.1:4801",
+		Videos: []vodserver.VideoConfig{
+			{ID: 1, Segments: 6, SegmentBytes: 256},
+			{ID: 2, Segments: 6, SegmentBytes: 256},
+			{ID: 3, Segments: 6, SegmentBytes: 256},
+		},
+		SlotDuration: 40 * time.Millisecond,
+	}
+	if !reflect.DeepEqual(cfg, want) || spanPath != "" {
+		t.Fatalf("parseFlags = %+v, span path %q\nwant %+v", cfg, spanPath, want)
+	}
+}
+
+// TestParseFlagsRejectsRetiredFlags: the ten tuning flags nothing passed are
+// constants now; the command line must refuse them, not ignore them.
+func TestParseFlagsRejectsRetiredFlags(t *testing.T) {
+	for _, name := range []string{
+		"slo-ms", "slo-objective", "alert-interval", "miss-threshold",
+		"history-interval", "history-max-bytes", "flight-cooldown", "flight-keep",
+		"conntrack-interval", "conn-stalled-ratio",
+	} {
+		_, _, err := parseFlags([]string{"-" + name, "1"})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -"+name) {
+			t.Errorf("-%s: err = %v, want flag provided but not defined", name, err)
+		}
+	}
+}
+
+// TestRunReturnsOnSIGTERM: once the listener accepts, a SIGTERM takes
+// SIGINT's clean return (srv.Close and the span file's Close run as defers)
+// instead of killing the process.
+func TestRunReturnsOnSIGTERM(t *testing.T) {
+	// The test's own registration keeps a SIGTERM that lands before run has
+	// registered (or when run does not register at all) from killing the
+	// test binary.
+	guard := make(chan os.Signal, 1)
+	signal.Notify(guard, syscall.SIGTERM)
+	defer signal.Stop(guard)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	cfg, spanPath, err := parseFlags([]string{"-addr", addr, "-segments", "4", "-segment-bytes", "64", "-slot-ms", "10"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- run(cfg, spanPath) }()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		conn, err := net.DialTimeout("tcp", addr, time.Second)
+		if err == nil {
+			conn.Close()
+			break
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("run returned before accepting: %v", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server not accepting on %s: %v", addr, err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Accepting precedes run's signal registration by a few statements, so
+	// the signal is re-sent until run returns.
+	for time.Now().Before(deadline) {
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run = %v, want nil", err)
+			}
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	// Unblock the leaked run before failing.
+	syscall.Kill(os.Getpid(), syscall.SIGINT)
+	<-done
+	t.Fatal("run did not return within 5 s of SIGTERM")
+}

@@ -10,14 +10,13 @@ import (
 	"sync"
 	"time"
 
-	"vodcast/internal/vodclient"
-	"vodcast/internal/vodserver"
+	"vodcast"
 )
 
 func main() {
-	srv, err := vodserver.Start(vodserver.Config{
+	srv, err := vodcast.StartServer(vodcast.ServeConfig{
 		Addr: "127.0.0.1:0",
-		Videos: []vodserver.VideoConfig{
+		Videos: []vodcast.ServeVideo{
 			{ID: 1, Segments: 16, SegmentBytes: 2048},
 		},
 		SlotDuration: 25 * time.Millisecond,
@@ -31,7 +30,7 @@ func main() {
 	// Eight customers arrive in two waves, half a video apart.
 	const customers = 8
 	var wg sync.WaitGroup
-	results := make([]vodclient.Result, customers)
+	results := make([]vodcast.FetchResult, customers)
 	errs := make([]error, customers)
 	for c := 0; c < customers; c++ {
 		if c == customers/2 {
@@ -40,7 +39,7 @@ func main() {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			results[id], errs[id] = vodclient.FetchWith(srv.Addr(), vodclient.FetchOptions{
+			results[id], errs[id] = vodcast.FetchWith(srv.Addr(), vodcast.FetchOptions{
 				VideoID: 1, Timeout: 30 * time.Second, StrictDeadlines: true,
 			})
 		}(c)

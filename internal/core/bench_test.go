@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// BenchmarkAdmit is the before/after matrix behind BENCH_core.json: catalogue
-// sizes n x arrivals-per-slot x {reference, fast}. "reference" runs the
+// BenchmarkAdmit is the before/after matrix of the admission fast path:
+// catalogue sizes n x arrivals-per-slot x {reference, fast}. "reference" runs the
 // linear-scan ring and no memo (Config.Reference), i.e. the pre-optimization
 // trajectory; "fast" runs the RMQ ring plus the same-slot admission memo.
 // Each benchmark op is ONE admission; a slot advance is folded in every

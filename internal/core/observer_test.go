@@ -168,9 +168,7 @@ func benchScheduler(b *testing.B, obs Observer) {
 
 // BenchmarkSchedulerObserverOff is the guard for the "<2% overhead when
 // disabled" contract: compare against BenchmarkSchedulerObserverOn (noop
-// observer) and against the pre-observability baseline via
-//
-//	make bench-obs
+// observer) and against the pre-observability baseline.
 func BenchmarkSchedulerObserverOff(b *testing.B) { benchScheduler(b, nil) }
 
 // BenchmarkSchedulerObserverOn measures hook dispatch with a no-op observer.

@@ -79,7 +79,8 @@ func zerocopySpan(enc *Encoder, sets []*Set[*Ring], segs [][]int, slot, lo, hi i
 // The zerocopy-parallel arm — the same plane over the station's span pool —
 // is the benchmark of the same name in internal/station. The zero-copy rows
 // must report 0 allocs/op at steady state — make ci gates the same property
-// through TestSteadyStateZeroAlloc. Numbers live in BENCH_fanout.json.
+// through TestSteadyStateZeroAlloc. The serving-path figures are the
+// fanout.* rows of BENCHMARK.json.
 func BenchmarkFanOut(b *testing.B) {
 	// Segment lists are precomputed so the loop measures the data plane,
 	// not the scenario generator.

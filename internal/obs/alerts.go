@@ -117,7 +117,7 @@ type alertRuleState struct {
 	fired      uint64
 }
 
-// AlertEngine evaluates a set of AlertRules against an injectable clock. All
+// AlertEngine evaluates a set of rules (AlertRule) against an injectable clock. All
 // methods are safe for concurrent use; a nil *AlertEngine is valid and inert.
 type AlertEngine struct {
 	mu      sync.Mutex

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// The disabled-path benchmarks behind BENCH_obs3.json: the text exposition
+// The disabled-path benchmarks of the telemetry history: the text exposition
 // (which the telemetry-history layer threads through the ?prefix= filter)
 // and the alert evaluation loop (which now collects transitions for the
 // OnTransition hook). Both must stay within the repo's <2% off-path budget
@@ -47,8 +47,8 @@ func BenchmarkWritePrometheus(b *testing.B) {
 	}
 }
 
-// BenchmarkWindowObserve is the machine-drift control for the A/B in
-// BENCH_obs3.json: obs.Window is untouched by the telemetry-history layer,
+// BenchmarkWindowObserve is the machine-drift control for that A/B:
+// obs.Window is untouched by the telemetry-history layer,
 // so its ratio across trees isolates machine noise from real overhead.
 func BenchmarkWindowObserve(b *testing.B) {
 	w := NewWindow(1024)

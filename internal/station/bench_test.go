@@ -60,8 +60,9 @@ func newBenchStation(b *testing.B) *Station {
 
 // BenchmarkStationAdmit measures parallel admission throughput: goroutines
 // admit across the catalogue round-robin. "station" is the station (one
-// lock per video); "single-mutex" is the whole-engine-lock baseline.
-// Recorded rows live in BENCH_station.json.
+// lock per video); "single-mutex" is the whole-engine-lock baseline. The
+// admit cost on the serving path is the station.admit_ns row of
+// BENCHMARK.json.
 func BenchmarkStationAdmit(b *testing.B) {
 	b.Run("station", func(b *testing.B) {
 		st := newBenchStation(b)
@@ -139,7 +140,7 @@ func BenchmarkStationMixed(b *testing.B) {
 // walk the active videos. Sixteen videos are admitted once and kept active
 // by an audience whatever the catalogue size, so the two rows differ only
 // by the idle videos: their dense report entries are the whole difference,
-// and neither row allocates. Recorded rows live in BENCH_station.json.
+// and neither row allocates.
 func BenchmarkStationTick(b *testing.B) {
 	for _, videos := range []int{64, 4096} {
 		b.Run(fmt.Sprintf("videos=%d", videos), func(b *testing.B) {
@@ -174,8 +175,7 @@ func BenchmarkStationTick(b *testing.B) {
 }
 
 // BenchmarkFanOut is the zerocopy-parallel arm of the benchmark of the same
-// name in internal/fanout (same matrix, same per-video work, rows in
-// BENCH_fanout.json): one broadcast tick of the zero-copy data plane walked
+// name in internal/fanout (same matrix, same per-video work): one broadcast tick of the zero-copy data plane walked
 // through EachActive on the clock's pool (every video admitted once and kept
 // active by its audience), one span per GOMAXPROCS. The pool is armed by
 // hand, even over a single span, so every row carries the wake/join handoff

@@ -165,12 +165,12 @@ func BenchmarkDrainRing(b *testing.B) {
 	}
 }
 
-// BenchmarkDrainRingConntrackDisabled is the disabled-path A/B subject behind
-// BENCH_conn.json: the same steady-state drain cycle with the transport
+// BenchmarkDrainRingConntrackDisabled is the disabled-path A/B subject: the
+// same steady-state drain cycle with the transport
 // telemetry hooks a ConntrackDisabled server actually executes — a nil *Conn
 // RecordPush on the producer side and RecordDrain on the consumer side, each
 // one predictable branch. The budget against BenchmarkDrainRing is <2% and
-// 0 allocs/op (make bench-conn).
+// 0 allocs/op.
 func BenchmarkDrainRingConntrackDisabled(b *testing.B) {
 	enc, ring := drainFixture(b)
 	var (

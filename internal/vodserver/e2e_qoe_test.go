@@ -62,10 +62,9 @@ func TestE2EClientQoELoop(t *testing.T) {
 		QoEWindow:       4,
 		// The test drives evaluations by hand for determinism; the ticker
 		// is parked out of the way.
-		AlertInterval:     time.Hour,
-		AlertFor:          50 * time.Millisecond,
-		MissRateThreshold: 0.5,
-		ReportStaleAfter:  time.Hour,
+		AlertInterval:    time.Hour,
+		AlertFor:         50 * time.Millisecond,
+		ReportStaleAfter: time.Hour,
 		DropInstance: func(video uint32, segment, _ int) bool {
 			return dropping.Load() && video == 1 && segment == 1
 		},

@@ -408,9 +408,8 @@ func TestE2EFlightRecorder(t *testing.T) {
 		// machines: the only firing rule must be the injected miss alert.
 		SLOTargetSeconds: 10,
 		// Evaluations are driven by hand for determinism.
-		AlertInterval:     time.Hour,
-		AlertFor:          50 * time.Millisecond,
-		MissRateThreshold: 0.5,
+		AlertInterval: time.Hour,
+		AlertFor:      50 * time.Millisecond,
 		DropInstance: func(video uint32, segment, _ int) bool {
 			return dropping.Load() && video == 1 && segment == 1
 		},

@@ -26,8 +26,12 @@ var (
 	clientSlackBuckets   = []float64{-16, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16, 32, 64, 128}
 )
 
-// armAlerts registers the built-in rules plus any operator-supplied ones.
-// Called once from Start, which launches the evaluation ticker afterwards.
+// missRateThreshold is the windowed mean of deadline misses per client report
+// above which the client_deadline_miss_rate alert trips.
+const missRateThreshold = 0.5
+
+// armAlerts registers the built-in rules. Called once from Start, which
+// launches the evaluation ticker afterwards.
 func (s *Server) armAlerts() error {
 	// Pre-register the per-video report families so the inventory (and the
 	// metric-name lint walking it) is complete from boot, not from the
@@ -36,18 +40,14 @@ func (s *Server) armAlerts() error {
 		s.clientMiss(vc.ID)
 		s.clientRebuffer(vc.ID)
 	}
-	missThreshold := s.cfg.MissRateThreshold
-	if missThreshold == 0 {
-		missThreshold = 0.5
-	}
 	// The miss alert watches the windowed mean of misses-per-report, not
 	// the lifetime counter: counters never come back down, the window does,
 	// so the rule can resolve once healthy sessions roll the bad ones out.
 	miss := obs.WindowMeanRule("client_deadline_miss_rate", s.qoeMissRate,
-		obs.CmpAbove, missThreshold, s.cfg.AlertFor)
+		obs.CmpAbove, missRateThreshold, s.cfg.AlertFor)
 	miss.Severity = "critical"
 	miss.Help = fmt.Sprintf(
-		"clients are missing delivery deadlines (windowed mean misses/report > %g)", missThreshold)
+		"clients are missing delivery deadlines (windowed mean misses/report > %g)", missRateThreshold)
 	if err := s.alerts.Add(miss); err != nil {
 		return err
 	}
@@ -84,11 +84,6 @@ func (s *Server) armAlerts() error {
 			func() float64 { return s.mReports.Value() }, s.cfg.ReportStaleAfter)
 		stale.Help = fmt.Sprintf("no client report for %v", s.cfg.ReportStaleAfter)
 		if err := s.alerts.Add(stale); err != nil {
-			return err
-		}
-	}
-	for _, r := range s.cfg.AlertRules {
-		if err := s.alerts.Add(r); err != nil {
 			return err
 		}
 	}

@@ -1,0 +1,323 @@
+package vodserver
+
+// This file is one connection's life: accept, the request read, admission
+// into the station and the subscriber set, the ring drain with its vectored
+// writes, and the unsubscribe that ends it.
+
+import (
+	"fmt"
+	"math"
+	"net"
+	"strconv"
+	"sync/atomic"
+	"time"
+
+	"vodcast/internal/conntrack"
+	"vodcast/internal/core"
+	"vodcast/internal/fanout"
+	"vodcast/internal/obs"
+	"vodcast/internal/wire"
+)
+
+type subscriber struct {
+	conn net.Conn
+	// ring queues shared frame references; the connection's handler drains
+	// it with vectored writes.
+	ring *fanout.Ring
+	// lastSlot is the final slot this subscriber needs. It starts at
+	// math.MaxInt64 (registration precedes admission) and is stored once,
+	// after the admission reaches the scheduler; tick workers read it
+	// lock-free.
+	lastSlot atomic.Int64
+	// admitted stamps the admission for the first-byte latency histogram.
+	admitted time.Time
+	// ct is the transport telemetry handle: the fan-out and drain paths feed
+	// it ring depth and progress signals, and the drop path reads the last
+	// classified state as the disconnect reason. nil when conntrack is
+	// disabled — every touch point is nil-safe.
+	ct *conntrack.Conn
+}
+
+// track registers a connection for shutdown; it reports false when the
+// server is already closing.
+func (s *Server) track(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed.Load() {
+		return false
+	}
+	s.conns[conn] = struct{}{}
+	return true
+}
+
+func (s *Server) untrack(conn net.Conn) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.conns, conn)
+}
+
+func (s *Server) acceptLoop() {
+	defer s.wg.Done()
+	for {
+		conn, err := s.ln.Accept()
+		if err != nil {
+			return // listener closed
+		}
+		s.wg.Add(1)
+		go s.handleConn(conn)
+	}
+}
+
+// readTimeout bounds every read the server waits on a client for — the
+// request frame and the end-of-session report: four slots, at least a second.
+func (s *Server) readTimeout() time.Duration {
+	return max(4*s.cfg.SlotDuration, time.Second)
+}
+
+// handleConn admits one request and streams its subscription.
+func (s *Server) handleConn(conn net.Conn) {
+	defer s.wg.Done()
+	defer conn.Close()
+	if !s.track(conn) {
+		return
+	}
+	defer s.untrack(conn)
+
+	// A client that connects and sends nothing is cut off after the read
+	// bound; the deadline is cleared again so it cannot outlive the request.
+	if err := conn.SetReadDeadline(time.Now().Add(s.readTimeout())); err != nil {
+		return
+	}
+	msg, err := wire.ReadFrame(conn)
+	if err != nil {
+		return
+	}
+	if err := conn.SetReadDeadline(time.Time{}); err != nil {
+		return
+	}
+	req, ok := msg.(wire.Request)
+	if !ok {
+		_ = wire.WriteFrame(conn, wire.ErrorMsg{Text: "expected a request frame"})
+		return
+	}
+	// Version negotiation: a version-less request is an old client — serve
+	// it a v1 session with no trace fields and expect no report. Anything
+	// announcing v2 or later negotiates down to our v2.
+	proto := uint16(0)
+	if req.Version >= wire.ProtoV2 {
+		proto = wire.MaxProto
+	}
+	wantReport := proto >= wire.ProtoV2 && req.Flags&wire.FlagNoReport == 0
+	wantTrace := proto >= wire.ProtoV2 && req.Flags&wire.FlagNoTrace == 0
+
+	// The root span covers the whole pipeline from admit to the first
+	// fan-out byte reaching this subscriber; an unsampled request gets a
+	// nil span and every operation below is a no-op. End is idempotent, so
+	// the deferred call only closes trees that error out before first
+	// byte.
+	root := s.spans.StartSpan("admit")
+	root.SetVideo(req.VideoID)
+	defer root.End()
+
+	sub, info, err := s.admit(req.VideoID, req.FromSegment, conn, root)
+	if err != nil {
+		s.mRejects.Inc()
+		root.SetAttr("reject", err.Error())
+		_ = wire.WriteFrame(conn, wire.ErrorMsg{Text: err.Error()})
+		return
+	}
+	if proto >= wire.ProtoV2 {
+		info.Version = proto
+		if wantTrace {
+			// The session joins the admit span's tree: the client echoes
+			// these identifiers in its report and the server synthesizes its
+			// playback as child spans. An unsampled root hands out zero and
+			// the session stays traceless.
+			info.TraceID = root.ID()
+			info.SpanID = root.ID()
+		}
+	}
+	if err := wire.WriteFrame(conn, info); err != nil {
+		s.unsubscribe(req.VideoID, sub)
+		return
+	}
+	admitSlot := int(info.AdmitSlot)
+	wait := root.Child("first_byte_wait")
+	if !s.drainRing(conn, req.VideoID, sub, admitSlot, wait, root) {
+		return
+	}
+	// The subscription ended cleanly (ring closed at the last slot). A v2
+	// session that did not opt out now owes us a ClientReport; a subscriber
+	// the fan-out dropped for falling behind gets disconnected instead.
+	if wantReport && !sub.ring.Dropped() {
+		s.readReport(conn, req.VideoID)
+	}
+}
+
+// drainRing is the delivery loop of a session: it batch-pops the shared frame
+// references queued on the subscriber's ring and hands them to the kernel
+// as one vectored write per batch, releasing each frame only after its
+// bytes are out. It reports false when the connection failed mid-stream
+// (the session is already torn down) and true on clean ring closure.
+func (s *Server) drainRing(conn net.Conn, videoID uint32, sub *subscriber, admitSlot int, wait, root *obs.Span) bool {
+	var (
+		frames    []*fanout.Frame
+		vec       net.Buffers
+		firstByte bool
+	)
+	release := func() {
+		for _, f := range frames {
+			f.Release()
+		}
+	}
+	for {
+		var open bool
+		frames, open = sub.ring.PopAll(frames[:0])
+		sent, n, err := writeFrames(conn, &vec, frames, admitSlot)
+		if err != nil {
+			release()
+			// unsubscribe Drops the ring, which releases anything still
+			// queued and refuses further pushes, so every outstanding
+			// frame reference is now accounted for.
+			s.unsubscribe(videoID, sub)
+			return false
+		}
+		if sent {
+			sub.ct.RecordDrain(len(frames), n)
+		}
+		if sent && !firstByte {
+			firstByte = true
+			lat := time.Since(sub.admitted).Seconds()
+			s.mAdmitLatency.Observe(lat)
+			s.firstByte.Observe(lat)
+			wait.End()
+			root.End()
+		}
+		release()
+		if !open {
+			return true
+		}
+	}
+}
+
+// writeFrames hands one drained batch to the connection as a single
+// vectored write, skipping frames at or before the admit slot (the
+// subscription was registered before the admission reached the scheduler,
+// so the ring may carry slots the customer's service does not cover). vec
+// is the session's reusable scratch: net.Buffers.WriteTo consumes the
+// header it is invoked on — advancing it and rewriting elements on partial
+// writes — so the full-capacity slice is restored into *vec afterwards.
+// One header lives per session and the steady-state write path performs no
+// per-batch allocation (BenchmarkDrainRing gates this).
+func writeFrames(conn net.Conn, vec *net.Buffers, frames []*fanout.Frame, admitSlot int) (sent bool, n int64, err error) {
+	bufs := (*vec)[:0]
+	for _, f := range frames {
+		if f.Slot() > admitSlot {
+			bufs = append(bufs, f.Bytes())
+		}
+	}
+	*vec = bufs
+	if len(bufs) == 0 {
+		return false, 0, nil
+	}
+	n, err = vec.WriteTo(conn)
+	*vec = bufs[:0]
+	return true, n, err
+}
+
+// admit registers a subscription and admits the request through the
+// station. fromSegment above 1 resumes interactive playback there (0 and 1
+// mean a full viewing).
+//
+// The subscription is registered BEFORE the admission reaches the
+// scheduler, so the subscriber provably receives every slot from the admit
+// slot on: the clock retires the admit slot only after the admission
+// completes, which is after registration. Slots at or before the admit slot
+// are discarded in writeFrames (the set-top box ignores them anyway — its
+// service starts one slot after admission). This keeps scheduling entirely
+// off the server-wide mutex: concurrent admissions for different videos
+// proceed in parallel.
+//
+// root, when sampled, gains a station_admit child covering the scheduler
+// call (whose lock wait and service time the station's stage histograms
+// break down further); the child carries the admission's slot and the
+// number of instances it placed.
+func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Span) (*subscriber, wire.ScheduleInfo, error) {
+	v, ok := s.videos[videoID]
+	if !ok {
+		return nil, wire.ScheduleInfo{}, fmt.Errorf("unknown video %d", videoID)
+	}
+	from := int(fromSegment)
+	if from == 0 {
+		from = 1
+	}
+	if from > v.cfg.Segments {
+		return nil, wire.ScheduleInfo{}, fmt.Errorf("resume segment %d beyond %d", from, v.cfg.Segments)
+	}
+	sub := &subscriber{
+		conn:     conn,
+		ring:     fanout.NewRing(s.cfg.SubscriberBuffer),
+		admitted: time.Now(),
+	}
+	sub.lastSlot.Store(math.MaxInt64)
+	// Telemetry registration precedes publication into the subscriber set:
+	// tick workers read sub.ct lock-free from snapshots, so the field must
+	// be settled before Add makes the subscriber visible.
+	sub.ct = s.ct.Register(conn, videoID, sub.ring.Cap())
+	if !v.subs.Add(sub) {
+		s.ct.Unregister(sub.ct)
+		return nil, wire.ScheduleInfo{}, fmt.Errorf("server shutting down")
+	}
+
+	span := root.Child("station_admit")
+	res, err := s.station.Admit(v.idx, core.AdmitOptions{From: from})
+	if span != nil && err == nil {
+		// Formatted only for sampled trees: the unsampled admit path stays
+		// allocation-free here.
+		span.SetAttr("slot", strconv.Itoa(res.Slot))
+		span.SetAttr("placed", strconv.Itoa(res.Placed))
+	}
+	span.End()
+	if err != nil {
+		s.unsubscribe(videoID, sub)
+		return nil, wire.ScheduleInfo{}, err
+	}
+	admitSlot := res.Slot
+
+	// The subscription ends once the customer's last deadline passes: the
+	// largest shifted period of the remaining suffix. The store is harmless
+	// when a concurrent disconnect already removed the subscriber — its ring
+	// is dropped and further pushes fail — and tick workers that read the
+	// placeholder MaxInt64 this slot retire the subscriber one snapshot later.
+	sub.lastSlot.Store(int64(admitSlot + v.maxPeriod[v.cfg.Segments-from+1]))
+	s.mRequests.Inc()
+
+	info := wire.ScheduleInfo{
+		VideoID:      videoID,
+		Segments:     uint32(v.cfg.Segments),
+		SlotMillis:   uint32(s.cfg.SlotDuration / time.Millisecond),
+		SegmentBytes: uint32(v.cfg.SegmentBytes),
+		AdmitSlot:    uint64(admitSlot),
+		Periods:      v.wirePeriods,
+		SegmentSizes: v.wireSizes,
+	}
+	return sub, info, nil
+}
+
+// unsubscribe removes the subscription after an abnormal termination
+// (failed admit, dead connection) and ends its ring if the fan-out has not
+// already done so — Remove's exactly-one-winner contract makes the teardown
+// single-shot against a racing tick retirement or server Close. The ring is
+// Dropped rather than Closed so any queued frame references are returned to
+// the pool immediately — the handler will never write them.
+func (s *Server) unsubscribe(videoID uint32, sub *subscriber) {
+	v, ok := s.videos[videoID]
+	if !ok {
+		return
+	}
+	if !v.subs.Remove(sub) {
+		return
+	}
+	s.ct.Unregister(sub.ct)
+	sub.ring.Drop()
+}

@@ -1,0 +1,554 @@
+// Package vodserver is the networked realization of the DHB protocol: a
+// video server that admits customer requests over TCP, schedules segment
+// transmissions with the DHB scheduler in real time, and pushes the segment
+// payloads of every broadcast instance to the subscribed set-top boxes.
+//
+// Scheduling is delegated to the internal/station engine: one DHB scheduler
+// per video, each behind its own lock, so admissions for different videos
+// proceed in parallel. The station's clock goroutine drives the slot grid
+// and hands each retired slot to the fan-out path, which walks the
+// catalogue over the station's spans.
+//
+// The data plane models broadcast channels: each scheduled instance is
+// produced (and counted) exactly once per slot and the encoded frames are
+// fanned out to every subscriber of the video, standing in for the IP
+// multicast a production deployment would use (see DESIGN.md §3). Video
+// bytes are generated deterministically per (video, segment) so the client
+// can verify every byte without the server storing real footage.
+package vodserver
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"net"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"vodcast/internal/conntrack"
+	"vodcast/internal/core"
+	"vodcast/internal/fanout"
+	"vodcast/internal/obs"
+	"vodcast/internal/obs/history"
+	"vodcast/internal/station"
+)
+
+// VideoConfig describes one servable video.
+type VideoConfig struct {
+	// ID is the catalogue identifier clients request.
+	ID uint32
+	// Segments is the DHB segment count.
+	Segments int
+	// Periods optionally carries a DHB-d period vector (nil = CBR default).
+	Periods []int
+	// SegmentBytes is the payload size of one segment.
+	SegmentBytes int
+	// SegmentSizes optionally carries per-segment payload sizes for
+	// variable-bit-rate videos (it must have Segments entries and
+	// overrides SegmentBytes). Build one from a Section 4 plan with
+	// NewVBRVideo.
+	SegmentSizes []int
+}
+
+// sizeOf reports the payload size of 1-based segment j.
+func (vc VideoConfig) sizeOf(j int) int {
+	if len(vc.SegmentSizes) == 0 {
+		return vc.SegmentBytes
+	}
+	return vc.SegmentSizes[j-1]
+}
+
+// Config parameterizes a server.
+type Config struct {
+	// Addr is the TCP listen address, e.g. "127.0.0.1:0".
+	Addr string
+	// Videos is the catalogue.
+	Videos []VideoConfig
+	// SlotDuration is the real-time slot length (the paper's d, scaled
+	// down for testing).
+	SlotDuration time.Duration
+	// Shards is how many contiguous catalogue spans the clock's tick — the
+	// per-slot advance and the fan-out — is split over, each on a persistent
+	// goroutine of the station's pool that the clock wakes and joins. 0
+	// selects the station default of min(GOMAXPROCS, len(Videos)); a
+	// resolved count of 1 keeps the tick serial on the clock goroutine.
+	Shards int
+	// SubscriberBuffer is the per-client ring of shared slot frames; a
+	// client that falls further behind is disconnected so one slow STB
+	// cannot stall the broadcast. Zero selects a sensible default.
+	SubscriberBuffer int
+	// StatsAddr optionally binds an HTTP monitoring endpoint serving
+	// /statusz (JSON pipeline snapshot), /healthz (liveness + uptime),
+	// /metricsz (Prometheus text format), /spanz (recent pipeline spans)
+	// and /debug/pprof/*.
+	StatsAddr string
+	// SpanWriter optionally streams every finished pipeline span as JSONL.
+	// Spans are recorded to the /spanz ring regardless; the writer adds the
+	// offline stream.
+	SpanWriter io.Writer
+	// SpanSampleEvery keeps 1 in N admission span trees (children inherit
+	// the root's decision); 0 selects DefaultSpanSampleEvery, 1 keeps
+	// everything.
+	SpanSampleEvery int
+	// SLOTargetSeconds is the admit-to-first-byte latency objective
+	// threshold; 0 selects two slot durations (the customer's worst-case
+	// protocol wait is one full slot, so two slots flags real control-path
+	// trouble, not protocol behaviour). sloObjective of the admissions must
+	// meet it; /statusz reports the burn rate of the implied error budget.
+	SLOTargetSeconds float64
+	// QoEWindow bounds the rolling windows folded from client reports
+	// (startup delay, deadline slack, miss rate); 0 selects
+	// obs.DefaultWindowSize.
+	QoEWindow int
+	// AlertInterval is the alert engine's evaluation period; 0 selects 1s.
+	AlertInterval time.Duration
+	// AlertFor is the pending hold of the built-in alert rules: how long a
+	// condition must persist before pending becomes firing. 0 fires on the
+	// first breached evaluation.
+	AlertFor time.Duration
+	// ReportStaleAfter arms the client_reports_stale rule: it fires when no
+	// client report has arrived for this long. 0 disables the rule.
+	ReportStaleAfter time.Duration
+	// DropInstance, when non-nil, suppresses the transmission of scheduled
+	// broadcast instances for which it returns true — fault injection for
+	// tests and operator drills. The scheduler still counts the instance;
+	// only the wire frame is withheld, so subscribed clients miss the
+	// segment's deadline exactly as they would under packet loss.
+	DropInstance func(video uint32, segment, slot int) bool
+	// HistoryInterval is the telemetry history scrape period — how often the
+	// registry is walked into the in-process time-series store behind
+	// /queryz. 0 selects 1s.
+	HistoryInterval time.Duration
+	// HistoryDisabled turns the telemetry history off entirely; /queryz then
+	// answers 503. The disabled path costs one nil check per would-be
+	// consumer.
+	HistoryDisabled bool
+	// HistoryMaxBytes caps the history store's resident memory; 0 selects
+	// the history package default (8 MiB).
+	HistoryMaxBytes int
+	// FlightDir arms the flight recorder: any alert rule entering firing
+	// (rate-limited by FlightCooldown), a SIGQUIT in cmd/vodserver, or a
+	// /debug/flightrecord GET dumps a diagnostic bundle directory under it.
+	// "" leaves the recorder disabled.
+	FlightDir string
+	// FlightCooldown rate-limits alert-triggered bundles; 0 selects the
+	// recorder default (5 minutes).
+	FlightCooldown time.Duration
+	// ConntrackDisabled turns off per-subscriber transport telemetry: no
+	// TCP_INFO sampling, no conn_* metric families, /connz answers 503 and
+	// dropped subscribers are attributed reason="untracked". The disabled
+	// path costs one nil check per fan-out push and drain batch.
+	ConntrackDisabled bool
+	// ConntrackInterval is the transport telemetry sampling period; 0
+	// selects the conntrack default (1s).
+	ConntrackInterval time.Duration
+	// ConnStalledRatio is the fraction of tracked connections classified
+	// stalled at which the conn_stalled_ratio alert trips (and, with a
+	// FlightDir armed, captures a diagnostic bundle carrying conns.json).
+	// 0 selects 0.5.
+	ConnStalledRatio float64
+}
+
+// DefaultSpanSampleEvery is the admission span sampling period when the
+// owner does not choose one: cheap enough for production, dense enough that
+// vodtop always has recent trees to show.
+const DefaultSpanSampleEvery = 8
+
+// sloObjective is the fraction of admissions that must reach their first
+// byte within Config.SLOTargetSeconds.
+const sloObjective = 0.99
+
+type video struct {
+	cfg VideoConfig
+	// idx is the video's index in the station catalogue.
+	idx int
+	// maxPeriod[k] is the largest of the resolved periods T[1..k]: how many
+	// slots a customer consuming k segments stays subscribed.
+	maxPeriod []int
+	// wirePeriods and wireSizes are shared read-only by every ScheduleInfo.
+	wirePeriods, wireSizes []uint32
+	// load is the channel-load gauge vod_channel_load{video="..."}: each
+	// retired slot's instance count, 0 once idle (the last slot was empty).
+	load *obs.Gauge
+
+	// subs is the copy-on-write subscriber set: tick workers read lock-free
+	// snapshots, admit/disconnect/teardown mutate under the set's own small
+	// admin lock, and Set.Close doubles as the video's shutdown latch (Add
+	// refuses afterwards). Remove's exactly-one-winner contract is what
+	// makes every ring Drop/Close single-shot.
+	subs *fanout.Set[*subscriber]
+}
+
+// Server is a running VOD server. Create with Start, stop with Close.
+type Server struct {
+	cfg     Config
+	ln      net.Listener
+	station *station.Station
+
+	statsLn net.Listener
+	started time.Time
+
+	reg    *obs.Registry
+	spans  *obs.SpanTracer
+	alerts *obs.AlertEngine
+	// firstByte and fanout are the rolling windows behind /statusz:
+	// admit-to-first-byte latency (with the SLO armed on it) and the
+	// per-tick fan-out service time. qoeStartup, qoeSlack and qoeMissRate
+	// are their client-side counterparts, folded from ClientReports: startup
+	// delay in slots, per-report mean slack to deadline, and deadline
+	// misses per report (the windowed signal the miss alert watches, so it
+	// can resolve when healthy reports roll the bad ones out).
+	firstByte   *obs.Window
+	fanout      *obs.Window
+	qoeStartup  *obs.Window
+	qoeSlack    *obs.Window
+	qoeMissRate *obs.Window
+	// Registry handles, bound once at startup so the hot paths never
+	// touch the registry's name map.
+	mRequests       *obs.Counter
+	mRejects        *obs.Counter
+	mInstances      *obs.Counter
+	mBroadcastBytes *obs.Counter
+	// mDroppedBy are the reason-labelled children of
+	// vod_dropped_subscribers_total, indexed by drop reason and bound at
+	// startup so the drop path never touches the registry's name map.
+	mDroppedBy     [numDropReasons]*obs.Counter
+	mAdmitLatency  *obs.Histogram
+	mFanout        *obs.Histogram
+	mReports       *obs.Counter
+	mClientStartup *obs.Histogram
+	mClientSlack   *obs.Histogram
+	// ringDepth is the fan-out ring depth high-watermark behind the
+	// vod_fanout_ring_depth_max GaugeFunc: the hot path Records, each scrape
+	// Reads-and-resets, so a one-tick depth spike between scrapes survives
+	// to the next scrape instead of being overwritten by a quieter tick.
+	ringDepth obs.HighWatermark
+
+	// history is the retained-telemetry store behind /queryz and bundle
+	// history; recorder writes alert/operator-triggered diagnostic bundles.
+	// Both are nil when disabled — every touch point is nil-safe.
+	history  *history.Store
+	recorder *history.Recorder
+
+	// ct samples per-subscriber transport telemetry (kernel TCP_INFO plus
+	// ring/drain signals) and classifies each connection; it is the source
+	// of /connz, the conn_* families and the conn_stalled_ratio alert. nil
+	// when Config.ConntrackDisabled — every touch point is nil-safe.
+	ct *conntrack.Sampler
+
+	// enc is the zero-copy slot encoder (pre-generated payloads, pooled
+	// ref-counted frames).
+	enc *fanout.Encoder
+
+	// videos is immutable after Start; per-subscriber state lives in each
+	// video's copy-on-write set so the server-wide lock never sits on the
+	// broadcast path. mu guards only the connection set; the counters the
+	// fan-out and admit paths touch are atomics.
+	mu     sync.Mutex
+	videos map[uint32]*video
+	conns  map[net.Conn]struct{}
+	closed atomic.Bool
+
+	// vlist is the catalogue in station index order — the array the
+	// station's spans index.
+	vlist []*video
+	// tallies are the per-worker broadcast counters; retire is each
+	// worker's reusable retirement scratch (expired and ring-full
+	// subscribers collected during a video's push loop, detached after it).
+	// Both are sized to the station's span count and indexed by worker.
+	tallies []fanoutTally
+	retire  [][]retireEntry
+
+	wg sync.WaitGroup
+}
+
+// Start validates cfg, binds the listener and launches the slot clock.
+func Start(cfg Config) (*Server, error) {
+	if len(cfg.Videos) == 0 {
+		return nil, fmt.Errorf("vodserver: empty catalogue")
+	}
+	if cfg.SlotDuration <= 0 {
+		return nil, fmt.Errorf("vodserver: slot duration %v must be positive", cfg.SlotDuration)
+	}
+	if cfg.SubscriberBuffer <= 0 {
+		cfg.SubscriberBuffer = 64
+	}
+	if cfg.SpanSampleEvery < 0 {
+		return nil, fmt.Errorf("vodserver: span sample period %d must be non-negative", cfg.SpanSampleEvery)
+	}
+	if cfg.SpanSampleEvery == 0 {
+		cfg.SpanSampleEvery = DefaultSpanSampleEvery
+	}
+	if cfg.SLOTargetSeconds < 0 {
+		return nil, fmt.Errorf("vodserver: bad SLO target %v", cfg.SLOTargetSeconds)
+	}
+	if cfg.SLOTargetSeconds == 0 {
+		cfg.SLOTargetSeconds = 2 * cfg.SlotDuration.Seconds()
+	}
+	reg := obs.NewRegistry()
+	obs.RegisterRuntime(reg)
+	videos := make(map[uint32]*video, len(cfg.Videos))
+	stationVideos := make([]station.VideoConfig, len(cfg.Videos))
+	enc := fanout.NewEncoder()
+	for i, vc := range cfg.Videos {
+		if len(vc.SegmentSizes) == 0 && vc.SegmentBytes <= 0 {
+			return nil, fmt.Errorf("vodserver: video %d: segment bytes %d must be positive", vc.ID, vc.SegmentBytes)
+		}
+		if len(vc.SegmentSizes) != 0 {
+			if len(vc.SegmentSizes) != vc.Segments {
+				return nil, fmt.Errorf("vodserver: video %d: %d segment sizes for %d segments",
+					vc.ID, len(vc.SegmentSizes), vc.Segments)
+			}
+			for j, sz := range vc.SegmentSizes {
+				if sz <= 0 {
+					return nil, fmt.Errorf("vodserver: video %d: segment %d size %d must be positive", vc.ID, j+1, sz)
+				}
+			}
+		}
+		if _, dup := videos[vc.ID]; dup {
+			return nil, fmt.Errorf("vodserver: duplicate video id %d", vc.ID)
+		}
+		// Hand the video's (possibly VBR) segment sizes to the data plane:
+		// the zero-copy encoder pre-generates every payload once here, at
+		// start-up, so the broadcast path never allocates one again.
+		sizes := make([]int, vc.Segments)
+		for j := 1; j <= vc.Segments; j++ {
+			sizes[j-1] = vc.sizeOf(j)
+		}
+		if err := enc.AddVideo(vc.ID, sizes); err != nil {
+			return nil, fmt.Errorf("vodserver: %w", err)
+		}
+		stationVideos[i] = station.VideoConfig{
+			Name:          fmt.Sprint(vc.ID),
+			Segments:      vc.Segments,
+			Periods:       vc.Periods,
+			TrackSegments: true,
+		}
+		videos[vc.ID] = &video{
+			cfg:  vc,
+			idx:  i,
+			subs: fanout.NewSet[*subscriber](),
+			load: reg.GaugeWith("vod_channel_load",
+				"Instances transmitted in the video's most recent slot (multiples of the consumption rate).",
+				obs.Labels{"video": fmt.Sprint(vc.ID)}),
+		}
+	}
+	st, err := station.New(station.Config{
+		Videos:   stationVideos,
+		Shards:   cfg.Shards,
+		Registry: reg,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("vodserver: %w", err)
+	}
+	for _, v := range videos {
+		v.maxPeriod = st.Periods(v.idx) // a copy, turned into its prefix maxima
+		v.wirePeriods = make([]uint32, v.cfg.Segments)
+		for k := 1; k <= v.cfg.Segments; k++ {
+			v.wirePeriods[k-1] = uint32(v.maxPeriod[k])
+			v.maxPeriod[k] = max(v.maxPeriod[k], v.maxPeriod[k-1])
+		}
+		for _, sz := range v.cfg.SegmentSizes {
+			v.wireSizes = append(v.wireSizes, uint32(sz))
+		}
+	}
+	ln, err := net.Listen("tcp", cfg.Addr)
+	if err != nil {
+		return nil, fmt.Errorf("vodserver: listen: %w", err)
+	}
+	firstByte := obs.NewWindow(0)
+	if err := firstByte.SetSLO(cfg.SLOTargetSeconds, sloObjective); err != nil {
+		ln.Close()
+		return nil, fmt.Errorf("vodserver: %w", err)
+	}
+	s := &Server{
+		cfg:         cfg,
+		ln:          ln,
+		station:     st,
+		started:     time.Now(),
+		reg:         reg,
+		spans:       obs.NewSpanTracer(cfg.SpanWriter, obs.DefaultRingSize, cfg.SpanSampleEvery, 0),
+		alerts:      obs.NewAlertEngine(),
+		firstByte:   firstByte,
+		fanout:      obs.NewWindow(0),
+		qoeStartup:  obs.NewWindow(cfg.QoEWindow),
+		qoeSlack:    obs.NewWindow(cfg.QoEWindow),
+		qoeMissRate: obs.NewWindow(cfg.QoEWindow),
+		mRequests: reg.Counter("vod_requests_total",
+			"Admitted customer requests (including interactive resumes)."),
+		mRejects: reg.Counter("vod_rejects_total",
+			"Refused customer requests (unknown video, bad resume point, shutdown)."),
+		mInstances: reg.Counter("vod_instances_total",
+			"Segment instances transmitted across all videos."),
+		mBroadcastBytes: reg.Counter("vod_broadcast_bytes_total",
+			"Payload bytes transmitted, counted once per instance regardless of fan-out."),
+		mAdmitLatency: reg.Histogram("vod_admit_first_byte_seconds",
+			"Latency from request admission to the first broadcast byte reaching the subscriber.", nil),
+		mFanout: reg.Histogram("vod_fanout_seconds",
+			"Per-tick fan-out service time: encoding every video's slot batch and distributing it.", nil),
+		mReports: reg.Counter("client_reports_total",
+			"QoE reports received from clients at session end."),
+		mClientStartup: reg.Histogram("client_startup_slots",
+			"Client-reported slots from admission to the first needed segment.",
+			clientStartupBuckets),
+		mClientSlack: reg.Histogram("client_deadline_slack_slots",
+			"Client-reported per-report mean slack to the delivery deadline, in slots.",
+			clientSlackBuckets),
+		enc:    enc,
+		videos: videos,
+		conns:  make(map[net.Conn]struct{}),
+	}
+	s.vlist = make([]*video, len(cfg.Videos))
+	for _, v := range videos {
+		s.vlist[v.idx] = v
+	}
+	s.tallies = make([]fanoutTally, st.Shards())
+	s.retire = make([][]retireEntry, st.Shards())
+	// Pre-register every reason child of the drop counter so the exposition
+	// inventory (and the metric-name lint walking it) is complete from boot,
+	// not from the first drop.
+	for r := 0; r < numDropReasons; r++ {
+		s.mDroppedBy[r] = reg.CounterWith("vod_dropped_subscribers_total",
+			"Subscribers disconnected for falling a full buffer behind, by last classified transport state.",
+			obs.Labels{"reason": dropReasonName(r)})
+	}
+	// The sampler exists before armAlerts so the conn_stalled_ratio rule can
+	// watch it.
+	if !cfg.ConntrackDisabled {
+		s.ct = conntrack.New(conntrack.Config{
+			Interval: cfg.ConntrackInterval,
+			Registry: reg,
+		})
+	}
+	if err := s.armAlerts(); err != nil {
+		ln.Close()
+		return nil, fmt.Errorf("vodserver: %w", err)
+	}
+	reg.GaugeFunc("vod_uptime_seconds", "Seconds since the server started.",
+		func() float64 { return time.Since(s.started).Seconds() })
+	reg.GaugeFunc("vod_active_subscribers", "Clients currently receiving a broadcast.",
+		func() float64 { return float64(s.activeSubscribers()) })
+	reg.GaugeFunc("vod_fanout_ring_depth_max",
+		"Deepest per-subscriber write ring observed since the previous scrape (high-watermark, reset on read).",
+		s.ringDepth.Read)
+	// Scalar QoE series for the history store: windows and alert counts as
+	// single values a sparkline can ride. The empty miss-rate window reads 0,
+	// not NaN — a flat zero line is the healthy history, absence is not.
+	reg.GaugeFunc("vod_qoe_startup_p99_slots",
+		"99th percentile of client-reported startup delay over the rolling QoE window, in slots.",
+		func() float64 { return s.qoeStartup.Snapshot().P99 })
+	reg.GaugeFunc("vod_qoe_miss_rate",
+		"Windowed mean of client-reported deadline misses per report (the miss alert's signal).",
+		func() float64 {
+			snap := s.qoeMissRate.Snapshot()
+			if snap.Count == 0 {
+				return 0
+			}
+			return snap.Mean
+		})
+	reg.GaugeFunc("vod_alerts_firing", "Alert rules currently in the firing state.",
+		func() float64 { return float64(s.alerts.Firing()) })
+	if !cfg.HistoryDisabled {
+		s.history = history.New(history.Config{
+			Samples:  reg.Samples,
+			Interval: cfg.HistoryInterval,
+			MaxBytes: cfg.HistoryMaxBytes,
+		})
+	}
+	if cfg.FlightDir != "" {
+		recCfg := history.RecorderConfig{
+			Dir:      cfg.FlightDir,
+			Cooldown: cfg.FlightCooldown,
+			Store:    s.history,
+			Status: func() ([]byte, error) {
+				return json.MarshalIndent(s.Status(), "", "  ")
+			},
+			Spans:  func() []obs.SpanRecord { return s.spans.Recent(0) },
+			Alerts: func() []obs.AlertStatus { return s.alerts.Snapshot() },
+		}
+		if s.ct != nil {
+			recCfg.Conns = func() ([]byte, error) {
+				return json.MarshalIndent(s.ct.Snapshot(), "", "  ")
+			}
+		}
+		rec, err := history.NewRecorder(recCfg)
+		if err != nil {
+			ln.Close()
+			return nil, fmt.Errorf("vodserver: %w", err)
+		}
+		s.recorder = rec
+		// Capture synchronously on the evaluating goroutine the moment any
+		// rule enters firing; the OnTransition contract (hook runs after the
+		// engine lock is released) makes the recorder's Snapshot calls safe.
+		s.alerts.SetOnTransition(func(tr obs.AlertTransition) {
+			if tr.To == obs.StateFiring {
+				s.recorder.Trigger("alert_" + tr.Rule)
+			}
+		})
+	}
+	if cfg.StatsAddr != "" {
+		statsLn, err := s.serveStats(cfg.StatsAddr)
+		if err != nil {
+			ln.Close()
+			return nil, err
+		}
+		s.statsLn = statsLn
+	}
+	// The background loops start only past the last error return that
+	// bypasses Close, so a failed Start leaks no goroutine; from here on
+	// Close tears them down.
+	s.alerts.Start(cfg.AlertInterval)
+	s.history.Start()
+	s.ct.Start()
+	s.wg.Add(1)
+	go s.acceptLoop()
+	// The walk is bound once: the station hands it to its pool, so a method
+	// value evaluated inside fanOut would allocate on every tick.
+	walk := s.fanOutVideo
+	tick := func([]core.SlotReport) { s.fanOut(walk) }
+	if err := st.StartClock(cfg.SlotDuration, tick); err != nil {
+		s.Close()
+		return nil, fmt.Errorf("vodserver: %w", err)
+	}
+	return s, nil
+}
+
+// Close stops accepting, terminates every subscription, halts the clock and
+// waits for all server goroutines to exit. It is safe to call more than
+// once.
+func (s *Server) Close() error {
+	if s.closed.Swap(true) {
+		s.station.Close()
+		return nil
+	}
+	err := s.ln.Close()
+	if s.statsLn != nil {
+		s.statsLn.Close()
+	}
+	for _, v := range s.videos {
+		// Set.Close latches the video shut — admit's Add refuses from here
+		// on, so a late registration can never hold a ring no producer ever
+		// closes — and surfaces every live subscriber exactly once.
+		for _, sub := range v.subs.Close() {
+			s.ct.Unregister(sub.ct)
+			sub.ring.Close()
+		}
+	}
+	// Unblock handlers parked in reads or writes.
+	s.mu.Lock()
+	for conn := range s.conns {
+		conn.Close()
+	}
+	s.mu.Unlock()
+	// A concurrent fanOut tick may still be pushing from a pre-Close
+	// snapshot; pushes to the closed rings fail harmlessly and
+	// station.Close waits for the clock goroutine — and therefore the
+	// joined span walks — to finish before it tears its pool down.
+	s.alerts.Stop()
+	s.history.Stop()
+	s.ct.Stop()
+	s.station.Close()
+	s.wg.Wait()
+	return err
+}

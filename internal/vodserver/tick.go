@@ -1,0 +1,170 @@
+package vodserver
+
+// This file is the per-slot broadcast: the station clock's tick callback
+// walks the active videos over the station's spans, encodes each slot once
+// and pushes the shared frame to every subscriber's ring.
+
+import (
+	"time"
+
+	"vodcast/internal/conntrack"
+	"vodcast/internal/core"
+)
+
+// Dropped-subscriber attribution: the reason label on
+// vod_dropped_subscribers_total is the connection's last classified
+// transport state at drop time, or "untracked" when conntrack is disabled
+// (or the drop won before the subscriber was ever registered).
+const (
+	dropReasonUntracked = conntrack.NumStates
+	numDropReasons      = conntrack.NumStates + 1
+)
+
+func dropReasonName(r int) string {
+	if r < conntrack.NumStates {
+		return conntrack.State(r).String()
+	}
+	return "untracked"
+}
+
+// dropReason resolves the reason index for one dropped subscriber.
+func dropReason(sub *subscriber) int {
+	if sub.ct == nil {
+		return dropReasonUntracked
+	}
+	return int(sub.ct.State())
+}
+
+// fanoutTally accumulates one worker's per-tick broadcast accounting,
+// merged into the shared atomics and registry counters once per tick. The
+// pad keeps adjacent workers' tallies on separate cache lines so the hot
+// loop never false-shares.
+type fanoutTally struct {
+	instances int64
+	bytes     int64
+	// dropsBy counts dropped subscribers by attribution reason (last
+	// classified transport state, or untracked).
+	dropsBy  [numDropReasons]int64
+	maxDepth int64
+	_        [32]byte
+}
+
+// retireEntry queues a subscriber for detachment after a span walk: drop
+// marks the ring-full case (Drop the ring and count the disconnect); clean
+// expiry Closes the ring so the tail drains.
+type retireEntry struct {
+	sub  *subscriber
+	drop bool
+}
+
+// dropHook adapts the fault-injection hook to one video and slot. It is
+// only materialized when DropInstance is armed, so the production fan-out
+// never allocates a closure per tick.
+func (s *Server) dropHook(videoID uint32, slot int) func(segment int) bool {
+	if s.cfg.DropInstance == nil {
+		return nil
+	}
+	return func(seg int) bool { return s.cfg.DropInstance(videoID, seg, slot) }
+}
+
+// fanOut runs on the station's clock goroutine once per retired slot: each
+// active video's broadcast instances are encoded exactly once into a shared
+// ref-counted frame and one reference is pushed per subscriber ring — the
+// per-audience cost is a pointer, not a copy; an idle video costs nothing.
+// The station walks its active videos span by span — on its pool when there
+// is more than one span, the clock only dispatching and joining — and
+// per-worker tallies merge into the shared counters once per tick, so the
+// hot loops touch no shared cache line and take no lock but each ring's own.
+func (s *Server) fanOut(walk func(worker, video int, rep core.SlotReport) bool) {
+	t0 := time.Now()
+	defer func() {
+		d := time.Since(t0).Seconds()
+		s.mFanout.Observe(d)
+		s.fanout.Observe(d)
+	}()
+	if s.closed.Load() {
+		return
+	}
+	s.station.EachActive(walk)
+	var instances, bytes, maxDepth int64
+	var dropsBy [numDropReasons]int64
+	for i := range s.tallies {
+		t := &s.tallies[i]
+		instances += t.instances
+		bytes += t.bytes
+		for r, n := range t.dropsBy {
+			dropsBy[r] += n
+		}
+		if t.maxDepth > maxDepth {
+			maxDepth = t.maxDepth
+		}
+		*t = fanoutTally{}
+	}
+	s.mInstances.Add(float64(instances))
+	s.mBroadcastBytes.Add(float64(bytes))
+	for r, n := range dropsBy {
+		if n != 0 {
+			s.mDroppedBy[r].Add(float64(n))
+		}
+	}
+	s.ringDepth.Record(float64(maxDepth))
+}
+
+// fanOutVideo fans one active video's retired slot out: encode the slot
+// once, push the shared frame to every subscriber in the video's
+// copy-on-write snapshot, then detach the expired and ring-full subscribers
+// collected on the way so the push loop stays tight. It reports whether the
+// video still has an audience: that, not a subscriber's last slot (maybe
+// still the placeholder), keeps a drained video active. worker indexes the
+// tally and retirement scratch; the only locks taken are each ring's own.
+func (s *Server) fanOutVideo(worker, video int, rep core.SlotReport) bool {
+	v := s.vlist[video]
+	tally := &s.tallies[worker]
+	v.load.Set(float64(rep.Load))
+	tally.instances += int64(rep.Load)
+	frame, err := s.enc.EncodeSlot(v.cfg.ID, rep.Slot, rep.Segments, s.dropHook(v.cfg.ID, rep.Slot))
+	if err != nil {
+		return false // unreachable: the catalogue was built from the same configs
+	}
+	tally.bytes += frame.PayloadBytes()
+	retire := s.retire[worker][:0]
+	for _, sub := range v.subs.Snapshot() {
+		frame.Retain()
+		depth, ok := sub.ring.Push(frame)
+		sub.ct.RecordPush(depth, ok)
+		if !ok {
+			// The subscriber fell a full ring behind: queue it for
+			// disconnection rather than stall the broadcast.
+			frame.Release()
+			retire = append(retire, retireEntry{sub: sub, drop: true})
+			continue
+		}
+		if int64(depth) > tally.maxDepth {
+			tally.maxDepth = int64(depth)
+		}
+		if int64(rep.Slot) >= sub.lastSlot.Load() {
+			retire = append(retire, retireEntry{sub: sub})
+		}
+	}
+	// Drop the encoder's own reference; subscribers now hold theirs and the
+	// frame recycles once the last write completes.
+	frame.Release()
+	for _, r := range retire {
+		// Remove has exactly one winner, so a disconnect or shutdown racing
+		// this retirement ends the ring exactly once. Only a won drop counts
+		// toward the disconnect tally, attributed to the connection's last
+		// classified transport state.
+		if !v.subs.Remove(r.sub) {
+			continue
+		}
+		if r.drop {
+			tally.dropsBy[dropReason(r.sub)]++
+			r.sub.ring.Drop()
+		} else {
+			r.sub.ring.Close()
+		}
+		s.ct.Unregister(r.sub.ct)
+	}
+	s.retire[worker] = retire[:0]
+	return v.subs.Len() > 0
+}

@@ -6,11 +6,12 @@ import (
 	"testing"
 )
 
-// The trace-propagation A/B behind BENCH_wire.json: the v1 benchmarks are
+// The trace-propagation A/B (the serving-path codec figures are the wire.*
+// rows of BENCHMARK.json): the v1 benchmarks are
 // the disabled path — the exact frames a pre-v2 deployment keeps exchanging
 // after this change — and must stay within the repo's 2% off-path
 // observability budget of the pre-change baseline (measured against a
-// baseline worktree, same methodology as BENCH_obs2.json). The v2
+// baseline worktree). The v2
 // benchmarks price the enabled path: one fixed 20/18-byte trace block per
 // control frame, never per segment frame.
 

@@ -13,10 +13,10 @@
 //     and the closed-form performance models.
 //   - vodcast_protocols.go: the related-work protocols the paper compares
 //     against — static mappings, dynamic on-demand and reactive protocols.
-//   - vodcast_experiments.go: the measurement harness and every figure
-//     reproduction and follow-on study.
-//   - vodcast_serving.go: the multi-video station engine, the catalogue
-//     simulation, the networked server/client pair and disk provisioning.
+//   - vodcast_experiments.go: the measurement harness, the figure
+//     reproductions and the follow-on studies the examples run.
+//   - vodcast_serving.go: the multi-video catalogue simulation, the
+//     networked server/client pair and disk provisioning.
 //
 // The three entry points most users want: NewDHB builds the paper's
 // scheduler, Measure drives any slotted protocol under Poisson load, and
@@ -40,20 +40,6 @@ type DHBConfig = core.Config
 // DHB is the dynamic heuristic broadcasting scheduler of Figure 6.
 type DHB = core.Scheduler
 
-// SlotReport describes one transmitted slot of a DHB schedule.
-type SlotReport = core.SlotReport
-
-// Policy selects the placement rule of a DHB scheduler.
-type Policy = core.Policy
-
-// Placement policies: the published min-load heuristic, the naive
-// latest-slot strawman it improves on, and the earliest-tie-break ablation.
-const (
-	PolicyHeuristic       = core.PolicyHeuristic
-	PolicyNaive           = core.PolicyNaive
-	PolicyMinLoadEarliest = core.PolicyMinLoadEarliest
-)
-
 // NewDHB builds a DHB scheduler.
 func NewDHB(cfg DHBConfig) (*DHB, error) { return core.New(cfg) }
 
@@ -61,19 +47,6 @@ func NewDHB(cfg DHBConfig) (*DHB, error) { return core.New(cfg) }
 // resume segment (0 or 1 for a full viewing) and whether to materialize the
 // per-segment slot assignment.
 type AdmitOptions = core.AdmitOptions
-
-// AdmitResult reports one admission: the admit slot, the number of newly
-// scheduled instances and, when requested, the per-segment assignment.
-type AdmitResult = core.AdmitResult
-
-// Sentinel errors of the scheduler's validation paths; classify wrapped
-// construction and admission errors with errors.Is.
-var (
-	ErrBadSegmentCount = core.ErrBadSegmentCount
-	ErrBadPeriods      = core.ErrBadPeriods
-	ErrBadPolicy       = core.ErrBadPolicy
-	ErrBadResumePoint  = core.ErrBadResumePoint
-)
 
 // ---- Compressed (VBR) video support: Section 4 ----
 
@@ -102,12 +75,6 @@ func PlanVBR(tr *Trace, maxWaitSeconds float64) (map[VBRVariant]VBRSolution, err
 // Trace is a per-second bit-rate series of a compressed video.
 type Trace = trace.Trace
 
-// NewTrace builds a trace from a per-second byte series.
-func NewTrace(rates []float64) (*Trace, error) { return trace.New(rates) }
-
-// CBRTrace returns a constant-bit-rate trace.
-func CBRTrace(seconds int, rate float64) (*Trace, error) { return trace.CBR(seconds, rate) }
-
 // SyntheticMatrix generates the seeded synthetic trace calibrated to the
 // published statistics of the paper's movie (8170 s, 636 KB/s mean,
 // 951 KB/s peak).
@@ -119,31 +86,12 @@ func SyntheticMatrix(seed int64) (*Trace, error) { return trace.SyntheticMatrix(
 // simulated instant.
 type RateFunc = workload.RateFunc
 
-// ConstantRate returns a fixed hourly request rate.
-func ConstantRate(requestsPerHour float64) RateFunc { return workload.Constant(requestsPerHour) }
-
 // DayNightRate returns a 24-hour-periodic rate peaking at peakHour.
 func DayNightRate(peakPerHour, offPeakPerHour, peakHour float64) RateFunc {
 	return workload.DayNight(peakPerHour, offPeakPerHour, peakHour)
 }
 
 // ---- Closed-form performance models ----
-
-// ModelOnDemandMean predicts the average load of an on-demand protocol over
-// a static mapping at the given Poisson rate.
-func ModelOnDemandMean(m *Mapping, ratePerHour, slotSeconds float64) (float64, error) {
-	return analysis.OnDemandMean(m, ratePerHour, slotSeconds)
-}
-
-// ModelDHBMean predicts DHB's average load with the renewal model.
-func ModelDHBMean(periods []int, ratePerHour, slotSeconds float64) (float64, error) {
-	return analysis.DHBMean(periods, ratePerHour, slotSeconds)
-}
-
-// ModelDHBSaturated returns DHB's saturation bandwidth, sum of 1/T[s].
-func ModelDHBSaturated(periods []int) (float64, error) {
-	return analysis.DHBSaturated(periods)
-}
 
 // ModelPatchingMean returns optimal threshold patching's bandwidth,
 // sqrt(1 + 2 lambda D) - 1.

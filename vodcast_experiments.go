@@ -2,8 +2,9 @@ package vodcast
 
 // This file groups the measurement harness (Measure, Replay) and every
 // experiment: the Figures 7-9 reproductions, the Section 3 peak comparison
-// and the follow-on studies (client caps, capacity planning, buffers,
-// confidence intervals, storage).
+// and the follow-on studies the examples run (client caps, the reactive
+// protocols, dynamic skyscraper). The remaining studies are cmd/vodsim
+// experiments.
 
 import (
 	"vodcast/internal/experiments"
@@ -20,9 +21,6 @@ type Measurement = experiments.Measurement
 
 // AdaptDHB exposes a DHB scheduler through the Slotted interface.
 func AdaptDHB(s *DHB) Slotted { return experiments.AdaptDHB(s) }
-
-// AdaptOnDemand exposes a dynamic protocol through the Slotted interface.
-func AdaptOnDemand(o *OnDemand) Slotted { return experiments.AdaptOnDemand(o) }
 
 // Measure drives a slotted protocol under constant Poisson arrivals.
 func Measure(proto Slotted, ratePerHour, slotSeconds float64, horizonSlots, warmupSlots int, seed int64) (Measurement, error) {
@@ -51,10 +49,6 @@ type SweepConfig = experiments.Config
 // SweepRow is one rate's measurements in a sweep.
 type SweepRow = experiments.SweepRow
 
-// DefaultSweepConfig reproduces the paper's setup at publication quality;
-// QuickSweepConfig is the reduced variant for smoke tests.
-func DefaultSweepConfig() SweepConfig { return experiments.DefaultConfig() }
-
 // QuickSweepConfig returns the reduced sweep setup.
 func QuickSweepConfig() SweepConfig { return experiments.QuickConfig() }
 
@@ -66,9 +60,6 @@ type VBRSweepConfig = experiments.VBRConfig
 
 // Fig9Row is one rate's measurements in the Figure 9 sweep.
 type Fig9Row = experiments.Fig9Row
-
-// DefaultVBRSweepConfig reproduces the paper's Figure 9 setup.
-func DefaultVBRSweepConfig() VBRSweepConfig { return experiments.DefaultVBRConfig() }
 
 // QuickVBRSweepConfig returns the reduced Figure 9 setup.
 func QuickVBRSweepConfig() VBRSweepConfig { return experiments.QuickVBRConfig() }
@@ -100,59 +91,8 @@ type ReactiveZooRow = experiments.ReactiveZooRow
 // ReactiveZoo sweeps every reactive protocol in the repository.
 func ReactiveZoo(cfg SweepConfig) ([]ReactiveZooRow, error) { return experiments.ReactiveZoo(cfg) }
 
-// WaitTradeoffRow relates segment count, waiting-time guarantee and DHB
-// bandwidth.
-type WaitTradeoffRow = experiments.WaitTradeoffRow
-
-// WaitTradeoff sweeps the segment count at cfg.Rates[0].
-func WaitTradeoff(cfg SweepConfig, segmentCounts []int) ([]WaitTradeoffRow, error) {
-	return experiments.WaitTradeoff(cfg, segmentCounts)
-}
-
-// CapacityRow describes one channel-pool size under deferral admission
-// control.
-type CapacityRow = experiments.CapacityRow
-
-// CapacityConfig parameterizes the provisioning study.
-type CapacityConfig = experiments.CapacityConfig
-
-// DefaultCapacityConfig returns the reference provisioning setup.
-func DefaultCapacityConfig() CapacityConfig { return experiments.DefaultCapacityConfig() }
-
-// Capacity sweeps channel-pool sizes with deferral admission control.
-func Capacity(cfg CapacityConfig, pools []float64) ([]CapacityRow, error) {
-	return experiments.Capacity(cfg, pools)
-}
-
-// BufferRow reports STB buffer occupancy per protocol at one rate.
-type BufferRow = experiments.BufferRow
-
-// BufferStudy measures client buffer needs for DHB and UD.
-func BufferStudy(cfg SweepConfig) ([]BufferRow, error) { return experiments.BufferStudy(cfg) }
-
-// CIRow is one rate's replicate means with confidence half-widths.
-type CIRow = experiments.CIRow
-
-// ConfidenceSweep repeats the Figure 7 measurement with independent seeds
-// and reports 95% confidence intervals.
-func ConfidenceSweep(cfg SweepConfig, replicates int) ([]CIRow, error) {
-	return experiments.ConfidenceSweep(cfg, replicates)
-}
-
 // DSBRow is one rate's measurements in the DSB comparison.
 type DSBRow = experiments.DSBRow
 
 // DSBComparison sweeps dynamic skyscraper broadcasting against UD and DHB.
 func DSBComparison(cfg SweepConfig) ([]DSBRow, error) { return experiments.DSBComparison(cfg) }
-
-// StorageRow compares disk provisioning across scheduling policies.
-type StorageRow = experiments.StorageRow
-
-// StorageConfig parameterizes the disk-provisioning study.
-type StorageConfig = experiments.StorageConfig
-
-// DefaultStorageConfig returns the reference disk study setup.
-func DefaultStorageConfig() StorageConfig { return experiments.DefaultStorageConfig() }
-
-// StorageStudy records each policy's schedule and sizes its disk array.
-func StorageStudy(cfg StorageConfig) ([]StorageRow, error) { return experiments.Storage(cfg) }

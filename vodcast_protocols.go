@@ -39,9 +39,6 @@ func NewUD(n int) (*OnDemand, error) { return dynamic.UD(n) }
 // ablation.
 func NewDynamicPagoda(n int) (*OnDemand, error) { return dynamic.DynamicPagoda(n) }
 
-// NewDSB builds Eager and Vernon's dynamic skyscraper broadcasting.
-func NewDSB(n int) (*OnDemand, error) { return dynamic.DSB(n) }
-
 // ---- Reactive protocols ----
 
 // ReactiveConfig parameterizes a reactive-protocol simulation.
@@ -55,23 +52,6 @@ func Tapping(cfg ReactiveConfig) (ReactiveResult, error) { return reactive.Tappi
 
 // HMSM simulates Eager and Vernon's hierarchical multicast stream merging.
 func HMSM(cfg ReactiveConfig) (ReactiveResult, error) { return reactive.HMSM(cfg) }
-
-// Piggybacking simulates adaptive piggybacking with the given display-rate
-// alteration (classically 0.05).
-func Piggybacking(cfg ReactiveConfig, delta float64) (ReactiveResult, error) {
-	return reactive.Piggybacking(cfg, delta)
-}
-
-// Batching simulates request batching with the given window.
-func Batching(cfg ReactiveConfig, windowSeconds float64) (ReactiveResult, error) {
-	return reactive.Batching(cfg, windowSeconds)
-}
-
-// SelectiveCatching simulates the hybrid of dedicated staggered broadcasts
-// plus shared catch-up streams.
-func SelectiveCatching(cfg ReactiveConfig, channels int) (ReactiveResult, error) {
-	return reactive.SelectiveCatching(cfg, channels)
-}
 
 // MergingLowerBound is the ln(1 + lambda D) bound on any zero-delay reactive
 // protocol's average bandwidth.
