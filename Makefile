@@ -96,12 +96,15 @@ bench:
 	$(GO) test -run '^$$' -bench=. -benchmem . ./internal/...
 
 # FuzzSchedulerInvariants drives the fast scheduler against the reference,
-# same-slot memo included — the path the live server admits through. ci runs
-# both targets briefly (FUZZTIME=5s).
+# same-slot memo included — the path the live server admits through.
+# FuzzPeriodVectors checks every deadline on any vector the validator
+# accepts, non-monotone ones with resumes included. ci runs all three targets
+# briefly (FUZZTIME=5s).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/wire/ -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz='^FuzzSchedulerInvariants$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core/ -fuzz='^FuzzPeriodVectors$$' -fuzztime=$(FUZZTIME)
 
 experiments:
 	@for e in fig7 fig8 fig9 ablation peaks vbrplan clientcap reactive dsb models ci wait capacity storage buffer; do \

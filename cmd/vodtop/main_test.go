@@ -338,11 +338,14 @@ func TestConnPaneAgainstLiveServer(t *testing.T) {
 // silently.
 func TestHistoryPaneAgainstLiveServer(t *testing.T) {
 	s, err := vodserver.Start(vodserver.Config{
-		Addr:            "127.0.0.1:0",
-		Videos:          []vodserver.VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
-		SlotDuration:    10 * time.Millisecond,
-		StatsAddr:       "127.0.0.1:0",
-		HistoryInterval: 20 * time.Millisecond,
+		Addr:              "127.0.0.1:0",
+		Videos:            []vodserver.VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
+		SlotDuration:      10 * time.Millisecond,
+		StatsAddr:         "127.0.0.1:0",
+		TelemetryInterval: 20 * time.Millisecond,
+		// The loop also evaluates the alert rules every 20 ms; a generous
+		// SLO keeps the burn rule quiet so the frame reads "not firing".
+		SLOTargetSeconds: 10,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -110,35 +110,37 @@ type TCPInfo struct {
 	SndbufLimited time.Duration
 }
 
+// Classification thresholds.
+const (
+	// retransThreshold is the per-sample retransmitted-segment delta at or
+	// above which a connection classifies path_limited.
+	retransThreshold = 3
+	// rwndFraction classifies receiver_limited when the kernel's
+	// rwnd-limited time grew by at least this fraction of the time since the
+	// previous sample.
+	rwndFraction = 0.1
+	// ringHighFraction is the ring occupancy at or above which a connection
+	// counts as behind the broadcast rate.
+	ringHighFraction = 0.5
+	// notSentLowBytes bounds the kernel send-queue backlog below which a
+	// deep ring is attributed to the server's own drain
+	// (sender_backpressured) rather than the receiver.
+	notSentLowBytes = 4096
+	// depthWindow sizes the per-connection ring-depth window behind the
+	// /connz ring-depth p99 column.
+	depthWindow = 64
+)
+
 // Config parameterizes a Sampler. The zero value of every field selects a
 // documented default.
 type Config struct {
-	// Interval is the sampling period; <= 0 selects 1s.
-	Interval time.Duration
 	// Hold is the hysteresis: how many consecutive samples a candidate state
 	// must persist before the published state changes. <= 0 selects 2.
 	Hold int
-	// RetransThreshold is the per-sample retransmitted-segment delta at or
-	// above which a connection classifies path_limited. <= 0 selects 3.
-	RetransThreshold int64
-	// RwndFraction classifies receiver_limited when the kernel's
-	// rwnd-limited time grew by at least this fraction of the sample
-	// interval. <= 0 selects 0.1.
-	RwndFraction float64
-	// RingHighFraction is the ring occupancy at or above which a connection
-	// counts as behind the broadcast rate. <= 0 selects 0.5.
-	RingHighFraction float64
-	// NotSentLowBytes bounds the kernel send-queue backlog below which a
-	// deep ring is attributed to the server's own drain (sender_backpressured)
-	// rather than the receiver. <= 0 selects 4096.
-	NotSentLowBytes uint32
 	// MaxVideoLabels caps the conn_video_tracked gauge cardinality: at most
 	// this many distinct video labels are created, the rest fold into
 	// video="other". <= 0 selects 16.
 	MaxVideoLabels int
-	// DepthWindow sizes the per-connection ring-depth window behind the
-	// /connz ring-depth p99 column. <= 0 selects 64.
-	DepthWindow int
 	// Registry, when non-nil, receives the conn_* metric families.
 	Registry *obs.Registry
 	// Clock stamps samples; nil selects time.Now. Tests inject a manual
@@ -147,29 +149,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = time.Second
-	}
 	if c.Hold <= 0 {
 		c.Hold = 2
 	}
-	if c.RetransThreshold <= 0 {
-		c.RetransThreshold = 3
-	}
-	if c.RwndFraction <= 0 {
-		c.RwndFraction = 0.1
-	}
-	if c.RingHighFraction <= 0 {
-		c.RingHighFraction = 0.5
-	}
-	if c.NotSentLowBytes <= 0 {
-		c.NotSentLowBytes = 4096
-	}
 	if c.MaxVideoLabels <= 0 {
 		c.MaxVideoLabels = 16
-	}
-	if c.DepthWindow <= 0 {
-		c.DepthWindow = 64
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -177,7 +161,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Sampler tracks a set of connections and classifies them on an interval.
+// Sampler tracks a set of connections and classifies them on every Sweep.
 // All methods are safe for concurrent use; a nil *Sampler is valid and inert
 // (Register returns a nil *Conn whose record methods are no-ops), so a
 // server with conntrack disabled pays one branch per touch point.
@@ -188,8 +172,6 @@ type Sampler struct {
 	conns  map[*Conn]struct{}
 	nextID uint64
 	counts [NumStates]int
-	stop   chan struct{}
-	wg     sync.WaitGroup
 
 	// occWin holds the latest ring-occupancy fraction of every tracked
 	// connection, one observation per connection per sweep — the aggregate
@@ -208,7 +190,8 @@ type Sampler struct {
 // rttBuckets bins the RTT histogram from LAN to congested-WAN scales.
 var rttBuckets = []float64{.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1}
 
-// New builds a sampler on cfg; call Start to begin periodic sweeps.
+// New builds a sampler on cfg. It is passive: whoever owns it calls Sweep
+// once per sampling period.
 func New(cfg Config) *Sampler {
 	cfg = cfg.withDefaults()
 	s := &Sampler{
@@ -242,51 +225,6 @@ func New(cfg Config) *Sampler {
 			func() float64 { return s.occWin.Snapshot().P99 })
 	}
 	return s
-}
-
-// Start begins periodic sweeping on an internal goroutine. No-op when nil or
-// already running.
-func (s *Sampler) Start() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.stop != nil {
-		s.mu.Unlock()
-		return
-	}
-	stop := make(chan struct{})
-	s.stop = stop
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		t := time.NewTicker(s.cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				s.Sweep()
-			case <-stop:
-				return
-			}
-		}
-	}()
-}
-
-// Stop halts periodic sweeping and waits for the sweep goroutine to exit.
-// Idempotent and nil-safe.
-func (s *Sampler) Stop() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.stop != nil {
-		close(s.stop)
-		s.stop = nil
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
 }
 
 // Conn is one tracked connection's telemetry handle. The fan-out and drain
@@ -349,7 +287,7 @@ func (s *Sampler) Register(conn net.Conn, video uint32, ringCap int) *Conn {
 		video:    video,
 		ringCap:  ringCap,
 		opened:   now,
-		depthWin: obs.NewWindow(s.cfg.DepthWindow),
+		depthWin: obs.NewWindow(depthWindow),
 	}
 	if conn != nil {
 		if addr := conn.RemoteAddr(); addr != nil {
@@ -436,8 +374,8 @@ func (c *Conn) StateAge(now time.Time) time.Duration {
 
 // Sweep runs one sampling pass over every tracked connection: read the
 // kernel and userspace signals, classify with hysteresis, refresh the
-// cached /connz snapshots and the aggregate metric families. The interval
-// ticker calls it; tests and E2Es may call it directly. Nil-safe.
+// cached /connz snapshots and the aggregate metric families. The server's
+// telemetry loop calls it once per period. Nil-safe.
 func (s *Sampler) Sweep() {
 	if s == nil {
 		return
@@ -560,17 +498,17 @@ func (s *Sampler) classify(wrote, backlog bool, occ float64, streak, retransDelt
 	if backlog && !wrote {
 		return StateStalled
 	}
-	if kernelOK && retransDelta >= s.cfg.RetransThreshold {
+	if kernelOK && retransDelta >= retransThreshold {
 		return StatePathLimited
 	}
 	if info.Extended && elapsed > 0 &&
-		rwndDelta >= time.Duration(s.cfg.RwndFraction*float64(elapsed)) {
+		rwndDelta >= time.Duration(rwndFraction*float64(elapsed)) {
 		return StateReceiverLimited
 	}
-	if occ >= s.cfg.RingHighFraction || streak > 0 {
+	if occ >= ringHighFraction || streak > 0 {
 		// A deep ring with a drained kernel queue means the network and the
 		// receiver are keeping up — the server's own drain is behind.
-		if kernelOK && info.NotSentBytes <= s.cfg.NotSentLowBytes {
+		if kernelOK && info.NotSentBytes <= notSentLowBytes {
 			return StateSenderBackpressured
 		}
 		return StateReceiverLimited

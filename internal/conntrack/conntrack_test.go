@@ -38,11 +38,10 @@ func testSampler(t *testing.T, cfg Config) (*Sampler, *manualClock) {
 	clk := newManualClock()
 	cfg.Clock = clk.Now
 	s := New(cfg)
-	t.Cleanup(s.Stop)
 	return s, clk
 }
 
-// sweep advances the clock by one interval and runs one pass.
+// sweep advances the clock by one second and runs one pass.
 func sweep(s *Sampler, clk *manualClock) {
 	clk.Advance(time.Second)
 	s.Sweep()
@@ -160,8 +159,6 @@ func TestNilSamplerAndConnAreInert(t *testing.T) {
 		t.Fatal("nil conn StateAge != 0")
 	}
 	s.Sweep()
-	s.Start()
-	s.Stop()
 	s.Unregister(c)
 	s.Unregister(nil)
 	if s.Tracked() != 0 || s.StalledRatio() != 0 {
@@ -353,19 +350,5 @@ func TestLoopbackKernelSampling(t *testing.T) {
 	}
 	if info.BytesAcked == 0 {
 		t.Fatal("kernel reported zero acked bytes after a drained 64 KiB write")
-	}
-}
-
-// TestStartStopLifecycle exercises the ticker goroutine with a real clock.
-func TestStartStopLifecycle(t *testing.T) {
-	s := New(Config{Interval: time.Millisecond})
-	s.Register(nil, 1, 4)
-	s.Start()
-	s.Start() // idempotent
-	time.Sleep(10 * time.Millisecond)
-	s.Stop()
-	s.Stop()
-	if s.Tracked() != 1 {
-		t.Fatalf("Tracked = %d", s.Tracked())
 	}
 }

@@ -11,7 +11,7 @@ import "fmt"
 // AdmitOptions selects what one admission should do.
 type AdmitOptions struct {
 	// From is the first segment the customer consumes: 0 and 1 both mean a
-	// full viewing; 2..n resumes interactive playback there (see resume.go).
+	// full viewing; 2..n resumes interactive playback there.
 	From int
 	// WantAssignment requests the per-segment serving slots in
 	// AdmitResult.Assignment. Without a reusable Assignment buffer it
@@ -48,6 +48,9 @@ func (s *Scheduler) AdmitRequest(opts AdmitOptions) (AdmitResult, error) {
 	if from == 0 {
 		from = 1
 	}
+	if from < 1 || from > s.n {
+		return AdmitResult{}, fmt.Errorf("%w: segment %d outside 1..%d", ErrBadResumePoint, from, s.n)
+	}
 	var assignment []int
 	switch {
 	case opts.Assignment != nil:
@@ -59,31 +62,17 @@ func (s *Scheduler) AdmitRequest(opts AdmitOptions) (AdmitResult, error) {
 		// A fresh allocation arrives zeroed; a reused buffer must clear the
 		// entries the admission will not write: index 0 and everything below
 		// the resume point.
-		clearTo := from
-		if clearTo > s.n+1 {
-			clearTo = s.n + 1
-		}
-		for k := 0; k < clearTo; k++ {
+		for k := 0; k < from; k++ {
 			assignment[k] = 0
 		}
 	case opts.WantAssignment:
 		assignment = make([]int, s.n+1)
 	}
 	res := AdmitResult{Slot: s.current, Assignment: assignment}
-	if from == 1 {
-		res.Placed = s.admit(assignment)
-		return res, nil
+	if s.cap > 0 {
+		res.Placed = s.admitFromCapped(from, assignment)
+	} else {
+		res.Placed = s.admitFrom(from, assignment)
 	}
-	placed, err := s.admitFrom(from, assignment)
-	if err != nil {
-		return AdmitResult{}, err
-	}
-	res.Placed = placed
 	return res, nil
-}
-
-// badResume builds the ErrBadResumePoint error shared by the admission
-// paths.
-func (s *Scheduler) badResume(from int) error {
-	return fmt.Errorf("%w: segment %d outside 1..%d", ErrBadResumePoint, from, s.n)
 }

@@ -19,8 +19,9 @@ import "fmt"
 // j-1 client-slots are occupied, so at least one slot always has room (c = 1
 // degenerates to the sequential just-in-time schedule S_j at slot i+j).
 
-// admitCapped is the capped counterpart of admit.
-func (s *Scheduler) admitCapped(assignment []int) int {
+// admitFromCapped is the capped counterpart of admitFrom and the only capped
+// placement loop: segment j >= from must arrive within [i+1, i+T[j-from+1]].
+func (s *Scheduler) admitFromCapped(from int, assignment []int) int {
 	i := s.current
 	s.requests++
 	// clientLoad[k] counts this request's segments assigned to slot i+1+k.
@@ -28,8 +29,8 @@ func (s *Scheduler) admitCapped(assignment []int) int {
 		s.clientLoad[k] = 0
 	}
 	placed := 0
-	for j := 1; j <= s.n; j++ {
-		hi := i + s.periods[j]
+	for j := from; j <= s.n; j++ {
+		hi := i + s.periods[j-from+1]
 		chosen := -1
 		shared := true
 
@@ -62,13 +63,10 @@ func (s *Scheduler) admitCapped(assignment []int) int {
 			}
 			if chosen < 0 {
 				// Unreachable by the feasibility argument above.
-				panic(fmt.Sprintf("core: no feasible slot for segment %d (cap %d)", j, s.cap))
+				panic(fmt.Sprintf("core: no feasible slot for segment %d from %d (cap %d)", j, from, s.cap))
 			}
 			s.ring.Add(chosen, j)
 			s.insertInstance(j, chosen)
-			if chosen > s.lastSched[j] {
-				s.lastSched[j] = chosen
-			}
 			s.instances++
 			placed++
 		}
@@ -82,7 +80,7 @@ func (s *Scheduler) admitCapped(assignment []int) int {
 		}
 	}
 	if s.obs != nil {
-		s.obs.ObserveAdmit(i, 1, placed)
+		s.obs.ObserveAdmit(i, from, placed)
 	}
 	return placed
 }

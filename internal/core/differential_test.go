@@ -25,9 +25,6 @@ type diffScenario struct {
 }
 
 func diffScenarios() []diffScenario {
-	// A legal non-monotonic, larger-than-i period vector (Section 4's DHB-d
-	// shapes are irregular like this): T[1] must be 1, the rest just >= 1.
-	irregular := []int{0, 1, 4, 2, 6, 3, 8, 5, 9, 7, 10, 11, 6, 13, 12, 15, 9}
 	return []diffScenario{
 		{name: "heuristic", n: 33, policy: PolicyHeuristic, resumes: true},
 		{name: "naive", n: 33, policy: PolicyNaive, resumes: true},
@@ -35,8 +32,8 @@ func diffScenarios() []diffScenario {
 		{name: "heuristic-small", n: 1, policy: PolicyHeuristic},
 		{name: "heuristic-capped", n: 17, policy: PolicyHeuristic, cap: 2, resumes: true},
 		{name: "heuristic-capped-1", n: 9, policy: PolicyHeuristic, cap: 1, resumes: true},
-		{name: "irregular-periods", n: 16, policy: PolicyHeuristic, periods: irregular, resumes: true},
-		{name: "irregular-earliest", n: 16, policy: PolicyMinLoadEarliest, periods: irregular},
+		{name: "irregular-periods", n: 16, policy: PolicyHeuristic, periods: irregularPeriods, resumes: true},
+		{name: "irregular-earliest", n: 16, policy: PolicyMinLoadEarliest, periods: irregularPeriods},
 	}
 }
 

@@ -18,21 +18,6 @@ func TestAdmitFromValidation(t *testing.T) {
 	}
 }
 
-func TestAdmitFromOneEqualsAdmit(t *testing.T) {
-	a := mustNew(t, Config{Segments: 15, StartSlot: 1})
-	b := mustNew(t, Config{Segments: 15, StartSlot: 1})
-	fromOne, err := admitFromTraced(a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := admitTraced(b)
-	for j := 1; j <= 15; j++ {
-		if fromOne[j] != plain[j] {
-			t.Fatalf("segment %d: resume-from-1 slot %d vs admit slot %d", j, fromOne[j], plain[j])
-		}
-	}
-}
-
 func TestResumeDeadlines(t *testing.T) {
 	// A resume from segment k consumes segment j during slot i + (j-k+1),
 	// so the instance must arrive no later than that.

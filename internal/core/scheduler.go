@@ -96,20 +96,25 @@ type Scheduler struct {
 	policy  Policy
 	ring    *slots.Ring
 	// lastSched[j] is the most recent slot holding an instance of segment
-	// j, or a sentinel below every real slot. Because every instance for a
-	// request arriving in slot i lands no later than i+T[j], an instance
-	// exists in the window [i+1, i+T[j]] if and only if lastSched[j] >= i+1.
+	// j, or a sentinel below every real slot. An instance placed for a
+	// request of slot i lands no later than i+T[j-from+1], so when T is
+	// non-decreasing lastSched[j] <= i+T[j] always holds and a full viewing
+	// finds an instance in [i+1, i+T[j]] if and only if lastSched[j] >= i+1.
+	// For other vectors a resume can park S_j past i+T[j], which is why
+	// admitFrom tests both ends of the window. Unused in capped mode.
 	lastSched []int
 	current   int
 
-	// reference pins the linear specification path (Config.Reference).
-	reference bool
-	// fullAdmitSlot memoizes the slot of the last completed full (From = 1)
-	// admission: after it every segment has a timely instance
-	// (lastSched[j] >= slot+1), so further full admissions in the same slot
-	// are pure sharing and skip the placement loop entirely. Advancing the
-	// slot invalidates the memo by construction (the comparison against
-	// current fails); resumes only raise lastSched, which preserves it.
+	// memo arms the same-slot fast path of admitFrom. fullAdmitSlot is the
+	// slot of the last completed full (from = 1) admission: after it every
+	// segment has an instance in [slot+1, slot+T[j]], so further full
+	// admissions in the same slot are pure sharing and skip the placement
+	// loop. Advancing the slot invalidates the memo by construction (the
+	// comparison against current fails). Resumes only raise lastSched, and
+	// never past slot+T[j] when T is non-decreasing; New arms the memo only
+	// then, and only for an unobserved, uncapped, non-reference scheduler
+	// (an Observer is owed every per-decision callback).
+	memo          bool
 	fullAdmitSlot int
 
 	// Client-bandwidth-capped mode (cap > 0) additionally tracks every
@@ -153,8 +158,12 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.MaxClientStreams > 0 && policy != PolicyHeuristic {
 		return nil, fmt.Errorf("%w: a positive cap requires the heuristic policy", ErrBadClientCap)
 	}
+	memo := !cfg.Reference && cfg.MaxClientStreams == 0 && cfg.Observer == nil
 	maxP := 0
 	for j := 1; j <= cfg.Segments; j++ {
+		if periods[j] < maxP {
+			memo = false // T is not non-decreasing
+		}
 		if periods[j] > maxP {
 			maxP = periods[j]
 		}
@@ -172,7 +181,7 @@ func New(cfg Config) (*Scheduler, error) {
 		ring:          newRing(maxP+1, cfg.StartSlot, cfg.TrackSegments),
 		current:       cfg.StartSlot,
 		obs:           cfg.Observer,
-		reference:     cfg.Reference,
+		memo:          memo,
 		fullAdmitSlot: cfg.StartSlot - 1, // below any admissible slot
 	}
 	s.lastSched = make([]int, cfg.Segments+1)
@@ -207,22 +216,26 @@ func (s *Scheduler) Instances() int64 { return s.instances }
 // Period reports T[j].
 func (s *Scheduler) Period(j int) int { return s.periods[j] }
 
-// admit implements Figure 6. When assignment is non-nil it is filled with
-// the serving slot of every segment. It returns the number of newly
-// scheduled instances (shared segments contribute nothing).
-func (s *Scheduler) admit(assignment []int) int {
-	if s.cap > 0 {
-		return s.admitCapped(assignment)
-	}
+// admitFrom is Figure 6, the only uncapped placement loop: it serves a
+// customer whose first segment is from (1 is a full viewing; 2..n an
+// interactive customer who paused, or whose session dropped, resuming
+// there). Admitted during slot i, the customer consumes segment from during
+// slot i+1, so segment j >= from is its (j-from+1)-th and must arrive within
+// [i+1, i+T[j-from+1]]: the ordinary window shifted to the remaining
+// suffix. It shares the latest instance of S_j when that falls in the
+// window and schedules a new one otherwise. When assignment is non-nil it
+// is filled with the serving slot of every segment from..n. It returns the
+// number of newly scheduled instances. Resumes and full viewings share each
+// other's instances; the upper bound of the share test is what keeps a full
+// viewing off an instance a resume parked past its deadline (see lastSched).
+func (s *Scheduler) admitFrom(from int, assignment []int) int {
 	i := s.current
+	s.requests++
 	// Same-slot memo hit: a full admission already completed in this slot,
 	// so every segment has a timely shared instance and the loop below would
-	// share every one of them — exactly what this replays, without touching
-	// the ring. The memo is only consulted when no Observer is attached (the
-	// full loop keeps the exact per-decision callback semantics) and never
-	// on the reference path.
-	if s.fullAdmitSlot == i && s.obs == nil {
-		s.requests++
+	// share every one of them, which is what this replays without touching
+	// the ring.
+	if from == 1 && s.memo && s.fullAdmitSlot == i {
 		if assignment != nil {
 			for j := 1; j <= s.n; j++ {
 				assignment[j] = s.lastSched[j]
@@ -230,43 +243,45 @@ func (s *Scheduler) admit(assignment []int) int {
 		}
 		return 0
 	}
-	s.requests++
 	placed := 0
-	for j := 1; j <= s.n; j++ {
-		if s.lastSched[j] >= i+1 {
+	for j := from; j <= s.n; j++ {
+		hi := i + s.periods[j-from+1]
+		if last := s.lastSched[j]; last >= i+1 && last <= hi {
 			// A timely instance is already scheduled; share it.
 			if assignment != nil {
-				assignment[j] = s.lastSched[j]
+				assignment[j] = last
 			}
 			if s.obs != nil {
-				s.obs.ObserveDecision(i, j, s.lastSched[j], i+1, i+s.periods[j], s.ring.Load(s.lastSched[j]), true)
+				s.obs.ObserveDecision(i, j, last, i+1, hi, s.ring.Load(last), true)
 			}
 			continue
 		}
 		var slot int
 		switch s.policy {
 		case PolicyHeuristic:
-			slot, _ = s.ring.MinLoadLatest(i+1, i+s.periods[j])
+			slot, _ = s.ring.MinLoadLatest(i+1, hi)
 		case PolicyMinLoadEarliest:
-			slot, _ = s.ring.MinLoadEarliest(i+1, i+s.periods[j])
+			slot, _ = s.ring.MinLoadEarliest(i+1, hi)
 		default: // PolicyNaive
-			slot = i + s.periods[j]
+			slot = hi
 		}
 		s.ring.Add(slot, j)
-		s.lastSched[j] = slot
+		if slot > s.lastSched[j] {
+			s.lastSched[j] = slot
+		}
 		s.instances++
 		placed++
 		if assignment != nil {
 			assignment[j] = slot
 		}
 		if s.obs != nil {
-			s.obs.ObserveDecision(i, j, slot, i+1, i+s.periods[j], s.ring.Load(slot), false)
+			s.obs.ObserveDecision(i, j, slot, i+1, hi, s.ring.Load(slot), false)
 		}
 	}
 	if s.obs != nil {
-		s.obs.ObserveAdmit(i, 1, placed)
+		s.obs.ObserveAdmit(i, from, placed)
 	}
-	if !s.reference {
+	if from == 1 {
 		s.fullAdmitSlot = i
 	}
 	return placed

@@ -19,6 +19,24 @@ func planMatrix(t *testing.T) map[VBRVariant]VBRSolution {
 	return plans
 }
 
+// TestPlanVBRFeasibleAtTraceScale: on these traces the last cumulative sums
+// VerifyFeasible compares sit near 5.2e9 bytes and differ by a few
+// millionths of a byte of rounding; the plans are feasible.
+func TestPlanVBRFeasibleAtTraceScale(t *testing.T) {
+	for _, tc := range []struct {
+		seed    int64
+		maxWait float64
+	}{{1, 30}, {7, 30}, {7, 120}} {
+		tr, err := trace.SyntheticMatrix(tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := PlanVBR(tr, tc.maxWait); err != nil {
+			t.Errorf("seed %d, wait %v s: %v", tc.seed, tc.maxWait, err)
+		}
+	}
+}
+
 func TestPlanVBRSegmentCounts(t *testing.T) {
 	plans := planMatrix(t)
 	// Paper Section 4: 137 segments for a one-minute wait on the 8170 s

@@ -17,8 +17,8 @@ import (
 // instead of silently dropping the row.
 //
 // Rules are declarative: a name, a value source, a comparison, and timing.
-// The engine evaluates every rule on a ticker (or on demand via Eval, which
-// is how tests drive it deterministically with an injected clock) and walks
+// The engine is passive: every Eval call (the server's telemetry loop makes
+// one per period; tests make them after advancing an injected clock) walks
 // each rule through the Prometheus-style state machine
 //
 //	inactive → pending → firing → resolved → (pending | inactive)
@@ -124,7 +124,6 @@ type AlertEngine struct {
 	rules   []*alertRuleState
 	clock   func() time.Time
 	started time.Time
-	stop    chan struct{}
 	evals   uint64
 	// onTransition, when set, observes every state change an evaluation
 	// produced. It is invoked AFTER the engine lock is released so the hook
@@ -193,9 +192,9 @@ func (e *AlertEngine) Add(r AlertRule) error {
 }
 
 // SetOnTransition installs (or, with nil, removes) the state-change hook.
-// The hook runs on whichever goroutine called Eval — the ticker goroutine in
-// production — after the engine lock is released, so it may freely read the
-// engine and anything that reads the engine.
+// The hook runs on whichever goroutine called Eval — the server's telemetry
+// loop in production — after the engine lock is released, so it may freely
+// read the engine and anything that reads the engine.
 func (e *AlertEngine) SetOnTransition(fn func(AlertTransition)) {
 	if e == nil {
 		return
@@ -205,8 +204,8 @@ func (e *AlertEngine) SetOnTransition(fn func(AlertTransition)) {
 	e.mu.Unlock()
 }
 
-// Eval runs one evaluation pass over every rule. The ticker calls it; tests
-// call it directly after advancing their clock.
+// Eval runs one evaluation pass over every rule. The server's telemetry loop
+// calls it; tests call it directly after advancing their clock.
 func (e *AlertEngine) Eval() {
 	if e == nil {
 		return
@@ -284,50 +283,6 @@ func (s *alertRuleState) step(cond bool, now time.Time) {
 			enter(StateResolved)
 		}
 	}
-}
-
-// Start begins periodic evaluation every interval (<= 0 selects 1s). It is a
-// no-op if the engine is already running.
-func (e *AlertEngine) Start(interval time.Duration) {
-	if e == nil {
-		return
-	}
-	if interval <= 0 {
-		interval = time.Second
-	}
-	e.mu.Lock()
-	if e.stop != nil {
-		e.mu.Unlock()
-		return
-	}
-	stop := make(chan struct{})
-	e.stop = stop
-	e.mu.Unlock()
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				e.Eval()
-			case <-stop:
-				return
-			}
-		}
-	}()
-}
-
-// Stop halts periodic evaluation. Idempotent.
-func (e *AlertEngine) Stop() {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	if e.stop != nil {
-		close(e.stop)
-		e.stop = nil
-	}
-	e.mu.Unlock()
 }
 
 // Snapshot returns every rule's current status, sorted by name. Since is

@@ -253,32 +253,12 @@ func TestAlertEngineNilSafe(t *testing.T) {
 	}
 	e.SetClock(time.Now)
 	e.Eval()
-	e.Start(time.Second)
-	e.Stop()
 	if got := e.Snapshot(); got != nil {
 		t.Fatalf("nil engine snapshot = %v, want nil", got)
 	}
 	if e.Firing() != 0 || e.Evals() != 0 {
 		t.Fatal("nil engine reports activity")
 	}
-}
-
-func TestAlertEngineTicker(t *testing.T) {
-	e := NewAlertEngine()
-	if err := e.Add(AlertRule{Name: "tick", Value: func() float64 { return 0 }, Threshold: 1}); err != nil {
-		t.Fatal(err)
-	}
-	e.Start(time.Millisecond)
-	defer e.Stop()
-	deadline := time.Now().Add(2 * time.Second)
-	for e.Evals() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("ticker never evaluated")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	e.Stop()
-	e.Stop() // idempotent
 }
 
 // TestAlertKeepResolvedExpiry pins the resolved-marker lifecycle end to end:

@@ -56,7 +56,8 @@ type Point struct {
 type Config struct {
 	// Samples is the scrape source, normally reg.Samples. Required.
 	Samples func() []obs.Sample
-	// Interval is the raw-tier scrape period; <= 0 selects 1s.
+	// Interval is the raw tier's period, the rate at which the owner calls
+	// Scrape; <= 0 selects 1s.
 	Interval time.Duration
 	// MaxBytes caps resident ring memory. Once admitting another series
 	// would exceed it, new series are refused (counted, not grown);
@@ -83,7 +84,6 @@ type Store struct {
 	bytes         int
 	scrapes       uint64
 	droppedSeries uint64
-	stop          chan struct{}
 }
 
 // series is one retained time series: three downsampling tiers keyed by the
@@ -137,58 +137,9 @@ func New(cfg Config) *Store {
 	}
 }
 
-// Interval reports the raw-tier scrape period.
-func (s *Store) Interval() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.interval
-}
-
-// Start begins periodic scraping on an internal goroutine. No-op when nil or
-// already running.
-func (s *Store) Start() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.stop != nil {
-		s.mu.Unlock()
-		return
-	}
-	stop := make(chan struct{})
-	s.stop = stop
-	s.mu.Unlock()
-	go func() {
-		t := time.NewTicker(s.interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				s.Scrape()
-			case <-stop:
-				return
-			}
-		}
-	}()
-}
-
-// Stop halts periodic scraping. Idempotent and nil-safe.
-func (s *Store) Stop() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.stop != nil {
-		close(s.stop)
-		s.stop = nil
-	}
-	s.mu.Unlock()
-}
-
 // Scrape performs one scrape pass: read every registry sample, then append
-// each to its series rings. The ticker calls it; tests call it directly
-// after advancing their clock.
+// each to its series rings. The server's telemetry loop calls it once per
+// Config.Interval; tests call it directly after advancing their clock.
 //
 // The sample walk runs BEFORE the store lock is taken: GaugeFunc sources may
 // read subsystems (alert state, QoE windows) whose own paths can reach back

@@ -234,8 +234,6 @@ func TestStoreLargeFamilyDoesNotStarveTotals(t *testing.T) {
 
 func TestStoreNilSafe(t *testing.T) {
 	var s *Store
-	s.Start()
-	s.Stop()
 	s.Scrape()
 	if s.Query("x", time.Time{}, time.Time{}, 0) != nil {
 		t.Fatal("nil store Query returned points")
@@ -246,9 +244,6 @@ func TestStoreNilSafe(t *testing.T) {
 	if s.Stats() != (Stats{}) {
 		t.Fatal("nil store Stats non-zero")
 	}
-	if s.Interval() != 0 {
-		t.Fatal("nil store Interval non-zero")
-	}
 }
 
 func TestStoreDefaultsAndValidation(t *testing.T) {
@@ -258,28 +253,11 @@ func TestStoreDefaultsAndValidation(t *testing.T) {
 		}
 	}()
 	s := New(Config{Samples: func() []obs.Sample { return nil }})
-	if s.Interval() != time.Second {
-		t.Fatalf("default interval = %v, want 1s", s.Interval())
+	if s.Stats().IntervalMS != 1000 {
+		t.Fatalf("default interval = %d ms, want 1s", s.Stats().IntervalMS)
 	}
 	if s.Stats().MaxBytes != 8<<20 {
 		t.Fatalf("default MaxBytes = %d, want 8MiB", s.Stats().MaxBytes)
 	}
 	New(Config{}) // must panic
-}
-
-func TestStoreStartStop(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Gauge("g", "").Set(1)
-	s := New(Config{Samples: reg.Samples, Interval: time.Millisecond})
-	s.Start()
-	s.Start() // idempotent
-	deadline := time.Now().Add(2 * time.Second)
-	for s.Stats().Scrapes == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	s.Stop()
-	s.Stop() // idempotent
-	if s.Stats().Scrapes == 0 {
-		t.Fatal("ticker never scraped")
-	}
 }

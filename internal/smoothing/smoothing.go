@@ -123,12 +123,16 @@ func VerifyFeasible(tr *trace.Trace, d, r float64, periods []int) (maxBuffer flo
 		}
 		arrived[periods[j]] += bytes
 	}
+	// Both sides of the comparison below are sums of up to n terms that reach
+	// total, so their rounding grows with total: tolerate a billionth of it
+	// (5 bytes of a 5 GB video), far above the rounding and far below a frame.
+	tolerance := 1e-9 * total
 	delivered := 0.0 // bytes on hand at the end of slot s
 	for s := 1; s <= horizon+1; s++ {
 		// Data consumed DURING slot s covers video time up to (s-1)d and
 		// must have been delivered by the end of slot s-1.
 		consumed := tr.CumulativeAt(float64(s-1) * d)
-		if consumed > delivered+1e-6 {
+		if consumed > delivered+tolerance {
 			return 0, fmt.Errorf("smoothing: client underflow during slot %d: consumed %.0f > delivered %.0f",
 				s, consumed, delivered)
 		}

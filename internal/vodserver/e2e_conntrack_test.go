@@ -97,10 +97,9 @@ func TestE2EConntrackStallAttribution(t *testing.T) {
 		FlightDir:        flightDir,
 		FlightCooldown:   time.Hour, // at most one alert-triggered bundle
 		SLOTargetSeconds: 10,        // keep the burn rule quiet on slow machines
-		// Sweeps and evaluations are driven by hand for determinism; both
-		// tickers are parked out of the way.
-		ConntrackInterval: time.Hour,
-		AlertInterval:     time.Hour,
+		// Sweeps and evaluations are driven by hand for determinism; the
+		// telemetry loop is parked out of the way.
+		TelemetryInterval: time.Hour,
 		AlertFor:          50 * time.Millisecond,
 		// One stalled connection out of two tracked (ratio 0.5) must trip.
 		ConnStalledRatio: 0.25,

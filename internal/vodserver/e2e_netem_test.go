@@ -56,8 +56,7 @@ func TestE2ENetemPathAttribution(t *testing.T) {
 		StatsAddr:        "127.0.0.1:0",
 		SLOTargetSeconds: 10,
 		// Sweeps are driven by hand, exactly as in the unshaped E2E.
-		ConntrackInterval: time.Hour,
-		AlertInterval:     time.Hour,
+		TelemetryInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)

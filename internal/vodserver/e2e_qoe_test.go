@@ -60,11 +60,11 @@ func TestE2EClientQoELoop(t *testing.T) {
 		StatsAddr:       "127.0.0.1:0",
 		SpanSampleEvery: 1,
 		QoEWindow:       4,
-		// The test drives evaluations by hand for determinism; the ticker
-		// is parked out of the way.
-		AlertInterval:    time.Hour,
-		AlertFor:         50 * time.Millisecond,
-		ReportStaleAfter: time.Hour,
+		// The test drives evaluations by hand for determinism; the
+		// telemetry loop is parked out of the way.
+		TelemetryInterval: time.Hour,
+		AlertFor:          50 * time.Millisecond,
+		ReportStaleAfter:  time.Hour,
 		DropInstance: func(video uint32, segment, _ int) bool {
 			return dropping.Load() && video == 1 && segment == 1
 		},

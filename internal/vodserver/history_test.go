@@ -106,11 +106,11 @@ func TestRingDepthWatermarkWiring(t *testing.T) {
 // listing, a range query with points, and the parameter validation.
 func TestQueryzEndpoint(t *testing.T) {
 	s, err := Start(Config{
-		Addr:            "127.0.0.1:0",
-		Videos:          []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
-		SlotDuration:    10 * time.Millisecond,
-		StatsAddr:       "127.0.0.1:0",
-		HistoryInterval: 20 * time.Millisecond,
+		Addr:              "127.0.0.1:0",
+		Videos:            []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
+		SlotDuration:      10 * time.Millisecond,
+		StatsAddr:         "127.0.0.1:0",
+		TelemetryInterval: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,11 +223,11 @@ func TestQueryzEndpoint(t *testing.T) {
 // never a refused series with no retained data behind it.
 func TestQueryzSeriesCapExcludesRefused(t *testing.T) {
 	s, err := Start(Config{
-		Addr:            "127.0.0.1:0",
-		Videos:          []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
-		SlotDuration:    10 * time.Millisecond,
-		StatsAddr:       "127.0.0.1:0",
-		HistoryInterval: 20 * time.Millisecond,
+		Addr:              "127.0.0.1:0",
+		Videos:            []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
+		SlotDuration:      10 * time.Millisecond,
+		StatsAddr:         "127.0.0.1:0",
+		TelemetryInterval: 20 * time.Millisecond,
 		// Room for three series; the registry exports far more.
 		HistoryMaxBytes: 3 * history.SeriesCost,
 	})
@@ -338,12 +338,12 @@ func TestQueryzAndFlightDisabled(t *testing.T) {
 func TestFlightRecordEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Start(Config{
-		Addr:            "127.0.0.1:0",
-		Videos:          []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
-		SlotDuration:    10 * time.Millisecond,
-		StatsAddr:       "127.0.0.1:0",
-		HistoryInterval: 20 * time.Millisecond,
-		FlightDir:       dir,
+		Addr:              "127.0.0.1:0",
+		Videos:            []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
+		SlotDuration:      10 * time.Millisecond,
+		StatsAddr:         "127.0.0.1:0",
+		TelemetryInterval: 20 * time.Millisecond,
+		FlightDir:         dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -396,20 +396,20 @@ func TestE2EFlightRecorder(t *testing.T) {
 	flightDir := t.TempDir()
 	var dropping atomic.Bool
 	s, err := Start(Config{
-		Addr:            "127.0.0.1:0",
-		Videos:          []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
-		SlotDuration:    10 * time.Millisecond,
-		StatsAddr:       "127.0.0.1:0",
-		QoEWindow:       4,
-		HistoryInterval: 20 * time.Millisecond,
-		FlightDir:       flightDir,
-		FlightCooldown:  time.Hour, // at most one alert-triggered bundle
+		Addr:           "127.0.0.1:0",
+		Videos:         []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
+		SlotDuration:   10 * time.Millisecond,
+		StatsAddr:      "127.0.0.1:0",
+		QoEWindow:      4,
+		FlightDir:      flightDir,
+		FlightCooldown: time.Hour, // at most one alert-triggered bundle
 		// A generous SLO keeps the first_byte_slo_burn rule quiet on slow CI
 		// machines: the only firing rule must be the injected miss alert.
 		SLOTargetSeconds: 10,
-		// Evaluations are driven by hand for determinism.
-		AlertInterval: time.Hour,
-		AlertFor:      50 * time.Millisecond,
+		// Scrapes and evaluations are driven by hand for determinism; the
+		// telemetry loop is parked out of the way.
+		TelemetryInterval: time.Hour,
+		AlertFor:          50 * time.Millisecond,
 		DropInstance: func(video uint32, segment, _ int) bool {
 			return dropping.Load() && video == 1 && segment == 1
 		},
@@ -429,10 +429,9 @@ func TestE2EFlightRecorder(t *testing.T) {
 		}
 	}
 	waitFor(t, "healthy reports ingested", func() bool { return s.QoE().Reports >= 3 })
-	baseline := s.History().Stats().Scrapes
-	waitFor(t, "healthy baseline scraped", func() bool {
-		return s.History().Stats().Scrapes >= baseline+3
-	})
+	for i := 0; i < 3; i++ {
+		s.History().Scrape()
+	}
 	s.Alerts().Eval()
 	if st := ruleState(t, s, "client_deadline_miss_rate"); st != obs.StateInactive {
 		t.Fatalf("healthy miss alert = %s, want inactive", st)
@@ -457,10 +456,9 @@ func TestE2EFlightRecorder(t *testing.T) {
 	}
 	waitFor(t, "miss reports ingested", func() bool { return s.QoE().Reports >= 7 })
 	// Let the elevated miss rate land in history before the transition.
-	elevated := s.History().Stats().Scrapes
-	waitFor(t, "elevated miss rate scraped", func() bool {
-		return s.History().Stats().Scrapes >= elevated+2
-	})
+	for i := 0; i < 2; i++ {
+		s.History().Scrape()
+	}
 	s.Alerts().Eval() // inactive → pending: no bundle yet
 	if got := len(bundleDirs(t, flightDir)); got != 0 {
 		t.Fatalf("%d bundles while merely pending", got)

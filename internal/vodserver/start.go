@@ -101,8 +101,11 @@ type Config struct {
 	// (startup delay, deadline slack, miss rate); 0 selects
 	// obs.DefaultWindowSize.
 	QoEWindow int
-	// AlertInterval is the alert engine's evaluation period; 0 selects 1s.
-	AlertInterval time.Duration
+	// TelemetryInterval is the period of the server's one telemetry loop:
+	// each period it sweeps the tracked connections, scrapes the registry
+	// into the history store behind /queryz (this is the store's raw tier
+	// period) and evaluates the alert rules, in that order. 0 selects 1s.
+	TelemetryInterval time.Duration
 	// AlertFor is the pending hold of the built-in alert rules: how long a
 	// condition must persist before pending becomes firing. 0 fires on the
 	// first breached evaluation.
@@ -116,10 +119,6 @@ type Config struct {
 	// only the wire frame is withheld, so subscribed clients miss the
 	// segment's deadline exactly as they would under packet loss.
 	DropInstance func(video uint32, segment, slot int) bool
-	// HistoryInterval is the telemetry history scrape period — how often the
-	// registry is walked into the in-process time-series store behind
-	// /queryz. 0 selects 1s.
-	HistoryInterval time.Duration
 	// HistoryDisabled turns the telemetry history off entirely; /queryz then
 	// answers 503. The disabled path costs one nil check per would-be
 	// consumer.
@@ -140,9 +139,6 @@ type Config struct {
 	// dropped subscribers are attributed reason="untracked". The disabled
 	// path costs one nil check per fan-out push and drain batch.
 	ConntrackDisabled bool
-	// ConntrackInterval is the transport telemetry sampling period; 0
-	// selects the conntrack default (1s).
-	ConntrackInterval time.Duration
 	// ConnStalledRatio is the fraction of tracked connections classified
 	// stalled at which the conn_stalled_ratio alert trips (and, with a
 	// FlightDir armed, captures a diagnostic bundle carrying conns.json).
@@ -249,6 +245,8 @@ type Server struct {
 	videos map[uint32]*video
 	conns  map[net.Conn]struct{}
 	closed atomic.Bool
+	// done is closed by the first Close; the telemetry loop exits on it.
+	done chan struct{}
 
 	// vlist is the catalogue in station index order — the array the
 	// station's spans index.
@@ -279,6 +277,9 @@ func Start(cfg Config) (*Server, error) {
 	}
 	if cfg.SpanSampleEvery == 0 {
 		cfg.SpanSampleEvery = DefaultSpanSampleEvery
+	}
+	if cfg.TelemetryInterval <= 0 {
+		cfg.TelemetryInterval = time.Second
 	}
 	if cfg.SLOTargetSeconds < 0 {
 		return nil, fmt.Errorf("vodserver: bad SLO target %v", cfg.SLOTargetSeconds)
@@ -367,6 +368,7 @@ func Start(cfg Config) (*Server, error) {
 		ln:          ln,
 		station:     st,
 		started:     time.Now(),
+		done:        make(chan struct{}),
 		reg:         reg,
 		spans:       obs.NewSpanTracer(cfg.SpanWriter, obs.DefaultRingSize, cfg.SpanSampleEvery, 0),
 		alerts:      obs.NewAlertEngine(),
@@ -417,7 +419,6 @@ func Start(cfg Config) (*Server, error) {
 	// watch it.
 	if !cfg.ConntrackDisabled {
 		s.ct = conntrack.New(conntrack.Config{
-			Interval: cfg.ConntrackInterval,
 			Registry: reg,
 		})
 	}
@@ -452,7 +453,7 @@ func Start(cfg Config) (*Server, error) {
 	if !cfg.HistoryDisabled {
 		s.history = history.New(history.Config{
 			Samples:  reg.Samples,
-			Interval: cfg.HistoryInterval,
+			Interval: cfg.TelemetryInterval,
 			MaxBytes: cfg.HistoryMaxBytes,
 		})
 	}
@@ -498,10 +499,8 @@ func Start(cfg Config) (*Server, error) {
 	// The background loops start only past the last error return that
 	// bypasses Close, so a failed Start leaks no goroutine; from here on
 	// Close tears them down.
-	s.alerts.Start(cfg.AlertInterval)
-	s.history.Start()
-	s.ct.Start()
-	s.wg.Add(1)
+	s.wg.Add(2)
+	go s.telemetryLoop()
 	go s.acceptLoop()
 	// The walk is bound once: the station hands it to its pool, so a method
 	// value evaluated inside fanOut would allocate on every tick.
@@ -545,10 +544,32 @@ func (s *Server) Close() error {
 	// snapshot; pushes to the closed rings fail harmlessly and
 	// station.Close waits for the clock goroutine — and therefore the
 	// joined span walks — to finish before it tears its pool down.
-	s.alerts.Stop()
-	s.history.Stop()
-	s.ct.Stop()
+	close(s.done)
 	s.station.Close()
 	s.wg.Wait()
 	return err
+}
+
+// telemetryLoop is the server's one telemetry goroutine. Each period it
+// sweeps the connections, scrapes the registry and evaluates the alert rules,
+// in that order: a rule sees the sweep of the same period, and the store
+// holds what the rule saw. The three steps are nil-safe, so a disabled layer
+// costs its branch. A rule entering firing captures its flight bundle here,
+// synchronously, which delays the next sweep and scrape by the capture's
+// duration (rate-limited by Config.FlightCooldown); in exchange Close, which
+// waits for this goroutine, never returns while a bundle is being written.
+func (s *Server) telemetryLoop() {
+	defer s.wg.Done()
+	t := time.NewTicker(s.cfg.TelemetryInterval)
+	defer t.Stop()
+	for {
+		select {
+		case <-t.C:
+			s.ct.Sweep()
+			s.history.Scrape()
+			s.alerts.Eval()
+		case <-s.done:
+			return
+		}
+	}
 }

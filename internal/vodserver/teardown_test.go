@@ -138,6 +138,56 @@ func TestSlowSubscriberDroppedMidBroadcast(t *testing.T) {
 	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 }
 
+// TestCloseWaitsForTelemetry: sweep, scrape and evaluation run on one loop
+// that Close joins. The staleness rule fires on that loop and captures its
+// flight bundle there, and Close is called the moment the rule reads firing,
+// while the capture may still be writing. Everything after Close is asserted
+// once, without polling: no telemetry goroutine is left, every tick scraped
+// exactly as often as it evaluated, and the bundle is whole.
+func TestCloseWaitsForTelemetry(t *testing.T) {
+	flightDir := t.TempDir()
+	s, err := Start(Config{
+		Addr:              "127.0.0.1:0",
+		Videos:            []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
+		SlotDuration:      10 * time.Millisecond,
+		TelemetryInterval: time.Millisecond,
+		FlightDir:         flightDir,
+		FlightCooldown:    time.Hour,
+		// No client ever reports, so this rule fires within a few ticks.
+		ReportStaleAfter: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the staleness rule to fire on the loop", func() bool {
+		return s.Alerts().Firing() > 0
+	})
+	s.Close()
+
+	// The loop is the only caller of the sweep, the scrape and the
+	// evaluation, so its frame is the one to look for. Close returns when
+	// the loop's deferred wg.Done lands, which can be an instant before the
+	// goroutine is gone: a goroutine inside Done has finished its work.
+	stacks := make([]byte, 1<<20)
+	stacks = stacks[:runtime.Stack(stacks, true)]
+	for _, g := range strings.Split(string(stacks), "\n\n") {
+		if strings.Contains(g, "telemetryLoop") && !strings.Contains(g, "sync.(*WaitGroup).Done") {
+			t.Fatalf("the telemetry loop survived Close:\n%s", g)
+		}
+	}
+	scrapes, evals := s.History().Stats().Scrapes, s.Alerts().Evals()
+	if evals == 0 || scrapes != evals {
+		t.Fatalf("loop ran %d scrapes and %d evaluations, want equal and non-zero", scrapes, evals)
+	}
+	entries, err := os.ReadDir(flightDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || !strings.HasPrefix(entries[0].Name(), "bundle-") || strings.HasSuffix(entries[0].Name(), ".tmp") {
+		t.Fatalf("flight dir after Close holds %v, want exactly one finished bundle", entries)
+	}
+}
+
 // TestStartFailureLeaksNothing: a Start that fails after the telemetry
 // subsystems are built — the stats address is taken, or the flight directory
 // cannot be created — must return with none of their background loops
