@@ -31,16 +31,20 @@ lint:
 		echo "lint: staticcheck not installed — skipping (install: go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION))"; \
 	fi
 
-# The one-stop gate: gofmt (any file it lists fails the gate), vet, the race
-# suite, a coverage floor on the observability-critical packages (including
-# the wire codec and the QoE client since they carry the telemetry loop), and
-# the metric-name lint (every family a fully wired server registers — the
-# client_* families included — must pass obs.ValidMetricName).
+# The one-stop gate: gofmt (any file it lists fails the gate), vet — the
+# netem-tagged scenarios and the non-Linux TCP_INFO stub included, so no
+# build-gated file goes unchecked — the race suite, a coverage floor on the
+# observability-critical packages (including the wire codec and the QoE client
+# since they carry the telemetry loop), and the metric census (every family a
+# fully wired server registers must pass obs.ValidMetricName and name its
+# reader, and every named reader's family must be registered).
 COVER_FLOOR ?= 85
 ci:
 	@unformatted=$$(gofmt -l *.go cmd internal examples benchmark); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
+	$(GO) vet -tags netem ./internal/vodserver/
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/conntrack/ ./internal/vodserver/
 	$(MAKE) lint
 	$(GO) test -race ./...
 	$(GO) test -coverprofile=ci-cover.out ./internal/obs/ ./internal/obs/history/ ./internal/station/ ./internal/wire/ ./internal/vodclient/

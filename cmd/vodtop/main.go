@@ -226,8 +226,8 @@ func stageRows(snap vodserver.StatusSnapshot) []stageRow {
 }
 
 // historyPane holds the raw /queryz ranges behind the trend pane: the
-// startup-latency gauge, the cumulative request counter (turned into a rate
-// client-side) and the firing-alert count.
+// startup-delay summary's p99, the cumulative request counter (turned into a
+// rate client-side) and the firing-alert count.
 type historyPane struct {
 	startup  []history.Point
 	requests []history.Point
@@ -250,7 +250,7 @@ func fetchHistory(client *http.Client, addr string) *historyPane {
 		name string
 		dst  *[]history.Point
 	}{
-		{"vod_qoe_startup_p99_slots", &pane.startup},
+		{`client_startup_slots{quantile="0.99"}`, &pane.startup},
 		{"vod_requests_total", &pane.requests},
 		{"vod_alerts_firing", &pane.firing},
 	} {

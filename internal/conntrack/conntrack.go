@@ -29,7 +29,6 @@
 package conntrack
 
 import (
-	"fmt"
 	"net"
 	"sort"
 	"sync"
@@ -137,10 +136,6 @@ type Config struct {
 	// Hold is the hysteresis: how many consecutive samples a candidate state
 	// must persist before the published state changes. <= 0 selects 2.
 	Hold int
-	// MaxVideoLabels caps the conn_video_tracked gauge cardinality: at most
-	// this many distinct video labels are created, the rest fold into
-	// video="other". <= 0 selects 16.
-	MaxVideoLabels int
 	// Registry, when non-nil, receives the conn_* metric families.
 	Registry *obs.Registry
 	// Clock stamps samples; nil selects time.Now. Tests inject a manual
@@ -151,9 +146,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Hold <= 0 {
 		c.Hold = 2
-	}
-	if c.MaxVideoLabels <= 0 {
-		c.MaxVideoLabels = 16
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -175,33 +167,32 @@ type Sampler struct {
 
 	// occWin holds the latest ring-occupancy fraction of every tracked
 	// connection, one observation per connection per sweep — the aggregate
-	// quantile surface behind conn_ring_occupancy_p99.
+	// quantile surface behind /connz and the conn_ring_occupancy summary.
 	occWin *obs.Window
 
-	mRTT        *obs.Histogram
+	mRTT        *obs.Window
 	mRetrans    *obs.Counter
 	mPushFail   *obs.Counter
 	mDrainBytes *obs.Counter
 	stateGauges [NumStates]*obs.Gauge
-	videoGauges map[uint32]*obs.Gauge
-	otherGauge  *obs.Gauge
 }
-
-// rttBuckets bins the RTT histogram from LAN to congested-WAN scales.
-var rttBuckets = []float64{.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1}
 
 // New builds a sampler on cfg. It is passive: whoever owns it calls Sweep
 // once per sampling period.
 func New(cfg Config) *Sampler {
 	cfg = cfg.withDefaults()
 	s := &Sampler{
-		cfg:    cfg,
-		conns:  make(map[*Conn]struct{}),
-		occWin: obs.NewWindow(0),
+		cfg:   cfg,
+		conns: make(map[*Conn]struct{}),
 	}
-	if reg := cfg.Registry; reg != nil {
-		s.mRTT = reg.Histogram("conn_rtt_seconds",
-			"Kernel smoothed RTT per tracked connection per sample.", rttBuckets)
+	reg := cfg.Registry
+	if reg == nil {
+		s.occWin = obs.NewWindow(0)
+	} else {
+		s.occWin = reg.Window("conn_ring_occupancy",
+			"Per-subscriber ring occupancy (fraction of capacity), one observation per tracked connection per sweep.", 0)
+		s.mRTT = reg.Window("conn_rtt_seconds",
+			"Kernel smoothed RTT per tracked connection per sample.", 0)
 		s.mRetrans = reg.Counter("conn_retrans_total",
 			"TCP segments retransmitted across all tracked connections.")
 		s.mPushFail = reg.Counter("conn_push_fail_total",
@@ -213,16 +204,12 @@ func New(cfg Config) *Sampler {
 				"Tracked connections currently classified into each transport state.",
 				obs.Labels{"state": stateNames[st]})
 		}
-		s.videoGauges = make(map[uint32]*obs.Gauge)
 		reg.GaugeFunc("conn_tracked",
 			"Connections currently tracked by the transport telemetry sampler.",
 			func() float64 { return float64(s.Tracked()) })
 		reg.GaugeFunc("conn_stalled_ratio",
 			"Fraction of tracked connections classified stalled (0 when none are tracked).",
 			s.StalledRatio)
-		reg.GaugeFunc("conn_ring_occupancy_p99",
-			"99th percentile of per-subscriber ring occupancy (fraction of capacity) over recent samples.",
-			func() float64 { return s.occWin.Snapshot().P99 })
 	}
 	return s
 }
@@ -383,16 +370,13 @@ func (s *Sampler) Sweep() {
 	now := s.cfg.Clock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	videoCounts := make(map[uint32]int)
 	for c := range s.conns {
 		s.sweepConn(c, now)
-		videoCounts[c.video]++
 	}
 	if s.cfg.Registry != nil {
 		for st := 0; st < NumStates; st++ {
 			s.stateGauges[st].Set(float64(s.counts[st]))
 		}
-		s.setVideoGauges(videoCounts)
 	}
 }
 
@@ -539,35 +523,6 @@ func (s *Sampler) holdAndPublish(c *Conn, cand State, now time.Time) {
 	c.pub.Store(uint32(cand))
 	c.pubSince.Store(now.UnixNano())
 	c.candidateRun = 0
-}
-
-// setVideoGauges refreshes the capped-cardinality per-video breakdown.
-// Caller holds s.mu.
-func (s *Sampler) setVideoGauges(counts map[uint32]int) {
-	for video, g := range s.videoGauges {
-		g.Set(float64(counts[video]))
-		delete(counts, video)
-	}
-	other := 0
-	for video, n := range counts {
-		if len(s.videoGauges) < s.cfg.MaxVideoLabels {
-			g := s.cfg.Registry.GaugeWith("conn_video_tracked",
-				"Tracked connections per video (cardinality-capped; overflow folds into video=\"other\").",
-				obs.Labels{"video": fmt.Sprint(video)})
-			g.Set(float64(n))
-			s.videoGauges[video] = g
-			continue
-		}
-		other += n
-	}
-	if other > 0 || s.otherGauge != nil {
-		if s.otherGauge == nil {
-			s.otherGauge = s.cfg.Registry.GaugeWith("conn_video_tracked",
-				"Tracked connections per video (cardinality-capped; overflow folds into video=\"other\").",
-				obs.Labels{"video": "other"})
-		}
-		s.otherGauge.Set(float64(other))
-	}
 }
 
 // Tracked reports the number of connections currently tracked. Nil-safe.

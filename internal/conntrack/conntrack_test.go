@@ -3,7 +3,6 @@ package conntrack
 import (
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -234,37 +233,10 @@ func TestSnapshotRowsAndMetrics(t *testing.T) {
 	if vals["conn_drain_bytes_total"] != 4096 {
 		t.Fatalf("conn_drain_bytes_total = %v", vals["conn_drain_bytes_total"])
 	}
-	if vals[`conn_video_tracked{video="1"}`] != 1 || vals[`conn_video_tracked{video="2"}`] != 1 {
-		t.Fatalf("per-video gauges = %v", vals)
-	}
-}
-
-// TestVideoLabelCardinalityCap registers more videos than MaxVideoLabels and
-// asserts the overflow folds into video="other" instead of minting new
-// children.
-func TestVideoLabelCardinalityCap(t *testing.T) {
-	reg := obs.NewRegistry()
-	s, clk := testSampler(t, Config{MaxVideoLabels: 2, Registry: reg})
-	for v := uint32(1); v <= 5; v++ {
-		s.Register(nil, v, 4)
-	}
-	sweep(s, clk)
-	videoChildren, other := 0, 0.0
-	for _, smp := range reg.Samples() {
-		if smp.Name != "conn_video_tracked" {
-			continue
-		}
-		if strings.Contains(smp.Labels, `video="other"`) {
-			other = smp.Value
-			continue
-		}
-		videoChildren++
-	}
-	if videoChildren != 2 {
-		t.Fatalf("video label children = %d, want 2", videoChildren)
-	}
-	if other != 3 {
-		t.Fatalf(`video="other" = %v, want 3`, other)
+	// Two connections over two sweeps: four occupancy observations, the
+	// stalled connection's full ring (8/8) on top.
+	if vals["conn_ring_occupancy_count"] != 4 || vals[`conn_ring_occupancy{quantile="0.99"}`] != 1 {
+		t.Fatalf("conn_ring_occupancy summary = %v", vals)
 	}
 }
 

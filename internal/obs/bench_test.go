@@ -15,7 +15,7 @@ import (
 // against the pre-history tree.
 
 // benchRegistry populates a registry the size of a fully wired server's:
-// labelled counters and gauges plus a few histograms.
+// labelled counters and gauges plus a few summaries.
 func benchRegistry() *Registry {
 	reg := NewRegistry()
 	for i := 0; i < 16; i++ {
@@ -27,8 +27,7 @@ func benchRegistry() *Registry {
 		reg.Counter(fmt.Sprintf("bench_plain_%d_total", i), "A plain counter.").Add(float64(i))
 	}
 	for i := 0; i < 4; i++ {
-		h := reg.Histogram(fmt.Sprintf("bench_latency_%d_seconds", i), "A latency histogram.",
-			[]float64{0.001, 0.01, 0.1, 1})
+		h := reg.Window(fmt.Sprintf("bench_latency_%d_seconds", i), "A latency summary.", 0)
 		for j := 0; j < 10; j++ {
 			h.Observe(float64(j) * 0.013)
 		}

@@ -61,9 +61,9 @@ type Config struct {
 	Interval time.Duration
 	// MaxBytes caps resident ring memory. Once admitting another series
 	// would exceed it, new series are refused (counted, not grown);
-	// established series keep updating. Within one scrape unlabelled series
-	// are admitted before labelled ones, so a per-video family cannot starve
-	// the server-wide totals. <= 0 selects 8 MiB.
+	// established series keep updating. Within one scrape families are
+	// admitted smallest first, so a per-video family cannot starve the
+	// server-wide totals or a small labelled family. <= 0 selects 8 MiB.
 	MaxBytes int
 	// Clock stamps scrapes; nil selects time.Now. Tests inject a manual
 	// clock to make tier boundaries deterministic.
@@ -149,19 +149,29 @@ func (s *Store) Scrape() {
 	if s == nil {
 		return
 	}
-	samples := s.samples()
+	// Smallest families go first, ties by name. A family is every series
+	// sharing a name, so one with a child per catalogue video is admitted
+	// after every server-wide total and every small labelled family, and it
+	// alone is cut short when the byte cap binds.
+	families := make(map[string][]obs.Sample)
+	var names []string
+	for _, sm := range s.samples() {
+		fam := families[sm.Name]
+		if fam == nil {
+			names = append(names, sm.Name)
+		}
+		families[sm.Name] = append(fam, sm)
+	}
+	sort.Slice(names, func(i, j int) bool {
+		a, b := len(families[names[i]]), len(families[names[j]])
+		return a < b || (a == b && names[i] < names[j])
+	})
 	now := s.clock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.scrapes++
-	// Unlabelled samples go first: samples arrive sorted by family name, so
-	// one family with a child per catalogue video would otherwise take the
-	// whole byte cap and refuse every server-wide total that sorts after it.
-	for _, labelled := range [2]bool{false, true} {
-		for _, sm := range samples {
-			if (sm.Labels != "") != labelled {
-				continue
-			}
+	for _, name := range names {
+		for _, sm := range families[name] {
 			key := sm.Name + sm.Labels
 			sr, ok := s.series[key]
 			if !ok {

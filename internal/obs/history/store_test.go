@@ -73,8 +73,7 @@ func TestStoreSeriesIdentityAndListing(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.GaugeWith("vod_channel_load", "", obs.Labels{"video": "2"}).Set(1)
 	reg.GaugeWith("vod_channel_load", "", obs.Labels{"video": "1"}).Set(2)
-	h := reg.Histogram("vod_startup_slots", "", []float64{1, 2})
-	h.Observe(0.5)
+	reg.Window("vod_startup_slots", "", 0).Observe(0.5)
 	s, _ := newTestStore(t, reg, Config{})
 	s.Scrape()
 
@@ -83,6 +82,9 @@ func TestStoreSeriesIdentityAndListing(t *testing.T) {
 		`vod_channel_load{video="2"}`,
 		"vod_startup_slots_count",
 		"vod_startup_slots_sum",
+		`vod_startup_slots{quantile="0.5"}`,
+		`vod_startup_slots{quantile="0.95"}`,
+		`vod_startup_slots{quantile="0.99"}`,
 	}
 	got := s.Series()
 	if len(got) != len(want) {
@@ -229,6 +231,35 @@ func TestStoreLargeFamilyDoesNotStarveTotals(t *testing.T) {
 	}
 	if pts := s.Query(`a_channel_load{video="0"}`, start, clk.Now(), 0); len(pts) != 2 {
 		t.Fatalf("labelled series lost to the reordering: %+v", pts)
+	}
+}
+
+// TestStoreSmallFamilyBeforeLargeFamily: a labelled family with one child per
+// catalogue video sorts before a three-child family and alone overflows the
+// cap; the small family must still be retained whole, and the large one gets
+// exactly what is left.
+func TestStoreSmallFamilyBeforeLargeFamily(t *testing.T) {
+	reg := obs.NewRegistry()
+	for v := 0; v < 2048; v++ {
+		reg.CounterWith("a_miss_total", "", obs.Labels{"video": fmt.Sprint(v)})
+	}
+	for _, reason := range []string{"healthy", "stalled", "untracked"} {
+		reg.CounterWith("z_dropped_total", "", obs.Labels{"reason": reason}).Inc()
+	}
+	s, _ := newTestStore(t, reg, Config{MaxBytes: 100 * SeriesCost})
+	s.Scrape()
+
+	if st := s.Stats(); st.Series != 100 || st.DroppedSeries != 2048+3-100 {
+		t.Fatalf("stats %+v, want 100 series retained and the rest refused", st)
+	}
+	have := make(map[string]bool)
+	for _, k := range s.Series() {
+		have[k] = true
+	}
+	for _, reason := range []string{"healthy", "stalled", "untracked"} {
+		if key := `z_dropped_total{reason="` + reason + `"}`; !have[key] {
+			t.Fatalf("%s refused behind the 2048-child family", key)
+		}
 	}
 }
 

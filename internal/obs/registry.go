@@ -5,8 +5,8 @@
 // The paper's whole evaluation is phrased in observed quantities — per-slot
 // bandwidth, peaks, waiting time — so every production-facing component
 // (vodserver, the simulators) publishes those quantities through this
-// package: counters and gauges for instantaneous state, time-weighted
-// histograms for distributions, and a JSONL event stream that captures every
+// package: counters and gauges for instantaneous state, rolling-window
+// summaries for distributions, and a JSONL event stream that captures every
 // heuristic decision of Figure 6 for offline replay and diffing.
 //
 // The package deliberately imports nothing beyond the standard library so
@@ -29,7 +29,7 @@ type metricKind int
 const (
 	kindCounter metricKind = iota
 	kindGauge
-	kindHistogram
+	kindSummary
 )
 
 func (k metricKind) String() string {
@@ -39,7 +39,7 @@ func (k metricKind) String() string {
 	case kindGauge:
 		return "gauge"
 	default:
-		return "histogram"
+		return "summary"
 	}
 }
 
@@ -63,10 +63,9 @@ func NewRegistry() *Registry {
 }
 
 type family struct {
-	name    string
-	help    string
-	kind    metricKind
-	buckets []float64 // histogram families only
+	name string
+	help string
+	kind metricKind
 
 	mu       sync.Mutex
 	children []*child // creation order
@@ -78,10 +77,7 @@ type child struct {
 	mu     sync.Mutex
 	value  float64 // counter/gauge
 	fn     func() float64
-	counts []float64 // histogram: per-bucket (non-cumulative) weights
-	inf    float64   // histogram: weight above the last bucket
-	sum    float64
-	count  float64
+	win    *Window // summary
 }
 
 // ValidMetricName reports whether s is a legal Prometheus metric name. The
@@ -173,7 +169,7 @@ func renderLabels(ls Labels) string {
 
 // lookup returns the family with the given name, creating it on first use
 // and panicking when a previous registration disagrees on kind.
-func (r *Registry) lookup(name, help string, kind metricKind, buckets []float64) *family {
+func (r *Registry) lookup(name, help string, kind metricKind) *family {
 	if !validName(name, false) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
@@ -185,7 +181,7 @@ func (r *Registry) lookup(name, help string, kind metricKind, buckets []float64)
 		}
 		return f
 	}
-	f := &family{name: name, help: help, kind: kind, buckets: buckets, byKey: make(map[string]*child)}
+	f := &family{name: name, help: help, kind: kind, byKey: make(map[string]*child)}
 	r.families = append(r.families, f)
 	r.byName[name] = f
 	return f
@@ -201,9 +197,6 @@ func (f *family) childFor(ls Labels) *child {
 		return c
 	}
 	c := &child{labels: key}
-	if f.kind == kindHistogram {
-		c.counts = make([]float64, len(f.buckets))
-	}
 	f.children = append(f.children, c)
 	f.byKey[key] = c
 	return c
@@ -220,7 +213,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 
 // CounterWith returns the counter child with the given label set.
 func (r *Registry) CounterWith(name, help string, ls Labels) *Counter {
-	return &Counter{c: r.lookup(name, help, kindCounter, nil).childFor(ls)}
+	return &Counter{c: r.lookup(name, help, kindCounter).childFor(ls)}
 }
 
 // Inc adds one.
@@ -254,14 +247,14 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 
 // GaugeWith returns the gauge child with the given label set.
 func (r *Registry) GaugeWith(name, help string, ls Labels) *Gauge {
-	return &Gauge{c: r.lookup(name, help, kindGauge, nil).childFor(ls)}
+	return &Gauge{c: r.lookup(name, help, kindGauge).childFor(ls)}
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at exposition
 // time, for quantities the owner already tracks (uptime, live subscriber
 // counts).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	c := r.lookup(name, help, kindGauge, nil).childFor(nil)
+	c := r.lookup(name, help, kindGauge).childFor(nil)
 	c.mu.Lock()
 	c.fn = fn
 	c.mu.Unlock()
@@ -291,75 +284,23 @@ func (g *Gauge) Value() float64 {
 	return g.c.value
 }
 
-// Histogram accumulates a distribution in cumulative Prometheus buckets.
-// Observations carry an explicit weight so slotted protocols can record
-// time-weighted load distributions (one observation per slot, weighted by
-// the slot duration) alongside ordinary count-weighted latencies.
-type Histogram struct {
-	f *family
-	c *child
+// Window returns the unlabelled summary with the given name, registering it
+// on first use: a rolling window over the last size observations (size <= 0
+// selects DefaultWindowSize) that exposes its p50/p95/p99 and its lifetime
+// _sum and _count. A re-registration returns the existing window.
+func (r *Registry) Window(name, help string, size int) *Window {
+	return r.WindowWith(name, help, size, nil)
 }
 
-// DefBuckets are the default latency buckets in seconds, matching the
-// Prometheus client defaults.
-var DefBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
-
-// Histogram returns the unlabelled histogram with the given name and upper
-// bucket bounds (ascending, +Inf implicit), registering it on first use. A
-// nil bounds slice selects DefBuckets.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	return r.HistogramWith(name, help, bounds, nil)
-}
-
-// HistogramWith returns the histogram child with the given label set.
-func (r *Registry) HistogramWith(name, help string, bounds []float64, ls Labels) *Histogram {
-	if bounds == nil {
-		bounds = DefBuckets
+// WindowWith returns the summary child with the given label set.
+func (r *Registry) WindowWith(name, help string, size int, ls Labels) *Window {
+	c := r.lookup(name, help, kindSummary).childFor(ls)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.win == nil {
+		c.win = NewWindow(size)
 	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("obs: histogram %q buckets not ascending at %v", name, bounds[i]))
-		}
-	}
-	own := make([]float64, len(bounds))
-	copy(own, bounds)
-	f := r.lookup(name, help, kindHistogram, own)
-	return &Histogram{f: f, c: f.childFor(ls)}
-}
-
-// Observe records one observation with weight 1.
-func (h *Histogram) Observe(v float64) { h.ObserveWeighted(v, 1) }
-
-// ObserveWeighted records an observation with the given weight (e.g. the
-// slot duration for a time-weighted load histogram). Negative weights panic.
-func (h *Histogram) ObserveWeighted(v, weight float64) {
-	if weight < 0 {
-		panic("obs: negative observation weight")
-	}
-	h.c.mu.Lock()
-	defer h.c.mu.Unlock()
-	idx := sort.SearchFloat64s(h.f.buckets, v)
-	if idx < len(h.f.buckets) {
-		h.c.counts[idx] += weight
-	} else {
-		h.c.inf += weight
-	}
-	h.c.sum += v * weight
-	h.c.count += weight
-}
-
-// Sum reports the weighted sum of observations.
-func (h *Histogram) Sum() float64 {
-	h.c.mu.Lock()
-	defer h.c.mu.Unlock()
-	return h.c.sum
-}
-
-// Count reports the total observation weight.
-func (h *Histogram) Count() float64 {
-	h.c.mu.Lock()
-	defer h.c.mu.Unlock()
-	return h.c.count
+	return c.win
 }
 
 // formatValue renders a sample value the way Prometheus expects.
@@ -389,30 +330,26 @@ func (r *Registry) Names() []string {
 }
 
 // Sample is one scalar series value from a structured registry walk: the
-// family name (histograms expand to their _sum and _count series), the
-// pre-rendered label set, the family kind, and the current value. It is the
+// series name, the pre-rendered label set and the current value. It is the
 // scrape unit of the history store — a name+labels pair identifies one
 // time series.
 type Sample struct {
-	// Name is the series name: the family name for counters and gauges, or
-	// the family name suffixed _sum / _count for histograms (bucket series
-	// are deliberately not walked: the history store retains scalar series,
-	// and the sum/count pair is what rates and means are derived from).
+	// Name is the series name: the family name for counters, gauges and a
+	// summary's quantile series, or the family name suffixed _sum / _count
+	// for a summary's lifetime totals.
 	Name string
 	// Labels is the pre-rendered {k="v",...} label set, or "" for the
 	// unlabelled child — exactly the byte string the text exposition uses,
-	// so Name+Labels is a stable series identity across both surfaces.
+	// so Name+Labels is a stable series identity across both surfaces. A
+	// summary's quantile series carry quantile="0.5|0.95|0.99" last.
 	Labels string
-	// Kind is the family's exposition TYPE ("counter", "gauge",
-	// "histogram").
-	Kind string
 	// Value is the current sample value (GaugeFunc sources are read here).
 	Value float64
 }
 
 // Samples walks every registered family and returns one Sample per scalar
 // series, families in sorted name order and children in sorted label order —
-// the same deterministic order the text exposition renders. It is the
+// the order and values the text exposition renders, line for line. It is the
 // structured counterpart of WritePrometheus for scrapers that retain values
 // (the history store) instead of re-parsing the text format.
 func (r *Registry) Samples() []Sample {
@@ -420,24 +357,38 @@ func (r *Registry) Samples() []Sample {
 	out := make([]Sample, 0, len(families))
 	for _, f := range families {
 		for _, c := range f.sortedChildren() {
-			c.mu.Lock()
-			value := c.value
-			if c.fn != nil {
-				value = c.fn()
-			}
-			sum := c.sum
-			count := c.count
-			c.mu.Unlock()
-			if f.kind == kindHistogram {
-				out = append(out,
-					Sample{Name: f.name + "_sum", Labels: c.labels, Kind: f.kind.String(), Value: sum},
-					Sample{Name: f.name + "_count", Labels: c.labels, Kind: f.kind.String(), Value: count})
-				continue
-			}
-			out = append(out, Sample{Name: f.name, Labels: c.labels, Kind: f.kind.String(), Value: value})
+			out = f.appendSamples(out, c)
 		}
 	}
 	return out
+}
+
+// appendSamples appends one child's series: its value for a counter or gauge;
+// for a summary the three quantiles over its window, then the lifetime sum and
+// count of every observation it ever took.
+func (f *family) appendSamples(out []Sample, c *child) []Sample {
+	c.mu.Lock()
+	value, win := c.value, c.win
+	if c.fn != nil {
+		value = c.fn()
+	}
+	c.mu.Unlock()
+	if f.kind != kindSummary {
+		return append(out, Sample{Name: f.name, Labels: c.labels, Value: value})
+	}
+	snap := win.Snapshot()
+	quantile := func(q string) string {
+		if c.labels == "" {
+			return `{quantile="` + q + `"}`
+		}
+		return c.labels[:len(c.labels)-1] + `,quantile="` + q + `"}`
+	}
+	return append(out,
+		Sample{Name: f.name, Labels: quantile("0.5"), Value: snap.P50},
+		Sample{Name: f.name, Labels: quantile("0.95"), Value: snap.P95},
+		Sample{Name: f.name, Labels: quantile("0.99"), Value: snap.P99},
+		Sample{Name: f.name + "_sum", Labels: c.labels, Value: snap.sum},
+		Sample{Name: f.name + "_count", Labels: c.labels, Value: float64(snap.Total)})
 }
 
 // sortedFamilies snapshots the family list in sorted name order.
@@ -462,7 +413,7 @@ func (f *family) sortedChildren() []*child {
 
 // WritePrometheus renders every registered family in the text exposition
 // format: a HELP and TYPE line per family, then one sample line per child
-// (histograms expand to cumulative _bucket lines plus _sum and _count).
+// (summaries expand to three quantile lines plus _sum and _count).
 // Families render in sorted name order and children in sorted label order,
 // never in registration (or map-iteration) order, so two scrapes of
 // identical state are byte-identical and diffs between deployments are
@@ -489,61 +440,15 @@ func (r *Registry) WritePrometheusPrefix(w io.Writer, prefix string) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
 			return err
 		}
+		var lines []Sample
 		for _, c := range f.sortedChildren() {
-			if err := f.writeChild(w, c); err != nil {
+			lines = f.appendSamples(lines, c)
+		}
+		for _, s := range lines {
+			if _, err := fmt.Fprintf(w, "%s%s %s\n", s.Name, s.Labels, formatValue(s.Value)); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// writeChild renders one child's sample lines under its family's lock-free
-// snapshot of the child state.
-func (f *family) writeChild(w io.Writer, c *child) error {
-	c.mu.Lock()
-	value := c.value
-	if c.fn != nil {
-		value = c.fn()
-	}
-	counts := append([]float64(nil), c.counts...)
-	inf := c.inf
-	sum := c.sum
-	count := c.count
-	c.mu.Unlock()
-
-	if f.kind != kindHistogram {
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, c.labels, formatValue(value))
-		return err
-	}
-	// Cumulative buckets, then +Inf, _sum and _count.
-	cum := 0.0
-	for i, le := range f.buckets {
-		cum += counts[i]
-		if err := writeBucket(w, f.name, c.labels, formatValue(le), cum); err != nil {
-			return err
-		}
-	}
-	cum += inf
-	if err := writeBucket(w, f.name, c.labels, "+Inf", cum); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, c.labels, formatValue(sum)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %s\n", f.name, c.labels, formatValue(count))
-	return err
-}
-
-// writeBucket renders one cumulative bucket line, splicing le into any
-// existing label set.
-func writeBucket(w io.Writer, name, labels, le string, cum float64) error {
-	var ls string
-	if labels == "" {
-		ls = fmt.Sprintf(`{le="%s"}`, le)
-	} else {
-		ls = strings.TrimSuffix(labels, "}") + fmt.Sprintf(`,le="%s"}`, le)
-	}
-	_, err := fmt.Fprintf(w, "%s_bucket%s %s\n", name, ls, formatValue(cum))
-	return err
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,7 +9,7 @@ import (
 
 // TestPrometheusGolden pins the full exposition of a small registry so the
 // format never drifts: HELP/TYPE lines, sorted families, sorted labels,
-// escaping, cumulative histogram expansion. Families and children are
+// escaping, summary expansion. Families and children are
 // deliberately registered out of name order — exposition must sort them, not
 // echo registration (or map-iteration) order.
 func TestPrometheusGolden(t *testing.T) {
@@ -18,20 +17,28 @@ func TestPrometheusGolden(t *testing.T) {
 	r.Counter("vod_requests_total", "Admitted customer requests.").Add(3)
 	r.GaugeWith("vod_channel_load", "Per-video slot load.", Labels{"video": "2"}).Set(0.5)
 	r.GaugeWith("vod_channel_load", "Per-video slot load.", Labels{"video": "1"}).Set(4)
-	h := r.Histogram("vod_admit_latency_seconds", "Admission to first byte.", []float64{0.1, 1})
+	h := r.Window("vod_admit_latency_seconds", "Admission to first byte.", 0)
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(2)
+	r.WindowWith("stage_seconds", "Stage latency.", 0, Labels{"stage": "admit"}).Observe(1)
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want := `# HELP vod_admit_latency_seconds Admission to first byte.
-# TYPE vod_admit_latency_seconds histogram
-vod_admit_latency_seconds_bucket{le="0.1"} 1
-vod_admit_latency_seconds_bucket{le="1"} 2
-vod_admit_latency_seconds_bucket{le="+Inf"} 3
+	want := `# HELP stage_seconds Stage latency.
+# TYPE stage_seconds summary
+stage_seconds{stage="admit",quantile="0.5"} 1
+stage_seconds{stage="admit",quantile="0.95"} 1
+stage_seconds{stage="admit",quantile="0.99"} 1
+stage_seconds_sum{stage="admit"} 1
+stage_seconds_count{stage="admit"} 1
+# HELP vod_admit_latency_seconds Admission to first byte.
+# TYPE vod_admit_latency_seconds summary
+vod_admit_latency_seconds{quantile="0.5"} 0.5
+vod_admit_latency_seconds{quantile="0.95"} 2
+vod_admit_latency_seconds{quantile="0.99"} 2
 vod_admit_latency_seconds_sum 2.55
 vod_admit_latency_seconds_count 3
 # HELP vod_channel_load Per-video slot load.
@@ -144,48 +151,37 @@ func parseExposition(t *testing.T, text string) map[string]float64 {
 	return out
 }
 
-// TestHistogramConsistency asserts the structural invariants every
-// Prometheus scraper relies on: bucket counts are monotone in le, the +Inf
-// bucket equals _count, and _sum matches the recorded observations —
-// including weighted (time-weighted) observations.
-func TestHistogramConsistency(t *testing.T) {
+// TestSummaryConsistency: a summary's _count and _sum are lifetime totals
+// while its quantiles cover only the window — 2 000 observations into a
+// size-4 window read _count 2000, the sum of all 2 000, and quantiles over the
+// last four.
+func TestSummaryConsistency(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("load", "Per-slot load, slot-duration weighted.", []float64{1, 2, 4, 8})
+	w := r.Window("load", "Per-slot load.", 4)
 	wantSum := 0.0
-	wantCount := 0.0
-	for i := 0; i < 100; i++ {
-		v := float64(i % 10)
-		w := 0.5 + float64(i%3)
-		h.ObserveWeighted(v, w)
-		wantSum += v * w
-		wantCount += w
+	for i := 1; i <= 2000; i++ {
+		w.Observe(float64(i))
+		wantSum += float64(i)
 	}
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	samples := parseExposition(t, buf.String())
-
-	prev := -1.0
-	for _, le := range []string{"1", "2", "4", "8", "+Inf"} {
-		name := fmt.Sprintf(`load_bucket{le="%s"}`, le)
-		v, ok := samples[name]
-		if !ok {
-			t.Fatalf("missing bucket %s", name)
-		}
-		if v < prev {
-			t.Fatalf("bucket %s=%v below previous %v: not monotone", name, v, prev)
-		}
-		prev = v
+	if got := samples["load_count"]; got != 2000 {
+		t.Fatalf("_count = %v, want 2000", got)
 	}
-	if got := samples[`load_bucket{le="+Inf"}`]; got != samples["load_count"] {
-		t.Fatalf("+Inf bucket %v != _count %v", got, samples["load_count"])
-	}
-	if got := samples["load_count"]; got != wantCount {
-		t.Fatalf("_count = %v, want %v", got, wantCount)
-	}
-	if got := samples["load_sum"]; got < wantSum-1e-9 || got > wantSum+1e-9 {
+	if got := samples["load_sum"]; got != wantSum {
 		t.Fatalf("_sum = %v, want %v", got, wantSum)
+	}
+	// The window holds 1997..2000: nearest rank puts p50 on 1998.
+	for q, want := range map[string]float64{"0.5": 1998, "0.95": 2000, "0.99": 2000} {
+		if got := samples[`load{quantile="`+q+`"}`]; got != want {
+			t.Fatalf("quantile %s = %v, want %v", q, got, want)
+		}
+	}
+	if len(samples) != 5 {
+		t.Fatalf("summary exposed %d lines, want 3 quantiles + _sum + _count: %v", len(samples), samples)
 	}
 }
 
@@ -212,7 +208,10 @@ func TestRegistryReuseAndConflicts(t *testing.T) {
 	mustPanic("kind conflict", func() { r.Gauge("c", "") })
 	mustPanic("invalid metric name", func() { r.Counter("bad name", "") })
 	mustPanic("invalid label name", func() { r.GaugeWith("g", "", Labels{"0bad": "x"}) })
-	mustPanic("descending buckets", func() { r.Histogram("h", "", []float64{2, 1}) })
+	mustPanic("summary over a counter", func() { r.Window("c", "", 0) })
+	if r.Window("w", "", 4) != r.Window("w", "", 8) {
+		t.Fatal("re-registered summary returned a second window")
+	}
 	mustPanic("negative counter", func() { a.Add(-1) })
 }
 
@@ -239,14 +238,14 @@ func TestGaugeFunc(t *testing.T) {
 }
 
 // TestSamples pins the structured scrape walk: same deterministic family and
-// child ordering as the text exposition, histograms expanded to their
-// _sum/_count scalar series, GaugeFunc sources read at walk time.
+// child ordering as the text exposition, summaries expanded to their quantile
+// and _sum/_count scalar series, GaugeFunc sources read at walk time.
 func TestSamples(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("vod_requests_total", "").Add(3)
 	r.GaugeWith("vod_channel_load", "", Labels{"video": "2"}).Set(0.5)
 	r.GaugeWith("vod_channel_load", "", Labels{"video": "1"}).Set(4)
-	h := r.Histogram("vod_admit_latency_seconds", "", []float64{0.1, 1})
+	h := r.Window("vod_admit_latency_seconds", "", 0)
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(2)
@@ -254,12 +253,15 @@ func TestSamples(t *testing.T) {
 	r.GaugeFunc("vod_uptime_seconds", "", func() float64 { return up })
 
 	want := []Sample{
-		{Name: "vod_admit_latency_seconds_sum", Labels: "", Kind: "histogram", Value: 2.55},
-		{Name: "vod_admit_latency_seconds_count", Labels: "", Kind: "histogram", Value: 3},
-		{Name: "vod_channel_load", Labels: `{video="1"}`, Kind: "gauge", Value: 4},
-		{Name: "vod_channel_load", Labels: `{video="2"}`, Kind: "gauge", Value: 0.5},
-		{Name: "vod_requests_total", Labels: "", Kind: "counter", Value: 3},
-		{Name: "vod_uptime_seconds", Labels: "", Kind: "gauge", Value: 12.5},
+		{Name: "vod_admit_latency_seconds", Labels: `{quantile="0.5"}`, Value: 0.5},
+		{Name: "vod_admit_latency_seconds", Labels: `{quantile="0.95"}`, Value: 2},
+		{Name: "vod_admit_latency_seconds", Labels: `{quantile="0.99"}`, Value: 2},
+		{Name: "vod_admit_latency_seconds_sum", Labels: "", Value: 2.55},
+		{Name: "vod_admit_latency_seconds_count", Labels: "", Value: 3},
+		{Name: "vod_channel_load", Labels: `{video="1"}`, Value: 4},
+		{Name: "vod_channel_load", Labels: `{video="2"}`, Value: 0.5},
+		{Name: "vod_requests_total", Labels: "", Value: 3},
+		{Name: "vod_uptime_seconds", Labels: "", Value: 12.5},
 	}
 	got := r.Samples()
 	if len(got) != len(want) {

@@ -1,71 +1,31 @@
 package obs
 
-import (
-	"runtime"
-	"sync"
-	"time"
-)
+import "runtime/metrics"
 
-// This file is the runtime collector: Go process health — goroutine count,
-// heap, GC pauses — registered as GaugeFuncs so every scrape carries the
-// control-plane context the pipeline latencies need interpreting against
-// (a p99 spike that coincides with a GC pause spike is a very different
-// problem from one that coincides with a queue-depth spike).
-
-// runtimeSampler caches one runtime.ReadMemStats per refresh interval:
-// ReadMemStats stops the world, and one /metricsz scrape reads several
-// gauges, so the gauges share a sample instead of stopping the world once
-// per gauge.
-type runtimeSampler struct {
-	mu      sync.Mutex
-	last    time.Time
-	stats   runtime.MemStats
-	refresh time.Duration
-}
-
-// get returns the cached MemStats, refreshing when stale.
-func (s *runtimeSampler) get() *runtime.MemStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if time.Since(s.last) >= s.refresh {
-		runtime.ReadMemStats(&s.stats)
-		s.last = time.Now()
-	}
-	return &s.stats
-}
+// This file is the runtime collector: Go process health registered as
+// GaugeFuncs so every scrape carries the control-plane context the pipeline
+// latencies need interpreting against (a p99 spike that coincides with a GC
+// cycle is a very different problem from one that coincides with a
+// queue-depth spike).
 
 // RegisterRuntime registers the Go runtime gauges on r:
 //
-//	go_goroutines            live goroutines
-//	go_heap_alloc_bytes      bytes of allocated heap objects
-//	go_heap_sys_bytes        heap memory obtained from the OS
-//	go_gc_cycles_total       completed GC cycles
-//	go_gc_pause_total_seconds cumulative stop-the-world pause time
-//	go_gc_last_pause_seconds most recent stop-the-world pause
-//	go_next_gc_bytes         heap size at which the next GC triggers
+//	go_goroutines        live goroutines
+//	go_heap_alloc_bytes  bytes of allocated heap objects
+//	go_gc_cycles_total   completed GC cycles
 //
-// Values are read at exposition time through one shared MemStats sample
-// cached for a second, so scraping does not multiply stop-the-world reads.
+// Each is read at exposition time through runtime/metrics, which does not
+// stop the world, so a scrape costs no pause and needs no cache.
 func RegisterRuntime(r *Registry) {
-	s := &runtimeSampler{refresh: time.Second}
-	r.GaugeFunc("go_goroutines", "Live goroutines.",
-		func() float64 { return float64(runtime.NumGoroutine()) })
-	r.GaugeFunc("go_heap_alloc_bytes", "Bytes of allocated heap objects.",
-		func() float64 { return float64(s.get().HeapAlloc) })
-	r.GaugeFunc("go_heap_sys_bytes", "Heap memory obtained from the OS.",
-		func() float64 { return float64(s.get().HeapSys) })
-	r.GaugeFunc("go_gc_cycles_total", "Completed GC cycles.",
-		func() float64 { return float64(s.get().NumGC) })
-	r.GaugeFunc("go_gc_pause_total_seconds", "Cumulative stop-the-world GC pause time.",
-		func() float64 { return float64(s.get().PauseTotalNs) / 1e9 })
-	r.GaugeFunc("go_gc_last_pause_seconds", "Most recent stop-the-world GC pause.",
-		func() float64 {
-			ms := s.get()
-			if ms.NumGC == 0 {
-				return 0
-			}
-			return float64(ms.PauseNs[(ms.NumGC+255)%256]) / 1e9
+	for _, g := range []struct{ name, help, metric string }{
+		{"go_goroutines", "Live goroutines.", "/sched/goroutines:goroutines"},
+		{"go_heap_alloc_bytes", "Bytes of allocated heap objects.", "/memory/classes/heap/objects:bytes"},
+		{"go_gc_cycles_total", "Completed GC cycles.", "/gc/cycles/total:gc-cycles"},
+	} {
+		r.GaugeFunc(g.name, g.help, func() float64 {
+			s := []metrics.Sample{{Name: g.metric}}
+			metrics.Read(s)
+			return float64(s[0].Value.Uint64())
 		})
-	r.GaugeFunc("go_next_gc_bytes", "Heap size at which the next GC triggers.",
-		func() float64 { return float64(s.get().NextGC) })
+	}
 }

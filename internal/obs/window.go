@@ -7,11 +7,12 @@ import (
 )
 
 // This file implements the rolling-window latency tracker: exact quantiles
-// over the last N observations plus SLO burn accounting. Histograms (see
-// registry.go) are the long-horizon, scrape-friendly view; the window is the
-// operator's "what is the pipeline doing RIGHT NOW" view that /statusz and
-// vodtop render — p50/p95/p99 over a bounded, recent sample, and how fast
-// the error budget of a latency objective is burning.
+// over the last N observations, lifetime count and sum, plus SLO burn
+// accounting. It is the one distribution instrument: /statusz and vodtop
+// render its snapshot, and a window registered on a Registry (see
+// registry.go) is a Prometheus summary — quantiles over the recent sample for
+// "what is the pipeline doing RIGHT NOW", lifetime _sum and _count for rates
+// and means over any scrape interval.
 //
 // The paper's evaluation bounds client waiting time while holding bandwidth
 // near FB; an SLO of the form "objective fraction of admissions reach first
@@ -32,6 +33,7 @@ type Window struct {
 	full bool
 
 	total uint64
+	sum   float64 // lifetime, beside total
 
 	// SLO accounting (threshold <= 0 disables it).
 	threshold float64
@@ -83,6 +85,7 @@ func (w *Window) Observe(v float64) {
 		w.full = true
 	}
 	w.total++
+	w.sum += v
 	if w.threshold > 0 {
 		if v <= w.threshold {
 			w.good++
@@ -114,6 +117,9 @@ type WindowSnapshot struct {
 	Good         uint64  `json:"good,omitempty"`
 	Bad          uint64  `json:"bad,omitempty"`
 	BurnRate     float64 `json:"burn_rate"`
+	// sum is the lifetime sum beside Total: the summary's _sum, which
+	// /statusz does not carry.
+	sum float64
 }
 
 // quantile reads q in [0,1] from the sorted sample using the
@@ -142,7 +148,7 @@ func (w *Window) Snapshot() WindowSnapshot {
 	w.mu.Lock()
 	sample := append([]float64(nil), w.buf...)
 	snap := WindowSnapshot{
-		Count: len(w.buf), Total: w.total,
+		Count: len(w.buf), Total: w.total, sum: w.sum,
 		SLOThreshold: w.threshold, SLOObjective: w.objective,
 		Good: w.good, Bad: w.bad,
 	}

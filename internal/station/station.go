@@ -89,21 +89,8 @@ type Config struct {
 	// selects GOMAXPROCS, and the count is capped at len(Videos).
 	Shards int
 	// Registry optionally receives the pipeline instruments: the admission
-	// stage histograms (station_stage_seconds) and the clock health series.
+	// stage summaries (station_stage_seconds) and the clock health series.
 	Registry *obs.Registry
-}
-
-// stage is one instrumented pipeline stage: a histogram for scrape-horizon
-// distributions and a rolling window for the live p50/p95/p99 that /statusz
-// and vodtop render.
-type stage struct {
-	hist *obs.Histogram
-	win  *obs.Window
-}
-
-func (s *stage) observe(v float64) {
-	s.hist.Observe(v)
-	s.win.Observe(v)
 }
 
 // Stage names of the admission pipeline, the keys of Status.Stages.
@@ -114,19 +101,14 @@ const (
 	StageAdmit = "admit"
 )
 
-// stageBuckets bound the stage histograms: admission stages complete in
-// microseconds unloaded and the interesting tail is milliseconds, so the
-// default 5ms-and-up latency buckets would flatten everything into one bin.
-var stageBuckets = []float64{
-	5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 5e-2, 0.25, 1,
-}
-
 // stationObs carries every instrument of an observed station; a nil
 // *stationObs disables the whole layer for one predictable branch per hot
-// path.
+// path. Each admission stage is one summary: its window is the live
+// p50/p95/p99 that /statusz and vodtop render and its _sum/_count the
+// lifetime totals /metricsz scrapes.
 type stationObs struct {
-	lockWait stage
-	admit    stage
+	lockWait *obs.Window
+	admit    *obs.Window
 
 	clockLag   *obs.Gauge
 	clockDrift *obs.Gauge
@@ -136,14 +118,11 @@ type stationObs struct {
 
 // newStationObs registers the pipeline instruments on reg.
 func newStationObs(reg *obs.Registry) *stationObs {
-	o := &stationObs{}
-	latency := func(name string, st *stage) {
-		st.hist = reg.HistogramWith("station_stage_seconds",
-			"Admission pipeline stage latencies.", stageBuckets, obs.Labels{"stage": name})
-		st.win = obs.NewWindow(0)
+	stage := func(name string) *obs.Window {
+		return reg.WindowWith("station_stage_seconds",
+			"Admission pipeline stage latencies.", 0, obs.Labels{"stage": name})
 	}
-	latency(StageLockWait, &o.lockWait)
-	latency(StageAdmit, &o.admit)
+	o := &stationObs{lockWait: stage(StageLockWait), admit: stage(StageAdmit)}
 	o.clockLag = reg.Gauge("station_clock_tick_lag_seconds",
 		"Lag of the most recent clock tick behind its scheduled time.")
 	o.clockDrift = reg.Gauge("station_clock_slot_drift_slots",
@@ -357,14 +336,14 @@ func (st *Station) Admit(video int, opts core.AdmitOptions) (core.AdmitResult, e
 	var tLocked time.Time
 	if st.obs != nil {
 		tLocked = time.Now()
-		st.obs.lockWait.observe(tLocked.Sub(t0).Seconds())
+		st.obs.lockWait.Observe(tLocked.Sub(t0).Seconds())
 	}
 	if !sv.active {
 		st.activate(video, sv)
 	}
 	res, err := sv.sched.AdmitRequest(opts)
 	if st.obs != nil {
-		st.obs.admit.observe(time.Since(tLocked).Seconds())
+		st.obs.admit.Observe(time.Since(tLocked).Seconds())
 	}
 	return res, err
 }
@@ -670,8 +649,8 @@ func (st *Station) Status() Status {
 	}
 	if st.obs != nil {
 		s.Stages = map[string]obs.WindowSnapshot{
-			StageLockWait: st.obs.lockWait.win.Snapshot(),
-			StageAdmit:    st.obs.admit.win.Snapshot(),
+			StageLockWait: st.obs.lockWait.Snapshot(),
+			StageAdmit:    st.obs.admit.Snapshot(),
 		}
 		s.Clock.Lag = st.obs.clockWin.Snapshot()
 	}

@@ -35,7 +35,7 @@ type Result struct {
 	Elapsed time.Duration
 	// FirstByte is the wall-clock delay from sending the request to the
 	// first broadcast payload byte, the client-side view of the server's
-	// vod_admit_first_byte_seconds histogram.
+	// vod_admit_first_byte_seconds summary.
 	FirstByte time.Duration
 
 	// QoE telemetry, measured in slots against the paper's delivery bound

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -91,8 +92,8 @@ func TestMetricszExposition(t *testing.T) {
 		"# TYPE vod_requests_total counter",
 		"vod_requests_total 1",
 		`vod_channel_load{video="1"}`,
-		"# TYPE vod_admit_first_byte_seconds histogram",
-		`vod_admit_first_byte_seconds_bucket{le="+Inf"} 1`,
+		"# TYPE vod_admit_first_byte_seconds summary",
+		`vod_admit_first_byte_seconds{quantile="0.99"}`,
 		"vod_admit_first_byte_seconds_count 1",
 		"vod_uptime_seconds",
 		"vod_active_subscribers",
@@ -109,6 +110,70 @@ func TestMetricszExposition(t *testing.T) {
 	}
 	if st.Requests != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestOneInstrumentPerDistribution: every distribution the server serves is
+// one summary, and /statusz and /metricsz read that one instrument. After n
+// sessions the first-byte window's lifetime total,
+// vod_admit_first_byte_seconds_count and the admit stage's count all read n.
+// The QoE windows hold two reports, so client_startup_slots_count reading n
+// shows a summary's _count is lifetime, not windowed.
+func TestOneInstrumentPerDistribution(t *testing.T) {
+	const n = 3
+	s, err := Start(Config{
+		Addr:         "127.0.0.1:0",
+		Videos:       []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
+		SlotDuration: 10 * time.Millisecond,
+		StatsAddr:    "127.0.0.1:0",
+		QoEWindow:    2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < n; i++ {
+		if _, err := vodclient.FetchWith(s.Addr(), vodclient.FetchOptions{VideoID: 1, Timeout: 10 * time.Second, StrictDeadlines: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "every client report", func() bool { return s.mReports.Value() == n })
+
+	_, body := get(t, s, "/metricsz")
+	if strings.Contains(body, "_bucket") || strings.Contains(body, " histogram\n") {
+		t.Fatalf("metricsz still carries a histogram:\n%s", body)
+	}
+	for _, name := range []string{
+		"vod_admit_first_byte_seconds", "vod_fanout_seconds", "station_stage_seconds",
+		"client_startup_slots", "client_deadline_slack_slots",
+		"conn_rtt_seconds", "conn_ring_occupancy",
+	} {
+		if !strings.Contains(body, "# TYPE "+name+" summary\n") {
+			t.Fatalf("%s is not a summary:\n%s", name, body)
+		}
+	}
+	vals := make(map[string]float64)
+	for _, line := range strings.Split(body, "\n") {
+		if i := strings.LastIndexByte(line, ' '); i > 0 && line[0] != '#' {
+			vals[line[:i]], _ = strconv.ParseFloat(line[i+1:], 64)
+		}
+	}
+	status := s.Status()
+	for name, got := range map[string]float64{
+		"/statusz first_byte.total":                  float64(status.FirstByte.Total),
+		"vod_admit_first_byte_seconds_count":         vals["vod_admit_first_byte_seconds_count"],
+		`station_stage_seconds_count{stage="admit"}`: vals[`station_stage_seconds_count{stage="admit"}`],
+		"client_startup_slots_count":                 vals["client_startup_slots_count"],
+	} {
+		if got != n {
+			t.Fatalf("%s = %v, want %d", name, got, n)
+		}
+	}
+	if status.QoE.Startup.Count != 2 {
+		t.Fatalf("/statusz qoe.startup_slots.count = %d, want the window's 2", status.QoE.Startup.Count)
+	}
+	if vals["vod_admit_first_byte_seconds_sum"] <= 0 {
+		t.Fatalf("vod_admit_first_byte_seconds_sum = %v, want positive", vals["vod_admit_first_byte_seconds_sum"])
 	}
 }
 

@@ -18,14 +18,6 @@ import (
 // per-segment samples: a report is one customer's session, which is the
 // granularity operators alert on.
 
-// clientStartupBuckets and clientSlackBuckets match the client-local
-// families in internal/vodclient, so a fleet scrape and a server scrape bin
-// identically. Slack is signed: negative buckets are late segments.
-var (
-	clientStartupBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
-	clientSlackBuckets   = []float64{-16, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16, 32, 64, 128}
-)
-
 // missRateThreshold is the windowed mean of deadline misses per client report
 // above which the client_deadline_miss_rate alert trips.
 const missRateThreshold = 0.5
@@ -114,11 +106,8 @@ func (s *Server) readReport(conn net.Conn, videoID uint32) {
 func (s *Server) ingestReport(rep wire.ClientReport) {
 	s.mReports.Inc()
 	s.qoeStartup.Observe(float64(rep.StartupSlots))
-	s.mClientStartup.Observe(float64(rep.StartupSlots))
 	if rep.SegmentsReceived > 0 {
-		meanSlack := float64(rep.SumSlackSlots) / float64(rep.SegmentsReceived)
-		s.qoeSlack.Observe(meanSlack)
-		s.mClientSlack.Observe(meanSlack)
+		s.qoeSlack.Observe(float64(rep.SumSlackSlots) / float64(rep.SegmentsReceived))
 	}
 	s.qoeMissRate.Observe(float64(rep.DeadlineMisses))
 	s.clientMiss(rep.VideoID).Add(float64(rep.DeadlineMisses))

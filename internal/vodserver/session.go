@@ -29,7 +29,7 @@ type subscriber struct {
 	// after the admission reaches the scheduler; tick workers read it
 	// lock-free.
 	lastSlot atomic.Int64
-	// admitted stamps the admission for the first-byte latency histogram.
+	// admitted stamps the admission for the first-byte latency window.
 	admitted time.Time
 	// ct is the transport telemetry handle: the fan-out and drain paths feed
 	// it ring depth and progress signals, and the drop path reads the last
@@ -187,9 +187,7 @@ func (s *Server) drainRing(conn net.Conn, videoID uint32, sub *subscriber, admit
 		}
 		if sent && !firstByte {
 			firstByte = true
-			lat := time.Since(sub.admitted).Seconds()
-			s.mAdmitLatency.Observe(lat)
-			s.firstByte.Observe(lat)
+			s.firstByte.Observe(time.Since(sub.admitted).Seconds())
 			wait.End()
 			root.End()
 		}
@@ -239,7 +237,7 @@ func writeFrames(conn net.Conn, vec *net.Buffers, frames []*fanout.Frame, admitS
 // proceed in parallel.
 //
 // root, when sampled, gains a station_admit child covering the scheduler
-// call (whose lock wait and service time the station's stage histograms
+// call (whose lock wait and service time the station's stage summaries
 // break down further); the child carries the admission's slot and the
 // number of instances it placed.
 func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Span) (*subscriber, wire.ScheduleInfo, error) {

@@ -188,13 +188,14 @@ type Server struct {
 	reg    *obs.Registry
 	spans  *obs.SpanTracer
 	alerts *obs.AlertEngine
-	// firstByte and fanout are the rolling windows behind /statusz:
-	// admit-to-first-byte latency (with the SLO armed on it) and the
-	// per-tick fan-out service time. qoeStartup, qoeSlack and qoeMissRate
-	// are their client-side counterparts, folded from ClientReports: startup
-	// delay in slots, per-report mean slack to deadline, and deadline
-	// misses per report (the windowed signal the miss alert watches, so it
-	// can resolve when healthy reports roll the bad ones out).
+	// firstByte and fanout are the registered summaries behind /statusz and
+	// /metricsz: admit-to-first-byte latency (with the SLO armed on it) and
+	// the per-tick fan-out service time. qoeStartup and qoeSlack are their
+	// client-side counterparts, folded from ClientReports: startup delay in
+	// slots and per-report mean slack to deadline. qoeMissRate, deadline
+	// misses per report, is the windowed mean the miss alert watches (so it
+	// can resolve when healthy reports roll the bad ones out); it is exported
+	// only as that mean, vod_qoe_miss_rate.
 	firstByte   *obs.Window
 	fanout      *obs.Window
 	qoeStartup  *obs.Window
@@ -209,12 +210,8 @@ type Server struct {
 	// mDroppedBy are the reason-labelled children of
 	// vod_dropped_subscribers_total, indexed by drop reason and bound at
 	// startup so the drop path never touches the registry's name map.
-	mDroppedBy     [numDropReasons]*obs.Counter
-	mAdmitLatency  *obs.Histogram
-	mFanout        *obs.Histogram
-	mReports       *obs.Counter
-	mClientStartup *obs.Histogram
-	mClientSlack   *obs.Histogram
+	mDroppedBy [numDropReasons]*obs.Counter
+	mReports   *obs.Counter
 	// ringDepth is the fan-out ring depth high-watermark behind the
 	// vod_fanout_ring_depth_max GaugeFunc: the hot path Records, each scrape
 	// Reads-and-resets, so a one-tick depth spike between scrapes survives
@@ -358,24 +355,28 @@ func Start(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vodserver: listen: %w", err)
 	}
-	firstByte := obs.NewWindow(0)
+	firstByte := reg.Window("vod_admit_first_byte_seconds",
+		"Latency from request admission to the first broadcast byte reaching the subscriber.", 0)
 	if err := firstByte.SetSLO(cfg.SLOTargetSeconds, sloObjective); err != nil {
 		ln.Close()
 		return nil, fmt.Errorf("vodserver: %w", err)
 	}
 	s := &Server{
-		cfg:         cfg,
-		ln:          ln,
-		station:     st,
-		started:     time.Now(),
-		done:        make(chan struct{}),
-		reg:         reg,
-		spans:       obs.NewSpanTracer(cfg.SpanWriter, obs.DefaultRingSize, cfg.SpanSampleEvery, 0),
-		alerts:      obs.NewAlertEngine(),
-		firstByte:   firstByte,
-		fanout:      obs.NewWindow(0),
-		qoeStartup:  obs.NewWindow(cfg.QoEWindow),
-		qoeSlack:    obs.NewWindow(cfg.QoEWindow),
+		cfg:       cfg,
+		ln:        ln,
+		station:   st,
+		started:   time.Now(),
+		done:      make(chan struct{}),
+		reg:       reg,
+		spans:     obs.NewSpanTracer(cfg.SpanWriter, obs.DefaultRingSize, cfg.SpanSampleEvery, 0),
+		alerts:    obs.NewAlertEngine(),
+		firstByte: firstByte,
+		fanout: reg.Window("vod_fanout_seconds",
+			"Per-tick fan-out service time: encoding every video's slot batch and distributing it.", 0),
+		qoeStartup: reg.Window("client_startup_slots",
+			"Client-reported slots from admission to the first needed segment.", cfg.QoEWindow),
+		qoeSlack: reg.Window("client_deadline_slack_slots",
+			"Client-reported per-report mean slack to the delivery deadline, in slots.", cfg.QoEWindow),
 		qoeMissRate: obs.NewWindow(cfg.QoEWindow),
 		mRequests: reg.Counter("vod_requests_total",
 			"Admitted customer requests (including interactive resumes)."),
@@ -385,18 +386,8 @@ func Start(cfg Config) (*Server, error) {
 			"Segment instances transmitted across all videos."),
 		mBroadcastBytes: reg.Counter("vod_broadcast_bytes_total",
 			"Payload bytes transmitted, counted once per instance regardless of fan-out."),
-		mAdmitLatency: reg.Histogram("vod_admit_first_byte_seconds",
-			"Latency from request admission to the first broadcast byte reaching the subscriber.", nil),
-		mFanout: reg.Histogram("vod_fanout_seconds",
-			"Per-tick fan-out service time: encoding every video's slot batch and distributing it.", nil),
 		mReports: reg.Counter("client_reports_total",
 			"QoE reports received from clients at session end."),
-		mClientStartup: reg.Histogram("client_startup_slots",
-			"Client-reported slots from admission to the first needed segment.",
-			clientStartupBuckets),
-		mClientSlack: reg.Histogram("client_deadline_slack_slots",
-			"Client-reported per-report mean slack to the delivery deadline, in slots.",
-			clientSlackBuckets),
 		enc:    enc,
 		videos: videos,
 		conns:  make(map[net.Conn]struct{}),
@@ -433,12 +424,10 @@ func Start(cfg Config) (*Server, error) {
 	reg.GaugeFunc("vod_fanout_ring_depth_max",
 		"Deepest per-subscriber write ring observed since the previous scrape (high-watermark, reset on read).",
 		s.ringDepth.Read)
-	// Scalar QoE series for the history store: windows and alert counts as
-	// single values a sparkline can ride. The empty miss-rate window reads 0,
-	// not NaN — a flat zero line is the healthy history, absence is not.
-	reg.GaugeFunc("vod_qoe_startup_p99_slots",
-		"99th percentile of client-reported startup delay over the rolling QoE window, in slots.",
-		func() float64 { return s.qoeStartup.Snapshot().P99 })
+	// Scalar QoE series for the history store: the miss alert's windowed mean
+	// and the alert count as single values a sparkline can ride. The empty
+	// miss-rate window reads 0, not NaN — a flat zero line is the healthy
+	// history, absence is not.
 	reg.GaugeFunc("vod_qoe_miss_rate",
 		"Windowed mean of client-reported deadline misses per report (the miss alert's signal).",
 		func() float64 {

@@ -77,11 +77,7 @@ func (s *Server) dropHook(videoID uint32, slot int) func(segment int) bool {
 // hot loops touch no shared cache line and take no lock but each ring's own.
 func (s *Server) fanOut(walk func(worker, video int, rep core.SlotReport) bool) {
 	t0 := time.Now()
-	defer func() {
-		d := time.Since(t0).Seconds()
-		s.mFanout.Observe(d)
-		s.fanout.Observe(d)
-	}()
+	defer func() { s.fanout.Observe(time.Since(t0).Seconds()) }()
 	if s.closed.Load() {
 		return
 	}
