@@ -47,6 +47,10 @@ ci:
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/conntrack/ ./internal/vodserver/
 	$(MAKE) lint
 	$(GO) test -race ./...
+	# The station clock tests run on a fake time source, so fifty runs are
+	# deterministic and take well under a second: any wall-clock dependence
+	# left in them shows up here as a flake.
+	$(GO) test -count=50 -run '^(TestClock|TestStationStatusAndStages$$|TestCloseIdempotent$$)' ./internal/station/
 	$(GO) test -coverprofile=ci-cover.out ./internal/obs/ ./internal/obs/history/ ./internal/station/ ./internal/wire/ ./internal/vodclient/
 	@total=$$($(GO) tool cover -func=ci-cover.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
 	echo "obs+history+station+wire+vodclient coverage: $$total% (floor $(COVER_FLOOR)%)"; \

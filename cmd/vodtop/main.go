@@ -1,7 +1,7 @@
 // Command vodtop is a terminal dashboard for a running vodserver. It polls
 // the /statusz snapshot endpoint and renders the admission pipeline the way
 // an operator wants to read it: per-stage latency quantiles, per-video rows,
-// the admit-to-first-byte SLO burn rate and the station clock's drift.
+// the admit-to-first-byte SLO burn rate and the station clock's lag.
 //
 // Usage:
 //
@@ -127,12 +127,9 @@ func render(w io.Writer, addr string, snap vodserver.StatusSnapshot) {
 	if clock.Running {
 		state = "running"
 	}
-	fmt.Fprintf(w, "clock: %s  slot=%s  ticks=%d  active=%d/%d videos  lag=%s  drift=%.3f slots",
-		state, fmtDur(clock.IntervalSeconds), clock.Ticks, st.Active, st.Videos, fmtDur(clock.LagSeconds), clock.DriftSlots)
-	if clock.Lag.Count > 0 {
-		fmt.Fprintf(w, "  (p95 lag %s)", fmtDur(clock.Lag.P95))
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "clock: %s  slot=%s  ticks=%d  active=%d/%d videos  lag p50=%s p99=%s max=%s\n",
+		state, fmtDur(clock.IntervalSeconds), clock.Ticks, st.Active, st.Videos,
+		fmtDur(clock.Lag.P50), fmtDur(clock.Lag.P99), fmtDur(clock.Lag.Max))
 	fmt.Fprintf(w, "spans: %d roots, %d sampled (1 in %d), %d finished\n",
 		snap.Spans.Roots, snap.Spans.Sampled, snap.Spans.SampleEvery, snap.Spans.Finished)
 

@@ -32,8 +32,7 @@ func TestRenderFrame(t *testing.T) {
 			},
 			Clock: station.ClockStatus{
 				Running: true, IntervalSeconds: 0.5, Ticks: 25,
-				LagSeconds: 0.001, DriftSlots: 0.002,
-				Lag: obs.WindowSnapshot{Count: 25, P95: 0.0015},
+				Lag: obs.WindowSnapshot{Count: 25, Total: 25, P50: 0.0004, P99: 0.0015, Max: 0.002},
 			},
 		},
 		FirstByte: obs.WindowSnapshot{
@@ -65,9 +64,7 @@ func TestRenderFrame(t *testing.T) {
 	for _, want := range []string{
 		"vodtop — 127.0.0.1:4900",
 		"requests=42 instances=7 broadcast=3.5MB subscribers=3 dropped=1",
-		"clock: running  slot=500.00ms  ticks=25  active=1/2 videos",
-		"drift=0.002 slots",
-		"(p95 lag 1.50ms)",
+		"clock: running  slot=500.00ms  ticks=25  active=1/2 videos  lag p50=400µs p99=1.50ms max=2.00ms",
 		"spans: 42 roots, 6 sampled (1 in 8), 18 finished",
 		"target<=10.00ms @ 99.0%",
 		"good=40 bad=2  burn=4.76",

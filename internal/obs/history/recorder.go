@@ -39,10 +39,8 @@ type RecorderConfig struct {
 	// Keep bounds retained bundle directories; older ones are pruned.
 	// <= 0 selects 8.
 	Keep int
-	// HistoryWindow bounds how far back the bundled metric history reaches.
-	// <= 0 selects 10 minutes.
-	HistoryWindow time.Duration
-	// Store supplies the bundled metric history (history.jsonl).
+	// Store supplies the bundled metric history (history.jsonl): what each
+	// series' raw ring retains, the last 360 scrapes.
 	Store *Store
 	// Status supplies a rendered status snapshot (status.json), normally
 	// the same bytes /statusz serves.
@@ -83,9 +81,6 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 	}
 	if cfg.Keep <= 0 {
 		cfg.Keep = 8
-	}
-	if cfg.HistoryWindow <= 0 {
-		cfg.HistoryWindow = 10 * time.Minute
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -184,14 +179,13 @@ func (r *Recorder) capture(reason string, now time.Time) (string, error) {
 		return nil
 	}
 
-	// Metric history: one JSONL line per retained series, bounded by the
-	// history window.
+	// Metric history: one JSONL line per retained series, holding what its
+	// raw ring retains.
 	if st := r.cfg.Store; st != nil {
-		from := now.Add(-r.cfg.HistoryWindow)
 		if err := write("history.jsonl", func(f *os.File) error {
 			enc := json.NewEncoder(f)
 			for _, series := range st.Series() {
-				line := historyLine{Series: series, Points: st.Query(series, from, now, 0)}
+				line := historyLine{Series: series, Points: st.rawPoints(series)}
 				if err := enc.Encode(line); err != nil {
 					return err
 				}

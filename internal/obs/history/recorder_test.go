@@ -130,6 +130,40 @@ func TestRecorderBundleContents(t *testing.T) {
 	}
 }
 
+// TestRecorderBundleHoldsRawRing: once the raw ring has wrapped, the bundle
+// still carries exactly what it retains — its last pointsPerTier scrapes, one
+// second apart — and not a coarser tier reaching further back.
+func TestRecorderBundleHoldsRawRing(t *testing.T) {
+	clk := newManualClock()
+	reg := obs.NewRegistry()
+	c := reg.Counter("vod_requests_total", "")
+	store := New(Config{Samples: reg.Samples, Interval: time.Second, Clock: clk.Now})
+	const scrapes = pointsPerTier + 40
+	for i := 0; i < scrapes; i++ {
+		c.Add(1)
+		store.Scrape()
+		clk.Advance(time.Second)
+	}
+	r, err := NewRecorder(RecorderConfig{Dir: t.TempDir(), Clock: clk.Now, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := r.Force("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := readJSONL(t, filepath.Join(path, "history.jsonl"))
+	if len(lines) != 1 || len(lines[0].Points) != pointsPerTier {
+		t.Fatalf("history.jsonl %+v, want one series of %d points", lines, pointsPerTier)
+	}
+	pts := lines[0].Points
+	for i, p := range pts {
+		if want := float64(scrapes - pointsPerTier + 1 + i); p.Value != want || (i > 0 && p.Unix-pts[i-1].Unix != 1) {
+			t.Fatalf("point %d = %+v, want value %v one second after the last", i, p, want)
+		}
+	}
+}
+
 func TestRecorderCooldown(t *testing.T) {
 	r, clk := newTestRecorder(t, RecorderConfig{Cooldown: time.Minute})
 

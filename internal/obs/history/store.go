@@ -256,6 +256,14 @@ func (r *ring) oldest() (float64, bool) {
 	return 0, false
 }
 
+// rawPoints returns what the raw ring of a listed series (series are never
+// removed) retains, oldest first.
+func (s *Store) rawPoints(name string) []Point {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.series[name].raw.points()
+}
+
 // Query returns the series' points in [from, to], bucketed at step with the
 // maximum per bucket and stamped with the bucket start. The tier is chosen
 // automatically: the coarsest tier whose period does not exceed step, then

@@ -9,9 +9,9 @@ import (
 )
 
 // TestStationStatusAndStages drives an instrumented station through
-// admissions and the clock, then checks the Status snapshot: stage windows
-// populated, per-video rows consistent with the admissions, clock ticking
-// and drift fields sane.
+// admissions and a clock on the fake source, then checks the Status
+// snapshot: stage windows populated, per-video rows consistent with the
+// admissions, and the clock's tick count and lag window exact.
 func TestStationStatusAndStages(t *testing.T) {
 	reg := obs.NewRegistry()
 	st, err := New(Config{
@@ -70,30 +70,26 @@ func TestStationStatusAndStages(t *testing.T) {
 	if s.Clock.Running || s.Clock.Ticks != 0 {
 		t.Fatalf("clock should be idle: %+v", s.Clock)
 	}
+	f := installFakeClock(st)
 	if err := st.StartClock(time.Millisecond, nil); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for st.Status().Clock.Ticks < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	f.runFor(3 * time.Millisecond)
 	s = st.Status()
 	if !s.Clock.Running || s.Clock.IntervalSeconds != 0.001 {
 		t.Fatalf("clock status %+v", s.Clock)
 	}
-	if s.Clock.Ticks < 3 || s.Clock.Lag.Count == 0 {
-		t.Fatalf("clock did not tick: %+v", s.Clock)
+	// Three ticks, each on its grid point: three zero lags in the window.
+	if s.Clock.Ticks != 3 || s.Clock.Lag.Count != 3 || s.Clock.Lag.Max != 0 {
+		t.Fatalf("clock after three intervals: %+v", s.Clock)
 	}
-	if s.Clock.LagSeconds < 0 || s.Clock.DriftSlots < 0 {
-		t.Fatalf("negative lag/drift: %+v", s.Clock)
-	}
-	st.StopClock()
-	if s := st.Status(); s.Clock.Running {
-		t.Fatalf("clock still running after stop: %+v", s.Clock)
-	}
-	// The clock gauges reached the registry too.
-	if got := reg.CounterWith("station_clock_ticks_total", "", nil).Value(); got < 3 {
+	// The tick counter reached the registry too.
+	if got := reg.CounterWith("station_clock_ticks_total", "", nil).Value(); got != 3 {
 		t.Fatalf("clock ticks counter = %v", got)
+	}
+	st.Close()
+	if s := st.Status(); s.Clock.Running || s.Clock.Ticks != 3 {
+		t.Fatalf("clock after Close: %+v", s.Clock)
 	}
 }
 

@@ -18,10 +18,10 @@
 //     scheduler holds a pending instance or whose audience the tick callback
 //     reports; Admit catches an idle video's scheduler up in O(1).
 //   - One clock, one pool. A single optional clock goroutine retires one
-//     slot per interval so all videos share the slot grid. With more than
-//     one span it owns a persistent pool of one goroutine per span, which
-//     runs the advance and, through EachActive, whatever per-video work the
-//     tick callback hands it. Deterministic drivers call AdvanceSlot
+//     slot per grid point start + k·interval: one wall-time slot grid. With
+//     more than one span it owns a persistent pool of one goroutine per span,
+//     which runs the advance and, through EachActive, whatever per-video work
+//     the tick callback hands it. Deterministic drivers call AdvanceSlot
 //     themselves instead: a plain serial loop that starts no goroutine.
 //
 // Within one slot, admissions for the same video are identical operations,
@@ -56,7 +56,7 @@ var (
 	ErrUnknownVideo = errors.New("station: unknown video")
 	// ErrClosed reports an operation against a closed station.
 	ErrClosed = errors.New("station: closed")
-	// ErrClockRunning reports a second StartClock without a StopClock.
+	// ErrClockRunning reports a second StartClock.
 	ErrClockRunning = errors.New("station: clock already running")
 )
 
@@ -89,7 +89,8 @@ type Config struct {
 	// selects GOMAXPROCS, and the count is capped at len(Videos).
 	Shards int
 	// Registry optionally receives the pipeline instruments: the admission
-	// stage summaries (station_stage_seconds) and the clock health series.
+	// stage summaries (station_stage_seconds) and the clock's tick counter
+	// (station_clock_ticks_total).
 	Registry *obs.Registry
 }
 
@@ -107,13 +108,8 @@ const (
 // p50/p95/p99 that /statusz and vodtop render and its _sum/_count the
 // lifetime totals /metricsz scrapes.
 type stationObs struct {
-	lockWait *obs.Window
-	admit    *obs.Window
-
-	clockLag   *obs.Gauge
-	clockDrift *obs.Gauge
-	clockTicks *obs.Counter
-	clockWin   *obs.Window
+	lockWait, admit *obs.Window
+	clockTicks      *obs.Counter
 }
 
 // newStationObs registers the pipeline instruments on reg.
@@ -122,15 +118,8 @@ func newStationObs(reg *obs.Registry) *stationObs {
 		return reg.WindowWith("station_stage_seconds",
 			"Admission pipeline stage latencies.", 0, obs.Labels{"stage": name})
 	}
-	o := &stationObs{lockWait: stage(StageLockWait), admit: stage(StageAdmit)}
-	o.clockLag = reg.Gauge("station_clock_tick_lag_seconds",
-		"Lag of the most recent clock tick behind its scheduled time.")
-	o.clockDrift = reg.Gauge("station_clock_slot_drift_slots",
-		"Clock tick lag expressed in slot durations; >=1 means a whole slot slipped.")
-	o.clockTicks = reg.Counter("station_clock_ticks_total",
-		"Slot ticks fanned out by the clock goroutine.")
-	o.clockWin = obs.NewWindow(0)
-	return o
+	return &stationObs{lockWait: stage(StageLockWait), admit: stage(StageAdmit),
+		clockTicks: reg.Counter("station_clock_ticks_total", "Slot ticks fanned out by the clock goroutine.")}
 }
 
 // stationVideo is one catalogue video: its scheduler and the lock every
@@ -178,7 +167,7 @@ type Station struct {
 	walkFunc    func(worker, lo, hi int)
 	// pool runs the spans in parallel while a clock over more than one span
 	// is running. StartClock sets it before the clock goroutine starts and
-	// StopClock clears it after that goroutine exits, so the clock goroutine
+	// Close clears it after that goroutine exits, so the clock goroutine
 	// reads it without a lock.
 	pool *workers
 
@@ -186,19 +175,31 @@ type Station struct {
 	// nil: every hot path pays exactly one branch for the disabled layer.
 	obs *stationObs
 
-	closed atomic.Bool
-
-	clockMu   sync.Mutex
-	clockStop chan struct{}
-	clockWG   sync.WaitGroup
-
-	// Clock health, readable without the clock mutex: tick count, the last
-	// tick's lag behind schedule (nanoseconds) and the configured interval
-	// (nanoseconds; 0 when no clock is running).
-	clockTicks    atomic.Uint64
-	clockLagNanos atomic.Int64
-	clockInterval atomic.Int64
+	// Close sets closed and closes done under clockMu, the lock StartClock
+	// checks closed under, and then joins the clock (clockWG).
+	clockMu sync.Mutex
+	closed  atomic.Bool
+	done    chan struct{}
+	clockWG sync.WaitGroup
+	// clock is the clock StartClock launched, nil until then. now and wait
+	// are its time source — the wall clock and one reused time.Timer — which
+	// only in-package tests replace, before StartClock.
+	clock atomic.Pointer[slotClock]
+	now   func() time.Time
+	wait  func(d time.Duration) <-chan time.Time
 }
+
+// slotClock is a clock's interval and its lag window: one observation per
+// tick of how late it ran behind its grid point, so Total counts the ticks.
+type slotClock struct {
+	interval time.Duration
+	lag      *obs.Window
+}
+
+// maxCatchUp is how many intervals late a wake may be and still run the
+// ticks it missed back to back — so a burst pushes at most 8 frames into a
+// subscriber ring, well under vodserver's default 64 — instead of skipping.
+const maxCatchUp = 8
 
 // New validates cfg and builds the station with every scheduler at slot 0.
 func New(cfg Config) (*Station, error) {
@@ -219,6 +220,9 @@ func New(cfg Config) (*Station, error) {
 		videos: make([]*stationVideo, len(cfg.Videos)),
 		spans:  make([][2]int, n),
 		lists:  make([]activeList, n),
+		done:   make(chan struct{}),
+		now:    time.Now,
+		wait:   wallWait(),
 	}
 	st.advanceFunc, st.walkFunc = st.advanceSpan, st.walkSpan
 	if cfg.Registry != nil {
@@ -475,96 +479,82 @@ func (st *Station) Totals() (requests, instances int64) {
 	return requests, instances
 }
 
-// StartClock launches the single clock goroutine: every interval it retires
-// one slot (span by span, on the pool when there is more than one span) and,
-// when onTick is non-nil, hands the slot reports to onTick (on the clock
-// goroutine; onTick must not call StopClock or Close, and may call
-// EachActive). The reports slice is borrowed for the duration of the callback
-// — the clock reuses it on the next tick — so an onTick that retains reports
-// must copy them.
+// StartClock launches the single clock goroutine, once per station. Tick k,
+// due at start + k·interval, retires one slot (span by span, on the pool when
+// there is more than one span) and hands the slot reports to onTick, if any,
+// on the clock goroutine; onTick may call EachActive but not Close, and must
+// copy any reports it retains, as the clock reuses the slice. Ticks an
+// overrun made late run back to back; a wake maxCatchUp or more intervals
+// late slips the grid instead, skipping every grid point passed, and the
+// next tick reports its lag.
 func (st *Station) StartClock(interval time.Duration, onTick func([]core.SlotReport)) error {
 	if interval <= 0 {
 		return fmt.Errorf("%w: got %v", ErrBadSlotDuration, interval)
 	}
 	st.clockMu.Lock()
 	defer st.clockMu.Unlock()
-	// Checked under the clock mutex: Close sets the flag before it takes the
-	// mutex to stop the clock, so no clock (or pool) can start behind it.
 	if st.closed.Load() {
 		return ErrClosed
 	}
-	if st.clockStop != nil {
+	if st.clock.Load() != nil {
 		return ErrClockRunning
 	}
-	stop := make(chan struct{})
-	st.clockStop = stop
-	st.clockInterval.Store(int64(interval))
+	c := &slotClock{interval: interval, lag: obs.NewWindow(0)}
+	st.clock.Store(c)
 	if len(st.spans) > 1 {
 		st.pool = startWorkers(st.spans)
 	}
 	st.clockWG.Add(1)
 	go func() {
 		defer st.clockWG.Done()
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		start := time.Now()
-		ticks := uint64(0)
 		// One report buffer serves every tick: onTick runs synchronously on
 		// this goroutine, so it is never reused while borrowed.
 		reports := make([]core.SlotReport, len(st.videos))
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				// Tick-lag: how far behind its scheduled instant this tick
-				// fired. time.Ticker drops ticks under load, so lag past a
-				// whole interval means the slot grid itself is drifting —
-				// the drift gauge expresses the same lag in slot units.
-				ticks++
-				lag := time.Since(start) - time.Duration(ticks)*interval
-				if lag < 0 {
-					lag = 0
+		start := st.now()
+		var slipped time.Duration
+		for k := 1; !st.closed.Load(); k++ {
+			due := start.Add(time.Duration(k) * interval)
+			lag := st.now().Sub(due)
+			if lag < 0 {
+				select {
+				case <-st.done:
+					return
+				case <-st.wait(-lag):
 				}
-				st.clockTicks.Store(ticks)
-				st.clockLagNanos.Store(int64(lag))
-				if st.obs != nil {
-					lagSec := lag.Seconds()
-					st.obs.clockTicks.Inc()
-					st.obs.clockLag.Set(lagSec)
-					st.obs.clockDrift.Set(lagSec / interval.Seconds())
-					st.obs.clockWin.Observe(lagSec)
-				}
-				st.tickMu.Lock()
-				st.reports = reports
-				st.eachSpan(st.advanceFunc)
-				st.tickMu.Unlock()
-				if onTick != nil {
-					onTick(reports)
-				}
+				lag = max(st.now().Sub(due), 0)
+			}
+			if lag >= maxCatchUp*interval {
+				k += int(lag / interval) // and k++: past every grid point <= now
+				slipped = lag
+				continue
+			}
+			if slipped > 0 {
+				lag, slipped = slipped, 0
+			}
+			c.lag.Observe(lag.Seconds())
+			if st.obs != nil {
+				st.obs.clockTicks.Inc()
+			}
+			st.tickMu.Lock()
+			st.reports = reports
+			st.eachSpan(st.advanceFunc)
+			st.tickMu.Unlock()
+			if onTick != nil {
+				onTick(reports)
 			}
 		}
 	}()
 	return nil
 }
 
-// StopClock stops the clock goroutine and its pool and waits for them to
-// exit (including any in-flight onTick). It is a no-op when no clock is
-// running. The clock mutex is held throughout, so a StartClock racing it
-// finds the old clock and pool gone.
-func (st *Station) StopClock() {
-	st.clockMu.Lock()
-	defer st.clockMu.Unlock()
-	if st.clockStop == nil {
-		return
-	}
-	close(st.clockStop)
-	st.clockStop = nil
-	st.clockWG.Wait()
-	st.clockInterval.Store(0)
-	if st.pool != nil {
-		st.pool.close()
-		st.pool = nil
+// wallWait is the clock's wait on one reused time.Timer; the clock re-arms
+// it only after draining it.
+func wallWait() func(time.Duration) <-chan time.Time {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return func(d time.Duration) <-chan time.Time {
+		t.Reset(d)
+		return t.C
 	}
 }
 
@@ -573,13 +563,9 @@ type ClockStatus struct {
 	// Running reports an active clock; IntervalSeconds its slot duration.
 	Running         bool    `json:"running"`
 	IntervalSeconds float64 `json:"interval_seconds"`
-	// Ticks counts fanned-out slot ticks; LagSeconds is the last tick's
-	// lag behind schedule and DriftSlots the same lag in slot units.
-	Ticks      uint64  `json:"ticks"`
-	LagSeconds float64 `json:"lag_seconds"`
-	DriftSlots float64 `json:"drift_slots"`
-	// Lag is the rolling window over recent tick lags (zero when the
-	// station is uninstrumented).
+	// Ticks counts fanned-out slot ticks: Lag's lifetime Total.
+	Ticks uint64 `json:"ticks"`
+	// Lag is the rolling window over recent tick lags behind the slot grid.
 	Lag obs.WindowSnapshot `json:"lag"`
 }
 
@@ -637,29 +623,37 @@ func (st *Station) Status() Status {
 		s.PerVideo[v] = row
 	}
 	s.Active = int(st.active.Load())
-	interval := time.Duration(st.clockInterval.Load())
-	s.Clock = ClockStatus{
-		Running:         interval > 0,
-		IntervalSeconds: interval.Seconds(),
-		Ticks:           st.clockTicks.Load(),
-		LagSeconds:      time.Duration(st.clockLagNanos.Load()).Seconds(),
-	}
-	if interval > 0 && s.Clock.LagSeconds > 0 {
-		s.Clock.DriftSlots = s.Clock.LagSeconds / interval.Seconds()
+	if c := st.clock.Load(); c != nil {
+		lag := c.lag.Snapshot()
+		s.Clock = ClockStatus{
+			Running:         !st.closed.Load(),
+			IntervalSeconds: c.interval.Seconds(),
+			Ticks:           lag.Total,
+			Lag:             lag,
+		}
 	}
 	if st.obs != nil {
 		s.Stages = map[string]obs.WindowSnapshot{
 			StageLockWait: st.obs.lockWait.Snapshot(),
 			StageAdmit:    st.obs.admit.Snapshot(),
 		}
-		s.Clock.Lag = st.obs.clockWin.Snapshot()
 	}
 	return s
 }
 
-// Close stops the clock and marks the station closed: subsequent Admit
-// calls fail with ErrClosed. It is safe to call more than once.
+// Close marks the station closed — subsequent Admit and StartClock calls
+// fail with ErrClosed — and stops the clock and its pool, waiting for them to
+// exit (including any in-flight onTick). It is safe to call more than once.
 func (st *Station) Close() {
-	st.closed.Store(true)
-	st.StopClock()
+	st.clockMu.Lock()
+	defer st.clockMu.Unlock()
+	if st.closed.Swap(true) {
+		return
+	}
+	close(st.done)
+	st.clockWG.Wait()
+	if st.pool != nil {
+		st.pool.close()
+		st.pool = nil
+	}
 }

@@ -176,19 +176,25 @@ func TestManualAdvanceStartsNoGoroutine(t *testing.T) {
 // TestClockPoolLifecycle: a clock over four spans runs its advance and the
 // tick callback's EachActive on the pool — every video with an audience
 // exactly once per tick, each span's videos on that span's worker — and
-// StopClock, and then Close, leave no goroutine behind.
+// Close joins the clock and the pool, leaves no goroutine behind and refuses
+// a later StartClock.
 func TestClockPoolLifecycle(t *testing.T) {
-	const videos = 10
+	const (
+		videos   = 10
+		interval = 200 * time.Microsecond
+		n        = 5
+	)
 	st, err := New(Config{Videos: testCatalogue(videos, 10), Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	admitAll(t, st)
+	f := installFakeClock(st)
 	baseline := goroutineBaseline()
-	var ticks atomic.Int64
+	var ticks int64
 	var visits [videos]atomic.Int64
 	var byWorker [4]atomic.Int64
-	onTick := func(reports []core.SlotReport) {
+	if err := st.StartClock(interval, func(reports []core.SlotReport) {
 		st.EachActive(func(worker, v int, _ core.SlotReport) bool {
 			byWorker[worker].Add(1)
 			visits[v].Add(1)
@@ -197,29 +203,25 @@ func TestClockPoolLifecycle(t *testing.T) {
 			}
 			return true
 		})
-		ticks.Add(1)
+		ticks++
+	}); err != nil {
+		t.Fatal(err)
 	}
-	for _, stop := range []struct {
-		name string
-		fn   func()
-	}{{"StopClock", st.StopClock}, {"Close", st.Close}} {
-		before := ticks.Load()
-		if err := st.StartClock(200*time.Microsecond, onTick); err != nil {
-			t.Fatal(err)
-		}
-		for ticks.Load() < before+5 {
-			time.Sleep(time.Millisecond)
-		}
-		if st.pool == nil {
-			t.Fatal("a 4-span clock runs without its pool")
-		}
-		stop.fn()
-		if st.pool != nil {
-			t.Fatalf("%s left the pool behind", stop.name)
-		}
-		settleGoroutines(t, baseline, stop.name)
+	f.runFor(n * interval)
+	if st.pool == nil {
+		t.Fatal("a 4-span clock runs without its pool")
 	}
-	n := ticks.Load()
+	st.Close()
+	if st.pool != nil {
+		t.Fatal("Close left the pool behind")
+	}
+	settleGoroutines(t, baseline, "Close")
+	if err := st.StartClock(interval, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("StartClock after Close: %v", err)
+	}
+	if ticks != n {
+		t.Fatalf("%d ticks in %d intervals", ticks, n)
+	}
 	for v := range visits {
 		if got := visits[v].Load(); got != n {
 			t.Fatalf("video %d walked %d times in %d ticks", v, got, n)
@@ -624,13 +626,12 @@ func TestTickLocksOnlyActiveVideos(t *testing.T) {
 	}
 }
 
-// TestCloseIdempotent: Close twice, and StopClock with no clock, are no-ops.
+// TestCloseIdempotent: Close with no clock, and Close twice, are no-ops.
 func TestCloseIdempotent(t *testing.T) {
 	st, err := New(Config{Videos: testCatalogue(2, 5)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.StopClock()
 	st.Close()
 	st.Close()
 	if err := st.StartClock(time.Millisecond, nil); !errors.Is(err, ErrClosed) {

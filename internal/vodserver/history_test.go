@@ -200,6 +200,9 @@ func TestQueryzEndpoint(t *testing.T) {
 	}{
 		{"from not a time", "/queryz?series=x&from=notatime", http.StatusBadRequest},
 		{"to not a time", "/queryz?series=x&to=alsonot", http.StatusBadRequest},
+		{"from NaN", "/queryz?series=x&from=NaN", http.StatusBadRequest},
+		{"to +Inf", "/queryz?series=x&to=%2BInf", http.StatusBadRequest},
+		{"from 1e300", "/queryz?series=x&from=1e300", http.StatusBadRequest},
 		{"step not a duration", "/queryz?series=x&step=sideways", http.StatusBadRequest},
 		{"step negative", "/queryz?series=x&step=-5s", http.StatusBadRequest},
 		{"step zero", "/queryz?series=x&step=0", http.StatusBadRequest},

@@ -3,6 +3,7 @@ package vodserver
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -16,7 +17,7 @@ import (
 // This file is the server's live introspection surface:
 //
 //	GET /statusz      full pipeline snapshot: per-video rows, stage latency
-//	                  windows, SLO burn, clock drift (what vodtop renders)
+//	                  windows, SLO burn, clock lag (what vodtop renders)
 //	GET /healthz      liveness probe: 200 with status and uptime
 //	GET /metricsz     the obs registry in Prometheus text format
 //	                  (?prefix=vod_ filters to one family subset)
@@ -182,10 +183,14 @@ func (s *Server) queryz(w http.ResponseWriter, r *http.Request) {
 	}{series, unixSeconds(from), unixSeconds(to), step.Milliseconds(), points})
 }
 
-// parseQueryTime accepts unix seconds (integer or fractional) or RFC3339.
+// parseQueryTime accepts unix seconds (integer or fractional) or RFC3339. A
+// unix bound whose nanoseconds are no int64 (NaN, ±Inf, 1e300) is refused.
 func parseQueryTime(raw string) (time.Time, error) {
 	if sec, err := strconv.ParseFloat(raw, 64); err == nil {
-		return time.Unix(0, int64(sec*float64(time.Second))), nil
+		if ns := sec * float64(time.Second); ns >= math.MinInt64 && ns < math.MaxInt64 {
+			return time.Unix(0, int64(ns)), nil
+		}
+		return time.Time{}, fmt.Errorf("unix time %q out of range", raw)
 	}
 	return time.Parse(time.RFC3339, raw)
 }
