@@ -57,6 +57,10 @@ ci:
 	awk -v t="$$total" -v floor="$(COVER_FLOOR)" 'BEGIN { exit !(t+0 >= floor+0) }' || \
 		{ echo "coverage $$total% below floor $(COVER_FLOOR)%"; exit 1; }
 	$(GO) test -run '^TestRegisteredMetricNamesValid$$' -count=1 ./internal/vodserver/
+	# The Config census: every vodserver.Config field is set by the command
+	# line or is a listed test seam naming what retires it, and every listed
+	# seam is a field the command line does not set.
+	$(GO) test -run '^TestConfigFieldsHaveSetters$$' -count=1 ./cmd/vodserver/
 	# The flight-recorder acceptance E2E: fault injection fires the miss
 	# alert, exactly one bundle lands, its history shows the step-up and
 	# /queryz serves the same series.

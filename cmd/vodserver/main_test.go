@@ -1,10 +1,15 @@
 package main
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"net"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"syscall"
 	"testing"
@@ -52,6 +57,101 @@ func TestParseFlagsRejectsRetiredFlags(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -"+name) {
 			t.Errorf("-%s: err = %v, want flag provided but not defined", name, err)
 		}
+	}
+}
+
+// testSeams are the vodserver.Config fields the command line does not set:
+// each is set only by tests, and each names what retires it.
+var testSeams = map[string]string{
+	"SubscriberBuffer":  "ROADMAP item 3: ring capacity derived from the deadline",
+	"TelemetryInterval": "ROADMAP item 4: driven by the virtual clock",
+	"QoEWindow":         "ROADMAP item 4: driven by the virtual clock",
+	"SLOTargetSeconds":  "ROADMAP item 4: driven by the virtual clock",
+	"ConnStalledRatio":  "ROADMAP item 4: driven by the virtual clock",
+	"DropInstance":      "fault injection for tests and drills",
+}
+
+// TestConfigFieldsHaveSetters is the Config census: every vodserver.Config
+// field is either set as cfg.Field in main.go (assigned, or bound to a flag
+// by address) or listed in testSeams, and every testSeams entry is a Config
+// field that main.go does not set. A field nothing sets is surface to keep
+// compiling for nobody. `make ci` runs this by name.
+func TestConfigFieldsHaveSetters(t *testing.T) {
+	fset := token.NewFileSet()
+	parse := func(path string) *ast.File {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+
+	fields := map[string]bool{}
+	paths, err := filepath.Glob("../../internal/vodserver/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		ast.Inspect(parse(path), func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || ts.Name.Name != "Config" {
+				return true
+			}
+			for _, field := range ts.Type.(*ast.StructType).Fields.List {
+				for _, id := range field.Names {
+					fields[id.Name] = true
+				}
+			}
+			return false
+		})
+	}
+	if len(fields) == 0 {
+		t.Fatal("no vodserver.Config struct found: it moved and this test checks nothing")
+	}
+
+	// Setters: cfg.Field on the left of an assignment or under &.
+	set := map[string]bool{}
+	cfgField := func(e ast.Expr) {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			if id, ok := sel.X.(*ast.Ident); ok && id.Name == "cfg" {
+				set[sel.Sel.Name] = true
+			}
+		}
+	}
+	ast.Inspect(parse("main.go"), func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				cfgField(lhs)
+			}
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				cfgField(n.X)
+			}
+		}
+		return true
+	})
+
+	var bad []string
+	for name := range fields {
+		if !set[name] && testSeams[name] == "" {
+			bad = append(bad, name+": no setter in main.go and not a listed test seam")
+		}
+	}
+	for name := range testSeams {
+		switch {
+		case !fields[name]:
+			bad = append(bad, name+": listed as a test seam but not a Config field")
+		case set[name]:
+			bad = append(bad, name+": listed as a test seam but main.go sets it")
+		}
+	}
+	sort.Strings(bad)
+	if len(bad) > 0 {
+		t.Errorf("vodserver.Config census:\n  %s", strings.Join(bad, "\n  "))
 	}
 }
 

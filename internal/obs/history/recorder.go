@@ -22,23 +22,24 @@ import (
 // needs to answer "what led up to this" without the operator having been
 // watching.
 //
-// Bundles are bounded twice over: a cooldown rate-limits alert-triggered
-// captures (a flapping rule cannot fill the disk), and retention keeps only
-// the last K bundle directories, pruning the oldest on every write.
+// Bundles are bounded twice over: a 5-minute cooldown rate-limits
+// alert-triggered captures (a flapping rule cannot fill the disk), and
+// retention keeps only the last 8 bundle directories, pruning the oldest on
+// every write.
 
-// RecorderConfig parameterizes a Recorder. Dir is required; the zero value
-// of every other field selects a documented default. The snapshot sources
-// (Store, Status, Spans, Alerts) are each optional — a nil source simply
-// omits that file from bundles.
+// cooldown rate-limits Trigger: captures closer together than this are
+// skipped.
+const cooldown = 5 * time.Minute
+
+// keep bounds retained bundle directories; older ones are pruned.
+const keep = 8
+
+// RecorderConfig parameterizes a Recorder. Dir is required. The snapshot
+// sources (Store, Status, Spans, Alerts, Conns) are each optional — a nil
+// source simply omits that file from bundles.
 type RecorderConfig struct {
 	// Dir is the directory bundles are written under; created if absent.
 	Dir string
-	// Cooldown rate-limits Trigger: captures closer together than this are
-	// skipped. <= 0 selects 5 minutes.
-	Cooldown time.Duration
-	// Keep bounds retained bundle directories; older ones are pruned.
-	// <= 0 selects 8.
-	Keep int
 	// Store supplies the bundled metric history (history.jsonl): what each
 	// series' raw ring retains, the last 360 scrapes.
 	Store *Store
@@ -76,12 +77,6 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("history: RecorderConfig.Dir is required")
 	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 5 * time.Minute
-	}
-	if cfg.Keep <= 0 {
-		cfg.Keep = 8
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
@@ -103,7 +98,7 @@ func (r *Recorder) Trigger(reason string) (string, bool) {
 	}
 	now := r.cfg.Clock()
 	r.mu.Lock()
-	if r.haveLast && now.Sub(r.lastAt) < r.cfg.Cooldown {
+	if r.haveLast && now.Sub(r.lastAt) < cooldown {
 		r.skipped++
 		r.mu.Unlock()
 		return "", false
@@ -277,11 +272,11 @@ func (r *Recorder) capture(reason string, now time.Time) (string, error) {
 	return final, nil
 }
 
-// prune removes the oldest bundles beyond Keep. Bundle names embed a UTC
+// prune removes the oldest bundles beyond keep. Bundle names embed a UTC
 // timestamp, so lexicographic order is chronological.
 func (r *Recorder) prune() {
 	names := r.Bundles()
-	for len(names) > r.cfg.Keep {
+	for len(names) > keep {
 		os.RemoveAll(filepath.Join(r.cfg.Dir, names[0]))
 		names = names[1:]
 	}
@@ -330,8 +325,8 @@ func (r *Recorder) Stats() RecorderStats {
 		Captured:   captured,
 		Skipped:    skipped,
 		Bundles:    len(r.Bundles()),
-		Keep:       r.cfg.Keep,
-		CooldownMS: r.cfg.Cooldown.Milliseconds(),
+		Keep:       keep,
+		CooldownMS: cooldown.Milliseconds(),
 	}
 }
 

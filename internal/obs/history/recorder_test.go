@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -131,14 +132,14 @@ func TestRecorderBundleContents(t *testing.T) {
 }
 
 // TestRecorderBundleHoldsRawRing: once the raw ring has wrapped, the bundle
-// still carries exactly what it retains — its last pointsPerTier scrapes, one
+// still carries exactly what it retains — its last ringPoints scrapes, one
 // second apart — and not a coarser tier reaching further back.
 func TestRecorderBundleHoldsRawRing(t *testing.T) {
 	clk := newManualClock()
 	reg := obs.NewRegistry()
 	c := reg.Counter("vod_requests_total", "")
 	store := New(Config{Samples: reg.Samples, Interval: time.Second, Clock: clk.Now})
-	const scrapes = pointsPerTier + 40
+	const scrapes = ringPoints + 40
 	for i := 0; i < scrapes; i++ {
 		c.Add(1)
 		store.Scrape()
@@ -153,19 +154,19 @@ func TestRecorderBundleHoldsRawRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := readJSONL(t, filepath.Join(path, "history.jsonl"))
-	if len(lines) != 1 || len(lines[0].Points) != pointsPerTier {
-		t.Fatalf("history.jsonl %+v, want one series of %d points", lines, pointsPerTier)
+	if len(lines) != 1 || len(lines[0].Points) != ringPoints {
+		t.Fatalf("history.jsonl %+v, want one series of %d points", lines, ringPoints)
 	}
 	pts := lines[0].Points
 	for i, p := range pts {
-		if want := float64(scrapes - pointsPerTier + 1 + i); p.Value != want || (i > 0 && p.Unix-pts[i-1].Unix != 1) {
+		if want := float64(scrapes - ringPoints + 1 + i); p.Value != want || (i > 0 && p.Unix-pts[i-1].Unix != 1) {
 			t.Fatalf("point %d = %+v, want value %v one second after the last", i, p, want)
 		}
 	}
 }
 
 func TestRecorderCooldown(t *testing.T) {
-	r, clk := newTestRecorder(t, RecorderConfig{Cooldown: time.Minute})
+	r, clk := newTestRecorder(t, RecorderConfig{})
 
 	if _, ok := r.Trigger("first"); !ok {
 		t.Fatal("first trigger refused")
@@ -173,7 +174,7 @@ func TestRecorderCooldown(t *testing.T) {
 	if _, ok := r.Trigger("second"); ok {
 		t.Fatal("second trigger inside cooldown captured")
 	}
-	clk.Advance(59 * time.Second)
+	clk.Advance(cooldown - time.Second)
 	if _, ok := r.Trigger("third"); ok {
 		t.Fatal("trigger at cooldown-1s captured")
 	}
@@ -200,23 +201,19 @@ func TestRecorderCooldown(t *testing.T) {
 }
 
 func TestRecorderRetention(t *testing.T) {
-	r, clk := newTestRecorder(t, RecorderConfig{Keep: 3, Cooldown: time.Millisecond})
-	for i := 0; i < 6; i++ {
-		if _, err := r.Force("sweep"); err != nil {
+	r, clk := newTestRecorder(t, RecorderConfig{})
+	var made []string
+	for i := 0; i < keep+2; i++ {
+		path, err := r.Force("sweep")
+		if err != nil {
 			t.Fatal(err)
 		}
+		made = append(made, filepath.Base(path))
 		clk.Advance(time.Second)
 	}
-	names := r.Bundles()
-	if len(names) != 3 {
-		t.Fatalf("retention kept %d bundles, want 3: %v", len(names), names)
-	}
-	// Oldest-first naming: the survivors are the three most recent.
-	if !strings.Contains(names[0], "000003") && !strings.Contains(names[0], "00:00:03") {
-		// Timestamps are 2026-01-01T00:00:03..05 — format 20060102T150405.
-		if !strings.Contains(names[0], "T000003") {
-			t.Fatalf("oldest survivor wrong: %v", names)
-		}
+	// Oldest-first naming: the survivors are exactly the keep most recent.
+	if names, want := r.Bundles(), made[2:]; !slices.Equal(names, want) {
+		t.Fatalf("retention kept %v, want %v", names, want)
 	}
 }
 

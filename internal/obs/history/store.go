@@ -10,13 +10,13 @@
 // so the serving process itself retains the last stretch of every metric it
 // exports and can answer range queries (/queryz) from memory.
 //
-// Memory is bounded by construction, not by luck: each series owns three
-// fixed-capacity rings (raw scrape interval, 10s, 1m downsampling tiers),
-// the per-series cost is known at registration, and a hard byte cap refuses
-// new series rather than growing. Downsampling keeps the maximum of each
-// bucket — spike-preserving for gauges and depths, and equal to "last value"
-// for monotonic counters, so rates derived from downsampled counters stay
-// correct.
+// Memory is bounded by construction, not by luck: each series owns one
+// fixed-capacity ring of its last 360 scrapes, the per-series cost is known
+// at registration, and a hard 8 MiB cap refuses new series rather than
+// growing. A query coarser than the scrape interval buckets the raw points on
+// read, keeping the maximum of each bucket — spike-preserving for gauges and
+// depths, and equal to "last value" for monotonic counters, so rates derived
+// from bucketed counters stay correct.
 //
 // The package follows the obs idiom: stdlib-only imports (plus obs itself),
 // nil-safe methods on every type, and zero-value configs selecting documented
@@ -24,7 +24,6 @@
 package history
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -32,18 +31,21 @@ import (
 	"vodcast/internal/obs"
 )
 
-// Tier periods for the two downsampled rings. The raw tier runs at the
-// configured scrape interval.
-const (
-	tier10Period = 10 * time.Second
-	tier60Period = time.Minute
-)
+// ringPoints is each series' ring capacity: at the default 1s scrape interval
+// the last 6 minutes, enough to answer "what led up to this alert" without
+// unbounded growth.
+const ringPoints = 360
 
-// pointsPerTier is each ring's fixed capacity. At the default 1s scrape
-// interval the raw tier covers the last 6 minutes, the 10s tier the last
-// hour, and the 1m tier the last 6 hours — enough to answer "what led up to
-// this alert" without unbounded growth.
-const pointsPerTier = 360
+// maxBytes caps resident ring memory. Once admitting another series would
+// exceed it, new series are refused (counted, not grown); established series
+// keep updating. Within one scrape families are admitted smallest first, so a
+// per-video family cannot starve the server-wide totals or a small labelled
+// family.
+const maxBytes = 8 << 20
+
+// seriesCost is the resident-byte estimate charged per admitted series: one
+// ring of ringPoints points (16 bytes each) plus map/key overhead.
+const seriesCost = ringPoints*16 + 256
 
 // Point is one retained sample: a unix timestamp in seconds and the value.
 type Point struct {
@@ -56,17 +58,11 @@ type Point struct {
 type Config struct {
 	// Samples is the scrape source, normally reg.Samples. Required.
 	Samples func() []obs.Sample
-	// Interval is the raw tier's period, the rate at which the owner calls
+	// Interval is the scrape period, the rate at which the owner calls
 	// Scrape; <= 0 selects 1s.
 	Interval time.Duration
-	// MaxBytes caps resident ring memory. Once admitting another series
-	// would exceed it, new series are refused (counted, not grown);
-	// established series keep updating. Within one scrape families are
-	// admitted smallest first, so a per-video family cannot starve the
-	// server-wide totals or a small labelled family. <= 0 selects 8 MiB.
-	MaxBytes int
 	// Clock stamps scrapes; nil selects time.Now. Tests inject a manual
-	// clock to make tier boundaries deterministic.
+	// clock to make timestamps deterministic.
 	Clock func() time.Time
 }
 
@@ -76,42 +72,21 @@ type Config struct {
 type Store struct {
 	samples  func() []obs.Sample
 	interval time.Duration
-	maxBytes int
 	clock    func() time.Time
 
 	mu            sync.Mutex
-	series        map[string]*series
+	series        map[string]*ring // keyed by the exposition identity Name+Labels
 	bytes         int
 	scrapes       uint64
 	droppedSeries uint64
 }
 
-// series is one retained time series: three downsampling tiers keyed by the
-// exposition identity Name+Labels.
-type series struct {
-	raw, t10, t60 ring
-}
-
-// ring is a fixed-capacity point ring with a pending downsample bucket.
-// The raw tier has period == the scrape interval and no pending bucket
-// (every scrape is pushed directly).
+// ring is one retained time series: the last ringPoints scrapes.
 type ring struct {
-	period time.Duration
-	pts    []Point
-	head   int // next write position
-	n      int // live points
-
-	// Pending bucket for downsampled tiers: the max seen in the bucket
-	// that started at curStart, pushed when a scrape lands past its end.
-	curStart time.Time
-	curMax   float64
-	curSet   bool
+	pts  [ringPoints]Point
+	head int // next write position
+	n    int // live points
 }
-
-// SeriesCost is the resident-byte estimate charged per admitted series: three
-// rings of pointsPerTier points (16 bytes each) plus map/key overhead.
-// Exported so callers can size Config.MaxBytes in whole-series units.
-const SeriesCost = 3*pointsPerTier*16 + 256
 
 // New returns a store on cfg. It panics if cfg.Samples is nil: a store with
 // no scrape source is a programming error, caught by the first test.
@@ -122,23 +97,19 @@ func New(cfg Config) *Store {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
 	}
-	if cfg.MaxBytes <= 0 {
-		cfg.MaxBytes = 8 << 20
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
 	return &Store{
 		samples:  cfg.Samples,
 		interval: cfg.Interval,
-		maxBytes: cfg.MaxBytes,
 		clock:    cfg.Clock,
-		series:   make(map[string]*series),
+		series:   make(map[string]*ring),
 	}
 }
 
 // Scrape performs one scrape pass: read every registry sample, then append
-// each to its series rings. The server's telemetry loop calls it once per
+// each to its series ring. The server's telemetry loop calls it once per
 // Config.Interval; tests call it directly after advancing their clock.
 //
 // The sample walk runs BEFORE the store lock is taken: GaugeFunc sources may
@@ -166,152 +137,77 @@ func (s *Store) Scrape() {
 		a, b := len(families[names[i]]), len(families[names[j]])
 		return a < b || (a == b && names[i] < names[j])
 	})
-	now := s.clock()
+	now := unix(s.clock())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.scrapes++
 	for _, name := range names {
 		for _, sm := range families[name] {
 			key := sm.Name + sm.Labels
-			sr, ok := s.series[key]
+			r, ok := s.series[key]
 			if !ok {
-				if s.bytes+SeriesCost > s.maxBytes {
+				if s.bytes+seriesCost > maxBytes {
 					s.droppedSeries++
 					continue
 				}
-				sr = &series{
-					raw: ring{period: s.interval},
-					t10: ring{period: tier10Period},
-					t60: ring{period: tier60Period},
-				}
-				s.series[key] = sr
-				s.bytes += SeriesCost
+				r = new(ring)
+				s.series[key] = r
+				s.bytes += seriesCost
 			}
-			sr.raw.push(Point{Unix: unix(now), Value: sm.Value})
-			sr.t10.fold(now, sm.Value)
-			sr.t60.fold(now, sm.Value)
+			r.push(Point{Unix: now, Value: sm.Value})
 		}
 	}
 }
 
 // push appends a point, overwriting the oldest once the ring is full.
 func (r *ring) push(p Point) {
-	if r.pts == nil {
-		r.pts = make([]Point, pointsPerTier)
-	}
 	r.pts[r.head] = p
-	r.head = (r.head + 1) % len(r.pts)
-	if r.n < len(r.pts) {
+	r.head = (r.head + 1) % ringPoints
+	if r.n < ringPoints {
 		r.n++
 	}
 }
 
-// fold accumulates v into the bucket containing t, pushing the previous
-// bucket's maximum once t crosses into a new one. Bucket points carry the
-// bucket start time.
-func (r *ring) fold(t time.Time, v float64) {
-	start := t.Truncate(r.period)
-	if r.curSet && start.After(r.curStart) {
-		r.push(Point{Unix: unix(r.curStart), Value: r.curMax})
-		r.curSet = false
-	}
-	if !r.curSet {
-		r.curStart = start
-		r.curMax = v
-		r.curSet = true
-		return
-	}
-	if v > r.curMax {
-		r.curMax = v
-	}
-}
-
-// points returns the ring's live points oldest-first, including the pending
-// downsample bucket so a query sees data up to the latest scrape.
+// points returns the ring's live points oldest-first.
 func (r *ring) points() []Point {
-	out := make([]Point, 0, r.n+1)
+	out := make([]Point, 0, r.n)
 	for i := 0; i < r.n; i++ {
-		out = append(out, r.pts[(r.head-r.n+i+len(r.pts))%len(r.pts)])
-	}
-	if r.curSet {
-		out = append(out, Point{Unix: unix(r.curStart), Value: r.curMax})
+		out = append(out, r.pts[(r.head-r.n+i+ringPoints)%ringPoints])
 	}
 	return out
 }
 
-// wrapped reports whether the ring has ever evicted a point.
-func (r *ring) wrapped() bool {
-	return r.pts != nil && r.n == len(r.pts)
-}
-
-// oldest returns the timestamp of the ring's oldest retained point and
-// whether the ring holds any data.
-func (r *ring) oldest() (float64, bool) {
-	if r.n > 0 {
-		return r.pts[(r.head-r.n+len(r.pts))%len(r.pts)].Unix, true
-	}
-	if r.curSet {
-		return unix(r.curStart), true
-	}
-	return 0, false
-}
-
-// rawPoints returns what the raw ring of a listed series (series are never
+// rawPoints returns what the ring of a listed series (series are never
 // removed) retains, oldest first.
 func (s *Store) rawPoints(name string) []Point {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.series[name].raw.points()
+	return s.series[name].points()
 }
 
-// Query returns the series' points in [from, to], bucketed at step with the
-// maximum per bucket and stamped with the bucket start. The tier is chosen
-// automatically: the coarsest tier whose period does not exceed step, then
-// escalated to a coarser one when the requested range starts before the
-// finer tier's retention. A step below the scrape interval (or <= 0) reads
-// the raw tier unbucketed. Unknown series return nil.
+// Query returns the series' points in [from, to]. A step coarser than the
+// scrape interval buckets them at step, anchored at from, keeping each
+// bucket's maximum stamped with the bucket start: spike-preserving for gauges
+// and depths, and equal to the last value for monotonic counters. A step at or
+// below the interval (or <= 0) returns the points unbucketed. The ring holds
+// the last ringPoints scrapes, so a range reaching further back returns what
+// it retains. Unknown series return nil.
 func (s *Store) Query(name string, from, to time.Time, step time.Duration) []Point {
 	if s == nil || to.Before(from) {
 		return nil
 	}
 	s.mu.Lock()
-	sr, ok := s.series[name]
+	r, ok := s.series[name]
 	if !ok {
 		s.mu.Unlock()
 		return nil
 	}
-	tiers := []*ring{&sr.raw, &sr.t10, &sr.t60}
-	// Coarsest tier still at least as fine as the requested step.
-	pick := 0
-	for i, r := range tiers {
-		if r.period <= step {
-			pick = i
-		}
-	}
-	// Escalate while the picked tier has evicted data the range needs and a
-	// coarser tier reaches further back. A tier that never wrapped still
-	// holds everything it ever saw, so there is nothing to escalate for.
-	fromUnix := unix(from)
-	for pick < len(tiers)-1 {
-		if !tiers[pick].wrapped() {
-			break
-		}
-		old, ok := tiers[pick].oldest()
-		if ok && old <= fromUnix {
-			break
-		}
-		coarserOld, coarserOK := tiers[pick+1].oldest()
-		if !coarserOK || (ok && coarserOld >= old) {
-			break
-		}
-		pick++
-	}
-	pts := tiers[pick].points()
+	pts := r.points()
 	s.mu.Unlock()
 
-	toUnix := unix(to)
+	fromUnix, toUnix := unix(from), unix(to)
 	out := make([]Point, 0, len(pts))
-	if step <= 0 || step <= s.interval {
+	if step <= s.interval {
 		for _, p := range pts {
 			if p.Unix >= fromUnix && p.Unix <= toUnix {
 				out = append(out, p)
@@ -382,7 +278,7 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Series:        len(s.series),
 		Bytes:         s.bytes,
-		MaxBytes:      s.maxBytes,
+		MaxBytes:      maxBytes,
 		Scrapes:       s.scrapes,
 		DroppedSeries: s.droppedSeries,
 		IntervalMS:    s.interval.Milliseconds(),
@@ -392,11 +288,4 @@ func (s *Store) Stats() Stats {
 // unix converts a time to float seconds, the wire format of Point.
 func unix(t time.Time) float64 {
 	return float64(t.UnixNano()) / float64(time.Second)
-}
-
-// String implements fmt.Stringer for quick debugging.
-func (s *Store) String() string {
-	st := s.Stats()
-	return fmt.Sprintf("history.Store{series=%d bytes=%d/%d scrapes=%d dropped=%d}",
-		st.Series, st.Bytes, st.MaxBytes, st.Scrapes, st.DroppedSeries)
 }

@@ -2,13 +2,14 @@ package history
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"vodcast/internal/obs"
 )
 
-// manualClock is a hand-advanced clock for deterministic tier boundaries.
+// manualClock is a hand-advanced clock for deterministic timestamps.
 type manualClock struct{ now time.Time }
 
 func newManualClock() *manualClock {
@@ -97,10 +98,10 @@ func TestStoreSeriesIdentityAndListing(t *testing.T) {
 	}
 }
 
-// TestStoreDownsamplingTiers drives enough scrapes to roll points through
-// the 10s tier and checks max-in-bucket semantics: a one-second spike inside
-// a 10s bucket survives downsampling.
-func TestStoreDownsamplingTiers(t *testing.T) {
+// TestStoreStepBuckets checks max-in-bucket semantics of a step coarser than
+// the scrape interval over the raw points: a one-second spike inside a 10s
+// bucket survives.
+func TestStoreStepBuckets(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := reg.Gauge("vod_fanout_ring_depth", "")
 	s, clk := newTestStore(t, reg, Config{Interval: time.Second})
@@ -116,68 +117,72 @@ func TestStoreDownsamplingTiers(t *testing.T) {
 		clk.Advance(time.Second)
 	}
 
-	// step=10s selects the 10s tier; the spike's bucket must read 42.
+	// step=10s buckets the raw points; the spike's bucket must read 42.
 	pts := s.Query("vod_fanout_ring_depth", start, clk.Now(), 10*time.Second)
 	if len(pts) != 3 {
-		t.Fatalf("10s tier query returned %d points, want 3: %+v", len(pts), pts)
+		t.Fatalf("10s step query returned %d points, want 3: %+v", len(pts), pts)
 	}
 	if pts[0].Value != 1 || pts[1].Value != 42 || pts[2].Value != 1 {
-		t.Fatalf("max-in-bucket downsampling lost the spike: %+v", pts)
+		t.Fatalf("max-in-bucket lost the spike: %+v", pts)
 	}
 	if pts[1].Unix-pts[0].Unix != 10 {
-		t.Fatalf("10s tier spacing = %v, want 10s", pts[1].Unix-pts[0].Unix)
+		t.Fatalf("10s step spacing = %v, want 10s", pts[1].Unix-pts[0].Unix)
 	}
 }
 
-// TestStoreRawEviction rolls more scrapes than the raw ring holds and checks
-// old points fall off while the downsampled tiers still cover the range.
+// TestStoreRawEviction rolls more scrapes than the ring holds and checks old
+// points fall off.
 func TestStoreRawEviction(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := reg.Gauge("g", "")
 	s, clk := newTestStore(t, reg, Config{Interval: time.Second})
 
 	start := clk.Now()
-	total := pointsPerTier + 60
+	total := ringPoints + 60
 	for i := 0; i < total; i++ {
 		g.Set(float64(i))
 		s.Scrape()
 		clk.Advance(time.Second)
 	}
 
-	// Querying within raw retention returns exactly the ring's points,
-	// oldest first, with the pre-eviction values gone.
-	raw := s.Query("g", start.Add(time.Duration(total-pointsPerTier)*time.Second), clk.Now(), 0)
-	if len(raw) != pointsPerTier {
-		t.Fatalf("raw ring holds %d points, want %d", len(raw), pointsPerTier)
+	// Querying within retention returns exactly the ring's points, oldest
+	// first, with the pre-eviction values gone.
+	raw := s.Query("g", start.Add(time.Duration(total-ringPoints)*time.Second), clk.Now(), 0)
+	if len(raw) != ringPoints {
+		t.Fatalf("ring holds %d points, want %d", len(raw), ringPoints)
 	}
-	if raw[0].Value != float64(total-pointsPerTier) {
-		t.Fatalf("oldest raw point = %v, want %v (eviction order broken)", raw[0].Value, total-pointsPerTier)
+	if raw[0].Value != float64(total-ringPoints) {
+		t.Fatalf("oldest point = %v, want %v (eviction order broken)", raw[0].Value, total-ringPoints)
 	}
 
-	// A query starting before raw retention escalates to the 10s tier,
-	// which still covers the whole run.
+	// A query starting before retention returns what the ring holds: the
+	// same points, nothing reaching further back.
 	old := s.Query("g", start, clk.Now(), time.Second)
-	if len(old) == 0 || old[0].Unix > unix(start.Add(tier10Period)) {
-		t.Fatalf("tier escalation failed: first=%+v", old[0])
+	if !slices.Equal(old, raw) {
+		t.Fatalf("pre-retention query returned %d points, want the %d ring points", len(old), ringPoints)
 	}
 }
 
 func TestStoreByteCapRefusesNewSeries(t *testing.T) {
 	reg := obs.NewRegistry()
-	reg.Gauge("a", "").Set(1)
-	reg.Gauge("b", "").Set(2)
-	reg.Gauge("c", "").Set(3)
-	// Budget for exactly two series. Samples walks families in sorted name
-	// order, so admission is deterministic: a and b land, c is refused.
-	s, clk := newTestStore(t, reg, Config{MaxBytes: 2 * SeriesCost})
+	// One gauge more than the cap admits. Equal-sized families go in name
+	// order, so admission is deterministic: the last name is refused.
+	capacity := maxBytes / seriesCost
+	names := make([]string, capacity+1)
+	for i := range names {
+		names[i] = fmt.Sprintf("g%04d", i)
+		reg.Gauge(names[i], "").Set(float64(i))
+	}
+	refused, first := names[capacity], names[0]
+	s, clk := newTestStore(t, reg, Config{})
 	start := clk.Now()
 	s.Scrape()
 	clk.Advance(time.Second)
 	s.Scrape()
 
 	st := s.Stats()
-	if st.Series != 2 {
-		t.Fatalf("Series = %d, want 2 (cap must refuse the third)", st.Series)
+	if st.Series != capacity {
+		t.Fatalf("Series = %d, want %d (cap must refuse the last)", st.Series, capacity)
 	}
 	if st.DroppedSeries != 2 {
 		t.Fatalf("DroppedSeries = %d, want 2 (one refusal per scrape)", st.DroppedSeries)
@@ -191,17 +196,16 @@ func TestStoreByteCapRefusesNewSeries(t *testing.T) {
 	// The listing carries exactly the admitted identities — a refused series
 	// never appears, so /queryz discovery cannot advertise data that was
 	// never retained.
-	got := s.Series()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Series() = %v, want [a b]", got)
+	if got := s.Series(); !slices.Equal(got, names[:capacity]) {
+		t.Fatalf("Series() lists %d names, want the first %d of %d", len(got), capacity, len(names))
 	}
 	// Querying the refused series answers like any unknown series: nil, not
 	// a partial window.
-	if pts := s.Query("c", start, clk.Now(), 0); pts != nil {
+	if pts := s.Query(refused, start, clk.Now(), 0); pts != nil {
 		t.Fatalf("refused series returned points: %+v", pts)
 	}
 	// Established series keep updating despite the cap: both scrapes landed.
-	if pts := s.Query("a", start, clk.Now(), 0); len(pts) != 2 {
+	if pts := s.Query(first, start, clk.Now(), 0); len(pts) != 2 {
 		t.Fatalf("admitted series has %d points, want 2: %+v", len(pts), pts)
 	}
 }
@@ -211,7 +215,7 @@ func TestStoreByteCapRefusesNewSeries(t *testing.T) {
 // the default cap; the unlabelled counter behind it must still be retained.
 func TestStoreLargeFamilyDoesNotStarveTotals(t *testing.T) {
 	reg := obs.NewRegistry()
-	for v := 0; v < 600; v++ {
+	for v := 0; v < 2048; v++ {
 		reg.GaugeWith("a_channel_load", "", obs.Labels{"video": fmt.Sprint(v)}).Set(1)
 	}
 	reg.Counter("z_requests_total", "").Add(7)
@@ -223,7 +227,7 @@ func TestStoreLargeFamilyDoesNotStarveTotals(t *testing.T) {
 
 	st := s.Stats()
 	if st.DroppedSeries == 0 || st.Bytes > st.MaxBytes {
-		t.Fatalf("stats %+v: 601 series must overflow the default cap without exceeding it", st)
+		t.Fatalf("stats %+v: 2049 series must overflow the cap without exceeding it", st)
 	}
 	pts := s.Query("z_requests_total", start, clk.Now(), 0)
 	if len(pts) != 2 || pts[1].Value != 7 {
@@ -237,7 +241,7 @@ func TestStoreLargeFamilyDoesNotStarveTotals(t *testing.T) {
 // TestStoreSmallFamilyBeforeLargeFamily: a labelled family with one child per
 // catalogue video sorts before a three-child family and alone overflows the
 // cap; the small family must still be retained whole, and the large one gets
-// exactly what is left.
+// exactly what is left: 1 394 series retained in all, 657 refused.
 func TestStoreSmallFamilyBeforeLargeFamily(t *testing.T) {
 	reg := obs.NewRegistry()
 	for v := 0; v < 2048; v++ {
@@ -246,11 +250,11 @@ func TestStoreSmallFamilyBeforeLargeFamily(t *testing.T) {
 	for _, reason := range []string{"healthy", "stalled", "untracked"} {
 		reg.CounterWith("z_dropped_total", "", obs.Labels{"reason": reason}).Inc()
 	}
-	s, _ := newTestStore(t, reg, Config{MaxBytes: 100 * SeriesCost})
+	s, _ := newTestStore(t, reg, Config{})
 	s.Scrape()
 
-	if st := s.Stats(); st.Series != 100 || st.DroppedSeries != 2048+3-100 {
-		t.Fatalf("stats %+v, want 100 series retained and the rest refused", st)
+	if st := s.Stats(); st.Series != 1394 || st.DroppedSeries != 657 {
+		t.Fatalf("stats %+v, want 1394 series retained and 657 refused", st)
 	}
 	have := make(map[string]bool)
 	for _, k := range s.Series() {

@@ -95,8 +95,7 @@ func TestE2EConntrackStallAttribution(t *testing.T) {
 		SubscriberBuffer: 512,
 		StatsAddr:        "127.0.0.1:0",
 		FlightDir:        flightDir,
-		FlightCooldown:   time.Hour, // at most one alert-triggered bundle
-		SLOTargetSeconds: 10,        // keep the burn rule quiet on slow machines
+		SLOTargetSeconds: 10, // keep the burn rule quiet on slow machines
 		// Sweeps and evaluations are driven by hand for determinism; the
 		// telemetry loop is parked out of the way.
 		TelemetryInterval: time.Hour,

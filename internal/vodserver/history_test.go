@@ -3,7 +3,9 @@ package vodserver
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -220,19 +222,23 @@ func TestQueryzEndpoint(t *testing.T) {
 }
 
 // TestQueryzSeriesCapExcludesRefused pins the series-cap refusal accounting
-// through the HTTP surface: a store capped well below the registry's family
-// count admits only the first few series, counts every refusal, and the
-// /queryz discovery listing advertises exactly the admitted identities —
-// never a refused series with no retained data behind it.
+// through the HTTP surface on the shape where the cap binds: a 2048-video
+// catalogue exports three per-video families, more series than the store's
+// 8 MiB admits. The store fills to exactly its capacity, counts every
+// refusal, keeps the server-wide series vodtop reads, and the /queryz
+// discovery listing advertises exactly the admitted identities — never a
+// refused series with no retained data behind it.
 func TestQueryzSeriesCapExcludesRefused(t *testing.T) {
+	videos := make([]VideoConfig, 2048)
+	for i := range videos {
+		videos[i] = VideoConfig{ID: uint32(i + 1), Segments: 20, SegmentBytes: 64}
+	}
 	s, err := Start(Config{
 		Addr:              "127.0.0.1:0",
-		Videos:            []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
-		SlotDuration:      10 * time.Millisecond,
+		Videos:            videos,
+		SlotDuration:      50 * time.Millisecond,
 		StatsAddr:         "127.0.0.1:0",
-		TelemetryInterval: 20 * time.Millisecond,
-		// Room for three series; the registry exports far more.
-		HistoryMaxBytes: 3 * history.SeriesCost,
+		TelemetryInterval: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -248,39 +254,49 @@ func TestQueryzSeriesCapExcludesRefused(t *testing.T) {
 	}
 	var idx queryzIndex
 	if err := json.Unmarshal([]byte(body), &idx); err != nil {
-		t.Fatalf("queryz body: %v\n%s", err, body)
+		t.Fatalf("queryz body: %v", err)
 	}
-	if len(idx.Series) != 3 {
-		t.Fatalf("capped listing advertises %d series, want 3: %v", len(idx.Series), idx.Series)
+	if idx.Stats.Series != 1394 || len(idx.Series) != 1394 || idx.Stats.DroppedSeries == 0 {
+		t.Fatalf("capped store: stats %+v, listing of %d, want 1394 series and refusals counted",
+			idx.Stats, len(idx.Series))
 	}
-	if idx.Stats.DroppedSeries == 0 {
-		t.Fatalf("no refusals counted despite the cap: %+v", idx.Stats)
-	}
-	if idx.Stats.Bytes > idx.Stats.MaxBytes {
-		t.Fatalf("resident bytes %d exceed cap %d", idx.Stats.Bytes, idx.Stats.MaxBytes)
-	}
-	// vod_uptime_seconds sorts far past the first three families, so the cap
-	// must have refused it — the listing is how an operator learns that.
+	listed := make(map[string]bool, len(idx.Series))
 	for _, name := range idx.Series {
-		if name == "vod_uptime_seconds" {
-			t.Fatalf("refused series leaked into the listing: %v", idx.Series)
+		listed[name] = true
+	}
+	// The per-video families sort last, so the server-wide series vodtop's
+	// trend pane reads (and the uptime) are admitted ahead of them.
+	for _, name := range []string{`client_startup_slots{quantile="0.99"}`, "vod_requests_total",
+		"vod_alerts_firing", "vod_uptime_seconds"} {
+		if !listed[name] {
+			t.Fatalf("%s refused behind the per-video families", name)
 		}
 	}
-	// Querying a refused series over HTTP is a valid empty range, not an
-	// error and not fabricated points.
-	code, body = get(t, s, "/queryz?series=vod_uptime_seconds")
+	// A refused per-video series is absent from the listing, and querying it
+	// over HTTP is a valid empty range, not an error and not fabricated points.
+	refused := ""
+	for _, v := range videos {
+		if name := fmt.Sprintf(`vod_channel_load{video="%d"}`, v.ID); !listed[name] {
+			refused = name
+			break
+		}
+	}
+	if refused == "" {
+		t.Fatal("every vod_channel_load series was admitted despite the cap")
+	}
+	var rng queryzRange
+	code, body = get(t, s, "/queryz?series="+url.QueryEscape(refused))
 	if code != http.StatusOK {
 		t.Fatalf("refused-series query = %d", code)
 	}
-	var rng queryzRange
 	if err := json.Unmarshal([]byte(body), &rng); err != nil {
 		t.Fatalf("queryz range body: %v", err)
 	}
 	if len(rng.Points) != 0 {
-		t.Fatalf("refused series served %d points", len(rng.Points))
+		t.Fatalf("refused series %s served %d points", refused, len(rng.Points))
 	}
 	// An admitted series answers with real points over the same surface.
-	code, body = get(t, s, "/queryz?series="+idx.Series[0])
+	code, body = get(t, s, "/queryz?series=vod_uptime_seconds")
 	if code != http.StatusOK {
 		t.Fatalf("admitted-series query = %d", code)
 	}
@@ -288,7 +304,7 @@ func TestQueryzSeriesCapExcludesRefused(t *testing.T) {
 		t.Fatalf("queryz range body: %v", err)
 	}
 	if len(rng.Points) < 2 {
-		t.Fatalf("admitted series %q has %d points, want >= 2", idx.Series[0], len(rng.Points))
+		t.Fatalf("admitted series has %d points, want >= 2", len(rng.Points))
 	}
 }
 
@@ -399,13 +415,12 @@ func TestE2EFlightRecorder(t *testing.T) {
 	flightDir := t.TempDir()
 	var dropping atomic.Bool
 	s, err := Start(Config{
-		Addr:           "127.0.0.1:0",
-		Videos:         []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
-		SlotDuration:   10 * time.Millisecond,
-		StatsAddr:      "127.0.0.1:0",
-		QoEWindow:      4,
-		FlightDir:      flightDir,
-		FlightCooldown: time.Hour, // at most one alert-triggered bundle
+		Addr:         "127.0.0.1:0",
+		Videos:       []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
+		SlotDuration: 10 * time.Millisecond,
+		StatsAddr:    "127.0.0.1:0",
+		QoEWindow:    4,
+		FlightDir:    flightDir,
 		// A generous SLO keeps the first_byte_slo_burn rule quiet on slow CI
 		// machines: the only firing rule must be the injected miss alert.
 		SLOTargetSeconds: 10,

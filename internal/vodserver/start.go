@@ -103,8 +103,8 @@ type Config struct {
 	QoEWindow int
 	// TelemetryInterval is the period of the server's one telemetry loop:
 	// each period it sweeps the tracked connections, scrapes the registry
-	// into the history store behind /queryz (this is the store's raw tier
-	// period) and evaluates the alert rules, in that order. 0 selects 1s.
+	// into the history store behind /queryz (this is the store's scrape
+	// interval) and evaluates the alert rules, in that order. 0 selects 1s.
 	TelemetryInterval time.Duration
 	// AlertFor is the pending hold of the built-in alert rules: how long a
 	// condition must persist before pending becomes firing. 0 fires on the
@@ -123,17 +123,11 @@ type Config struct {
 	// answers 503. The disabled path costs one nil check per would-be
 	// consumer.
 	HistoryDisabled bool
-	// HistoryMaxBytes caps the history store's resident memory; 0 selects
-	// the history package default (8 MiB).
-	HistoryMaxBytes int
 	// FlightDir arms the flight recorder: any alert rule entering firing
-	// (rate-limited by FlightCooldown), a SIGQUIT in cmd/vodserver, or a
-	// /debug/flightrecord GET dumps a diagnostic bundle directory under it.
-	// "" leaves the recorder disabled.
+	// (at most one bundle per 5-minute cooldown), a SIGQUIT in cmd/vodserver,
+	// or a /debug/flightrecord GET dumps a diagnostic bundle directory under
+	// it. "" leaves the recorder disabled.
 	FlightDir string
-	// FlightCooldown rate-limits alert-triggered bundles; 0 selects the
-	// recorder default (5 minutes).
-	FlightCooldown time.Duration
 	// ConntrackDisabled turns off per-subscriber transport telemetry: no
 	// TCP_INFO sampling, no conn_* metric families, /connz answers 503 and
 	// dropped subscribers are attributed reason="untracked". The disabled
@@ -443,14 +437,12 @@ func Start(cfg Config) (*Server, error) {
 		s.history = history.New(history.Config{
 			Samples:  reg.Samples,
 			Interval: cfg.TelemetryInterval,
-			MaxBytes: cfg.HistoryMaxBytes,
 		})
 	}
 	if cfg.FlightDir != "" {
 		recCfg := history.RecorderConfig{
-			Dir:      cfg.FlightDir,
-			Cooldown: cfg.FlightCooldown,
-			Store:    s.history,
+			Dir:   cfg.FlightDir,
+			Store: s.history,
 			Status: func() ([]byte, error) {
 				return json.MarshalIndent(s.Status(), "", "  ")
 			},
@@ -545,8 +537,9 @@ func (s *Server) Close() error {
 // holds what the rule saw. The three steps are nil-safe, so a disabled layer
 // costs its branch. A rule entering firing captures its flight bundle here,
 // synchronously, which delays the next sweep and scrape by the capture's
-// duration (rate-limited by Config.FlightCooldown); in exchange Close, which
-// waits for this goroutine, never returns while a bundle is being written.
+// duration (rate-limited by the recorder's 5-minute cooldown); in exchange
+// Close, which waits for this goroutine, never returns while a bundle is
+// being written.
 func (s *Server) telemetryLoop() {
 	defer s.wg.Done()
 	t := time.NewTicker(s.cfg.TelemetryInterval)

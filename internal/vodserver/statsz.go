@@ -117,9 +117,10 @@ func (s *Server) connz(w http.ResponseWriter, r *http.Request) {
 // series is the exposition identity (name plus rendered labels, e.g.
 // vod_channel_load{video="1"}); from/to accept unix seconds or RFC3339 (to
 // defaults to now, from to one minute before to); step is a Go duration
-// selecting the downsampling granularity (0 returns raw points). Without
-// series the handler lists every retained series. A server with history
-// disabled answers 503.
+// bucketing the raw points by max (omitted, the raw points themselves). The
+// store keeps each series' last 360 scrapes, so a range reaching further back
+// returns what it retains. Without series the handler lists every retained
+// series. A server with history disabled answers 503.
 func (s *Server) queryz(w http.ResponseWriter, r *http.Request) {
 	if !guardGET(w, r, "/queryz") {
 		return
@@ -164,7 +165,7 @@ func (s *Server) queryz(w http.ResponseWriter, r *http.Request) {
 	var step time.Duration
 	if raw := q.Get("step"); raw != "" {
 		d, err := time.ParseDuration(raw)
-		// A zero or negative step is a degenerate downsampling request — the
+		// A zero or negative step is a degenerate bucketing request — the
 		// spelled-out "0s" included; raw points are requested by omitting the
 		// parameter, not by sending a non-step.
 		if err != nil || d <= 0 {

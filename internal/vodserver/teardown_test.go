@@ -152,7 +152,6 @@ func TestCloseWaitsForTelemetry(t *testing.T) {
 		SlotDuration:      10 * time.Millisecond,
 		TelemetryInterval: time.Millisecond,
 		FlightDir:         flightDir,
-		FlightCooldown:    time.Hour,
 		// No client ever reports, so this rule fires within a few ticks.
 		ReportStaleAfter: time.Millisecond,
 	})
