@@ -70,6 +70,9 @@ ci:
 	# firing → resolved, exactly one bundle carries conns.json, and the drop
 	# path attributes the disconnect reason="stalled".
 	$(GO) test -race -run '^TestE2EConntrackStallAttribution$$' -count=1 ./internal/vodserver/
+	# The one cut rule: a paused reader's handler ends its own session at the
+	# last deadline plus the read bound, and its fd and goroutine come back.
+	$(GO) test -race -run '^TestSlowSubscriberDroppedMidBroadcast$$' -count=1 ./internal/vodserver/
 	# Disabled-path smoke for the telemetry history layer: the nil-store and
 	# nil-recorder fast paths a -no-history server takes must keep compiling
 	# and running.

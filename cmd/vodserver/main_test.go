@@ -63,7 +63,6 @@ func TestParseFlagsRejectsRetiredFlags(t *testing.T) {
 // testSeams are the vodserver.Config fields the command line does not set:
 // each is set only by tests, and each names what retires it.
 var testSeams = map[string]string{
-	"SubscriberBuffer":  "ROADMAP item 3: ring capacity derived from the deadline",
 	"TelemetryInterval": "ROADMAP item 4: driven by the virtual clock",
 	"QoEWindow":         "ROADMAP item 4: driven by the virtual clock",
 	"SLOTargetSeconds":  "ROADMAP item 4: driven by the virtual clock",

@@ -1,7 +1,7 @@
 // Package conntrack is the per-subscriber transport telemetry layer: it
 // samples kernel TCP state (TCP_INFO on Linux) alongside the userspace
-// signals the fan-out path already produces — ring occupancy, push-fail
-// streaks, drain batch sizes, bytes written — and classifies every tracked
+// signals the fan-out path already produces — ring occupancy, drain batch
+// sizes, bytes written — and classifies every tracked
 // connection into an explicit state machine with hysteresis:
 //
 //	healthy               delivering at the broadcast rate
@@ -17,8 +17,8 @@
 // The classifier is deliberately conservative: a candidate state must hold
 // for Config.Hold consecutive samples before the published state changes, so
 // one slow scrape or a single retransmission never flaps a connection
-// between states. The published state is what the slow-subscriber drop path
-// records as its reason, what /connz serves, and what the conn_stalled_ratio
+// between states. The published state is what a write-deadline cut records
+// as its reason, what /connz serves, and what the conn_stalled_ratio
 // alert aggregates.
 //
 // The package follows the repository's observability idiom: stdlib-only
@@ -119,7 +119,8 @@ const (
 	// previous sample.
 	rwndFraction = 0.1
 	// ringHighFraction is the ring occupancy at or above which a connection
-	// counts as behind the broadcast rate.
+	// counts as behind the broadcast rate. Occupancy is relative to the
+	// subscription's span, the most frames its ring can ever hold.
 	ringHighFraction = 0.5
 	// notSentLowBytes bounds the kernel send-queue backlog below which a
 	// deep ring is attributed to the server's own drain
@@ -172,7 +173,6 @@ type Sampler struct {
 
 	mRTT        *obs.Window
 	mRetrans    *obs.Counter
-	mPushFail   *obs.Counter
 	mDrainBytes *obs.Counter
 	stateGauges [NumStates]*obs.Gauge
 }
@@ -190,13 +190,11 @@ func New(cfg Config) *Sampler {
 		s.occWin = obs.NewWindow(0)
 	} else {
 		s.occWin = reg.Window("conn_ring_occupancy",
-			"Per-subscriber ring occupancy (fraction of capacity), one observation per tracked connection per sweep.", 0)
+			"Per-subscriber ring occupancy (fraction of the subscription's span), one observation per tracked connection per sweep.", 0)
 		s.mRTT = reg.Window("conn_rtt_seconds",
 			"Kernel smoothed RTT per tracked connection per sample.", 0)
 		s.mRetrans = reg.Counter("conn_retrans_total",
 			"TCP segments retransmitted across all tracked connections.")
-		s.mPushFail = reg.Counter("conn_push_fail_total",
-			"Fan-out ring pushes refused because the subscriber's ring was full.")
 		s.mDrainBytes = reg.Counter("conn_drain_bytes_total",
 			"Payload bytes drained to tracked subscriber connections.")
 		for st := 0; st < NumStates; st++ {
@@ -227,9 +225,6 @@ type Conn struct {
 	opened  time.Time
 
 	// Hot-path counters.
-	pushes     atomic.Int64
-	pushFails  atomic.Int64
-	failStreak atomic.Int64
 	lastDepth  atomic.Int64
 	drainBytes atomic.Int64
 	drainOps   atomic.Int64
@@ -253,14 +248,14 @@ type prevSample struct {
 	valid       bool
 	at          time.Time
 	drainBytes  int64
-	pushFails   int64
 	retrans     uint32
 	bytesAcked  uint64
 	rwndLimited time.Duration
 }
 
-// Register starts tracking conn. ringCap is the subscriber's queue capacity
-// (ring slots or channel buffer), the denominator of the occupancy signal.
+// Register starts tracking conn. ringCap is the most frames the subscriber's
+// queue can hold (its subscription's span in slots), the denominator of the
+// occupancy signal.
 // A nil sampler returns a nil *Conn, which every Conn method accepts.
 func (s *Sampler) Register(conn net.Conn, video uint32, ringCap int) *Conn {
 	if s == nil {
@@ -313,21 +308,13 @@ func (s *Sampler) Unregister(c *Conn) {
 	s.mu.Unlock()
 }
 
-// RecordPush notes one fan-out push attempt: the post-push ring depth on
-// success, or a refused push (ring full) on failure. Nil-safe — the disabled
-// path is one branch, no atomics.
-func (c *Conn) RecordPush(depth int, ok bool) {
+// RecordPush notes one fan-out push: the post-push ring depth. Nil-safe —
+// the disabled path is one branch, no atomics.
+func (c *Conn) RecordPush(depth int) {
 	if c == nil {
 		return
 	}
-	if ok {
-		c.pushes.Add(1)
-		c.lastDepth.Store(int64(depth))
-		c.failStreak.Store(0)
-		return
-	}
-	c.pushFails.Add(1)
-	c.failStreak.Add(1)
+	c.lastDepth.Store(int64(depth))
 }
 
 // RecordDrain notes one completed drain batch: frames handed to the kernel
@@ -383,8 +370,6 @@ func (s *Sampler) Sweep() {
 // sweepConn samples and classifies one connection. Caller holds s.mu.
 func (s *Sampler) sweepConn(c *Conn, now time.Time) {
 	drain := c.drainBytes.Load()
-	fails := c.pushFails.Load()
-	streak := c.failStreak.Load()
 	depth := c.lastDepth.Load()
 	occ := float64(depth) / float64(c.ringCap)
 	info, kernelOK := readTCPInfo(c.raw)
@@ -393,7 +378,6 @@ func (s *Sampler) sweepConn(c *Conn, now time.Time) {
 		valid:      true,
 		at:         now,
 		drainBytes: drain,
-		pushFails:  fails,
 	}
 	if kernelOK {
 		cur.retrans = info.TotalRetrans
@@ -414,9 +398,6 @@ func (s *Sampler) sweepConn(c *Conn, now time.Time) {
 			if d := drain - prev.drainBytes; d > 0 {
 				s.mDrainBytes.Add(float64(d))
 			}
-			if d := fails - prev.pushFails; d > 0 {
-				s.mPushFail.Add(float64(d))
-			}
 			if kernelOK && info.TotalRetrans > prev.retrans {
 				s.mRetrans.Add(float64(info.TotalRetrans - prev.retrans))
 			}
@@ -430,14 +411,14 @@ func (s *Sampler) sweepConn(c *Conn, now time.Time) {
 		elapsed := now.Sub(prev.at)
 		wrote := drain > prev.drainBytes ||
 			(kernelOK && prev.bytesAcked > 0 && info.BytesAcked > prev.bytesAcked)
-		backlog := depth > 0 || streak > 0 || (kernelOK && info.NotSentBytes > 0)
+		backlog := depth > 0 || (kernelOK && info.NotSentBytes > 0)
 		var retransDelta int64
 		var rwndDelta time.Duration
 		if kernelOK {
 			retransDelta = int64(info.TotalRetrans) - int64(prev.retrans)
 			rwndDelta = info.RwndLimited - prev.rwndLimited
 		}
-		cand := s.classify(wrote, backlog, occ, streak, retransDelta, rwndDelta, elapsed, info, kernelOK)
+		cand := s.classify(wrote, backlog, occ, retransDelta, rwndDelta, elapsed, info, kernelOK)
 		s.holdAndPublish(c, cand, now)
 	}
 
@@ -460,7 +441,6 @@ func (s *Sampler) sweepConn(c *Conn, now time.Time) {
 		RingCap:         c.ringCap,
 		RingDepthP99:    c.depthWin.Snapshot().P99,
 		BytesPerSec:     rate,
-		PushFails:       fails,
 		Kernel:          kernelOK,
 	}
 	if kernelOK {
@@ -477,7 +457,7 @@ func (s *Sampler) sweepConn(c *Conn, now time.Time) {
 // ordered by how definitive the evidence is: total stall beats everything, a
 // retransmit burst beats window accounting, kernel window accounting beats
 // the occupancy fallback.
-func (s *Sampler) classify(wrote, backlog bool, occ float64, streak, retransDelta int64,
+func (s *Sampler) classify(wrote, backlog bool, occ float64, retransDelta int64,
 	rwndDelta, elapsed time.Duration, info TCPInfo, kernelOK bool) State {
 	if backlog && !wrote {
 		return StateStalled
@@ -489,7 +469,7 @@ func (s *Sampler) classify(wrote, backlog bool, occ float64, streak, retransDelt
 		rwndDelta >= time.Duration(rwndFraction*float64(elapsed)) {
 		return StateReceiverLimited
 	}
-	if occ >= ringHighFraction || streak > 0 {
+	if occ >= ringHighFraction {
 		// A deep ring with a drained kernel queue means the network and the
 		// receiver are keeping up — the server's own drain is behind.
 		if kernelOK && info.NotSentBytes <= notSentLowBytes {
@@ -579,7 +559,6 @@ type ConnSnapshot struct {
 	RingCap         int     `json:"ring_cap"`
 	RingDepthP99    float64 `json:"ring_depth_p99"`
 	BytesPerSec     float64 `json:"bytes_per_sec"`
-	PushFails       int64   `json:"push_fails"`
 	Kernel          bool    `json:"kernel"`
 }
 

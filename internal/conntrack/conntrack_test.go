@@ -50,14 +50,14 @@ func TestClassifyTable(t *testing.T) {
 	s, _ := testSampler(t, Config{})
 	ext := TCPInfo{Valid: true, Extended: true}
 	cases := []struct {
-		name                 string
-		wrote, backlog       bool
-		occ                  float64
-		streak, retransDelta int64
-		rwndDelta            time.Duration
-		info                 TCPInfo
-		kernelOK             bool
-		want                 State
+		name           string
+		wrote, backlog bool
+		occ            float64
+		retransDelta   int64
+		rwndDelta      time.Duration
+		info           TCPInfo
+		kernelOK       bool
+		want           State
 	}{
 		{name: "idle healthy", want: StateHealthy},
 		{name: "backlog without progress stalls", backlog: true, want: StateStalled},
@@ -69,11 +69,10 @@ func TestClassifyTable(t *testing.T) {
 			info: TCPInfo{Valid: true}, kernelOK: true, want: StateSenderBackpressured},
 		{name: "deep ring with kernel backlog is receiver limited", wrote: true, occ: 0.75,
 			info: TCPInfo{Valid: true, NotSentBytes: 1 << 20}, kernelOK: true, want: StateReceiverLimited},
-		{name: "push fail streak without kernel is receiver limited", wrote: true, streak: 2, want: StateReceiverLimited},
 		{name: "deep ring without kernel is receiver limited", wrote: true, occ: 0.9, want: StateReceiverLimited},
 	}
 	for _, tc := range cases {
-		got := s.classify(tc.wrote, tc.backlog, tc.occ, tc.streak, tc.retransDelta,
+		got := s.classify(tc.wrote, tc.backlog, tc.occ, tc.retransDelta,
 			tc.rwndDelta, time.Second, tc.info, tc.kernelOK)
 		if got != tc.want {
 			t.Errorf("%s: classify = %v, want %v", tc.name, got, tc.want)
@@ -96,7 +95,7 @@ func TestHysteresisHoldsAndTransitions(t *testing.T) {
 	}
 
 	// Frames pile up with no drain progress: candidate stalled.
-	c.RecordPush(8, true)
+	c.RecordPush(8)
 	sweep(s, clk)
 	if got := c.State(); got != StateHealthy {
 		t.Fatalf("state moved after one candidate sweep: %v", got)
@@ -131,7 +130,7 @@ func TestHysteresisSuppressesFlap(t *testing.T) {
 	sweep(s, clk)
 	for i := 0; i < 6; i++ {
 		if i%2 == 0 {
-			c.RecordPush(8, true) // backlog, no progress
+			c.RecordPush(8) // backlog, no progress
 		} else {
 			c.RecordDrain(8, 4096) // progress, ring empty
 		}
@@ -148,8 +147,7 @@ func TestNilSamplerAndConnAreInert(t *testing.T) {
 	if c != nil {
 		t.Fatal("nil sampler Register returned non-nil conn")
 	}
-	c.RecordPush(3, true)
-	c.RecordPush(0, false)
+	c.RecordPush(3)
 	c.RecordDrain(2, 100)
 	if got := c.State(); got != StateHealthy {
 		t.Fatalf("nil conn state = %v", got)
@@ -173,7 +171,7 @@ func TestUnregisterIdempotentAndCounted(t *testing.T) {
 	s, clk := testSampler(t, Config{Hold: 1})
 	c := s.Register(nil, 1, 4)
 	sweep(s, clk)
-	c.RecordPush(4, true)
+	c.RecordPush(4)
 	sweep(s, clk)
 	if got := c.State(); got != StateStalled {
 		t.Fatalf("state = %v, want stalled with Hold=1", got)
@@ -194,10 +192,9 @@ func TestSnapshotRowsAndMetrics(t *testing.T) {
 	a := s.Register(nil, 1, 8)
 	b := s.Register(nil, 2, 8)
 	sweep(s, clk)
-	a.RecordPush(8, true) // stalls
-	b.RecordPush(1, true)
+	a.RecordPush(8) // stalls
+	b.RecordPush(1)
 	b.RecordDrain(1, 4096) // healthy
-	b.RecordPush(0, false) // one refused push
 	sweep(s, clk)
 
 	sum := s.Snapshot()
@@ -226,9 +223,6 @@ func TestSnapshotRowsAndMetrics(t *testing.T) {
 	}
 	if vals["conn_stalled_ratio"] != 0.5 {
 		t.Fatalf("conn_stalled_ratio = %v", vals["conn_stalled_ratio"])
-	}
-	if vals["conn_push_fail_total"] != 1 {
-		t.Fatalf("conn_push_fail_total = %v", vals["conn_push_fail_total"])
 	}
 	if vals["conn_drain_bytes_total"] != 4096 {
 		t.Fatalf("conn_drain_bytes_total = %v", vals["conn_drain_bytes_total"])

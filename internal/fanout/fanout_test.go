@@ -159,7 +159,7 @@ func TestRingPushPopOrder(t *testing.T) {
 		f.Retain()
 		d, ok := r.Push(f)
 		if !ok {
-			t.Fatalf("push %d failed on non-full ring", slot)
+			t.Fatalf("push %d failed on an open ring", slot)
 		}
 		if d != slot+1 {
 			t.Fatalf("push %d reported depth %d, want %d", slot, d, slot+1)
@@ -186,7 +186,10 @@ func TestRingPushPopOrder(t *testing.T) {
 	}
 }
 
-func TestRingPushFailsWhenFull(t *testing.T) {
+// TestRingGrowsPastHint: the capacity is only a hint — pushes grow the ring
+// past it and never fail while it is open — and Drop releases whatever is
+// still queued, after which pushes fail.
+func TestRingGrowsPastHint(t *testing.T) {
 	enc, _ := catalogues(t)
 	r := NewRing(1)
 	a, _ := enc.EncodeSlot(3, 1, []int{1}, nil)
@@ -197,20 +200,24 @@ func TestRingPushFailsWhenFull(t *testing.T) {
 	if _, ok := r.Push(a); !ok {
 		t.Fatal("first push failed")
 	}
-	if _, ok := r.Push(b); ok {
-		t.Fatal("push succeeded on full ring")
+	b.Retain()
+	if d, ok := r.Push(b); !ok || d != 2 {
+		t.Fatalf("push past the hint = (%d, %v), want (2, true)", d, ok)
 	}
 	r.Drop()
-	if !r.Dropped() {
-		t.Fatal("Dropped() false after Drop")
-	}
 	if r.Depth() != 0 {
 		t.Fatal("Drop left frames queued")
 	}
-	// The queued reference was released by Drop; a remains live through the
-	// caller's own reference only.
+	// The queued references were released by Drop; a and b remain live
+	// through the caller's own references only.
 	if got := a.refsForTest(); got != 1 {
-		t.Fatalf("refs after Drop = %d, want 1", got)
+		t.Fatalf("refs of a after Drop = %d, want 1", got)
+	}
+	if got := b.refsForTest(); got != 1 {
+		t.Fatalf("refs of b after Drop = %d, want 1", got)
+	}
+	if _, ok := r.Push(a); ok {
+		t.Fatal("push succeeded on a dropped ring")
 	}
 	if _, ok := r.PopAll(nil); ok {
 		t.Fatal("dropped ring reported open")
@@ -238,9 +245,6 @@ func TestRingCloseDeliversTail(t *testing.T) {
 	}
 	got[0].Release()
 	f.Release()
-	if r.Dropped() {
-		t.Fatal("clean Close reported as Drop")
-	}
 }
 
 // TestRingBlockingDrain exercises the producer/consumer handoff under the

@@ -2,13 +2,14 @@ package fanout
 
 import "sync"
 
-// Ring is one subscriber's bounded write queue: a fixed-capacity circular
-// buffer of frame references pushed by the broadcast clock and batch-drained
-// by the connection's writer goroutine. Pushes never block — a full ring
-// means the subscriber fell a whole buffer behind and the caller disconnects
-// it (Drop) rather than stall the slot tick; the drain side blocks until at
-// least one frame or closure arrives and takes everything available in one
-// call, which is what lets the writer coalesce frames into a single
+// Ring is one subscriber's write queue: a FIFO of frame references pushed by
+// the broadcast clock and batch-drained by the connection's writer
+// goroutine. Pushes never block and never fail for lack of room — the
+// queue grows by append, and what bounds it is the subscription: the
+// producer closes the ring at the subscriber's last slot, and the writer's
+// own deadline ends a reader that falls behind. The drain side blocks until
+// at least one frame or closure arrives and takes everything available in
+// one call, which is what lets the writer coalesce frames into a single
 // vectored write.
 //
 // Reference ownership: a successful Push transfers one reference to the
@@ -16,48 +17,36 @@ import "sync"
 // Release each frame after writing it. Close and Drop may race with a
 // concurrent PopAll; Drop releases whatever is still queued.
 type Ring struct {
-	mu      sync.Mutex
-	ready   sync.Cond
-	buf     []*Frame
-	head    int // index of the oldest queued frame
-	n       int // queued frame count
-	closed  bool
-	dropped bool
+	mu     sync.Mutex
+	ready  sync.Cond
+	buf    []*Frame
+	closed bool
 }
 
-// NewRing returns a ring holding at most capacity frames; capacity must be
-// at least 1.
+// NewRing returns an empty ring; capacity is a hint sizing its initial
+// backing array (the most frames the caller expects to queue at once).
 func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	r := &Ring{buf: make([]*Frame, capacity)}
+	r := &Ring{buf: make([]*Frame, 0, max(capacity, 1))}
 	r.ready.L = &r.mu
 	return r
 }
 
-// Cap reports the ring's frame capacity — the denominator of the occupancy
-// signal the transport telemetry layer classifies against. Immutable after
-// NewRing, so the read takes no lock.
-func (r *Ring) Cap() int { return len(r.buf) }
-
 // Push enqueues one frame reference without blocking and returns the
 // post-push queue depth. It returns ok=false — and takes no ownership, so
-// the caller must Release — when the ring is full or already closed. The
+// the caller must Release — only when the ring is already closed. The
 // depth rides along so the fan-out's ring-depth watermark costs no second
 // lock acquisition per subscriber per tick.
 func (r *Ring) Push(f *Frame) (depth int, ok bool) {
 	r.mu.Lock()
-	if r.closed || r.n == len(r.buf) {
+	if r.closed {
 		r.mu.Unlock()
 		return 0, false
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = f
-	r.n++
-	if r.n == 1 {
+	r.buf = append(r.buf, f)
+	depth = len(r.buf)
+	if depth == 1 {
 		r.ready.Signal()
 	}
-	depth = r.n
 	r.mu.Unlock()
 	return depth, true
 }
@@ -69,15 +58,12 @@ func (r *Ring) Push(f *Frame) (depth int, ok bool) {
 // frames will ever arrive. The consumer owns the returned references.
 func (r *Ring) PopAll(dst []*Frame) ([]*Frame, bool) {
 	r.mu.Lock()
-	for r.n == 0 && !r.closed {
+	for len(r.buf) == 0 && !r.closed {
 		r.ready.Wait()
 	}
-	for r.n > 0 {
-		dst = append(dst, r.buf[r.head])
-		r.buf[r.head] = nil
-		r.head = (r.head + 1) % len(r.buf)
-		r.n--
-	}
+	dst = append(dst, r.buf...)
+	clear(r.buf)
+	r.buf = r.buf[:0]
 	ok := !r.closed
 	r.mu.Unlock()
 	return dst, ok
@@ -95,38 +81,25 @@ func (r *Ring) Close() {
 	r.mu.Unlock()
 }
 
-// Drop closes the ring because the subscriber fell behind: every queued
-// frame is released (the consumer will never write them), and Dropped
-// reports true so the connection handler can skip end-of-session work.
-// Idempotent, and safe alongside a concurrent PopAll.
+// Drop closes the ring because its consumer is gone: every queued frame is
+// released (it will never be written). Idempotent, and safe alongside a
+// concurrent PopAll or after a Close.
 func (r *Ring) Drop() {
 	r.mu.Lock()
-	r.dropped = true
 	r.closed = true
-	for r.n > 0 {
-		f := r.buf[r.head]
-		r.buf[r.head] = nil
-		r.head = (r.head + 1) % len(r.buf)
-		r.n--
+	for _, f := range r.buf {
 		f.Release()
 	}
+	clear(r.buf)
+	r.buf = r.buf[:0]
 	r.ready.Signal()
 	r.mu.Unlock()
-}
-
-// Dropped reports whether the ring was closed by Drop (subscriber fell
-// behind) rather than a clean Close.
-func (r *Ring) Dropped() bool {
-	r.mu.Lock()
-	d := r.dropped
-	r.mu.Unlock()
-	return d
 }
 
 // Depth returns the number of frames currently queued.
 func (r *Ring) Depth() int {
 	r.mu.Lock()
-	n := r.n
+	n := len(r.buf)
 	r.mu.Unlock()
 	return n
 }

@@ -1,6 +1,7 @@
 package vodserver
 
 import (
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -23,6 +24,50 @@ func (discardConn) RemoteAddr() net.Addr               { return nil }
 func (discardConn) SetDeadline(t time.Time) error      { return nil }
 func (discardConn) SetReadDeadline(t time.Time) error  { return nil }
 func (discardConn) SetWriteDeadline(t time.Time) error { return nil }
+
+// stallConn stands in for a socket whose writev blocks and then fails: its
+// first Write runs during — what the tick does meanwhile — and errors.
+type stallConn struct {
+	discardConn
+	during func()
+}
+
+func (c stallConn) Write(b []byte) (int, error) {
+	c.during()
+	return 0, errors.New("connection reset")
+}
+
+// TestFailedWriteReleasesClosedRing: while a write is blocked the tick keeps
+// pushing, then retires the subscriber cleanly — Close, not Drop — and only
+// then does the write fail. The frames queued behind the failed batch will
+// never be written, so the drain must release them itself even though the
+// retirement already took the subscriber out of its set.
+func TestFailedWriteReleasesClosedRing(t *testing.T) {
+	s := startTestServer(t)
+	enc, ring := drainFixture(t)
+	sub := &subscriber{ring: ring, admitted: time.Now()}
+	push := func(slot int) {
+		f, err := enc.EncodeSlot(1, slot, []int{1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := ring.Push(f); !ok {
+			t.Fatalf("push of slot %d failed", slot)
+		}
+	}
+	push(1)
+	conn := stallConn{during: func() {
+		push(2)
+		push(3)
+		ring.Close()
+	}}
+	if s.drainRing(conn, sub, 0, nil, nil) {
+		t.Fatal("drain reported a clean end after a failed write")
+	}
+	if d := ring.Depth(); d != 0 {
+		t.Fatalf("%d frames left queued in the ring after the failed write", d)
+	}
+}
 
 // drainFixture builds the pieces of one subscriber's steady-state drain
 // cycle: a warm encoder, a ring, and the session-scoped scratch buffers.
@@ -187,10 +232,10 @@ func BenchmarkDrainRingConntrackDisabled(b *testing.B) {
 		}
 		f.Retain()
 		depth, ok := ring.Push(f)
-		ct.RecordPush(depth, ok)
 		if !ok {
 			b.Fatal("push failed on drained ring")
 		}
+		ct.RecordPush(depth)
 		f.Release()
 		var open bool
 		frames, open = ring.PopAll(frames[:0])

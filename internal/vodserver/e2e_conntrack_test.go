@@ -24,8 +24,8 @@ import (
 // below the broadcast rate — and assertions that the classifier separates
 // them on /connz, that the conn_stalled_ratio alert walks pending → firing →
 // resolved, that the firing transition captures exactly one flight bundle
-// carrying conns.json, and that the drop path attributes the stalled
-// subscriber's disconnect as reason="stalled". Linux-only: the stall-vs-slow
+// carrying conns.json, and that the write-deadline cut attributes the
+// stalled subscriber's disconnect as reason="stalled". Linux-only: the stall-vs-slow
 // distinction leans on kernel BytesAcked ground truth, which is the point of
 // the TCP_INFO integration.
 
@@ -83,16 +83,14 @@ func TestE2EConntrackStallAttribution(t *testing.T) {
 	flightDir := t.TempDir()
 	s, err := Start(Config{
 		Addr: "127.0.0.1:0",
-		// A heavy, LONG channel: every slot carries tens of KiB so a
+		// A heavy, long channel: every slot carries tens of KiB so a
 		// subscriber that stops (or nearly stops) reading saturates its
-		// socket within a few hundred milliseconds, and the 2000-segment
-		// schedule keeps broadcasting for many seconds so neither subscriber
-		// reaches clean lastSlot retirement mid-test. The generous ring keeps
-		// the ring-full drop a couple of seconds away, leaving the classifier
-		// room to publish before the fan-out cuts anyone loose.
-		Videos:           []VideoConfig{{ID: 1, Segments: 2000, SegmentBytes: 4 << 10}},
+		// socket within a few hundred milliseconds, and the 1000-segment
+		// schedule puts both write deadlines (last deadline plus the 1 s
+		// read bound) about six seconds out, leaving the classifier room to
+		// publish before either subscriber is cut.
+		Videos:           []VideoConfig{{ID: 1, Segments: 1000, SegmentBytes: 4 << 10}},
 		SlotDuration:     5 * time.Millisecond,
-		SubscriberBuffer: 512,
 		StatsAddr:        "127.0.0.1:0",
 		FlightDir:        flightDir,
 		SLOTargetSeconds: 10, // keep the burn rule quiet on slow machines
@@ -219,10 +217,9 @@ func TestE2EConntrackStallAttribution(t *testing.T) {
 		t.Fatalf("miss alert = %s, want inactive", st)
 	}
 
-	// The fan-out eventually cuts the paused subscriber loose — its drain
-	// never progresses, so its ring is the first to fill — and the drop
-	// counter attributes the disconnect by the last published state:
-	// reason="stalled".
+	// The paused subscriber's blocked write hits its session deadline, its
+	// handler cuts it, and the drop counter attributes the disconnect by
+	// the last published state: reason="stalled".
 	dropDeadline := time.Now().Add(30 * time.Second)
 	for s.Stats().Dropped < 1 {
 		if time.Now().After(dropDeadline) {
@@ -247,11 +244,10 @@ func TestE2EConntrackStallAttribution(t *testing.T) {
 		t.Fatalf("no drop attributed reason=\"stalled\":\n%s", body)
 	}
 
-	// The ratio self-resolves as tracking drains: the drop unregistered the
-	// stalled connection, and the slow reader either drops too or reaches
-	// the catalogue's end and retires cleanly. Either exit unregisters, so
-	// the next evaluation walks the rule firing → resolved, with no second
-	// bundle.
+	// The ratio self-resolves as tracking drains: the cut unregistered the
+	// stalled connection, and the slow reader, far behind too, meets its
+	// own deadline moments later. Either exit unregisters, so the next
+	// evaluation walks the rule firing → resolved, with no second bundle.
 	for s.Conns().Tracked() != 0 {
 		if time.Now().After(dropDeadline) {
 			t.Fatalf("tracking never drained: tracked=%d %+v", s.Conns().Tracked(), s.Stats())
@@ -266,9 +262,7 @@ func TestE2EConntrackStallAttribution(t *testing.T) {
 		t.Fatalf("resolution grew bundles to %d", got)
 	}
 
-	// Kill the clients; the wedged writes fail and the handlers drain.
-	paused.Close()
-	slow.Close()
+	// Both handlers are gone without any client action.
 	waitFor(t, "subscribers drained", func() bool {
 		return s.Stats().ActiveSubscribers == 0
 	})

@@ -52,7 +52,6 @@ func TestE2ENetemPathAttribution(t *testing.T) {
 		Addr:             "127.0.0.1:0",
 		Videos:           []VideoConfig{{ID: 1, Segments: 2000, SegmentBytes: 4 << 10}},
 		SlotDuration:     5 * time.Millisecond,
-		SubscriberBuffer: 512,
 		StatsAddr:        "127.0.0.1:0",
 		SLOTargetSeconds: 10,
 		// Sweeps are driven by hand, exactly as in the unshaped E2E.

@@ -200,8 +200,8 @@ func TestPlaceholderLastSlotStillRetires(t *testing.T) {
 	if !delivered {
 		t.Fatalf("slot %d never carried segment %d", res.Slot+1, segments)
 	}
-	if sub.ring.Dropped() || v.subs.Len() != 0 {
-		t.Fatalf("subscriber not retired cleanly: dropped=%v, %d still subscribed", sub.ring.Dropped(), v.subs.Len())
+	if sub.ring.Depth() != 0 || v.subs.Len() != 0 {
+		t.Fatalf("subscriber not retired cleanly: %d frames queued past closure, %d still subscribed", sub.ring.Depth(), v.subs.Len())
 	}
 	waitIdle(t, s, 0)
 	if got := v.load.Value(); got != 0 {

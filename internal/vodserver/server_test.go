@@ -618,17 +618,25 @@ func TestStatszDisabledByDefault(t *testing.T) {
 func TestUnsubscribeIdempotent(t *testing.T) {
 	s := startTestServer(t)
 	v := s.videos[1]
-	// The first call drops the ring; repeats and unknown videos are no-ops.
+	// The first call drops the ring, releasing its queued frame; repeats
+	// and unknown videos are no-ops.
 	rsub := &subscriber{ring: fanout.NewRing(1)}
 	v.subs.Add(rsub)
+	f, err := s.enc.EncodeSlot(1, 0, []int{1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := rsub.ring.Push(f); !ok {
+		t.Fatal("push to a fresh ring failed")
+	}
 	s.unsubscribe(1, rsub)
 	s.unsubscribe(1, rsub)
 	s.unsubscribe(99, rsub)
-	if !rsub.ring.Dropped() {
-		t.Fatal("ring not dropped by unsubscribe")
+	if d := rsub.ring.Depth(); d != 0 || v.subs.Len() != 0 {
+		t.Fatalf("after unsubscribe: %d frames queued, %d subscribed", d, v.subs.Len())
 	}
-	if _, open := rsub.ring.PopAll(nil); open {
-		t.Fatal("dropped ring still open")
+	if frames, open := rsub.ring.PopAll(nil); open || len(frames) != 0 {
+		t.Fatalf("dropped ring popped %d frames, open=%v", len(frames), open)
 	}
 }
 

@@ -5,9 +5,11 @@ package vodserver
 // writes, and the unsubscribe that ends it.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"net"
+	"os"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -22,7 +24,8 @@ import (
 type subscriber struct {
 	conn net.Conn
 	// ring queues shared frame references; the connection's handler drains
-	// it with vectored writes.
+	// it with vectored writes. The tick closes it at lastSlot, so it never
+	// holds more than the subscription's span.
 	ring *fanout.Ring
 	// lastSlot is the final slot this subscriber needs. It starts at
 	// math.MaxInt64 (registration precedes admission) and is stored once,
@@ -32,8 +35,8 @@ type subscriber struct {
 	// admitted stamps the admission for the first-byte latency window.
 	admitted time.Time
 	// ct is the transport telemetry handle: the fan-out and drain paths feed
-	// it ring depth and progress signals, and the drop path reads the last
-	// classified state as the disconnect reason. nil when conntrack is
+	// it ring depth and progress signals, and a write-deadline cut reads the
+	// last classified state as the disconnect reason. nil when conntrack is
 	// disabled — every touch point is nil-safe.
 	ct *conntrack.Conn
 }
@@ -70,6 +73,7 @@ func (s *Server) acceptLoop() {
 
 // readTimeout bounds every read the server waits on a client for — the
 // request frame and the end-of-session report: four slots, at least a second.
+// It is also a session's write slack past its last deadline.
 func (s *Server) readTimeout() time.Duration {
 	return max(4*s.cfg.SlotDuration, time.Second)
 }
@@ -119,11 +123,18 @@ func (s *Server) handleConn(conn net.Conn) {
 	root.SetVideo(req.VideoID)
 	defer root.End()
 
-	sub, info, err := s.admit(req.VideoID, req.FromSegment, conn, root)
+	sub, info, writeBy, err := s.admit(req.VideoID, req.FromSegment, conn, root)
 	if err != nil {
 		s.mRejects.Inc()
 		root.SetAttr("reject", err.Error())
 		_ = wire.WriteFrame(conn, wire.ErrorMsg{Text: err.Error()})
+		return
+	}
+	defer s.unsubscribe(req.VideoID, sub)
+	// One write deadline covers the whole session: its last segment
+	// deadline plus the read bound. A reader too far behind to make it
+	// fails its own writev; nothing else ever cuts a subscriber.
+	if err := conn.SetWriteDeadline(writeBy); err != nil {
 		return
 	}
 	if proto >= wire.ProtoV2 {
@@ -138,18 +149,13 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 	}
 	if err := wire.WriteFrame(conn, info); err != nil {
-		s.unsubscribe(req.VideoID, sub)
 		return
 	}
 	admitSlot := int(info.AdmitSlot)
 	wait := root.Child("first_byte_wait")
-	if !s.drainRing(conn, req.VideoID, sub, admitSlot, wait, root) {
-		return
-	}
-	// The subscription ended cleanly (ring closed at the last slot). A v2
-	// session that did not opt out now owes us a ClientReport; a subscriber
-	// the fan-out dropped for falling behind gets disconnected instead.
-	if wantReport && !sub.ring.Dropped() {
+	// After a clean end (ring closed at the last slot) a v2 session that
+	// did not opt out owes us a ClientReport.
+	if s.drainRing(conn, sub, admitSlot, wait, root) && wantReport {
 		s.readReport(conn, req.VideoID)
 	}
 }
@@ -157,9 +163,10 @@ func (s *Server) handleConn(conn net.Conn) {
 // drainRing is the delivery loop of a session: it batch-pops the shared frame
 // references queued on the subscriber's ring and hands them to the kernel
 // as one vectored write per batch, releasing each frame only after its
-// bytes are out. It reports false when the connection failed mid-stream
-// (the session is already torn down) and true on clean ring closure.
-func (s *Server) drainRing(conn net.Conn, videoID uint32, sub *subscriber, admitSlot int, wait, root *obs.Span) bool {
+// bytes are out. It reports false when a write failed (the ring is dropped)
+// and true on clean ring closure. A write that hits the session's deadline
+// is the one way a subscriber gets cut, and is counted as a drop.
+func (s *Server) drainRing(conn net.Conn, sub *subscriber, admitSlot int, wait, root *obs.Span) bool {
 	var (
 		frames    []*fanout.Frame
 		vec       net.Buffers
@@ -176,10 +183,14 @@ func (s *Server) drainRing(conn net.Conn, videoID uint32, sub *subscriber, admit
 		sent, n, err := writeFrames(conn, &vec, frames, admitSlot)
 		if err != nil {
 			release()
-			// unsubscribe Drops the ring, which releases anything still
-			// queued and refuses further pushes, so every outstanding
-			// frame reference is now accounted for.
-			s.unsubscribe(videoID, sub)
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				s.mDroppedBy[dropReason(sub)].Inc()
+			}
+			// Drop releases anything pushed while the write was blocked —
+			// also when the tick's clean retirement already closed the
+			// ring — and refuses further pushes, so every outstanding frame
+			// reference is now accounted for.
+			sub.ring.Drop()
 			return false
 		}
 		if sent {
@@ -240,31 +251,37 @@ func writeFrames(conn net.Conn, vec *net.Buffers, frames []*fanout.Frame, admitS
 // call (whose lock wait and service time the station's stage summaries
 // break down further); the child carries the admission's slot and the
 // number of instances it placed.
-func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Span) (*subscriber, wire.ScheduleInfo, error) {
+//
+// writeBy is when the session's writes must be done: the wall time of its
+// last deadline plus readTimeout.
+func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Span) (sub *subscriber, info wire.ScheduleInfo, writeBy time.Time, err error) {
 	v, ok := s.videos[videoID]
 	if !ok {
-		return nil, wire.ScheduleInfo{}, fmt.Errorf("unknown video %d", videoID)
+		return nil, info, writeBy, fmt.Errorf("unknown video %d", videoID)
 	}
 	from := int(fromSegment)
 	if from == 0 {
 		from = 1
 	}
 	if from > v.cfg.Segments {
-		return nil, wire.ScheduleInfo{}, fmt.Errorf("resume segment %d beyond %d", from, v.cfg.Segments)
+		return nil, info, writeBy, fmt.Errorf("resume segment %d beyond %d", from, v.cfg.Segments)
 	}
-	sub := &subscriber{
+	// The subscription spans the admit slot through its last deadline: the
+	// largest shifted period of the remaining suffix.
+	slots := v.maxPeriod[v.cfg.Segments-from+1] + 1
+	sub = &subscriber{
 		conn:     conn,
-		ring:     fanout.NewRing(s.cfg.SubscriberBuffer),
+		ring:     fanout.NewRing(slots),
 		admitted: time.Now(),
 	}
 	sub.lastSlot.Store(math.MaxInt64)
 	// Telemetry registration precedes publication into the subscriber set:
 	// tick workers read sub.ct lock-free from snapshots, so the field must
 	// be settled before Add makes the subscriber visible.
-	sub.ct = s.ct.Register(conn, videoID, sub.ring.Cap())
+	sub.ct = s.ct.Register(conn, videoID, slots)
 	if !v.subs.Add(sub) {
 		s.ct.Unregister(sub.ct)
-		return nil, wire.ScheduleInfo{}, fmt.Errorf("server shutting down")
+		return nil, info, writeBy, fmt.Errorf("server shutting down")
 	}
 
 	span := root.Child("station_admit")
@@ -278,19 +295,22 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 	span.End()
 	if err != nil {
 		s.unsubscribe(videoID, sub)
-		return nil, wire.ScheduleInfo{}, err
+		return nil, info, writeBy, err
 	}
 	admitSlot := res.Slot
 
-	// The subscription ends once the customer's last deadline passes: the
-	// largest shifted period of the remaining suffix. The store is harmless
-	// when a concurrent disconnect already removed the subscriber — its ring
-	// is dropped and further pushes fail — and tick workers that read the
-	// placeholder MaxInt64 this slot retire the subscriber one snapshot later.
-	sub.lastSlot.Store(int64(admitSlot + v.maxPeriod[v.cfg.Segments-from+1]))
+	// The subscription ends once the customer's last deadline passes. The
+	// store is harmless when a concurrent shutdown already removed the
+	// subscriber — its ring is closed and further pushes fail — and tick
+	// workers that read the placeholder MaxInt64 this slot retire the
+	// subscriber one snapshot later. The admit slot retires within one slot
+	// duration of the admission, so the last deadline passes within slots
+	// slot durations of it.
+	sub.lastSlot.Store(int64(admitSlot + slots - 1))
+	writeBy = sub.admitted.Add(time.Duration(slots)*s.cfg.SlotDuration + s.readTimeout())
 	s.mRequests.Inc()
 
-	info := wire.ScheduleInfo{
+	info = wire.ScheduleInfo{
 		VideoID:      videoID,
 		Segments:     uint32(v.cfg.Segments),
 		SlotMillis:   uint32(s.cfg.SlotDuration / time.Millisecond),
@@ -299,22 +319,16 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 		Periods:      v.wirePeriods,
 		SegmentSizes: v.wireSizes,
 	}
-	return sub, info, nil
+	return sub, info, writeBy, nil
 }
 
-// unsubscribe removes the subscription after an abnormal termination
-// (failed admit, dead connection) and ends its ring if the fan-out has not
-// already done so — Remove's exactly-one-winner contract makes the teardown
-// single-shot against a racing tick retirement or server Close. The ring is
-// Dropped rather than Closed so any queued frame references are returned to
-// the pool immediately — the handler will never write them.
+// unsubscribe ends a subscription on any handler exit: it leaves the video's
+// set if a tick retirement or server Close has not already taken it, stops
+// its telemetry, and Drops the ring so every queued frame reference returns
+// to the pool. Each step is idempotent.
 func (s *Server) unsubscribe(videoID uint32, sub *subscriber) {
-	v, ok := s.videos[videoID]
-	if !ok {
-		return
-	}
-	if !v.subs.Remove(sub) {
-		return
+	if v, ok := s.videos[videoID]; ok {
+		v.subs.Remove(sub)
 	}
 	s.ct.Unregister(sub.ct)
 	sub.ring.Drop()

@@ -74,10 +74,6 @@ type Config struct {
 	// selects the station default of min(GOMAXPROCS, len(Videos)); a
 	// resolved count of 1 keeps the tick serial on the clock goroutine.
 	Shards int
-	// SubscriberBuffer is the per-client ring of shared slot frames; a
-	// client that falls further behind is disconnected so one slow STB
-	// cannot stall the broadcast. Zero selects a sensible default.
-	SubscriberBuffer int
 	// StatsAddr optionally binds an HTTP monitoring endpoint serving
 	// /statusz (JSON pipeline snapshot), /healthz (liveness + uptime),
 	// /metricsz (Prometheus text format), /spanz (recent pipeline spans)
@@ -165,8 +161,9 @@ type video struct {
 	// subs is the copy-on-write subscriber set: tick workers read lock-free
 	// snapshots, admit/disconnect/teardown mutate under the set's own small
 	// admin lock, and Set.Close doubles as the video's shutdown latch (Add
-	// refuses afterwards). Remove's exactly-one-winner contract is what
-	// makes every ring Drop/Close single-shot.
+	// refuses afterwards). Removal and the ring teardown around it are
+	// idempotent, so retirement, disconnect and shutdown may all reach one
+	// subscriber.
 	subs *fanout.Set[*subscriber]
 }
 
@@ -243,11 +240,11 @@ type Server struct {
 	// station's spans index.
 	vlist []*video
 	// tallies are the per-worker broadcast counters; retire is each
-	// worker's reusable retirement scratch (expired and ring-full
-	// subscribers collected during a video's push loop, detached after it).
+	// worker's reusable retirement scratch (subscribers whose last slot
+	// this was, collected during a video's push loop, closed after it).
 	// Both are sized to the station's span count and indexed by worker.
 	tallies []fanoutTally
-	retire  [][]retireEntry
+	retire  [][]*subscriber
 
 	wg sync.WaitGroup
 }
@@ -259,9 +256,6 @@ func Start(cfg Config) (*Server, error) {
 	}
 	if cfg.SlotDuration <= 0 {
 		return nil, fmt.Errorf("vodserver: slot duration %v must be positive", cfg.SlotDuration)
-	}
-	if cfg.SubscriberBuffer <= 0 {
-		cfg.SubscriberBuffer = 64
 	}
 	if cfg.SpanSampleEvery < 0 {
 		return nil, fmt.Errorf("vodserver: span sample period %d must be non-negative", cfg.SpanSampleEvery)
@@ -391,13 +385,13 @@ func Start(cfg Config) (*Server, error) {
 		s.vlist[v.idx] = v
 	}
 	s.tallies = make([]fanoutTally, st.Shards())
-	s.retire = make([][]retireEntry, st.Shards())
+	s.retire = make([][]*subscriber, st.Shards())
 	// Pre-register every reason child of the drop counter so the exposition
 	// inventory (and the metric-name lint walking it) is complete from boot,
 	// not from the first drop.
 	for r := 0; r < numDropReasons; r++ {
 		s.mDroppedBy[r] = reg.CounterWith("vod_dropped_subscribers_total",
-			"Subscribers disconnected for falling a full buffer behind, by last classified transport state.",
+			"Subscribers cut by their write deadline (last segment deadline plus the read bound), by last classified transport state.",
 			obs.Labels{"reason": dropReasonName(r)})
 	}
 	// The sampler exists before armAlerts so the conn_stalled_ratio rule can
@@ -511,7 +505,6 @@ func (s *Server) Close() error {
 		// on, so a late registration can never hold a ring no producer ever
 		// closes — and surfaces every live subscriber exactly once.
 		for _, sub := range v.subs.Close() {
-			s.ct.Unregister(sub.ct)
 			sub.ring.Close()
 		}
 	}

@@ -23,7 +23,7 @@ type Stats struct {
 	BroadcastBytes int64
 	// ActiveSubscribers counts clients currently receiving.
 	ActiveSubscribers int
-	// Dropped counts subscribers disconnected for falling behind.
+	// Dropped counts subscribers cut by their session write deadline.
 	Dropped int64
 }
 

@@ -319,7 +319,6 @@ var familyReaders = map[string]string{
 	"client_reports_total":          "alert rule client_reports_stale; benchmark report check",
 	"client_startup_slots":          "vodtop trend pane: startup p99; QoE pane p50/p95",
 	"conn_drain_bytes_total":        "operator: are bytes still reaching the subscribers?",
-	"conn_push_fail_total":          "operator: how many pushes found a full ring?",
 	"conn_retrans_total":            "operator: is the network retransmitting?",
 	"conn_ring_occupancy":           "operator: how full are the subscriber rings?",
 	"conn_rtt_seconds":              "operator: what round trip do the subscribers see?",

@@ -1,6 +1,7 @@
 package vodserver
 
 import (
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -15,23 +16,31 @@ import (
 	"vodcast/internal/wire"
 )
 
-// TestSlowSubscriberDroppedMidBroadcast exercises the zero-copy tear-down
-// path end to end, and is meant to run under -race: a subscriber that stops
-// reading mid-broadcast must be dropped by the fan-out (not stall the slot
-// tick), the drop must be counted identically in Stats() and /metricsz, the
-// handler goroutine must exit once the connection dies, and a double Close
-// of the server must stay a no-op.
+// openConns reports how many connections have a live handler.
+func (s *Server) openConns() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
+}
+
+// TestSlowSubscriberDroppedMidBroadcast exercises the tear-down path end to
+// end, and is meant to run under -race: a subscriber that stops reading
+// mid-broadcast must not stall the slot tick, and its handler must cut it on
+// its own once the session's write deadline (last segment deadline plus the
+// read bound) passes — no client action. The client then reads EOF, the drop
+// is counted identically in Stats() and /metricsz under a reason label,
+// every goroutine comes back, and a double Close of the server stays a
+// no-op.
 func TestSlowSubscriberDroppedMidBroadcast(t *testing.T) {
 	before := runtime.NumGoroutine()
+	const segments, slot = 200, 2 * time.Millisecond
 	s, err := Start(Config{
 		Addr: "127.0.0.1:0",
 		// Enough bytes per slot to wedge the drain goroutine's vectored
-		// write once the client stops reading, and a tiny ring so the very
-		// next tick overflows it.
-		Videos:           []VideoConfig{{ID: 1, Segments: 200, SegmentBytes: 64 << 10}},
-		SlotDuration:     2 * time.Millisecond,
-		SubscriberBuffer: 1,
-		StatsAddr:        "127.0.0.1:0",
+		// write once the client stops reading.
+		Videos:       []VideoConfig{{ID: 1, Segments: segments, SegmentBytes: 64 << 10}},
+		SlotDuration: slot,
+		StatsAddr:    "127.0.0.1:0",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,6 +55,7 @@ func TestSlowSubscriberDroppedMidBroadcast(t *testing.T) {
 	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
+	requested := time.Now()
 	if err := wire.WriteFrame(conn, wire.Request{VideoID: 1, FromSegment: 1, Version: wire.ProtoV2}); err != nil {
 		t.Fatal(err)
 	}
@@ -57,27 +67,30 @@ func TestSlowSubscriberDroppedMidBroadcast(t *testing.T) {
 		t.Fatalf("first frame %T, want ScheduleInfo", msg)
 	}
 	// Admitted — now never read another byte. TCP backpressure wedges the
-	// drain goroutine, the one-slot ring fills, and the fan-out must cut
-	// this subscriber loose without blocking the broadcast clock.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Stats().Dropped == 0 {
+	// drain goroutine's writev until the session's deadline fails it. The
+	// slack past the bound absorbs a loaded machine.
+	bound := (segments+1)*slot + s.readTimeout()
+	deadline := requested.Add(bound + 2*time.Second)
+	for s.openConns() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("slow subscriber never dropped")
+			t.Fatalf("paused reader's handler still running %v after its request (bound %v): %+v",
+				time.Since(requested), bound, s.Stats())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	if n, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("client read %d bytes then %v, want EOF", n, err)
+	}
 
 	st := s.Stats()
-	if st.Dropped < 1 {
-		t.Fatalf("dropped = %d, want >= 1", st.Dropped)
+	if st.Dropped != 1 || st.ActiveSubscribers != 0 {
+		t.Fatalf("after the cut: dropped = %d, active = %d, want 1 and 0", st.Dropped, st.ActiveSubscribers)
 	}
 	// The drop is visible identically through the exposition endpoint. The
 	// counter is split by attribution reason — the connection's last
 	// classified transport state — so the scrape sums the labelled children
-	// and requires the label to be present on every one. The drop usually
-	// lands before the 1s sampler has classified a 2ms-slot subscriber, so
-	// any reason value is legitimate here; the conntrack E2E pins the
-	// specific stalled attribution.
+	// and requires the label to be present on every one. Any reason value is
+	// legitimate here; the conntrack E2E pins the stalled attribution.
 	_, body := get(t, s, "/metricsz")
 	var scraped, labelled int64
 	for _, line := range strings.Split(body, "\n") {
@@ -104,16 +117,6 @@ func TestSlowSubscriberDroppedMidBroadcast(t *testing.T) {
 		t.Fatal("no reason-labelled drop counter child carries the drop")
 	}
 
-	// Kill the client side; the wedged write fails and the handler exits,
-	// draining the subscriber count to zero.
-	conn.Close()
-	for s.Stats().ActiveSubscribers != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("subscribers never drained: %+v", s.Stats())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
 	// Close twice: the second must be a clean no-op (no double-close of
 	// rings, channels or the station).
 	if err := s.Close(); err != nil {
@@ -129,6 +132,7 @@ func TestSlowSubscriberDroppedMidBroadcast(t *testing.T) {
 	// drop it so only this test's goroutines are measured. The runtime
 	// needs a beat to retire exiting goroutines, so poll.
 	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	deadline = time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= before+2 {
 			return
@@ -136,6 +140,75 @@ func TestSlowSubscriberDroppedMidBroadcast(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+}
+
+// TestLaggingReaderCatchesUp: a reader that pauses until its ring holds more
+// than 64 slots of frames on top of its full socket buffers, then reads on,
+// is still inside its deadlines on a video this long. It must not be cut: it
+// receives every segment and the stream ends in a clean EOF.
+func TestLaggingReaderCatchesUp(t *testing.T) {
+	const segments, lag = 300, 64
+	s, err := Start(Config{
+		Addr:         "127.0.0.1:0",
+		Videos:       []VideoConfig{{ID: 1, Segments: segments, SegmentBytes: 64 << 10}},
+		SlotDuration: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A small receive buffer makes the server's writev block early.
+	if err := conn.(*net.TCPConn).SetReadBuffer(16 << 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetDeadline(time.Now().Add(20 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteFrame(conn, wire.Request{VideoID: 1, FromSegment: 1, Version: wire.ProtoV2, Flags: wire.FlagNoReport}); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := wire.ReadFrame(conn); err != nil {
+		t.Fatal(err)
+	} else if _, ok := msg.(wire.ScheduleInfo); !ok {
+		t.Fatalf("first frame %T, want ScheduleInfo", msg)
+	}
+
+	v := s.videos[1]
+	waitFor(t, "the reader to fall more than 64 slots behind", func() bool {
+		subs := v.subs.Snapshot()
+		if len(subs) == 0 {
+			t.Fatalf("reader cut before falling %d slots behind: %+v", lag, s.Stats())
+		}
+		return subs[0].ring.Depth() > lag
+	})
+
+	seen := make([]bool, segments+1)
+	for {
+		msg, err := wire.ReadFrame(conn)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("stream broke while catching up: %v (%+v)", err, s.Stats())
+		}
+		if seg, ok := msg.(wire.Segment); ok {
+			seen[seg.Segment] = true
+		}
+	}
+	for j := 1; j <= segments; j++ {
+		if !seen[j] {
+			t.Fatalf("segment %d never arrived", j)
+		}
+	}
+	if d := s.Stats().Dropped; d != 0 {
+		t.Fatalf("dropped = %d, want 0: the reader was inside its deadlines", d)
+	}
 }
 
 // TestCloseWaitsForTelemetry: sweep, scrape and evaluation run on one loop

@@ -13,8 +13,8 @@ import (
 
 // Dropped-subscriber attribution: the reason label on
 // vod_dropped_subscribers_total is the connection's last classified
-// transport state at drop time, or "untracked" when conntrack is disabled
-// (or the drop won before the subscriber was ever registered).
+// transport state when its write deadline cut it, or "untracked" when
+// conntrack is disabled.
 const (
 	dropReasonUntracked = conntrack.NumStates
 	numDropReasons      = conntrack.NumStates + 1
@@ -42,19 +42,8 @@ func dropReason(sub *subscriber) int {
 type fanoutTally struct {
 	instances int64
 	bytes     int64
-	// dropsBy counts dropped subscribers by attribution reason (last
-	// classified transport state, or untracked).
-	dropsBy  [numDropReasons]int64
-	maxDepth int64
-	_        [32]byte
-}
-
-// retireEntry queues a subscriber for detachment after a span walk: drop
-// marks the ring-full case (Drop the ring and count the disconnect); clean
-// expiry Closes the ring so the tail drains.
-type retireEntry struct {
-	sub  *subscriber
-	drop bool
+	maxDepth  int64
+	_         [40]byte
 }
 
 // dropHook adapts the fault-injection hook to one video and slot. It is
@@ -83,14 +72,10 @@ func (s *Server) fanOut(walk func(worker, video int, rep core.SlotReport) bool) 
 	}
 	s.station.EachActive(walk)
 	var instances, bytes, maxDepth int64
-	var dropsBy [numDropReasons]int64
 	for i := range s.tallies {
 		t := &s.tallies[i]
 		instances += t.instances
 		bytes += t.bytes
-		for r, n := range t.dropsBy {
-			dropsBy[r] += n
-		}
 		if t.maxDepth > maxDepth {
 			maxDepth = t.maxDepth
 		}
@@ -98,19 +83,14 @@ func (s *Server) fanOut(walk func(worker, video int, rep core.SlotReport) bool) 
 	}
 	s.mInstances.Add(float64(instances))
 	s.mBroadcastBytes.Add(float64(bytes))
-	for r, n := range dropsBy {
-		if n != 0 {
-			s.mDroppedBy[r].Add(float64(n))
-		}
-	}
 	s.ringDepth.Record(float64(maxDepth))
 }
 
 // fanOutVideo fans one active video's retired slot out: encode the slot
 // once, push the shared frame to every subscriber in the video's
-// copy-on-write snapshot, then detach the expired and ring-full subscribers
-// collected on the way so the push loop stays tight. It reports whether the
-// video still has an audience: that, not a subscriber's last slot (maybe
+// copy-on-write snapshot, then retire the subscribers whose last slot this
+// was, collected on the way so the push loop stays tight. It reports whether
+// the video still has an audience: that, not a subscriber's last slot (maybe
 // still the placeholder), keeps a drained video active. worker indexes the
 // tally and retirement scratch; the only locks taken are each ring's own.
 func (s *Server) fanOutVideo(worker, video int, rep core.SlotReport) bool {
@@ -127,39 +107,28 @@ func (s *Server) fanOutVideo(worker, video int, rep core.SlotReport) bool {
 	for _, sub := range v.subs.Snapshot() {
 		frame.Retain()
 		depth, ok := sub.ring.Push(frame)
-		sub.ct.RecordPush(depth, ok)
 		if !ok {
-			// The subscriber fell a full ring behind: queue it for
-			// disconnection rather than stall the broadcast.
+			// Closed: the handler dropped the ring after a failed write,
+			// or the server is shutting down.
 			frame.Release()
-			retire = append(retire, retireEntry{sub: sub, drop: true})
 			continue
 		}
+		sub.ct.RecordPush(depth)
 		if int64(depth) > tally.maxDepth {
 			tally.maxDepth = int64(depth)
 		}
 		if int64(rep.Slot) >= sub.lastSlot.Load() {
-			retire = append(retire, retireEntry{sub: sub})
+			retire = append(retire, sub)
 		}
 	}
 	// Drop the encoder's own reference; subscribers now hold theirs and the
 	// frame recycles once the last write completes.
 	frame.Release()
-	for _, r := range retire {
-		// Remove has exactly one winner, so a disconnect or shutdown racing
-		// this retirement ends the ring exactly once. Only a won drop counts
-		// toward the disconnect tally, attributed to the connection's last
-		// classified transport state.
-		if !v.subs.Remove(r.sub) {
-			continue
-		}
-		if r.drop {
-			tally.dropsBy[dropReason(r.sub)]++
-			r.sub.ring.Drop()
-		} else {
-			r.sub.ring.Close()
-		}
-		s.ct.Unregister(r.sub.ct)
+	for _, sub := range retire {
+		// The queued tail still drains; the handler's write deadline bounds
+		// how long it may take. Close is a no-op on a dropped ring.
+		v.subs.Remove(sub)
+		sub.ring.Close()
 	}
 	s.retire[worker] = retire[:0]
 	return v.subs.Len() > 0
