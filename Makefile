@@ -51,6 +51,10 @@ ci:
 	# deterministic and take well under a second: any wall-clock dependence
 	# left in them shows up here as a flake.
 	$(GO) test -count=50 -run '^(TestClock|TestStationStatusAndStages$$|TestCloseIdempotent$$)' ./internal/station/
+	# A video's payloads are built on its first encode under a sync.Once:
+	# twenty racing runs on four threads stress how that build is published
+	# to concurrent tick workers.
+	$(GO) test -race -cpu 4 -count=20 -run '^TestEncoderBuildsPayloadsOnFirstEncode$$' ./internal/fanout/
 	$(GO) test -coverprofile=ci-cover.out ./internal/obs/ ./internal/obs/history/ ./internal/station/ ./internal/wire/ ./internal/vodclient/
 	@total=$$($(GO) tool cover -func=ci-cover.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
 	echo "obs+history+station+wire+vodclient coverage: $$total% (floor $(COVER_FLOOR)%)"; \

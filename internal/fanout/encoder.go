@@ -2,22 +2,46 @@ package fanout
 
 import (
 	"fmt"
+	"sync"
 
 	"vodcast/internal/wire"
 )
 
-// catalog holds the pre-generated payload bytes of every (video, segment)
-// pair. Payloads are deterministic (wire.SegmentPayload) and VBR-sized —
-// the per-segment sizes come from the server's video configs, which the
-// trace planner fills in for VBR catalogues — so generating them once at
-// start-up and sharing the read-only slices is both correct and free.
+// catalog holds the segment sizes of every video and, once a video is first
+// broadcast, its payload bytes. Payloads are deterministic
+// (wire.SegmentPayload) and VBR-sized — the per-segment sizes come from the
+// server's video configs, which the trace planner fills in for VBR
+// catalogues — so building a video's payloads on its first encode and
+// sharing the read-only slices from then on is both correct and free, and a
+// video nobody watches costs its sizes only.
 type catalog struct {
 	videos map[uint32]*catalogVideo
 }
 
 type catalogVideo struct {
-	payloads [][]byte // indexed by segment-1
-	total    int      // sum of payload sizes plus framing for one full slot, a capacity hint
+	id    uint32
+	sizes []uint32 // indexed by segment-1; the catalogue's own copy
+	total int      // sum of sizes: the length of the payload backing array
+
+	once     sync.Once
+	payloads [][]byte // indexed by segment-1; nil until the first encode
+}
+
+// load returns the video's payloads, building all of them on the first
+// call into one backing array sliced per segment. Concurrent first calls
+// block until the one builder is done.
+func (v *catalogVideo) load() [][]byte {
+	v.once.Do(func() {
+		buf := make([]byte, 0, v.total)
+		payloads := make([][]byte, len(v.sizes))
+		for i, sz := range v.sizes {
+			start := len(buf)
+			buf = wire.AppendSegmentPayload(buf, v.id, uint32(i+1), sz)
+			payloads[i] = buf[start:len(buf):len(buf)]
+		}
+		v.payloads = payloads
+	})
+	return v.payloads
 }
 
 func newCatalog() catalog { return catalog{videos: make(map[uint32]*catalogVideo)} }
@@ -27,13 +51,13 @@ func (c *catalog) add(id uint32, sizes []int) error {
 	if _, dup := c.videos[id]; dup {
 		return fmt.Errorf("fanout: video %d added twice", id)
 	}
-	v := &catalogVideo{payloads: make([][]byte, len(sizes))}
+	v := &catalogVideo{id: id, sizes: make([]uint32, len(sizes))}
 	for i, sz := range sizes {
 		if sz < 0 {
 			return fmt.Errorf("fanout: video %d segment %d has negative size %d", id, i+1, sz)
 		}
-		v.payloads[i] = wire.SegmentPayload(id, uint32(i+1), uint32(sz))
-		v.total += sz
+		v.sizes[i] = uint32(sz)
+		v.total += int(v.sizes[i])
 	}
 	c.videos[id] = v
 	return nil
@@ -42,10 +66,11 @@ func (c *catalog) add(id uint32, sizes []int) error {
 // Encoder serializes broadcast slots into pooled, ref-counted frames using
 // the zero-copy wire appenders. One encoder serves one server. EncodeSlot
 // is safe for concurrent use once the catalogue is built (AddVideo is not):
-// the catalogue is read-only after start-up and the frame pool is a
-// sync.Pool, so parallel fan-out workers encoding disjoint catalogue spans
-// share one encoder — each worker warms its own per-P pool cache and the
-// steady state stays allocation-free per worker.
+// the catalogue map is read-only after start-up, a video's payloads are
+// published once through its sync.Once, and the frame pool is a sync.Pool,
+// so parallel fan-out workers encoding disjoint catalogue spans share one
+// encoder — each worker warms its own per-P pool cache and the steady state
+// stays allocation-free per worker.
 type Encoder struct {
 	cat  catalog
 	pool *Pool
@@ -56,8 +81,8 @@ func NewEncoder() *Encoder {
 	return &Encoder{cat: newCatalog(), pool: NewPool()}
 }
 
-// AddVideo pre-generates the payload bytes of one video; sizes[i] is the
-// byte size of segment i+1.
+// AddVideo registers one video's segment sizes; sizes[i] is the byte size
+// of segment i+1. No payload is built until the video's first EncodeSlot.
 func (e *Encoder) AddVideo(id uint32, sizes []int) error { return e.cat.add(id, sizes) }
 
 // EncodeSlot serializes one video's broadcast slot — every transmitted
@@ -65,23 +90,26 @@ func (e *Encoder) AddVideo(id uint32, sizes []int) error { return e.cat.add(id, 
 // returns it holding one reference owned by the caller. segments lists the
 // 1-based segment ids the scheduler retired this slot; drop, when non-nil,
 // is the fault-injection hook and suppresses an instance when it returns
-// true. Steady state performs zero allocations: payloads are pre-generated
-// and the frame's backing array is reused across slots.
+// true. A video's first call builds all of its payloads, after validating
+// segments; every later one performs zero allocations: it copies cached
+// payloads into a frame whose backing array is reused across slots.
 func (e *Encoder) EncodeSlot(videoID uint32, slot int, segments []int, drop func(segment int) bool) (*Frame, error) {
 	v, ok := e.cat.videos[videoID]
 	if !ok {
 		return nil, fmt.Errorf("fanout: unknown video %d", videoID)
 	}
+	for _, seg := range segments {
+		if seg < 1 || seg > len(v.sizes) {
+			return nil, fmt.Errorf("fanout: video %d segment %d out of range 1..%d", videoID, seg, len(v.sizes))
+		}
+	}
+	payloads := v.load()
 	f := e.pool.get(slot)
 	for _, seg := range segments {
-		if seg < 1 || seg > len(v.payloads) {
-			f.Release()
-			return nil, fmt.Errorf("fanout: video %d segment %d out of range 1..%d", videoID, seg, len(v.payloads))
-		}
 		if drop != nil && drop(seg) {
 			continue
 		}
-		payload := v.payloads[seg-1]
+		payload := payloads[seg-1]
 		f.data = wire.AppendSegmentFrame(f.data, videoID, uint32(seg), uint64(slot), payload)
 		f.payloadBytes += int64(len(payload))
 	}

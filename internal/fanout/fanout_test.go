@@ -103,6 +103,74 @@ func TestEncodeSlotErrors(t *testing.T) {
 	}
 }
 
+// TestEncoderBuildsPayloadsOnFirstEncode: registering a catalogue builds no
+// payload, an out-of-range request on an unbuilt video errors without
+// building one, and goroutines racing on a video's first encode all get the
+// reference bytes from the one build.
+func TestEncoderBuildsPayloadsOnFirstEncode(t *testing.T) {
+	const videos, segments, segmentBytes = 2048, 30, 256
+	sizes := make([]int, segments)
+	for i := range sizes {
+		sizes[i] = segmentBytes
+	}
+	enc, ref := NewEncoder(), NewFanoutReference()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for id := uint32(1); id <= videos; id++ {
+		if err := enc.AddVideo(id, sizes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// Eagerly built payloads alone would be 2048 × 30 × 256 B = 15.7 MB.
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("AddVideo of %d×%d×%d B allocated %d B, want < 1 MiB", videos, segments, segmentBytes, d)
+	}
+
+	const bad, hot = 5, 7
+	if _, err := enc.EncodeSlot(bad, 0, []int{segments + 1}, nil); err == nil {
+		t.Fatal("out-of-range segment accepted")
+	}
+	if enc.cat.videos[bad].payloads != nil {
+		t.Fatal("out-of-range encode built the video's payloads")
+	}
+
+	if err := ref.AddVideo(hot, sizes); err != nil {
+		t.Fatal(err)
+	}
+	seg := []int{1, 2, 15, 30, 30}
+	want, _, err := ref.EncodeSlot(hot, 3, seg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			f, err := enc.EncodeSlot(hot, 3, seg, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !bytes.Equal(f.Bytes(), want) {
+				t.Error("a racing first encode's wire bytes differ from the reference")
+			}
+			f.Release()
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	for id, v := range enc.cat.videos {
+		if built := v.payloads != nil; built != (id == hot) {
+			t.Fatalf("video %d: payloads built = %v, want %v", id, built, id == hot)
+		}
+	}
+}
+
 // TestFrameRecyclesThroughPool proves the refcount lifecycle: a released
 // frame returns to the pool and its backing array is reused, while a
 // retained frame survives a release.

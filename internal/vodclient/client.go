@@ -7,6 +7,7 @@
 package vodclient
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"net"
@@ -116,7 +117,10 @@ func FetchWith(addr string, opts FetchOptions) (Result, error) {
 	if err := wire.WriteFrame(conn, req); err != nil {
 		return Result{}, fmt.Errorf("vodclient: send request: %w", err)
 	}
-	msg, err := wire.ReadFrame(conn)
+	// One buffered reader serves the whole session, so a frame's header and
+	// body usually come out of one read syscall instead of two.
+	rd := bufio.NewReader(conn)
+	msg, err := wire.ReadFrame(rd)
 	if err != nil {
 		return Result{}, fmt.Errorf("vodclient: read schedule: %w", err)
 	}
@@ -160,8 +164,9 @@ func FetchWith(addr string, opts FetchOptions) (Result, error) {
 	// The session ends when the shifted suffix's last deadline passes.
 	lastSlot := int(info.AdmitSlot) + maxPeriod(periods[:int(info.Segments)-int(opts.From)+2])
 	var slotSegments []int
+	var want []byte // the expected payload, rebuilt in place per segment
 	for {
-		msg, err := wire.ReadFrame(conn)
+		msg, err := wire.ReadFrame(rd)
 		if err != nil {
 			return Result{}, fmt.Errorf("vodclient: read frame: %w", err)
 		}
@@ -176,7 +181,7 @@ func FetchWith(addr string, opts FetchOptions) (Result, error) {
 			if m.Segment < 1 || m.Segment > info.Segments {
 				return Result{}, fmt.Errorf("vodclient: frame for unknown segment %d", m.Segment)
 			}
-			want := wire.SegmentPayload(m.VideoID, m.Segment, info.SizeOf(m.Segment))
+			want = wire.AppendSegmentPayload(want[:0], m.VideoID, m.Segment, info.SizeOf(m.Segment))
 			if !bytes.Equal(m.Payload, want) {
 				return Result{}, fmt.Errorf("vodclient: corrupt payload for segment %d", m.Segment)
 			}

@@ -221,8 +221,8 @@ type Server struct {
 	// when Config.ConntrackDisabled — every touch point is nil-safe.
 	ct *conntrack.Sampler
 
-	// enc is the zero-copy slot encoder (pre-generated payloads, pooled
-	// ref-counted frames).
+	// enc is the zero-copy slot encoder (payloads built on each video's
+	// first broadcast, pooled ref-counted frames).
 	enc *fanout.Encoder
 
 	// videos is immutable after Start; per-subscriber state lives in each
@@ -296,8 +296,9 @@ func Start(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("vodserver: duplicate video id %d", vc.ID)
 		}
 		// Hand the video's (possibly VBR) segment sizes to the data plane:
-		// the zero-copy encoder pre-generates every payload once here, at
-		// start-up, so the broadcast path never allocates one again.
+		// the zero-copy encoder builds the video's payloads once, on its
+		// first broadcast, so start-up pays no payload bytes and later
+		// broadcasts never allocate one again.
 		sizes := make([]int, vc.Segments)
 		for j := 1; j <= vc.Segments; j++ {
 			sizes[j-1] = vc.sizeOf(j)
