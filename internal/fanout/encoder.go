@@ -16,6 +16,9 @@ import (
 // video nobody watches costs its sizes only.
 type catalog struct {
 	videos map[uint32]*catalogVideo
+	// last is the most recently added video: a video whose sizes equal its
+	// shares its size vector, so a CBR catalogue of one shape keeps one.
+	last *catalogVideo
 }
 
 type catalogVideo struct {
@@ -51,16 +54,37 @@ func (c *catalog) add(id uint32, sizes []int) error {
 	if _, dup := c.videos[id]; dup {
 		return fmt.Errorf("fanout: video %d added twice", id)
 	}
-	v := &catalogVideo{id: id, sizes: make([]uint32, len(sizes))}
 	for i, sz := range sizes {
 		if sz < 0 {
 			return fmt.Errorf("fanout: video %d segment %d has negative size %d", id, i+1, sz)
 		}
-		v.sizes[i] = uint32(sz)
-		v.total += int(v.sizes[i])
+	}
+	v := &catalogVideo{id: id}
+	if c.last != nil && sameSizes(c.last.sizes, sizes) {
+		v.sizes, v.total = c.last.sizes, c.last.total
+	} else {
+		v.sizes = make([]uint32, len(sizes))
+		for i, sz := range sizes {
+			v.sizes[i] = uint32(sz)
+			v.total += int(v.sizes[i])
+		}
 	}
 	c.videos[id] = v
+	c.last = v
 	return nil
+}
+
+// sameSizes reports whether the catalogue's vector have holds exactly sizes.
+func sameSizes(have []uint32, sizes []int) bool {
+	if len(have) != len(sizes) {
+		return false
+	}
+	for i, sz := range sizes {
+		if int(have[i]) != sz {
+			return false
+		}
+	}
+	return true
 }
 
 // Encoder serializes broadcast slots into pooled, ref-counted frames using
