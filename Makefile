@@ -55,6 +55,13 @@ ci:
 	# twenty racing runs on four threads stress how that build is published
 	# to concurrent tick workers.
 	$(GO) test -race -cpu 4 -count=20 -run '^TestEncoderBuildsPayloadsOnFirstEncode$$' ./internal/fanout/
+	# A video's serving record is built by its first admission under the lock
+	# Close latches the catalogue under: racing first admissions against
+	# Close must build one record, refuse admissions after Close and leak
+	# nothing. Then the start-up cost gate: each idle video costs Start+Close
+	# at most 4 allocations and 512 B (it skips under -race, so it runs here).
+	$(GO) test -race -cpu 4 -count=20 -run '^TestFirstAdmissionRacesClose$$' ./internal/vodserver/
+	$(GO) test -run '^TestStartCostPerIdleVideo$$' -count=1 ./internal/vodserver/
 	$(GO) test -coverprofile=ci-cover.out ./internal/obs/ ./internal/obs/history/ ./internal/station/ ./internal/wire/ ./internal/vodclient/
 	@total=$$($(GO) tool cover -func=ci-cover.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
 	echo "obs+history+station+wire+vodclient coverage: $$total% (floor $(COVER_FLOOR)%)"; \

@@ -126,7 +126,7 @@ func TestAdmitRequestBadResume(t *testing.T) {
 }
 
 // TestNewSentinelErrors: every validation failure of New is classifiable
-// with errors.Is.
+// with errors.Is, and Validate reports it without building a scheduler.
 func TestNewSentinelErrors(t *testing.T) {
 	tests := []struct {
 		name string
@@ -148,6 +148,12 @@ func TestNewSentinelErrors(t *testing.T) {
 			if !errors.Is(err, tt.want) {
 				t.Fatalf("New(%+v) err = %v, want %v", tt.cfg, err, tt.want)
 			}
+			if err := tt.cfg.Validate(); !errors.Is(err, tt.want) {
+				t.Fatalf("Validate(%+v) = %v, want %v", tt.cfg, err, tt.want)
+			}
 		})
+	}
+	if err := (Config{Segments: 4}).Validate(); err != nil {
+		t.Fatalf("CBR default rejected: %v", err)
 	}
 }

@@ -129,34 +129,51 @@ type Scheduler struct {
 	obs Observer
 }
 
-// New validates cfg and returns a scheduler whose current slot is
-// cfg.StartSlot.
-func New(cfg Config) (*Scheduler, error) {
+// Validate reports the error New would return for cfg, building nothing: a
+// caller that builds its schedulers later can reject a bad configuration up
+// front.
+func (cfg Config) Validate() error {
 	if cfg.Segments <= 0 {
-		return nil, fmt.Errorf("%w: got %d", ErrBadSegmentCount, cfg.Segments)
+		return fmt.Errorf("%w: got %d", ErrBadSegmentCount, cfg.Segments)
 	}
-	periods := cfg.Periods
-	if periods == nil {
-		periods = video.DefaultPeriods(cfg.Segments)
-	}
-	if err := video.ValidatePeriods(periods, cfg.Segments); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPeriods, err)
+	// The CBR default T[i] = i is always valid.
+	if cfg.Periods != nil {
+		if err := video.ValidatePeriods(cfg.Periods, cfg.Segments); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadPeriods, err)
+		}
 	}
 	policy := cfg.Policy
 	if policy == 0 {
 		policy = PolicyHeuristic
 	}
 	if policy != PolicyHeuristic && policy != PolicyNaive && policy != PolicyMinLoadEarliest {
-		return nil, fmt.Errorf("%w: %d", ErrBadPolicy, policy)
+		return fmt.Errorf("%w: %d", ErrBadPolicy, policy)
 	}
 	if cfg.StartSlot < 0 {
-		return nil, fmt.Errorf("%w: got %d", ErrBadStartSlot, cfg.StartSlot)
+		return fmt.Errorf("%w: got %d", ErrBadStartSlot, cfg.StartSlot)
 	}
 	if cfg.MaxClientStreams < 0 {
-		return nil, fmt.Errorf("%w: %d must be non-negative", ErrBadClientCap, cfg.MaxClientStreams)
+		return fmt.Errorf("%w: %d must be non-negative", ErrBadClientCap, cfg.MaxClientStreams)
 	}
 	if cfg.MaxClientStreams > 0 && policy != PolicyHeuristic {
-		return nil, fmt.Errorf("%w: a positive cap requires the heuristic policy", ErrBadClientCap)
+		return fmt.Errorf("%w: a positive cap requires the heuristic policy", ErrBadClientCap)
+	}
+	return nil
+}
+
+// New validates cfg and returns a scheduler whose current slot is
+// cfg.StartSlot.
+func New(cfg Config) (*Scheduler, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	periods := cfg.Periods
+	if periods == nil {
+		periods = video.DefaultPeriods(cfg.Segments)
+	}
+	policy := cfg.Policy
+	if policy == 0 {
+		policy = PolicyHeuristic
 	}
 	memo := !cfg.Reference && cfg.MaxClientStreams == 0 && cfg.Observer == nil
 	maxP := 0

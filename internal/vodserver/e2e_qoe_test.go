@@ -190,11 +190,11 @@ func TestE2EClientQoELoop(t *testing.T) {
 	}
 
 	// The lifetime counters keep the evidence the window rolled past.
-	if misses := s.clientMiss(1).Value(); misses < 4 {
+	if misses := s.videos[1].rec.Load().miss.Value(); misses < 4 {
 		t.Fatalf("client_miss_total{video=1} = %v, want >= 4", misses)
 	}
-	if s.clientMiss(2).Value() != 0 {
-		t.Fatalf("client_miss_total{video=2} = %v, want 0", s.clientMiss(2).Value())
+	if misses := s.videos[2].rec.Load().miss.Value(); misses != 0 {
+		t.Fatalf("client_miss_total{video=2} = %v, want 0", misses)
 	}
 }
 

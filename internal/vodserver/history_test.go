@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,6 +18,7 @@ import (
 	"vodcast/internal/obs"
 	"vodcast/internal/obs/history"
 	"vodcast/internal/vodclient"
+	"vodcast/internal/wire"
 )
 
 // This file tests the retained-telemetry surface end to end: the /metricsz
@@ -222,13 +225,16 @@ func TestQueryzEndpoint(t *testing.T) {
 }
 
 // TestQueryzSeriesCapExcludesRefused pins the series-cap refusal accounting
-// through the HTTP surface on the shape where the cap binds: a 2048-video
-// catalogue exports three per-video families, more series than the store's
-// 8 MiB admits. The store fills to exactly its capacity, counts every
+// through the HTTP surface on the shape where the cap binds. A video exports
+// its three per-video families from its first admission, so a 2048-video
+// catalogue boots with the server-wide series only and nothing refused; once
+// 500 distinct videos have been requested their series outnumber what the
+// store's 8 MiB admits. The store fills to exactly its capacity, counts every
 // refusal, keeps the server-wide series vodtop reads, and the /queryz
 // discovery listing advertises exactly the admitted identities — never a
 // refused series with no retained data behind it.
 func TestQueryzSeriesCapExcludesRefused(t *testing.T) {
+	const requested = 500
 	videos := make([]VideoConfig, 2048)
 	for i := range videos {
 		videos[i] = VideoConfig{ID: uint32(i + 1), Segments: 20, SegmentBytes: 64}
@@ -247,6 +253,45 @@ func TestQueryzSeriesCapExcludesRefused(t *testing.T) {
 	waitFor(t, "history scrapes", func() bool {
 		return s.History().Stats().Scrapes >= 2
 	})
+	if st := s.History().Stats(); st.DroppedSeries != 0 || st.Series > 200 {
+		t.Fatalf("boot store %+v: idle videos export series", st)
+	}
+
+	// Request the first videos: each admission builds the video's record and
+	// its series. The request is all the test needs, so each connection closes
+	// once the schedule arrives.
+	var wg sync.WaitGroup
+	next := atomic.Int64{}
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := next.Add(1); id <= requested; id = next.Add(1) {
+				conn, err := net.Dial("tcp", s.Addr())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				err = wire.WriteFrame(conn, wire.Request{VideoID: uint32(id)})
+				if err == nil {
+					_, err = wire.ReadFrame(conn)
+				}
+				conn.Close()
+				if err != nil {
+					t.Errorf("video %d: %v", id, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	scraped := s.History().Stats().Scrapes
+	waitFor(t, "history scrapes after the requests", func() bool {
+		return s.History().Stats().Scrapes >= scraped+2
+	})
 
 	code, body := get(t, s, "/queryz")
 	if code != http.StatusOK {
@@ -264,8 +309,8 @@ func TestQueryzSeriesCapExcludesRefused(t *testing.T) {
 	for _, name := range idx.Series {
 		listed[name] = true
 	}
-	// The per-video families sort last, so the server-wide series vodtop's
-	// trend pane reads (and the uptime) are admitted ahead of them.
+	// The server-wide series vodtop's trend pane reads (and the uptime) were
+	// admitted at boot, ahead of every per-video family.
 	for _, name := range []string{`client_startup_slots{quantile="0.99"}`, "vod_requests_total",
 		"vod_alerts_firing", "vod_uptime_seconds"} {
 		if !listed[name] {
@@ -275,8 +320,8 @@ func TestQueryzSeriesCapExcludesRefused(t *testing.T) {
 	// A refused per-video series is absent from the listing, and querying it
 	// over HTTP is a valid empty range, not an error and not fabricated points.
 	refused := ""
-	for _, v := range videos {
-		if name := fmt.Sprintf(`vod_channel_load{video="%d"}`, v.ID); !listed[name] {
+	for id := 1; id <= requested; id++ {
+		if name := fmt.Sprintf(`vod_channel_load{video="%d"}`, id); !listed[name] {
 			refused = name
 			break
 		}

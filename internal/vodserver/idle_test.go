@@ -102,7 +102,7 @@ func TestColdVideoStreamsLikeBoot(t *testing.T) {
 
 	bootInfo, boot := rawSession(t, s.Addr(), id)
 	idleFrom := waitIdle(t, s, 0)
-	if got := s.videos[id].load.Value(); got != 0 {
+	if got := s.videos[id].rec.Load().load.Value(); got != 0 {
 		t.Fatalf("vod_channel_load{video=%d} = %v once idle, want 0", id, got)
 	}
 	waitIdle(t, s, idleFrom+200)
@@ -159,9 +159,13 @@ func TestPlaceholderLastSlotStillRetires(t *testing.T) {
 	const segments = 6
 	s := startTestServer(t, VideoConfig{ID: 1, Segments: segments, SegmentBytes: 64})
 	v := s.videos[1]
-	sub := &subscriber{ring: fanout.NewRing(256), admitted: time.Now()}
+	r, err := s.record(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := &subscriber{ring: fanout.NewRing(256), admitted: time.Now(), rec: r}
 	sub.lastSlot.Store(math.MaxInt64)
-	if !v.subs.Add(sub) {
+	if !r.subs.Add(sub) {
 		t.Fatal("subscriber set refused the registration")
 	}
 	res, err := s.station.Admit(v.idx, core.AdmitOptions{From: segments})
@@ -175,7 +179,7 @@ func TestPlaceholderLastSlotStillRetires(t *testing.T) {
 	for s.station.CurrentSlot(v.idx) < res.Slot+4 {
 		time.Sleep(time.Millisecond)
 	}
-	if active, subs := s.station.Status().Active, v.subs.Len(); active != 1 || subs != 1 {
+	if active, subs := s.station.Status().Active, r.subs.Len(); active != 1 || subs != 1 {
 		t.Fatalf("drained video with a placeholder subscriber: %d active videos, %d subscribers, want 1 and 1", active, subs)
 	}
 	// The handler resumes.
@@ -200,11 +204,11 @@ func TestPlaceholderLastSlotStillRetires(t *testing.T) {
 	if !delivered {
 		t.Fatalf("slot %d never carried segment %d", res.Slot+1, segments)
 	}
-	if sub.ring.Depth() != 0 || v.subs.Len() != 0 {
-		t.Fatalf("subscriber not retired cleanly: %d frames queued past closure, %d still subscribed", sub.ring.Depth(), v.subs.Len())
+	if sub.ring.Depth() != 0 || r.subs.Len() != 0 {
+		t.Fatalf("subscriber not retired cleanly: %d frames queued past closure, %d still subscribed", sub.ring.Depth(), r.subs.Len())
 	}
 	waitIdle(t, s, 0)
-	if got := v.load.Value(); got != 0 {
+	if got := r.load.Value(); got != 0 {
 		t.Fatalf("vod_channel_load = %v once idle, want 0", got)
 	}
 }

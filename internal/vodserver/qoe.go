@@ -1,6 +1,7 @@
 package vodserver
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"time"
@@ -25,13 +26,6 @@ const missRateThreshold = 0.5
 // armAlerts registers the built-in rules. Called once from Start, which
 // launches the evaluation ticker afterwards.
 func (s *Server) armAlerts() error {
-	// Pre-register the per-video report families so the inventory (and the
-	// metric-name lint walking it) is complete from boot, not from the
-	// first report.
-	for _, vc := range s.cfg.Videos {
-		s.clientMiss(vc.ID)
-		s.clientRebuffer(vc.ID)
-	}
 	// The miss alert watches the windowed mean of misses-per-report, not
 	// the lifetime counter: counters never come back down, the window does,
 	// so the rule can resolve once healthy sessions roll the bad ones out.
@@ -82,36 +76,38 @@ func (s *Server) armAlerts() error {
 	return nil
 }
 
-// readReport collects the end-of-session ClientReport a v2 subscriber owes.
-// The read is bounded: a client that never reports just times out and costs
-// nothing. Reports for the wrong video are discarded.
-func (s *Server) readReport(conn net.Conn, videoID uint32) {
+// readReport collects the end-of-session ClientReport a v2 subscriber owes,
+// through the session's buffered reader br (the report may already be in
+// it). The read is bounded: a client that never reports just times out and
+// costs nothing. Reports for another video than rec's are discarded.
+func (s *Server) readReport(conn net.Conn, br *bufio.Reader, rec *videoRecord) {
 	if err := conn.SetReadDeadline(time.Now().Add(s.readTimeout())); err != nil {
 		return
 	}
-	msg, err := wire.ReadFrame(conn)
+	msg, err := wire.ReadFrame(br)
 	if err != nil {
 		return
 	}
 	rep, ok := msg.(wire.ClientReport)
-	if !ok || rep.VideoID != videoID {
+	if !ok || rep.VideoID != rec.id {
 		return
 	}
-	s.ingestReport(rep)
+	s.ingestReport(rec, rep)
 }
 
-// ingestReport folds one client report into the metric families, the QoE
-// windows, and — when the session carried trace identifiers — the span ring,
-// where the client's playback becomes children of the server's admit span.
-func (s *Server) ingestReport(rep wire.ClientReport) {
+// ingestReport folds one client report for rec's video into the metric
+// families, the QoE windows, and — when the session carried trace
+// identifiers — the span ring, where the client's playback becomes children
+// of the server's admit span.
+func (s *Server) ingestReport(rec *videoRecord, rep wire.ClientReport) {
 	s.mReports.Inc()
 	s.qoeStartup.Observe(float64(rep.StartupSlots))
 	if rep.SegmentsReceived > 0 {
 		s.qoeSlack.Observe(float64(rep.SumSlackSlots) / float64(rep.SegmentsReceived))
 	}
 	s.qoeMissRate.Observe(float64(rep.DeadlineMisses))
-	s.clientMiss(rep.VideoID).Add(float64(rep.DeadlineMisses))
-	s.clientRebuffer(rep.VideoID).Add(float64(rep.Rebuffers))
+	rec.miss.Add(float64(rep.DeadlineMisses))
+	rec.rebuffer.Add(float64(rep.Rebuffers))
 
 	if rep.SpanID == 0 {
 		return
@@ -132,20 +128,6 @@ func (s *Server) ingestReport(rep wire.ClientReport) {
 		})
 	s.spans.RecordChild(session, "client_startup",
 		end-sessDur, float64(rep.StartupSlots)*slotSec, rep.VideoID, nil)
-}
-
-// clientMiss and clientRebuffer return the per-video report counters. The
-// registry caches children, so repeated lookups are cheap and idempotent.
-func (s *Server) clientMiss(videoID uint32) *obs.Counter {
-	return s.reg.CounterWith("client_miss_total",
-		"Client-reported segments that missed their delivery deadline.",
-		obs.Labels{"video": fmt.Sprint(videoID)})
-}
-
-func (s *Server) clientRebuffer(videoID uint32) *obs.Counter {
-	return s.reg.CounterWith("client_rebuffer_total",
-		"Client-reported playback stalls caused by deadline misses.",
-		obs.Labels{"video": fmt.Sprint(videoID)})
 }
 
 // QoESnapshot is the client-side view of the pipeline as reported back by

@@ -1,0 +1,174 @@
+package vodserver
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"net"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"vodcast/internal/wire"
+)
+
+// TestFirstAdmissionRacesClose: concurrent first admissions to one cold video
+// race Close. Every admission that succeeds holds the one record the video
+// ends up with and was latched by Close (its ring is closed); admissions after
+// Close are refused, and a video still cold then never gets a record; no
+// goroutine, ring or frame reference outlives the server. ci runs it under
+// -race on four threads twenty times.
+func TestFirstAdmissionRacesClose(t *testing.T) {
+	const racers, cold, untouched = 16, 3, 5
+	before := runtime.NumGoroutine()
+	cfg := catalogueConfig(8, 6, 64)
+	cfg.SlotDuration = time.Millisecond
+	cfg.ConntrackDisabled = true
+	s, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := s.videos[cold]
+	subs := make([]*subscriber, racers)
+	errs := make([]error, racers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range racers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			subs[i], _, _, errs[i] = s.admit(cold, 0, nil, nil)
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		s.Close()
+	}()
+	close(start)
+	wg.Wait()
+
+	rec := v.rec.Load()
+	admitted := 0
+	for i, sub := range subs {
+		if errs[i] != nil {
+			continue
+		}
+		admitted++
+		if sub.rec != rec {
+			t.Fatalf("admission %d holds record %p, the video %p: a second record was built", i, sub.rec, rec)
+		}
+		// Registered before Close's latch, so the latch closed the ring: a
+		// push fails. The handler's exit then drops the ring.
+		probe, err := s.enc.EncodeSlot(cold, 0, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, open := sub.ring.Push(probe)
+		s.unsubscribe(sub)
+		if !open {
+			probe.Release()
+		}
+		if open {
+			t.Fatalf("admission %d: ring still open after Close", i)
+		}
+		if sub.ring.Depth() != 0 {
+			t.Fatalf("admission %d: %d frames left on a dropped ring", i, sub.ring.Depth())
+		}
+	}
+	t.Logf("%d of %d racing admissions landed before Close", admitted, racers)
+	if rec != nil && rec.subs.Len() != 0 {
+		t.Fatalf("%d subscribers left in the set", rec.subs.Len())
+	}
+	if _, _, _, err := s.admit(cold, 0, nil, nil); err == nil {
+		t.Fatal("admission after Close accepted")
+	}
+	if _, _, _, err := s.admit(untouched, 0, nil, nil); !errors.Is(err, errShuttingDown) || s.videos[untouched].rec.Load() != nil {
+		t.Fatalf("cold admission after Close: err %v, record built %v", err, s.videos[untouched].rec.Load() != nil)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestIngestReportZeroAlloc: a report for an admitted video folds into
+// counters its record bound once, so ingesting one without trace
+// identifiers allocates nothing.
+func TestIngestReportZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	s := startTestServer(t)
+	rec, err := s.record(s.videos[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := wire.ClientReport{Version: wire.ProtoV2, VideoID: 1, SegmentsNeeded: 10,
+		SegmentsReceived: 10, SumSlackSlots: 20, DeadlineMisses: 1, Rebuffers: 1}
+	if avg := testing.AllocsPerRun(100, func() { s.ingestReport(rec, rep) }); avg != 0 {
+		t.Fatalf("ingestReport allocates %.1f objects per report, want 0", avg)
+	}
+	if rec.miss.Value() == 0 || rec.rebuffer.Value() == 0 {
+		t.Fatal("the report's misses and rebuffers were not counted")
+	}
+}
+
+// TestRequestAndReportInOneWrite: the server reads a session's request and
+// its report through one buffered reader, so a client that sends both in one
+// write is served its whole session and its report is counted.
+func TestRequestAndReportInOneWrite(t *testing.T) {
+	const segments = 4
+	s := startTestServer(t, VideoConfig{ID: 1, Segments: segments, SegmentBytes: 64})
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := wire.WriteFrame(&out, wire.Request{VideoID: 1, Version: wire.ProtoV2, Flags: wire.FlagNoTrace}); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteFrame(&out, wire.ClientReport{Version: wire.ProtoV2, VideoID: 1,
+		SegmentsNeeded: segments, SegmentsReceived: segments}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(out.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := wire.ReadFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := msg.(wire.ScheduleInfo); !ok {
+		t.Fatalf("first frame %T, want ScheduleInfo", msg)
+	}
+	got := make(map[uint32]bool)
+	for {
+		msg, err := wire.ReadFrame(conn)
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seg, ok := msg.(wire.Segment); ok {
+			got[seg.Segment] = true
+		}
+	}
+	if len(got) != segments {
+		t.Fatalf("received %d of %d segments", len(got), segments)
+	}
+	waitFor(t, "the report counted in client_reports_total", func() bool {
+		return s.QoE().Reports == 1
+	})
+}

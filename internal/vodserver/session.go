@@ -5,6 +5,7 @@ package vodserver
 // writes, and the unsubscribe that ends it.
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"math"
@@ -34,6 +35,8 @@ type subscriber struct {
 	lastSlot atomic.Int64
 	// admitted stamps the admission for the first-byte latency window.
 	admitted time.Time
+	// rec is the video's record: its subscriber set and report counters.
+	rec *videoRecord
 	// ct is the transport telemetry handle: the fan-out and drain paths feed
 	// it ring depth and progress signals, and a write-deadline cut reads the
 	// last classified state as the disconnect reason. nil when conntrack is
@@ -71,6 +74,10 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// readBufferSize fits a v2 request and a client report together (33 + 91
+// bytes), the only frames a client sends.
+const readBufferSize = 128
+
 // readTimeout bounds every read the server waits on a client for — the
 // request frame and the end-of-session report: four slots, at least a second.
 // It is also a session's write slack past its last deadline.
@@ -92,7 +99,10 @@ func (s *Server) handleConn(conn net.Conn) {
 	if err := conn.SetReadDeadline(time.Now().Add(s.readTimeout())); err != nil {
 		return
 	}
-	msg, err := wire.ReadFrame(conn)
+	// One small buffered reader serves the request and the report: a frame
+	// costs one read, and a client that sends both at once costs one.
+	br := bufio.NewReaderSize(conn, readBufferSize)
+	msg, err := wire.ReadFrame(br)
 	if err != nil {
 		return
 	}
@@ -130,7 +140,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		_ = wire.WriteFrame(conn, wire.ErrorMsg{Text: err.Error()})
 		return
 	}
-	defer s.unsubscribe(req.VideoID, sub)
+	defer s.unsubscribe(sub)
 	// One write deadline covers the whole session: its last segment
 	// deadline plus the read bound. A reader too far behind to make it
 	// fails its own writev; nothing else ever cuts a subscriber.
@@ -156,7 +166,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	// After a clean end (ring closed at the last slot) a v2 session that
 	// did not opt out owes us a ClientReport.
 	if s.drainRing(conn, sub, admitSlot, wait, root) && wantReport {
-		s.readReport(conn, req.VideoID)
+		s.readReport(conn, br, sub.rec)
 	}
 }
 
@@ -266,22 +276,27 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 	if from > v.cfg.Segments {
 		return nil, info, writeBy, fmt.Errorf("resume segment %d beyond %d", from, v.cfg.Segments)
 	}
+	rec, err := s.record(v)
+	if err != nil {
+		return nil, info, writeBy, err
+	}
 	// The subscription spans the admit slot through its last deadline: the
 	// largest shifted period of the remaining suffix.
-	slots := v.maxPeriod[v.cfg.Segments-from+1] + 1
+	slots := rec.maxPeriod[v.cfg.Segments-from+1] + 1
 	sub = &subscriber{
 		conn:     conn,
 		ring:     fanout.NewRing(slots),
 		admitted: time.Now(),
+		rec:      rec,
 	}
 	sub.lastSlot.Store(math.MaxInt64)
 	// Telemetry registration precedes publication into the subscriber set:
 	// tick workers read sub.ct lock-free from snapshots, so the field must
 	// be settled before Add makes the subscriber visible.
 	sub.ct = s.ct.Register(conn, videoID, slots)
-	if !v.subs.Add(sub) {
+	if !rec.subs.Add(sub) {
 		s.ct.Unregister(sub.ct)
-		return nil, info, writeBy, fmt.Errorf("server shutting down")
+		return nil, info, writeBy, errShuttingDown
 	}
 
 	span := root.Child("station_admit")
@@ -294,7 +309,7 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 	}
 	span.End()
 	if err != nil {
-		s.unsubscribe(videoID, sub)
+		s.unsubscribe(sub)
 		return nil, info, writeBy, err
 	}
 	admitSlot := res.Slot
@@ -316,8 +331,8 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 		SlotMillis:   uint32(s.cfg.SlotDuration / time.Millisecond),
 		SegmentBytes: uint32(v.cfg.SegmentBytes),
 		AdmitSlot:    uint64(admitSlot),
-		Periods:      v.wirePeriods,
-		SegmentSizes: v.wireSizes,
+		Periods:      rec.wirePeriods,
+		SegmentSizes: rec.wireSizes,
 	}
 	return sub, info, writeBy, nil
 }
@@ -326,10 +341,8 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 // set if a tick retirement or server Close has not already taken it, stops
 // its telemetry, and Drops the ring so every queued frame reference returns
 // to the pool. Each step is idempotent.
-func (s *Server) unsubscribe(videoID uint32, sub *subscriber) {
-	if v, ok := s.videos[videoID]; ok {
-		v.subs.Remove(sub)
-	}
+func (s *Server) unsubscribe(sub *subscriber) {
+	sub.rec.subs.Remove(sub)
 	s.ct.Unregister(sub.ct)
 	sub.ring.Drop()
 }

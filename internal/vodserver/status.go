@@ -138,8 +138,10 @@ func (s *Server) Stats() Stats {
 // activeSubscribers sums the per-video subscriber sets.
 func (s *Server) activeSubscribers() int {
 	n := 0
-	for _, v := range s.vlist {
-		n += v.subs.Len()
+	for i := range s.vlist {
+		if r := s.vlist[i].rec.Load(); r != nil {
+			n += r.subs.Len()
+		}
 	}
 	return n
 }

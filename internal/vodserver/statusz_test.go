@@ -348,7 +348,9 @@ var familyReaders = map[string]string{
 // TestRegisteredMetricNamesValid is the metric-name lint and the census: every
 // family the fully wired server registers must pass the Prometheus charset
 // predicate and have an entry in familyReaders, and every entry must be
-// registered. `make ci` runs this by name.
+// registered. A video's families exist from its first admission, and
+// startStatusServer serves a session on each video before the census.
+// `make ci` runs this by name.
 func TestRegisteredMetricNamesValid(t *testing.T) {
 	s := startStatusServer(t, nil)
 	names := s.Registry().Names()

@@ -179,9 +179,9 @@ func TestLaggingReaderCatchesUp(t *testing.T) {
 		t.Fatalf("first frame %T, want ScheduleInfo", msg)
 	}
 
-	v := s.videos[1]
+	r := s.videos[1].rec.Load()
 	waitFor(t, "the reader to fall more than 64 slots behind", func() bool {
-		subs := v.subs.Snapshot()
+		subs := r.subs.Snapshot()
 		if len(subs) == 0 {
 			t.Fatalf("reader cut before falling %d slots behind: %+v", lag, s.Stats())
 		}

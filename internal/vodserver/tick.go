@@ -94,9 +94,13 @@ func (s *Server) fanOut(walk func(worker, video int, rep core.SlotReport) bool) 
 // still the placeholder), keeps a drained video active. worker indexes the
 // tally and retirement scratch; the only locks taken are each ring's own.
 func (s *Server) fanOutVideo(worker, video int, rep core.SlotReport) bool {
-	v := s.vlist[video]
+	v := &s.vlist[video]
+	r := v.rec.Load()
+	if r == nil {
+		return false // unreachable: admit builds the record before the station admits
+	}
 	tally := &s.tallies[worker]
-	v.load.Set(float64(rep.Load))
+	r.load.Set(float64(rep.Load))
 	tally.instances += int64(rep.Load)
 	frame, err := s.enc.EncodeSlot(v.cfg.ID, rep.Slot, rep.Segments, s.dropHook(v.cfg.ID, rep.Slot))
 	if err != nil {
@@ -104,7 +108,7 @@ func (s *Server) fanOutVideo(worker, video int, rep core.SlotReport) bool {
 	}
 	tally.bytes += frame.PayloadBytes()
 	retire := s.retire[worker][:0]
-	for _, sub := range v.subs.Snapshot() {
+	for _, sub := range r.subs.Snapshot() {
 		frame.Retain()
 		depth, ok := sub.ring.Push(frame)
 		if !ok {
@@ -127,9 +131,9 @@ func (s *Server) fanOutVideo(worker, video int, rep core.SlotReport) bool {
 	for _, sub := range retire {
 		// The queued tail still drains; the handler's write deadline bounds
 		// how long it may take. Close is a no-op on a dropped ring.
-		v.subs.Remove(sub)
+		r.subs.Remove(sub)
 		sub.ring.Close()
 	}
 	s.retire[worker] = retire[:0]
-	return v.subs.Len() > 0
+	return r.subs.Len() > 0
 }

@@ -37,6 +37,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // MsgType identifies a frame.
@@ -205,17 +206,17 @@ type ClientReport struct {
 // clientReportLen is the fixed ClientReport body length.
 const clientReportLen = 2 + 4 + 8 + 8 + 8 + 9*4 + 4 + 8 + 8
 
-// WriteFrame serializes one message to w.
+// WriteFrame serializes one message to w. The header and body are built in
+// one buffer and handed to w in a single Write, so a frame on a socket costs
+// one syscall.
 func WriteFrame(w io.Writer, msg any) error {
-	var (
-		t    MsgType
-		body []byte
-	)
+	var t MsgType
+	buf := make([]byte, 5, 5+64)
 	switch m := msg.(type) {
 	case Request:
 		t = TypeRequest
-		body = binary.BigEndian.AppendUint32(nil, m.VideoID)
-		body = binary.BigEndian.AppendUint32(body, m.FromSegment)
+		buf = binary.BigEndian.AppendUint32(buf, m.VideoID)
+		buf = binary.BigEndian.AppendUint32(buf, m.FromSegment)
 		if m.Version == 0 {
 			// Versionless v1 layout: the trace fields cannot travel.
 			if m.Flags != 0 || m.TraceID != 0 || m.SpanID != 0 {
@@ -226,18 +227,18 @@ func WriteFrame(w io.Writer, msg any) error {
 		if m.Version == ProtoV1 {
 			return fmt.Errorf("wire: request version %d has no versioned layout", m.Version)
 		}
-		body = binary.BigEndian.AppendUint16(body, m.Version)
-		body = binary.BigEndian.AppendUint16(body, m.Flags)
-		body = binary.BigEndian.AppendUint64(body, m.TraceID)
-		body = binary.BigEndian.AppendUint64(body, m.SpanID)
+		buf = binary.BigEndian.AppendUint16(buf, m.Version)
+		buf = binary.BigEndian.AppendUint16(buf, m.Flags)
+		buf = binary.BigEndian.AppendUint64(buf, m.TraceID)
+		buf = binary.BigEndian.AppendUint64(buf, m.SpanID)
 	case ScheduleInfo:
 		t = TypeScheduleInfo
-		body = make([]byte, 0, 24+18+4*len(m.Periods))
-		body = binary.BigEndian.AppendUint32(body, m.VideoID)
-		body = binary.BigEndian.AppendUint32(body, m.Segments)
-		body = binary.BigEndian.AppendUint32(body, m.SlotMillis)
-		body = binary.BigEndian.AppendUint32(body, m.SegmentBytes)
-		body = binary.BigEndian.AppendUint64(body, m.AdmitSlot)
+		buf = slices.Grow(buf, 24+18+4*len(m.Periods)+4*len(m.SegmentSizes))
+		buf = binary.BigEndian.AppendUint32(buf, m.VideoID)
+		buf = binary.BigEndian.AppendUint32(buf, m.Segments)
+		buf = binary.BigEndian.AppendUint32(buf, m.SlotMillis)
+		buf = binary.BigEndian.AppendUint32(buf, m.SegmentBytes)
+		buf = binary.BigEndian.AppendUint64(buf, m.AdmitSlot)
 		switch {
 		case m.Version == 0:
 			if m.TraceID != 0 || m.SpanID != 0 {
@@ -246,9 +247,9 @@ func WriteFrame(w io.Writer, msg any) error {
 		case m.Version == ProtoV1:
 			return fmt.Errorf("wire: schedule info version %d has no versioned layout", m.Version)
 		default:
-			body = binary.BigEndian.AppendUint16(body, m.Version)
-			body = binary.BigEndian.AppendUint64(body, m.TraceID)
-			body = binary.BigEndian.AppendUint64(body, m.SpanID)
+			buf = binary.BigEndian.AppendUint16(buf, m.Version)
+			buf = binary.BigEndian.AppendUint64(buf, m.TraceID)
+			buf = binary.BigEndian.AppendUint64(buf, m.SpanID)
 		}
 		if uint32(len(m.Periods)) != m.Segments {
 			return fmt.Errorf("wire: schedule info has %d periods for %d segments", len(m.Periods), m.Segments)
@@ -257,61 +258,58 @@ func WriteFrame(w io.Writer, msg any) error {
 			return fmt.Errorf("wire: schedule info has %d sizes for %d segments", len(m.SegmentSizes), m.Segments)
 		}
 		for _, p := range m.Periods {
-			body = binary.BigEndian.AppendUint32(body, p)
+			buf = binary.BigEndian.AppendUint32(buf, p)
 		}
 		for _, sz := range m.SegmentSizes {
-			body = binary.BigEndian.AppendUint32(body, sz)
+			buf = binary.BigEndian.AppendUint32(buf, sz)
 		}
 	case Segment:
 		t = TypeSegment
-		body = make([]byte, 0, 16+len(m.Payload))
-		body = binary.BigEndian.AppendUint32(body, m.VideoID)
-		body = binary.BigEndian.AppendUint32(body, m.Segment)
-		body = binary.BigEndian.AppendUint64(body, m.Slot)
-		body = append(body, m.Payload...)
+		buf = slices.Grow(buf, 16+len(m.Payload))
+		buf = binary.BigEndian.AppendUint32(buf, m.VideoID)
+		buf = binary.BigEndian.AppendUint32(buf, m.Segment)
+		buf = binary.BigEndian.AppendUint64(buf, m.Slot)
+		buf = append(buf, m.Payload...)
 	case SlotEnd:
 		t = TypeSlotEnd
-		body = binary.BigEndian.AppendUint64(nil, m.Slot)
+		buf = binary.BigEndian.AppendUint64(buf, m.Slot)
 	case ErrorMsg:
 		t = TypeError
-		body = []byte(m.Text)
+		buf = append(buf, m.Text...)
 	case ClientReport:
 		t = TypeClientReport
 		if m.Version < ProtoV2 {
 			return fmt.Errorf("wire: client report requires version >= %d, have %d", ProtoV2, m.Version)
 		}
-		body = make([]byte, 0, clientReportLen)
-		body = binary.BigEndian.AppendUint16(body, m.Version)
-		body = binary.BigEndian.AppendUint32(body, m.VideoID)
-		body = binary.BigEndian.AppendUint64(body, m.TraceID)
-		body = binary.BigEndian.AppendUint64(body, m.SpanID)
-		body = binary.BigEndian.AppendUint64(body, m.AdmitSlot)
-		body = binary.BigEndian.AppendUint32(body, m.FromSegment)
-		body = binary.BigEndian.AppendUint32(body, m.SegmentsNeeded)
-		body = binary.BigEndian.AppendUint32(body, m.SegmentsReceived)
-		body = binary.BigEndian.AppendUint32(body, m.SharedFrames)
-		body = binary.BigEndian.AppendUint32(body, m.StartupSlots)
-		body = binary.BigEndian.AppendUint32(body, m.DeadlineMisses)
-		body = binary.BigEndian.AppendUint32(body, m.Rebuffers)
-		body = binary.BigEndian.AppendUint32(body, m.MaxBuffered)
-		body = binary.BigEndian.AppendUint32(body, m.SessionSlots)
-		body = binary.BigEndian.AppendUint32(body, uint32(m.MinSlackSlots))
-		body = binary.BigEndian.AppendUint64(body, uint64(m.SumSlackSlots))
-		body = binary.BigEndian.AppendUint64(body, m.PayloadBytes)
+		buf = slices.Grow(buf, clientReportLen)
+		buf = binary.BigEndian.AppendUint16(buf, m.Version)
+		buf = binary.BigEndian.AppendUint32(buf, m.VideoID)
+		buf = binary.BigEndian.AppendUint64(buf, m.TraceID)
+		buf = binary.BigEndian.AppendUint64(buf, m.SpanID)
+		buf = binary.BigEndian.AppendUint64(buf, m.AdmitSlot)
+		buf = binary.BigEndian.AppendUint32(buf, m.FromSegment)
+		buf = binary.BigEndian.AppendUint32(buf, m.SegmentsNeeded)
+		buf = binary.BigEndian.AppendUint32(buf, m.SegmentsReceived)
+		buf = binary.BigEndian.AppendUint32(buf, m.SharedFrames)
+		buf = binary.BigEndian.AppendUint32(buf, m.StartupSlots)
+		buf = binary.BigEndian.AppendUint32(buf, m.DeadlineMisses)
+		buf = binary.BigEndian.AppendUint32(buf, m.Rebuffers)
+		buf = binary.BigEndian.AppendUint32(buf, m.MaxBuffered)
+		buf = binary.BigEndian.AppendUint32(buf, m.SessionSlots)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(m.MinSlackSlots))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(m.SumSlackSlots))
+		buf = binary.BigEndian.AppendUint64(buf, m.PayloadBytes)
 	default:
 		return fmt.Errorf("wire: unknown message type %T", msg)
 	}
-	if len(body) > MaxBody {
-		return fmt.Errorf("wire: body of %d bytes exceeds limit", len(body))
+	body := len(buf) - 5
+	if body > MaxBody {
+		return fmt.Errorf("wire: body of %d bytes exceeds limit", body)
 	}
-	header := make([]byte, 5)
-	header[0] = byte(t)
-	binary.BigEndian.PutUint32(header[1:], uint32(len(body)))
-	if _, err := w.Write(header); err != nil {
-		return fmt.Errorf("wire: write header: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("wire: write body: %w", err)
+	buf[0] = byte(t)
+	binary.BigEndian.PutUint32(buf[1:5], uint32(body))
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	return nil
 }

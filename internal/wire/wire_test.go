@@ -78,6 +78,45 @@ func TestRoundTripVersionedFrames(t *testing.T) {
 	}
 }
 
+// countingWriter records every Write it is handed.
+type countingWriter struct {
+	writes int
+	buf    bytes.Buffer
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.buf.Write(p)
+}
+
+// TestWriteFrameOneWrite: every message type, versioned or not, reaches the
+// writer as one Write carrying the whole frame, so a frame on a socket is
+// one syscall.
+func TestWriteFrameOneWrite(t *testing.T) {
+	for _, msg := range []any{
+		Request{VideoID: 7},
+		Request{VideoID: 7, Version: ProtoV2, Flags: FlagNoReport, TraceID: 1, SpanID: 2},
+		ScheduleInfo{VideoID: 1, Segments: 3, SlotMillis: 50, SegmentBytes: 64, Periods: []uint32{1, 2, 3}},
+		ScheduleInfo{VideoID: 1, Segments: 2, Version: ProtoV2, TraceID: 3, SpanID: 4,
+			Periods: []uint32{1, 2}, SegmentSizes: []uint32{64, 80}},
+		Segment{VideoID: 2, Segment: 9, Slot: 42, Payload: bytes.Repeat([]byte{7}, 1000)},
+		SlotEnd{Slot: 99},
+		ErrorMsg{Text: "no such video"},
+		ClientReport{Version: ProtoV2, VideoID: 4, DeadlineMisses: 1},
+	} {
+		var w countingWriter
+		if err := WriteFrame(&w, msg); err != nil {
+			t.Fatalf("%T: %v", msg, err)
+		}
+		if w.writes != 1 {
+			t.Errorf("%T took %d writes, want 1", msg, w.writes)
+		}
+		if got, err := ReadFrame(&w.buf); err != nil || !reflect.DeepEqual(got, msg) {
+			t.Errorf("%T: read back %+v (%v), want %+v", msg, got, err, msg)
+		}
+	}
+}
+
 // TestVersionNegotiationLayouts pins the backward-compat contract: a
 // versionless request is exactly the original 8 bytes, versioned frames are
 // structurally distinguishable, and half-versioned frames are rejected at
