@@ -49,7 +49,9 @@ ci:
 	$(GO) test -race ./...
 	# The station clock tests run on a fake time source, so fifty runs are
 	# deterministic and take well under a second: any wall-clock dependence
-	# left in them shows up here as a flake.
+	# left in them shows up here as a flake. TestClockSendsBegunSlot among
+	# them pins the tick's timing: an admission in slot i is in the very
+	# next tick's report, as slot i+1.
 	$(GO) test -count=50 -run '^(TestClock|TestStationStatusAndStages$$|TestCloseIdempotent$$)' ./internal/station/
 	# A video's payloads are built on its first encode under a sync.Once:
 	# twenty racing runs on four threads stress how that build is published
@@ -84,6 +86,10 @@ ci:
 	# The one cut rule: a paused reader's handler ends its own session at the
 	# last deadline plus the read bound, and its fd and goroutine come back.
 	$(GO) test -race -run '^TestSlowSubscriberDroppedMidBroadcast$$' -count=1 ./internal/vodserver/
+	# The served wait: on a 100 ms slot, sequential sessions' server-side
+	# first byte has a median under 0.75 slot and a maximum under 1.5 slots,
+	# because the clock sends a slot's frame as the slot begins.
+	$(GO) test -race -run '^TestFirstByteWithinOneSlot$$' -count=1 ./internal/vodserver/
 	# Disabled-path smoke for the telemetry history layer: the nil-store and
 	# nil-recorder fast paths a -no-history server takes must keep compiling
 	# and running.

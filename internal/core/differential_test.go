@@ -105,9 +105,15 @@ func TestDifferentialFastVsReference(t *testing.T) {
 				for step := 0; step < 400; step++ {
 					switch op := rng.Intn(10); {
 					case op < 3: // advance, compare the retired slot exactly
+						// Current reports the slot before it retires: the
+						// same report, final since its slot became current.
+						cur := fast.Current()
 						fr, rr := fast.AdvanceSlot(), ref.AdvanceSlot()
 						if fr.Slot != rr.Slot || fr.Load != rr.Load || !reflect.DeepEqual(fr.Segments, rr.Segments) {
 							t.Fatalf("step %d: retired %+v, reference %+v", step, fr, rr)
+						}
+						if cur.Slot != fr.Slot || cur.Load != fr.Load || !reflect.DeepEqual(cur.Segments, fr.Segments) {
+							t.Fatalf("step %d: current %+v, then retired %+v", step, cur, fr)
 						}
 					case op < 6 || !sc.resumes: // duplicate same-slot burst (size 1..4)
 						burst := 1 + rng.Intn(4)

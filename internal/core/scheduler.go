@@ -331,6 +331,16 @@ func (s *Scheduler) Skip(k int) {
 	s.current += k
 }
 
+// Current reports what the current slot carries. Requests cannot add
+// instances to it (their windows start one slot later), so the report is
+// final and equals the one AdvanceSlot returns when the slot retires. It does
+// not copy: Segments is the scheduler's own slice, not to be modified, and
+// stays so until the next AdvanceSlot.
+func (s *Scheduler) Current() SlotReport {
+	abs, load, segs := s.ring.Peek()
+	return SlotReport{Slot: abs, Load: load, Segments: segs}
+}
+
 // AdvanceSlot finishes transmitting the current slot and moves to the next,
 // returning what the finished slot carried. Requests cannot add instances to
 // a slot once it is current (their windows start one slot later), so the

@@ -32,8 +32,9 @@ import (
 //
 // The publication order gives the server its delivery guarantee: Add stores
 // the new snapshot before the subscriber's admission reaches the scheduler,
-// so any tick that retires the admit slot — ordered after the admission by
-// the video's lock in the station — observes the subscriber in its snapshot.
+// so any tick that begins the slot after the admit slot — ordered after the
+// admission by the video's lock in the station — observes the subscriber in
+// its snapshot.
 type Set[T comparable] struct {
 	mu     sync.Mutex
 	snap   atomic.Pointer[[]T]

@@ -223,6 +223,17 @@ func (r *Ring) Skip(k int) {
 	r.base += k
 }
 
+// Peek returns the earliest slot's absolute index, load and segment ids (when
+// tracked) without retiring it. The segment slice is the ring's own: the
+// caller must not modify it, and it stays the ring's until the next Retire.
+func (r *Ring) Peek() (abs, load int, segs []int) {
+	p := r.base % r.horizon
+	if r.trackSegs {
+		segs = r.segs[p]
+	}
+	return r.base, r.loads[p], segs
+}
+
 // Retire removes the earliest slot from the window, appends a fresh empty
 // slot at the far end, and returns the retired slot's absolute index and
 // load. Segment ids, when tracked, are returned in scheduling order and the

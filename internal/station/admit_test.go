@@ -1,6 +1,7 @@
 package station
 
 import (
+	"slices"
 	"testing"
 
 	"vodcast/internal/core"
@@ -67,42 +68,65 @@ func TestStationSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestAdvanceSlotIntoMatchesAdvanceSlot: the reusable-buffer variant
-// produces the same reports and reslices correctly.
+// reports what AdvanceSlot reports, reslicing the buffer to the catalogue and
+// overwriting every entry, and both report the slot each advance begins: the
+// bare scheduler's report for that slot, which it returns one advance later,
+// when the slot retires.
 func TestAdvanceSlotIntoMatchesAdvanceSlot(t *testing.T) {
-	st, err := New(Config{Videos: testCatalogue(3, 8), Shards: 2})
-	if err != nil {
-		t.Fatal(err)
+	const videos, segments = 3, 8
+	cat := testCatalogue(videos, segments)
+	for v := range cat {
+		cat[v].TrackSegments = true
 	}
-	for v := 0; v < 3; v++ {
-		if _, err := st.Admit(v, core.AdmitOptions{}); err != nil {
+	admitted := func() *Station {
+		st, err := New(Config{Videos: cat, Shards: 2})
+		if err != nil {
 			t.Fatal(err)
 		}
+		for v := 0; v < videos; v++ {
+			if _, err := st.Admit(v, core.AdmitOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st
 	}
-	dst := make([]core.SlotReport, 1) // undersized: must be grown
-	dst = st.AdvanceSlotInto(dst)
-	if len(dst) != 3 {
-		t.Fatalf("reports length %d, want 3", len(dst))
-	}
-	for v := 0; v < 3; v++ {
-		// Slot-0 admissions are served starting at slot 1, so the retired
-		// slot 0 is empty.
-		if dst[v].Slot != 0 || dst[v].Load != 0 {
-			t.Fatalf("video %d retired %+v, want slot 0 load 0", v, dst[v])
+	into, plain := admitted(), admitted()
+	refs := make([]*core.Scheduler, videos)
+	for v := range refs {
+		var err error
+		if refs[v], err = core.New(core.Config{Segments: segments, TrackSegments: true}); err != nil {
+			t.Fatal(err)
+		}
+		refs[v].AdmitRequest(core.AdmitOptions{})
+		// Slot 0, the admissions' own, is never reported: the stations
+		// begin in it.
+		if rep := refs[v].AdvanceSlot(); rep.Load != 0 {
+			t.Fatalf("video %d: admit slot 0 carried %+v", v, rep)
 		}
 	}
-	// Oversized buffers are resliced down and every entry overwritten; the
-	// retired slot 1 carries each video's segment 1 (deadline T[1] = 1).
 	big := make([]core.SlotReport, 10)
 	for i := range big {
 		big[i] = core.SlotReport{Slot: -99, Load: -99}
 	}
-	big = st.AdvanceSlotInto(big)
-	if len(big) != 3 {
-		t.Fatalf("reports length %d, want 3", len(big))
-	}
-	for v := 0; v < 3; v++ {
-		if big[v].Slot != 1 || big[v].Load < 1 {
-			t.Fatalf("video %d stale report %+v, want slot 1 with load >= 1", v, big[v])
+	// The first buffer is undersized and must be grown; the second is
+	// oversized and must be resliced down.
+	for i, buf := range [][]core.SlotReport{make([]core.SlotReport, 1), big} {
+		slot := i + 1
+		got, want := into.AdvanceSlotInto(buf), plain.AdvanceSlot()
+		if len(got) != videos || len(want) != videos {
+			t.Fatalf("slot %d: reports length %d and %d, want %d", slot, len(got), len(want), videos)
+		}
+		for v := 0; v < videos; v++ {
+			bare := refs[v].AdvanceSlot()
+			// Segment 1 is due in slot 1 (T[1] = 1), segment 2 in slot 2.
+			if bare.Slot != slot || bare.Load < 1 {
+				t.Fatalf("video %d: bare scheduler retired %+v, want slot %d with load >= 1", v, bare, slot)
+			}
+			for _, rep := range []core.SlotReport{got[v], want[v]} {
+				if rep.Slot != bare.Slot || rep.Load != bare.Load || !slices.Equal(rep.Segments, bare.Segments) {
+					t.Fatalf("video %d: station reported %+v, bare scheduler retired %+v", v, rep, bare)
+				}
+			}
 		}
 	}
 }

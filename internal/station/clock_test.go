@@ -2,6 +2,7 @@ package station
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -158,5 +159,67 @@ func TestClockSlip(t *testing.T) {
 			}
 			checkClock(t, st, reg, *at, want, interval, time.Duration(s-1)*interval)
 		})
+	}
+}
+
+// TestClockSendsBegunSlot: the clock hands onTick, and EachActive, the slot
+// its tick begins. An admission made while slot i is current has segment 1
+// due in slot i+1 (T[1] = 1), so the very next tick's report carries it as
+// slot i+1; an idle video's report is the same slot with no load.
+func TestClockSendsBegunSlot(t *testing.T) {
+	const interval, before = time.Millisecond, 3
+	st, err := New(Config{Videos: []VideoConfig{
+		{Segments: 5, TrackSegments: true},
+		{Segments: 5, TrackSegments: true},
+	}, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	f := installFakeClock(st)
+	var ticks, walked [][]core.SlotReport // copies: the clock reuses its slice
+	if err := st.StartClock(interval, func(reports []core.SlotReport) {
+		row := make([]core.SlotReport, len(reports))
+		for v, rep := range reports {
+			row[v] = core.SlotReport{Slot: rep.Slot, Load: rep.Load, Segments: slices.Clone(rep.Segments)}
+		}
+		ticks = append(ticks, row)
+		seen := make([]core.SlotReport, len(reports))
+		st.EachActive(func(_, v int, rep core.SlotReport) bool {
+			seen[v] = core.SlotReport{Slot: rep.Slot, Load: rep.Load, Segments: slices.Clone(rep.Segments)}
+			return false
+		})
+		walked = append(walked, seen)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	f.runFor(before * interval)
+	i := st.CurrentSlot(1)
+	res, err := st.Admit(1, core.AdmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i != before || res.Slot != i {
+		t.Fatalf("admitted in slot %d after %d ticks (CurrentSlot %d)", res.Slot, before, i)
+	}
+	f.runFor(interval)
+	if len(ticks) != before+1 {
+		t.Fatalf("%d ticks, want %d", len(ticks), before+1)
+	}
+	for k, row := range ticks[:before] {
+		for v, rep := range row {
+			if rep.Slot != k+1 || rep.Load != 0 {
+				t.Fatalf("tick %d video %d: idle report %+v, want slot %d", k+1, v, rep, k+1)
+			}
+		}
+	}
+	next, seen := ticks[before], walked[before]
+	if next[0].Slot != i+1 || next[0].Load != 0 {
+		t.Fatalf("idle video at the next tick: %+v, want slot %d with no load", next[0], i+1)
+	}
+	for _, rep := range []core.SlotReport{next[1], seen[1]} {
+		if rep.Slot != i+1 || rep.Load != 1 || !slices.Equal(rep.Segments, []int{1}) {
+			t.Fatalf("admitted video at the next tick: %+v, want slot %d carrying segment 1", rep, i+1)
+		}
 	}
 }

@@ -25,6 +25,13 @@
 //     which runs the advance and, through EachActive, whatever per-video work
 //     the tick callback hands it. Deterministic drivers call AdvanceSlot
 //     themselves instead: a plain serial loop that starts no goroutine.
+//   - One report contract. An advance retires the current slot and reports
+//     the slot it begins, which is final: admissions place instances only
+//     after the current slot. AdvanceSlot, AdvanceSlotInto, StartClock's
+//     callback and EachActive all hand out that report, so a data plane
+//     sends a slot as it begins and a request admitted in slot i gets its
+//     first segment as slot i+1 begins. A bare core.Scheduler returns the
+//     same report one advance later, when the slot retires.
 //
 // Within one slot, admissions for the same video are identical operations,
 // so any interleaving yields the same per-video schedule as a sequential
@@ -138,9 +145,8 @@ type stationVideo struct {
 	// scheduler is on the slot grid; an idle one's is stale.
 	list   *activeList
 	active bool
-	// quiet (the last advance retired an empty slot) and audience (the last
-	// EachActive callback saw one) belong to the tick.
-	quiet, audience bool
+	// audience (the last EachActive callback saw one) belongs to the tick.
+	audience bool
 }
 
 // activeList is one span's active videos and the slot its idle ones are in.
@@ -283,13 +289,15 @@ func (st *Station) Shards() int { return len(st.spans) }
 func (st *Station) Name(video int) string { return st.videos[video].cfg.Name }
 
 // EachActive calls fn(worker, video, rep) once for every video the last
-// advance left active, rep being its report from that advance and worker its
-// span's index in 0..Shards()-1, and returns when all have finished. fn
-// reports whether the video still has an audience, which keeps a drained
-// video active, and must not advance the station. While a clock over more
-// than one span is running, EachActive belongs to its tick callback alone
-// and the spans run in parallel on the clock's pool, so fn must confine itself
-// to its video and to state indexed by worker; otherwise they run in order.
+// advance left active, rep being its report from that advance, of the slot it
+// began (Segments is the scheduler's, read-only, unchanged until the next
+// advance), and worker its span's index in 0..Shards()-1, and returns when
+// all have finished. fn reports whether the video still has an audience,
+// which keeps a drained video active, and must not advance the station. While
+// a clock over more than one span is running, EachActive belongs to its tick
+// callback alone and the spans run in parallel on the clock's pool, so fn must
+// confine itself to its video and to state indexed by worker; otherwise they
+// run in order.
 func (st *Station) EachActive(fn func(worker, video int, rep core.SlotReport) (audience bool)) {
 	st.tickMu.Lock()
 	defer st.tickMu.Unlock()
@@ -414,17 +422,20 @@ func (sv *stationVideo) totals() (requests, instances int64) {
 }
 
 // AdvanceSlot finishes the current slot of every video, span after span on
-// the calling goroutine, and returns the retired slot reports, indexed by
-// video. The returned slice is owned by the caller; steady-state drivers
-// reuse one via AdvanceSlotInto.
+// the calling goroutine, and returns the reports of the slot that begins,
+// indexed by video: final, since admissions place only after the current
+// slot. The returned slice is owned by the caller, the Segments in it by the
+// schedulers (read-only, unchanged until the next advance); steady-state
+// drivers reuse one slice via AdvanceSlotInto.
 func (st *Station) AdvanceSlot() []core.SlotReport {
 	return st.AdvanceSlotInto(nil)
 }
 
 // AdvanceSlotInto is AdvanceSlot writing the reports into dst (grown when
-// its capacity is below the catalogue size) so a steady-state driver retires
-// slots without a per-tick allocation. Every entry is overwritten (an idle
-// video retires an empty slot). It returns dst resliced to the catalogue size.
+// its capacity is below the catalogue size) so a steady-state driver advances
+// without a per-tick allocation. Every entry is overwritten (an idle video
+// reports the begun slot's number with no load). It returns dst resliced to
+// the catalogue size.
 func (st *Station) AdvanceSlotInto(dst []core.SlotReport) []core.SlotReport {
 	if cap(dst) < len(st.videos) {
 		dst = make([]core.SlotReport, len(st.videos))
@@ -439,15 +450,18 @@ func (st *Station) AdvanceSlotInto(dst []core.SlotReport) []core.SlotReport {
 	return dst
 }
 
-// advanceSpan retires one slot of the span [lo, hi) into st.reports: every
-// entry gets the idle report and each active video, under its own lock,
-// overwrites its own. A video with nothing pending and no audience leaves the
-// list instead, once its last report was empty so every reader saw it quiet.
+// advanceSpan retires the current slot of the span [lo, hi) and reports the
+// slot it begins into st.reports: every entry gets the idle report and each
+// active video, under its own lock, overwrites its own with its scheduler's
+// new current slot, final because admissions place only after it. A video
+// with nothing pending and no audience leaves the list instead; nothing
+// pending includes the slot its last report carried, so every reader saw that
+// report empty.
 func (st *Station) advanceSpan(worker, lo, hi int) {
 	l := &st.lists[worker]
 	l.mu.Lock()
-	slot := l.slot
 	l.slot++
+	slot := l.slot
 	l.active = append(l.active, l.joined...)
 	l.joined = l.joined[:0]
 	l.mu.Unlock()
@@ -458,12 +472,12 @@ func (st *Station) advanceSpan(worker, lo, hi int) {
 	for _, v := range l.active {
 		sv := &st.videos[v]
 		sv.mu.Lock()
-		if sv.quiet && !sv.audience && sv.sched.Pending() == 0 {
+		if !sv.audience && sv.sched.Pending() == 0 {
 			sv.active = false
 			st.active.Add(-1)
 		} else {
-			st.reports[v] = sv.sched.AdvanceSlot()
-			sv.quiet = st.reports[v].Load == 0
+			sv.sched.AdvanceSlot()
+			st.reports[v] = sv.sched.Current()
 			keep = append(keep, v)
 		}
 		sv.mu.Unlock()
@@ -522,14 +536,15 @@ func (st *Station) Totals() (requests, instances int64) {
 	return requests, instances
 }
 
-// StartClock launches the single clock goroutine, once per station. Tick k,
-// due at start + k·interval, retires one slot (span by span, on the pool when
-// there is more than one span) and hands the slot reports to onTick, if any,
-// on the clock goroutine; onTick may call EachActive but not Close, and must
-// copy any reports it retains, as the clock reuses the slice. Ticks an
-// overrun made late run back to back; a wake maxCatchUp or more intervals
-// late slips the grid instead, skipping every grid point passed, and the
-// next tick reports its lag.
+// StartClock launches the single clock goroutine, once per station. A tick,
+// due at a grid point start + k·interval, retires the current slot and begins
+// the next (span by span, on the pool when there is more than one span) and
+// hands the begun slot's reports to onTick, if any, on the clock goroutine.
+// onTick may call EachActive but not Close, and must copy any reports it
+// retains, as the clock reuses the slice and the segment lists are the
+// schedulers'. Ticks an overrun made late run back to back; a wake
+// maxCatchUp or more intervals late slips the grid instead, skipping every
+// grid point passed, and the next tick reports its lag.
 func (st *Station) StartClock(interval time.Duration, onTick func([]core.SlotReport)) error {
 	if interval <= 0 {
 		return fmt.Errorf("%w: got %v", ErrBadSlotDuration, interval)

@@ -204,7 +204,7 @@ func TestClockPoolLifecycle(t *testing.T) {
 			byWorker[worker].Add(1)
 			visits[v].Add(1)
 			if reports[v].Slot != reports[0].Slot {
-				t.Errorf("video %d retired slot %d while video 0 retired %d", v, reports[v].Slot, reports[0].Slot)
+				t.Errorf("video %d reported slot %d while video 0 reported %d", v, reports[v].Slot, reports[0].Slot)
 			}
 			return true
 		})
@@ -272,6 +272,9 @@ func TestAdmitValidation(t *testing.T) {
 // the same per-slot arrival counts. Within a slot all admissions for one
 // video are identical operations, so the end state depends only on the
 // counts, not the interleaving — which is why the comparison can be exact.
+// The station reports each slot as it begins, before that slot's admissions;
+// a bare scheduler reports it as it retires, one advance and one slot of
+// admissions later: the two must agree, so a slot is final once it is current.
 // Every video alternates bursts with idle gaps up to three ring horizons
 // long, and one gap idles the whole catalogue, so the comparison covers
 // videos leaving the active lists, the slots they skip and their cold
@@ -315,7 +318,7 @@ func testConcurrentEquivalence(t *testing.T, shards int) {
 	refs := make([]*core.Scheduler, videos)
 	for v := range refs {
 		var err error
-		refs[v], err = core.New(core.Config{Segments: segs[v]})
+		refs[v], err = core.New(core.Config{Segments: segs[v], TrackSegments: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,13 +326,25 @@ func testConcurrentEquivalence(t *testing.T, shards int) {
 
 	cat := make([]VideoConfig, videos)
 	for v := range cat {
-		cat[v] = VideoConfig{Segments: segs[v]}
+		cat[v] = VideoConfig{Segments: segs[v], TrackSegments: true}
 	}
 	st, err := New(Config{Videos: cat, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	// reported[v] is the station's report of slot s, from the advance that
+	// began it; the station starts in slot 0, which nothing can occupy.
+	reported := make([]core.SlotReport, videos)
+	compare := func(s int) {
+		t.Helper()
+		for v := 0; v < videos; v++ {
+			want, got := refs[v].AdvanceSlot(), reported[v]
+			if got.Slot != want.Slot || got.Load != want.Load || !slices.Equal(got.Segments, want.Segments) {
+				t.Fatalf("slot %d video %d: station %+v, reference %+v", s, v, got, want)
+			}
+		}
+	}
 	reactivated := false
 	for s := 0; s < slots; s++ {
 		// Concurrent admissions: one goroutine per arrival, racing against
@@ -366,14 +381,8 @@ func testConcurrentEquivalence(t *testing.T, shards int) {
 				t.Fatalf("slot %d video %d: next load %d, reference %d", s, v, loads[v], want)
 			}
 		}
-		reports := st.AdvanceSlot()
-		for v := 0; v < videos; v++ {
-			want := refs[v].AdvanceSlot()
-			if reports[v].Slot != want.Slot || reports[v].Load != want.Load {
-				t.Fatalf("slot %d video %d: station %+v, reference %+v",
-					s, v, reports[v], want)
-			}
-		}
+		compare(s)
+		reported = st.AdvanceSlot()
 		active := st.Status().Active
 		if s == gapHi-1 && active != 0 {
 			t.Fatalf("slot %d: %d videos still active at the end of the catalogue-wide gap", s, active)
@@ -383,6 +392,7 @@ func testConcurrentEquivalence(t *testing.T, shards int) {
 	if !reactivated {
 		t.Fatal("no video came back after the catalogue-wide gap")
 	}
+	compare(slots)
 	for v := 0; v < videos; v++ {
 		req, inst := st.VideoTotals(v)
 		if req != refs[v].Requests() || inst != refs[v].Instances() {
@@ -398,9 +408,10 @@ func testConcurrentEquivalence(t *testing.T, shards int) {
 // admission order is known) in bursts of full and resumed viewings
 // separated by idle gaps longer than the ring horizon, every cold
 // re-activation racing the clock. Every admission must have placed what the
-// bare scheduler places in the slot the station reported, and every tick's
-// report must be the bare scheduler's for that slot. Run under -race this is
-// the engine's data-race certification.
+// bare scheduler places in the slot the station reported, and tick k's report,
+// of the slot k it began, must be what the bare scheduler retires as slot k
+// one advance later. Run under -race this is the engine's data-race
+// certification.
 func TestStressAdmissionsRaceClock(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testStressAdmissionsRaceClock(t, shards) })
@@ -424,16 +435,16 @@ func testStressAdmissionsRaceClock(t *testing.T, shards int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type retired struct{ slot, load int }
-	var ticks [][videos]retired // written by the clock goroutine, read after Close
+	type reported struct{ slot, load int }
+	var ticks [][videos]reported // written by the clock goroutine, read after Close
 	if err := st.StartClock(200*time.Microsecond, func(reports []core.SlotReport) {
 		if len(reports) != videos {
 			t.Errorf("tick delivered %d reports", len(reports))
 			return
 		}
-		var row [videos]retired
+		var row [videos]reported
 		for v, rep := range reports {
-			row[v] = retired{rep.Slot, rep.Load}
+			row[v] = reported{rep.Slot, rep.Load}
 		}
 		ticks = append(ticks, row)
 		st.EachActive(func(_, _ int, _ core.SlotReport) bool { return false })
@@ -504,7 +515,7 @@ func testStressAdmissionsRaceClock(t *testing.T, shards int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		loads := make([]int, 0, len(ticks)) // loads[s] is the bare scheduler's slot s
+		loads := make([]int, 0, len(ticks)+1) // loads[s] is the bare scheduler's slot s
 		advanceTo := func(slot int) {
 			for ref.CurrentSlot() < slot {
 				loads = append(loads, ref.AdvanceSlot().Load)
@@ -521,10 +532,10 @@ func testStressAdmissionsRaceClock(t *testing.T, shards int) {
 					v, i, a.from, a.slot, a.placed, res.Slot, res.Placed)
 			}
 		}
-		advanceTo(len(ticks))
-		for s, row := range ticks {
-			if row[v].slot != s || row[v].load != loads[s] {
-				t.Fatalf("video %d tick %d: station retired %+v, bare scheduler load %d", v, s, row[v], loads[s])
+		advanceTo(len(ticks) + 1)
+		for k, row := range ticks {
+			if s := k + 1; row[v].slot != s || row[v].load != loads[s] {
+				t.Fatalf("video %d tick %d: station reported %+v, bare scheduler load %d", v, s, row[v], loads[s])
 			}
 		}
 		total += int64(len(admitted[v]))
@@ -570,15 +581,18 @@ func TestTickLocksOnlyActiveVideos(t *testing.T) {
 		locked += st.Status().Active
 		reports = st.AdvanceSlotInto(reports)
 		for v, rep := range reports {
-			if rep.Slot != tick || (rep.Load != 0 && !hot(v)) {
+			// Advance tick+1 begins slot tick+1 and reports it.
+			if rep.Slot != tick+1 || (rep.Load != 0 && !hot(v)) {
 				t.Fatalf("tick %d video %d: report %+v", tick, v, rep)
 			}
 			instances += rep.Load
 		}
 	}
-	// A video admitted in slot 0 transmits in slots 1..segments, retires one
-	// empty slot and is found idle by the advance after that.
-	if bound := admitted * (segments + 3); locked == 0 || locked > bound {
+	// A video admitted in slot 0 transmits in slots 1..segments, reported by
+	// advances 1..segments; advance segments+1 still finds slot segments
+	// pending and reports one empty slot, and the advance after that finds
+	// the video idle.
+	if bound := admitted * (segments + 2); locked == 0 || locked > bound {
 		t.Fatalf("the clock locked %d videos over %d ticks, want 1..%d (not %d)", locked, ticks, bound, videos*ticks)
 	}
 	if instances != admitted*segments {

@@ -249,11 +249,12 @@ func writeFrames(conn net.Conn, vec *net.Buffers, frames []*fanout.Frame, admitS
 // mean a full viewing).
 //
 // The subscription is registered BEFORE the admission reaches the
-// scheduler, so the subscriber provably receives every slot from the admit
-// slot on: the clock retires the admit slot only after the admission
-// completes, which is after registration. Slots at or before the admit slot
-// are discarded in writeFrames (the set-top box ignores them anyway — its
-// service starts one slot after admission). This keeps scheduling entirely
+// scheduler, so the subscriber provably receives every slot after the admit
+// slot: the clock begins the next slot, whose frame carries the customer's
+// first segment, only after the admission completes, which is after
+// registration. Slots at or before the admit slot are discarded in
+// writeFrames (the set-top box ignores them anyway — its service starts one
+// slot after admission). This keeps scheduling entirely
 // off the server-wide mutex: concurrent admissions for different videos
 // proceed in parallel.
 //
@@ -318,7 +319,7 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 	// store is harmless when a concurrent shutdown already removed the
 	// subscriber — its ring is closed and further pushes fail — and tick
 	// workers that read the placeholder MaxInt64 this slot retire the
-	// subscriber one snapshot later. The admit slot retires within one slot
+	// subscriber one snapshot later. The admit slot ends within one slot
 	// duration of the admission, so the last deadline passes within slots
 	// slot durations of it.
 	sub.lastSlot.Store(int64(admitSlot + slots - 1))

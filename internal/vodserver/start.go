@@ -6,8 +6,9 @@
 // Scheduling is delegated to the internal/station engine: one DHB scheduler
 // per video, each behind its own lock, so admissions for different videos
 // proceed in parallel. The station's clock goroutine drives the slot grid
-// and hands each retired slot to the fan-out path, which walks the
-// catalogue over the station's spans.
+// and hands each slot, as it begins, to the fan-out path, which walks the
+// catalogue over the station's spans: a customer admitted in slot i gets
+// its first segment as slot i+1 begins.
 //
 // The data plane models broadcast channels: each scheduled instance is
 // produced (and counted) exactly once per slot and the encoded frames are
@@ -159,7 +160,8 @@ type videoRecord struct {
 	// wirePeriods and wireSizes are shared read-only by every ScheduleInfo.
 	wirePeriods, wireSizes []uint32
 	// load is the channel-load gauge vod_channel_load{video="..."}: each
-	// retired slot's instance count, 0 once idle (the last slot was empty).
+	// slot's instance count as it begins, 0 once idle (the last slot was
+	// empty).
 	// miss and rebuffer are the video's client_miss_total and
 	// client_rebuffer_total children, which every client report adds to.
 	load           *obs.Gauge

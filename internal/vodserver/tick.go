@@ -56,8 +56,8 @@ func (s *Server) dropHook(videoID uint32, slot int) func(segment int) bool {
 	return func(seg int) bool { return s.cfg.DropInstance(videoID, seg, slot) }
 }
 
-// fanOut runs on the station's clock goroutine once per retired slot: each
-// active video's broadcast instances are encoded exactly once into a shared
+// fanOut runs on the station's clock goroutine once per slot, as the slot
+// begins: each active video's broadcast instances are encoded exactly once into a shared
 // ref-counted frame and one reference is pushed per subscriber ring — the
 // per-audience cost is a pointer, not a copy; an idle video costs nothing.
 // The station walks its active videos span by span — on its pool when there
@@ -86,7 +86,7 @@ func (s *Server) fanOut(walk func(worker, video int, rep core.SlotReport) bool) 
 	s.ringDepth.Record(float64(maxDepth))
 }
 
-// fanOutVideo fans one active video's retired slot out: encode the slot
+// fanOutVideo fans out the slot one active video begins: encode the slot
 // once, push the shared frame to every subscriber in the video's
 // copy-on-write snapshot, then retire the subscribers whose last slot this
 // was, collected on the way so the push loop stays tight. It reports whether
