@@ -130,11 +130,12 @@ bench:
 # FuzzSchedulerInvariants drives the fast scheduler against the reference,
 # same-slot memo included — the path the live server admits through.
 # FuzzPeriodVectors checks every deadline on any vector the validator
-# accepts, non-monotone ones with resumes included. ci runs all three targets
+# accepts, non-monotone ones with resumes included. ci runs all four targets
 # briefly (FUZZTIME=5s).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/wire/ -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wire/ -fuzz='^FuzzReadFrameStream$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz='^FuzzSchedulerInvariants$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz='^FuzzPeriodVectors$$' -fuzztime=$(FUZZTIME)
 

@@ -152,8 +152,6 @@ func FetchWith(addr string, opts FetchOptions) (Result, error) {
 		return Result{}, fmt.Errorf("vodclient: %w", err)
 	}
 	qoe := newQoETracker(int(info.AdmitSlot), periods, int(opts.From))
-	// A report is only owed when both sides speak v2 and nobody opted out.
-	sendReport := info.Version >= wire.ProtoV2 && !opts.NoReport
 
 	res := Result{
 		VideoID:   info.VideoID,
@@ -212,7 +210,7 @@ func FetchWith(addr string, opts FetchOptions) (Result, error) {
 				res.MeanSlackSlots = qoe.meanSlack()
 				res.SessionSlots = qoe.sessionSlots
 				res.Elapsed = time.Since(start)
-				if sendReport {
+				if !opts.NoReport {
 					report := qoe.report(info.VideoID, info.TraceID, info.SpanID,
 						res.SharedFrames, res.PayloadBytes)
 					if err := wire.WriteFrame(conn, report); err != nil {

@@ -39,6 +39,7 @@ func goodInfo() wire.ScheduleInfo {
 		SlotMillis:   10,
 		SegmentBytes: 32,
 		AdmitSlot:    0,
+		Version:      wire.ProtoV2,
 		Periods:      []uint32{1, 2},
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // fakeServerV2 is fakeServer for scripts that need the decoded request (to
-// assert negotiation) or to keep the connection for a report read.
+// assert its fields) or to keep the connection for a report read.
 func fakeServerV2(t *testing.T, script func(conn net.Conn, req wire.Request)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -39,7 +39,6 @@ func fakeServerV2(t *testing.T, script func(conn net.Conn, req wire.Request)) st
 
 func v2Info() wire.ScheduleInfo {
 	info := goodInfo()
-	info.Version = wire.ProtoV2
 	info.TraceID = 0xABCD
 	info.SpanID = 77
 	return info
@@ -197,27 +196,6 @@ func TestFetchWithNoReportSetsFlagAndSkipsReport(t *testing.T) {
 	if _, err := FetchWith(addr, FetchOptions{
 		VideoID: 1, Timeout: 2 * time.Second, NoReport: true}); err != nil {
 		t.Fatal(err)
-	}
-	<-done
-}
-
-func TestFetchWithLegacyServerSkipsReport(t *testing.T) {
-	done := make(chan struct{})
-	addr := fakeServerV2(t, func(conn net.Conn, req wire.Request) {
-		defer close(done)
-		info := goodInfo() // version-less schedule: server negotiated down
-		_ = wire.WriteFrame(conn, info)
-		streamAll(conn, info)
-		if msg, err := wire.ReadFrame(conn); err == nil {
-			t.Errorf("client sent %T to a v1 server", msg)
-		}
-	})
-	res, err := FetchWith(addr, FetchOptions{VideoID: 1, Timeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TraceID != 0 {
-		t.Fatalf("TraceID = %d against a v1 server, want 0", res.TraceID)
 	}
 	<-done
 }

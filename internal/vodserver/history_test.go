@@ -272,7 +272,7 @@ func TestQueryzSeriesCapExcludesRefused(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				err = wire.WriteFrame(conn, wire.Request{VideoID: uint32(id)})
+				err = wire.WriteFrame(conn, wire.Request{VideoID: uint32(id), Version: wire.ProtoV2})
 				if err == nil {
 					_, err = wire.ReadFrame(conn)
 				}

@@ -15,9 +15,9 @@ import (
 	"vodcast/internal/wire"
 )
 
-// rawSession plays one v1 session (no report owed, so the server closes the
-// connection after the last slot) and returns the stream with every slot
-// rebased to the admit slot.
+// rawSession plays one session that declines the report (so the server
+// closes the connection after the last slot) and returns the stream with
+// every slot rebased to the admit slot.
 func rawSession(t *testing.T, addr string, videoID uint32) (info wire.ScheduleInfo, frames []any) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -28,7 +28,7 @@ func rawSession(t *testing.T, addr string, videoID uint32) (info wire.ScheduleIn
 	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(conn, wire.Request{VideoID: videoID}); err != nil {
+	if err := wire.WriteFrame(conn, wire.Request{VideoID: videoID, Version: wire.ProtoV2, Flags: wire.FlagNoReport}); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := wire.ReadFrame(conn)

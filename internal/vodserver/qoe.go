@@ -11,7 +11,7 @@ import (
 )
 
 // This file is the server half of the client QoE loop: it reads the
-// wire.ClientReport a v2 session sends at its end, folds it into the
+// wire.ClientReport a session sends at its end, folds it into the
 // client_* metric families and rolling windows /statusz serves, synthesizes
 // the client's side of the admit trace into /spanz, and arms the alert rules
 // that watch the folded signals. The server-side windows deliberately track
@@ -76,11 +76,13 @@ func (s *Server) armAlerts() error {
 	return nil
 }
 
-// readReport collects the end-of-session ClientReport a v2 subscriber owes,
+// readReport collects the end-of-session ClientReport a subscriber owes,
 // through the session's buffered reader br (the report may already be in
 // it). The read is bounded: a client that never reports just times out and
-// costs nothing. Reports for another video than rec's are discarded.
-func (s *Server) readReport(conn net.Conn, br *bufio.Reader, rec *videoRecord) {
+// costs nothing. A report must name rec's video and echo the trace ids of
+// info, the session's ScheduleInfo; any other is discarded, so no client
+// can graft spans onto another session's admit trace.
+func (s *Server) readReport(conn net.Conn, br *bufio.Reader, rec *videoRecord, info wire.ScheduleInfo) {
 	if err := conn.SetReadDeadline(time.Now().Add(s.readTimeout())); err != nil {
 		return
 	}
@@ -89,7 +91,7 @@ func (s *Server) readReport(conn net.Conn, br *bufio.Reader, rec *videoRecord) {
 		return
 	}
 	rep, ok := msg.(wire.ClientReport)
-	if !ok || rep.VideoID != rec.id {
+	if !ok || rep.VideoID != rec.id || rep.TraceID != info.TraceID || rep.SpanID != info.SpanID {
 		return
 	}
 	s.ingestReport(rec, rep)

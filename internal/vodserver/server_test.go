@@ -661,12 +661,11 @@ func TestUnsubscribeIdempotent(t *testing.T) {
 	}
 }
 
-// TestRawWireV1Session drives a version-less request over a raw TCP
-// connection — the legacy protocol the retired Fetch helper spoke — and
-// checks the server still serves it: a v1 ScheduleInfo without trace
-// identifiers, every segment delivered with verified payload bytes, and the
-// stream left open past the final slot with no report owed.
-func TestRawWireV1Session(t *testing.T) {
+// TestRawWireNoReportNoTraceSession drives a request declining both the
+// report and the trace over a raw TCP connection: the ScheduleInfo carries
+// ProtoV2 and zero trace identifiers, and every segment is delivered with
+// verified payload bytes.
+func TestRawWireNoReportNoTraceSession(t *testing.T) {
 	s := startTestServer(t, VideoConfig{ID: 4, Segments: 5, SegmentBytes: 96})
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
@@ -676,7 +675,8 @@ func TestRawWireV1Session(t *testing.T) {
 	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(conn, wire.Request{VideoID: 4, FromSegment: 1}); err != nil {
+	req := wire.Request{VideoID: 4, FromSegment: 1, Version: wire.ProtoV2, Flags: wire.FlagNoReport | wire.FlagNoTrace}
+	if err := wire.WriteFrame(conn, req); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := wire.ReadFrame(conn)
@@ -687,11 +687,11 @@ func TestRawWireV1Session(t *testing.T) {
 	if !ok {
 		t.Fatalf("first frame %T, want ScheduleInfo", msg)
 	}
-	if info.Version != 0 || info.TraceID != 0 || info.SpanID != 0 {
-		t.Fatalf("v1 session granted v2 fields: %+v", info)
+	if info.Version != wire.ProtoV2 || info.TraceID != 0 || info.SpanID != 0 {
+		t.Fatalf("untraced session got %+v", info)
 	}
-	// Consume the broadcast exactly as the old v1 client did: verify every
-	// payload byte, stop at the slot that retires the whole schedule.
+	// Verify every payload byte, stop at the slot that retires the whole
+	// schedule.
 	last := info.AdmitSlot
 	for _, p := range info.Periods {
 		if info.AdmitSlot+uint64(p) > last {

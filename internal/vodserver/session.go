@@ -74,7 +74,7 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// readBufferSize fits a v2 request and a client report together (33 + 91
+// readBufferSize fits a request and a client report together (33 + 91
 // bytes), the only frames a client sends.
 const readBufferSize = 128
 
@@ -114,15 +114,10 @@ func (s *Server) handleConn(conn net.Conn) {
 		_ = wire.WriteFrame(conn, wire.ErrorMsg{Text: "expected a request frame"})
 		return
 	}
-	// Version negotiation: a version-less request is an old client — serve
-	// it a v1 session with no trace fields and expect no report. Anything
-	// announcing v2 or later negotiates down to our v2.
-	proto := uint16(0)
-	if req.Version >= wire.ProtoV2 {
-		proto = wire.MaxProto
-	}
-	wantReport := proto >= wire.ProtoV2 && req.Flags&wire.FlagNoReport == 0
-	wantTrace := proto >= wire.ProtoV2 && req.Flags&wire.FlagNoTrace == 0
+	// The decoder admits only v2 requests; the flags alone decide whether
+	// the session owes a report and carries trace ids.
+	wantReport := req.Flags&wire.FlagNoReport == 0
+	wantTrace := req.Flags&wire.FlagNoTrace == 0
 
 	// The root span covers the whole pipeline from admit to the first
 	// fan-out byte reaching this subscriber; an unsampled request gets a
@@ -147,26 +142,23 @@ func (s *Server) handleConn(conn net.Conn) {
 	if err := conn.SetWriteDeadline(writeBy); err != nil {
 		return
 	}
-	if proto >= wire.ProtoV2 {
-		info.Version = proto
-		if wantTrace {
-			// The session joins the admit span's tree: the client echoes
-			// these identifiers in its report and the server synthesizes its
-			// playback as child spans. An unsampled root hands out zero and
-			// the session stays traceless.
-			info.TraceID = root.ID()
-			info.SpanID = root.ID()
-		}
+	if wantTrace {
+		// The session joins the admit span's tree: the client echoes these
+		// identifiers in its report and the server synthesizes its playback
+		// as child spans. An unsampled root hands out zero and the session
+		// stays traceless.
+		info.TraceID = root.ID()
+		info.SpanID = root.ID()
 	}
 	if err := wire.WriteFrame(conn, info); err != nil {
 		return
 	}
 	admitSlot := int(info.AdmitSlot)
 	wait := root.Child("first_byte_wait")
-	// After a clean end (ring closed at the last slot) a v2 session that
-	// did not opt out owes us a ClientReport.
+	// After a clean end (ring closed at the last slot) a session that did
+	// not opt out owes us a ClientReport.
 	if s.drainRing(conn, sub, admitSlot, wait, root) && wantReport {
-		s.readReport(conn, br, sub.rec)
+		s.readReport(conn, br, sub.rec, info)
 	}
 }
 
@@ -332,6 +324,7 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 		SlotMillis:   uint32(s.cfg.SlotDuration / time.Millisecond),
 		SegmentBytes: uint32(v.cfg.SegmentBytes),
 		AdmitSlot:    uint64(admitSlot),
+		Version:      wire.ProtoV2,
 		Periods:      rec.wirePeriods,
 		SegmentSizes: rec.wireSizes,
 	}

@@ -16,21 +16,16 @@
 // SlotEnd frame at every slot boundary until the client's last deadline has
 // passed.
 //
-// # Protocol versions
+// # Protocol version
 //
-// The original protocol carried no version field; those frames are "v1" and
-// remain valid byte-for-byte. Version 2 adds the client QoE loop: a Request
-// may announce Version 2 (plus feature flags), the server's ScheduleInfo
-// then echoes the negotiated version together with the TraceID/SpanID of the
-// server-side admission trace, and the session ends with the client pushing
-// one ClientReport frame summarizing what it observed — startup delay,
-// per-segment slack to the AdmitSlot+T[j] deadline, misses, rebuffers. A
-// server that only speaks v1 ignores the unknown fields' absence (a v2
-// client downgrades when the ScheduleInfo comes back versionless), and a v1
-// client's 8-byte Request decodes exactly as before, so both directions
-// negotiate down for free. Version discrimination is structural: every v2
-// body length is distinguishable from every legal v1 body length (see the
-// layout comments on each frame).
+// The package speaks one version, ProtoV2. Every Request, ScheduleInfo and
+// ClientReport carries it, and WriteFrame and ReadFrame reject one below it.
+// Besides the admission exchange, v2 is the client QoE loop: the
+// ScheduleInfo carries the TraceID/SpanID of the server-side admission
+// trace, and the session ends with the client pushing one ClientReport frame
+// summarizing what it observed — startup delay, per-segment slack to the
+// AdmitSlot+T[j] deadline, misses, rebuffers. The Request flags let a client
+// decline the report (FlagNoReport) or the trace (FlagNoTrace).
 package wire
 
 import (
@@ -53,17 +48,11 @@ const (
 	TypeClientReport
 )
 
-// Protocol versions. Zero means "versionless", the original v1 wire format;
-// ProtoV2 adds trace propagation and the end-of-session ClientReport.
-const (
-	ProtoV1 uint16 = 1
-	ProtoV2 uint16 = 2
-	// MaxProto is the highest version this package speaks; peers announcing
-	// more negotiate down to it.
-	MaxProto = ProtoV2
-)
+// ProtoV2 is the protocol version every Request, ScheduleInfo and
+// ClientReport must carry at least.
+const ProtoV2 uint16 = 2
 
-// Request feature flags (v2 and later).
+// Request feature flags.
 const (
 	// FlagNoReport tells the server the client will not send a ClientReport
 	// at session end, so it must not wait for one.
@@ -82,16 +71,14 @@ const MaxBody = 16 << 20
 // above 1 resumes interactive playback at that segment; 0 and 1 both mean a
 // full viewing.
 //
-// Body layout: v1 is exactly 8 bytes (VideoID, FromSegment). A Version of 2
-// or more appends Version, Flags, TraceID and SpanID for a fixed 28 bytes,
-// so the two layouts never collide.
+// Body layout: exactly 28 bytes — VideoID, FromSegment, Version, Flags,
+// TraceID, SpanID.
 type Request struct {
 	VideoID     uint32
 	FromSegment uint32
-	// Version is the highest protocol version the client speaks; 0 means a
-	// versionless (v1) request with none of the fields below on the wire.
+	// Version is the client's protocol version, at least ProtoV2.
 	Version uint16
-	// Flags carries v2 feature bits (FlagNoReport, FlagNoTrace).
+	// Flags carries the feature bits (FlagNoReport, FlagNoTrace).
 	Flags uint16
 	// TraceID and SpanID optionally continue a caller-side trace; zero asks
 	// the server to start a fresh trace.
@@ -102,11 +89,10 @@ type Request struct {
 // ScheduleInfo tells the admitted customer everything it needs to verify
 // timely delivery.
 //
-// Body layout: a 24-byte fixed head, then (v2 only) an 18-byte trace block
-// (Version, TraceID, SpanID), then the period vector and the optional
-// per-segment size vector. A v1 tail is always a multiple of 4 bytes while
-// the v2 trace block shifts the tail to 2 mod 4, so the decoder
-// discriminates the versions structurally without a type byte.
+// Body layout: a 42-byte head — 24 bytes of VideoID, Segments, SlotMillis,
+// SegmentBytes and AdmitSlot, then the 18-byte trace block of Version,
+// TraceID and SpanID — then the period vector (4n bytes for n segments),
+// optionally followed by the per-segment size vector (another 4n).
 type ScheduleInfo struct {
 	VideoID      uint32
 	Segments     uint32
@@ -115,9 +101,7 @@ type ScheduleInfo struct {
 	// AdmitSlot is the slot during which the request was admitted; segment
 	// j arrives by slot AdmitSlot + Periods[j-1].
 	AdmitSlot uint64
-	// Version is the protocol version the server negotiated for the
-	// session; 0 means a versionless (v1) schedule with no trace fields on
-	// the wire and no ClientReport expected.
+	// Version is the session's protocol version, at least ProtoV2.
 	Version uint16
 	// TraceID and SpanID identify the server-side admission trace the
 	// client's QoE events will be joined to; zero when the admission was
@@ -158,17 +142,16 @@ type ErrorMsg struct {
 	Text string
 }
 
-// ClientReport is the customer's end-of-session QoE summary (v2 and later):
-// the client-side half of the paper's delivery contract. The server folds it
-// into the client_* metric families and, when TraceID is set, joins the
-// session to the admission trace in /spanz. The body is a fixed 86 bytes.
+// ClientReport is the customer's end-of-session QoE summary: the client-side
+// half of the paper's delivery contract. The server folds it into the
+// client_* metric families and, when SpanID is set, joins the session to the
+// admission trace in /spanz. The body is a fixed 86 bytes.
 type ClientReport struct {
-	// Version is the protocol version the client spoke (>= ProtoV2).
+	// Version is the client's protocol version, at least ProtoV2.
 	Version uint16
 	VideoID uint32
-	// TraceID and SpanID echo the ScheduleInfo trace fields so the server
-	// can parent the client's session onto the admission span; zero when
-	// the admission was unsampled or tracing was declined.
+	// TraceID and SpanID echo the session's ScheduleInfo trace fields, zero
+	// included; the server discards a report that does not echo them.
 	TraceID uint64
 	SpanID  uint64
 	// AdmitSlot echoes the granted schedule; FromSegment the resume point.
@@ -203,8 +186,18 @@ type ClientReport struct {
 	PayloadBytes uint64
 }
 
-// clientReportLen is the fixed ClientReport body length.
-const clientReportLen = 2 + 4 + 8 + 8 + 8 + 9*4 + 4 + 8 + 8
+// Fixed body lengths: a Request, the ScheduleInfo head and a ClientReport.
+const (
+	requestLen      = 4 + 4 + 2 + 2 + 8 + 8
+	scheduleHeadLen = 24 + 2 + 8 + 8
+	clientReportLen = 2 + 4 + 8 + 8 + 8 + 9*4 + 4 + 8 + 8
+)
+
+// errVersion reports a Request, ScheduleInfo or ClientReport whose version
+// is below ProtoV2.
+func errVersion(msg any, v uint16) error {
+	return fmt.Errorf("wire: %T carries version %d, want >= %d", msg, v, ProtoV2)
+}
 
 // WriteFrame serializes one message to w. The header and body are built in
 // one buffer and handed to w in a single Write, so a frame on a socket costs
@@ -215,42 +208,29 @@ func WriteFrame(w io.Writer, msg any) error {
 	switch m := msg.(type) {
 	case Request:
 		t = TypeRequest
+		if m.Version < ProtoV2 {
+			return errVersion(m, m.Version)
+		}
 		buf = binary.BigEndian.AppendUint32(buf, m.VideoID)
 		buf = binary.BigEndian.AppendUint32(buf, m.FromSegment)
-		if m.Version == 0 {
-			// Versionless v1 layout: the trace fields cannot travel.
-			if m.Flags != 0 || m.TraceID != 0 || m.SpanID != 0 {
-				return fmt.Errorf("wire: request carries v2 fields without a version")
-			}
-			break
-		}
-		if m.Version == ProtoV1 {
-			return fmt.Errorf("wire: request version %d has no versioned layout", m.Version)
-		}
 		buf = binary.BigEndian.AppendUint16(buf, m.Version)
 		buf = binary.BigEndian.AppendUint16(buf, m.Flags)
 		buf = binary.BigEndian.AppendUint64(buf, m.TraceID)
 		buf = binary.BigEndian.AppendUint64(buf, m.SpanID)
 	case ScheduleInfo:
 		t = TypeScheduleInfo
-		buf = slices.Grow(buf, 24+18+4*len(m.Periods)+4*len(m.SegmentSizes))
+		if m.Version < ProtoV2 {
+			return errVersion(m, m.Version)
+		}
+		buf = slices.Grow(buf, scheduleHeadLen+4*len(m.Periods)+4*len(m.SegmentSizes))
 		buf = binary.BigEndian.AppendUint32(buf, m.VideoID)
 		buf = binary.BigEndian.AppendUint32(buf, m.Segments)
 		buf = binary.BigEndian.AppendUint32(buf, m.SlotMillis)
 		buf = binary.BigEndian.AppendUint32(buf, m.SegmentBytes)
 		buf = binary.BigEndian.AppendUint64(buf, m.AdmitSlot)
-		switch {
-		case m.Version == 0:
-			if m.TraceID != 0 || m.SpanID != 0 {
-				return fmt.Errorf("wire: schedule info carries trace fields without a version")
-			}
-		case m.Version == ProtoV1:
-			return fmt.Errorf("wire: schedule info version %d has no versioned layout", m.Version)
-		default:
-			buf = binary.BigEndian.AppendUint16(buf, m.Version)
-			buf = binary.BigEndian.AppendUint64(buf, m.TraceID)
-			buf = binary.BigEndian.AppendUint64(buf, m.SpanID)
-		}
+		buf = binary.BigEndian.AppendUint16(buf, m.Version)
+		buf = binary.BigEndian.AppendUint64(buf, m.TraceID)
+		buf = binary.BigEndian.AppendUint64(buf, m.SpanID)
 		if uint32(len(m.Periods)) != m.Segments {
 			return fmt.Errorf("wire: schedule info has %d periods for %d segments", len(m.Periods), m.Segments)
 		}
@@ -279,7 +259,7 @@ func WriteFrame(w io.Writer, msg any) error {
 	case ClientReport:
 		t = TypeClientReport
 		if m.Version < ProtoV2 {
-			return fmt.Errorf("wire: client report requires version >= %d, have %d", ProtoV2, m.Version)
+			return errVersion(m, m.Version)
 		}
 		buf = slices.Grow(buf, clientReportLen)
 		buf = binary.BigEndian.AppendUint16(buf, m.Version)
@@ -331,31 +311,24 @@ func ReadFrame(r io.Reader) (any, error) {
 	}
 	switch t {
 	case TypeRequest:
-		switch len(body) {
-		case 8: // versionless v1
-			return Request{
-				VideoID:     binary.BigEndian.Uint32(body),
-				FromSegment: binary.BigEndian.Uint32(body[4:]),
-			}, nil
-		case 28: // v2: version, flags, trace ids appended
-			req := Request{
-				VideoID:     binary.BigEndian.Uint32(body),
-				FromSegment: binary.BigEndian.Uint32(body[4:]),
-				Version:     binary.BigEndian.Uint16(body[8:]),
-				Flags:       binary.BigEndian.Uint16(body[10:]),
-				TraceID:     binary.BigEndian.Uint64(body[12:]),
-				SpanID:      binary.BigEndian.Uint64(body[20:]),
-			}
-			if req.Version < ProtoV2 {
-				return nil, fmt.Errorf("wire: versioned request announces version %d", req.Version)
-			}
-			return req, nil
-		default:
-			return nil, fmt.Errorf("wire: request body has %d bytes, want 8 or 28", len(body))
+		if len(body) != requestLen {
+			return nil, fmt.Errorf("wire: request body has %d bytes, want %d", len(body), requestLen)
 		}
+		req := Request{
+			VideoID:     binary.BigEndian.Uint32(body),
+			FromSegment: binary.BigEndian.Uint32(body[4:]),
+			Version:     binary.BigEndian.Uint16(body[8:]),
+			Flags:       binary.BigEndian.Uint16(body[10:]),
+			TraceID:     binary.BigEndian.Uint64(body[12:]),
+			SpanID:      binary.BigEndian.Uint64(body[20:]),
+		}
+		if req.Version < ProtoV2 {
+			return nil, errVersion(req, req.Version)
+		}
+		return req, nil
 	case TypeScheduleInfo:
-		if len(body) < 24 {
-			return nil, fmt.Errorf("wire: schedule info body has %d bytes, want >= 24", len(body))
+		if len(body) < scheduleHeadLen {
+			return nil, fmt.Errorf("wire: schedule info body has %d bytes, want >= %d", len(body), scheduleHeadLen)
 		}
 		info := ScheduleInfo{
 			VideoID:      binary.BigEndian.Uint32(body[0:]),
@@ -363,23 +336,14 @@ func ReadFrame(r io.Reader) (any, error) {
 			SlotMillis:   binary.BigEndian.Uint32(body[8:]),
 			SegmentBytes: binary.BigEndian.Uint32(body[12:]),
 			AdmitSlot:    binary.BigEndian.Uint64(body[16:]),
+			Version:      binary.BigEndian.Uint16(body[24:]),
+			TraceID:      binary.BigEndian.Uint64(body[26:]),
+			SpanID:       binary.BigEndian.Uint64(body[34:]),
 		}
-		rest := body[24:]
-		// A v1 tail (periods, optionally sizes) is a multiple of 4 bytes;
-		// the 18-byte v2 trace block shifts it to 2 mod 4, so the version is
-		// decidable from the length alone.
-		if len(rest)%4 == 2 {
-			if len(rest) < 18 {
-				return nil, fmt.Errorf("wire: schedule info carries a truncated trace block of %d bytes", len(rest))
-			}
-			info.Version = binary.BigEndian.Uint16(rest[0:])
-			info.TraceID = binary.BigEndian.Uint64(rest[2:])
-			info.SpanID = binary.BigEndian.Uint64(rest[10:])
-			if info.Version < ProtoV2 {
-				return nil, fmt.Errorf("wire: versioned schedule info announces version %d", info.Version)
-			}
-			rest = rest[18:]
+		if info.Version < ProtoV2 {
+			return nil, errVersion(info, info.Version)
 		}
+		rest := body[scheduleHeadLen:]
 		// Compare in 64 bits: a forged segment count must not wrap the
 		// expected byte length around uint32. The tail carries either the
 		// period vector alone or periods followed by per-segment sizes.
@@ -448,7 +412,7 @@ func ReadFrame(r io.Reader) (any, error) {
 			PayloadBytes:     binary.BigEndian.Uint64(body[78:]),
 		}
 		if rep.Version < ProtoV2 {
-			return nil, fmt.Errorf("wire: client report announces version %d", rep.Version)
+			return nil, errVersion(rep, rep.Version)
 		}
 		return rep, nil
 	default:

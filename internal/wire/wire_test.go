@@ -24,13 +24,14 @@ func roundTrip(t *testing.T, msg any) any {
 
 func TestRoundTripAllTypes(t *testing.T) {
 	msgs := []any{
-		Request{VideoID: 7},
+		Request{VideoID: 7, Version: ProtoV2},
 		ScheduleInfo{
 			VideoID:      1,
 			Segments:     3,
 			SlotMillis:   50,
 			SegmentBytes: 4096,
 			AdmitSlot:    123456789,
+			Version:      ProtoV2,
 			Periods:      []uint32{1, 2, 3},
 		},
 		Segment{VideoID: 2, Segment: 9, Slot: 42, Payload: []byte("hello segment")},
@@ -45,9 +46,9 @@ func TestRoundTripAllTypes(t *testing.T) {
 	}
 }
 
-// TestRoundTripVersionedFrames covers the v2 layouts: versioned requests
-// with flags and trace ids, schedule infos carrying the negotiated version
-// and trace block (with and without VBR sizes), and the client report.
+// TestRoundTripVersionedFrames covers the version-carrying frames: requests
+// with flags and trace ids, schedule infos with their trace block (with and
+// without VBR sizes), and the client report.
 func TestRoundTripVersionedFrames(t *testing.T) {
 	msgs := []any{
 		Request{VideoID: 7, FromSegment: 3, Version: ProtoV2},
@@ -89,14 +90,13 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return w.buf.Write(p)
 }
 
-// TestWriteFrameOneWrite: every message type, versioned or not, reaches the
-// writer as one Write carrying the whole frame, so a frame on a socket is
-// one syscall.
+// TestWriteFrameOneWrite: every message type reaches the writer as one Write
+// carrying the whole frame, so a frame on a socket is one syscall.
 func TestWriteFrameOneWrite(t *testing.T) {
 	for _, msg := range []any{
-		Request{VideoID: 7},
 		Request{VideoID: 7, Version: ProtoV2, Flags: FlagNoReport, TraceID: 1, SpanID: 2},
-		ScheduleInfo{VideoID: 1, Segments: 3, SlotMillis: 50, SegmentBytes: 64, Periods: []uint32{1, 2, 3}},
+		ScheduleInfo{VideoID: 1, Segments: 3, SlotMillis: 50, SegmentBytes: 64, Version: ProtoV2,
+			Periods: []uint32{1, 2, 3}},
 		ScheduleInfo{VideoID: 1, Segments: 2, Version: ProtoV2, TraceID: 3, SpanID: 4,
 			Periods: []uint32{1, 2}, SegmentSizes: []uint32{64, 80}},
 		Segment{VideoID: 2, Segment: 9, Slot: 42, Payload: bytes.Repeat([]byte{7}, 1000)},
@@ -117,49 +117,50 @@ func TestWriteFrameOneWrite(t *testing.T) {
 	}
 }
 
-// TestVersionNegotiationLayouts pins the backward-compat contract: a
-// versionless request is exactly the original 8 bytes, versioned frames are
-// structurally distinguishable, and half-versioned frames are rejected at
-// encode time.
-func TestVersionNegotiationLayouts(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, Request{VideoID: 3, FromSegment: 2}); err != nil {
-		t.Fatal(err)
+// TestPreV2FormsRejected: the package speaks only ProtoV2, so every older
+// form is refused both ways. The encoder will not write a Request,
+// ScheduleInfo or ClientReport below v2, and the decoder will not read the
+// unversioned layouts (the 8-byte Request, the 24-byte ScheduleInfo head
+// with or without its 4n-byte tail) nor a v2 layout announcing version 0
+// or 1.
+func TestPreV2FormsRejected(t *testing.T) {
+	frame := func(typ MsgType, body []byte) []byte {
+		return append([]byte{byte(typ), 0, 0, 0, byte(len(body))}, body...)
 	}
-	if buf.Len() != 5+8 {
-		t.Fatalf("versionless request is %d bytes on the wire, want 13", buf.Len())
+	// announce encodes msg, a v2 frame with an n-byte body, and patches the
+	// version field at body offset off.
+	announce := func(msg any, n, off int, version uint16) []byte {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, msg); err != nil || buf.Len() != 5+n {
+			t.Fatalf("%T: %d-byte frame (%v), want a %d-byte body", msg, buf.Len(), err, n)
+		}
+		raw := buf.Bytes()
+		raw[5+off], raw[5+off+1] = byte(version>>8), byte(version)
+		return raw
 	}
-	buf.Reset()
-	if err := WriteFrame(&buf, Request{VideoID: 3, Version: ProtoV2}); err != nil {
-		t.Fatal(err)
+	v1Tail := make([]byte, 24+4*2)
+	v1Tail[7] = 2 // two segments, two period words
+	tests := []struct {
+		msg any    // refused by WriteFrame
+		raw []byte // refused by ReadFrame
+	}{
+		{Request{VideoID: 3, FromSegment: 2}, frame(TypeRequest, make([]byte, 8))},
+		{ScheduleInfo{}, frame(TypeScheduleInfo, make([]byte, 24))},
+		{ScheduleInfo{Segments: 2, Periods: []uint32{1, 2}}, frame(TypeScheduleInfo, v1Tail)},
+		{Request{}, announce(Request{Version: ProtoV2}, 28, 8, 0)},
+		{Request{Version: 1}, announce(Request{Version: ProtoV2}, 28, 8, 1)},
+		{ScheduleInfo{}, announce(ScheduleInfo{Version: ProtoV2}, 42, 24, 0)},
+		{ScheduleInfo{Version: 1}, announce(ScheduleInfo{Version: ProtoV2}, 42, 24, 1)},
+		{ClientReport{}, announce(ClientReport{Version: ProtoV2}, 86, 0, 0)},
+		{ClientReport{Version: 1}, announce(ClientReport{Version: ProtoV2}, 86, 0, 1)},
 	}
-	if buf.Len() != 5+28 {
-		t.Fatalf("v2 request is %d bytes on the wire, want 33", buf.Len())
-	}
-
-	// Trace fields without a version must not silently vanish.
-	if err := WriteFrame(&buf, Request{VideoID: 3, TraceID: 1}); err == nil {
-		t.Error("request with trace id but no version accepted")
-	}
-	if err := WriteFrame(&buf, Request{VideoID: 3, Version: ProtoV1}); err == nil {
-		t.Error("request with explicit v1 layout accepted")
-	}
-	if err := WriteFrame(&buf, ScheduleInfo{Segments: 1, Periods: []uint32{1}, TraceID: 9}); err == nil {
-		t.Error("schedule info with trace id but no version accepted")
-	}
-	if err := WriteFrame(&buf, ClientReport{Version: 0}); err == nil {
-		t.Error("versionless client report accepted")
-	}
-
-	// A decoded versioned frame must announce at least v2.
-	buf.Reset()
-	if err := WriteFrame(&buf, Request{VideoID: 3, Version: ProtoV2}); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	raw[5+9] = 0 // patch announced version to 0
-	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
-		t.Error("versioned request announcing version 0 accepted")
+	for _, tt := range tests {
+		if err := WriteFrame(io.Discard, tt.msg); err == nil {
+			t.Errorf("encoded %T %+v", tt.msg, tt.msg)
+		}
+		if got, err := ReadFrame(bytes.NewReader(tt.raw)); err == nil {
+			t.Errorf("decoded %x as %+v", tt.raw, got)
+		}
 	}
 }
 
@@ -223,7 +224,7 @@ func TestWriteRejects(t *testing.T) {
 	if err := WriteFrame(&buf, struct{}{}); err == nil {
 		t.Error("unknown type accepted")
 	}
-	if err := WriteFrame(&buf, ScheduleInfo{Segments: 2, Periods: []uint32{1}}); err == nil {
+	if err := WriteFrame(&buf, ScheduleInfo{Segments: 2, Version: ProtoV2, Periods: []uint32{1}}); err == nil {
 		t.Error("mismatched periods accepted")
 	}
 	if err := WriteFrame(&buf, Segment{Payload: make([]byte, MaxBody+1)}); err == nil {
@@ -255,7 +256,7 @@ func TestReadRejectsMalformed(t *testing.T) {
 
 func TestReadRejectsBadPeriodCount(t *testing.T) {
 	var buf bytes.Buffer
-	info := ScheduleInfo{Segments: 2, Periods: []uint32{1, 2}}
+	info := ScheduleInfo{Segments: 2, Version: ProtoV2, Periods: []uint32{1, 2}}
 	if err := WriteFrame(&buf, info); err != nil {
 		t.Fatal(err)
 	}
@@ -301,6 +302,7 @@ func TestReadRejectsOverflowingSegmentCount(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, ScheduleInfo{
 		Segments: 2,
+		Version:  ProtoV2,
 		Periods:  []uint32{1, 2},
 	}); err != nil {
 		t.Fatal(err)
@@ -322,6 +324,7 @@ func TestScheduleInfoWithSizesRoundTrip(t *testing.T) {
 		SlotMillis:   25,
 		SegmentBytes: 0,
 		AdmitSlot:    11,
+		Version:      ProtoV2,
 		Periods:      []uint32{1, 3, 3},
 		SegmentSizes: []uint32{100, 250, 80},
 	}
@@ -346,6 +349,7 @@ func TestWriteRejectsMismatchedSizes(t *testing.T) {
 	var buf bytes.Buffer
 	err := WriteFrame(&buf, ScheduleInfo{
 		Segments:     2,
+		Version:      ProtoV2,
 		Periods:      []uint32{1, 2},
 		SegmentSizes: []uint32{7},
 	})
