@@ -10,8 +10,8 @@ import "fmt"
 // With a cap c, a request's assignment may place at most c of its segments
 // in any one slot, so the set-top box never receives more than c streams
 // simultaneously. Sharing becomes harder: an already-scheduled instance only
-// helps if its slot still has client-side capacity, so the scheduler tracks
-// every future instance of every segment (not just the most recent one) and
+// helps if its slot still has client-side capacity, so the loop walks every
+// pending instance of the segment in the instance index, latest first, and
 // falls back to scheduling a duplicate in a capacity-feasible slot.
 //
 // Feasibility is guaranteed for every c >= 1: processing segments in
@@ -83,31 +83,4 @@ func (s *Scheduler) admitFromCapped(from int, assignment []int) int {
 		s.obs.ObserveAdmit(i, from, placed)
 	}
 	return placed
-}
-
-// pruneInstances drops instances of segment j that already transmitted and
-// returns the live, ascending list.
-func (s *Scheduler) pruneInstances(j int) []int {
-	inst := s.futureInst[j]
-	k := 0
-	for k < len(inst) && inst[k] <= s.current {
-		k++
-	}
-	if k > 0 {
-		inst = inst[k:]
-		s.futureInst[j] = inst
-	}
-	return inst
-}
-
-// insertInstance keeps futureInst[j] sorted ascending.
-func (s *Scheduler) insertInstance(j, slot int) {
-	inst := append(s.futureInst[j], slot)
-	k := len(inst) - 1
-	for k > 0 && inst[k-1] > slot {
-		inst[k] = inst[k-1]
-		k--
-	}
-	inst[k] = slot
-	s.futureInst[j] = inst
 }

@@ -116,13 +116,22 @@ func TestDifferentialFastVsReference(t *testing.T) {
 							t.Fatalf("step %d: current %+v, then retired %+v", step, cur, fr)
 						}
 					case op < 6 || !sc.resumes: // duplicate same-slot burst (size 1..4)
+						// The first admission of a burst takes the
+						// buffered path. Without a client cap the rest
+						// want no assignment, so the fast scheduler
+						// answers them from its memo; with one the memo
+						// is never armed and every admission is compared.
 						burst := 1 + rng.Intn(4)
 						for k := 0; k < burst; k++ {
-							fres, err := fast.AdmitRequest(AdmitOptions{Assignment: fastBuf})
+							memo := k > 0 && sc.cap == 0
+							opts := AdmitOptions{Assignment: fastBuf}
+							if memo {
+								opts = AdmitOptions{}
+							}
+							fres, err := fast.AdmitRequest(opts)
 							if err != nil {
 								t.Fatal(err)
 							}
-							fastBuf = fres.Assignment
 							rres, err := ref.AdmitRequest(AdmitOptions{WantAssignment: true})
 							if err != nil {
 								t.Fatal(err)
@@ -131,6 +140,10 @@ func TestDifferentialFastVsReference(t *testing.T) {
 								t.Fatalf("step %d burst %d: result (%d, %d), reference (%d, %d)",
 									step, k, fres.Slot, fres.Placed, rres.Slot, rres.Placed)
 							}
+							if memo {
+								continue
+							}
+							fastBuf = fres.Assignment
 							if !reflect.DeepEqual(fres.Assignment, rres.Assignment) {
 								t.Fatalf("step %d burst %d: assignment %v, reference %v",
 									step, k, fres.Assignment, rres.Assignment)
@@ -210,7 +223,8 @@ func TestMemoInvalidatedByAdvance(t *testing.T) {
 
 // TestAdmitSteadyStateZeroAlloc: the uninstrumented steady-state admit path
 // (both the full placement loop and the same-slot memo hit) allocates
-// nothing, with and without a reused assignment buffer.
+// nothing, with and without a reused assignment buffer, and so does a mix
+// of resumes once it has grown the instance index to its steady size.
 func TestAdmitSteadyStateZeroAlloc(t *testing.T) {
 	s, err := New(Config{Segments: 99})
 	if err != nil {
@@ -237,6 +251,25 @@ func TestAdmitSteadyStateZeroAlloc(t *testing.T) {
 		s.AdvanceSlot()
 	}); allocs != 0 {
 		t.Fatalf("buffered traced admit allocates %.1f/op, want 0", allocs)
+	}
+	// A resume's short window misses the full viewings' later instances,
+	// so resumes keep several pending instances of a segment.
+	step := 0
+	resumeMix := func() {
+		admit(s)
+		for r := 0; r < 3; r++ {
+			if _, err := admitFrom(s, 1+(7*step+31*r)%s.N()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step++
+		s.AdvanceSlot()
+	}
+	for k := 0; k < 400; k++ { // grow the index to its steady size
+		resumeMix()
+	}
+	if allocs := testing.AllocsPerRun(200, resumeMix); allocs != 0 {
+		t.Fatalf("steady-state resume mix allocates %.1f/op, want 0", allocs)
 	}
 }
 

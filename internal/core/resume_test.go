@@ -154,3 +154,32 @@ func TestResumeConservation(t *testing.T) {
 		t.Fatalf("transmitted %d, scheduled %d", transmitted, s.Instances())
 	}
 }
+
+// TestResumeSharesAnyInstanceInWindow: Figure 6 shares S_j when any instance
+// of it lies in the window, not only the latest one. In slot 0 a full
+// viewing puts S_8 in slot 8 and a resume from 8 puts another in slot 1. A
+// resume from 7 then needs S_8 by slot 2: slot 1's instance serves it,
+// though slot 8's is the later one.
+func TestResumeSharesAnyInstanceInWindow(t *testing.T) {
+	s := mustNew(t, Config{Segments: 8, TrackSegments: true})
+	admit(s)
+	for _, from := range []int{8, 7} {
+		if _, err := admitFrom(s, from); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copies := 0
+	for slot := 1; slot <= 2; slot++ {
+		s.EachScheduledAt(slot, func(seg int) {
+			if seg == 8 {
+				copies++
+			}
+		})
+	}
+	if copies != 1 {
+		t.Errorf("S_8 scheduled %d times in [1, 2], want 1", copies)
+	}
+	if got := s.Instances(); got != 10 {
+		t.Errorf("Instances() = %d, want 10 (8 for the full viewing, S_8 and S_7 for the resumes)", got)
+	}
+}

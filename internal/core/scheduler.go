@@ -95,32 +95,29 @@ type Scheduler struct {
 	periods []int
 	policy  Policy
 	ring    *slots.Ring
-	// lastSched[j] is the most recent slot holding an instance of segment
-	// j, or a sentinel below every real slot. An instance placed for a
-	// request of slot i lands no later than i+T[j-from+1], so when T is
-	// non-decreasing lastSched[j] <= i+T[j] always holds and a full viewing
-	// finds an instance in [i+1, i+T[j]] if and only if lastSched[j] >= i+1.
-	// For other vectors a resume can park S_j past i+T[j], which is why
-	// admitFrom tests both ends of the window. Unused in capped mode.
-	lastSched []int
-	current   int
+	// futureInst[j] lists the slot of every pending instance of segment j,
+	// ascending: the one instance index both placement loops share from and
+	// place into. It may still hold transmitted entries, at or before the
+	// current slot; a list drops them before it grows and before the capped
+	// loop walks it.
+	futureInst [][]int
+	current    int
 
 	// memo arms the same-slot fast path of admitFrom. fullAdmitSlot is the
 	// slot of the last completed full (from = 1) admission: after it every
-	// segment has an instance in [slot+1, slot+T[j]], so further full
+	// segment has an instance in [slot+1, slot+T[j]], whatever the vector,
+	// and later admissions in the slot only add instances, so further full
 	// admissions in the same slot are pure sharing and skip the placement
 	// loop. Advancing the slot invalidates the memo by construction (the
-	// comparison against current fails). Resumes only raise lastSched, and
-	// never past slot+T[j] when T is non-decreasing; New arms the memo only
-	// then, and only for an unobserved, uncapped, non-reference scheduler
-	// (an Observer is owed every per-decision callback).
+	// comparison against current fails). New arms the memo only for an
+	// unobserved, uncapped, non-reference scheduler (an Observer is owed
+	// every per-decision callback).
 	memo          bool
 	fullAdmitSlot int
 
-	// Client-bandwidth-capped mode (cap > 0) additionally tracks every
-	// future instance per segment and a per-request slot-occupancy scratch.
+	// Client-bandwidth-capped mode (cap > 0) also keeps a per-request
+	// slot-occupancy scratch.
 	cap        int
-	futureInst [][]int
 	clientLoad []int
 
 	requests  int64
@@ -175,12 +172,8 @@ func New(cfg Config) (*Scheduler, error) {
 	if policy == 0 {
 		policy = PolicyHeuristic
 	}
-	memo := !cfg.Reference && cfg.MaxClientStreams == 0 && cfg.Observer == nil
 	maxP := 0
 	for j := 1; j <= cfg.Segments; j++ {
-		if periods[j] < maxP {
-			memo = false // T is not non-decreasing
-		}
 		if periods[j] > maxP {
 			maxP = periods[j]
 		}
@@ -198,16 +191,19 @@ func New(cfg Config) (*Scheduler, error) {
 		ring:          newRing(maxP+1, cfg.StartSlot, cfg.TrackSegments),
 		current:       cfg.StartSlot,
 		obs:           cfg.Observer,
-		memo:          memo,
+		memo:          !cfg.Reference && cfg.MaxClientStreams == 0 && cfg.Observer == nil,
 		fullAdmitSlot: cfg.StartSlot - 1, // below any admissible slot
 	}
-	s.lastSched = make([]int, cfg.Segments+1)
-	for j := range s.lastSched {
-		s.lastSched[j] = cfg.StartSlot - 1 // below any schedulable slot
+	// Full viewings alone never leave two pending instances of a segment,
+	// so every list starts with room for one in a shared backing array and
+	// only resumes grow it.
+	backing := make([]int, cfg.Segments+1)
+	s.futureInst = make([][]int, cfg.Segments+1)
+	for j := range s.futureInst {
+		s.futureInst[j] = backing[j : j : j+1]
 	}
 	if cfg.MaxClientStreams > 0 {
 		s.cap = cfg.MaxClientStreams
-		s.futureInst = make([][]int, cfg.Segments+1)
 		s.clientLoad = make([]int, maxP)
 	}
 	return s, nil
@@ -239,32 +235,33 @@ func (s *Scheduler) Period(j int) int { return s.periods[j] }
 // there). Admitted during slot i, the customer consumes segment from during
 // slot i+1, so segment j >= from is its (j-from+1)-th and must arrive within
 // [i+1, i+T[j-from+1]]: the ordinary window shifted to the remaining
-// suffix. It shares the latest instance of S_j when that falls in the
-// window and schedules a new one otherwise. When assignment is non-nil it
-// is filled with the serving slot of every segment from..n. It returns the
-// number of newly scheduled instances. Resumes and full viewings share each
-// other's instances; the upper bound of the share test is what keeps a full
-// viewing off an instance a resume parked past its deadline (see lastSched).
+// suffix. It shares the latest instance of S_j in that window, if any, and
+// schedules a new one otherwise, so resumes and full viewings share each
+// other's instances whatever the vector. When assignment is non-nil it is
+// filled with the serving slot of every segment from..n. It returns the
+// number of newly scheduled instances.
 func (s *Scheduler) admitFrom(from int, assignment []int) int {
 	i := s.current
 	s.requests++
 	// Same-slot memo hit: a full admission already completed in this slot,
-	// so every segment has a timely shared instance and the loop below would
-	// share every one of them, which is what this replays without touching
-	// the ring.
-	if from == 1 && s.memo && s.fullAdmitSlot == i {
-		if assignment != nil {
-			for j := 1; j <= s.n; j++ {
-				assignment[j] = s.lastSched[j]
-			}
-		}
+	// so every segment has an instance in its window and the loop below
+	// would share every one of them. Only an admission that wants no
+	// assignment takes it.
+	if from == 1 && assignment == nil && s.memo && s.fullAdmitSlot == i {
 		return 0
 	}
 	placed := 0
 	for j := from; j <= s.n; j++ {
 		hi := i + s.periods[j-from+1]
-		if last := s.lastSched[j]; last >= i+1 && last <= hi {
-			// A timely instance is already scheduled; share it.
+		// The window holds an instance if and only if the latest one no
+		// later than hi does.
+		inst := s.futureInst[j]
+		k := len(inst)
+		for k > 0 && inst[k-1] > hi {
+			k--
+		}
+		if k > 0 && inst[k-1] > i {
+			last := inst[k-1]
 			if assignment != nil {
 				assignment[j] = last
 			}
@@ -283,9 +280,7 @@ func (s *Scheduler) admitFrom(from int, assignment []int) int {
 			slot = hi
 		}
 		s.ring.Add(slot, j)
-		if slot > s.lastSched[j] {
-			s.lastSched[j] = slot
-		}
+		s.insertInstance(j, slot)
 		s.instances++
 		placed++
 		if assignment != nil {
@@ -302,6 +297,36 @@ func (s *Scheduler) admitFrom(from int, assignment []int) int {
 		s.fullAdmitSlot = i
 	}
 	return placed
+}
+
+// pruneInstances drops the instances of segment j that already transmitted
+// and returns the pending, ascending list. The pending entries move to the
+// front, so a list keeps its capacity and the steady state allocates
+// nothing.
+func (s *Scheduler) pruneInstances(j int) []int {
+	inst := s.futureInst[j]
+	k := 0
+	for k < len(inst) && inst[k] <= s.current {
+		k++
+	}
+	if k > 0 {
+		inst = inst[:copy(inst, inst[k:])]
+		s.futureInst[j] = inst
+	}
+	return inst
+}
+
+// insertInstance adds slot to futureInst[j], keeping it sorted ascending.
+// It prunes the list first, so the list grows only past its pending entries.
+func (s *Scheduler) insertInstance(j, slot int) {
+	inst := append(s.pruneInstances(j), slot)
+	k := len(inst) - 1
+	for k > 0 && inst[k-1] > slot {
+		inst[k] = inst[k-1]
+		k--
+	}
+	inst[k] = slot
+	s.futureInst[j] = inst
 }
 
 // ScheduledAt lists the segment ids currently scheduled in the given slot
