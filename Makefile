@@ -76,6 +76,13 @@ ci:
 	# nothing. Then the start-up cost gate: each idle video costs Start+Close
 	# at most 4 allocations and 512 B (it skips under -race, so it runs here).
 	$(GO) test -race -cpu 4 -count=20 -run '^TestFirstAdmissionRacesClose$$' ./internal/vodserver/
+	# The tick's direct write: it writes a slot's frame itself only for a
+	# handler parked with nothing queued; a short write is queued with its
+	# sent prefix and the handler resumes from there, byte-exact; no frame
+	# precedes the ScheduleInfo; first frames go before the tick's
+	# steady-state frames; and every frame reference comes back after Close.
+	$(GO) test -race -cpu 4 -count=20 -run '^TestRingWritesOnlyForParkedConsumer$$' ./internal/fanout/
+	$(GO) test -race -cpu 4 -count=20 -run '^(TestSessionServedByDirectWrites|TestShortDirectWriteResumes|TestDeadlineCutAfterShortDirectWrite|TestNoFrameBeforeScheduleInfo|TestFirstFramesGoFirst)$$' ./internal/vodserver/
 	$(GO) test -run '^TestStartCostPerIdleVideo$$' -count=1 ./internal/vodserver/
 	$(call cover-floor,obs+history+station+wire+vodclient,./internal/obs/ ./internal/obs/history/ ./internal/station/ ./internal/wire/ ./internal/vodclient/)
 	$(call cover-floor,core+slots,./internal/core/ ./internal/slots/)
@@ -120,8 +127,9 @@ ci:
 	$(GO) test -run '^TestTickLocksOnlyActiveVideos$$' -count=1 ./internal/station/
 	$(GO) test -run '^$$' -bench '^BenchmarkStationTick$$' -benchtime=1x -benchmem ./internal/station/ | tee /dev/stderr | \
 		awk '/^BenchmarkStationTick\// { rows++; if ($$(NF-1) != 0) bad++ } END { exit !(rows == 2 && bad == 0) }'
-	# The drain-path alloc gate: one vectored write per popped batch, zero
-	# allocations per batch at steady state.
+	# The drain-path alloc gate: one vectored write per popped batch, and one
+	# direct write per frame for a parked handler, zero allocations at steady
+	# state.
 	$(GO) test -run '^TestDrainZeroAlloc$$' -count=1 ./internal/vodserver/
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/...
 	# benchmark/ is a module of its own, invisible to ./... above: compile

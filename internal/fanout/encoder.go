@@ -105,6 +105,11 @@ func NewEncoder() *Encoder {
 	return &Encoder{cat: newCatalog(), pool: NewPool()}
 }
 
+// Outstanding returns how many frames the encoder's pool has handed out
+// that have not come back: frames some holder has not released. Once every
+// producer and consumer is done it is zero; anything else is a leak.
+func (e *Encoder) Outstanding() int64 { return e.pool.out.Load() }
+
 // AddVideo registers one video's segment sizes; sizes[i] is the byte size
 // of segment i+1. No payload is built until the video's first EncodeSlot.
 func (e *Encoder) AddVideo(id uint32, sizes []int) error { return e.cat.add(id, sizes) }

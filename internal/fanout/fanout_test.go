@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // catalogues returns a paired zero-copy encoder and reference encoder over
@@ -409,5 +410,132 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, tick); avg != 0 {
 		t.Fatalf("steady-state broadcast path allocates %.1f per slot, want 0", avg)
+	}
+}
+
+// fakeWriter is a consumer's Writer that records the slots lent to it and
+// reports every frame with the sent/done it is set to.
+type fakeWriter struct {
+	slots []int
+	sent  int
+	done  bool
+}
+
+func (w *fakeWriter) WriteDirect(f *Frame) (int, bool) {
+	w.slots = append(w.slots, f.Slot())
+	return w.sent, w.done
+}
+
+// waitParked returns once a consumer is blocked in Park with its Writer lent.
+func waitParked(t *testing.T, r *Ring) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+		r.mu.Lock()
+		parked := r.parked != nil
+		r.mu.Unlock()
+		if parked {
+			return
+		}
+	}
+	t.Fatal("consumer never parked")
+}
+
+// TestRingWritesOnlyForParkedConsumer pins the direct path's one rule: Push
+// hands a frame to the consumer's Writer only while the consumer is parked
+// with nothing queued. A finished frame is released and leaves the consumer
+// asleep; an unfinished one is queued with its sent prefix and wakes it.
+func TestRingWritesOnlyForParkedConsumer(t *testing.T) {
+	enc, _ := catalogues(t)
+	frame := func(slot int) *Frame {
+		f, err := enc.EncodeSlot(3, slot, []int{1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	release := func(frames []*Frame) {
+		for _, f := range frames {
+			f.Release()
+		}
+	}
+	w := &fakeWriter{done: true}
+	r := NewRing(4)
+
+	// Nobody parked: the frame queues, and Park returns it at once.
+	if d, ok := r.Push(frame(1)); d != 1 || !ok || len(w.slots) != 0 {
+		t.Fatalf("push with no consumer parked: depth %d ok %v, writer saw %v", d, ok, w.slots)
+	}
+	got, sent, ok := r.Park(nil, w)
+	if len(got) != 1 || sent != 0 || !ok || len(w.slots) != 0 {
+		t.Fatalf("Park with a frame queued returned %d frames, sent %d, ok %v; writer saw %v", len(got), sent, ok, w.slots)
+	}
+	release(got)
+
+	type popped struct {
+		frames []*Frame
+		sent   int
+		ok     bool
+	}
+	out := make(chan popped, 1)
+	go func() {
+		f, s, ok := r.Park(nil, w)
+		out <- popped{f, s, ok}
+	}()
+	waitParked(t, r)
+
+	// Parked with nothing queued: Push writes, releases, and does not wake.
+	if d, ok := r.Push(frame(2)); d != 0 || !ok {
+		t.Fatalf("direct push: depth %d ok %v, want 0 true", d, ok)
+	}
+	if len(w.slots) != 1 || w.slots[0] != 2 {
+		t.Fatalf("writer saw %v, want [2]", w.slots)
+	}
+	waitParked(t, r)
+	select {
+	case p := <-out:
+		t.Fatalf("a finished direct write woke the consumer with %d frames", len(p.frames))
+	default:
+	}
+
+	// An unfinished write queues the frame with its prefix and wakes the
+	// consumer; a push before it runs queues behind, never direct.
+	w.sent, w.done = 7, false
+	if d, ok := r.Push(frame(3)); d != 1 || !ok {
+		t.Fatalf("unfinished direct push: depth %d ok %v, want 1 true", d, ok)
+	}
+	w.done = true
+	if _, ok := r.Push(frame(4)); !ok {
+		t.Fatal("push after an unfinished write failed")
+	}
+	if len(w.slots) != 2 {
+		t.Fatalf("writer saw %v after the consumer was woken, want [2 3]", w.slots)
+	}
+	p := <-out
+	if !p.ok || p.sent != 7 || p.frames[0].Slot() != 3 {
+		t.Fatalf("woken consumer got %d frames, first slot %d, sent %d, ok %v; want slot 3 sent 7", len(p.frames), p.frames[0].Slot(), p.sent, p.ok)
+	}
+	release(p.frames)
+	if len(p.frames) == 1 {
+		got, _, _ := r.Park(nil, nil)
+		release(got)
+	}
+
+	// A Writer still lent while a frame is queued — a wake not yet taken —
+	// is never used: bytes leave in push order.
+	r.Push(frame(5))
+	r.mu.Lock()
+	r.parked = w
+	r.mu.Unlock()
+	if d, _ := r.Push(frame(6)); d != 2 || len(w.slots) != 2 {
+		t.Fatalf("push behind a queued frame: depth %d, writer saw %v", d, w.slots)
+	}
+	r.Drop()
+	f := frame(7)
+	if _, ok := r.Push(f); ok || len(w.slots) != 2 {
+		t.Fatalf("push to a dropped ring: ok %v, writer saw %v", ok, w.slots)
+	}
+	f.Release()
+	if n := enc.Outstanding(); n != 0 {
+		t.Fatalf("%d frames outstanding after every holder released", n)
 	}
 }

@@ -10,7 +10,8 @@
 // reference owned by the caller. The caller Retains before every Ring.Push
 // and Releases when a push fails; connection writers Release after the
 // frame's bytes have been written (never before — the backing array returns
-// to a sync.Pool and would be scribbled over mid-write). When the count
+// to a sync.Pool and would be scribbled over mid-write), and so does the
+// ring after a frame it wrote itself for a parked consumer. When the count
 // reaches zero the frame recycles. The original bytes.Buffer encoding is
 // kept in reference_test.go as the executable spec; the differential test
 // pins the two paths to byte-identical wire output.
@@ -67,9 +68,11 @@ func (f *Frame) refsForTest() int64 { return f.refs.Load() }
 
 // Pool recycles frames so the steady-state broadcast path allocates
 // nothing: after warm-up every EncodeSlot reuses a frame whose backing
-// array already fits the slot.
+// array already fits the slot. It counts the frames it has handed out and
+// not got back, so a reference never released shows as a leak.
 type Pool struct {
-	p sync.Pool
+	p   sync.Pool
+	out atomic.Int64
 }
 
 // NewPool returns an empty frame pool.
@@ -86,10 +89,12 @@ func (p *Pool) get(slot int) *Frame {
 	f.data = f.data[:0]
 	f.payloadBytes = 0
 	f.refs.Store(1)
+	p.out.Add(1)
 	return f
 }
 
 func (p *Pool) put(f *Frame) {
+	p.out.Add(-1)
 	f.data = f.data[:0]
 	p.p.Put(f)
 }

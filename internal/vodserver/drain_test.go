@@ -3,6 +3,8 @@ package vodserver
 import (
 	"errors"
 	"net"
+	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -112,7 +114,7 @@ func TestDrainZeroAlloc(t *testing.T) {
 		if !open {
 			t.Fatal("ring closed unexpectedly")
 		}
-		sent, n, err := writeFrames(conn, &vec, frames, -1)
+		sent, n, err := writeFrames(conn, &vec, frames, 0, -1)
 		if err != nil || !sent || n == 0 {
 			t.Fatalf("writeFrames sent=%v n=%d err=%v", sent, n, err)
 		}
@@ -127,6 +129,86 @@ func TestDrainZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
 		t.Fatalf("steady-state drain cycle allocates %.1f per batch, want 0", avg)
 	}
+
+	// The direct path: the tick writes each frame itself to a parked
+	// handler's socket, and that must not allocate either.
+	direct := directFixture(t, enc)
+	for i := 0; i < 8; i++ {
+		direct(slot)
+		slot++
+	}
+	if avg := testing.AllocsPerRun(100, func() { direct(slot); slot++ }); avg != 0 {
+		t.Fatalf("steady-state direct delivery allocates %.1f per frame, want 0", avg)
+	}
+}
+
+// directFixture parks a subscriber's handler on a ring, its connection's raw
+// access a /dev/null file's, and returns one direct delivery: encode a slot,
+// hand it to the ring — which writes it through the handler's Writer at
+// once — and drop the encoder's reference. The handler is stopped when the
+// test ends.
+func directFixture(tb testing.TB, enc *fanout.Encoder) func(slot int) {
+	tb.Helper()
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	raw, err := null.SyscallConn()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sub := &subscriber{ring: fanout.NewRing(8), admitted: time.Now(), raw: raw, admitSlot: -1}
+	sub.writeFn = sub.writeOnce
+	parked := make(chan struct{})
+	go func() {
+		defer close(parked)
+		var frames []*fanout.Frame
+		for {
+			var open bool
+			frames, _, open = sub.ring.Park(frames[:0], sub)
+			for _, f := range frames {
+				f.Release()
+			}
+			if !open {
+				return
+			}
+		}
+	}()
+	tb.Cleanup(func() {
+		sub.ring.Close()
+		<-parked
+		null.Close()
+	})
+	// Wait for the handler to park: until then a push queues (depth 1).
+	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+		if deliver(tb, enc, sub.ring, 0) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			tb.Fatal("handler never parked")
+		}
+	}
+	return func(slot int) {
+		if d := deliver(tb, enc, sub.ring, slot); d != 0 {
+			tb.Fatalf("direct delivery queued the frame (depth %d)", d)
+		}
+	}
+}
+
+// deliver encodes one slot, hands it to ring as the tick does, and returns
+// the depth the push left.
+func deliver(tb testing.TB, enc *fanout.Encoder, ring *fanout.Ring, slot int) int {
+	f, err := enc.EncodeSlot(1, slot, []int{1, 2, 3, 4, 5}, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f.Retain()
+	d, ok := ring.Push(f)
+	if !ok {
+		tb.Fatal("push to a parked handler's ring failed")
+	}
+	f.Release()
+	return d
 }
 
 // TestWriteFramesFiltersAdmitSlot pins the admit-slot filter: frames at or
@@ -148,14 +230,14 @@ func TestWriteFramesFiltersAdmitSlot(t *testing.T) {
 			f.Release()
 		}
 	}()
-	sent, n, err := writeFrames(discardConn{}, &vec, frames, 3)
+	sent, n, err := writeFrames(discardConn{}, &vec, frames, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sent || n != 0 {
 		t.Fatal("writeFrames reported a send with every frame at or before the admit slot")
 	}
-	sent, n, err = writeFrames(discardConn{}, &vec, frames, 1)
+	sent, n, err = writeFrames(discardConn{}, &vec, frames, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,47 +249,64 @@ func TestWriteFramesFiltersAdmitSlot(t *testing.T) {
 	}
 }
 
-// BenchmarkDrainRing measures one subscriber's steady-state drain cycle —
-// the consumer half of the broadcast path. Run with -benchmem: the 0 B/op
-// row is the point (one net.Buffers header per session, none per batch).
+// BenchmarkDrainRing measures one subscriber's steady-state delivery
+// cycle. queued is the handler's half: push, pop, one vectored write,
+// release. direct is the tick writing the frame itself to a parked
+// handler's socket (/dev/null here). Run with -benchmem: the 0 B/op rows
+// are the point (one net.Buffers header per session, none per batch, and
+// nothing per direct write).
 func BenchmarkDrainRing(b *testing.B) {
-	enc, ring := drainFixture(b)
-	var (
-		conn   net.Conn = discardConn{}
-		vec    net.Buffers
-		frames []*fanout.Frame
-	)
-	segments := []int{1, 2, 3, 4, 5}
-	cycle := func(slot int) {
-		f, err := enc.EncodeSlot(1, slot, segments, nil)
-		if err != nil {
-			b.Fatal(err)
+	b.Run("queued", func(b *testing.B) {
+		enc, ring := drainFixture(b)
+		var (
+			conn   net.Conn = discardConn{}
+			vec    net.Buffers
+			frames []*fanout.Frame
+		)
+		segments := []int{1, 2, 3, 4, 5}
+		cycle := func(slot int) {
+			f, err := enc.EncodeSlot(1, slot, segments, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			f.Retain()
+			if _, ok := ring.Push(f); !ok {
+				b.Fatal("push failed on drained ring")
+			}
+			f.Release()
+			var open bool
+			frames, open = ring.PopAll(frames[:0])
+			if !open {
+				b.Fatal("ring closed unexpectedly")
+			}
+			if _, _, err := writeFrames(conn, &vec, frames, 0, -1); err != nil {
+				b.Fatal(err)
+			}
+			for _, g := range frames {
+				g.Release()
+			}
 		}
-		f.Retain()
-		if _, ok := ring.Push(f); !ok {
-			b.Fatal("push failed on drained ring")
+		for i := 0; i < 8; i++ {
+			cycle(i)
 		}
-		f.Release()
-		var open bool
-		frames, open = ring.PopAll(frames[:0])
-		if !open {
-			b.Fatal("ring closed unexpectedly")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cycle(i)
 		}
-		if _, _, err := writeFrames(conn, &vec, frames, -1); err != nil {
-			b.Fatal(err)
+	})
+	b.Run("direct", func(b *testing.B) {
+		enc, _ := drainFixture(b)
+		direct := directFixture(b, enc)
+		for i := 0; i < 8; i++ {
+			direct(i)
 		}
-		for _, g := range frames {
-			g.Release()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			direct(i)
 		}
-	}
-	for i := 0; i < 8; i++ {
-		cycle(i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycle(i)
-	}
+	})
 }
 
 // BenchmarkDrainRingConntrackDisabled is the disabled-path A/B subject: the
@@ -242,7 +341,7 @@ func BenchmarkDrainRingConntrackDisabled(b *testing.B) {
 		if !open {
 			b.Fatal("ring closed unexpectedly")
 		}
-		sent, n, err := writeFrames(conn, &vec, frames, -1)
+		sent, n, err := writeFrames(conn, &vec, frames, 0, -1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -44,7 +44,19 @@ type queryzIndex struct {
 // TestMetricszPrefix pins the ?prefix= family filter: the filtered dump
 // carries exactly the matching families and the default stays the full dump.
 func TestMetricszPrefix(t *testing.T) {
-	s := startStatusServer(t, nil)
+	// No session and a slot longer than the test: no value can move between
+	// the two scrapes, so the filtered lines must appear in the full dump
+	// byte for byte.
+	s, err := Start(Config{
+		Addr:         "127.0.0.1:0",
+		Videos:       []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
+		SlotDuration: time.Hour,
+		StatsAddr:    "127.0.0.1:0",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 	code, full := get(t, s, "/metricsz")
 	if code != http.StatusOK {
 		t.Fatalf("metricsz = %d", code)

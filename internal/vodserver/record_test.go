@@ -97,6 +97,7 @@ func TestFirstAdmissionRacesClose(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	assertNoFrameLeak(t, s)
 }
 
 // TestIngestReportZeroAlloc: a report for an admitted video folds into

@@ -11,8 +11,10 @@ import (
 	"math"
 	"net"
 	"os"
+	"runtime"
 	"strconv"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"vodcast/internal/conntrack"
@@ -42,6 +44,82 @@ type subscriber struct {
 	// last classified state as the disconnect reason. nil when conntrack is
 	// disabled — every touch point is nil-safe.
 	ct *conntrack.Conn
+
+	// raw is the connection's raw access, through which the tick writes a
+	// frame itself while the handler is parked with nothing queued
+	// (WriteDirect); nil when the connection has none, and then every frame
+	// queues. writeFn is the one callback raw.Write runs, bound once so a
+	// direct write allocates nothing; out and n are its argument and result,
+	// and belong to whoever holds the ring's lock.
+	raw     syscall.RawConn
+	writeFn func(fd uintptr) bool
+	out     []byte
+	n       int
+	// firstByte is the server's first-byte window. admitSlot, wait and root
+	// are set by the handler before it first parks, so the tick's direct
+	// writes read them under the ring's lock: the admit-slot filter, and the
+	// spans the first frame written whole ends, on whichever side wrote it.
+	firstByte  *obs.Window
+	admitSlot  int
+	wait, root *obs.Span
+	// firstSent latches once the session's first frame is written whole.
+	firstSent atomic.Bool
+	// pushed is the last slot the tick handed this subscriber (0 before any:
+	// the slots a tick begins count from 1). The tick alone touches it.
+	pushed int
+}
+
+// WriteDirect is the tick's write for a handler parked with nothing queued
+// (fanout.Writer): one non-blocking write of the whole frame through the raw
+// connection, under the ring's lock. The callback never asks the poller to
+// wait, so a full socket costs the tick one EAGAIN, and the frame — with
+// whatever prefix went out — is queued for the handler, whose own write
+// carries the backlog, the session's write deadline and the cut. A frame at
+// or before the admit slot is done with unwritten, as the handler's filter
+// would skip it.
+func (sub *subscriber) WriteDirect(f *fanout.Frame) (sent int, done bool) {
+	if f.Slot() <= sub.admitSlot {
+		return 0, true
+	}
+	sub.out, sub.n = f.Bytes(), 0
+	err := sub.raw.Write(sub.writeFn)
+	sent, sub.out = sub.n, nil
+	if err != nil || sent < len(f.Bytes()) {
+		return sent, false
+	}
+	sub.wrote(1, int64(sent))
+	return sent, true
+}
+
+// writeOnce is raw.Write's callback: one write(2) of sub.out on the
+// socket's non-blocking fd. Its error — EAGAIN, or one the handler's own
+// write will meet again — only means the frame is not finished. It returns
+// true so the poller never waits.
+func (sub *subscriber) writeOnce(fd uintptr) bool {
+	n, _ := writeFD(syscall.Write, fd, sub.out)
+	sub.n = max(n, 0)
+	return true
+}
+
+// writeFD calls write, syscall.Write, with fd converted to the platform's
+// descriptor type: an int on Unix, a syscall.Handle (a uintptr) on Windows,
+// where no connection lends its raw access (see admit) but the call must
+// still compile.
+func writeFD[FD ~int | ~uintptr](write func(FD, []byte) (int, error), fd uintptr, b []byte) (int, error) {
+	return write(FD(fd), b)
+}
+
+// wrote accounts frames handed to the kernel whole, n bytes in all, on
+// whichever side wrote them: conntrack's drain signal and, for the
+// session's first frame, the first-byte observation and the end of the
+// admit spans, exactly once.
+func (sub *subscriber) wrote(frames int, n int64) {
+	sub.ct.RecordDrain(frames, n)
+	if sub.firstSent.CompareAndSwap(false, true) {
+		sub.firstByte.Observe(time.Since(sub.admitted).Seconds())
+		sub.wait.End()
+		sub.root.End()
+	}
 }
 
 // track registers a connection for shutdown; it reports false when the
@@ -62,13 +140,28 @@ func (s *Server) untrack(conn net.Conn) {
 	delete(s.conns, conn)
 }
 
+// acceptLoop serves the listener until it is closed. Any other Accept
+// error — EMFILE in a connection burst, say — is transient: the loop backs
+// off, 5 ms doubling to at most a second as net/http's Server.Serve does,
+// and accepts again, so one failure never ends service.
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
+	var backoff time.Duration
 	for {
 		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
+		if errors.Is(err, net.ErrClosed) {
+			return
 		}
+		if err != nil {
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			select {
+			case <-time.After(backoff):
+			case <-s.done:
+				return
+			}
+			continue
+		}
+		backoff = 0
 		s.wg.Add(1)
 		go s.handleConn(conn)
 	}
@@ -162,27 +255,36 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// drainRing is the delivery loop of a session: it batch-pops the shared frame
-// references queued on the subscriber's ring and hands them to the kernel
-// as one vectored write per batch, releasing each frame only after its
-// bytes are out. It reports false when a write failed (the ring is dropped)
-// and true on clean ring closure. A write that hits the session's deadline
-// is the one way a subscriber gets cut, and is counted as a drop.
+// drainRing is the delivery loop of a session. While it is parked with
+// nothing queued, the tick writes each frame itself (WriteDirect) and the
+// handler sleeps on; what the tick could not finish wakes it, and it hands
+// the backlog — the unsent rest of that frame first — to the kernel as one
+// vectored write per batch, releasing each frame only after its bytes are
+// out. It reports false when a write failed (the ring is dropped) and true on
+// clean ring closure. A write that hits the session's deadline is the one
+// way a subscriber gets cut, and is counted as a drop.
 func (s *Server) drainRing(conn net.Conn, sub *subscriber, admitSlot int, wait, root *obs.Span) bool {
 	var (
-		frames    []*fanout.Frame
-		vec       net.Buffers
-		firstByte bool
+		frames []*fanout.Frame
+		vec    net.Buffers
+		direct fanout.Writer
 	)
+	if sub.raw != nil {
+		direct = sub
+	}
+	sub.admitSlot, sub.wait, sub.root = admitSlot, wait, root
 	release := func() {
 		for _, f := range frames {
 			f.Release()
 		}
 	}
 	for {
-		var open bool
-		frames, open = sub.ring.PopAll(frames[:0])
-		sent, n, err := writeFrames(conn, &vec, frames, admitSlot)
+		var (
+			head int
+			open bool
+		)
+		frames, head, open = sub.ring.Park(frames[:0], direct)
+		sent, n, err := writeFrames(conn, &vec, frames, head, admitSlot)
 		if err != nil {
 			release()
 			if errors.Is(err, os.ErrDeadlineExceeded) {
@@ -196,13 +298,7 @@ func (s *Server) drainRing(conn net.Conn, sub *subscriber, admitSlot int, wait, 
 			return false
 		}
 		if sent {
-			sub.ct.RecordDrain(len(frames), n)
-		}
-		if sent && !firstByte {
-			firstByte = true
-			s.firstByte.Observe(time.Since(sub.admitted).Seconds())
-			wait.End()
-			root.End()
+			sub.wrote(len(frames), n+int64(head))
 		}
 		release()
 		if !open {
@@ -212,19 +308,24 @@ func (s *Server) drainRing(conn net.Conn, sub *subscriber, admitSlot int, wait, 
 }
 
 // writeFrames hands one drained batch to the connection as a single
-// vectored write, skipping frames at or before the admit slot (the
-// subscription was registered before the admission reached the scheduler,
-// so the ring may carry slots the customer's service does not cover). vec
-// is the session's reusable scratch: net.Buffers.WriteTo consumes the
-// header it is invoked on — advancing it and rewriting elements on partial
-// writes — so the full-capacity slice is restored into *vec afterwards.
-// One header lives per session and the steady-state write path performs no
-// per-batch allocation (BenchmarkDrainRing gates this).
-func writeFrames(conn net.Conn, vec *net.Buffers, frames []*fanout.Frame, admitSlot int) (sent bool, n int64, err error) {
+// vectored write, starting head bytes into the first frame (the prefix the
+// tick's direct write already sent) and skipping frames at or before the
+// admit slot (the subscription was registered before the admission reached
+// the scheduler, so the ring may carry slots the customer's service does not
+// cover). vec is the session's reusable scratch: net.Buffers.WriteTo
+// consumes the header it is invoked on — advancing it and rewriting elements
+// on partial writes — so the full-capacity slice is restored into *vec
+// afterwards. One header lives per session and the steady-state write path
+// performs no per-batch allocation (BenchmarkDrainRing gates this).
+func writeFrames(conn net.Conn, vec *net.Buffers, frames []*fanout.Frame, head, admitSlot int) (sent bool, n int64, err error) {
 	bufs := (*vec)[:0]
-	for _, f := range frames {
+	for i, f := range frames {
 		if f.Slot() > admitSlot {
-			bufs = append(bufs, f.Bytes())
+			b := f.Bytes()
+			if i == 0 {
+				b = b[head:]
+			}
+			bufs = append(bufs, b)
 		}
 	}
 	*vec = bufs
@@ -245,8 +346,8 @@ func writeFrames(conn net.Conn, vec *net.Buffers, frames []*fanout.Frame, admitS
 // slot: the clock begins the next slot, whose frame carries the customer's
 // first segment, only after the admission completes, which is after
 // registration. Slots at or before the admit slot are discarded in
-// writeFrames (the set-top box ignores them anyway — its service starts one
-// slot after admission). This keeps scheduling entirely
+// writeFrames and WriteDirect (the set-top box ignores them anyway — its
+// service starts one slot after admission). This keeps scheduling entirely
 // off the server-wide mutex: concurrent admissions for different videos
 // proceed in parallel.
 //
@@ -277,12 +378,20 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 	// largest shifted period of the remaining suffix.
 	slots := rec.maxPeriod[v.cfg.Segments-from+1] + 1
 	sub = &subscriber{
-		conn:     conn,
-		ring:     fanout.NewRing(slots),
-		admitted: time.Now(),
-		rec:      rec,
+		conn:      conn,
+		ring:      fanout.NewRing(slots),
+		admitted:  time.Now(),
+		rec:       rec,
+		firstByte: s.firstByte,
 	}
 	sub.lastSlot.Store(math.MaxInt64)
+	// A Windows socket is an overlapped handle, which a plain write must not
+	// touch: there every frame queues for the handler.
+	if sc, ok := conn.(syscall.Conn); ok && runtime.GOOS != "windows" {
+		if raw, err := sc.SyscallConn(); err == nil {
+			sub.raw, sub.writeFn = raw, sub.writeOnce
+		}
+	}
 	// Telemetry registration precedes publication into the subscriber set:
 	// tick workers read sub.ct lock-free from snapshots, so the field must
 	// be settled before Add makes the subscriber visible.

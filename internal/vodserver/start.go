@@ -174,6 +174,9 @@ type videoRecord struct {
 	// idempotent, so retirement, disconnect and shutdown may all reach one
 	// subscriber.
 	subs *fanout.Set[*subscriber]
+	// frame is the slot's frame between the tick's two walks (see fanOut);
+	// the tick alone touches it.
+	frame *fanout.Frame
 }
 
 // record returns the video's record, building it on the video's first
@@ -297,6 +300,10 @@ type Server struct {
 	// Both are sized to the station's span count and indexed by worker.
 	tallies []fanoutTally
 	retire  [][]*subscriber
+	// walks are fanOut's two per-video walks, bound once: the station hands
+	// them to its pool, so a method value evaluated in fanOut would allocate
+	// on every tick.
+	walks [2]func(worker, video int, rep core.SlotReport) bool
 
 	wg sync.WaitGroup
 }
@@ -408,7 +415,7 @@ func Start(cfg Config) (*Server, error) {
 		alerts:    obs.NewAlertEngine(),
 		firstByte: firstByte,
 		fanout: reg.Window("vod_fanout_seconds",
-			"Per-tick fan-out service time: encoding every video's slot batch and distributing it.", 0),
+			"Per-tick fan-out service time: encoding every video's slot batch and distributing it, including the socket writes the tick makes for parked subscribers.", 0),
 		qoeStartup: reg.Window("client_startup_slots",
 			"Client-reported slots from admission to the first needed segment.", cfg.QoEWindow),
 		qoeSlack: reg.Window("client_deadline_slack_slots",
@@ -522,10 +529,8 @@ func Start(cfg Config) (*Server, error) {
 	s.wg.Add(2)
 	go s.telemetryLoop()
 	go s.acceptLoop()
-	// The walk is bound once: the station hands it to its pool, so a method
-	// value evaluated inside fanOut would allocate on every tick.
-	walk := s.fanOutVideo
-	tick := func([]core.SlotReport) { s.fanOut(walk) }
+	s.walks = [2]func(worker, video int, rep core.SlotReport) bool{s.firstFrames, s.steadyFrames}
+	tick := func([]core.SlotReport) { s.fanOut() }
 	if err := st.StartClock(cfg.SlotDuration, tick); err != nil {
 		s.Close()
 		return nil, fmt.Errorf("vodserver: %w", err)

@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -350,5 +352,32 @@ func TestSequentialSessionsNoFDLeak(t *testing.T) {
 	// slack allowed is transient server-side accept/close churn.
 	if after := openFDs(); after > before+8 {
 		t.Fatalf("fd count grew %d -> %d across %d sessions: descriptor leak", before, after, sessions)
+	}
+}
+
+// flakyListener fails its first Accept as a process out of file descriptors
+// does, then reports itself closed.
+type flakyListener struct{ accepts atomic.Int32 }
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.accepts.Add(1) == 1 {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: os.NewSyscallError("accept4", syscall.EMFILE)}
+	}
+	return nil, net.ErrClosed
+}
+
+func (l *flakyListener) Close() error   { return nil }
+func (l *flakyListener) Addr() net.Addr { return &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)} }
+
+// TestAcceptLoopSurvivesTransientError: an Accept error other than a closed
+// listener — EMFILE in a connection burst — does not end service; the loop
+// backs off and accepts again, and only a closed listener ends it.
+func TestAcceptLoopSurvivesTransientError(t *testing.T) {
+	ln := &flakyListener{}
+	s := &Server{ln: ln, done: make(chan struct{})}
+	s.wg.Add(1)
+	s.acceptLoop()
+	if n := ln.accepts.Load(); n != 2 {
+		t.Fatalf("acceptLoop called Accept %d times, want 2: it must retry after EMFILE and stop once closed", n)
 	}
 }

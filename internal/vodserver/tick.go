@@ -2,13 +2,15 @@ package vodserver
 
 // This file is the per-slot broadcast: the station clock's tick callback
 // walks the active videos over the station's spans, encodes each slot once
-// and pushes the shared frame to every subscriber's ring.
+// and hands the shared frame to every subscriber's ring, writing it to the
+// socket itself when the subscriber's handler is parked with nothing queued.
 
 import (
 	"time"
 
 	"vodcast/internal/conntrack"
 	"vodcast/internal/core"
+	"vodcast/internal/fanout"
 )
 
 // Dropped-subscriber attribution: the reason label on
@@ -57,20 +59,26 @@ func (s *Server) dropHook(videoID uint32, slot int) func(segment int) bool {
 }
 
 // fanOut runs on the station's clock goroutine once per slot, as the slot
-// begins: each active video's broadcast instances are encoded exactly once into a shared
-// ref-counted frame and one reference is pushed per subscriber ring — the
-// per-audience cost is a pointer, not a copy; an idle video costs nothing.
-// The station walks its active videos span by span — on its pool when there
-// is more than one span, the clock only dispatching and joining — and
-// per-worker tallies merge into the shared counters once per tick, so the
-// hot loops touch no shared cache line and take no lock but each ring's own.
-func (s *Server) fanOut(walk func(worker, video int, rep core.SlotReport) bool) {
+// begins: each active video's broadcast instances are encoded exactly once
+// into a shared ref-counted frame and one reference is handed to each
+// subscriber's ring — the per-audience cost is a pointer, not a copy, plus
+// the socket write the tick makes itself for a handler parked with nothing
+// queued; an idle video costs nothing. It walks the active videos twice:
+// the first walk encodes and hands the frame to every session whose first
+// frame is not yet written, the second to everyone else, so a new session's
+// first byte never waits behind the tick's steady-state writes. The station
+// walks its active videos span by span — on its pool when there is more
+// than one span, the clock only dispatching and joining — and per-worker
+// tallies merge into the shared counters once per tick, so the hot loops
+// touch no shared cache line and take no lock but each ring's own.
+func (s *Server) fanOut() {
 	t0 := time.Now()
 	defer func() { s.fanout.Observe(time.Since(t0).Seconds()) }()
 	if s.closed.Load() {
 		return
 	}
-	s.station.EachActive(walk)
+	s.station.EachActive(s.walks[0])
+	s.station.EachActive(s.walks[1])
 	var instances, bytes, maxDepth int64
 	for i := range s.tallies {
 		t := &s.tallies[i]
@@ -86,14 +94,11 @@ func (s *Server) fanOut(walk func(worker, video int, rep core.SlotReport) bool) 
 	s.ringDepth.Record(float64(maxDepth))
 }
 
-// fanOutVideo fans out the slot one active video begins: encode the slot
-// once, push the shared frame to every subscriber in the video's
-// copy-on-write snapshot, then retire the subscribers whose last slot this
-// was, collected on the way so the push loop stays tight. It reports whether
-// the video still has an audience: that, not a subscriber's last slot (maybe
-// still the placeholder), keeps a drained video active. worker indexes the
-// tally and retirement scratch; the only locks taken are each ring's own.
-func (s *Server) fanOutVideo(worker, video int, rep core.SlotReport) bool {
+// firstFrames is the tick's first walk over one active video: encode the
+// slot it begins once, keep the frame on the record for the second walk,
+// and hand it to the subscribers whose first frame is not yet written.
+// worker indexes the tally; the only locks taken are each ring's own.
+func (s *Server) firstFrames(worker, video int, rep core.SlotReport) bool {
 	v := &s.vlist[video]
 	r := v.rec.Load()
 	if r == nil {
@@ -107,26 +112,40 @@ func (s *Server) fanOutVideo(worker, video int, rep core.SlotReport) bool {
 		return false // unreachable: the catalogue was built from the same configs
 	}
 	tally.bytes += frame.PayloadBytes()
+	r.frame = frame
+	for _, sub := range r.subs.Snapshot() {
+		if !sub.firstSent.Load() {
+			push(tally, sub, frame, rep.Slot)
+		}
+	}
+	return true
+}
+
+// steadyFrames is the second walk: hand the frame to every subscriber the
+// first walk skipped, drop the encoder's reference, then retire the
+// subscribers whose last slot this was, collected on the way so the push
+// loop stays tight. It reports whether the video still has an audience:
+// that, not a subscriber's last slot (maybe still the placeholder), keeps a
+// drained video active.
+func (s *Server) steadyFrames(worker, video int, rep core.SlotReport) bool {
+	r := s.vlist[video].rec.Load()
+	if r == nil || r.frame == nil {
+		return false // the first walk encoded nothing
+	}
+	frame := r.frame
+	r.frame = nil
+	tally := &s.tallies[worker]
 	retire := s.retire[worker][:0]
 	for _, sub := range r.subs.Snapshot() {
-		frame.Retain()
-		depth, ok := sub.ring.Push(frame)
-		if !ok {
-			// Closed: the handler dropped the ring after a failed write,
-			// or the server is shutting down.
-			frame.Release()
-			continue
-		}
-		sub.ct.RecordPush(depth)
-		if int64(depth) > tally.maxDepth {
-			tally.maxDepth = int64(depth)
+		if sub.pushed != rep.Slot {
+			push(tally, sub, frame, rep.Slot)
 		}
 		if int64(rep.Slot) >= sub.lastSlot.Load() {
 			retire = append(retire, sub)
 		}
 	}
-	// Drop the encoder's own reference; subscribers now hold theirs and the
-	// frame recycles once the last write completes.
+	// Subscribers now hold their references and the frame recycles once
+	// the last write completes.
 	frame.Release()
 	for _, sub := range retire {
 		// The queued tail still drains; the handler's write deadline bounds
@@ -136,4 +155,22 @@ func (s *Server) fanOutVideo(worker, video int, rep core.SlotReport) bool {
 	}
 	s.retire[worker] = retire[:0]
 	return r.subs.Len() > 0
+}
+
+// push hands one reference to the slot's frame to a subscriber's ring,
+// which writes it at once when the handler is parked with nothing queued.
+func push(tally *fanoutTally, sub *subscriber, frame *fanout.Frame, slot int) {
+	sub.pushed = slot
+	frame.Retain()
+	depth, ok := sub.ring.Push(frame)
+	if !ok {
+		// Closed: the handler dropped the ring after a failed write, or the
+		// server is shutting down.
+		frame.Release()
+		return
+	}
+	sub.ct.RecordPush(depth)
+	if int64(depth) > tally.maxDepth {
+		tally.maxDepth = int64(depth)
+	}
 }
