@@ -32,8 +32,9 @@ lint:
 	fi
 
 # The one-stop gate: gofmt (any file it lists fails the gate), vet — the
-# netem-tagged scenarios and the non-Linux TCP_INFO stub included, so no
-# build-gated file goes unchecked — the race suite, a coverage floor on the
+# netem-tagged scenarios and the non-Linux TCP_INFO, clock-wait and
+# direct-write branches on darwin and windows included, so no build-gated
+# file goes unchecked — the race suite, a coverage floor on the
 # observability-critical packages (including the wire codec and the QoE client
 # since they carry the telemetry loop) and a separate one on the scheduler the
 # live server admits through (core and its slot ring), and the metric census
@@ -57,7 +58,8 @@ ci:
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) vet -tags netem ./internal/vodserver/
-	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/conntrack/ ./internal/vodserver/
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/conntrack/ ./internal/station/ ./internal/vodserver/
+	GOOS=windows GOARCH=amd64 $(GO) vet ./internal/conntrack/ ./internal/station/ ./internal/vodserver/
 	$(MAKE) lint
 	$(GO) test -race ./...
 	# The station clock tests run on a fake time source, so fifty runs are
@@ -66,6 +68,14 @@ ci:
 	# them pins the tick's timing: an admission in slot i is in the very
 	# next tick's report, as slot i+1.
 	$(GO) test -count=50 -run '^(TestClock|TestStationStatusAndStages$$|TestCloseIdempotent$$)' ./internal/station/
+	# The clock's wall wait, on the real clock and so outside the lane above:
+	# an idle clock on a 5 ms grid ticks under 250 µs late at the median (a
+	# time.Timer, woken at the idle poller's next whole millisecond, reads
+	# about 560 µs); with its one P never idle, the read-deadline backstop
+	# keeps it under 2.5 ms (the timerfd alone reads about 5 ms); and its
+	# timerfd opens with StartClock and closes with Close. Three runs each,
+	# so a lag reading that passed by chance shows.
+	$(GO) test -count=3 -run '^(TestWallClockWakesOnGrid|TestWallClockWakesOnGridWhenBusy|TestWallWaitFDLifecycle)$$' ./internal/station/
 	# A video's payloads are built on its first encode under a sync.Once:
 	# twenty racing runs on four threads stress how that build is published
 	# to concurrent tick workers.

@@ -158,6 +158,9 @@ func TestClockSlip(t *testing.T) {
 				}
 			}
 			checkClock(t, st, reg, *at, want, interval, time.Duration(s-1)*interval)
+			if got := reg.CounterWith("station_clock_skipped_ticks_total", "", nil).Value(); got != float64(s) {
+				t.Fatalf("station_clock_skipped_ticks_total = %v, want the %d skipped grid points", got, s)
+			}
 		})
 	}
 }

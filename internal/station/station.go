@@ -100,8 +100,9 @@ type Config struct {
 	// selects GOMAXPROCS, and the count is capped at len(Videos).
 	Shards int
 	// Registry optionally receives the pipeline instruments: the admission
-	// stage summaries (station_stage_seconds) and the clock's tick counter
-	// (station_clock_ticks_total).
+	// stage summaries (station_stage_seconds) and the clock's tick and
+	// skipped-grid-point counters (station_clock_ticks_total,
+	// station_clock_skipped_ticks_total).
 	Registry *obs.Registry
 }
 
@@ -119,8 +120,8 @@ const (
 // p50/p95/p99 that /statusz and vodtop render and its _sum/_count the
 // lifetime totals /metricsz scrapes.
 type stationObs struct {
-	lockWait, admit *obs.Window
-	clockTicks      *obs.Counter
+	lockWait, admit          *obs.Window
+	clockTicks, clockSkipped *obs.Counter
 }
 
 // newStationObs registers the pipeline instruments on reg.
@@ -130,7 +131,9 @@ func newStationObs(reg *obs.Registry) *stationObs {
 			"Admission pipeline stage latencies.", 0, obs.Labels{"stage": name})
 	}
 	return &stationObs{lockWait: stage(StageLockWait), admit: stage(StageAdmit),
-		clockTicks: reg.Counter("station_clock_ticks_total", "Slot ticks fanned out by the clock goroutine.")}
+		clockTicks: reg.Counter("station_clock_ticks_total", "Slot ticks fanned out by the clock goroutine."),
+		clockSkipped: reg.Counter("station_clock_skipped_ticks_total",
+			"Slot grid points the clock skipped because it woke 8 or more slots late.")}
 }
 
 // stationVideo is one catalogue video: its configuration, immutable after
@@ -193,9 +196,12 @@ type Station struct {
 	closed  atomic.Bool
 	done    chan struct{}
 	clockWG sync.WaitGroup
-	// clock is the clock StartClock launched, nil until then. now and wait
-	// are its time source — the wall clock and one reused time.Timer — which
-	// only in-package tests replace, before StartClock.
+	// clock is the clock StartClock launched, nil until then. now is its
+	// time source, the wall clock. wait, nil unless an in-package test set
+	// it before StartClock, replaces the wall wait StartClock opens (a
+	// timerfd on Linux, see wallWait); either returns a channel that
+	// delivers once d has passed, and the clock drains it before it waits
+	// again.
 	clock atomic.Pointer[slotClock]
 	now   func() time.Time
 	wait  func(d time.Duration) <-chan time.Time
@@ -238,7 +244,6 @@ func New(cfg Config) (*Station, error) {
 		lists:  make([]activeList, n),
 		done:   make(chan struct{}),
 		now:    time.Now,
-		wait:   wallWait(),
 	}
 	st.advanceFunc, st.walkFunc = st.advanceSpan, st.walkSpan
 	if cfg.Registry != nil {
@@ -544,7 +549,9 @@ func (st *Station) Totals() (requests, instances int64) {
 // retains, as the clock reuses the slice and the segment lists are the
 // schedulers'. Ticks an overrun made late run back to back; a wake
 // maxCatchUp or more intervals late slips the grid instead, skipping every
-// grid point passed, and the next tick reports its lag.
+// grid point passed, and the next tick reports its lag. The wall wait the
+// clock opens is released by the clock goroutine on its way out, before
+// Close returns.
 func (st *Station) StartClock(interval time.Duration, onTick func([]core.SlotReport)) error {
 	if interval <= 0 {
 		return fmt.Errorf("%w: got %v", ErrBadSlotDuration, interval)
@@ -562,9 +569,14 @@ func (st *Station) StartClock(interval time.Duration, onTick func([]core.SlotRep
 	if len(st.spans) > 1 {
 		st.pool = startWorkers(st.spans)
 	}
+	wait, release := st.wait, func() {}
+	if wait == nil {
+		wait, release = wallWait()
+	}
 	st.clockWG.Add(1)
 	go func() {
 		defer st.clockWG.Done()
+		defer release()
 		// One report buffer serves every tick: onTick runs synchronously on
 		// this goroutine, so it is never reused while borrowed.
 		reports := make([]core.SlotReport, len(st.videos))
@@ -577,13 +589,17 @@ func (st *Station) StartClock(interval time.Duration, onTick func([]core.SlotRep
 				select {
 				case <-st.done:
 					return
-				case <-st.wait(-lag):
+				case <-wait(-lag):
 				}
 				lag = max(st.now().Sub(due), 0)
 			}
 			if lag >= maxCatchUp*interval {
-				k += int(lag / interval) // and k++: past every grid point <= now
+				skip := int(lag / interval)
+				k += skip // and k++: past every grid point <= now
 				slipped = lag
+				if st.obs != nil { // grid point k and the skip after it
+					st.obs.clockSkipped.Add(float64(skip + 1))
+				}
 				continue
 			}
 			if slipped > 0 {
@@ -605,9 +621,10 @@ func (st *Station) StartClock(interval time.Duration, onTick func([]core.SlotRep
 	return nil
 }
 
-// wallWait is the clock's wait on one reused time.Timer; the clock re-arms
-// it only after draining it.
-func wallWait() func(time.Duration) <-chan time.Time {
+// timerWait is the clock's portable wall wait, on one reused time.Timer. An
+// idle runtime wakes it only at the next whole millisecond of its poller's
+// timeout, which is why Linux waits on a timerfd instead (wait_linux.go).
+func timerWait() func(time.Duration) <-chan time.Time {
 	t := time.NewTimer(time.Hour)
 	t.Stop()
 	return func(d time.Duration) <-chan time.Time {

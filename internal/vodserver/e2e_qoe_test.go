@@ -3,6 +3,7 @@ package vodserver
 import (
 	"encoding/json"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -208,5 +209,58 @@ func waitFor(t *testing.T, label string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", label)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestSlipAlertLifecycle: the station_clock_skipped_ticks rule fires on the
+// first evaluation after the clock skipped grid points, and that firing
+// writes a flight bundle; it resolves on its own once a window of
+// evaluations (slipWindow over the telemetry interval: 3 here) passes with
+// no skip.
+func TestSlipAlertLifecycle(t *testing.T) {
+	const interval = 20 * time.Second
+	flightDir := t.TempDir()
+	s, err := Start(Config{
+		Addr:         "127.0.0.1:0",
+		Videos:       []VideoConfig{{ID: 1, Segments: 4, SegmentBytes: 64}},
+		SlotDuration: time.Hour, // the real clock never ticks, so never skips
+		FlightDir:    flightDir,
+		// Evaluations are driven by hand, one telemetry interval apart on
+		// the alert clock; the telemetry loop's first would come 20 s in.
+		TelemetryInterval: interval,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	now := time.Unix(1_000_000, 0)
+	s.Alerts().SetClock(func() time.Time { return now })
+	eval := func(want obs.AlertState) {
+		t.Helper()
+		now = now.Add(interval)
+		s.Alerts().Eval()
+		for _, r := range s.Alerts().Snapshot() {
+			if r.Name != "station_clock_skipped_ticks" {
+				continue
+			}
+			if r.State != want || r.Severity != "critical" {
+				t.Fatalf("slip rule %s (%s) at value %v, want %s", r.State, r.Severity, r.Value, want)
+			}
+			return
+		}
+		t.Fatal("slip rule not armed")
+	}
+	eval(obs.StateInactive)
+	s.Registry().Counter("station_clock_skipped_ticks_total", "").Add(9)
+	eval(obs.StateFiring)
+	bundles := bundleDirs(t, flightDir)
+	if len(bundles) != 1 || !strings.Contains(bundles[0], "alert_station_clock_skipped_ticks") {
+		t.Fatalf("firing wrote bundles %v, want one for the slip rule", bundles)
+	}
+	eval(obs.StateFiring)
+	eval(obs.StateFiring)
+	eval(obs.StateResolved)
+	if got := len(bundleDirs(t, flightDir)); got != 1 {
+		t.Fatalf("resolution grew bundles to %d", got)
 	}
 }

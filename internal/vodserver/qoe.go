@@ -23,6 +23,10 @@ import (
 // above which the client_deadline_miss_rate alert trips.
 const missRateThreshold = 0.5
 
+// slipWindow is how far back the station_clock_skipped_ticks rule looks for
+// a skipped grid point.
+const slipWindow = time.Minute
+
 // armAlerts registers the built-in rules. Called once from Start, which
 // launches the evaluation ticker afterwards.
 func (s *Server) armAlerts() error {
@@ -65,6 +69,24 @@ func (s *Server) armAlerts() error {
 			return err
 		}
 	}
+	// The slip alert watches the clock's skipped grid points: each is a
+	// segment every active session got late. The rule reads how many the
+	// counter gained over the last slipWindow of evaluations, so a skip
+	// breaches it for one window: it fires after the AlertFor hold, as the
+	// other rules do, and resolves once a window passes without a skip.
+	skipped := s.reg.Counter("station_clock_skipped_ticks_total", "")
+	slip := obs.AlertRule{
+		Name:     "station_clock_skipped_ticks",
+		Severity: "critical",
+		Help: fmt.Sprintf(
+			"the slot clock skipped grid points in the last %v: every active session got a segment late", slipWindow),
+		Value: recentIncrease(skipped.Value, max(int(slipWindow/s.cfg.TelemetryInterval), 1)),
+		Op:    obs.CmpAbove,
+		For:   s.cfg.AlertFor,
+	}
+	if err := s.alerts.Add(slip); err != nil {
+		return err
+	}
 	if s.cfg.ReportStaleAfter > 0 {
 		stale := obs.StalenessRule("client_reports_stale",
 			func() float64 { return s.mReports.Value() }, s.cfg.ReportStaleAfter)
@@ -74,6 +96,19 @@ func (s *Server) armAlerts() error {
 		}
 	}
 	return nil
+}
+
+// recentIncrease returns a rule Value reading how much counter rose over
+// the last evals calls, which the engine makes one per evaluation. The
+// counter starts at 0, as do the readings before the first call.
+func recentIncrease(counter func() float64, evals int) func() float64 {
+	ring, next := make([]float64, evals), 0
+	return func() float64 {
+		v := counter()
+		rise := v - ring[next]
+		ring[next], next = v, (next+1)%evals
+		return rise
+	}
 }
 
 // readReport collects the end-of-session ClientReport a subscriber owes,

@@ -313,36 +313,37 @@ func TestConnzDisabled(t *testing.T) {
 // benchmark check, a vodtop pane, an alert rule, the flight bundle, the verify
 // skill, or the operator question it answers.
 var familyReaders = map[string]string{
-	"client_deadline_slack_slots":   "vodtop QoE pane: slack mean (the /statusz window)",
-	"client_miss_total":             "benchmark correctness check: no client missed a deadline",
-	"client_rebuffer_total":         "operator: which video's clients stalled playback?",
-	"client_reports_total":          "alert rule client_reports_stale; benchmark report check",
-	"client_startup_slots":          "vodtop trend pane: startup p99; QoE pane p50/p95",
-	"conn_drain_bytes_total":        "operator: are bytes still reaching the subscribers?",
-	"conn_retrans_total":            "operator: is the network retransmitting?",
-	"conn_ring_occupancy":           "operator: how full are the subscriber rings?",
-	"conn_rtt_seconds":              "operator: what round trip do the subscribers see?",
-	"conn_stalled_ratio":            "alert rule conn_stalled_ratio",
-	"conn_state":                    "operator: how many connections are in each transport state?",
-	"conn_tracked":                  "operator: how many connections does the sampler track?",
-	"go_gc_cycles_total":            "BENCHMARK vodserver.gc_cycles_per_s",
-	"go_goroutines":                 "BENCHMARK vodserver.goroutines_max",
-	"go_heap_alloc_bytes":           "BENCHMARK vodserver.heap_alloc_mb",
-	"station_clock_ticks_total":     "BENCHMARK station.clock_slip_ratio",
-	"station_stage_seconds":         "BENCHMARK station.admit_us_mean, station.lock_wait_us_mean",
-	"vod_active_subscribers":        "operator: how many clients are receiving right now?",
-	"vod_admit_first_byte_seconds":  "BENCHMARK vodserver.first_byte_server_ms_mean; alert rule first_byte_slo_burn",
-	"vod_alerts_firing":             "vodtop trend pane: alerts firing",
-	"vod_broadcast_bytes_total":     "operator: how many payload bytes has the broadcast cost?",
-	"vod_channel_load":              "verify skill: a cold video reads 0 once idle",
-	"vod_dropped_subscribers_total": "BENCHMARK fanout.dropped_subscribers",
-	"vod_fanout_ring_depth_max":     "BENCHMARK fanout.ring_depth_max",
-	"vod_fanout_seconds":            "BENCHMARK fanout.tick_us_mean, fanout.tick_busy_ratio",
-	"vod_instances_total":           "benchmark bandwidth check: instances per video-slot",
-	"vod_qoe_miss_rate":             "flight bundle history (the miss alert's windowed signal)",
-	"vod_rejects_total":             "benchmark correctness check: nothing refused",
-	"vod_requests_total":            "vodtop trend pane: admits/sec",
-	"vod_uptime_seconds":            "operator: how long has the server been up?",
+	"client_deadline_slack_slots":       "vodtop QoE pane: slack mean (the /statusz window)",
+	"client_miss_total":                 "benchmark correctness check: no client missed a deadline",
+	"client_rebuffer_total":             "operator: which video's clients stalled playback?",
+	"client_reports_total":              "alert rule client_reports_stale; benchmark report check",
+	"client_startup_slots":              "vodtop trend pane: startup p99; QoE pane p50/p95",
+	"conn_drain_bytes_total":            "operator: are bytes still reaching the subscribers?",
+	"conn_retrans_total":                "operator: is the network retransmitting?",
+	"conn_ring_occupancy":               "operator: how full are the subscriber rings?",
+	"conn_rtt_seconds":                  "operator: what round trip do the subscribers see?",
+	"conn_stalled_ratio":                "alert rule conn_stalled_ratio",
+	"conn_state":                        "operator: how many connections are in each transport state?",
+	"conn_tracked":                      "operator: how many connections does the sampler track?",
+	"go_gc_cycles_total":                "BENCHMARK vodserver.gc_cycles_per_s",
+	"go_goroutines":                     "BENCHMARK vodserver.goroutines_max",
+	"go_heap_alloc_bytes":               "BENCHMARK vodserver.heap_alloc_mb",
+	"station_clock_ticks_total":         "BENCHMARK station.clock_slip_ratio",
+	"station_clock_skipped_ticks_total": "alert rule station_clock_skipped_ticks",
+	"station_stage_seconds":             "BENCHMARK station.admit_us_mean, station.lock_wait_us_mean",
+	"vod_active_subscribers":            "operator: how many clients are receiving right now?",
+	"vod_admit_first_byte_seconds":      "BENCHMARK vodserver.first_byte_server_ms_mean; alert rule first_byte_slo_burn",
+	"vod_alerts_firing":                 "vodtop trend pane: alerts firing",
+	"vod_broadcast_bytes_total":         "operator: how many payload bytes has the broadcast cost?",
+	"vod_channel_load":                  "verify skill: a cold video reads 0 once idle",
+	"vod_dropped_subscribers_total":     "BENCHMARK fanout.dropped_subscribers",
+	"vod_fanout_ring_depth_max":         "BENCHMARK fanout.ring_depth_max",
+	"vod_fanout_seconds":                "BENCHMARK fanout.tick_us_mean, fanout.tick_busy_ratio",
+	"vod_instances_total":               "benchmark bandwidth check: instances per video-slot",
+	"vod_qoe_miss_rate":                 "flight bundle history (the miss alert's windowed signal)",
+	"vod_rejects_total":                 "benchmark correctness check: nothing refused",
+	"vod_requests_total":                "vodtop trend pane: admits/sec",
+	"vod_uptime_seconds":                "operator: how long has the server been up?",
 }
 
 // TestRegisteredMetricNamesValid is the metric-name lint and the census: every
