@@ -155,12 +155,13 @@ ci:
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem . ./internal/...
 
-# FuzzSchedulerInvariants drives the fast scheduler against the reference,
-# same-slot memo included on any vector — the path the live server admits
-# through. FuzzPeriodVectors checks every deadline on any vector the
-# validator accepts, non-monotone ones with resumes included. Both scan the
-# window of every uncapped admission: it must share a segment whenever an
-# instance of it lies there. ci runs all four targets briefly (FUZZTIME=5s).
+# FuzzSchedulerInvariants drives the scheduler the live server admits
+# through on any vector, policy and client cap. FuzzPeriodVectors checks
+# every deadline on any vector the validator accepts, non-monotone ones with
+# resumes included. Both scan the window of every uncapped admission: it
+# must share a segment whenever an instance of it lies there, and each
+# assignment must be the one Figure 6's rule picks from the slots as they
+# stood. ci runs all four targets briefly (FUZZTIME=5s).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/wire/ -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZTIME)
@@ -182,9 +183,11 @@ cover:
 	$(GO) test -coverprofile=cover.out ./internal/...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# The figure every ROADMAP acceptance quotes: non-test Go lines, benchmark/ excluded.
+# The figures every ROADMAP acceptance quotes: non-test and test Go lines,
+# benchmark/ excluded.
 loc:
 	@echo "non-test Go lines (benchmark/ excluded): $$(git ls-files '*.go' | grep -v -e '^benchmark/' -e '_test\.go$$' | xargs cat | wc -l)"
+	@echo "test Go lines (benchmark/ excluded): $$(git ls-files '*_test.go' | grep -v '^benchmark/' | xargs cat | wc -l)"
 
 clean:
 	rm -f cover.out ci-cover.out test_output.txt bench_output.txt

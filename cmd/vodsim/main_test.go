@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,8 +13,13 @@ import (
 	"vodcast/internal/report"
 )
 
+var update = flag.Bool("update", false, "re-record testdata/<id>.golden from the current code")
+
 // TestEveryExperimentRuns drives the CLI entry point through every
-// experiment id in both output formats at quick scale.
+// experiment id in both output formats at quick scale, and requires both
+// outputs, text then JSON, to equal testdata/<id>.golden byte for byte: a
+// change that moves any experiment's numbers fails here, by name, until
+// the goldens are re-recorded with -update.
 func TestEveryExperimentRuns(t *testing.T) {
 	ids := []string{
 		"fig7", "fig8", "fig9", "ablation", "peaks", "vbrplan",
@@ -28,16 +34,29 @@ func TestEveryExperimentRuns(t *testing.T) {
 			if buf.Len() == 0 {
 				t.Fatal("no text output")
 			}
-			buf.Reset()
+			text := buf.Len()
 			if err := run(&buf, id, false, true /* json */, false, 1, "", 100); err != nil {
 				t.Fatalf("json: %v", err)
 			}
 			var tables []report.Table
-			if err := json.Unmarshal(buf.Bytes(), &tables); err != nil {
+			if err := json.Unmarshal(buf.Bytes()[text:], &tables); err != nil {
 				t.Fatalf("invalid JSON: %v", err)
 			}
 			if len(tables) == 0 || len(tables[0].Rows) == 0 {
 				t.Fatal("empty JSON tables")
+			}
+			golden := filepath.Join("testdata", id+".golden")
+			if *update {
+				if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("experiment %s: output differs from %s (re-record with -update):\n%s", id, golden, buf.Bytes())
 			}
 		})
 	}

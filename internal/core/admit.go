@@ -16,8 +16,6 @@ type AdmitOptions struct {
 	// WantAssignment requests the per-segment serving slots in
 	// AdmitResult.Assignment. Without a reusable Assignment buffer it
 	// allocates one []int per admission; large simulations leave it off.
-	// An admission that asks for the slots always runs the placement loop:
-	// the same-slot memo answers only admissions that do not.
 	WantAssignment bool
 	// Assignment optionally supplies a reusable buffer for the serving-slot
 	// vector, implying WantAssignment. The buffer is grown when its capacity

@@ -6,34 +6,21 @@ import (
 	"testing"
 )
 
-// BenchmarkAdmit is the before/after matrix of the admission fast path:
-// catalogue sizes n x arrivals-per-slot x {reference, fast}. "reference" runs the
-// linear-scan ring and no memo (Config.Reference), i.e. the pre-optimization
-// trajectory; "fast" runs the RMQ ring plus the same-slot admission memo.
-// Each benchmark op is ONE admission; a slot advance is folded in every
-// `arrivals` admissions, so ns/op is the amortized steady-state admit cost.
-// At arrivals=1 every admission pays a full placement loop on both paths
-// (the memo never gets a same-slot hit), isolating the RMQ-vs-linear window
-// query. At arrivals=64 the fast path serves 63 of 64 admissions from the
-// memo, which is where the headline speedup comes from. The resume rows
-// have the shape of the serving benchmark's resume workload: every
-// customer resumes at one of the last 8 of 1000 segments, so no admission
-// is a memo hit and each shares whatever its short window holds. Every row
-// reports inst/req, the instances scheduled per admission.
+// BenchmarkAdmit is the admission cost matrix: catalogue sizes n x
+// arrivals per slot. Each benchmark op is ONE admission; a slot advance is
+// folded in every `arrivals` admissions, so ns/op is the amortized
+// steady-state admit cost. At arrivals=1 every admission places what the
+// previous slot's retire took away; at arrivals=64 the later admissions of
+// a slot share every segment, one window check each. The resume row has
+// the shape of the serving benchmark's resume workload: every customer
+// resumes at one of the last 8 of 1000 segments and shares whatever its
+// short window holds. Every row reports inst/req, the instances scheduled
+// per admission.
 func BenchmarkAdmit(b *testing.B) {
-	modes := []struct {
-		name      string
-		reference bool
-	}{
-		{"reference", true},
-		{"fast", false},
-	}
 	for _, n := range []int{64, 256, 1024} {
 		for _, arrivals := range []int{1, 64} {
-			for _, mode := range modes {
-				name := fmt.Sprintf("n=%d/arrivals=%d/%s", n, arrivals, mode.name)
-				b.Run(name, func(b *testing.B) { benchAdmit(b, n, arrivals, mode.reference, nil) })
-			}
+			name := fmt.Sprintf("n=%d/arrivals=%d", n, arrivals)
+			b.Run(name, func(b *testing.B) { benchAdmit(b, n, arrivals, nil) })
 		}
 	}
 	const n = 1000
@@ -42,17 +29,14 @@ func BenchmarkAdmit(b *testing.B) {
 	for k := range froms {
 		froms[k] = n - rng.Intn(8)
 	}
-	for _, mode := range modes {
-		name := fmt.Sprintf("n=%d/arrivals=5/resume/%s", n, mode.name)
-		b.Run(name, func(b *testing.B) { benchAdmit(b, n, 5, mode.reference, froms) })
-	}
+	b.Run(fmt.Sprintf("n=%d/arrivals=5/resume", n), func(b *testing.B) { benchAdmit(b, n, 5, froms) })
 }
 
 // benchAdmit admits b.N customers to an n-segment scheduler, advancing the
 // slot every arrivals admissions. The k-th customer starts at segment
 // froms[k mod len(froms)], or views in full when froms is nil.
-func benchAdmit(b *testing.B, n, arrivals int, reference bool, froms []int) {
-	s, err := New(Config{Segments: n, Reference: reference})
+func benchAdmit(b *testing.B, n, arrivals int, froms []int) {
+	s, err := New(Config{Segments: n})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -160,7 +160,8 @@ func scheduleDigest(t *testing.T, cfg Config, seed int64, steps int, resumes boo
 // than only the latest: a resume whose window ends before the latest S_j
 // now shares an earlier S_j inside it instead of placing a duplicate, and
 // the heuristic row's 2 277 requests fall from 7 387 instances to 4 687
-// (n1000: 160 000 to 29 867).
+// (n1000: 160 000 to 29 867). The irregular-earliest and n1 rows were
+// recorded on the RMQ ring that the linear window scan replaced.
 func TestScheduleDigestUnchanged(t *testing.T) {
 	cases := []digestCase{
 		{"heuristic", Config{Segments: 33},
@@ -190,6 +191,12 @@ func TestScheduleDigestUnchanged(t *testing.T) {
 		{"irregular", Config{Segments: len(irregularPeriods) - 1, Periods: irregularPeriods},
 			"48a2b4989834fac8fb9ac892dccbfa76ec646e36121d0b08d776316a81138617",
 			"50de7a78aea9d73e01b50566fa27ff39f9fce76e62631f11e0f183f000d5c72d"},
+		{"irregular-earliest", Config{Segments: len(irregularPeriods) - 1, Periods: irregularPeriods, Policy: PolicyMinLoadEarliest},
+			"86dfb0bcec41ae0ba4c482cf676c93928c477ebf2d22683cb054401e447713db",
+			"caa11c605ecec8089cd4d36810007346f80b2e3c6020151c863f9769e75915f4"},
+		{"n1", Config{Segments: 1}, // a resume from 1 is a full viewing
+			"21dbca375f4a3db4ba555aae603a8cc8d2181bec0ab3f5743d9c2c77f940b587",
+			"21dbca375f4a3db4ba555aae603a8cc8d2181bec0ab3f5743d9c2c77f940b587"},
 	}
 	for _, tc := range cases {
 		if got := scheduleDigest(t, tc.cfg, 23, 2000, true); got != tc.mixed {

@@ -7,17 +7,19 @@ import (
 // recordingObserver checks the callback invariants while counting events.
 type recordingObserver struct {
 	t          *testing.T
+	n          int
 	admits     int
 	resumes    int
 	decisions  int
+	newDecided int         // decisions since the last admit callback
 	newPlaced  int         // non-shared decisions since the last admit callback
 	starts     map[int]int // slot -> instances started
 	retires    []int       // retired slots in order
 	lastRetire int
 }
 
-func newRecordingObserver(t *testing.T) *recordingObserver {
-	return &recordingObserver{t: t, starts: make(map[int]int), lastRetire: -1}
+func newRecordingObserver(t *testing.T, n int) *recordingObserver {
+	return &recordingObserver{t: t, n: n, starts: make(map[int]int), lastRetire: -1}
 }
 
 func (r *recordingObserver) ObserveAdmit(slot, from, placed int) {
@@ -30,12 +32,16 @@ func (r *recordingObserver) ObserveAdmit(slot, from, placed int) {
 	if placed != r.newPlaced {
 		r.t.Fatalf("admit at slot %d reported %d placed, observed %d new decisions", slot, placed, r.newPlaced)
 	}
-	r.newPlaced = 0
+	if want := r.n - from + 1; r.newDecided != want {
+		r.t.Fatalf("admit at slot %d from %d: %d decisions, want one per segment (%d)", slot, from, r.newDecided, want)
+	}
+	r.newDecided, r.newPlaced = 0, 0
 }
 
 func (r *recordingObserver) ObserveDecision(reqSlot, segment, slot, windowLo, windowHi, load int, shared bool) {
 	r.t.Helper()
 	r.decisions++
+	r.newDecided++
 	if windowLo != reqSlot+1 {
 		r.t.Fatalf("segment %d window starts at %d, want %d", segment, windowLo, reqSlot+1)
 	}
@@ -77,6 +83,9 @@ func driveObserved(t *testing.T, cfg Config, slots int) {
 		if k%2 == 0 {
 			admit(s)
 		}
+		if k%4 == 0 {
+			admit(s) // a same-slot repeat
+		}
 		if k%5 == 3 {
 			if _, err := admitFrom(s, 1+k%s.N()); err != nil {
 				t.Fatal(err)
@@ -91,8 +100,10 @@ func driveObserved(t *testing.T, cfg Config, slots int) {
 }
 
 // TestObserverInvariants drives the plain and capped schedulers with an
-// invariant-checking observer: windows honoured, placed counts consistent,
-// retires in slot order, per-slot starts equal to the retired load.
+// invariant-checking observer: windows honoured, one decision per segment
+// and placed counts consistent for every admission (same-slot repeats
+// included), retires in slot order, per-slot starts equal to the retired
+// load.
 func TestObserverInvariants(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -103,7 +114,7 @@ func TestObserverInvariants(t *testing.T) {
 		{"capped", Config{Segments: 12, MaxClientStreams: 2, TrackSegments: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := newRecordingObserver(t)
+			rec := newRecordingObserver(t, tc.cfg.Segments)
 			tc.cfg.Observer = rec
 			driveObserved(t, tc.cfg, 60)
 			if rec.admits == 0 || rec.resumes == 0 || rec.decisions == 0 {
@@ -134,7 +145,7 @@ func TestObserverNilSafe(t *testing.T) {
 		return loads
 	}
 	plain := run(nil)
-	observed := run(newRecordingObserver(t))
+	observed := run(newRecordingObserver(t, 20))
 	for i := range plain {
 		if plain[i] != observed[i] {
 			t.Fatalf("slot %d: load %d with observer, %d without", i, observed[i], plain[i])

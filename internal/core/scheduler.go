@@ -8,7 +8,9 @@
 // instance of S_j transmitted in the window [i+1, i+T[j]]. When no such
 // instance exists, DHB schedules a new one in the window slot with the
 // minimum number of already-scheduled instances, breaking ties toward the
-// latest slot so future requests have the best chance of sharing it.
+// latest slot so future requests have the best chance of sharing it. The
+// scheduler runs that rule as written: one loop over the segments, and a
+// linear scan of the window for each instance it places.
 //
 // The package also provides the naive variant Section 3 discusses (always
 // schedule at the last possible slot i+T[j]), whose bandwidth peaks grow to
@@ -70,11 +72,6 @@ type Config struct {
 	// decision (see the Observer interface). Nil disables observation at
 	// the cost of one branch per decision.
 	Observer Observer
-	// Reference selects the linear reference admission path: window scans
-	// walk every slot and same-slot admissions are never memoized. It is
-	// the executable specification the fast path is differential-tested
-	// (and benchmarked) against; production schedulers leave it off.
-	Reference bool
 }
 
 // SlotReport describes one retired (transmitted) slot.
@@ -102,18 +99,6 @@ type Scheduler struct {
 	// loop walks it.
 	futureInst [][]int
 	current    int
-
-	// memo arms the same-slot fast path of admitFrom. fullAdmitSlot is the
-	// slot of the last completed full (from = 1) admission: after it every
-	// segment has an instance in [slot+1, slot+T[j]], whatever the vector,
-	// and later admissions in the slot only add instances, so further full
-	// admissions in the same slot are pure sharing and skip the placement
-	// loop. Advancing the slot invalidates the memo by construction (the
-	// comparison against current fails). New arms the memo only for an
-	// unobserved, uncapped, non-reference scheduler (an Observer is owed
-	// every per-decision callback).
-	memo          bool
-	fullAdmitSlot int
 
 	// Client-bandwidth-capped mode (cap > 0) also keeps a per-request
 	// slot-occupancy scratch.
@@ -180,19 +165,13 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	own := make([]int, len(periods))
 	copy(own, periods)
-	newRing := slots.NewRing
-	if cfg.Reference {
-		newRing = slots.NewRingReference
-	}
 	s := &Scheduler{
-		n:             cfg.Segments,
-		periods:       own,
-		policy:        policy,
-		ring:          newRing(maxP+1, cfg.StartSlot, cfg.TrackSegments),
-		current:       cfg.StartSlot,
-		obs:           cfg.Observer,
-		memo:          !cfg.Reference && cfg.MaxClientStreams == 0 && cfg.Observer == nil,
-		fullAdmitSlot: cfg.StartSlot - 1, // below any admissible slot
+		n:       cfg.Segments,
+		periods: own,
+		policy:  policy,
+		ring:    slots.NewRing(maxP+1, cfg.StartSlot, cfg.TrackSegments),
+		current: cfg.StartSlot,
+		obs:     cfg.Observer,
 	}
 	// Full viewings alone never leave two pending instances of a segment,
 	// so every list starts with room for one in a shared backing array and
@@ -243,13 +222,6 @@ func (s *Scheduler) Period(j int) int { return s.periods[j] }
 func (s *Scheduler) admitFrom(from int, assignment []int) int {
 	i := s.current
 	s.requests++
-	// Same-slot memo hit: a full admission already completed in this slot,
-	// so every segment has an instance in its window and the loop below
-	// would share every one of them. Only an admission that wants no
-	// assignment takes it.
-	if from == 1 && assignment == nil && s.memo && s.fullAdmitSlot == i {
-		return 0
-	}
 	placed := 0
 	for j := from; j <= s.n; j++ {
 		hi := i + s.periods[j-from+1]
@@ -292,9 +264,6 @@ func (s *Scheduler) admitFrom(from int, assignment []int) int {
 	}
 	if s.obs != nil {
 		s.obs.ObserveAdmit(i, from, placed)
-	}
-	if from == 1 {
-		s.fullAdmitSlot = i
 	}
 	return placed
 }

@@ -6,10 +6,8 @@
 // the caller, which feeds the bandwidth statistics. Because no protocol in
 // this repository ever schedules further than n slots ahead of the current
 // slot, the window is a fixed-size ring. Loads and single-slot reads are
-// O(1); the min-load window scans behind DHB's placement rule are answered
-// by a tie-aware segment tree in O(log H) (see rmq.go), with the original
-// linear scans retained as the differential-testing reference
-// (NewRingReference).
+// O(1); the min-load window scans behind DHB's placement rule walk the
+// window, O(to-from).
 package slots
 
 import "fmt"
@@ -22,30 +20,15 @@ type Ring struct {
 	base      int
 	total     int // instances scheduled across the whole window
 	loads     []int
-	tree      *minTree // nil for the linear reference ring
 	segs      [][]int
 	trackSegs bool
 }
 
 // NewRing returns a ring tracking horizon consecutive slots starting at
-// absolute slot base, with the O(log H) range-min index enabled. If
-// trackSegs is true the ring also records which segment ids were scheduled
-// in each slot (used by golden tests and the schedule visualizer; the hot
-// simulation path leaves it off).
+// absolute slot base. If trackSegs is true the ring also records which
+// segment ids were scheduled in each slot (used by golden tests and the
+// schedule visualizer; the hot simulation path leaves it off).
 func NewRing(horizon, base int, trackSegs bool) *Ring {
-	r := newRing(horizon, base, trackSegs)
-	r.tree = newMinTree(horizon)
-	return r
-}
-
-// NewRingReference returns a ring whose min-load scans use the original
-// linear walk of the window. It is the executable specification the RMQ ring
-// is differential-tested against; simulations should use NewRing.
-func NewRingReference(horizon, base int, trackSegs bool) *Ring {
-	return newRing(horizon, base, trackSegs)
-}
-
-func newRing(horizon, base int, trackSegs bool) *Ring {
 	if horizon <= 0 {
 		panic("slots: horizon must be positive")
 	}
@@ -77,15 +60,6 @@ func (r *Ring) pos(abs int) int {
 	return abs % r.horizon
 }
 
-// abs maps a ring position back to the absolute slot it currently holds.
-func (r *Ring) abs(p int) int {
-	baseOff := r.base % r.horizon
-	if p >= baseOff {
-		return r.base + p - baseOff
-	}
-	return r.base + r.horizon - baseOff + p
-}
-
 // Load reports the number of segment instances scheduled in slot abs.
 func (r *Ring) Load(abs int) int { return r.loads[r.pos(abs)] }
 
@@ -94,9 +68,6 @@ func (r *Ring) Add(abs, seg int) {
 	p := r.pos(abs)
 	r.loads[p]++
 	r.total++
-	if r.tree != nil {
-		r.tree.set(p, r.loads[p])
-	}
 	if r.trackSegs {
 		r.segs[p] = append(r.segs[p], seg)
 	}
@@ -131,60 +102,8 @@ func (r *Ring) EachSegment(abs int, fn func(seg int)) {
 
 // MinLoadLatest returns the slot of [from, to] with the minimum load,
 // preferring the latest slot among ties — the DHB heuristic of Figure 6.
-// Both bounds must lie inside the window and from <= to. O(log H), or
-// O(to-from) on a reference ring.
+// Both bounds must lie inside the window and from <= to. O(to-from).
 func (r *Ring) MinLoadLatest(from, to int) (slot, load int) {
-	if r.tree != nil {
-		return r.minRMQ(from, to, true)
-	}
-	return r.minLoadLatestLinear(from, to)
-}
-
-// MinLoadEarliest returns the slot of [from, to] with the minimum load,
-// preferring the earliest slot among ties — the ablated tie-breaking rule
-// core's PolicyMinLoadEarliest studies.
-func (r *Ring) MinLoadEarliest(from, to int) (slot, load int) {
-	if r.tree != nil {
-		return r.minRMQ(from, to, false)
-	}
-	return r.minLoadEarliestLinear(from, to)
-}
-
-// minRMQ answers either tie direction from the segment tree. The absolute
-// range [from, to] wraps the position array at most once; inside each
-// contiguous position range increasing position means increasing absolute
-// slot, so the ranges are queried separately and combined with the
-// tie-direction priority: for "latest" the wrapped-around range [0, pt]
-// holds the later slots and wins ties, for "earliest" the range [pf, H-1]
-// holds the earlier slots and wins.
-func (r *Ring) minRMQ(from, to int, latest bool) (slot, load int) {
-	if from > to {
-		panic(fmt.Sprintf("slots: empty scan range [%d, %d]", from, to))
-	}
-	pf, pt := r.pos(from), r.pos(to)
-	if pf <= pt {
-		q := r.tree.query(pf, pt)
-		if latest {
-			return r.abs(q.hi), q.load
-		}
-		return r.abs(q.lo), q.load
-	}
-	early := r.tree.query(pf, r.horizon-1)
-	late := r.tree.query(0, pt)
-	if latest {
-		if late.load <= early.load {
-			return r.abs(late.hi), late.load
-		}
-		return r.abs(early.hi), early.load
-	}
-	if early.load <= late.load {
-		return r.abs(early.lo), early.load
-	}
-	return r.abs(late.lo), late.load
-}
-
-// minLoadLatestLinear is the executable specification of MinLoadLatest.
-func (r *Ring) minLoadLatestLinear(from, to int) (slot, load int) {
 	if from > to {
 		panic(fmt.Sprintf("slots: empty scan range [%d, %d]", from, to))
 	}
@@ -197,8 +116,10 @@ func (r *Ring) minLoadLatestLinear(from, to int) (slot, load int) {
 	return slot, load
 }
 
-// minLoadEarliestLinear is the executable specification of MinLoadEarliest.
-func (r *Ring) minLoadEarliestLinear(from, to int) (slot, load int) {
+// MinLoadEarliest returns the slot of [from, to] with the minimum load,
+// preferring the earliest slot among ties — the ablated tie-breaking rule
+// core's PolicyMinLoadEarliest studies.
+func (r *Ring) MinLoadEarliest(from, to int) (slot, load int) {
 	if from > to {
 		panic(fmt.Sprintf("slots: empty scan range [%d, %d]", from, to))
 	}
@@ -244,9 +165,6 @@ func (r *Ring) Retire() (abs, load int, segs []int) {
 	load = r.loads[p]
 	r.loads[p] = 0
 	r.total -= load
-	if r.tree != nil {
-		r.tree.set(p, 0)
-	}
 	if r.trackSegs {
 		segs = r.segs[p]
 		r.segs[p] = nil

@@ -207,49 +207,88 @@ func TestMinLoadEarliestEmptyRangePanics(t *testing.T) {
 	r.MinLoadEarliest(2, 1)
 }
 
+// TestRMQTieBreakAcrossWrap pins the tie-direction semantics on a window
+// whose position range wraps: all loads equal, so MinLoadLatest must return
+// the last slot of the range (which lives in the wrapped-around low
+// positions) and MinLoadEarliest the first.
+func TestRMQTieBreakAcrossWrap(t *testing.T) {
+	r := NewRing(5, 0, false)
+	for i := 0; i < 3; i++ {
+		r.Retire() // base = 3, window [3, 7]: positions 3 4 0 1 2
+	}
+	if slot, load := r.MinLoadLatest(3, 7); slot != 7 || load != 0 {
+		t.Fatalf("MinLoadLatest(3, 7) = (%d, %d), want (7, 0)", slot, load)
+	}
+	if slot, load := r.MinLoadEarliest(3, 7); slot != 3 || load != 0 {
+		t.Fatalf("MinLoadEarliest(3, 7) = (%d, %d), want (3, 0)", slot, load)
+	}
+	// Tilt the wrapped half: the unique minimum must win in both directions.
+	r.Add(3, 1)
+	r.Add(4, 1)
+	r.Add(6, 1)
+	r.Add(7, 1)
+	if slot, load := r.MinLoadLatest(3, 7); slot != 5 || load != 0 {
+		t.Fatalf("unique min: MinLoadLatest(3, 7) = (%d, %d), want (5, 0)", slot, load)
+	}
+	if slot, load := r.MinLoadEarliest(3, 7); slot != 5 || load != 0 {
+		t.Fatalf("unique min: MinLoadEarliest(3, 7) = (%d, %d), want (5, 0)", slot, load)
+	}
+}
+
+// TestRMQSingleSlotRange: degenerate one-slot windows (segment 1's window
+// is always a single slot) behave under both rules.
+func TestRMQSingleSlotRange(t *testing.T) {
+	r := NewRing(4, 10, false)
+	r.Add(11, 1)
+	if slot, load := r.MinLoadLatest(11, 11); slot != 11 || load != 1 {
+		t.Fatalf("MinLoadLatest(11, 11) = (%d, %d), want (11, 1)", slot, load)
+	}
+	if slot, load := r.MinLoadEarliest(11, 11); slot != 11 || load != 1 {
+		t.Fatalf("MinLoadEarliest(11, 11) = (%d, %d), want (11, 1)", slot, load)
+	}
+}
+
 // TestRingSkipEqualsRepeatedRetire: on an empty window Skip(k) leaves the
 // ring exactly where k Retires do — the same loads, tracked segments and
-// tie-broken minima for everything scheduled afterwards, on both the RMQ
-// ring and the linear reference — and Total follows every Add and Retire.
+// tie-broken minima for everything scheduled afterwards — and Total follows
+// every Add and Retire.
 func TestRingSkipEqualsRepeatedRetire(t *testing.T) {
-	for _, newRing := range []func(int, int, bool) *Ring{NewRing, NewRingReference} {
-		rng := rand.New(rand.NewSource(11))
-		const horizon = 13
-		skipped, stepped := newRing(horizon, 4, true), newRing(horizon, 4, true)
-		for round := 0; round < 200; round++ {
-			for adds := rng.Intn(8); adds > 0; adds-- {
-				abs, seg := skipped.Base()+rng.Intn(horizon), 1+rng.Intn(9)
-				skipped.Add(abs, seg)
-				stepped.Add(abs, seg)
+	rng := rand.New(rand.NewSource(11))
+	const horizon = 13
+	skipped, stepped := NewRing(horizon, 4, true), NewRing(horizon, 4, true)
+	for round := 0; round < 200; round++ {
+		for adds := rng.Intn(8); adds > 0; adds-- {
+			abs, seg := skipped.Base()+rng.Intn(horizon), 1+rng.Intn(9)
+			skipped.Add(abs, seg)
+			stepped.Add(abs, seg)
+		}
+		for skipped.Total() > 0 {
+			from := skipped.Base() + rng.Intn(horizon)
+			to := from + rng.Intn(skipped.End()-from+1)
+			s1, l1 := skipped.MinLoadLatest(from, to)
+			s2, l2 := stepped.MinLoadLatest(from, to)
+			e1, m1 := skipped.MinLoadEarliest(from, to)
+			e2, m2 := stepped.MinLoadEarliest(from, to)
+			if s1 != s2 || l1 != l2 || e1 != e2 || m1 != m2 {
+				t.Fatalf("round %d: minima over [%d, %d] diverged: (%d,%d,%d,%d) / (%d,%d,%d,%d)",
+					round, from, to, s1, l1, e1, m1, s2, l2, e2, m2)
 			}
-			for skipped.Total() > 0 {
-				from := skipped.Base() + rng.Intn(horizon)
-				to := from + rng.Intn(skipped.End()-from+1)
-				s1, l1 := skipped.MinLoadLatest(from, to)
-				s2, l2 := stepped.MinLoadLatest(from, to)
-				e1, m1 := skipped.MinLoadEarliest(from, to)
-				e2, m2 := stepped.MinLoadEarliest(from, to)
-				if s1 != s2 || l1 != l2 || e1 != e2 || m1 != m2 {
-					t.Fatalf("round %d: minima over [%d, %d] diverged: (%d,%d,%d,%d) / (%d,%d,%d,%d)",
-						round, from, to, s1, l1, e1, m1, s2, l2, e2, m2)
-				}
-				a1, ld1, sg1 := skipped.Retire()
-				a2, ld2, sg2 := stepped.Retire()
-				if a1 != a2 || ld1 != ld2 || !reflect.DeepEqual(sg1, sg2) {
-					t.Fatalf("round %d: retired (%d,%d,%v) / (%d,%d,%v)", round, a1, ld1, sg1, a2, ld2, sg2)
-				}
+			a1, ld1, sg1 := skipped.Retire()
+			a2, ld2, sg2 := stepped.Retire()
+			if a1 != a2 || ld1 != ld2 || !reflect.DeepEqual(sg1, sg2) {
+				t.Fatalf("round %d: retired (%d,%d,%v) / (%d,%d,%v)", round, a1, ld1, sg1, a2, ld2, sg2)
 			}
-			if stepped.Total() != 0 {
-				t.Fatalf("round %d: totals diverged: 0 / %d", round, stepped.Total())
-			}
-			k := rng.Intn(3 * horizon)
-			skipped.Skip(k)
-			for i := 0; i < k; i++ {
-				stepped.Retire()
-			}
-			if skipped.Base() != stepped.Base() {
-				t.Fatalf("round %d: base %d after Skip(%d), %d after %d Retires", round, skipped.Base(), k, stepped.Base(), k)
-			}
+		}
+		if stepped.Total() != 0 {
+			t.Fatalf("round %d: totals diverged: 0 / %d", round, stepped.Total())
+		}
+		k := rng.Intn(3 * horizon)
+		skipped.Skip(k)
+		for i := 0; i < k; i++ {
+			stepped.Retire()
+		}
+		if skipped.Base() != stepped.Base() {
+			t.Fatalf("round %d: base %d after Skip(%d), %d after %d Retires", round, skipped.Base(), k, stepped.Base(), k)
 		}
 	}
 }
@@ -266,4 +305,33 @@ func TestRingSkipLoadedPanics(t *testing.T) {
 		}
 	}()
 	r.Skip(1)
+}
+
+// TestEachSegmentMatchesSegments: the no-copy iterator yields exactly the
+// Segments slice, in order, and is a no-op without tracking.
+func TestEachSegmentMatchesSegments(t *testing.T) {
+	r := NewRing(8, 0, true)
+	r.Add(3, 7)
+	r.Add(3, 2)
+	r.Add(3, 9)
+	var got []int
+	r.EachSegment(3, func(seg int) { got = append(got, seg) })
+	want := r.Segments(3)
+	if len(got) != len(want) {
+		t.Fatalf("EachSegment yielded %v, Segments %v", got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("EachSegment yielded %v, Segments %v", got, want)
+		}
+	}
+	untracked := NewRing(8, 0, false)
+	untracked.Add(3, 7)
+	untracked.EachSegment(3, func(int) { t.Fatal("EachSegment fired on an untracked ring") })
+}
+
+// TestEachSegmentEmptySlot: iterating an empty slot calls fn zero times.
+func TestEachSegmentEmptySlot(t *testing.T) {
+	r := NewRing(8, 0, true)
+	r.EachSegment(5, func(int) { t.Fatal("EachSegment fired on an empty slot") })
 }

@@ -166,10 +166,9 @@ func TestEndToEndConcurrentClientsShare(t *testing.T) {
 	}
 }
 
-// TestSameSlotBurst drives the scheduler's same-slot memo through the live
-// server (no observer is attached, so a repeat full admission in one slot is
-// answered from the memo): 16 strict full viewings and one resume of the
-// same video all admitted inside one long slot. Nobody misses a deadline,
+// TestSameSlotBurst drives repeat same-slot admissions through the live
+// server: 16 strict full viewings and one resume of the same video all
+// admitted inside one long slot. Nobody misses a deadline,
 // only the first full viewing (and at most the resume's suffix) places
 // instances, and the station_admit spans account for every instance.
 func TestSameSlotBurst(t *testing.T) {
