@@ -35,9 +35,10 @@ lint:
 # netem-tagged scenarios and the non-Linux TCP_INFO, clock-wait and
 # direct-write branches on darwin and windows included, so no build-gated
 # file goes unchecked — the race suite, a coverage floor on the
-# observability-critical packages (including the wire codec and the QoE client
-# since they carry the telemetry loop) and a separate one on the scheduler the
-# live server admits through (core and its slot ring), and the metric census
+# observability-critical packages (including the wire codec, the QoE client
+# and the set-top box that measures its QoE, since they carry the telemetry
+# loop) and a separate one on the scheduler the live server admits through
+# (core and its slot ring), and the metric census
 # (every family a fully wired server registers must pass obs.ValidMetricName
 # and name its reader, and every named reader's family must be registered).
 COVER_FLOOR ?= 85
@@ -94,7 +95,7 @@ ci:
 	$(GO) test -race -cpu 4 -count=20 -run '^TestRingWritesOnlyForParkedConsumer$$' ./internal/fanout/
 	$(GO) test -race -cpu 4 -count=20 -run '^(TestSessionServedByDirectWrites|TestShortDirectWriteResumes|TestDeadlineCutAfterShortDirectWrite|TestNoFrameBeforeScheduleInfo|TestFirstFramesGoFirst)$$' ./internal/vodserver/
 	$(GO) test -run '^TestStartCostPerIdleVideo$$' -count=1 ./internal/vodserver/
-	$(call cover-floor,obs+history+station+wire+vodclient,./internal/obs/ ./internal/obs/history/ ./internal/station/ ./internal/wire/ ./internal/vodclient/)
+	$(call cover-floor,obs+history+station+wire+vodclient+client,./internal/obs/ ./internal/obs/history/ ./internal/station/ ./internal/wire/ ./internal/vodclient/ ./internal/client/)
 	$(call cover-floor,core+slots,./internal/core/ ./internal/slots/)
 	$(GO) test -run '^TestRegisteredMetricNamesValid$$' -count=1 ./internal/vodserver/
 	# The Config census: every vodserver.Config field is set by the command

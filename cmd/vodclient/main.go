@@ -14,8 +14,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"time"
@@ -24,25 +26,38 @@ import (
 )
 
 func main() {
-	var (
-		addr     = flag.String("addr", "127.0.0.1:4800", "server address")
-		video    = flag.Uint("video", 1, "video id to request")
-		count    = flag.Int("count", 1, "number of concurrent customers to simulate")
-		from     = flag.Uint("from", 1, "resume playback at this segment (1 = the beginning)")
-		timeout  = flag.Duration("timeout", 5*time.Minute, "session timeout")
-		noReport = flag.Bool("no-report", false, "opt out of sending the end-of-session QoE report")
-		noTrace  = flag.Bool("no-trace", false, "opt out of joining the server's admit trace")
-		strict   = flag.Bool("strict", false, "fail the session on the first missed delivery deadline (instead of recording it as QoE)")
-	)
-	flag.Parse()
-	opts := vodclient.FetchOptions{
-		VideoID: uint32(*video), From: uint32(*from), Timeout: *timeout,
-		NoReport: *noReport, NoTrace: *noTrace, StrictDeadlines: *strict,
+	addr, opts, count, err := parseFlags(os.Args[1:])
+	if err == nil {
+		err = run(addr, opts, count)
 	}
-	if err := run(*addr, opts, *count); err != nil {
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "vodclient:", err)
 		os.Exit(1)
 	}
+}
+
+// parseFlags reads the command line into the server address, the session
+// options and the customer count. Video ids and segment numbers are 32-bit
+// on the wire, so a larger value is an error rather than a silent wrap.
+func parseFlags(args []string) (string, vodclient.FetchOptions, int, error) {
+	var opts vodclient.FetchOptions
+	fs := flag.NewFlagSet("vodclient", flag.ContinueOnError)
+	addr := fs.String("addr", "127.0.0.1:4800", "server address")
+	video := fs.Uint("video", 1, "video id to request")
+	count := fs.Int("count", 1, "number of concurrent customers to simulate")
+	from := fs.Uint("from", 1, "resume playback at this segment (1 = the beginning)")
+	fs.DurationVar(&opts.Timeout, "timeout", 5*time.Minute, "session timeout")
+	fs.BoolVar(&opts.NoReport, "no-report", false, "opt out of sending the end-of-session QoE report")
+	fs.BoolVar(&opts.NoTrace, "no-trace", false, "opt out of joining the server's admit trace")
+	fs.BoolVar(&opts.StrictDeadlines, "strict", false, "fail the session on the first missed delivery deadline (instead of recording it as QoE)")
+	if err := fs.Parse(args); err != nil {
+		return "", opts, 0, err
+	}
+	if *video > math.MaxUint32 || *from > math.MaxUint32 {
+		return "", opts, 0, fmt.Errorf("-video %d or -from %d exceeds %d", *video, *from, uint32(math.MaxUint32))
+	}
+	opts.VideoID, opts.From = uint32(*video), uint32(*from)
+	return *addr, opts, *count, nil
 }
 
 func run(addr string, opts vodclient.FetchOptions, count int) error {

@@ -46,7 +46,7 @@ func parseFlags(args []string) (vodserver.Config, string, error) {
 	slotMillis := fs.Int("slot-ms", 500, "slot duration in milliseconds")
 	segmentBytes := fs.Int("segment-bytes", 4096, "payload bytes per segment")
 	fs.IntVar(&cfg.Shards, "shards", 0, "how many contiguous catalogue spans the broadcast tick is split over, one pool goroutine each (0 = one per CPU capped at the catalogue size, 1 = a serial tick on the clock goroutine)")
-	fs.StringVar(&cfg.StatsAddr, "stats-addr", "", "optional HTTP monitoring address serving /statusz, /healthz, /metricsz, /spanz and /debug/pprof")
+	fs.StringVar(&cfg.StatsAddr, "stats-addr", "", "optional HTTP monitoring address serving /statusz, /healthz, /metricsz, /spanz, /alertz, /connz, /queryz, /debug/flightrecord and /debug/pprof")
 	fs.StringVar(&spanPath, "span-trace", "", "optional JSONL file capturing sampled admission pipeline spans")
 	fs.IntVar(&cfg.SpanSampleEvery, "span-sample", 0, "keep 1 in N admission span trees (0 = default, 1 = everything)")
 	fs.DurationVar(&cfg.AlertFor, "alert-for", 0, "how long a breach must hold before a rule fires (0 = fire immediately)")

@@ -3,14 +3,43 @@
 // segment, that everything a customer needs arrives before its deadline.
 // Integration tests use it as the correctness oracle for the schedulers, and
 // it reports the buffer occupancy Section 2's STB-sizing discussion cares
-// about.
+// about. It also measures how delivery went — startup, slack to deadline,
+// misses and the stalls they cause — so a networked client that tolerates
+// a miss keeps playing on the same model and reports what it saw.
 package client
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"vodcast/internal/video"
 )
+
+// ErrMissedDeadline is wrapped by the error ObserveSlot returns when a
+// needed segment has not arrived by the end of its deadline slot. A caller
+// that tolerates misses checks for it with errors.Is and keeps feeding slots.
+var ErrMissedDeadline = errors.New("missed its deadline")
+
+// QoE is what a session measured against its deadlines, in slots.
+type QoE struct {
+	// Needed counts the segments the customer had to receive (from the
+	// resume point on); Received those that arrived, on time or late.
+	Needed, Received int
+	// Startup is the delay from arrival to the resume segment, or the whole
+	// session when it never arrived.
+	Startup int
+	// Misses counts deadlines that passed without their segment; Rebuffers
+	// counts the playback stalls they caused, a run of consecutive miss
+	// slots being one stall.
+	Misses, Rebuffers int
+	// MinSlack and SumSlack summarize deadline minus arrival slot over the
+	// received segments (negative when late); MinSlack is 0 when none came.
+	MinSlack int
+	SumSlack int64
+	// Slots is the session's length: the last observed slot minus arrival.
+	Slots int
+}
 
 // STB follows one customer's download. The customer requested the video
 // during arrivalSlot; segment j must be fully received by the end of slot
@@ -21,10 +50,14 @@ type STB struct {
 	periods  []int
 	received []bool
 	pending  int
-	// buffered tracks segments received but not yet consumed.
+	// buffered tracks segments received on time but not yet consumed.
 	buffered    int
 	maxBuffered int
 	lastSlot    int
+	// qoe accumulates the measurements; its Startup is -1 until the resume
+	// segment arrives, and QoE fills in the rest.
+	qoe          QoE
+	lastMissSlot int
 }
 
 // New returns an STB for a request that arrived during arrivalSlot, for a
@@ -64,6 +97,9 @@ func NewFrom(arrivalSlot int, periods []int, from int) (*STB, error) {
 		received: received,
 		pending:  n - from + 1,
 		lastSlot: arrivalSlot,
+
+		qoe:          QoE{Startup: -1, MinSlack: math.MaxInt},
+		lastMissSlot: -2,
 	}, nil
 }
 
@@ -86,13 +122,32 @@ func (c *STB) Received(j int) bool { return c.received[j] }
 func (c *STB) Complete() bool { return c.pending == 0 }
 
 // MaxBuffered reports the largest number of segments the STB held before
-// consuming them.
+// consuming them. A segment that arrives after its deadline is played on
+// arrival and never buffered.
 func (c *STB) MaxBuffered() int { return c.maxBuffered }
 
-// ObserveSlot ingests the transmissions of one slot and then checks the
-// deadlines that expire with it. Slots must be fed in increasing order,
-// starting no earlier than the arrival slot; segments the customer already
-// holds are ignored (the STB simply does not tune in again).
+// QoE reports what the session has measured up to the last observed slot.
+func (c *STB) QoE() QoE {
+	q := c.qoe
+	q.Needed = c.N() - c.from + 1
+	q.Received = q.Needed - c.pending
+	q.Slots = c.lastSlot - c.arrival
+	if q.Startup < 0 {
+		q.Startup = q.Slots
+	}
+	if q.Received == 0 {
+		q.MinSlack = 0
+	}
+	return q
+}
+
+// ObserveSlot ingests the transmissions of one slot and then settles the
+// deadlines that expire with it, so a segment arriving in its deadline slot
+// is on time. Slots must be fed in non-decreasing order, starting no earlier
+// than the arrival slot; segments the customer already holds are ignored
+// (the STB simply does not tune in again). The slot is fully accounted even
+// when a deadline passes unmet; the first such miss is then returned,
+// wrapping ErrMissedDeadline.
 func (c *STB) ObserveSlot(slot int, segments []int) error {
 	if slot < c.lastSlot {
 		return fmt.Errorf("client: slot %d fed after slot %d", slot, c.lastSlot)
@@ -111,21 +166,40 @@ func (c *STB) ObserveSlot(slot int, segments []int) error {
 		}
 		c.received[j] = true
 		c.pending--
-		c.buffered++
-		if c.buffered > c.maxBuffered {
-			c.maxBuffered = c.buffered
+		slack := c.Deadline(j) - slot
+		c.qoe.SumSlack += int64(slack)
+		c.qoe.MinSlack = min(c.qoe.MinSlack, slack)
+		if j == c.from {
+			c.qoe.Startup = slot - c.arrival
+		}
+		if slack >= 0 {
+			c.buffered++
+			c.maxBuffered = max(c.maxBuffered, c.buffered)
 		}
 	}
 	// Deadlines expiring at the end of this slot.
-	for j := 1; j <= c.N(); j++ {
-		if c.Deadline(j) == slot {
-			if !c.received[j] {
-				return fmt.Errorf("client: segment %d missed its deadline slot %d (arrival %d, T=%d)",
-					j, slot, c.arrival, c.periods[j])
-			}
+	var miss error
+	for k, t := range c.periods[1 : c.N()-c.from+2] {
+		if c.arrival+t != slot {
+			continue
+		}
+		j := c.from + k
+		if c.received[j] {
 			// Consumed during the next slot; it leaves the buffer now.
 			c.buffered--
+			continue
+		}
+		c.qoe.Misses++
+		if miss == nil {
+			miss = fmt.Errorf("client: segment %d %w slot %d (arrival %d, T=%d)",
+				j, ErrMissedDeadline, slot, c.arrival, c.periods[j])
 		}
 	}
-	return nil
+	if miss != nil {
+		if slot != c.lastMissSlot+1 {
+			c.qoe.Rebuffers++
+		}
+		c.lastMissSlot = slot
+	}
+	return miss
 }

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -59,6 +60,59 @@ func TestSTBDetectsMissedDeadline(t *testing.T) {
 	err = c.ObserveSlot(3, nil)
 	if err == nil || !strings.Contains(err.Error(), "segment 2") {
 		t.Fatalf("missed deadline not detected: %v", err)
+	}
+}
+
+// TestSTBMeasuresQoE: a tolerant caller keeps feeding slots past a miss, and
+// the STB measures slack, misses, rebuffers, startup and the buffer peak.
+func TestSTBMeasuresQoE(t *testing.T) {
+	// Video of 4 segments, deadlines 10+1..10+4, requested in slot 10.
+	c, err := New(10, []int{0, 1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Slot 11: segments 1 and 2 arrive — 1 is just in time (slack 0), 2 a
+	// slot early (slack 1). Segment 1's deadline settles in the same slot.
+	feeds := []struct {
+		slot int
+		segs []int
+		miss bool
+	}{
+		{slot: 11, segs: []int{1, 2}},
+		{slot: 12},
+		// Segment 3 misses its slot-13 deadline.
+		{slot: 13, miss: true},
+		// 3 arrives late (slack -1); 4 never arrives and misses too.
+		{slot: 14, segs: []int{3}, miss: true},
+	}
+	for _, f := range feeds {
+		err := c.ObserveSlot(f.slot, f.segs)
+		if f.miss != errors.Is(err, ErrMissedDeadline) {
+			t.Fatalf("slot %d: err = %v, want miss %v", f.slot, err, f.miss)
+		}
+	}
+	want := QoE{Needed: 4, Received: 3, Startup: 1, Misses: 2, Rebuffers: 1, MinSlack: -1, SumSlack: 0, Slots: 4}
+	if got := c.QoE(); got != want {
+		t.Fatalf("QoE = %+v, want %+v", got, want)
+	}
+	if c.MaxBuffered() != 2 {
+		t.Fatalf("MaxBuffered = %d, want 2 (the late segment is never buffered)", c.MaxBuffered())
+	}
+}
+
+// TestSTBQoEOfEmptySession: misses in separated slots are separate stalls,
+// and a session that received nothing reports its whole length as startup.
+func TestSTBQoEOfEmptySession(t *testing.T) {
+	c, err := New(0, []int{0, 1, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for slot := 1; slot <= 3; slot++ {
+		_ = c.ObserveSlot(slot, nil)
+	}
+	want := QoE{Needed: 2, Startup: 3, Misses: 2, Rebuffers: 2, Slots: 3}
+	if got := c.QoE(); got != want {
+		t.Fatalf("QoE = %+v, want %+v", got, want)
 	}
 }
 

@@ -16,7 +16,8 @@ import (
 // page anyone, and an explicit resolved state so dashboards show recovery
 // instead of silently dropping the row.
 //
-// Rules are declarative: a name, a value source, a comparison, and timing.
+// Rules are declarative: a name, a value source, a threshold the value must
+// exceed (or a staleness window), and timing.
 // The engine is passive: every Eval call (the server's telemetry loop makes
 // one per period; tests make them after advancing an injected clock) walks
 // each rule through the Prometheus-style state machine
@@ -38,18 +39,8 @@ const (
 	// StateFiring: the condition has held for at least For.
 	StateFiring AlertState = "firing"
 	// StateResolved: the condition stopped holding while the rule was
-	// firing; kept visible for the rule's KeepResolved duration.
+	// firing; kept visible until the condition holds again.
 	StateResolved AlertState = "resolved"
-)
-
-// CmpOp selects the comparison between a rule's value and its threshold.
-type CmpOp string
-
-const (
-	// CmpAbove fires when value > threshold (the default).
-	CmpAbove CmpOp = ">"
-	// CmpBelow fires when value < threshold.
-	CmpBelow CmpOp = "<"
 )
 
 // AlertRule declares one condition the engine watches.
@@ -65,22 +56,17 @@ type AlertRule struct {
 	// once per evaluation; NaN means "no data" and never satisfies the
 	// condition.
 	Value func() float64
-	// Op compares Value() against Threshold ("" means CmpAbove). Ignored
-	// for staleness rules.
-	Op        CmpOp
+	// Threshold is the level Value() must exceed for the condition to
+	// hold. Ignored for staleness rules.
 	Threshold float64
 	// For is how long the condition must hold continuously before the rule
 	// transitions pending → firing. Zero fires on the first evaluation the
 	// condition holds.
 	For time.Duration
 	// Stale, when positive, turns the rule into a staleness watch: the
-	// condition is "Value() has not changed for at least Stale". Op and
-	// Threshold are ignored.
+	// condition is "Value() has not changed for at least Stale". Threshold
+	// is ignored.
 	Stale time.Duration
-	// KeepResolved bounds how long a resolved rule stays visibly resolved
-	// before returning to inactive. Zero keeps the resolved marker until
-	// the condition holds again.
-	KeepResolved time.Duration
 }
 
 // AlertStatus is one rule's externally visible state, as served by /alertz.
@@ -90,8 +76,8 @@ type AlertStatus struct {
 	Help     string     `json:"help,omitempty"`
 	State    AlertState `json:"state"`
 	// Value is the level observed at the last evaluation; Threshold and Op
-	// restate the rule so the dashboard needs no second lookup. Op is
-	// "stale" for staleness rules.
+	// restate the rule so the dashboard needs no second lookup. Op is ">"
+	// for threshold rules and "stale" for staleness rules.
 	Value     float64 `json:"value"`
 	Threshold float64 `json:"threshold"`
 	Op        string  `json:"op"`
@@ -171,9 +157,6 @@ func (e *AlertEngine) Add(r AlertRule) error {
 	if r.Value == nil {
 		return fmt.Errorf("obs: alert rule %q has no value source", r.Name)
 	}
-	if r.Op != "" && r.Op != CmpAbove && r.Op != CmpBelow {
-		return fmt.Errorf("obs: alert rule %q has unknown op %q", r.Name, r.Op)
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, s := range e.rules {
@@ -230,12 +213,8 @@ func (e *AlertEngine) Eval() {
 				s.haveValue = true
 			}
 			cond = s.haveValue && now.Sub(s.lastChange) >= s.rule.Stale
-		} else if !math.IsNaN(v) {
-			if s.rule.Op == CmpBelow {
-				cond = v < s.rule.Threshold
-			} else {
-				cond = v > s.rule.Threshold
-			}
+		} else {
+			cond = v > s.rule.Threshold // false for a NaN read
 		}
 		before := s.state
 		s.step(cond, now)
@@ -267,9 +246,6 @@ func (s *alertRuleState) step(cond bool, now time.Time) {
 				s.fired++
 				enter(StateFiring)
 			}
-		} else if s.state == StateResolved && s.rule.KeepResolved > 0 &&
-			now.Sub(s.enteredAt) >= s.rule.KeepResolved {
-			enter(StateInactive)
 		}
 	case StatePending:
 		if !cond {
@@ -296,10 +272,7 @@ func (e *AlertEngine) Snapshot() []AlertStatus {
 	defer e.mu.Unlock()
 	out := make([]AlertStatus, 0, len(e.rules))
 	for _, s := range e.rules {
-		op := string(s.rule.Op)
-		if op == "" {
-			op = string(CmpAbove)
-		}
+		op := ">"
 		threshold := s.rule.Threshold
 		if s.rule.Stale > 0 {
 			// Staleness rules compare against time, not level: surface the
@@ -356,22 +329,23 @@ func (e *AlertEngine) Evals() uint64 {
 // budget burns faster than maxBurn for forDur.
 func BurnRateRule(name string, w *Window, maxBurn float64, forDur time.Duration) AlertRule {
 	return AlertRule{
-		Name:     name,
-		Severity: "critical",
-		Help:     fmt.Sprintf("SLO error budget burning faster than %gx", maxBurn),
-		Value:    func() float64 { return w.Snapshot().BurnRate },
-		Op:       CmpAbove, Threshold: maxBurn, For: forDur,
+		Name:      name,
+		Severity:  "critical",
+		Help:      fmt.Sprintf("SLO error budget burning faster than %gx", maxBurn),
+		Value:     func() float64 { return w.Snapshot().BurnRate },
+		Threshold: maxBurn, For: forDur,
 	}
 }
 
 // WindowMeanRule watches the rolling mean of a Window — the right shape for
 // signals that must be able to recover (a lifetime counter can never come
-// back down, the windowed mean rolls bad samples out).
-func WindowMeanRule(name string, w *Window, op CmpOp, threshold float64, forDur time.Duration) AlertRule {
+// back down, the windowed mean rolls bad samples out). It fires when the mean
+// exceeds threshold for forDur.
+func WindowMeanRule(name string, w *Window, threshold float64, forDur time.Duration) AlertRule {
 	return AlertRule{
 		Name:     name,
 		Severity: "warning",
-		Help:     fmt.Sprintf("windowed mean %s %g", opOrDefault(op), threshold),
+		Help:     fmt.Sprintf("windowed mean > %g", threshold),
 		Value: func() float64 {
 			snap := w.Snapshot()
 			if snap.Count == 0 {
@@ -379,7 +353,7 @@ func WindowMeanRule(name string, w *Window, op CmpOp, threshold float64, forDur 
 			}
 			return snap.Mean
 		},
-		Op: op, Threshold: threshold, For: forDur,
+		Threshold: threshold, For: forDur,
 	}
 }
 
@@ -394,11 +368,4 @@ func StalenessRule(name string, value func() float64, stale time.Duration) Alert
 		Value:    value,
 		Stale:    stale,
 	}
-}
-
-func opOrDefault(op CmpOp) CmpOp {
-	if op == "" {
-		return CmpAbove
-	}
-	return op
 }

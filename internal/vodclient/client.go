@@ -1,14 +1,17 @@
 // Package vodclient is the set-top-box side of the networked DHB system: it
 // requests a video from a vodserver, receives the broadcast segment frames,
-// verifies every payload byte and every delivery deadline with the STB
-// oracle of internal/client, and reports what it observed — locally through
-// the returned Result, and back to the server as a wire.ClientReport so
-// operators see the customer's side of the delivery contract.
+// verifies every payload byte, and feeds every slot to the STB of
+// internal/client, which judges and measures each delivery deadline. It
+// reports what the STB measured — locally through the returned Result, and
+// back to the server as a wire.ClientReport, which the server aggregates
+// into its client_* metric families so operators see the customer's side
+// of the delivery contract.
 package vodclient
 
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -39,25 +42,18 @@ type Result struct {
 	// vod_admit_first_byte_seconds summary.
 	FirstByte time.Duration
 
-	// QoE telemetry, measured in slots against the paper's delivery bound
-	// (segment j due by AdmitSlot + Periods[j-from+1]).
-
-	// StartupSlots is the delay from admission to the first needed segment.
-	StartupSlots int
-	// DeadlineMisses counts segments that were not delivered by their
-	// deadline; Rebuffers counts the distinct playback stalls they caused
-	// (consecutive miss slots merge into one stall). Both are always zero
-	// under StrictDeadlines, which fails the fetch on the first miss.
-	DeadlineMisses int
-	Rebuffers      int
-	// MissingSegments counts needed segments that never arrived at all.
+	// QoE telemetry, in slots, as the STB measured it (client.QoE defines
+	// each measure): its Startup, Misses, Rebuffers, Needed minus Received,
+	// MinSlack, SumSlack over Received, and Slots. DeadlineMisses and
+	// Rebuffers are always zero under StrictDeadlines, which fails the
+	// fetch on the first miss.
+	StartupSlots    int
+	DeadlineMisses  int
+	Rebuffers       int
 	MissingSegments int
-	// MinSlackSlots and MeanSlackSlots summarize slack-to-deadline over the
-	// segments that did arrive: how close delivery ran to the bound.
-	MinSlackSlots  int
-	MeanSlackSlots float64
-	// SessionSlots is the broadcast-slot length of the session.
-	SessionSlots int
+	MinSlackSlots   int
+	MeanSlackSlots  float64
+	SessionSlots    int
 	// TraceID is the server's trace identifier for this session, zero when
 	// the session was not sampled (or tracing was declined). The matching
 	// spans are visible in the server's /spanz.
@@ -137,12 +133,8 @@ func FetchWith(addr string, opts FetchOptions) (Result, error) {
 		return Result{}, fmt.Errorf("vodclient: schedule for video %d, requested %d", info.VideoID, opts.VideoID)
 	}
 
-	if opts.From > info.Segments {
-		return Result{}, fmt.Errorf("vodclient: resume segment %d beyond %d", opts.From, info.Segments)
-	}
-
-	// Rebuild the 1-based period vector and arm the STB oracle — even a
-	// tolerant session wants the oracle's validation of the schedule.
+	// Rebuild the 1-based period vector and arm the STB, which validates the
+	// schedule and the resume point, then judges and measures every slot.
 	periods := make([]int, info.Segments+1)
 	for j := uint32(1); j <= info.Segments; j++ {
 		periods[j] = int(info.Periods[j-1])
@@ -151,7 +143,6 @@ func FetchWith(addr string, opts FetchOptions) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("vodclient: %w", err)
 	}
-	qoe := newQoETracker(int(info.AdmitSlot), periods, int(opts.From))
 
 	res := Result{
 		VideoID:   info.VideoID,
@@ -159,8 +150,11 @@ func FetchWith(addr string, opts FetchOptions) (Result, error) {
 		AdmitSlot: info.AdmitSlot,
 		TraceID:   info.TraceID,
 	}
-	// The session ends when the shifted suffix's last deadline passes.
-	lastSlot := int(info.AdmitSlot) + maxPeriod(periods[:int(info.Segments)-int(opts.From)+2])
+	// The session ends when the last needed segment's deadline passes.
+	lastSlot := 0
+	for j := int(opts.From); j <= stb.N(); j++ {
+		lastSlot = max(lastSlot, stb.Deadline(j))
+	}
 	var slotSegments []int
 	var want []byte // the expected payload, rebuilt in place per segment
 	for {
@@ -183,36 +177,43 @@ func FetchWith(addr string, opts FetchOptions) (Result, error) {
 			if !bytes.Equal(m.Payload, want) {
 				return Result{}, fmt.Errorf("vodclient: corrupt payload for segment %d", m.Segment)
 			}
-			if qoe.seen(int(m.Segment)) {
+			if stb.Received(int(m.Segment)) {
 				res.SharedFrames++
 			}
 			res.PayloadBytes += int64(len(m.Payload))
 			slotSegments = append(slotSegments, int(m.Segment))
 		case wire.SlotEnd:
-			if opts.StrictDeadlines {
-				if err := stb.ObserveSlot(int(m.Slot), slotSegments); err != nil {
-					return Result{}, fmt.Errorf("vodclient: %w", err)
-				}
+			err := stb.ObserveSlot(int(m.Slot), slotSegments)
+			if err != nil && (opts.StrictDeadlines || !errors.Is(err, client.ErrMissedDeadline)) {
+				return Result{}, fmt.Errorf("vodclient: %w", err)
 			}
-			qoe.observeSlot(int(m.Slot), slotSegments)
 			slotSegments = slotSegments[:0]
 			if int(m.Slot) >= lastSlot {
-				qoe.finalize(int(m.Slot))
 				if opts.StrictDeadlines && !stb.Complete() {
 					return Result{}, fmt.Errorf("vodclient: stream ended with segments missing")
 				}
-				res.MaxBuffered = qoe.maxBuffered
-				res.StartupSlots = qoe.startup
-				res.DeadlineMisses = qoe.misses
-				res.Rebuffers = qoe.rebuffers
-				res.MissingSegments = qoe.needed() - qoe.receivedCount
-				res.MinSlackSlots = qoe.minSlack
-				res.MeanSlackSlots = qoe.meanSlack()
-				res.SessionSlots = qoe.sessionSlots
+				q := stb.QoE()
+				res.MaxBuffered = stb.MaxBuffered()
+				res.StartupSlots = q.Startup
+				res.DeadlineMisses = q.Misses
+				res.Rebuffers = q.Rebuffers
+				res.MissingSegments = q.Needed - q.Received
+				res.MinSlackSlots = q.MinSlack
+				if q.Received > 0 {
+					res.MeanSlackSlots = float64(q.SumSlack) / float64(q.Received)
+				}
+				res.SessionSlots = q.Slots
 				res.Elapsed = time.Since(start)
 				if !opts.NoReport {
-					report := qoe.report(info.VideoID, info.TraceID, info.SpanID,
-						res.SharedFrames, res.PayloadBytes)
+					report := wire.ClientReport{
+						Version: wire.ProtoV2, VideoID: info.VideoID, TraceID: info.TraceID, SpanID: info.SpanID,
+						AdmitSlot: info.AdmitSlot, FromSegment: opts.From,
+						SegmentsNeeded: uint32(q.Needed), SegmentsReceived: uint32(q.Received),
+						SharedFrames: uint32(res.SharedFrames), PayloadBytes: uint64(res.PayloadBytes),
+						StartupSlots: uint32(q.Startup), SessionSlots: uint32(q.Slots),
+						DeadlineMisses: uint32(q.Misses), Rebuffers: uint32(q.Rebuffers),
+						MaxBuffered: uint32(res.MaxBuffered), MinSlackSlots: int32(q.MinSlack), SumSlackSlots: q.SumSlack,
+					}
 					if err := wire.WriteFrame(conn, report); err != nil {
 						return res, fmt.Errorf("vodclient: send report: %w", err)
 					}
@@ -225,14 +226,4 @@ func FetchWith(addr string, opts FetchOptions) (Result, error) {
 			return Result{}, fmt.Errorf("vodclient: unexpected frame %T", msg)
 		}
 	}
-}
-
-func maxPeriod(periods []int) int {
-	max := 0
-	for _, p := range periods[1:] {
-		if p > max {
-			max = p
-		}
-	}
-	return max
 }

@@ -54,48 +54,6 @@ func streamAll(conn net.Conn, info wire.ScheduleInfo) {
 	}
 }
 
-func TestQoETrackerSlackMissesRebuffers(t *testing.T) {
-	// Video of 4 segments, deadlines admit+1..admit+4, admitted at slot 10.
-	q := newQoETracker(10, []int{0, 1, 2, 3, 4}, 1)
-	// Slot 11: segments 1 and 2 arrive — 1 is just in time (slack 0), 2 a
-	// slot early (slack 1). Segment 1's deadline settles in the same slot.
-	q.observeSlot(11, []int{1, 2})
-	// Slots 12 and 13 end empty: segment 3 misses its slot-13 deadline.
-	q.observeSlot(12, nil)
-	q.observeSlot(13, nil)
-	// Slot 14: 3 arrives late (slack -1); 4 never arrives and misses too.
-	q.observeSlot(14, []int{3})
-	q.finalize(14)
-
-	if q.misses != 2 {
-		t.Fatalf("misses = %d, want 2 (segment 3 late, segment 4 never)", q.misses)
-	}
-	if q.rebuffers != 1 {
-		t.Fatalf("rebuffers = %d, want 1 (slots 13 and 14 are one stall)", q.rebuffers)
-	}
-	if q.minSlack != -1 {
-		t.Fatalf("minSlack = %d, want -1", q.minSlack)
-	}
-	if q.startup != 1 {
-		t.Fatalf("startup = %d, want 1", q.startup)
-	}
-	if got := q.needed() - q.receivedCount; got != 1 {
-		t.Fatalf("missing = %d, want 1", got)
-	}
-	if q.sessionSlots != 4 {
-		t.Fatalf("sessionSlots = %d, want 4", q.sessionSlots)
-	}
-	if q.maxBuffered != 2 {
-		t.Fatalf("maxBuffered = %d, want 2", q.maxBuffered)
-	}
-	rep := q.report(1, 2, 3, 0, 64)
-	if rep.DeadlineMisses != 2 || rep.MinSlackSlots != -1 ||
-		rep.SegmentsReceived != 3 || rep.SegmentsNeeded != 4 ||
-		rep.TraceID != 2 || rep.SpanID != 3 {
-		t.Fatalf("report = %+v", rep)
-	}
-}
-
 func TestFetchWithToleratesMissedDeadline(t *testing.T) {
 	addr := fakeServerV2(t, func(conn net.Conn, req wire.Request) {
 		if req.Version != wire.ProtoV2 {
@@ -137,6 +95,20 @@ func TestFetchWithStrictStillRejectsMiss(t *testing.T) {
 		VideoID: 1, Timeout: 2 * time.Second, StrictDeadlines: true})
 	if err == nil || !strings.Contains(err.Error(), "deadline") {
 		t.Fatalf("strict miss error = %v, want deadline", err)
+	}
+}
+
+// TestFetchWithToleratesOnlyMisses: a tolerant session rides out a missed
+// deadline, but a slot number that goes backwards still fails it.
+func TestFetchWithToleratesOnlyMisses(t *testing.T) {
+	addr := fakeServerV2(t, func(conn net.Conn, req wire.Request) {
+		_ = wire.WriteFrame(conn, v2Info())
+		_ = wire.WriteFrame(conn, wire.SlotEnd{Slot: 1}) // segment 1 misses
+		_ = wire.WriteFrame(conn, wire.SlotEnd{Slot: 0})
+	})
+	_, err := FetchWith(addr, FetchOptions{VideoID: 1, Timeout: 2 * time.Second})
+	if err == nil || !strings.Contains(err.Error(), "slot 0 fed after slot 1") {
+		t.Fatalf("slot regression error = %v", err)
 	}
 }
 

@@ -34,7 +34,7 @@ func (s *Server) armAlerts() error {
 	// the lifetime counter: counters never come back down, the window does,
 	// so the rule can resolve once healthy sessions roll the bad ones out.
 	miss := obs.WindowMeanRule("client_deadline_miss_rate", s.qoeMissRate,
-		obs.CmpAbove, missRateThreshold, s.cfg.AlertFor)
+		missRateThreshold, s.cfg.AlertFor)
 	miss.Severity = "critical"
 	miss.Help = fmt.Sprintf(
 		"clients are missing delivery deadlines (windowed mean misses/report > %g)", missRateThreshold)
@@ -61,7 +61,6 @@ func (s *Server) armAlerts() error {
 			Help: fmt.Sprintf(
 				"more than %g of tracked subscriber connections are stalled (backlog with no forward progress)", stalledRatio),
 			Value:     s.ct.StalledRatio,
-			Op:        obs.CmpAbove,
 			Threshold: stalledRatio,
 			For:       s.cfg.AlertFor,
 		}
@@ -81,7 +80,6 @@ func (s *Server) armAlerts() error {
 		Help: fmt.Sprintf(
 			"the slot clock skipped grid points in the last %v: every active session got a segment late", slipWindow),
 		Value: recentIncrease(skipped.Value, max(int(slipWindow/s.cfg.TelemetryInterval), 1)),
-		Op:    obs.CmpAbove,
 		For:   s.cfg.AlertFor,
 	}
 	if err := s.alerts.Add(slip); err != nil {

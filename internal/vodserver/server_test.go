@@ -32,7 +32,10 @@ func startTestServer(t *testing.T, videos ...VideoConfig) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
+	t.Cleanup(func() {
+		s.Close()
+		assertNoFrameLeak(t, s)
+	})
 	return s
 }
 

@@ -72,8 +72,10 @@ type Config struct {
 	Shards int
 	// StatsAddr optionally binds an HTTP monitoring endpoint serving
 	// /statusz (JSON pipeline snapshot), /healthz (liveness + uptime),
-	// /metricsz (Prometheus text format), /spanz (recent pipeline spans)
-	// and /debug/pprof/*.
+	// /metricsz (Prometheus text format), /spanz (recent pipeline spans),
+	// /alertz (alert rule states), /connz (per-subscriber transport
+	// state), /queryz (metric history), /debug/flightrecord (forces a
+	// flight-recorder bundle) and /debug/pprof/*.
 	StatsAddr string
 	// SpanWriter optionally streams every finished pipeline span as JSONL.
 	// Spans are recorded to the /spanz ring regardless; the writer adds the

@@ -29,7 +29,10 @@ func startStatusServer(t *testing.T, spanSink io.Writer) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
+	t.Cleanup(func() {
+		s.Close()
+		assertNoFrameLeak(t, s)
+	})
 	for _, id := range []uint32{1, 2} {
 		// Decline trace join and reporting so the span sink holds exactly the
 		// server-side admit trees (client spans are covered by the QoE tests).
