@@ -77,10 +77,14 @@ ci:
 	# timerfd opens with StartClock and closes with Close. Three runs each,
 	# so a lag reading that passed by chance shows.
 	$(GO) test -count=3 -run '^(TestWallClockWakesOnGrid|TestWallClockWakesOnGridWhenBusy|TestWallWaitFDLifecycle)$$' ./internal/station/
-	# A video's payloads are built on its first encode under a sync.Once:
+	# A video's payloads are built once under a sync.Once, by its first
+	# admission (BuildPayloads) or, on the replay's path, its first encode:
 	# twenty racing runs on four threads stress how that build is published
-	# to concurrent tick workers.
+	# to concurrent admissions and tick workers. The payload generator's
+	# chunk tables are built once too, on the first payload of two chunks
+	# or more: racing first payloads must all read the one build.
 	$(GO) test -race -cpu 4 -count=20 -run '^TestEncoderBuildsPayloadsOnFirstEncode$$' ./internal/fanout/
+	$(GO) test -race -cpu 4 -count=20 -run '^TestConcurrentFirstPayloads$$' ./internal/wire/
 	# A video's serving record is built by its first admission under the lock
 	# Close latches the catalogue under: racing first admissions against
 	# Close must build one record, refuse admissions after Close and leak
@@ -156,17 +160,20 @@ ci:
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem . ./internal/...
 
+# FuzzSegmentPayload checks the chunked payload generator against the
+# byte-at-a-time spec on any video, segment, size and dst prefix.
 # FuzzSchedulerInvariants drives the scheduler the live server admits
 # through on any vector, policy and client cap. FuzzPeriodVectors checks
 # every deadline on any vector the validator accepts, non-monotone ones with
 # resumes included. Both scan the window of every uncapped admission: it
 # must share a segment whenever an instance of it lies there, and each
 # assignment must be the one Figure 6's rule picks from the slots as they
-# stood. ci runs all four targets briefly (FUZZTIME=5s).
+# stood. ci runs all five targets briefly (FUZZTIME=5s).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/wire/ -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire/ -fuzz='^FuzzReadFrameStream$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wire/ -fuzz='^FuzzSegmentPayload$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz='^FuzzSchedulerInvariants$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz='^FuzzPeriodVectors$$' -fuzztime=$(FUZZTIME)
 

@@ -7,13 +7,13 @@ import (
 	"vodcast/internal/wire"
 )
 
-// catalog holds the segment sizes of every video and, once a video is first
-// broadcast, its payload bytes. Payloads are deterministic
+// catalog holds the segment sizes of every video and, once a video's
+// payloads are first needed, its payload bytes. Payloads are deterministic
 // (wire.SegmentPayload) and VBR-sized — the per-segment sizes come from the
 // server's video configs, which the trace planner fills in for VBR
-// catalogues — so building a video's payloads on its first encode and
-// sharing the read-only slices from then on is both correct and free, and a
-// video nobody watches costs its sizes only.
+// catalogues — so building a video's payloads once and sharing the
+// read-only slices from then on is both correct and free, and a video nobody
+// watches costs its sizes only.
 type catalog struct {
 	videos map[uint32]*catalogVideo
 	// last is the most recently added video: a video whose sizes equal its
@@ -27,7 +27,7 @@ type catalogVideo struct {
 	total int      // sum of sizes: the length of the payload backing array
 
 	once     sync.Once
-	payloads [][]byte // indexed by segment-1; nil until the first encode
+	payloads [][]byte // indexed by segment-1; nil until the first load
 }
 
 // load returns the video's payloads, building all of them on the first
@@ -57,6 +57,11 @@ func (c *catalog) add(id uint32, sizes []int) error {
 	for i, sz := range sizes {
 		if sz < 0 {
 			return fmt.Errorf("fanout: video %d segment %d has negative size %d", id, i+1, sz)
+		}
+		// A Segment frame's body is its 16-byte head plus the payload.
+		if 16+sz > wire.MaxBody {
+			return fmt.Errorf("fanout: video %d segment %d size %d exceeds the wire's %d-byte frame body with its 16-byte head",
+				id, i+1, sz, wire.MaxBody)
 		}
 	}
 	v := &catalogVideo{id: id}
@@ -111,17 +116,32 @@ func NewEncoder() *Encoder {
 func (e *Encoder) Outstanding() int64 { return e.pool.out.Load() }
 
 // AddVideo registers one video's segment sizes; sizes[i] is the byte size
-// of segment i+1. No payload is built until the video's first EncodeSlot.
+// of segment i+1, and a size whose Segment frame body would exceed
+// wire.MaxBody is an error. No payload is built until the video's first
+// BuildPayloads or EncodeSlot.
 func (e *Encoder) AddVideo(id uint32, sizes []int) error { return e.cat.add(id, sizes) }
+
+// BuildPayloads builds the video's payloads unless an earlier call or
+// EncodeSlot has. The server calls it on a video's first admission, so the
+// tick's EncodeSlot never builds payloads for an admitted video.
+func (e *Encoder) BuildPayloads(videoID uint32) error {
+	v, ok := e.cat.videos[videoID]
+	if !ok {
+		return fmt.Errorf("fanout: unknown video %d", videoID)
+	}
+	v.load()
+	return nil
+}
 
 // EncodeSlot serializes one video's broadcast slot — every transmitted
 // segment instance followed by the SlotEnd marker — into a pooled frame and
 // returns it holding one reference owned by the caller. segments lists the
 // 1-based segment ids the scheduler retired this slot; drop, when non-nil,
 // is the fault-injection hook and suppresses an instance when it returns
-// true. A video's first call builds all of its payloads, after validating
-// segments; every later one performs zero allocations: it copies cached
-// payloads into a frame whose backing array is reused across slots.
+// true. A video whose payloads BuildPayloads has not built has them built
+// by its first call, after validating segments; every other call performs
+// zero allocations: it copies cached payloads into a frame whose backing
+// array is reused across slots.
 func (e *Encoder) EncodeSlot(videoID uint32, slot int, segments []int, drop func(segment int) bool) (*Frame, error) {
 	v, ok := e.cat.videos[videoID]
 	if !ok {

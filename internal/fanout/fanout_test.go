@@ -2,10 +2,14 @@ package fanout
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"vodcast/internal/wire"
 )
 
 // catalogues returns a paired zero-copy encoder and reference encoder over
@@ -102,12 +106,24 @@ func TestEncodeSlotErrors(t *testing.T) {
 	if err := ref.AddVideo(8, []int{-1}); err == nil {
 		t.Fatal("negative size accepted by reference")
 	}
+	// The largest payload a Segment frame carries is MaxBody less its
+	// 16-byte head; one byte more, or a size uint32 would wrap, is refused.
+	if err := enc.AddVideo(9, []int{1, wire.MaxBody - 16}); err != nil {
+		t.Fatalf("largest carriable segment refused: %v", err)
+	}
+	for id, size := range map[uint32]int{10: wire.MaxBody - 15, 11: 1<<32 + 5} {
+		if err := enc.AddVideo(id, []int{1, size}); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("video %d segment 2 ", id)) {
+			t.Fatalf("segment of %d B: err %v, want one naming video %d segment 2", size, err, id)
+		}
+	}
 }
 
 // TestEncoderBuildsPayloadsOnFirstEncode: registering a catalogue builds no
 // payload, an out-of-range request on an unbuilt video errors without
-// building one, and goroutines racing on a video's first encode all get the
-// reference bytes from the one build.
+// building one, BuildPayloads on an unknown video errors, and goroutines
+// racing a video's first BuildPayloads (the server's first admission)
+// against its first encodes (the replay's path) all get the reference bytes
+// from the one build.
 func TestEncoderBuildsPayloadsOnFirstEncode(t *testing.T) {
 	const videos, segments, segmentBytes = 2048, 30, 256
 	sizes := make([]int, segments)
@@ -135,6 +151,9 @@ func TestEncoderBuildsPayloadsOnFirstEncode(t *testing.T) {
 	if enc.cat.videos[bad].payloads != nil {
 		t.Fatal("out-of-range encode built the video's payloads")
 	}
+	if err := enc.BuildPayloads(videos + 1); err == nil {
+		t.Fatal("BuildPayloads of an unknown video accepted")
+	}
 
 	if err := ref.AddVideo(hot, sizes); err != nil {
 		t.Fatal(err)
@@ -151,6 +170,12 @@ func TestEncoderBuildsPayloadsOnFirstEncode(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
+			if i%2 == 0 {
+				if err := enc.BuildPayloads(hot); err != nil {
+					t.Error(err)
+					return
+				}
+			}
 			f, err := enc.EncodeSlot(hot, 3, seg, nil)
 			if err != nil {
 				t.Error(err)

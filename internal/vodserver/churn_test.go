@@ -44,7 +44,7 @@ func TestParallelTickChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeNoFrameLeak(t, s)
 
 	deadline := time.Now().Add(30 * time.Second)
 	var wg sync.WaitGroup

@@ -27,10 +27,7 @@ func startManualServer(t *testing.T, videos ...VideoConfig) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		s.Close()
-		assertNoFrameLeak(t, s)
-	})
+	t.Cleanup(func() { closeNoFrameLeak(t, s) })
 	return s
 }
 
@@ -47,6 +44,14 @@ func assertNoFrameLeak(t *testing.T, s *Server) {
 	if n := s.enc.Outstanding(); n != 0 {
 		t.Fatalf("%d frames never released after Close", n)
 	}
+}
+
+// closeNoFrameLeak closes s and fails unless every frame it encoded came
+// back: a test that starts its own server defers it in place of Close.
+func closeNoFrameLeak(t *testing.T, s *Server) {
+	t.Helper()
+	s.Close()
+	assertNoFrameLeak(t, s)
 }
 
 // loopback returns both ends of a fresh TCP connection over 127.0.0.1.

@@ -104,7 +104,7 @@ func TestE2EConntrackStallAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeNoFrameLeak(t, s)
 
 	// The paused subscriber: admitted, then never reads another byte. Its
 	// socket pipe fills, BytesAcked freezes, the ring backs up — a total

@@ -60,7 +60,7 @@ func TestE2ENetemPathAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeNoFrameLeak(t, s)
 
 	// The shaped-path subscriber reads as fast as it can: every late frame
 	// it sees is the network's fault, and the kernel's retransmit counter is

@@ -73,7 +73,7 @@ func TestE2EClientQoELoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeNoFrameLeak(t, s)
 
 	// Phase 1 — healthy fleet: N concurrent clients across both videos,
 	// every session reporting back.
@@ -232,7 +232,7 @@ func TestSlipAlertLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeNoFrameLeak(t, s)
 	now := time.Unix(1_000_000, 0)
 	s.Alerts().SetClock(func() time.Time { return now })
 	eval := func(want obs.AlertState) {

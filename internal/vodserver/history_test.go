@@ -56,7 +56,7 @@ func TestMetricszPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeNoFrameLeak(t, s)
 	code, full := get(t, s, "/metricsz")
 	if code != http.StatusOK {
 		t.Fatalf("metricsz = %d", code)
@@ -105,7 +105,7 @@ func TestRingDepthWatermarkWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeNoFrameLeak(t, s)
 	// A spike tick followed by quieter ticks, as fanOut would record them.
 	s.ringDepth.Record(17)
 	s.ringDepth.Record(2)
@@ -132,7 +132,7 @@ func TestQueryzEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeNoFrameLeak(t, s)
 	waitFor(t, "history scrapes", func() bool {
 		return s.History().Stats().Scrapes >= 5
 	})
@@ -261,7 +261,7 @@ func TestQueryzSeriesCapExcludesRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeNoFrameLeak(t, s)
 	waitFor(t, "history scrapes", func() bool {
 		return s.History().Stats().Scrapes >= 2
 	})
@@ -379,7 +379,7 @@ func TestQueryzAndFlightDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeNoFrameLeak(t, s)
 	if s.History() != nil {
 		t.Fatal("HistoryDisabled left a live store")
 	}
@@ -424,7 +424,7 @@ func TestFlightRecordEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeNoFrameLeak(t, s)
 	waitFor(t, "history scrapes", func() bool {
 		return s.History().Stats().Scrapes >= 3
 	})
@@ -492,7 +492,7 @@ func TestE2EFlightRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeNoFrameLeak(t, s)
 
 	// Phase 1 — healthy: sessions report zero misses, history records the
 	// flat-zero miss-rate baseline the step-up will stand out against.

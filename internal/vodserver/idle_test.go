@@ -98,7 +98,7 @@ func TestColdVideoStreamsLikeBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeNoFrameLeak(t, s)
 
 	bootInfo, boot := rawSession(t, s.Addr(), id)
 	idleFrom := waitIdle(t, s, 0)

@@ -27,10 +27,7 @@ func startObsServer(t *testing.T) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		s.Close()
-		assertNoFrameLeak(t, s)
-	})
+	t.Cleanup(func() { closeNoFrameLeak(t, s) })
 	if _, err := vodclient.FetchWith(s.Addr(), vodclient.FetchOptions{VideoID: 1, Timeout: 10 * time.Second, StrictDeadlines: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +131,7 @@ func TestOneInstrumentPerDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeNoFrameLeak(t, s)
 	for i := 0; i < n; i++ {
 		if _, err := vodclient.FetchWith(s.Addr(), vodclient.FetchOptions{VideoID: 1, Timeout: 10 * time.Second, StrictDeadlines: true}); err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -32,10 +33,7 @@ func startTestServer(t *testing.T, videos ...VideoConfig) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		s.Close()
-		assertNoFrameLeak(t, s)
-	})
+	t.Cleanup(func() { closeNoFrameLeak(t, s) })
 	return s
 }
 
@@ -189,7 +187,7 @@ func TestSameSlotBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
+	t.Cleanup(func() { closeNoFrameLeak(t, s) })
 
 	// Start right after a slot boundary so the whole burst lands in one slot.
 	for slot := s.Station().CurrentSlot(0); s.Station().CurrentSlot(0) == slot; {
@@ -445,7 +443,7 @@ func TestVBRVideoOverTheWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeNoFrameLeak(t, s)
 	res, err := vodclient.FetchWith(s.Addr(), vodclient.FetchOptions{VideoID: 9, Timeout: 30 * time.Second, StrictDeadlines: true})
 	if err != nil {
 		t.Fatal(err)
@@ -494,7 +492,7 @@ func TestVBRVideoVariantB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeNoFrameLeak(t, s)
 	if _, err := vodclient.FetchWith(s.Addr(), vodclient.FetchOptions{VideoID: 3, Timeout: 30 * time.Second, StrictDeadlines: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -532,6 +530,34 @@ func TestStartRejectsBadSegmentSizes(t *testing.T) {
 	if _, err := Start(base); err == nil {
 		t.Error("zero size accepted")
 	}
+
+	// A Segment frame's body is its 16-byte head plus the payload, and a
+	// body over wire.MaxBody is one no client decodes: Start refuses such a
+	// size, CBR or VBR, naming the video and segment, and starts with the
+	// largest size that fits.
+	const largest = wire.MaxBody - 16
+	for _, tc := range []struct {
+		video VideoConfig
+		want  string
+	}{
+		{VideoConfig{ID: 7, Segments: 2, SegmentBytes: largest + 1}, "video 7 segment 1 "},
+		{VideoConfig{ID: 8, Segments: 3, SegmentSizes: []int{64, 64, largest + 1}}, "video 8 segment 3 "},
+		{VideoConfig{ID: 9, Segments: 1, SegmentSizes: []int{1<<32 + 64}}, "video 9 segment 1 "},
+	} {
+		base.Videos = []VideoConfig{{ID: 1, Segments: 2, SegmentBytes: 64}, tc.video}
+		if s, err := Start(base); err == nil {
+			s.Close()
+			t.Errorf("video %d: a segment the wire cannot carry was accepted", tc.video.ID)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("video %d: error %q does not name %q", tc.video.ID, err, tc.want)
+		}
+	}
+	base.Videos = []VideoConfig{{ID: 1, Segments: 2, SegmentBytes: largest}}
+	s, err := Start(base)
+	if err != nil {
+		t.Fatalf("largest carriable segment refused: %v", err)
+	}
+	closeNoFrameLeak(t, s)
 }
 
 func TestResumeOverTheWire(t *testing.T) {
@@ -596,7 +622,7 @@ func TestStatszEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeNoFrameLeak(t, s)
 	if s.StatsAddr() == "" {
 		t.Fatal("stats endpoint not bound")
 	}

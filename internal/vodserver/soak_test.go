@@ -29,7 +29,7 @@ func TestSoakManyClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeNoFrameLeak(t, s)
 
 	const customers = 30
 	rng := sim.NewRNG(99)

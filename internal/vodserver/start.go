@@ -181,13 +181,19 @@ type videoRecord struct {
 	frame *fanout.Frame
 }
 
-// record returns the video's record, building it on the video's first
-// admission. Builds happen under s.mu and refuse once Close has begun; Close
-// latches every built record's set under s.mu, so a record is either latched
-// by Close or never built.
+// record returns the video's record, building it — and the video's payloads
+// — on the video's first admission. Record builds happen under s.mu and
+// refuse once Close has begun; Close latches every built record's set under
+// s.mu, so a record is either latched by Close or never built.
 func (s *Server) record(v *video) (*videoRecord, error) {
 	if r := v.rec.Load(); r != nil {
 		return r, nil
+	}
+	// The first admission builds the video's payloads, on its handler's
+	// goroutine and outside s.mu, so the tick never does; racing first
+	// admissions wait on the encoder's one build.
+	if err := s.enc.BuildPayloads(v.cfg.ID); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -279,7 +285,7 @@ type Server struct {
 	ct *conntrack.Sampler
 
 	// enc is the zero-copy slot encoder (payloads built on each video's
-	// first broadcast, pooled ref-counted frames).
+	// first admission, pooled ref-counted frames).
 	enc *fanout.Encoder
 
 	// videos is immutable after Start; per-subscriber state lives in each
@@ -361,10 +367,10 @@ func Start(cfg Config) (*Server, error) {
 		if _, dup := videos[vc.ID]; dup {
 			return nil, fmt.Errorf("vodserver: duplicate video id %d", vc.ID)
 		}
-		// Hand the video's (possibly VBR) segment sizes to the data plane:
-		// the zero-copy encoder builds the video's payloads once, on its
-		// first broadcast, so start-up pays no payload bytes and later
-		// broadcasts never allocate one again.
+		// Hand the video's (possibly VBR) segment sizes to the data plane,
+		// which refuses a size the wire cannot carry: the zero-copy encoder
+		// builds the video's payloads once, on its first admission, so
+		// start-up pays no payload bytes and broadcasts never allocate one.
 		sizes := vc.SegmentSizes
 		if len(sizes) == 0 {
 			cbr = cbr[:0]

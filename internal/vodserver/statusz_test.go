@@ -29,10 +29,7 @@ func startStatusServer(t *testing.T, spanSink io.Writer) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		s.Close()
-		assertNoFrameLeak(t, s)
-	})
+	t.Cleanup(func() { closeNoFrameLeak(t, s) })
 	for _, id := range []uint32{1, 2} {
 		// Decline trace join and reporting so the span sink holds exactly the
 		// server-side admit trees (client spans are covered by the QoE tests).
@@ -278,7 +275,7 @@ func TestConnzDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeNoFrameLeak(t, s)
 	if s.Conns() != nil {
 		t.Fatal("ConntrackDisabled left a live sampler")
 	}

@@ -47,7 +47,7 @@ func TestSlowSubscriberDroppedMidBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeNoFrameLeak(t, s)
 
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
@@ -158,7 +158,7 @@ func TestLaggingReaderCatchesUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeNoFrameLeak(t, s)
 
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
@@ -331,7 +331,7 @@ func TestSequentialSessionsNoFDLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeNoFrameLeak(t, s)
 	session := func(i int) {
 		res, err := vodclient.FetchWith(s.Addr(), vodclient.FetchOptions{VideoID: 1, Timeout: 10 * time.Second})
 		if err != nil {

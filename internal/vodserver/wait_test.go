@@ -28,7 +28,7 @@ func TestFirstByteWithinOneSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
+	t.Cleanup(func() { closeNoFrameLeak(t, s) })
 	for k := 0; k < sessions; k++ {
 		if _, err := vodclient.FetchWith(s.Addr(), vodclient.FetchOptions{
 			VideoID: 1, Timeout: 10 * time.Second, StrictDeadlines: true,

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -78,6 +80,119 @@ func TestAppendSegmentPayloadMatchesSegmentPayload(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("AppendSegmentPayload(%d,%d,%d) differs from SegmentPayload", c.videoID, c.segment, c.size)
 		}
+	}
+}
+
+// specSegmentPayload is the payload generator as first written, one
+// xorshift64 step per byte: the definition the chunk tables must reproduce.
+func specSegmentPayload(dst []byte, videoID, segment, size uint32) []byte {
+	state := (uint64(videoID)<<32 ^ uint64(segment)) * 0x9E3779B97F4A7C15
+	if state == 0 {
+		state = 0x9E3779B97F4A7C15
+	}
+	for i := uint32(0); i < size; i++ {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		dst = append(dst, byte(state))
+	}
+	return dst
+}
+
+// checkPayloadMatchesSpec appends one payload behind prefix into a buffer
+// of the given spare capacity and compares the result with the spec.
+func checkPayloadMatchesSpec(t *testing.T, prefix []byte, spare int, videoID, segment, size uint32) {
+	t.Helper()
+	dst := append(make([]byte, 0, len(prefix)+spare), prefix...)
+	got := AppendSegmentPayload(dst, videoID, segment, size)
+	want := specSegmentPayload(append([]byte(nil), prefix...), videoID, segment, size)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("AppendSegmentPayload(prefix %d B, spare %d, %d, %d, %d) differs from the spec",
+			len(prefix), spare, videoID, segment, size)
+	}
+}
+
+// TestAppendSegmentPayloadMatchesSpec covers every size through three
+// chunks and one byte — the byte-at-a-time path, the switch to the tables at
+// two chunks, and every tail length — for the zero-seed video and two
+// ordinary ones, behind an empty and a non-empty prefix, into exact, short
+// and zero spare capacity.
+func TestAppendSegmentPayloadMatchesSpec(t *testing.T) {
+	ids := []struct{ videoID, segment uint32 }{{0, 0}, {1, 1}, {0xFFFFFFFF, 12345}}
+	prefixes := [][]byte{nil, {0xAA, 0xBB, 0xCC}}
+	for size := uint32(0); size <= 3*payloadChunk+1; size++ {
+		for _, id := range ids {
+			for _, prefix := range prefixes {
+				for _, spare := range []int{int(size), int(size) / 2, 0} {
+					checkPayloadMatchesSpec(t, prefix, spare, id.videoID, id.segment, size)
+				}
+			}
+		}
+	}
+}
+
+func TestAppendSegmentPayloadAllocatesNothingWithRoom(t *testing.T) {
+	for _, size := range []uint32{64, 4096} {
+		buf := make([]byte, 0, size)
+		if n := testing.AllocsPerRun(100, func() {
+			buf = AppendSegmentPayload(buf[:0], 7, 3, size)
+		}); n != 0 {
+			t.Fatalf("AppendSegmentPayload of %d B into enough capacity: %v allocs, want 0", size, n)
+		}
+	}
+}
+
+// swapPayloadTables replaces the package's table builder with a fresh one
+// for the rest of the test, counting its builds, so the test sees the first
+// use whatever ran before it.
+func swapPayloadTables(t *testing.T) *atomic.Int32 {
+	var builds atomic.Int32
+	saved := payloadTables
+	payloadTables = sync.OnceValue(func() *payloadKernel {
+		builds.Add(1)
+		return newPayloadKernel()
+	})
+	t.Cleanup(func() { payloadTables = saved })
+	return &builds
+}
+
+func TestShortPayloadsNeverBuildTables(t *testing.T) {
+	builds := swapPayloadTables(t)
+	buf := make([]byte, 0, 2*payloadChunk)
+	for size := uint32(0); size < 2*payloadChunk; size++ {
+		buf = AppendSegmentPayload(buf[:0], 3, 4, size)
+	}
+	if n := builds.Load(); n != 0 {
+		t.Fatalf("payloads under %d B built the tables %d times", 2*payloadChunk, n)
+	}
+	AppendSegmentPayload(buf[:0], 3, 4, 2*payloadChunk)
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("a %d B payload built the tables %d times, want 1", 2*payloadChunk, n)
+	}
+}
+
+// TestConcurrentFirstPayloads races eight first payloads against the table
+// build; make ci runs it under -race on four threads twenty times.
+func TestConcurrentFirstPayloads(t *testing.T) {
+	builds := swapPayloadTables(t)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := uint32(0); g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			size := 1024 + 37*g
+			got := AppendSegmentPayload(nil, g, 9, size)
+			if !bytes.Equal(got, specSegmentPayload(nil, g, 9, size)) {
+				t.Errorf("video %d: a racing first payload differs from the spec", g)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("tables built %d times, want 1", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 )
@@ -67,4 +68,20 @@ func BenchmarkWriteClientReport(b *testing.B) {
 func BenchmarkWriteSegment(b *testing.B) {
 	benchWrite(b, Segment{VideoID: 1, Segment: 2, Slot: 3,
 		Payload: SegmentPayload(1, 2, 4096)})
+}
+
+// BenchmarkAppendSegmentPayload prices payload generation in place, into a
+// buffer with room: 64 B takes the byte-at-a-time path, the larger sizes the
+// 64-byte chunk tables.
+func BenchmarkAppendSegmentPayload(b *testing.B) {
+	for _, size := range []uint32{64, 256, 1024, 4096} {
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			buf := make([]byte, 0, size)
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf = AppendSegmentPayload(buf[:0], uint32(i), 1, size)
+			}
+		})
+	}
 }

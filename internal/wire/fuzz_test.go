@@ -96,3 +96,20 @@ func FuzzReadFrameStream(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSegmentPayload checks the chunked payload generator against the
+// byte-at-a-time spec on any video, segment, size up to 64 KiB and dst
+// prefix.
+func FuzzSegmentPayload(f *testing.F) {
+	f.Add(uint32(0), uint32(0), uint32(200), []byte{})
+	f.Add(uint32(1), uint32(1), uint32(127), []byte{1})
+	f.Add(uint32(7), uint32(99), uint32(4096), []byte("prefix"))
+	f.Fuzz(func(t *testing.T, video, segment, size uint32, prefix []byte) {
+		size %= 64<<10 + 1
+		got := AppendSegmentPayload(append([]byte(nil), prefix...), video, segment, size)
+		want := specSegmentPayload(append([]byte(nil), prefix...), video, segment, size)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendSegmentPayload(prefix %d B, %d, %d, %d) differs from the spec", len(prefix), video, segment, size)
+		}
+	})
+}
