@@ -77,13 +77,13 @@ ci:
 	# timerfd opens with StartClock and closes with Close. Three runs each,
 	# so a lag reading that passed by chance shows.
 	$(GO) test -count=3 -run '^(TestWallClockWakesOnGrid|TestWallClockWakesOnGridWhenBusy|TestWallWaitFDLifecycle)$$' ./internal/station/
-	# A video's payloads are built once under a sync.Once, by its first
-	# admission (BuildPayloads) or, on the replay's path, its first encode:
-	# twenty racing runs on four threads stress how that build is published
-	# to concurrent admissions and tick workers. The payload generator's
-	# chunk tables are built once too, on the first payload of two chunks
-	# or more: racing first payloads must all read the one build.
-	$(GO) test -race -cpu 4 -count=20 -run '^TestEncoderBuildsPayloadsOnFirstEncode$$' ./internal/fanout/
+	# Each slot's payloads are generated into its frame by the tick's
+	# encoder, so the payload generator's chunk tables, built once on the
+	# first payload of two chunks or more, are first touched on the tick
+	# path: four goroutines encoding overlapping videos from a fresh process
+	# must all read the one build and match the reference encoder's bytes,
+	# and racing first payloads in wire itself likewise.
+	$(GO) test -race -cpu 4 -count=20 -run '^TestConcurrentFirstEncodes$$' ./internal/fanout/
 	$(GO) test -race -cpu 4 -count=20 -run '^TestConcurrentFirstPayloads$$' ./internal/wire/
 	# A video's serving record is built by its first admission under the lock
 	# Close latches the catalogue under: racing first admissions against
@@ -168,7 +168,9 @@ bench:
 # resumes included. Both scan the window of every uncapped admission: it
 # must share a segment whenever an instance of it lies there, and each
 # assignment must be the one Figure 6's rule picks from the slots as they
-# stood. ci runs all five targets briefly (FUZZTIME=5s).
+# stood. FuzzCappedNeverPanics drives the capped scheduler on any vector,
+# cap, arrivals and resumes: what Validate accepts must never panic. ci runs
+# all six targets briefly (FUZZTIME=5s).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/wire/ -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZTIME)
@@ -176,6 +178,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -fuzz='^FuzzSegmentPayload$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz='^FuzzSchedulerInvariants$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz='^FuzzPeriodVectors$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core/ -fuzz='^FuzzCappedNeverPanics$$' -fuzztime=$(FUZZTIME)
 
 experiments:
 	@for e in fig7 fig8 fig9 ablation peaks vbrplan clientcap reactive dsb models ci wait capacity storage buffer; do \

@@ -14,10 +14,14 @@ import "fmt"
 // pending instance of the segment in the instance index, latest first, and
 // falls back to scheduling a duplicate in a capacity-feasible slot.
 //
-// Feasibility is guaranteed for every c >= 1: processing segments in
-// deadline order, segment j has a window of T[j] >= j slots of which at most
-// j-1 client-slots are occupied, so at least one slot always has room (c = 1
-// degenerates to the sequential just-in-time schedule S_j at slot i+j).
+// Feasibility is what Config.Validate checks: c·T[k] >= k for every k. The
+// loop takes segments in index order, so the k-th segment it places (k =
+// j-from+1 for a resume from segment from, k = j for a full viewing) has a
+// window of T[k] slots holding c·T[k] client slots, of which the k-1
+// segments placed before it fill at most k-1; at least one slot always has
+// room. The CBR default T[k] = k meets the condition for every c >= 1 (c = 1
+// degenerates to the sequential just-in-time schedule S_j at slot i+j); a
+// vector with some T[k] < k needs a cap of at least ⌈k/T[k]⌉.
 
 // admitFromCapped is the capped counterpart of admitFrom and the only capped
 // placement loop: segment j >= from must arrive within [i+1, i+T[j-from+1]].
@@ -62,7 +66,8 @@ func (s *Scheduler) admitFromCapped(from int, assignment []int) int {
 				}
 			}
 			if chosen < 0 {
-				// Unreachable by the feasibility argument above.
+				// Unreachable on a configuration Validate accepts, by the
+				// feasibility argument above.
 				panic(fmt.Sprintf("core: no feasible slot for segment %d from %d (cap %d)", j, from, s.cap))
 			}
 			s.ring.Add(chosen, j)

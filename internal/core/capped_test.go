@@ -1,6 +1,10 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"vodcast/internal/sim"
@@ -198,5 +202,77 @@ func TestCappedWithStretchedPeriods(t *testing.T) {
 			}
 		}
 		s.AdvanceSlot()
+	}
+}
+
+// cappedInfeasible are vectors and caps the validator once accepted and
+// AdmitRequest then panicked on ("no feasible slot"), with the arrivals
+// (FuzzSchedulerInvariants' encoding) that reached the panic: each has some
+// k with cap·T[k] < k. minCap is the smallest cap Validate accepts,
+// max ⌈k/T[k]⌉. raw encodes the vector as cappedPeriods decodes it.
+var cappedInfeasible = []struct {
+	name           string
+	periods        []int
+	raw            []byte
+	cap, minCap, k int
+	cmds           []byte
+}{
+	{"T=[1 1] cap 1", []int{0, 1, 1}, []byte{0}, 1, 2, 2,
+		[]byte{1, 7, 7, 3, 1, 6, 1, 4, 0, 4, 6, 7}},
+	{"T=[1 4 2] cap 1", []int{0, 1, 4, 2}, []byte{3, 1}, 1, 2, 3,
+		[]byte{1, 7, 7, 3, 1, 6, 1, 4, 0, 4, 6, 7}},
+	{"T=[1 3 3 6 2 2 8] cap 2", []int{0, 1, 3, 3, 6, 2, 2, 8}, []byte{2, 2, 5, 1, 1, 7}, 2, 3, 5,
+		[]byte{0, 1, 0, 2, 1, 3, 4, 5, 0, 3, 2, 6}},
+}
+
+// TestCappedInfeasibleVectorsRejected: the validator refuses each vector's
+// panicking cap under ErrBadClientCap, naming the first k with cap·T[k] < k,
+// and the scheduler at the smallest accepted cap runs the arrivals that
+// panicked, then mixed full viewings and resumes, in its windows and cap.
+func TestCappedInfeasibleVectorsRejected(t *testing.T) {
+	for _, c := range cappedInfeasible {
+		t.Run(c.name, func(t *testing.T) {
+			if got := cappedPeriods(c.raw); !slices.Equal(got, c.periods) {
+				t.Fatalf("raw %v decodes to %v, want %v", c.raw, got, c.periods)
+			}
+			n := len(c.periods) - 1
+			for cap := 1; cap < c.minCap; cap++ {
+				err := Config{Segments: n, Periods: c.periods, MaxClientStreams: cap}.Validate()
+				if !errors.Is(err, ErrBadClientCap) {
+					t.Fatalf("cap %d: Validate = %v, want ErrBadClientCap", cap, err)
+				}
+				if cap == c.cap && !strings.Contains(err.Error(), fmt.Sprintf("segment %d's", c.k)) {
+					t.Fatalf("cap %d: %v does not name segment %d", cap, err, c.k)
+				}
+			}
+			s, err := New(Config{Segments: n, Periods: c.periods, MaxClientStreams: c.minCap})
+			if err != nil {
+				t.Fatalf("cap %d: %v", c.minCap, err)
+			}
+			rng := sim.NewRNG(int64(n))
+			cmds := c.cmds
+			for step := 0; step < 3000; step++ {
+				cmds = append(cmds, byte(rng.Intn(8)))
+			}
+			for _, b := range cmds {
+				if b%8 < 2 {
+					s.AdvanceSlot()
+					continue
+				}
+				from := 1
+				if b%8 >= 5 {
+					from = 1 + int(b)%n
+				}
+				i := s.CurrentSlot()
+				got, err := admitFromTraced(s, from)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkDeadlines(t, s, i, from, got)
+				if conc := concurrency(got[from-1:]); conc > c.minCap {
+					t.Fatalf("request of slot %d from %d downloads %d streams at once, cap %d", i, from, conc, c.minCap)
+				}
+			}
+		})
 	}
 }

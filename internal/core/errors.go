@@ -18,7 +18,8 @@ var (
 	// ErrBadStartSlot reports a negative Config.StartSlot.
 	ErrBadStartSlot = errors.New("core: start slot must be non-negative")
 	// ErrBadClientCap reports an unusable Config.MaxClientStreams: a
-	// negative cap, or a positive cap combined with a non-heuristic policy.
+	// negative cap, a positive cap combined with a non-heuristic policy, or
+	// a cap c too small for the period vector (c·T[k] < k for some k).
 	ErrBadClientCap = errors.New("core: invalid client stream cap")
 	// ErrBadResumePoint reports an AdmitOptions.From outside 1..n.
 	ErrBadResumePoint = errors.New("core: resume segment out of range")

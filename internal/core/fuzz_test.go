@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"vodcast/internal/video"
@@ -9,8 +10,8 @@ import (
 // fuzzPeriods derives a legal period vector for n segments from raw: empty
 // selects the CBR default T[j] = j; otherwise T[1] = 1 and every other T[j]
 // is 1 + raw[..] % 2n in whatever order the bytes give, non-monotone
-// included. atLeastJ adds j-1, keeping T[j] >= j as the capped mode's
-// feasibility argument requires.
+// included. atLeastJ adds j-1, keeping T[j] >= j, which meets the capped
+// mode's feasibility condition c·T[j] >= j for every cap.
 func fuzzPeriods(raw []byte, n int, atLeastJ bool) []int {
 	if len(raw) == 0 {
 		return nil
@@ -252,6 +253,73 @@ func FuzzPeriodVectors(f *testing.F) {
 				checkDeadlines(t, s, i, from, got)
 				checkShared(t, s, i, from, before)
 				checkFigure6(t, s, i, from, before, got)
+			}
+		}
+	})
+}
+
+// cappedPeriods decodes FuzzCappedNeverPanics' vector: n = len(raw)+1
+// segments, T[1] = 1 and T[j] = 1 + raw[j-2] % 2n.
+func cappedPeriods(raw []byte) []int {
+	n := len(raw) + 1
+	periods := make([]int, n+1)
+	periods[1] = 1
+	for j := 2; j <= n; j++ {
+		periods[j] = 1 + int(raw[j-2])%(2*n)
+	}
+	return periods
+}
+
+// FuzzCappedNeverPanics drives the capped scheduler over any vector, cap,
+// arrivals and resumes: a configuration Validate accepts must admit every
+// request in its windows and within its cap, and one it refuses must be
+// refused under ErrBadClientCap. The vector is cappedPeriods(raw),
+// non-monotone and T[j] < j included; the cap is 1 + capByte%4; cmds is
+// FuzzSchedulerInvariants' encoding.
+func FuzzCappedNeverPanics(f *testing.F) {
+	for _, c := range cappedInfeasible {
+		f.Add(c.raw, uint8(c.cap-1), c.cmds)
+	}
+	f.Add([]byte{2, 3, 4}, uint8(0), []byte{2, 0, 2, 5, 6, 0, 4, 7})
+	f.Fuzz(func(t *testing.T, raw []byte, capByte uint8, cmds []byte) {
+		if len(raw) > 31 {
+			raw = raw[:31]
+		}
+		periods := cappedPeriods(raw)
+		n := len(periods) - 1
+		cap := 1 + int(capByte)%4
+		s, err := New(Config{Segments: n, Periods: periods, MaxClientStreams: cap})
+		if errors.Is(err, ErrBadClientCap) {
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cmds) > 400 {
+			cmds = cmds[:400]
+		}
+		for _, c := range cmds {
+			from, burst := 1, 1
+			switch c % 8 {
+			case 0, 1:
+				s.AdvanceSlot()
+				continue
+			case 2, 3:
+			case 4:
+				burst = 2 + int(c/8)%3
+			default:
+				from = 1 + int(c)%n
+			}
+			for ; burst > 0; burst-- {
+				i := s.CurrentSlot()
+				got, err := admitFromTraced(s, from)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkDeadlines(t, s, i, from, got)
+				if c := concurrency(got[from-1:]); c > cap {
+					t.Fatalf("%v cap %d: a request of slot %d from segment %d downloads %d streams at once", periods, cap, i, from, c)
+				}
 			}
 		}
 	})

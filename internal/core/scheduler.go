@@ -58,7 +58,7 @@ type Config struct {
 	// MaxClientStreams caps how many streams one set-top box may receive
 	// simultaneously (Section 5's future-work variant). Zero means
 	// unlimited, the published protocol. A positive cap requires the
-	// heuristic policy.
+	// heuristic policy and must satisfy cap·T[k] >= k for every k.
 	MaxClientStreams int
 	// TrackSegments records which segment ids occupy each slot, needed by
 	// the schedule visualizer and the golden tests. Leave it off in large
@@ -139,6 +139,17 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.MaxClientStreams > 0 && policy != PolicyHeuristic {
 		return fmt.Errorf("%w: a positive cap requires the heuristic policy", ErrBadClientCap)
+	}
+	// The capped loop needs c·T[k] >= k for every k (see capped.go); the
+	// CBR default T[k] = k meets it for every cap. c·T[k] < k is written
+	// T[k] <= (k-1)/c so no product can overflow.
+	if c := cfg.MaxClientStreams; c > 0 && cfg.Periods != nil {
+		for k := 2; k <= cfg.Segments; k++ {
+			if cfg.Periods[k] <= (k-1)/c {
+				return fmt.Errorf("%w: cap %d leaves segment %d's %d-slot window %d client slots for %d segments",
+					ErrBadClientCap, c, k, cfg.Periods[k], c*cfg.Periods[k], k)
+			}
+		}
 	}
 	return nil
 }

@@ -159,3 +159,52 @@ func BenchmarkFanOut(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEncodeSlot prices one video's slot encode, payloads generated in
+// place, at the serving benchmark's four workload shapes: instances per slot
+// × segment bytes. One op is one video-slot; it must allocate nothing.
+func BenchmarkEncodeSlot(b *testing.B) {
+	shapes := []struct {
+		name      string
+		instances int
+		bytes     int
+	}{
+		{"churn", 2, 64},
+		{"resume", 3, 64},
+		{"longtail", 4, 256},
+		{"audience", 5, 1024},
+	}
+	for _, sh := range shapes {
+		b.Run(fmt.Sprintf("%s/%dx%dB", sh.name, sh.instances, sh.bytes), func(b *testing.B) {
+			const segments = 64
+			sizes := make([]int, segments)
+			for i := range sizes {
+				sizes[i] = sh.bytes
+			}
+			enc := NewEncoder()
+			if err := enc.AddVideo(1, sizes); err != nil {
+				b.Fatal(err)
+			}
+			segs := make([]int, sh.instances)
+			encode := func(slot int) {
+				for i := range segs {
+					segs[i] = 1 + (slot+i*7)%segments
+				}
+				f, err := enc.EncodeSlot(1, slot, segs, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				f.Release()
+			}
+			for i := 0; i < 8; i++ {
+				encode(i)
+			}
+			b.SetBytes(int64(sh.instances * sh.bytes))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				encode(i)
+			}
+		})
+	}
+}

@@ -19,7 +19,9 @@ func catalogues(t *testing.T) (*Encoder, *Reference) {
 	enc, ref := NewEncoder(), NewFanoutReference()
 	vids := map[uint32][]int{
 		1: {1000, 1000, 1000, 1000, 1000, 1000, 1000, 1000},
-		2: {1500, 700, 2200, 90, 4096, 1, 0, 333, 1234, 800}, // VBR-shaped, incl. zero-size
+		// VBR-shaped, incl. zero-size; 127–191 straddle the payload
+		// generator's two-chunk table threshold and leave a sub-chunk tail.
+		2: {1500, 700, 2200, 90, 4096, 1, 0, 333, 1234, 800, 127, 128, 129, 191},
 		3: {64},
 	}
 	for id, sizes := range vids {
@@ -50,6 +52,7 @@ func TestDifferentialByteIdentical(t *testing.T) {
 		{"single segment", 1, 5, []int{1}, nil},
 		{"full slot", 1, 17, []int{1, 2, 3, 5, 8}, nil},
 		{"vbr mixed sizes", 2, 9, []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, nil},
+		{"table threshold", 2, 12, []int{11, 12, 13, 14}, nil},
 		{"zero-size segment", 2, 3, []int{7}, nil},
 		{"repeat instance", 3, 40, []int{1, 1, 1}, nil},
 		{"drop odd segments", 2, 11, []int{1, 2, 3, 4}, func(seg int) bool { return seg%2 == 1 }},
@@ -118,82 +121,79 @@ func TestEncodeSlotErrors(t *testing.T) {
 	}
 }
 
-// TestEncoderBuildsPayloadsOnFirstEncode: registering a catalogue builds no
-// payload, an out-of-range request on an unbuilt video errors without
-// building one, BuildPayloads on an unknown video errors, and goroutines
-// racing a video's first BuildPayloads (the server's first admission)
-// against its first encodes (the replay's path) all get the reference bytes
-// from the one build.
-func TestEncoderBuildsPayloadsOnFirstEncode(t *testing.T) {
+// TestMemoryFollowsDemand: a video keeps its sizes and nothing else, so
+// registering a 2048 × 30 × 256 B catalogue and encoding one slot of every
+// video leaves the heap far below the 15.7 MB its payloads would take.
+func TestMemoryFollowsDemand(t *testing.T) {
 	const videos, segments, segmentBytes = 2048, 30, 256
 	sizes := make([]int, segments)
 	for i := range sizes {
 		sizes[i] = segmentBytes
 	}
-	enc, ref := NewEncoder(), NewFanoutReference()
 	var before, after runtime.MemStats
+	runtime.GC()
 	runtime.ReadMemStats(&before)
+	enc := NewEncoder()
 	for id := uint32(1); id <= videos; id++ {
 		if err := enc.AddVideo(id, sizes); err != nil {
 			t.Fatal(err)
 		}
 	}
+	for id := uint32(1); id <= videos; id++ {
+		f, err := enc.EncodeSlot(id, int(id), []int{1, int(id)%segments + 1, segments}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Release()
+	}
+	// The encoder stays live through the second GC (KeepAlive below), so
+	// what it holds counts as retained.
+	runtime.GC()
 	runtime.ReadMemStats(&after)
-	// Eagerly built payloads alone would be 2048 × 30 × 256 B = 15.7 MB.
-	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
-		t.Fatalf("AddVideo of %d×%d×%d B allocated %d B, want < 1 MiB", videos, segments, segmentBytes, d)
+	if d := int64(after.HeapAlloc) - int64(before.HeapAlloc); d >= 1<<20 {
+		t.Fatalf("a slot of each of %d×%d×%d B videos retained %d B of heap, want < 1 MiB", videos, segments, segmentBytes, d)
 	}
+	runtime.KeepAlive(enc)
+}
 
-	const bad, hot = 5, 7
-	if _, err := enc.EncodeSlot(bad, 0, []int{segments + 1}, nil); err == nil {
-		t.Fatal("out-of-range segment accepted")
-	}
-	if enc.cat.videos[bad].payloads != nil {
-		t.Fatal("out-of-range encode built the video's payloads")
-	}
-	if err := enc.BuildPayloads(videos + 1); err == nil {
-		t.Fatal("BuildPayloads of an unknown video accepted")
-	}
-
-	if err := ref.AddVideo(hot, sizes); err != nil {
-		t.Fatal(err)
-	}
-	seg := []int{1, 2, 15, 30, 30}
-	want, _, err := ref.EncodeSlot(hot, 3, seg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestConcurrentFirstEncodes: four goroutines encode overlapping videos
+// from a cold start, so in a fresh process the payload generator's tables
+// are first built on the encode path, and every frame matches the reference
+// encoder's bytes. make ci runs it under -race on four threads twenty times.
+func TestConcurrentFirstEncodes(t *testing.T) {
+	enc, ref := catalogues(t)
+	// Two slot shapes per video: video 1's 1000 B segments, and video 2's
+	// sizes across the table threshold.
+	slots := map[uint32][][]int{1: {{1, 2, 3}, {5, 8, 8}}, 2: {{4, 11, 12, 13, 14}, {1, 5, 14}}}
 	var wg sync.WaitGroup
 	start := make(chan struct{})
-	for i := 0; i < 8; i++ {
+	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			<-start
-			if i%2 == 0 {
-				if err := enc.BuildPayloads(hot); err != nil {
+			for i := 0; i < 8; i++ {
+				video, slot := uint32(1+(g+i)%2), g*8+i
+				segments := slots[video][i/2%2]
+				f, err := enc.EncodeSlot(video, slot, segments, nil)
+				if err != nil {
 					t.Error(err)
 					return
 				}
+				want, _, err := ref.EncodeSlot(video, slot, segments, nil)
+				if err != nil {
+					t.Error(err)
+				} else if !bytes.Equal(f.Bytes(), want) {
+					t.Errorf("video %d slot %d: a racing encode's wire bytes differ from the reference", video, slot)
+				}
+				f.Release()
 			}
-			f, err := enc.EncodeSlot(hot, 3, seg, nil)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if !bytes.Equal(f.Bytes(), want) {
-				t.Error("a racing first encode's wire bytes differ from the reference")
-			}
-			f.Release()
 		}()
 	}
 	close(start)
 	wg.Wait()
-
-	for id, v := range enc.cat.videos {
-		if built := v.payloads != nil; built != (id == hot) {
-			t.Fatalf("video %d: payloads built = %v, want %v", id, built, id == hot)
-		}
+	if n := enc.Outstanding(); n != 0 {
+		t.Fatalf("%d frames outstanding after every release", n)
 	}
 }
 

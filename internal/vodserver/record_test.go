@@ -100,24 +100,6 @@ func TestFirstAdmissionRacesClose(t *testing.T) {
 	assertNoFrameLeak(t, s)
 }
 
-// TestFirstAdmissionBuildsPayloads: a cold video's first admission builds
-// its payloads on the admitting goroutine, so the tick that begins the
-// video's first slot builds none. That tick allocates at most its frame,
-// far less than the video's 1.6 MB of payloads.
-func TestFirstAdmissionBuildsPayloads(t *testing.T) {
-	const segments, segmentBytes = 99, 16 << 10
-	s := startManualServer(t, VideoConfig{ID: 1, Segments: segments, SegmentBytes: segmentBytes})
-	srv, _ := loopback(t)
-	admitSession(t, s, srv, 1)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	tick(s)
-	runtime.ReadMemStats(&after)
-	if d := after.TotalAlloc - before.TotalAlloc; d >= segments*segmentBytes/4 {
-		t.Fatalf("the first tick after the first admission allocated %d B: it built the video's payloads", d)
-	}
-}
-
 // TestIngestReportZeroAlloc: a report for an admitted video folds into
 // counters its record bound once, so ingesting one without trace
 // identifiers allocates nothing.

@@ -181,19 +181,13 @@ type videoRecord struct {
 	frame *fanout.Frame
 }
 
-// record returns the video's record, building it — and the video's payloads
-// — on the video's first admission. Record builds happen under s.mu and
-// refuse once Close has begun; Close latches every built record's set under
-// s.mu, so a record is either latched by Close or never built.
+// record returns the video's record, building it on the video's first
+// admission. Record builds happen under s.mu and refuse once Close has
+// begun; Close latches every built record's set under s.mu, so a record is
+// either latched by Close or never built.
 func (s *Server) record(v *video) (*videoRecord, error) {
 	if r := v.rec.Load(); r != nil {
 		return r, nil
-	}
-	// The first admission builds the video's payloads, on its handler's
-	// goroutine and outside s.mu, so the tick never does; racing first
-	// admissions wait on the encoder's one build.
-	if err := s.enc.BuildPayloads(v.cfg.ID); err != nil {
-		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -369,8 +363,9 @@ func Start(cfg Config) (*Server, error) {
 		}
 		// Hand the video's (possibly VBR) segment sizes to the data plane,
 		// which refuses a size the wire cannot carry: the zero-copy encoder
-		// builds the video's payloads once, on its first admission, so
-		// start-up pays no payload bytes and broadcasts never allocate one.
+		// keeps only the sizes and generates each slot's payloads into its
+		// frame, so start-up pays no payload bytes and broadcasts never
+		// allocate one.
 		sizes := vc.SegmentSizes
 		if len(sizes) == 0 {
 			cbr = cbr[:0]

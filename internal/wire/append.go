@@ -22,17 +22,18 @@ import (
 // frame: the 5-byte frame header plus the 16-byte fixed body head.
 const segmentFrameOverhead = 5 + 16
 
-// AppendSegmentFrame appends one complete Segment frame — header and body —
-// to dst and returns the extended slice. The bytes are exactly those
-// WriteFrame(w, Segment{VideoID: videoID, Segment: segment, Slot: slot,
-// Payload: payload}) would write.
-func AppendSegmentFrame(dst []byte, videoID, segment uint32, slot uint64, payload []byte) []byte {
+// AppendSegmentFrame appends one complete Segment frame — header, body head
+// and the segment's size-byte payload, generated in place — to dst and
+// returns the extended slice. The bytes are exactly those WriteFrame(w,
+// Segment{VideoID: videoID, Segment: segment, Slot: slot, Payload:
+// SegmentPayload(videoID, segment, size)}) would write.
+func AppendSegmentFrame(dst []byte, videoID, segment uint32, slot uint64, size uint32) []byte {
 	dst = append(dst, byte(TypeSegment))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(16+len(payload)))
+	dst = binary.BigEndian.AppendUint32(dst, 16+size)
 	dst = binary.BigEndian.AppendUint32(dst, videoID)
 	dst = binary.BigEndian.AppendUint32(dst, segment)
 	dst = binary.BigEndian.AppendUint64(dst, slot)
-	return append(dst, payload...)
+	return AppendSegmentPayload(dst, videoID, segment, size)
 }
 
 // AppendSlotEndFrame appends one complete SlotEnd frame to dst and returns

@@ -31,7 +31,7 @@ func TestAppendSegmentFrameMatchesWriteFrame(t *testing.T) {
 		if err := WriteFrame(&want, Segment{VideoID: c.videoID, Segment: c.segment, Slot: c.slot, Payload: payload}); err != nil {
 			t.Fatalf("WriteFrame(%+v): %v", c, err)
 		}
-		got := AppendSegmentFrame(nil, c.videoID, c.segment, c.slot, payload)
+		got := AppendSegmentFrame(nil, c.videoID, c.segment, c.slot, c.size)
 		if !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("AppendSegmentFrame(%+v) differs from WriteFrame: got %d bytes, want %d", c, len(got), want.Len())
 		}
@@ -43,11 +43,11 @@ func TestAppendSegmentFrameMatchesWriteFrame(t *testing.T) {
 
 func TestAppendSegmentFrameExtendsDst(t *testing.T) {
 	prefix := []byte{0xAA, 0xBB}
-	got := AppendSegmentFrame(append([]byte(nil), prefix...), 3, 4, 5, []byte{9})
+	got := AppendSegmentFrame(append([]byte(nil), prefix...), 3, 4, 5, 1)
 	if !bytes.Equal(got[:2], prefix) {
 		t.Fatalf("prefix clobbered: %x", got[:2])
 	}
-	want := AppendSegmentFrame(nil, 3, 4, 5, []byte{9})
+	want := AppendSegmentFrame(nil, 3, 4, 5, 1)
 	if !bytes.Equal(got[2:], want) {
 		t.Fatalf("appended frame differs when dst is non-empty")
 	}
@@ -198,7 +198,7 @@ func TestConcurrentFirstPayloads(t *testing.T) {
 
 func TestAppendSegmentFrameRoundTrips(t *testing.T) {
 	payload := SegmentPayload(9, 4, 333)
-	raw := AppendSegmentFrame(nil, 9, 4, 77, payload)
+	raw := AppendSegmentFrame(nil, 9, 4, 77, uint32(len(payload)))
 	msg, err := ReadFrame(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("ReadFrame: %v", err)
