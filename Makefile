@@ -122,10 +122,10 @@ ci:
 	# first byte has a median under 0.75 slot and a maximum under 1.5 slots,
 	# because the clock sends a slot's frame as the slot begins.
 	$(GO) test -race -run '^TestFirstByteWithinOneSlot$$' -count=1 ./internal/vodserver/
-	# Disabled-path smoke for the telemetry history layer: the nil-store and
-	# nil-recorder fast paths a -no-history server takes must keep compiling
-	# and running.
-	$(GO) test -run '^$$' -bench 'BenchmarkNilStoreScrape|BenchmarkNilRecorderTrigger' -benchtime=1x ./internal/obs/history/
+	# Disabled-path smoke for the flight recorder: the nil-recorder fast path
+	# a server without -flight-dir takes on every alert transition must keep
+	# compiling and running.
+	$(GO) test -run '^$$' -bench 'BenchmarkNilRecorderTrigger' -benchtime=1x ./internal/obs/history/
 	# The zero-alloc gate runs without -race (race instrumentation itself
 	# allocates, so the test skips under the race suite above), then a
 	# one-iteration smoke of the fan-out A/B matrix.

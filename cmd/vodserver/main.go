@@ -45,15 +45,12 @@ func parseFlags(args []string) (vodserver.Config, string, error) {
 	segments := fs.Int("segments", 99, "segments per video")
 	slotMillis := fs.Int("slot-ms", 500, "slot duration in milliseconds")
 	segmentBytes := fs.Int("segment-bytes", 4096, "payload bytes per segment")
-	fs.IntVar(&cfg.Shards, "shards", 0, "how many contiguous catalogue spans the broadcast tick is split over, one pool goroutine each (0 = one per CPU capped at the catalogue size, 1 = a serial tick on the clock goroutine)")
 	fs.StringVar(&cfg.StatsAddr, "stats-addr", "", "optional HTTP monitoring address serving /statusz, /healthz, /metricsz, /spanz, /alertz, /connz, /queryz, /debug/flightrecord and /debug/pprof")
 	fs.StringVar(&spanPath, "span-trace", "", "optional JSONL file capturing sampled admission pipeline spans")
 	fs.IntVar(&cfg.SpanSampleEvery, "span-sample", 0, "keep 1 in N admission span trees (0 = default, 1 = everything)")
 	fs.DurationVar(&cfg.AlertFor, "alert-for", 0, "how long a breach must hold before a rule fires (0 = fire immediately)")
 	fs.DurationVar(&cfg.ReportStaleAfter, "report-stale", 0, "fire a staleness alert when no client report arrives for this long (0 = disabled)")
-	fs.BoolVar(&cfg.HistoryDisabled, "no-history", false, "disable the in-process metric history (and /queryz)")
 	fs.StringVar(&cfg.FlightDir, "flight-dir", "", "directory for flight-recorder diagnostic bundles (empty = disabled)")
-	fs.BoolVar(&cfg.ConntrackDisabled, "no-conntrack", false, "disable per-subscriber transport telemetry (and /connz)")
 	if err := fs.Parse(args); err != nil {
 		return vodserver.Config{}, "", err
 	}

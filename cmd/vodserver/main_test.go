@@ -46,12 +46,14 @@ func TestParseFlagsBenchmarkVector(t *testing.T) {
 }
 
 // TestParseFlagsRejectsRetiredFlags: the ten tuning flags nothing passed are
-// constants now; the command line must refuse them, not ignore them.
+// constants now, and the parallelism and telemetry-off switches are gone; the
+// command line must refuse them, not ignore them.
 func TestParseFlagsRejectsRetiredFlags(t *testing.T) {
 	for _, name := range []string{
 		"slo-ms", "slo-objective", "alert-interval", "miss-threshold",
 		"history-interval", "history-max-bytes", "flight-cooldown", "flight-keep",
 		"conntrack-interval", "conn-stalled-ratio",
+		"shards", "no-history", "no-conntrack",
 	} {
 		_, _, err := parseFlags([]string{"-" + name, "1"})
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -"+name) {

@@ -67,9 +67,9 @@ func run(w io.Writer, addr string, interval time.Duration, once bool) (firing bo
 		if err != nil {
 			return false, err
 		}
-		// The trend and connection panes are best-effort: a server without
-		// history (or an old one without /queryz), or one with conntrack
-		// disabled, renders the dashboard without them.
+		// The trend and connection panes are best-effort: a server that
+		// fails /queryz or /connz (an older one without them answers 404)
+		// renders the dashboard without them.
 		pane := fetchHistory(client, addr)
 		conns := fetchConns(client, addr)
 		if !once {
@@ -238,9 +238,9 @@ type queryzRange struct {
 }
 
 // fetchHistory pulls the trend series over /queryz, relying on the server's
-// default one-minute window. Any failure — history disabled (503), an older
-// server without the endpoint (404), a transport error — returns nil and the
-// pane is skipped for the frame.
+// default one-minute window. Any failure — an older server without the
+// endpoint (404), a transport error — returns nil and the pane is skipped for
+// the frame.
 func fetchHistory(client *http.Client, addr string) *historyPane {
 	pane := &historyPane{}
 	for _, s := range []struct {
@@ -376,9 +376,8 @@ func lastValue(vs []float64, format string) string {
 }
 
 // fetchConns pulls the /connz transport-telemetry summary. Best-effort like
-// the trend pane: a server with conntrack disabled (503), an older one
-// without the endpoint (404) or a transport error skips the pane for the
-// frame.
+// the trend pane: an older server without the endpoint (404) or a transport
+// error skips the pane for the frame.
 func fetchConns(client *http.Client, addr string) *conntrack.Summary {
 	resp, err := client.Get("http://" + addr + "/connz")
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -283,7 +285,7 @@ func TestRenderConnPane(t *testing.T) {
 }
 
 // TestConnPaneAgainstLiveServer: a default server serves the CONN pane end
-// to end, and one with conntrack disabled skips it silently.
+// to end, and a server without /connz has it skipped silently.
 func TestConnPaneAgainstLiveServer(t *testing.T) {
 	s, err := vodserver.Start(vodserver.Config{
 		Addr:         "127.0.0.1:0",
@@ -307,32 +309,38 @@ func TestConnPaneAgainstLiveServer(t *testing.T) {
 		t.Fatalf("live frame missing CONN pane:\n%s", b.String())
 	}
 
-	s2, err := vodserver.Start(vodserver.Config{
-		Addr:              "127.0.0.1:0",
-		Videos:            []vodserver.VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
-		SlotDuration:      10 * time.Millisecond,
-		StatsAddr:         "127.0.0.1:0",
-		ConntrackDisabled: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if sum := fetchConns(client, s2.StatsAddr()); sum != nil {
-		t.Fatal("fetchConns returned a pane from a conntrack-disabled server")
+	// A server without /connz: the pane is skipped, the frame still renders.
+	old := hidingProxy(t, s.StatsAddr(), "/connz")
+	if sum := fetchConns(client, old); sum != nil {
+		t.Fatal("fetchConns returned a pane from a server without /connz")
 	}
 	b.Reset()
-	if _, err := run(&b, s2.StatsAddr(), time.Second, true); err != nil {
+	if _, err := run(&b, old, time.Second, true); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(b.String(), "CONN : tracked=") {
-		t.Fatalf("disabled-conntrack frame rendered CONN pane:\n%s", b.String())
+		t.Fatalf("frame without /connz rendered CONN pane:\n%s", b.String())
 	}
 }
 
+// hidingProxy fronts the stats endpoint at addr and answers 404 on path, as
+// an older server without that endpoint does; it returns the proxy's address.
+func hidingProxy(t *testing.T, addr, path string) string {
+	target := httputil.NewSingleHostReverseProxy(&url.URL{Scheme: "http", Host: addr})
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == path {
+			http.NotFound(w, r)
+			return
+		}
+		target.ServeHTTP(w, r)
+	}))
+	t.Cleanup(proxy.Close)
+	return proxy.Listener.Addr().String()
+}
+
 // TestHistoryPaneAgainstLiveServer: a server with fast history scrapes
-// serves the trend pane end to end, and one with history disabled skips it
-// silently.
+// serves the trend pane end to end, and a server without /queryz has it
+// skipped silently.
 func TestHistoryPaneAgainstLiveServer(t *testing.T) {
 	s, err := vodserver.Start(vodserver.Config{
 		Addr:              "127.0.0.1:0",
@@ -373,27 +381,17 @@ func TestHistoryPaneAgainstLiveServer(t *testing.T) {
 		t.Fatalf("live frame missing trend pane:\n%s", b.String())
 	}
 
-	// History disabled: the pane is skipped, the frame still renders.
-	s2, err := vodserver.Start(vodserver.Config{
-		Addr:            "127.0.0.1:0",
-		Videos:          []vodserver.VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
-		SlotDuration:    10 * time.Millisecond,
-		StatsAddr:       "127.0.0.1:0",
-		HistoryDisabled: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if pane := fetchHistory(client, s2.StatsAddr()); pane != nil {
-		t.Fatal("fetchHistory returned a pane from a history-disabled server")
+	// A server without /queryz: the pane is skipped, the frame still renders.
+	old := hidingProxy(t, s.StatsAddr(), "/queryz")
+	if pane := fetchHistory(client, old); pane != nil {
+		t.Fatal("fetchHistory returned a pane from a server without /queryz")
 	}
 	b.Reset()
-	if _, err := run(&b, s2.StatsAddr(), time.Second, true); err != nil {
+	if _, err := run(&b, old, time.Second, true); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(b.String(), "TREND (1m)") {
-		t.Fatalf("disabled-history frame rendered trend pane:\n%s", b.String())
+		t.Fatalf("frame without /queryz rendered trend pane:\n%s", b.String())
 	}
 }
 

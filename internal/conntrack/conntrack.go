@@ -22,10 +22,7 @@
 // alert aggregates.
 //
 // The package follows the repository's observability idiom: stdlib-only
-// imports (plus obs), nil-safe methods on every type — a server with
-// conntrack disabled holds a nil *Sampler and nil *Conn handles, and every
-// hot-path touch point costs one predictable branch — and zero-value configs
-// selecting documented defaults.
+// imports (plus obs) and zero-value configs selecting documented defaults.
 package conntrack
 
 import (
@@ -131,13 +128,13 @@ const (
 	depthWindow = 64
 )
 
-// Config parameterizes a Sampler. The zero value of every field selects a
-// documented default.
+// Config parameterizes a Sampler. The zero value of every field but
+// Registry selects a documented default.
 type Config struct {
 	// Hold is the hysteresis: how many consecutive samples a candidate state
 	// must persist before the published state changes. <= 0 selects 2.
 	Hold int
-	// Registry, when non-nil, receives the conn_* metric families.
+	// Registry receives the conn_* metric families. Required.
 	Registry *obs.Registry
 	// Clock stamps samples; nil selects time.Now. Tests inject a manual
 	// clock to make hysteresis deterministic.
@@ -155,9 +152,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Sampler tracks a set of connections and classifies them on every Sweep.
-// All methods are safe for concurrent use; a nil *Sampler is valid and inert
-// (Register returns a nil *Conn whose record methods are no-ops), so a
-// server with conntrack disabled pays one branch per touch point.
+// All methods are safe for concurrent use.
 type Sampler struct {
 	cfg Config
 
@@ -178,44 +173,42 @@ type Sampler struct {
 }
 
 // New builds a sampler on cfg. It is passive: whoever owns it calls Sweep
-// once per sampling period.
+// once per sampling period. It panics if cfg.Registry is nil: a sampler with
+// nowhere to export is a programming error, caught by the first test.
 func New(cfg Config) *Sampler {
-	cfg = cfg.withDefaults()
-	s := &Sampler{
-		cfg:   cfg,
-		conns: make(map[*Conn]struct{}),
-	}
 	reg := cfg.Registry
 	if reg == nil {
-		s.occWin = obs.NewWindow(0)
-	} else {
-		s.occWin = reg.Window("conn_ring_occupancy",
-			"Per-subscriber ring occupancy (fraction of the subscription's span), one observation per tracked connection per sweep.", 0)
-		s.mRTT = reg.Window("conn_rtt_seconds",
-			"Kernel smoothed RTT per tracked connection per sample.", 0)
-		s.mRetrans = reg.Counter("conn_retrans_total",
-			"TCP segments retransmitted across all tracked connections.")
-		s.mDrainBytes = reg.Counter("conn_drain_bytes_total",
-			"Payload bytes drained to tracked subscriber connections.")
-		for st := 0; st < NumStates; st++ {
-			s.stateGauges[st] = reg.GaugeWith("conn_state",
-				"Tracked connections currently classified into each transport state.",
-				obs.Labels{"state": stateNames[st]})
-		}
-		reg.GaugeFunc("conn_tracked",
-			"Connections currently tracked by the transport telemetry sampler.",
-			func() float64 { return float64(s.Tracked()) })
-		reg.GaugeFunc("conn_stalled_ratio",
-			"Fraction of tracked connections classified stalled (0 when none are tracked).",
-			s.StalledRatio)
+		panic("conntrack: Config.Registry is required")
 	}
+	s := &Sampler{
+		cfg:   cfg.withDefaults(),
+		conns: make(map[*Conn]struct{}),
+		occWin: reg.Window("conn_ring_occupancy",
+			"Per-subscriber ring occupancy (fraction of the subscription's span), one observation per tracked connection per sweep.", 0),
+		mRTT: reg.Window("conn_rtt_seconds",
+			"Kernel smoothed RTT per tracked connection per sample.", 0),
+		mRetrans: reg.Counter("conn_retrans_total",
+			"TCP segments retransmitted across all tracked connections."),
+		mDrainBytes: reg.Counter("conn_drain_bytes_total",
+			"Payload bytes drained to tracked subscriber connections."),
+	}
+	for st := 0; st < NumStates; st++ {
+		s.stateGauges[st] = reg.GaugeWith("conn_state",
+			"Tracked connections currently classified into each transport state.",
+			obs.Labels{"state": stateNames[st]})
+	}
+	reg.GaugeFunc("conn_tracked",
+		"Connections currently tracked by the transport telemetry sampler.",
+		func() float64 { return float64(s.Tracked()) })
+	reg.GaugeFunc("conn_stalled_ratio",
+		"Fraction of tracked connections classified stalled (0 when none are tracked).",
+		s.StalledRatio)
 	return s
 }
 
 // Conn is one tracked connection's telemetry handle. The fan-out and drain
-// hot paths feed it through RecordPush and RecordDrain — lock-free atomics,
-// nil-safe so the disabled path costs one branch — and the sampler's sweep
-// owns everything else.
+// hot paths feed it through RecordPush and RecordDrain — lock-free atomics —
+// and the sampler's sweep owns everything else.
 type Conn struct {
 	id      uint64
 	video   uint32
@@ -256,11 +249,7 @@ type prevSample struct {
 // Register starts tracking conn. ringCap is the most frames the subscriber's
 // queue can hold (its subscription's span in slots), the denominator of the
 // occupancy signal.
-// A nil sampler returns a nil *Conn, which every Conn method accepts.
 func (s *Sampler) Register(conn net.Conn, video uint32, ringCap int) *Conn {
-	if s == nil {
-		return nil
-	}
 	if ringCap < 1 {
 		ringCap = 1
 	}
@@ -293,13 +282,9 @@ func (s *Sampler) Register(conn net.Conn, video uint32, ringCap int) *Conn {
 	return c
 }
 
-// Unregister stops tracking c. Nil-safe on both receiver and argument, and
-// idempotent — the drop, disconnect and shutdown paths may all reach it for
-// the same connection.
+// Unregister stops tracking c. It is idempotent — the drop, disconnect and
+// shutdown paths may all reach it for the same connection.
 func (s *Sampler) Unregister(c *Conn) {
-	if s == nil || c == nil {
-		return
-	}
 	s.mu.Lock()
 	if _, ok := s.conns[c]; ok {
 		delete(s.conns, c)
@@ -308,20 +293,16 @@ func (s *Sampler) Unregister(c *Conn) {
 	s.mu.Unlock()
 }
 
-// RecordPush notes one fan-out push: the post-push ring depth. Nil-safe —
-// the disabled path is one branch, no atomics.
+// RecordPush notes one fan-out push: the post-push ring depth.
 func (c *Conn) RecordPush(depth int) {
-	if c == nil {
-		return
-	}
 	c.lastDepth.Store(int64(depth))
 }
 
 // RecordDrain notes one completed drain batch: frames handed to the kernel
 // and the payload bytes written. The ring is empty after a batch pop, so the
-// depth signal resets. Nil-safe.
+// depth signal resets.
 func (c *Conn) RecordDrain(frames int, bytes int64) {
-	if c == nil || frames == 0 {
+	if frames == 0 {
 		return
 	}
 	c.drainOps.Add(1)
@@ -329,41 +310,29 @@ func (c *Conn) RecordDrain(frames int, bytes int64) {
 	c.lastDepth.Store(0)
 }
 
-// State returns the connection's published classification. Nil-safe: an
-// untracked connection reads healthy.
+// State returns the connection's published classification.
 func (c *Conn) State() State {
-	if c == nil {
-		return StateHealthy
-	}
 	return State(c.pub.Load())
 }
 
 // StateAge reports how long the published state has held.
 func (c *Conn) StateAge(now time.Time) time.Duration {
-	if c == nil {
-		return 0
-	}
 	return now.Sub(time.Unix(0, c.pubSince.Load()))
 }
 
 // Sweep runs one sampling pass over every tracked connection: read the
 // kernel and userspace signals, classify with hysteresis, refresh the
 // cached /connz snapshots and the aggregate metric families. The server's
-// telemetry loop calls it once per period. Nil-safe.
+// telemetry loop calls it once per period.
 func (s *Sampler) Sweep() {
-	if s == nil {
-		return
-	}
 	now := s.cfg.Clock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for c := range s.conns {
 		s.sweepConn(c, now)
 	}
-	if s.cfg.Registry != nil {
-		for st := 0; st < NumStates; st++ {
-			s.stateGauges[st].Set(float64(s.counts[st]))
-		}
+	for st := 0; st < NumStates; st++ {
+		s.stateGauges[st].Set(float64(s.counts[st]))
 	}
 }
 
@@ -390,17 +359,15 @@ func (s *Sampler) sweepConn(c *Conn, now time.Time) {
 	c.depthWin.Observe(float64(depth))
 	s.occWin.Observe(occ)
 
-	if s.cfg.Registry != nil {
-		if kernelOK && info.RTT > 0 {
-			s.mRTT.Observe(info.RTT.Seconds())
+	if kernelOK && info.RTT > 0 {
+		s.mRTT.Observe(info.RTT.Seconds())
+	}
+	if prev.valid {
+		if d := drain - prev.drainBytes; d > 0 {
+			s.mDrainBytes.Add(float64(d))
 		}
-		if prev.valid {
-			if d := drain - prev.drainBytes; d > 0 {
-				s.mDrainBytes.Add(float64(d))
-			}
-			if kernelOK && info.TotalRetrans > prev.retrans {
-				s.mRetrans.Add(float64(info.TotalRetrans - prev.retrans))
-			}
+		if kernelOK && info.TotalRetrans > prev.retrans {
+			s.mRetrans.Add(float64(info.TotalRetrans - prev.retrans))
 		}
 	}
 
@@ -505,11 +472,8 @@ func (s *Sampler) holdAndPublish(c *Conn, cand State, now time.Time) {
 	c.candidateRun = 0
 }
 
-// Tracked reports the number of connections currently tracked. Nil-safe.
+// Tracked reports the number of connections currently tracked.
 func (s *Sampler) Tracked() int {
-	if s == nil {
-		return 0
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.conns)
@@ -517,11 +481,8 @@ func (s *Sampler) Tracked() int {
 
 // StalledRatio reports the fraction of tracked connections whose published
 // state is stalled, or 0 when none are tracked — the conn_stalled_ratio
-// alert signal. Nil-safe.
+// alert signal.
 func (s *Sampler) StalledRatio() float64 {
-	if s == nil {
-		return 0
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.conns) == 0 {
@@ -530,11 +491,8 @@ func (s *Sampler) StalledRatio() float64 {
 	return float64(s.counts[StateStalled]) / float64(len(s.conns))
 }
 
-// StateCounts reports the per-state connection counts. Nil-safe.
+// StateCounts reports the per-state connection counts.
 func (s *Sampler) StateCounts() [NumStates]int {
-	if s == nil {
-		return [NumStates]int{}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.counts
@@ -575,15 +533,9 @@ type Summary struct {
 
 // Snapshot assembles the /connz document from the most recent sweep's cached
 // rows. State ages are refreshed to now so a poll between sweeps still sees
-// them advance. Nil-safe: a disabled sampler reports an empty summary.
+// them advance.
 func (s *Sampler) Snapshot() Summary {
 	sum := Summary{States: make(map[string]int, NumStates)}
-	for _, name := range stateNames {
-		sum.States[name] = 0
-	}
-	if s == nil {
-		return sum
-	}
 	now := s.cfg.Clock()
 	s.mu.Lock()
 	sum.Tracked = len(s.conns)

@@ -36,6 +36,9 @@ func testSampler(t *testing.T, cfg Config) (*Sampler, *manualClock) {
 	t.Helper()
 	clk := newManualClock()
 	cfg.Clock = clk.Now
+	if cfg.Registry == nil {
+		cfg.Registry = obs.NewRegistry()
+	}
 	s := New(cfg)
 	return s, clk
 }
@@ -86,9 +89,6 @@ func TestClassifyTable(t *testing.T) {
 func TestHysteresisHoldsAndTransitions(t *testing.T) {
 	s, clk := testSampler(t, Config{Hold: 2})
 	c := s.Register(nil, 1, 8)
-	if c == nil {
-		t.Fatal("Register returned nil for a live sampler")
-	}
 	sweep(s, clk) // seed baseline
 	if got := c.State(); got != StateHealthy {
 		t.Fatalf("fresh conn state = %v, want healthy", got)
@@ -141,30 +141,13 @@ func TestHysteresisSuppressesFlap(t *testing.T) {
 	}
 }
 
-func TestNilSamplerAndConnAreInert(t *testing.T) {
-	var s *Sampler
-	c := s.Register(nil, 1, 8)
-	if c != nil {
-		t.Fatal("nil sampler Register returned non-nil conn")
-	}
-	c.RecordPush(3)
-	c.RecordDrain(2, 100)
-	if got := c.State(); got != StateHealthy {
-		t.Fatalf("nil conn state = %v", got)
-	}
-	if c.StateAge(time.Now()) != 0 {
-		t.Fatal("nil conn StateAge != 0")
-	}
-	s.Sweep()
-	s.Unregister(c)
-	s.Unregister(nil)
-	if s.Tracked() != 0 || s.StalledRatio() != 0 {
-		t.Fatal("nil sampler reported tracked conns")
-	}
-	sum := s.Snapshot()
-	if sum.Tracked != 0 || len(sum.Conns) != 0 || len(sum.States) != NumStates {
-		t.Fatalf("nil sampler snapshot = %+v", sum)
-	}
+func TestNewRequiresRegistry(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New without Registry did not panic")
+		}
+	}()
+	New(Config{})
 }
 
 func TestUnregisterIdempotentAndCounted(t *testing.T) {

@@ -126,11 +126,6 @@ type SweepRow struct {
 	DNPBMax float64
 }
 
-// slotted adapts the two slotted protocol implementations to one runner.
-type slotted interface {
-	Admit() int
-}
-
 // effectiveWarmup shrinks the configured warm-up when a horizon is too short
 // to afford it, keeping at least three quarters of the run measurable.
 func effectiveWarmup(horizonSlots, warmup int) int {
@@ -142,7 +137,7 @@ func effectiveWarmup(horizonSlots, warmup int) int {
 
 // runSlotted drives a slotted protocol under Poisson arrivals and returns
 // its time-weighted average and maximum per-slot load.
-func runSlotted(proto slotted, advance func() int, seed int64, ratePerHour, slotSeconds float64, horizonSlots, warmupSlots int) (avg, max float64) {
+func runSlotted(proto Slotted, seed int64, ratePerHour, slotSeconds float64, horizonSlots, warmupSlots int) (avg, max float64) {
 	rng := sim.NewRNG(seed)
 	arrivals := workload.NewSlottedArrivals(rng, workload.Constant(ratePerHour), slotSeconds)
 	bw := metrics.NewBandwidth()
@@ -150,7 +145,7 @@ func runSlotted(proto slotted, advance func() int, seed int64, ratePerHour, slot
 		for a := 0; a < arrivals.Next(); a++ {
 			proto.Admit()
 		}
-		load := float64(advance())
+		load := float64(proto.Advance())
 		if slot >= warmupSlots {
 			bw.Record(load, slotSeconds)
 		}
@@ -191,23 +186,20 @@ func Sweep(cfg Config) ([]SweepRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: UD: %w", err)
 		}
-		row.UDAvg, row.UDMax = runSlotted(ud, func() int { _, l := ud.AdvanceSlot(); return l },
-			seed+2, rate, d, horizonSlots, cfg.WarmupSlots)
+		row.UDAvg, row.UDMax = runSlotted(onDemandAdapter{o: ud}, seed+2, rate, d, horizonSlots, cfg.WarmupSlots)
 
 		dhb, err := core.New(core.Config{Segments: cfg.Segments})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: DHB: %w", err)
 		}
-		row.DHBAvg, row.DHBMax = runSlotted(dhbAdapter{s: dhb}, func() int { return dhb.AdvanceSlot().Load },
-			seed+3, rate, d, horizonSlots, cfg.WarmupSlots)
+		row.DHBAvg, row.DHBMax = runSlotted(dhbAdapter{s: dhb}, seed+3, rate, d, horizonSlots, cfg.WarmupSlots)
 
 		if cfg.IncludeAblation {
 			dnpb, err := dynamic.DynamicPagoda(cfg.Segments)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: dynamic pagoda: %w", err)
 			}
-			row.DNPBAvg, row.DNPBMax = runSlotted(dnpb, func() int { _, l := dnpb.AdvanceSlot(); return l },
-				seed+4, rate, d, horizonSlots, cfg.WarmupSlots)
+			row.DNPBAvg, row.DNPBMax = runSlotted(onDemandAdapter{o: dnpb}, seed+4, rate, d, horizonSlots, cfg.WarmupSlots)
 		}
 		rows = append(rows, row)
 	}
@@ -349,8 +341,7 @@ func Fig9(cfg VBRConfig) ([]Fig9Row, map[core.VBRVariant]core.VBRSolution, error
 		if err != nil {
 			return nil, nil, fmt.Errorf("experiments: UD: %w", err)
 		}
-		avg, _ := runSlotted(ud, func() int { _, l := ud.AdvanceSlot(); return l },
-			seed+1, rate, planA.SlotDuration, horizon, cfg.WarmupSlots)
+		avg, _ := runSlotted(onDemandAdapter{o: ud}, seed+1, rate, planA.SlotDuration, horizon, cfg.WarmupSlots)
 		row.UD = avg * planA.Rate / mb
 
 		for v, dst := range map[core.VBRVariant]*float64{
@@ -365,8 +356,7 @@ func Fig9(cfg VBRConfig) ([]Fig9Row, map[core.VBRVariant]core.VBRSolution, error
 			if err != nil {
 				return nil, nil, fmt.Errorf("experiments: %v: %w", v, err)
 			}
-			avg, _ := runSlotted(dhbAdapter{s: sched}, func() int { return sched.AdvanceSlot().Load },
-				seed+int64(v)+1, rate, plan.SlotDuration, horizon, cfg.WarmupSlots)
+			avg, _ := runSlotted(dhbAdapter{s: sched}, seed+int64(v)+1, rate, plan.SlotDuration, horizon, cfg.WarmupSlots)
 			*dst = avg * plan.Rate / mb
 		}
 		rows = append(rows, row)

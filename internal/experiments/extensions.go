@@ -45,8 +45,7 @@ func ClientCap(cfg Config) ([]ClientCapRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiments: client cap %d: %w", cap, err)
 			}
-			avg, _ := runSlotted(dhbAdapter{s: s}, func() int { return s.AdvanceSlot().Load },
-				seed+int64(cap), rate, d, horizonSlots, cfg.WarmupSlots)
+			avg, _ := runSlotted(dhbAdapter{s: s}, seed+int64(cap), rate, d, horizonSlots, cfg.WarmupSlots)
 			*dst = avg
 		}
 		rows = append(rows, row)
@@ -160,8 +159,7 @@ func WaitTradeoff(cfg Config, segmentCounts []int) ([]WaitTradeoffRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
-		avg, max := runSlotted(dhbAdapter{s: s}, func() int { return s.AdvanceSlot().Load },
-			cfg.Seed+int64(i)*100, rate, d, horizonSlots, warmup)
+		avg, max := runSlotted(dhbAdapter{s: s}, cfg.Seed+int64(i)*100, rate, d, horizonSlots, warmup)
 		sat, err := analysis.DHBSaturated(video.DefaultPeriods(n))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
@@ -215,16 +213,14 @@ func ConfidenceSweep(cfg Config, replicates int) ([]CIRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %w", err)
 			}
-			avg, _ := runSlotted(dhbAdapter{s: dhb}, func() int { return dhb.AdvanceSlot().Load },
-				seed+1, rate, d, horizonSlots, cfg.WarmupSlots)
+			avg, _ := runSlotted(dhbAdapter{s: dhb}, seed+1, rate, d, horizonSlots, cfg.WarmupSlots)
 			dhbR.Add(avg)
 
 			ud, err := dynamic.UD(cfg.Segments)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %w", err)
 			}
-			avg, _ = runSlotted(ud, func() int { _, l := ud.AdvanceSlot(); return l },
-				seed+2, rate, d, horizonSlots, cfg.WarmupSlots)
+			avg, _ = runSlotted(onDemandAdapter{o: ud}, seed+2, rate, d, horizonSlots, cfg.WarmupSlots)
 			udR.Add(avg)
 
 			tap, err := reactive.Tapping(reactive.Config{
@@ -292,15 +288,13 @@ func Models(cfg Config) ([]ModelRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
-		row.DHBSim, _ = runSlotted(dhbAdapter{s: dhb}, func() int { return dhb.AdvanceSlot().Load },
-			seed+1, rate, d, horizonSlots, cfg.WarmupSlots)
+		row.DHBSim, _ = runSlotted(dhbAdapter{s: dhb}, seed+1, rate, d, horizonSlots, cfg.WarmupSlots)
 
 		ud, err := dynamic.UD(cfg.Segments)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
-		row.UDSim, _ = runSlotted(ud, func() int { _, l := ud.AdvanceSlot(); return l },
-			seed+2, rate, d, horizonSlots, cfg.WarmupSlots)
+		row.UDSim, _ = runSlotted(onDemandAdapter{o: ud}, seed+2, rate, d, horizonSlots, cfg.WarmupSlots)
 
 		tap, err := reactive.Tapping(reactive.Config{
 			RatePerHour:    rate,
@@ -347,22 +341,19 @@ func DSBComparison(cfg Config) ([]DSBRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: DSB: %w", err)
 		}
-		row.DSB, _ = runSlotted(dsb, func() int { _, l := dsb.AdvanceSlot(); return l },
-			seed+1, rate, d, horizonSlots, cfg.WarmupSlots)
+		row.DSB, _ = runSlotted(onDemandAdapter{o: dsb}, seed+1, rate, d, horizonSlots, cfg.WarmupSlots)
 
 		ud, err := dynamic.UD(cfg.Segments)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: UD: %w", err)
 		}
-		row.UD, _ = runSlotted(ud, func() int { _, l := ud.AdvanceSlot(); return l },
-			seed+2, rate, d, horizonSlots, cfg.WarmupSlots)
+		row.UD, _ = runSlotted(onDemandAdapter{o: ud}, seed+2, rate, d, horizonSlots, cfg.WarmupSlots)
 
 		dhb, err := core.New(core.Config{Segments: cfg.Segments})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: DHB: %w", err)
 		}
-		row.DHB, _ = runSlotted(dhbAdapter{s: dhb}, func() int { return dhb.AdvanceSlot().Load },
-			seed+3, rate, d, horizonSlots, cfg.WarmupSlots)
+		row.DHB, _ = runSlotted(dhbAdapter{s: dhb}, seed+3, rate, d, horizonSlots, cfg.WarmupSlots)
 
 		rows = append(rows, row)
 	}

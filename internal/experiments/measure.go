@@ -70,7 +70,7 @@ func Measure(proto Slotted, ratePerHour, slotSeconds float64, horizonSlots, warm
 	if horizonSlots <= warmupSlots || warmupSlots < 0 {
 		return Measurement{}, fmt.Errorf("experiments: horizon %d must exceed warmup %d >= 0", horizonSlots, warmupSlots)
 	}
-	avg, max := runSlotted(proto, proto.Advance, seed, ratePerHour, slotSeconds, horizonSlots, warmupSlots)
+	avg, max := runSlotted(proto, seed, ratePerHour, slotSeconds, horizonSlots, warmupSlots)
 	return Measurement{AvgBandwidth: avg, MaxBandwidth: max, Slots: horizonSlots - warmupSlots}, nil
 }
 

@@ -71,19 +71,6 @@ func BenchmarkStoreQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkNilStoreScrape pins the disabled path: a nil store's Scrape is
-// the branch the server pays when history is off, and it must stay
-// allocation-free.
-func BenchmarkNilStoreScrape(b *testing.B) {
-	var s *Store
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Scrape()
-		s.Query("g", time.Time{}, time.Time{}, 0)
-	}
-}
-
 // BenchmarkNilRecorderTrigger pins the disabled recorder path on the alert
 // transition hook.
 func BenchmarkNilRecorderTrigger(b *testing.B) {

@@ -18,9 +18,8 @@
 // depths, and equal to "last value" for monotonic counters, so rates derived
 // from bucketed counters stay correct.
 //
-// The package follows the obs idiom: stdlib-only imports (plus obs itself),
-// nil-safe methods on every type, and zero-value configs selecting documented
-// defaults.
+// The package follows the obs idiom: stdlib-only imports (plus obs itself)
+// and zero-value configs selecting documented defaults.
 package history
 
 import (
@@ -67,8 +66,7 @@ type Config struct {
 }
 
 // Store retains scraped metric history in fixed memory. All methods are safe
-// for concurrent use; a nil *Store is valid and inert, so disabled history
-// costs the caller one predictable branch.
+// for concurrent use.
 type Store struct {
 	samples  func() []obs.Sample
 	interval time.Duration
@@ -117,9 +115,6 @@ func New(cfg Config) *Store {
 // into the store via the flight recorder, and scraping outside the lock
 // keeps that ordering acyclic.
 func (s *Store) Scrape() {
-	if s == nil {
-		return
-	}
 	// Smallest families go first, ties by name. A family is every series
 	// sharing a name, so one with a child per catalogue video is admitted
 	// after every server-wide total and every small labelled family, and it
@@ -193,7 +188,7 @@ func (s *Store) rawPoints(name string) []Point {
 // the last ringPoints scrapes, so a range reaching further back returns what
 // it retains. Unknown series return nil.
 func (s *Store) Query(name string, from, to time.Time, step time.Duration) []Point {
-	if s == nil || to.Before(from) {
+	if to.Before(from) {
 		return nil
 	}
 	s.mu.Lock()
@@ -244,9 +239,6 @@ func (s *Store) Query(name string, from, to time.Time, step time.Duration) []Poi
 // Series returns every retained series identity (Name+Labels) in sorted
 // order — the /queryz discovery listing.
 func (s *Store) Series() []string {
-	if s == nil {
-		return nil
-	}
 	s.mu.Lock()
 	out := make([]string, 0, len(s.series))
 	for k := range s.series {
@@ -268,11 +260,8 @@ type Stats struct {
 	IntervalMS    int64  `json:"interval_ms"`
 }
 
-// Stats reports retention counters. Nil-safe.
+// Stats reports retention counters.
 func (s *Store) Stats() Stats {
-	if s == nil {
-		return Stats{}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{

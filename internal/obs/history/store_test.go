@@ -247,7 +247,7 @@ func TestStoreSmallFamilyBeforeLargeFamily(t *testing.T) {
 	for v := 0; v < 2048; v++ {
 		reg.CounterWith("a_miss_total", "", obs.Labels{"video": fmt.Sprint(v)})
 	}
-	for _, reason := range []string{"healthy", "stalled", "untracked"} {
+	for _, reason := range []string{"healthy", "stalled", "path_limited"} {
 		reg.CounterWith("z_dropped_total", "", obs.Labels{"reason": reason}).Inc()
 	}
 	s, _ := newTestStore(t, reg, Config{})
@@ -260,24 +260,10 @@ func TestStoreSmallFamilyBeforeLargeFamily(t *testing.T) {
 	for _, k := range s.Series() {
 		have[k] = true
 	}
-	for _, reason := range []string{"healthy", "stalled", "untracked"} {
+	for _, reason := range []string{"healthy", "stalled", "path_limited"} {
 		if key := `z_dropped_total{reason="` + reason + `"}`; !have[key] {
 			t.Fatalf("%s refused behind the 2048-child family", key)
 		}
-	}
-}
-
-func TestStoreNilSafe(t *testing.T) {
-	var s *Store
-	s.Scrape()
-	if s.Query("x", time.Time{}, time.Time{}, 0) != nil {
-		t.Fatal("nil store Query returned points")
-	}
-	if s.Series() != nil {
-		t.Fatal("nil store Series returned names")
-	}
-	if s.Stats() != (Stats{}) {
-		t.Fatal("nil store Stats non-zero")
 	}
 }
 

@@ -25,6 +25,8 @@ import (
 // subscriber set drains to zero, Stats() agrees with /metricsz, no frame
 // ref-count panic fires, and no goroutine outlives the server.
 func TestParallelTickChurn(t *testing.T) {
+	// Four tick spans: the span pool follows GOMAXPROCS.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	before := runtime.NumGoroutine()
 	s, err := Start(Config{
 		Addr: "127.0.0.1:0",
@@ -38,7 +40,6 @@ func TestParallelTickChurn(t *testing.T) {
 			{ID: 5, Segments: 8, SegmentBytes: 512},
 		},
 		SlotDuration: 2 * time.Millisecond,
-		Shards:       4,
 		StatsAddr:    "127.0.0.1:0",
 	})
 	if err != nil {

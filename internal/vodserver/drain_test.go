@@ -10,6 +10,7 @@ import (
 
 	"vodcast/internal/conntrack"
 	"vodcast/internal/fanout"
+	"vodcast/internal/obs"
 )
 
 // discardConn is a net.Conn that swallows writes, so the drain path can be
@@ -47,7 +48,7 @@ func (c stallConn) Write(b []byte) (int, error) {
 func TestFailedWriteReleasesClosedRing(t *testing.T) {
 	s := startTestServer(t)
 	enc, ring := drainFixture(t)
-	sub := &subscriber{ring: ring, admitted: time.Now()}
+	sub := &subscriber{ring: ring, admitted: time.Now(), ct: s.ct.Register(nil, 1, 8)}
 	push := func(slot int) {
 		f, err := enc.EncodeSlot(1, slot, []int{1}, nil)
 		if err != nil {
@@ -157,7 +158,8 @@ func directFixture(tb testing.TB, enc *fanout.Encoder) func(slot int) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sub := &subscriber{ring: fanout.NewRing(8), admitted: time.Now(), raw: raw, admitSlot: -1}
+	ct := conntrack.New(conntrack.Config{Registry: obs.NewRegistry()}).Register(nil, 1, 8)
+	sub := &subscriber{ring: fanout.NewRing(8), admitted: time.Now(), raw: raw, admitSlot: -1, ct: ct}
 	sub.writeFn = sub.writeOnce
 	parked := make(chan struct{})
 	go func() {
@@ -307,57 +309,4 @@ func BenchmarkDrainRing(b *testing.B) {
 			direct(i)
 		}
 	})
-}
-
-// BenchmarkDrainRingConntrackDisabled is the disabled-path A/B subject: the
-// same steady-state drain cycle with the transport
-// telemetry hooks a ConntrackDisabled server actually executes — a nil *Conn
-// RecordPush on the producer side and RecordDrain on the consumer side, each
-// one predictable branch. The budget against BenchmarkDrainRing is <2% and
-// 0 allocs/op.
-func BenchmarkDrainRingConntrackDisabled(b *testing.B) {
-	enc, ring := drainFixture(b)
-	var (
-		conn   net.Conn = discardConn{}
-		vec    net.Buffers
-		frames []*fanout.Frame
-		ct     *conntrack.Conn
-	)
-	segments := []int{1, 2, 3, 4, 5}
-	cycle := func(slot int) {
-		f, err := enc.EncodeSlot(1, slot, segments, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		f.Retain()
-		depth, ok := ring.Push(f)
-		if !ok {
-			b.Fatal("push failed on drained ring")
-		}
-		ct.RecordPush(depth)
-		f.Release()
-		var open bool
-		frames, open = ring.PopAll(frames[:0])
-		if !open {
-			b.Fatal("ring closed unexpectedly")
-		}
-		sent, n, err := writeFrames(conn, &vec, frames, 0, -1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if sent {
-			ct.RecordDrain(len(frames), n)
-		}
-		for _, g := range frames {
-			g.Release()
-		}
-	}
-	for i := 0; i < 8; i++ {
-		cycle(i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycle(i)
-	}
 }

@@ -93,14 +93,14 @@ func TestMetricszPrefix(t *testing.T) {
 // reads it back through /metricsz twice: the spike survives to the first
 // scrape after it and the read resets the interval.
 func TestRingDepthWatermarkWiring(t *testing.T) {
-	// History is disabled so its background scrape cannot consume the
-	// watermark between Record and the /metricsz read below.
+	// An hour-long telemetry period keeps the history's background scrape
+	// from consuming the watermark between Record and the /metricsz read.
 	s, err := Start(Config{
-		Addr:            "127.0.0.1:0",
-		Videos:          []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
-		SlotDuration:    10 * time.Millisecond,
-		StatsAddr:       "127.0.0.1:0",
-		HistoryDisabled: true,
+		Addr:              "127.0.0.1:0",
+		Videos:            []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
+		SlotDuration:      10 * time.Millisecond,
+		StatsAddr:         "127.0.0.1:0",
+		TelemetryInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -365,34 +365,26 @@ func TestQueryzSeriesCapExcludesRefused(t *testing.T) {
 	}
 }
 
-// TestQueryzAndFlightDisabled: a server without history answers /queryz 503,
-// and one without a flight dir answers /debug/flightrecord 503 — while both
-// keep the shared routing guards.
+// TestQueryzAndFlightDisabled: a server without a flight dir answers
+// /debug/flightrecord 503, and it and /queryz keep the shared routing guards.
 func TestQueryzAndFlightDisabled(t *testing.T) {
 	s, err := Start(Config{
-		Addr:            "127.0.0.1:0",
-		Videos:          []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
-		SlotDuration:    10 * time.Millisecond,
-		StatsAddr:       "127.0.0.1:0",
-		HistoryDisabled: true,
+		Addr:         "127.0.0.1:0",
+		Videos:       []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
+		SlotDuration: 10 * time.Millisecond,
+		StatsAddr:    "127.0.0.1:0",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer closeNoFrameLeak(t, s)
-	if s.History() != nil {
-		t.Fatal("HistoryDisabled left a live store")
-	}
-	if code, _ := get(t, s, "/queryz"); code != http.StatusServiceUnavailable {
-		t.Fatalf("queryz disabled = %d, want 503", code)
-	}
 	if code, _ := get(t, s, "/debug/flightrecord"); code != http.StatusServiceUnavailable {
 		t.Fatalf("flightrecord disabled = %d, want 503", code)
 	}
 	if _, err := s.FlightRecord("test"); err == nil {
 		t.Fatal("FlightRecord without FlightDir returned no error")
 	}
-	// Routing guards hold even when the feature is disabled.
+	// Routing guards hold on both paths, the disabled recorder's included.
 	for _, path := range []string{"/queryz", "/debug/flightrecord"} {
 		url := "http://" + s.StatsAddr() + path
 		resp, err := http.Post(url, "text/plain", nil)
@@ -458,7 +450,7 @@ func TestFlightRecordEndpoint(t *testing.T) {
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatalf("status.json: %v", err)
 	}
-	if snap.History == nil || snap.History.Scrapes == 0 || snap.Flight == nil {
+	if snap.History.Scrapes == 0 || snap.Flight == nil {
 		t.Fatalf("status.json missing history/flight sections: %+v", snap)
 	}
 }

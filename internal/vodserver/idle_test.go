@@ -7,6 +7,7 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -94,7 +95,8 @@ func TestColdVideoStreamsLikeBoot(t *testing.T) {
 	for i := range catalogue {
 		catalogue[i] = VideoConfig{ID: uint32(i + 1), Segments: segments, SegmentBytes: 128}
 	}
-	s, err := Start(Config{Addr: "127.0.0.1:0", Videos: catalogue, SlotDuration: 2 * time.Millisecond, Shards: 4})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // four tick spans
+	s, err := Start(Config{Addr: "127.0.0.1:0", Videos: catalogue, SlotDuration: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +165,7 @@ func TestPlaceholderLastSlotStillRetires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := &subscriber{ring: fanout.NewRing(256), admitted: time.Now(), rec: r}
+	sub := &subscriber{ring: fanout.NewRing(256), admitted: time.Now(), rec: r, ct: s.ct.Register(nil, 1, 256)}
 	sub.lastSlot.Store(math.MaxInt64)
 	if !r.subs.Add(sub) {
 		t.Fatal("subscriber set refused the registration")

@@ -50,23 +50,21 @@ func (s *Server) armAlerts() error {
 	// fraction of tracked connections whose published state is stalled. The
 	// ratio resolves on its own as stalled subscribers are dropped or
 	// recover, so the rule walks firing → resolved without operator action.
-	if s.ct != nil {
-		stalledRatio := s.cfg.ConnStalledRatio
-		if stalledRatio == 0 {
-			stalledRatio = 0.5
-		}
-		stalled := obs.AlertRule{
-			Name:     "conn_stalled_ratio",
-			Severity: "critical",
-			Help: fmt.Sprintf(
-				"more than %g of tracked subscriber connections are stalled (backlog with no forward progress)", stalledRatio),
-			Value:     s.ct.StalledRatio,
-			Threshold: stalledRatio,
-			For:       s.cfg.AlertFor,
-		}
-		if err := s.alerts.Add(stalled); err != nil {
-			return err
-		}
+	stalledRatio := s.cfg.ConnStalledRatio
+	if stalledRatio == 0 {
+		stalledRatio = 0.5
+	}
+	stalled := obs.AlertRule{
+		Name:     "conn_stalled_ratio",
+		Severity: "critical",
+		Help: fmt.Sprintf(
+			"more than %g of tracked subscriber connections are stalled (backlog with no forward progress)", stalledRatio),
+		Value:     s.ct.StalledRatio,
+		Threshold: stalledRatio,
+		For:       s.cfg.AlertFor,
+	}
+	if err := s.alerts.Add(stalled); err != nil {
+		return err
 	}
 	// The slip alert watches the clock's skipped grid points: each is a
 	// segment every active session got late. The rule reads how many the

@@ -25,7 +25,6 @@ func TestFirstAdmissionRacesClose(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := catalogueConfig(8, 6, 64)
 	cfg.SlotDuration = time.Millisecond
-	cfg.ConntrackDisabled = true
 	s, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -670,7 +670,7 @@ func TestUnsubscribeIdempotent(t *testing.T) {
 	}
 	// The first call drops the ring, releasing its queued frame; repeats
 	// are no-ops.
-	rsub := &subscriber{ring: fanout.NewRing(1), rec: r}
+	rsub := &subscriber{ring: fanout.NewRing(1), rec: r, ct: s.ct.Register(nil, 1, 1)}
 	r.subs.Add(rsub)
 	f, err := s.enc.EncodeSlot(1, 0, []int{1}, nil)
 	if err != nil {

@@ -41,8 +41,7 @@ type subscriber struct {
 	rec *videoRecord
 	// ct is the transport telemetry handle: the fan-out and drain paths feed
 	// it ring depth and progress signals, and a write-deadline cut reads the
-	// last classified state as the disconnect reason. nil when conntrack is
-	// disabled — every touch point is nil-safe.
+	// last classified state as the disconnect reason.
 	ct *conntrack.Conn
 
 	// raw is the connection's raw access, through which the tick writes a
@@ -288,7 +287,7 @@ func (s *Server) drainRing(conn net.Conn, sub *subscriber, admitSlot int, wait, 
 		if err != nil {
 			release()
 			if errors.Is(err, os.ErrDeadlineExceeded) {
-				s.mDroppedBy[dropReason(sub)].Inc()
+				s.mDroppedBy[sub.ct.State()].Inc()
 			}
 			// Drop releases anything pushed while the write was blocked —
 			// also when the tick's clean retirement already closed the

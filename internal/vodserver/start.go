@@ -64,12 +64,6 @@ type Config struct {
 	// SlotDuration is the real-time slot length (the paper's d, scaled
 	// down for testing).
 	SlotDuration time.Duration
-	// Shards is how many contiguous catalogue spans the clock's tick — the
-	// per-slot advance and the fan-out — is split over, each on a persistent
-	// goroutine of the station's pool that the clock wakes and joins. 0
-	// selects the station default of min(GOMAXPROCS, len(Videos)); a
-	// resolved count of 1 keeps the tick serial on the clock goroutine.
-	Shards int
 	// StatsAddr optionally binds an HTTP monitoring endpoint serving
 	// /statusz (JSON pipeline snapshot), /healthz (liveness + uptime),
 	// /metricsz (Prometheus text format), /spanz (recent pipeline spans),
@@ -113,20 +107,11 @@ type Config struct {
 	// only the wire frame is withheld, so subscribed clients miss the
 	// segment's deadline exactly as they would under packet loss.
 	DropInstance func(video uint32, segment, slot int) bool
-	// HistoryDisabled turns the telemetry history off entirely; /queryz then
-	// answers 503. The disabled path costs one nil check per would-be
-	// consumer.
-	HistoryDisabled bool
 	// FlightDir arms the flight recorder: any alert rule entering firing
 	// (at most one bundle per 5-minute cooldown), a SIGQUIT in cmd/vodserver,
 	// or a /debug/flightrecord GET dumps a diagnostic bundle directory under
 	// it. "" leaves the recorder disabled.
 	FlightDir string
-	// ConntrackDisabled turns off per-subscriber transport telemetry: no
-	// TCP_INFO sampling, no conn_* metric families, /connz answers 503 and
-	// dropped subscribers are attributed reason="untracked". The disabled
-	// path costs one nil check per fan-out push and drain batch.
-	ConntrackDisabled bool
 	// ConnStalledRatio is the fraction of tracked connections classified
 	// stalled at which the conn_stalled_ratio alert trips (and, with a
 	// FlightDir armed, captures a diagnostic bundle carrying conns.json).
@@ -256,9 +241,10 @@ type Server struct {
 	mInstances      *obs.Counter
 	mBroadcastBytes *obs.Counter
 	// mDroppedBy are the reason-labelled children of
-	// vod_dropped_subscribers_total, indexed by drop reason and bound at
-	// startup so the drop path never touches the registry's name map.
-	mDroppedBy [numDropReasons]*obs.Counter
+	// vod_dropped_subscribers_total, indexed by the connection's last
+	// classified transport state when its write deadline cut it, and bound
+	// at startup so the drop path never touches the registry's name map.
+	mDroppedBy [conntrack.NumStates]*obs.Counter
 	mReports   *obs.Counter
 	// ringDepth is the fan-out ring depth high-watermark behind the
 	// vod_fanout_ring_depth_max GaugeFunc: the hot path Records, each scrape
@@ -267,19 +253,18 @@ type Server struct {
 	ringDepth obs.HighWatermark
 
 	// history is the retained-telemetry store behind /queryz and bundle
-	// history; recorder writes alert/operator-triggered diagnostic bundles.
-	// Both are nil when disabled — every touch point is nil-safe.
+	// history; recorder writes alert/operator-triggered diagnostic bundles,
+	// and is nil (every method of a nil one inert) without a FlightDir.
 	history  *history.Store
 	recorder *history.Recorder
 
 	// ct samples per-subscriber transport telemetry (kernel TCP_INFO plus
 	// ring/drain signals) and classifies each connection; it is the source
-	// of /connz, the conn_* families and the conn_stalled_ratio alert. nil
-	// when Config.ConntrackDisabled — every touch point is nil-safe.
+	// of /connz, the conn_* families and the conn_stalled_ratio alert.
 	ct *conntrack.Sampler
 
-	// enc is the zero-copy slot encoder (payloads built on each video's
-	// first admission, pooled ref-counted frames).
+	// enc is the zero-copy slot encoder (each slot's payloads generated into
+	// a pooled ref-counted frame).
 	enc *fanout.Encoder
 
 	// videos is immutable after Start; per-subscriber state lives in each
@@ -312,9 +297,6 @@ type Server struct {
 
 // Start validates cfg, binds the listener and launches the slot clock.
 func Start(cfg Config) (*Server, error) {
-	if len(cfg.Videos) == 0 {
-		return nil, fmt.Errorf("vodserver: empty catalogue")
-	}
 	if cfg.SlotDuration <= 0 {
 		return nil, fmt.Errorf("vodserver: slot duration %v must be positive", cfg.SlotDuration)
 	}
@@ -358,9 +340,6 @@ func Start(cfg Config) (*Server, error) {
 				}
 			}
 		}
-		if _, dup := videos[vc.ID]; dup {
-			return nil, fmt.Errorf("vodserver: duplicate video id %d", vc.ID)
-		}
 		// Hand the video's (possibly VBR) segment sizes to the data plane,
 		// which refuses a size the wire cannot carry: the zero-copy encoder
 		// keeps only the sizes and generates each slot's payloads into its
@@ -389,7 +368,6 @@ func Start(cfg Config) (*Server, error) {
 	}
 	st, err := station.New(station.Config{
 		Videos:   stationVideos,
-		Shards:   cfg.Shards,
 		Registry: reg,
 	})
 	if err != nil {
@@ -444,18 +422,14 @@ func Start(cfg Config) (*Server, error) {
 	// Pre-register every reason child of the drop counter so the exposition
 	// inventory (and the metric-name lint walking it) is complete from boot,
 	// not from the first drop.
-	for r := 0; r < numDropReasons; r++ {
+	for r := range s.mDroppedBy {
 		s.mDroppedBy[r] = reg.CounterWith("vod_dropped_subscribers_total",
 			"Subscribers cut by their write deadline (last segment deadline plus the read bound), by last classified transport state.",
-			obs.Labels{"reason": dropReasonName(r)})
+			obs.Labels{"reason": conntrack.State(r).String()})
 	}
 	// The sampler exists before armAlerts so the conn_stalled_ratio rule can
 	// watch it.
-	if !cfg.ConntrackDisabled {
-		s.ct = conntrack.New(conntrack.Config{
-			Registry: reg,
-		})
-	}
+	s.ct = conntrack.New(conntrack.Config{Registry: reg})
 	if err := s.armAlerts(); err != nil {
 		ln.Close()
 		return nil, fmt.Errorf("vodserver: %w", err)
@@ -482,14 +456,12 @@ func Start(cfg Config) (*Server, error) {
 		})
 	reg.GaugeFunc("vod_alerts_firing", "Alert rules currently in the firing state.",
 		func() float64 { return float64(s.alerts.Firing()) })
-	if !cfg.HistoryDisabled {
-		s.history = history.New(history.Config{
-			Samples:  reg.Samples,
-			Interval: cfg.TelemetryInterval,
-		})
-	}
+	s.history = history.New(history.Config{
+		Samples:  reg.Samples,
+		Interval: cfg.TelemetryInterval,
+	})
 	if cfg.FlightDir != "" {
-		recCfg := history.RecorderConfig{
+		rec, err := history.NewRecorder(history.RecorderConfig{
 			Dir:   cfg.FlightDir,
 			Store: s.history,
 			Status: func() ([]byte, error) {
@@ -497,13 +469,10 @@ func Start(cfg Config) (*Server, error) {
 			},
 			Spans:  func() []obs.SpanRecord { return s.spans.Recent(0) },
 			Alerts: func() []obs.AlertStatus { return s.alerts.Snapshot() },
-		}
-		if s.ct != nil {
-			recCfg.Conns = func() ([]byte, error) {
+			Conns: func() ([]byte, error) {
 				return json.MarshalIndent(s.ct.Snapshot(), "", "  ")
-			}
-		}
-		rec, err := history.NewRecorder(recCfg)
+			},
+		})
 		if err != nil {
 			ln.Close()
 			return nil, fmt.Errorf("vodserver: %w", err)
@@ -584,12 +553,11 @@ func (s *Server) Close() error {
 // telemetryLoop is the server's one telemetry goroutine. Each period it
 // sweeps the connections, scrapes the registry and evaluates the alert rules,
 // in that order: a rule sees the sweep of the same period, and the store
-// holds what the rule saw. The three steps are nil-safe, so a disabled layer
-// costs its branch. A rule entering firing captures its flight bundle here,
-// synchronously, which delays the next sweep and scrape by the capture's
-// duration (rate-limited by the recorder's 5-minute cooldown); in exchange
-// Close, which waits for this goroutine, never returns while a bundle is
-// being written.
+// holds what the rule saw. A rule entering firing captures its flight bundle
+// here, synchronously, which delays the next sweep and scrape by the
+// capture's duration (rate-limited by the recorder's 5-minute cooldown); in
+// exchange Close, which waits for this goroutine, never returns while a
+// bundle is being written.
 func (s *Server) telemetryLoop() {
 	defer s.wg.Done()
 	t := time.NewTicker(s.cfg.TelemetryInterval)

@@ -97,14 +97,9 @@ func (s *Server) metricsz(w http.ResponseWriter, r *http.Request) {
 // connection with its classified state (healthy / receiver_limited /
 // path_limited / sender_backpressured / stalled), state age, kernel RTT and
 // retransmit counters, ring depth p99 and drain rate — the drill-down an
-// operator reaches for when the drop counter moves. A server with conntrack
-// disabled answers 503.
+// operator reaches for when the drop counter moves.
 func (s *Server) connz(w http.ResponseWriter, r *http.Request) {
 	if !guardGET(w, r, "/connz") {
-		return
-	}
-	if s.ct == nil {
-		http.Error(w, "conntrack disabled", http.StatusServiceUnavailable)
 		return
 	}
 	writeJSON(w, s.ct.Snapshot())
@@ -120,13 +115,9 @@ func (s *Server) connz(w http.ResponseWriter, r *http.Request) {
 // bucketing the raw points by max (omitted, the raw points themselves). The
 // store keeps each series' last 360 scrapes, so a range reaching further back
 // returns what it retains. Without series the handler lists every retained
-// series. A server with history disabled answers 503.
+// series.
 func (s *Server) queryz(w http.ResponseWriter, r *http.Request) {
 	if !guardGET(w, r, "/queryz") {
-		return
-	}
-	if s.history == nil {
-		http.Error(w, "history disabled", http.StatusServiceUnavailable)
 		return
 	}
 	q := r.URL.Query()

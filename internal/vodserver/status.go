@@ -66,9 +66,9 @@ type StatusSnapshot struct {
 	QoE    QoESnapshot       `json:"qoe"`
 	Alerts []obs.AlertStatus `json:"alerts"`
 	// History reports the retained-telemetry store's counters (series,
-	// resident bytes, scrapes); Flight the recorder's capture counters.
-	// Either is omitted when the subsystem is disabled.
-	History *history.Stats         `json:"history,omitempty"`
+	// resident bytes, scrapes); Flight the recorder's capture counters,
+	// omitted without a flight directory.
+	History history.Stats          `json:"history"`
 	Flight  *history.RecorderStats `json:"flight,omitempty"`
 }
 
@@ -83,10 +83,7 @@ func (s *Server) Status() StatusSnapshot {
 		Spans:         s.spans.Stats(),
 		QoE:           s.QoE(),
 		Alerts:        s.alerts.Snapshot(),
-	}
-	if s.history != nil {
-		st := s.history.Stats()
-		snap.History = &st
+		History:       s.history.Stats(),
 	}
 	if s.recorder != nil {
 		fs := s.recorder.Stats()
@@ -98,12 +95,10 @@ func (s *Server) Status() StatusSnapshot {
 // Alerts exposes the server's alert engine, the source of /alertz.
 func (s *Server) Alerts() *obs.AlertEngine { return s.alerts }
 
-// History exposes the retained-telemetry store behind /queryz, or nil when
-// Config.HistoryDisabled was set.
+// History exposes the retained-telemetry store behind /queryz.
 func (s *Server) History() *history.Store { return s.history }
 
-// Conns exposes the transport telemetry sampler behind /connz, or nil when
-// Config.ConntrackDisabled was set.
+// Conns exposes the transport telemetry sampler behind /connz.
 func (s *Server) Conns() *conntrack.Sampler { return s.ct }
 
 // FlightRecord forces a diagnostic bundle capture (bypassing the alert

@@ -261,53 +261,6 @@ func TestRouteGuards(t *testing.T) {
 	}
 }
 
-// TestConnzDisabled: a server with conntrack turned off answers /connz 503
-// while keeping the shared routing guards, exposes no sampler handle, and
-// registers none of the conn_* families.
-func TestConnzDisabled(t *testing.T) {
-	s, err := Start(Config{
-		Addr:              "127.0.0.1:0",
-		Videos:            []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
-		SlotDuration:      10 * time.Millisecond,
-		StatsAddr:         "127.0.0.1:0",
-		ConntrackDisabled: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeNoFrameLeak(t, s)
-	if s.Conns() != nil {
-		t.Fatal("ConntrackDisabled left a live sampler")
-	}
-	if code, _ := get(t, s, "/connz"); code != http.StatusServiceUnavailable {
-		t.Fatalf("connz disabled = %d, want 503", code)
-	}
-	// Routing guards hold even when the feature is disabled.
-	resp, err := http.Post("http://"+s.StatsAddr()+"/connz", "text/plain", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /connz = %d, want 405", resp.StatusCode)
-	}
-	if code, _ := get(t, s, "/connz/sub"); code != http.StatusNotFound {
-		t.Fatal("GET /connz/sub did not 404")
-	}
-	// The disabled server's registry carries no conn_* families, and the
-	// alert table carries no conn_stalled_ratio rule.
-	for _, name := range s.Registry().Names() {
-		if strings.HasPrefix(name, "conn_") {
-			t.Fatalf("disabled conntrack registered %q", name)
-		}
-	}
-	for _, r := range s.Alerts().Snapshot() {
-		if r.Name == "conn_stalled_ratio" {
-			t.Fatal("disabled conntrack armed the stall alert")
-		}
-	}
-}
-
 // familyReaders is the metric census: every family a fully wired server
 // registers, with the one reader that justifies it — a BENCHMARK.json row or
 // benchmark check, a vodtop pane, an alert rule, the flight bundle, the verify

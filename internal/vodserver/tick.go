@@ -8,34 +8,9 @@ package vodserver
 import (
 	"time"
 
-	"vodcast/internal/conntrack"
 	"vodcast/internal/core"
 	"vodcast/internal/fanout"
 )
-
-// Dropped-subscriber attribution: the reason label on
-// vod_dropped_subscribers_total is the connection's last classified
-// transport state when its write deadline cut it, or "untracked" when
-// conntrack is disabled.
-const (
-	dropReasonUntracked = conntrack.NumStates
-	numDropReasons      = conntrack.NumStates + 1
-)
-
-func dropReasonName(r int) string {
-	if r < conntrack.NumStates {
-		return conntrack.State(r).String()
-	}
-	return "untracked"
-}
-
-// dropReason resolves the reason index for one dropped subscriber.
-func dropReason(sub *subscriber) int {
-	if sub.ct == nil {
-		return dropReasonUntracked
-	}
-	return int(sub.ct.State())
-}
 
 // fanoutTally accumulates one worker's per-tick broadcast accounting,
 // merged into the shared atomics and registry counters once per tick. The
