@@ -122,10 +122,6 @@ ci:
 	# first byte has a median under 0.75 slot and a maximum under 1.5 slots,
 	# because the clock sends a slot's frame as the slot begins.
 	$(GO) test -race -run '^TestFirstByteWithinOneSlot$$' -count=1 ./internal/vodserver/
-	# Disabled-path smoke for the flight recorder: the nil-recorder fast path
-	# a server without -flight-dir takes on every alert transition must keep
-	# compiling and running.
-	$(GO) test -run '^$$' -bench 'BenchmarkNilRecorderTrigger' -benchtime=1x ./internal/obs/history/
 	# The zero-alloc gate runs without -race (race instrumentation itself
 	# allocates, so the test skips under the race suite above), then a
 	# one-iteration smoke of the fan-out A/B matrix.
@@ -140,8 +136,8 @@ ci:
 	# one, and one tick over 16 active videos allocates nothing whether the
 	# catalogue holds 64 videos or 4096.
 	$(GO) test -run '^TestTickLocksOnlyActiveVideos$$' -count=1 ./internal/station/
-	$(GO) test -run '^$$' -bench '^BenchmarkStationTick$$' -benchtime=1x -benchmem ./internal/station/ | tee /dev/stderr | \
-		awk '/^BenchmarkStationTick\// { rows++; if ($$(NF-1) != 0) bad++ } END { exit !(rows == 2 && bad == 0) }'
+	$(GO) test -run '^$$' -bench '^BenchmarkStationTick$$' -benchtime=1x -benchmem ./internal/station/ | \
+		awk '{ print } /^BenchmarkStationTick\// { rows++; if ($$(NF-1) != 0) bad++ } END { exit !(rows == 2 && bad == 0) }'
 	# The drain-path alloc gate: one vectored write per popped batch, and one
 	# direct write per frame for a parked handler, zero allocations at steady
 	# state.

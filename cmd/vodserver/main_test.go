@@ -66,9 +66,7 @@ func TestParseFlagsRejectsRetiredFlags(t *testing.T) {
 // each is set only by tests, and each names what retires it.
 var testSeams = map[string]string{
 	"TelemetryInterval": "ROADMAP item 4: driven by the virtual clock",
-	"QoEWindow":         "ROADMAP item 4: driven by the virtual clock",
 	"SLOTargetSeconds":  "ROADMAP item 4: driven by the virtual clock",
-	"ConnStalledRatio":  "ROADMAP item 4: driven by the virtual clock",
 	"DropInstance":      "fault injection for tests and drills",
 }
 

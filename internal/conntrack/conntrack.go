@@ -15,7 +15,7 @@
 //	                      hold period (no drained bytes, no acked bytes)
 //
 // The classifier is deliberately conservative: a candidate state must hold
-// for Config.Hold consecutive samples before the published state changes, so
+// for hold consecutive samples before the published state changes, so
 // one slow scrape or a single retransmission never flaps a connection
 // between states. The published state is what a write-deadline cut records
 // as its reason, what /connz serves, and what the conn_stalled_ratio
@@ -126,14 +126,14 @@ const (
 	// depthWindow sizes the per-connection ring-depth window behind the
 	// /connz ring-depth p99 column.
 	depthWindow = 64
+	// hold is the hysteresis: how many consecutive samples a candidate
+	// state must persist before the published state changes.
+	hold = 2
 )
 
 // Config parameterizes a Sampler. The zero value of every field but
 // Registry selects a documented default.
 type Config struct {
-	// Hold is the hysteresis: how many consecutive samples a candidate state
-	// must persist before the published state changes. <= 0 selects 2.
-	Hold int
 	// Registry receives the conn_* metric families. Required.
 	Registry *obs.Registry
 	// Clock stamps samples; nil selects time.Now. Tests inject a manual
@@ -142,9 +142,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Hold <= 0 {
-		c.Hold = 2
-	}
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
@@ -447,8 +444,8 @@ func (s *Sampler) classify(wrote, backlog bool, occ float64, retransDelta int64,
 	return StateHealthy
 }
 
-// holdAndPublish applies hysteresis: the candidate must repeat for
-// Config.Hold consecutive sweeps before the published state moves. Caller
+// holdAndPublish applies hysteresis: the candidate must repeat for hold
+// consecutive sweeps before the published state moves. Caller
 // holds s.mu.
 func (s *Sampler) holdAndPublish(c *Conn, cand State, now time.Time) {
 	cur := c.State()
@@ -462,7 +459,7 @@ func (s *Sampler) holdAndPublish(c *Conn, cand State, now time.Time) {
 		c.candidate = cand
 		c.candidateRun = 1
 	}
-	if c.candidateRun < s.cfg.Hold {
+	if c.candidateRun < hold {
 		return
 	}
 	s.counts[cur]--
@@ -489,13 +486,6 @@ func (s *Sampler) StalledRatio() float64 {
 		return 0
 	}
 	return float64(s.counts[StateStalled]) / float64(len(s.conns))
-}
-
-// StateCounts reports the per-state connection counts.
-func (s *Sampler) StateCounts() [NumStates]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counts
 }
 
 // ConnSnapshot is one /connz table row: the connection's identity, its

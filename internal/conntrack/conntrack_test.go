@@ -85,9 +85,9 @@ func TestClassifyTable(t *testing.T) {
 
 // TestHysteresisHoldsAndTransitions drives a tracked (kernel-less) connection
 // through stall and recovery via its userspace counters, asserting the
-// published state only moves after Hold consecutive candidate sweeps.
+// published state only moves after hold consecutive candidate sweeps.
 func TestHysteresisHoldsAndTransitions(t *testing.T) {
-	s, clk := testSampler(t, Config{Hold: 2})
+	s, clk := testSampler(t, Config{})
 	c := s.Register(nil, 1, 8)
 	sweep(s, clk) // seed baseline
 	if got := c.State(); got != StateHealthy {
@@ -102,13 +102,13 @@ func TestHysteresisHoldsAndTransitions(t *testing.T) {
 	}
 	sweep(s, clk)
 	if got := c.State(); got != StateStalled {
-		t.Fatalf("state after Hold sweeps = %v, want stalled", got)
+		t.Fatalf("state after hold sweeps = %v, want stalled", got)
 	}
 	if s.StalledRatio() != 1 {
 		t.Fatalf("StalledRatio = %v, want 1", s.StalledRatio())
 	}
 
-	// Drain resumes and the ring empties: back to healthy after Hold.
+	// Drain resumes and the ring empties: back to healthy after hold.
 	c.RecordDrain(8, 1<<20)
 	sweep(s, clk)
 	c.RecordDrain(8, 1<<20)
@@ -123,9 +123,9 @@ func TestHysteresisHoldsAndTransitions(t *testing.T) {
 }
 
 // TestHysteresisSuppressesFlap alternates the stall signal every sweep; with
-// Hold=2 the published state must never leave healthy.
+// a hold of 2 the published state must never leave healthy.
 func TestHysteresisSuppressesFlap(t *testing.T) {
-	s, clk := testSampler(t, Config{Hold: 2})
+	s, clk := testSampler(t, Config{})
 	c := s.Register(nil, 1, 8)
 	sweep(s, clk)
 	for i := 0; i < 6; i++ {
@@ -151,33 +151,35 @@ func TestNewRequiresRegistry(t *testing.T) {
 }
 
 func TestUnregisterIdempotentAndCounted(t *testing.T) {
-	s, clk := testSampler(t, Config{Hold: 1})
+	s, clk := testSampler(t, Config{})
 	c := s.Register(nil, 1, 4)
 	sweep(s, clk)
 	c.RecordPush(4)
 	sweep(s, clk)
+	sweep(s, clk)
 	if got := c.State(); got != StateStalled {
-		t.Fatalf("state = %v, want stalled with Hold=1", got)
+		t.Fatalf("state = %v, want stalled after hold sweeps", got)
 	}
 	s.Unregister(c)
 	s.Unregister(c)
 	if s.Tracked() != 0 {
 		t.Fatalf("Tracked = %d after unregister", s.Tracked())
 	}
-	if counts := s.StateCounts(); counts[StateStalled] != 0 {
-		t.Fatalf("stalled count = %d after unregister", counts[StateStalled])
+	if n := s.Snapshot().States["stalled"]; n != 0 {
+		t.Fatalf("stalled count = %d after unregister", n)
 	}
 }
 
 func TestSnapshotRowsAndMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	s, clk := testSampler(t, Config{Hold: 1, Registry: reg})
+	s, clk := testSampler(t, Config{Registry: reg})
 	a := s.Register(nil, 1, 8)
 	b := s.Register(nil, 2, 8)
 	sweep(s, clk)
 	a.RecordPush(8) // stalls
 	b.RecordPush(1)
 	b.RecordDrain(1, 4096) // healthy
+	sweep(s, clk)
 	sweep(s, clk)
 
 	sum := s.Snapshot()
@@ -210,9 +212,9 @@ func TestSnapshotRowsAndMetrics(t *testing.T) {
 	if vals["conn_drain_bytes_total"] != 4096 {
 		t.Fatalf("conn_drain_bytes_total = %v", vals["conn_drain_bytes_total"])
 	}
-	// Two connections over two sweeps: four occupancy observations, the
+	// Two connections over three sweeps: six occupancy observations, the
 	// stalled connection's full ring (8/8) on top.
-	if vals["conn_ring_occupancy_count"] != 4 || vals[`conn_ring_occupancy{quantile="0.99"}`] != 1 {
+	if vals["conn_ring_occupancy_count"] != 6 || vals[`conn_ring_occupancy{quantile="0.99"}`] != 1 {
 		t.Fatalf("conn_ring_occupancy summary = %v", vals)
 	}
 }

@@ -23,9 +23,6 @@ import (
 // each rule through the Prometheus-style state machine
 //
 //	inactive → pending → firing → resolved → (pending | inactive)
-//
-// Everything is nil-safe in the package idiom: a nil *AlertEngine accepts
-// rules, evaluates and snapshots as a no-op, so wiring stays unconditional.
 
 // AlertState names a rule's position in the alert lifecycle.
 type AlertState string
@@ -104,7 +101,7 @@ type alertRuleState struct {
 }
 
 // AlertEngine evaluates a set of rules (AlertRule) against an injectable clock. All
-// methods are safe for concurrent use; a nil *AlertEngine is valid and inert.
+// methods are safe for concurrent use.
 type AlertEngine struct {
 	mu      sync.Mutex
 	rules   []*alertRuleState
@@ -136,7 +133,7 @@ func NewAlertEngine() *AlertEngine {
 // SetClock replaces the engine's clock (tests install a manual clock so For
 // and Stale timers are deterministic).
 func (e *AlertEngine) SetClock(fn func() time.Time) {
-	if e == nil || fn == nil {
+	if fn == nil {
 		return
 	}
 	e.mu.Lock()
@@ -148,9 +145,6 @@ func (e *AlertEngine) SetClock(fn func() time.Time) {
 // Add registers a rule. Rule names are unique and follow metric-name syntax;
 // a rule must have a Value source.
 func (e *AlertEngine) Add(r AlertRule) error {
-	if e == nil {
-		return nil
-	}
 	if !ValidMetricName(r.Name) {
 		return fmt.Errorf("obs: invalid alert rule name %q", r.Name)
 	}
@@ -179,9 +173,6 @@ func (e *AlertEngine) Add(r AlertRule) error {
 // loop in production — after the engine lock is released, so it may freely
 // read the engine and anything that reads the engine.
 func (e *AlertEngine) SetOnTransition(fn func(AlertTransition)) {
-	if e == nil {
-		return
-	}
 	e.mu.Lock()
 	e.onTransition = fn
 	e.mu.Unlock()
@@ -190,13 +181,10 @@ func (e *AlertEngine) SetOnTransition(fn func(AlertTransition)) {
 // Eval runs one evaluation pass over every rule. The server's telemetry loop
 // calls it; tests call it directly after advancing their clock.
 func (e *AlertEngine) Eval() {
-	if e == nil {
-		return
-	}
 	e.mu.Lock()
 	now := e.clock()
 	e.evals++
-	// Hoisted so the hookless (disabled) path pays one register test per
+	// Hoisted so the hookless path (no flight dir) pays one register test per
 	// rule instead of re-loading the field through the engine pointer.
 	hook := e.onTransition
 	var transitions []AlertTransition
@@ -265,9 +253,6 @@ func (s *alertRuleState) step(cond bool, now time.Time) {
 // reported on the engine's trace clock: seconds from the engine's start to
 // the state transition, so snapshots are deterministic under SetClock.
 func (e *AlertEngine) Snapshot() []AlertStatus {
-	if e == nil {
-		return nil
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	out := make([]AlertStatus, 0, len(e.rules))
@@ -300,9 +285,6 @@ func (e *AlertEngine) Snapshot() []AlertStatus {
 
 // Firing reports how many rules are currently firing.
 func (e *AlertEngine) Firing() int {
-	if e == nil {
-		return 0
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	n := 0
@@ -317,9 +299,6 @@ func (e *AlertEngine) Firing() int {
 // Evals reports the number of evaluation passes run, so callers can tell a
 // quiet alert table from an engine that never ticked.
 func (e *AlertEngine) Evals() uint64 {
-	if e == nil {
-		return 0
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.evals

@@ -255,21 +255,6 @@ func TestAlertEngineValidation(t *testing.T) {
 	}
 }
 
-func TestAlertEngineNilSafe(t *testing.T) {
-	var e *AlertEngine
-	if err := e.Add(AlertRule{Name: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	e.SetClock(time.Now)
-	e.Eval()
-	if got := e.Snapshot(); got != nil {
-		t.Fatalf("nil engine snapshot = %v, want nil", got)
-	}
-	if e.Firing() != 0 || e.Evals() != 0 {
-		t.Fatal("nil engine reports activity")
-	}
-}
-
 // TestAlertOnTransition pins the state-change hook: every transition of an
 // evaluation is delivered with the right endpoints and driving value, quiet
 // evaluations deliver nothing, and the hook may re-enter the engine (the

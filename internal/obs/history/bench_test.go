@@ -70,14 +70,3 @@ func BenchmarkStoreQuery(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkNilRecorderTrigger pins the disabled recorder path on the alert
-// transition hook.
-func BenchmarkNilRecorderTrigger(b *testing.B) {
-	var r *Recorder
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Trigger("alert")
-	}
-}

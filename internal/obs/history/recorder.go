@@ -59,8 +59,7 @@ type RecorderConfig struct {
 }
 
 // Recorder captures diagnostic bundles. All methods are safe for concurrent
-// use; a nil *Recorder is valid and inert, so a server without a flight
-// directory configured skips recording with one branch.
+// use.
 type Recorder struct {
 	cfg RecorderConfig
 
@@ -88,14 +87,11 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 
 // Trigger captures a bundle unless one was captured within the cooldown
 // window. It returns the bundle directory and true on capture, or "" and
-// false when rate-limited (or the recorder is nil). Write errors are
+// false when rate-limited. Write errors are
 // reported through the returned path being empty with ok true never — a
 // failed capture returns ok false so callers need no error branch on the
 // alert path.
 func (r *Recorder) Trigger(reason string) (string, bool) {
-	if r == nil {
-		return "", false
-	}
 	now := r.cfg.Clock()
 	r.mu.Lock()
 	if r.haveLast && now.Sub(r.lastAt) < cooldown {
@@ -117,9 +113,6 @@ func (r *Recorder) Trigger(reason string) (string, bool) {
 // SIGQUIT paths, where an operator asked explicitly. It still arms the
 // cooldown so a forced capture quiets subsequent alert triggers.
 func (r *Recorder) Force(reason string) (string, error) {
-	if r == nil {
-		return "", fmt.Errorf("history: recorder disabled")
-	}
 	now := r.cfg.Clock()
 	r.mu.Lock()
 	r.lastAt = now
@@ -282,11 +275,8 @@ func (r *Recorder) prune() {
 	}
 }
 
-// Bundles lists retained bundle directory names, oldest first. Nil-safe.
+// Bundles lists retained bundle directory names, oldest first.
 func (r *Recorder) Bundles() []string {
-	if r == nil {
-		return nil
-	}
 	entries, err := os.ReadDir(r.cfg.Dir)
 	if err != nil {
 		return nil
@@ -312,11 +302,8 @@ type RecorderStats struct {
 	CooldownMS int64  `json:"cooldown_ms"`
 }
 
-// Stats reports capture counters. Nil-safe.
+// Stats reports capture counters.
 func (r *Recorder) Stats() RecorderStats {
-	if r == nil {
-		return RecorderStats{}
-	}
 	r.mu.Lock()
 	captured, skipped := r.captured, r.skipped
 	r.mu.Unlock()

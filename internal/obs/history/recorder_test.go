@@ -218,19 +218,6 @@ func TestRecorderRetention(t *testing.T) {
 }
 
 func TestRecorderNilAndValidation(t *testing.T) {
-	var r *Recorder
-	if _, ok := r.Trigger("x"); ok {
-		t.Fatal("nil recorder captured")
-	}
-	if _, err := r.Force("x"); err == nil {
-		t.Fatal("nil recorder Force returned no error")
-	}
-	if r.Bundles() != nil {
-		t.Fatal("nil recorder listed bundles")
-	}
-	if r.Stats() != (RecorderStats{}) {
-		t.Fatal("nil recorder stats non-zero")
-	}
 	if _, err := NewRecorder(RecorderConfig{}); err == nil {
 		t.Fatal("NewRecorder without Dir did not error")
 	}

@@ -10,8 +10,7 @@
 // heuristic decision of Figure 6 for offline replay and diffing.
 //
 // The package deliberately imports nothing beyond the standard library so
-// that core scheduling code can feed it without dependency cycles, and every
-// hook is nil-safe so disabled observability costs one predictable branch.
+// that core scheduling code can feed it without dependency cycles.
 package obs
 
 import (

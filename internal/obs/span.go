@@ -15,13 +15,11 @@ import (
 // one admitted request becomes a small tree from the server's admit handler
 // down through the station to the first broadcast byte.
 //
-// Spans are sampled at the root: a seeded sampler keeps 1 in SampleEvery
-// request trees (children inherit the decision), so tracing cost scales with
-// the sample rate, not the request rate, and a given seed reproduces the
-// same sampled set — traces stay diffable across runs the way the qlog
-// stream is. Everything is nil-safe: a nil *SpanTracer starts nil *Spans and
-// every Span method on nil is a no-op, so disabled span tracing costs the
-// call sites one predictable branch.
+// Spans are sampled at the root: a sampler with a fixed seed keeps 1 in
+// SampleEvery request trees (children inherit the decision), so tracing cost
+// scales with the sample rate, not the request rate, and the same arrival
+// sequence reproduces the same sampled set — traces stay diffable across
+// runs the way the qlog stream is.
 
 // SpanRecord is one finished span as exported to the JSONL sink and the
 // /statusz ring.
@@ -54,7 +52,7 @@ type SpanStats struct {
 }
 
 // SpanTracer samples, records and exports spans. It is safe for concurrent
-// use; a nil *SpanTracer is valid and drops everything.
+// use.
 type SpanTracer struct {
 	mu      sync.Mutex
 	enc     *json.Encoder
@@ -69,22 +67,19 @@ type SpanTracer struct {
 	stats   SpanStats
 }
 
-// NewSpanTracer returns a tracer keeping the most recent ringSize finished
-// spans (ringSize <= 0 selects DefaultRingSize) and streaming every finished
-// span to w as JSONL when w is non-nil. sampleEvery keeps 1 in sampleEvery
-// root spans (<= 1 keeps everything); the sampler is seeded so a fixed seed
-// reproduces the same sampled set for the same arrival sequence.
-func NewSpanTracer(w io.Writer, ringSize, sampleEvery int, seed int64) *SpanTracer {
-	if ringSize <= 0 {
-		ringSize = DefaultRingSize
-	}
+// NewSpanTracer returns a tracer keeping the most recent DefaultRingSize
+// finished spans and streaming every finished span to w as JSONL when w is
+// non-nil. sampleEvery keeps 1 in sampleEvery root spans (<= 1 keeps
+// everything); the sampler's seed is fixed, so the same arrival sequence
+// yields the same sampled set.
+func NewSpanTracer(w io.Writer, sampleEvery int) *SpanTracer {
 	if sampleEvery < 1 {
 		sampleEvery = 1
 	}
 	t := &SpanTracer{
-		ring:    make([]SpanRecord, 0, ringSize),
+		ring:    make([]SpanRecord, 0, DefaultRingSize),
 		started: time.Now(),
-		rng:     rand.New(rand.NewSource(seed)),
+		rng:     rand.New(rand.NewSource(0)),
 		every:   sampleEvery,
 	}
 	t.stats.SampleEvery = sampleEvery
@@ -97,9 +92,6 @@ func NewSpanTracer(w io.Writer, ringSize, sampleEvery int, seed int64) *SpanTrac
 // SetClock replaces the wall clock with fn (simulations install simulated
 // time so span timestamps are deterministic).
 func (t *SpanTracer) SetClock(fn func() float64) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	t.clock = fn
 	t.mu.Unlock()
@@ -129,9 +121,6 @@ type Span struct {
 // StartSpan opens a root span, applying the sampling decision: an unsampled
 // root returns nil and its whole tree vanishes.
 func (t *SpanTracer) StartSpan(name string) *Span {
-	if t == nil {
-		return nil
-	}
 	t.mu.Lock()
 	t.stats.Roots++
 	if t.every > 1 && t.rng.Intn(t.every) != 0 {
@@ -173,9 +162,6 @@ func (s *Span) ID() uint64 {
 // seconds under SetClock). Report ingest uses it to back-date client-side
 // spans whose durations arrive after the fact.
 func (t *SpanTracer) Now() float64 {
-	if t == nil {
-		return 0
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.now()
@@ -185,11 +171,8 @@ func (t *SpanTracer) Now() float64 {
 // the client QoE loop: the client measures its session and ships the numbers
 // in a ClientReport, and the server synthesizes the corresponding spans here
 // — same ring, same sink, same trace tree as locally-started spans. A parent
-// of 0 records a root. Returns the new span's ID (0 on a nil tracer).
+// of 0 records a root. Returns the new span's ID.
 func (t *SpanTracer) RecordChild(parent uint64, name string, start, dur float64, video uint32, attrs map[string]string) uint64 {
-	if t == nil {
-		return 0
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.nextID++
@@ -258,9 +241,6 @@ func (s *Span) End() {
 // Recent returns up to n of the most recently finished spans, oldest first.
 // n <= 0 means everything the ring holds.
 func (t *SpanTracer) Recent(n int) []SpanRecord {
-	if t == nil {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	size := len(t.ring)
@@ -280,9 +260,6 @@ func (t *SpanTracer) Recent(n int) []SpanRecord {
 
 // Stats reports the tracer's lifetime sampling and completion counts.
 func (t *SpanTracer) Stats() SpanStats {
-	if t == nil {
-		return SpanStats{}
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.stats
@@ -290,9 +267,6 @@ func (t *SpanTracer) Stats() SpanStats {
 
 // Err reports the first sink encoding error, if any.
 func (t *SpanTracer) Err() error {
-	if t == nil {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.err

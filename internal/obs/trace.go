@@ -69,8 +69,7 @@ type Event struct {
 }
 
 // Tracer records events into a bounded ring buffer and, when constructed
-// with a sink, streams them as JSONL. It is safe for concurrent use. A nil
-// *Tracer is valid and drops everything, so call sites need no guards.
+// with a sink, streams them as JSONL. It is safe for concurrent use.
 type Tracer struct {
 	mu      sync.Mutex
 	enc     *json.Encoder
@@ -103,9 +102,6 @@ func NewTracer(w io.Writer, ringSize int) *Tracer {
 // SetClock replaces the wall clock with fn (simulations install their
 // simulated time so traces are deterministic and diffable across runs).
 func (t *Tracer) SetClock(fn func() float64) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	t.clock = fn
 	t.mu.Unlock()
@@ -115,9 +111,6 @@ func (t *Tracer) SetClock(fn func() float64) {
 // latched in Err rather than returned: tracing must never fail the traced
 // system.
 func (t *Tracer) Emit(ev Event) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.clock != nil {
@@ -140,9 +133,6 @@ func (t *Tracer) Emit(ev Event) {
 // Recent returns up to n of the most recent events, oldest first. n <= 0
 // means everything the ring holds.
 func (t *Tracer) Recent(n int) []Event {
-	if t == nil {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	size := len(t.ring)
@@ -165,9 +155,6 @@ func (t *Tracer) Recent(n int) []Event {
 // Total reports how many events were emitted over the tracer's lifetime
 // (including those the ring has since evicted).
 func (t *Tracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.total
@@ -175,9 +162,6 @@ func (t *Tracer) Total() uint64 {
 
 // Err reports the first sink encoding error, if any.
 func (t *Tracer) Err() error {
-	if t == nil {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.err
@@ -190,7 +174,7 @@ func (t *Tracer) Err() error {
 type SchedObserver struct {
 	// Video stamps every event in multi-video deployments.
 	Video uint32
-	// T receives the events; nil drops them.
+	// T receives the events.
 	T *Tracer
 }
 

@@ -74,21 +74,6 @@ func TestTracerRing(t *testing.T) {
 	}
 }
 
-// TestNilTracer: a nil tracer (and a SchedObserver wrapping one) must be a
-// no-op, never a panic — disabled observability costs nothing.
-func TestNilTracer(t *testing.T) {
-	var tr *Tracer
-	tr.Emit(Event{Type: EventAdmit})
-	tr.SetClock(func() float64 { return 0 })
-	if tr.Recent(5) != nil || tr.Total() != 0 || tr.Err() != nil {
-		t.Fatal("nil tracer not inert")
-	}
-	o := SchedObserver{T: nil}
-	o.ObserveAdmit(1, 1, 0)
-	o.ObserveDecision(1, 2, 3, 2, 4, 1, false)
-	o.ObserveRetire(2, 1, []int{1})
-}
-
 // TestSchedObserverTaxonomy checks the event stream one admission produces.
 func TestSchedObserverTaxonomy(t *testing.T) {
 	tr := NewTracer(nil, 16)

@@ -24,8 +24,7 @@ const DefaultWindowSize = 1024
 
 // Window is a rolling window of float64 observations with quantile
 // snapshots and optional SLO accounting. All methods are safe for concurrent
-// use; a nil *Window drops observations and snapshots to zero, so disabled
-// tracking needs no call-site guards.
+// use.
 type Window struct {
 	mu   sync.Mutex
 	buf  []float64
@@ -55,9 +54,6 @@ func NewWindow(size int) *Window {
 // (objective in (0,1), e.g. 0.99 for a 99% target). Observations recorded
 // before SetSLO are not reclassified.
 func (w *Window) SetSLO(threshold, objective float64) error {
-	if w == nil {
-		return nil
-	}
 	if threshold <= 0 {
 		return fmt.Errorf("obs: SLO threshold %v must be positive", threshold)
 	}
@@ -73,9 +69,6 @@ func (w *Window) SetSLO(threshold, objective float64) error {
 
 // Observe records one value.
 func (w *Window) Observe(v float64) {
-	if w == nil {
-		return
-	}
 	w.mu.Lock()
 	if len(w.buf) < cap(w.buf) {
 		w.buf = append(w.buf, v)
@@ -142,9 +135,6 @@ func quantile(sorted []float64, q float64) float64 {
 // rate. It copies and sorts the window (O(n log n) for n = window size), a
 // cost paid by the introspection reader, never the observation hot path.
 func (w *Window) Snapshot() WindowSnapshot {
-	if w == nil {
-		return WindowSnapshot{}
-	}
 	w.mu.Lock()
 	sample := append([]float64(nil), w.buf...)
 	snap := WindowSnapshot{

@@ -8,19 +8,6 @@ import (
 	"testing"
 )
 
-// TestWindowNilSafety: a nil window accepts everything and snapshots to
-// zero.
-func TestWindowNilSafety(t *testing.T) {
-	var w *Window
-	w.Observe(1)
-	if err := w.SetSLO(1, 0.99); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.Snapshot(); got != (WindowSnapshot{}) {
-		t.Fatalf("nil window snapshot = %+v", got)
-	}
-}
-
 // TestWindowQuantiles checks exact quantiles on a known sample, before and
 // after the ring wraps.
 func TestWindowQuantiles(t *testing.T) {

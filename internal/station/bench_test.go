@@ -2,9 +2,11 @@ package station
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"vodcast/internal/core"
 	"vodcast/internal/fanout"
@@ -248,4 +250,104 @@ func BenchmarkFanOut(b *testing.B) {
 			}
 		})
 	}
+}
+
+// nullWriter writes each frame with one write(2) to a video's /dev/null file
+// and counts it in direct, which only the span owning the video touches.
+type nullWriter struct {
+	f      *os.File
+	direct int
+}
+
+func (w *nullWriter) WriteDirect(f *fanout.Frame) (int, bool) {
+	n, err := w.f.Write(f.Bytes())
+	w.direct++
+	return n, err == nil && n == len(f.Bytes())
+}
+
+// BenchmarkTickDirectWrites is one slot of the tick's direct writes: 64
+// videos × 256 handlers parked on their rings, so each push is one write(2)
+// on the tick's span. Spans follow GOMAXPROCS and the pool is armed over
+// more than one, as the clock does, so -cpu 1,2 reads what the pool buys.
+// Each video has its own file: an *os.File's fd lock serializes writers.
+func BenchmarkTickDirectWrites(b *testing.B) {
+	const videos, subs = 64, 256
+	sizes := []int{1500, 700, 2200, 900}
+	st, err := New(Config{Videos: testCatalogue(videos, len(sizes))})
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc := fanout.NewEncoder()
+	writers := make([]*nullWriter, videos)
+	rings := make([][]*fanout.Ring, videos)
+	var consumers sync.WaitGroup
+	for v := range rings {
+		if err := enc.AddVideo(uint32(v+1), sizes); err != nil {
+			b.Fatal(err)
+		}
+		f, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer f.Close()
+		writers[v] = &nullWriter{f: f}
+		for i := 0; i < subs; i++ {
+			r := fanout.NewRing(8)
+			rings[v] = append(rings[v], r)
+			consumers.Add(1)
+			go func() {
+				defer consumers.Done()
+				for ok := true; ok; {
+					var frames []*fanout.Frame
+					frames, _, ok = r.Park(nil, writers[v])
+					for _, f := range frames {
+						f.Release()
+					}
+				}
+			}()
+		}
+	}
+	slot := 0
+	walk := func(_, v int, _ core.SlotReport) bool {
+		f, err := enc.EncodeSlot(uint32(v+1), slot, []int{1 + slot%len(sizes)}, nil)
+		if err != nil {
+			panic(err)
+		}
+		for _, r := range rings[v] {
+			f.Retain()
+			r.Push(f)
+		}
+		f.Release()
+		return true
+	}
+	admitAll(b, st)
+	if st.Shards() > 1 {
+		st.pool = startWorkers(st.spans)
+		defer st.pool.close()
+	}
+	// Warm up until one whole tick goes out by direct writes: every
+	// handler has parked.
+	for direct := 0; direct < videos*subs; slot++ {
+		if slot == 1000 {
+			b.Fatalf("%d of %d frames written directly after %d ticks", direct, videos*subs, slot)
+		}
+		time.Sleep(time.Millisecond)
+		st.EachActive(walk)
+		direct = 0
+		for _, w := range writers {
+			direct, w.direct = direct+w.direct, 0
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		slot++
+		st.EachActive(walk)
+	}
+	b.StopTimer()
+	for _, rs := range rings {
+		for _, r := range rs {
+			r.Close()
+		}
+	}
+	consumers.Wait()
 }

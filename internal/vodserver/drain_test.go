@@ -48,7 +48,7 @@ func (c stallConn) Write(b []byte) (int, error) {
 func TestFailedWriteReleasesClosedRing(t *testing.T) {
 	s := startTestServer(t)
 	enc, ring := drainFixture(t)
-	sub := &subscriber{ring: ring, admitted: time.Now(), ct: s.ct.Register(nil, 1, 8)}
+	sub := &subscriber{ring: ring, admitted: time.Now(), firstByte: s.firstByte, ct: s.ct.Register(nil, 1, 8)}
 	push := func(slot int) {
 		f, err := enc.EncodeSlot(1, slot, []int{1}, nil)
 		if err != nil {
@@ -159,7 +159,8 @@ func directFixture(tb testing.TB, enc *fanout.Encoder) func(slot int) {
 		tb.Fatal(err)
 	}
 	ct := conntrack.New(conntrack.Config{Registry: obs.NewRegistry()}).Register(nil, 1, 8)
-	sub := &subscriber{ring: fanout.NewRing(8), admitted: time.Now(), raw: raw, admitSlot: -1, ct: ct}
+	sub := &subscriber{ring: fanout.NewRing(8), admitted: time.Now(), firstByte: obs.NewWindow(0),
+		raw: raw, admitSlot: -1, ct: ct}
 	sub.writeFn = sub.writeOnce
 	parked := make(chan struct{})
 	go func() {

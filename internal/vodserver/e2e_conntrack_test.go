@@ -19,8 +19,8 @@ import (
 )
 
 // This file is the transport-telemetry acceptance E2E: a real server on a
-// heavy video, two wire-level subscribers engineered into different transport
-// conditions — one that pauses reading entirely, one that keeps reading far
+// heavy video, three wire-level subscribers engineered into two transport
+// conditions — two that pause reading entirely, one that keeps reading far
 // below the broadcast rate — and assertions that the classifier separates
 // them on /connz, that the conn_stalled_ratio alert walks pending → firing →
 // resolved, that the firing transition captures exactly one flight bundle
@@ -98,20 +98,22 @@ func TestE2EConntrackStallAttribution(t *testing.T) {
 		// telemetry loop is parked out of the way.
 		TelemetryInterval: time.Hour,
 		AlertFor:          50 * time.Millisecond,
-		// One stalled connection out of two tracked (ratio 0.5) must trip.
-		ConnStalledRatio: 0.25,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer closeNoFrameLeak(t, s)
 
-	// The paused subscriber: admitted, then never reads another byte. Its
-	// socket pipe fills, BytesAcked freezes, the ring backs up — a total
-	// stall.
+	// The paused subscribers: admitted, then never read another byte. Their
+	// socket pipes fill, BytesAcked freezes, the rings back up — a total
+	// stall. Two of three tracked connections stalled is a ratio above the
+	// alert's 0.5.
 	paused := admitRaw(t, s.Addr(), 1)
 	defer paused.Close()
 	pausedRemote := paused.LocalAddr().String()
+	paused2 := admitRaw(t, s.Addr(), 1)
+	defer paused2.Close()
+	paused2Remote := paused2.LocalAddr().String()
 
 	// The slow subscriber: keeps reading, but at a small fraction of the
 	// broadcast rate. Bytes keep being acknowledged every sweep — provably
@@ -131,13 +133,13 @@ func TestE2EConntrackStallAttribution(t *testing.T) {
 	}()
 
 	// Drive sweeps until the classifier separates the two. Each iteration is
-	// one sampling pass; hysteresis (Hold=2) means the published states land
+	// one sampling pass; hysteresis (two sweeps) means the published states land
 	// a few sweeps after the signals stabilize.
 	sweepUntil := func(label string, cond func(sum conntrack.Summary) bool) conntrack.Summary {
 		t.Helper()
 		deadline := time.Now().Add(15 * time.Second)
 		for {
-			s.Conns().Sweep()
+			s.ct.Sweep()
 			sum := connzSummary(t, s)
 			if cond(sum) {
 				return sum
@@ -150,8 +152,10 @@ func TestE2EConntrackStallAttribution(t *testing.T) {
 	}
 	sum := sweepUntil("classifier separation", func(sum conntrack.Summary) bool {
 		p, pok := connzRow(sum, pausedRemote)
+		p2, p2ok := connzRow(sum, paused2Remote)
 		sl, sok := connzRow(sum, slowRemote)
-		return pok && sok && p.State == "stalled" && sl.State == "receiver_limited"
+		return pok && p2ok && sok && p.State == "stalled" && p2.State == "stalled" &&
+			sl.State == "receiver_limited"
 	})
 
 	// The rows carry the kernel evidence behind the verdicts.
@@ -160,19 +164,19 @@ func TestE2EConntrackStallAttribution(t *testing.T) {
 	if !pausedRow.Kernel || !slowRow.Kernel {
 		t.Fatalf("TCP_INFO missing on loopback rows: paused=%+v slow=%+v", pausedRow, slowRow)
 	}
-	if sum.Tracked != 2 {
-		t.Fatalf("tracked = %d, want 2", sum.Tracked)
+	if sum.Tracked != 3 {
+		t.Fatalf("tracked = %d, want 3", sum.Tracked)
 	}
-	if sum.StalledRatio != 0.5 {
-		t.Fatalf("stalled ratio = %v, want 0.5", sum.StalledRatio)
+	if sum.StalledRatio != 2.0/3 {
+		t.Fatalf("stalled ratio = %v, want 2/3", sum.StalledRatio)
 	}
-	if sum.States["stalled"] != 1 || sum.States["receiver_limited"] != 1 {
+	if sum.States["stalled"] != 2 || sum.States["receiver_limited"] != 1 {
 		t.Fatalf("state histogram wrong: %+v", sum.States)
 	}
 
 	// The alert walks pending → firing on hand-driven evaluations, and the
 	// firing transition captures exactly one bundle.
-	s.Alerts().Eval()
+	s.alerts.Eval()
 	if st := ruleState(t, s, "conn_stalled_ratio"); st != obs.StatePending {
 		t.Fatalf("breached stall alert = %s, want pending (For not yet elapsed)", st)
 	}
@@ -180,8 +184,8 @@ func TestE2EConntrackStallAttribution(t *testing.T) {
 		t.Fatalf("%d bundles while merely pending", got)
 	}
 	time.Sleep(60 * time.Millisecond) // AlertFor is 50ms
-	s.Conns().Sweep()                 // keep the classification fresh across the hold
-	s.Alerts().Eval()
+	s.ct.Sweep()                      // keep the classification fresh across the hold
+	s.alerts.Eval()
 	if st := ruleState(t, s, "conn_stalled_ratio"); st != obs.StateFiring {
 		t.Fatalf("held breach = %s, want firing", st)
 	}
@@ -204,7 +208,7 @@ func TestE2EConntrackStallAttribution(t *testing.T) {
 	if err := json.Unmarshal(raw, &bundled); err != nil {
 		t.Fatalf("conns.json: %v", err)
 	}
-	if bundled.Tracked != 2 || bundled.States["stalled"] != 1 {
+	if bundled.Tracked != 3 || bundled.States["stalled"] != 2 {
 		t.Fatalf("bundled conns.json wrong: tracked=%d states=%+v", bundled.Tracked, bundled.States)
 	}
 	if _, ok := connzRow(bundled, pausedRemote); !ok {
@@ -217,7 +221,7 @@ func TestE2EConntrackStallAttribution(t *testing.T) {
 		t.Fatalf("miss alert = %s, want inactive", st)
 	}
 
-	// The paused subscriber's blocked write hits its session deadline, its
+	// A paused subscriber's blocked write hits its session deadline, its
 	// handler cuts it, and the drop counter attributes the disconnect by
 	// the last published state: reason="stalled".
 	dropDeadline := time.Now().Add(30 * time.Second)
@@ -244,17 +248,17 @@ func TestE2EConntrackStallAttribution(t *testing.T) {
 		t.Fatalf("no drop attributed reason=\"stalled\":\n%s", body)
 	}
 
-	// The ratio self-resolves as tracking drains: the cut unregistered the
-	// stalled connection, and the slow reader, far behind too, meets its
+	// The ratio self-resolves as tracking drains: the cuts unregister the
+	// stalled connections, and the slow reader, far behind too, meets its
 	// own deadline moments later. Either exit unregisters, so the next
 	// evaluation walks the rule firing → resolved, with no second bundle.
-	for s.Conns().Tracked() != 0 {
+	for s.ct.Tracked() != 0 {
 		if time.Now().After(dropDeadline) {
-			t.Fatalf("tracking never drained: tracked=%d %+v", s.Conns().Tracked(), s.Stats())
+			t.Fatalf("tracking never drained: tracked=%d %+v", s.ct.Tracked(), s.Stats())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	s.Alerts().Eval()
+	s.alerts.Eval()
 	if st := ruleState(t, s, "conn_stalled_ratio"); st != obs.StateResolved {
 		t.Fatalf("post-drop stall alert = %s, want resolved", st)
 	}

@@ -85,7 +85,7 @@ func TestE2ENetemPathAttribution(t *testing.T) {
 
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		s.Conns().Sweep()
+		s.ct.Sweep()
 		sum := connzSummary(t, s)
 		sh, shok := connzRow(sum, shapedRemote)
 		pa, paok := connzRow(sum, pausedRemote)

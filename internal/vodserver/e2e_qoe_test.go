@@ -60,7 +60,6 @@ func TestE2EClientQoELoop(t *testing.T) {
 		SlotDuration:    10 * time.Millisecond,
 		StatsAddr:       "127.0.0.1:0",
 		SpanSampleEvery: 1,
-		QoEWindow:       4,
 		// The test drives evaluations by hand for determinism; the
 		// telemetry loop is parked out of the way.
 		TelemetryInterval: time.Hour,
@@ -110,7 +109,7 @@ func TestE2EClientQoELoop(t *testing.T) {
 
 	// Every session was sampled, so every admit tree must have gained
 	// client-side children with intact parent links.
-	spans := s.Spans().Recent(0)
+	spans := s.spans.Recent(0)
 	byID := make(map[uint64]obs.SpanRecord, len(spans))
 	for _, r := range spans {
 		byID[r.ID] = r
@@ -137,15 +136,18 @@ func TestE2EClientQoELoop(t *testing.T) {
 	}
 
 	// The healthy window keeps the miss alert quiet.
-	s.Alerts().Eval()
+	s.alerts.Eval()
 	if st := ruleState(t, s, "client_deadline_miss_rate"); st != obs.StateInactive {
 		t.Fatalf("healthy miss alert state = %s, want inactive", st)
 	}
 
 	// Phase 2 — fault injection: drop video 1 segment 1 so its customers
-	// miss a deadline, and watch the rule walk pending → firing.
+	// miss a deadline, and watch the rule walk pending → firing. The window
+	// holds every report so far, so n+1 faulted sessions (one miss each)
+	// lift its mean above 0.5 misses per report.
 	dropping.Store(true)
-	for i := 0; i < 4; i++ {
+	const faulted = n + 1
+	for i := 0; i < faulted; i++ {
 		res, err := vodclient.FetchWith(s.Addr(), vodclient.FetchOptions{
 			VideoID: 1, Timeout: 10 * time.Second,
 		})
@@ -157,14 +159,14 @@ func TestE2EClientQoELoop(t *testing.T) {
 		}
 	}
 	waitFor(t, "miss reports ingested", func() bool {
-		return s.QoE().Reports >= n+4
+		return s.QoE().Reports >= n+faulted
 	})
-	s.Alerts().Eval()
+	s.alerts.Eval()
 	if st := ruleState(t, s, "client_deadline_miss_rate"); st != obs.StatePending {
 		t.Fatalf("breached miss alert state = %s, want pending (For not yet elapsed)", st)
 	}
 	time.Sleep(60 * time.Millisecond) // AlertFor is 50ms
-	s.Alerts().Eval()
+	s.alerts.Eval()
 	if st := ruleState(t, s, "client_deadline_miss_rate"); st != obs.StateFiring {
 		t.Fatalf("held breach state = %s, want firing", st)
 	}
@@ -172,10 +174,10 @@ func TestE2EClientQoELoop(t *testing.T) {
 		t.Fatalf("alertz doc = %+v, want firing > 0 and evals > 0", doc)
 	}
 
-	// Phase 3 — recovery: healthy sessions roll the bad reports out of the
-	// miss-rate window and the rule resolves.
+	// Phase 3 — recovery: two healthy sessions bring the window's mean back
+	// under 0.5 and the rule resolves.
 	dropping.Store(false)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 2; i++ {
 		if _, err := vodclient.FetchWith(s.Addr(), vodclient.FetchOptions{
 			VideoID: 1, Timeout: 10 * time.Second,
 		}); err != nil {
@@ -183,16 +185,16 @@ func TestE2EClientQoELoop(t *testing.T) {
 		}
 	}
 	waitFor(t, "recovery reports ingested", func() bool {
-		return s.QoE().Reports >= n+8
+		return s.QoE().Reports >= n+faulted+2
 	})
-	s.Alerts().Eval()
+	s.alerts.Eval()
 	if st := ruleState(t, s, "client_deadline_miss_rate"); st != obs.StateResolved {
 		t.Fatalf("recovered miss alert state = %s, want resolved", st)
 	}
 
-	// The lifetime counters keep the evidence the window rolled past.
-	if misses := s.videos[1].rec.Load().miss.Value(); misses < 4 {
-		t.Fatalf("client_miss_total{video=1} = %v, want >= 4", misses)
+	// The lifetime counters keep the evidence of every faulted session.
+	if misses := s.videos[1].rec.Load().miss.Value(); misses < faulted {
+		t.Fatalf("client_miss_total{video=1} = %v, want >= %d", misses, faulted)
 	}
 	if misses := s.videos[2].rec.Load().miss.Value(); misses != 0 {
 		t.Fatalf("client_miss_total{video=2} = %v, want 0", misses)
@@ -234,12 +236,12 @@ func TestSlipAlertLifecycle(t *testing.T) {
 	}
 	defer closeNoFrameLeak(t, s)
 	now := time.Unix(1_000_000, 0)
-	s.Alerts().SetClock(func() time.Time { return now })
+	s.alerts.SetClock(func() time.Time { return now })
 	eval := func(want obs.AlertState) {
 		t.Helper()
 		now = now.Add(interval)
-		s.Alerts().Eval()
-		for _, r := range s.Alerts().Snapshot() {
+		s.alerts.Eval()
+		for _, r := range s.alerts.Snapshot() {
 			if r.Name != "station_clock_skipped_ticks" {
 				continue
 			}
@@ -251,7 +253,7 @@ func TestSlipAlertLifecycle(t *testing.T) {
 		t.Fatal("slip rule not armed")
 	}
 	eval(obs.StateInactive)
-	s.Registry().Counter("station_clock_skipped_ticks_total", "").Add(9)
+	s.reg.Counter("station_clock_skipped_ticks_total", "").Add(9)
 	eval(obs.StateFiring)
 	bundles := bundleDirs(t, flightDir)
 	if len(bundles) != 1 || !strings.Contains(bundles[0], "alert_station_clock_skipped_ticks") {

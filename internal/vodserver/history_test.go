@@ -134,7 +134,7 @@ func TestQueryzEndpoint(t *testing.T) {
 	}
 	defer closeNoFrameLeak(t, s)
 	waitFor(t, "history scrapes", func() bool {
-		return s.History().Stats().Scrapes >= 5
+		return s.history.Stats().Scrapes >= 5
 	})
 
 	// No series: the discovery listing, with store stats.
@@ -195,9 +195,9 @@ func TestQueryzEndpoint(t *testing.T) {
 			t.Fatalf("session %d: %v", i, err)
 		}
 	}
-	settled := s.History().Stats().Scrapes + 2
+	settled := s.history.Stats().Scrapes + 2
 	waitFor(t, "two scrapes after the sessions", func() bool {
-		return s.History().Stats().Scrapes >= settled
+		return s.history.Stats().Scrapes >= settled
 	})
 	_, body = get(t, s, "/queryz?series=vod_requests_total")
 	var reqs queryzRange
@@ -263,9 +263,9 @@ func TestQueryzSeriesCapExcludesRefused(t *testing.T) {
 	}
 	defer closeNoFrameLeak(t, s)
 	waitFor(t, "history scrapes", func() bool {
-		return s.History().Stats().Scrapes >= 2
+		return s.history.Stats().Scrapes >= 2
 	})
-	if st := s.History().Stats(); st.DroppedSeries != 0 || st.Series > 200 {
+	if st := s.history.Stats(); st.DroppedSeries != 0 || st.Series > 200 {
 		t.Fatalf("boot store %+v: idle videos export series", st)
 	}
 
@@ -300,9 +300,9 @@ func TestQueryzSeriesCapExcludesRefused(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	scraped := s.History().Stats().Scrapes
+	scraped := s.history.Stats().Scrapes
 	waitFor(t, "history scrapes after the requests", func() bool {
-		return s.History().Stats().Scrapes >= scraped+2
+		return s.history.Stats().Scrapes >= scraped+2
 	})
 
 	code, body := get(t, s, "/queryz")
@@ -418,7 +418,7 @@ func TestFlightRecordEndpoint(t *testing.T) {
 	}
 	defer closeNoFrameLeak(t, s)
 	waitFor(t, "history scrapes", func() bool {
-		return s.History().Stats().Scrapes >= 3
+		return s.history.Stats().Scrapes >= 3
 	})
 
 	code, body := get(t, s, "/debug/flightrecord")
@@ -468,7 +468,6 @@ func TestE2EFlightRecorder(t *testing.T) {
 		Videos:       []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
 		SlotDuration: 10 * time.Millisecond,
 		StatsAddr:    "127.0.0.1:0",
-		QoEWindow:    4,
 		FlightDir:    flightDir,
 		// A generous SLO keeps the first_byte_slo_burn rule quiet on slow CI
 		// machines: the only firing rule must be the injected miss alert.
@@ -497,9 +496,9 @@ func TestE2EFlightRecorder(t *testing.T) {
 	}
 	waitFor(t, "healthy reports ingested", func() bool { return s.QoE().Reports >= 3 })
 	for i := 0; i < 3; i++ {
-		s.History().Scrape()
+		s.history.Scrape()
 	}
-	s.Alerts().Eval()
+	s.alerts.Eval()
 	if st := ruleState(t, s, "client_deadline_miss_rate"); st != obs.StateInactive {
 		t.Fatalf("healthy miss alert = %s, want inactive", st)
 	}
@@ -524,14 +523,14 @@ func TestE2EFlightRecorder(t *testing.T) {
 	waitFor(t, "miss reports ingested", func() bool { return s.QoE().Reports >= 7 })
 	// Let the elevated miss rate land in history before the transition.
 	for i := 0; i < 2; i++ {
-		s.History().Scrape()
+		s.history.Scrape()
 	}
-	s.Alerts().Eval() // inactive → pending: no bundle yet
+	s.alerts.Eval() // inactive → pending: no bundle yet
 	if got := len(bundleDirs(t, flightDir)); got != 0 {
 		t.Fatalf("%d bundles while merely pending", got)
 	}
 	time.Sleep(60 * time.Millisecond) // AlertFor is 50ms
-	s.Alerts().Eval()                 // pending → firing: captures the bundle
+	s.alerts.Eval()                   // pending → firing: captures the bundle
 	if st := ruleState(t, s, "client_deadline_miss_rate"); st != obs.StateFiring {
 		t.Fatalf("held breach = %s, want firing", st)
 	}
@@ -544,7 +543,7 @@ func TestE2EFlightRecorder(t *testing.T) {
 	}
 	// Re-evaluating while still firing captures nothing more (no transition,
 	// and the cooldown holds regardless).
-	s.Alerts().Eval()
+	s.alerts.Eval()
 	if got := len(bundleDirs(t, flightDir)); got != 1 {
 		t.Fatalf("still-firing eval grew bundles to %d", got)
 	}

@@ -165,7 +165,8 @@ func TestPlaceholderLastSlotStillRetires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := &subscriber{ring: fanout.NewRing(256), admitted: time.Now(), rec: r, ct: s.ct.Register(nil, 1, 256)}
+	sub := &subscriber{ring: fanout.NewRing(256), admitted: time.Now(), firstByte: s.firstByte,
+		rec: r, ct: s.ct.Register(nil, 1, 256)}
 	sub.lastSlot.Store(math.MaxInt64)
 	if !r.subs.Add(sub) {
 		t.Fatal("subscriber set refused the registration")

@@ -116,9 +116,8 @@ func TestMetricszExposition(t *testing.T) {
 // TestOneInstrumentPerDistribution: every distribution the server serves is
 // one summary, and /statusz and /metricsz read that one instrument. After n
 // sessions the first-byte window's lifetime total,
-// vod_admit_first_byte_seconds_count and the admit stage's count all read n.
-// The QoE windows hold two reports, so client_startup_slots_count reading n
-// shows a summary's _count is lifetime, not windowed.
+// vod_admit_first_byte_seconds_count, the admit stage's count and
+// client_startup_slots_count all read n.
 func TestOneInstrumentPerDistribution(t *testing.T) {
 	const n = 3
 	s, err := Start(Config{
@@ -126,7 +125,6 @@ func TestOneInstrumentPerDistribution(t *testing.T) {
 		Videos:       []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
 		SlotDuration: 10 * time.Millisecond,
 		StatsAddr:    "127.0.0.1:0",
-		QoEWindow:    2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -168,9 +166,6 @@ func TestOneInstrumentPerDistribution(t *testing.T) {
 		if got != n {
 			t.Fatalf("%s = %v, want %d", name, got, n)
 		}
-	}
-	if status.QoE.Startup.Count != 2 {
-		t.Fatalf("/statusz qoe.startup_slots.count = %d, want the window's 2", status.QoE.Startup.Count)
 	}
 	if vals["vod_admit_first_byte_seconds_sum"] <= 0 {
 		t.Fatalf("vod_admit_first_byte_seconds_sum = %v, want positive", vals["vod_admit_first_byte_seconds_sum"])

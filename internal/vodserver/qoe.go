@@ -23,6 +23,11 @@ import (
 // above which the client_deadline_miss_rate alert trips.
 const missRateThreshold = 0.5
 
+// stalledRatio is the fraction of tracked connections classified stalled
+// above which the conn_stalled_ratio alert trips (and, with a FlightDir
+// armed, captures a diagnostic bundle carrying conns.json).
+const stalledRatio = 0.5
+
 // slipWindow is how far back the station_clock_skipped_ticks rule looks for
 // a skipped grid point.
 const slipWindow = time.Minute
@@ -50,10 +55,6 @@ func (s *Server) armAlerts() error {
 	// fraction of tracked connections whose published state is stalled. The
 	// ratio resolves on its own as stalled subscribers are dropped or
 	// recover, so the rule walks firing → resolved without operator action.
-	stalledRatio := s.cfg.ConnStalledRatio
-	if stalledRatio == 0 {
-		stalledRatio = 0.5
-	}
 	stalled := obs.AlertRule{
 		Name:     "conn_stalled_ratio",
 		Severity: "critical",

@@ -234,7 +234,7 @@ func TestSameSlotBurst(t *testing.T) {
 		t.Fatalf("vod_instances_total = %v, want at most %d", got, bound)
 	}
 	var placed, placing int
-	for _, r := range s.Spans().Recent(0) {
+	for _, r := range s.spans.Recent(0) {
 		if r.Name != "station_admit" {
 			continue
 		}
@@ -670,7 +670,7 @@ func TestUnsubscribeIdempotent(t *testing.T) {
 	}
 	// The first call drops the ring, releasing its queued frame; repeats
 	// are no-ops.
-	rsub := &subscriber{ring: fanout.NewRing(1), rec: r, ct: s.ct.Register(nil, 1, 1)}
+	rsub := &subscriber{ring: fanout.NewRing(1), firstByte: s.firstByte, rec: r, ct: s.ct.Register(nil, 1, 1)}
 	r.subs.Add(rsub)
 	f, err := s.enc.EncodeSlot(1, 0, []int{1}, nil)
 	if err != nil {

@@ -85,10 +85,6 @@ type Config struct {
 	// trouble, not protocol behaviour). sloObjective of the admissions must
 	// meet it; /statusz reports the burn rate of the implied error budget.
 	SLOTargetSeconds float64
-	// QoEWindow bounds the rolling windows folded from client reports
-	// (startup delay, deadline slack, miss rate); 0 selects
-	// obs.DefaultWindowSize.
-	QoEWindow int
 	// TelemetryInterval is the period of the server's one telemetry loop:
 	// each period it sweeps the tracked connections, scrapes the registry
 	// into the history store behind /queryz (this is the store's scrape
@@ -112,11 +108,6 @@ type Config struct {
 	// or a /debug/flightrecord GET dumps a diagnostic bundle directory under
 	// it. "" leaves the recorder disabled.
 	FlightDir string
-	// ConnStalledRatio is the fraction of tracked connections classified
-	// stalled at which the conn_stalled_ratio alert trips (and, with a
-	// FlightDir armed, captures a diagnostic bundle carrying conns.json).
-	// 0 selects 0.5.
-	ConnStalledRatio float64
 }
 
 // DefaultSpanSampleEvery is the admission span sampling period when the
@@ -392,16 +383,16 @@ func Start(cfg Config) (*Server, error) {
 		started:   time.Now(),
 		done:      make(chan struct{}),
 		reg:       reg,
-		spans:     obs.NewSpanTracer(cfg.SpanWriter, obs.DefaultRingSize, cfg.SpanSampleEvery, 0),
+		spans:     obs.NewSpanTracer(cfg.SpanWriter, cfg.SpanSampleEvery),
 		alerts:    obs.NewAlertEngine(),
 		firstByte: firstByte,
 		fanout: reg.Window("vod_fanout_seconds",
 			"Per-tick fan-out service time: encoding every video's slot batch and distributing it, including the socket writes the tick makes for parked subscribers.", 0),
 		qoeStartup: reg.Window("client_startup_slots",
-			"Client-reported slots from admission to the first needed segment.", cfg.QoEWindow),
+			"Client-reported slots from admission to the first needed segment.", 0),
 		qoeSlack: reg.Window("client_deadline_slack_slots",
-			"Client-reported per-report mean slack to the delivery deadline, in slots.", cfg.QoEWindow),
-		qoeMissRate: obs.NewWindow(cfg.QoEWindow),
+			"Client-reported per-report mean slack to the delivery deadline, in slots.", 0),
+		qoeMissRate: obs.NewWindow(0),
 		mRequests: reg.Counter("vod_requests_total",
 			"Admitted customer requests (including interactive resumes)."),
 		mRejects: reg.Counter("vod_rejects_total",

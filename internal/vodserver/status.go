@@ -4,9 +4,9 @@ package vodserver
 // and the /statusz document assembled from them.
 
 import (
+	"errors"
 	"time"
 
-	"vodcast/internal/conntrack"
 	"vodcast/internal/obs"
 	"vodcast/internal/obs/history"
 	"vodcast/internal/station"
@@ -37,12 +37,6 @@ func (s *Server) StatsAddr() string {
 
 // Addr reports the bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Registry exposes the server's metrics registry, the source of /metricsz.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// Spans exposes the server's pipeline span tracer, the source of /spanz.
-func (s *Server) Spans() *obs.SpanTracer { return s.spans }
 
 // StatusSnapshot is the /statusz document: one consistent operator view of
 // the whole pipeline, the payload cmd/vodtop renders.
@@ -92,20 +86,14 @@ func (s *Server) Status() StatusSnapshot {
 	return snap
 }
 
-// Alerts exposes the server's alert engine, the source of /alertz.
-func (s *Server) Alerts() *obs.AlertEngine { return s.alerts }
-
-// History exposes the retained-telemetry store behind /queryz.
-func (s *Server) History() *history.Store { return s.history }
-
-// Conns exposes the transport telemetry sampler behind /connz.
-func (s *Server) Conns() *conntrack.Sampler { return s.ct }
-
 // FlightRecord forces a diagnostic bundle capture (bypassing the alert
 // cooldown) and returns the bundle directory. It errors when no FlightDir
 // was configured — the SIGQUIT and /debug/flightrecord paths surface that
 // instead of silently dropping the operator's request.
 func (s *Server) FlightRecord(reason string) (string, error) {
+	if s.recorder == nil {
+		return "", errors.New("vodserver: flight recorder disabled (no FlightDir)")
+	}
 	return s.recorder.Force(reason)
 }
 

@@ -155,7 +155,7 @@ func TestSpanzPipelineTree(t *testing.T) {
 func TestSpanAdmitAttributes(t *testing.T) {
 	s := startStatusServer(t, nil)
 	admits := 0
-	for _, r := range s.Spans().Recent(0) {
+	for _, r := range s.spans.Recent(0) {
 		if r.Name != "station_admit" {
 			continue
 		}
@@ -178,7 +178,7 @@ func TestSpanAdmitAttributes(t *testing.T) {
 	// The handler ends the root after answering the client.
 	var rejected []obs.SpanRecord
 	for deadline := time.Now().Add(5 * time.Second); len(rejected) == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		for _, r := range s.Spans().Recent(0) {
+		for _, r := range s.spans.Recent(0) {
 			if r.Attrs["reject"] != "" {
 				rejected = append(rejected, r)
 			}
@@ -190,7 +190,7 @@ func TestSpanAdmitAttributes(t *testing.T) {
 	if r := rejected[0]; r.Name != "admit" || r.Parent != 0 || r.Video != 99 || !strings.Contains(r.Attrs["reject"], "unknown video 99") {
 		t.Fatalf("reject root %+v", r)
 	}
-	for _, r := range s.Spans().Recent(0) {
+	for _, r := range s.spans.Recent(0) {
 		if r.Parent == rejected[0].ID {
 			t.Fatalf("refused request has child span %+v", r)
 		}
@@ -307,7 +307,7 @@ var familyReaders = map[string]string{
 // `make ci` runs this by name.
 func TestRegisteredMetricNamesValid(t *testing.T) {
 	s := startStatusServer(t, nil)
-	names := s.Registry().Names()
+	names := s.reg.Names()
 	have := make(map[string]bool, len(names))
 	for _, name := range names {
 		if !obs.ValidMetricName(name) {

@@ -234,7 +234,7 @@ func TestCloseWaitsForTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "the staleness rule to fire on the loop", func() bool {
-		return s.Alerts().Firing() > 0
+		return s.alerts.Firing() > 0
 	})
 	s.Close()
 
@@ -249,7 +249,7 @@ func TestCloseWaitsForTelemetry(t *testing.T) {
 			t.Fatalf("the telemetry loop survived Close:\n%s", g)
 		}
 	}
-	scrapes, evals := s.History().Stats().Scrapes, s.Alerts().Evals()
+	scrapes, evals := s.history.Stats().Scrapes, s.alerts.Evals()
 	if evals == 0 || scrapes != evals {
 		t.Fatalf("loop ran %d scrapes and %d evaluations, want equal and non-zero", scrapes, evals)
 	}
