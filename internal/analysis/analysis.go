@@ -95,15 +95,6 @@ func PatchingMean(ratePerHour, videoSeconds float64) (float64, error) {
 	return math.Sqrt(1+2*lambda*videoSeconds) - 1, nil
 }
 
-// MergingMean returns the Eager-Vernon-Zahorjan bound ln(1 + lambda D),
-// the asymptote of hierarchical stream merging.
-func MergingMean(ratePerHour, videoSeconds float64) (float64, error) {
-	if err := checkRates(ratePerHour, videoSeconds); err != nil {
-		return 0, err
-	}
-	return math.Log(1 + ratePerHour/3600*videoSeconds), nil
-}
-
 // HarmonicBandwidth returns the server bandwidth of Juhn and Tseng's
 // harmonic broadcasting family for n segments: segment i on a dedicated
 // sub-stream of rate b/i, for a total of H(n) = sum 1/i times the
@@ -119,34 +110,6 @@ func HarmonicBandwidth(n int) (float64, error) {
 		h += 1 / float64(i)
 	}
 	return h, nil
-}
-
-// PolyharmonicBandwidth returns the server bandwidth of polyharmonic
-// broadcasting PHB(m) for n segments: clients wait m slots before playback,
-// segment i streams continuously at rate b/(m+i-1), so the total is
-// H(n+m-1) - H(m-1) times the consumption rate. Section 4 names PHB with
-// partial preloading as one of only two prior protocols able to handle
-// compressed video; this is its bandwidth-versus-wait law (m = 1 recovers
-// plain harmonic broadcasting).
-func PolyharmonicBandwidth(n, m int) (float64, error) {
-	if n <= 0 {
-		return 0, fmt.Errorf("analysis: segment count %d must be positive", n)
-	}
-	if m <= 0 {
-		return 0, fmt.Errorf("analysis: delay parameter %d must be positive", m)
-	}
-	b := 0.0
-	for i := m; i <= n+m-1; i++ {
-		b += 1 / float64(i)
-	}
-	return b, nil
-}
-
-// IsolatedRequestMean returns the bandwidth a protocol pays when requests
-// never overlap: lambda D in consumption-rate units (every request costs
-// one full video transmission).
-func IsolatedRequestMean(ratePerHour, videoSeconds float64) float64 {
-	return ratePerHour / 3600 * videoSeconds
 }
 
 func checkRates(ratePerHour, seconds float64) error {

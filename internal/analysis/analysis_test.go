@@ -66,7 +66,7 @@ func TestErrors(t *testing.T) {
 	if _, err := PatchingMean(-1, 10); err == nil {
 		t.Error("negative rate accepted")
 	}
-	if _, err := MergingMean(1, 0); err == nil {
+	if _, err := PatchingMean(1, 0); err == nil {
 		t.Error("zero duration accepted")
 	}
 	if _, err := HarmonicBandwidth(0); err == nil {
@@ -102,14 +102,6 @@ func TestDHBSaturatedIsHarmonicForCBR(t *testing.T) {
 	}
 	if math.Abs(sat-h) > 1e-12 {
 		t.Fatalf("saturated DHB %v != H(99) %v", sat, h)
-	}
-}
-
-func TestIsolatedRequestMean(t *testing.T) {
-	// One request per hour on a two-hour video keeps two streams busy on
-	// average when nothing is shared.
-	if got := IsolatedRequestMean(1, 7200); got != 2 {
-		t.Fatalf("IsolatedRequestMean = %v, want 2", got)
 	}
 }
 
@@ -251,10 +243,7 @@ func TestPatchingModelMatchesSimulation(t *testing.T) {
 // 1.3x the EVZ bound across rates, the published constant-factor claim.
 func TestHMSMWithinConstantOfBound(t *testing.T) {
 	for _, rate := range []float64{5, 50, 500} {
-		bound, err := MergingMean(rate, videoLen)
-		if err != nil {
-			t.Fatal(err)
-		}
+		bound := reactive.MergingLowerBound(rate, videoLen)
 		res, err := reactive.HMSM(reactive.Config{
 			RatePerHour:    rate,
 			VideoSeconds:   videoLen,
@@ -274,48 +263,4 @@ func TestHMSMWithinConstantOfBound(t *testing.T) {
 
 func relErr(a, b float64) float64 {
 	return math.Abs(a-b) / math.Max(b, 1e-12)
-}
-
-func TestPolyharmonicBandwidth(t *testing.T) {
-	// m = 1 is plain harmonic broadcasting.
-	phb1, err := PolyharmonicBandwidth(99, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb, err := HarmonicBandwidth(99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(phb1-hb) > 1e-12 {
-		t.Fatalf("PHB(1) = %v, want H(99) = %v", phb1, hb)
-	}
-	// Accepting a longer wait (larger m) buys bandwidth monotonically.
-	prev := math.Inf(1)
-	for _, m := range []int{1, 2, 4, 8, 16} {
-		b, err := PolyharmonicBandwidth(99, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b >= prev {
-			t.Fatalf("PHB(%d) = %v did not improve on %v", m, b, prev)
-		}
-		prev = b
-	}
-	// And approaches ln((n+m)/m): PHB(99, 99) is about ln(2).
-	b, err := PolyharmonicBandwidth(99, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(b-math.Log(2)) > 0.01 {
-		t.Fatalf("PHB(99,99) = %v, want about ln 2", b)
-	}
-}
-
-func TestPolyharmonicErrors(t *testing.T) {
-	if _, err := PolyharmonicBandwidth(0, 1); err == nil {
-		t.Error("zero segments accepted")
-	}
-	if _, err := PolyharmonicBandwidth(5, 0); err == nil {
-		t.Error("zero delay accepted")
-	}
 }

@@ -57,8 +57,12 @@ func TestFBStreams(t *testing.T) {
 		{n: 127, want: 7},
 	}
 	for _, tt := range tests {
-		if got := FBStreams(tt.n); got != tt.want {
-			t.Errorf("FBStreams(%d) = %d, want %d", tt.n, got, tt.want)
+		m, err := FastBroadcast(tt.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Streams(); got != tt.want {
+			t.Errorf("FastBroadcast(%d) uses %d streams, want %d", tt.n, got, tt.want)
 		}
 	}
 }
@@ -145,8 +149,12 @@ func TestPagodaBeatsFB(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Streams() > FBStreams(n) {
-			t.Errorf("Pagoda(%d) uses %d streams, FB only %d", n, p.Streams(), FBStreams(n))
+		fb, err := FastBroadcast(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Streams() > fb.Streams() {
+			t.Errorf("Pagoda(%d) uses %d streams, FB only %d", n, p.Streams(), fb.Streams())
 		}
 	}
 	// And strictly fewer once n is large enough.
@@ -154,8 +162,12 @@ func TestPagodaBeatsFB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Streams() >= FBStreams(99) {
-		t.Fatalf("Pagoda(99) = %d streams, want < FB's %d", p.Streams(), FBStreams(99))
+	fb, err := FastBroadcast(99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Streams() >= fb.Streams() {
+		t.Fatalf("Pagoda(99) = %d streams, want < FB's %d", p.Streams(), fb.Streams())
 	}
 }
 
@@ -249,7 +261,7 @@ func checkTimeliness(t *testing.T, m *Mapping, arrivals []int) {
 			if occ > i+s {
 				t.Fatalf("segment %d for arrival at slot %d first broadcast at %d > %d", s, i, occ, i+s)
 			}
-			if m.SegmentAt(m.segHome[s].stream, occ) != s {
+			if m.segmentAt(m.segHome[s].stream, occ) != s {
 				t.Fatalf("FirstOccurrenceAfter lied: slot %d of stream %d does not carry S%d", occ, m.segHome[s].stream, s)
 			}
 		}
@@ -340,7 +352,7 @@ func TestStreamsFullyPackedExceptLast(t *testing.T) {
 	}
 	for j := 0; j < m.Streams()-1; j++ {
 		for t2 := 0; t2 < 1000; t2++ {
-			if m.SegmentAt(j, t2) == 0 {
+			if m.segmentAt(j, t2) == 0 {
 				t.Fatalf("stream %d idle at slot %d", j+1, t2)
 			}
 		}

@@ -101,9 +101,9 @@ func (m *Mapping) Period(s int) int {
 	return st.Subs[home.sub].Count * st.M
 }
 
-// SegmentAt reports which segment stream j (0-based) broadcasts during
+// segmentAt reports which segment stream j (0-based) broadcasts during
 // absolute slot t (0-based), or 0 if that slot is idle.
-func (m *Mapping) SegmentAt(j, t int) int {
+func (m *Mapping) segmentAt(j, t int) int {
 	st := m.streams[j]
 	r := t % st.M
 	sub := st.Subs[r]
@@ -143,7 +143,7 @@ func (m *Mapping) Render(slots int) []string {
 			if t > 0 {
 				b.WriteByte(' ')
 			}
-			if s := m.SegmentAt(j, t); s == 0 {
+			if s := m.segmentAt(j, t); s == 0 {
 				b.WriteString("--")
 			} else {
 				fmt.Fprintf(&b, "S%d", s)

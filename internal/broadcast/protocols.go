@@ -22,16 +22,6 @@ func FastBroadcast(n int) (*Mapping, error) {
 	return NewMapping(n, streams)
 }
 
-// FBStreams reports how many streams FB needs for n segments:
-// ceil(log2(n+1)).
-func FBStreams(n int) int {
-	k := 0
-	for lo := 1; lo <= n; lo *= 2 {
-		k++
-	}
-	return k
-}
-
 // skyscraperWidths yields the SB segment-group width series
 // 1, 2, 2, 5, 5, 12, 12, 25, 25, 52, 52, ... of Hua and Sheu.
 func skyscraperWidths(k int) []int {

@@ -60,16 +60,12 @@ type STB struct {
 	lastMissSlot int
 }
 
-// New returns an STB for a request that arrived during arrivalSlot, for a
-// video whose 1-based maximum-period vector is periods (as in core.Config).
-func New(arrivalSlot int, periods []int) (*STB, error) {
-	return NewFrom(arrivalSlot, periods, 1)
-}
-
-// NewFrom returns an STB for an interactive customer resuming playback at
-// segment from: it only expects segments from..n, and segment j's deadline
-// shifts to arrivalSlot + periods[j-from+1] because the customer consumes
-// the suffix as if it were the whole video.
+// NewFrom returns an STB for a request that arrived during arrivalSlot, for a
+// video whose 1-based maximum-period vector is periods (as in core.Config),
+// resuming playback at segment from (1 for a full viewing): it only expects
+// segments from..n, and segment j's deadline shifts to
+// arrivalSlot + periods[j-from+1] because the customer consumes the suffix as
+// if it were the whole video.
 func NewFrom(arrivalSlot int, periods []int, from int) (*STB, error) {
 	n := len(periods) - 1
 	if n < 1 {

@@ -11,19 +11,19 @@ import (
 )
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, []int{0}); err == nil {
+	if _, err := NewFrom(0, []int{0}, 1); err == nil {
 		t.Fatal("empty periods should error")
 	}
-	if _, err := New(0, []int{0, 2}); err == nil {
+	if _, err := NewFrom(0, []int{0, 2}, 1); err == nil {
 		t.Fatal("T[1] != 1 should error")
 	}
-	if _, err := New(-1, video.DefaultPeriods(3)); err == nil {
+	if _, err := NewFrom(-1, video.DefaultPeriods(3), 1); err == nil {
 		t.Fatal("negative arrival should error")
 	}
 }
 
 func TestSTBHappyPath(t *testing.T) {
-	c, err := New(1, video.DefaultPeriods(3))
+	c, err := NewFrom(1, video.DefaultPeriods(3), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestSTBHappyPath(t *testing.T) {
 }
 
 func TestSTBDetectsMissedDeadline(t *testing.T) {
-	c, err := New(1, video.DefaultPeriods(3))
+	c, err := NewFrom(1, video.DefaultPeriods(3), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestSTBDetectsMissedDeadline(t *testing.T) {
 // the STB measures slack, misses, rebuffers, startup and the buffer peak.
 func TestSTBMeasuresQoE(t *testing.T) {
 	// Video of 4 segments, deadlines 10+1..10+4, requested in slot 10.
-	c, err := New(10, []int{0, 1, 2, 3, 4})
+	c, err := NewFrom(10, []int{0, 1, 2, 3, 4}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestSTBMeasuresQoE(t *testing.T) {
 // TestSTBQoEOfEmptySession: misses in separated slots are separate stalls,
 // and a session that received nothing reports its whole length as startup.
 func TestSTBQoEOfEmptySession(t *testing.T) {
-	c, err := New(0, []int{0, 1, 3})
+	c, err := NewFrom(0, []int{0, 1, 3}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestSTBQoEOfEmptySession(t *testing.T) {
 }
 
 func TestSTBEarlyDeliveryBuffers(t *testing.T) {
-	c, err := New(0, video.DefaultPeriods(4))
+	c, err := NewFrom(0, video.DefaultPeriods(4), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestSTBEarlyDeliveryBuffers(t *testing.T) {
 }
 
 func TestSTBIgnoresPreArrivalAndDuplicates(t *testing.T) {
-	c, err := New(5, video.DefaultPeriods(2))
+	c, err := NewFrom(5, video.DefaultPeriods(2), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestSTBIgnoresPreArrivalAndDuplicates(t *testing.T) {
 }
 
 func TestSTBRejectsBadInput(t *testing.T) {
-	c, err := New(0, video.DefaultPeriods(2))
+	c, err := NewFrom(0, video.DefaultPeriods(2), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestDHBServesEveryCustomer(t *testing.T) {
 		for step := 0; step < 3000; step++ {
 			for a := 0; a < rng.Poisson(0.5); a++ {
 				s.AdmitRequest(core.AdmitOptions{})
-				stb, err := New(s.CurrentSlot(), periods)
+				stb, err := NewFrom(s.CurrentSlot(), periods, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -230,7 +230,7 @@ func TestDHBWithWorkAheadPeriodsServesEveryCustomer(t *testing.T) {
 	for step := 0; step < 4000; step++ {
 		for a := 0; a < rng.Poisson(0.8); a++ {
 			s.AdmitRequest(core.AdmitOptions{})
-			stb, err := New(s.CurrentSlot(), periods)
+			stb, err := NewFrom(s.CurrentSlot(), periods, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -40,11 +40,11 @@ import (
 type State uint8
 
 const (
-	StateHealthy State = iota
-	StateReceiverLimited
-	StatePathLimited
-	StateSenderBackpressured
-	StateStalled
+	stateHealthy State = iota
+	stateReceiverLimited
+	statePathLimited
+	stateSenderBackpressured
+	stateStalled
 	numStates
 )
 
@@ -62,15 +62,6 @@ func (s State) String() string {
 		return stateNames[s]
 	}
 	return "unknown"
-}
-
-// StateNames returns every classifier state name in State order — callers
-// pre-registering per-state metric children iterate this so the inventory is
-// complete from boot.
-func StateNames() []string {
-	out := make([]string, NumStates)
-	copy(out, stateNames[:])
-	return out
 }
 
 // TCPInfo is the portable slice of the kernel's TCP_INFO the classifier
@@ -272,9 +263,9 @@ func (s *Sampler) Register(conn net.Conn, video uint32, ringCap int) *Conn {
 	s.nextID++
 	c.id = s.nextID
 	c.snap = ConnSnapshot{ID: c.id, Remote: c.remote, Video: video,
-		State: StateHealthy.String(), RingCap: ringCap, Kernel: c.raw != nil}
+		State: stateHealthy.String(), RingCap: ringCap, Kernel: c.raw != nil}
 	s.conns[c] = struct{}{}
-	s.counts[StateHealthy]++
+	s.counts[stateHealthy]++
 	s.mu.Unlock()
 	return c
 }
@@ -312,8 +303,8 @@ func (c *Conn) State() State {
 	return State(c.pub.Load())
 }
 
-// StateAge reports how long the published state has held.
-func (c *Conn) StateAge(now time.Time) time.Duration {
+// stateAge reports how long the published state has held.
+func (c *Conn) stateAge(now time.Time) time.Duration {
 	return now.Sub(time.Unix(0, c.pubSince.Load()))
 }
 
@@ -400,7 +391,7 @@ func (s *Sampler) sweepConn(c *Conn, now time.Time) {
 		Remote:          c.remote,
 		Video:           c.video,
 		State:           st.String(),
-		StateAgeSeconds: c.StateAge(now).Seconds(),
+		StateAgeSeconds: c.stateAge(now).Seconds(),
 		RingDepth:       depth,
 		RingCap:         c.ringCap,
 		RingDepthP99:    c.depthWin.Snapshot().P99,
@@ -424,24 +415,24 @@ func (s *Sampler) sweepConn(c *Conn, now time.Time) {
 func (s *Sampler) classify(wrote, backlog bool, occ float64, retransDelta int64,
 	rwndDelta, elapsed time.Duration, info TCPInfo, kernelOK bool) State {
 	if backlog && !wrote {
-		return StateStalled
+		return stateStalled
 	}
 	if kernelOK && retransDelta >= retransThreshold {
-		return StatePathLimited
+		return statePathLimited
 	}
 	if info.Extended && elapsed > 0 &&
 		rwndDelta >= time.Duration(rwndFraction*float64(elapsed)) {
-		return StateReceiverLimited
+		return stateReceiverLimited
 	}
 	if occ >= ringHighFraction {
 		// A deep ring with a drained kernel queue means the network and the
 		// receiver are keeping up — the server's own drain is behind.
 		if kernelOK && info.NotSentBytes <= notSentLowBytes {
-			return StateSenderBackpressured
+			return stateSenderBackpressured
 		}
-		return StateReceiverLimited
+		return stateReceiverLimited
 	}
-	return StateHealthy
+	return stateHealthy
 }
 
 // holdAndPublish applies hysteresis: the candidate must repeat for hold
@@ -485,7 +476,7 @@ func (s *Sampler) StalledRatio() float64 {
 	if len(s.conns) == 0 {
 		return 0
 	}
-	return float64(s.counts[StateStalled]) / float64(len(s.conns))
+	return float64(s.counts[stateStalled]) / float64(len(s.conns))
 }
 
 // ConnSnapshot is one /connz table row: the connection's identity, its
@@ -533,13 +524,13 @@ func (s *Sampler) Snapshot() Summary {
 		sum.States[stateNames[st]] = s.counts[st]
 	}
 	if len(s.conns) > 0 {
-		sum.StalledRatio = float64(s.counts[StateStalled]) / float64(len(s.conns))
+		sum.StalledRatio = float64(s.counts[stateStalled]) / float64(len(s.conns))
 	}
 	sum.Conns = make([]ConnSnapshot, 0, len(s.conns))
 	for c := range s.conns {
 		row := c.snap
 		row.State = c.State().String()
-		row.StateAgeSeconds = c.StateAge(now).Seconds()
+		row.StateAgeSeconds = c.stateAge(now).Seconds()
 		sum.Conns = append(sum.Conns, row)
 	}
 	s.mu.Unlock()

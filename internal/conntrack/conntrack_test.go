@@ -62,17 +62,17 @@ func TestClassifyTable(t *testing.T) {
 		kernelOK       bool
 		want           State
 	}{
-		{name: "idle healthy", want: StateHealthy},
-		{name: "backlog without progress stalls", backlog: true, want: StateStalled},
-		{name: "backlog with progress is not stalled", backlog: true, wrote: true, want: StateHealthy},
-		{name: "retransmit burst is path limited", wrote: true, retransDelta: 3, info: ext, kernelOK: true, want: StatePathLimited},
-		{name: "retransmits below threshold ignored", wrote: true, retransDelta: 2, info: ext, kernelOK: true, want: StateHealthy},
-		{name: "rwnd limited time is receiver limited", wrote: true, rwndDelta: 500 * time.Millisecond, info: ext, kernelOK: true, want: StateReceiverLimited},
+		{name: "idle healthy", want: stateHealthy},
+		{name: "backlog without progress stalls", backlog: true, want: stateStalled},
+		{name: "backlog with progress is not stalled", backlog: true, wrote: true, want: stateHealthy},
+		{name: "retransmit burst is path limited", wrote: true, retransDelta: 3, info: ext, kernelOK: true, want: statePathLimited},
+		{name: "retransmits below threshold ignored", wrote: true, retransDelta: 2, info: ext, kernelOK: true, want: stateHealthy},
+		{name: "rwnd limited time is receiver limited", wrote: true, rwndDelta: 500 * time.Millisecond, info: ext, kernelOK: true, want: stateReceiverLimited},
 		{name: "deep ring with drained kernel queue is sender backpressured", wrote: true, occ: 0.75,
-			info: TCPInfo{Valid: true}, kernelOK: true, want: StateSenderBackpressured},
+			info: TCPInfo{Valid: true}, kernelOK: true, want: stateSenderBackpressured},
 		{name: "deep ring with kernel backlog is receiver limited", wrote: true, occ: 0.75,
-			info: TCPInfo{Valid: true, NotSentBytes: 1 << 20}, kernelOK: true, want: StateReceiverLimited},
-		{name: "deep ring without kernel is receiver limited", wrote: true, occ: 0.9, want: StateReceiverLimited},
+			info: TCPInfo{Valid: true, NotSentBytes: 1 << 20}, kernelOK: true, want: stateReceiverLimited},
+		{name: "deep ring without kernel is receiver limited", wrote: true, occ: 0.9, want: stateReceiverLimited},
 	}
 	for _, tc := range cases {
 		got := s.classify(tc.wrote, tc.backlog, tc.occ, tc.retransDelta,
@@ -90,18 +90,18 @@ func TestHysteresisHoldsAndTransitions(t *testing.T) {
 	s, clk := testSampler(t, Config{})
 	c := s.Register(nil, 1, 8)
 	sweep(s, clk) // seed baseline
-	if got := c.State(); got != StateHealthy {
+	if got := c.State(); got != stateHealthy {
 		t.Fatalf("fresh conn state = %v, want healthy", got)
 	}
 
 	// Frames pile up with no drain progress: candidate stalled.
 	c.RecordPush(8)
 	sweep(s, clk)
-	if got := c.State(); got != StateHealthy {
+	if got := c.State(); got != stateHealthy {
 		t.Fatalf("state moved after one candidate sweep: %v", got)
 	}
 	sweep(s, clk)
-	if got := c.State(); got != StateStalled {
+	if got := c.State(); got != stateStalled {
 		t.Fatalf("state after hold sweeps = %v, want stalled", got)
 	}
 	if s.StalledRatio() != 1 {
@@ -113,10 +113,10 @@ func TestHysteresisHoldsAndTransitions(t *testing.T) {
 	sweep(s, clk)
 	c.RecordDrain(8, 1<<20)
 	sweep(s, clk)
-	if got := c.State(); got != StateHealthy {
+	if got := c.State(); got != stateHealthy {
 		t.Fatalf("state after recovery = %v, want healthy", got)
 	}
-	age := c.StateAge(clk.Now())
+	age := c.stateAge(clk.Now())
 	if age < 0 || age > time.Second {
 		t.Fatalf("state age after transition = %v", age)
 	}
@@ -135,7 +135,7 @@ func TestHysteresisSuppressesFlap(t *testing.T) {
 			c.RecordDrain(8, 4096) // progress, ring empty
 		}
 		sweep(s, clk)
-		if got := c.State(); got != StateHealthy {
+		if got := c.State(); got != stateHealthy {
 			t.Fatalf("sweep %d: flapping signal moved state to %v", i, got)
 		}
 	}
@@ -157,7 +157,7 @@ func TestUnregisterIdempotentAndCounted(t *testing.T) {
 	c.RecordPush(4)
 	sweep(s, clk)
 	sweep(s, clk)
-	if got := c.State(); got != StateStalled {
+	if got := c.State(); got != stateStalled {
 		t.Fatalf("state = %v, want stalled after hold sweeps", got)
 	}
 	s.Unregister(c)
@@ -220,12 +220,9 @@ func TestSnapshotRowsAndMetrics(t *testing.T) {
 }
 
 func TestEveryStateNameIsValidMetricLabel(t *testing.T) {
-	names := StateNames()
-	if len(names) != NumStates {
-		t.Fatalf("StateNames returned %d names", len(names))
-	}
 	seen := map[string]bool{}
-	for _, n := range names {
+	for s := State(0); s < numStates; s++ {
+		n := s.String()
 		if n == "" || n == "unknown" || seen[n] {
 			t.Fatalf("bad state name %q", n)
 		}

@@ -21,8 +21,8 @@ func TestCappedConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.ClientStreamCap() != 2 {
-		t.Fatalf("ClientStreamCap = %d, want 2", s.ClientStreamCap())
+	if s.cap != 2 {
+		t.Fatalf("cap = %d, want 2", s.cap)
 	}
 }
 

@@ -39,7 +39,7 @@ func TestFullViewingAfterResumeMeetsDeadline(t *testing.T) {
 			t.Errorf("full viewing handed S_3 at slot %d, deadline %d (assignment %v)",
 				assignment[3], arrival+periods[3], assignment[1:])
 		}
-		stb, err := client.New(arrival, periods)
+		stb, err := client.NewFrom(arrival, periods, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -199,10 +199,6 @@ func New(cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
-// ClientStreamCap reports the per-client concurrent stream cap (0 =
-// unlimited).
-func (s *Scheduler) ClientStreamCap() int { return s.cap }
-
 // N reports the segment count.
 func (s *Scheduler) N() int { return s.n }
 

@@ -35,9 +35,9 @@ type OnDemand struct {
 	instances int64
 }
 
-// NewOnDemand wraps the given static mapping; transmission begins at
+// newOnDemand wraps the given static mapping; transmission begins at
 // startSlot.
-func NewOnDemand(m *broadcast.Mapping, startSlot int) (*OnDemand, error) {
+func newOnDemand(m *broadcast.Mapping, startSlot int) (*OnDemand, error) {
 	if m == nil {
 		return nil, fmt.Errorf("dynamic: nil mapping")
 	}
@@ -69,7 +69,7 @@ func UD(n int) (*OnDemand, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dynamic: UD: %w", err)
 	}
-	return NewOnDemand(m, 0)
+	return newOnDemand(m, 0)
 }
 
 // DynamicPagoda builds the on-demand pagoda protocol of Section 3's ablation
@@ -79,7 +79,7 @@ func DynamicPagoda(n int) (*OnDemand, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dynamic: dynamic pagoda: %w", err)
 	}
-	return NewOnDemand(m, 0)
+	return newOnDemand(m, 0)
 }
 
 // DSB builds Eager and Vernon's dynamic skyscraper broadcasting: on-demand
@@ -91,7 +91,7 @@ func DSB(n int) (*OnDemand, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dynamic: DSB: %w", err)
 	}
-	return NewOnDemand(m, 0)
+	return newOnDemand(m, 0)
 }
 
 // N reports the segment count.

@@ -86,8 +86,12 @@ func TestUDSaturatesToFastBroadcasting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Streams() != broadcast.FBStreams(99) {
-		t.Fatalf("Streams = %d, want %d", o.Streams(), broadcast.FBStreams(99))
+	fb, err := broadcast.FastBroadcast(99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Streams() != fb.Streams() {
+		t.Fatalf("Streams = %d, want %d", o.Streams(), fb.Streams())
 	}
 	var total, slotCount int
 	for k := 0; k < 3000; k++ {
@@ -154,14 +158,14 @@ func TestOnDemandLowRateSharing(t *testing.T) {
 }
 
 func TestOnDemandErrors(t *testing.T) {
-	if _, err := NewOnDemand(nil, 0); err == nil {
+	if _, err := newOnDemand(nil, 0); err == nil {
 		t.Fatal("nil mapping should error")
 	}
 	m, err := broadcast.FastBroadcast(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewOnDemand(m, -1); err == nil {
+	if _, err := newOnDemand(m, -1); err == nil {
 		t.Fatal("negative start slot should error")
 	}
 	if _, err := UD(0); err == nil {

@@ -21,8 +21,8 @@ import (
 	"vodcast/internal/workload"
 )
 
-// DefaultRates is the request-rate sweep of Figures 7-9, in requests/hour.
-var DefaultRates = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
+// defaultRates is the request-rate sweep of Figures 7-9, in requests/hour.
+var defaultRates = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
 
 // Config parameterizes the CBR sweeps (Figures 7 and 8).
 type Config struct {
@@ -49,7 +49,7 @@ type Config struct {
 // DefaultConfig reproduces the paper's setup at publication quality.
 func DefaultConfig() Config {
 	return Config{
-		Rates:          DefaultRates,
+		Rates:          defaultRates,
 		Segments:       99,
 		VideoSeconds:   7200,
 		TargetRequests: 20000,
@@ -269,7 +269,7 @@ type VBRConfig struct {
 // DefaultVBRConfig reproduces the paper's Figure 9 setup.
 func DefaultVBRConfig() VBRConfig {
 	return VBRConfig{
-		Rates:          DefaultRates,
+		Rates:          defaultRates,
 		MaxWaitSeconds: 60,
 		TraceSeed:      42,
 		Seed:           2,

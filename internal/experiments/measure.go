@@ -32,6 +32,8 @@ func (a dhbAdapter) Advance() int { return a.s.AdvanceSlot().Load }
 // AdaptDHB exposes a DHB scheduler through the Slotted interface.
 func AdaptDHB(s *core.Scheduler) Slotted { return dhbAdapter{s: s} }
 
+// onDemandAdapter exposes a dynamic broadcasting protocol through the Slotted
+// interface.
 type onDemandAdapter struct{ o *dynamic.OnDemand }
 
 func (a onDemandAdapter) Admit() int { return a.o.Admit() }
@@ -40,10 +42,6 @@ func (a onDemandAdapter) Advance() int {
 	_, load := a.o.AdvanceSlot()
 	return load
 }
-
-// AdaptOnDemand exposes a dynamic broadcasting protocol through the Slotted
-// interface.
-func AdaptOnDemand(o *dynamic.OnDemand) Slotted { return onDemandAdapter{o: o} }
 
 // Measurement summarizes a Measure run.
 type Measurement struct {

@@ -46,7 +46,7 @@ func TestMeasureAdapters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mu, err := Measure(AdaptOnDemand(ud), 50, 72.7, 3000, 100, 2)
+	mu, err := Measure(onDemandAdapter{o: ud}, 50, 72.7, 3000, 100, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

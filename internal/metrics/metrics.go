@@ -60,9 +60,6 @@ func (b *Bandwidth) Max() float64 { return b.max }
 // Samples reports how many observations were recorded.
 func (b *Bandwidth) Samples() int { return b.samples }
 
-// TotalWeight reports the accumulated observation time in seconds.
-func (b *Bandwidth) TotalWeight() float64 { return b.totalWeight }
-
 // Quantile returns the smallest integer load whose cumulative weight reaches
 // the given fraction q in (0, 1]. It returns 0 when nothing was recorded.
 func (b *Bandwidth) Quantile(q float64) int {
@@ -86,15 +83,6 @@ func (b *Bandwidth) Quantile(q float64) int {
 		}
 	}
 	return loads[len(loads)-1]
-}
-
-// Histogram returns a copy of the load-to-weight histogram.
-func (b *Bandwidth) Histogram() map[int]float64 {
-	out := make(map[int]float64, len(b.histogram))
-	for k, v := range b.histogram {
-		out[k] = v
-	}
-	return out
 }
 
 // String summarizes the accumulator for logs and CLI output.

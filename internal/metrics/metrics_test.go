@@ -92,16 +92,6 @@ func TestBandwidthQuantileEdges(t *testing.T) {
 	}
 }
 
-func TestBandwidthHistogramIsCopy(t *testing.T) {
-	b := NewBandwidth()
-	b.Record(2, 5)
-	h := b.Histogram()
-	h[2] = 999
-	if b.Histogram()[2] != 5 {
-		t.Fatal("Histogram exposed internal state")
-	}
-}
-
 func TestBandwidthString(t *testing.T) {
 	b := NewBandwidth()
 	b.Record(2, 10)
@@ -215,7 +205,7 @@ func TestBandwidthAccessors(t *testing.T) {
 	if b.Samples() != 2 {
 		t.Fatalf("Samples = %d, want 2", b.Samples())
 	}
-	if b.TotalWeight() != 5 {
-		t.Fatalf("TotalWeight = %v, want 5", b.TotalWeight())
+	if b.totalWeight != 5 {
+		t.Fatalf("totalWeight = %v, want 5", b.totalWeight)
 	}
 }

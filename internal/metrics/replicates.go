@@ -10,9 +10,6 @@ type Replicates struct {
 	values []float64
 }
 
-// NewReplicates returns an empty accumulator.
-func NewReplicates() *Replicates { return &Replicates{} }
-
 // Add records one replicate's result.
 func (r *Replicates) Add(v float64) { r.values = append(r.values, v) }
 
@@ -31,9 +28,9 @@ func (r *Replicates) Mean() float64 {
 	return sum / float64(len(r.values))
 }
 
-// StdDev reports the sample standard deviation (n-1 denominator), or 0 with
+// stdDev reports the sample standard deviation (n-1 denominator), or 0 with
 // fewer than two replicates.
-func (r *Replicates) StdDev() float64 {
+func (r *Replicates) stdDev() float64 {
 	n := len(r.values)
 	if n < 2 {
 		return 0
@@ -54,7 +51,7 @@ func (r *Replicates) HalfWidth95() float64 {
 	if n < 2 {
 		return 0
 	}
-	return tQuantile95(n-1) * r.StdDev() / math.Sqrt(float64(n))
+	return tQuantile95(n-1) * r.stdDev() / math.Sqrt(float64(n))
 }
 
 // tQuantile95 returns the two-sided 95% quantile of the Student

@@ -8,14 +8,14 @@ import (
 )
 
 func TestReplicatesEmpty(t *testing.T) {
-	r := NewReplicates()
-	if r.Mean() != 0 || r.StdDev() != 0 || r.HalfWidth95() != 0 || r.Count() != 0 {
+	r := &Replicates{}
+	if r.Mean() != 0 || r.stdDev() != 0 || r.HalfWidth95() != 0 || r.Count() != 0 {
 		t.Fatal("empty accumulator should report zeros")
 	}
 }
 
 func TestReplicatesSingleValue(t *testing.T) {
-	r := NewReplicates()
+	r := &Replicates{}
 	r.Add(5)
 	if r.Mean() != 5 {
 		t.Fatalf("Mean = %v, want 5", r.Mean())
@@ -26,7 +26,7 @@ func TestReplicatesSingleValue(t *testing.T) {
 }
 
 func TestReplicatesKnownValues(t *testing.T) {
-	r := NewReplicates()
+	r := &Replicates{}
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		r.Add(v)
 	}
@@ -35,8 +35,8 @@ func TestReplicatesKnownValues(t *testing.T) {
 	}
 	// Sample stddev with n-1 = 7: sqrt(32/7).
 	want := math.Sqrt(32.0 / 7.0)
-	if math.Abs(r.StdDev()-want) > 1e-12 {
-		t.Fatalf("StdDev = %v, want %v", r.StdDev(), want)
+	if math.Abs(r.stdDev()-want) > 1e-12 {
+		t.Fatalf("stdDev = %v, want %v", r.stdDev(), want)
 	}
 	// Half-width = t_7 * s / sqrt(8) with t_7 = 2.365.
 	hw := 2.365 * want / math.Sqrt(8)
@@ -74,7 +74,7 @@ func TestConfidenceIntervalCoverage(t *testing.T) {
 	)
 	covered := 0
 	for trial := 0; trial < trials; trial++ {
-		r := NewReplicates()
+		r := &Replicates{}
 		for i := 0; i < replicates; i++ {
 			r.Add(rng.Exp(trueMean))
 		}
@@ -92,8 +92,8 @@ func TestConfidenceIntervalCoverage(t *testing.T) {
 
 func TestHalfWidthShrinksWithReplicates(t *testing.T) {
 	rng := sim.NewRNG(78)
-	few := NewReplicates()
-	many := NewReplicates()
+	few := &Replicates{}
+	many := &Replicates{}
 	for i := 0; i < 5; i++ {
 		few.Add(rng.Float64())
 	}

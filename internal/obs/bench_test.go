@@ -40,7 +40,7 @@ func BenchmarkWritePrometheus(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := reg.WritePrometheus(io.Discard); err != nil {
+		if err := reg.WritePrometheusPrefix(io.Discard, ""); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,7 +19,7 @@ func benchRegistry(videos, totals int, families ...string) *obs.Registry {
 		}
 	}
 	for i := 0; i < totals; i++ {
-		reg.Gauge(fmt.Sprintf("total_%03d", i), "").Set(float64(i))
+		reg.GaugeWith(fmt.Sprintf("total_%03d", i), "", nil).Set(float64(i))
 	}
 	return reg
 }
@@ -53,7 +53,7 @@ func benchScrape(b *testing.B, reg *obs.Registry) {
 // BenchmarkStoreQuery measures an unbucketed range query over a full ring.
 func BenchmarkStoreQuery(b *testing.B) {
 	reg := obs.NewRegistry()
-	g := reg.Gauge("g", "")
+	g := reg.GaugeWith("g", "", nil)
 	clk := newManualClock()
 	s := New(Config{Samples: reg.Samples, Interval: time.Second, Clock: clk.Now})
 	start := clk.Now()

@@ -268,15 +268,15 @@ func (r *Recorder) capture(reason string, now time.Time) (string, error) {
 // prune removes the oldest bundles beyond keep. Bundle names embed a UTC
 // timestamp, so lexicographic order is chronological.
 func (r *Recorder) prune() {
-	names := r.Bundles()
+	names := r.bundles()
 	for len(names) > keep {
 		os.RemoveAll(filepath.Join(r.cfg.Dir, names[0]))
 		names = names[1:]
 	}
 }
 
-// Bundles lists retained bundle directory names, oldest first.
-func (r *Recorder) Bundles() []string {
+// bundles lists retained bundle directory names, oldest first.
+func (r *Recorder) bundles() []string {
 	entries, err := os.ReadDir(r.cfg.Dir)
 	if err != nil {
 		return nil
@@ -311,7 +311,7 @@ func (r *Recorder) Stats() RecorderStats {
 		Dir:        r.cfg.Dir,
 		Captured:   captured,
 		Skipped:    skipped,
-		Bundles:    len(r.Bundles()),
+		Bundles:    len(r.bundles()),
 		Keep:       keep,
 		CooldownMS: cooldown.Milliseconds(),
 	}

@@ -31,7 +31,7 @@ func newTestRecorder(t *testing.T, cfg RecorderConfig) (*Recorder, *manualClock)
 func populatedStore(t *testing.T, clk *manualClock) *Store {
 	t.Helper()
 	reg := obs.NewRegistry()
-	g := reg.Gauge("vod_qoe_miss_rate", "")
+	g := reg.GaugeWith("vod_qoe_miss_rate", "", nil)
 	c := reg.Counter("vod_requests_total", "")
 	s := New(Config{Samples: reg.Samples, Interval: time.Second, Clock: clk.Now})
 	for i := 0; i < 5; i++ {
@@ -195,8 +195,8 @@ func TestRecorderCooldown(t *testing.T) {
 	if _, ok := r.Trigger("fifth"); ok {
 		t.Fatal("trigger right after Force captured (cooldown not re-armed)")
 	}
-	if got := len(r.Bundles()); got != 3 {
-		t.Fatalf("Bundles() = %d, want 3", got)
+	if got := len(r.bundles()); got != 3 {
+		t.Fatalf("bundles() = %d, want 3", got)
 	}
 }
 
@@ -212,7 +212,7 @@ func TestRecorderRetention(t *testing.T) {
 		clk.Advance(time.Second)
 	}
 	// Oldest-first naming: the survivors are exactly the keep most recent.
-	if names, want := r.Bundles(), made[2:]; !slices.Equal(names, want) {
+	if names, want := r.bundles(), made[2:]; !slices.Equal(names, want) {
 		t.Fatalf("retention kept %v, want %v", names, want)
 	}
 }

@@ -30,7 +30,7 @@ func newTestStore(t *testing.T, reg *obs.Registry, cfg Config) (*Store, *manualC
 
 func TestStoreScrapeAndQuery(t *testing.T) {
 	reg := obs.NewRegistry()
-	g := reg.Gauge("vod_active_subscribers", "")
+	g := reg.GaugeWith("vod_active_subscribers", "", nil)
 	c := reg.Counter("vod_requests_total", "")
 	s, clk := newTestStore(t, reg, Config{Interval: time.Second})
 
@@ -103,7 +103,7 @@ func TestStoreSeriesIdentityAndListing(t *testing.T) {
 // bucket survives.
 func TestStoreStepBuckets(t *testing.T) {
 	reg := obs.NewRegistry()
-	g := reg.Gauge("vod_fanout_ring_depth", "")
+	g := reg.GaugeWith("vod_fanout_ring_depth", "", nil)
 	s, clk := newTestStore(t, reg, Config{Interval: time.Second})
 
 	start := clk.Now()
@@ -134,7 +134,7 @@ func TestStoreStepBuckets(t *testing.T) {
 // points fall off.
 func TestStoreRawEviction(t *testing.T) {
 	reg := obs.NewRegistry()
-	g := reg.Gauge("g", "")
+	g := reg.GaugeWith("g", "", nil)
 	s, clk := newTestStore(t, reg, Config{Interval: time.Second})
 
 	start := clk.Now()
@@ -171,7 +171,7 @@ func TestStoreByteCapRefusesNewSeries(t *testing.T) {
 	names := make([]string, capacity+1)
 	for i := range names {
 		names[i] = fmt.Sprintf("g%04d", i)
-		reg.Gauge(names[i], "").Set(float64(i))
+		reg.GaugeWith(names[i], "", nil).Set(float64(i))
 	}
 	refused, first := names[capacity], names[0]
 	s, clk := newTestStore(t, reg, Config{})

@@ -85,9 +85,6 @@ type child struct {
 // without re-implementing the charset.
 func ValidMetricName(s string) bool { return validName(s, false) }
 
-// ValidLabelName reports whether s is a legal Prometheus label name.
-func ValidLabelName(s string) bool { return validName(s, true) }
-
 // validName matches the Prometheus metric and label name charset.
 func validName(s string, label bool) bool {
 	if s == "" {
@@ -238,13 +235,8 @@ func (c *Counter) Value() float64 {
 // Gauge is a metric that can go up and down.
 type Gauge struct{ c *child }
 
-// Gauge returns the unlabelled gauge with the given name, registering it on
-// first use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.GaugeWith(name, help, nil)
-}
-
-// GaugeWith returns the gauge child with the given label set.
+// GaugeWith returns the gauge child with the given label set (nil for the
+// unlabelled gauge), registering its family on first use.
 func (r *Registry) GaugeWith(name, help string, ls Labels) *Gauge {
 	return &Gauge{c: r.lookup(name, help, kindGauge).childFor(ls)}
 }
@@ -266,13 +258,6 @@ func (g *Gauge) Set(v float64) {
 	g.c.mu.Unlock()
 }
 
-// Add shifts the gauge value.
-func (g *Gauge) Add(delta float64) {
-	g.c.mu.Lock()
-	g.c.value += delta
-	g.c.mu.Unlock()
-}
-
 // Value reports the current gauge value.
 func (g *Gauge) Value() float64 {
 	g.c.mu.Lock()
@@ -285,7 +270,7 @@ func (g *Gauge) Value() float64 {
 
 // Window returns the unlabelled summary with the given name, registering it
 // on first use: a rolling window over the last size observations (size <= 0
-// selects DefaultWindowSize) that exposes its p50/p95/p99 and its lifetime
+// selects defaultWindowSize) that exposes its p50/p95/p99 and its lifetime
 // _sum and _count. A re-registration returns the existing window.
 func (r *Registry) Window(name, help string, size int) *Window {
 	return r.WindowWith(name, help, size, nil)
@@ -410,22 +395,16 @@ func (f *family) sortedChildren() []*child {
 	return children
 }
 
-// WritePrometheus renders every registered family in the text exposition
-// format: a HELP and TYPE line per family, then one sample line per child
-// (summaries expand to three quantile lines plus _sum and _count).
-// Families render in sorted name order and children in sorted label order,
-// never in registration (or map-iteration) order, so two scrapes of
-// identical state are byte-identical and diffs between deployments are
-// meaningful.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	return r.WritePrometheusPrefix(w, "")
-}
-
-// WritePrometheusPrefix renders only the families whose name starts with
-// prefix, in the same deterministic order as the full dump ("" keeps
-// everything). A scraper that wants one family subset — the vod_* serving
-// counters, say, without the go_ runtime gauges — filters server-side
-// instead of downloading and discarding the rest.
+// WritePrometheusPrefix renders the registered families whose name starts
+// with prefix ("" keeps everything) in the text exposition format: a HELP and
+// TYPE line per family, then one sample line per child (summaries expand to
+// three quantile lines plus _sum and _count). Families render in sorted name
+// order and children in sorted label order, never in registration (or
+// map-iteration) order, so two scrapes of identical state are byte-identical
+// and diffs between deployments are meaningful. A scraper that wants one
+// family subset — the vod_* serving counters, say, without the go_ runtime
+// gauges — filters server-side instead of downloading and discarding the
+// rest.
 func (r *Registry) WritePrometheusPrefix(w io.Writer, prefix string) error {
 	for _, f := range r.sortedFamilies() {
 		if prefix != "" && !strings.HasPrefix(f.name, prefix) {

@@ -24,7 +24,7 @@ func TestPrometheusGolden(t *testing.T) {
 	r.WindowWith("stage_seconds", "Stage latency.", 0, Labels{"stage": "admit"}).Observe(1)
 
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.WritePrometheusPrefix(&buf, ""); err != nil {
 		t.Fatal(err)
 	}
 	want := `# HELP stage_seconds Stage latency.
@@ -70,7 +70,7 @@ func TestPrometheusDeterministicOrder(t *testing.T) {
 			reg[i]()
 		}
 		var buf bytes.Buffer
-		if err := r.WritePrometheus(&buf); err != nil {
+		if err := r.WritePrometheusPrefix(&buf, ""); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -93,7 +93,7 @@ func TestPrometheusDeterministicOrder(t *testing.T) {
 func TestNamesAndValidation(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("z_total", "")
-	r.Gauge("a_gauge", "")
+	r.GaugeWith("a_gauge", "", nil)
 	if got, want := strings.Join(r.Names(), ","), "a_gauge,z_total"; got != want {
 		t.Fatalf("Names() = %q, want %q", got, want)
 	}
@@ -105,8 +105,8 @@ func TestNamesAndValidation(t *testing.T) {
 	if ValidMetricName("bad name") || ValidMetricName("") || ValidMetricName("0lead") {
 		t.Fatal("ValidMetricName accepted an invalid name")
 	}
-	if !ValidLabelName("shard") || ValidLabelName("le:colon") {
-		t.Fatal("ValidLabelName verdicts wrong")
+	if !validName("shard", true) || validName("le:colon", true) {
+		t.Fatal("label name verdicts wrong")
 	}
 }
 
@@ -116,7 +116,7 @@ func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
 	r.GaugeWith("g", "", Labels{"path": "a\\b\"c\nd"}).Set(1)
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.WritePrometheusPrefix(&buf, ""); err != nil {
 		t.Fatal(err)
 	}
 	want := `g{path="a\\b\"c\nd"} 1`
@@ -164,7 +164,7 @@ func TestSummaryConsistency(t *testing.T) {
 		wantSum += float64(i)
 	}
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.WritePrometheusPrefix(&buf, ""); err != nil {
 		t.Fatal(err)
 	}
 	samples := parseExposition(t, buf.String())
@@ -205,7 +205,7 @@ func TestRegistryReuseAndConflicts(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("kind conflict", func() { r.Gauge("c", "") })
+	mustPanic("kind conflict", func() { r.GaugeWith("c", "", nil) })
 	mustPanic("invalid metric name", func() { r.Counter("bad name", "") })
 	mustPanic("invalid label name", func() { r.GaugeWith("g", "", Labels{"0bad": "x"}) })
 	mustPanic("summary over a counter", func() { r.Window("c", "", 0) })
@@ -221,7 +221,7 @@ func TestGaugeFunc(t *testing.T) {
 	v := 1.5
 	r.GaugeFunc("up", "seconds", func() float64 { return v })
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.WritePrometheusPrefix(&buf, ""); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "up 1.5\n") {
@@ -229,7 +229,7 @@ func TestGaugeFunc(t *testing.T) {
 	}
 	v = 2
 	buf.Reset()
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.WritePrometheusPrefix(&buf, ""); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "up 2\n") {
@@ -289,7 +289,7 @@ func TestWritePrometheusPrefix(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("vod_requests_total", "Admitted customer requests.").Add(3)
 	r.GaugeWith("vod_channel_load", "Per-video slot load.", Labels{"video": "1"}).Set(4)
-	r.Gauge("go_goroutines", "Live goroutines.").Set(7)
+	r.GaugeWith("go_goroutines", "Live goroutines.", nil).Set(7)
 
 	var full, filtered, empty bytes.Buffer
 	if err := r.WritePrometheusPrefix(&full, ""); err != nil {
@@ -321,7 +321,7 @@ vod_requests_total 3
 
 	// WritePrometheus must stay byte-identical to the empty-prefix path.
 	var def bytes.Buffer
-	if err := r.WritePrometheus(&def); err != nil {
+	if err := r.WritePrometheusPrefix(&def, ""); err != nil {
 		t.Fatal(err)
 	}
 	if def.String() != full.String() {

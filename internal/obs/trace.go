@@ -64,8 +64,6 @@ type Event struct {
 	Shared bool `json:"shared,omitempty"`
 	// Placed is the number of new instances an admit/resume scheduled.
 	Placed int `json:"placed,omitempty"`
-	// Detail carries free-form context.
-	Detail string `json:"detail,omitempty"`
 }
 
 // Tracer records events into a bounded ring buffer and, when constructed
@@ -107,10 +105,10 @@ func (t *Tracer) SetClock(fn func() float64) {
 	t.mu.Unlock()
 }
 
-// Emit stamps ev with the trace clock and records it. Encoding errors are
+// emit stamps ev with the trace clock and records it. Encoding errors are
 // latched in Err rather than returned: tracing must never fail the traced
 // system.
-func (t *Tracer) Emit(ev Event) {
+func (t *Tracer) emit(ev Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.clock != nil {
@@ -184,18 +182,18 @@ func (o SchedObserver) ObserveAdmit(slot, from, placed int) {
 	if from > 1 {
 		typ = EventResume
 	}
-	o.T.Emit(Event{Type: typ, Video: o.Video, Slot: slot, From: from, Placed: placed})
+	o.T.emit(Event{Type: typ, Video: o.Video, Slot: slot, From: from, Placed: placed})
 }
 
 // ObserveDecision emits a slot_decision event and, for decisions that
 // scheduled a new instance, the matching instance_start.
 func (o SchedObserver) ObserveDecision(reqSlot, segment, slot, windowLo, windowHi, load int, shared bool) {
-	o.T.Emit(Event{
+	o.T.emit(Event{
 		Type: EventSlotDecision, Video: o.Video, Slot: slot, Segment: segment,
 		Load: load, WindowLo: windowLo, WindowHi: windowHi, Shared: shared,
 	})
 	if !shared {
-		o.T.Emit(Event{Type: EventInstanceStart, Video: o.Video, Slot: slot, Segment: segment, Load: load})
+		o.T.emit(Event{Type: EventInstanceStart, Video: o.Video, Slot: slot, Segment: segment, Load: load})
 	}
 }
 
@@ -204,7 +202,7 @@ func (o SchedObserver) ObserveDecision(reqSlot, segment, slot, windowLo, windowH
 // slot's final load.
 func (o SchedObserver) ObserveRetire(slot, load int, segments []int) {
 	for _, seg := range segments {
-		o.T.Emit(Event{Type: EventInstanceStop, Video: o.Video, Slot: slot, Segment: seg})
+		o.T.emit(Event{Type: EventInstanceStop, Video: o.Video, Slot: slot, Segment: seg})
 	}
-	o.T.Emit(Event{Type: EventSlotRetire, Video: o.Video, Slot: slot, Load: load})
+	o.T.emit(Event{Type: EventSlotRetire, Video: o.Video, Slot: slot, Load: load})
 }

@@ -14,9 +14,9 @@ func TestTracerJSONLRoundTrip(t *testing.T) {
 	tr := NewTracer(&buf, 8)
 	now := 0.0
 	tr.SetClock(func() float64 { return now })
-	tr.Emit(Event{Type: EventAdmit, Slot: 3, From: 1, Placed: 2})
+	tr.emit(Event{Type: EventAdmit, Slot: 3, From: 1, Placed: 2})
 	now = 1.5
-	tr.Emit(Event{Type: EventInstanceStart, Slot: 4, Segment: 1, Load: 1})
+	tr.emit(Event{Type: EventInstanceStart, Slot: 4, Segment: 1, Load: 1})
 	if err := tr.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestTracerJSONLRoundTrip(t *testing.T) {
 func TestTracerRing(t *testing.T) {
 	tr := NewTracer(nil, 4)
 	for i := 1; i <= 7; i++ {
-		tr.Emit(Event{Type: EventSlotRetire, Slot: i})
+		tr.emit(Event{Type: EventSlotRetire, Slot: i})
 	}
 	if got := tr.Total(); got != 7 {
 		t.Fatalf("total = %d, want 7", got)

@@ -43,14 +43,14 @@ func TestHighWatermarkGaugeFunc(t *testing.T) {
 	h.Record(7)
 	h.Record(1)
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.WritePrometheusPrefix(&buf, ""); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "vod_fanout_ring_depth_max 7\n") {
 		t.Fatalf("scrape missed the spike:\n%s", buf.String())
 	}
 	buf.Reset()
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.WritePrometheusPrefix(&buf, ""); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "vod_fanout_ring_depth_max 0\n") {

@@ -19,8 +19,8 @@ import (
 // byte within threshold seconds" is exactly that bound restated as an
 // operational target, so the tracker carries one per pipeline stage.
 
-// DefaultWindowSize bounds a Window when the owner does not choose one.
-const DefaultWindowSize = 1024
+// defaultWindowSize bounds a Window when the owner does not choose one.
+const defaultWindowSize = 1024
 
 // Window is a rolling window of float64 observations with quantile
 // snapshots and optional SLO accounting. All methods are safe for concurrent
@@ -41,10 +41,10 @@ type Window struct {
 }
 
 // NewWindow returns a tracker over the last size observations (size <= 0
-// selects DefaultWindowSize).
+// selects defaultWindowSize).
 func NewWindow(size int) *Window {
 	if size <= 0 {
-		size = DefaultWindowSize
+		size = defaultWindowSize
 	}
 	return &Window{buf: make([]float64, 0, size)}
 }

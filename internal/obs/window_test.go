@@ -110,7 +110,7 @@ func TestRegisterRuntime(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.WritePrometheusPrefix(&buf, ""); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

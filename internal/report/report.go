@@ -96,6 +96,3 @@ func F(v float64, places int) string {
 
 // I formats an integer.
 func I(v int) string { return strconv.Itoa(v) }
-
-// I64 formats a 64-bit integer.
-func I64(v int64) string { return strconv.FormatInt(v, 10) }

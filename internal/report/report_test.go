@@ -81,7 +81,7 @@ func TestFormattingHelpers(t *testing.T) {
 	if F(3.14159, 2) != "3.14" {
 		t.Fatalf("F = %q", F(3.14159, 2))
 	}
-	if I(7) != "7" || I64(-9) != "-9" {
+	if I(7) != "7" || I(-9) != "-9" {
 		t.Fatal("integer helpers broken")
 	}
 }

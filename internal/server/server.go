@@ -158,10 +158,6 @@ func New(cfg Config) (*Server, error) {
 	}, nil
 }
 
-// Station exposes the underlying broadcast engine so callers that passed a
-// Registry can read Status snapshots alongside the simulation report.
-func (s *Server) Station() *station.Station { return s.station }
-
 // pendingReq is a customer waiting for admission under deferral control.
 type pendingReq struct {
 	video       int

@@ -25,10 +25,3 @@ func (p *PoissonProcess) Next() float64 {
 	p.last += p.rng.Exp(1 / p.rate)
 	return p.last
 }
-
-// CountIn returns a Poisson-distributed number of arrivals for an interval of
-// the given length in seconds. It is the slotted-simulation counterpart of
-// Next and draws from the same underlying RNG stream.
-func (p *PoissonProcess) CountIn(length float64) int {
-	return p.rng.Poisson(p.rate * length)
-}

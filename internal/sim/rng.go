@@ -31,9 +31,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 // math/rand semantics.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// ExpFloat64 returns an exponentially distributed value with mean 1.
-func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
-
 // Exp returns an exponentially distributed value with the given mean.
 // It panics if mean <= 0.
 func (g *RNG) Exp(mean float64) float64 {

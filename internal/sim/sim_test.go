@@ -210,20 +210,6 @@ func TestPoissonProcessInterarrivals(t *testing.T) {
 	}
 }
 
-func TestPoissonProcessCountIn(t *testing.T) {
-	g := NewRNG(12)
-	p := NewPoissonProcess(g, 2.0)
-	const n = 20000
-	total := 0
-	for i := 0; i < n; i++ {
-		total += p.CountIn(3) // mean 6 per interval
-	}
-	mean := float64(total) / n
-	if math.Abs(mean-6.0) > 0.15 {
-		t.Fatalf("mean count = %.4f, want 6.0 +/- 0.15", mean)
-	}
-}
-
 func TestPoissonProcessRejectsBadRate(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -237,9 +223,6 @@ func TestRNGConvenienceMethods(t *testing.T) {
 	g := NewRNG(2)
 	if v := g.Intn(10); v < 0 || v >= 10 {
 		t.Fatalf("Intn out of range: %d", v)
-	}
-	if v := g.ExpFloat64(); v < 0 {
-		t.Fatalf("ExpFloat64 negative: %v", v)
 	}
 	sum := 0.0
 	for i := 0; i < 10000; i++ {

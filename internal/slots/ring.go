@@ -44,14 +44,8 @@ func NewRing(horizon, base int, trackSegs bool) *Ring {
 	return r
 }
 
-// Base reports the absolute index of the earliest tracked slot.
-func (r *Ring) Base() int { return r.base }
-
 // End reports the absolute index of the latest tracked slot.
 func (r *Ring) End() int { return r.base + r.horizon - 1 }
-
-// Horizon reports the number of tracked slots.
-func (r *Ring) Horizon() int { return r.horizon }
 
 func (r *Ring) pos(abs int) int {
 	if abs < r.base || abs > r.End() {

@@ -9,8 +9,8 @@ import (
 
 func TestRingBasics(t *testing.T) {
 	r := NewRing(4, 0, false)
-	if r.Base() != 0 || r.End() != 3 || r.Horizon() != 4 {
-		t.Fatalf("window = [%d, %d] horizon %d", r.Base(), r.End(), r.Horizon())
+	if r.base != 0 || r.End() != 3 || r.horizon != 4 {
+		t.Fatalf("window = [%d, %d] horizon %d", r.base, r.End(), r.horizon)
 	}
 	r.Add(1, 5)
 	r.Add(1, 6)
@@ -31,8 +31,8 @@ func TestRingRetireAdvancesWindow(t *testing.T) {
 	if abs != 0 || load != 1 {
 		t.Fatalf("Retire = (%d, %d), want (0, 1)", abs, load)
 	}
-	if r.Base() != 1 || r.End() != 3 {
-		t.Fatalf("window = [%d, %d], want [1, 3]", r.Base(), r.End())
+	if r.base != 1 || r.End() != 3 {
+		t.Fatalf("window = [%d, %d], want [1, 3]", r.base, r.End())
 	}
 	// The freshly exposed slot 3 must start empty.
 	if got := r.Load(3); got != 0 {
@@ -143,7 +143,7 @@ func TestRingLongRunConsistency(t *testing.T) {
 	r := NewRing(5, 0, false)
 	added, retired := 0, 0
 	for step := 0; step < 1000; step++ {
-		slot := r.Base() + 1 + step%4
+		slot := r.base + 1 + step%4
 		if slot <= r.End() {
 			r.Add(slot, step)
 			added++
@@ -165,7 +165,7 @@ func TestRingConservationProperty(t *testing.T) {
 		r := NewRing(8, 0, false)
 		added, retired := 0, 0
 		for _, o := range offsets {
-			slot := r.Base() + int(o)%8
+			slot := r.base + int(o)%8
 			r.Add(slot, 1)
 			added++
 			_, load, _ := r.Retire()
@@ -258,12 +258,12 @@ func TestRingSkipEqualsRepeatedRetire(t *testing.T) {
 	skipped, stepped := NewRing(horizon, 4, true), NewRing(horizon, 4, true)
 	for round := 0; round < 200; round++ {
 		for adds := rng.Intn(8); adds > 0; adds-- {
-			abs, seg := skipped.Base()+rng.Intn(horizon), 1+rng.Intn(9)
+			abs, seg := skipped.base+rng.Intn(horizon), 1+rng.Intn(9)
 			skipped.Add(abs, seg)
 			stepped.Add(abs, seg)
 		}
 		for skipped.Total() > 0 {
-			from := skipped.Base() + rng.Intn(horizon)
+			from := skipped.base + rng.Intn(horizon)
 			to := from + rng.Intn(skipped.End()-from+1)
 			s1, l1 := skipped.MinLoadLatest(from, to)
 			s2, l2 := stepped.MinLoadLatest(from, to)
@@ -287,8 +287,8 @@ func TestRingSkipEqualsRepeatedRetire(t *testing.T) {
 		for i := 0; i < k; i++ {
 			stepped.Retire()
 		}
-		if skipped.Base() != stepped.Base() {
-			t.Fatalf("round %d: base %d after Skip(%d), %d after %d Retires", round, skipped.Base(), k, stepped.Base(), k)
+		if skipped.base != stepped.base {
+			t.Fatalf("round %d: base %d after Skip(%d), %d after %d Retires", round, skipped.base, k, stepped.base, k)
 		}
 	}
 }
@@ -300,8 +300,8 @@ func TestRingSkipLoadedPanics(t *testing.T) {
 		if recover() == nil {
 			t.Fatal("Skip over a scheduled instance did not panic")
 		}
-		if r.Base() != 0 || r.Total() != 1 {
-			t.Fatalf("refused Skip left base %d, total %d", r.Base(), r.Total())
+		if r.base != 0 || r.Total() != 1 {
+			t.Fatalf("refused Skip left base %d, total %d", r.base, r.Total())
 		}
 	}()
 	r.Skip(1)

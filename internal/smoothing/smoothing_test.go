@@ -17,11 +17,22 @@ func matrix(t *testing.T) *trace.Trace {
 	return tr
 }
 
-func TestPeakSegmentRateCBR(t *testing.T) {
-	tr, err := trace.CBR(600, 100)
+// cbr returns a constant-bit-rate trace of the given duration.
+func cbr(t *testing.T, seconds int, rate float64) *trace.Trace {
+	t.Helper()
+	rates := make([]float64, seconds)
+	for i := range rates {
+		rates[i] = rate
+	}
+	tr, err := trace.New(rates)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tr
+}
+
+func TestPeakSegmentRateCBR(t *testing.T) {
+	tr := cbr(t, 600, 100)
 	r, err := PeakSegmentRate(tr, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -52,10 +63,7 @@ func TestPeakSegmentRateError(t *testing.T) {
 }
 
 func TestMinWorkAheadRateCBR(t *testing.T) {
-	tr, err := trace.CBR(600, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := cbr(t, 600, 100)
 	r, err := MinWorkAheadRate(tr, 60)
 	if err != nil {
 		t.Fatal(err)
@@ -143,10 +151,7 @@ func TestPackedSegmentsErrors(t *testing.T) {
 }
 
 func TestPeriodsCBRAreIdentity(t *testing.T) {
-	tr, err := trace.CBR(600, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := cbr(t, 600, 100)
 	const d = 60.0
 	periods, err := Periods(tr, d, 100, 10)
 	if err != nil {

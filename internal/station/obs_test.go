@@ -55,9 +55,9 @@ func TestStationStatusAndStages(t *testing.T) {
 		}
 	}
 	if len(s.Stages) != 2 {
-		t.Fatalf("stages = %v, want exactly %q and %q", s.Stages, StageLockWait, StageAdmit)
+		t.Fatalf("stages = %v, want exactly %q and %q", s.Stages, stageLockWait, stageAdmit)
 	}
-	for _, name := range []string{StageLockWait, StageAdmit} {
+	for _, name := range []string{stageLockWait, stageAdmit} {
 		snap, ok := s.Stages[name]
 		if !ok || snap.Count == 0 {
 			t.Fatalf("stage %q missing or empty: %+v", name, snap)

@@ -57,18 +57,18 @@ import (
 // for per-video scheduler problems) with context; runtime errors from Admit
 // are classifiable with errors.Is.
 var (
-	// ErrEmptyCatalogue reports a Config with no videos.
-	ErrEmptyCatalogue = errors.New("station: empty catalogue")
-	// ErrBadShards reports a negative Config.Shards.
-	ErrBadShards = errors.New("station: shard count must be non-negative")
-	// ErrBadSlotDuration reports a non-positive StartClock interval.
-	ErrBadSlotDuration = errors.New("station: slot duration must be positive")
-	// ErrUnknownVideo reports a video index outside the catalogue.
-	ErrUnknownVideo = errors.New("station: unknown video")
-	// ErrClosed reports an operation against a closed station.
-	ErrClosed = errors.New("station: closed")
-	// ErrClockRunning reports a second StartClock.
-	ErrClockRunning = errors.New("station: clock already running")
+	// errEmptyCatalogue reports a Config with no videos.
+	errEmptyCatalogue = errors.New("station: empty catalogue")
+	// errBadShards reports a negative Config.Shards.
+	errBadShards = errors.New("station: shard count must be non-negative")
+	// errBadSlotDuration reports a non-positive StartClock interval.
+	errBadSlotDuration = errors.New("station: slot duration must be positive")
+	// errUnknownVideo reports a video index outside the catalogue.
+	errUnknownVideo = errors.New("station: unknown video")
+	// errClosed reports an operation against a closed station.
+	errClosed = errors.New("station: closed")
+	// errClockRunning reports a second StartClock.
+	errClockRunning = errors.New("station: clock already running")
 )
 
 // VideoConfig describes one catalogue video of a station.
@@ -108,10 +108,10 @@ type Config struct {
 
 // Stage names of the admission pipeline, the keys of Status.Stages.
 const (
-	// StageLockWait is the time an admission waits for its video's lock.
-	StageLockWait = "lock_wait"
-	// StageAdmit is the scheduler service time under the video's lock.
-	StageAdmit = "admit"
+	// stageLockWait is the time an admission waits for its video's lock.
+	stageLockWait = "lock_wait"
+	// stageAdmit is the scheduler service time under the video's lock.
+	stageAdmit = "admit"
 )
 
 // stationObs carries every instrument of an observed station; a nil
@@ -130,7 +130,7 @@ func newStationObs(reg *obs.Registry) *stationObs {
 		return reg.WindowWith("station_stage_seconds",
 			"Admission pipeline stage latencies.", 0, obs.Labels{"stage": name})
 	}
-	return &stationObs{lockWait: stage(StageLockWait), admit: stage(StageAdmit),
+	return &stationObs{lockWait: stage(stageLockWait), admit: stage(stageAdmit),
 		clockTicks: reg.Counter("station_clock_ticks_total", "Slot ticks fanned out by the clock goroutine."),
 		clockSkipped: reg.Counter("station_clock_skipped_ticks_total",
 			"Slot grid points the clock skipped because it woke 8 or more slots late.")}
@@ -226,10 +226,10 @@ const maxCatchUp = 8
 // admission.
 func New(cfg Config) (*Station, error) {
 	if len(cfg.Videos) == 0 {
-		return nil, ErrEmptyCatalogue
+		return nil, errEmptyCatalogue
 	}
 	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("%w: got %d", ErrBadShards, cfg.Shards)
+		return nil, fmt.Errorf("%w: got %d", errBadShards, cfg.Shards)
 	}
 	n := cfg.Shards
 	if n == 0 {
@@ -290,9 +290,6 @@ func (st *Station) Videos() int { return len(st.videos) }
 // (the resolved Config.Shards).
 func (st *Station) Shards() int { return len(st.spans) }
 
-// Name reports the video's configured label.
-func (st *Station) Name(video int) string { return st.videos[video].cfg.Name }
-
 // EachActive calls fn(worker, video, rep) once for every video the last
 // advance left active, rep being its report from that advance, of the slot it
 // began (Segments is the scheduler's, read-only, unchanged until the next
@@ -343,7 +340,7 @@ func (st *Station) Periods(v int) []int {
 // checkVideo validates a video index.
 func (st *Station) checkVideo(video int) error {
 	if video < 0 || video >= len(st.videos) {
-		return fmt.Errorf("%w: index %d outside 0..%d", ErrUnknownVideo, video, len(st.videos)-1)
+		return fmt.Errorf("%w: index %d outside 0..%d", errUnknownVideo, video, len(st.videos)-1)
 	}
 	return nil
 }
@@ -352,7 +349,7 @@ func (st *Station) checkVideo(video int) error {
 // lock. Admissions for different videos run in parallel.
 func (st *Station) Admit(video int, opts core.AdmitOptions) (core.AdmitResult, error) {
 	if st.closed.Load() {
-		return core.AdmitResult{}, ErrClosed
+		return core.AdmitResult{}, errClosed
 	}
 	if err := st.checkVideo(video); err != nil {
 		return core.AdmitResult{}, err
@@ -518,15 +515,6 @@ func (st *Station) NextLoads(dst []int) []int {
 	return dst
 }
 
-// VideoTotals reports the video's admitted request and scheduled instance
-// counts.
-func (st *Station) VideoTotals(video int) (requests, instances int64) {
-	sv := &st.videos[video]
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	return sv.totals()
-}
-
 // Totals reports the station-wide admitted request and scheduled instance
 // counts.
 func (st *Station) Totals() (requests, instances int64) {
@@ -554,15 +542,15 @@ func (st *Station) Totals() (requests, instances int64) {
 // Close returns.
 func (st *Station) StartClock(interval time.Duration, onTick func([]core.SlotReport)) error {
 	if interval <= 0 {
-		return fmt.Errorf("%w: got %v", ErrBadSlotDuration, interval)
+		return fmt.Errorf("%w: got %v", errBadSlotDuration, interval)
 	}
 	st.clockMu.Lock()
 	defer st.clockMu.Unlock()
 	if st.closed.Load() {
-		return ErrClosed
+		return errClosed
 	}
 	if st.clock.Load() != nil {
-		return ErrClockRunning
+		return errClockRunning
 	}
 	c := &slotClock{interval: interval, lag: obs.NewWindow(0)}
 	st.clock.Store(c)
@@ -706,15 +694,15 @@ func (st *Station) Status() Status {
 	}
 	if st.obs != nil {
 		s.Stages = map[string]obs.WindowSnapshot{
-			StageLockWait: st.obs.lockWait.Snapshot(),
-			StageAdmit:    st.obs.admit.Snapshot(),
+			stageLockWait: st.obs.lockWait.Snapshot(),
+			stageAdmit:    st.obs.admit.Snapshot(),
 		}
 	}
 	return s
 }
 
 // Close marks the station closed — subsequent Admit and StartClock calls
-// fail with ErrClosed — and stops the clock and its pool, waiting for them to
+// fail with errClosed — and stops the clock and its pool, waiting for them to
 // exit (including any in-flight onTick). It is safe to call more than once.
 func (st *Station) Close() {
 	st.clockMu.Lock()

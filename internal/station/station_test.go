@@ -32,8 +32,8 @@ func TestNewSentinelErrors(t *testing.T) {
 		cfg  Config
 		want error
 	}{
-		{"empty catalogue", Config{}, ErrEmptyCatalogue},
-		{"negative shards", Config{Videos: testCatalogue(1, 4), Shards: -1}, ErrBadShards},
+		{"empty catalogue", Config{}, errEmptyCatalogue},
+		{"negative shards", Config{Videos: testCatalogue(1, 4), Shards: -1}, errBadShards},
 		{"bad video", Config{Videos: []VideoConfig{{Segments: -2}}}, core.ErrBadSegmentCount},
 		// Validation stays eager: a bad vector on the last video, which no
 		// admission has reached, still fails New.
@@ -221,7 +221,7 @@ func TestClockPoolLifecycle(t *testing.T) {
 		t.Fatal("Close left the pool behind")
 	}
 	settleGoroutines(t, baseline, "Close")
-	if err := st.StartClock(interval, nil); !errors.Is(err, ErrClosed) {
+	if err := st.StartClock(interval, nil); !errors.Is(err, errClosed) {
 		t.Fatalf("StartClock after Close: %v", err)
 	}
 	if ticks != n {
@@ -251,10 +251,10 @@ func TestAdmitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Admit(7, core.AdmitOptions{}); !errors.Is(err, ErrUnknownVideo) {
+	if _, err := st.Admit(7, core.AdmitOptions{}); !errors.Is(err, errUnknownVideo) {
 		t.Fatalf("admit unknown video: %v", err)
 	}
-	if _, err := st.Admit(-1, core.AdmitOptions{}); !errors.Is(err, ErrUnknownVideo) {
+	if _, err := st.Admit(-1, core.AdmitOptions{}); !errors.Is(err, errUnknownVideo) {
 		t.Fatalf("admit negative video: %v", err)
 	}
 	if _, err := st.Admit(0, core.AdmitOptions{From: 99}); !errors.Is(err, core.ErrBadResumePoint) {
@@ -393,8 +393,8 @@ func testConcurrentEquivalence(t *testing.T, shards int) {
 		t.Fatal("no video came back after the catalogue-wide gap")
 	}
 	compare(slots)
-	for v := 0; v < videos; v++ {
-		req, inst := st.VideoTotals(v)
+	for v, row := range st.Status().PerVideo {
+		req, inst := row.Requests, row.Instances
 		if req != refs[v].Requests() || inst != refs[v].Instances() {
 			t.Fatalf("video %d: totals (%d,%d) diverged from reference (%d,%d)",
 				v, req, inst, refs[v].Requests(), refs[v].Instances())
@@ -451,7 +451,7 @@ func testStressAdmissionsRaceClock(t *testing.T, shards int) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.StartClock(time.Millisecond, nil); !errors.Is(err, ErrClockRunning) {
+	if err := st.StartClock(time.Millisecond, nil); !errors.Is(err, errClockRunning) {
 		t.Fatalf("second clock: %v", err)
 	}
 
@@ -505,7 +505,7 @@ func testStressAdmissionsRaceClock(t *testing.T, shards int) {
 	close(stop)
 	probers.Wait()
 	st.Close()
-	if _, err := st.Admit(0, core.AdmitOptions{}); !errors.Is(err, ErrClosed) {
+	if _, err := st.Admit(0, core.AdmitOptions{}); !errors.Is(err, errClosed) {
 		t.Fatalf("admit after close: %v", err)
 	}
 
@@ -653,17 +653,17 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	st.Close()
 	st.Close()
-	if err := st.StartClock(time.Millisecond, nil); !errors.Is(err, ErrClosed) {
+	if err := st.StartClock(time.Millisecond, nil); !errors.Is(err, errClosed) {
 		t.Fatalf("clock on closed station: %v", err)
 	}
-	if err := st.StartClock(0, nil); !errors.Is(err, ErrBadSlotDuration) {
+	if err := st.StartClock(0, nil); !errors.Is(err, errBadSlotDuration) {
 		t.Fatalf("zero interval: %v", err)
 	}
 }
 
 // TestNeverAdmittedVideoAnswersFromConfig: a video's scheduler is built by
 // its first admission, on the span's slot; until then Periods, CurrentSlot,
-// NextLoads, VideoTotals and Status answer from its configuration.
+// NextLoads and Status answer from its configuration.
 func TestNeverAdmittedVideoAnswersFromConfig(t *testing.T) {
 	st, err := New(Config{Videos: []VideoConfig{{Segments: 5}, {Segments: 4, Periods: []int{9, 1, 3, 3, 4}}}, Shards: 1})
 	if err != nil {
@@ -686,10 +686,10 @@ func TestNeverAdmittedVideoAnswersFromConfig(t *testing.T) {
 	if loads := st.NextLoads(nil); !slices.Equal(loads, []int{0, 0}) {
 		t.Fatalf("next loads %v", loads)
 	}
-	if req, inst := st.VideoTotals(1); req != 0 || inst != 0 || st.CurrentSlot(1) != 3 {
-		t.Fatalf("idle video: %d requests, %d instances, slot %d", req, inst, st.CurrentSlot(1))
+	if st.CurrentSlot(1) != 3 {
+		t.Fatalf("idle video at slot %d", st.CurrentSlot(1))
 	}
-	if row := st.Status().PerVideo[1]; row.Slot != 3 || row.Requests != 0 {
+	if row := st.Status().PerVideo[1]; row.Slot != 3 || row.Requests != 0 || row.Instances != 0 {
 		t.Fatalf("idle row %+v", row)
 	}
 	res, err := st.Admit(1, core.AdmitOptions{})

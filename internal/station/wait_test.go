@@ -144,7 +144,7 @@ func TestWallWaitFDLifecycle(t *testing.T) {
 	if n := openFDs(); n != base {
 		t.Fatalf("Close: %d fds open, want %d", n, base)
 	}
-	if err := st.StartClock(time.Hour, nil); !errors.Is(err, ErrClosed) {
+	if err := st.StartClock(time.Hour, nil); !errors.Is(err, errClosed) {
 		t.Fatalf("StartClock after Close: %v", err)
 	}
 	if n := openFDs(); n != base {

@@ -37,9 +37,9 @@ func (d Disk) validate() error {
 	return nil
 }
 
-// ReadSeconds reports the disk time one segment read of the given size
+// readSeconds reports the disk time one segment read of the given size
 // occupies.
-func (d Disk) ReadSeconds(bytes float64) float64 {
+func (d Disk) readSeconds(bytes float64) float64 {
 	return d.OverheadSeconds + bytes/d.TransferBytesPerSecond
 }
 
@@ -114,7 +114,7 @@ func Evaluate(d Disk, s Schedule, disks int) (Report, error) {
 			busy[i] = 0
 		}
 		for _, r := range reads {
-			busy[r.disk(disks)] += d.ReadSeconds(r.Bytes)
+			busy[r.disk(disks)] += d.readSeconds(r.Bytes)
 		}
 		if len(reads) > rep.PeakSlotReads {
 			rep.PeakSlotReads = len(reads)
@@ -167,7 +167,7 @@ func MinDiskBound(d Disk, s Schedule) (int, error) {
 	total := 0.0
 	for _, reads := range s.Slots {
 		for _, r := range reads {
-			total += d.ReadSeconds(r.Bytes)
+			total += d.readSeconds(r.Bytes)
 		}
 	}
 	wall := float64(len(s.Slots)) * s.SlotSeconds

@@ -11,10 +11,10 @@ import (
 func TestDiskReadSeconds(t *testing.T) {
 	d := Disk{OverheadSeconds: 0.01, TransferBytesPerSecond: 20e6}
 	// 40 MB read: 10 ms + 2 s.
-	if got := d.ReadSeconds(40e6); math.Abs(got-2.01) > 1e-12 {
-		t.Fatalf("ReadSeconds = %v, want 2.01", got)
+	if got := d.readSeconds(40e6); math.Abs(got-2.01) > 1e-12 {
+		t.Fatalf("readSeconds = %v, want 2.01", got)
 	}
-	if got := d.ReadSeconds(0); got != 0.01 {
+	if got := d.readSeconds(0); got != 0.01 {
 		t.Fatalf("zero-byte read = %v, want overhead only", got)
 	}
 }

@@ -5,11 +5,10 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 )
 
 // WriteCSV emits the trace as "second,bytes" rows with a header line, the
-// format cmd/tracegen produces and ReadCSV parses back.
+// format cmd/tracegen produces.
 func WriteCSV(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("second,bytes\n"); err != nil {
@@ -21,49 +20,4 @@ func WriteCSV(w io.Writer, t *Trace) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadCSV parses a trace written by WriteCSV. Rows must be consecutive
-// seconds starting at 0.
-func ReadCSV(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("trace: read header: %w", err)
-		}
-		return nil, fmt.Errorf("trace: empty input")
-	}
-	if got := strings.TrimSpace(sc.Text()); got != "second,bytes" {
-		return nil, fmt.Errorf("trace: unexpected header %q", got)
-	}
-	var rates []float64
-	line := 1
-	for sc.Scan() {
-		line++
-		row := strings.TrimSpace(sc.Text())
-		if row == "" {
-			continue
-		}
-		parts := strings.Split(row, ",")
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("trace: line %d: want 2 fields, got %d", line, len(parts))
-		}
-		sec, err := strconv.Atoi(parts[0])
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: bad second: %w", line, err)
-		}
-		if sec != len(rates) {
-			return nil, fmt.Errorf("trace: line %d: second %d out of order (want %d)", line, sec, len(rates))
-		}
-		rate, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: bad rate: %w", line, err)
-		}
-		rates = append(rates, rate)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: scan: %w", err)
-	}
-	return New(rates)
 }

@@ -35,18 +35,6 @@ func New(rates []float64) (*Trace, error) {
 	return out, nil
 }
 
-// CBR returns a constant-bit-rate trace of the given whole-second duration.
-func CBR(seconds int, rate float64) (*Trace, error) {
-	if seconds <= 0 {
-		return nil, fmt.Errorf("trace: duration %d must be positive", seconds)
-	}
-	rates := make([]float64, seconds)
-	for i := range rates {
-		rates[i] = rate
-	}
-	return New(rates)
-}
-
 // Duration reports the playback length in seconds.
 func (t *Trace) Duration() float64 { return float64(len(t.rates)) }
 

@@ -3,14 +3,17 @@ package trace
 import (
 	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func mustCBR(t *testing.T, seconds int, rate float64) *Trace {
 	t.Helper()
-	tr, err := CBR(seconds, rate)
+	rates := make([]float64, seconds)
+	for i := range rates {
+		rates[i] = rate
+	}
+	tr, err := New(rates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,12 +47,6 @@ func TestCBRStats(t *testing.T) {
 	}
 	if tr.TotalBytes() != 50000 {
 		t.Fatalf("TotalBytes = %v, want 50000", tr.TotalBytes())
-	}
-}
-
-func TestCBRErrors(t *testing.T) {
-	if _, err := CBR(0, 5); err == nil {
-		t.Fatal("zero duration should error")
 	}
 }
 
@@ -245,47 +242,16 @@ func TestSyntheticConfigValidation(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
-	orig, err := SyntheticMatrix(5)
+func TestWriteCSV(t *testing.T) {
+	tr, err := New([]float64{1.5, 2, 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, orig); err != nil {
+	if err := WriteCSV(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Seconds() != orig.Seconds() {
-		t.Fatalf("seconds = %d, want %d", back.Seconds(), orig.Seconds())
-	}
-	for i := 0; i < orig.Seconds(); i++ {
-		if back.Rate(i) != orig.Rate(i) {
-			t.Fatalf("rate[%d] = %v, want %v", i, back.Rate(i), orig.Rate(i))
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	tests := []struct {
-		name  string
-		input string
-	}{
-		{name: "empty", input: ""},
-		{name: "bad header", input: "a,b\n0,1\n"},
-		{name: "bad fields", input: "second,bytes\n0\n"},
-		{name: "bad second", input: "second,bytes\nx,1\n"},
-		{name: "out of order", input: "second,bytes\n1,5\n"},
-		{name: "bad rate", input: "second,bytes\n0,abc\n"},
-		{name: "no rows", input: "second,bytes\n"},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ReadCSV(strings.NewReader(tt.input)); err == nil {
-				t.Fatal("want error")
-			}
-		})
+	if got, want := buf.String(), "second,bytes\n0,1.5\n1,2\n2,1000000\n"; got != want {
+		t.Fatalf("WriteCSV wrote %q, want %q", got, want)
 	}
 }

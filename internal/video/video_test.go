@@ -1,94 +1,6 @@
 package video
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
-
-func TestTwoHourMovie(t *testing.T) {
-	v := TwoHourMovie()
-	if v.Duration != 7200 {
-		t.Fatalf("Duration = %v, want 7200", v.Duration)
-	}
-	if v.Rate != 1 {
-		t.Fatalf("Rate = %v, want 1", v.Rate)
-	}
-	if v.Bytes() != 7200 {
-		t.Fatalf("Bytes = %v, want 7200", v.Bytes())
-	}
-}
-
-func TestSegment(t *testing.T) {
-	seg, err := Segment(TwoHourMovie(), 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seg.N != 99 {
-		t.Fatalf("N = %d, want 99", seg.N)
-	}
-	// The paper: "no more than 73 seconds for a two-hour video".
-	if seg.SlotDuration < 72 || seg.SlotDuration > 73 {
-		t.Fatalf("SlotDuration = %v, want about 72.7", seg.SlotDuration)
-	}
-}
-
-func TestSegmentErrors(t *testing.T) {
-	if _, err := Segment(TwoHourMovie(), 0); err == nil {
-		t.Fatal("zero segments should error")
-	}
-	if _, err := Segment(TwoHourMovie(), -5); err == nil {
-		t.Fatal("negative segments should error")
-	}
-	if _, err := Segment(Video{Duration: 0, Rate: 1}, 10); err == nil {
-		t.Fatal("zero duration should error")
-	}
-}
-
-func TestSegmentForMaxWait(t *testing.T) {
-	// The paper's Section 4 example: 8170 s video, one-minute wait -> 137
-	// segments.
-	matrix := Video{Duration: 8170, Rate: 636e3}
-	seg, err := SegmentForMaxWait(matrix, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seg.N != 137 {
-		t.Fatalf("N = %d, want 137 (paper Section 4)", seg.N)
-	}
-	if seg.SlotDuration > 60 {
-		t.Fatalf("SlotDuration = %v exceeds requested max wait", seg.SlotDuration)
-	}
-}
-
-func TestSegmentForMaxWaitError(t *testing.T) {
-	if _, err := SegmentForMaxWait(TwoHourMovie(), 0); err == nil {
-		t.Fatal("zero max wait should error")
-	}
-}
-
-func TestSegmentForMaxWaitProperty(t *testing.T) {
-	f := func(dur, wait float64) bool {
-		d := 60 + math.Mod(math.Abs(dur), 20000)
-		w := 1 + math.Mod(math.Abs(wait), 600)
-		seg, err := SegmentForMaxWait(Video{Duration: d, Rate: 1}, w)
-		if err != nil {
-			return false
-		}
-		// The wait guarantee holds and we never use more segments than
-		// strictly necessary.
-		if seg.SlotDuration > w+1e-9 {
-			return false
-		}
-		if seg.N > 1 && d/float64(seg.N-1) <= w {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
+import "testing"
 
 func TestDefaultPeriods(t *testing.T) {
 	p := DefaultPeriods(5)

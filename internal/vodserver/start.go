@@ -76,7 +76,7 @@ type Config struct {
 	// offline stream.
 	SpanWriter io.Writer
 	// SpanSampleEvery keeps 1 in N admission span trees (children inherit
-	// the root's decision); 0 selects DefaultSpanSampleEvery, 1 keeps
+	// the root's decision); 0 selects defaultSpanSampleEvery, 1 keeps
 	// everything.
 	SpanSampleEvery int
 	// SLOTargetSeconds is the admit-to-first-byte latency objective
@@ -110,10 +110,10 @@ type Config struct {
 	FlightDir string
 }
 
-// DefaultSpanSampleEvery is the admission span sampling period when the
+// defaultSpanSampleEvery is the admission span sampling period when the
 // owner does not choose one: cheap enough for production, dense enough that
 // vodtop always has recent trees to show.
-const DefaultSpanSampleEvery = 8
+const defaultSpanSampleEvery = 8
 
 // sloObjective is the fraction of admissions that must reach their first
 // byte within Config.SLOTargetSeconds.
@@ -295,7 +295,7 @@ func Start(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("vodserver: span sample period %d must be non-negative", cfg.SpanSampleEvery)
 	}
 	if cfg.SpanSampleEvery == 0 {
-		cfg.SpanSampleEvery = DefaultSpanSampleEvery
+		cfg.SpanSampleEvery = defaultSpanSampleEvery
 	}
 	if cfg.TelemetryInterval <= 0 {
 		cfg.TelemetryInterval = time.Second

@@ -1,12 +1,8 @@
 package workload
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // ArrivalTrace replays a recorded sequence of request timestamps — for
@@ -33,44 +29,6 @@ func NewArrivalTrace(times []float64) (*ArrivalTrace, error) {
 	return &ArrivalTrace{times: own}, nil
 }
 
-// ReadArrivalTrace parses one timestamp per line (blank lines and lines
-// starting with '#' are skipped), the format WriteArrivalTrace emits.
-func ReadArrivalTrace(r io.Reader) (*ArrivalTrace, error) {
-	sc := bufio.NewScanner(r)
-	var times []float64
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		t, err := strconv.ParseFloat(text, 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: line %d: %w", line, err)
-		}
-		times = append(times, t)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("workload: scan: %w", err)
-	}
-	return NewArrivalTrace(times)
-}
-
-// WriteArrivalTrace emits one timestamp per line.
-func WriteArrivalTrace(w io.Writer, tr *ArrivalTrace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("# request arrival times in seconds\n"); err != nil {
-		return fmt.Errorf("workload: write header: %w", err)
-	}
-	for _, t := range tr.times {
-		if _, err := fmt.Fprintf(bw, "%s\n", strconv.FormatFloat(t, 'f', -1, 64)); err != nil {
-			return fmt.Errorf("workload: write: %w", err)
-		}
-	}
-	return bw.Flush()
-}
-
 // Count reports the number of recorded arrivals (zero for a nil trace).
 func (a *ArrivalTrace) Count() int {
 	if a == nil {
@@ -88,17 +46,6 @@ func (a *ArrivalTrace) Duration() float64 {
 		return 0
 	}
 	return a.times[len(a.times)-1]
-}
-
-// MeanRatePerHour reports the trace's empirical arrival rate. Degenerate
-// traces — empty, or single-point/simultaneous ones whose duration is zero —
-// report zero: there is no interval to define a rate over.
-func (a *ArrivalTrace) MeanRatePerHour() float64 {
-	d := a.Duration()
-	if d == 0 {
-		return 0
-	}
-	return float64(len(a.times)) / d * 3600
 }
 
 // Slotted converts the trace into per-slot arrival counts for a slotted

@@ -1,13 +1,6 @@
 package workload
 
-import (
-	"bytes"
-	"math"
-	"strings"
-	"testing"
-
-	"vodcast/internal/sim"
-)
+import "testing"
 
 func TestNewArrivalTraceValidation(t *testing.T) {
 	if _, err := NewArrivalTrace(nil); err == nil {
@@ -33,20 +26,9 @@ func TestNewArrivalTraceSortsAndCopies(t *testing.T) {
 	}
 }
 
-func TestMeanRatePerHour(t *testing.T) {
-	tr, err := NewArrivalTrace([]float64{0, 1800, 3600})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.MeanRatePerHour(); math.Abs(got-3) > 1e-12 {
-		t.Fatalf("rate = %v, want 3/h", got)
-	}
-}
-
 // TestDegenerateTraces: accessors on traces the constructor would reject —
 // nil receivers and zero values reached through struct embedding or decoding
-// — report zeros instead of panicking, and zero-duration traces define no
-// rate.
+// — report zeros instead of panicking.
 func TestDegenerateTraces(t *testing.T) {
 	tests := []struct {
 		name string
@@ -62,21 +44,15 @@ func TestDegenerateTraces(t *testing.T) {
 			if d := tc.tr.Duration(); d != 0 {
 				t.Fatalf("Duration = %v, want 0", d)
 			}
-			if r := tc.tr.MeanRatePerHour(); r != 0 {
-				t.Fatalf("MeanRatePerHour = %v, want 0 (no interval to rate over)", r)
-			}
 		})
 	}
 	if n := (*ArrivalTrace)(nil).Count(); n != 0 {
 		t.Fatalf("nil Count = %d, want 0", n)
 	}
-	// A single arrival off the origin has a duration and therefore a rate.
+	// A single arrival off the origin has a duration.
 	single := &ArrivalTrace{times: []float64{7.2}}
 	if single.Duration() != 7.2 {
 		t.Fatalf("Duration = %v, want 7.2", single.Duration())
-	}
-	if r := single.MeanRatePerHour(); math.Abs(r-3600/7.2) > 1e-9 {
-		t.Fatalf("MeanRatePerHour = %v, want %v", r, 3600/7.2)
 	}
 }
 
@@ -107,46 +83,5 @@ func TestSlotted(t *testing.T) {
 	}
 	if _, err := tr.Slotted(0); err == nil {
 		t.Fatal("zero slot accepted")
-	}
-}
-
-func TestArrivalTraceRoundTrip(t *testing.T) {
-	rng := sim.NewRNG(3)
-	proc := sim.NewPoissonProcess(rng, 0.01)
-	var times []float64
-	for i := 0; i < 200; i++ {
-		times = append(times, proc.Next())
-	}
-	orig, err := NewArrivalTrace(times)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteArrivalTrace(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadArrivalTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Count() != orig.Count() || back.Duration() != orig.Duration() {
-		t.Fatalf("round trip changed the trace: %d/%v vs %d/%v",
-			back.Count(), back.Duration(), orig.Count(), orig.Duration())
-	}
-}
-
-func TestReadArrivalTraceSkipsCommentsAndErrors(t *testing.T) {
-	tr, err := ReadArrivalTrace(strings.NewReader("# header\n\n10\n20\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Count() != 2 {
-		t.Fatalf("count = %d, want 2", tr.Count())
-	}
-	if _, err := ReadArrivalTrace(strings.NewReader("abc\n")); err == nil {
-		t.Fatal("malformed line accepted")
-	}
-	if _, err := ReadArrivalTrace(strings.NewReader("# only comments\n")); err == nil {
-		t.Fatal("empty trace accepted")
 	}
 }

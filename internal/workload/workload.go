@@ -12,9 +12,9 @@ import (
 	"vodcast/internal/sim"
 )
 
-// PerHour converts an hourly request rate (the unit used throughout the
+// perHour converts an hourly request rate (the unit used throughout the
 // paper) to the per-second rate used by the simulators.
-func PerHour(requestsPerHour float64) float64 {
+func perHour(requestsPerHour float64) float64 {
 	return requestsPerHour / 3600
 }
 
@@ -24,7 +24,7 @@ type RateFunc func(t float64) float64
 
 // Constant returns a rate function with a fixed hourly rate.
 func Constant(requestsPerHour float64) RateFunc {
-	r := PerHour(requestsPerHour)
+	r := perHour(requestsPerHour)
 	return func(float64) float64 { return r }
 }
 
@@ -38,7 +38,7 @@ func DayNight(peakPerHour, offPeakPerHour, peakHour float64) RateFunc {
 	return func(t float64) float64 {
 		hour := math.Mod(t/3600, 24)
 		phase := 2 * math.Pi * (hour - peakHour) / 24
-		return PerHour(mid + amp*math.Cos(phase))
+		return perHour(mid + amp*math.Cos(phase))
 	}
 }
 
@@ -107,9 +107,9 @@ func NewZipf(n int, skew float64) (*Zipf, error) {
 	return &Zipf{cumulative: cum, weights: weights}, nil
 }
 
-// Weight reports the probability that a request targets video i (0-based
+// weight reports the probability that a request targets video i (0-based
 // popularity rank).
-func (z *Zipf) Weight(i int) float64 { return z.weights[i] }
+func (z *Zipf) weight(i int) float64 { return z.weights[i] }
 
 // N reports the catalogue size.
 func (z *Zipf) N() int { return len(z.weights) }

@@ -9,10 +9,10 @@ import (
 )
 
 func TestPerHour(t *testing.T) {
-	if got := PerHour(3600); got != 1 {
+	if got := perHour(3600); got != 1 {
 		t.Fatalf("PerHour(3600) = %v, want 1", got)
 	}
-	if got := PerHour(10); math.Abs(got-10.0/3600) > 1e-15 {
+	if got := perHour(10); math.Abs(got-10.0/3600) > 1e-15 {
 		t.Fatalf("PerHour(10) = %v", got)
 	}
 }
@@ -30,11 +30,11 @@ func TestDayNightPeaksAndTroughs(t *testing.T) {
 	r := DayNight(100, 10, 18) // peaks at 6 pm
 	peak := r(18 * 3600)
 	trough := r(6 * 3600)
-	if math.Abs(peak-PerHour(100)) > 1e-12 {
-		t.Fatalf("peak rate = %v, want %v", peak, PerHour(100))
+	if math.Abs(peak-perHour(100)) > 1e-12 {
+		t.Fatalf("peak rate = %v, want %v", peak, perHour(100))
 	}
-	if math.Abs(trough-PerHour(10)) > 1e-12 {
-		t.Fatalf("trough rate = %v, want %v", trough, PerHour(10))
+	if math.Abs(trough-perHour(10)) > 1e-12 {
+		t.Fatalf("trough rate = %v, want %v", trough, perHour(10))
 	}
 	// 24-hour periodicity.
 	if math.Abs(r(18*3600)-r((18+24)*3600)) > 1e-12 {
@@ -46,7 +46,7 @@ func TestDayNightBoundedProperty(t *testing.T) {
 	r := DayNight(200, 5, 12)
 	f := func(at float64) bool {
 		v := r(math.Mod(math.Abs(at), 1e7))
-		return v >= PerHour(5)-1e-12 && v <= PerHour(200)+1e-12
+		return v >= perHour(5)-1e-12 && v <= perHour(200)+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -109,8 +109,8 @@ func TestZipfWeightsDecreaseAndSum(t *testing.T) {
 	}
 	sum := 0.0
 	for i := 0; i < z.N(); i++ {
-		sum += z.Weight(i)
-		if i > 0 && z.Weight(i) > z.Weight(i-1) {
+		sum += z.weight(i)
+		if i > 0 && z.weight(i) > z.weight(i-1) {
 			t.Fatalf("weights not decreasing at %d", i)
 		}
 	}
@@ -125,8 +125,8 @@ func TestZipfZeroSkewIsUniform(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if math.Abs(z.Weight(i)-0.1) > 1e-12 {
-			t.Fatalf("Weight(%d) = %v, want 0.1", i, z.Weight(i))
+		if math.Abs(z.weight(i)-0.1) > 1e-12 {
+			t.Fatalf("weight(%d) = %v, want 0.1", i, z.weight(i))
 		}
 	}
 }
@@ -153,8 +153,8 @@ func TestZipfSampleMatchesWeights(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		got := float64(counts[i]) / n
-		if math.Abs(got-z.Weight(i)) > 0.01 {
-			t.Errorf("empirical weight of video %d = %.4f, want %.4f", i, got, z.Weight(i))
+		if math.Abs(got-z.weight(i)) > 0.01 {
+			t.Errorf("empirical weight of video %d = %.4f, want %.4f", i, got, z.weight(i))
 		}
 	}
 }
