@@ -65,9 +65,7 @@ func TestParseFlagsRejectsRetiredFlags(t *testing.T) {
 // testSeams are the vodserver.Config fields the command line does not set:
 // each is set only by tests, and each names what retires it.
 var testSeams = map[string]string{
-	"TelemetryInterval": "ROADMAP item 4: driven by the virtual clock",
-	"SLOTargetSeconds":  "ROADMAP item 4: driven by the virtual clock",
-	"DropInstance":      "fault injection for tests and drills",
+	"DropInstance": "fault injection for tests and drills",
 }
 
 // TestConfigFieldsHaveSetters is the Config census: every vodserver.Config

@@ -338,19 +338,18 @@ func hidingProxy(t *testing.T, addr, path string) string {
 	return proxy.Listener.Addr().String()
 }
 
-// TestHistoryPaneAgainstLiveServer: a server with fast history scrapes
-// serves the trend pane end to end, and a server without /queryz has it
-// skipped silently.
+// TestHistoryPaneAgainstLiveServer: a live server's history serves the
+// trend pane end to end, and a server without /queryz has it skipped
+// silently.
 func TestHistoryPaneAgainstLiveServer(t *testing.T) {
 	s, err := vodserver.Start(vodserver.Config{
-		Addr:              "127.0.0.1:0",
-		Videos:            []vodserver.VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
-		SlotDuration:      10 * time.Millisecond,
-		StatsAddr:         "127.0.0.1:0",
-		TelemetryInterval: 20 * time.Millisecond,
-		// The loop also evaluates the alert rules every 20 ms; a generous
-		// SLO keeps the burn rule quiet so the frame reads "not firing".
-		SLOTargetSeconds: 10,
+		Addr:   "127.0.0.1:0",
+		Videos: []vodserver.VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
+		// The SLO is two slots: at 100 ms the session's first byte, due
+		// within one slot, stays under it on a loaded machine too, so the
+		// burn rule stays quiet and the frame reads "not firing".
+		SlotDuration: 100 * time.Millisecond,
+		StatsAddr:    "127.0.0.1:0",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -359,8 +358,9 @@ func TestHistoryPaneAgainstLiveServer(t *testing.T) {
 	if _, err := vodclient.FetchWith(s.Addr(), vodclient.FetchOptions{VideoID: 1, Timeout: 10 * time.Second, StrictDeadlines: true}); err != nil {
 		t.Fatal(err)
 	}
-	// Let a few scrapes land so the counter rate has deltas to work with.
-	deadline := time.Now().Add(5 * time.Second)
+	// Let two of the telemetry loop's once-a-second scrapes land, so the
+	// counter rate has a delta to work with.
+	deadline := time.Now().Add(10 * time.Second)
 	client := &http.Client{Timeout: 5 * time.Second}
 	for {
 		if pane := fetchHistory(client, s.StatsAddr()); pane != nil && len(pane.requests) >= 2 {

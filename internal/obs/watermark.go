@@ -45,9 +45,3 @@ func (h *HighWatermark) Record(v float64) {
 func (h *HighWatermark) Read() float64 {
 	return math.Float64frombits(h.bits.Swap(0))
 }
-
-// Peek returns the current maximum without resetting, for tests and
-// diagnostics that must not consume the scrape's value.
-func (h *HighWatermark) Peek() float64 {
-	return math.Float64frombits(h.bits.Load())
-}

@@ -16,9 +16,6 @@ func TestHighWatermarkSpikeSurvivesScrape(t *testing.T) {
 	h.Record(10) // the spike tick
 	h.Record(2)  // later, quieter tick — a plain gauge would overwrite here
 	h.Record(3)
-	if got := h.Peek(); got != 10 {
-		t.Fatalf("Peek() = %v, want 10", got)
-	}
 	if got := h.Read(); got != 10 {
 		t.Fatalf("spike lost: Read() = %v, want 10", got)
 	}

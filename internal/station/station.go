@@ -283,9 +283,6 @@ func (vc VideoConfig) core() core.Config {
 	}
 }
 
-// Videos reports the catalogue size.
-func (st *Station) Videos() int { return len(st.videos) }
-
 // Shards reports the number of spans the catalogue is partitioned into
 // (the resolved Config.Shards).
 func (st *Station) Shards() int { return len(st.spans) }

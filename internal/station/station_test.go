@@ -57,8 +57,8 @@ func TestShardAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Shards() != 2 || st.Videos() != 5 {
-		t.Fatalf("got %d shards, %d videos", st.Shards(), st.Videos())
+	if st.Shards() != 2 || len(st.videos) != 5 {
+		t.Fatalf("got %d shards, %d videos", st.Shards(), len(st.videos))
 	}
 	// More shards than videos collapses to one span per video.
 	st2, err := New(Config{Videos: testCatalogue(3, 8), Shards: 16})
@@ -81,7 +81,7 @@ func TestShardAssignment(t *testing.T) {
 // the whole catalogue on the active lists.
 func admitAll(t testing.TB, st *Station) {
 	t.Helper()
-	for v := 0; v < st.Videos(); v++ {
+	for v := range st.videos {
 		if _, err := st.Admit(v, core.AdmitOptions{}); err != nil {
 			t.Fatal(err)
 		}
@@ -89,10 +89,10 @@ func admitAll(t testing.TB, st *Station) {
 	st.AdvanceSlot()
 }
 
-// TestSpanPartition: the catalogue's one partition tiles [0, Videos())
-// exactly once with contiguous, in-order, near-equal spans, for every
-// catalogue size and span count including the degenerate ones — read off
-// the active walk of a fully admitted catalogue.
+// TestSpanPartition: the one partition tiles the catalogue exactly once
+// with contiguous, in-order, near-equal spans, for every catalogue size and
+// span count including the degenerate ones — read off the active walk of a
+// fully admitted catalogue.
 func TestSpanPartition(t *testing.T) {
 	for _, videos := range []int{1, 3, 4, 7, 2048} {
 		for _, shards := range []int{1, 4, 8} {

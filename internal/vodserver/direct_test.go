@@ -16,19 +16,15 @@ import (
 )
 
 // The tick's direct path, end to end over loopback sockets. Each test plays
-// a handler's steps by hand on a server whose clock never fires (a one-hour
-// slot) and drives every tick itself, so each interleaving is chosen, not
-// raced for.
+// a handler's steps by hand on a built server, whose clock never runs, and
+// drives every tick itself, so each interleaving is chosen, not raced for.
 
-// startManualServer starts a server whose clock stays silent for the test.
+// startManualServer builds a server for the test to drive. With no clock
+// the slot duration sets only the handlers' deadlines: a one-second slot
+// puts each at least five seconds past its admission.
 func startManualServer(t *testing.T, videos ...VideoConfig) *Server {
 	t.Helper()
-	s, err := Start(Config{Addr: "127.0.0.1:0", Videos: videos, SlotDuration: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { closeNoFrameLeak(t, s) })
-	return s
+	return buildServer(t, Config{Videos: videos, SlotDuration: time.Second})
 }
 
 // tick runs one clock tick by hand: the advance, then the fan-out.

@@ -81,7 +81,7 @@ func admitRaw(t *testing.T, addr string, video uint32) net.Conn {
 
 func TestE2EConntrackStallAttribution(t *testing.T) {
 	flightDir := t.TempDir()
-	s, err := Start(Config{
+	s := serveTuned(t, Config{
 		Addr: "127.0.0.1:0",
 		// A heavy, long channel: every slot carries tens of KiB so a
 		// subscriber that stops (or nearly stops) reading saturates its
@@ -89,20 +89,17 @@ func TestE2EConntrackStallAttribution(t *testing.T) {
 		// schedule puts both write deadlines (last deadline plus the 1 s
 		// read bound) about six seconds out, leaving the classifier room to
 		// publish before either subscriber is cut.
-		Videos:           []VideoConfig{{ID: 1, Segments: 1000, SegmentBytes: 4 << 10}},
-		SlotDuration:     5 * time.Millisecond,
-		StatsAddr:        "127.0.0.1:0",
-		FlightDir:        flightDir,
-		SLOTargetSeconds: 10, // keep the burn rule quiet on slow machines
+		Videos:       []VideoConfig{{ID: 1, Segments: 1000, SegmentBytes: 4 << 10}},
+		SlotDuration: 5 * time.Millisecond,
+		StatsAddr:    "127.0.0.1:0",
+		FlightDir:    flightDir,
+		AlertFor:     50 * time.Millisecond,
+	}, func(s *Server) {
+		s.sloTarget = 10 // keep the burn rule quiet on slow machines
 		// Sweeps and evaluations are driven by hand for determinism; the
 		// telemetry loop is parked out of the way.
-		TelemetryInterval: time.Hour,
-		AlertFor:          50 * time.Millisecond,
+		s.telemetryInterval = time.Hour
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeNoFrameLeak(t, s)
 
 	// The paused subscribers: admitted, then never read another byte. Their
 	// socket pipes fill, BytesAcked freezes, the rings back up — a total

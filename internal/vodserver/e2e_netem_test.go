@@ -48,19 +48,16 @@ func TestE2ENetemPathAttribution(t *testing.T) {
 	teardown := netemSetup(t)
 	defer teardown()
 
-	s, err := Start(Config{
-		Addr:             "127.0.0.1:0",
-		Videos:           []VideoConfig{{ID: 1, Segments: 2000, SegmentBytes: 4 << 10}},
-		SlotDuration:     5 * time.Millisecond,
-		StatsAddr:        "127.0.0.1:0",
-		SLOTargetSeconds: 10,
+	s := serveTuned(t, Config{
+		Addr:         "127.0.0.1:0",
+		Videos:       []VideoConfig{{ID: 1, Segments: 2000, SegmentBytes: 4 << 10}},
+		SlotDuration: 5 * time.Millisecond,
+		StatsAddr:    "127.0.0.1:0",
+	}, func(s *Server) {
+		s.sloTarget = 10
 		// Sweeps are driven by hand, exactly as in the unshaped E2E.
-		TelemetryInterval: time.Hour,
+		s.telemetryInterval = time.Hour
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeNoFrameLeak(t, s)
 
 	// The shaped-path subscriber reads as fast as it can: every late frame
 	// it sees is the network's fault, and the kernel's retransmit counter is

@@ -54,25 +54,22 @@ func TestE2EClientQoELoop(t *testing.T) {
 	// video-1 customers provably miss its deadline — the wire-level stand-in
 	// for sustained packet loss on one channel.
 	var dropping atomic.Bool
-	s, err := Start(Config{
-		Addr:            "127.0.0.1:0",
-		Videos:          []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}, {ID: 2, Segments: 6, SegmentBytes: 64}},
-		SlotDuration:    10 * time.Millisecond,
-		StatsAddr:       "127.0.0.1:0",
-		SpanSampleEvery: 1,
-		// The test drives evaluations by hand for determinism; the
-		// telemetry loop is parked out of the way.
-		TelemetryInterval: time.Hour,
-		AlertFor:          50 * time.Millisecond,
-		ReportStaleAfter:  time.Hour,
+	s := serveTuned(t, Config{
+		Addr:             "127.0.0.1:0",
+		Videos:           []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}, {ID: 2, Segments: 6, SegmentBytes: 64}},
+		SlotDuration:     10 * time.Millisecond,
+		StatsAddr:        "127.0.0.1:0",
+		SpanSampleEvery:  1,
+		AlertFor:         50 * time.Millisecond,
+		ReportStaleAfter: time.Hour,
 		DropInstance: func(video uint32, segment, _ int) bool {
 			return dropping.Load() && video == 1 && segment == 1
 		},
+	}, func(s *Server) {
+		// The test drives evaluations by hand for determinism; the
+		// telemetry loop is parked out of the way.
+		s.telemetryInterval = time.Hour
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeNoFrameLeak(t, s)
 
 	// Phase 1 — healthy fleet: N concurrent clients across both videos,
 	// every session reporting back.
@@ -222,19 +219,18 @@ func waitFor(t *testing.T, label string, cond func() bool) {
 func TestSlipAlertLifecycle(t *testing.T) {
 	const interval = 20 * time.Second
 	flightDir := t.TempDir()
-	s, err := Start(Config{
-		Addr:         "127.0.0.1:0",
+	// A built server's clock never ticks, so never skips. Its rules are
+	// armed by hand, as serve arms them, and evaluated by hand, one
+	// telemetry interval apart on the alert clock.
+	s := buildServer(t, Config{
 		Videos:       []VideoConfig{{ID: 1, Segments: 4, SegmentBytes: 64}},
-		SlotDuration: time.Hour, // the real clock never ticks, so never skips
+		SlotDuration: 10 * time.Millisecond,
 		FlightDir:    flightDir,
-		// Evaluations are driven by hand, one telemetry interval apart on
-		// the alert clock; the telemetry loop's first would come 20 s in.
-		TelemetryInterval: interval,
 	})
-	if err != nil {
+	s.telemetryInterval = interval
+	if err := s.armAlerts(); err != nil {
 		t.Fatal(err)
 	}
-	defer closeNoFrameLeak(t, s)
 	now := time.Unix(1_000_000, 0)
 	s.alerts.SetClock(func() time.Time { return now })
 	eval := func(want obs.AlertState) {

@@ -44,24 +44,18 @@ type queryzIndex struct {
 // TestMetricszPrefix pins the ?prefix= family filter: the filtered dump
 // carries exactly the matching families and the default stays the full dump.
 func TestMetricszPrefix(t *testing.T) {
-	// No session and a slot longer than the test: no value can move between
-	// the two scrapes, so the filtered lines must appear in the full dump
-	// byte for byte.
-	s, err := Start(Config{
-		Addr:         "127.0.0.1:0",
+	// A built server runs no session, no clock and no telemetry: no
+	// station_ value can move between the two scrapes, so the filtered lines
+	// must appear in the full dump byte for byte.
+	s := buildServer(t, Config{
 		Videos:       []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
-		SlotDuration: time.Hour,
-		StatsAddr:    "127.0.0.1:0",
+		SlotDuration: 10 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeNoFrameLeak(t, s)
-	code, full := get(t, s, "/metricsz")
+	code, full := getBuilt(s, "/metricsz")
 	if code != http.StatusOK {
 		t.Fatalf("metricsz = %d", code)
 	}
-	code, filtered := get(t, s, "/metricsz?prefix=station_")
+	code, filtered := getBuilt(s, "/metricsz?prefix=station_")
 	if code != http.StatusOK {
 		t.Fatalf("metricsz?prefix= = %d", code)
 	}
@@ -93,27 +87,20 @@ func TestMetricszPrefix(t *testing.T) {
 // reads it back through /metricsz twice: the spike survives to the first
 // scrape after it and the read resets the interval.
 func TestRingDepthWatermarkWiring(t *testing.T) {
-	// An hour-long telemetry period keeps the history's background scrape
-	// from consuming the watermark between Record and the /metricsz read.
-	s, err := Start(Config{
-		Addr:              "127.0.0.1:0",
-		Videos:            []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
-		SlotDuration:      10 * time.Millisecond,
-		StatsAddr:         "127.0.0.1:0",
-		TelemetryInterval: time.Hour,
+	// A built server runs no telemetry loop, so no background scrape can
+	// consume the watermark between Record and the /metricsz read.
+	s := buildServer(t, Config{
+		Videos:       []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
+		SlotDuration: 10 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeNoFrameLeak(t, s)
 	// A spike tick followed by quieter ticks, as fanOut would record them.
 	s.ringDepth.Record(17)
 	s.ringDepth.Record(2)
-	_, body := get(t, s, "/metricsz?prefix=vod_fanout_ring_depth_max")
+	_, body := getBuilt(s, "/metricsz?prefix=vod_fanout_ring_depth_max")
 	if !strings.Contains(body, "vod_fanout_ring_depth_max 17\n") {
 		t.Fatalf("spike lost before first scrape:\n%s", body)
 	}
-	_, body = get(t, s, "/metricsz?prefix=vod_fanout_ring_depth_max")
+	_, body = getBuilt(s, "/metricsz?prefix=vod_fanout_ring_depth_max")
 	if !strings.Contains(body, "vod_fanout_ring_depth_max 0\n") {
 		t.Fatalf("watermark not reset by scrape:\n%s", body)
 	}
@@ -122,17 +109,14 @@ func TestRingDepthWatermarkWiring(t *testing.T) {
 // TestQueryzEndpoint covers the /queryz API against a live store: the series
 // listing, a range query with points, and the parameter validation.
 func TestQueryzEndpoint(t *testing.T) {
-	s, err := Start(Config{
-		Addr:              "127.0.0.1:0",
-		Videos:            []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
-		SlotDuration:      10 * time.Millisecond,
-		StatsAddr:         "127.0.0.1:0",
-		TelemetryInterval: 20 * time.Millisecond,
+	s := serveTuned(t, Config{
+		Addr:         "127.0.0.1:0",
+		Videos:       []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
+		SlotDuration: 10 * time.Millisecond,
+		StatsAddr:    "127.0.0.1:0",
+	}, func(s *Server) {
+		s.telemetryInterval = 20 * time.Millisecond
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeNoFrameLeak(t, s)
 	waitFor(t, "history scrapes", func() bool {
 		return s.history.Stats().Scrapes >= 5
 	})
@@ -251,17 +235,14 @@ func TestQueryzSeriesCapExcludesRefused(t *testing.T) {
 	for i := range videos {
 		videos[i] = VideoConfig{ID: uint32(i + 1), Segments: 20, SegmentBytes: 64}
 	}
-	s, err := Start(Config{
-		Addr:              "127.0.0.1:0",
-		Videos:            videos,
-		SlotDuration:      50 * time.Millisecond,
-		StatsAddr:         "127.0.0.1:0",
-		TelemetryInterval: 50 * time.Millisecond,
+	s := serveTuned(t, Config{
+		Addr:         "127.0.0.1:0",
+		Videos:       videos,
+		SlotDuration: 50 * time.Millisecond,
+		StatsAddr:    "127.0.0.1:0",
+	}, func(s *Server) {
+		s.telemetryInterval = 50 * time.Millisecond
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeNoFrameLeak(t, s)
 	waitFor(t, "history scrapes", func() bool {
 		return s.history.Stats().Scrapes >= 2
 	})
@@ -405,18 +386,15 @@ func TestQueryzAndFlightDisabled(t *testing.T) {
 // lands well-formed under the configured directory.
 func TestFlightRecordEndpoint(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Start(Config{
-		Addr:              "127.0.0.1:0",
-		Videos:            []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
-		SlotDuration:      10 * time.Millisecond,
-		StatsAddr:         "127.0.0.1:0",
-		TelemetryInterval: 20 * time.Millisecond,
-		FlightDir:         dir,
+	s := serveTuned(t, Config{
+		Addr:         "127.0.0.1:0",
+		Videos:       []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
+		SlotDuration: 10 * time.Millisecond,
+		StatsAddr:    "127.0.0.1:0",
+		FlightDir:    dir,
+	}, func(s *Server) {
+		s.telemetryInterval = 20 * time.Millisecond
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeNoFrameLeak(t, s)
 	waitFor(t, "history scrapes", func() bool {
 		return s.history.Stats().Scrapes >= 3
 	})
@@ -463,27 +441,24 @@ func TestFlightRecordEndpoint(t *testing.T) {
 func TestE2EFlightRecorder(t *testing.T) {
 	flightDir := t.TempDir()
 	var dropping atomic.Bool
-	s, err := Start(Config{
+	s := serveTuned(t, Config{
 		Addr:         "127.0.0.1:0",
 		Videos:       []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
 		SlotDuration: 10 * time.Millisecond,
 		StatsAddr:    "127.0.0.1:0",
 		FlightDir:    flightDir,
-		// A generous SLO keeps the first_byte_slo_burn rule quiet on slow CI
-		// machines: the only firing rule must be the injected miss alert.
-		SLOTargetSeconds: 10,
-		// Scrapes and evaluations are driven by hand for determinism; the
-		// telemetry loop is parked out of the way.
-		TelemetryInterval: time.Hour,
-		AlertFor:          50 * time.Millisecond,
+		AlertFor:     50 * time.Millisecond,
 		DropInstance: func(video uint32, segment, _ int) bool {
 			return dropping.Load() && video == 1 && segment == 1
 		},
+	}, func(s *Server) {
+		// A generous SLO keeps the first_byte_slo_burn rule quiet on slow CI
+		// machines: the only firing rule must be the injected miss alert.
+		s.sloTarget = 10
+		// Scrapes and evaluations are driven by hand for determinism; the
+		// telemetry loop is parked out of the way.
+		s.telemetryInterval = time.Hour
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeNoFrameLeak(t, s)
 
 	// Phase 1 — healthy: sessions report zero misses, history records the
 	// flat-zero miss-rate baseline the step-up will stand out against.

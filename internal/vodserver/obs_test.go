@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,6 +48,14 @@ func get(t *testing.T, s *Server, path string) (int, string) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, string(body)
+}
+
+// getBuilt is get on a server that was built and never served: the request
+// goes straight to the monitoring endpoint's handler.
+func getBuilt(s *Server, path string) (int, string) {
+	rec := httptest.NewRecorder()
+	s.statsMux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	return rec.Code, rec.Body.String()
 }
 
 // TestUnknownPathIs404: only the registered introspection paths answer;

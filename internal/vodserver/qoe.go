@@ -32,7 +32,7 @@ const stalledRatio = 0.5
 // a skipped grid point.
 const slipWindow = time.Minute
 
-// armAlerts registers the built-in rules. Called once from Start, which
+// armAlerts registers the built-in rules. Called once from serve, which
 // launches the evaluation ticker afterwards.
 func (s *Server) armAlerts() error {
 	// The miss alert watches the windowed mean of misses-per-report, not
@@ -78,7 +78,7 @@ func (s *Server) armAlerts() error {
 		Severity: "critical",
 		Help: fmt.Sprintf(
 			"the slot clock skipped grid points in the last %v: every active session got a segment late", slipWindow),
-		Value: recentIncrease(skipped.Value, max(int(slipWindow/s.cfg.TelemetryInterval), 1)),
+		Value: recentIncrease(skipped.Value, max(int(slipWindow/s.telemetryInterval), 1)),
 		For:   s.cfg.AlertFor,
 	}
 	if err := s.alerts.Add(slip); err != nil {

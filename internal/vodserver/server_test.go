@@ -37,6 +37,43 @@ func startTestServer(t *testing.T, videos ...VideoConfig) *Server {
 	return s
 }
 
+// buildServer builds a server on cfg and never serves it: it holds no
+// socket, runs no goroutine and its clock never ticks, so the test drives
+// ticks, evaluations and handlers itself.
+func buildServer(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	s, err := build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { closeNoFrameLeak(t, s) })
+	return s
+}
+
+// serveTuned builds a server on cfg, lets tune set its telemetry period or
+// SLO target, and serves it on cfg.Addr and, when set, cfg.StatsAddr, as
+// Start does.
+func serveTuned(t *testing.T, cfg Config, tune func(*Server)) *Server {
+	t.Helper()
+	s := buildServer(t, cfg)
+	tune(s)
+	listen := func(addr string) net.Listener {
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ln
+	}
+	var statsLn net.Listener
+	if cfg.StatsAddr != "" {
+		statsLn = listen(cfg.StatsAddr)
+	}
+	if err := s.serve(listen(cfg.Addr), statsLn); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestStartValidation(t *testing.T) {
 	tests := []struct {
 		name string

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -79,17 +80,6 @@ type Config struct {
 	// the root's decision); 0 selects defaultSpanSampleEvery, 1 keeps
 	// everything.
 	SpanSampleEvery int
-	// SLOTargetSeconds is the admit-to-first-byte latency objective
-	// threshold; 0 selects two slot durations (the customer's worst-case
-	// protocol wait is one full slot, so two slots flags real control-path
-	// trouble, not protocol behaviour). sloObjective of the admissions must
-	// meet it; /statusz reports the burn rate of the implied error budget.
-	SLOTargetSeconds float64
-	// TelemetryInterval is the period of the server's one telemetry loop:
-	// each period it sweeps the tracked connections, scrapes the registry
-	// into the history store behind /queryz (this is the store's scrape
-	// interval) and evaluates the alert rules, in that order. 0 selects 1s.
-	TelemetryInterval time.Duration
 	// AlertFor is the pending hold of the built-in alert rules: how long a
 	// condition must persist before pending becomes firing. 0 fires on the
 	// first breached evaluation.
@@ -116,7 +106,7 @@ type Config struct {
 const defaultSpanSampleEvery = 8
 
 // sloObjective is the fraction of admissions that must reach their first
-// byte within Config.SLOTargetSeconds.
+// byte within Server.sloTarget.
 const sloObjective = 0.99
 
 type video struct {
@@ -209,6 +199,14 @@ type Server struct {
 	statsLn net.Listener
 	started time.Time
 
+	// telemetryInterval is the telemetry loop's period (1 s). sloTarget is
+	// the admit-to-first-byte objective in seconds that sloObjective of the
+	// admissions must meet: two slots, one past a customer's worst-case
+	// protocol wait. build sets both and only serve reads them, so a test
+	// may change them in between.
+	telemetryInterval time.Duration
+	sloTarget         float64
+
 	reg    *obs.Registry
 	spans  *obs.SpanTracer
 	alerts *obs.AlertEngine
@@ -286,8 +284,39 @@ type Server struct {
 	wg sync.WaitGroup
 }
 
-// Start validates cfg, binds the listener and launches the slot clock.
+// Start builds a server on cfg, binds cfg.Addr and, when set, cfg.StatsAddr,
+// and serves them: the accept loop, the telemetry loop, the stats endpoint
+// and the slot clock run until Close.
 func Start(cfg Config) (*Server, error) {
+	s, err := build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// A built server holds nothing a failed bind must release. Sessions run
+	// on their deadlines, so accepted connections skip keep-alive.
+	ln, err := (&net.ListenConfig{KeepAlive: -1}).Listen(context.Background(), "tcp", cfg.Addr)
+	if err != nil {
+		return nil, fmt.Errorf("vodserver: listen: %w", err)
+	}
+	var statsLn net.Listener
+	if cfg.StatsAddr != "" {
+		if statsLn, err = net.Listen("tcp", cfg.StatsAddr); err != nil {
+			ln.Close()
+			return nil, fmt.Errorf("vodserver: stats listen: %w", err)
+		}
+	}
+	if err := s.serve(ln, statsLn); err != nil {
+		s.Close()
+		return nil, err
+	}
+	return s, nil
+}
+
+// build validates cfg and constructs the server: the station, the encoder,
+// every registered metric family and the flight recorder. It opens no socket
+// and starts no goroutine, so none of its error returns has anything to
+// release, and Close tears down a built server that never served.
+func build(cfg Config) (*Server, error) {
 	if cfg.SlotDuration <= 0 {
 		return nil, fmt.Errorf("vodserver: slot duration %v must be positive", cfg.SlotDuration)
 	}
@@ -297,19 +326,10 @@ func Start(cfg Config) (*Server, error) {
 	if cfg.SpanSampleEvery == 0 {
 		cfg.SpanSampleEvery = defaultSpanSampleEvery
 	}
-	if cfg.TelemetryInterval <= 0 {
-		cfg.TelemetryInterval = time.Second
-	}
-	if cfg.SLOTargetSeconds < 0 {
-		return nil, fmt.Errorf("vodserver: bad SLO target %v", cfg.SLOTargetSeconds)
-	}
-	if cfg.SLOTargetSeconds == 0 {
-		cfg.SLOTargetSeconds = 2 * cfg.SlotDuration.Seconds()
-	}
 	reg := obs.NewRegistry()
 	obs.RegisterRuntime(reg)
 	// A video's serving state is built on its first admission (record);
-	// Start keeps its configuration only.
+	// build keeps its configuration only.
 	vlist := make([]video, len(cfg.Videos))
 	videos := make(map[uint32]*video, len(cfg.Videos))
 	stationVideos := make([]station.VideoConfig, len(cfg.Videos))
@@ -364,28 +384,18 @@ func Start(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vodserver: %w", err)
 	}
-	// Sessions run on their read and write deadlines, so accepted connections
-	// skip the keep-alive setsockopt calls.
-	ln, err := (&net.ListenConfig{KeepAlive: -1}).Listen(context.Background(), "tcp", cfg.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("vodserver: listen: %w", err)
-	}
-	firstByte := reg.Window("vod_admit_first_byte_seconds",
-		"Latency from request admission to the first broadcast byte reaching the subscriber.", 0)
-	if err := firstByte.SetSLO(cfg.SLOTargetSeconds, sloObjective); err != nil {
-		ln.Close()
-		return nil, fmt.Errorf("vodserver: %w", err)
-	}
 	s := &Server{
-		cfg:       cfg,
-		ln:        ln,
-		station:   st,
-		started:   time.Now(),
-		done:      make(chan struct{}),
-		reg:       reg,
-		spans:     obs.NewSpanTracer(cfg.SpanWriter, cfg.SpanSampleEvery),
-		alerts:    obs.NewAlertEngine(),
-		firstByte: firstByte,
+		cfg:               cfg,
+		station:           st,
+		started:           time.Now(),
+		telemetryInterval: time.Second,
+		sloTarget:         2 * cfg.SlotDuration.Seconds(),
+		done:              make(chan struct{}),
+		reg:               reg,
+		spans:             obs.NewSpanTracer(cfg.SpanWriter, cfg.SpanSampleEvery),
+		alerts:            obs.NewAlertEngine(),
+		firstByte: reg.Window("vod_admit_first_byte_seconds",
+			"Latency from request admission to the first broadcast byte reaching the subscriber.", 0),
 		fanout: reg.Window("vod_fanout_seconds",
 			"Per-tick fan-out service time: encoding every video's slot batch and distributing it, including the socket writes the tick makes for parked subscribers.", 0),
 		qoeStartup: reg.Window("client_startup_slots",
@@ -410,6 +420,7 @@ func Start(cfg Config) (*Server, error) {
 	}
 	s.tallies = make([]fanoutTally, st.Shards())
 	s.retire = make([][]*subscriber, st.Shards())
+	s.walks = [2]func(worker, video int, rep core.SlotReport) bool{s.firstFrames, s.steadyFrames}
 	// Pre-register every reason child of the drop counter so the exposition
 	// inventory (and the metric-name lint walking it) is complete from boot,
 	// not from the first drop.
@@ -421,10 +432,6 @@ func Start(cfg Config) (*Server, error) {
 	// The sampler exists before armAlerts so the conn_stalled_ratio rule can
 	// watch it.
 	s.ct = conntrack.New(conntrack.Config{Registry: reg})
-	if err := s.armAlerts(); err != nil {
-		ln.Close()
-		return nil, fmt.Errorf("vodserver: %w", err)
-	}
 	reg.GaugeFunc("vod_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.started).Seconds() })
 	reg.GaugeFunc("vod_active_subscribers", "Clients currently receiving a broadcast.",
@@ -449,7 +456,7 @@ func Start(cfg Config) (*Server, error) {
 		func() float64 { return float64(s.alerts.Firing()) })
 	s.history = history.New(history.Config{
 		Samples:  reg.Samples,
-		Interval: cfg.TelemetryInterval,
+		Interval: s.telemetryInterval,
 	})
 	if cfg.FlightDir != "" {
 		rec, err := history.NewRecorder(history.RecorderConfig{
@@ -465,7 +472,6 @@ func Start(cfg Config) (*Server, error) {
 			},
 		})
 		if err != nil {
-			ln.Close()
 			return nil, fmt.Errorf("vodserver: %w", err)
 		}
 		s.recorder = rec
@@ -478,38 +484,53 @@ func Start(cfg Config) (*Server, error) {
 			}
 		})
 	}
-	if cfg.StatsAddr != "" {
-		statsLn, err := s.serveStats(cfg.StatsAddr)
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		s.statsLn = statsLn
+	return s, nil
+}
+
+// serve arms what reads the telemetry period and the SLO target, which are
+// final from here on, then serves ln and, when non-nil, statsLn: it starts
+// the accept loop, the telemetry loop, the stats endpoint and the slot
+// clock. s owns both listeners from the call on, so on an error the caller
+// closes s and nothing else.
+func (s *Server) serve(ln, statsLn net.Listener) error {
+	s.ln, s.statsLn = ln, statsLn
+	if err := s.firstByte.SetSLO(s.sloTarget, sloObjective); err != nil {
+		return fmt.Errorf("vodserver: %w", err)
 	}
-	// The background loops start only past the last error return that
-	// bypasses Close, so a failed Start leaks no goroutine; from here on
-	// Close tears them down.
+	if err := s.armAlerts(); err != nil {
+		return fmt.Errorf("vodserver: %w", err)
+	}
 	s.wg.Add(2)
 	go s.telemetryLoop()
 	go s.acceptLoop()
-	s.walks = [2]func(worker, video int, rep core.SlotReport) bool{s.firstFrames, s.steadyFrames}
-	tick := func([]core.SlotReport) { s.fanOut() }
-	if err := st.StartClock(cfg.SlotDuration, tick); err != nil {
-		s.Close()
-		return nil, fmt.Errorf("vodserver: %w", err)
+	if statsLn != nil {
+		srv := &http.Server{Handler: s.statsMux(), ReadHeaderTimeout: 5 * time.Second}
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			// Serve returns once Close closes the listener.
+			_ = srv.Serve(statsLn)
+		}()
 	}
-	return s, nil
+	tick := func([]core.SlotReport) { s.fanOut() }
+	if err := s.station.StartClock(s.cfg.SlotDuration, tick); err != nil {
+		return fmt.Errorf("vodserver: %w", err)
+	}
+	return nil
 }
 
 // Close stops accepting, terminates every subscription, halts the clock and
 // waits for all server goroutines to exit. It is safe to call more than
-// once.
+// once, and on a server that was built but never served.
 func (s *Server) Close() error {
 	if s.closed.Swap(true) {
 		s.station.Close()
 		return nil
 	}
-	err := s.ln.Close()
+	var err error
+	if s.ln != nil {
+		err = s.ln.Close()
+	}
 	if s.statsLn != nil {
 		s.statsLn.Close()
 	}
@@ -551,7 +572,7 @@ func (s *Server) Close() error {
 // bundle is being written.
 func (s *Server) telemetryLoop() {
 	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.TelemetryInterval)
+	t := time.NewTicker(s.telemetryInterval)
 	defer t.Stop()
 	for {
 		select {

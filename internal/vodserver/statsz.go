@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -249,14 +248,9 @@ func (s *Server) spanz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.spans.Recent(n))
 }
 
-// serveStats binds the monitoring endpoint and returns its listener so
-// Close can tear it down. It is called from Start when Config.StatsAddr is
-// set.
-func (s *Server) serveStats(addr string) (net.Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("vodserver: stats listen: %w", err)
-	}
+// statsMux routes the monitoring endpoint's paths; serve serves it on the
+// stats listener.
+func (s *Server) statsMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/statusz", s.statusz)
 	mux.HandleFunc("/healthz", s.healthz)
@@ -271,15 +265,5 @@ func (s *Server) serveStats(addr string) (net.Listener, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	httpSrv := &http.Server{
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		// Serve returns once the listener closes during shutdown.
-		_ = httpSrv.Serve(ln)
-	}()
-	return ln, nil
+	return mux
 }

@@ -221,18 +221,16 @@ func TestLaggingReaderCatchesUp(t *testing.T) {
 // exactly as often as it evaluated, and the bundle is whole.
 func TestCloseWaitsForTelemetry(t *testing.T) {
 	flightDir := t.TempDir()
-	s, err := Start(Config{
-		Addr:              "127.0.0.1:0",
-		Videos:            []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
-		SlotDuration:      10 * time.Millisecond,
-		TelemetryInterval: time.Millisecond,
-		FlightDir:         flightDir,
+	s := serveTuned(t, Config{
+		Addr:         "127.0.0.1:0",
+		Videos:       []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
+		SlotDuration: 10 * time.Millisecond,
+		FlightDir:    flightDir,
 		// No client ever reports, so this rule fires within a few ticks.
 		ReportStaleAfter: time.Millisecond,
+	}, func(s *Server) {
+		s.telemetryInterval = time.Millisecond
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	waitFor(t, "the staleness rule to fire on the loop", func() bool {
 		return s.alerts.Firing() > 0
 	})
@@ -262,11 +260,11 @@ func TestCloseWaitsForTelemetry(t *testing.T) {
 	}
 }
 
-// TestStartFailureLeaksNothing: a Start that fails after the telemetry
-// subsystems are built — the stats address is taken, or the flight directory
-// cannot be created — must return with none of their background loops
-// (alert engine, history scraper, conntrack sampler) left running, since no
-// Server is handed back for the caller to Close.
+// TestStartFailureLeaksNothing: a Start that fails — in build, where the
+// flight directory cannot be created, or at either bind, where the address
+// is taken — returns with no goroutine left running and no descriptor left
+// open, since no Server is handed back for the caller to Close. A server
+// that was built and never served closes, and every frame comes back.
 func TestStartFailureLeaksNothing(t *testing.T) {
 	busy, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -277,22 +275,26 @@ func TestStartFailureLeaksNothing(t *testing.T) {
 	if err := os.WriteFile(notDir, nil, 0o600); err != nil {
 		t.Fatal(err)
 	}
+	videos := []VideoConfig{{ID: 1, Segments: 4, SegmentBytes: 16}}
 	cases := []struct {
 		name string
 		cfg  Config
 	}{
-		{"stats address in use", Config{StatsAddr: busy.Addr().String()}},
-		{"uncreatable flight dir", Config{FlightDir: filepath.Join(notDir, "bundles")}},
+		{"listen address in use", Config{Addr: busy.Addr().String()}},
+		{"stats address in use", Config{Addr: "127.0.0.1:0", StatsAddr: busy.Addr().String()}},
+		{"uncreatable flight dir", Config{Addr: "127.0.0.1:0", FlightDir: filepath.Join(notDir, "bundles")}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.cfg.Addr = "127.0.0.1:0"
-			tc.cfg.Videos = []VideoConfig{{ID: 1, Segments: 4, SegmentBytes: 16}}
+			tc.cfg.Videos = videos
 			tc.cfg.SlotDuration = 10 * time.Millisecond
-			before := runtime.NumGoroutine()
+			before, fds := runtime.NumGoroutine(), openFDs(t)
 			if s, err := Start(tc.cfg); err == nil {
 				s.Close()
 				t.Fatal("Start succeeded, want an error")
+			}
+			if after := openFDs(t); after > fds {
+				t.Fatalf("descriptors leaked by failed Start: %d before, %d after", fds, after)
 			}
 			// The runtime needs a beat to retire exiting goroutines, so poll.
 			deadline := time.Now().Add(2 * time.Second)
@@ -305,6 +307,24 @@ func TestStartFailureLeaksNothing(t *testing.T) {
 			}
 		})
 	}
+	t.Run("built, never served", func(t *testing.T) {
+		s, err := build(Config{Videos: videos, SlotDuration: 10 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		closeNoFrameLeak(t, s)
+	})
+}
+
+// openFDs counts the process's open descriptors, skipping the test where
+// they cannot be counted.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count fds: %v", err)
+	}
+	return len(ents)
 }
 
 // TestSequentialSessionsNoFDLeak: a thousand sequential sessions leave the
@@ -312,13 +332,6 @@ func TestStartFailureLeaksNothing(t *testing.T) {
 // process, so the count covers the client's dialled sockets and the server's
 // accepted ones alike.
 func TestSequentialSessionsNoFDLeak(t *testing.T) {
-	openFDs := func() int {
-		ents, err := os.ReadDir("/proc/self/fd")
-		if err != nil {
-			t.Skipf("cannot count fds: %v", err)
-		}
-		return len(ents)
-	}
 	sessions := 1000
 	if testing.Short() {
 		sessions = 100
@@ -344,13 +357,13 @@ func TestSequentialSessionsNoFDLeak(t *testing.T) {
 	// Warm up before the baseline: the first session creates the runtime's
 	// lazily-opened descriptors (epoll, netpoll pipe).
 	session(0)
-	before := openFDs()
+	before := openFDs(t)
 	for i := 1; i <= sessions; i++ {
 		session(i)
 	}
 	// TIME_WAIT sockets belong to the kernel, not our fd table; the only
 	// slack allowed is transient server-side accept/close churn.
-	if after := openFDs(); after > before+8 {
+	if after := openFDs(t); after > before+8 {
 		t.Fatalf("fd count grew %d -> %d across %d sessions: descriptor leak", before, after, sessions)
 	}
 }
