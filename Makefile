@@ -143,11 +143,11 @@ ci:
 	# state.
 	$(GO) test -run '^TestDrainZeroAlloc$$' -count=1 ./internal/vodserver/
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/...
-	# benchmark/ is a module of its own, invisible to ./... above: compile
-	# and test it here so an API change that breaks the replay fails CI. Its
-	# TestQuickRun is the live smoke: all four workloads against the shipped
-	# out-of-process vodserver binary.
-	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 ./...
+	# benchmark/ is a module of its own, invisible to ./... above, so the
+	# race suite's TestBenchmarkModuleBuilds vets it and its tests run here.
+	# Its TestQuickRun is the live smoke: all four workloads against the
+	# shipped out-of-process vodserver binary.
+	cd benchmark && $(GO) test -count=1 ./...
 	$(MAKE) fuzz FUZZTIME=5s
 	@rm -f ci-cover.out
 	@echo "ci: all gates passed"

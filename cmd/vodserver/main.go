@@ -15,6 +15,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -65,14 +66,43 @@ func parseFlags(args []string) (vodserver.Config, string, error) {
 	return cfg, spanPath, nil
 }
 
-func run(cfg vodserver.Config, spanPath string) error {
+// firstErrWriter passes writes through to w and keeps the first error one
+// returns. The span tracer stops writing after a failed write, so that error
+// is the only sign the trace is short.
+type firstErrWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (f *firstErrWriter) Write(p []byte) (int, error) {
+	n, err := f.w.Write(p)
+	if f.err == nil {
+		f.err = err
+	}
+	return n, err
+}
+
+// run serves cfg until SIGINT or SIGTERM. A span trace that could not be
+// written or closed makes it return an error once the server has closed.
+func run(cfg vodserver.Config, spanPath string) (runErr error) {
 	if spanPath != "" {
 		spanFile, err := os.Create(spanPath)
 		if err != nil {
 			return fmt.Errorf("span trace file: %w", err)
 		}
-		defer spanFile.Close()
-		cfg.SpanWriter = spanFile
+		sink := &firstErrWriter{w: spanFile}
+		cfg.SpanWriter = sink
+		// Deferred before srv.Close, so this runs after Close has joined
+		// every goroutine that writes spans.
+		defer func() {
+			err := sink.err
+			if cerr := spanFile.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil && runErr == nil {
+				runErr = fmt.Errorf("span trace %s: %w", spanPath, err)
+			}
+		}()
 	}
 	srv, err := vodserver.Start(cfg)
 	if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"vodcast/internal/vodserver"
+	"vodcast/internal/wire"
 )
 
 // TestParseFlagsBenchmarkVector: the argument vector benchmark/server.go
@@ -156,12 +158,48 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 // SIGINT's clean return (srv.Close and the span file's Close run as defers)
 // instead of killing the process.
 func TestRunReturnsOnSIGTERM(t *testing.T) {
-	// The test's own registration keeps a SIGTERM that lands before run has
-	// registered (or when run does not register at all) from killing the
-	// test binary.
+	_, done := startRun(t)
+	if err := stopRun(t, done); err != nil {
+		t.Fatalf("run = %v, want nil", err)
+	}
+}
+
+// TestRunReportsSpanTraceError: a span trace the server cannot write fails
+// run once the server has closed, where it used to exit 0 with a short
+// trace. /dev/full takes the open and fails every write with ENOSPC.
+func TestRunReportsSpanTraceError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	addr, done := startRun(t, "-span-trace", "/dev/full", "-span-sample", "1")
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reading the ScheduleInfo waits out the admission and its
+	// station_admit span.
+	if err := wire.WriteFrame(conn, wire.Request{VideoID: 1, FromSegment: 1, Version: wire.ProtoV2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.ReadFrame(conn); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	if err := stopRun(t, done); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("run = %v, want the span trace's ENOSPC", err)
+	}
+}
+
+// startRun runs the command line args on a free port and a short catalogue
+// in the background, and returns the address once it accepts with the channel
+// run's result arrives on. It holds SIGTERM for the test, so a SIGTERM that
+// lands before run registers (or when run does not register at all) does not
+// kill the test binary.
+func startRun(t *testing.T, args ...string) (string, <-chan error) {
+	t.Helper()
 	guard := make(chan os.Signal, 1)
 	signal.Notify(guard, syscall.SIGTERM)
-	defer signal.Stop(guard)
+	t.Cleanup(func() { signal.Stop(guard) })
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -169,7 +207,7 @@ func TestRunReturnsOnSIGTERM(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	cfg, spanPath, err := parseFlags([]string{"-addr", addr, "-segments", "4", "-segment-bytes", "64", "-slot-ms", "10"})
+	cfg, spanPath, err := parseFlags(append([]string{"-addr", addr, "-segments", "4", "-segment-bytes", "64", "-slot-ms", "10"}, args...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +219,7 @@ func TestRunReturnsOnSIGTERM(t *testing.T) {
 		conn, err := net.DialTimeout("tcp", addr, time.Second)
 		if err == nil {
 			conn.Close()
-			break
+			return addr, done
 		}
 		select {
 		case err := <-done:
@@ -193,19 +231,20 @@ func TestRunReturnsOnSIGTERM(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
 
-	// Accepting precedes run's signal registration by a few statements, so
-	// the signal is re-sent until run returns.
-	for time.Now().Before(deadline) {
+// stopRun sends SIGTERM until run returns, and returns run's result.
+// Accepting precedes run's signal registration by a few statements, so the
+// signal is re-sent until run returns.
+func stopRun(t *testing.T, done <-chan error) error {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
 		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 			t.Fatal(err)
 		}
 		select {
 		case err := <-done:
-			if err != nil {
-				t.Fatalf("run = %v, want nil", err)
-			}
-			return
+			return err
 		case <-time.After(20 * time.Millisecond):
 		}
 	}
@@ -213,4 +252,5 @@ func TestRunReturnsOnSIGTERM(t *testing.T) {
 	syscall.Kill(os.Getpid(), syscall.SIGINT)
 	<-done
 	t.Fatal("run did not return within 5 s of SIGTERM")
+	return nil
 }

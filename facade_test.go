@@ -1,38 +1,22 @@
 package vodcast_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
+	"os"
 	"os/exec"
-	"path"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 )
-
-// parse parses the files matching pattern that are tests, or that are not.
-func parse(t *testing.T, fset *token.FileSet, pattern string, tests bool) []*ast.File {
-	t.Helper()
-	paths, err := filepath.Glob(pattern)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var files []*ast.File
-	for _, p := range paths {
-		if strings.HasSuffix(p, "_test.go") != tests {
-			continue
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, f)
-	}
-	return files
-}
 
 // TestFacadeNamesHaveCallers holds the facade to one rule: every exported
 // name of the root package is referenced as vodcast.Name by an example or a
@@ -40,7 +24,25 @@ func parse(t *testing.T, fset *token.FileSet, pattern string, tests bool) []*ast
 // is. A re-export nothing calls is surface to keep compiling for nobody.
 func TestFacadeNamesHaveCallers(t *testing.T) {
 	fset := token.NewFileSet()
-	parse := func(pattern string, tests bool) []*ast.File { return parse(t, fset, pattern, tests) }
+	// parse parses the files matching pattern that are tests, or that are not.
+	parse := func(pattern string, tests bool) []*ast.File {
+		paths, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var files []*ast.File
+		for _, p := range paths {
+			if strings.HasSuffix(p, "_test.go") != tests {
+				continue
+			}
+			f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		return files
+	}
 
 	// Exported declarations of the facade, and for each function the facade
 	// names its signature mentions.
@@ -139,83 +141,164 @@ func TestBenchmarkModuleBuilds(t *testing.T) {
 var internalAllowlist = map[string]string{
 	"fanout.Encoder.Outstanding": "test seam for frame leaks; ROADMAP item 2 retires it as item 8's frames_outstanding series",
 	"fanout.Ring.Depth":          "test seam for ring occupancy in vodserver's tests; ROADMAP item 8's session record carries the ring depth",
+	"obs.AlertEngine.SetClock":   "test seam: vodserver's TestSlipAlertLifecycle evaluates the slip rule on a manual clock; ROADMAP item 4's virtual clock retires it",
 	"vodserver.NewVBRVideo":      "paper artefact: serves a Section 4 VBR plan (README.md, the serving section)",
 }
 
+// listedPackage is what the caller gate reads of `go list -json`.
+type listedPackage struct {
+	Dir, ImportPath, Export, ForTest                   string
+	GoFiles, TestGoFiles, XTestGoFiles, IgnoredGoFiles []string
+}
+
+// goList lists the packages of the module in dir and every package they or
+// their tests import, dependencies first, with the paths of their export data.
+func goList(t *testing.T, dir string) []listedPackage {
+	t.Helper()
+	cmd := exec.Command("go", "list", "-e", "-deps", "-test", "-export", "-json", "./...")
+	cmd.Dir = dir
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list in %s: %v", dir, err)
+	}
+	var pkgs []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listedPackage
+		if err := dec.Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
 // TestInternalNamesHaveCallers holds internal/ to the facade's rule: every
 // exported package-level func, var and const, and every exported method of an
-// exported type, is named outside its declaring file by the module's non-test
-// code, the root tests or benchmark/. Package-level names match as alias.Name,
-// or as a bare Name inside their own package; a const of a parenthesised block
-// is called when any const of its block is. Methods match any .Name selector,
-// so a dead method that shares a live one's name goes unseen, but a live one
-// is never flagged. Types and fields are out of scope: signatures, composite
-// literals and encoding/json reach them.
+// exported type, is used outside its declaring file by the module's non-test
+// code, the root tests or benchmark/, tests included. It type-checks every
+// package of both modules from source, importing the standard library from
+// its export data, and a use is one go/types resolves to the declared object
+// itself, so two methods that share a name are told apart. A method is also
+// called when its receiver implements a named interface of any loaded
+// package that has the method, and a const of a parenthesised block is
+// called when any const of its block is. Files this platform does not build
+// count by selector name alone. Types and fields are out of scope:
+// signatures, composite literals and encoding/json reach them.
 func TestInternalNamesHaveCallers(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
 	fset := token.NewFileSet()
-	var internal, callers []*ast.File
-	for _, pattern := range []string{"internal/*/*.go", "internal/*/*/*.go"} {
-		internal = append(internal, parse(t, fset, pattern, false)...)
+	parseFiles := func(dir string, names []string) []*ast.File {
+		var files []*ast.File
+		for _, name := range names {
+			rel, err := filepath.Rel(wd, filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := parser.ParseFile(fset, rel, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		return files
 	}
-	callers = append(callers, internal...)
-	for _, pattern := range []string{"*.go", "cmd/*/*.go", "examples/*/*.go"} {
-		callers = append(callers, parse(t, fset, pattern, false)...)
+
+	// The module packages, dependencies first, and every package's export data.
+	var pkgs []listedPackage
+	exports := map[string]string{}
+	listed := map[string]bool{}
+	for _, dir := range []string{".", "benchmark"} {
+		for _, p := range goList(t, dir) {
+			if p.ForTest != "" || strings.HasSuffix(p.ImportPath, ".test") || listed[p.ImportPath] {
+				continue
+			}
+			listed[p.ImportPath] = true
+			exports[p.ImportPath] = p.Export
+			if p.ImportPath == "vodcast" || strings.HasPrefix(p.ImportPath, "vodcast/") {
+				pkgs = append(pkgs, p)
+			}
+		}
 	}
-	callers = append(callers, parse(t, fset, "*_test.go", true)...)
-	callers = append(callers, parse(t, fset, "benchmark/*.go", false)...)
-	callers = append(callers, parse(t, fset, "benchmark/*.go", true)...)
-	fileOf := func(n ast.Node) string { return filepath.ToSlash(fset.Position(n.Pos()).Filename) }
+
+	// Type-check every module package from source, its tests with it where
+	// they are callers, into one Uses map.
+	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) { return os.Open(exports[path]) })
+	checked := map[string]*types.Package{}
+	var typeErrs []string
+	conf := types.Config{
+		Importer: importerFunc(func(path string) (*types.Package, error) {
+			if pkg := checked[path]; pkg != nil {
+				return pkg, nil
+			}
+			return gc.Import(path)
+		}),
+		Error: func(err error) { typeErrs = append(typeErrs, err.Error()) },
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	var internal []*ast.File
+	ignoredSels := map[string]bool{}
+	for _, p := range pkgs {
+		testsCall := p.ImportPath == "vodcast" || p.ImportPath == "vodcast/benchmark"
+		goFiles := p.GoFiles
+		if testsCall {
+			goFiles = append(goFiles, p.TestGoFiles...)
+		}
+		files := parseFiles(p.Dir, goFiles)
+		checked[p.ImportPath], _ = conf.Check(p.ImportPath, fset, files, info)
+		if strings.HasPrefix(p.ImportPath, "vodcast/internal/") {
+			internal = append(internal, files...)
+		}
+		if testsCall && len(p.XTestGoFiles) > 0 {
+			conf.Check(p.ImportPath+"_test", fset, parseFiles(p.Dir, p.XTestGoFiles), info)
+		}
+		for _, f := range parseFiles(p.Dir, p.IgnoredGoFiles) {
+			if testsCall || !strings.HasSuffix(fset.File(f.Pos()).Name(), "_test.go") {
+				ast.Inspect(f, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok {
+						ignoredSels[sel.Sel.Name] = true
+					}
+					return true
+				})
+			}
+		}
+	}
+	if len(typeErrs) > 0 {
+		t.Fatalf("%d type errors; a gate that cannot type-check checks nothing:\n  %s", len(typeErrs), strings.Join(typeErrs, "\n  "))
+	}
 
 	// The names to check, keyed "dir.Name" or "dir.Type.Method" with dir the
-	// package's path below internal/, and every package-level declaration.
-	type declared struct {
-		file, ident string
-		pos         token.Pos
-		method      bool
-		block       *ast.GenDecl // a parenthesised const block
-	}
-	names := map[string]declared{}
-	for _, f := range internal {
-		file := fileOf(f)
-		key := strings.TrimPrefix(path.Dir(file), "internal/") + "."
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					if d.Name.IsExported() {
-						names[key+d.Name.Name] = declared{file: file, ident: d.Name.Name, pos: d.Pos()}
-					}
+	// package's path below internal/, each with its receiver's type.
+	names := map[string]types.Object{}
+	recvs := map[types.Object]*types.Named{}
+	for path, pkg := range checked {
+		if !strings.HasPrefix(path, "vodcast/internal/") {
+			continue
+		}
+		prefix := strings.TrimPrefix(path, "vodcast/internal/") + "."
+		for _, name := range pkg.Scope().Names() {
+			switch obj := pkg.Scope().Lookup(name).(type) {
+			case *types.TypeName:
+				named, ok := obj.Type().(*types.Named)
+				if !ok || obj.IsAlias() || !obj.Exported() {
 					continue
 				}
-				recv := d.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
-				}
-				switch r := recv.(type) {
-				case *ast.IndexExpr:
-					recv = r.X
-				case *ast.IndexListExpr:
-					recv = r.X
-				}
-				if typ := recv.(*ast.Ident); typ.IsExported() && d.Name.IsExported() {
-					names[key+typ.Name+"."+d.Name.Name] = declared{file: file, ident: d.Name.Name, pos: d.Pos(), method: true}
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					s, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
+				for i := 0; i < named.NumMethods(); i++ {
+					if m := named.Method(i); m.Exported() {
+						names[prefix+name+"."+m.Name()] = m
+						recvs[m] = named
 					}
-					for _, id := range s.Names {
-						if !id.IsExported() {
-							continue
-						}
-						n := declared{file: file, ident: id.Name, pos: id.Pos()}
-						if d.Tok == token.CONST && d.Lparen.IsValid() {
-							n.block = d
-						}
-						names[key+id.Name] = n
-					}
+				}
+			case *types.Func, *types.Var, *types.Const:
+				if obj.Exported() {
+					names[prefix+name] = obj
 				}
 			}
 		}
@@ -224,79 +307,87 @@ func TestInternalNamesHaveCallers(t *testing.T) {
 		t.Fatalf("found %d exported internal names, fewer than 300: the tree moved and this test checks nothing", len(names))
 	}
 
-	// The files that name each "dir.Name" and each .Name selector.
-	pkgRefs := map[string]map[string]bool{}
-	selRefs := map[string]map[string]bool{}
-	ref := func(refs map[string]map[string]bool, name, file string) {
-		if refs[name] == nil {
-			refs[name] = map[string]bool{}
+	// Uses outside the declaring file, generic methods by their origin.
+	used := map[types.Object]bool{}
+	for id, obj := range info.Uses {
+		if f, ok := obj.(*types.Func); ok {
+			obj = f.Origin()
 		}
-		refs[name][file] = true
-	}
-	for _, f := range callers {
-		file := fileOf(f)
-		dir := path.Dir(file)
-		imports := map[string]string{} // alias -> import path
-		for _, imp := range f.Imports {
-			importPath := strings.Trim(imp.Path.Value, `"`)
-			alias := path.Base(importPath)
-			if imp.Name != nil {
-				alias = imp.Name.Name
-			}
-			imports[alias] = importPath
+		if fset.File(id.Pos()) != fset.File(obj.Pos()) {
+			used[obj] = true
 		}
-		var visit func(ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.ImportSpec:
-				return false
-			case *ast.FuncDecl:
-				if n.Recv != nil {
-					ast.Inspect(n.Recv, visit)
-				}
-				ast.Inspect(n.Type, visit)
-				if n.Body != nil {
-					ast.Inspect(n.Body, visit)
-				}
-				return false
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					pkg := strings.TrimPrefix(imports[x.Name], "vodcast/")
-					ref(pkgRefs, pkg+"."+n.Sel.Name, file)
-					return false
-				}
-				ref(selRefs, n.Sel.Name, file)
-				ast.Inspect(n.X, visit)
-				return false
-			case *ast.Ident:
-				ref(pkgRefs, dir+"."+n.Name, file)
-			}
-			return true
-		}
-		ast.Inspect(f, visit)
 	}
 
-	called := func(n declared) bool {
-		refs := pkgRefs[path.Dir(n.file)+"."+n.ident]
-		if n.method {
-			refs = selRefs[n.ident]
+	// Every named interface of every loaded package, by method name.
+	ifaces := map[string][]*types.Interface{}
+	seen := map[*types.Package]bool{}
+	var addIfaces func(*types.Package)
+	addIfaces = func(pkg *types.Package) {
+		if pkg == nil || seen[pkg] {
+			return
 		}
-		for file := range refs {
-			if file != n.file {
+		seen[pkg] = true
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			if named, ok := tn.Type().(*types.Named); ok && named.TypeParams().Len() > 0 {
+				continue
+			}
+			if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
+				for i := 0; i < iface.NumMethods(); i++ {
+					ifaces[iface.Method(i).Name()] = append(ifaces[iface.Method(i).Name()], iface)
+				}
+			}
+		}
+		for _, imp := range pkg.Imports() {
+			addIfaces(imp)
+		}
+	}
+	for _, pkg := range checked {
+		addIfaces(pkg)
+	}
+	ifaces["Error"] = append(ifaces["Error"], types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+
+	// A const of a parenthesised block is called when any const of it is.
+	blocks := map[token.Pos]*ast.GenDecl{}
+	for _, f := range internal {
+		for _, decl := range f.Decls {
+			if d, ok := decl.(*ast.GenDecl); ok && d.Tok == token.CONST && d.Lparen.IsValid() {
+				for _, spec := range d.Specs {
+					for _, id := range spec.(*ast.ValueSpec).Names {
+						blocks[id.Pos()] = d
+					}
+				}
+			}
+		}
+	}
+	called := func(obj types.Object) bool {
+		if used[obj] || ignoredSels[obj.Name()] {
+			return true
+		}
+		recv := recvs[obj]
+		if recv == nil || recv.TypeParams().Len() > 0 {
+			return false
+		}
+		for _, iface := range ifaces[obj.Name()] {
+			if types.Implements(types.NewPointer(recv), iface) {
 				return true
 			}
 		}
 		return false
 	}
 	calledBlocks := map[*ast.GenDecl]bool{}
-	for _, n := range names {
-		if n.block != nil && called(n) {
-			calledBlocks[n.block] = true
+	for _, obj := range names {
+		if d := blocks[obj.Pos()]; d != nil && called(obj) {
+			calledBlocks[d] = true
 		}
 	}
+
 	var orphans []string
-	for key, n := range names {
-		live := called(n) || calledBlocks[n.block]
+	for key, obj := range names {
+		live := called(obj) || calledBlocks[blocks[obj.Pos()]]
 		if _, ok := internalAllowlist[key]; ok {
 			if live {
 				t.Errorf("allowlist entry %s is stale: it has a caller now", key)
@@ -304,7 +395,7 @@ func TestInternalNamesHaveCallers(t *testing.T) {
 			continue
 		}
 		if !live {
-			orphans = append(orphans, fmt.Sprintf("%s (%s)", key, fset.Position(n.pos)))
+			orphans = append(orphans, fmt.Sprintf("%s (%s)", key, fset.Position(obj.Pos())))
 		}
 	}
 	for key := range internalAllowlist {

@@ -187,7 +187,7 @@ func New(cfg Config) *Sampler {
 	}
 	reg.GaugeFunc("conn_tracked",
 		"Connections currently tracked by the transport telemetry sampler.",
-		func() float64 { return float64(s.Tracked()) })
+		func() float64 { return float64(s.tracked()) })
 	reg.GaugeFunc("conn_stalled_ratio",
 		"Fraction of tracked connections classified stalled (0 when none are tracked).",
 		s.StalledRatio)
@@ -460,8 +460,8 @@ func (s *Sampler) holdAndPublish(c *Conn, cand State, now time.Time) {
 	c.candidateRun = 0
 }
 
-// Tracked reports the number of connections currently tracked.
-func (s *Sampler) Tracked() int {
+// tracked reports the number of connections currently tracked.
+func (s *Sampler) tracked() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.conns)

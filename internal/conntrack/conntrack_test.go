@@ -162,8 +162,8 @@ func TestUnregisterIdempotentAndCounted(t *testing.T) {
 	}
 	s.Unregister(c)
 	s.Unregister(c)
-	if s.Tracked() != 0 {
-		t.Fatalf("Tracked = %d after unregister", s.Tracked())
+	if s.tracked() != 0 {
+		t.Fatalf("tracked = %d after unregister", s.tracked())
 	}
 	if n := s.Snapshot().States["stalled"]; n != 0 {
 		t.Fatalf("stalled count = %d after unregister", n)

@@ -34,7 +34,7 @@ func admitFromTraced(s *Scheduler, from int) ([]int, error) {
 // its window [i+1, i+T[j-from+1]].
 func checkDeadlines(t *testing.T, s *Scheduler, i, from int, got []int) {
 	t.Helper()
-	for j := from; j <= s.N(); j++ {
+	for j := from; j <= s.n; j++ {
 		if hi := i + s.Period(j-from+1); got[j] < i+1 || got[j] > hi {
 			t.Fatalf("request of slot %d from segment %d: segment %d served at %d outside [%d, %d]",
 				i, from, j, got[j], i+1, hi)

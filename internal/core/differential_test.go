@@ -36,7 +36,7 @@ func diffScenarios() []diffScenario {
 // the whole ring.
 func maxPeriod(s *Scheduler) int {
 	maxP := 0
-	for j := 1; j <= s.N(); j++ {
+	for j := 1; j <= s.n; j++ {
 		if s.Period(j) > maxP {
 			maxP = s.Period(j)
 		}
@@ -87,7 +87,7 @@ func TestAdmitSteadyStateZeroAlloc(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("steady-state admit path allocates %.1f/op, want 0", allocs)
 	}
-	opts := AdmitOptions{Assignment: make([]int, s.N()+1)}
+	opts := AdmitOptions{Assignment: make([]int, s.n+1)}
 	if allocs := testing.AllocsPerRun(200, func() {
 		res, err := s.AdmitRequest(opts)
 		if err != nil {
@@ -104,7 +104,7 @@ func TestAdmitSteadyStateZeroAlloc(t *testing.T) {
 	resumeMix := func() {
 		admit(s)
 		for r := 0; r < 3; r++ {
-			if _, err := admitFrom(s, 1+(7*step+31*r)%s.N()); err != nil {
+			if _, err := admitFrom(s, 1+(7*step+31*r)%s.n); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -126,7 +126,7 @@ func TestAdmitRequestBufferReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]int, s.N()+1)
+	buf := make([]int, s.n+1)
 	res, err := s.AdmitRequest(AdmitOptions{Assignment: buf})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestAdmitRequestBufferReuse(t *testing.T) {
 			t.Fatalf("entry %d below resume point = %d, want 0", j, res.Assignment[j])
 		}
 	}
-	for j := 5; j <= s.N(); j++ {
+	for j := 5; j <= s.n; j++ {
 		if res.Assignment[j] == 0 || res.Assignment[j] == 777 {
 			t.Fatalf("entry %d not written: %d", j, res.Assignment[j])
 		}
@@ -158,15 +158,15 @@ func TestAdmitRequestBufferReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Assignment) != s.N()+1 {
-		t.Fatalf("grown buffer has length %d, want %d", len(res.Assignment), s.N()+1)
+	if len(res.Assignment) != s.n+1 {
+		t.Fatalf("grown buffer has length %d, want %d", len(res.Assignment), s.n+1)
 	}
 	// An oversized buffer is resliced to exactly n+1.
 	res, err = s.AdmitRequest(AdmitOptions{Assignment: make([]int, 100)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Assignment) != s.N()+1 {
-		t.Fatalf("oversized buffer resliced to %d, want %d", len(res.Assignment), s.N()+1)
+	if len(res.Assignment) != s.n+1 {
+		t.Fatalf("oversized buffer resliced to %d, want %d", len(res.Assignment), s.n+1)
 	}
 }

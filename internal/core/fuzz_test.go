@@ -39,7 +39,7 @@ type windowScan struct {
 // from for a customer who starts at segment from and is admitted during
 // slot i. s must track segments.
 func scanWindow(s *Scheduler, i, from int) windowScan {
-	w := windowScan{copies: make([]int, s.N()+1), latest: make([]int, s.N()+1), loads: make([]int, maxPeriod(s))}
+	w := windowScan{copies: make([]int, s.n+1), latest: make([]int, s.n+1), loads: make([]int, maxPeriod(s))}
 	for slot := i + 1; slot <= i+maxPeriod(s); slot++ {
 		w.loads[slot-i-1] = s.LoadAt(slot)
 		s.EachScheduledAt(slot, func(j int) {
@@ -59,7 +59,7 @@ func scanWindow(s *Scheduler, i, from int) windowScan {
 func checkShared(t *testing.T, s *Scheduler, i, from int, before windowScan) {
 	t.Helper()
 	after := scanWindow(s, i, from)
-	for j := from; j <= s.N(); j++ {
+	for j := from; j <= s.n; j++ {
 		if want := max(before.copies[j], 1); after.copies[j] != want {
 			t.Fatalf("request of slot %d from segment %d: %d copies of segment %d in its window, want %d (%d before)",
 				i, from, after.copies[j], j, want, before.copies[j])
@@ -79,7 +79,7 @@ func checkFigure6(t *testing.T, s *Scheduler, i, from int, before windowScan, go
 	t.Helper()
 	loads := append([]int(nil), before.loads...)
 	load := func(slot int) int { return loads[slot-i-1] }
-	for j := from; j <= s.N(); j++ {
+	for j := from; j <= s.n; j++ {
 		hi := i + s.Period(j-from+1)
 		want := before.latest[j]
 		if want == 0 {

@@ -74,7 +74,7 @@ func TestFullViewingAfterResumeMeetsDeadline(t *testing.T) {
 func mixedTrace(t *testing.T, s *Scheduler, seed int64, steps int, resumes bool, retired func(SlotReport), admitted func(from int, res AdmitResult)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	buf := make([]int, s.N()+1)
+	buf := make([]int, s.n+1)
 	for step := 0; step < steps; step++ {
 		from, burst := 1, 1
 		switch op := rng.Intn(10); {
@@ -84,7 +84,7 @@ func mixedTrace(t *testing.T, s *Scheduler, seed int64, steps int, resumes bool,
 		case op < 6:
 			burst = 1 + rng.Intn(4)
 		default:
-			from = 1 + rng.Intn(s.N())
+			from = 1 + rng.Intn(s.n)
 			if !resumes {
 				from = 1
 			}

@@ -87,14 +87,14 @@ func driveObserved(t *testing.T, cfg Config, slots int) {
 			admit(s) // a same-slot repeat
 		}
 		if k%5 == 3 {
-			if _, err := admitFrom(s, 1+k%s.N()); err != nil {
+			if _, err := admitFrom(s, 1+k%s.n); err != nil {
 				t.Fatal(err)
 			}
 		}
 		s.AdvanceSlot()
 	}
 	// Drain so every observed instance start is matched by a retire.
-	for k := 0; k < s.N()+1; k++ {
+	for k := 0; k < s.n+1; k++ {
 		s.AdvanceSlot()
 	}
 }

@@ -199,9 +199,6 @@ func New(cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
-// N reports the segment count.
-func (s *Scheduler) N() int { return s.n }
-
 // CurrentSlot reports the slot currently being transmitted; arrivals admitted
 // now are served starting at CurrentSlot()+1.
 func (s *Scheduler) CurrentSlot() int { return s.current }

@@ -114,7 +114,7 @@ func TestHeuristicNeverDelaysPastDeadline(t *testing.T) {
 		i := s.CurrentSlot()
 		for a := 0; a < arrivals; a++ {
 			got := admitTraced(s)
-			for j := 1; j <= s.N(); j++ {
+			for j := 1; j <= s.n; j++ {
 				if got[j] < i+1 || got[j] > i+j {
 					t.Fatalf("slot %d: segment %d served at %d outside [%d, %d]",
 						i, j, got[j], i+1, i+j)
@@ -132,7 +132,7 @@ func TestNaivePolicyDeadlines(t *testing.T) {
 		i := s.CurrentSlot()
 		if rng.Float64() < 0.5 {
 			got := admitTraced(s)
-			for j := 1; j <= s.N(); j++ {
+			for j := 1; j <= s.n; j++ {
 				if got[j] < i+1 || got[j] > i+j {
 					t.Fatalf("naive: segment %d served at %d outside [%d, %d]", j, got[j], i+1, i+j)
 				}

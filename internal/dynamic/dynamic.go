@@ -30,9 +30,6 @@ type OnDemand struct {
 	// occurrence, so a request shares it if and only if lastMark[s] > i.
 	lastMark []int
 	current  int
-
-	requests  int64
-	instances int64
 }
 
 // newOnDemand wraps the given static mapping; transmission begins at
@@ -94,21 +91,12 @@ func DSB(n int) (*OnDemand, error) {
 	return newOnDemand(m, 0)
 }
 
-// N reports the segment count.
-func (o *OnDemand) N() int { return o.mapping.N() }
-
 // Streams reports the static parent's stream count, the protocol's bandwidth
 // ceiling.
 func (o *OnDemand) Streams() int { return o.mapping.Streams() }
 
 // CurrentSlot reports the slot currently being transmitted.
 func (o *OnDemand) CurrentSlot() int { return o.current }
-
-// Requests reports how many requests have been admitted.
-func (o *OnDemand) Requests() int64 { return o.requests }
-
-// Instances reports how many segment transmissions were marked needed.
-func (o *OnDemand) Instances() int64 { return o.instances }
 
 // Admit processes one request arriving during the current slot and reports
 // how many new transmissions it forced.
@@ -119,16 +107,15 @@ func (o *OnDemand) Admit() int {
 // AdmitTraced is Admit returning the serving slot of every segment
 // (result[s], with result[0] unused).
 func (o *OnDemand) AdmitTraced() []int {
-	assignment := make([]int, o.N()+1)
+	assignment := make([]int, o.mapping.N()+1)
 	o.admit(assignment)
 	return assignment
 }
 
 func (o *OnDemand) admit(assignment []int) []int {
 	i := o.current
-	o.requests++
 	var marked []int
-	for s := 1; s <= o.N(); s++ {
+	for s := 1; s <= o.mapping.N(); s++ {
 		if o.lastMark[s] > i {
 			if assignment != nil {
 				assignment[s] = o.lastMark[s]
@@ -138,7 +125,6 @@ func (o *OnDemand) admit(assignment []int) []int {
 		occ := o.mapping.FirstOccurrenceAfter(s, i)
 		o.ring.Add(occ, s)
 		o.lastMark[s] = occ
-		o.instances++
 		marked = append(marked, occ)
 		if assignment != nil {
 			assignment[s] = occ

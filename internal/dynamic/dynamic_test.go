@@ -181,16 +181,11 @@ func TestOnDemandCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Admit()
-	o.Admit()
-	if o.Requests() != 2 {
-		t.Fatalf("Requests = %d, want 2", o.Requests())
+	if marked := o.Admit() + o.Admit(); marked != 10 {
+		t.Fatalf("two admissions marked %d instances, want 10", marked)
 	}
-	if o.Instances() != 10 {
-		t.Fatalf("Instances = %d, want 10", o.Instances())
-	}
-	if o.N() != 10 {
-		t.Fatalf("N = %d, want 10", o.N())
+	if n := o.mapping.N(); n != 10 {
+		t.Fatalf("N = %d, want 10", n)
 	}
 }
 
@@ -200,19 +195,19 @@ func TestOnDemandInstanceConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := sim.NewRNG(23)
-	var transmitted int64
+	var marked, transmitted int
 	for step := 0; step < 2000; step++ {
 		for a := 0; a < rng.Poisson(0.3); a++ {
-			o.Admit()
+			marked += o.Admit()
 		}
 		_, load := o.AdvanceSlot()
-		transmitted += int64(load)
+		transmitted += load
 	}
 	for k := 0; k < 20; k++ {
 		_, load := o.AdvanceSlot()
-		transmitted += int64(load)
+		transmitted += load
 	}
-	if transmitted != o.Instances() {
-		t.Fatalf("transmitted %d but marked %d instances", transmitted, o.Instances())
+	if transmitted != marked {
+		t.Fatalf("transmitted %d but marked %d instances", transmitted, marked)
 	}
 }

@@ -87,7 +87,7 @@ func TraceDHB(cfg TraceConfig, sink io.Writer) (TraceResult, error) {
 	if err := cfg.validate(); err != nil {
 		return TraceResult{}, err
 	}
-	tracer := obs.NewTracer(sink, obs.DefaultRingSize)
+	tracer := obs.NewTracer(sink, 0)
 	now := 0.0
 	tracer.SetClock(func() float64 { return now })
 

@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -18,7 +17,6 @@ type Bandwidth struct {
 	weightedSum float64
 	totalWeight float64
 	max         float64
-	samples     int
 	histogram   map[int]float64 // integer load -> accumulated weight
 }
 
@@ -37,7 +35,6 @@ func (b *Bandwidth) Record(load, weight float64) {
 	if load > b.max {
 		b.max = load
 	}
-	b.samples++
 	if weight == 0 {
 		return
 	}
@@ -56,9 +53,6 @@ func (b *Bandwidth) Mean() float64 {
 
 // Max reports the largest load observed.
 func (b *Bandwidth) Max() float64 { return b.max }
-
-// Samples reports how many observations were recorded.
-func (b *Bandwidth) Samples() int { return b.samples }
 
 // Quantile returns the smallest integer load whose cumulative weight reaches
 // the given fraction q in (0, 1]. It returns 0 when nothing was recorded.
@@ -83,11 +77,6 @@ func (b *Bandwidth) Quantile(q float64) int {
 		}
 	}
 	return loads[len(loads)-1]
-}
-
-// String summarizes the accumulator for logs and CLI output.
-func (b *Bandwidth) String() string {
-	return fmt.Sprintf("mean=%.3f max=%.0f over %.0fs", b.Mean(), b.Max(), b.totalWeight)
 }
 
 // Wait accumulates customer waiting times in seconds.
@@ -124,11 +113,8 @@ func (w *Wait) Mean() float64 {
 // Max reports the longest waiting time observed.
 func (w *Wait) Max() float64 { return w.max }
 
-// Count reports the number of customers recorded.
-func (w *Wait) Count() int { return w.count }
-
 // Counter is a time-weighted step-function tracker for continuous-time
-// simulations: call Set (or Add) whenever the tracked quantity changes and
+// simulations: call Set whenever the tracked quantity changes and
 // the counter attributes the elapsed interval to the previous value.
 type Counter struct {
 	bw      *Bandwidth
@@ -159,14 +145,6 @@ func (c *Counter) Set(v, now float64) {
 		c.bw.max = v
 	}
 }
-
-// Add shifts the tracked value by delta at time now.
-func (c *Counter) Add(delta, now float64) {
-	c.Set(c.value+delta, now)
-}
-
-// Value reports the current tracked value.
-func (c *Counter) Value() float64 { return c.value }
 
 // Finish closes the last interval at time now.
 func (c *Counter) Finish(now float64) {

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -92,14 +91,6 @@ func TestBandwidthQuantileEdges(t *testing.T) {
 	}
 }
 
-func TestBandwidthString(t *testing.T) {
-	b := NewBandwidth()
-	b.Record(2, 10)
-	if s := b.String(); !strings.Contains(s, "mean=2.000") {
-		t.Fatalf("String() = %q", s)
-	}
-}
-
 func TestBandwidthMeanBoundedByMaxProperty(t *testing.T) {
 	f := func(loads []float64) bool {
 		b := NewBandwidth()
@@ -128,14 +119,14 @@ func TestWaitStats(t *testing.T) {
 	if got := w.Max(); got != 60 {
 		t.Fatalf("Max = %v, want 60", got)
 	}
-	if got := w.Count(); got != 3 {
-		t.Fatalf("Count = %v, want 3", got)
+	if w.count != 3 {
+		t.Fatalf("count = %v, want 3", w.count)
 	}
 }
 
 func TestWaitEmpty(t *testing.T) {
 	w := NewWait()
-	if w.Mean() != 0 || w.Max() != 0 || w.Count() != 0 {
+	if w.Mean() != 0 || w.Max() != 0 || w.count != 0 {
 		t.Fatal("empty wait accumulator should report zeros")
 	}
 }
@@ -153,10 +144,10 @@ func TestCounterStepFunction(t *testing.T) {
 	bw := NewBandwidth()
 	c := NewCounter(bw)
 	c.Set(0, 0)
-	c.Add(2, 10)  // value 0 for [0,10)
-	c.Add(1, 20)  // value 2 for [10,20)
-	c.Add(-3, 40) // value 3 for [20,40)
-	c.Finish(50)  // value 0 for [40,50)
+	c.Set(2, 10) // value 0 for [0,10)
+	c.Set(3, 20) // value 2 for [10,20)
+	c.Set(0, 40) // value 3 for [20,40)
+	c.Finish(50) // value 0 for [40,50)
 	want := (0*10 + 2*10 + 3*20 + 0*10) / 50.0
 	if got := bw.Mean(); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("Mean = %v, want %v", got, want)
@@ -189,12 +180,16 @@ func TestCounterBackwardsTimePanics(t *testing.T) {
 	c.Set(2, 5)
 }
 
+// TestCounterValue: the counter tracks the last value Set, and Finish
+// closes the final interval at that value.
 func TestCounterValue(t *testing.T) {
-	c := NewCounter(NewBandwidth())
+	bw := NewBandwidth()
+	c := NewCounter(bw)
 	c.Set(4, 0)
-	c.Add(-1, 1)
-	if c.Value() != 3 {
-		t.Fatalf("Value = %v, want 3", c.Value())
+	c.Set(3, 1)
+	c.Finish(2)
+	if bw.Mean() != 3.5 || bw.Max() != 4 {
+		t.Fatalf("Mean = %v, Max = %v; want 3.5, 4", bw.Mean(), bw.Max())
 	}
 }
 
@@ -202,9 +197,6 @@ func TestBandwidthAccessors(t *testing.T) {
 	b := NewBandwidth()
 	b.Record(2, 5)
 	b.Record(3, 0)
-	if b.Samples() != 2 {
-		t.Fatalf("Samples = %d, want 2", b.Samples())
-	}
 	if b.totalWeight != 5 {
 		t.Fatalf("totalWeight = %v, want 5", b.totalWeight)
 	}

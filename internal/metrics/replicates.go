@@ -13,9 +13,6 @@ type Replicates struct {
 // Add records one replicate's result.
 func (r *Replicates) Add(v float64) { r.values = append(r.values, v) }
 
-// Count reports the number of replicates recorded.
-func (r *Replicates) Count() int { return len(r.values) }
-
 // Mean reports the sample mean, or 0 with no replicates.
 func (r *Replicates) Mean() float64 {
 	if len(r.values) == 0 {

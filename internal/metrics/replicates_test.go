@@ -9,7 +9,7 @@ import (
 
 func TestReplicatesEmpty(t *testing.T) {
 	r := &Replicates{}
-	if r.Mean() != 0 || r.stdDev() != 0 || r.HalfWidth95() != 0 || r.Count() != 0 {
+	if r.Mean() != 0 || r.stdDev() != 0 || r.HalfWidth95() != 0 || len(r.values) != 0 {
 		t.Fatal("empty accumulator should report zeros")
 	}
 }

@@ -258,16 +258,6 @@ func (g *Gauge) Set(v float64) {
 	g.c.mu.Unlock()
 }
 
-// Value reports the current gauge value.
-func (g *Gauge) Value() float64 {
-	g.c.mu.Lock()
-	defer g.c.mu.Unlock()
-	if g.c.fn != nil {
-		return g.c.fn()
-	}
-	return g.c.value
-}
-
 // Window returns the unlabelled summary with the given name, registering it
 // on first use: a rolling window over the last size observations (size <= 0
 // selects defaultWindowSize) that exposes its p50/p95/p99 and its lifetime
@@ -298,19 +288,6 @@ func formatValue(v float64) string {
 		return "NaN"
 	}
 	return fmt.Sprintf("%g", v)
-}
-
-// Names returns every registered family name in sorted order, the inventory
-// the metric-name lint check walks.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for _, f := range r.families {
-		names = append(names, f.name)
-	}
-	r.mu.Unlock()
-	sort.Strings(names)
-	return names
 }
 
 // Sample is one scalar series value from a structured registry walk: the

@@ -30,8 +30,7 @@ type SpanRecord struct {
 	// Name is the pipeline stage ("admit", "station_admit", "first_byte").
 	Name string `json:"name"`
 	// Start is the trace clock at span start (seconds since the tracer
-	// started, or simulated seconds under SetClock); Dur is the span length
-	// in seconds.
+	// started); Dur is the span length in seconds.
 	Start float64 `json:"start"`
 	Dur   float64 `json:"dur_s"`
 	// Video attributes the span in multi-video deployments.
@@ -67,7 +66,10 @@ type SpanTracer struct {
 	stats   SpanStats
 }
 
-// NewSpanTracer returns a tracer keeping the most recent DefaultRingSize
+// spanRingSize bounds the finished spans a SpanTracer keeps for /spanz.
+const spanRingSize = 256
+
+// NewSpanTracer returns a tracer keeping the most recent spanRingSize
 // finished spans and streaming every finished span to w as JSONL when w is
 // non-nil. sampleEvery keeps 1 in sampleEvery root spans (<= 1 keeps
 // everything); the sampler's seed is fixed, so the same arrival sequence
@@ -77,7 +79,7 @@ func NewSpanTracer(w io.Writer, sampleEvery int) *SpanTracer {
 		sampleEvery = 1
 	}
 	t := &SpanTracer{
-		ring:    make([]SpanRecord, 0, DefaultRingSize),
+		ring:    make([]SpanRecord, 0, spanRingSize),
 		started: time.Now(),
 		rng:     rand.New(rand.NewSource(0)),
 		every:   sampleEvery,
@@ -89,9 +91,9 @@ func NewSpanTracer(w io.Writer, sampleEvery int) *SpanTracer {
 	return t
 }
 
-// SetClock replaces the wall clock with fn (simulations install simulated
-// time so span timestamps are deterministic).
-func (t *SpanTracer) SetClock(fn func() float64) {
+// setClock replaces the wall clock with fn (tests install simulated time so
+// span timestamps are deterministic).
+func (t *SpanTracer) setClock(fn func() float64) {
 	t.mu.Lock()
 	t.clock = fn
 	t.mu.Unlock()
@@ -158,9 +160,9 @@ func (s *Span) ID() uint64 {
 	return s.id
 }
 
-// Now reads the trace clock (seconds since the tracer started, or simulated
-// seconds under SetClock). Report ingest uses it to back-date client-side
-// spans whose durations arrive after the fact.
+// Now reads the trace clock (seconds since the tracer started). Report
+// ingest uses it to back-date client-side spans whose durations arrive after
+// the fact.
 func (t *SpanTracer) Now() float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -263,11 +265,4 @@ func (t *SpanTracer) Stats() SpanStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.stats
-}
-
-// Err reports the first sink encoding error, if any.
-func (t *SpanTracer) Err() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
 }

@@ -15,7 +15,7 @@ func TestSpanTreeExport(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewSpanTracer(&buf, 1)
 	now := 0.0
-	tr.SetClock(func() float64 { return now })
+	tr.setClock(func() float64 { return now })
 
 	root := tr.StartSpan("admit")
 	root.SetVideo(7)
@@ -60,8 +60,8 @@ func TestSpanTreeExport(t *testing.T) {
 	if st.Roots != 1 || st.Sampled != 1 || st.Finished != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if tr.Err() != nil {
-		t.Fatal(tr.Err())
+	if tr.err != nil {
+		t.Fatal(tr.err)
 	}
 }
 
@@ -201,18 +201,18 @@ func TestSpanConcurrency(t *testing.T) {
 	if got := uint64(sink.Lines(t)); got != st.Finished {
 		t.Fatalf("exported %d JSONL spans, stats say %d finished", got, st.Finished)
 	}
-	if recent := tr.Recent(0); len(recent) != DefaultRingSize {
-		t.Fatalf("ring holds %d, want full %d", len(recent), DefaultRingSize)
+	if recent := tr.Recent(0); len(recent) != spanRingSize {
+		t.Fatalf("ring holds %d, want full %d", len(recent), spanRingSize)
 	}
-	if tr.Err() != nil {
-		t.Fatal(tr.Err())
+	if tr.err != nil {
+		t.Fatal(tr.err)
 	}
 }
 
 func TestRecordChildJoinsTrace(t *testing.T) {
 	var sink bytes.Buffer
 	tr := NewSpanTracer(&sink, 1)
-	tr.SetClock(func() float64 { return 10 })
+	tr.setClock(func() float64 { return 10 })
 
 	root := tr.StartSpan("admit")
 	if root.ID() == 0 {

@@ -10,8 +10,8 @@ import (
 // This file implements the qlog-style event tracer: a structured, replayable
 // record of every scheduling decision, in the spirit of the qlog drafts for
 // QUIC and the qlogABR cross-layer work — one JSON object per line, stamped
-// with a monotonic trace clock, buffered in a bounded ring (Recent) and
-// optionally streamed to a JSONL sink for offline analysis and diffing.
+// with a monotonic trace clock and streamed to a JSONL sink for offline
+// analysis and diffing.
 
 // Event types. Every event carries the slot it refers to; decision events
 // additionally carry the segment, its feasible window and the load of the
@@ -66,31 +66,23 @@ type Event struct {
 	Placed int `json:"placed,omitempty"`
 }
 
-// Tracer records events into a bounded ring buffer and, when constructed
-// with a sink, streams them as JSONL. It is safe for concurrent use.
+// Tracer counts events and, when constructed with a sink, streams them as
+// JSONL. It is safe for concurrent use.
 type Tracer struct {
 	mu      sync.Mutex
 	enc     *json.Encoder
 	err     error
-	ring    []Event
-	next    int
 	total   uint64
 	clock   func() float64
 	started time.Time
 }
 
-// DefaultRingSize bounds the live event buffer when the owner does not
-// choose one.
-const DefaultRingSize = 256
-
-// NewTracer returns a tracer keeping the most recent ringSize events
-// (ringSize <= 0 selects DefaultRingSize) and streaming every event to w as
-// JSONL when w is non-nil. The trace clock starts at zero.
-func NewTracer(w io.Writer, ringSize int) *Tracer {
-	if ringSize <= 0 {
-		ringSize = DefaultRingSize
-	}
-	t := &Tracer{ring: make([]Event, 0, ringSize), started: time.Now()}
+// NewTracer returns a tracer streaming every event to w as JSONL when w is
+// non-nil. The trace clock starts at zero. The int argument is unused: the
+// tracer keeps no event ring, and the argument stays until benchmark/, which
+// passes 0, next changes.
+func NewTracer(w io.Writer, _ int) *Tracer {
+	t := &Tracer{started: time.Now()}
 	if w != nil {
 		t.enc = json.NewEncoder(w)
 	}
@@ -117,41 +109,12 @@ func (t *Tracer) emit(ev Event) {
 		ev.T = time.Since(t.started).Seconds()
 	}
 	t.total++
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, ev)
-	} else {
-		t.ring[t.next] = ev
-		t.next = (t.next + 1) % cap(t.ring)
-	}
 	if t.enc != nil && t.err == nil {
 		t.err = t.enc.Encode(ev)
 	}
 }
 
-// Recent returns up to n of the most recent events, oldest first. n <= 0
-// means everything the ring holds.
-func (t *Tracer) Recent(n int) []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	size := len(t.ring)
-	if n <= 0 || n > size {
-		n = size
-	}
-	out := make([]Event, 0, n)
-	// The ring is ordered oldest-first starting at next when full, at 0
-	// while still filling.
-	start := 0
-	if size == cap(t.ring) {
-		start = t.next
-	}
-	for i := size - n; i < size; i++ {
-		out = append(out, t.ring[(start+i)%size])
-	}
-	return out
-}
-
-// Total reports how many events were emitted over the tracer's lifetime
-// (including those the ring has since evicted).
+// Total reports how many events were emitted over the tracer's lifetime.
 func (t *Tracer) Total() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -11,7 +11,7 @@ import (
 // line back.
 func TestTracerJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(&buf, 8)
+	tr := NewTracer(&buf, 0)
 	now := 0.0
 	tr.SetClock(func() float64 { return now })
 	tr.emit(Event{Type: EventAdmit, Slot: 3, From: 1, Placed: 2})
@@ -22,16 +22,9 @@ func TestTracerJSONLRoundTrip(t *testing.T) {
 	}
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("want 2 JSONL lines, got %d", len(lines))
-	}
-	var evs []Event
-	for _, line := range lines {
-		var ev Event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("line %q: %v", line, err)
-		}
-		evs = append(evs, ev)
+	evs := decodeEvents(t, &buf)
+	if len(evs) != 2 {
+		t.Fatalf("want 2 JSONL lines, got %d", len(evs))
 	}
 	if evs[0].Type != EventAdmit || evs[0].T != 0 || evs[0].Placed != 2 {
 		t.Fatalf("bad first event %+v", evs[0])
@@ -45,38 +38,10 @@ func TestTracerJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTracerRing checks eviction order and Recent windows.
-func TestTracerRing(t *testing.T) {
-	tr := NewTracer(nil, 4)
-	for i := 1; i <= 7; i++ {
-		tr.emit(Event{Type: EventSlotRetire, Slot: i})
-	}
-	if got := tr.Total(); got != 7 {
-		t.Fatalf("total = %d, want 7", got)
-	}
-	slots := func(evs []Event) []int {
-		out := make([]int, len(evs))
-		for i, ev := range evs {
-			out[i] = ev.Slot
-		}
-		return out
-	}
-	all := tr.Recent(0)
-	if got, want := slots(all), []int{4, 5, 6, 7}; !equalInts(got, want) {
-		t.Fatalf("Recent(0) = %v, want %v", got, want)
-	}
-	last2 := tr.Recent(2)
-	if got, want := slots(last2), []int{6, 7}; !equalInts(got, want) {
-		t.Fatalf("Recent(2) = %v, want %v", got, want)
-	}
-	if got := tr.Recent(100); len(got) != 4 {
-		t.Fatalf("Recent(100) returned %d events", len(got))
-	}
-}
-
 // TestSchedObserverTaxonomy checks the event stream one admission produces.
 func TestSchedObserverTaxonomy(t *testing.T) {
-	tr := NewTracer(nil, 16)
+	var buf bytes.Buffer
+	tr := NewTracer(&buf, 0)
 	o := SchedObserver{Video: 7, T: tr}
 	o.ObserveAdmit(5, 3, 1)                    // resume from segment 3
 	o.ObserveDecision(5, 3, 6, 6, 6, 2, true)  // shared
@@ -85,7 +50,7 @@ func TestSchedObserverTaxonomy(t *testing.T) {
 
 	want := []string{EventResume, EventSlotDecision, EventSlotDecision,
 		EventInstanceStart, EventInstanceStop, EventInstanceStop, EventSlotRetire}
-	evs := tr.Recent(0)
+	evs := decodeEvents(t, &buf)
 	if len(evs) != len(want) {
 		t.Fatalf("got %d events, want %d: %+v", len(evs), len(want), evs)
 	}
@@ -105,14 +70,16 @@ func TestSchedObserverTaxonomy(t *testing.T) {
 	}
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// decodeEvents decodes every JSONL event the tracer wrote to buf.
+func decodeEvents(t *testing.T, buf *bytes.Buffer) []Event {
+	t.Helper()
+	var evs []Event
+	for dec := json.NewDecoder(bytes.NewReader(buf.Bytes())); dec.More(); {
+		var ev Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
 		}
+		evs = append(evs, ev)
 	}
-	return true
+	return evs
 }

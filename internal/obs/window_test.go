@@ -101,10 +101,10 @@ func TestWindowConcurrency(t *testing.T) {
 func TestRegisterRuntime(t *testing.T) {
 	r := NewRegistry()
 	RegisterRuntime(r)
-	if n := len(r.Names()); n != 3 {
-		t.Fatalf("RegisterRuntime registered %d families, want 3: %v", n, r.Names())
+	if n := len(familyNames(r)); n != 3 {
+		t.Fatalf("RegisterRuntime registered %d families, want 3: %v", n, familyNames(r))
 	}
-	for _, name := range r.Names() {
+	for _, name := range familyNames(r) {
 		if !ValidMetricName(name) {
 			t.Fatalf("runtime gauge %q invalid", name)
 		}

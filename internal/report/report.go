@@ -23,8 +23,8 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// Validate checks the table's shape.
-func (t *Table) Validate() error {
+// validate checks the table's shape.
+func (t *Table) validate() error {
 	if t.Title == "" {
 		return fmt.Errorf("report: table without a title")
 	}
@@ -43,7 +43,7 @@ func (t *Table) Validate() error {
 // RenderText writes the tables as titled, column-aligned text.
 func RenderText(w io.Writer, tables ...Table) error {
 	for i, t := range tables {
-		if err := t.Validate(); err != nil {
+		if err := t.validate(); err != nil {
 			return err
 		}
 		if i > 0 {
@@ -75,7 +75,7 @@ func RenderText(w io.Writer, tables ...Table) error {
 // RenderJSON writes the tables as a JSON array.
 func RenderJSON(w io.Writer, tables ...Table) error {
 	for _, t := range tables {
-		if err := t.Validate(); err != nil {
+		if err := t.validate(); err != nil {
 			return err
 		}
 	}

@@ -14,7 +14,7 @@ import (
 func TestTableValidate(t *testing.T) {
 	good := Table{Title: "t", Columns: []string{"a", "b"}}
 	good.AddRow("1", "2")
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatal(err)
 	}
 	tests := []struct {
@@ -30,7 +30,7 @@ func TestTableValidate(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if err := tt.tbl.Validate(); err == nil {
+			if err := tt.tbl.validate(); err == nil {
 				t.Fatal("want error")
 			}
 		})

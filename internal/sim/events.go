@@ -49,23 +49,15 @@ func NewLoop() *Loop {
 	return &Loop{}
 }
 
-// Now reports the current simulated time in seconds.
-func (l *Loop) Now() float64 { return l.now }
-
-// At schedules fn to run at absolute time at. Scheduling in the past (before
-// Now) is a programming error and panics, since it would silently corrupt the
-// causal order of the simulation.
+// At schedules fn to run at absolute time at. Scheduling in the past is a
+// programming error and panics, since it would silently corrupt the causal
+// order of the simulation.
 func (l *Loop) At(at float64, fn Event) {
 	if at < l.now {
 		panic("sim: event scheduled in the past")
 	}
 	l.seq++
 	heap.Push(&l.events, scheduledEvent{at: at, seq: l.seq, fn: fn})
-}
-
-// After schedules fn to run delay seconds from now. Negative delays panic.
-func (l *Loop) After(delay float64, fn Event) {
-	l.At(l.now+delay, fn)
 }
 
 // Run fires events in order until the queue is empty or the next event is
@@ -88,6 +80,3 @@ func (l *Loop) Run(horizon float64) int {
 	}
 	return fired
 }
-
-// Pending reports how many events are queued.
-func (l *Loop) Pending() int { return len(l.events) }

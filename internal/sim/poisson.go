@@ -17,9 +17,6 @@ func NewPoissonProcess(rng *RNG, rate float64) *PoissonProcess {
 	return &PoissonProcess{rng: rng, rate: rate}
 }
 
-// Rate reports the configured arrival rate in arrivals per second.
-func (p *PoissonProcess) Rate() float64 { return p.rate }
-
 // Next returns the next arrival instant, strictly after the previous one.
 func (p *PoissonProcess) Next() float64 {
 	p.last += p.rng.Exp(1 / p.rate)

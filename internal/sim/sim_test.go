@@ -121,8 +121,8 @@ func TestLoopOrdering(t *testing.T) {
 	if !sort.IntsAreSorted(order) {
 		t.Fatalf("events fired out of order: %v", order)
 	}
-	if l.Now() != 10 {
-		t.Fatalf("clock = %v, want 10", l.Now())
+	if l.now != 10 {
+		t.Fatalf("clock = %v, want 10", l.now)
 	}
 }
 
@@ -149,8 +149,8 @@ func TestLoopHorizonStopsEvents(t *testing.T) {
 	if fired {
 		t.Fatal("event after horizon fired")
 	}
-	if l.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", l.Pending())
+	if len(l.events) != 1 {
+		t.Fatalf("pending = %d, want 1", len(l.events))
 	}
 	l.Run(150)
 	if !fired {
@@ -165,7 +165,7 @@ func TestLoopEventsScheduleEvents(t *testing.T) {
 	tick = func(now float64) {
 		count++
 		if count < 5 {
-			l.After(1, tick)
+			l.At(now+1, tick)
 		}
 	}
 	l.At(0, tick)
@@ -173,8 +173,8 @@ func TestLoopEventsScheduleEvents(t *testing.T) {
 	if count != 5 {
 		t.Fatalf("chained events fired %d times, want 5", count)
 	}
-	if l.Now() != 100 {
-		t.Fatalf("clock = %v, want 100", l.Now())
+	if l.now != 100 {
+		t.Fatalf("clock = %v, want 100", l.now)
 	}
 }
 
@@ -230,12 +230,5 @@ func TestRNGConvenienceMethods(t *testing.T) {
 	}
 	if math.Abs(sum/10000) > 0.05 {
 		t.Fatalf("NormFloat64 mean = %v, want about 0", sum/10000)
-	}
-}
-
-func TestPoissonProcessRate(t *testing.T) {
-	p := NewPoissonProcess(NewRNG(1), 0.25)
-	if p.Rate() != 0.25 {
-		t.Fatalf("Rate = %v, want 0.25", p.Rate())
 	}
 }

@@ -44,12 +44,12 @@ func NewRing(horizon, base int, trackSegs bool) *Ring {
 	return r
 }
 
-// End reports the absolute index of the latest tracked slot.
-func (r *Ring) End() int { return r.base + r.horizon - 1 }
+// end reports the absolute index of the latest tracked slot.
+func (r *Ring) end() int { return r.base + r.horizon - 1 }
 
 func (r *Ring) pos(abs int) int {
-	if abs < r.base || abs > r.End() {
-		panic(fmt.Sprintf("slots: slot %d outside window [%d, %d]", abs, r.base, r.End()))
+	if abs < r.base || abs > r.end() {
+		panic(fmt.Sprintf("slots: slot %d outside window [%d, %d]", abs, r.base, r.end()))
 	}
 	return abs % r.horizon
 }

@@ -9,8 +9,8 @@ import (
 
 func TestRingBasics(t *testing.T) {
 	r := NewRing(4, 0, false)
-	if r.base != 0 || r.End() != 3 || r.horizon != 4 {
-		t.Fatalf("window = [%d, %d] horizon %d", r.base, r.End(), r.horizon)
+	if r.base != 0 || r.end() != 3 || r.horizon != 4 {
+		t.Fatalf("window = [%d, %d] horizon %d", r.base, r.end(), r.horizon)
 	}
 	r.Add(1, 5)
 	r.Add(1, 6)
@@ -31,8 +31,8 @@ func TestRingRetireAdvancesWindow(t *testing.T) {
 	if abs != 0 || load != 1 {
 		t.Fatalf("Retire = (%d, %d), want (0, 1)", abs, load)
 	}
-	if r.base != 1 || r.End() != 3 {
-		t.Fatalf("window = [%d, %d], want [1, 3]", r.base, r.End())
+	if r.base != 1 || r.end() != 3 {
+		t.Fatalf("window = [%d, %d], want [1, 3]", r.base, r.end())
 	}
 	// The freshly exposed slot 3 must start empty.
 	if got := r.Load(3); got != 0 {
@@ -144,7 +144,7 @@ func TestRingLongRunConsistency(t *testing.T) {
 	added, retired := 0, 0
 	for step := 0; step < 1000; step++ {
 		slot := r.base + 1 + step%4
-		if slot <= r.End() {
+		if slot <= r.end() {
 			r.Add(slot, step)
 			added++
 		}
@@ -264,7 +264,7 @@ func TestRingSkipEqualsRepeatedRetire(t *testing.T) {
 		}
 		for skipped.Total() > 0 {
 			from := skipped.base + rng.Intn(horizon)
-			to := from + rng.Intn(skipped.End()-from+1)
+			to := from + rng.Intn(skipped.end()-from+1)
 			s1, l1 := skipped.MinLoadLatest(from, to)
 			s2, l2 := stepped.MinLoadLatest(from, to)
 			e1, m1 := skipped.MinLoadEarliest(from, to)

@@ -197,13 +197,13 @@ func TestClockSendsBegunSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.runFor(before * interval)
-	i := st.CurrentSlot(1)
+	i := st.Status().PerVideo[1].Slot
 	res, err := st.Admit(1, core.AdmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if i != before || res.Slot != i {
-		t.Fatalf("admitted in slot %d after %d ticks (CurrentSlot %d)", res.Slot, before, i)
+		t.Fatalf("admitted in slot %d after %d ticks (status slot %d)", res.Slot, before, i)
 	}
 	f.runFor(interval)
 	if len(ticks) != before+1 {

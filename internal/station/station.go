@@ -484,14 +484,6 @@ func (st *Station) advanceSpan(worker, lo, hi int) {
 	l.active = keep
 }
 
-// CurrentSlot reports the video's current transmission slot.
-func (st *Station) CurrentSlot(video int) int {
-	sv := &st.videos[video]
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	return sv.slot()
-}
-
 // NextLoads fills dst (grown as needed) with each video's scheduled
 // instance count for its next transmission slot — the quantity admission
 // control gates on. It returns dst.

@@ -238,7 +238,7 @@ func TestClockPoolLifecycle(t *testing.T) {
 		}
 	}
 	for v := 0; v < videos; v++ {
-		if got := st.CurrentSlot(v); int64(got) != n+1 { // admitAll retired slot 0
+		if got := st.Status().PerVideo[v].Slot; int64(got) != n+1 { // admitAll retired slot 0
 			t.Fatalf("video %d at slot %d after %d ticks", v, got, n)
 		}
 	}
@@ -374,8 +374,8 @@ func testConcurrentEquivalence(t *testing.T, shards int) {
 		// on the one slot grid.
 		loads := st.NextLoads(nil)
 		for v := 0; v < videos; v++ {
-			if got := st.CurrentSlot(v); got != s {
-				t.Fatalf("slot %d video %d: CurrentSlot = %d", s, v, got)
+			if got := st.Status().PerVideo[v].Slot; got != s {
+				t.Fatalf("slot %d video %d: status slot = %d", s, v, got)
 			}
 			if want := refs[v].LoadAt(s + 1); loads[v] != want {
 				t.Fatalf("slot %d video %d: next load %d, reference %d", s, v, loads[v], want)
@@ -476,7 +476,7 @@ func testStressAdmissionsRaceClock(t *testing.T, shards int) {
 					}
 					admitted[v] = append(admitted[v], admission{res.Slot, from, res.Placed})
 				}
-				for until := st.CurrentSlot(v) + gap + rng.Intn(gap); st.CurrentSlot(v) < until; {
+				for until := st.Status().PerVideo[v].Slot + gap + rng.Intn(gap); st.Status().PerVideo[v].Slot < until; {
 					time.Sleep(100 * time.Microsecond)
 				}
 			}
@@ -662,8 +662,8 @@ func TestCloseIdempotent(t *testing.T) {
 }
 
 // TestNeverAdmittedVideoAnswersFromConfig: a video's scheduler is built by
-// its first admission, on the span's slot; until then Periods, CurrentSlot,
-// NextLoads and Status answer from its configuration.
+// its first admission, on the span's slot; until then Periods, NextLoads and
+// Status answer from its configuration.
 func TestNeverAdmittedVideoAnswersFromConfig(t *testing.T) {
 	st, err := New(Config{Videos: []VideoConfig{{Segments: 5}, {Segments: 4, Periods: []int{9, 1, 3, 3, 4}}}, Shards: 1})
 	if err != nil {
@@ -685,9 +685,6 @@ func TestNeverAdmittedVideoAnswersFromConfig(t *testing.T) {
 	}
 	if loads := st.NextLoads(nil); !slices.Equal(loads, []int{0, 0}) {
 		t.Fatalf("next loads %v", loads)
-	}
-	if st.CurrentSlot(1) != 3 {
-		t.Fatalf("idle video at slot %d", st.CurrentSlot(1))
 	}
 	if row := st.Status().PerVideo[1]; row.Slot != 3 || row.Requests != 0 || row.Instances != 0 {
 		t.Fatalf("idle row %+v", row)

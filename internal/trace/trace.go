@@ -44,13 +44,6 @@ func (t *Trace) Seconds() int { return len(t.rates) }
 // Rate reports the consumption rate during second k.
 func (t *Trace) Rate(k int) float64 { return t.rates[k] }
 
-// Rates returns a copy of the per-second series.
-func (t *Trace) Rates() []float64 {
-	out := make([]float64, len(t.rates))
-	copy(out, t.rates)
-	return out
-}
-
 // TotalBytes reports the size of the whole video.
 func (t *Trace) TotalBytes() float64 { return t.cum[len(t.cum)-1] }
 

@@ -51,11 +51,14 @@ func TestCBRStats(t *testing.T) {
 }
 
 func TestRatesIsCopy(t *testing.T) {
-	tr := mustCBR(t, 3, 10)
-	r := tr.Rates()
+	r := []float64{10, 20, 30}
+	tr, err := New(r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r[0] = 999
 	if tr.Rate(0) != 10 {
-		t.Fatal("Rates exposed internal state")
+		t.Fatal("New kept the caller's slice")
 	}
 }
 

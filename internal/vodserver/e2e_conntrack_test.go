@@ -249,9 +249,9 @@ func TestE2EConntrackStallAttribution(t *testing.T) {
 	// stalled connections, and the slow reader, far behind too, meets its
 	// own deadline moments later. Either exit unregisters, so the next
 	// evaluation walks the rule firing → resolved, with no second bundle.
-	for s.ct.Tracked() != 0 {
+	for s.ct.Snapshot().Tracked != 0 {
 		if time.Now().After(dropDeadline) {
-			t.Fatalf("tracking never drained: tracked=%d %+v", s.ct.Tracked(), s.Stats())
+			t.Fatalf("tracking never drained: tracked=%d %+v", s.ct.Snapshot().Tracked, s.Stats())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

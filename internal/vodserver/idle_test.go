@@ -3,6 +3,7 @@ package vodserver
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -104,7 +105,7 @@ func TestColdVideoStreamsLikeBoot(t *testing.T) {
 
 	bootInfo, boot := rawSession(t, s.Addr(), id)
 	idleFrom := waitIdle(t, s, 0)
-	if got := s.videos[id].rec.Load().load.Value(); got != 0 {
+	if got := channelLoad(t, s, id); got != 0 {
 		t.Fatalf("vod_channel_load{video=%d} = %v once idle, want 0", id, got)
 	}
 	waitIdle(t, s, idleFrom+200)
@@ -179,7 +180,7 @@ func TestPlaceholderLastSlotStillRetires(t *testing.T) {
 		t.Fatalf("resume from the last segment placed %d instances, want 1", res.Placed)
 	}
 	// The handler stalls past the instance's slot and two more ticks.
-	for s.station.CurrentSlot(v.idx) < res.Slot+4 {
+	for s.station.Status().PerVideo[v.idx].Slot < res.Slot+4 {
 		time.Sleep(time.Millisecond)
 	}
 	if active, subs := s.station.Status().Active, r.subs.Len(); active != 1 || subs != 1 {
@@ -211,7 +212,20 @@ func TestPlaceholderLastSlotStillRetires(t *testing.T) {
 		t.Fatalf("subscriber not retired cleanly: %d frames queued past closure, %d still subscribed", sub.ring.Depth(), r.subs.Len())
 	}
 	waitIdle(t, s, 0)
-	if got := r.load.Value(); got != 0 {
+	if got := channelLoad(t, s, 1); got != 0 {
 		t.Fatalf("vod_channel_load = %v once idle, want 0", got)
 	}
+}
+
+// channelLoad reads vod_channel_load{video="id"} from the registry's samples.
+func channelLoad(t *testing.T, s *Server, id uint32) float64 {
+	t.Helper()
+	labels := fmt.Sprintf(`{video="%d"}`, id)
+	for _, smp := range s.reg.Samples() {
+		if smp.Name == "vod_channel_load" && smp.Labels == labels {
+			return smp.Value
+		}
+	}
+	t.Fatalf("no vod_channel_load%s sample", labels)
+	return 0
 }

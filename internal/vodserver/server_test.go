@@ -227,7 +227,7 @@ func TestSameSlotBurst(t *testing.T) {
 	t.Cleanup(func() { closeNoFrameLeak(t, s) })
 
 	// Start right after a slot boundary so the whole burst lands in one slot.
-	for slot := s.Station().CurrentSlot(0); s.Station().CurrentSlot(0) == slot; {
+	for slot := s.Station().Status().PerVideo[0].Slot; s.Station().Status().PerVideo[0].Slot == slot; {
 		time.Sleep(time.Millisecond)
 	}
 	results := make([]vodclient.Result, viewers+1)

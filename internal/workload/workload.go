@@ -71,9 +71,6 @@ func (s *SlottedArrivals) Next() int {
 	return s.rng.Poisson(mean)
 }
 
-// Slot reports the index of the next slot Next will draw.
-func (s *SlottedArrivals) Slot() int { return s.slot }
-
 // Zipf models video popularity across a catalogue: the i-th most popular of
 // n videos is requested proportionally to 1/i^skew.
 type Zipf struct {
@@ -110,9 +107,6 @@ func NewZipf(n int, skew float64) (*Zipf, error) {
 // weight reports the probability that a request targets video i (0-based
 // popularity rank).
 func (z *Zipf) weight(i int) float64 { return z.weights[i] }
-
-// N reports the catalogue size.
-func (z *Zipf) N() int { return len(z.weights) }
 
 // Sample draws a video index according to the popularity law.
 func (z *Zipf) Sample(rng *sim.RNG) int {

@@ -67,8 +67,8 @@ func TestSlottedArrivalsMean(t *testing.T) {
 	if math.Abs(mean-want) > 0.02 {
 		t.Fatalf("mean arrivals per slot = %.4f, want %.4f", mean, want)
 	}
-	if src.Slot() != slotCount {
-		t.Fatalf("Slot = %d, want %d", src.Slot(), slotCount)
+	if src.slot != slotCount {
+		t.Fatalf("slot = %d, want %d", src.slot, slotCount)
 	}
 }
 
@@ -108,7 +108,7 @@ func TestZipfWeightsDecreaseAndSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := 0.0
-	for i := 0; i < z.N(); i++ {
+	for i := 0; i < len(z.weights); i++ {
 		sum += z.weight(i)
 		if i > 0 && z.weight(i) > z.weight(i-1) {
 			t.Fatalf("weights not decreasing at %d", i)
