@@ -95,9 +95,13 @@ ci:
 	# handler parked with nothing queued; a short write is queued with its
 	# sent prefix and the handler resumes from there, byte-exact; no frame
 	# precedes the ScheduleInfo; first frames go before the tick's
-	# steady-state frames; and every frame reference comes back after Close.
+	# steady-state frames; every frame reference comes back after Close; a
+	# session is written only its assigned slots and its last, and a
+	# subscriber whose need set lastSlot has not yet published gets every
+	# slot (the set crosses from the handler to the tick workers through
+	# that store).
 	$(GO) test -race -cpu 4 -count=20 -run '^TestRingWritesOnlyForParkedConsumer$$' ./internal/fanout/
-	$(GO) test -race -cpu 4 -count=20 -run '^(TestSessionServedByDirectWrites|TestShortDirectWriteResumes|TestDeadlineCutAfterShortDirectWrite|TestNoFrameBeforeScheduleInfo|TestFirstFramesGoFirst)$$' ./internal/vodserver/
+	$(GO) test -race -cpu 4 -count=20 -run '^(TestSessionServedByDirectWrites|TestShortDirectWriteResumes|TestDeadlineCutAfterShortDirectWrite|TestNoFrameBeforeScheduleInfo|TestFirstFramesGoFirst|TestWrittenSlotsAreAssignedPlusLast|TestUnpublishedNeedSetGetsEverySlot)$$' ./internal/vodserver/
 	$(GO) test -run '^TestStartCostPerIdleVideo$$' -count=1 ./internal/vodserver/
 	$(call cover-floor,obs+history+station+wire+vodclient+client,./internal/obs/ ./internal/obs/history/ ./internal/station/ ./internal/wire/ ./internal/vodclient/ ./internal/client/)
 	$(call cover-floor,core+slots,./internal/core/ ./internal/slots/)
@@ -140,8 +144,10 @@ ci:
 		awk '{ print } /^BenchmarkStationTick\// { rows++; if ($$(NF-1) != 0) bad++ } END { exit !(rows == 2 && bad == 0) }'
 	# The drain-path alloc gate: one vectored write per popped batch, and one
 	# direct write per frame for a parked handler, zero allocations at steady
-	# state.
-	$(GO) test -run '^TestDrainZeroAlloc$$' -count=1 ./internal/vodserver/
+	# state. Then the admit path's: a resume near the end of a 1000-segment
+	# video pools its serving-slot vector, so it allocates no more than a
+	# six-segment full viewing.
+	$(GO) test -run '^(TestDrainZeroAlloc|TestAdmitAllocatesNoAssignment)$$' -count=1 ./internal/vodserver/
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/...
 	# benchmark/ is a module of its own, invisible to ./... above, so the
 	# race suite's TestBenchmarkModuleBuilds vets it and its tests run here.

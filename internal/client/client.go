@@ -141,12 +141,20 @@ func (c *STB) QoE() QoE {
 // deadlines that expire with it, so a segment arriving in its deadline slot
 // is on time. Slots must be fed in non-decreasing order, starting no earlier
 // than the arrival slot; segments the customer already holds are ignored
-// (the STB simply does not tune in again). The slot is fully accounted even
-// when a deadline passes unmet; the first such miss is then returned,
-// wrapping ErrMissedDeadline.
+// (the STB simply does not tune in again). A slot between the last one fed
+// and this one that was never fed carried nothing for the customer: its
+// deadlines settle first, in order, exactly as if it had been fed empty.
+// Every slot is fully accounted even when a deadline passes unmet; the
+// first such miss is then returned, wrapping ErrMissedDeadline.
 func (c *STB) ObserveSlot(slot int, segments []int) error {
 	if slot < c.lastSlot {
 		return fmt.Errorf("client: slot %d fed after slot %d", slot, c.lastSlot)
+	}
+	var miss error
+	for skipped := c.lastSlot + 1; skipped < slot; skipped++ {
+		if err := c.settle(skipped); miss == nil {
+			miss = err
+		}
 	}
 	c.lastSlot = slot
 	for _, j := range segments {
@@ -173,7 +181,16 @@ func (c *STB) ObserveSlot(slot int, segments []int) error {
 			c.maxBuffered = max(c.maxBuffered, c.buffered)
 		}
 	}
-	// Deadlines expiring at the end of this slot.
+	if err := c.settle(slot); miss == nil {
+		miss = err
+	}
+	return miss
+}
+
+// settle passes the deadlines expiring at the end of slot: a received
+// segment leaves the buffer, a missing one is a miss. It returns the first
+// miss, wrapping ErrMissedDeadline.
+func (c *STB) settle(slot int) error {
 	var miss error
 	for k, t := range c.periods[1 : c.N()-c.from+2] {
 		if c.arrival+t != slot {

@@ -2,6 +2,8 @@ package client
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -311,5 +313,76 @@ func TestResumeSTBDetectsMiss(t *testing.T) {
 	// Slot 1 passes without segment 3, whose shifted deadline is slot 1.
 	if err := c.ObserveSlot(1, nil); err == nil {
 		t.Fatal("missed shifted deadline not detected")
+	}
+}
+
+// TestWithheldSlotsSettleAsEmpty: a slot the STB is never fed — the server
+// skips a subscriber on slots that carry none of its instances — settles
+// its deadlines exactly as if it had been fed with no segments. Each seeded
+// stream is played twice, once feeding every slot (the withheld ones empty)
+// and once leaving the withheld ones out; the two must read the same QoE,
+// the same MaxBuffered and the same first error, after every fed slot and
+// at the end. Withheld deadlines cover on-time, late, missing and
+// consecutive-miss segments, resumes and non-monotone vectors.
+func TestWithheldSlotsSettleAsEmpty(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(12)
+		periods := video.DefaultPeriods(n)
+		if seed%2 == 1 {
+			for j := 2; j <= n; j++ {
+				periods[j] = 1 + rng.Intn(2*j)
+			}
+		}
+		from := 1
+		if rng.Intn(3) == 0 {
+			from = 1 + rng.Intn(n)
+		}
+		arrival := rng.Intn(5)
+		span := 0
+		for k := 1; k <= n-from+1; k++ {
+			span = max(span, periods[k])
+		}
+		// segs[k] is slot arrival+k's transmissions; a withheld slot has
+		// none, and the last slot is always fed.
+		segs := make([][]int, span+1)
+		withheld := make([]bool, span+1)
+		for k := range segs {
+			if k < span && rng.Intn(3) == 0 {
+				withheld[k] = true
+				continue
+			}
+			for range rng.Intn(3) {
+				segs[k] = append(segs[k], 1+rng.Intn(n))
+			}
+		}
+		play := func(skip bool) (string, error) {
+			c, err := NewFrom(arrival, periods, from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var first error
+			var trail strings.Builder
+			for k, s := range segs {
+				if skip && withheld[k] {
+					continue
+				}
+				if err := c.ObserveSlot(arrival+k, s); err != nil && first == nil {
+					first = err
+				}
+				if !withheld[k] {
+					fmt.Fprintf(&trail, "slot %d: %+v maxbuf=%d\n", arrival+k, c.QoE(), c.MaxBuffered())
+				}
+			}
+			return trail.String(), first
+		}
+		fedTrail, fedErr := play(false)
+		gotTrail, gotErr := play(true)
+		if gotTrail != fedTrail {
+			t.Errorf("seed %d: withheld slots measured\n%s\nfed empty\n%s", seed, gotTrail, fedTrail)
+		}
+		if fmt.Sprint(gotErr) != fmt.Sprint(fedErr) {
+			t.Errorf("seed %d: first error %v with withheld slots, %v fed empty", seed, gotErr, fedErr)
+		}
 	}
 }

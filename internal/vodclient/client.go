@@ -1,7 +1,9 @@
 // Package vodclient is the set-top-box side of the networked DHB system: it
 // requests a video from a vodserver, receives the broadcast segment frames,
-// verifies every payload byte, and feeds every slot to the STB of
-// internal/client, which judges and measures each delivery deadline. It
+// verifies every payload byte, and feeds every slot the server writes to
+// the STB of internal/client, which judges and measures each delivery
+// deadline; the server skips the slots that carry none of the session's
+// segments, and the STB settles those as empty. It
 // reports what the STB measured — locally through the returned Result, and
 // back to the server as a wire.ClientReport, which the server aggregates
 // into its client_* metric families so operators see the customer's side

@@ -35,6 +35,13 @@ type subscriber struct {
 	// after the admission reaches the scheduler; tick workers read it
 	// lock-free.
 	lastSlot atomic.Int64
+	// need is the set of slots that carry an instance assigned to this
+	// subscriber: bit k marks slot needFrom+k, needFrom being the admit
+	// slot. admit writes both before it stores lastSlot, which publishes
+	// them: tick workers read them only after a load that is not the
+	// placeholder (wants).
+	need     []uint64
+	needFrom int
 	// admitted stamps the admission for the first-byte latency window.
 	admitted time.Time
 	// rec is the video's record: its subscriber set and report counters.
@@ -119,6 +126,32 @@ func (sub *subscriber) wrote(frames int, n int64) {
 		sub.wait.End()
 		sub.root.End()
 	}
+}
+
+// wants reports whether the tick hands slot's frame to sub: every slot while
+// lastSlot is still the placeholder, then only the slots that carry an
+// instance assigned to the subscriber, and the last, whose tick retires it.
+// A skipped slot carries none of the customer's assigned instances; its
+// set-top box settles it as empty (client.STB.ObserveSlot).
+func (sub *subscriber) wants(slot int) bool {
+	last := sub.lastSlot.Load()
+	if last == math.MaxInt64 || int64(slot) >= last {
+		return true
+	}
+	k := slot - sub.needFrom
+	return k >= 0 && sub.need[k/64]&(1<<(k%64)) != 0
+}
+
+// needSet builds a subscriber's need set from its admission's serving-slot
+// vector: one bit per slot from the admit slot on, over the subscription's
+// slots slots, for the slot of each segment from from on.
+func needSet(assignment []int, from, admitSlot, slots int) []uint64 {
+	need := make([]uint64, (slots+63)/64)
+	for _, a := range assignment[from:] {
+		k := a - admitSlot
+		need[k/64] |= 1 << (k % 64)
+	}
+	return need
 }
 
 // track registers a connection for shutdown; it reports false when the
@@ -342,9 +375,10 @@ func writeFrames(conn net.Conn, vec *net.Buffers, frames []*fanout.Frame, head, 
 //
 // The subscription is registered BEFORE the admission reaches the
 // scheduler, so the subscriber provably receives every slot after the admit
-// slot: the clock begins the next slot, whose frame carries the customer's
-// first segment, only after the admission completes, which is after
-// registration. Slots at or before the admit slot are discarded in
+// slot that it needs: the clock begins the next slot, whose frame carries
+// the customer's first segment, only after the admission completes, which
+// is after registration. Until the need set is published the tick pushes
+// every slot; slots at or before the admit slot are discarded in
 // writeFrames and WriteDirect (the set-top box ignores them anyway — its
 // service starts one slot after admission). This keeps scheduling entirely
 // off the server-wide mutex: concurrent admissions for different videos
@@ -400,8 +434,16 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 		return nil, info, writeBy, errShuttingDown
 	}
 
+	// The serving-slot vector is n+1 ints, 8 KB on a 1000-segment video, so
+	// admissions share pooled buffers; only the need set built from it is
+	// kept.
+	buf, _ := s.assignments.Get().(*[]int)
+	if buf == nil {
+		buf = &[]int{}
+	}
+	defer s.assignments.Put(buf)
 	span := root.Child("station_admit")
-	res, err := s.station.Admit(v.idx, core.AdmitOptions{From: from})
+	res, err := s.station.Admit(v.idx, core.AdmitOptions{From: from, Assignment: *buf})
 	if span != nil && err == nil {
 		// Formatted only for sampled trees: the unsampled admit path stays
 		// allocation-free here.
@@ -414,6 +456,7 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 		return nil, info, writeBy, err
 	}
 	admitSlot := res.Slot
+	*buf = res.Assignment
 
 	// The subscription ends once the customer's last deadline passes. The
 	// store is harmless when a concurrent shutdown already removed the
@@ -421,7 +464,9 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 	// workers that read the placeholder MaxInt64 this slot retire the
 	// subscriber one snapshot later. The admit slot ends within one slot
 	// duration of the admission, so the last deadline passes within slots
-	// slot durations of it.
+	// slot durations of it. The need set is written first, and the store
+	// publishes it to the tick workers.
+	sub.need, sub.needFrom = needSet(res.Assignment, from, admitSlot, slots), admitSlot
 	sub.lastSlot.Store(int64(admitSlot + slots - 1))
 	writeBy = sub.admitted.Add(time.Duration(slots)*s.cfg.SlotDuration + s.readTimeout())
 	s.mRequests.Inc()

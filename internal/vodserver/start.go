@@ -11,11 +11,13 @@
 // its first segment as slot i+1 begins.
 //
 // The data plane models broadcast channels: each scheduled instance is
-// produced (and counted) exactly once per slot and the encoded frames are
-// fanned out to every subscriber of the video, standing in for the IP
-// multicast a production deployment would use (see DESIGN.md §3). Video
-// bytes are generated deterministically per (video, segment) so the client
-// can verify every byte without the server storing real footage.
+// produced (and counted) exactly once per slot and the encoded frame is
+// fanned out to the subscribers of the video that tune in to it — those
+// whose admission assigned one of their segments to the slot, and those
+// whose last slot it is — standing in for the IP multicast a production
+// deployment would use (see DESIGN.md §3). Video bytes are generated
+// deterministically per (video, segment) so the client can verify every
+// byte without the server storing real footage.
 package vodserver
 
 import (
@@ -280,6 +282,8 @@ type Server struct {
 	// them to its pool, so a method value evaluated in fanOut would allocate
 	// on every tick.
 	walks [2]func(worker, video int, rep core.SlotReport) bool
+	// assignments pools admit's serving-slot buffers (*[]int).
+	assignments sync.Pool
 
 	wg sync.WaitGroup
 }

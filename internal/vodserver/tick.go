@@ -2,8 +2,10 @@ package vodserver
 
 // This file is the per-slot broadcast: the station clock's tick callback
 // walks the active videos over the station's spans, encodes each slot once
-// and hands the shared frame to every subscriber's ring, writing it to the
-// socket itself when the subscriber's handler is parked with nothing queued.
+// and hands the shared frame to the ring of every subscriber that needs the
+// slot (one of its segments was assigned there, or it is its last), writing
+// it to the socket itself when the subscriber's handler is parked with
+// nothing queued.
 
 import (
 	"time"
@@ -35,17 +37,18 @@ func (s *Server) dropHook(videoID uint32, slot int) func(segment int) bool {
 
 // fanOut runs on the station's clock goroutine once per slot, as the slot
 // begins: each active video's broadcast instances are encoded exactly once
-// into a shared ref-counted frame and one reference is handed to each
-// subscriber's ring — the per-audience cost is a pointer, not a copy, plus
-// the socket write the tick makes itself for a handler parked with nothing
-// queued; an idle video costs nothing. It walks the active videos twice:
-// the first walk encodes and hands the frame to every session whose first
-// frame is not yet written, the second to everyone else, so a new session's
-// first byte never waits behind the tick's steady-state writes. The station
-// walks its active videos span by span — on its pool when there is more
-// than one span, the clock only dispatching and joining — and per-worker
-// tallies merge into the shared counters once per tick, so the hot loops
-// touch no shared cache line and take no lock but each ring's own.
+// into a shared ref-counted frame and one reference is handed to the ring
+// of each subscriber that needs the slot (push) — the per-audience cost is
+// a pointer, not a copy, plus the socket write the tick makes itself for a
+// handler parked with nothing queued; an idle video costs nothing. It walks
+// the active videos twice: the first walk encodes and hands the frame to
+// every session whose first frame is not yet written, the second to
+// everyone else, so a new session's first byte never waits behind the
+// tick's steady-state writes. The station walks its active videos span by
+// span — on its pool when there is more than one span, the clock only
+// dispatching and joining — and per-worker tallies merge into the shared
+// counters once per tick, so the hot loops touch no shared cache line and
+// take no lock but each ring's own.
 func (s *Server) fanOut() {
 	t0 := time.Now()
 	defer func() { s.fanout.Observe(time.Since(t0).Seconds()) }()
@@ -133,9 +136,13 @@ func (s *Server) steadyFrames(worker, video int, rep core.SlotReport) bool {
 }
 
 // push hands one reference to the slot's frame to a subscriber's ring,
-// which writes it at once when the handler is parked with nothing queued.
+// which writes it at once when the handler is parked with nothing queued,
+// unless the slot carries none of the subscriber's instances (wants).
 func push(tally *fanoutTally, sub *subscriber, frame *fanout.Frame, slot int) {
 	sub.pushed = slot
+	if !sub.wants(slot) {
+		return
+	}
 	frame.Retain()
 	depth, ok := sub.ring.Push(frame)
 	if !ok {
