@@ -38,9 +38,11 @@ lint:
 # observability-critical packages (including the wire codec, the QoE client
 # and the set-top box that measures its QoE, since they carry the telemetry
 # loop) and a separate one on the scheduler the live server admits through
-# (core and its slot ring), and the metric census
-# (every family a fully wired server registers must pass obs.ValidMetricName
-# and name its reader, and every named reader's family must be registered).
+# (core and its slot ring), and the census of the read surface: every metric
+# family a fully wired server registers must pass obs.ValidMetricName and
+# name its reader, every routed endpoint path and every /statusz key (top
+# level and one level into station) must name its reader, and every named
+# reader's family, path or key must still be served.
 COVER_FLOOR ?= 85
 
 # cover-floor runs the tests of the packages $(2) under one profile and fails
@@ -105,7 +107,7 @@ ci:
 	$(GO) test -run '^TestStartCostPerIdleVideo$$' -count=1 ./internal/vodserver/
 	$(call cover-floor,obs+history+station+wire+vodclient+client,./internal/obs/ ./internal/obs/history/ ./internal/station/ ./internal/wire/ ./internal/vodclient/ ./internal/client/)
 	$(call cover-floor,core+slots,./internal/core/ ./internal/slots/)
-	$(GO) test -run '^TestRegisteredMetricNamesValid$$' -count=1 ./internal/vodserver/
+	$(GO) test -run '^(TestRegisteredMetricNamesValid|TestEndpointReaders|TestStatusFieldReaders)$$' -count=1 ./internal/vodserver/
 	# The Config census: every vodserver.Config field is set by the command
 	# line or is a listed test seam naming what retires it, and every listed
 	# seam is a field the command line does not set.

@@ -46,7 +46,7 @@ func parseFlags(args []string) (vodserver.Config, string, error) {
 	segments := fs.Int("segments", 99, "segments per video")
 	slotMillis := fs.Int("slot-ms", 500, "slot duration in milliseconds")
 	segmentBytes := fs.Int("segment-bytes", 4096, "payload bytes per segment")
-	fs.StringVar(&cfg.StatsAddr, "stats-addr", "", "optional HTTP monitoring address serving /statusz, /healthz, /metricsz, /spanz, /alertz, /connz, /queryz, /debug/flightrecord and /debug/pprof")
+	fs.StringVar(&cfg.StatsAddr, "stats-addr", "", "optional HTTP monitoring address serving /statusz, /metricsz, /connz, /queryz, /debug/flightrecord and /debug/pprof")
 	fs.StringVar(&spanPath, "span-trace", "", "optional JSONL file capturing sampled admission pipeline spans")
 	fs.IntVar(&cfg.SpanSampleEvery, "span-sample", 0, "keep 1 in N admission span trees (0 = default, 1 = everything)")
 	fs.DurationVar(&cfg.AlertFor, "alert-for", 0, "how long a breach must hold before a rule fires (0 = fire immediately)")
@@ -112,7 +112,7 @@ func run(cfg vodserver.Config, spanPath string) (runErr error) {
 	fmt.Printf("vodserver listening on %s (%d videos, %d segments, %d ms slots, %d tick spans)\n",
 		srv.Addr(), len(cfg.Videos), cfg.Videos[0].Segments, cfg.SlotDuration.Milliseconds(), srv.Station().Shards())
 	if srv.StatsAddr() != "" {
-		fmt.Printf("introspection on http://%s/{statusz,healthz,metricsz,spanz,alertz,queryz,connz,debug/pprof}\n", srv.StatsAddr())
+		fmt.Printf("introspection on http://%s/{statusz,metricsz,connz,queryz,debug/flightrecord,debug/pprof}\n", srv.StatsAddr())
 		fmt.Printf("live dashboard: go run ./cmd/vodtop -addr %s\n", srv.StatsAddr())
 	}
 	if cfg.FlightDir != "" {

@@ -205,7 +205,7 @@ func (c *STB) settle(slot int) error {
 		c.qoe.Misses++
 		if miss == nil {
 			miss = fmt.Errorf("client: segment %d %w slot %d (arrival %d, T=%d)",
-				j, ErrMissedDeadline, slot, c.arrival, c.periods[j])
+				j, ErrMissedDeadline, slot, c.arrival, t)
 		}
 	}
 	if miss != nil {

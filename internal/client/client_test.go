@@ -305,14 +305,21 @@ func TestResumeSTBHappyPath(t *testing.T) {
 	}
 }
 
+// TestResumeSTBDetectsMiss: each slot that passes without the segment due in
+// it is a miss, and the message names the deadline it judged, arrival + T
+// with T = slot - arrival, not the unshifted period of the missed segment.
 func TestResumeSTBDetectsMiss(t *testing.T) {
-	c, err := NewFrom(0, video.DefaultPeriods(5), 3)
+	const arrival = 6
+	c, err := NewFrom(arrival, video.DefaultPeriods(6), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Slot 1 passes without segment 3, whose shifted deadline is slot 1.
-	if err := c.ObserveSlot(1, nil); err == nil {
-		t.Fatal("missed shifted deadline not detected")
+	for slot, j := arrival+1, 4; j <= 6; slot, j = slot+1, j+1 {
+		err := c.ObserveSlot(slot, nil)
+		want := fmt.Sprintf("segment %d missed its deadline slot %d (arrival %d, T=%d)", j, slot, arrival, slot-arrival)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("slot %d: error %v, want %q", slot, err, want)
+		}
 	}
 }
 

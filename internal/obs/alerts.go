@@ -66,7 +66,8 @@ type AlertRule struct {
 	Stale time.Duration
 }
 
-// AlertStatus is one rule's externally visible state, as served by /alertz.
+// AlertStatus is one rule's externally visible state, as served in /statusz
+// alerts.
 type AlertStatus struct {
 	Name     string     `json:"name"`
 	Severity string     `json:"severity,omitempty"`
@@ -107,7 +108,6 @@ type AlertEngine struct {
 	rules   []*alertRuleState
 	clock   func() time.Time
 	started time.Time
-	evals   uint64
 	// onTransition, when set, observes every state change an evaluation
 	// produced. It is invoked AFTER the engine lock is released so the hook
 	// may call back into the engine (Snapshot) or into subsystems whose
@@ -183,7 +183,6 @@ func (e *AlertEngine) SetOnTransition(fn func(AlertTransition)) {
 func (e *AlertEngine) Eval() {
 	e.mu.Lock()
 	now := e.clock()
-	e.evals++
 	// Hoisted so the hookless path (no flight dir) pays one register test per
 	// rule instead of re-loading the field through the engine pointer.
 	hook := e.onTransition
@@ -294,14 +293,6 @@ func (e *AlertEngine) Firing() int {
 		}
 	}
 	return n
-}
-
-// Evals reports the number of evaluation passes run, so callers can tell a
-// quiet alert table from an engine that never ticked.
-func (e *AlertEngine) Evals() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.evals
 }
 
 // BurnRateRule watches a Window's SLO burn rate: it fires when the error

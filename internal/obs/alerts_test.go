@@ -150,7 +150,7 @@ func TestAlertNaNNeverFires(t *testing.T) {
 	if got.State != StateInactive {
 		t.Fatalf("NaN state = %s, want inactive (no data never fires)", got.State)
 	}
-	// The no-data level must stay JSON-encodable: /alertz serves Snapshot
+	// The no-data level must stay JSON-encodable: /statusz serves Snapshot
 	// verbatim and encoding/json refuses NaN.
 	if got.Value != 0 || got.Op != ">" {
 		t.Fatalf("no-data snapshot value = %v op=%q, want 0 op=\">\"", got.Value, got.Op)

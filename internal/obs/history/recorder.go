@@ -17,10 +17,10 @@ import (
 // This file implements the flight recorder: the component that turns "an
 // alert fired" into a diagnostic bundle on disk, captured at the moment the
 // process still holds the evidence. A bundle is one timestamped directory
-// containing the recent metric history, the span ring, a status snapshot,
-// the alert table, and goroutine + heap profiles — everything a postmortem
-// needs to answer "what led up to this" without the operator having been
-// watching.
+// containing the recent metric history, the span ring, a status snapshot
+// (which carries the alert table), and goroutine + heap profiles —
+// everything a postmortem needs to answer "what led up to this" without the
+// operator having been watching.
 //
 // Bundles are bounded twice over: a 5-minute cooldown rate-limits
 // alert-triggered captures (a flapping rule cannot fill the disk), and
@@ -35,8 +35,8 @@ const cooldown = 5 * time.Minute
 const keep = 8
 
 // RecorderConfig parameterizes a Recorder. Dir is required. The snapshot
-// sources (Store, Status, Spans, Alerts, Conns) are each optional — a nil
-// source simply omits that file from bundles.
+// sources (Store, Status, Spans, Conns) are each optional — a nil source
+// simply omits that file from bundles.
 type RecorderConfig struct {
 	// Dir is the directory bundles are written under; created if absent.
 	Dir string
@@ -48,8 +48,6 @@ type RecorderConfig struct {
 	Status func() ([]byte, error)
 	// Spans supplies the recent span ring (spans.jsonl).
 	Spans func() []obs.SpanRecord
-	// Alerts supplies the alert table (alerts.json).
-	Alerts func() []obs.AlertStatus
 	// Conns supplies a rendered per-connection transport telemetry snapshot
 	// (conns.json), normally the same bytes /connz serves — the evidence a
 	// stall-attribution postmortem needs.
@@ -204,13 +202,6 @@ func (r *Recorder) capture(reason string, now time.Time) (string, error) {
 			}
 			_, err = f.Write(b)
 			return err
-		}); err != nil {
-			return "", err
-		}
-	}
-	if r.cfg.Alerts != nil {
-		if err := write("alerts.json", func(f *os.File) error {
-			return json.NewEncoder(f).Encode(r.cfg.Alerts())
 		}); err != nil {
 			return "", err
 		}

@@ -52,13 +52,10 @@ func TestRecorderBundleContents(t *testing.T) {
 		Clock: clk.Now,
 		Store: store,
 		Status: func() ([]byte, error) {
-			return []byte(`{"uptime_seconds": 5}`), nil
+			return []byte(`{"uptime_seconds": 5, "alerts": [{"name": "miss_rate_high", "state": "firing"}]}`), nil
 		},
 		Spans: func() []obs.SpanRecord {
 			return []obs.SpanRecord{{Name: "admit"}}
-		},
-		Alerts: func() []obs.AlertStatus {
-			return []obs.AlertStatus{{Name: "miss_rate_high", State: obs.StateFiring}}
 		},
 	})
 	if err != nil {
@@ -82,7 +79,7 @@ func TestRecorderBundleContents(t *testing.T) {
 	if meta.StoreStats == nil || meta.StoreStats.Series != 2 {
 		t.Fatalf("meta store stats = %+v", meta.StoreStats)
 	}
-	for _, f := range []string{"history.jsonl", "spans.jsonl", "status.json", "alerts.json", "goroutine.pprof", "heap.pprof", "meta.json"} {
+	for _, f := range []string{"history.jsonl", "spans.jsonl", "status.json", "goroutine.pprof", "heap.pprof", "meta.json"} {
 		if _, err := os.Stat(filepath.Join(path, f)); err != nil {
 			t.Fatalf("bundle missing %s: %v", f, err)
 		}
@@ -107,10 +104,13 @@ func TestRecorderBundleContents(t *testing.T) {
 		t.Fatalf("miss-rate ramp not recorded: %+v", miss.Points)
 	}
 
-	var alerts []obs.AlertStatus
-	decodeFile(t, filepath.Join(path, "alerts.json"), &alerts)
-	if len(alerts) != 1 || alerts[0].State != obs.StateFiring {
-		t.Fatalf("alerts.json wrong: %+v", alerts)
+	// status.json is the Status source's bytes, the alert table with them.
+	var status struct {
+		Alerts []obs.AlertStatus `json:"alerts"`
+	}
+	decodeFile(t, filepath.Join(path, "status.json"), &status)
+	if len(status.Alerts) != 1 || status.Alerts[0].State != obs.StateFiring {
+		t.Fatalf("status.json alerts wrong: %+v", status.Alerts)
 	}
 
 	// pprof profiles written with debug=0 are binary protos; just require

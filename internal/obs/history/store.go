@@ -4,8 +4,8 @@
 // alert fires.
 //
 // Every other observability surface in the repository (/metricsz, /statusz,
-// /alertz, vodtop) is a live snapshot: by the time an operator looks, the
-// history that explains a miss-rate alert is gone. The paper's evaluation is
+// vodtop) is a live snapshot: by the time an operator looks, the history that
+// explains a miss-rate alert is gone. The paper's evaluation is
 // phrased entirely over time — bandwidth and waiting time as demand shifts —
 // so the serving process itself retains the last stretch of every metric it
 // exports and can answer range queries (/queryz) from memory.

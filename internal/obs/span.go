@@ -66,7 +66,8 @@ type SpanTracer struct {
 	stats   SpanStats
 }
 
-// spanRingSize bounds the finished spans a SpanTracer keeps for /spanz.
+// spanRingSize bounds the finished spans a SpanTracer keeps for Recent (the
+// flight bundle's spans.jsonl).
 const spanRingSize = 256
 
 // NewSpanTracer returns a tracer keeping the most recent spanRingSize
@@ -240,21 +241,17 @@ func (s *Span) End() {
 	}
 }
 
-// Recent returns up to n of the most recently finished spans, oldest first.
-// n <= 0 means everything the ring holds.
-func (t *SpanTracer) Recent(n int) []SpanRecord {
+// Recent returns every finished span the ring holds, oldest first.
+func (t *SpanTracer) Recent() []SpanRecord {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	size := len(t.ring)
-	if n <= 0 || n > size {
-		n = size
-	}
-	out := make([]SpanRecord, 0, n)
+	out := make([]SpanRecord, 0, size)
 	start := 0
 	if size == cap(t.ring) {
 		start = t.next
 	}
-	for i := size - n; i < size; i++ {
+	for i := 0; i < size; i++ {
 		out = append(out, t.ring[(start+i)%size])
 	}
 	return out

@@ -184,7 +184,7 @@ func TestSpanConcurrency(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 100; i++ {
-			tr.Recent(32)
+			tr.Recent()
 			tr.Stats()
 		}
 	}()
@@ -201,7 +201,7 @@ func TestSpanConcurrency(t *testing.T) {
 	if got := uint64(sink.Lines(t)); got != st.Finished {
 		t.Fatalf("exported %d JSONL spans, stats say %d finished", got, st.Finished)
 	}
-	if recent := tr.Recent(0); len(recent) != spanRingSize {
+	if recent := tr.Recent(); len(recent) != spanRingSize {
 		t.Fatalf("ring holds %d, want full %d", len(recent), spanRingSize)
 	}
 	if tr.err != nil {
@@ -227,7 +227,7 @@ func TestRecordChildJoinsTrace(t *testing.T) {
 	if id == 0 {
 		t.Fatal("RecordChild returned ID 0 on a live tracer")
 	}
-	recs := tr.Recent(0)
+	recs := tr.Recent()
 	if len(recs) != 2 {
 		t.Fatalf("got %d records, want 2", len(recs))
 	}

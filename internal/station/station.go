@@ -648,9 +648,6 @@ type Status struct {
 	// (empty when the station is uninstrumented).
 	Stages map[string]obs.WindowSnapshot `json:"stages,omitempty"`
 	Clock  ClockStatus                   `json:"clock"`
-	// Requests and Instances are the station-wide admission totals.
-	Requests  int64 `json:"requests"`
-	Instances int64 `json:"instances"`
 }
 
 // Status assembles the operator snapshot behind /statusz. It takes each
@@ -667,8 +664,6 @@ func (st *Station) Status() Status {
 		row := VideoStatus{Video: v, Name: sv.cfg.Name, Slot: sv.slot()}
 		row.Requests, row.Instances = sv.totals()
 		sv.mu.Unlock()
-		s.Requests += row.Requests
-		s.Instances += row.Instances
 		s.PerVideo[v] = row
 	}
 	s.Active = int(st.active.Load())

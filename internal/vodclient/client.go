@@ -58,7 +58,7 @@ type Result struct {
 	SessionSlots    int
 	// TraceID is the server's trace identifier for this session, zero when
 	// the session was not sampled (or tracing was declined). The matching
-	// spans are visible in the server's /spanz.
+	// spans are in the server's -span-trace stream and flight bundles.
 	TraceID uint64
 }
 

@@ -15,37 +15,33 @@ import (
 
 // This file is the end-to-end test of the client QoE loop: a real server, N
 // concurrent real clients, reports landing in /statusz, client spans joining
-// the admit traces in /spanz, and an injected fault walking the miss alert
-// through pending → firing → resolved in /alertz.
+// the admit traces in the span ring, and an injected fault walking the miss
+// alert through pending → firing → resolved in /statusz alerts.
 
-// alertzDoc mirrors the /alertz response shape.
-type alertzDoc struct {
-	Firing int               `json:"firing"`
-	Evals  uint64            `json:"evals"`
-	Rules  []obs.AlertStatus `json:"rules"`
-}
-
-func getAlertz(t *testing.T, s *Server) alertzDoc {
+// statuszAlerts returns the alert rule table /statusz serves.
+func statuszAlerts(t *testing.T, s *Server) []obs.AlertStatus {
 	t.Helper()
-	code, body := get(t, s, "/alertz")
+	code, body := get(t, s, "/statusz")
 	if code != http.StatusOK {
-		t.Fatalf("alertz status = %d", code)
+		t.Fatalf("statusz status = %d", code)
 	}
-	var doc alertzDoc
+	var doc struct {
+		Alerts []obs.AlertStatus `json:"alerts"`
+	}
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("alertz body: %v\n%s", err, body)
+		t.Fatalf("statusz body: %v\n%s", err, body)
 	}
-	return doc
+	return doc.Alerts
 }
 
 func ruleState(t *testing.T, s *Server, name string) obs.AlertState {
 	t.Helper()
-	for _, r := range getAlertz(t, s).Rules {
+	for _, r := range statuszAlerts(t, s) {
 		if r.Name == name {
 			return r.State
 		}
 	}
-	t.Fatalf("rule %q not served by /alertz", name)
+	t.Fatalf("rule %q not served in /statusz alerts", name)
 	return ""
 }
 
@@ -106,7 +102,7 @@ func TestE2EClientQoELoop(t *testing.T) {
 
 	// Every session was sampled, so every admit tree must have gained
 	// client-side children with intact parent links.
-	spans := s.spans.Recent(0)
+	spans := s.spans.Recent()
 	byID := make(map[uint64]obs.SpanRecord, len(spans))
 	for _, r := range spans {
 		byID[r.ID] = r
@@ -167,8 +163,15 @@ func TestE2EClientQoELoop(t *testing.T) {
 	if st := ruleState(t, s, "client_deadline_miss_rate"); st != obs.StateFiring {
 		t.Fatalf("held breach state = %s, want firing", st)
 	}
-	if doc := getAlertz(t, s); doc.Firing == 0 || doc.Evals == 0 {
-		t.Fatalf("alertz doc = %+v, want firing > 0 and evals > 0", doc)
+	// The firing count vod_alerts_firing exports agrees with the table.
+	firing := 0
+	for _, r := range statuszAlerts(t, s) {
+		if r.State == obs.StateFiring {
+			firing++
+		}
+	}
+	if firing == 0 || firing != s.alerts.Firing() {
+		t.Fatalf("/statusz alerts show %d firing, engine %d; want equal and > 0", firing, s.alerts.Firing())
 	}
 
 	// Phase 3 — recovery: two healthy sessions bring the window's mean back

@@ -132,7 +132,7 @@ func TestQueryzEndpoint(t *testing.T) {
 	}
 	found := false
 	for _, name := range idx.Series {
-		if name == "vod_uptime_seconds" {
+		if name == "station_clock_ticks_total" {
 			found = true
 		}
 	}
@@ -141,7 +141,7 @@ func TestQueryzEndpoint(t *testing.T) {
 	}
 
 	// A range query returns timestamped points for the series.
-	code, body = get(t, s, "/queryz?series=vod_uptime_seconds")
+	code, body = get(t, s, "/queryz?series=station_clock_ticks_total")
 	if code != http.StatusOK {
 		t.Fatalf("queryz?series = %d", code)
 	}
@@ -154,7 +154,7 @@ func TestQueryzEndpoint(t *testing.T) {
 	}
 	last := rng.Points[len(rng.Points)-1]
 	if last.Value <= rng.Points[0].Value {
-		t.Fatalf("uptime series not increasing: %+v", rng.Points)
+		t.Fatalf("clock tick series not increasing: %+v", rng.Points)
 	}
 	if last.Unix < rng.From || last.Unix > rng.To {
 		t.Fatalf("point %v outside [%v, %v]", last.Unix, rng.From, rng.To)
@@ -302,10 +302,10 @@ func TestQueryzSeriesCapExcludesRefused(t *testing.T) {
 	for _, name := range idx.Series {
 		listed[name] = true
 	}
-	// The server-wide series vodtop's trend pane reads (and the uptime) were
-	// admitted at boot, ahead of every per-video family.
+	// The server-wide series vodtop's trend pane reads (and the clock's tick
+	// count) were admitted at boot, ahead of every per-video family.
 	for _, name := range []string{`client_startup_slots{quantile="0.99"}`, "vod_requests_total",
-		"vod_alerts_firing", "vod_uptime_seconds"} {
+		"vod_alerts_firing", "station_clock_ticks_total"} {
 		if !listed[name] {
 			t.Fatalf("%s refused behind the per-video families", name)
 		}
@@ -334,7 +334,7 @@ func TestQueryzSeriesCapExcludesRefused(t *testing.T) {
 		t.Fatalf("refused series %s served %d points", refused, len(rng.Points))
 	}
 	// An admitted series answers with real points over the same surface.
-	code, body = get(t, s, "/queryz?series=vod_uptime_seconds")
+	code, body = get(t, s, "/queryz?series=station_clock_ticks_total")
 	if code != http.StatusOK {
 		t.Fatalf("admitted-series query = %d", code)
 	}
@@ -413,13 +413,21 @@ func TestFlightRecordEndpoint(t *testing.T) {
 	if doc.Stats.Captured != 1 {
 		t.Fatalf("recorder stats = %+v, want captured=1", doc.Stats)
 	}
-	for _, f := range []string{"meta.json", "history.jsonl", "spans.jsonl", "status.json", "alerts.json", "goroutine.pprof", "heap.pprof"} {
-		if _, err := os.Stat(filepath.Join(doc.Bundle, f)); err != nil {
-			t.Fatalf("bundle missing %s: %v", f, err)
-		}
+	// The bundle holds exactly these files: the alert table travels in
+	// status.json, so there is no alerts.json beside it.
+	entries, err := os.ReadDir(doc.Bundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, e := range entries {
+		files = append(files, e.Name())
+	}
+	if got, want := strings.Join(files, " "), "conns.json goroutine.pprof heap.pprof history.jsonl meta.json spans.jsonl status.json"; got != want {
+		t.Fatalf("bundle files %q, want %q", got, want)
 	}
 	// status.json decodes as the same document /statusz serves, including
-	// history and flight sections.
+	// the uptime and flight sections.
 	var snap StatusSnapshot
 	raw, err := os.ReadFile(filepath.Join(doc.Bundle, "status.json"))
 	if err != nil {
@@ -428,8 +436,8 @@ func TestFlightRecordEndpoint(t *testing.T) {
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatalf("status.json: %v", err)
 	}
-	if snap.History.Scrapes == 0 || snap.Flight == nil {
-		t.Fatalf("status.json missing history/flight sections: %+v", snap)
+	if snap.UptimeSeconds <= 0 || snap.Flight == nil {
+		t.Fatalf("status.json missing uptime/flight sections: %+v", snap)
 	}
 }
 
@@ -544,23 +552,24 @@ func TestE2EFlightRecorder(t *testing.T) {
 		t.Fatalf("miss-rate step-up not recorded (zero=%v elevated=%v): %+v",
 			sawZero, sawElevated, miss)
 	}
-	// alerts.json was snapshotted after the transition: the rule is firing.
-	var alerts []obs.AlertStatus
-	rawAlerts, err := os.ReadFile(filepath.Join(bundle, "alerts.json"))
+	// status.json was snapshotted after the transition: its alert table
+	// shows the rule firing.
+	var status StatusSnapshot
+	rawStatus, err := os.ReadFile(filepath.Join(bundle, "status.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(rawAlerts, &alerts); err != nil {
+	if err := json.Unmarshal(rawStatus, &status); err != nil {
 		t.Fatal(err)
 	}
 	firingSeen := false
-	for _, a := range alerts {
+	for _, a := range status.Alerts {
 		if a.Name == "client_deadline_miss_rate" && a.State == obs.StateFiring {
 			firingSeen = true
 		}
 	}
 	if !firingSeen {
-		t.Fatalf("bundle alerts.json does not show the firing rule: %+v", alerts)
+		t.Fatalf("bundle status.json alerts do not show the firing rule: %+v", status.Alerts)
 	}
 
 	// /queryz serves the same series over HTTP with the same step-up.

@@ -2,7 +2,6 @@ package vodserver
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -63,29 +62,10 @@ func getBuilt(s *Server, path string) (int, string) {
 // endpoints — is a 404.
 func TestUnknownPathIs404(t *testing.T) {
 	s := startObsServer(t)
-	for _, path := range []string{"/", "/nope", "/statsz", "/tracez", "/statusz/extra", "/statuszz", "/metricsz/sub"} {
+	for _, path := range []string{"/", "/nope", "/statsz", "/tracez", "/healthz", "/spanz", "/alertz", "/statusz/extra", "/statuszz", "/metricsz/sub"} {
 		if code, _ := get(t, s, path); code != http.StatusNotFound {
 			t.Fatalf("GET %s = %d, want 404", path, code)
 		}
-	}
-}
-
-// TestHealthz returns 200 with a positive uptime.
-func TestHealthz(t *testing.T) {
-	s := startObsServer(t)
-	code, body := get(t, s, "/healthz")
-	if code != http.StatusOK {
-		t.Fatalf("healthz status = %d", code)
-	}
-	var h struct {
-		Status        string  `json:"status"`
-		UptimeSeconds float64 `json:"uptime_seconds"`
-	}
-	if err := json.Unmarshal([]byte(body), &h); err != nil {
-		t.Fatalf("healthz body %q: %v", body, err)
-	}
-	if h.Status != "ok" || h.UptimeSeconds <= 0 {
-		t.Fatalf("healthz = %+v", h)
 	}
 }
 
@@ -104,7 +84,6 @@ func TestMetricszExposition(t *testing.T) {
 		"# TYPE vod_admit_first_byte_seconds summary",
 		`vod_admit_first_byte_seconds{quantile="0.99"}`,
 		"vod_admit_first_byte_seconds_count 1",
-		"vod_uptime_seconds",
 		"vod_active_subscribers",
 	} {
 		if !strings.Contains(body, want) {

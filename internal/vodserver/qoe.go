@@ -13,11 +13,11 @@ import (
 // This file is the server half of the client QoE loop: it reads the
 // wire.ClientReport a session sends at its end, folds it into the
 // client_* metric families and rolling windows /statusz serves, synthesizes
-// the client's side of the admit trace into /spanz, and arms the alert rules
-// that watch the folded signals. The server-side windows deliberately track
-// per-REPORT aggregates (mean slack, misses per report) rather than
-// per-segment samples: a report is one customer's session, which is the
-// granularity operators alert on.
+// the client's side of the admit trace into the span stream, and arms the
+// alert rules that watch the folded signals. The server-side windows
+// deliberately track per-REPORT aggregates (mean slack, misses per report)
+// rather than per-segment samples: a report is one customer's session, which
+// is the granularity operators alert on.
 
 // missRateThreshold is the windowed mean of deadline misses per client report
 // above which the client_deadline_miss_rate alert trips.

@@ -203,7 +203,7 @@ func TestReportMustEchoItsSessionTraceIDs(t *testing.T) {
 		t.Fatalf("client_reports_total = %d, want 1: a forged report counted", n)
 	}
 	grafted := 0
-	for _, r := range s.spans.Recent(0) {
+	for _, r := range s.spans.Recent() {
 		if r.Name == "client_session" && r.Parent == honest.SpanID {
 			grafted++
 		}

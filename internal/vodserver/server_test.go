@@ -271,7 +271,7 @@ func TestSameSlotBurst(t *testing.T) {
 		t.Fatalf("vod_instances_total = %v, want at most %d", got, bound)
 	}
 	var placed, placing int
-	for _, r := range s.spans.Recent(0) {
+	for _, r := range s.spans.Recent() {
 		if r.Name != "station_admit" {
 			continue
 		}

@@ -68,15 +68,14 @@ type Config struct {
 	// down for testing).
 	SlotDuration time.Duration
 	// StatsAddr optionally binds an HTTP monitoring endpoint serving
-	// /statusz (JSON pipeline snapshot), /healthz (liveness + uptime),
-	// /metricsz (Prometheus text format), /spanz (recent pipeline spans),
-	// /alertz (alert rule states), /connz (per-subscriber transport
+	// /statusz (JSON pipeline snapshot with uptime and alert states),
+	// /metricsz (Prometheus text format), /connz (per-subscriber transport
 	// state), /queryz (metric history), /debug/flightrecord (forces a
 	// flight-recorder bundle) and /debug/pprof/*.
 	StatsAddr string
 	// SpanWriter optionally streams every finished pipeline span as JSONL.
-	// Spans are recorded to the /spanz ring regardless; the writer adds the
-	// offline stream.
+	// Spans are kept in the ring the flight bundle's spans.jsonl copies
+	// regardless; the writer adds the offline stream.
 	SpanWriter io.Writer
 	// SpanSampleEvery keeps 1 in N admission span trees (children inherit
 	// the root's decision); 0 selects defaultSpanSampleEvery, 1 keeps
@@ -436,8 +435,6 @@ func build(cfg Config) (*Server, error) {
 	// The sampler exists before armAlerts so the conn_stalled_ratio rule can
 	// watch it.
 	s.ct = conntrack.New(conntrack.Config{Registry: reg})
-	reg.GaugeFunc("vod_uptime_seconds", "Seconds since the server started.",
-		func() float64 { return time.Since(s.started).Seconds() })
 	reg.GaugeFunc("vod_active_subscribers", "Clients currently receiving a broadcast.",
 		func() float64 { return float64(s.activeSubscribers()) })
 	reg.GaugeFunc("vod_fanout_ring_depth_max",
@@ -469,8 +466,7 @@ func build(cfg Config) (*Server, error) {
 			Status: func() ([]byte, error) {
 				return json.MarshalIndent(s.Status(), "", "  ")
 			},
-			Spans:  func() []obs.SpanRecord { return s.spans.Recent(0) },
-			Alerts: func() []obs.AlertStatus { return s.alerts.Snapshot() },
+			Spans: s.spans.Recent,
 			Conns: func() ([]byte, error) {
 				return json.MarshalIndent(s.ct.Snapshot(), "", "  ")
 			},

@@ -9,26 +9,27 @@ import (
 	"strconv"
 	"time"
 
-	"vodcast/internal/obs"
 	"vodcast/internal/obs/history"
 )
 
 // This file is the server's live introspection surface:
 //
-//	GET /statusz      full pipeline snapshot: per-video rows, stage latency
-//	                  windows, SLO burn, clock lag (what vodtop renders)
-//	GET /healthz      liveness probe: 200 with status and uptime
+//	GET /statusz      full pipeline snapshot: uptime, per-video rows, stage
+//	                  latency windows, SLO burn, clock lag and the alert rule
+//	                  table (what vodtop renders)
 //	GET /metricsz     the obs registry in Prometheus text format
 //	                  (?prefix=vod_ filters to one family subset)
-//	GET /spanz?n=N    the most recent N finished pipeline spans, the server's
-//	                  only trace (default: all buffered)
-//	GET /alertz       the alert rule table with per-rule state and a firing count
 //	GET /connz        per-subscriber transport telemetry: classified state,
 //	                  RTT, retransmits, ring depth, bytes/sec per connection
 //	GET /queryz       retained metric history range queries
 //	                  (?series=&from=&to=&step=; no series lists the inventory)
 //	GET /debug/flightrecord  force a diagnostic bundle capture
 //	GET /debug/pprof  the standard Go profiling endpoints
+//
+// Each fact is served in one place, and each path names its reader in the
+// endpoint census (endpointReaders in statusz_test.go). Finished spans leave
+// the process through the -span-trace stream and the flight bundle's
+// spans.jsonl, not through an endpoint.
 //
 // Every handler is routed through guardGET: it answers only its exact path
 // (a probe of an unregistered path is a 404 rather than a copy of the
@@ -67,15 +68,6 @@ func (s *Server) statusz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, s.Status())
-}
-
-// healthz reports liveness and uptime for load-balancer probes.
-func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
-	if !guardGET(w, r, "/healthz") {
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{\"status\":\"ok\",\"uptime_seconds\":%.3f}\n", s.Uptime().Seconds())
 }
 
 // metricsz renders the registry in the Prometheus text exposition format.
@@ -212,58 +204,28 @@ func (s *Server) flightrecord(w http.ResponseWriter, r *http.Request) {
 	}{dir, s.recorder.Stats()})
 }
 
-// alertz serves the alert engine's rule table: every rule with its state
-// (inactive/pending/firing/resolved), observed value and threshold, plus a
-// firing count so a scripted probe needs no client-side aggregation.
-func (s *Server) alertz(w http.ResponseWriter, r *http.Request) {
-	if !guardGET(w, r, "/alertz") {
-		return
+// statsRoutes is the monitoring endpoint's route table, path to handler.
+func (s *Server) statsRoutes() map[string]http.HandlerFunc {
+	return map[string]http.HandlerFunc{
+		"/statusz":             s.statusz,
+		"/metricsz":            s.metricsz,
+		"/connz":               s.connz,
+		"/queryz":              s.queryz,
+		"/debug/flightrecord":  s.flightrecord,
+		"/debug/pprof/":        pprof.Index,
+		"/debug/pprof/cmdline": pprof.Cmdline,
+		"/debug/pprof/profile": pprof.Profile,
+		"/debug/pprof/symbol":  pprof.Symbol,
+		"/debug/pprof/trace":   pprof.Trace,
 	}
-	writeJSON(w, struct {
-		Firing int               `json:"firing"`
-		Evals  uint64            `json:"evals"`
-		Rules  []obs.AlertStatus `json:"rules"`
-	}{
-		Firing: s.alerts.Firing(),
-		Evals:  s.alerts.Evals(),
-		Rules:  s.alerts.Snapshot(),
-	})
-}
-
-// spanz serves the most recent finished pipeline spans; ?n=N bounds the
-// window.
-func (s *Server) spanz(w http.ResponseWriter, r *http.Request) {
-	if !guardGET(w, r, "/spanz") {
-		return
-	}
-	n := 0
-	if raw := r.URL.Query().Get("n"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 0 {
-			http.Error(w, fmt.Sprintf("bad n %q", raw), http.StatusBadRequest)
-			return
-		}
-		n = v
-	}
-	writeJSON(w, s.spans.Recent(n))
 }
 
 // statsMux routes the monitoring endpoint's paths; serve serves it on the
 // stats listener.
 func (s *Server) statsMux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/statusz", s.statusz)
-	mux.HandleFunc("/healthz", s.healthz)
-	mux.HandleFunc("/metricsz", s.metricsz)
-	mux.HandleFunc("/spanz", s.spanz)
-	mux.HandleFunc("/alertz", s.alertz)
-	mux.HandleFunc("/connz", s.connz)
-	mux.HandleFunc("/queryz", s.queryz)
-	mux.HandleFunc("/debug/flightrecord", s.flightrecord)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	for path, h := range s.statsRoutes() {
+		mux.HandleFunc(path, h)
+	}
 	return mux
 }

@@ -59,17 +59,15 @@ type StatusSnapshot struct {
 	// the rule table the vodtop alert pane renders.
 	QoE    QoESnapshot       `json:"qoe"`
 	Alerts []obs.AlertStatus `json:"alerts"`
-	// History reports the retained-telemetry store's counters (series,
-	// resident bytes, scrapes); Flight the recorder's capture counters,
-	// omitted without a flight directory.
-	History history.Stats          `json:"history"`
-	Flight  *history.RecorderStats `json:"flight,omitempty"`
+	// Flight is the recorder's capture counters and cooldown, omitted
+	// without a flight directory.
+	Flight *history.RecorderStats `json:"flight,omitempty"`
 }
 
 // Status assembles the operator snapshot served at /statusz.
 func (s *Server) Status() StatusSnapshot {
 	snap := StatusSnapshot{
-		UptimeSeconds: s.Uptime().Seconds(),
+		UptimeSeconds: time.Since(s.started).Seconds(),
 		Stats:         s.Stats(),
 		Station:       s.station.Status(),
 		FirstByte:     s.firstByte.Snapshot(),
@@ -77,7 +75,6 @@ func (s *Server) Status() StatusSnapshot {
 		Spans:         s.spans.Stats(),
 		QoE:           s.QoE(),
 		Alerts:        s.alerts.Snapshot(),
-		History:       s.history.Stats(),
 	}
 	if s.recorder != nil {
 		fs := s.recorder.Stats()
@@ -99,9 +96,6 @@ func (s *Server) FlightRecord(reason string) (string, error) {
 
 // Station exposes the broadcast engine (span count, per-video slots).
 func (s *Server) Station() *station.Station { return s.station }
-
-// Uptime reports how long the server has been running.
-func (s *Server) Uptime() time.Duration { return time.Since(s.started) }
 
 // Stats returns a snapshot of the server counters, read from the registry
 // families /metricsz exposes (float64 counters are exact below 2^53).

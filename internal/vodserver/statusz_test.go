@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"vodcast/internal/obs"
+	"vodcast/internal/station"
 	"vodcast/internal/vodclient"
 )
 
@@ -57,7 +59,7 @@ func TestStatuszSnapshot(t *testing.T) {
 		t.Fatalf("uptime=%v stats=%+v", snap.UptimeSeconds, snap.Stats)
 	}
 	st := snap.Station
-	if st.Videos != 2 || len(st.PerVideo) != 2 || st.Requests != 2 {
+	if st.Videos != 2 || len(st.PerVideo) != 2 {
 		t.Fatalf("station snapshot %+v", st)
 	}
 	for _, row := range st.PerVideo {
@@ -91,20 +93,13 @@ func TestStatuszSnapshot(t *testing.T) {
 	}
 }
 
-// TestSpanzPipelineTree: /spanz carries the admit trees — roots attributed
-// to their video, station_admit and first_byte_wait children linked to their
-// parents.
-func TestSpanzPipelineTree(t *testing.T) {
+// TestSpanPipelineTree: the span ring carries the admit trees — roots
+// attributed to their video, station_admit and first_byte_wait children
+// linked to their parents.
+func TestSpanPipelineTree(t *testing.T) {
 	sink := &syncBuffer{}
 	s := startStatusServer(t, sink)
-	code, body := get(t, s, "/spanz")
-	if code != http.StatusOK {
-		t.Fatalf("spanz status = %d", code)
-	}
-	var recs []obs.SpanRecord
-	if err := json.Unmarshal([]byte(body), &recs); err != nil {
-		t.Fatalf("spanz body: %v", err)
-	}
+	recs := s.spans.Recent()
 	byID := make(map[uint64]obs.SpanRecord)
 	names := make(map[string]int)
 	for _, r := range recs {
@@ -130,10 +125,6 @@ func TestSpanzPipelineTree(t *testing.T) {
 			}
 		}
 	}
-	if code, _ := get(t, s, "/spanz?n=-1"); code != http.StatusBadRequest {
-		t.Fatalf("spanz?n=-1 = %d, want 400", code)
-	}
-
 	// The JSONL sink carries the same spans, one decodable object per line.
 	s.Close()
 	lines := strings.Split(strings.TrimSpace(sink.String()), "\n")
@@ -155,7 +146,7 @@ func TestSpanzPipelineTree(t *testing.T) {
 func TestSpanAdmitAttributes(t *testing.T) {
 	s := startStatusServer(t, nil)
 	admits := 0
-	for _, r := range s.spans.Recent(0) {
+	for _, r := range s.spans.Recent() {
 		if r.Name != "station_admit" {
 			continue
 		}
@@ -178,7 +169,7 @@ func TestSpanAdmitAttributes(t *testing.T) {
 	// The handler ends the root after answering the client.
 	var rejected []obs.SpanRecord
 	for deadline := time.Now().Add(5 * time.Second); len(rejected) == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		for _, r := range s.spans.Recent(0) {
+		for _, r := range s.spans.Recent() {
 			if r.Attrs["reject"] != "" {
 				rejected = append(rejected, r)
 			}
@@ -190,7 +181,7 @@ func TestSpanAdmitAttributes(t *testing.T) {
 	if r := rejected[0]; r.Name != "admit" || r.Parent != 0 || r.Video != 99 || !strings.Contains(r.Attrs["reject"], "unknown video 99") {
 		t.Fatalf("reject root %+v", r)
 	}
-	for _, r := range s.spans.Recent(0) {
+	for _, r := range s.spans.Recent() {
 		if r.Parent == rejected[0].ID {
 			t.Fatalf("refused request has child span %+v", r)
 		}
@@ -203,37 +194,125 @@ func TestSpanAdmitAttributes(t *testing.T) {
 	}
 }
 
-// TestRouteGuards: every introspection endpoint 405s non-GET methods with
-// an Allow header, 404s sub-paths, and declares its Content-Type — no
-// request falls through to a handler it did not name.
+// endpointReaders is the endpoint census: every path the monitoring endpoint
+// routes, with the reader that justifies it — a vodtop pane, a benchmark row
+// or check, or an operator question no other surface answers. A fact served
+// twice has one place; the other goes.
+var endpointReaders = map[string]string{
+	"/statusz":             "vodtop: every pane but the trend and connection panes",
+	"/metricsz":            "benchmark: the vodserver.*, station.* and fanout.* rows it scrapes",
+	"/connz":               "vodtop connection pane",
+	"/queryz":              "vodtop trend pane",
+	"/debug/flightrecord":  "operator: capture a flight bundle now, over the network",
+	"/debug/pprof/":        "operator: which goroutines are alive, and what holds the heap?",
+	"/debug/pprof/cmdline": "operator: what command line is this process running?",
+	"/debug/pprof/profile": "operator: where does the server's CPU go?",
+	"/debug/pprof/symbol":  "operator: go tool pprof resolves a remote profile's addresses here",
+	"/debug/pprof/trace":   "operator: what did the scheduler and the GC do, goroutine by goroutine?",
+}
+
+// TestEndpointReaders is the endpoint census: every routed path has an entry
+// in endpointReaders, and every entry is routed. `make ci` runs this by name.
+func TestEndpointReaders(t *testing.T) {
+	routes := (&Server{}).statsRoutes()
+	for path := range routes {
+		if endpointReaders[path] == "" {
+			t.Errorf("routed path %q has no reader in endpointReaders", path)
+		}
+	}
+	for path := range endpointReaders {
+		if routes[path] == nil {
+			t.Errorf("endpointReaders lists %q, which the monitoring endpoint does not route", path)
+		}
+	}
+}
+
+// statusFieldReaders is the /statusz census: every JSON key of StatusSnapshot,
+// and every key one level into station, with the reader that justifies it.
+// The flight bundle's status.json is a copy of /statusz, not a reader.
+var statusFieldReaders = map[string]string{
+	"uptime_seconds":        "vodtop header: up …",
+	"stats":                 "vodtop counters line: requests, instances, broadcast, subscribers, dropped",
+	"station":               "vodtop clock line, stage table and video table (the station.* keys)",
+	"station.videos":        "vodtop clock line: active=…/N videos",
+	"station.active_videos": "vodtop clock line: active=N/… videos",
+	"station.per_video":     "vodtop video table",
+	"station.stages":        "vodtop stage table: lock_wait and admit rows",
+	"station.clock":         "vodtop clock line: state, slot, ticks, lag",
+	"first_byte":            "vodtop SLO line and first_byte stage row",
+	"fanout":                "vodtop fanout stage row",
+	"spans":                 "vodtop spans line",
+	"qoe":                   "vodtop QoE line",
+	"alerts":                "vodtop alert table and vodtop -once's exit status",
+	"flight":                "operator: when may an alert capture the next bundle? (the recorder's only live view)",
+}
+
+// jsonKeys lists the JSON keys of struct type t's fields, each after prefix.
+func jsonKeys(t reflect.Type, prefix string) []string {
+	var keys []string
+	for i := 0; i < t.NumField(); i++ {
+		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		if name == "" {
+			name = t.Field(i).Name
+		}
+		keys = append(keys, prefix+name)
+	}
+	return keys
+}
+
+// TestStatusFieldReaders is the /statusz census: every key of StatusSnapshot,
+// at the top level and one level into station, has an entry in
+// statusFieldReaders, and every entry is such a key. `make ci` runs this by
+// name.
+func TestStatusFieldReaders(t *testing.T) {
+	keys := append(jsonKeys(reflect.TypeOf(StatusSnapshot{}), ""),
+		jsonKeys(reflect.TypeOf(station.Status{}), "station.")...)
+	have := map[string]bool{}
+	for _, key := range keys {
+		if statusFieldReaders[key] == "" {
+			t.Errorf("/statusz key %q has no reader in statusFieldReaders", key)
+		}
+		have[key] = true
+	}
+	for key := range statusFieldReaders {
+		if !have[key] {
+			t.Errorf("statusFieldReaders lists %q, which /statusz does not serve", key)
+		}
+	}
+}
+
+// TestRouteGuards: every introspection endpoint in the census 405s non-GET
+// methods with an Allow header, 404s sub-paths, and declares its Content-Type
+// — no request falls through to a handler it did not name. The profiling
+// handlers are the standard library's and are left as they come.
 func TestRouteGuards(t *testing.T) {
 	s := startStatusServer(t, nil)
-	endpoints := []struct {
-		path        string
-		contentType string
-	}{
-		{"/statusz", "application/json"},
-		{"/healthz", "application/json"},
-		{"/metricsz", "text/plain; version=0.0.4; charset=utf-8"},
-		{"/spanz", "application/json"},
-		{"/alertz", "application/json"},
-		{"/connz", "application/json"},
-		{"/queryz", "application/json"},
-	}
 	client := &http.Client{}
-	for _, ep := range endpoints {
-		url := "http://" + s.StatsAddr() + ep.path
+	for path := range endpointReaders {
+		if strings.HasPrefix(path, "/debug/pprof/") {
+			continue
+		}
+		// This server has no flight directory, so the capture is refused
+		// (TestFlightRecordEndpoint captures one).
+		wantCode, contentType := http.StatusOK, "application/json"
+		switch path {
+		case "/metricsz":
+			contentType = "text/plain; version=0.0.4; charset=utf-8"
+		case "/debug/flightrecord":
+			wantCode, contentType = http.StatusServiceUnavailable, "text/plain; charset=utf-8"
+		}
+		url := "http://" + s.StatsAddr() + path
 
 		resp, err := client.Get(url)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %d", ep.path, resp.StatusCode)
+		if resp.StatusCode != wantCode {
+			t.Fatalf("GET %s = %d, want %d", path, resp.StatusCode, wantCode)
 		}
-		if got := resp.Header.Get("Content-Type"); got != ep.contentType {
-			t.Fatalf("GET %s Content-Type = %q, want %q", ep.path, got, ep.contentType)
+		if got := resp.Header.Get("Content-Type"); got != contentType {
+			t.Fatalf("GET %s Content-Type = %q, want %q", path, got, contentType)
 		}
 
 		for _, method := range []string{http.MethodPost, http.MethodPut, http.MethodDelete, http.MethodHead} {
@@ -248,15 +327,15 @@ func TestRouteGuards(t *testing.T) {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusMethodNotAllowed {
-				t.Fatalf("%s %s = %d, want 405", method, ep.path, resp.StatusCode)
+				t.Fatalf("%s %s = %d, want 405", method, path, resp.StatusCode)
 			}
 			if got := resp.Header.Get("Allow"); got != http.MethodGet {
-				t.Fatalf("%s %s Allow = %q, want GET", method, ep.path, got)
+				t.Fatalf("%s %s Allow = %q, want GET", method, path, got)
 			}
 		}
 
-		if code, _ := get(t, s, ep.path+"/sub"); code != http.StatusNotFound {
-			t.Fatalf("GET %s/sub did not 404", ep.path)
+		if code, _ := get(t, s, path+"/sub"); code != http.StatusNotFound {
+			t.Fatalf("GET %s/sub did not 404", path)
 		}
 	}
 }
@@ -296,7 +375,6 @@ var familyReaders = map[string]string{
 	"vod_qoe_miss_rate":                 "flight bundle history (the miss alert's windowed signal)",
 	"vod_rejects_total":                 "benchmark correctness check: nothing refused",
 	"vod_requests_total":                "vodtop trend pane: admits/sec",
-	"vod_uptime_seconds":                "operator: how long has the server been up?",
 }
 
 // TestRegisteredMetricNamesValid is the metric-name lint and the census: every

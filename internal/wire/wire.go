@@ -145,7 +145,7 @@ type ErrorMsg struct {
 // ClientReport is the customer's end-of-session QoE summary: the client-side
 // half of the paper's delivery contract. The server folds it into the
 // client_* metric families and, when SpanID is set, joins the session to the
-// admission trace in /spanz. The body is a fixed 86 bytes.
+// admission trace in its span stream. The body is a fixed 86 bytes.
 type ClientReport struct {
 	// Version is the client's protocol version, at least ProtoV2.
 	Version uint16
