@@ -93,8 +93,9 @@ ci:
 	# nothing. Then the start-up cost gate: each idle video costs Start+Close
 	# at most 4 allocations and 512 B (it skips under -race, so it runs here).
 	$(GO) test -race -cpu 4 -count=20 -run '^TestFirstAdmissionRacesClose$$' ./internal/vodserver/
-	# The tick's direct write: it writes a slot's frame itself only for a
-	# handler parked with nothing queued; a short write is queued with its
+	# The tick's direct write: it writes the due frames itself only for a
+	# handler parked with nothing due; a short write, of one frame or of a
+	# flush's vectored write, leaves the rest queued with the first frame's
 	# sent prefix and the handler resumes from there, byte-exact; no frame
 	# precedes the ScheduleInfo; first frames go before the tick's
 	# steady-state frames; every frame reference comes back after Close; a
@@ -104,6 +105,16 @@ ci:
 	# that store).
 	$(GO) test -race -cpu 4 -count=20 -run '^TestRingWritesOnlyForParkedConsumer$$' ./internal/fanout/
 	$(GO) test -race -cpu 4 -count=20 -run '^(TestSessionServedByDirectWrites|TestShortDirectWriteResumes|TestDeadlineCutAfterShortDirectWrite|TestNoFrameBeforeScheduleInfo|TestFirstFramesGoFirst|TestWrittenSlotsAreAssignedPlusLast|TestUnpublishedNeedSetGetsEverySlot)$$' ./internal/vodserver/
+	# The flush rule, on manual ticks, so twenty runs are deterministic and
+	# any wall-clock dependence left in them shows here as a flake: Hold
+	# never wakes the consumer or calls its Writer, and Park returns held
+	# and due frames in the order they were handed over; each session's
+	# writes are the flush groups recomputed on a twin scheduler; a drain
+	# held past a deadline counts in vod_late_writes_total exactly the
+	# misses a strict set-top box counts; a session holding frames
+	# classifies healthy.
+	$(GO) test -race -cpu 4 -count=20 -run '^(TestRingHoldWaitsForFlush|TestRingCloseDeliversHeld)$$' ./internal/fanout/
+	$(GO) test -race -cpu 4 -count=20 -run '^(TestWriteBoundariesAreFlushSlots|TestLateWritesCountStrictMisses|TestHeldFramesClassifyHealthy)$$' ./internal/vodserver/
 	$(GO) test -run '^TestStartCostPerIdleVideo$$' -count=1 ./internal/vodserver/
 	$(call cover-floor,obs+history+station+wire+vodclient+client,./internal/obs/ ./internal/obs/history/ ./internal/station/ ./internal/wire/ ./internal/vodclient/ ./internal/client/)
 	$(call cover-floor,core+slots,./internal/core/ ./internal/slots/)
@@ -128,8 +139,9 @@ ci:
 	# first byte has a median under 0.75 slot and a maximum under 1.5 slots,
 	# because the clock sends a slot's frame as the slot begins.
 	$(GO) test -race -run '^TestFirstByteWithinOneSlot$$' -count=1 ./internal/vodserver/
-	# The zero-alloc gate runs without -race (race instrumentation itself
-	# allocates, so the test skips under the race suite above), then a
+	# The zero-alloc gate — hold, push and flush ticks — runs without -race
+	# (race instrumentation itself allocates, so the test skips under the
+	# race suite above), then a
 	# one-iteration smoke of the fan-out A/B matrix.
 	$(GO) test -run '^TestSteadyStateZeroAlloc$$' -count=1 ./internal/fanout/
 	$(GO) test -run '^$$' -bench 'BenchmarkFanOut' -benchtime=1x ./internal/fanout/
@@ -145,8 +157,8 @@ ci:
 	$(GO) test -run '^$$' -bench '^BenchmarkStationTick$$' -benchtime=1x -benchmem ./internal/station/ | \
 		awk '{ print } /^BenchmarkStationTick\// { rows++; if ($$(NF-1) != 0) bad++ } END { exit !(rows == 2 && bad == 0) }'
 	# The drain-path alloc gate: one vectored write per popped batch, and one
-	# direct write per frame for a parked handler, zero allocations at steady
-	# state. Then the admit path's: a resume near the end of a 1000-segment
+	# direct write per flush for a parked handler — a tick that holds and a
+	# tick that flushes included — zero allocations at steady state. Then the admit path's: a resume near the end of a 1000-segment
 	# video pools its serving-slot vector, so it allocates no more than a
 	# six-segment full viewing.
 	$(GO) test -run '^(TestDrainZeroAlloc|TestAdmitAllocatesNoAssignment)$$' -count=1 ./internal/vodserver/

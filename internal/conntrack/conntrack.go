@@ -209,6 +209,9 @@ type Conn struct {
 	lastDepth  atomic.Int64
 	drainBytes atomic.Int64
 	drainOps   atomic.Int64
+	// late latches once the server wrote the connection a segment after
+	// its deadline.
+	late atomic.Bool
 
 	// Published classification, readable from any goroutine (the drop path
 	// reads it at disconnect time).
@@ -296,6 +299,11 @@ func (c *Conn) RecordDrain(frames int, bytes int64) {
 	c.drainOps.Add(1)
 	c.drainBytes.Add(bytes)
 	c.lastDepth.Store(0)
+}
+
+// RecordLate marks the connection as written a segment after its deadline.
+func (c *Conn) RecordLate() {
+	c.late.Store(true)
 }
 
 // State returns the connection's published classification.
@@ -397,6 +405,7 @@ func (s *Sampler) sweepConn(c *Conn, now time.Time) {
 		RingDepthP99:    c.depthWin.Snapshot().P99,
 		BytesPerSec:     rate,
 		Kernel:          kernelOK,
+		LateWrite:       c.late.Load(),
 	}
 	if kernelOK {
 		c.snap.RTTMillis = float64(info.RTT) / float64(time.Millisecond)
@@ -499,6 +508,9 @@ type ConnSnapshot struct {
 	RingDepthP99    float64 `json:"ring_depth_p99"`
 	BytesPerSec     float64 `json:"bytes_per_sec"`
 	Kernel          bool    `json:"kernel"`
+	// LateWrite is set once the server wrote the connection a segment
+	// after its deadline.
+	LateWrite bool `json:"late_write,omitempty"`
 }
 
 // Summary is the /connz document (and the flight bundle's conns.json): the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -390,8 +391,8 @@ func TestRingBlockingDrain(t *testing.T) {
 }
 
 // TestSteadyStateZeroAlloc is the alloc gate the CI target enforces: once
-// the pool is warm, encode → push → pop → write-accounting → release must
-// not allocate.
+// the pool is warm, encode → hold or push or flush → pop → write-accounting
+// → release must not allocate.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates inside sync primitives")
@@ -404,19 +405,35 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	segments := []int{1, 2, 3, 5, 8}
 	drain := make([]*Frame, 0, 4)
 	slot := 0
+	// Slots cycle through the flush rule's three ticks: one that holds,
+	// one that pushes behind the held frame, and a Flush of two more held
+	// frames that hands over none.
 	tick := func() {
 		f, err := enc.EncodeSlot(1, slot, segments, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		phase := slot % 4
 		slot++
 		for _, r := range rings {
 			f.Retain()
-			if _, ok := r.Push(f); !ok {
+			var ok bool
+			if phase == 1 {
+				_, ok = r.Push(f)
+			} else {
+				ok = r.Hold(f)
+			}
+			if !ok {
 				f.Release()
+			}
+			if phase == 3 && r.Flush() != 1 {
+				t.Fatal("a flush of held frames left no due write")
 			}
 		}
 		f.Release()
+		if phase == 0 || phase == 2 {
+			return // only held: nothing is due, so nothing to pop
+		}
 		for _, r := range rings {
 			var ok bool
 			drain, ok = r.PopAll(drain[:0])
@@ -433,22 +450,33 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		tick()
 	}
+	// Each run is one tick; 100 runs cover every phase.
 	if avg := testing.AllocsPerRun(100, tick); avg != 0 {
 		t.Fatalf("steady-state broadcast path allocates %.1f per slot, want 0", avg)
 	}
 }
 
-// fakeWriter is a consumer's Writer that records the slots lent to it and
-// reports every frame with the sent/done it is set to.
+// fakeWriter is a consumer's Writer that records the slots lent to it, one
+// call per batch, and finishes every frame of a batch when done is set, or
+// else none, with sent bytes of the first gone out.
 type fakeWriter struct {
-	slots []int
-	sent  int
-	done  bool
+	slots   []int
+	batches [][]int
+	sent    int
+	done    bool
 }
 
-func (w *fakeWriter) WriteDirect(f *Frame) (int, bool) {
-	w.slots = append(w.slots, f.Slot())
-	return w.sent, w.done
+func (w *fakeWriter) WriteDirect(frames []*Frame) (int, int) {
+	var batch []int
+	for _, f := range frames {
+		batch = append(batch, f.Slot())
+	}
+	w.slots = append(w.slots, batch...)
+	w.batches = append(w.batches, batch)
+	if w.done {
+		return len(frames), 0
+	}
+	return 0, w.sent
 }
 
 // waitParked returns once a consumer is blocked in Park with its Writer lent.
@@ -562,5 +590,146 @@ func TestRingWritesOnlyForParkedConsumer(t *testing.T) {
 	f.Release()
 	if n := enc.Outstanding(); n != 0 {
 		t.Fatalf("%d frames outstanding after every holder released", n)
+	}
+}
+
+// TestRingHoldWaitsForFlush pins Hold: it never wakes the consumer and never
+// calls its Writer, so a parked consumer stays parked with frames held. The
+// next Push hands the held frames and its own to the Writer in one call,
+// in the order they were handed over, and Flush does the same without a
+// frame of its own; what the Writer leaves unfinished wakes the consumer.
+func TestRingHoldWaitsForFlush(t *testing.T) {
+	enc, _ := catalogues(t)
+	frame := func(slot int) *Frame {
+		f, err := enc.EncodeSlot(3, slot, []int{1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	w := &fakeWriter{done: true}
+	r := NewRing(4)
+	type popped struct {
+		slots []int
+		sent  int
+	}
+	out := make(chan popped, 1)
+	park := func() {
+		go func() {
+			got, sent, _ := r.Park(nil, w)
+			var p popped
+			for _, f := range got {
+				p.slots = append(p.slots, f.Slot())
+				f.Release()
+			}
+			p.sent = sent
+			out <- p
+		}()
+		waitParked(t, r)
+	}
+	asleep := func(when string) {
+		t.Helper()
+		for range 100 {
+			runtime.Gosched()
+		}
+		select {
+		case p := <-out:
+			t.Fatalf("%s woke the consumer with slots %v", when, p.slots)
+		default:
+		}
+		waitParked(t, r)
+	}
+
+	park()
+	for slot := 1; slot <= 2; slot++ {
+		if !r.Hold(frame(slot)) {
+			t.Fatalf("hold of slot %d failed on an open ring", slot)
+		}
+	}
+	asleep("Hold")
+	if len(w.batches) != 0 || r.Depth() != 2 {
+		t.Fatalf("after two holds the writer saw %v and the depth is %d, want nothing and 2", w.batches, r.Depth())
+	}
+	if d, ok := r.Push(frame(3)); d != 0 || !ok {
+		t.Fatalf("push behind held frames to a parked consumer: depth %d ok %v, want 0 true", d, ok)
+	}
+	asleep("a finished write of held frames")
+	if len(w.batches) != 1 || !slices.Equal(w.batches[0], []int{1, 2, 3}) {
+		t.Fatalf("writer batches %v, want one [1 2 3]", w.batches)
+	}
+
+	// Flush writes held frames alone; an unfinished batch wakes the
+	// consumer with all of it and the prefix that went out.
+	r.Hold(frame(4))
+	r.Hold(frame(5))
+	w.done, w.sent = false, 9
+	if d := r.Flush(); d != 1 {
+		t.Fatalf("unfinished flush: depth %d, want 1", d)
+	}
+	if p := <-out; !slices.Equal(p.slots, []int{4, 5}) || p.sent != 9 {
+		t.Fatalf("woken consumer got slots %v sent %d, want [4 5] sent 9", p.slots, p.sent)
+	}
+	if len(w.batches) != 2 || !slices.Equal(w.batches[1], []int{4, 5}) {
+		t.Fatalf("writer batches %v, want [4 5] second", w.batches)
+	}
+	if d := r.Flush(); d != 0 {
+		t.Fatalf("flush with nothing held: depth %d, want 0", d)
+	}
+
+	// With nobody parked, Park returns due and held frames together, in the
+	// order they were handed over, and Hold never counts as due.
+	w.done = true
+	r.Hold(frame(6))
+	if d, _ := r.Push(frame(7)); d != 1 {
+		t.Fatalf("push behind a held frame, nobody parked: depth %d, want 1", d)
+	}
+	r.Hold(frame(8))
+	got, sent, ok := r.Park(nil, w)
+	var slots []int
+	for _, f := range got {
+		slots = append(slots, f.Slot())
+		f.Release()
+	}
+	if !ok || sent != 0 || !slices.Equal(slots, []int{6, 7, 8}) {
+		t.Fatalf("Park returned slots %v sent %d ok %v, want [6 7 8] 0 true", slots, sent, ok)
+	}
+	if len(w.batches) != 2 {
+		t.Fatalf("the writer was called with nobody parked: %v", w.batches)
+	}
+
+	// Drop releases held frames; Hold and Flush on a dropped ring do
+	// nothing.
+	r.Hold(frame(9))
+	r.Hold(frame(10))
+	r.Drop()
+	f := frame(11)
+	if r.Hold(f) || r.Flush() != 0 {
+		t.Fatal("hold or flush acted on a dropped ring")
+	}
+	f.Release()
+	if n := enc.Outstanding(); n != 0 {
+		t.Fatalf("%d frames outstanding after Drop", n)
+	}
+}
+
+// TestRingCloseDeliversHeld: frames still held when the producer closes
+// the ring reach the consumer with the closure.
+func TestRingCloseDeliversHeld(t *testing.T) {
+	enc, _ := catalogues(t)
+	r := NewRing(4)
+	for slot := 1; slot <= 2; slot++ {
+		f, err := enc.EncodeSlot(3, slot, []int{1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Hold(f)
+	}
+	r.Close()
+	got, ok := r.PopAll(nil)
+	if ok || len(got) != 2 || got[0].Slot() != 1 || got[1].Slot() != 2 {
+		t.Fatalf("PopAll after Close returned %d frames, ok %v; want the two held, closed", len(got), ok)
+	}
+	for _, f := range got {
+		f.Release()
 	}
 }

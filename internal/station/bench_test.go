@@ -259,10 +259,16 @@ type nullWriter struct {
 	direct int
 }
 
-func (w *nullWriter) WriteDirect(f *fanout.Frame) (int, bool) {
-	n, err := w.f.Write(f.Bytes())
-	w.direct++
-	return n, err == nil && n == len(f.Bytes())
+func (w *nullWriter) WriteDirect(frames []*fanout.Frame) (done, sent int) {
+	for _, f := range frames {
+		n, err := w.f.Write(f.Bytes())
+		w.direct++
+		if err != nil || n < len(f.Bytes()) {
+			return done, n
+		}
+		done++
+	}
+	return done, 0
 }
 
 // BenchmarkTickDirectWrites is one slot of the tick's direct writes: 64

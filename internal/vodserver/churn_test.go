@@ -143,6 +143,20 @@ func TestParallelTickChurn(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// The tick retires a subscriber before its handler counts a deadline
+	// drop, so the counters are final only once every handler has returned.
+	for {
+		s.mu.Lock()
+		handlers := len(s.conns)
+		s.mu.Unlock()
+		if handlers == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d handlers never returned", handlers)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 
 	st := s.Stats()
 	if want := int64(fetchers + quitters + slow); st.Requests != want {

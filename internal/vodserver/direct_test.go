@@ -217,10 +217,11 @@ func TestSessionServedByDirectWrites(t *testing.T) {
 	assertNoFrameLeak(t, s)
 }
 
-// bigFrames pushes n frames of every segment, past the admit slot, to a
-// parked session and records their bytes in its stream. It reports the
-// depth of the first push: 1 when the tick's direct write came up short.
-func bigFrames(t *testing.T, s *Server, ss *session, n int) (firstDepth int) {
+// bigFrames hands n frames of every segment, past the admit slot, to a
+// parked session — the first held of them held, the rest pushed — and
+// records their bytes in its stream. It reports the depth of the first
+// push: 1 when the tick's direct write came up short.
+func bigFrames(t *testing.T, s *Server, ss *session, n, held int) (firstDepth int) {
 	t.Helper()
 	segs := make([]int, ss.info.Segments)
 	for i := range segs {
@@ -232,12 +233,19 @@ func bigFrames(t *testing.T, s *Server, ss *session, n int) (firstDepth int) {
 			t.Fatal(err)
 		}
 		ss.stream.Write(f.Bytes())
+		if i <= held {
+			if !ss.sub.ring.Hold(f) {
+				f.Release()
+				t.Fatal("hold on an open ring failed")
+			}
+			continue
+		}
 		d, ok := ss.sub.ring.Push(f)
 		if !ok {
 			f.Release()
 			t.Fatal("push to an open ring failed")
 		}
-		if i == 1 {
+		if i == held+1 {
 			firstDepth = d
 		}
 	}
@@ -260,35 +268,44 @@ func shortWriteSession(t *testing.T) (*Server, *session, *net.TCPConn, *net.TCPC
 	return s, ss, srv, cli
 }
 
-// TestShortDirectWriteResumes: the tick's direct write of a 256 KiB frame
-// into a nearly full socket comes up short; the frame is queued with the
-// prefix that went out, and the handler resumes from there once the reader
-// wakes. The reader gets exactly the bytes the server meant to send, with no
-// byte repeated or lost, and no frame outlives the server.
+// TestShortDirectWriteResumes: the tick's direct write into a nearly full
+// socket comes up short — of one 256 KiB frame, or of a flush whose one
+// vectored write carries two held frames and the pushed one. The frames
+// not finished stay queued, the first with the prefix that went out, and
+// the handler resumes from there once the reader wakes. The reader gets
+// exactly the bytes the server meant to send, with no byte repeated or
+// lost, and no frame outlives the server.
 func TestShortDirectWriteResumes(t *testing.T) {
-	s, ss, srv, cli := shortWriteSession(t)
-	if d := bigFrames(t, s, ss, 3); d != 1 {
-		t.Fatalf("first frame's push left depth %d, want 1: the direct write should have come up short", d)
+	for _, tc := range []struct {
+		name string
+		held int
+	}{{"frame", 0}, {"flush", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ss, srv, cli := shortWriteSession(t)
+			if d := bigFrames(t, s, ss, 3, tc.held); d != 1 {
+				t.Fatalf("first push left depth %d, want 1: the direct write should have come up short", d)
+			}
+			ss.sub.ring.Close()
+			got := make(chan []byte, 1)
+			go func() {
+				b, _ := io.ReadAll(cli)
+				got <- b
+			}()
+			if !<-ss.done {
+				t.Fatal("drain reported a failed write")
+			}
+			srv.Close()
+			if b := <-got; !bytes.Equal(b, ss.stream.Bytes()) {
+				t.Fatalf("reader got %d bytes, want the %d the server sent, byte for byte", len(b), ss.stream.Len())
+			}
+			if n := s.firstByte.Snapshot().Count; n != 1 {
+				t.Fatalf("%d first-byte observations, want 1", n)
+			}
+			s.unsubscribe(ss.sub)
+			s.Close()
+			assertNoFrameLeak(t, s)
+		})
 	}
-	ss.sub.ring.Close()
-	got := make(chan []byte, 1)
-	go func() {
-		b, _ := io.ReadAll(cli)
-		got <- b
-	}()
-	if !<-ss.done {
-		t.Fatal("drain reported a failed write")
-	}
-	srv.Close()
-	if b := <-got; !bytes.Equal(b, ss.stream.Bytes()) {
-		t.Fatalf("reader got %d bytes, want the %d the server sent, byte for byte", len(b), ss.stream.Len())
-	}
-	if n := s.firstByte.Snapshot().Count; n != 1 {
-		t.Fatalf("%d first-byte observations, want 1", n)
-	}
-	s.unsubscribe(ss.sub)
-	s.Close()
-	assertNoFrameLeak(t, s)
 }
 
 // TestDeadlineCutAfterShortDirectWrite: when the reader never wakes, the
@@ -296,7 +313,7 @@ func TestShortDirectWriteResumes(t *testing.T) {
 // deadline, the cut is counted, and every frame reference comes back.
 func TestDeadlineCutAfterShortDirectWrite(t *testing.T) {
 	s, ss, srv, _ := shortWriteSession(t)
-	bigFrames(t, s, ss, 3)
+	bigFrames(t, s, ss, 3, 0)
 	// The handler is blocked in its write by now or soon; a deadline set
 	// meanwhile applies to that write.
 	if err := srv.SetWriteDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {

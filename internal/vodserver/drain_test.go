@@ -133,22 +133,71 @@ func TestDrainZeroAlloc(t *testing.T) {
 
 	// The direct path: the tick writes each frame itself to a parked
 	// handler's socket, and that must not allocate either.
-	direct := directFixture(t, enc)
-	for i := 0; i < 8; i++ {
-		direct(slot)
+	sub := directFixture(t, enc)
+	direct := func() {
+		if d := deliver(t, enc, sub.ring, slot); d != 0 {
+			t.Fatalf("direct delivery queued the frame (depth %d)", d)
+		}
 		slot++
 	}
-	if avg := testing.AllocsPerRun(100, func() { direct(slot); slot++ }); avg != 0 {
+	for i := 0; i < 8; i++ {
+		direct()
+	}
+	if avg := testing.AllocsPerRun(100, direct); avg != 0 {
 		t.Fatalf("steady-state direct delivery allocates %.1f per frame, want 0", avg)
+	}
+
+	// The flush rule's ticks, through the tick's own push: of every four
+	// slots it holds the first, pushes the second behind it — one vectored
+	// write of both — holds the third and flushes it alone at the fourth,
+	// which carries none of the subscriber's frames.
+	const span = 256
+	sets := make([]uint64, 2*span/64)
+	sub.need, sub.flush = sets[:span/64], sets[span/64:]
+	for k := range span {
+		if k%4 != 3 {
+			sub.need[k/64] |= 1 << (k % 64)
+		}
+		if k%4 == 1 || k%4 == 3 {
+			sub.flush[k/64] |= 1 << (k % 64)
+		}
+	}
+	sub.lastSlot.Store(span)
+	sub.rec = &videoRecord{}
+	var (
+		tally fanoutTally
+		k     int
+	)
+	flushTick := func() {
+		f, err := enc.EncodeSlot(1, k, []int{1, 2, 3, 4, 5}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		push(&tally, sub, f, k)
+		f.Release()
+		if k%4 == 1 || k%4 == 3 {
+			if d := sub.ring.Depth(); d != 0 {
+				t.Fatalf("slot %d: a flush left %d frames queued, want its direct write to take them all", k, d)
+			}
+		}
+		k++
+	}
+	for i := 0; i < 8; i++ {
+		flushTick()
+	}
+	if avg := testing.AllocsPerRun(100, flushTick); avg != 0 {
+		t.Fatalf("steady-state held and flushed delivery allocates %.1f per tick, want 0", avg)
+	}
+	if tally.maxDepth != 0 {
+		t.Fatalf("a flush left ring depth %d, want 0", tally.maxDepth)
 	}
 }
 
 // directFixture parks a subscriber's handler on a ring, its connection's raw
-// access a /dev/null file's, and returns one direct delivery: encode a slot,
-// hand it to the ring — which writes it through the handler's Writer at
-// once — and drop the encoder's reference. The handler is stopped when the
-// test ends.
-func directFixture(tb testing.TB, enc *fanout.Encoder) func(slot int) {
+// access a /dev/null file's, and returns the subscriber: a frame handed to
+// its ring is written through the handler's Writer at once. The handler is
+// stopped when the test ends.
+func directFixture(tb testing.TB, enc *fanout.Encoder) *subscriber {
 	tb.Helper()
 	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
@@ -191,11 +240,7 @@ func directFixture(tb testing.TB, enc *fanout.Encoder) func(slot int) {
 			tb.Fatal("handler never parked")
 		}
 	}
-	return func(slot int) {
-		if d := deliver(tb, enc, sub.ring, slot); d != 0 {
-			tb.Fatalf("direct delivery queued the frame (depth %d)", d)
-		}
-	}
+	return sub
 }
 
 // deliver encodes one slot, hands it to ring as the tick does, and returns
@@ -300,7 +345,12 @@ func BenchmarkDrainRing(b *testing.B) {
 	})
 	b.Run("direct", func(b *testing.B) {
 		enc, _ := drainFixture(b)
-		direct := directFixture(b, enc)
+		ring := directFixture(b, enc).ring
+		direct := func(slot int) {
+			if d := deliver(b, enc, ring, slot); d != 0 {
+				b.Fatalf("direct delivery queued the frame (depth %d)", d)
+			}
+		}
 		for i := 0; i < 8; i++ {
 			direct(i)
 		}

@@ -216,7 +216,8 @@ func TestUnpublishedNeedSetGetsEverySlot(t *testing.T) {
 	for s.station.Status().PerVideo[v.idx].Slot < publish {
 		tick(s)
 	}
-	sub.need, sub.needFrom = needSet(res.Assignment, 1, res.Slot, slots), res.Slot
+	sub.need, sub.flush = needFlushSets(res.Assignment, 1, res.Slot, r.wirePeriods, make([]int, slots))
+	sub.needFrom = res.Slot
 	sub.lastSlot.Store(int64(need[len(need)-1]))
 	for s.station.Status().PerVideo[v.idx].Slot < need[len(need)-1] {
 		tick(s)
@@ -238,11 +239,11 @@ func TestUnpublishedNeedSetGetsEverySlot(t *testing.T) {
 }
 
 // TestAdmitAllocatesNoAssignment: admit keeps each admission's serving
-// slots, an (n+1)-int vector, only long enough to build the need set from
-// it, in a pooled buffer. A resume of the last six segments of a
+// slots, an (n+1)-int vector, only long enough to build the need and flush
+// sets from it, in a pooled buffer. A resume of the last six segments of a
 // 1000-segment video therefore allocates no more than a full viewing of a
 // six-segment video, whose subscription spans as many slots: the one
-// allocation the need set adds, ⌈slots/64⌉ words, is the same for both.
+// allocation the two sets share, 2⌈slots/64⌉ words, is the same for both.
 func TestAdmitAllocatesNoAssignment(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")

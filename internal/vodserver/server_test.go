@@ -206,9 +206,10 @@ func TestEndToEndConcurrentClientsShare(t *testing.T) {
 
 // TestSameSlotBurst drives repeat same-slot admissions through the live
 // server: 16 strict full viewings and one resume of the same video all
-// admitted inside one long slot. Nobody misses a deadline,
-// only the first full viewing (and at most the resume's suffix) places
-// instances, and the station_admit spans account for every instance.
+// admitted inside one long slot. Nobody misses a deadline, the server
+// writes nothing late, only the first full viewing (and at most the
+// resume's suffix) places instances, and the station_admit spans account
+// for every instance.
 func TestSameSlotBurst(t *testing.T) {
 	const (
 		n          = 6
@@ -259,6 +260,9 @@ func TestSameSlotBurst(t *testing.T) {
 		if results[c].DeadlineMisses != 0 || results[c].MissingSegments != 0 {
 			t.Fatalf("session %d missed: %+v", c, results[c])
 		}
+	}
+	if n := lateWrites(s); n != 0 {
+		t.Fatalf("vod_late_writes_total = %d on slots %v long, want 0", n, s.cfg.SlotDuration)
 	}
 
 	const bound = n + (n - resumeFrom + 1)

@@ -3,15 +3,27 @@ package vodserver
 // This file is one connection's life: accept, the request read, admission
 // into the station and the subscriber set, the ring drain with its vectored
 // writes, and the unsubscribe that ends it.
+//
+// A session is written only when a deadline forces it. The set-top box
+// buffers every segment that arrives before its consumption slot, so an
+// instance placed in slot s for a deadline d > s may reach the customer at
+// any time in [s, d]. Admission derives a flush set beside the need set:
+// slot k is a flush slot if it is the subscription's last, or if a segment
+// of a frame still held has its deadline admit + T[j-from+1] at k. The tick
+// holds the frames of the other needed slots in the ring, and at a flush
+// slot they leave with that slot's frame in one vectored write. Slot admit+1
+// is always a flush slot (T[1] = 1), so the first byte does not move; on
+// the `audience` mix a frame is held up to about 35 slots.
 
 import (
 	"bufio"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"net"
 	"os"
-	"runtime"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"syscall"
@@ -36,12 +48,13 @@ type subscriber struct {
 	// lock-free.
 	lastSlot atomic.Int64
 	// need is the set of slots that carry an instance assigned to this
-	// subscriber: bit k marks slot needFrom+k, needFrom being the admit
-	// slot. admit writes both before it stores lastSlot, which publishes
-	// them: tick workers read them only after a load that is not the
-	// placeholder (wants).
-	need     []uint64
-	needFrom int
+	// subscriber and flush the slots whose tick makes its held frames due
+	// (needFlushSets); bit k marks slot needFrom+k, needFrom being the admit
+	// slot. The two share one allocation. admit writes them before it
+	// stores lastSlot, which publishes them: tick workers read them only
+	// after a load that is not the placeholder (wants).
+	need, flush []uint64
+	needFrom    int
 	// admitted stamps the admission for the first-byte latency window.
 	admitted time.Time
 	// rec is the video's record: its subscriber set and report counters.
@@ -51,15 +64,15 @@ type subscriber struct {
 	// last classified state as the disconnect reason.
 	ct *conntrack.Conn
 
-	// raw is the connection's raw access, through which the tick writes a
-	// frame itself while the handler is parked with nothing queued
+	// raw is the connection's raw access, through which the tick writes the
+	// due frames itself while the handler is parked with nothing due
 	// (WriteDirect); nil when the connection has none, and then every frame
 	// queues. writeFn is the one callback raw.Write runs, bound once so a
-	// direct write allocates nothing; out and n are its argument and result,
-	// and belong to whoever holds the ring's lock.
+	// direct write allocates nothing; iov and n are its argument and
+	// result, and belong to whoever holds the ring's lock.
 	raw     syscall.RawConn
 	writeFn func(fd uintptr) bool
-	out     []byte
+	iov     []iovec
 	n       int
 	// firstByte is the server's first-byte window. admitSlot, wait and root
 	// are set by the handler before it first parks, so the tick's direct
@@ -70,88 +83,185 @@ type subscriber struct {
 	wait, root *obs.Span
 	// firstSent latches once the session's first frame is written whole.
 	firstSent atomic.Bool
+	// srv is the server, for the late-write count and marks (wrote); late
+	// latches at the session's first late write.
+	srv  *Server
+	late atomic.Bool
 	// pushed is the last slot the tick handed this subscriber (0 before any:
 	// the slots a tick begins count from 1). The tick alone touches it.
 	pushed int
 }
 
-// WriteDirect is the tick's write for a handler parked with nothing queued
-// (fanout.Writer): one non-blocking write of the whole frame through the raw
-// connection, under the ring's lock. The callback never asks the poller to
-// wait, so a full socket costs the tick one EAGAIN, and the frame — with
-// whatever prefix went out — is queued for the handler, whose own write
-// carries the backlog, the session's write deadline and the cut. A frame at
-// or before the admit slot is done with unwritten, as the handler's filter
+// WriteDirect is the tick's write for a handler parked with nothing due
+// (fanout.Writer): one non-blocking vectored write of the frames — the held
+// ones and the slot's — through the raw connection, under the ring's lock.
+// The callback never asks the poller to wait, so a full socket costs the
+// tick one EAGAIN, and the frames not finished — the first with whatever
+// prefix went out — stay queued for the handler, whose own write carries
+// the backlog, the session's write deadline and the cut. A frame at or
+// before the admit slot is done with unwritten, as the handler's filter
 // would skip it.
-func (sub *subscriber) WriteDirect(f *fanout.Frame) (sent int, done bool) {
-	if f.Slot() <= sub.admitSlot {
-		return 0, true
+func (sub *subscriber) WriteDirect(frames []*fanout.Frame) (done, sent int) {
+	iov := sub.iov[:0]
+	for _, f := range frames {
+		if f.Slot() > sub.admitSlot && len(iov) < maxIOV {
+			iov = append(iov, makeIovec(f.Bytes()))
+		}
 	}
-	sub.out, sub.n = f.Bytes(), 0
-	err := sub.raw.Write(sub.writeFn)
-	sent, sub.out = sub.n, nil
-	if err != nil || sent < len(f.Bytes()) {
-		return sent, false
+	sub.iov, sub.n = iov, 0
+	if len(iov) > 0 && sub.raw.Write(sub.writeFn) != nil {
+		sub.n = 0
 	}
-	sub.wrote(1, int64(sent))
-	return sent, true
+	clear(iov) // the frames' buffers go back to the pool
+	n, whole, first := sub.n, 0, 0
+	var bytes int64
+	for _, f := range frames {
+		if f.Slot() > sub.admitSlot {
+			b := len(f.Bytes())
+			if n < b {
+				sent = n
+				break
+			}
+			n -= b
+			bytes += int64(b)
+			if whole == 0 {
+				first = f.Slot()
+			}
+			whole++
+		}
+		done++
+	}
+	if whole > 0 {
+		sub.wrote(whole, bytes, first, lateByTick)
+	}
+	return done, sent
 }
 
-// writeOnce is raw.Write's callback: one write(2) of sub.out on the
+// maxIOV is the most buffers one writev(2) takes (IOV_MAX on Linux and
+// macOS); frames past it stay queued for the handler.
+const maxIOV = 1024
+
+// writeOnce is raw.Write's callback: one writev(2) of sub.iov on the
 // socket's non-blocking fd. Its error — EAGAIN, or one the handler's own
-// write will meet again — only means the frame is not finished. It returns
-// true so the poller never waits.
+// write will meet again — only means the frames are not finished. It
+// returns true so the poller never waits.
 func (sub *subscriber) writeOnce(fd uintptr) bool {
-	n, _ := writeFD(syscall.Write, fd, sub.out)
-	sub.n = max(n, 0)
+	sub.n = writev(fd, sub.iov)
 	return true
 }
 
-// writeFD calls write, syscall.Write, with fd converted to the platform's
-// descriptor type: an int on Unix, a syscall.Handle (a uintptr) on Windows,
-// where no connection lends its raw access (see admit) but the call must
-// still compile.
-func writeFD[FD ~int | ~uintptr](write func(FD, []byte) (int, error), fd uintptr, b []byte) (int, error) {
-	return write(FD(fd), b)
-}
-
-// wrote accounts frames handed to the kernel whole, n bytes in all, on
-// whichever side wrote them: conntrack's drain signal and, for the
-// session's first frame, the first-byte observation and the end of the
-// admit spans, exactly once.
-func (sub *subscriber) wrote(frames int, n int64) {
+// wrote accounts frames handed to the kernel whole, n bytes in all, the
+// first of them for slot first, on whichever side wrote them (path):
+// conntrack's drain signal; for the session's first frame, the first-byte
+// observation and the end of the admit spans, exactly once; and a write
+// that completed after its deadline passed (checkLate).
+func (sub *subscriber) wrote(frames int, n int64, first int, path latePath) {
 	sub.ct.RecordDrain(frames, n)
 	if sub.firstSent.CompareAndSwap(false, true) {
 		sub.firstByte.Observe(time.Since(sub.admitted).Seconds())
 		sub.wait.End()
 		sub.root.End()
 	}
+	sub.checkLate(first, path)
 }
 
-// wants reports whether the tick hands slot's frame to sub: every slot while
-// lastSlot is still the placeholder, then only the slots that carry an
-// instance assigned to the subscriber, and the last, whose tick retires it.
-// A skipped slot carries none of the customer's assigned instances; its
-// set-top box settles it as empty (client.STB.ObserveSlot).
-func (sub *subscriber) wants(slot int) bool {
+// checkLate counts a write as late when the tick has already begun a slot
+// past its deadline: the first flush slot at or after its first frame's
+// slot, by which the flush rule must have written that frame. The first
+// late write of a session marks its conntrack record and, when the session
+// is sampled, records a late_write span under its admit root. A subscriber
+// without a flush set (built by hand in tests) has no deadlines.
+func (sub *subscriber) checkLate(first int, path latePath) {
+	if sub.flush == nil {
+		return
+	}
+	due := sub.deadline(first)
+	now := int(sub.rec.slot.Load())
+	if now <= due {
+		return
+	}
+	s := sub.srv
+	s.mLateWrites[path].Inc()
+	if !sub.late.CompareAndSwap(false, true) {
+		return
+	}
+	sub.ct.RecordLate()
+	if id := sub.root.ID(); id != 0 {
+		s.spans.RecordChild(id, "late_write", s.spans.Now(), 0, sub.rec.id, map[string]string{
+			"path": path.String(), "deadline": strconv.Itoa(due), "slot": strconv.Itoa(now)})
+	}
+}
+
+// deadline is the first flush slot at or after slot: the slot by which a
+// frame for slot is written. A slot at or before the admit slot, which the
+// drain skips, reads as the first flush slot, admit+1. The sets are
+// published (lastSlot is stored) before the handler first writes and
+// before it parks for the tick.
+func (sub *subscriber) deadline(slot int) int {
+	k := max(slot-sub.needFrom, 0)
+	for w := k / 64; w < len(sub.flush); w++ {
+		word := sub.flush[w]
+		if w == k/64 {
+			word &^= 1<<(k%64) - 1
+		}
+		if word != 0 {
+			return sub.needFrom + 64*w + bits.TrailingZeros64(word)
+		}
+	}
+	return int(sub.lastSlot.Load())
+}
+
+// wants reports what the tick does with slot's frame for sub: want is
+// whether the slot carries an instance assigned to the subscriber, flush
+// whether its held frames are due. Every slot is both while lastSlot is
+// still the placeholder, and so is the last, whose tick retires the
+// subscriber. A slot not wanted carries none of the customer's assigned
+// instances; its set-top box settles it as empty (client.STB.ObserveSlot).
+func (sub *subscriber) wants(slot int) (want, flush bool) {
 	last := sub.lastSlot.Load()
 	if last == math.MaxInt64 || int64(slot) >= last {
-		return true
+		return true, true
 	}
 	k := slot - sub.needFrom
-	return k >= 0 && sub.need[k/64]&(1<<(k%64)) != 0
+	if k < 0 {
+		return false, false
+	}
+	bit := uint64(1) << (k % 64)
+	return sub.need[k/64]&bit != 0, sub.flush[k/64]&bit != 0
 }
 
-// needSet builds a subscriber's need set from its admission's serving-slot
-// vector: one bit per slot from the admit slot on, over the subscription's
-// slots slots, for the slot of each segment from from on.
-func needSet(assignment []int, from, admitSlot, slots int) []uint64 {
-	need := make([]uint64, (slots+63)/64)
-	for _, a := range assignment[from:] {
+// needFlushSets builds a subscriber's need and flush sets in one
+// allocation, from its admission's serving-slot vector: one bit per slot
+// from the admit slot on, over the subscription's len(due) slots. The need
+// set marks the slot of each segment from from on. The flush set marks the
+// last slot, and every slot at which a segment of a frame not yet flushed
+// reaches its deadline, admitSlot + periods[j-from] (the shifted period
+// T[j-from+1]); a flush sends every frame held so far. due is scratch: for
+// each slot, the earliest deadline among the segments it serves.
+func needFlushSets(assignment []int, from, admitSlot int, periods []uint32, due []int) (need, flush []uint64) {
+	slots := len(due)
+	words := (slots + 63) / 64
+	sets := make([]uint64, 2*words)
+	need, flush = sets[:words:words], sets[words:]
+	for k := range due {
+		due[k] = slots
+	}
+	for j, a := range assignment[from:] {
 		k := a - admitSlot
 		need[k/64] |= 1 << (k % 64)
+		due[k] = min(due[k], int(periods[j]))
 	}
-	return need
+	// next is the earliest deadline among the frames held since the last
+	// flush; slots, past the last slot, when none is.
+	next := slots
+	for k := 1; k < slots; k++ {
+		next = min(next, due[k])
+		if next <= k || k == slots-1 {
+			flush[k/64] |= 1 << (k % 64)
+			next = slots
+		}
+	}
+	return need, flush
 }
 
 // track registers a connection for shutdown; it reports false when the
@@ -288,11 +398,11 @@ func (s *Server) handleConn(conn net.Conn) {
 }
 
 // drainRing is the delivery loop of a session. While it is parked with
-// nothing queued, the tick writes each frame itself (WriteDirect) and the
+// nothing due, the tick writes each flush itself (WriteDirect) and the
 // handler sleeps on; what the tick could not finish wakes it, and it hands
-// the backlog — the unsent rest of that frame first — to the kernel as one
-// vectored write per batch, releasing each frame only after its bytes are
-// out. It reports false when a write failed (the ring is dropped) and true on
+// the backlog — the unsent rest of the first frame first, and any frames
+// held behind it — to the kernel as one vectored write per batch,
+// releasing each frame only after its bytes are out. It reports false when a write failed (the ring is dropped) and true on
 // clean ring closure. A write that hits the session's deadline is the one
 // way a subscriber gets cut, and is counted as a drop.
 func (s *Server) drainRing(conn net.Conn, sub *subscriber, admitSlot int, wait, root *obs.Span) bool {
@@ -330,7 +440,7 @@ func (s *Server) drainRing(conn net.Conn, sub *subscriber, admitSlot int, wait, 
 			return false
 		}
 		if sent {
-			sub.wrote(len(frames), n+int64(head))
+			sub.wrote(len(frames), n+int64(head), frames[0].Slot(), lateByHandler)
 		}
 		release()
 		if !open {
@@ -416,11 +526,12 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 		admitted:  time.Now(),
 		rec:       rec,
 		firstByte: s.firstByte,
+		srv:       s,
 	}
 	sub.lastSlot.Store(math.MaxInt64)
-	// A Windows socket is an overlapped handle, which a plain write must not
-	// touch: there every frame queues for the handler.
-	if sc, ok := conn.(syscall.Conn); ok && runtime.GOOS != "windows" {
+	// Where the tick has no raw vectored write (rawWrites), every frame
+	// queues for the handler.
+	if sc, ok := conn.(syscall.Conn); ok && rawWrites {
 		if raw, err := sc.SyscallConn(); err == nil {
 			sub.raw, sub.writeFn = raw, sub.writeOnce
 		}
@@ -435,7 +546,8 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 	}
 
 	// The serving-slot vector is n+1 ints, 8 KB on a 1000-segment video, so
-	// admissions share pooled buffers; only the need set built from it is
+	// admissions share pooled buffers, which also carry needFlushSets'
+	// per-slot scratch past the vector; only the sets built from them are
 	// kept.
 	buf, _ := s.assignments.Get().(*[]int)
 	if buf == nil {
@@ -456,7 +568,8 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 		return nil, info, writeBy, err
 	}
 	admitSlot := res.Slot
-	*buf = res.Assignment
+	*buf = slices.Grow(res.Assignment, slots)
+	n := len(res.Assignment)
 
 	// The subscription ends once the customer's last deadline passes. The
 	// store is harmless when a concurrent shutdown already removed the
@@ -464,9 +577,10 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 	// workers that read the placeholder MaxInt64 this slot retire the
 	// subscriber one snapshot later. The admit slot ends within one slot
 	// duration of the admission, so the last deadline passes within slots
-	// slot durations of it. The need set is written first, and the store
-	// publishes it to the tick workers.
-	sub.need, sub.needFrom = needSet(res.Assignment, from, admitSlot, slots), admitSlot
+	// slot durations of it. The need and flush sets are written first, and
+	// the store publishes them to the tick workers.
+	sub.need, sub.flush = needFlushSets((*buf)[:n], from, admitSlot, rec.wirePeriods, (*buf)[n:n+slots])
+	sub.needFrom = admitSlot
 	sub.lastSlot.Store(int64(admitSlot + slots - 1))
 	writeBy = sub.admitted.Add(time.Duration(slots)*s.cfg.SlotDuration + s.readTimeout())
 	s.mRequests.Inc()

@@ -146,6 +146,9 @@ type videoRecord struct {
 	// frame is the slot's frame between the tick's two walks (see fanOut);
 	// the tick alone touches it.
 	frame *fanout.Frame
+	// slot is the slot the tick most recently began for the video, which
+	// a completed write is checked against for lateness (checkLate).
+	slot atomic.Int64
 }
 
 // record returns the video's record, building it on the video's first
@@ -235,7 +238,10 @@ type Server struct {
 	// classified transport state when its write deadline cut it, and bound
 	// at startup so the drop path never touches the registry's name map.
 	mDroppedBy [conntrack.NumStates]*obs.Counter
-	mReports   *obs.Counter
+	// mLateWrites are the path-labelled children of vod_late_writes_total,
+	// indexed by latePath and bound at startup like mDroppedBy.
+	mLateWrites [numLatePaths]*obs.Counter
+	mReports    *obs.Counter
 	// ringDepth is the fan-out ring depth high-watermark behind the
 	// vod_fanout_ring_depth_max GaugeFunc: the hot path Records, each scrape
 	// Reads-and-resets, so a one-tick depth spike between scrapes survives
@@ -431,6 +437,11 @@ func build(cfg Config) (*Server, error) {
 		s.mDroppedBy[r] = reg.CounterWith("vod_dropped_subscribers_total",
 			"Subscribers cut by their write deadline (last segment deadline plus the read bound), by last classified transport state.",
 			obs.Labels{"reason": conntrack.State(r).String()})
+	}
+	for p := range s.mLateWrites {
+		s.mLateWrites[p] = reg.CounterWith("vod_late_writes_total",
+			"Writes that completed after the tick began a slot past their deadline (the first flush slot at or after their first frame), by the side that wrote: a lower bound on deadline misses.",
+			obs.Labels{"path": latePath(p).String()})
 	}
 	// The sampler exists before armAlerts so the conn_stalled_ratio rule can
 	// watch it.

@@ -372,6 +372,7 @@ var familyReaders = map[string]string{
 	"vod_fanout_ring_depth_max":         "BENCHMARK fanout.ring_depth_max",
 	"vod_fanout_seconds":                "BENCHMARK fanout.tick_us_mean, fanout.tick_busy_ratio",
 	"vod_instances_total":               "benchmark bandwidth check: instances per video-slot",
+	"vod_late_writes_total":             "operator: did the server write any segment after its deadline?",
 	"vod_qoe_miss_rate":                 "flight bundle history (the miss alert's windowed signal)",
 	"vod_rejects_total":                 "benchmark correctness check: nothing refused",
 	"vod_requests_total":                "vodtop trend pane: admits/sec",

@@ -3,9 +3,14 @@ package vodserver
 // This file is the per-slot broadcast: the station clock's tick callback
 // walks the active videos over the station's spans, encodes each slot once
 // and hands the shared frame to the ring of every subscriber that needs the
-// slot (one of its segments was assigned there, or it is its last), writing
-// it to the socket itself when the subscriber's handler is parked with
-// nothing queued.
+// slot (one of its segments was assigned there, or it is its last). The
+// flush rule (session.go) decides how: at a flush slot the frame is pushed,
+// due with every frame held before it, and written to the socket by the
+// tick itself when the subscriber's handler is parked with nothing queued,
+// or else by the handler, woken for it, in one vectored write; at any other
+// needed slot it is held without waking anyone; and a flush slot that
+// carries none of the subscriber's segments makes its held frames due
+// without a frame.
 
 import (
 	"time"
@@ -85,6 +90,7 @@ func (s *Server) firstFrames(worker, video int, rep core.SlotReport) bool {
 	tally := &s.tallies[worker]
 	r.load.Set(float64(rep.Load))
 	tally.instances += int64(rep.Load)
+	r.slot.Store(int64(rep.Slot))
 	frame, err := s.enc.EncodeSlot(v.cfg.ID, rep.Slot, rep.Segments, s.dropHook(v.cfg.ID, rep.Slot))
 	if err != nil {
 		return false // unreachable: the catalogue was built from the same configs
@@ -135,24 +141,52 @@ func (s *Server) steadyFrames(worker, video int, rep core.SlotReport) bool {
 	return r.subs.Len() > 0
 }
 
-// push hands one reference to the slot's frame to a subscriber's ring,
-// which writes it at once when the handler is parked with nothing queued,
-// unless the slot carries none of the subscriber's instances (wants).
+// push hands the slot to a subscriber's ring by the flush rule (wants): a
+// needed slot's frame is held when the slot is not a flush slot and pushed
+// when it is — written at once if the handler is parked with nothing due —
+// and a flush slot the subscriber needs no frame of flushes its held frames
+// alone. Only what becomes due feeds the depth signals: a held frame is not
+// a backlog.
 func push(tally *fanoutTally, sub *subscriber, frame *fanout.Frame, slot int) {
 	sub.pushed = slot
-	if !sub.wants(slot) {
+	var depth int
+	switch want, flush := sub.wants(slot); {
+	case want && !flush:
+		frame.Retain()
+		if !sub.ring.Hold(frame) {
+			frame.Release() // closed, as below
+		}
 		return
-	}
-	frame.Retain()
-	depth, ok := sub.ring.Push(frame)
-	if !ok {
-		// Closed: the handler dropped the ring after a failed write, or the
-		// server is shutting down.
-		frame.Release()
+	case want:
+		frame.Retain()
+		var ok bool
+		if depth, ok = sub.ring.Push(frame); !ok {
+			// Closed: the handler dropped the ring after a failed write,
+			// or the server is shutting down.
+			frame.Release()
+			return
+		}
+	case flush:
+		depth = sub.ring.Flush()
+	default:
 		return
 	}
 	sub.ct.RecordPush(depth)
 	if int64(depth) > tally.maxDepth {
 		tally.maxDepth = int64(depth)
 	}
+}
+
+// latePath names the side that made a write, the label of
+// vod_late_writes_total: the tick's direct write or the handler's drain.
+type latePath uint8
+
+const (
+	lateByTick latePath = iota
+	lateByHandler
+	numLatePaths
+)
+
+func (p latePath) String() string {
+	return [numLatePaths]string{"tick", "handler"}[p]
 }
