@@ -32,9 +32,9 @@ lint:
 	fi
 
 # The one-stop gate: gofmt (any file it lists fails the gate), vet — the
-# netem-tagged scenarios and the non-Linux TCP_INFO, clock-wait and
-# direct-write branches on darwin and windows included, so no build-gated
-# file goes unchecked — the race suite, a coverage floor on the
+# netem-tagged scenarios and the non-Linux TCP_INFO and clock-wait branches,
+# darwin's raw-socket session layer and the unsupported-platform stub on
+# windows included, so no build-gated file goes unchecked — the race suite, a coverage floor on the
 # observability-critical packages (including the wire codec, the QoE client
 # and the set-top box that measures its QoE, since they carry the telemetry
 # loop) and a separate one on the scheduler the live server admits through
@@ -69,7 +69,8 @@ ci:
 	# deterministic and take well under a second: any wall-clock dependence
 	# left in them shows up here as a flake. TestClockSendsBegunSlot among
 	# them pins the tick's timing: an admission in slot i is in the very
-	# next tick's report, as slot i+1.
+	# next tick's report, as slot i+1, and an admission the hook the clock
+	# runs before it advances makes lands in the slot still current.
 	$(GO) test -count=50 -run '^(TestClock|TestStationStatusAndStages$$|TestCloseIdempotent$$)' ./internal/station/
 	# The clock's wall wait, on the real clock and so outside the lane above:
 	# an idle clock on a 5 ms grid ticks under 250 µs late at the median (a
@@ -93,26 +94,31 @@ ci:
 	# nothing. Then the start-up cost gate: each idle video costs Start+Close
 	# at most 4 allocations and 512 B (it skips under -race, so it runs here).
 	$(GO) test -race -cpu 4 -count=20 -run '^TestFirstAdmissionRacesClose$$' ./internal/vodserver/
-	# The tick's direct write: it writes the due frames itself only for a
-	# handler parked with nothing due; a short write, of one frame or of a
-	# flush's vectored write, leaves the rest queued with the first frame's
-	# sent prefix and the handler resumes from there, byte-exact; no frame
-	# precedes the ScheduleInfo; first frames go before the tick's
-	# steady-state frames; every frame reference comes back after Close; a
-	# session is written only its assigned slots and its last, and a
-	# subscriber whose need set lastSlot has not yet published gets every
-	# slot (the set crosses from the handler to the tick workers through
-	# that store).
-	$(GO) test -race -cpu 4 -count=20 -run '^TestRingWritesOnlyForParkedConsumer$$' ./internal/fanout/
-	$(GO) test -race -cpu 4 -count=20 -run '^(TestSessionServedByDirectWrites|TestShortDirectWriteResumes|TestDeadlineCutAfterShortDirectWrite|TestNoFrameBeforeScheduleInfo|TestFirstFramesGoFirst|TestWrittenSlotsAreAssignedPlusLast|TestUnpublishedNeedSetGetsEverySlot)$$' ./internal/vodserver/
+	# The tick owns each session, on raw sockets outside the Go poller: the
+	# ring hands due frames to the Writer its owner lends it, in order, and a
+	# short write's rest, skipping the sent prefix, to the next call; the
+	# tick writes a session handed over before its first tick alone and
+	# closes it after its last slot; a short write, of one frame or of a
+	# flush's vectored write, is listed and retried by the service pass,
+	# byte-exact; a backlog still queued at the session's bound is cut and
+	# counted; a client gone mid-session is hung up on and every frame
+	# comes back; no frame precedes the ScheduleInfo; first frames go before
+	# the tick's steady-state frames; a session is written only its assigned
+	# slots and its last, and a subscriber whose need set lastSlot has not
+	# yet published gets every slot (the set crosses from the admission to
+	# the tick workers through that store); the poller watches the
+	# listeners and no session socket; and an accept error backs off, 5 ms
+	# doubling, instead of ending service or spinning.
+	$(GO) test -race -cpu 4 -count=20 -run '^TestRingWriterTakesDueFrames$$' ./internal/fanout/
+	$(GO) test -race -cpu 4 -count=20 -run '^(TestSessionServedByDirectWrites|TestShortDirectWriteResumes|TestDeadlineCutAfterShortDirectWrite|TestFailedWriteReleasesClosedRing|TestNoFrameBeforeScheduleInfo|TestFirstFramesGoFirst|TestWrittenSlotsAreAssignedPlusLast|TestUnpublishedNeedSetGetsEverySlot|TestSessionSocketsStayOutOfThePoller|TestAcceptLoopSurvivesTransientError)$$' ./internal/vodserver/
 	# The flush rule, on manual ticks, so twenty runs are deterministic and
 	# any wall-clock dependence left in them shows here as a flake: Hold
-	# never wakes the consumer or calls its Writer, and Park returns held
-	# and due frames in the order they were handed over; each session's
-	# writes are the flush groups recomputed on a twin scheduler; a drain
-	# held past a deadline counts in vod_late_writes_total exactly the
-	# misses a strict set-top box counts; a session holding frames
-	# classifies healthy.
+	# never calls the Writer, the next Push or Flush hands it held and due
+	# frames in the order they were handed over, and PopAll returns them
+	# together; each session's writes are the flush groups recomputed on a
+	# twin scheduler; a retry that finishes a frame past its deadline counts
+	# in vod_late_writes_total exactly the misses a strict set-top box
+	# counts; a session holding frames classifies healthy.
 	$(GO) test -race -cpu 4 -count=20 -run '^(TestRingHoldWaitsForFlush|TestRingCloseDeliversHeld)$$' ./internal/fanout/
 	$(GO) test -race -cpu 4 -count=20 -run '^(TestWriteBoundariesAreFlushSlots|TestLateWritesCountStrictMisses|TestHeldFramesClassifyHealthy)$$' ./internal/vodserver/
 	$(GO) test -run '^TestStartCostPerIdleVideo$$' -count=1 ./internal/vodserver/
@@ -132,8 +138,8 @@ ci:
 	# firing → resolved, exactly one bundle carries conns.json, and the drop
 	# path attributes the disconnect reason="stalled".
 	$(GO) test -race -run '^TestE2EConntrackStallAttribution$$' -count=1 ./internal/vodserver/
-	# The one cut rule: a paused reader's handler ends its own session at the
-	# last deadline plus the read bound, and its fd and goroutine come back.
+	# The one cut rule: the tick cuts a paused reader's session at the last
+	# deadline plus the read bound, and its fd comes back.
 	$(GO) test -race -run '^TestSlowSubscriberDroppedMidBroadcast$$' -count=1 ./internal/vodserver/
 	# The served wait: on a 100 ms slot, sequential sessions' server-side
 	# first byte has a median under 0.75 slot and a maximum under 1.5 slots,
@@ -156,9 +162,9 @@ ci:
 	$(GO) test -run '^TestTickLocksOnlyActiveVideos$$' -count=1 ./internal/station/
 	$(GO) test -run '^$$' -bench '^BenchmarkStationTick$$' -benchtime=1x -benchmem ./internal/station/ | \
 		awk '{ print } /^BenchmarkStationTick\// { rows++; if ($$(NF-1) != 0) bad++ } END { exit !(rows == 2 && bad == 0) }'
-	# The drain-path alloc gate: one vectored write per popped batch, and one
-	# direct write per flush for a parked handler — a tick that holds and a
-	# tick that flushes included — zero allocations at steady state. Then the admit path's: a resume near the end of a 1000-segment
+	# The write-path alloc gate: one vectored write per flush — a tick that
+	# holds and a tick that flushes included — zero allocations at steady
+	# state. Then the admit path's: a resume near the end of a 1000-segment
 	# video pools its serving-slot vector, so it allocates no more than a
 	# six-segment full viewing.
 	$(GO) test -run '^(TestDrainZeroAlloc|TestAdmitAllocatesNoAssignment)$$' -count=1 ./internal/vodserver/

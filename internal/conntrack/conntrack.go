@@ -26,11 +26,9 @@
 package conntrack
 
 import (
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"vodcast/internal/obs"
@@ -202,7 +200,7 @@ type Conn struct {
 	video   uint32
 	remote  string
 	ringCap int
-	raw     syscall.RawConn // nil when the conn is not *net.TCPConn
+	fd      int // the socket's descriptor, -1 when there is none
 	opened  time.Time
 
 	// Hot-path counters.
@@ -237,43 +235,39 @@ type prevSample struct {
 	rwndLimited time.Duration
 }
 
-// Register starts tracking conn. ringCap is the most frames the subscriber's
-// queue can hold (its subscription's span in slots), the denominator of the
-// occupancy signal.
-func (s *Sampler) Register(conn net.Conn, video uint32, ringCap int) *Conn {
+// Register starts tracking the connection from remote on socket fd (-1 for
+// none: then only the userspace signals classify it). ringCap is the most
+// frames the subscriber's queue can hold (its subscription's span in slots),
+// the denominator of the occupancy signal. The caller must Unregister the
+// connection before it closes fd, so no sweep reads a descriptor reused by
+// another socket.
+func (s *Sampler) Register(remote string, fd int, video uint32, ringCap int) *Conn {
 	if ringCap < 1 {
 		ringCap = 1
 	}
 	now := s.cfg.Clock()
 	c := &Conn{
 		video:    video,
+		remote:   remote,
+		fd:       fd,
 		ringCap:  ringCap,
 		opened:   now,
 		depthWin: obs.NewWindow(depthWindow),
-	}
-	if conn != nil {
-		if addr := conn.RemoteAddr(); addr != nil {
-			c.remote = addr.String()
-		}
-		if tc, ok := conn.(*net.TCPConn); ok {
-			if raw, err := tc.SyscallConn(); err == nil {
-				c.raw = raw
-			}
-		}
 	}
 	c.pubSince.Store(now.UnixNano())
 	s.mu.Lock()
 	s.nextID++
 	c.id = s.nextID
 	c.snap = ConnSnapshot{ID: c.id, Remote: c.remote, Video: video,
-		State: stateHealthy.String(), RingCap: ringCap, Kernel: c.raw != nil}
+		State: stateHealthy.String(), RingCap: ringCap, Kernel: fd >= 0}
 	s.conns[c] = struct{}{}
 	s.counts[stateHealthy]++
 	s.mu.Unlock()
 	return c
 }
 
-// Unregister stops tracking c. It is idempotent — the drop, disconnect and
+// Unregister stops tracking c; once it returns, no sweep reads its socket.
+// It is idempotent — the drop, disconnect and
 // shutdown paths may all reach it for the same connection.
 func (s *Sampler) Unregister(c *Conn) {
 	s.mu.Lock()
@@ -337,7 +331,7 @@ func (s *Sampler) sweepConn(c *Conn, now time.Time) {
 	drain := c.drainBytes.Load()
 	depth := c.lastDepth.Load()
 	occ := float64(depth) / float64(c.ringCap)
-	info, kernelOK := readTCPInfo(c.raw)
+	info, kernelOK := readTCPInfo(c.fd)
 
 	cur := prevSample{
 		valid:      true,

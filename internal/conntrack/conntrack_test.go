@@ -88,7 +88,7 @@ func TestClassifyTable(t *testing.T) {
 // published state only moves after hold consecutive candidate sweeps.
 func TestHysteresisHoldsAndTransitions(t *testing.T) {
 	s, clk := testSampler(t, Config{})
-	c := s.Register(nil, 1, 8)
+	c := s.Register("", -1, 1, 8)
 	sweep(s, clk) // seed baseline
 	if got := c.State(); got != stateHealthy {
 		t.Fatalf("fresh conn state = %v, want healthy", got)
@@ -126,7 +126,7 @@ func TestHysteresisHoldsAndTransitions(t *testing.T) {
 // a hold of 2 the published state must never leave healthy.
 func TestHysteresisSuppressesFlap(t *testing.T) {
 	s, clk := testSampler(t, Config{})
-	c := s.Register(nil, 1, 8)
+	c := s.Register("", -1, 1, 8)
 	sweep(s, clk)
 	for i := 0; i < 6; i++ {
 		if i%2 == 0 {
@@ -152,7 +152,7 @@ func TestNewRequiresRegistry(t *testing.T) {
 
 func TestUnregisterIdempotentAndCounted(t *testing.T) {
 	s, clk := testSampler(t, Config{})
-	c := s.Register(nil, 1, 4)
+	c := s.Register("", -1, 1, 4)
 	sweep(s, clk)
 	c.RecordPush(4)
 	sweep(s, clk)
@@ -173,8 +173,8 @@ func TestUnregisterIdempotentAndCounted(t *testing.T) {
 func TestSnapshotRowsAndMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, clk := testSampler(t, Config{Registry: reg})
-	a := s.Register(nil, 1, 8)
-	b := s.Register(nil, 2, 8)
+	a := s.Register("", -1, 1, 8)
+	b := s.Register("", -1, 2, 8)
 	sweep(s, clk)
 	a.RecordPush(8) // stalls
 	b.RecordPush(1)
@@ -259,10 +259,16 @@ func TestLoopbackKernelSampling(t *testing.T) {
 	defer server.Close()
 
 	s, clk := testSampler(t, Config{})
-	c := s.Register(server, 7, 16)
-	if c.raw == nil {
-		t.Fatal("TCP conn did not yield a raw syscall conn")
+	raw, err := server.(*net.TCPConn).SyscallConn()
+	if err != nil {
+		t.Fatal(err)
 	}
+	fd := -1
+	if err := raw.Control(func(s uintptr) { fd = int(s) }); err != nil {
+		t.Fatal(err)
+	}
+	c := s.Register(server.RemoteAddr().String(), fd, 7, 16)
+	defer s.Unregister(c)
 
 	// Push some traffic so BytesAcked moves.
 	done := make(chan struct{})
@@ -289,7 +295,7 @@ func TestLoopbackKernelSampling(t *testing.T) {
 	if row.Remote == "" || row.Video != 7 {
 		t.Fatalf("row identity = %+v", row)
 	}
-	info, ok := readTCPInfo(c.raw)
+	info, ok := readTCPInfo(c.fd)
 	if !ok || !info.Valid {
 		t.Fatal("readTCPInfo failed on a live TCP socket")
 	}

@@ -79,23 +79,19 @@ type linuxTCPInfo struct {
 // trustworthy.
 const tcpInfoExtendedLen = 192
 
-// readTCPInfo fetches TCP_INFO for the socket behind raw. ok is false when
-// raw is nil (not a TCP socket) or the getsockopt fails — classification
-// then falls back to userspace signals alone.
-func readTCPInfo(raw syscall.RawConn) (info TCPInfo, ok bool) {
-	if raw == nil {
+// readTCPInfo fetches TCP_INFO for socket fd. ok is false when fd is -1
+// (no socket) or the getsockopt fails — classification then falls back to
+// userspace signals alone.
+func readTCPInfo(fd int) (info TCPInfo, ok bool) {
+	if fd < 0 {
 		return TCPInfo{}, false
 	}
 	var ti linuxTCPInfo
-	var serr syscall.Errno
-	var got uint32
-	cerr := raw.Control(func(fd uintptr) {
-		got = uint32(unsafe.Sizeof(ti))
-		_, _, serr = syscall.Syscall6(syscall.SYS_GETSOCKOPT, fd,
-			uintptr(syscall.IPPROTO_TCP), uintptr(syscall.TCP_INFO),
-			uintptr(unsafe.Pointer(&ti)), uintptr(unsafe.Pointer(&got)), 0)
-	})
-	if cerr != nil || serr != 0 {
+	got := uint32(unsafe.Sizeof(ti))
+	_, _, serr := syscall.Syscall6(syscall.SYS_GETSOCKOPT, uintptr(fd),
+		uintptr(syscall.IPPROTO_TCP), uintptr(syscall.TCP_INFO),
+		uintptr(unsafe.Pointer(&ti)), uintptr(unsafe.Pointer(&got)), 0)
+	if serr != 0 {
 		return TCPInfo{}, false
 	}
 	info = TCPInfo{

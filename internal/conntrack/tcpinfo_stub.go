@@ -2,10 +2,8 @@
 
 package conntrack
 
-import "syscall"
-
 // readTCPInfo on non-Linux platforms reports no kernel telemetry; the
 // classifier runs on the userspace ring/drain signals alone.
-func readTCPInfo(syscall.RawConn) (TCPInfo, bool) {
+func readTCPInfo(int) (TCPInfo, bool) {
 	return TCPInfo{}, false
 }

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"vodcast/internal/wire"
 )
@@ -342,54 +341,6 @@ func TestRingCloseDeliversTail(t *testing.T) {
 	f.Release()
 }
 
-// TestRingBlockingDrain exercises the producer/consumer handoff under the
-// race detector: a consumer blocked in PopAll wakes on push and on close.
-func TestRingBlockingDrain(t *testing.T) {
-	enc, _ := catalogues(t)
-	r := NewRing(8)
-	const slots = 200
-	var wg sync.WaitGroup
-	wg.Add(1)
-	seen := 0
-	go func() {
-		defer wg.Done()
-		var buf []*Frame
-		for {
-			var ok bool
-			buf, ok = r.PopAll(buf[:0])
-			for _, f := range buf {
-				seen++
-				f.Release()
-			}
-			if !ok {
-				return
-			}
-		}
-	}()
-	for slot := 0; slot < slots; slot++ {
-		f, err := enc.EncodeSlot(1, slot, []int{1, 2, 3}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Retain()
-		for {
-			if _, ok := r.Push(f); ok {
-				break
-			}
-			// Full ring: yield to the drainer instead of dropping, so the
-			// test exercises the blocking handoff deterministically even on
-			// one CPU.
-			runtime.Gosched()
-		}
-		f.Release()
-	}
-	r.Close()
-	wg.Wait()
-	if seen != slots {
-		t.Fatalf("consumer saw %d frames, producer delivered %d", seen, slots)
-	}
-}
-
 // TestSteadyStateZeroAlloc is the alloc gate the CI target enforces: once
 // the pool is warm, encode → hold or push or flush → pop → write-accounting
 // → release must not allocate.
@@ -426,8 +377,8 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 			if !ok {
 				f.Release()
 			}
-			if phase == 3 && r.Flush() != 1 {
-				t.Fatal("a flush of held frames left no due write")
+			if phase == 3 && r.Flush() != 2 {
+				t.Fatal("a flush of two held frames with no Writer lent left them unqueued")
 			}
 		}
 		f.Release()
@@ -456,48 +407,38 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// fakeWriter is a consumer's Writer that records the slots lent to it, one
-// call per batch, and finishes every frame of a batch when done is set, or
-// else none, with sent bytes of the first gone out.
+// fakeWriter is a ring owner's Writer that records the slots handed to it,
+// one batch per call, and the skip each call got. When done is set it
+// finishes every frame of a batch; else none, with sent bytes of the first
+// gone out.
 type fakeWriter struct {
-	slots   []int
 	batches [][]int
+	skips   []int
 	sent    int
 	done    bool
 }
 
-func (w *fakeWriter) WriteDirect(frames []*Frame) (int, int) {
-	var batch []int
+func (w *fakeWriter) WriteDirect(frames []*Frame, skip int) (int, int) {
+	batch := []int{}
 	for _, f := range frames {
 		batch = append(batch, f.Slot())
 	}
-	w.slots = append(w.slots, batch...)
 	w.batches = append(w.batches, batch)
+	w.skips = append(w.skips, skip)
 	if w.done {
 		return len(frames), 0
 	}
 	return 0, w.sent
 }
 
-// waitParked returns once a consumer is blocked in Park with its Writer lent.
-func waitParked(t *testing.T, r *Ring) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
-		r.mu.Lock()
-		parked := r.parked != nil
-		r.mu.Unlock()
-		if parked {
-			return
-		}
-	}
-	t.Fatal("consumer never parked")
-}
-
-// TestRingWritesOnlyForParkedConsumer pins the direct path's one rule: Push
-// hands a frame to the consumer's Writer only while the consumer is parked
-// with nothing queued. A finished frame is released and leaves the consumer
-// asleep; an unfinished one is queued with its sent prefix and wakes it.
-func TestRingWritesOnlyForParkedConsumer(t *testing.T) {
+// TestRingWriterTakesDueFrames pins the write path: frames pushed before a
+// Writer is lent queue; Write hands them over at once, and from then on
+// every Push hands the due frames over in the same call. A finished frame is
+// released; an unfinished one stays queued with its sent prefix, which the
+// next call skips, and frames pushed behind it go in the same call, in the
+// order they were handed over. Write retries on a closed ring, and a dropped
+// ring never calls its Writer again.
+func TestRingWriterTakesDueFrames(t *testing.T) {
 	enc, _ := catalogues(t)
 	frame := func(slot int) *Frame {
 		f, err := enc.EncodeSlot(3, slot, []int{1}, nil)
@@ -506,98 +447,67 @@ func TestRingWritesOnlyForParkedConsumer(t *testing.T) {
 		}
 		return f
 	}
-	release := func(frames []*Frame) {
-		for _, f := range frames {
-			f.Release()
-		}
-	}
 	w := &fakeWriter{done: true}
 	r := NewRing(4)
 
-	// Nobody parked: the frame queues, and Park returns it at once.
-	if d, ok := r.Push(frame(1)); d != 1 || !ok || len(w.slots) != 0 {
-		t.Fatalf("push with no consumer parked: depth %d ok %v, writer saw %v", d, ok, w.slots)
+	// No Writer lent: the frame queues.
+	if d, ok := r.Push(frame(1)); d != 1 || !ok {
+		t.Fatalf("push with no Writer lent: depth %d ok %v, want 1 true", d, ok)
 	}
-	got, sent, ok := r.Park(nil, w)
-	if len(got) != 1 || sent != 0 || !ok || len(w.slots) != 0 {
-		t.Fatalf("Park with a frame queued returned %d frames, sent %d, ok %v; writer saw %v", len(got), sent, ok, w.slots)
+	if d := r.Write(w); d != 0 || len(w.batches) != 1 || !slices.Equal(w.batches[0], []int{1}) {
+		t.Fatalf("Write: depth %d, writer saw %v, want 0 and [[1]]", d, w.batches)
 	}
-	release(got)
-
-	type popped struct {
-		frames []*Frame
-		sent   int
-		ok     bool
-	}
-	out := make(chan popped, 1)
-	go func() {
-		f, s, ok := r.Park(nil, w)
-		out <- popped{f, s, ok}
-	}()
-	waitParked(t, r)
-
-	// Parked with nothing queued: Push writes, releases, and does not wake.
-	if d, ok := r.Push(frame(2)); d != 0 || !ok {
-		t.Fatalf("direct push: depth %d ok %v, want 0 true", d, ok)
-	}
-	if len(w.slots) != 1 || w.slots[0] != 2 {
-		t.Fatalf("writer saw %v, want [2]", w.slots)
-	}
-	waitParked(t, r)
-	select {
-	case p := <-out:
-		t.Fatalf("a finished direct write woke the consumer with %d frames", len(p.frames))
-	default:
+	if d, ok := r.Push(frame(2)); d != 0 || !ok || !slices.Equal(w.batches[1], []int{2}) {
+		t.Fatalf("push with a Writer lent: depth %d ok %v, writer saw %v", d, ok, w.batches)
 	}
 
-	// An unfinished write queues the frame with its prefix and wakes the
-	// consumer; a push before it runs queues behind, never direct.
+	// An unfinished write leaves the frame queued with its prefix: the next
+	// push hands it over again, skipping the prefix, with the new frame
+	// behind it.
 	w.sent, w.done = 7, false
-	if d, ok := r.Push(frame(3)); d != 1 || !ok {
-		t.Fatalf("unfinished direct push: depth %d ok %v, want 1 true", d, ok)
+	if d, _ := r.Push(frame(3)); d != 1 {
+		t.Fatalf("unfinished push: depth %d, want 1", d)
 	}
-	w.done = true
-	if _, ok := r.Push(frame(4)); !ok {
-		t.Fatal("push after an unfinished write failed")
+	w.sent = 9
+	if d, _ := r.Push(frame(4)); d != 2 {
+		t.Fatalf("push behind an unfinished frame: depth %d, want 2", d)
 	}
-	if len(w.slots) != 2 {
-		t.Fatalf("writer saw %v after the consumer was woken, want [2 3]", w.slots)
+	if got := w.batches[3]; !slices.Equal(got, []int{3, 4}) || w.skips[3] != 7 {
+		t.Fatalf("second call got slots %v skipping %d, want [3 4] skipping 7", got, w.skips[3])
 	}
-	p := <-out
-	if !p.ok || p.sent != 7 || p.frames[0].Slot() != 3 {
-		t.Fatalf("woken consumer got %d frames, first slot %d, sent %d, ok %v; want slot 3 sent 7", len(p.frames), p.frames[0].Slot(), p.sent, p.ok)
-	}
-	release(p.frames)
-	if len(p.frames) == 1 {
-		got, _, _ := r.Park(nil, nil)
-		release(got)
-	}
-
-	// A Writer still lent while a frame is queued — a wake not yet taken —
-	// is never used: bytes leave in push order.
-	r.Push(frame(5))
-	r.mu.Lock()
-	r.parked = w
-	r.mu.Unlock()
-	if d, _ := r.Push(frame(6)); d != 2 || len(w.slots) != 2 {
-		t.Fatalf("push behind a queued frame: depth %d, writer saw %v", d, w.slots)
-	}
-	r.Drop()
-	f := frame(7)
-	if _, ok := r.Push(f); ok || len(w.slots) != 2 {
-		t.Fatalf("push to a dropped ring: ok %v, writer saw %v", ok, w.slots)
+	// Close refuses frames; Write still retries what is queued.
+	r.Close()
+	f := frame(5)
+	if _, ok := r.Push(f); ok {
+		t.Fatal("push succeeded on a closed ring")
 	}
 	f.Release()
+	if d := r.Write(w); d != 2 || w.skips[4] != 9 {
+		t.Fatalf("retry on a closed ring: depth %d skip %d, want 2 and 9", d, w.skips[4])
+	}
+	w.done = true
+	if d := r.Write(w); d != 0 || !slices.Equal(w.batches[5], []int{3, 4}) {
+		t.Fatalf("finished retry: depth %d, writer saw %v", d, w.batches[5])
+	}
+
+	// Drop ends the lending.
+	r2 := NewRing(4)
+	r2.Write(w)
+	r2.Drop()
+	calls := len(w.batches)
+	if d := r2.Write(nil); d != 0 || len(w.batches) != calls {
+		t.Fatalf("a dropped ring called its Writer: depth %d, %d calls", d, len(w.batches)-calls)
+	}
 	if n := enc.Outstanding(); n != 0 {
 		t.Fatalf("%d frames outstanding after every holder released", n)
 	}
 }
 
-// TestRingHoldWaitsForFlush pins Hold: it never wakes the consumer and never
-// calls its Writer, so a parked consumer stays parked with frames held. The
-// next Push hands the held frames and its own to the Writer in one call,
-// in the order they were handed over, and Flush does the same without a
-// frame of its own; what the Writer leaves unfinished wakes the consumer.
+// TestRingHoldWaitsForFlush pins Hold: it never calls the Writer, so frames
+// wait held. The next Push hands the held frames and its own to the Writer
+// in one call, in the order they were handed over, and Flush does the same
+// without a frame of its own; what the Writer leaves unfinished stays
+// queued. Without a Writer, PopAll returns due and held frames together.
 func TestRingHoldWaitsForFlush(t *testing.T) {
 	enc, _ := catalogues(t)
 	frame := func(slot int) *Frame {
@@ -609,100 +519,67 @@ func TestRingHoldWaitsForFlush(t *testing.T) {
 	}
 	w := &fakeWriter{done: true}
 	r := NewRing(4)
-	type popped struct {
-		slots []int
-		sent  int
-	}
-	out := make(chan popped, 1)
-	park := func() {
-		go func() {
-			got, sent, _ := r.Park(nil, w)
-			var p popped
-			for _, f := range got {
-				p.slots = append(p.slots, f.Slot())
-				f.Release()
-			}
-			p.sent = sent
-			out <- p
-		}()
-		waitParked(t, r)
-	}
-	asleep := func(when string) {
-		t.Helper()
-		for range 100 {
-			runtime.Gosched()
-		}
-		select {
-		case p := <-out:
-			t.Fatalf("%s woke the consumer with slots %v", when, p.slots)
-		default:
-		}
-		waitParked(t, r)
-	}
-
-	park()
+	r.Write(w)
+	w.batches, w.skips = nil, nil
 	for slot := 1; slot <= 2; slot++ {
 		if !r.Hold(frame(slot)) {
 			t.Fatalf("hold of slot %d failed on an open ring", slot)
 		}
 	}
-	asleep("Hold")
 	if len(w.batches) != 0 || r.Depth() != 2 {
 		t.Fatalf("after two holds the writer saw %v and the depth is %d, want nothing and 2", w.batches, r.Depth())
 	}
 	if d, ok := r.Push(frame(3)); d != 0 || !ok {
-		t.Fatalf("push behind held frames to a parked consumer: depth %d ok %v, want 0 true", d, ok)
+		t.Fatalf("push behind held frames: depth %d ok %v, want 0 true", d, ok)
 	}
-	asleep("a finished write of held frames")
 	if len(w.batches) != 1 || !slices.Equal(w.batches[0], []int{1, 2, 3}) {
 		t.Fatalf("writer batches %v, want one [1 2 3]", w.batches)
 	}
 
-	// Flush writes held frames alone; an unfinished batch wakes the
-	// consumer with all of it and the prefix that went out.
+	// Flush writes held frames alone; an unfinished batch stays queued with
+	// the prefix that went out.
 	r.Hold(frame(4))
 	r.Hold(frame(5))
 	w.done, w.sent = false, 9
-	if d := r.Flush(); d != 1 {
-		t.Fatalf("unfinished flush: depth %d, want 1", d)
-	}
-	if p := <-out; !slices.Equal(p.slots, []int{4, 5}) || p.sent != 9 {
-		t.Fatalf("woken consumer got slots %v sent %d, want [4 5] sent 9", p.slots, p.sent)
+	if d := r.Flush(); d != 2 {
+		t.Fatalf("unfinished flush: depth %d, want 2", d)
 	}
 	if len(w.batches) != 2 || !slices.Equal(w.batches[1], []int{4, 5}) {
 		t.Fatalf("writer batches %v, want [4 5] second", w.batches)
 	}
-	if d := r.Flush(); d != 0 {
-		t.Fatalf("flush with nothing held: depth %d, want 0", d)
+	if d := r.Flush(); d != 0 || len(w.batches) != 2 {
+		t.Fatalf("flush with nothing held: depth %d, %d calls; want 0 and no call", d, len(w.batches))
+	}
+	// A frame held behind the unfinished batch is not handed over by a
+	// retry: only due frames are.
+	r.Hold(frame(6))
+	w.done = true
+	if d := r.Write(w); d != 1 || !slices.Equal(w.batches[2], []int{4, 5}) || w.skips[2] != 9 {
+		t.Fatalf("retry: depth %d, writer saw %v skipping %d, want 1, [4 5] skipping 9", d, w.batches[2], w.skips[2])
 	}
 
-	// With nobody parked, Park returns due and held frames together, in the
-	// order they were handed over, and Hold never counts as due.
-	w.done = true
-	r.Hold(frame(6))
-	if d, _ := r.Push(frame(7)); d != 1 {
-		t.Fatalf("push behind a held frame, nobody parked: depth %d, want 1", d)
+	// Without a Writer, PopAll returns due and held frames together, in the
+	// order they were handed over.
+	r2 := NewRing(4)
+	r2.Hold(frame(7))
+	if d, _ := r2.Push(frame(8)); d != 2 {
+		t.Fatalf("push behind a held frame, no Writer: depth %d, want 2", d)
 	}
-	r.Hold(frame(8))
-	got, sent, ok := r.Park(nil, w)
+	r2.Hold(frame(9))
+	got, ok := r2.PopAll(nil)
 	var slots []int
 	for _, f := range got {
 		slots = append(slots, f.Slot())
 		f.Release()
 	}
-	if !ok || sent != 0 || !slices.Equal(slots, []int{6, 7, 8}) {
-		t.Fatalf("Park returned slots %v sent %d ok %v, want [6 7 8] 0 true", slots, sent, ok)
-	}
-	if len(w.batches) != 2 {
-		t.Fatalf("the writer was called with nobody parked: %v", w.batches)
+	if !ok || !slices.Equal(slots, []int{7, 8, 9}) {
+		t.Fatalf("PopAll returned slots %v ok %v, want [7 8 9] true", slots, ok)
 	}
 
 	// Drop releases held frames; Hold and Flush on a dropped ring do
 	// nothing.
-	r.Hold(frame(9))
-	r.Hold(frame(10))
 	r.Drop()
-	f := frame(11)
+	f := frame(10)
 	if r.Hold(f) || r.Flush() != 0 {
 		t.Fatal("hold or flush acted on a dropped ring")
 	}
@@ -713,7 +590,7 @@ func TestRingHoldWaitsForFlush(t *testing.T) {
 }
 
 // TestRingCloseDeliversHeld: frames still held when the producer closes
-// the ring reach the consumer with the closure.
+// the ring are popped with the closure.
 func TestRingCloseDeliversHeld(t *testing.T) {
 	enc, _ := catalogues(t)
 	r := NewRing(4)

@@ -11,7 +11,7 @@
 // and Releases when a push fails; connection writers Release after the
 // frame's bytes have been written (never before — the backing array returns
 // to a sync.Pool and would be scribbled over mid-write), and so does the
-// ring after a frame it wrote itself for a parked consumer. When the count
+// ring after a frame its Writer finished. When the count
 // reaches zero the frame recycles. The original bytes.Buffer encoding is
 // kept in reference_test.go as the executable spec; the differential test
 // pins the two paths to byte-identical wire output.

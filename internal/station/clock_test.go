@@ -81,7 +81,7 @@ func startFakeClock(t *testing.T, interval time.Duration, stallAt, stall int) (*
 	f := installFakeClock(st)
 	start := f.now()
 	var at []time.Duration
-	if err := st.StartClock(interval, func([]core.SlotReport) {
+	if err := st.StartClock(interval, nil, func([]core.SlotReport) {
 		at = append(at, f.now().Sub(start))
 		if len(at) == stallAt {
 			f.stall(time.Duration(stall) * interval)
@@ -181,7 +181,7 @@ func TestClockSendsBegunSlot(t *testing.T) {
 	t.Cleanup(st.Close)
 	f := installFakeClock(st)
 	var ticks, walked [][]core.SlotReport // copies: the clock reuses its slice
-	if err := st.StartClock(interval, func(reports []core.SlotReport) {
+	if err := st.StartClock(interval, nil, func(reports []core.SlotReport) {
 		row := make([]core.SlotReport, len(reports))
 		for v, rep := range reports {
 			row[v] = core.SlotReport{Slot: rep.Slot, Load: rep.Load, Segments: slices.Clone(rep.Segments)}
@@ -224,5 +224,47 @@ func TestClockSendsBegunSlot(t *testing.T) {
 		if rep.Slot != i+1 || rep.Load != 1 || !slices.Equal(rep.Segments, []int{1}) {
 			t.Fatalf("admitted video at the next tick: %+v, want slot %d carrying segment 1", rep, i+1)
 		}
+	}
+}
+
+// TestClockBeforeHookAdmitsIntoCurrentSlot: the hook StartClock runs before
+// each advance sees the slot that is still current, so an admission it makes
+// at the k-th tick lands in slot k-1, and that very tick's report carries the
+// customer's first segment as slot k.
+func TestClockBeforeHookAdmitsIntoCurrentSlot(t *testing.T) {
+	const interval, k = time.Millisecond, 4
+	st, err := New(Config{Videos: []VideoConfig{{Segments: 5, TrackSegments: true}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	f := installFakeClock(st)
+	var (
+		hooks int
+		res   core.AdmitResult
+		ticks []core.SlotReport
+	)
+	before := func() {
+		if hooks++; hooks == k {
+			if res, err = st.Admit(0, core.AdmitOptions{}); err != nil {
+				panic(err)
+			}
+		}
+	}
+	if err := st.StartClock(interval, before, func(reports []core.SlotReport) {
+		ticks = append(ticks, core.SlotReport{Slot: reports[0].Slot, Load: reports[0].Load,
+			Segments: slices.Clone(reports[0].Segments)})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	f.runFor(k * interval)
+	if hooks != k || len(ticks) != k {
+		t.Fatalf("%d hook runs and %d ticks, want %d of each", hooks, len(ticks), k)
+	}
+	if res.Slot != k-1 {
+		t.Fatalf("the hook at tick %d admitted into slot %d, want %d", k, res.Slot, k-1)
+	}
+	if rep := ticks[k-1]; rep.Slot != k || rep.Load != 1 || !slices.Equal(rep.Segments, []int{1}) {
+		t.Fatalf("tick %d reports %+v, want slot %d carrying segment 1", k, rep, k)
 	}
 }

@@ -71,7 +71,7 @@ func TestStationStatusAndStages(t *testing.T) {
 		t.Fatalf("clock should be idle: %+v", s.Clock)
 	}
 	f := installFakeClock(st)
-	if err := st.StartClock(time.Millisecond, nil); err != nil {
+	if err := st.StartClock(time.Millisecond, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	f.runFor(3 * time.Millisecond)

@@ -519,9 +519,11 @@ func (st *Station) Totals() (requests, instances int64) {
 }
 
 // StartClock launches the single clock goroutine, once per station. A tick,
-// due at a grid point start + k·interval, retires the current slot and begins
-// the next (span by span, on the pool when there is more than one span) and
-// hands the begun slot's reports to onTick, if any, on the clock goroutine.
+// due at a grid point start + k·interval, runs before, if any, retires the
+// current slot and begins the next (span by span, on the pool when there is
+// more than one span) and hands the begun slot's reports to onTick, if any,
+// on the clock goroutine. before runs while the current slot is still
+// current: what it admits lands in that slot. It may admit but not advance.
 // onTick may call EachActive but not Close, and must copy any reports it
 // retains, as the clock reuses the slice and the segment lists are the
 // schedulers'. Ticks an overrun made late run back to back; a wake
@@ -529,7 +531,7 @@ func (st *Station) Totals() (requests, instances int64) {
 // grid point passed, and the next tick reports its lag. The wall wait the
 // clock opens is released by the clock goroutine on its way out, before
 // Close returns.
-func (st *Station) StartClock(interval time.Duration, onTick func([]core.SlotReport)) error {
+func (st *Station) StartClock(interval time.Duration, before func(), onTick func([]core.SlotReport)) error {
 	if interval <= 0 {
 		return fmt.Errorf("%w: got %v", errBadSlotDuration, interval)
 	}
@@ -585,6 +587,9 @@ func (st *Station) StartClock(interval time.Duration, onTick func([]core.SlotRep
 			c.lag.Observe(lag.Seconds())
 			if st.obs != nil {
 				st.obs.clockTicks.Inc()
+			}
+			if before != nil {
+				before()
 			}
 			st.tickMu.Lock()
 			st.reports = reports

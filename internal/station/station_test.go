@@ -199,7 +199,7 @@ func TestClockPoolLifecycle(t *testing.T) {
 	var ticks int64
 	var visits [videos]atomic.Int64
 	var byWorker [4]atomic.Int64
-	if err := st.StartClock(interval, func(reports []core.SlotReport) {
+	if err := st.StartClock(interval, nil, func(reports []core.SlotReport) {
 		st.EachActive(func(worker, v int, _ core.SlotReport) bool {
 			byWorker[worker].Add(1)
 			visits[v].Add(1)
@@ -221,7 +221,7 @@ func TestClockPoolLifecycle(t *testing.T) {
 		t.Fatal("Close left the pool behind")
 	}
 	settleGoroutines(t, baseline, "Close")
-	if err := st.StartClock(interval, nil); !errors.Is(err, errClosed) {
+	if err := st.StartClock(interval, nil, nil); !errors.Is(err, errClosed) {
 		t.Fatalf("StartClock after Close: %v", err)
 	}
 	if ticks != n {
@@ -437,7 +437,7 @@ func testStressAdmissionsRaceClock(t *testing.T, shards int) {
 	}
 	type reported struct{ slot, load int }
 	var ticks [][videos]reported // written by the clock goroutine, read after Close
-	if err := st.StartClock(200*time.Microsecond, func(reports []core.SlotReport) {
+	if err := st.StartClock(200*time.Microsecond, nil, func(reports []core.SlotReport) {
 		if len(reports) != videos {
 			t.Errorf("tick delivered %d reports", len(reports))
 			return
@@ -451,7 +451,7 @@ func testStressAdmissionsRaceClock(t *testing.T, shards int) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.StartClock(time.Millisecond, nil); !errors.Is(err, errClockRunning) {
+	if err := st.StartClock(time.Millisecond, nil, nil); !errors.Is(err, errClockRunning) {
 		t.Fatalf("second clock: %v", err)
 	}
 
@@ -653,10 +653,10 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	st.Close()
 	st.Close()
-	if err := st.StartClock(time.Millisecond, nil); !errors.Is(err, errClosed) {
+	if err := st.StartClock(time.Millisecond, nil, nil); !errors.Is(err, errClosed) {
 		t.Fatalf("clock on closed station: %v", err)
 	}
-	if err := st.StartClock(0, nil); !errors.Is(err, errBadSlotDuration) {
+	if err := st.StartClock(0, nil, nil); !errors.Is(err, errBadSlotDuration) {
 		t.Fatalf("zero interval: %v", err)
 	}
 }

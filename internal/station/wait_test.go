@@ -24,7 +24,7 @@ func wallClockLag(t *testing.T, ticks int) obs.WindowSnapshot {
 	defer st.Close()
 	done := make(chan struct{})
 	n := 0
-	if err := st.StartClock(interval, func([]core.SlotReport) {
+	if err := st.StartClock(interval, nil, func([]core.SlotReport) {
 		if n++; n == ticks {
 			close(done)
 		}
@@ -118,7 +118,7 @@ func TestWallWaitFDLifecycle(t *testing.T) {
 	// The runtime poller's own fds open on its first use and stay: one
 	// clock run first, so they are in the baseline.
 	warm := newStation()
-	if err := warm.StartClock(time.Hour, nil); err != nil {
+	if err := warm.StartClock(time.Hour, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	warm.Close()
@@ -134,7 +134,7 @@ func TestWallWaitFDLifecycle(t *testing.T) {
 	}
 
 	st := newStation()
-	if err := st.StartClock(time.Hour, nil); err != nil {
+	if err := st.StartClock(time.Hour, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := openFDs(); n != base+1 {
@@ -144,7 +144,7 @@ func TestWallWaitFDLifecycle(t *testing.T) {
 	if n := openFDs(); n != base {
 		t.Fatalf("Close: %d fds open, want %d", n, base)
 	}
-	if err := st.StartClock(time.Hour, nil); !errors.Is(err, errClosed) {
+	if err := st.StartClock(time.Hour, nil, nil); !errors.Is(err, errClosed) {
 		t.Fatalf("StartClock after Close: %v", err)
 	}
 	if n := openFDs(); n != base {

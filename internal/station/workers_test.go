@@ -74,8 +74,8 @@ func TestWorkersParallelSetChurn(t *testing.T) {
 			if err != nil {
 				panic(err)
 			}
-			// One snapshot serves push and drain: a ring added between two
-			// separate snapshots would be empty and block PopAll forever.
+			// One snapshot serves push and drain, so every ring drained was
+			// pushed this tick.
 			snap := sets[i].Snapshot()
 			for _, r := range snap {
 				f.Retain()
@@ -84,9 +84,7 @@ func TestWorkersParallelSetChurn(t *testing.T) {
 				}
 			}
 			f.Release()
-			// Drain this span's rings inline so refcounts settle per tick:
-			// every pushed ring has a frame queued (or was dropped), so the
-			// blocking PopAll returns immediately.
+			// Drain this span's rings inline so refcounts settle per tick.
 			for _, r := range snap {
 				var frames []*fanout.Frame
 				frames, _ = r.PopAll(scratches[worker][:0])

@@ -143,17 +143,11 @@ func TestParallelTickChurn(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// The tick retires a subscriber before its handler counts a deadline
-	// drop, so the counters are final only once every handler has returned.
-	for {
-		s.mu.Lock()
-		handlers := len(s.conns)
-		s.mu.Unlock()
-		if handlers == 0 {
-			break
-		}
+	// The tick retires a subscriber before its service pass counts a cut,
+	// so the counters are final only once every session is hung up on.
+	for n := s.openSessions(); n != 0; n = s.openSessions() {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d handlers never returned", handlers)
+			t.Fatalf("%d sessions never ended", n)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -6,22 +6,20 @@ import (
 	"errors"
 	"io"
 	"net"
-	"runtime"
-	"sync/atomic"
-	"syscall"
 	"testing"
 	"time"
 
 	"vodcast/internal/wire"
 )
 
-// The tick's direct path, end to end over loopback sockets. Each test plays
-// a handler's steps by hand on a built server, whose clock never runs, and
-// drives every tick itself, so each interleaving is chosen, not raced for.
+// The tick as each session's only writer, end to end over loopback sockets.
+// Each test plays the accept goroutine's steps by hand on a built server,
+// whose clock never runs, and drives every tick itself, so each
+// interleaving is chosen, not raced for.
 
 // startManualServer builds a server for the test to drive. With no clock
-// the slot duration sets only the handlers' deadlines: a one-second slot
-// puts each at least five seconds past its admission.
+// the slot duration sets only the sessions' bounds: a one-second slot puts
+// each at least five seconds past its admission.
 func startManualServer(t *testing.T, videos ...VideoConfig) *Server {
 	t.Helper()
 	return buildServer(t, Config{Videos: videos, SlotDuration: time.Second})
@@ -29,8 +27,7 @@ func startManualServer(t *testing.T, videos ...VideoConfig) *Server {
 
 // tick runs one clock tick by hand: the advance, then the fan-out.
 func tick(s *Server) {
-	s.station.AdvanceSlot()
-	s.fanOut()
+	s.fanOut(s.station.AdvanceSlot())
 }
 
 // assertNoFrameLeak fails unless every frame the server encoded has been
@@ -50,91 +47,96 @@ func closeNoFrameLeak(t *testing.T, s *Server) {
 	assertNoFrameLeak(t, s)
 }
 
-// loopback returns both ends of a fresh TCP connection over 127.0.0.1.
-func loopback(t *testing.T) (srv, cli *net.TCPConn) {
+// accepted dials a fresh listener on 127.0.0.1, sends raw on the client's
+// end and accepts the server's end as the accept goroutine does — on Linux
+// only once raw has arrived: a raw non-blocking socket, as a subscriber the
+// server has not read. The subscriber's socket is closed when the test
+// ends, if the server has not closed it.
+func accepted(t *testing.T, raw []byte) (*subscriber, *net.TCPConn) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	c, err := net.Dial("tcp", ln.Addr().String())
+	c, err := net.Dial("tcp", ln.addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := ln.Accept()
-	if err != nil {
-		c.Close()
+	cli := c.(*net.TCPConn)
+	t.Cleanup(func() { cli.Close() })
+	if _, err := cli.Write(raw); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { a.Close(); c.Close() })
-	return a.(*net.TCPConn), c.(*net.TCPConn)
+	fd, peer, err := ln.next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := &subscriber{fd: fd, peer: peer, until: time.Now().Add(time.Minute)}
+	t.Cleanup(sub.close)
+	return sub, cli
 }
 
-// session is one subscriber admitted by hand: handleConn's steps up to its
-// drain, which serve starts.
+// session is one subscriber admitted by hand, and the client's end of its
+// connection.
 type session struct {
 	sub  *subscriber
 	info wire.ScheduleInfo
+	cli  *net.TCPConn
 	// stream is every byte the server meant to send, in order, when the
 	// test builds it.
 	stream bytes.Buffer
-	done   chan bool
 }
 
-// admitSession admits a full viewing of video over srv.
-func admitSession(t *testing.T, s *Server, srv net.Conn, video uint32) *session {
+// admitSession admits a full viewing of video over a fresh loopback
+// connection as serveRequest does, and stops short of the handover.
+func admitSession(t *testing.T, s *Server, video uint32) *session {
 	t.Helper()
-	sub, info, _, err := s.admit(video, 0, srv, nil)
+	return resumeSession(t, s, video, 0)
+}
+
+// resumeSession is admitSession from segment from.
+func resumeSession(t *testing.T, s *Server, video, from uint32) *session {
+	t.Helper()
+	var req bytes.Buffer
+	if err := wire.WriteFrame(&req, wire.Request{VideoID: video, FromSegment: from,
+		Version: wire.ProtoV2, Flags: wire.FlagNoReport}); err != nil {
+		t.Fatal(err)
+	}
+	sub, cli := accepted(t, req.Bytes())
+	waitFor(t, "the request to arrive", func() bool {
+		n, _ := readFD(sub.fd, sub.in[sub.n:])
+		sub.n += n
+		return sub.n == req.Len()
+	})
+	sub.n = 0
+	info, err := s.admit(sub, video, from, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.unsubscribe(sub) })
-	return &session{sub: sub, info: info, done: make(chan bool, 1)}
+	return &session{sub: sub, info: info, cli: cli}
 }
 
-// serve writes the ScheduleInfo over conn and starts the drain on its own
-// goroutine, as handleConn does; done carries drainRing's result.
-func (ss *session) serve(t *testing.T, s *Server, conn net.Conn) {
+// admitBare admits a full viewing of video for a subscriber with no
+// socket, which is never handed over: it only gives the video instances to
+// share.
+func admitBare(t *testing.T, s *Server, video uint32) *subscriber {
 	t.Helper()
-	if err := wire.WriteFrame(io.MultiWriter(conn, &ss.stream), ss.info); err != nil {
+	sub := &subscriber{fd: -1}
+	if _, err := s.admit(sub, video, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	go func() { ss.done <- s.drainRing(conn, ss.sub, int(ss.info.AdmitSlot), nil, nil) }()
+	return sub
 }
 
-// waitParked returns once the session's handler is parked with nothing
-// queued. It offers frames of the admit slot, which the handler would skip:
-// a parked handler's Writer finishes one unwritten (depth 0), while a
-// queued one wakes the handler, which skips it and parks again.
-func (ss *session) waitParked(t *testing.T, s *Server) {
+// handOver hands the session to the tick as serveRequest does, for a client
+// that sends no report, so the tick closes the socket after the last slot.
+func (ss *session) handOver(t *testing.T, s *Server) {
 	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
-		f, err := s.enc.EncodeSlot(ss.info.VideoID, int(ss.info.AdmitSlot), nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, ok := ss.sub.ring.Push(f)
-		if !ok {
-			f.Release()
-			t.Fatal("ring closed before the handler parked")
-		}
-		if d == 0 {
-			return
-		}
+	s.handOver(ss.sub, ss.info, wire.FlagNoReport, nil)
+	if err := wire.WriteFrame(&ss.stream, ss.info); err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("handler never parked")
-}
-
-// countConn counts the handler's own writes on a connection.
-type countConn struct {
-	net.Conn
-	writes *atomic.Int64
-}
-
-func (c countConn) Write(b []byte) (int, error) {
-	c.writes.Add(1)
-	return c.Conn.Write(b)
 }
 
 // readSegments reads a session's stream to EOF and reports which segments
@@ -169,58 +171,46 @@ func readSegments(t *testing.T, r io.Reader) map[uint32]bool {
 	}
 }
 
-// tickUntilDone ticks through the session's last slot, whose tick closes
-// its ring, and returns the drain's result.
-func tickUntilDone(t *testing.T, s *Server, ss *session) bool {
+// tickThroughLast ticks through the session's last slot and fails unless
+// that tick's service pass hung up on it.
+func tickThroughLast(t *testing.T, s *Server, ss *session) {
 	t.Helper()
 	for slot := int64(ss.info.AdmitSlot); slot < ss.sub.lastSlot.Load(); slot++ {
 		tick(s)
 	}
-	select {
-	case clean := <-ss.done:
-		return clean
-	case <-time.After(5 * time.Second):
-		t.Fatal("the drain did not end at the last slot")
-		return false
+	if ss.sub.fd != -1 {
+		t.Fatalf("the session's socket is still open after its last slot (backlog %v)", ss.sub.backlog)
 	}
 }
 
-// TestSessionServedByDirectWrites: a handler parked before the first tick
-// is never woken for a frame. The tick writes every slot's frame itself,
-// the handler makes no write of its own, the ring's closure at the last
-// slot is its only wake-up, the stream carries every segment intact, the
-// first byte is observed once, and no frame outlives the server.
+// TestSessionServedByDirectWrites: a session handed over before its first
+// tick is written by the tick alone, one write per flush. Its last slot's
+// tick closes the socket — no report is owed — so the client reads every
+// segment intact and then EOF, the first byte is observed once, and no
+// frame outlives the server.
 func TestSessionServedByDirectWrites(t *testing.T) {
 	const segments = 6
 	s := startManualServer(t, VideoConfig{ID: 1, Segments: segments, SegmentBytes: 512})
-	srv, cli := loopback(t)
-	ss := admitSession(t, s, srv, 1)
-	var writes atomic.Int64
-	ss.serve(t, s, countConn{Conn: srv, writes: &writes})
-	writes.Store(0) // the ScheduleInfo's
-	ss.waitParked(t, s)
-	if !tickUntilDone(t, s, ss) {
-		t.Fatal("drain reported a failed write")
-	}
-	if n := writes.Load(); n != 0 {
-		t.Fatalf("the handler made %d writes of its own, want 0", n)
-	}
+	ss := admitSession(t, s, 1)
+	ss.handOver(t, s)
+	tickThroughLast(t, s, ss)
 	if n := s.firstByte.Snapshot().Count; n != 1 {
 		t.Fatalf("%d first-byte observations, want 1", n)
 	}
-	s.unsubscribe(ss.sub)
-	srv.Close()
-	if got := readSegments(t, cli); len(got) != segments {
+	if got := readSegments(t, ss.cli); len(got) != segments {
 		t.Fatalf("received segments %v, want all %d", got, segments)
+	}
+	if n := s.activeSubscribers(); n != 0 {
+		t.Fatalf("%d subscribers left after the last slot", n)
 	}
 	s.Close()
 	assertNoFrameLeak(t, s)
 }
 
 // bigFrames hands n frames of every segment, past the admit slot, to a
-// parked session — the first held of them held, the rest pushed — and
+// handed-over session — the first held of them held, the rest pushed — and
 // records their bytes in its stream. It reports the depth of the first
-// push: 1 when the tick's direct write came up short.
+// push: above 0 when the write came up short.
 func bigFrames(t *testing.T, s *Server, ss *session, n, held int) (firstDepth int) {
 	t.Helper()
 	segs := make([]int, ss.info.Segments)
@@ -252,56 +242,90 @@ func bigFrames(t *testing.T, s *Server, ss *session, n, held int) (firstDepth in
 	return firstDepth
 }
 
-// shortWriteSession opens a session whose socket takes far less than one
-// of bigFrames' 256 KiB frames — a small send buffer toward a reader that
-// does not read yet — and parks its handler.
-func shortWriteSession(t *testing.T) (*Server, *session, *net.TCPConn, *net.TCPConn) {
+// shortWriteSession hands over a session whose socket takes far less than
+// one of bigFrames' 256 KiB frames: a small send buffer toward a reader that
+// does not read yet.
+func shortWriteSession(t *testing.T) (*Server, *session) {
 	t.Helper()
 	s := startManualServer(t, VideoConfig{ID: 1, Segments: 4, SegmentBytes: 64 << 10})
-	srv, cli := loopback(t)
-	if err := srv.SetWriteBuffer(4096); err != nil {
-		t.Fatal(err)
-	}
-	ss := admitSession(t, s, srv, 1)
-	ss.serve(t, s, srv)
-	ss.waitParked(t, s)
-	return s, ss, srv, cli
+	ss := admitSession(t, s, 1)
+	setSendBuffer(t, ss.sub.fd, 4096)
+	ss.handOver(t, s)
+	return s, ss
 }
 
-// TestShortDirectWriteResumes: the tick's direct write into a nearly full
-// socket comes up short — of one 256 KiB frame, or of a flush whose one
-// vectored write carries two held frames and the pushed one. The frames
-// not finished stay queued, the first with the prefix that went out, and
-// the handler resumes from there once the reader wakes. The reader gets
-// exactly the bytes the server meant to send, with no byte repeated or
-// lost, and no frame outlives the server.
+// listed reports whether sub is on a span's service list.
+func listed(s *Server, sub *subscriber) bool {
+	for _, list := range s.service {
+		for _, x := range list {
+			if x == sub {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestShortDirectWriteResumes: the tick's write into a nearly full socket
+// comes up short — of one 256 KiB frame, or of a flush whose one vectored
+// write carries two held frames and the pushed one. The frames not
+// finished stay queued, the first with the prefix that went out, the
+// session is listed for the service pass, and each tick's retry resumes
+// from there once the reader reads. The reader gets exactly the bytes the
+// server meant to send, with no byte repeated or lost, the session leaves
+// the list once it is closed, and no frame outlives the server.
 func TestShortDirectWriteResumes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		held int
 	}{{"frame", 0}, {"flush", 2}} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, ss, srv, cli := shortWriteSession(t)
-			if d := bigFrames(t, s, ss, 3, tc.held); d != 1 {
-				t.Fatalf("first push left depth %d, want 1: the direct write should have come up short", d)
+			s, ss := shortWriteSession(t)
+			if d := bigFrames(t, s, ss, 3, tc.held); d == 0 {
+				t.Fatal("the first push left nothing queued: the write should have come up short")
 			}
-			ss.sub.ring.Close()
+			tick(s) // lists the session and retries
+			if !listed(s, ss.sub) {
+				t.Fatal("a session with a backlog is not on the service list")
+			}
+			want := ss.stream.Len()
 			got := make(chan []byte, 1)
 			go func() {
-				b, _ := io.ReadAll(cli)
-				got <- b
+				b := make([]byte, want)
+				n, _ := io.ReadFull(ss.cli, b)
+				got <- b[:n]
 			}()
-			if !<-ss.done {
-				t.Fatal("drain reported a failed write")
+			var b []byte
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+				select {
+				case b = <-got:
+				default:
+					if time.Now().After(deadline) {
+						t.Fatalf("the retries left %d frames queued", ss.sub.ring.Depth())
+					}
+					tick(s)
+					continue
+				}
+				break
 			}
-			srv.Close()
-			if b := <-got; !bytes.Equal(b, ss.stream.Bytes()) {
-				t.Fatalf("reader got %d bytes, want the %d the server sent, byte for byte", len(b), ss.stream.Len())
+			if !bytes.Equal(b, ss.stream.Bytes()) {
+				t.Fatalf("reader got %d bytes, want the %d the server sent, byte for byte", len(b), want)
+			}
+			// The reader reads on, so the ticks' own frames go out too and
+			// the last slot's tick closes the socket.
+			go io.Copy(io.Discard, ss.cli)
+			for deadline := time.Now().Add(10 * time.Second); ss.sub.fd >= 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("the session was never closed: %d frames queued", ss.sub.ring.Depth())
+				}
+				tick(s)
+			}
+			if listed(s, ss.sub) {
+				t.Fatal("a closed session is still listed")
 			}
 			if n := s.firstByte.Snapshot().Count; n != 1 {
 				t.Fatalf("%d first-byte observations, want 1", n)
 			}
-			s.unsubscribe(ss.sub)
 			s.Close()
 			assertNoFrameLeak(t, s)
 		})
@@ -309,86 +333,75 @@ func TestShortDirectWriteResumes(t *testing.T) {
 }
 
 // TestDeadlineCutAfterShortDirectWrite: when the reader never wakes, the
-// handler that took over a short direct write is cut by its own write
-// deadline, the cut is counted, and every frame reference comes back.
+// service pass cuts the session at its bound with its backlog still
+// queued: the cut is counted, the socket closed, the session unlisted and
+// every frame reference comes back.
 func TestDeadlineCutAfterShortDirectWrite(t *testing.T) {
-	s, ss, srv, _ := shortWriteSession(t)
+	s, ss := shortWriteSession(t)
 	bigFrames(t, s, ss, 3, 0)
-	// The handler is blocked in its write by now or soon; a deadline set
-	// meanwhile applies to that write.
-	if err := srv.SetWriteDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
-		t.Fatal(err)
+	tick(s)
+	if !listed(s, ss.sub) || ss.sub.fd < 0 {
+		t.Fatal("a session short of its bound was cut")
 	}
-	if <-ss.done {
-		t.Fatal("drain reported a clean end past its write deadline")
+	ss.sub.until = time.Now()
+	tick(s)
+	if ss.sub.fd != -1 || listed(s, ss.sub) {
+		t.Fatal("a session past its bound with a backlog was not cut")
 	}
 	if n := s.Stats().Dropped; n != 1 {
 		t.Fatalf("%d drops counted, want 1", n)
 	}
-	s.unsubscribe(ss.sub)
+	if d := ss.sub.ring.Depth(); d != 0 {
+		t.Fatalf("%d frames left queued after the cut", d)
+	}
 	s.Close()
 	assertNoFrameLeak(t, s)
 }
 
-// TestNoFrameBeforeScheduleInfo: a tick between admission and the
-// ScheduleInfo write finds no parked handler, so its frame queues and
-// reaches the client after the ScheduleInfo.
+// TestNoFrameBeforeScheduleInfo: a tick between admission and the handover
+// finds no writer lent, so its frame queues; the handover writes the
+// ScheduleInfo and that frame behind it in one write.
 func TestNoFrameBeforeScheduleInfo(t *testing.T) {
 	const segments = 4
 	s := startManualServer(t, VideoConfig{ID: 1, Segments: segments, SegmentBytes: 256})
-	srv, cli := loopback(t)
-	ss := admitSession(t, s, srv, 1)
+	ss := admitSession(t, s, 1)
 	tick(s)
 	if d := ss.sub.ring.Depth(); d != 1 {
-		t.Fatalf("ring depth %d after a tick before the ScheduleInfo, want the slot's frame queued", d)
+		t.Fatalf("ring depth %d after a tick before the handover, want the slot's frame queued", d)
 	}
-	ss.serve(t, s, srv)
-	if !tickUntilDone(t, s, ss) {
-		t.Fatal("drain reported a failed write")
+	ss.handOver(t, s)
+	if d := ss.sub.ring.Depth(); d != 0 {
+		t.Fatalf("ring depth %d after the handover, want its write to take the frame", d)
 	}
-	s.unsubscribe(ss.sub)
-	srv.Close()
-	if got := readSegments(t, cli); len(got) != segments {
+	tickThroughLast(t, s, ss)
+	if got := readSegments(t, ss.cli); len(got) != segments {
 		t.Fatalf("received segments %v, want all %d", got, segments)
 	}
 }
 
-// orderRaw records the order of the direct writes made through it.
-type orderRaw struct {
-	syscall.RawConn
-	id  int
-	log *[]int
-}
-
-func (r orderRaw) Write(f func(fd uintptr) bool) error {
-	*r.log = append(*r.log, r.id)
-	return r.RawConn.Write(f)
-}
-
 // TestFirstFramesGoFirst: within a tick, a session whose first frame is not
-// yet sent is written before any steady-state session, even one that
-// subscribed earlier and so comes first in the video's set.
+// yet sent is written by the first walk, before the second walk writes any
+// steady-state session — even one that subscribed earlier and so comes
+// first in the video's set.
 func TestFirstFramesGoFirst(t *testing.T) {
-	const steady, fresh = 1, 2
 	s := startManualServer(t, VideoConfig{ID: 1, Segments: 8, SegmentBytes: 256})
-	var log []int
-	open := func(id int) *session {
-		srv, _ := loopback(t)
-		ss := admitSession(t, s, srv, 1)
-		ss.sub.raw = orderRaw{RawConn: ss.sub.raw, id: id, log: &log}
-		ss.serve(t, s, srv)
-		ss.waitParked(t, s)
-		return ss
-	}
-	open(steady)
+	steady := admitSession(t, s, 1)
+	steady.handOver(t, s)
 	tick(s)
-	if len(log) != 1 || log[0] != steady {
-		t.Fatalf("first tick wrote %v, want [%d]", log, steady)
+	fresh := admitSession(t, s, 1)
+	fresh.handOver(t, s)
+	reports := s.station.AdvanceSlot()
+	slot := reports[0].Slot
+	s.slot.Store(int64(slot))
+	s.station.EachActive(s.walks[0])
+	if !fresh.sub.firstSent.Load() || fresh.sub.pushed != slot {
+		t.Fatal("the first walk did not write the fresh session's first frame")
 	}
-	open(fresh)
-	log = log[:0]
-	tick(s)
-	if len(log) != 2 || log[0] != fresh || log[1] != steady {
-		t.Fatalf("tick wrote sessions in order %v, want [%d %d]: the first frame first", log, fresh, steady)
+	if steady.sub.pushed == slot {
+		t.Fatal("the first walk handed the frame to a steady-state session")
+	}
+	s.station.EachActive(s.walks[1])
+	if steady.sub.pushed != slot {
+		t.Fatal("the second walk skipped the steady-state session")
 	}
 }

@@ -1,10 +1,7 @@
 package vodserver
 
 import (
-	"errors"
-	"net"
 	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -13,130 +10,98 @@ import (
 	"vodcast/internal/obs"
 )
 
-// discardConn is a net.Conn that swallows writes, so the drain path can be
-// measured without socket noise. It deliberately does not implement the
-// writev fast path: net.Buffers.WriteTo then falls back to one Write per
-// buffer, the worst case for the scratch-reuse logic under test.
-type discardConn struct{}
-
-func (discardConn) Read(b []byte) (int, error)         { return 0, nil }
-func (discardConn) Write(b []byte) (int, error)        { return len(b), nil }
-func (discardConn) Close() error                       { return nil }
-func (discardConn) LocalAddr() net.Addr                { return nil }
-func (discardConn) RemoteAddr() net.Addr               { return nil }
-func (discardConn) SetDeadline(t time.Time) error      { return nil }
-func (discardConn) SetReadDeadline(t time.Time) error  { return nil }
-func (discardConn) SetWriteDeadline(t time.Time) error { return nil }
-
-// stallConn stands in for a socket whose writev blocks and then fails: its
-// first Write runs during — what the tick does meanwhile — and errors.
-type stallConn struct {
-	discardConn
-	during func()
-}
-
-func (c stallConn) Write(b []byte) (int, error) {
-	c.during()
-	return 0, errors.New("connection reset")
-}
-
-// TestFailedWriteReleasesClosedRing: while a write is blocked the tick keeps
-// pushing, then retires the subscriber cleanly — Close, not Drop — and only
-// then does the write fail. The frames queued behind the failed batch will
-// never be written, so the drain must release them itself even though the
-// retirement already took the subscriber out of its set.
+// TestFailedWriteReleasesClosedRing: the client resets its connection, the
+// tick keeps pushing, its last slot's tick retires the subscriber cleanly —
+// Close, not Drop — and only then does a write fail. The service pass hangs
+// up on the session without counting a cut: the frames queued behind the
+// failed write will never be written, so every one comes back, even though
+// the retirement already took the subscriber out of its set.
 func TestFailedWriteReleasesClosedRing(t *testing.T) {
-	s := startTestServer(t)
-	enc, ring := drainFixture(t)
-	sub := &subscriber{ring: ring, admitted: time.Now(), firstByte: s.firstByte, ct: s.ct.Register(nil, 1, 8)}
-	push := func(slot int) {
-		f, err := enc.EncodeSlot(1, slot, []int{1}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := ring.Push(f); !ok {
-			t.Fatalf("push of slot %d failed", slot)
-		}
+	s := startManualServer(t, VideoConfig{ID: 1, Segments: 4, SegmentBytes: 256})
+	ss := admitSession(t, s, 1)
+	ss.handOver(t, s)
+	for slot := int64(ss.info.AdmitSlot) + 1; slot < ss.sub.lastSlot.Load(); slot++ {
+		tick(s)
 	}
-	push(1)
-	conn := stallConn{during: func() {
-		push(2)
-		push(3)
-		ring.Close()
-	}}
-	if s.drainRing(conn, sub, 0, nil, nil) {
-		t.Fatal("drain reported a clean end after a failed write")
+	if err := ss.cli.SetLinger(0); err != nil {
+		t.Fatal(err)
 	}
-	if d := ring.Depth(); d != 0 {
+	ss.cli.Close() // a reset: the server's next write fails
+	tickThroughLast(t, s, ss)
+	if !ss.sub.retired || !ss.sub.failed {
+		t.Fatalf("retired %v failed %v, want a retired session whose write failed", ss.sub.retired, ss.sub.failed)
+	}
+	if d := ss.sub.ring.Depth(); d != 0 {
 		t.Fatalf("%d frames left queued in the ring after the failed write", d)
 	}
+	if listed(s, ss.sub) {
+		t.Fatal("a hung-up session is still listed")
+	}
+	if n := s.Stats().Dropped; n != 0 {
+		t.Fatalf("%d cuts counted for a client that went away, want 0", n)
+	}
+	s.Close()
+	assertNoFrameLeak(t, s)
 }
 
-// drainFixture builds the pieces of one subscriber's steady-state drain
-// cycle: a warm encoder, a ring, and the session-scoped scratch buffers.
-func drainFixture(tb testing.TB) (*fanout.Encoder, *fanout.Ring) {
+// directFixture returns a subscriber whose socket is a /dev/null file's
+// descriptor and whose ring is lent its WriteDirect: a frame handed to the
+// ring is written at once. The file is closed when the test ends.
+func directFixture(tb testing.TB) (*fanout.Encoder, *subscriber) {
 	tb.Helper()
 	enc := fanout.NewEncoder()
 	if err := enc.AddVideo(1, []int{1500, 700, 2200, 900, 4096}); err != nil {
 		tb.Fatal(err)
 	}
-	return enc, fanout.NewRing(8)
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { null.Close() })
+	raw, err := null.SyscallConn()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fd := -1
+	if err := raw.Control(func(f uintptr) { fd = int(f) }); err != nil {
+		tb.Fatal(err)
+	}
+	ct := conntrack.New(conntrack.Config{Registry: obs.NewRegistry()}).Register("", -1, 1, 8)
+	sub := &subscriber{fd: fd, ring: fanout.NewRing(8), admitted: time.Now(),
+		admitSlot: -1, ct: ct, srv: &Server{firstByte: obs.NewWindow(0)}}
+	sub.ring.Write(sub)
+	return enc, sub
 }
 
-// TestDrainZeroAlloc gates the drainRing fix: once the frame pool, the
-// drain buffer and the net.Buffers scratch are warm, a full
-// encode → push → pop → vectored-write → release cycle must not allocate.
-// Before the reusable scratch, every batch paid one heap allocation for
-// the escaping net.Buffers header.
+// deliver encodes one slot, hands it to ring as the tick does, and returns
+// the depth the push left.
+func deliver(tb testing.TB, enc *fanout.Encoder, ring *fanout.Ring, slot int) int {
+	f, err := enc.EncodeSlot(1, slot, []int{1, 2, 3, 4, 5}, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f.Retain()
+	d, ok := ring.Push(f)
+	if !ok {
+		tb.Fatal("push to a session's ring failed")
+	}
+	f.Release()
+	return d
+}
+
+// TestDrainZeroAlloc gates the tick's write path: once the frame pool and
+// the iovec scratch are warm, encode → push → one vectored write → release
+// must not allocate, and neither must the flush rule's ticks through the
+// tick's own push.
 func TestDrainZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates inside sync primitives")
 	}
-	enc, ring := drainFixture(t)
-	var (
-		conn   net.Conn = discardConn{}
-		vec    net.Buffers
-		frames []*fanout.Frame
-	)
+	enc, sub := directFixture(t)
 	slot := 0
-	cycle := func() {
-		f, err := enc.EncodeSlot(1, slot, []int{1, 2, 3}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slot++
-		f.Retain()
-		if _, ok := ring.Push(f); !ok {
-			t.Fatal("push failed on drained ring")
-		}
-		f.Release()
-		var open bool
-		frames, open = ring.PopAll(frames[:0])
-		if !open {
-			t.Fatal("ring closed unexpectedly")
-		}
-		sent, n, err := writeFrames(conn, &vec, frames, 0, -1)
-		if err != nil || !sent || n == 0 {
-			t.Fatalf("writeFrames sent=%v n=%d err=%v", sent, n, err)
-		}
-		for _, g := range frames {
-			g.Release()
-		}
-	}
-	// Warm the pool, the pop buffer and the vectored-write scratch.
-	for i := 0; i < 8; i++ {
-		cycle()
-	}
-	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
-		t.Fatalf("steady-state drain cycle allocates %.1f per batch, want 0", avg)
-	}
-
-	// The direct path: the tick writes each frame itself to a parked
-	// handler's socket, and that must not allocate either.
-	sub := directFixture(t, enc)
 	direct := func() {
 		if d := deliver(t, enc, sub.ring, slot); d != 0 {
-			t.Fatalf("direct delivery queued the frame (depth %d)", d)
+			t.Fatalf("the write left the frame queued (depth %d)", d)
 		}
 		slot++
 	}
@@ -144,7 +109,7 @@ func TestDrainZeroAlloc(t *testing.T) {
 		direct()
 	}
 	if avg := testing.AllocsPerRun(100, direct); avg != 0 {
-		t.Fatalf("steady-state direct delivery allocates %.1f per frame, want 0", avg)
+		t.Fatalf("steady-state write allocates %.1f per frame, want 0", avg)
 	}
 
 	// The flush rule's ticks, through the tick's own push: of every four
@@ -177,7 +142,7 @@ func TestDrainZeroAlloc(t *testing.T) {
 		f.Release()
 		if k%4 == 1 || k%4 == 3 {
 			if d := sub.ring.Depth(); d != 0 {
-				t.Fatalf("slot %d: a flush left %d frames queued, want its direct write to take them all", k, d)
+				t.Fatalf("slot %d: a flush left %d frames queued, want its write to take them all", k, d)
 			}
 		}
 		k++
@@ -193,78 +158,11 @@ func TestDrainZeroAlloc(t *testing.T) {
 	}
 }
 
-// directFixture parks a subscriber's handler on a ring, its connection's raw
-// access a /dev/null file's, and returns the subscriber: a frame handed to
-// its ring is written through the handler's Writer at once. The handler is
-// stopped when the test ends.
-func directFixture(tb testing.TB, enc *fanout.Encoder) *subscriber {
-	tb.Helper()
-	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	raw, err := null.SyscallConn()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ct := conntrack.New(conntrack.Config{Registry: obs.NewRegistry()}).Register(nil, 1, 8)
-	sub := &subscriber{ring: fanout.NewRing(8), admitted: time.Now(), firstByte: obs.NewWindow(0),
-		raw: raw, admitSlot: -1, ct: ct}
-	sub.writeFn = sub.writeOnce
-	parked := make(chan struct{})
-	go func() {
-		defer close(parked)
-		var frames []*fanout.Frame
-		for {
-			var open bool
-			frames, _, open = sub.ring.Park(frames[:0], sub)
-			for _, f := range frames {
-				f.Release()
-			}
-			if !open {
-				return
-			}
-		}
-	}()
-	tb.Cleanup(func() {
-		sub.ring.Close()
-		<-parked
-		null.Close()
-	})
-	// Wait for the handler to park: until then a push queues (depth 1).
-	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
-		if deliver(tb, enc, sub.ring, 0) == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			tb.Fatal("handler never parked")
-		}
-	}
-	return sub
-}
-
-// deliver encodes one slot, hands it to ring as the tick does, and returns
-// the depth the push left.
-func deliver(tb testing.TB, enc *fanout.Encoder, ring *fanout.Ring, slot int) int {
-	f, err := enc.EncodeSlot(1, slot, []int{1, 2, 3, 4, 5}, nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	f.Retain()
-	d, ok := ring.Push(f)
-	if !ok {
-		tb.Fatal("push to a parked handler's ring failed")
-	}
-	f.Release()
-	return d
-}
-
-// TestWriteFramesFiltersAdmitSlot pins the admit-slot filter: frames at or
-// before the admit slot are skipped entirely (no write, sent=false when
-// nothing remains) and the scratch survives for the next batch.
-func TestWriteFramesFiltersAdmitSlot(t *testing.T) {
-	enc, _ := drainFixture(t)
-	var vec net.Buffers
+// TestWriteDirectFiltersAdmitSlot pins the admit-slot filter: frames at or
+// before the admit slot are done with unwritten — no write at all when
+// nothing else is due — and the frames past it are written whole.
+func TestWriteDirectFiltersAdmitSlot(t *testing.T) {
+	enc, sub := directFixture(t)
 	var frames []*fanout.Frame
 	for slot := 0; slot < 4; slot++ {
 		f, err := enc.EncodeSlot(1, slot, []int{1}, nil)
@@ -278,86 +176,36 @@ func TestWriteFramesFiltersAdmitSlot(t *testing.T) {
 			f.Release()
 		}
 	}()
-	sent, n, err := writeFrames(discardConn{}, &vec, frames, 0, 3)
-	if err != nil {
-		t.Fatal(err)
+	// A closed descriptor makes any write fail, so a call that wrote shows.
+	fd := sub.fd
+	sub.fd, sub.admitSlot = int(^uint32(0)>>1), 3
+	done, sent := sub.WriteDirect(frames, 0)
+	if done != 4 || sent != 0 || sub.failed || sub.backlog {
+		t.Fatalf("every frame at or before the admit slot: done %d sent %d failed %v, want all done with no write", done, sent, sub.failed)
 	}
-	if sent || n != 0 {
-		t.Fatal("writeFrames reported a send with every frame at or before the admit slot")
+	sub.fd, sub.admitSlot = fd, 1
+	done, sent = sub.WriteDirect(frames, 0)
+	if done != 4 || sent != 0 || sub.backlog {
+		t.Fatalf("frames past the admit slot: done %d sent %d backlog %v, want all written", done, sent, sub.backlog)
 	}
-	sent, n, err = writeFrames(discardConn{}, &vec, frames, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sent || n == 0 {
-		t.Fatal("writeFrames skipped frames past the admit slot")
-	}
-	if len(vec) != 0 || cap(vec) < 2 {
-		t.Fatalf("scratch not restored for reuse: len=%d cap=%d", len(vec), cap(vec))
+	if !sub.firstSent.Load() {
+		t.Fatal("the first frame written whole did not latch the first byte")
 	}
 }
 
-// BenchmarkDrainRing measures one subscriber's steady-state delivery
-// cycle. queued is the handler's half: push, pop, one vectored write,
-// release. direct is the tick writing the frame itself to a parked
-// handler's socket (/dev/null here). Run with -benchmem: the 0 B/op rows
-// are the point (one net.Buffers header per session, none per batch, and
-// nothing per direct write).
+// BenchmarkDrainRing measures one subscriber's steady-state delivery: the
+// tick pushing a frame and writing it at once to the session's socket
+// (/dev/null here). Run with -benchmem: the 0 B/op row is the point.
 func BenchmarkDrainRing(b *testing.B) {
-	b.Run("queued", func(b *testing.B) {
-		enc, ring := drainFixture(b)
-		var (
-			conn   net.Conn = discardConn{}
-			vec    net.Buffers
-			frames []*fanout.Frame
-		)
-		segments := []int{1, 2, 3, 4, 5}
-		cycle := func(slot int) {
-			f, err := enc.EncodeSlot(1, slot, segments, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			f.Retain()
-			if _, ok := ring.Push(f); !ok {
-				b.Fatal("push failed on drained ring")
-			}
-			f.Release()
-			var open bool
-			frames, open = ring.PopAll(frames[:0])
-			if !open {
-				b.Fatal("ring closed unexpectedly")
-			}
-			if _, _, err := writeFrames(conn, &vec, frames, 0, -1); err != nil {
-				b.Fatal(err)
-			}
-			for _, g := range frames {
-				g.Release()
-			}
+	enc, sub := directFixture(b)
+	for i := 0; i < 8; i++ {
+		deliver(b, enc, sub.ring, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if d := deliver(b, enc, sub.ring, i); d != 0 {
+			b.Fatalf("the write left the frame queued (depth %d)", d)
 		}
-		for i := 0; i < 8; i++ {
-			cycle(i)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cycle(i)
-		}
-	})
-	b.Run("direct", func(b *testing.B) {
-		enc, _ := drainFixture(b)
-		ring := directFixture(b, enc).ring
-		direct := func(slot int) {
-			if d := deliver(b, enc, ring, slot); d != 0 {
-				b.Fatalf("direct delivery queued the frame (depth %d)", d)
-			}
-		}
-		for i := 0; i < 8; i++ {
-			direct(i)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			direct(i)
-		}
-	})
+	}
 }

@@ -5,17 +5,15 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"net"
 	"slices"
 	"strconv"
-	"sync/atomic"
-	"syscall"
 	"testing"
 	"time"
 
 	"vodcast/internal/client"
 	"vodcast/internal/conntrack"
 	"vodcast/internal/core"
+	"vodcast/internal/fanout"
 	"vodcast/internal/wire"
 )
 
@@ -57,18 +55,29 @@ func flushGroups(res core.AdmitResult, from int, periods []int) [][]int {
 	return groups
 }
 
-// boundaryRaw logs how many bytes each of the tick's direct writes to one
-// session put on the wire.
-type boundaryRaw struct {
-	syscall.RawConn
+// boundaryWriter lends a session's ring its own WriteDirect and logs how
+// many bytes each of the tick's writes to it put on the wire.
+type boundaryWriter struct {
+	t   *testing.T
 	sub *subscriber
 	log *[]int
 }
 
-func (r boundaryRaw) Write(f func(fd uintptr) bool) error {
-	err := r.RawConn.Write(f)
-	*r.log = append(*r.log, r.sub.n)
-	return err
+func (w boundaryWriter) WriteDirect(frames []*fanout.Frame, skip int) (done, sent int) {
+	done, sent = w.sub.WriteDirect(frames, skip)
+	if skip != 0 || sent != 0 {
+		w.t.Errorf("a short write (skip %d, sent %d) on a socket that takes everything", skip, sent)
+	}
+	n := 0
+	for _, f := range frames[:done] {
+		if f.Slot() > w.sub.admitSlot {
+			n += len(f.Bytes())
+		}
+	}
+	if n > 0 {
+		*w.log = append(*w.log, n)
+	}
+	return done, sent
 }
 
 // splitWrites cuts a session's stream, past its ScheduleInfo, at the given
@@ -113,8 +122,8 @@ func splitWrites(t *testing.T, stream []byte, writes []int) [][]int {
 }
 
 // TestWriteBoundariesAreFlushSlots: five sessions on one video, full
-// viewings and resumes, some admitted in the same slot, each parked before
-// its first tick. The tick writes every byte of each, one write per flush:
+// viewings and resumes, some admitted in the same slot, each handed over
+// before its first tick. The tick writes every byte of each, one write per flush:
 // the write boundaries are the flush rule's groups for the admission
 // recomputed on a twin scheduler fed the same admissions, some write
 // carries more than one slot, and no write is late.
@@ -124,8 +133,6 @@ func TestWriteBoundariesAreFlushSlots(t *testing.T) {
 	periods := cbrPeriods(segments)
 	type run struct {
 		ss     *session
-		cli    *net.TCPConn
-		srv    *net.TCPConn
 		writes *[]int
 		want   [][]int
 	}
@@ -138,18 +145,13 @@ func TestWriteBoundariesAreFlushSlots(t *testing.T) {
 		for range a.gap {
 			tick(s)
 		}
-		srv, cli := loopback(t)
-		sub, info, _, err := s.admit(1, uint32(a.from), srv, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.unsubscribe(sub) })
+		ss := resumeSession(t, s, 1, uint32(a.from))
+		info := ss.info
+		ss.handOver(t, s)
 		writes := new([]int)
-		sub.raw = boundaryRaw{RawConn: sub.raw, sub: sub, log: writes}
-		ss := &session{sub: sub, info: info, done: make(chan bool, 1)}
-		ss.serve(t, s, srv)
-		ss.waitParked(t, s)
+		ss.sub.ring.Write(boundaryWriter{t: t, sub: ss.sub, log: writes})
 		if twin == nil {
+			var err error
 			if twin, err = core.New(core.Config{Segments: segments, StartSlot: int(info.AdmitSlot)}); err != nil {
 				t.Fatal(err)
 			}
@@ -163,19 +165,17 @@ func TestWriteBoundariesAreFlushSlots(t *testing.T) {
 		}
 		want := flushGroups(res, a.from, periods)
 		last = max(last, slices.Max(want[len(want)-1]))
-		runs = append(runs, run{ss: ss, cli: cli, srv: srv, writes: writes, want: want})
+		runs = append(runs, run{ss: ss, writes: writes, want: want})
 	}
 	for s.station.Status().PerVideo[0].Slot < last {
 		tick(s)
 	}
 	coalesced := false
 	for i, r := range runs {
-		if !<-r.ss.done {
-			t.Fatalf("session %d: drain reported a failed write", i)
+		if r.ss.sub.fd != -1 {
+			t.Fatalf("session %d: still open after its last slot", i)
 		}
-		s.unsubscribe(r.ss.sub)
-		r.srv.Close()
-		stream, err := io.ReadAll(r.cli)
+		stream, err := io.ReadAll(r.ss.cli)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,9 +209,10 @@ func lateWrites(s *Server) int64 {
 	return n
 }
 
-// TestLateWritesCountStrictMisses: a session's handler starts draining
-// only once the tick has begun the slot after its first deadline, so its
-// first write carries a segment past that deadline; a second session on
+// TestLateWritesCountStrictMisses: a session's socket is full through the
+// tick of its first deadline, slot admit+1, so that tick's write and the
+// service pass's retry both come up short, and the next tick's write
+// finishes the frame — a retry — past that deadline; a second session on
 // the same video is served on time. vod_late_writes_total equals the misses
 // a strict set-top box counts when it takes each slot's segments at the
 // slot their write completed in, and only the late session's conntrack
@@ -223,34 +224,26 @@ func TestLateWritesCountStrictMisses(t *testing.T) {
 	periods := cbrPeriods(segments)
 
 	type viewer struct {
-		ss       *session
-		srv, cli *net.TCPConn
-		stb      *client.STB
-		br       *bufio.Reader
+		ss  *session
+		stb *client.STB
+		br  *bufio.Reader
 	}
+	// open admits a viewer and hands it over under a sampled admit root, as
+	// serveRequest does.
 	open := func() *viewer {
-		srv, cli := loopback(t)
-		ss := admitSession(t, s, srv, 1)
+		ss := admitSession(t, s, 1)
 		stb, err := client.NewFrom(int(ss.info.AdmitSlot), periods, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &viewer{ss: ss, srv: srv, cli: cli, stb: stb, br: bufio.NewReader(cli)}
-	}
-	// serve starts v's drain under a sampled admit root, as handleConn does.
-	serve := func(v *viewer) {
-		root := s.spans.StartSpan("admit")
-		if err := wire.WriteFrame(v.srv, v.ss.info); err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			v.ss.done <- s.drainRing(v.srv, v.ss.sub, int(v.ss.info.AdmitSlot), root.Child("first_byte_wait"), root)
-		}()
+		v := &viewer{ss: ss, stb: stb, br: bufio.NewReader(ss.cli)}
+		s.handOver(ss.sub, ss.info, wire.FlagNoReport, s.spans.StartSpan("admit"))
 		if msg, err := wire.ReadFrame(v.br); err != nil {
 			t.Fatal(err)
 		} else if _, ok := msg.(wire.ScheduleInfo); !ok {
 			t.Fatalf("first frame is %T, want the ScheduleInfo", msg)
 		}
+		return v
 	}
 	// take reads v's stream through the SlotEnd of slot and feeds the STB
 	// every segment read as arriving in slot now, the slot whose tick the
@@ -276,30 +269,24 @@ func TestLateWritesCountStrictMisses(t *testing.T) {
 			}
 		}
 	}
-
 	late, onTime := open(), open()
-	serve(onTime)
-	onTime.ss.waitParked(t, s)
 	admit := int(late.ss.info.AdmitSlot)
 	// Alone on the video, both are written every slot: no slot is held.
-	// The late handler is not draining through two ticks, so slot admit+1
-	// — the deadline of segment 1 — is still queued when admit+2 begins.
-	for now := admit + 1; now <= admit+2; now++ {
-		tick(s)
-		take(onTime, now, now)
+	// Through the tick of slot admit+1 — the deadline of segment 1 — the
+	// late session's writes go to a full pipe, so that slot's frame is
+	// still queued when admit+2 begins.
+	fd := late.ss.sub.fd
+	late.ss.sub.fd = fullPipe(t)
+	tick(s)
+	if !late.ss.sub.backlog || !listed(s, late.ss.sub) {
+		t.Fatal("a write to a full socket left no listed backlog")
 	}
-	serve(late)
-	take(late, admit+2, admit+2)
-	late.ss.waitParked(t, s)
-	for now := admit + 3; now <= admit+segments; now++ {
+	take(onTime, admit+1, admit+1)
+	late.ss.sub.fd = fd
+	for now := admit + 2; now <= admit+segments; now++ {
 		tick(s)
 		take(late, now, now)
 		take(onTime, now, now)
-	}
-	for _, v := range []*viewer{late, onTime} {
-		if !<-v.ss.done {
-			t.Fatal("drain reported a failed write")
-		}
 	}
 	for _, v := range []*viewer{late, onTime} {
 		if !v.stb.Complete() {
@@ -313,15 +300,15 @@ func TestLateWritesCountStrictMisses(t *testing.T) {
 	if n := lateWrites(s); n != int64(misses) {
 		t.Fatalf("vod_late_writes_total = %d, want the %d misses the set-top boxes counted", n, misses)
 	}
-	if n := s.mLateWrites[lateByHandler].Value(); n != 1 {
-		t.Fatalf("vod_late_writes_total{path=\"handler\"} = %v, want 1", n)
+	if n := s.mLateWrites[lateByRetry].Value(); n != 1 {
+		t.Fatalf("vod_late_writes_total{path=\"retry\"} = %v, want 1", n)
 	}
 	if !late.ss.sub.late.Load() || onTime.ss.sub.late.Load() {
 		t.Fatalf("late marks: late session %v, on-time session %v", late.ss.sub.late.Load(), onTime.ss.sub.late.Load())
 	}
 	s.ct.Sweep()
 	for _, row := range s.ct.Snapshot().Conns {
-		if want := row.Remote == late.srv.RemoteAddr().String(); row.LateWrite != want {
+		if want := row.Remote == late.ss.cli.LocalAddr().String(); row.LateWrite != want {
 			t.Fatalf("/connz row %s: late_write %v, want %v", row.Remote, row.LateWrite, want)
 		}
 	}
@@ -329,8 +316,8 @@ func TestLateWritesCountStrictMisses(t *testing.T) {
 	for _, r := range s.spans.Recent() {
 		if r.Name == "late_write" {
 			marks++
-			if r.Attrs["path"] != "handler" || r.Attrs["deadline"] != strconv.Itoa(admit+1) || r.Attrs["slot"] != strconv.Itoa(admit+2) {
-				t.Fatalf("late_write span attrs %v, want path handler, deadline %d, slot %d", r.Attrs, admit+1, admit+2)
+			if r.Attrs["path"] != "retry" || r.Attrs["deadline"] != strconv.Itoa(admit+1) || r.Attrs["slot"] != strconv.Itoa(admit+2) {
+				t.Fatalf("late_write span attrs %v, want path retry, deadline %d, slot %d", r.Attrs, admit+1, admit+2)
 			}
 		}
 	}
@@ -347,15 +334,12 @@ func TestLateWritesCountStrictMisses(t *testing.T) {
 func TestHeldFramesClassifyHealthy(t *testing.T) {
 	const segments = 12
 	s := startManualServer(t, VideoConfig{ID: 1, Segments: segments, SegmentBytes: 64})
-	first := admitSession(t, s, nil, 1) // gives the video instances to share
+	admitBare(t, s, 1) // gives the video instances to share
 	for range 3 {
 		tick(s)
 	}
-	srv, _ := loopback(t)
-	ss := admitSession(t, s, srv, 1)
-	var writes atomic.Int64
-	ss.serve(t, s, countConn{Conn: srv, writes: &writes})
-	ss.waitParked(t, s)
+	ss := admitSession(t, s, 1)
+	ss.handOver(t, s)
 	for ss.sub.ring.Depth() == 0 {
 		if int64(s.station.Status().PerVideo[0].Slot) >= ss.sub.lastSlot.Load() {
 			t.Fatal("the session never held a frame")
@@ -366,7 +350,7 @@ func TestHeldFramesClassifyHealthy(t *testing.T) {
 	s.ct.Sweep()
 	s.ct.Sweep()
 	rows := s.ct.Snapshot().Conns
-	i := slices.IndexFunc(rows, func(r conntrack.ConnSnapshot) bool { return r.Remote == srv.RemoteAddr().String() })
+	i := slices.IndexFunc(rows, func(r conntrack.ConnSnapshot) bool { return r.Remote == ss.cli.LocalAddr().String() })
 	if i < 0 {
 		t.Fatal("no /connz row for the session")
 	}
@@ -374,5 +358,4 @@ func TestHeldFramesClassifyHealthy(t *testing.T) {
 		t.Fatalf("a session holding %d frames reads %s at ring depth %d, want healthy at 0",
 			ss.sub.ring.Depth(), row.State, row.RingDepth)
 	}
-	s.unsubscribe(first.sub)
 }

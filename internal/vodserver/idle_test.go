@@ -150,14 +150,14 @@ func TestColdVideoStreamsLikeBoot(t *testing.T) {
 	}
 }
 
-// TestPlaceholderLastSlotStillRetires: a handler descheduled between its
-// admission and the lastSlot store leaves a subscriber carrying the MaxInt64
-// placeholder while the scheduler drains — a resume from the last segment
-// places one instance in the very next slot. The audience, not the missing
-// deadline, must hold the video active; once the handler stores the real
-// last slot the next tick retires the subscriber, closes its ring, and the
-// video goes idle. The test plays the handler's steps by hand to hold it
-// between the two.
+// TestPlaceholderLastSlotStillRetires: an admission descheduled between
+// the scheduler call and the lastSlot store leaves a subscriber carrying the
+// MaxInt64 placeholder while the scheduler drains — a resume from the last
+// segment places one instance in the very next slot. The audience, not the
+// missing deadline, must hold the video active; once the admission stores
+// the real last slot the next tick retires the subscriber, closes its ring,
+// and the video goes idle. The test plays the admission's steps by hand to
+// hold it between the two, and pops the ring itself.
 func TestPlaceholderLastSlotStillRetires(t *testing.T) {
 	const segments = 6
 	s := startTestServer(t, VideoConfig{ID: 1, Segments: segments, SegmentBytes: 64})
@@ -166,8 +166,8 @@ func TestPlaceholderLastSlotStillRetires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := &subscriber{ring: fanout.NewRing(256), admitted: time.Now(), firstByte: s.firstByte,
-		rec: r, ct: s.ct.Register(nil, 1, 256)}
+	sub := &subscriber{fd: -1, ring: fanout.NewRing(256), admitted: time.Now(), srv: s,
+		rec: r, ct: s.ct.Register("", -1, 1, 256)}
 	sub.lastSlot.Store(math.MaxInt64)
 	if !r.subs.Add(sub) {
 		t.Fatal("subscriber set refused the registration")
@@ -179,19 +179,19 @@ func TestPlaceholderLastSlotStillRetires(t *testing.T) {
 	if res.Placed != 1 {
 		t.Fatalf("resume from the last segment placed %d instances, want 1", res.Placed)
 	}
-	// The handler stalls past the instance's slot and two more ticks.
+	// The admission stalls past the instance's slot and two more ticks.
 	for s.station.Status().PerVideo[v.idx].Slot < res.Slot+4 {
 		time.Sleep(time.Millisecond)
 	}
 	if active, subs := s.station.Status().Active, r.subs.Len(); active != 1 || subs != 1 {
 		t.Fatalf("drained video with a placeholder subscriber: %d active videos, %d subscribers, want 1 and 1", active, subs)
 	}
-	// The handler resumes.
+	// The admission resumes.
 	sub.lastSlot.Store(int64(res.Slot + 1))
 
 	var frames []*fanout.Frame
 	next, delivered := -1, false
-	for open := true; open; {
+	for open := true; open; time.Sleep(time.Millisecond) {
 		frames, open = sub.ring.PopAll(frames[:0])
 		for _, f := range frames {
 			if next >= 0 && f.Slot() != next {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"math"
-	"net"
 	"runtime"
 	"slices"
 	"testing"
@@ -18,8 +17,8 @@ import (
 )
 
 // The tick writes a subscriber only the slots that carry its instances and
-// its last slot. Each test plays the handler's steps by hand on a built
-// server and drives every tick itself, as in direct_test.go.
+// its last slot. Each test plays the accept goroutine's steps by hand on a
+// built server and drives every tick itself, as in direct_test.go.
 
 // assignedPlusLast is the set of slots a session with the given admission
 // is written, in order: the serving slot of each of its segments and its
@@ -82,10 +81,9 @@ func TestWrittenSlotsAreAssignedPlusLast(t *testing.T) {
 	s := startManualServer(t, VideoConfig{ID: 1, Segments: segments, SegmentBytes: 64})
 	periods := cbrPeriods(segments)
 	type run struct {
-		ss       *session
-		from     int
-		srv, cli *net.TCPConn
-		want     []int
+		ss   *session
+		from int
+		want []int
 	}
 	var (
 		runs []run
@@ -96,15 +94,11 @@ func TestWrittenSlotsAreAssignedPlusLast(t *testing.T) {
 		for range a.gap {
 			tick(s)
 		}
-		srv, cli := loopback(t)
-		sub, info, _, err := s.admit(1, uint32(a.from), srv, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.unsubscribe(sub) })
-		ss := &session{sub: sub, info: info, done: make(chan bool, 1)}
-		ss.serve(t, s, srv)
+		ss := resumeSession(t, s, 1, uint32(a.from))
+		info := ss.info
+		ss.handOver(t, s)
 		if twin == nil {
+			var err error
 			if twin, err = core.New(core.Config{Segments: segments, StartSlot: int(info.AdmitSlot)}); err != nil {
 				t.Fatal(err)
 			}
@@ -118,24 +112,17 @@ func TestWrittenSlotsAreAssignedPlusLast(t *testing.T) {
 		}
 		want := assignedPlusLast(res, a.from, periods)
 		last = max(last, want[len(want)-1])
-		runs = append(runs, run{ss: ss, from: a.from, srv: srv, cli: cli, want: want})
+		runs = append(runs, run{ss: ss, from: a.from, want: want})
 	}
 	for s.station.Status().PerVideo[0].Slot < last {
 		tick(s)
 	}
 	skipped := 0
 	for i, r := range runs {
-		select {
-		case clean := <-r.ss.done:
-			if !clean {
-				t.Fatalf("session %d: drain reported a failed write", i)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("session %d: the drain did not end at its last slot", i)
+		if r.ss.sub.fd != -1 {
+			t.Fatalf("session %d: still open after its last slot", i)
 		}
-		s.unsubscribe(r.ss.sub)
-		r.srv.Close()
-		ends, segs := readSlotEnds(t, r.cli)
+		ends, segs := readSlotEnds(t, r.ss.cli)
 		if !slices.Equal(ends, r.want) {
 			t.Fatalf("session %d (admit %d, from %d): written slots %v, want its assigned slots plus its last %v",
 				i, r.ss.info.AdmitSlot, r.from, ends, r.want)
@@ -162,8 +149,8 @@ func TestWrittenSlotsAreAssignedPlusLast(t *testing.T) {
 	assertNoFrameLeak(t, s)
 }
 
-// TestUnpublishedNeedSetGetsEverySlot: a handler descheduled between its
-// admission and the lastSlot store leaves its subscriber on the MaxInt64
+// TestUnpublishedNeedSetGetsEverySlot: an admission descheduled between the
+// scheduler call and the lastSlot store leaves its subscriber on the MaxInt64
 // placeholder, with no need set the tick may read. Until the store, the
 // tick hands it every slot's frame, needed or not; from the store on, only
 // the slots its admission assigned and its last. An earlier full viewing
@@ -184,8 +171,8 @@ func TestUnpublishedNeedSetGetsEverySlot(t *testing.T) {
 		tick(s)
 	}
 	const slots = segments + 1
-	sub := &subscriber{ring: fanout.NewRing(2 * slots), admitted: time.Now(), firstByte: s.firstByte,
-		rec: r, ct: s.ct.Register(nil, 1, 2*slots)}
+	sub := &subscriber{fd: -1, ring: fanout.NewRing(2 * slots), admitted: time.Now(), srv: s,
+		rec: r, ct: s.ct.Register("", -1, 1, 2*slots)}
 	sub.lastSlot.Store(math.MaxInt64)
 	if !r.subs.Add(sub) {
 		t.Fatal("subscriber set refused the registration")
@@ -196,7 +183,7 @@ func TestUnpublishedNeedSetGetsEverySlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	need := assignedPlusLast(res, 1, cbrPeriods(segments))
-	// The handler stalls until the last unneeded slot but one has passed.
+	// The admission stalls until the last unneeded slot but one has passed.
 	var unneeded []int
 	for slot := res.Slot + 1; slot <= need[len(need)-1]; slot++ {
 		if !slices.Contains(need, slot) {
@@ -254,8 +241,8 @@ func TestAdmitAllocatesNoAssignment(t *testing.T) {
 		VideoConfig{ID: 2, Segments: short, SegmentBytes: 64})
 	bytesPerAdmit := func(video, from uint32) uint64 {
 		admit := func() {
-			sub, _, _, err := s.admit(video, from, nil, nil)
-			if err != nil {
+			sub := &subscriber{fd: -1}
+			if _, err := s.admit(sub, video, from, nil); err != nil {
 				t.Fatal(err)
 			}
 			s.unsubscribe(sub)

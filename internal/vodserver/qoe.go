@@ -1,9 +1,7 @@
 package vodserver
 
 import (
-	"bufio"
 	"fmt"
-	"net"
 	"time"
 
 	"vodcast/internal/obs"
@@ -106,27 +104,6 @@ func recentIncrease(counter func() float64, evals int) func() float64 {
 		ring[next], next = v, (next+1)%evals
 		return rise
 	}
-}
-
-// readReport collects the end-of-session ClientReport a subscriber owes,
-// through the session's buffered reader br (the report may already be in
-// it). The read is bounded: a client that never reports just times out and
-// costs nothing. A report must name rec's video and echo the trace ids of
-// info, the session's ScheduleInfo; any other is discarded, so no client
-// can graft spans onto another session's admit trace.
-func (s *Server) readReport(conn net.Conn, br *bufio.Reader, rec *videoRecord, info wire.ScheduleInfo) {
-	if err := conn.SetReadDeadline(time.Now().Add(s.readTimeout())); err != nil {
-		return
-	}
-	msg, err := wire.ReadFrame(br)
-	if err != nil {
-		return
-	}
-	rep, ok := msg.(wire.ClientReport)
-	if !ok || rep.VideoID != rec.id || rep.TraceID != info.TraceID || rep.SpanID != info.SpanID {
-		return
-	}
-	s.ingestReport(rec, rep)
 }
 
 // ingestReport folds one client report for rec's video into the metric

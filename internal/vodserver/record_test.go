@@ -16,7 +16,7 @@ import (
 
 // TestFirstAdmissionRacesClose: concurrent first admissions to one cold video
 // race Close. Every admission that succeeds holds the one record the video
-// ends up with and was latched by Close (its ring is closed); admissions after
+// ends up with and was latched by Close (its ring is dropped); admissions after
 // Close are refused, and a video still cold then never gets a record; no
 // goroutine, ring or frame reference outlives the server. ci runs it under
 // -race on four threads twenty times.
@@ -39,7 +39,8 @@ func TestFirstAdmissionRacesClose(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			subs[i], _, _, errs[i] = s.admit(cold, 0, nil, nil)
+			subs[i] = &subscriber{fd: -1}
+			_, errs[i] = s.admit(subs[i], cold, 0, nil)
 		}()
 	}
 	wg.Add(1)
@@ -61,8 +62,8 @@ func TestFirstAdmissionRacesClose(t *testing.T) {
 		if sub.rec != rec {
 			t.Fatalf("admission %d holds record %p, the video %p: a second record was built", i, sub.rec, rec)
 		}
-		// Registered before Close's latch, so the latch closed the ring: a
-		// push fails. The handler's exit then drops the ring.
+		// Registered before Close's latch, so Close hung the session up:
+		// its ring is dropped and a push fails.
 		probe, err := s.enc.EncodeSlot(cold, 0, nil, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -83,10 +84,10 @@ func TestFirstAdmissionRacesClose(t *testing.T) {
 	if rec != nil && rec.subs.Len() != 0 {
 		t.Fatalf("%d subscribers left in the set", rec.subs.Len())
 	}
-	if _, _, _, err := s.admit(cold, 0, nil, nil); err == nil {
+	if _, err := s.admit(&subscriber{fd: -1}, cold, 0, nil); err == nil {
 		t.Fatal("admission after Close accepted")
 	}
-	if _, _, _, err := s.admit(untouched, 0, nil, nil); !errors.Is(err, errShuttingDown) || s.videos[untouched].rec.Load() != nil {
+	if _, err := s.admit(&subscriber{fd: -1}, untouched, 0, nil); !errors.Is(err, errShuttingDown) || s.videos[untouched].rec.Load() != nil {
 		t.Fatalf("cold admission after Close: err %v, record built %v", err, s.videos[untouched].rec.Load() != nil)
 	}
 	deadline := time.Now().Add(5 * time.Second)

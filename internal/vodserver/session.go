@@ -1,8 +1,13 @@
 package vodserver
 
-// This file is one connection's life: accept, the request read, admission
-// into the station and the subscriber set, the ring drain with its vectored
-// writes, and the unsubscribe that ends it.
+// This file is one connection's life, which no goroutine of its own serves.
+// The socket is a raw non-blocking descriptor outside the runtime poller.
+// The accept goroutine reads the request (on Linux accept waits for it),
+// admits it and writes the ScheduleInfo; a request not yet whole is retried
+// by the clock before it advances, so one that arrives in slot i is still
+// admitted in slot i. From then on the tick writes the session, retries a
+// short write, cuts it at its bound, reads its report and closes it (tick.go):
+// a session wakes the server once, at its accept.
 //
 // A session is written only when a deadline forces it. The set-top box
 // buffers every segment that arrives before its consumption slot, so an
@@ -16,13 +21,13 @@ package vodserver
 // the `audience` mix a frame is held up to about 35 slots.
 
 import (
-	"bufio"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"net"
-	"os"
 	"slices"
 	"strconv"
 	"sync/atomic"
@@ -37,10 +42,21 @@ import (
 )
 
 type subscriber struct {
-	conn net.Conn
-	// ring queues shared frame references; the connection's handler drains
-	// it with vectored writes. The tick closes it at lastSlot, so it never
-	// holds more than the subscription's span.
+	// fd is the session's socket, -1 once closed: the accept goroutine's
+	// until the handover (handed), the tick's from then on.
+	fd   int
+	peer syscall.Sockaddr
+	// in buffers what the client sends, n bytes of it read: the request,
+	// then the report, whose start may come with the request.
+	in [readBufferSize]byte
+	n  int
+	// until bounds the request read and, once admitted, the writes and the
+	// report read: the last segment deadline plus the read bound.
+	until time.Time
+	// head is the ScheduleInfo's unsent rest, written ahead of any frame.
+	head []byte
+	// ring queues shared frame references for WriteDirect. The tick closes
+	// it at lastSlot, so it never holds more than the subscription's span.
 	ring *fanout.Ring
 	// lastSlot is the final slot this subscriber needs. It starts at
 	// math.MaxInt64 (registration precedes admission) and is stored once,
@@ -59,67 +75,85 @@ type subscriber struct {
 	admitted time.Time
 	// rec is the video's record: its subscriber set and report counters.
 	rec *videoRecord
-	// ct is the transport telemetry handle: the fan-out and drain paths feed
-	// it ring depth and progress signals, and a write-deadline cut reads the
-	// last classified state as the disconnect reason.
-	ct *conntrack.Conn
-
-	// raw is the connection's raw access, through which the tick writes the
-	// due frames itself while the handler is parked with nothing due
-	// (WriteDirect); nil when the connection has none, and then every frame
-	// queues. writeFn is the one callback raw.Write runs, bound once so a
-	// direct write allocates nothing; iov and n are its argument and
-	// result, and belong to whoever holds the ring's lock.
-	raw     syscall.RawConn
-	writeFn func(fd uintptr) bool
-	iov     []iovec
-	n       int
-	// firstByte is the server's first-byte window. admitSlot, wait and root
-	// are set by the handler before it first parks, so the tick's direct
-	// writes read them under the ring's lock: the admit-slot filter, and the
-	// spans the first frame written whole ends, on whichever side wrote it.
-	firstByte  *obs.Window
+	// ct is the transport telemetry handle; a cut reads its last classified
+	// state as the disconnect reason.
+	ct  *conntrack.Conn
+	iov []iovec // WriteDirect's scratch
+	// admitSlot, wait, root and trace are set before the handover: the
+	// admit-slot filter, the spans the first frame written whole ends, and
+	// the trace id the report must echo.
 	admitSlot  int
 	wait, root *obs.Span
+	trace      uint64
 	// firstSent latches once the session's first frame is written whole.
 	firstSent atomic.Bool
-	// srv is the server, for the late-write count and marks (wrote); late
-	// latches at the session's first late write.
+	// srv is the server, for the first-byte window and the late-write count
+	// and marks (wrote); late latches at the session's first late write.
 	srv  *Server
 	late atomic.Bool
-	// pushed is the last slot the tick handed this subscriber (0 before any:
-	// the slots a tick begins count from 1). The tick alone touches it.
-	pushed int
+	// handed latches at the handover. backlog reports that the last write
+	// left bytes unsent, failed that it met an error other than a full
+	// socket; WriteDirect sets both, and the tick reads them once handed.
+	handed          atomic.Bool
+	backlog, failed bool
+	// The tick alone touches the rest: pushed, the last slot it handed the
+	// subscriber (0 before any), and the service pass's state (tend).
+	pushed                               int
+	listed, retired, reading, wantReport bool
 }
 
-// WriteDirect is the tick's write for a handler parked with nothing due
-// (fanout.Writer): one non-blocking vectored write of the frames — the held
-// ones and the slot's — through the raw connection, under the ring's lock.
-// The callback never asks the poller to wait, so a full socket costs the
-// tick one EAGAIN, and the frames not finished — the first with whatever
-// prefix went out — stay queued for the handler, whose own write carries
-// the backlog, the session's write deadline and the cut. A frame at or
-// before the admit slot is done with unwritten, as the handler's filter
-// would skip it.
-func (sub *subscriber) WriteDirect(frames []*fanout.Frame) (done, sent int) {
+// WriteDirect is the session's write (fanout.Writer): one non-blocking
+// vectored write of the ScheduleInfo's unsent rest and of frames, skip bytes
+// into the first. A full socket costs one EAGAIN; what is not finished stays
+// queued for the next flush or retry. A frame at or before the admit slot is
+// done with unwritten: the customer's service starts one slot after it.
+func (sub *subscriber) WriteDirect(frames []*fanout.Frame, skip int) (done, sent int) {
+	path := lateByTick
+	if sub.backlog {
+		path = lateByRetry
+	}
 	iov := sub.iov[:0]
-	for _, f := range frames {
+	if len(sub.head) > 0 {
+		iov = append(iov, makeIovec(sub.head))
+	}
+	for i, f := range frames {
 		if f.Slot() > sub.admitSlot && len(iov) < maxIOV {
-			iov = append(iov, makeIovec(f.Bytes()))
+			b := f.Bytes()
+			if i == 0 {
+				b = b[skip:]
+			}
+			iov = append(iov, makeIovec(b))
 		}
 	}
-	sub.iov, sub.n = iov, 0
-	if len(iov) > 0 && sub.raw.Write(sub.writeFn) != nil {
-		sub.n = 0
+	n := 0
+	if len(iov) > 0 && !sub.failed {
+		var err error
+		n, err = writev(sub.fd, iov)
+		sub.failed = err != nil && err != syscall.EAGAIN
 	}
+	sub.iov = iov
 	clear(iov) // the frames' buffers go back to the pool
-	n, whole, first := sub.n, 0, 0
+	if h := len(sub.head); h > 0 {
+		if n < h {
+			sub.head = sub.head[n:]
+			sub.backlog = true
+			return 0, skip
+		}
+		n -= h
+		sub.head = nil
+	}
+	whole, first := 0, 0
 	var bytes int64
-	for _, f := range frames {
+	for i, f := range frames {
 		if f.Slot() > sub.admitSlot {
 			b := len(f.Bytes())
+			if i == 0 {
+				b -= skip
+			}
 			if n < b {
-				sent = n
+				if sent = n; i == 0 {
+					sent += skip
+				}
 				break
 			}
 			n -= b
@@ -131,24 +165,16 @@ func (sub *subscriber) WriteDirect(frames []*fanout.Frame) (done, sent int) {
 		}
 		done++
 	}
+	sub.backlog = done < len(frames) || sub.failed
 	if whole > 0 {
-		sub.wrote(whole, bytes, first, lateByTick)
+		sub.wrote(whole, bytes, first, path)
 	}
 	return done, sent
 }
 
 // maxIOV is the most buffers one writev(2) takes (IOV_MAX on Linux and
-// macOS); frames past it stay queued for the handler.
+// macOS); frames past it stay queued for the next write.
 const maxIOV = 1024
-
-// writeOnce is raw.Write's callback: one writev(2) of sub.iov on the
-// socket's non-blocking fd. Its error — EAGAIN, or one the handler's own
-// write will meet again — only means the frames are not finished. It
-// returns true so the poller never waits.
-func (sub *subscriber) writeOnce(fd uintptr) bool {
-	sub.n = writev(fd, sub.iov)
-	return true
-}
 
 // wrote accounts frames handed to the kernel whole, n bytes in all, the
 // first of them for slot first, on whichever side wrote them (path):
@@ -158,7 +184,7 @@ func (sub *subscriber) writeOnce(fd uintptr) bool {
 func (sub *subscriber) wrote(frames int, n int64, first int, path latePath) {
 	sub.ct.RecordDrain(frames, n)
 	if sub.firstSent.CompareAndSwap(false, true) {
-		sub.firstByte.Observe(time.Since(sub.admitted).Seconds())
+		sub.srv.firstByte.Observe(time.Since(sub.admitted).Seconds())
 		sub.wait.End()
 		sub.root.End()
 	}
@@ -176,7 +202,7 @@ func (sub *subscriber) checkLate(first int, path latePath) {
 		return
 	}
 	due := sub.deadline(first)
-	now := int(sub.rec.slot.Load())
+	now := int(sub.srv.slot.Load())
 	if now <= due {
 		return
 	}
@@ -194,9 +220,8 @@ func (sub *subscriber) checkLate(first int, path latePath) {
 
 // deadline is the first flush slot at or after slot: the slot by which a
 // frame for slot is written. A slot at or before the admit slot, which the
-// drain skips, reads as the first flush slot, admit+1. The sets are
-// published (lastSlot is stored) before the handler first writes and
-// before it parks for the tick.
+// write skips, reads as the first flush slot, admit+1. The sets are
+// published (lastSlot is stored) before the handover.
 func (sub *subscriber) deadline(slot int) int {
 	k := max(slot-sub.needFrom, 0)
 	for w := k / 64; w < len(sub.flush); w++ {
@@ -264,48 +289,38 @@ func needFlushSets(assignment []int, from, admitSlot int, periods []uint32, due 
 	return need, flush
 }
 
-// track registers a connection for shutdown; it reports false when the
-// server is already closing.
-func (s *Server) track(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed.Load() {
-		return false
-	}
-	s.conns[conn] = struct{}{}
-	return true
-}
-
-func (s *Server) untrack(conn net.Conn) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.conns, conn)
-}
-
-// acceptLoop serves the listener until it is closed. Any other Accept
-// error — EMFILE in a connection burst, say — is transient: the loop backs
-// off, 5 ms doubling to at most a second as net/http's Server.Serve does,
-// and accepts again, so one failure never ends service.
-func (s *Server) acceptLoop() {
+// acceptSessions reads and serves the listener's connections until Close
+// closes it. Any other accept error — EMFILE in a burst, say — leaves the
+// listener readable, so the loop backs off, 5 ms doubling to at most a
+// second as net/http's Server.Serve does: it never ends service or spins.
+func (s *Server) acceptSessions() {
 	defer s.wg.Done()
 	var backoff time.Duration
 	for {
-		conn, err := s.ln.Accept()
-		if errors.Is(err, net.ErrClosed) {
+		fd, peer, err := s.ln.next()
+		switch {
+		case err == nil:
+			// The request normally arrived with the connection
+			// (deferAccept); one that has not waits for the clock's retry.
+			backoff = 0
+			sub := &subscriber{fd: fd, peer: peer, until: time.Now().Add(s.readTimeout())}
+			if !s.readRequest(sub) {
+				s.pendMu.Lock()
+				s.pending = append(s.pending, sub)
+				s.pendMu.Unlock()
+			}
+		case errors.Is(err, net.ErrClosed):
 			return
-		}
-		if err != nil {
+		case err == syscall.ECONNABORTED || err == syscall.EINTR:
+			// The client gave up before accept: nothing to back off from.
+		default:
 			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
 			select {
 			case <-time.After(backoff):
 			case <-s.done:
 				return
 			}
-			continue
 		}
-		backoff = 0
-		s.wg.Add(1)
-		go s.handleConn(conn)
 	}
 }
 
@@ -320,163 +335,130 @@ func (s *Server) readTimeout() time.Duration {
 	return max(4*s.cfg.SlotDuration, time.Second)
 }
 
-// handleConn admits one request and streams its subscription.
-func (s *Server) handleConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer conn.Close()
-	if !s.track(conn) {
-		return
+// retryRequests runs on the clock before each advance: it reads on the
+// connections whose request had not arrived whole, so one that has since
+// arrived is admitted in the slot it arrived in.
+func (s *Server) retryRequests() {
+	s.pendMu.Lock()
+	defer s.pendMu.Unlock()
+	keep := s.pending[:0]
+	for _, sub := range s.pending {
+		if !s.readRequest(sub) {
+			keep = append(keep, sub)
+		}
 	}
-	defer s.untrack(conn)
+	clear(s.pending[len(keep):])
+	s.pending = keep
+}
 
-	// A client that connects and sends nothing is cut off after the read
-	// bound; the deadline is cleared again so it cannot outlive the request.
-	if err := conn.SetReadDeadline(time.Now().Add(s.readTimeout())); err != nil {
-		return
+// readRequest reads what has arrived of sub's request and serves it once
+// whole (serveRequest); a first frame of any other type is refused. It
+// reports false while the request is still due — it has not all arrived and
+// sub.until has not passed — and true once the connection is served or
+// closed.
+func (s *Server) readRequest(sub *subscriber) bool {
+	msg, wait := sub.readFrame()
+	switch req, ok := msg.(wire.Request); {
+	case ok:
+		s.serveRequest(sub, req)
+	case msg != nil || sub.n > 0 && wire.MsgType(sub.in[0]) != wire.TypeRequest:
+		s.reject(sub, "expected a request frame")
+	case wait && time.Now().Before(sub.until):
+		return false
+	default:
+		sub.close()
 	}
-	// One small buffered reader serves the request and the report: a frame
-	// costs one read, and a client that sends both at once costs one.
-	br := bufio.NewReaderSize(conn, readBufferSize)
-	msg, err := wire.ReadFrame(br)
-	if err != nil {
-		return
-	}
-	if err := conn.SetReadDeadline(time.Time{}); err != nil {
-		return
-	}
-	req, ok := msg.(wire.Request)
-	if !ok {
-		_ = wire.WriteFrame(conn, wire.ErrorMsg{Text: "expected a request frame"})
-		return
-	}
-	// The decoder admits only v2 requests; the flags alone decide whether
-	// the session owes a report and carries trace ids.
-	wantReport := req.Flags&wire.FlagNoReport == 0
-	wantTrace := req.Flags&wire.FlagNoTrace == 0
+	return true
+}
 
+// readFrame reads what has arrived on sub's socket, unless a whole frame is
+// already buffered, and takes the first frame out of the buffer once it is
+// whole: msg is its message (nil if it does not decode). Until then wait
+// reports whether more may come: not once the client has closed or failed,
+// or the frame cannot fit the buffer.
+func (sub *subscriber) readFrame() (msg any, wait bool) {
+	size, whole := frameLen(sub.in[:sub.n])
+	if !whole {
+		n, err := readFD(sub.fd, sub.in[sub.n:])
+		sub.n += n
+		if size, whole = frameLen(sub.in[:sub.n]); !whole {
+			return nil, (n > 0 || err == syscall.EAGAIN) && size <= len(sub.in)
+		}
+	}
+	msg, _ = wire.ReadFrame(bytes.NewReader(sub.in[:size]))
+	sub.n = copy(sub.in[:], sub.in[size:sub.n])
+	return msg, false
+}
+
+// frameLen reports the length of the wire frame at the start of b, header
+// included, once its header is in b (0 before), and whether all of it is.
+func frameLen(b []byte) (int, bool) {
+	if len(b) < 5 {
+		return 0, false
+	}
+	n := 5 + int(binary.BigEndian.Uint32(b[1:5]))
+	return n, len(b) >= n
+}
+
+// serveRequest admits req and hands the session to the tick (handOver).
+func (s *Server) serveRequest(sub *subscriber, req wire.Request) {
 	// The root span covers the whole pipeline from admit to the first
 	// fan-out byte reaching this subscriber; an unsampled request gets a
-	// nil span and every operation below is a no-op. End is idempotent, so
-	// the deferred call only closes trees that error out before first
-	// byte.
+	// nil span and every operation below is a no-op.
 	root := s.spans.StartSpan("admit")
 	root.SetVideo(req.VideoID)
-	defer root.End()
-
-	sub, info, writeBy, err := s.admit(req.VideoID, req.FromSegment, conn, root)
+	info, err := s.admit(sub, req.VideoID, req.FromSegment, root)
 	if err != nil {
 		s.mRejects.Inc()
 		root.SetAttr("reject", err.Error())
-		_ = wire.WriteFrame(conn, wire.ErrorMsg{Text: err.Error()})
+		root.End()
+		s.reject(sub, err.Error())
 		return
 	}
-	defer s.unsubscribe(sub)
-	// One write deadline covers the whole session: its last segment
-	// deadline plus the read bound. A reader too far behind to make it
-	// fails its own writev; nothing else ever cuts a subscriber.
-	if err := conn.SetWriteDeadline(writeBy); err != nil {
-		return
-	}
-	if wantTrace {
-		// The session joins the admit span's tree: the client echoes these
-		// identifiers in its report and the server synthesizes its playback
-		// as child spans. An unsampled root hands out zero and the session
-		// stays traceless.
-		info.TraceID = root.ID()
-		info.SpanID = root.ID()
-	}
-	if err := wire.WriteFrame(conn, info); err != nil {
-		return
-	}
-	admitSlot := int(info.AdmitSlot)
-	wait := root.Child("first_byte_wait")
-	// After a clean end (ring closed at the last slot) a session that did
-	// not opt out owes us a ClientReport.
-	if s.drainRing(conn, sub, admitSlot, wait, root) && wantReport {
-		s.readReport(conn, br, sub.rec, info)
-	}
+	s.handOver(sub, info, req.Flags, root)
 }
 
-// drainRing is the delivery loop of a session. While it is parked with
-// nothing due, the tick writes each flush itself (WriteDirect) and the
-// handler sleeps on; what the tick could not finish wakes it, and it hands
-// the backlog — the unsent rest of the first frame first, and any frames
-// held behind it — to the kernel as one vectored write per batch,
-// releasing each frame only after its bytes are out. It reports false when a write failed (the ring is dropped) and true on
-// clean ring closure. A write that hits the session's deadline is the one
-// way a subscriber gets cut, and is counted as a drop.
-func (s *Server) drainRing(conn net.Conn, sub *subscriber, admitSlot int, wait, root *obs.Span) bool {
-	var (
-		frames []*fanout.Frame
-		vec    net.Buffers
-		direct fanout.Writer
-	)
-	if sub.raw != nil {
-		direct = sub
+// handOver writes an admitted session's ScheduleInfo, with any frame a tick
+// already made due behind it (a short write's rest rides the next flush),
+// and hands the session to the tick. flags alone decide whether the session
+// owes a report and carries trace ids.
+func (s *Server) handOver(sub *subscriber, info wire.ScheduleInfo, flags uint16, root *obs.Span) {
+	sub.wantReport = flags&wire.FlagNoReport == 0
+	if flags&wire.FlagNoTrace == 0 {
+		// The client echoes these in its report, whose playback joins the
+		// admit span's tree; an unsampled root hands out zero.
+		info.TraceID, info.SpanID = root.ID(), root.ID()
 	}
-	sub.admitSlot, sub.wait, sub.root = admitSlot, wait, root
-	release := func() {
-		for _, f := range frames {
-			f.Release()
-		}
-	}
-	for {
-		var (
-			head int
-			open bool
-		)
-		frames, head, open = sub.ring.Park(frames[:0], direct)
-		sent, n, err := writeFrames(conn, &vec, frames, head, admitSlot)
-		if err != nil {
-			release()
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				s.mDroppedBy[sub.ct.State()].Inc()
-			}
-			// Drop releases anything pushed while the write was blocked —
-			// also when the tick's clean retirement already closed the
-			// ring — and refuses further pushes, so every outstanding frame
-			// reference is now accounted for.
-			sub.ring.Drop()
-			return false
-		}
-		if sent {
-			sub.wrote(len(frames), n+int64(head), frames[0].Slot(), lateByHandler)
-		}
-		release()
-		if !open {
-			return true
-		}
-	}
+	var head bytes.Buffer
+	_ = wire.WriteFrame(&head, info) // it cannot fail: admit built info from a validated catalogue
+	sub.head, sub.trace = head.Bytes(), info.TraceID
+	sub.admitSlot, sub.wait, sub.root = int(info.AdmitSlot), root.Child("first_byte_wait"), root
+	sub.ring.Write(sub)
+	sub.handed.Store(true)
 }
 
-// writeFrames hands one drained batch to the connection as a single
-// vectored write, starting head bytes into the first frame (the prefix the
-// tick's direct write already sent) and skipping frames at or before the
-// admit slot (the subscription was registered before the admission reached
-// the scheduler, so the ring may carry slots the customer's service does not
-// cover). vec is the session's reusable scratch: net.Buffers.WriteTo
-// consumes the header it is invoked on — advancing it and rewriting elements
-// on partial writes — so the full-capacity slice is restored into *vec
-// afterwards. One header lives per session and the steady-state write path
-// performs no per-batch allocation (BenchmarkDrainRing gates this).
-func writeFrames(conn net.Conn, vec *net.Buffers, frames []*fanout.Frame, head, admitSlot int) (sent bool, n int64, err error) {
-	bufs := (*vec)[:0]
-	for i, f := range frames {
-		if f.Slot() > admitSlot {
-			b := f.Bytes()
-			if i == 0 {
-				b = b[head:]
-			}
-			bufs = append(bufs, b)
-		}
+// reject answers a request the server refuses with an ErrorMsg, one
+// non-blocking write, and closes the connection.
+func (s *Server) reject(sub *subscriber, text string) {
+	var msg bytes.Buffer
+	if wire.WriteFrame(&msg, wire.ErrorMsg{Text: text}) == nil {
+		writeFD(sub.fd, msg.Bytes())
 	}
-	*vec = bufs
-	if len(bufs) == 0 {
-		return false, 0, nil
+	sub.close()
+}
+
+// readReport reads what has arrived of the ClientReport a session owes and,
+// once it is whole, folds it in (ingestReport). A report must name the
+// session's video and echo the trace ids of its ScheduleInfo; any other is
+// discarded, so no client can graft spans onto another session's admit
+// trace. It reports false while the report is still due.
+func (s *Server) readReport(sub *subscriber) bool {
+	msg, wait := sub.readFrame()
+	if rep, ok := msg.(wire.ClientReport); ok &&
+		rep.VideoID == sub.rec.id && rep.TraceID == sub.trace && rep.SpanID == sub.trace {
+		s.ingestReport(sub.rec, rep)
 	}
-	n, err = vec.WriteTo(conn)
-	*vec = bufs[:0]
-	return true, n, err
+	return msg != nil || !wait
 }
 
 // admit registers a subscription and admits the request through the
@@ -489,8 +471,8 @@ func writeFrames(conn net.Conn, vec *net.Buffers, frames []*fanout.Frame, head, 
 // the customer's first segment, only after the admission completes, which
 // is after registration. Until the need set is published the tick pushes
 // every slot; slots at or before the admit slot are discarded in
-// writeFrames and WriteDirect (the set-top box ignores them anyway — its
-// service starts one slot after admission). This keeps scheduling entirely
+// WriteDirect (the set-top box ignores them anyway — its service starts one
+// slot after admission). This keeps scheduling entirely
 // off the server-wide mutex: concurrent admissions for different videos
 // proceed in parallel.
 //
@@ -499,50 +481,40 @@ func writeFrames(conn net.Conn, vec *net.Buffers, frames []*fanout.Frame, head, 
 // break down further); the child carries the admission's slot and the
 // number of instances it placed.
 //
-// writeBy is when the session's writes must be done: the wall time of its
-// last deadline plus readTimeout.
-func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Span) (sub *subscriber, info wire.ScheduleInfo, writeBy time.Time, err error) {
+// admit sets sub.until to when the session's writes and its report read
+// must be done: the wall time of its last deadline plus readTimeout.
+func (s *Server) admit(sub *subscriber, videoID, fromSegment uint32, root *obs.Span) (info wire.ScheduleInfo, err error) {
 	v, ok := s.videos[videoID]
 	if !ok {
-		return nil, info, writeBy, fmt.Errorf("unknown video %d", videoID)
+		return info, fmt.Errorf("unknown video %d", videoID)
 	}
 	from := int(fromSegment)
 	if from == 0 {
 		from = 1
 	}
 	if from > v.cfg.Segments {
-		return nil, info, writeBy, fmt.Errorf("resume segment %d beyond %d", from, v.cfg.Segments)
+		return info, fmt.Errorf("resume segment %d beyond %d", from, v.cfg.Segments)
 	}
 	rec, err := s.record(v)
 	if err != nil {
-		return nil, info, writeBy, err
+		return info, err
 	}
 	// The subscription spans the admit slot through its last deadline: the
 	// largest shifted period of the remaining suffix.
 	slots := rec.maxPeriod[v.cfg.Segments-from+1] + 1
-	sub = &subscriber{
-		conn:      conn,
-		ring:      fanout.NewRing(slots),
-		admitted:  time.Now(),
-		rec:       rec,
-		firstByte: s.firstByte,
-		srv:       s,
-	}
+	sub.ring, sub.admitted, sub.rec, sub.srv = fanout.NewRing(slots), time.Now(), rec, s
 	sub.lastSlot.Store(math.MaxInt64)
-	// Where the tick has no raw vectored write (rawWrites), every frame
-	// queues for the handler.
-	if sc, ok := conn.(syscall.Conn); ok && rawWrites {
-		if raw, err := sc.SyscallConn(); err == nil {
-			sub.raw, sub.writeFn = raw, sub.writeOnce
-		}
-	}
 	// Telemetry registration precedes publication into the subscriber set:
 	// tick workers read sub.ct lock-free from snapshots, so the field must
 	// be settled before Add makes the subscriber visible.
-	sub.ct = s.ct.Register(conn, videoID, slots)
+	var remote string
+	if sub.peer != nil {
+		remote = tcpAddr(sub.peer).String()
+	}
+	sub.ct = s.ct.Register(remote, sub.fd, videoID, slots)
 	if !rec.subs.Add(sub) {
 		s.ct.Unregister(sub.ct)
-		return nil, info, writeBy, errShuttingDown
+		return info, errShuttingDown
 	}
 
 	// The serving-slot vector is n+1 ints, 8 KB on a 1000-segment video, so
@@ -565,7 +537,7 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 	span.End()
 	if err != nil {
 		s.unsubscribe(sub)
-		return nil, info, writeBy, err
+		return info, err
 	}
 	admitSlot := res.Slot
 	*buf = slices.Grow(res.Assignment, slots)
@@ -582,7 +554,7 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 	sub.need, sub.flush = needFlushSets((*buf)[:n], from, admitSlot, rec.wirePeriods, (*buf)[n:n+slots])
 	sub.needFrom = admitSlot
 	sub.lastSlot.Store(int64(admitSlot + slots - 1))
-	writeBy = sub.admitted.Add(time.Duration(slots)*s.cfg.SlotDuration + s.readTimeout())
+	sub.until = sub.admitted.Add(time.Duration(slots)*s.cfg.SlotDuration + s.readTimeout())
 	s.mRequests.Inc()
 
 	info = wire.ScheduleInfo{
@@ -595,15 +567,34 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 		Periods:      rec.wirePeriods,
 		SegmentSizes: rec.wireSizes,
 	}
-	return sub, info, writeBy, nil
+	return info, nil
 }
 
-// unsubscribe ends a subscription on any handler exit: it leaves the video's
-// set if a tick retirement or server Close has not already taken it, stops
-// its telemetry, and Drops the ring so every queued frame reference returns
-// to the pool. Each step is idempotent.
+// unsubscribe ends a subscription: it leaves the video's set if a tick
+// retirement or server Close has not already taken it, stops its telemetry
+// — so no sweep reads the socket past here — and Drops the ring so every
+// queued frame reference returns to the pool and the socket is never
+// written again. Each step is idempotent.
 func (s *Server) unsubscribe(sub *subscriber) {
 	sub.rec.subs.Remove(sub)
 	s.ct.Unregister(sub.ct)
 	sub.ring.Drop()
+}
+
+// hangUp ends a handed-over session, on the tick or, once the clock has
+// stopped, on Close: it unsubscribes, ends the admit spans of a session
+// whose first byte never went out, and closes the socket. Idempotent.
+func (s *Server) hangUp(sub *subscriber) {
+	s.unsubscribe(sub)
+	sub.wait.End()
+	sub.root.End()
+	sub.close()
+}
+
+// close closes the socket once.
+func (sub *subscriber) close() {
+	if sub.fd >= 0 {
+		closeFD(sub.fd)
+		sub.fd = -1
+	}
 }

@@ -21,7 +21,6 @@
 package vodserver
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -146,9 +145,6 @@ type videoRecord struct {
 	// frame is the slot's frame between the tick's two walks (see fanOut);
 	// the tick alone touches it.
 	frame *fanout.Frame
-	// slot is the slot the tick most recently began for the video, which
-	// a completed write is checked against for lateness (checkLate).
-	slot atomic.Int64
 }
 
 // record returns the video's record, building it on the video's first
@@ -197,7 +193,7 @@ var errShuttingDown = errors.New("server shutting down")
 // Server is a running VOD server. Create with Start, stop with Close.
 type Server struct {
 	cfg     Config
-	ln      net.Listener
+	ln      *listener
 	station *station.Station
 
 	statsLn net.Listener
@@ -265,11 +261,10 @@ type Server struct {
 
 	// videos is immutable after Start; per-subscriber state lives in each
 	// video's copy-on-write set so the server-wide lock never sits on the
-	// broadcast path. mu guards the connection set and the building of video
-	// records; the counters the fan-out and admit paths touch are atomics.
+	// broadcast path. mu guards the building of video records; the counters
+	// the fan-out and admit paths touch are atomics.
 	mu     sync.Mutex
 	videos map[uint32]*video
-	conns  map[net.Conn]struct{}
 	closed atomic.Bool
 	// done is closed by the first Close; the telemetry loop exits on it.
 	done chan struct{}
@@ -277,12 +272,19 @@ type Server struct {
 	// vlist is the catalogue in station index order — the array the
 	// station's spans index, and the videos map points into.
 	vlist []video
-	// tallies are the per-worker broadcast counters; retire is each
-	// worker's reusable retirement scratch (subscribers whose last slot
-	// this was, collected during a video's push loop, closed after it).
-	// Both are sized to the station's span count and indexed by worker.
+	// slot is the slot the tick most recently began, which a completed
+	// write is checked against for lateness (checkLate).
+	slot atomic.Int64
+	// tallies are the per-worker broadcast counters; service is each span's
+	// list of sessions the service pass visits (serveListed): a short write
+	// to retry, or a session past its last slot. Both are sized to the
+	// station's span count and indexed by worker.
 	tallies []fanoutTally
-	retire  [][]*subscriber
+	service [][]*subscriber
+	// pending holds, under pendMu, the connections whose request had not
+	// arrived whole when they were accepted (retryRequests).
+	pendMu  sync.Mutex
+	pending []*subscriber
 	// walks are fanOut's two per-video walks, bound once: the station hands
 	// them to its pool, so a method value evaluated in fanOut would allocate
 	// on every tick.
@@ -294,16 +296,15 @@ type Server struct {
 }
 
 // Start builds a server on cfg, binds cfg.Addr and, when set, cfg.StatsAddr,
-// and serves them: the accept loop, the telemetry loop, the stats endpoint
-// and the slot clock run until Close.
+// and serves them: the accept goroutine, the telemetry loop, the stats
+// endpoint and the slot clock run until Close.
 func Start(cfg Config) (*Server, error) {
 	s, err := build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	// A built server holds nothing a failed bind must release. Sessions run
-	// on their deadlines, so accepted connections skip keep-alive.
-	ln, err := (&net.ListenConfig{KeepAlive: -1}).Listen(context.Background(), "tcp", cfg.Addr)
+	// A built server holds nothing a failed bind must release.
+	ln, err := listen(cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("vodserver: listen: %w", err)
 	}
@@ -406,7 +407,7 @@ func build(cfg Config) (*Server, error) {
 		firstByte: reg.Window("vod_admit_first_byte_seconds",
 			"Latency from request admission to the first broadcast byte reaching the subscriber.", 0),
 		fanout: reg.Window("vod_fanout_seconds",
-			"Per-tick fan-out service time: encoding every video's slot batch and distributing it, including the socket writes the tick makes for parked subscribers.", 0),
+			"Per-tick fan-out service time: encoding every video's slot batch and distributing it, including every session's socket writes, retries, report reads and closes.", 0),
 		qoeStartup: reg.Window("client_startup_slots",
 			"Client-reported slots from admission to the first needed segment.", 0),
 		qoeSlack: reg.Window("client_deadline_slack_slots",
@@ -425,22 +426,21 @@ func build(cfg Config) (*Server, error) {
 		enc:    enc,
 		videos: videos,
 		vlist:  vlist,
-		conns:  make(map[net.Conn]struct{}),
 	}
 	s.tallies = make([]fanoutTally, st.Shards())
-	s.retire = make([][]*subscriber, st.Shards())
+	s.service = make([][]*subscriber, st.Shards())
 	s.walks = [2]func(worker, video int, rep core.SlotReport) bool{s.firstFrames, s.steadyFrames}
 	// Pre-register every reason child of the drop counter so the exposition
 	// inventory (and the metric-name lint walking it) is complete from boot,
 	// not from the first drop.
 	for r := range s.mDroppedBy {
 		s.mDroppedBy[r] = reg.CounterWith("vod_dropped_subscribers_total",
-			"Subscribers cut by their write deadline (last segment deadline plus the read bound), by last classified transport state.",
+			"Subscribers cut with writes still queued at their bound (last segment deadline plus the read bound), by last classified transport state.",
 			obs.Labels{"reason": conntrack.State(r).String()})
 	}
 	for p := range s.mLateWrites {
 		s.mLateWrites[p] = reg.CounterWith("vod_late_writes_total",
-			"Writes that completed after the tick began a slot past their deadline (the first flush slot at or after their first frame), by the side that wrote: a lower bound on deadline misses.",
+			"Writes that completed after the tick began a slot past their deadline (the first flush slot at or after their first frame), by the write that finished them (a flush's own, or a later retry of a short one): a lower bound on deadline misses.",
 			obs.Labels{"path": latePath(p).String()})
 	}
 	// The sampler exists before armAlerts so the conn_stalled_ratio rule can
@@ -500,10 +500,11 @@ func build(cfg Config) (*Server, error) {
 
 // serve arms what reads the telemetry period and the SLO target, which are
 // final from here on, then serves ln and, when non-nil, statsLn: it starts
-// the accept loop, the telemetry loop, the stats endpoint and the slot
-// clock. s owns both listeners from the call on, so on an error the caller
-// closes s and nothing else.
-func (s *Server) serve(ln, statsLn net.Listener) error {
+// the accept goroutine, the telemetry loop, the stats endpoint and the slot
+// clock, which retries incomplete requests before each advance. s owns both
+// listeners from the call on, so on an error the caller closes s and
+// nothing else.
+func (s *Server) serve(ln *listener, statsLn net.Listener) error {
 	s.ln, s.statsLn = ln, statsLn
 	if err := s.firstByte.SetSLO(s.sloTarget, sloObjective); err != nil {
 		return fmt.Errorf("vodserver: %w", err)
@@ -513,7 +514,7 @@ func (s *Server) serve(ln, statsLn net.Listener) error {
 	}
 	s.wg.Add(2)
 	go s.telemetryLoop()
-	go s.acceptLoop()
+	go s.acceptSessions()
 	if statsLn != nil {
 		srv := &http.Server{Handler: s.statsMux(), ReadHeaderTimeout: 5 * time.Second}
 		s.wg.Add(1)
@@ -523,16 +524,16 @@ func (s *Server) serve(ln, statsLn net.Listener) error {
 			_ = srv.Serve(statsLn)
 		}()
 	}
-	tick := func([]core.SlotReport) { s.fanOut() }
-	if err := s.station.StartClock(s.cfg.SlotDuration, tick); err != nil {
+	if err := s.station.StartClock(s.cfg.SlotDuration, s.retryRequests, s.fanOut); err != nil {
 		return fmt.Errorf("vodserver: %w", err)
 	}
 	return nil
 }
 
-// Close stops accepting, terminates every subscription, halts the clock and
-// waits for all server goroutines to exit. It is safe to call more than
-// once, and on a server that was built but never served.
+// Close stops accepting, halts the clock, waits for all server goroutines to
+// exit and then ends every session and closes every connection. It is safe
+// to call more than once, and on a server that was built but never
+// served.
 func (s *Server) Close() error {
 	if s.closed.Swap(true) {
 		s.station.Close()
@@ -545,31 +546,36 @@ func (s *Server) Close() error {
 	if s.statsLn != nil {
 		s.statsLn.Close()
 	}
+	var live []*subscriber
 	s.mu.Lock()
 	for i := range s.vlist {
 		// Set.Close latches the video shut — admit's Add refuses from here
-		// on, so a late registration can never hold a ring no producer ever
-		// closes — and surfaces every live subscriber exactly once. Holding
-		// s.mu, the lock records are built under, means a video with no
-		// record here never gets one.
+		// on, so a late registration can never hold a ring nobody ends —
+		// and surfaces every live subscriber exactly once. Holding s.mu,
+		// the lock records are built under, means a video with no record
+		// here never gets one.
 		if r := s.vlist[i].rec.Load(); r != nil {
-			for _, sub := range r.subs.Close() {
-				sub.ring.Close()
-			}
+			live = append(live, r.subs.Close()...)
 		}
 	}
-	// Unblock handlers parked in reads or writes.
-	for conn := range s.conns {
-		conn.Close()
-	}
 	s.mu.Unlock()
-	// A concurrent fanOut tick may still be pushing from a pre-Close
-	// snapshot; pushes to the closed rings fail harmlessly and
 	// station.Close waits for the clock goroutine — and therefore the
-	// joined span walks — to finish before it tears its pool down.
+	// joined span walks and service pass — to finish before it tears its
+	// pool down, and the accept goroutine has handed over or refused every
+	// session it admitted by the time wg.Wait returns: every session is this
+	// goroutine's from there.
 	close(s.done)
 	s.station.Close()
 	s.wg.Wait()
+	for _, list := range s.service {
+		live = append(live, list...)
+	}
+	for _, sub := range live {
+		s.hangUp(sub)
+	}
+	for _, sub := range s.pending {
+		sub.close()
+	}
 	return err
 }
 

@@ -36,7 +36,7 @@ func (s *Server) StatsAddr() string {
 }
 
 // Addr reports the bound listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.ln.addr.String() }
 
 // StatusSnapshot is the /statusz document: one consistent operator view of
 // the whole pipeline, the payload cmd/vodtop renders.

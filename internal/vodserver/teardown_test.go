@@ -18,18 +18,17 @@ import (
 	"vodcast/internal/wire"
 )
 
-// openConns reports how many connections have a live handler.
-func (s *Server) openConns() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.conns)
+// openSessions reports how many admitted sessions the server has not yet
+// hung up on: those conntrack still tracks, from admission to hang-up.
+func (s *Server) openSessions() int {
+	return s.ct.Snapshot().Tracked
 }
 
 // TestSlowSubscriberDroppedMidBroadcast exercises the tear-down path end to
 // end, and is meant to run under -race: a subscriber that stops reading
-// mid-broadcast must not stall the slot tick, and its handler must cut it on
-// its own once the session's write deadline (last segment deadline plus the
-// read bound) passes — no client action. The client then reads EOF, the drop
+// mid-broadcast must not stall the slot tick, and the tick must cut it on
+// its own once the session's bound (last segment deadline plus the read
+// bound) passes with writes still queued — no client action. The client then reads EOF, the drop
 // is counted identically in Stats() and /metricsz under a reason label,
 // every goroutine comes back, and a double Close of the server stays a
 // no-op.
@@ -38,8 +37,8 @@ func TestSlowSubscriberDroppedMidBroadcast(t *testing.T) {
 	const segments, slot = 200, 2 * time.Millisecond
 	s, err := Start(Config{
 		Addr: "127.0.0.1:0",
-		// Enough bytes per slot to wedge the drain goroutine's vectored
-		// write once the client stops reading.
+		// Enough bytes per slot to fill the socket once the client stops
+		// reading.
 		Videos:       []VideoConfig{{ID: 1, Segments: segments, SegmentBytes: 64 << 10}},
 		SlotDuration: slot,
 		StatsAddr:    "127.0.0.1:0",
@@ -68,14 +67,14 @@ func TestSlowSubscriberDroppedMidBroadcast(t *testing.T) {
 	if _, ok := msg.(wire.ScheduleInfo); !ok {
 		t.Fatalf("first frame %T, want ScheduleInfo", msg)
 	}
-	// Admitted — now never read another byte. TCP backpressure wedges the
-	// drain goroutine's writev until the session's deadline fails it. The
-	// slack past the bound absorbs a loaded machine.
+	// Admitted — now never read another byte. TCP backpressure leaves the
+	// tick's writes short until the session's bound cuts it. The slack past
+	// the bound absorbs a loaded machine.
 	bound := (segments+1)*slot + s.readTimeout()
 	deadline := requested.Add(bound + 2*time.Second)
-	for s.openConns() != 0 {
+	for s.openSessions() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("paused reader's handler still running %v after its request (bound %v): %+v",
+			t.Fatalf("paused reader's session still open %v after its request (bound %v): %+v",
 				time.Since(requested), bound, s.Stats())
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -367,29 +366,67 @@ func TestSequentialSessionsNoFDLeak(t *testing.T) {
 	}
 }
 
-// flakyListener fails its first Accept as a process out of file descriptors
-// does, then reports itself closed.
-type flakyListener struct{ accepts atomic.Int32 }
-
-func (l *flakyListener) Accept() (net.Conn, error) {
-	if l.accepts.Add(1) == 1 {
-		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: os.NewSyscallError("accept4", syscall.EMFILE)}
-	}
-	return nil, net.ErrClosed
-}
-
-func (l *flakyListener) Close() error   { return nil }
-func (l *flakyListener) Addr() net.Addr { return &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)} }
-
-// TestAcceptLoopSurvivesTransientError: an Accept error other than a closed
-// listener — EMFILE in a connection burst — does not end service; the loop
-// backs off and accepts again, and only a closed listener ends it.
+// TestAcceptLoopSurvivesTransientError: an accept error other than a closed
+// listener — EMFILE in a connection burst — does not end service, and with
+// a client waiting the listener stays readable, so the loop must not spin
+// on it either: it backs off 5 ms, doubling, between attempts, accepts the
+// client once the error clears, and only a closed listener ends it.
 func TestAcceptLoopSurvivesTransientError(t *testing.T) {
-	ln := &flakyListener{}
-	s := &Server{ln: ln, done: make(chan struct{})}
+	const failures = 3 // backoffs of 5, 10 and 20 ms
+	s := startManualServer(t, VideoConfig{ID: 1, Segments: 4, SegmentBytes: 16})
+	ln, err := listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ln = ln
+	// tries counts the accept calls that end in an outcome — the injected
+	// errors and the accept — not the poller's waits (EAGAIN). Only the
+	// loop's goroutine calls accept.
+	var tries, first atomic.Int64
+	accept := ln.accept
+	ln.accept = func(fd int) (int, syscall.Sockaddr, error) {
+		if tries.Load() < failures {
+			if tries.Add(1) == 1 {
+				first.Store(time.Now().UnixNano())
+			}
+			return -1, nil, syscall.EMFILE
+		}
+		nfd, peer, err := accept(fd)
+		if err != syscall.EAGAIN {
+			tries.Add(1)
+		}
+		return nfd, peer, err
+	}
+	done := make(chan struct{})
 	s.wg.Add(1)
-	s.acceptLoop()
-	if n := ln.accepts.Load(); n != 2 {
-		t.Fatalf("acceptLoop called Accept %d times, want 2: it must retry after EMFILE and stop once closed", n)
+	go func() {
+		s.acceptSessions()
+		close(done)
+	}()
+	conn, err := net.Dial("tcp", ln.addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.WriteFrame(conn, wire.Request{VideoID: 1, Version: wire.ProtoV2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := wire.ReadFrame(conn); err != nil {
+		t.Fatalf("no ScheduleInfo after the accept errors cleared: %v", err)
+	} else if _, ok := msg.(wire.ScheduleInfo); !ok {
+		t.Fatalf("first frame %T, want the ScheduleInfo", msg)
+	}
+	waited := time.Since(time.Unix(0, first.Load()))
+	if n := tries.Load(); n != failures+1 || waited < 35*time.Millisecond {
+		t.Fatalf("%d accept calls over %v, want %d backed off over at least 35 ms", n, waited, failures+1)
+	}
+	ln.Close()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the accept loop outlived its closed listener")
 	}
 }
