@@ -77,9 +77,10 @@ ci:
 	# time.Timer, woken at the idle poller's next whole millisecond, reads
 	# about 560 µs); with its one P never idle, the read-deadline backstop
 	# keeps it under 2.5 ms (the timerfd alone reads about 5 ms); and its
-	# timerfd opens with StartClock and closes with Close. Three runs each,
-	# so a lag reading that passed by chance shows.
-	$(GO) test -count=3 -run '^(TestWallClockWakesOnGrid|TestWallClockWakesOnGridWhenBusy|TestWallWaitFDLifecycle)$$' ./internal/station/
+	# timerfd opens with StartClock and closes with Close; and a wait reads
+	# the timerfd once, on the poller's wake, not also before it parks.
+	# Three runs each, so a lag reading that passed by chance shows.
+	$(GO) test -count=3 -run '^(TestWallClockWakesOnGrid|TestWallClockWakesOnGridWhenBusy|TestWallWaitFDLifecycle|TestWallWaitReadsOncePerTick)$$' ./internal/station/
 	# Each slot's payloads are generated into its frame by the tick's
 	# encoder, so the payload generator's chunk tables, built once on the
 	# first payload of two chunks or more, are first touched on the tick
@@ -88,29 +89,26 @@ ci:
 	# and racing first payloads in wire itself likewise.
 	$(GO) test -race -cpu 4 -count=20 -run '^TestConcurrentFirstEncodes$$' ./internal/fanout/
 	$(GO) test -race -cpu 4 -count=20 -run '^TestConcurrentFirstPayloads$$' ./internal/wire/
-	# A video's serving record is built by its first admission under the lock
-	# Close latches the catalogue under: racing first admissions against
-	# Close must build one record, refuse admissions after Close and leak
-	# nothing. Then the start-up cost gate: each idle video costs Start+Close
-	# at most 4 allocations and 512 B (it skips under -race, so it runs here).
-	$(GO) test -race -cpu 4 -count=20 -run '^TestFirstAdmissionRacesClose$$' ./internal/vodserver/
-	# The tick owns each session, on raw sockets outside the Go poller: the
-	# ring hands due frames to the Writer its owner lends it, in order, and a
-	# short write's rest, skipping the sent prefix, to the next call; the
-	# tick writes a session handed over before its first tick alone and
-	# closes it after its last slot; a short write, of one frame or of a
-	# flush's vectored write, is listed and retried by the service pass,
-	# byte-exact; a backlog still queued at the session's bound is cut and
-	# counted; a client gone mid-session is hung up on and every frame
-	# comes back; no frame precedes the ScheduleInfo; first frames go before
-	# the tick's steady-state frames; a session is written only its assigned
-	# slots and its last, and a subscriber whose need set lastSlot has not
-	# yet published gets every slot (the set crosses from the admission to
-	# the tick workers through that store); the poller watches the
-	# listeners and no session socket; and an accept error backs off, 5 ms
-	# doubling, instead of ending service or spinning.
+	# The clock is the one goroutine serving sessions, on raw sockets outside
+	# the Go poller, and these run on manual ticks: the ring hands due
+	# frames to the Writer its owner lends it, in order, a short write's
+	# rest, skipping the sent prefix, to the next call, and never calls it
+	# with nothing due; the hook admits a request queued when it runs in the
+	# slot still current, and one whose rest arrives later, from pending, in
+	# the slot the rest arrived in; an EMFILE ends one tick's accepting, one
+	# call a tick, and a later tick serves the client; the handover writes
+	# nothing and the ScheduleInfo leaves with the first frame, in one
+	# vectored write; the tick writes a session alone and closes it after
+	# its last slot; a short write, of one frame or of a flush's vectored
+	# write, is listed and retried by the service pass, byte-exact; a
+	# backlog still queued at the session's bound is cut and counted; a
+	# client gone mid-session is hung up on and every frame comes back;
+	# first frames go before the tick's steady-state frames; a session is
+	# written only its assigned slots and its last; and the poller watches
+	# the stats listener and the clock's timerfd, and neither the session
+	# listener nor any session socket.
 	$(GO) test -race -cpu 4 -count=20 -run '^TestRingWriterTakesDueFrames$$' ./internal/fanout/
-	$(GO) test -race -cpu 4 -count=20 -run '^(TestSessionServedByDirectWrites|TestShortDirectWriteResumes|TestDeadlineCutAfterShortDirectWrite|TestFailedWriteReleasesClosedRing|TestNoFrameBeforeScheduleInfo|TestFirstFramesGoFirst|TestWrittenSlotsAreAssignedPlusLast|TestUnpublishedNeedSetGetsEverySlot|TestSessionSocketsStayOutOfThePoller|TestAcceptLoopSurvivesTransientError)$$' ./internal/vodserver/
+	$(GO) test -race -cpu 4 -count=20 -run '^(TestArrivalAdmittedInItsSlot|TestPendingRequestAdmittedInItsSlot|TestAcceptLoopSurvivesTransientError|TestNoFrameBeforeScheduleInfo|TestSessionServedByDirectWrites|TestShortDirectWriteResumes|TestDeadlineCutAfterShortDirectWrite|TestFailedWriteReleasesClosedRing|TestFirstFramesGoFirst|TestWrittenSlotsAreAssignedPlusLast|TestSessionSocketsStayOutOfThePoller)$$' ./internal/vodserver/
 	# The flush rule, on manual ticks, so twenty runs are deterministic and
 	# any wall-clock dependence left in them shows here as a flake: Hold
 	# never calls the Writer, the next Push or Flush hands it held and due
@@ -121,6 +119,8 @@ ci:
 	# counts; a session holding frames classifies healthy.
 	$(GO) test -race -cpu 4 -count=20 -run '^(TestRingHoldWaitsForFlush|TestRingCloseDeliversHeld)$$' ./internal/fanout/
 	$(GO) test -race -cpu 4 -count=20 -run '^(TestWriteBoundariesAreFlushSlots|TestLateWritesCountStrictMisses|TestHeldFramesClassifyHealthy)$$' ./internal/vodserver/
+	# The start-up cost gate: each idle video costs Start+Close at most 4
+	# allocations and 512 B (it skips under -race, so it runs here).
 	$(GO) test -run '^TestStartCostPerIdleVideo$$' -count=1 ./internal/vodserver/
 	$(call cover-floor,obs+history+station+wire+vodclient+client,./internal/obs/ ./internal/obs/history/ ./internal/station/ ./internal/wire/ ./internal/vodclient/ ./internal/client/)
 	$(call cover-floor,core+slots,./internal/core/ ./internal/slots/)
@@ -141,9 +141,11 @@ ci:
 	# The one cut rule: the tick cuts a paused reader's session at the last
 	# deadline plus the read bound, and its fd comes back.
 	$(GO) test -race -run '^TestSlowSubscriberDroppedMidBroadcast$$' -count=1 ./internal/vodserver/
-	# The served wait: on a 100 ms slot, sequential sessions' server-side
-	# first byte has a median under 0.75 slot and a maximum under 1.5 slots,
-	# because the clock sends a slot's frame as the slot begins.
+	# The served wait: on a 100 ms slot, sequential sessions' client-side
+	# first byte has a median from 0.25 to 0.75 slot and a maximum under 1.5
+	# slots, and the server-side window, admission at the slot's end to the
+	# first write, stays under a quarter slot, because the clock admits as a
+	# slot ends and sends the next slot's frame as that slot begins.
 	$(GO) test -race -run '^TestFirstByteWithinOneSlot$$' -count=1 ./internal/vodserver/
 	# The zero-alloc gate — hold, push and flush ticks — runs without -race
 	# (race instrumentation itself allocates, so the test skips under the

@@ -436,8 +436,9 @@ func (w *fakeWriter) WriteDirect(frames []*Frame, skip int) (int, int) {
 // every Push hands the due frames over in the same call. A finished frame is
 // released; an unfinished one stays queued with its sent prefix, which the
 // next call skips, and frames pushed behind it go in the same call, in the
-// order they were handed over. Write retries on a closed ring, and a dropped
-// ring never calls its Writer again.
+// order they were handed over. Write retries on a closed ring, a ring with
+// nothing due never calls its Writer, and a dropped ring never calls it
+// again.
 func TestRingWriterTakesDueFrames(t *testing.T) {
 	enc, _ := catalogues(t)
 	frame := func(slot int) *Frame {
@@ -490,11 +491,21 @@ func TestRingWriterTakesDueFrames(t *testing.T) {
 		t.Fatalf("finished retry: depth %d, writer saw %v", d, w.batches[5])
 	}
 
-	// Drop ends the lending.
+	// Nothing due, nothing written: lending to an empty ring, or to one
+	// holding frames, does not call the Writer. Drop ends the lending.
+	calls := len(w.batches)
 	r2 := NewRing(4)
 	r2.Write(w)
+	held := frame(6)
+	if !r2.Hold(held) {
+		held.Release()
+		t.Fatal("hold on an open ring failed")
+	}
+	r2.Write(w)
+	if len(w.batches) != calls {
+		t.Fatalf("a ring with nothing due called its Writer %d times", len(w.batches)-calls)
+	}
 	r2.Drop()
-	calls := len(w.batches)
 	if d := r2.Write(nil); d != 0 || len(w.batches) != calls {
 		t.Fatalf("a dropped ring called its Writer: depth %d, %d calls", d, len(w.batches)-calls)
 	}

@@ -42,7 +42,7 @@ type Ring struct {
 
 // Writer is a ring owner's path to its connection (see Ring.Write).
 // WriteDirect runs under the ring's lock and must not block: it writes what
-// it can of frames, in order, without waiting, starting skip bytes into the
+// it can of frames, never empty, in order, without waiting, starting skip bytes into the
 // first (the prefix an earlier call sent), and reports how many leading
 // frames are done with — written whole, or not to be written at all — and
 // how many bytes of the next one have gone out, skip included. The frames it
@@ -103,11 +103,10 @@ func (r *Ring) Flush() (depth int) {
 }
 
 // Write lends w to the ring, which from then on writes the due frames
-// through it, and hands it what is due now: the frames queued before w was
-// lent, or what an earlier write left unfinished. It returns the depth as
-// Push does, and writes on a closed ring too, which only refuses new frames.
-// w is called even when nothing is due, so that a Writer with bytes of its
-// own to send ahead of the frames gets the chance.
+// through it, and hands it what is due now, if anything: the frames queued
+// before w was lent, or what an earlier write left unfinished. It returns
+// the depth as Push does, and writes on a closed ring too, which only
+// refuses new frames.
 func (r *Ring) Write(w Writer) (depth int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -115,10 +114,11 @@ func (r *Ring) Write(w Writer) (depth int) {
 	return r.write()
 }
 
-// write hands the due frames to the Writer, if one is lent, with r.mu held,
-// releases those it finished and returns how many frames stay queued.
+// write hands the due frames, if any, to the Writer, if one is lent, with
+// r.mu held, releases those it finished and returns how many frames stay
+// queued.
 func (r *Ring) write() int {
-	if r.w == nil {
+	if r.w == nil || len(r.buf) == r.held {
 		return len(r.buf)
 	}
 	done, sent := r.w.WriteDirect(r.buf[:len(r.buf)-r.held], r.sent)

@@ -21,8 +21,7 @@ import (
 //     synchronization for as long as they like; they only see membership as
 //     of the load.
 //   - Add appends one element (callers add each element at most once; the
-//     set does not deduplicate). It fails once the set is closed, which is
-//     how the server refuses registrations during shutdown.
+//     set does not deduplicate). It fails once the set is closed.
 //   - Remove deletes the first matching element and reports whether it was
 //     present. Exactly one of several racing removers wins, which is what
 //     makes teardown single-shot: whoever gets true owns closing the
@@ -30,11 +29,9 @@ import (
 //   - Close marks the set closed and hands the final membership to the
 //     caller (subsequent Snapshots see an empty set).
 //
-// The publication order gives the server its delivery guarantee: Add stores
-// the new snapshot before the subscriber's admission reaches the scheduler,
-// so any tick that begins the slot after the admit slot — ordered after the
-// admission by the video's lock in the station — observes the subscriber in
-// its snapshot.
+// A snapshot taken after Add returns holds the element, so a server that
+// adds a subscriber on the goroutine driving its ticks, before the tick
+// that begins the slot after its admission, has every later tick see it.
 type Set[T comparable] struct {
 	mu     sync.Mutex
 	snap   atomic.Pointer[[]T]

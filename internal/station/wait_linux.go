@@ -38,6 +38,12 @@ const backstop = time.Millisecond
 // drains before it waits again. release closes the fd and joins the reader.
 // A kernel without timerfd, or an fd the poller refuses, falls back to
 // timerWait.
+//
+// A wait makes one read(2), on the poller's wake. The raw read's callback
+// runs once before the reader parks, after the poller has forgotten the fd's
+// earlier readiness, and that first call arms the timer instead of reading:
+// a read there would nearly always find nothing due, and an expiry that
+// lands at once is an edge the parked reader still sees.
 func wallWait() (wait func(time.Duration) <-chan time.Time, release func()) {
 	fd, _, errno := syscall.Syscall(syscall.SYS_TIMERFD_CREATE, clockMonotonic,
 		syscall.O_NONBLOCK|syscall.O_CLOEXEC, 0)
@@ -57,26 +63,34 @@ func wallWait() (wait func(time.Duration) <-chan time.Time, release func()) {
 	exited := make(chan struct{})
 	go func() {
 		defer close(exited)
-		var spec itimerspec
+		var (
+			spec  itimerspec
+			armed bool
+		)
 		expirations := make([]byte, 8)
-		read := func(fd uintptr) bool {
-			_, err := syscall.Read(int(fd), expirations)
+		wake := func(fd uintptr) bool {
+			if !armed {
+				// A zero it_value disarms the timer: the shortest wait is
+				// 1ns. Arming also drops an expiry left unread when the
+				// backstop woke first. The call cannot fail while the fd
+				// is open, and only release closes it.
+				armed = true
+				syscall.RawSyscall6(syscall.SYS_TIMERFD_SETTIME, fd, 0,
+					uintptr(unsafe.Pointer(&spec)), 0, 0, 0)
+				return false
+			}
+			_, err := timerRead(int(fd), expirations)
 			return err != syscall.EAGAIN
 		}
 		for d := range arm {
-			// A zero it_value disarms the timer: the shortest wait is 1ns.
-			// Arming also drops an expiry left unread when the backstop
-			// woke first. Neither call can fail while the fd is open, and
-			// only release closes it.
 			spec.value = syscall.NsecToTimespec(max(int64(d), 1))
-			syscall.RawSyscall6(syscall.SYS_TIMERFD_SETTIME, fd, 0,
-				uintptr(unsafe.Pointer(&spec)), 0, 0, 0)
+			armed = false
 			f.SetReadDeadline(time.Now().Add(d + backstop))
 			// The read ends on the expiry, on the backstop's deadline, or
 			// because release closed arm and then the fd. Each is a wake,
 			// and fired is empty for it: the clock drains fired before it
 			// arms again, and arms nothing once release has begun.
-			raw.Read(read)
+			raw.Read(wake)
 			fired <- time.Now()
 		}
 	}()
@@ -91,3 +105,7 @@ func wallWait() (wait func(time.Duration) <-chan time.Time, release func()) {
 	}
 	return wait, release
 }
+
+// timerRead reads the timerfd's expiry count: syscall.Read, which a test
+// may wrap to count the clock's reads.
+var timerRead = syscall.Read

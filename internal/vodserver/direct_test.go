@@ -6,27 +6,44 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
+	"syscall"
 	"testing"
 	"time"
 
 	"vodcast/internal/wire"
 )
 
-// The tick as each session's only writer, end to end over loopback sockets.
-// Each test plays the accept goroutine's steps by hand on a built server,
-// whose clock never runs, and drives every tick itself, so each
+// The clock as each session's only user, end to end over loopback sockets.
+// Each test drives a built and bound server whose clock never runs: it runs
+// every tick itself, or plays a tick's admission steps by hand, so each
 // interleaving is chosen, not raced for.
 
-// startManualServer builds a server for the test to drive. With no clock
-// the slot duration sets only the sessions' bounds: a one-second slot puts
-// each at least five seconds past its admission.
-func startManualServer(t *testing.T, videos ...VideoConfig) *Server {
+// manualServer builds a server on cfg and binds its session listener on
+// 127.0.0.1, but starts no clock: the test drives the ticks (tick).
+func manualServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	return buildServer(t, Config{Videos: videos, SlotDuration: time.Second})
+	s := buildServer(t, cfg)
+	ln, err := listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ln = ln
+	return s
 }
 
-// tick runs one clock tick by hand: the advance, then the fan-out.
+// startManualServer is manualServer on videos. With no clock the slot
+// duration sets only the sessions' bounds: a one-second slot puts each at
+// least five seconds past its admission.
+func startManualServer(t *testing.T, videos ...VideoConfig) *Server {
+	t.Helper()
+	return manualServer(t, Config{Videos: videos, SlotDuration: time.Second})
+}
+
+// tick runs one clock tick by hand, as the clock does: the hook that admits
+// the ending slot's arrivals, the advance, then the fan-out.
 func tick(s *Server) {
+	s.admitArrivals()
 	s.fanOut(s.station.AdvanceSlot())
 }
 
@@ -48,8 +65,8 @@ func closeNoFrameLeak(t *testing.T, s *Server) {
 }
 
 // accepted dials a fresh listener on 127.0.0.1, sends raw on the client's
-// end and accepts the server's end as the accept goroutine does — on Linux
-// only once raw has arrived: a raw non-blocking socket, as a subscriber the
+// end and accepts the server's end as the clock's hook does — on Linux only
+// once raw has arrived: a raw non-blocking socket, as a subscriber the
 // server has not read. The subscriber's socket is closed when the test
 // ends, if the server has not closed it.
 func accepted(t *testing.T, raw []byte) (*subscriber, *net.TCPConn) {
@@ -68,11 +85,15 @@ func accepted(t *testing.T, raw []byte) (*subscriber, *net.TCPConn) {
 	if _, err := cli.Write(raw); err != nil {
 		t.Fatal(err)
 	}
-	fd, peer, err := ln.next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := &subscriber{fd: fd, peer: peer, until: time.Now().Add(time.Minute)}
+	var sub *subscriber
+	waitFor(t, "the connection to queue", func() bool {
+		fd, peer, err := ln.accept(ln.fd)
+		if err != nil && err != syscall.EAGAIN {
+			t.Fatal(err)
+		}
+		sub = &subscriber{fd: fd, peer: peer, until: time.Now().Add(time.Minute)}
+		return err == nil
+	})
 	t.Cleanup(sub.close)
 	return sub, cli
 }
@@ -89,7 +110,8 @@ type session struct {
 }
 
 // admitSession admits a full viewing of video over a fresh loopback
-// connection as serveRequest does, and stops short of the handover.
+// connection as serveRequest does, and stops short of the handover. Call it
+// between ticks, as the clock's hook runs.
 func admitSession(t *testing.T, s *Server, video uint32) *session {
 	t.Helper()
 	return resumeSession(t, s, video, 0)
@@ -98,16 +120,12 @@ func admitSession(t *testing.T, s *Server, video uint32) *session {
 // resumeSession is admitSession from segment from.
 func resumeSession(t *testing.T, s *Server, video, from uint32) *session {
 	t.Helper()
-	var req bytes.Buffer
-	if err := wire.WriteFrame(&req, wire.Request{VideoID: video, FromSegment: from,
-		Version: wire.ProtoV2, Flags: wire.FlagNoReport}); err != nil {
-		t.Fatal(err)
-	}
-	sub, cli := accepted(t, req.Bytes())
+	req := requestBytes(t, video, from)
+	sub, cli := accepted(t, req)
 	waitFor(t, "the request to arrive", func() bool {
 		n, _ := readFD(sub.fd, sub.in[sub.n:])
 		sub.n += n
-		return sub.n == req.Len()
+		return sub.n == len(req)
 	})
 	sub.n = 0
 	info, err := s.admit(sub, video, from, nil)
@@ -119,7 +137,7 @@ func resumeSession(t *testing.T, s *Server, video, from uint32) *session {
 
 // admitBare admits a full viewing of video for a subscriber with no
 // socket, which is never handed over: it only gives the video instances to
-// share.
+// share, and the tick hangs it up after its last slot.
 func admitBare(t *testing.T, s *Server, video uint32) *subscriber {
 	t.Helper()
 	sub := &subscriber{fd: -1}
@@ -175,7 +193,7 @@ func readSegments(t *testing.T, r io.Reader) map[uint32]bool {
 // that tick's service pass hung up on it.
 func tickThroughLast(t *testing.T, s *Server, ss *session) {
 	t.Helper()
-	for slot := int64(ss.info.AdmitSlot); slot < ss.sub.lastSlot.Load(); slot++ {
+	for slot := int(ss.info.AdmitSlot); slot < ss.sub.lastSlot; slot++ {
 		tick(s)
 	}
 	if ss.sub.fd != -1 {
@@ -358,24 +376,157 @@ func TestDeadlineCutAfterShortDirectWrite(t *testing.T) {
 	assertNoFrameLeak(t, s)
 }
 
-// TestNoFrameBeforeScheduleInfo: a tick between admission and the handover
-// finds no writer lent, so its frame queues; the handover writes the
-// ScheduleInfo and that frame behind it in one write.
+// TestNoFrameBeforeScheduleInfo: the handover writes nothing, and the
+// ScheduleInfo rides the first flush, slot admit+1's: the first tick's one
+// vectored write carries it and that slot's frame behind it, so no frame
+// can precede it.
 func TestNoFrameBeforeScheduleInfo(t *testing.T) {
 	const segments = 4
 	s := startManualServer(t, VideoConfig{ID: 1, Segments: segments, SegmentBytes: 256})
 	ss := admitSession(t, s, 1)
-	tick(s)
-	if d := ss.sub.ring.Depth(); d != 1 {
-		t.Fatalf("ring depth %d after a tick before the handover, want the slot's frame queued", d)
-	}
 	ss.handOver(t, s)
-	if d := ss.sub.ring.Depth(); d != 0 {
-		t.Fatalf("ring depth %d after the handover, want its write to take the frame", d)
+	writes := new([]int)
+	ss.sub.ring.Write(boundaryWriter{t: t, sub: ss.sub, log: writes})
+	if err := ss.cli.SetReadDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := ss.cli.Read(make([]byte, 1)); n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("the client read %d bytes (%v) after the handover, want nothing before the first tick", n, err)
+	}
+	if err := ss.cli.SetReadDeadline(time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	tick(s)
+	if len(*writes) != 1 || ss.sub.head != nil {
+		t.Fatalf("the first tick made %d writes with %d ScheduleInfo bytes left, want one write of both", len(*writes), len(ss.sub.head))
 	}
 	tickThroughLast(t, s, ss)
 	if got := readSegments(t, ss.cli); len(got) != segments {
 		t.Fatalf("received segments %v, want all %d", got, segments)
+	}
+}
+
+// dial connects to s's session listener and sends raw; the connection
+// closes when the test ends.
+func dial(t *testing.T, s *Server, raw []byte) *net.TCPConn {
+	t.Helper()
+	c, err := net.Dial("tcp", s.ln.addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := c.(*net.TCPConn)
+	t.Cleanup(func() { cli.Close() })
+	if _, err := cli.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	return cli
+}
+
+// requestBytes encodes a request for video from segment from that owes no
+// report.
+func requestBytes(t *testing.T, video, from uint32) []byte {
+	t.Helper()
+	var req bytes.Buffer
+	if err := wire.WriteFrame(&req, wire.Request{VideoID: video, FromSegment: from,
+		Version: wire.ProtoV2, Flags: wire.FlagNoReport}); err != nil {
+		t.Fatal(err)
+	}
+	return req.Bytes()
+}
+
+// admittedByHook runs the clock's hook, within one slot, until it has
+// admitted a session on video 1, and returns its subscriber.
+func admittedByHook(t *testing.T, s *Server) *subscriber {
+	t.Helper()
+	var subs []*subscriber
+	waitFor(t, "the hook to admit the request", func() bool {
+		s.admitArrivals()
+		if r := s.videos[1].rec.Load(); r != nil {
+			subs = r.subs.Snapshot()
+		}
+		return len(subs) > 0
+	})
+	return subs[0]
+}
+
+// readFirstWrite reads a session's ScheduleInfo and the frames behind it
+// through the first SlotEnd, and returns the admit slot and that slot.
+func readFirstWrite(t *testing.T, cli *net.TCPConn) (admit, first int) {
+	t.Helper()
+	if err := cli.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(cli)
+	msg, err := wire.ReadFrame(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, ok := msg.(wire.ScheduleInfo)
+	if !ok {
+		t.Fatalf("first frame is %T, want the ScheduleInfo", msg)
+	}
+	for {
+		if msg, err = wire.ReadFrame(br); err != nil {
+			t.Fatal(err)
+		}
+		if end, ok := msg.(wire.SlotEnd); ok {
+			return int(info.AdmitSlot), int(end.Slot)
+		}
+	}
+}
+
+// TestArrivalAdmittedInItsSlot: a request already queued when the clock's
+// hook runs is admitted in the slot still current, and the tick that begins
+// the next slot writes its ScheduleInfo and that slot's frame in one
+// vectored write.
+func TestArrivalAdmittedInItsSlot(t *testing.T) {
+	s := startManualServer(t, VideoConfig{ID: 1, Segments: 4, SegmentBytes: 256})
+	for range 3 {
+		tick(s)
+	}
+	slot := s.station.Status().PerVideo[0].Slot
+	cli := dial(t, s, requestBytes(t, 1, 0))
+	sub := admittedByHook(t, s)
+	writes := new([]int)
+	sub.ring.Write(boundaryWriter{t: t, sub: sub, log: writes})
+	s.fanOut(s.station.AdvanceSlot())
+	if len(*writes) != 1 || sub.head != nil {
+		t.Fatalf("the first tick made %d writes with %d ScheduleInfo bytes left, want one write of both", len(*writes), len(sub.head))
+	}
+	if admit, first := readFirstWrite(t, cli); admit != slot || first != slot+1 {
+		t.Fatalf("admitted in slot %d, first frame for slot %d; want the slot still current, %d, and the next", admit, first, slot)
+	}
+}
+
+// TestPendingRequestAdmittedInItsSlot: a connection accepted before its
+// request is whole — darwin accepts one before any byte arrives; here the
+// client sends the first three bytes alone — waits in pending, each tick's
+// hook reads it again, and it is admitted in the slot the rest arrives in.
+func TestPendingRequestAdmittedInItsSlot(t *testing.T) {
+	s := startManualServer(t, VideoConfig{ID: 1, Segments: 4, SegmentBytes: 256})
+	req := requestBytes(t, 1, 0)
+	cli := dial(t, s, req[:3])
+	waitFor(t, "the hook to accept the connection", func() bool {
+		s.admitArrivals()
+		return len(s.pending) == 1
+	})
+	for range 3 {
+		tick(s)
+	}
+	if len(s.pending) != 1 || s.videos[1].rec.Load() != nil {
+		t.Fatalf("%d pending after three ticks, admitted %v: want the part request still pending", len(s.pending), s.videos[1].rec.Load() != nil)
+	}
+	slot := s.station.Status().PerVideo[0].Slot
+	if _, err := cli.Write(req[3:]); err != nil {
+		t.Fatal(err)
+	}
+	admittedByHook(t, s)
+	if len(s.pending) != 0 {
+		t.Fatalf("%d connections still pending after the admission", len(s.pending))
+	}
+	tick(s)
+	if admit, first := readFirstWrite(t, cli); admit != slot || first != slot+1 {
+		t.Fatalf("admitted in slot %d, first frame for slot %d; want the slot the rest arrived in, %d, and the next", admit, first, slot)
 	}
 }
 
@@ -392,9 +543,9 @@ func TestFirstFramesGoFirst(t *testing.T) {
 	fresh.handOver(t, s)
 	reports := s.station.AdvanceSlot()
 	slot := reports[0].Slot
-	s.slot.Store(int64(slot))
+	s.slot = slot
 	s.station.EachActive(s.walks[0])
-	if !fresh.sub.firstSent.Load() || fresh.sub.pushed != slot {
+	if !fresh.sub.firstSent || fresh.sub.pushed != slot {
 		t.Fatal("the first walk did not write the fresh session's first frame")
 	}
 	if steady.sub.pushed == slot {

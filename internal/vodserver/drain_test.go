@@ -20,7 +20,7 @@ func TestFailedWriteReleasesClosedRing(t *testing.T) {
 	s := startManualServer(t, VideoConfig{ID: 1, Segments: 4, SegmentBytes: 256})
 	ss := admitSession(t, s, 1)
 	ss.handOver(t, s)
-	for slot := int64(ss.info.AdmitSlot) + 1; slot < ss.sub.lastSlot.Load(); slot++ {
+	for slot := int(ss.info.AdmitSlot) + 1; slot < ss.sub.lastSlot; slot++ {
 		tick(s)
 	}
 	if err := ss.cli.SetLinger(0); err != nil {
@@ -68,7 +68,7 @@ func directFixture(tb testing.TB) (*fanout.Encoder, *subscriber) {
 	}
 	ct := conntrack.New(conntrack.Config{Registry: obs.NewRegistry()}).Register("", -1, 1, 8)
 	sub := &subscriber{fd: fd, ring: fanout.NewRing(8), admitted: time.Now(),
-		admitSlot: -1, ct: ct, srv: &Server{firstByte: obs.NewWindow(0)}}
+		ct: ct, srv: &Server{firstByte: obs.NewWindow(0)}}
 	sub.ring.Write(sub)
 	return enc, sub
 }
@@ -127,7 +127,7 @@ func TestDrainZeroAlloc(t *testing.T) {
 			sub.flush[k/64] |= 1 << (k % 64)
 		}
 	}
-	sub.lastSlot.Store(span)
+	sub.lastSlot = span
 	sub.rec = &videoRecord{}
 	var (
 		tally fanoutTally
@@ -155,41 +155,6 @@ func TestDrainZeroAlloc(t *testing.T) {
 	}
 	if tally.maxDepth != 0 {
 		t.Fatalf("a flush left ring depth %d, want 0", tally.maxDepth)
-	}
-}
-
-// TestWriteDirectFiltersAdmitSlot pins the admit-slot filter: frames at or
-// before the admit slot are done with unwritten — no write at all when
-// nothing else is due — and the frames past it are written whole.
-func TestWriteDirectFiltersAdmitSlot(t *testing.T) {
-	enc, sub := directFixture(t)
-	var frames []*fanout.Frame
-	for slot := 0; slot < 4; slot++ {
-		f, err := enc.EncodeSlot(1, slot, []int{1}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames = append(frames, f)
-	}
-	defer func() {
-		for _, f := range frames {
-			f.Release()
-		}
-	}()
-	// A closed descriptor makes any write fail, so a call that wrote shows.
-	fd := sub.fd
-	sub.fd, sub.admitSlot = int(^uint32(0)>>1), 3
-	done, sent := sub.WriteDirect(frames, 0)
-	if done != 4 || sent != 0 || sub.failed || sub.backlog {
-		t.Fatalf("every frame at or before the admit slot: done %d sent %d failed %v, want all done with no write", done, sent, sub.failed)
-	}
-	sub.fd, sub.admitSlot = fd, 1
-	done, sent = sub.WriteDirect(frames, 0)
-	if done != 4 || sent != 0 || sub.backlog {
-		t.Fatalf("frames past the admit slot: done %d sent %d backlog %v, want all written", done, sent, sub.backlog)
-	}
-	if !sub.firstSent.Load() {
-		t.Fatal("the first frame written whole did not latch the first byte")
 	}
 }
 

@@ -218,8 +218,8 @@ func TestE2EConntrackStallAttribution(t *testing.T) {
 		t.Fatalf("miss alert = %s, want inactive", st)
 	}
 
-	// A paused subscriber's blocked write hits its session deadline, its
-	// handler cuts it, and the drop counter attributes the disconnect by
+	// A paused subscriber's backlog is still queued at its session's bound,
+	// the tick cuts it, and the drop counter attributes the disconnect by
 	// the last published state: reason="stalled".
 	dropDeadline := time.Now().Add(30 * time.Second)
 	for s.Stats().Dropped < 1 {
@@ -263,7 +263,7 @@ func TestE2EConntrackStallAttribution(t *testing.T) {
 		t.Fatalf("resolution grew bundles to %d", got)
 	}
 
-	// Both handlers are gone without any client action.
+	// Both sessions are gone without any client action.
 	waitFor(t, "subscribers drained", func() bool {
 		return s.Stats().ActiveSubscribers == 0
 	})

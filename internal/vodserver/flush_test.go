@@ -18,9 +18,9 @@ import (
 )
 
 // The flush rule: the tick writes a session only when a deadline forces it.
-// Each test plays the handler's steps by hand on a built server and drives
-// every tick itself, as in direct_test.go, so the outcome depends on no
-// wall clock.
+// Each test admits and hands over its sessions by hand on a manual server
+// and drives every tick itself, as in direct_test.go, so the outcome depends
+// on no wall clock.
 
 // flushGroups is the flush rule worked by hand for one admission: the
 // slots a session's writes carry, one group per write. Walking the
@@ -70,9 +70,7 @@ func (w boundaryWriter) WriteDirect(frames []*fanout.Frame, skip int) (done, sen
 	}
 	n := 0
 	for _, f := range frames[:done] {
-		if f.Slot() > w.sub.admitSlot {
-			n += len(f.Bytes())
-		}
+		n += len(f.Bytes())
 	}
 	if n > 0 {
 		*w.log = append(*w.log, n)
@@ -219,7 +217,7 @@ func lateWrites(s *Server) int64 {
 // record and span tree carry the mark.
 func TestLateWritesCountStrictMisses(t *testing.T) {
 	const segments = 8
-	s := buildServer(t, Config{Videos: []VideoConfig{{ID: 1, Segments: segments, SegmentBytes: 64}},
+	s := manualServer(t, Config{Videos: []VideoConfig{{ID: 1, Segments: segments, SegmentBytes: 64}},
 		SlotDuration: time.Second, SpanSampleEvery: 1})
 	periods := cbrPeriods(segments)
 
@@ -236,18 +234,12 @@ func TestLateWritesCountStrictMisses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v := &viewer{ss: ss, stb: stb, br: bufio.NewReader(ss.cli)}
 		s.handOver(ss.sub, ss.info, wire.FlagNoReport, s.spans.StartSpan("admit"))
-		if msg, err := wire.ReadFrame(v.br); err != nil {
-			t.Fatal(err)
-		} else if _, ok := msg.(wire.ScheduleInfo); !ok {
-			t.Fatalf("first frame is %T, want the ScheduleInfo", msg)
-		}
-		return v
+		return &viewer{ss: ss, stb: stb, br: bufio.NewReader(ss.cli)}
 	}
-	// take reads v's stream through the SlotEnd of slot and feeds the STB
-	// every segment read as arriving in slot now, the slot whose tick the
-	// write completed after.
+	// take reads v's stream, the ScheduleInfo first, through the SlotEnd of
+	// slot and feeds the STB every segment read as arriving in slot now, the
+	// slot whose tick the write completed after.
 	take := func(v *viewer, slot, now int) {
 		var segs []int
 		for {
@@ -303,8 +295,8 @@ func TestLateWritesCountStrictMisses(t *testing.T) {
 	if n := s.mLateWrites[lateByRetry].Value(); n != 1 {
 		t.Fatalf("vod_late_writes_total{path=\"retry\"} = %v, want 1", n)
 	}
-	if !late.ss.sub.late.Load() || onTime.ss.sub.late.Load() {
-		t.Fatalf("late marks: late session %v, on-time session %v", late.ss.sub.late.Load(), onTime.ss.sub.late.Load())
+	if !late.ss.sub.late || onTime.ss.sub.late {
+		t.Fatalf("late marks: late session %v, on-time session %v", late.ss.sub.late, onTime.ss.sub.late)
 	}
 	s.ct.Sweep()
 	for _, row := range s.ct.Snapshot().Conns {
@@ -341,7 +333,7 @@ func TestHeldFramesClassifyHealthy(t *testing.T) {
 	ss := admitSession(t, s, 1)
 	ss.handOver(t, s)
 	for ss.sub.ring.Depth() == 0 {
-		if int64(s.station.Status().PerVideo[0].Slot) >= ss.sub.lastSlot.Load() {
+		if s.station.Status().PerVideo[0].Slot >= ss.sub.lastSlot {
 			t.Fatal("the session never held a frame")
 		}
 		tick(s)

@@ -5,15 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
-	"vodcast/internal/core"
-	"vodcast/internal/fanout"
 	"vodcast/internal/wire"
 )
 
@@ -147,73 +144,6 @@ func TestColdVideoStreamsLikeBoot(t *testing.T) {
 		if uint64(row.Slot)+1 < ticks {
 			t.Fatalf("video %s reports slot %d after tick %d: idle videos fell off the grid", row.Name, row.Slot, ticks)
 		}
-	}
-}
-
-// TestPlaceholderLastSlotStillRetires: an admission descheduled between
-// the scheduler call and the lastSlot store leaves a subscriber carrying the
-// MaxInt64 placeholder while the scheduler drains — a resume from the last
-// segment places one instance in the very next slot. The audience, not the
-// missing deadline, must hold the video active; once the admission stores
-// the real last slot the next tick retires the subscriber, closes its ring,
-// and the video goes idle. The test plays the admission's steps by hand to
-// hold it between the two, and pops the ring itself.
-func TestPlaceholderLastSlotStillRetires(t *testing.T) {
-	const segments = 6
-	s := startTestServer(t, VideoConfig{ID: 1, Segments: segments, SegmentBytes: 64})
-	v := s.videos[1]
-	r, err := s.record(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := &subscriber{fd: -1, ring: fanout.NewRing(256), admitted: time.Now(), srv: s,
-		rec: r, ct: s.ct.Register("", -1, 1, 256)}
-	sub.lastSlot.Store(math.MaxInt64)
-	if !r.subs.Add(sub) {
-		t.Fatal("subscriber set refused the registration")
-	}
-	res, err := s.station.Admit(v.idx, core.AdmitOptions{From: segments})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Placed != 1 {
-		t.Fatalf("resume from the last segment placed %d instances, want 1", res.Placed)
-	}
-	// The admission stalls past the instance's slot and two more ticks.
-	for s.station.Status().PerVideo[v.idx].Slot < res.Slot+4 {
-		time.Sleep(time.Millisecond)
-	}
-	if active, subs := s.station.Status().Active, r.subs.Len(); active != 1 || subs != 1 {
-		t.Fatalf("drained video with a placeholder subscriber: %d active videos, %d subscribers, want 1 and 1", active, subs)
-	}
-	// The admission resumes.
-	sub.lastSlot.Store(int64(res.Slot + 1))
-
-	var frames []*fanout.Frame
-	next, delivered := -1, false
-	for open := true; open; time.Sleep(time.Millisecond) {
-		frames, open = sub.ring.PopAll(frames[:0])
-		for _, f := range frames {
-			if next >= 0 && f.Slot() != next {
-				t.Errorf("frame for slot %d, want %d: one frame per slot until retirement", f.Slot(), next)
-			}
-			next = f.Slot() + 1
-			payload := wire.SegmentPayload(1, segments, 64)
-			if f.Slot() == res.Slot+1 && f.PayloadBytes() == int64(len(payload)) && bytes.Contains(f.Bytes(), payload) {
-				delivered = true
-			}
-			f.Release()
-		}
-	}
-	if !delivered {
-		t.Fatalf("slot %d never carried segment %d", res.Slot+1, segments)
-	}
-	if sub.ring.Depth() != 0 || r.subs.Len() != 0 {
-		t.Fatalf("subscriber not retired cleanly: %d frames queued past closure, %d still subscribed", sub.ring.Depth(), r.subs.Len())
-	}
-	waitIdle(t, s, 0)
-	if got := channelLoad(t, s, 1); got != 0 {
-		t.Fatalf("vod_channel_load = %v once idle, want 0", got)
 	}
 }
 

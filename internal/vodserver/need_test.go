@@ -4,21 +4,18 @@ import (
 	"bufio"
 	"errors"
 	"io"
-	"math"
 	"runtime"
 	"slices"
 	"testing"
-	"time"
 
 	"vodcast/internal/client"
 	"vodcast/internal/core"
-	"vodcast/internal/fanout"
 	"vodcast/internal/wire"
 )
 
 // The tick writes a subscriber only the slots that carry its instances and
-// its last slot. Each test plays the accept goroutine's steps by hand on a
-// built server and drives every tick itself, as in direct_test.go.
+// its last slot. Each test admits and hands over its sessions by hand on a
+// manual server and drives every tick itself, as in direct_test.go.
 
 // assignedPlusLast is the set of slots a session with the given admission
 // is written, in order: the serving slot of each of its segments and its
@@ -144,82 +141,6 @@ func TestWrittenSlotsAreAssignedPlusLast(t *testing.T) {
 	}
 	if skipped == 0 {
 		t.Fatal("no session skipped a slot: the admissions share nothing")
-	}
-	s.Close()
-	assertNoFrameLeak(t, s)
-}
-
-// TestUnpublishedNeedSetGetsEverySlot: an admission descheduled between the
-// scheduler call and the lastSlot store leaves its subscriber on the MaxInt64
-// placeholder, with no need set the tick may read. Until the store, the
-// tick hands it every slot's frame, needed or not; from the store on, only
-// the slots its admission assigned and its last. An earlier full viewing
-// gives the video instances to share, so both phases carry a slot the
-// subscriber does not need.
-func TestUnpublishedNeedSetGetsEverySlot(t *testing.T) {
-	const segments = 8
-	s := startManualServer(t, VideoConfig{ID: 1, Segments: segments, SegmentBytes: 64})
-	v := s.videos[1]
-	r, err := s.record(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.station.Admit(v.idx, core.AdmitOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	for range 5 {
-		tick(s)
-	}
-	const slots = segments + 1
-	sub := &subscriber{fd: -1, ring: fanout.NewRing(2 * slots), admitted: time.Now(), srv: s,
-		rec: r, ct: s.ct.Register("", -1, 1, 2*slots)}
-	sub.lastSlot.Store(math.MaxInt64)
-	if !r.subs.Add(sub) {
-		t.Fatal("subscriber set refused the registration")
-	}
-	t.Cleanup(func() { s.unsubscribe(sub) })
-	res, err := s.station.Admit(v.idx, core.AdmitOptions{WantAssignment: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	need := assignedPlusLast(res, 1, cbrPeriods(segments))
-	// The admission stalls until the last unneeded slot but one has passed.
-	var unneeded []int
-	for slot := res.Slot + 1; slot <= need[len(need)-1]; slot++ {
-		if !slices.Contains(need, slot) {
-			unneeded = append(unneeded, slot)
-		}
-	}
-	if len(unneeded) < 2 {
-		t.Fatalf("slots %v leave %d unneeded, want 2 or more", need, len(unneeded))
-	}
-	publish := unneeded[len(unneeded)-2]
-	var want []int
-	for slot := res.Slot + 1; slot <= need[len(need)-1]; slot++ {
-		if slot <= publish || slices.Contains(need, slot) {
-			want = append(want, slot)
-		}
-	}
-	for s.station.Status().PerVideo[v.idx].Slot < publish {
-		tick(s)
-	}
-	sub.need, sub.flush = needFlushSets(res.Assignment, 1, res.Slot, r.wirePeriods, make([]int, slots))
-	sub.needFrom = res.Slot
-	sub.lastSlot.Store(int64(need[len(need)-1]))
-	for s.station.Status().PerVideo[v.idx].Slot < need[len(need)-1] {
-		tick(s)
-	}
-	var got []int
-	var frames []*fanout.Frame
-	for open := true; open; {
-		frames, open = sub.ring.PopAll(frames[:0])
-		for _, f := range frames {
-			got = append(got, f.Slot())
-			f.Release()
-		}
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("frames for slots %v, want every slot through %d, then only %v", got, publish, need)
 	}
 	s.Close()
 	assertNoFrameLeak(t, s)

@@ -55,11 +55,29 @@ func controlFD(t *testing.T, raw syscall.RawConn) int {
 	return fd
 }
 
-// TestSessionSocketsStayOutOfThePoller pins what a session's single wake-up
-// rests on: while sessions stream, the runtime poller watches the session
-// listener and the stats listener, and none of the session sockets. A
-// session socket in the poller would cost a registration and a wake-up per
-// readiness change even if nothing ever waited on it.
+// timerFDs returns the process's timerfd descriptors.
+func timerFDs(t *testing.T) []int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot list fds: %v", err)
+	}
+	var fds []int
+	for _, e := range ents {
+		if link, err := os.Readlink("/proc/self/fd/" + e.Name()); err == nil && link == "anon_inode:[timerfd]" {
+			fd, _ := strconv.Atoi(e.Name())
+			fds = append(fds, fd)
+		}
+	}
+	return fds
+}
+
+// TestSessionSocketsStayOutOfThePoller pins what the one serving goroutine
+// rests on: while sessions stream, the runtime poller watches the stats
+// listener and the clock's timerfd, and neither the session listener, which
+// the clock accepts on once a slot, nor any session socket. A socket in the
+// poller would cost a registration and a wake-up per readiness change even
+// if nothing ever waited on it.
 func TestSessionSocketsStayOutOfThePoller(t *testing.T) {
 	const sessions = 4
 	s, err := Start(Config{
@@ -71,7 +89,7 @@ func TestSessionSocketsStayOutOfThePoller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closeNoFrameLeak(t, s)
+	defer s.Close()
 	for range sessions {
 		conn, err := net.Dial("tcp", s.Addr())
 		if err != nil {
@@ -97,14 +115,22 @@ func TestSessionSocketsStayOutOfThePoller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, fd := range map[string]int{"session": controlFD(t, s.ln.raw), "stats": controlFD(t, statsRaw)} {
-		if !registered[fd] {
-			t.Fatalf("the %s listener (fd %d) is not in the poller: registrations %v", name, fd, registered)
-		}
+	if fd := controlFD(t, statsRaw); !registered[fd] {
+		t.Fatalf("the stats listener (fd %d) is not in the poller: registrations %v", fd, registered)
+	}
+	timers := timerFDs(t)
+	if len(timers) != 1 || !registered[timers[0]] {
+		t.Fatalf("timerfds %v, want the clock's one, in the poller: registrations %v", timers, registered)
+	}
+	if registered[s.ln.fd] {
+		t.Fatalf("the session listener (fd %d) is registered in the poller", s.ln.fd)
 	}
 	for _, sub := range subs {
 		if registered[sub.fd] {
 			t.Fatalf("session socket fd %d is registered in the poller", sub.fd)
 		}
 	}
+	// Close before the clients hang up, or the clock, which closes a session
+	// whose client went away, would race the reads of sub.fd above.
+	closeNoFrameLeak(t, s)
 }

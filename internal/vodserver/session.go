@@ -1,13 +1,17 @@
 package vodserver
 
-// This file is one connection's life, which no goroutine of its own serves.
-// The socket is a raw non-blocking descriptor outside the runtime poller.
-// The accept goroutine reads the request (on Linux accept waits for it),
-// admits it and writes the ScheduleInfo; a request not yet whole is retried
-// by the clock before it advances, so one that arrives in slot i is still
-// admitted in slot i. From then on the tick writes the session, retries a
-// short write, cuts it at its bound, reads its report and closes it (tick.go):
-// a session wakes the server once, at its accept.
+// This file is one connection's life, which no goroutine of its own serves:
+// the slot clock is the only goroutine that touches a session. Its socket is
+// a raw non-blocking descriptor outside the runtime poller, as is the
+// listener it came from. As each slot ends, just before the clock advances,
+// the clock accepts every connection queued on the listener (on Linux the
+// kernel queues one only once its request has arrived), reads each request
+// and admits it, and retries the requests an earlier tick found incomplete
+// (admitArrivals). A request that arrives in slot i is therefore admitted in
+// slot i, as it would be on arrival: DHB places it only in slots i+1 and
+// later. From then on the tick writes the session, its ScheduleInfo ahead of
+// its first frame, retries a short write, cuts it at its bound, reads its
+// report and closes it (tick.go).
 //
 // A session is written only when a deadline forces it. The set-top box
 // buffers every segment that arrives before its consumption slot, so an
@@ -23,14 +27,10 @@ package vodserver
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"math"
 	"math/bits"
-	"net"
 	"slices"
 	"strconv"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -41,9 +41,11 @@ import (
 	"vodcast/internal/wire"
 )
 
+// subscriber is one session. The clock goroutine owns every field: during a
+// tick's walks the span worker whose span holds the session's video stands
+// in for it, and the pool's join orders the two.
 type subscriber struct {
-	// fd is the session's socket, -1 once closed: the accept goroutine's
-	// until the handover (handed), the tick's from then on.
+	// fd is the session's socket, -1 once closed.
 	fd   int
 	peer syscall.Sockaddr
 	// in buffers what the client sends, n bytes of it read: the request,
@@ -53,22 +55,17 @@ type subscriber struct {
 	// until bounds the request read and, once admitted, the writes and the
 	// report read: the last segment deadline plus the read bound.
 	until time.Time
-	// head is the ScheduleInfo's unsent rest, written ahead of any frame.
+	// head is the ScheduleInfo's unsent rest, written ahead of the frames.
 	head []byte
 	// ring queues shared frame references for WriteDirect. The tick closes
 	// it at lastSlot, so it never holds more than the subscription's span.
 	ring *fanout.Ring
-	// lastSlot is the final slot this subscriber needs. It starts at
-	// math.MaxInt64 (registration precedes admission) and is stored once,
-	// after the admission reaches the scheduler; tick workers read it
-	// lock-free.
-	lastSlot atomic.Int64
+	// lastSlot is the final slot this subscriber needs.
+	lastSlot int
 	// need is the set of slots that carry an instance assigned to this
 	// subscriber and flush the slots whose tick makes its held frames due
 	// (needFlushSets); bit k marks slot needFrom+k, needFrom being the admit
-	// slot. The two share one allocation. admit writes them before it
-	// stores lastSlot, which publishes them: tick workers read them only
-	// after a load that is not the placeholder (wants).
+	// slot. The two share one allocation.
 	need, flush []uint64
 	needFrom    int
 	// admitted stamps the admission for the first-byte latency window.
@@ -79,34 +76,30 @@ type subscriber struct {
 	// state as the disconnect reason.
 	ct  *conntrack.Conn
 	iov []iovec // WriteDirect's scratch
-	// admitSlot, wait, root and trace are set before the handover: the
-	// admit-slot filter, the spans the first frame written whole ends, and
-	// the trace id the report must echo.
-	admitSlot  int
+	// wait, root and trace are set at the handover: the spans the first
+	// frame written whole ends, and the trace id the report must echo.
 	wait, root *obs.Span
 	trace      uint64
-	// firstSent latches once the session's first frame is written whole.
-	firstSent atomic.Bool
 	// srv is the server, for the first-byte window and the late-write count
-	// and marks (wrote); late latches at the session's first late write.
-	srv  *Server
-	late atomic.Bool
-	// handed latches at the handover. backlog reports that the last write
+	// and marks (wrote).
+	srv *Server
+	// firstSent latches once the session's first frame is written whole,
+	// late at its first late write. backlog reports that the last write
 	// left bytes unsent, failed that it met an error other than a full
-	// socket; WriteDirect sets both, and the tick reads them once handed.
-	handed          atomic.Bool
-	backlog, failed bool
-	// The tick alone touches the rest: pushed, the last slot it handed the
-	// subscriber (0 before any), and the service pass's state (tend).
+	// socket; WriteDirect sets both.
+	firstSent, late, backlog, failed bool
+	// pushed is the last slot the tick handed the subscriber (0 before any);
+	// the rest is the service pass's state (tend).
 	pushed                               int
 	listed, retired, reading, wantReport bool
 }
 
 // WriteDirect is the session's write (fanout.Writer): one non-blocking
 // vectored write of the ScheduleInfo's unsent rest and of frames, skip bytes
-// into the first. A full socket costs one EAGAIN; what is not finished stays
-// queued for the next flush or retry. A frame at or before the admit slot is
-// done with unwritten: the customer's service starts one slot after it.
+// into the first. The ring calls it only with frames due, so the
+// ScheduleInfo leaves with the first flush, at slot admit+1. A full socket
+// costs one EAGAIN; what is not finished stays queued for the next flush or
+// retry.
 func (sub *subscriber) WriteDirect(frames []*fanout.Frame, skip int) (done, sent int) {
 	path := lateByTick
 	if sub.backlog {
@@ -117,16 +110,17 @@ func (sub *subscriber) WriteDirect(frames []*fanout.Frame, skip int) (done, sent
 		iov = append(iov, makeIovec(sub.head))
 	}
 	for i, f := range frames {
-		if f.Slot() > sub.admitSlot && len(iov) < maxIOV {
-			b := f.Bytes()
-			if i == 0 {
-				b = b[skip:]
-			}
-			iov = append(iov, makeIovec(b))
+		if len(iov) == maxIOV {
+			break
 		}
+		b := f.Bytes()
+		if i == 0 {
+			b = b[skip:]
+		}
+		iov = append(iov, makeIovec(b))
 	}
 	n := 0
-	if len(iov) > 0 && !sub.failed {
+	if !sub.failed {
 		var err error
 		n, err = writev(sub.fd, iov)
 		sub.failed = err != nil && err != syscall.EAGAIN
@@ -142,32 +136,25 @@ func (sub *subscriber) WriteDirect(frames []*fanout.Frame, skip int) (done, sent
 		n -= h
 		sub.head = nil
 	}
-	whole, first := 0, 0
 	var bytes int64
 	for i, f := range frames {
-		if f.Slot() > sub.admitSlot {
-			b := len(f.Bytes())
-			if i == 0 {
-				b -= skip
-			}
-			if n < b {
-				if sent = n; i == 0 {
-					sent += skip
-				}
-				break
-			}
-			n -= b
-			bytes += int64(b)
-			if whole == 0 {
-				first = f.Slot()
-			}
-			whole++
+		b := len(f.Bytes())
+		if i == 0 {
+			b -= skip
 		}
+		if n < b {
+			if sent = n; i == 0 {
+				sent += skip
+			}
+			break
+		}
+		n -= b
+		bytes += int64(b)
 		done++
 	}
 	sub.backlog = done < len(frames) || sub.failed
-	if whole > 0 {
-		sub.wrote(whole, bytes, first, path)
+	if done > 0 {
+		sub.wrote(done, bytes, frames[0].Slot(), path)
 	}
 	return done, sent
 }
@@ -183,7 +170,8 @@ const maxIOV = 1024
 // that completed after its deadline passed (checkLate).
 func (sub *subscriber) wrote(frames int, n int64, first int, path latePath) {
 	sub.ct.RecordDrain(frames, n)
-	if sub.firstSent.CompareAndSwap(false, true) {
+	if !sub.firstSent {
+		sub.firstSent = true
 		sub.srv.firstByte.Observe(time.Since(sub.admitted).Seconds())
 		sub.wait.End()
 		sub.root.End()
@@ -202,28 +190,26 @@ func (sub *subscriber) checkLate(first int, path latePath) {
 		return
 	}
 	due := sub.deadline(first)
-	now := int(sub.srv.slot.Load())
-	if now <= due {
-		return
-	}
 	s := sub.srv
-	s.mLateWrites[path].Inc()
-	if !sub.late.CompareAndSwap(false, true) {
+	if s.slot <= due {
 		return
 	}
+	s.mLateWrites[path].Inc()
+	if sub.late {
+		return
+	}
+	sub.late = true
 	sub.ct.RecordLate()
 	if id := sub.root.ID(); id != 0 {
 		s.spans.RecordChild(id, "late_write", s.spans.Now(), 0, sub.rec.id, map[string]string{
-			"path": path.String(), "deadline": strconv.Itoa(due), "slot": strconv.Itoa(now)})
+			"path": path.String(), "deadline": strconv.Itoa(due), "slot": strconv.Itoa(s.slot)})
 	}
 }
 
-// deadline is the first flush slot at or after slot: the slot by which a
-// frame for slot is written. A slot at or before the admit slot, which the
-// write skips, reads as the first flush slot, admit+1. The sets are
-// published (lastSlot is stored) before the handover.
+// deadline is the first flush slot at or after slot, which is past the
+// admit slot: the slot by which a frame for slot is written.
 func (sub *subscriber) deadline(slot int) int {
-	k := max(slot-sub.needFrom, 0)
+	k := slot - sub.needFrom
 	for w := k / 64; w < len(sub.flush); w++ {
 		word := sub.flush[w]
 		if w == k/64 {
@@ -233,24 +219,20 @@ func (sub *subscriber) deadline(slot int) int {
 			return sub.needFrom + 64*w + bits.TrailingZeros64(word)
 		}
 	}
-	return int(sub.lastSlot.Load())
+	return sub.lastSlot
 }
 
-// wants reports what the tick does with slot's frame for sub: want is
-// whether the slot carries an instance assigned to the subscriber, flush
-// whether its held frames are due. Every slot is both while lastSlot is
-// still the placeholder, and so is the last, whose tick retires the
-// subscriber. A slot not wanted carries none of the customer's assigned
-// instances; its set-top box settles it as empty (client.STB.ObserveSlot).
+// wants reports what the tick does with slot's frame for sub, slot being
+// past the admit slot: want is whether the slot carries an instance assigned
+// to the subscriber, flush whether its held frames are due. The last slot,
+// whose tick retires the subscriber, is both. A slot not wanted carries none
+// of the customer's assigned instances; its set-top box settles it as empty
+// (client.STB.ObserveSlot).
 func (sub *subscriber) wants(slot int) (want, flush bool) {
-	last := sub.lastSlot.Load()
-	if last == math.MaxInt64 || int64(slot) >= last {
+	if slot >= sub.lastSlot {
 		return true, true
 	}
 	k := slot - sub.needFrom
-	if k < 0 {
-		return false, false
-	}
 	bit := uint64(1) << (k % 64)
 	return sub.need[k/64]&bit != 0, sub.flush[k/64]&bit != 0
 }
@@ -289,41 +271,6 @@ func needFlushSets(assignment []int, from, admitSlot int, periods []uint32, due 
 	return need, flush
 }
 
-// acceptSessions reads and serves the listener's connections until Close
-// closes it. Any other accept error — EMFILE in a burst, say — leaves the
-// listener readable, so the loop backs off, 5 ms doubling to at most a
-// second as net/http's Server.Serve does: it never ends service or spins.
-func (s *Server) acceptSessions() {
-	defer s.wg.Done()
-	var backoff time.Duration
-	for {
-		fd, peer, err := s.ln.next()
-		switch {
-		case err == nil:
-			// The request normally arrived with the connection
-			// (deferAccept); one that has not waits for the clock's retry.
-			backoff = 0
-			sub := &subscriber{fd: fd, peer: peer, until: time.Now().Add(s.readTimeout())}
-			if !s.readRequest(sub) {
-				s.pendMu.Lock()
-				s.pending = append(s.pending, sub)
-				s.pendMu.Unlock()
-			}
-		case errors.Is(err, net.ErrClosed):
-			return
-		case err == syscall.ECONNABORTED || err == syscall.EINTR:
-			// The client gave up before accept: nothing to back off from.
-		default:
-			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
-			select {
-			case <-time.After(backoff):
-			case <-s.done:
-				return
-			}
-		}
-	}
-}
-
 // readBufferSize fits a request and a client report together (33 + 91
 // bytes), the only frames a client sends.
 const readBufferSize = 128
@@ -335,12 +282,17 @@ func (s *Server) readTimeout() time.Duration {
 	return max(4*s.cfg.SlotDuration, time.Second)
 }
 
-// retryRequests runs on the clock before each advance: it reads on the
-// connections whose request had not arrived whole, so one that has since
-// arrived is admitted in the slot it arrived in.
-func (s *Server) retryRequests() {
-	s.pendMu.Lock()
-	defer s.pendMu.Unlock()
+// admitArrivals is the clock's hook, run while the slot is still current,
+// just before the advance. It retries the connections whose request had not
+// all arrived, then accepts every connection queued on the listener and
+// reads its request: each request whole by now is admitted in this slot,
+// and the rest wait in pending for the next tick. An accept error other than
+// an empty queue or a client that gave up — EMFILE in a burst, say — ends
+// this tick's accepting, and the next tick tries again. It also stamps the
+// tick's start, from which vod_fanout_seconds counts.
+func (s *Server) admitArrivals() {
+	now := time.Now()
+	s.tickStart = now
 	keep := s.pending[:0]
 	for _, sub := range s.pending {
 		if !s.readRequest(sub) {
@@ -349,6 +301,19 @@ func (s *Server) retryRequests() {
 	}
 	clear(s.pending[len(keep):])
 	s.pending = keep
+	for {
+		fd, peer, err := s.ln.accept(s.ln.fd)
+		switch {
+		case err == nil:
+			sub := &subscriber{fd: fd, peer: peer, until: now.Add(s.readTimeout())}
+			if !s.readRequest(sub) {
+				s.pending = append(s.pending, sub)
+			}
+		case err == syscall.ECONNABORTED || err == syscall.EINTR:
+		default:
+			return
+		}
+	}
 }
 
 // readRequest reads what has arrived of sub's request and serves it once
@@ -418,10 +383,10 @@ func (s *Server) serveRequest(sub *subscriber, req wire.Request) {
 	s.handOver(sub, info, req.Flags, root)
 }
 
-// handOver writes an admitted session's ScheduleInfo, with any frame a tick
-// already made due behind it (a short write's rest rides the next flush),
-// and hands the session to the tick. flags alone decide whether the session
-// owes a report and carries trace ids.
+// handOver hands an admitted session to the tick: it encodes the
+// ScheduleInfo, which WriteDirect sends ahead of the first frame, and lends
+// the ring the session's write, with nothing due yet. flags alone decide
+// whether the session owes a report and carries trace ids.
 func (s *Server) handOver(sub *subscriber, info wire.ScheduleInfo, flags uint16, root *obs.Span) {
 	sub.wantReport = flags&wire.FlagNoReport == 0
 	if flags&wire.FlagNoTrace == 0 {
@@ -432,9 +397,8 @@ func (s *Server) handOver(sub *subscriber, info wire.ScheduleInfo, flags uint16,
 	var head bytes.Buffer
 	_ = wire.WriteFrame(&head, info) // it cannot fail: admit built info from a validated catalogue
 	sub.head, sub.trace = head.Bytes(), info.TraceID
-	sub.admitSlot, sub.wait, sub.root = int(info.AdmitSlot), root.Child("first_byte_wait"), root
+	sub.wait, sub.root = root.Child("first_byte_wait"), root
 	sub.ring.Write(sub)
-	sub.handed.Store(true)
 }
 
 // reject answers a request the server refuses with an ErrorMsg, one
@@ -461,20 +425,14 @@ func (s *Server) readReport(sub *subscriber) bool {
 	return msg != nil || !wait
 }
 
-// admit registers a subscription and admits the request through the
-// station. fromSegment above 1 resumes interactive playback there (0 and 1
-// mean a full viewing).
+// admit admits a request through the station and registers its
+// subscription. fromSegment above 1 resumes interactive playback there (0
+// and 1 mean a full viewing).
 //
-// The subscription is registered BEFORE the admission reaches the
-// scheduler, so the subscriber provably receives every slot after the admit
-// slot that it needs: the clock begins the next slot, whose frame carries
-// the customer's first segment, only after the admission completes, which
-// is after registration. Until the need set is published the tick pushes
-// every slot; slots at or before the admit slot are discarded in
-// WriteDirect (the set-top box ignores them anyway — its service starts one
-// slot after admission). This keeps scheduling entirely
-// off the server-wide mutex: concurrent admissions for different videos
-// proceed in parallel.
+// It runs on the clock, before the advance: the admission lands in the slot
+// still current, and the subscriber joins its video's set whole — its need
+// and flush sets and its last slot final — before the tick that begins the
+// next slot, whose frame carries the customer's first segment.
 //
 // root, when sampled, gains a station_admit child covering the scheduler
 // call (whose lock wait and service time the station's stage summaries
@@ -495,28 +453,7 @@ func (s *Server) admit(sub *subscriber, videoID, fromSegment uint32, root *obs.S
 	if from > v.cfg.Segments {
 		return info, fmt.Errorf("resume segment %d beyond %d", from, v.cfg.Segments)
 	}
-	rec, err := s.record(v)
-	if err != nil {
-		return info, err
-	}
-	// The subscription spans the admit slot through its last deadline: the
-	// largest shifted period of the remaining suffix.
-	slots := rec.maxPeriod[v.cfg.Segments-from+1] + 1
-	sub.ring, sub.admitted, sub.rec, sub.srv = fanout.NewRing(slots), time.Now(), rec, s
-	sub.lastSlot.Store(math.MaxInt64)
-	// Telemetry registration precedes publication into the subscriber set:
-	// tick workers read sub.ct lock-free from snapshots, so the field must
-	// be settled before Add makes the subscriber visible.
-	var remote string
-	if sub.peer != nil {
-		remote = tcpAddr(sub.peer).String()
-	}
-	sub.ct = s.ct.Register(remote, sub.fd, videoID, slots)
-	if !rec.subs.Add(sub) {
-		s.ct.Unregister(sub.ct)
-		return info, errShuttingDown
-	}
-
+	rec := s.record(v)
 	// The serving-slot vector is n+1 ints, 8 KB on a 1000-segment video, so
 	// admissions share pooled buffers, which also carry needFlushSets'
 	// per-slot scratch past the vector; only the sets built from them are
@@ -536,25 +473,27 @@ func (s *Server) admit(sub *subscriber, videoID, fromSegment uint32, root *obs.S
 	}
 	span.End()
 	if err != nil {
-		s.unsubscribe(sub)
 		return info, err
 	}
+	// The subscription spans the admit slot through its last deadline: the
+	// largest shifted period of the remaining suffix. It ends once that
+	// deadline passes, within slots slot durations of the admission.
 	admitSlot := res.Slot
+	slots := rec.maxPeriod[v.cfg.Segments-from+1] + 1
 	*buf = slices.Grow(res.Assignment, slots)
 	n := len(res.Assignment)
-
-	// The subscription ends once the customer's last deadline passes. The
-	// store is harmless when a concurrent shutdown already removed the
-	// subscriber — its ring is closed and further pushes fail — and tick
-	// workers that read the placeholder MaxInt64 this slot retire the
-	// subscriber one snapshot later. The admit slot ends within one slot
-	// duration of the admission, so the last deadline passes within slots
-	// slot durations of it. The need and flush sets are written first, and
-	// the store publishes them to the tick workers.
 	sub.need, sub.flush = needFlushSets((*buf)[:n], from, admitSlot, rec.wirePeriods, (*buf)[n:n+slots])
-	sub.needFrom = admitSlot
-	sub.lastSlot.Store(int64(admitSlot + slots - 1))
+	sub.needFrom, sub.lastSlot = admitSlot, admitSlot+slots-1
+	sub.ring, sub.admitted, sub.rec, sub.srv = fanout.NewRing(slots), time.Now(), rec, s
 	sub.until = sub.admitted.Add(time.Duration(slots)*s.cfg.SlotDuration + s.readTimeout())
+	var remote string
+	if sub.peer != nil {
+		remote = tcpAddr(sub.peer).String()
+	}
+	sub.ct = s.ct.Register(remote, sub.fd, videoID, slots)
+	// Close takes the sets over only once the clock, the one admitter, has
+	// stopped, so Add cannot refuse.
+	rec.subs.Add(sub)
 	s.mRequests.Inc()
 
 	info = wire.ScheduleInfo{
@@ -581,7 +520,7 @@ func (s *Server) unsubscribe(sub *subscriber) {
 	sub.ring.Drop()
 }
 
-// hangUp ends a handed-over session, on the tick or, once the clock has
+// hangUp ends an admitted session, on the tick or, once the clock has
 // stopped, on Close: it unsubscribes, ends the admit spans of a session
 // whose first byte never went out, and closes the socket. Idempotent.
 func (s *Server) hangUp(sub *subscriber) {

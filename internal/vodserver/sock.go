@@ -3,16 +3,15 @@ package vodserver
 import (
 	"context"
 	"net"
-	"os"
 	"syscall"
 )
 
-// listener is the session listener: a raw non-blocking socket whose own
-// readiness is all the runtime poller watches. The connections it accepts
-// never enter the poller: the tick writes and reads them directly.
+// listener is the session listener: a raw non-blocking listening socket
+// outside the runtime poller. Nothing waits on it: the slot clock accepts
+// what has queued on it once a slot, and the connections it accepts stay
+// outside the poller too.
 type listener struct {
-	f    *os.File
-	raw  syscall.RawConn
+	fd   int
 	addr *net.TCPAddr
 	// accept takes one connection off the listening socket fd: acceptConn,
 	// which a test may wrap to inject failures.
@@ -21,8 +20,8 @@ type listener struct {
 
 // listen binds a listener on address, as net.Listen does, with
 // listenOptions set, and takes its socket out of the net package: a
-// duplicate descriptor, non-blocking like the original, in an *os.File the
-// poller watches. Every error path closes what it opened.
+// duplicate descriptor, non-blocking like the original, which the poller
+// does not watch. Every error path closes what it opened.
 func listen(address string) (*listener, error) {
 	lc := net.ListenConfig{Control: func(_, _ string, c syscall.RawConn) error {
 		var err error
@@ -36,16 +35,18 @@ func listen(address string) (*listener, error) {
 		return nil, err
 	}
 	defer nl.Close() // the duplicate keeps the socket listening
-	f, err := nl.(*net.TCPListener).File()
+	raw, err := nl.(*net.TCPListener).SyscallConn()
 	if err != nil {
 		return nil, err
 	}
-	raw, err := f.SyscallConn()
+	fd := -1
+	if cerr := raw.Control(func(lfd uintptr) { fd, err = dupFD(int(lfd)) }); cerr != nil {
+		return nil, cerr
+	}
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	return &listener{f: f, raw: raw, addr: nl.Addr().(*net.TCPAddr), accept: acceptConn}, nil
+	return &listener{fd: fd, addr: nl.Addr().(*net.TCPAddr), accept: acceptConn}, nil
 }
 
 // tcpAddr converts a socket address to the net package's.
@@ -59,19 +60,7 @@ func tcpAddr(sa syscall.Sockaddr) *net.TCPAddr {
 	return &net.TCPAddr{}
 }
 
-// next waits for a connection and takes it off the listener: a raw
-// non-blocking descriptor and its peer. The error is accept's, or
-// net.ErrClosed once Close closed the listener.
-func (ln *listener) next() (fd int, peer syscall.Sockaddr, err error) {
-	werr := ln.raw.Read(func(lfd uintptr) bool {
-		fd, peer, err = ln.accept(int(lfd))
-		return err != syscall.EAGAIN
-	})
-	if werr != nil {
-		return -1, nil, net.ErrClosed
-	}
-	return fd, peer, err
-}
-
-// Close closes the listening socket, waking a next that waits.
-func (ln *listener) Close() error { return ln.f.Close() }
+// Close closes the listening socket. Its caller makes sure no accept is
+// running on it: a descriptor closed under a running accept may already
+// name another file by the time the accept starts.
+func (ln *listener) Close() { closeFD(ln.fd) }

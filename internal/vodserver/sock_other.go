@@ -28,4 +28,6 @@ func readFD(int, []byte) (int, error) { return 0, errUnsupported }
 
 func writeFD(int, []byte) {}
 
+func dupFD(int) (int, error) { return -1, errUnsupported }
+
 func closeFD(int) {}

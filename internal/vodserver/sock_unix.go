@@ -38,6 +38,18 @@ func writeFD(fd int, b []byte) {
 	syscall.Write(fd, b)
 }
 
+// dupFD duplicates fd, close-on-exec: the new descriptor shares the
+// original's socket and its non-blocking mode.
+func dupFD(fd int) (int, error) {
+	syscall.ForkLock.RLock()
+	defer syscall.ForkLock.RUnlock()
+	nfd, err := syscall.Dup(fd)
+	if err == nil {
+		syscall.CloseOnExec(nfd)
+	}
+	return nfd, err
+}
+
 // closeFD closes fd; a socket's close error leaves nothing to do.
 func closeFD(fd int) {
 	syscall.Close(fd)

@@ -3,12 +3,13 @@
 // transmissions with the DHB scheduler in real time, and pushes the segment
 // payloads of every broadcast instance to the subscribed set-top boxes.
 //
-// Scheduling is delegated to the internal/station engine: one DHB scheduler
-// per video, each behind its own lock, so admissions for different videos
-// proceed in parallel. The station's clock goroutine drives the slot grid
-// and hands each slot, as it begins, to the fan-out path, which walks the
-// catalogue over the station's spans: a customer admitted in slot i gets
-// its first segment as slot i+1 begins.
+// Scheduling is delegated to the internal/station engine, one DHB scheduler
+// per video. The station's clock goroutine drives the slot grid and serves
+// every session: as a slot ends it accepts and admits the requests that
+// arrived in it, and as the next begins it hands that slot to the fan-out
+// path, which walks the catalogue over the station's spans. A customer
+// admitted in slot i gets its ScheduleInfo and first segment as slot i+1
+// begins.
 //
 // The data plane models broadcast channels: each scheduled instance is
 // produced (and counted) exactly once per slot and the encoded frame is
@@ -22,7 +23,6 @@ package vodserver
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -135,11 +135,11 @@ type videoRecord struct {
 	load           *obs.Gauge
 	miss, rebuffer *obs.Counter
 
-	// subs is the copy-on-write subscriber set: tick workers read lock-free
-	// snapshots, admit/disconnect/teardown mutate under the set's own small
-	// admin lock, and Set.Close doubles as the video's shutdown latch (Add
-	// refuses afterwards). Removal and the ring teardown around it are
-	// idempotent, so retirement, disconnect and shutdown may all reach one
+	// subs is the copy-on-write subscriber set: tick workers and telemetry
+	// readers read lock-free snapshots, admission and the service pass
+	// mutate it on the clock, and Close takes the final membership once the
+	// clock has stopped. Removal and the ring teardown around it are
+	// idempotent, so retirement, a hang-up and shutdown may all reach one
 	// subscriber.
 	subs *fanout.Set[*subscriber]
 	// frame is the slot's frame between the tick's two walks (see fanOut);
@@ -148,20 +148,10 @@ type videoRecord struct {
 }
 
 // record returns the video's record, building it on the video's first
-// admission. Record builds happen under s.mu and refuse once Close has
-// begun; Close latches every built record's set under s.mu, so a record is
-// either latched by Close or never built.
-func (s *Server) record(v *video) (*videoRecord, error) {
+// admission, which runs on the clock.
+func (s *Server) record(v *video) *videoRecord {
 	if r := v.rec.Load(); r != nil {
-		return r, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed.Load() {
-		return nil, errShuttingDown
-	}
-	if r := v.rec.Load(); r != nil {
-		return r, nil
+		return r
 	}
 	label := obs.Labels{"video": strconv.FormatUint(uint64(v.cfg.ID), 10)}
 	r := &videoRecord{
@@ -184,11 +174,8 @@ func (s *Server) record(v *video) (*videoRecord, error) {
 		r.wireSizes = append(r.wireSizes, uint32(sz))
 	}
 	v.rec.Store(r)
-	return r, nil
+	return r
 }
-
-// errShuttingDown refuses an admission once Close has begun.
-var errShuttingDown = errors.New("server shutting down")
 
 // Server is a running VOD server. Create with Start, stop with Close.
 type Server struct {
@@ -260,10 +247,8 @@ type Server struct {
 	enc *fanout.Encoder
 
 	// videos is immutable after Start; per-subscriber state lives in each
-	// video's copy-on-write set so the server-wide lock never sits on the
-	// broadcast path. mu guards the building of video records; the counters
-	// the fan-out and admit paths touch are atomics.
-	mu     sync.Mutex
+	// video's copy-on-write set, and the clock goroutine is the only one to
+	// admit, write or end a session. closed latches the first Close.
 	videos map[uint32]*video
 	closed atomic.Bool
 	// done is closed by the first Close; the telemetry loop exits on it.
@@ -272,18 +257,21 @@ type Server struct {
 	// vlist is the catalogue in station index order — the array the
 	// station's spans index, and the videos map points into.
 	vlist []video
-	// slot is the slot the tick most recently began, which a completed
-	// write is checked against for lateness (checkLate).
-	slot atomic.Int64
+	// The clock goroutine owns slot, tickStart, tallies, service and
+	// pending; during a tick's walks each span worker stands in for it on
+	// its own tally and list. slot is the slot the tick most recently
+	// began, which a completed write is checked against for lateness
+	// (checkLate); tickStart is when the tick's hook began (admitArrivals).
+	slot      int
+	tickStart time.Time
 	// tallies are the per-worker broadcast counters; service is each span's
 	// list of sessions the service pass visits (serveListed): a short write
 	// to retry, or a session past its last slot. Both are sized to the
 	// station's span count and indexed by worker.
 	tallies []fanoutTally
 	service [][]*subscriber
-	// pending holds, under pendMu, the connections whose request had not
-	// arrived whole when they were accepted (retryRequests).
-	pendMu  sync.Mutex
+	// pending holds the connections whose request had not arrived whole when
+	// a tick accepted them (admitArrivals).
 	pending []*subscriber
 	// walks are fanOut's two per-video walks, bound once: the station hands
 	// them to its pool, so a method value evaluated in fanOut would allocate
@@ -296,8 +284,8 @@ type Server struct {
 }
 
 // Start builds a server on cfg, binds cfg.Addr and, when set, cfg.StatsAddr,
-// and serves them: the accept goroutine, the telemetry loop, the stats
-// endpoint and the slot clock run until Close.
+// and serves them: the telemetry loop, the stats endpoint and the slot
+// clock, which serves every session, run until Close.
 func Start(cfg Config) (*Server, error) {
 	s, err := build(cfg)
 	if err != nil {
@@ -405,9 +393,9 @@ func build(cfg Config) (*Server, error) {
 		spans:             obs.NewSpanTracer(cfg.SpanWriter, cfg.SpanSampleEvery),
 		alerts:            obs.NewAlertEngine(),
 		firstByte: reg.Window("vod_admit_first_byte_seconds",
-			"Latency from request admission to the first broadcast byte reaching the subscriber.", 0),
+			"Latency from request admission, as the slot the request arrived in ends, to the first broadcast byte reaching the subscriber, as the next slot begins.", 0),
 		fanout: reg.Window("vod_fanout_seconds",
-			"Per-tick fan-out service time: encoding every video's slot batch and distributing it, including every session's socket writes, retries, report reads and closes.", 0),
+			"Per-tick service time, from the accepts and admissions as the slot ends through encoding every video's slot batch and distributing it, including every session's socket writes, retries, report reads and closes.", 0),
 		qoeStartup: reg.Window("client_startup_slots",
 			"Client-reported slots from admission to the first needed segment.", 0),
 		qoeSlack: reg.Window("client_deadline_slack_slots",
@@ -416,7 +404,7 @@ func build(cfg Config) (*Server, error) {
 		mRequests: reg.Counter("vod_requests_total",
 			"Admitted customer requests (including interactive resumes)."),
 		mRejects: reg.Counter("vod_rejects_total",
-			"Refused customer requests (unknown video, bad resume point, shutdown)."),
+			"Refused customer requests (unknown video, bad resume point)."),
 		mInstances: reg.Counter("vod_instances_total",
 			"Segment instances transmitted across all videos."),
 		mBroadcastBytes: reg.Counter("vod_broadcast_bytes_total",
@@ -500,10 +488,9 @@ func build(cfg Config) (*Server, error) {
 
 // serve arms what reads the telemetry period and the SLO target, which are
 // final from here on, then serves ln and, when non-nil, statsLn: it starts
-// the accept goroutine, the telemetry loop, the stats endpoint and the slot
-// clock, which retries incomplete requests before each advance. s owns both
-// listeners from the call on, so on an error the caller closes s and
-// nothing else.
+// the telemetry loop, the stats endpoint and the slot clock, which accepts
+// and admits on ln before each advance. s owns both listeners from the call
+// on, so on an error the caller closes s and nothing else.
 func (s *Server) serve(ln *listener, statsLn net.Listener) error {
 	s.ln, s.statsLn = ln, statsLn
 	if err := s.firstByte.SetSLO(s.sloTarget, sloObjective); err != nil {
@@ -512,9 +499,8 @@ func (s *Server) serve(ln *listener, statsLn net.Listener) error {
 	if err := s.armAlerts(); err != nil {
 		return fmt.Errorf("vodserver: %w", err)
 	}
-	s.wg.Add(2)
+	s.wg.Add(1)
 	go s.telemetryLoop()
-	go s.acceptSessions()
 	if statsLn != nil {
 		srv := &http.Server{Handler: s.statsMux(), ReadHeaderTimeout: 5 * time.Second}
 		s.wg.Add(1)
@@ -524,49 +510,37 @@ func (s *Server) serve(ln *listener, statsLn net.Listener) error {
 			_ = srv.Serve(statsLn)
 		}()
 	}
-	if err := s.station.StartClock(s.cfg.SlotDuration, s.retryRequests, s.fanOut); err != nil {
+	if err := s.station.StartClock(s.cfg.SlotDuration, s.admitArrivals, s.fanOut); err != nil {
 		return fmt.Errorf("vodserver: %w", err)
 	}
 	return nil
 }
 
-// Close stops accepting, halts the clock, waits for all server goroutines to
-// exit and then ends every session and closes every connection. It is safe
-// to call more than once, and on a server that was built but never
-// served.
+// Close halts the clock, which stops accepting, then closes the listeners,
+// waits for the other server goroutines to exit and ends every session and
+// closes every connection on its own goroutine. The clock stops before any
+// descriptor closes: the listener's is closed under no accept. It is safe to
+// call more than once, and on a server that was built but never served.
 func (s *Server) Close() error {
 	if s.closed.Swap(true) {
 		s.station.Close()
 		return nil
 	}
-	var err error
+	close(s.done)
+	s.station.Close()
 	if s.ln != nil {
-		err = s.ln.Close()
+		s.ln.Close()
 	}
 	if s.statsLn != nil {
 		s.statsLn.Close()
 	}
+	s.wg.Wait()
 	var live []*subscriber
-	s.mu.Lock()
 	for i := range s.vlist {
-		// Set.Close latches the video shut — admit's Add refuses from here
-		// on, so a late registration can never hold a ring nobody ends —
-		// and surfaces every live subscriber exactly once. Holding s.mu,
-		// the lock records are built under, means a video with no record
-		// here never gets one.
 		if r := s.vlist[i].rec.Load(); r != nil {
 			live = append(live, r.subs.Close()...)
 		}
 	}
-	s.mu.Unlock()
-	// station.Close waits for the clock goroutine — and therefore the
-	// joined span walks and service pass — to finish before it tears its
-	// pool down, and the accept goroutine has handed over or refused every
-	// session it admitted by the time wg.Wait returns: every session is this
-	// goroutine's from there.
-	close(s.done)
-	s.station.Close()
-	s.wg.Wait()
 	for _, list := range s.service {
 		live = append(live, list...)
 	}
@@ -576,7 +550,7 @@ func (s *Server) Close() error {
 	for _, sub := range s.pending {
 		sub.close()
 	}
-	return err
+	return nil
 }
 
 // telemetryLoop is the server's one telemetry goroutine. Each period it

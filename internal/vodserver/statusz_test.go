@@ -166,7 +166,7 @@ func TestSpanAdmitAttributes(t *testing.T) {
 	if _, err := vodclient.FetchWith(s.Addr(), vodclient.FetchOptions{VideoID: 99, Timeout: 2 * time.Second, StrictDeadlines: true}); err == nil {
 		t.Fatal("unknown video accepted")
 	}
-	// The handler ends the root after answering the client.
+	// The clock's hook ends the reject root as it answers the client.
 	var rejected []obs.SpanRecord
 	for deadline := time.Now().Add(5 * time.Second); len(rejected) == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		for _, r := range s.spans.Recent() {

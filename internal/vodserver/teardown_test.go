@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -366,67 +365,35 @@ func TestSequentialSessionsNoFDLeak(t *testing.T) {
 	}
 }
 
-// TestAcceptLoopSurvivesTransientError: an accept error other than a closed
-// listener — EMFILE in a connection burst — does not end service, and with
-// a client waiting the listener stays readable, so the loop must not spin
-// on it either: it backs off 5 ms, doubling, between attempts, accepts the
-// client once the error clears, and only a closed listener ends it.
+// TestAcceptLoopSurvivesTransientError: an accept error other than an empty
+// queue — EMFILE in a connection burst — ends only that tick's accepting.
+// Each of three ticks meets one EMFILE and makes no second call, so nothing
+// spins and no timer backs off, and the next tick accepts the waiting client
+// and the one after serves it.
 func TestAcceptLoopSurvivesTransientError(t *testing.T) {
-	const failures = 3 // backoffs of 5, 10 and 20 ms
+	const failures = 3
 	s := startManualServer(t, VideoConfig{ID: 1, Segments: 4, SegmentBytes: 16})
-	ln, err := listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.ln = ln
-	// tries counts the accept calls that end in an outcome — the injected
-	// errors and the accept — not the poller's waits (EAGAIN). Only the
-	// loop's goroutine calls accept.
-	var tries, first atomic.Int64
-	accept := ln.accept
-	ln.accept = func(fd int) (int, syscall.Sockaddr, error) {
-		if tries.Load() < failures {
-			if tries.Add(1) == 1 {
-				first.Store(time.Now().UnixNano())
-			}
+	cli := dial(t, s, requestBytes(t, 1, 0))
+	calls := 0
+	accept := s.ln.accept
+	s.ln.accept = func(fd int) (int, syscall.Sockaddr, error) {
+		if calls++; calls <= failures {
 			return -1, nil, syscall.EMFILE
 		}
-		nfd, peer, err := accept(fd)
-		if err != syscall.EAGAIN {
-			tries.Add(1)
+		return accept(fd)
+	}
+	for k := 1; k <= failures; k++ {
+		tick(s)
+		if calls != k {
+			t.Fatalf("%d accept calls over %d ticks, want one EMFILE a tick", calls, k)
 		}
-		return nfd, peer, err
 	}
-	done := make(chan struct{})
-	s.wg.Add(1)
-	go func() {
-		s.acceptSessions()
-		close(done)
-	}()
-	conn, err := net.Dial("tcp", ln.addr.String())
-	if err != nil {
-		t.Fatal(err)
+	if s.videos[1].rec.Load() != nil {
+		t.Fatal("a request was admitted while accept failed")
 	}
-	defer conn.Close()
-	if err := wire.WriteFrame(conn, wire.Request{VideoID: 1, Version: wire.ProtoV2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if msg, err := wire.ReadFrame(conn); err != nil {
-		t.Fatalf("no ScheduleInfo after the accept errors cleared: %v", err)
-	} else if _, ok := msg.(wire.ScheduleInfo); !ok {
-		t.Fatalf("first frame %T, want the ScheduleInfo", msg)
-	}
-	waited := time.Since(time.Unix(0, first.Load()))
-	if n := tries.Load(); n != failures+1 || waited < 35*time.Millisecond {
-		t.Fatalf("%d accept calls over %v, want %d backed off over at least 35 ms", n, waited, failures+1)
-	}
-	ln.Close()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the accept loop outlived its closed listener")
+	sub := admittedByHook(t, s)
+	tick(s)
+	if admit, first := readFirstWrite(t, cli); admit != sub.needFrom || first != admit+1 {
+		t.Fatalf("admitted in slot %d, first frame for slot %d; want %d and the next", admit, first, sub.needFrom)
 	}
 }

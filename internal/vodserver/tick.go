@@ -1,17 +1,19 @@
 package vodserver
 
-// This file is the per-slot broadcast: the station clock's tick callback
-// walks the active videos over the station's spans, encodes each slot once
-// and hands the shared frame to the ring of every subscriber that needs the
-// slot (one of its segments was assigned there, or it is its last). The
-// flush rule (session.go) decides how: at a flush slot the frame is pushed,
-// due with every frame held before it, and the ring writes them to the
-// socket at once in one vectored write; at any other needed slot it is
-// held; and a flush slot that carries none of the subscriber's segments
-// makes its held frames due without a frame. After both walks a service
-// pass over each span's listed sessions retries short writes, cuts what is
-// still queued at a session's bound, reads reports and closes sockets: the
-// tick is every session's only writer, and ends it.
+// This file is the per-slot broadcast. After the clock's hook has admitted
+// the ending slot's arrivals (session.go), its tick callback walks the active
+// videos over the station's spans, encodes each slot once and hands the
+// shared frame to the ring of every subscriber that needs the slot (one of
+// its segments was assigned there, or it is its last). The flush rule
+// (session.go) decides how: at a flush slot the frame is pushed, due with
+// every frame held before it, and the ring writes them to the socket at once
+// in one vectored write, a new session's ScheduleInfo ahead of its first
+// frame; at any other needed slot it is held; and a flush slot that carries
+// none of the subscriber's segments makes its held frames due without a
+// frame. After both walks a service pass over each span's listed sessions
+// retries short writes, cuts what is still queued at a session's bound, reads
+// reports and closes sockets: the tick is every session's only writer, and
+// ends it.
 
 import (
 	"time"
@@ -55,19 +57,17 @@ func (s *Server) dropHook(videoID uint32, slot int) func(segment int) bool {
 // dispatching and joining — and per-worker tallies merge into the shared
 // counters once per tick, so the hot loops touch no shared cache line and
 // take no lock but each ring's own. The service pass (serveListed) follows
-// the walks.
+// the walks. vod_fanout_seconds counts from the hook's start, so the
+// tick's busy time includes the accepts and admissions.
 func (s *Server) fanOut(reports []core.SlotReport) {
-	t0 := time.Now()
-	defer func() { s.fanout.Observe(time.Since(t0).Seconds()) }()
-	if s.closed.Load() {
-		return
-	}
+	now := time.Now()
+	defer func() { s.fanout.Observe(time.Since(s.tickStart).Seconds()) }()
 	if len(reports) > 0 {
-		s.slot.Store(int64(reports[0].Slot))
+		s.slot = reports[0].Slot
 	}
 	s.station.EachActive(s.walks[0])
 	s.station.EachActive(s.walks[1])
-	s.serveListed(t0)
+	s.serveListed(now)
 	var instances, bytes, maxDepth int64
 	for i := range s.tallies {
 		t := &s.tallies[i]
@@ -103,7 +103,7 @@ func (s *Server) firstFrames(worker, video int, rep core.SlotReport) bool {
 	tally.bytes += frame.PayloadBytes()
 	r.frame = frame
 	for _, sub := range r.subs.Snapshot() {
-		if !sub.firstSent.Load() {
+		if !sub.firstSent {
 			push(tally, sub, frame, rep.Slot)
 		}
 	}
@@ -114,8 +114,7 @@ func (s *Server) firstFrames(worker, video int, rep core.SlotReport) bool {
 // first walk skipped, list for the service pass each whose write came up
 // short, and retire — and list — those whose last slot this was; then drop
 // the encoder's reference. It reports whether the video still has an
-// audience: that, not a subscriber's last slot (maybe still the
-// placeholder), keeps a drained video active.
+// audience, which keeps a drained video active.
 func (s *Server) steadyFrames(worker, video int, rep core.SlotReport) bool {
 	r := s.vlist[video].rec.Load()
 	if r == nil || r.frame == nil {
@@ -128,14 +127,14 @@ func (s *Server) steadyFrames(worker, video int, rep core.SlotReport) bool {
 		if sub.pushed != rep.Slot {
 			push(tally, sub, frame, rep.Slot)
 		}
-		if int64(rep.Slot) >= sub.lastSlot.Load() {
+		if rep.Slot >= sub.lastSlot {
 			// The queued tail is still written; the session's bound limits
 			// how long that may take.
 			r.subs.Remove(sub)
 			sub.ring.Close()
 			sub.retired = true
 			s.enlist(worker, sub)
-		} else if !sub.listed && sub.handed.Load() && sub.backlog {
+		} else if !sub.listed && sub.backlog {
 			s.enlist(worker, sub)
 		}
 	}
@@ -178,9 +177,6 @@ func (s *Server) serveListed(now time.Time) {
 // its last slot, which the client answers, until the report is in, the
 // client closes or the bound passes.
 func (s *Server) tend(sub *subscriber, now time.Time) bool {
-	if !sub.handed.Load() {
-		return sub.retired
-	}
 	if sub.backlog {
 		sub.ct.RecordPush(sub.ring.Write(sub))
 	}
